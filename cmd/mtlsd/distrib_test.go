@@ -73,6 +73,14 @@ func fetchReports(t *testing.T, base string) map[string]any {
 	return out
 }
 
+// aggregatorOptions is the command line's defaults as an aggregator of
+// sensors (comma-separated addresses) on an ephemeral port, pulling fast.
+func aggregatorOptions(cfg mtls.Config, sensors string) options {
+	o := testOptions("", cfg)
+	o.role, o.sensors, o.syncEvery = "aggregator", sensors, 50*time.Millisecond
+	return o
+}
+
 // aggStats polls the aggregator's /api/v1/stats.
 func aggStats(t *testing.T, base string) daemonStats {
 	t.Helper()
@@ -113,13 +121,11 @@ func TestDaemonDistrib(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	common := options{listen: "127.0.0.1:0", poll: 50 * time.Millisecond, scale: cfg.CertScale}
-	oa := common
-	oa.role, oa.logs = "sensor", dirA
-	ob := common
-	ob.role, ob.logs, ob.shards = "sensor", dirB, 2
-	ou := common
-	ou.logs = dirU
+	oa := testOptions(dirA, cfg)
+	oa.role = "sensor"
+	ob := testOptions(dirB, cfg)
+	ob.role, ob.shards = "sensor", 2
+	ou := testOptions(dirU, cfg)
 
 	baseA, cancelA, exitA := startDaemon(t, oa)
 	defer func() { cancelA(); <-exitA }()
@@ -128,14 +134,8 @@ func TestDaemonDistrib(t *testing.T) {
 	baseU, cancelU, exitU := startDaemon(t, ou)
 	defer func() { cancelU(); <-exitU }()
 
-	og := options{
-		listen:    "127.0.0.1:0",
-		role:      "aggregator",
-		sensors:   strings.TrimPrefix(baseA, "http://") + "," + strings.TrimPrefix(baseB, "http://"),
-		syncEvery: 50 * time.Millisecond,
-		scale:     cfg.CertScale,
-	}
-	baseG, cancelG, exitG := startDaemon(t, og)
+	baseG, cancelG, exitG := startDaemon(t, aggregatorOptions(cfg,
+		strings.TrimPrefix(baseA, "http://")+","+strings.TrimPrefix(baseB, "http://")))
 	defer func() { cancelG(); <-exitG }()
 
 	waitConns(t, baseU, uint64(total))
@@ -228,16 +228,11 @@ func TestDaemonSensorRestartResume(t *testing.T) {
 
 	addr := freePort(t)
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	so := options{
-		logs: dir, listen: addr, poll: 50 * time.Millisecond, scale: cfg.CertScale,
-		role: "sensor", checkpoint: ckpt, ckptEvery: time.Hour,
-	}
+	so := testOptions(dir, cfg)
+	so.listen, so.role, so.checkpoint, so.ckptEvery = addr, "sensor", ckpt, time.Hour
 	_, cancelS, exitS := startDaemon(t, so)
 
-	baseG, cancelG, exitG := startDaemon(t, options{
-		listen: "127.0.0.1:0", role: "aggregator", sensors: addr,
-		syncEvery: 50 * time.Millisecond, scale: cfg.CertScale,
-	})
+	baseG, cancelG, exitG := startDaemon(t, aggregatorOptions(cfg, addr))
 	defer func() { cancelG(); <-exitG }()
 	waitConns(t, baseG, uint64(half))
 
@@ -340,14 +335,17 @@ func TestDaemonSensorRestartResume(t *testing.T) {
 // TestDaemonRoleValidation pins the CLI contract: misuse exits 2 before
 // any state exists.
 func TestDaemonRoleValidation(t *testing.T) {
-	cases := map[string]options{
-		"unknown role":            {role: "relay", logs: "x", listen: "127.0.0.1:0"},
-		"sensors without role":    {role: "monitor", logs: "x", sensors: "a:1", listen: "127.0.0.1:0"},
-		"aggregator no sensors":   {role: "aggregator", listen: "127.0.0.1:0"},
-		"aggregator with logs":    {role: "aggregator", sensors: "a:1", logs: "x", listen: "127.0.0.1:0"},
-		"aggregator checkpointed": {role: "aggregator", sensors: "a:1", checkpoint: "c", listen: "127.0.0.1:0"},
+	cases := map[string]func(*options){
+		"unknown role":            func(o *options) { o.role, o.logs = "relay", "x" },
+		"sensors without role":    func(o *options) { o.logs, o.sensors = "x", "a:1" },
+		"aggregator no sensors":   func(o *options) { o.role = "aggregator" },
+		"aggregator with logs":    func(o *options) { o.role, o.sensors, o.logs = "aggregator", "a:1", "x" },
+		"aggregator checkpointed": func(o *options) { o.role, o.sensors, o.checkpoint = "aggregator", "a:1", "c" },
 	}
-	for name, o := range cases {
+	for name, set := range cases {
+		o := defaultOptions()
+		o.listen = "127.0.0.1:0"
+		set(&o)
 		if code := run(context.Background(), o, testLogger(t), nil); code != 2 {
 			t.Errorf("%s: exit %d, want 2", name, code)
 		}

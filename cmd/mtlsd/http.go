@@ -1,0 +1,196 @@
+package main
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log/slog"
+	"net/http"
+	"net/http/pprof"
+	"strconv"
+	"strings"
+	"time"
+
+	mtls "repro"
+	"repro/internal/distrib"
+	"repro/internal/metrics"
+	"repro/internal/stream"
+	"repro/internal/zeek"
+)
+
+// reporter is the slice of the engine the HTTP layer needs; tests
+// substitute failing stubs to exercise the error mapping.
+type reporter interface {
+	Report(name string) (any, error)
+	Stats() stream.Stats
+}
+
+// daemonInfo is the deployment identity newMux folds into /api/v1/version
+// and /api/v1/stats: which role this process plays, how many engine
+// shards it runs, the snapshot handler to mount (sensor role), and the
+// aggregator whose per-sensor sync state the stats should carry.
+type daemonInfo struct {
+	role   string
+	shards int
+	sensor *distrib.Sensor
+	agg    *distrib.Aggregator
+}
+
+// versionInfo is the /api/v1/version payload: the facade's build
+// identity plus this daemon's deployment shape.
+type versionInfo struct {
+	mtls.Info
+	Role   string `json:"role"`
+	Shards int    `json:"shards"`
+}
+
+// daemonStats is the /api/v1/stats payload: the engine counters plus the
+// ingestion-health counters owned by the daemon. Embedding keeps the
+// JSON shape a strict superset of stream.Stats.
+type daemonStats struct {
+	stream.Stats
+	Role             string                 // monitor, sensor, or aggregator
+	Shards           int                    // engine shards (0 on aggregators)
+	Sensors          []distrib.SensorStatus `json:",omitempty"` // per-sensor sync state (aggregator role)
+	RowsRejected     uint64                 // malformed log rows quarantined
+	RejectedByReason map[string]uint64      `json:",omitempty"` // "file/reason" -> count
+	TailErrors       uint64                 // tail polls that returned an error
+	TailLag          map[string]int64       `json:",omitempty"` // file -> size − offset after the last poll
+}
+
+// newMux assembles the daemon's routes under /api/v1 with per-endpoint
+// request counters and latency histograms; failures are a JSON envelope
+// {"error", "code"}. The reports handler distinguishes an unknown report
+// name (404, a client mistake) from a materialization failure (500, our
+// bug).
+func newMux(eng reporter, reg *metrics.Registry, logger *slog.Logger, withPprof bool, info daemonInfo) *http.ServeMux {
+	mux := http.NewServeMux()
+	handle := func(path string, h http.HandlerFunc) {
+		mux.HandleFunc(path, instrument(reg, path, h))
+	}
+	handle("/api/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintln(w, "ok")
+	})
+	handle("/api/v1/version", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, versionInfo{Info: mtls.BuildInfo("mtlsd"), Role: info.role, Shards: info.shards})
+	})
+	handle("/api/v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		total, byReason := zeek.RejectTotals(reg)
+		ds := daemonStats{
+			Stats:            eng.Stats(),
+			Role:             info.role,
+			Shards:           info.shards,
+			RowsRejected:     total,
+			RejectedByReason: byReason,
+			TailErrors:       tailErrTotal(reg),
+		}
+		if info.agg != nil {
+			ds.Sensors = info.agg.SensorStatuses()
+		} else {
+			ds.TailLag = tailLag(reg)
+		}
+		writeJSON(w, ds)
+	})
+	reports := func(w http.ResponseWriter, r *http.Request) {
+		name := strings.Trim(strings.TrimPrefix(r.URL.Path, "/api/v1/reports"), "/")
+		if name == "" {
+			writeJSON(w, stream.ReportNames())
+			return
+		}
+		out, err := eng.Report(name)
+		switch {
+		case errors.Is(err, stream.ErrUnknownReport):
+			writeError(w, http.StatusNotFound, err.Error())
+		case err != nil:
+			logger.Error("materialize report", "name", name, "err", err)
+			writeError(w, http.StatusInternalServerError, err.Error())
+		default:
+			writeJSON(w, out)
+		}
+	}
+	handle("/api/v1/reports", reports)
+	handle("/api/v1/reports/", reports)
+	if info.sensor != nil {
+		handle("/api/v1/snapshot", info.sensor.Handler())
+	}
+	// /metrics is served unwrapped: scraping must stay readable even
+	// while it mutates the HTTP series it would otherwise self-count.
+	mux.Handle("/metrics", metrics.Handler(reg))
+	if withPprof {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	return mux
+}
+
+// tailErrTotal sums the per-file tail error counters.
+func tailErrTotal(reg *metrics.Registry) uint64 {
+	var n uint64
+	for _, f := range []string{"ssl.log", "x509.log"} {
+		n += reg.Counter(tailErrMetric, tailErrHelp, "file", f).Value()
+	}
+	return n
+}
+
+// tailLag reads back the per-file ingestion lag gauges (file size minus
+// consumed offset after the last poll) so a load harness can wait for
+// drain from /api/v1/stats instead of parsing the /metrics exposition.
+func tailLag(reg *metrics.Registry) map[string]int64 {
+	out := make(map[string]int64, 2)
+	for _, f := range []string{"ssl", "x509"} {
+		out[f] = int64(reg.Gauge("tail_lag_bytes",
+			"file size minus consumed offset after a poll", "file", f).Value())
+	}
+	return out
+}
+
+// instrument wraps a handler with a per-endpoint latency histogram and a
+// per-endpoint, per-status request counter.
+func instrument(reg *metrics.Registry, path string, h http.HandlerFunc) http.HandlerFunc {
+	dur := reg.Histogram("mtlsd_http_request_seconds", "HTTP request handling latency", nil, "path", path)
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		h(sw, r)
+		dur.Since(t0)
+		reg.Counter("mtlsd_http_requests_total", "HTTP requests served",
+			"path", path, "code", strconv.Itoa(sw.code)).Inc()
+	}
+}
+
+// statusWriter captures the response code for the request counter.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (s *statusWriter) WriteHeader(code int) {
+	s.code = code
+	s.ResponseWriter.WriteHeader(code)
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// apiError is the /api/v1 failure envelope.
+type apiError struct {
+	Error string `json:"error"`
+	Code  int    `json:"code"`
+}
+
+// writeError emits the JSON error envelope with the matching status.
+func writeError(w http.ResponseWriter, code int, msg string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(apiError{Error: msg, Code: code}) //nolint:errcheck // headers are already out
+}

@@ -1,0 +1,200 @@
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/stream"
+)
+
+// TestAPIErrorEnvelope pins the /api/v1 failure contract: an unknown
+// report is {"error", "code": 404} and a materialization failure is
+// {"error", "code": 500}.
+func TestAPIErrorEnvelope(t *testing.T) {
+	reg := metrics.New()
+	srv := httptest.NewServer(newMux(failingReporter{}, reg, testLogger(t), false, daemonInfo{}))
+	defer srv.Close()
+
+	cases := []struct {
+		path string
+		code int
+	}{
+		{"/api/v1/reports/definitely-not-a-report", http.StatusNotFound},
+		{"/api/v1/reports/table1", http.StatusInternalServerError},
+	}
+	for _, c := range cases {
+		code, body, hdr := httpGetFull(t, srv.URL+c.path)
+		if code != c.code {
+			t.Errorf("%s: status %d, want %d", c.path, code, c.code)
+		}
+		if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%s: Content-Type %q, want application/json", c.path, ct)
+		}
+		var env apiError
+		if err := json.Unmarshal([]byte(body), &env); err != nil {
+			t.Errorf("%s: body is not the JSON envelope: %v (%q)", c.path, err, body)
+			continue
+		}
+		if env.Code != c.code || env.Error == "" {
+			t.Errorf("%s: envelope %+v, want code %d and a message", c.path, env, c.code)
+		}
+	}
+}
+
+// TestDaemonEndToEnd drives a live daemon over HTTP: liveness, stats,
+// the metrics exposition (ingest, tail lag, rebuilds, HTTP latency),
+// report success, 404-vs-500 mapping, and pprof behind the flag.
+func TestDaemonEndToEnd(t *testing.T) {
+	dir, cfg := writeTestLogs(t)
+	o := testOptions(dir, cfg)
+	o.pprof, o.logLevel = true, "debug"
+	base, cancel, exit := startDaemon(t, o)
+	defer func() {
+		cancel()
+		<-exit
+	}()
+
+	if code, body := httpGet(t, base+"/api/v1/healthz"); code != 200 || !strings.Contains(body, "ok") {
+		t.Fatalf("healthz: %d %q", code, body)
+	}
+	waitIngested(t, base)
+
+	// Reports: list (with and without the trailing slash), one table,
+	// unknown name -> 404 (not 500, not 200).
+	for _, list := range []string{"/api/v1/reports", "/api/v1/reports/"} {
+		if code, body := httpGet(t, base+list); code != 200 || !strings.Contains(body, "table1") {
+			t.Errorf("report list %s: %d %s", list, code, body)
+		}
+	}
+	code, body := httpGet(t, base+"/api/v1/reports/table1")
+	if code != 200 {
+		t.Errorf("table1: %d %s", code, body)
+	}
+	var table1 struct{ Rows []struct{ Total int } }
+	if err := json.Unmarshal([]byte(body), &table1); err != nil || len(table1.Rows) == 0 {
+		t.Errorf("table1 body: %v %s", err, body)
+	}
+	if code, _ := httpGet(t, base+"/api/v1/reports/nope"); code != http.StatusNotFound {
+		t.Errorf("unknown report: %d, want 404", code)
+	}
+	// /api/v1 is the only edge: the unversioned aliases are gone.
+	for _, legacy := range []string{"/healthz", "/stats", "/reports/table1"} {
+		if code, _ := httpGet(t, base+legacy); code != http.StatusNotFound {
+			t.Errorf("legacy route %s: %d, want 404", legacy, code)
+		}
+	}
+
+	// Metrics: Prometheus text with the core series, all live.
+	code, metricsBody := httpGet(t, base+"/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics: %d", code)
+	}
+	for _, series := range []string{
+		"stream_conns_ingested_total",
+		"stream_certs_ingested_total",
+		"stream_rebuilds_total",
+		"tail_lag_bytes{file=\"ssl\"}",
+		"tail_bytes_read_total{file=\"ssl\"}",
+		"tail_rotations_total{file=\"x509\"}",
+		"mtlsd_http_request_seconds_count{path=\"/api/v1/healthz\"}",
+		"mtlsd_http_requests_total{path=\"/api/v1/healthz\",code=\"200\"}",
+		"stream_apply_latency_seconds_bucket",
+	} {
+		if !strings.Contains(metricsBody, series) {
+			t.Errorf("/metrics missing %s", series)
+		}
+	}
+	for _, nonZero := range []string{"stream_conns_ingested_total ", "tail_bytes_read_total{file=\"ssl\"} "} {
+		for _, line := range strings.Split(metricsBody, "\n") {
+			if strings.HasPrefix(line, nonZero) && strings.HasSuffix(line, " 0") {
+				t.Errorf("series %s is zero after ingestion", nonZero)
+			}
+		}
+	}
+
+	// JSON exposition of the same registry.
+	if code, body := httpGet(t, base+"/metrics?format=json"); code != 200 {
+		t.Errorf("/metrics json: %d", code)
+	} else {
+		var m map[string]any
+		if err := json.Unmarshal([]byte(body), &m); err != nil {
+			t.Errorf("metrics json decode: %v", err)
+		}
+	}
+
+	// pprof is mounted when the flag is on.
+	if code, _ := httpGet(t, base+"/debug/pprof/cmdline"); code != 200 {
+		t.Errorf("pprof cmdline: %d", code)
+	}
+}
+
+// TestDaemonPprofOffByDefault: without -pprof the profile endpoints are
+// not mounted.
+func TestDaemonPprofOffByDefault(t *testing.T) {
+	dir, cfg := writeTestLogs(t)
+	base, cancel, exit := startDaemon(t, testOptions(dir, cfg))
+	defer func() {
+		cancel()
+		<-exit
+	}()
+	if code, _ := httpGet(t, base+"/debug/pprof/cmdline"); code != http.StatusNotFound {
+		t.Errorf("pprof mounted without -pprof: %d", code)
+	}
+}
+
+// TestReportsHandler500: an internal materialization failure maps to
+// 500, not 404 — exercised against a stub reporter so the failure is
+// deterministic.
+func TestReportsHandler500(t *testing.T) {
+	reg := metrics.New()
+	mux := newMux(failingReporter{}, reg, testLogger(t), false, daemonInfo{})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	res, err := http.Get(srv.URL + "/api/v1/reports/table1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusInternalServerError {
+		t.Errorf("internal failure: %d, want 500", res.StatusCode)
+	}
+
+	res, err = http.Get(srv.URL + "/api/v1/reports/definitely-not-a-report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown report: %d, want 404", res.StatusCode)
+	}
+
+	// The status-labeled request counters observed both outcomes.
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`code="500"`, `code="404"`} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("request counter missing %s:\n%s", want, buf.String())
+		}
+	}
+}
+
+// failingReporter fails materialization for known names and reports
+// unknown ones with the typed sentinel, mirroring the engine's contract.
+type failingReporter struct{}
+
+func (failingReporter) Report(name string) (any, error) {
+	if name == "table1" {
+		return nil, fmt.Errorf("simulated materialization failure")
+	}
+	return nil, fmt.Errorf("%w: %q", stream.ErrUnknownReport, name)
+}
+
+func (failingReporter) Stats() stream.Stats { return stream.Stats{} }

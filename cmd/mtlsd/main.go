@@ -4,8 +4,7 @@
 // and figure of the paper as JSON over HTTP — continuously, without
 // re-reading the logs from scratch.
 //
-// Endpoints (canonical, versioned; errors are a JSON envelope
-// {"error": ..., "code": ...}):
+// Endpoints (errors are a JSON envelope {"error": ..., "code": ...}):
 //
 //	GET /api/v1/healthz          liveness (200 "ok")
 //	GET /api/v1/version          build info, role, supported snapshot schemas
@@ -15,10 +14,6 @@
 //	GET /api/v1/snapshot         serialized engine state (-role sensor only)
 //	GET /metrics                 Prometheus text exposition (?format=json for JSON)
 //	GET /debug/pprof/...         runtime profiles (only with -pprof)
-//
-// The original unversioned paths (/healthz, /stats, /reports/...) remain
-// as aliases that serve identical bodies and additionally carry a
-// "Deprecation: true" header plus a Link to the versioned successor.
 //
 // Usage:
 //
@@ -32,9 +27,7 @@
 // engine shards (internal/stream.Sharded): connections by UID hash,
 // certificates to every shard that references them. Reports merge the
 // shard states on demand and are identical to a single-engine run at any
-// shard count. Per-shard series carry a shard="i" label on /metrics, and
-// -checkpoint names a directory (manifest + one file per shard) instead
-// of a single file.
+// shard count. Per-shard series carry a shard="i" label on /metrics.
 //
 // The distributed tier stacks two roles on the same binary. A sensor is
 // a monitor that additionally serializes its engine state over
@@ -51,44 +44,45 @@
 // keeps serving its last-good merge; per-sensor cursors, sync ages, and
 // errors appear in /api/v1/stats and /metrics.
 //
-// With -checkpoint the engine state is periodically persisted (atomic
-// write) together with the log-file byte offsets; on restart mtlsd
-// restores the state and resumes tailing exactly where it stopped, so
-// reports after the restart match an uninterrupted run. Every shutdown
+// With -checkpoint the engine state is periodically persisted together
+// with the log-file byte offsets; on restart mtlsd restores the state
+// and resumes tailing exactly where it stopped, so reports after the
+// restart match an uninterrupted run. A fresh path becomes a directory:
+// at -shards 1 an incremental segment chain committed by MANIFEST (an
+// existing legacy single-file checkpoint keeps being rewritten in
+// place), at -shards n>1 one file per shard committed by manifest.json.
+// The layouts do not convert: a daemon pointed at a directory written
+// at the other kind of shard count refuses to start. Every shutdown
 // path — SIGINT/SIGTERM, or the HTTP server failing — drains the tailer
 // and writes a final checkpoint before exiting; nothing short of a kill
 // loses tailed state.
+//
+// The code is split by role: main.go (flags, dispatch, the shared
+// serve/shutdown sequence), monitor.go (monitor and sensor: engine,
+// tailer loop, checkpoints), tail.go (interleaved catch-up over the two
+// logs), aggregator.go, and http.go (routes, stats, instrumentation).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	mtls "repro"
 	"repro/internal/core"
-	"repro/internal/distrib"
-	"repro/internal/metrics"
-	"repro/internal/stream"
 	"repro/internal/zeek"
 )
 
 // options carries every flag so run is testable without a real command
-// line.
+// line. Tests start from defaultOptions, so they and the command line
+// share one set of defaults.
 type options struct {
 	logs          string
 	listen        string
@@ -97,7 +91,6 @@ type options struct {
 	ckptEvery     time.Duration
 	retention     time.Duration
 	buffer        int
-	batch         int
 	drop          bool
 	spec          string
 	scale         int
@@ -117,44 +110,124 @@ type options struct {
 	hotBytes      int64
 }
 
-func main() {
-	var o options
-	flag.StringVar(&o.logs, "logs", "", "directory with ssl.log/x509.log to tail (required)")
-	flag.StringVar(&o.listen, "listen", "127.0.0.1:8411", "HTTP listen address")
-	flag.DurationVar(&o.poll, "poll", 2*time.Second, "log poll interval")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint path (restore on start, persist periodically); fresh paths get the incremental directory format, an existing legacy file is rewritten in place")
-	flag.DurationVar(&o.ckptEvery, "checkpoint-every", time.Minute, "checkpoint interval (0 = only on shutdown)")
-	flag.DurationVar(&o.retention, "retention", 0, "connection retention window (0 = keep everything)")
-	flag.IntVar(&o.buffer, "buffer", 0, "ingest buffer size (0 = engine default)")
-	flag.IntVar(&o.batch, "batch", zeek.DefaultBatchSize, "records per ingest batch (1 = per-event ingest)")
-	flag.BoolVar(&o.drop, "drop", false, "shed events when the buffer is full instead of blocking the tailer")
-	flag.StringVar(&o.spec, "spec", "", "scenario spec YAML the generator used (\"-\" = stdin; empty = built-in campus spec)")
-	flag.IntVar(&o.scale, "scale", 0, "context scale divisor (must match the generator's)")
-	flag.Uint64Var(&o.seed, "seed", 0, "context seed (must match the generator's)")
-	flag.IntVar(&o.workers, "workers", 0, "report workers: 0 = one per CPU, 1 = serial")
-	flag.IntVar(&o.shards, "shards", 1, "engine shards: 1 = single engine, 0 = one per CPU, n = exactly n")
-	flag.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
-	flag.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
-	flag.BoolVar(&o.strict, "strict", false, "fail-stop on malformed log rows instead of quarantining them")
-	flag.StringVar(&o.quarantine, "quarantine", "", "append rejected rows to this file (permissive mode only)")
-	flag.Int64Var(&o.quarantineMax, "quarantine-max-bytes", zeek.DefaultQuarantineMaxBytes,
-		"quarantine size cap; overflow rows are dropped and counted (0 = unlimited)")
-	flag.StringVar(&o.store, "store", "memory", "engine state store: memory, or disk (hot/cold tiering under -store-dir)")
-	flag.StringVar(&o.storeDir, "store-dir", "", "scratch directory for the disk store (required with -store disk)")
-	flag.Int64Var(&o.hotBytes, "hot-bytes", 0, "disk store hot-tier budget in bytes (0 = store default)")
-	flag.StringVar(&o.role, "role", "monitor", "monitor, sensor (monitor + /api/v1/snapshot), or aggregator (pulls -sensors)")
-	flag.StringVar(&o.sensors, "sensors", "", "comma-separated sensor addresses (aggregator role only)")
-	flag.DurationVar(&o.syncEvery, "sync-every", 5*time.Second, "aggregator sensor pull interval")
-	flag.Parse()
+// defaultOptions is what a command line with no flags means.
+func defaultOptions() options {
+	return options{
+		listen:        "127.0.0.1:8411",
+		poll:          2 * time.Second,
+		ckptEvery:     time.Minute,
+		shards:        1,
+		logLevel:      "info",
+		quarantineMax: zeek.DefaultQuarantineMaxBytes,
+		role:          "monitor",
+		syncEvery:     5 * time.Second,
+		store:         "memory",
+	}
+}
 
-	logger := newLogger(os.Stderr, o.logLevel)
-	os.Exit(run(context.Background(), o, logger, nil))
+// registerFlags binds every flag to o; each flag's default is the value
+// o holds on entry.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.logs, "logs", o.logs, "directory with ssl.log/x509.log to tail (required)")
+	fs.StringVar(&o.listen, "listen", o.listen, "HTTP listen address")
+	fs.DurationVar(&o.poll, "poll", o.poll, "log poll interval")
+	fs.StringVar(&o.checkpoint, "checkpoint", o.checkpoint, "checkpoint path (restore on start, persist periodically); fresh paths become a directory, an existing legacy file is rewritten in place")
+	fs.DurationVar(&o.ckptEvery, "checkpoint-every", o.ckptEvery, "checkpoint interval (0 = only on shutdown)")
+	fs.DurationVar(&o.retention, "retention", o.retention, "connection retention window (0 = keep everything)")
+	fs.IntVar(&o.buffer, "buffer", o.buffer, "ingest buffer size in batches (0 = engine default)")
+	fs.BoolVar(&o.drop, "drop", o.drop, "shed events when the buffer is full instead of blocking the tailer")
+	fs.StringVar(&o.spec, "spec", o.spec, "scenario spec YAML the generator used (\"-\" = stdin; empty = built-in campus spec)")
+	fs.IntVar(&o.scale, "scale", o.scale, "context scale divisor (must match the generator's)")
+	fs.Uint64Var(&o.seed, "seed", o.seed, "context seed (must match the generator's)")
+	fs.IntVar(&o.workers, "workers", o.workers, "report workers: 0 = one per CPU, 1 = serial")
+	fs.IntVar(&o.shards, "shards", o.shards, "engine shards: 1 = single engine, 0 = one per CPU, n = exactly n")
+	fs.BoolVar(&o.pprof, "pprof", o.pprof, "expose net/http/pprof under /debug/pprof/")
+	fs.StringVar(&o.logLevel, "log-level", o.logLevel, "log level: debug, info, warn, error")
+	fs.BoolVar(&o.strict, "strict", o.strict, "fail-stop on malformed log rows instead of quarantining them")
+	fs.StringVar(&o.quarantine, "quarantine", o.quarantine, "append rejected rows to this file (permissive mode only)")
+	fs.Int64Var(&o.quarantineMax, "quarantine-max-bytes", o.quarantineMax,
+		"quarantine size cap; overflow rows are dropped and counted (0 = unlimited)")
+	fs.StringVar(&o.store, "store", o.store, "engine state store: memory, or disk (hot/cold tiering under -store-dir)")
+	fs.StringVar(&o.storeDir, "store-dir", o.storeDir, "scratch directory for the disk store (required with -store disk)")
+	fs.Int64Var(&o.hotBytes, "hot-bytes", o.hotBytes, "disk store hot-tier budget in bytes (0 = store default)")
+	fs.StringVar(&o.role, "role", o.role, "monitor, sensor (monitor + /api/v1/snapshot), or aggregator (pulls -sensors)")
+	fs.StringVar(&o.sensors, "sensors", o.sensors, "comma-separated sensor addresses (aggregator role only)")
+	fs.DurationVar(&o.syncEvery, "sync-every", o.syncEvery, "aggregator sensor pull interval")
+}
+
+func main() {
+	o := defaultOptions()
+	registerFlags(flag.CommandLine, &o)
+	flag.Parse()
+	os.Exit(run(context.Background(), o, newLogger(os.Stderr, o.logLevel), nil))
+}
+
+// run dispatches on -role; main exits with its return value. Keeping the
+// daemon body off main keeps every teardown step (engine close, final
+// checkpoint) on the normal return path — a log.Fatal exit would skip
+// them and lose hours of tailed state to a port conflict. ready, when
+// non-nil, is invoked with the bound listen address once the HTTP socket
+// is open (tests listen on :0).
+func run(ctx context.Context, o options, logger *slog.Logger, ready func(addr string)) int {
+	switch o.role {
+	case "monitor", "sensor":
+		return runMonitor(ctx, o, logger, ready)
+	case "aggregator":
+		return runAggregator(ctx, o, logger, ready)
+	default:
+		logger.Error("-role must be monitor, sensor, or aggregator", "role", o.role)
+		return 2
+	}
+}
+
+// serve is the lifecycle both roles share once their state exists: run
+// work (the role's producer — tailer or sensor pulls) on a context that
+// SIGINT/SIGTERM cancels, serve h on ln, and block until a signal
+// arrives or the HTTP server dies underneath us. Either way work is then
+// cancelled and waited for — it owns whatever must happen last with its
+// state, such as the final checkpoint — before the server shuts down.
+// Returns the exit code.
+func serve(ctx context.Context, ln net.Listener, h http.Handler, logger *slog.Logger,
+	ready func(addr string), work func(context.Context)) int {
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	workDone := make(chan struct{})
+	go func() {
+		defer close(workDone)
+		work(ctx)
+	}()
+
+	srv := &http.Server{Handler: h}
+	srvErr := make(chan error, 1)
+	go func() { srvErr <- srv.Serve(ln) }()
+	if ready != nil {
+		ready(ln.Addr().String())
+	}
+
+	code := 0
+	select {
+	case err := <-srvErr:
+		if !errors.Is(err, http.ErrServerClosed) {
+			logger.Error("http server", "err", err)
+			code = 1
+		}
+		stop() // release work
+	case <-ctx.Done():
+		logger.Info("shutting down", "reason", "signal")
+	}
+	<-workDone
+
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	srv.Shutdown(shutdownCtx)
+	return code
 }
 
 // contextInput rebuilds the deterministic analysis context (trust
 // bundle, CT log, association map) from the scenario spec the generator
 // compiled — or the built-in campus spec — with the -scale/-seed flag
-// overrides applied the same way mtlsgen applies them.
+// overrides applied the same way mtlsgen applies them, so the daemon
+// agrees with whatever wrote the logs.
 func contextInput(o options) (*core.Input, error) {
 	spec := mtls.CampusSpec()
 	if o.spec != "" {
@@ -187,720 +260,4 @@ func newLogger(w *os.File, level string) *slog.Logger {
 		lvl = slog.LevelInfo
 	}
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: lvl}))
-}
-
-// run is the daemon body; main exits with its return value. Splitting it
-// from main keeps every teardown step (engine close, final checkpoint)
-// on the normal return path — the old log.Fatal exit skipped the
-// deferred close and the final checkpoint, losing hours of tailed state
-// to a port conflict. ready, when non-nil, is invoked with the bound
-// listen address once the HTTP socket is open (tests listen on :0).
-func run(ctx context.Context, o options, logger *slog.Logger, ready func(addr string)) int {
-	switch o.role {
-	case "", "monitor", "sensor":
-		if o.sensors != "" {
-			logger.Error("-sensors requires -role aggregator")
-			return 2
-		}
-	case "aggregator":
-		return runAggregator(ctx, o, logger, ready)
-	default:
-		logger.Error("-role must be monitor, sensor, or aggregator", "role", o.role)
-		return 2
-	}
-	if o.logs == "" {
-		logger.Error("-logs is required")
-		return 2
-	}
-
-	// Bind the socket first: a port conflict must fail fast, before any
-	// state exists that a failed exit could lose.
-	ln, err := net.Listen("tcp", o.listen)
-	if err != nil {
-		logger.Error("listen", "addr", o.listen, "err", err)
-		return 1
-	}
-
-	reg := metrics.New()
-
-	// The analysis context (trust bundle, CT log, association map) is
-	// deterministic in (spec, seed, scale); regenerate it from the same
-	// scenario spec the generator compiled so the daemon agrees with
-	// whatever wrote the logs.
-	in, err := contextInput(o)
-	if err != nil {
-		logger.Error("build analysis context", "err", err)
-		ln.Close()
-		return 2
-	}
-
-	// A sensor is a monitor whose engine additionally stamps every
-	// admitted event with an export sequence, so /api/v1/snapshot can
-	// serve cursor deltas.
-	scfg := stream.Config{Input: in, Buffer: o.buffer, Retention: o.retention, Metrics: reg,
-		TrackExport: o.role == "sensor",
-		Store:       o.store, StoreDir: o.storeDir, HotBytes: o.hotBytes}
-	if o.drop {
-		scfg.Policy = stream.Drop
-	}
-	if o.store == "disk" && o.storeDir == "" {
-		logger.Error("-store disk requires -store-dir")
-		ln.Close()
-		return 2
-	}
-
-	// Malformed-row policy. Permissive (the default) quarantines bad rows
-	// and keeps tailing — one corrupt line must not wedge a monitor that
-	// runs for months; -strict restores fail-stop for operators who would
-	// rather halt than skip. RejectTotals pre-registers the zero-valued
-	// rejection series so /metrics shows the family from boot.
-	zopts := zeek.Options{Strict: o.strict, Metrics: reg}
-	if o.quarantine != "" {
-		if o.strict {
-			logger.Error("-quarantine is meaningless with -strict (strict mode never skips rows)")
-			ln.Close()
-			return 2
-		}
-		q, err := zeek.OpenQuarantine(o.quarantine)
-		if err != nil {
-			logger.Error("open quarantine", "path", o.quarantine, "err", err)
-			ln.Close()
-			return 1
-		}
-		defer q.Close()
-		q.SetMaxBytes(o.quarantineMax)
-		q.Instrument(reg)
-		zopts.Quarantine = q
-	}
-	zeek.RejectTotals(reg)
-
-	sslTail := zeek.NewSSLTail(filepath.Join(o.logs, "ssl.log"))
-	x509Tail := zeek.NewX509Tail(filepath.Join(o.logs, "x509.log"))
-	sslTail.Instrument(reg)
-	x509Tail.Instrument(reg)
-	sslTail.SetOptions(zopts)
-	x509Tail.SetOptions(zopts)
-
-	// Resolve the shard count up front: routing and the checkpoint layout
-	// are functions of it. 1 keeps the classic single-engine deployment
-	// (unlabeled stream_* series, single-file checkpoint); 0 (one per CPU)
-	// or n>1 runs the sharded engine, whose per-shard series carry a
-	// shard="i" label and whose -checkpoint names a directory.
-	nShards := o.shards
-	if nShards <= 0 {
-		nShards = runtime.GOMAXPROCS(0)
-	}
-
-	var eng engine
-	restored := func(which string, cursor map[string]int64, st stream.Stats) {
-		sslTail.SetOffset(cursor["ssl.log"])
-		x509Tail.SetOffset(cursor["x509.log"])
-		logger.Info("restored checkpoint", "path", o.checkpoint, "mode", which,
-			"conns", st.ConnsIngested, "certs", st.UniqueCerts,
-			"ssl_offset", cursor["ssl.log"], "x509_offset", cursor["x509.log"])
-	}
-	if nShards > 1 {
-		if o.checkpoint != "" {
-			if s, cursor, err := stream.RestoreSharded(scfg, nShards, o.checkpoint); err == nil {
-				eng = s
-				restored(fmt.Sprintf("sharded/%d", nShards), cursor, s.Stats())
-			} else if !errors.Is(err, os.ErrNotExist) {
-				logger.Error("restore checkpoint", "path", o.checkpoint, "err", err)
-				ln.Close()
-				return 1
-			}
-		}
-		if eng == nil {
-			s, err := stream.NewSharded(nShards, scfg)
-			if err != nil {
-				logger.Error("start engine", "shards", nShards, "err", err)
-				ln.Close()
-				return 1
-			}
-			eng = s
-		}
-	} else {
-		if o.checkpoint != "" {
-			if e, cursor, err := stream.Restore(scfg, o.checkpoint); err == nil {
-				eng = e
-				restored("single", cursor, e.Stats())
-			} else if !errors.Is(err, os.ErrNotExist) {
-				logger.Error("restore checkpoint", "path", o.checkpoint, "err", err)
-				ln.Close()
-				return 1
-			}
-		}
-		if eng == nil {
-			e, err := stream.New(scfg)
-			if err != nil {
-				logger.Error("start engine", "err", err)
-				ln.Close()
-				return 1
-			}
-			eng = e
-		}
-	}
-	defer eng.Close()
-
-	ckptMetrics := struct {
-		writes *metrics.Counter
-		errs   *metrics.Counter
-	}{
-		writes: reg.Counter("mtlsd_checkpoint_writes_total", "checkpoints attempted by the daemon"),
-		errs:   reg.Counter("mtlsd_checkpoint_errors_total", "checkpoint attempts that failed"),
-	}
-	checkpoint := func(final bool) {
-		if o.checkpoint == "" {
-			return
-		}
-		ckptMetrics.writes.Inc()
-		if err := writeCheckpoint(eng, sslTail, x509Tail, o.checkpoint); err != nil {
-			ckptMetrics.errs.Inc()
-			logger.Error("checkpoint", "path", o.checkpoint, "final", final, "err", err)
-		} else if final {
-			logger.Info("final checkpoint written", "path", o.checkpoint)
-		}
-	}
-
-	// Tailer: single producer goroutine. Certificates are polled before
-	// connections within each round so enrichment resolves chains on
-	// first try (out-of-order arrivals still converge, via a rebuild).
-	// Each Poll consumes at most one chunk of backlog; catchUp interleaves
-	// the two logs chunk-for-chunk so a hot file cannot starve the other,
-	// and caps the rounds per tick so checkpoints stay on schedule.
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	tailerDone := make(chan struct{})
-	go func() {
-		defer close(tailerDone)
-		ticker := time.NewTicker(o.poll)
-		defer ticker.Stop()
-		var lastCkpt time.Time
-		// Persistent poll errors (an unreadable disk, or strict mode
-		// parked on a malformed row) back off exponentially instead of
-		// burning a full-rate retry loop: the offset does not advance, so
-		// retrying every poll interval re-reads the same failure.
-		x509Backoff := newBackoff(o.poll)
-		sslBackoff := newBackoff(o.poll)
-		x509Errs := reg.Counter(tailErrMetric, tailErrHelp, "file", "x509.log")
-		sslErrs := reg.Counter(tailErrMetric, tailErrHelp, "file", "ssl.log")
-		// Each Poll already yields a record slice; hand it to the engine
-		// in -batch sized runs so one channel hop (and one lock
-		// acquisition downstream) amortizes over the whole run. -batch=1
-		// keeps the per-event path for bisecting behavior differences.
-		ingestCerts := func(certs []core.CertRecord) {
-			if o.batch <= 1 {
-				for i := range certs {
-					eng.IngestCert(&certs[i])
-				}
-				return
-			}
-			for lo := 0; lo < len(certs); lo += o.batch {
-				eng.IngestCertBatch(certs[lo:min(lo+o.batch, len(certs))])
-			}
-		}
-		ingestConns := func(conns []core.ConnRecord) {
-			if o.batch <= 1 {
-				for i := range conns {
-					eng.IngestConn(&conns[i])
-				}
-				return
-			}
-			for lo := 0; lo < len(conns); lo += o.batch {
-				eng.IngestConnBatch(conns[lo:min(lo+o.batch, len(conns))])
-			}
-		}
-		x509Src := &tailSource{bo: x509Backoff, poll: func() (int, error) {
-			certs, err := x509Tail.Poll()
-			ingestCerts(certs)
-			return len(certs), err
-		}, fail: func(err error, wait time.Duration) {
-			x509Errs.Inc()
-			logger.Warn("tail x509.log", "err", err, "backoff", wait)
-		}}
-		sslSrc := &tailSource{bo: sslBackoff, poll: func() (int, error) {
-			conns, err := sslTail.Poll()
-			ingestConns(conns)
-			return len(conns), err
-		}, fail: func(err error, wait time.Duration) {
-			sslErrs.Inc()
-			logger.Warn("tail ssl.log", "err", err, "backoff", wait)
-		}}
-		srcs := []*tailSource{x509Src, sslSrc}
-		for {
-			counts := catchUp(ctx, catchUpRounds, srcs)
-			nCerts, nConns := counts[0], counts[1]
-			if nCerts > 0 || nConns > 0 {
-				logger.Debug("ingested", "conns", nConns, "certs", nCerts)
-			}
-			if o.ckptEvery > 0 && time.Since(lastCkpt) >= o.ckptEvery {
-				checkpoint(false)
-				lastCkpt = time.Now()
-			}
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-		}
-	}()
-
-	role := o.role
-	if role == "" {
-		role = "monitor"
-	}
-	info := daemonInfo{role: role, shards: nShards}
-	if role == "sensor" {
-		// The engine was built with TrackExport, so the concrete type
-		// (Engine or Sharded) always satisfies the export surface.
-		info.sensor = distrib.NewSensor(eng.(distrib.Exporter), reg, logger)
-	}
-	srv := &http.Server{Handler: newMux(eng, reg, logger, o.pprof, info)}
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- srv.Serve(ln) }()
-	logger.Info("serving", "addr", ln.Addr().String(), "role", role, "shards", nShards, "pprof", o.pprof)
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	code := 0
-	select {
-	case err := <-srvErr:
-		if !errors.Is(err, http.ErrServerClosed) {
-			// Server died underneath us; shut the rest down cleanly —
-			// the tailer keeps its state, and the final checkpoint below
-			// still runs.
-			logger.Error("http server", "err", err)
-			code = 1
-		}
-		stop() // release the tailer
-	case <-ctx.Done():
-		logger.Info("shutting down", "reason", "signal")
-	}
-
-	<-tailerDone // no producer left; offsets are final
-	checkpoint(true)
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	srv.Shutdown(shutdownCtx)
-	return code
-}
-
-// runAggregator is the -role aggregator body: no tailers, no engine, no
-// checkpoint — the process pulls the configured sensors on -sync-every
-// and serves their merged analysis through the same /api/v1 surface.
-func runAggregator(ctx context.Context, o options, logger *slog.Logger, ready func(addr string)) int {
-	if o.sensors == "" {
-		logger.Error("-role aggregator requires -sensors")
-		return 2
-	}
-	if o.logs != "" {
-		logger.Error("-logs is meaningless with -role aggregator (sensors tail the logs)")
-		return 2
-	}
-	if o.checkpoint != "" {
-		logger.Error("-checkpoint is not supported with -role aggregator (sensors own durable state)")
-		return 2
-	}
-	var sensors []string
-	for _, s := range strings.Split(o.sensors, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			sensors = append(sensors, s)
-		}
-	}
-
-	ln, err := net.Listen("tcp", o.listen)
-	if err != nil {
-		logger.Error("listen", "addr", o.listen, "err", err)
-		return 1
-	}
-	reg := metrics.New()
-
-	in, err := contextInput(o)
-	if err != nil {
-		logger.Error("build analysis context", "err", err)
-		ln.Close()
-		return 2
-	}
-
-	agg, err := distrib.NewAggregator(distrib.Config{
-		Input:    in,
-		Sensors:  sensors,
-		Interval: o.syncEvery,
-		Metrics:  reg,
-		Logger:   logger,
-	})
-	if err != nil {
-		logger.Error("start aggregator", "err", err)
-		ln.Close()
-		return 1
-	}
-
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	aggDone := make(chan struct{})
-	go func() {
-		defer close(aggDone)
-		agg.Run(ctx)
-	}()
-
-	srv := &http.Server{Handler: newMux(agg, reg, logger, o.pprof,
-		daemonInfo{role: "aggregator", agg: agg})}
-	srvErr := make(chan error, 1)
-	go func() { srvErr <- srv.Serve(ln) }()
-	logger.Info("serving", "addr", ln.Addr().String(), "role", "aggregator",
-		"sensors", len(sensors), "sync_every", o.syncEvery.String())
-	if ready != nil {
-		ready(ln.Addr().String())
-	}
-
-	code := 0
-	select {
-	case err := <-srvErr:
-		if !errors.Is(err, http.ErrServerClosed) {
-			logger.Error("http server", "err", err)
-			code = 1
-		}
-		stop()
-	case <-ctx.Done():
-		logger.Info("shutting down", "reason", "signal")
-	}
-	<-aggDone
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	srv.Shutdown(shutdownCtx)
-	return code
-}
-
-// daemonInfo is the deployment identity newMux folds into /api/v1/version
-// and /api/v1/stats: which role this process plays, how many engine
-// shards it runs, the snapshot handler to mount (sensor role), and the
-// aggregator whose per-sensor sync state the stats should carry.
-type daemonInfo struct {
-	role   string
-	shards int
-	sensor *distrib.Sensor
-	agg    *distrib.Aggregator
-}
-
-// versionInfo is the /api/v1/version payload: the facade's build
-// identity plus this daemon's deployment shape.
-type versionInfo struct {
-	mtls.Info
-	Role   string `json:"role"`
-	Shards int    `json:"shards"`
-}
-
-// newMux assembles the daemon's routes with per-endpoint request
-// counters and latency histograms. The canonical API lives under
-// /api/v1 and reports failures as a JSON envelope {"error", "code"};
-// the original unversioned paths serve identical bodies and add a
-// Deprecation header pointing at the successor. The reports handler
-// distinguishes an unknown report name (404, a client mistake) from a
-// materialization failure (500, our bug).
-func newMux(eng reporter, reg *metrics.Registry, logger *slog.Logger, withPprof bool, info daemonInfo) *http.ServeMux {
-	if info.role == "" {
-		info.role = "monitor"
-	}
-	mux := http.NewServeMux()
-	handle := func(path string, h http.HandlerFunc) {
-		mux.HandleFunc(path, instrument(reg, path, h))
-	}
-	healthz := func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	}
-	version := func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, versionInfo{Info: mtls.BuildInfo("mtlsd"), Role: info.role, Shards: info.shards})
-	}
-	stats := func(w http.ResponseWriter, r *http.Request) {
-		total, byReason := zeek.RejectTotals(reg)
-		ds := daemonStats{
-			Stats:            eng.Stats(),
-			Role:             info.role,
-			Shards:           info.shards,
-			RowsRejected:     total,
-			RejectedByReason: byReason,
-			TailErrors:       tailErrTotal(reg),
-		}
-		if info.agg != nil {
-			ds.Sensors = info.agg.SensorStatuses()
-		} else {
-			ds.TailLag = tailLag(reg)
-		}
-		writeJSON(w, ds)
-	}
-	reports := func(prefix string) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			name := strings.Trim(strings.TrimPrefix(r.URL.Path, prefix), "/")
-			if name == "" {
-				writeJSON(w, stream.ReportNames())
-				return
-			}
-			out, err := eng.Report(name)
-			switch {
-			case errors.Is(err, stream.ErrUnknownReport):
-				writeError(w, http.StatusNotFound, err.Error())
-			case err != nil:
-				logger.Error("materialize report", "name", name, "err", err)
-				writeError(w, http.StatusInternalServerError, err.Error())
-			default:
-				writeJSON(w, out)
-			}
-		}
-	}
-
-	handle("/api/v1/healthz", healthz)
-	handle("/api/v1/version", version)
-	handle("/api/v1/stats", stats)
-	handle("/api/v1/reports", reports("/api/v1/reports"))
-	handle("/api/v1/reports/", reports("/api/v1/reports"))
-	if info.sensor != nil {
-		handle("/api/v1/snapshot", info.sensor.Handler())
-	}
-
-	handle("/healthz", deprecated("/api/v1/healthz", healthz))
-	handle("/stats", deprecated("/api/v1/stats", stats))
-	handle("/reports/", deprecated("/api/v1/reports/", reports("/reports")))
-	// /metrics is served unwrapped: scraping must stay readable even
-	// while it mutates the HTTP series it would otherwise self-count.
-	mux.Handle("/metrics", metrics.Handler(reg))
-	if withPprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	return mux
-}
-
-// reporter is the slice of the engine the HTTP layer needs; tests
-// substitute failing stubs to exercise the error mapping.
-type reporter interface {
-	Report(name string) (any, error)
-	Stats() stream.Stats
-}
-
-// engine is the full surface the daemon drives. *stream.Engine and
-// *stream.Sharded both satisfy it; for the sharded engine the
-// WriteCheckpoint path names a directory rather than a file.
-type engine interface {
-	reporter
-	IngestConn(rec *core.ConnRecord) bool
-	IngestCert(rec *core.CertRecord) bool
-	IngestConnBatch(recs []core.ConnRecord) int
-	IngestCertBatch(recs []core.CertRecord) int
-	Drain()
-	Close()
-	WriteCheckpoint(path string, cursor map[string]int64) error
-}
-
-// daemonStats is the /stats payload: the engine counters plus the
-// ingestion-health counters owned by the daemon. Embedding keeps the
-// JSON shape a strict superset of stream.Stats, so existing scrapers
-// keep working.
-type daemonStats struct {
-	stream.Stats
-	Role             string                 // monitor, sensor, or aggregator
-	Shards           int                    // engine shards (0 on aggregators)
-	Sensors          []distrib.SensorStatus `json:",omitempty"` // per-sensor sync state (aggregator role)
-	RowsRejected     uint64                 // malformed log rows quarantined
-	RejectedByReason map[string]uint64      `json:",omitempty"` // "file/reason" -> count
-	TailErrors       uint64                 // tail polls that returned an error
-	TailLag          map[string]int64       `json:",omitempty"` // file -> size − offset after the last poll
-}
-
-const (
-	tailErrMetric = "mtlsd_tail_errors_total"
-	tailErrHelp   = "tail polls that returned an error"
-)
-
-// tailErrTotal sums the per-file tail error counters.
-func tailErrTotal(reg *metrics.Registry) uint64 {
-	var n uint64
-	for _, f := range []string{"ssl.log", "x509.log"} {
-		n += reg.Counter(tailErrMetric, tailErrHelp, "file", f).Value()
-	}
-	return n
-}
-
-// tailLag reads back the per-file ingestion lag gauges (file size minus
-// consumed offset after the last poll) so a load harness can wait for
-// drain from /api/v1/stats instead of parsing the /metrics exposition.
-func tailLag(reg *metrics.Registry) map[string]int64 {
-	out := make(map[string]int64, 2)
-	for _, f := range []string{"ssl", "x509"} {
-		out[f] = int64(reg.Gauge("tail_lag_bytes",
-			"file size minus consumed offset after a poll", "file", f).Value())
-	}
-	return out
-}
-
-// catchUpRounds caps how many interleaved poll rounds one tick spends on
-// backlog. Each round consumes at most one chunk per log (4 MiB by
-// default), so the cap bounds one tick's work at ~1 GiB per file while
-// keeping checkpoints and shutdown responsive; the next tick resumes
-// where this one stopped.
-const catchUpRounds = 256
-
-// tailSource is one log feeding catchUp: poll reads and ingests at most
-// one chunk and returns how many records it consumed; fail reports a
-// poll error together with the backoff wait it earned.
-type tailSource struct {
-	bo   *backoff
-	poll func() (int, error)
-	fail func(err error, wait time.Duration)
-}
-
-// catchUp drains the logs' backlogs for one tick. The sources are
-// interleaved — at most one chunk each per round, in slice order — and
-// never run to exhaustion in turn: a writer keeping one log hot would
-// otherwise hold its until-empty loop forever, starving every other log
-// (ssl.log lag grew without bound while x509.log streamed). The round
-// cap bounds the tick even when all sources stay hot. Returns per-source
-// record counts, parallel to srcs.
-func catchUp(ctx context.Context, rounds int, srcs []*tailSource) []int {
-	counts := make([]int, len(srcs))
-	for r := 0; r < rounds && ctx.Err() == nil; r++ {
-		progress := false
-		for i, s := range srcs {
-			if !s.bo.ready(time.Now()) {
-				continue
-			}
-			n, err := s.poll()
-			if err != nil {
-				s.fail(err, s.bo.failure(time.Now()))
-			} else {
-				s.bo.success()
-			}
-			counts[i] += n
-			if n > 0 {
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	return counts
-}
-
-// backoff is the per-file retry schedule for persistent tail errors:
-// the first failure waits one poll interval, each consecutive failure
-// doubles the wait up to a cap, and any success resets it. Poll cadence
-// for healthy files is untouched — the schedule only gates how soon a
-// failing file is retried.
-type backoff struct {
-	base, max time.Duration
-	delay     time.Duration
-	until     time.Time
-}
-
-// backoffCap bounds the retry delay: 32 doublings of a sub-second poll
-// would otherwise reach minutes, and an operator fixing the disk should
-// not wait longer than this for ingestion to notice.
-const backoffCap = time.Minute
-
-func newBackoff(base time.Duration) *backoff {
-	max := 32 * base
-	if max > backoffCap {
-		max = backoffCap
-	}
-	if max < base {
-		max = base
-	}
-	return &backoff{base: base, max: max}
-}
-
-// ready reports whether the backed-off file may be polled again.
-func (b *backoff) ready(now time.Time) bool { return !now.Before(b.until) }
-
-// failure records a failed poll and returns the wait before the next try.
-func (b *backoff) failure(now time.Time) time.Duration {
-	if b.delay == 0 {
-		b.delay = b.base
-	} else if b.delay *= 2; b.delay > b.max {
-		b.delay = b.max
-	}
-	b.until = now.Add(b.delay)
-	return b.delay
-}
-
-// success resets the schedule after a clean poll.
-func (b *backoff) success() {
-	b.delay = 0
-	b.until = time.Time{}
-}
-
-// instrument wraps a handler with a per-endpoint latency histogram and a
-// per-endpoint, per-status request counter.
-func instrument(reg *metrics.Registry, path string, h http.HandlerFunc) http.HandlerFunc {
-	dur := reg.Histogram("mtlsd_http_request_seconds", "HTTP request handling latency", nil, "path", path)
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		dur.Since(t0)
-		reg.Counter("mtlsd_http_requests_total", "HTTP requests served",
-			"path", path, "code", strconv.Itoa(sw.code)).Inc()
-	}
-}
-
-// statusWriter captures the response code for the request counter.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (s *statusWriter) WriteHeader(code int) {
-	s.code = code
-	s.ResponseWriter.WriteHeader(code)
-}
-
-// writeCheckpoint drains the engine (so the state covers everything the
-// tails have read) and persists it together with the tail offsets. Only
-// the tailer goroutine produces events, and it is the caller here (or
-// the tailer has already exited), so after Drain the offsets are exactly
-// consistent with the applied state.
-func writeCheckpoint(eng engine, ssl *zeek.SSLTail, x509 *zeek.X509Tail, path string) error {
-	eng.Drain()
-	return eng.WriteCheckpoint(path, map[string]int64{
-		"ssl.log":  ssl.Offset(),
-		"x509.log": x509.Offset(),
-	})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
-// apiError is the /api/v1 failure envelope.
-type apiError struct {
-	Error string `json:"error"`
-	Code  int    `json:"code"`
-}
-
-// writeError emits the JSON error envelope with the matching status.
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(apiError{Error: msg, Code: code}) //nolint:errcheck // headers are already out
-}
-
-// deprecated marks a legacy route (RFC 8594 Deprecation header plus a
-// Link to the versioned successor) and serves the same handler.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
 }

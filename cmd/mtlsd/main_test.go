@@ -3,23 +3,16 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"flag"
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
-	"syscall"
 	"testing"
 	"time"
 
 	mtls "repro"
-	"repro/internal/metrics"
 	"repro/internal/stream"
-	"repro/internal/zeek"
 )
 
 // testScale keeps the generated dataset small enough for fast e2e runs.
@@ -35,6 +28,35 @@ func writeTestLogs(t *testing.T) (dir string, cfg mtls.Config) {
 		t.Fatal(err)
 	}
 	return dir, cfg
+}
+
+// testOptions is the command line's defaults pointed at dir on an
+// ephemeral port, polling fast, with the context scale the logs were
+// generated at.
+func testOptions(dir string, cfg mtls.Config) options {
+	o := defaultOptions()
+	o.logs, o.listen, o.poll, o.scale = dir, "127.0.0.1:0", 50*time.Millisecond, cfg.CertScale
+	return o
+}
+
+// TestFlagDefaults: parsing an empty command line, as main does, yields
+// exactly defaultOptions() — no flag registers a default of its own — so
+// tests built on testOptions run what an operator runs. (Tests used to
+// build options{} literals: shards 0 meant one per CPU there and 1 on
+// the command line, and the suite failed on any multi-core host.)
+func TestFlagDefaults(t *testing.T) {
+	o := defaultOptions()
+	fs := flag.NewFlagSet("mtlsd", flag.ContinueOnError)
+	registerFlags(fs, &o)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if o != defaultOptions() {
+		t.Errorf("zero-arg parse = %+v, want defaultOptions() = %+v", o, defaultOptions())
+	}
+	if o.shards != 1 || o.role != "monitor" {
+		t.Errorf("defaults drifted: shards=%d role=%q", o.shards, o.role)
+	}
 }
 
 func testLogger(t *testing.T) *slog.Logger {
@@ -77,12 +99,27 @@ func httpGet(t *testing.T, url string) (int, string) {
 	return res.StatusCode, string(body)
 }
 
-// waitIngested polls /stats until the engine has applied connections.
+// httpGetFull returns status, body, and headers for equivalence checks.
+func httpGetFull(t *testing.T, url string) (int, string, http.Header) {
+	t.Helper()
+	res, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer res.Body.Close()
+	body, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.StatusCode, string(body), res.Header
+}
+
+// waitIngested polls /api/v1/stats until the engine has applied connections.
 func waitIngested(t *testing.T, base string) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		code, body := httpGet(t, base+"/stats")
+		code, body := httpGet(t, base+"/api/v1/stats")
 		if code == http.StatusOK {
 			var st stream.Stats
 			if err := json.Unmarshal([]byte(body), &st); err == nil && st.ConnsIngested > 0 {
@@ -94,14 +131,14 @@ func waitIngested(t *testing.T, base string) {
 	t.Fatal("daemon never ingested connections")
 }
 
-// waitConns polls /stats until exactly want connection events have been
+// waitConns polls /api/v1/stats until exactly want connection events have been
 // applied.
 func waitConns(t *testing.T, base string, want uint64) daemonStats {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	var st daemonStats
 	for time.Now().Before(deadline) {
-		code, body := httpGet(t, base+"/stats")
+		code, body := httpGet(t, base+"/api/v1/stats")
 		if code == http.StatusOK {
 			if err := json.Unmarshal([]byte(body), &st); err == nil && st.ConnsIngested >= want {
 				return st
@@ -113,440 +150,26 @@ func waitConns(t *testing.T, base string, want uint64) daemonStats {
 	return st
 }
 
-// TestDaemonMalformedRow is the end-to-end poison-pill regression: a
-// daemon tailing a live log receives a malformed row mid-stream, must
-// keep ingesting everything behind it, must surface the rejection in
-// /stats, /metrics, and the quarantine file, and its reports must
-// deep-equal a batch engine fed only the valid rows.
-func TestDaemonMalformedRow(t *testing.T) {
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = testScale
-	build := mtls.GenerateConfig(cfg)
-	conns := build.Raw.Conns
-	half := len(conns) / 2
-
-	// Daemon dir: full x509.log, ssl.log holding only the first half.
-	dir := t.TempDir()
-	if err := mtls.WriteLogs(build.Raw, dir); err != nil {
-		t.Fatal(err)
-	}
-	sslPath := filepath.Join(dir, "ssl.log")
-	f, err := os.Create(sslPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := zeek.NewSSLWriter(f)
-	for i := range conns[:half] {
-		if err := w.Write(&conns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	quarantine := filepath.Join(t.TempDir(), "quarantine.log")
-	base, cancel, exit := startDaemon(t, options{
-		logs:       dir,
-		listen:     "127.0.0.1:0",
-		poll:       50 * time.Millisecond,
-		scale:      cfg.CertScale,
-		quarantine: quarantine,
-	})
-	defer func() {
-		cancel()
-		<-exit
-	}()
-	waitConns(t, base, uint64(half))
-
-	// Mid-stream poison: a zero weight and a truncated row, then the
-	// rest of the valid connections behind them.
-	f, err = os.OpenFile(sslPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("1654041600.000000\tPOISON\t10.0.0.1\t1234\t192.0.2.1\t443\tTLSv12\tbad.example\tT\t-\t-\t0\n" +
-		"truncated\trow\n"); err != nil {
-		t.Fatal(err)
-	}
-	w = zeek.NewSSLWriter(f)
-	w.SkipHeader()
-	for i := half; i < len(conns); i++ {
-		if err := w.Write(&conns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// Every valid row lands despite the poison pills between them.
-	st := waitConns(t, base, uint64(len(conns)))
-	if st.RowsRejected != 2 {
-		t.Fatalf("RowsRejected = %d, want 2", st.RowsRejected)
-	}
-	if st.RejectedByReason["ssl/"+string(zeek.RejectWeight)] != 1 ||
-		st.RejectedByReason["ssl/"+string(zeek.RejectFieldCount)] != 1 {
-		t.Fatalf("RejectedByReason = %v", st.RejectedByReason)
-	}
-
-	// The rejection counter is visible on /metrics, labeled by reason.
-	code, metricsBody := httpGet(t, base+"/metrics")
-	if code != 200 {
-		t.Fatalf("/metrics: %d", code)
-	}
-	for _, line := range []string{
-		`zeek_rows_rejected_total{file="ssl",reason="weight"} 1`,
-		`zeek_rows_rejected_total{file="ssl",reason="field_count"} 1`,
-	} {
-		if !strings.Contains(metricsBody, line) {
-			t.Errorf("/metrics missing %q", line)
-		}
-	}
-
-	// The quarantine file retains both raw rows for forensics.
-	qraw, err := os.ReadFile(quarantine)
-	if err != nil {
-		t.Fatalf("quarantine file: %v", err)
-	}
-	if !strings.Contains(string(qraw), "POISON") || !strings.Contains(string(qraw), string(zeek.RejectFieldCount)) {
-		t.Fatalf("quarantine missing rejected rows:\n%s", qraw)
-	}
-
-	// Reports must equal a batch engine fed only the valid rows: the
-	// malformed lines changed counters, never analysis results.
-	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
-	in.Raw = nil
-	ref, err := stream.New(stream.Config{Input: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	xf, err := os.Open(filepath.Join(dir, "x509.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	certs, err := zeek.ReadX509(xf)
-	xf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range certs {
-		ref.IngestCert(&certs[i])
-	}
-	for i := range conns {
-		ref.IngestConn(&conns[i])
-	}
-	ref.Drain()
-
+// checkReportsAgainst requires every report the daemon at base serves to
+// equal, as decoded JSON, what the reference engine materializes.
+func checkReportsAgainst(t *testing.T, base string, ref *stream.Engine, what string) {
+	t.Helper()
+	got := fetchReports(t, base)
 	for _, name := range stream.ReportNames() {
-		code, body := httpGet(t, base+"/reports/"+name)
-		if code != 200 {
-			t.Fatalf("report %s: HTTP %d", name, code)
-		}
-		wantOut, err := ref.Report(name)
+		out, err := ref.Report(name)
 		if err != nil {
 			t.Fatalf("reference report %s: %v", name, err)
 		}
-		wantJSON, err := json.Marshal(wantOut)
+		buf, err := json.Marshal(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got, want any
-		if err := json.Unmarshal([]byte(body), &got); err != nil {
-			t.Fatalf("report %s body: %v", name, err)
-		}
-		if err := json.Unmarshal(wantJSON, &want); err != nil {
+		var want any
+		if err := json.Unmarshal(buf, &want); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("report %s diverged from valid-rows batch reference", name)
+		if !reflect.DeepEqual(got[name], want) {
+			t.Errorf("report %s diverged from %s", name, what)
 		}
 	}
 }
-
-// TestDaemonStrictQuarantineConflict: -strict with -quarantine is a
-// configuration error (strict mode never skips rows), refused at boot.
-func TestDaemonStrictQuarantineConflict(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	code := run(ctx, options{
-		logs: dir, listen: "127.0.0.1:0", scale: cfg.CertScale,
-		strict: true, quarantine: filepath.Join(t.TempDir(), "q.log"),
-	}, testLogger(t), nil)
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2 (usage error)", code)
-	}
-}
-
-// TestBackoff pins the tail-error retry schedule: first failure waits
-// one base interval, consecutive failures double up to the cap, and a
-// success resets the schedule.
-func TestBackoff(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	b := newBackoff(100 * time.Millisecond)
-
-	if !b.ready(now) {
-		t.Fatal("fresh backoff must be ready")
-	}
-	if d := b.failure(now); d != 100*time.Millisecond {
-		t.Fatalf("first failure delay = %v, want 100ms", d)
-	}
-	if b.ready(now.Add(50 * time.Millisecond)) {
-		t.Fatal("ready before the delay elapsed")
-	}
-	if !b.ready(now.Add(100 * time.Millisecond)) {
-		t.Fatal("not ready after the delay elapsed")
-	}
-	for i, want := range []time.Duration{200, 400, 800, 1600, 3200, 3200} {
-		if d := b.failure(now); d != want*time.Millisecond {
-			t.Fatalf("failure %d delay = %v, want %v (cap = 32x base)", i+2, d, want*time.Millisecond)
-		}
-	}
-	b.success()
-	if !b.ready(now) {
-		t.Fatal("not ready after success reset")
-	}
-	if d := b.failure(now); d != 100*time.Millisecond {
-		t.Fatalf("post-reset failure delay = %v, want 100ms", d)
-	}
-
-	// A slow poll interval is capped at one minute, not 32x.
-	slow := newBackoff(5 * time.Second)
-	var last time.Duration
-	for i := 0; i < 10; i++ {
-		last = slow.failure(now)
-	}
-	if last != time.Minute {
-		t.Fatalf("slow-poll cap = %v, want 1m", last)
-	}
-}
-
-// TestDaemonEndToEnd drives a live daemon over HTTP: liveness, stats,
-// the metrics exposition (ingest, tail lag, rebuilds, HTTP latency),
-// report success, 404-vs-500 mapping, and pprof behind the flag.
-func TestDaemonEndToEnd(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	base, cancel, exit := startDaemon(t, options{
-		logs:     dir,
-		listen:   "127.0.0.1:0",
-		poll:     50 * time.Millisecond,
-		scale:    cfg.CertScale,
-		pprof:    true,
-		logLevel: "debug",
-	})
-	defer func() {
-		cancel()
-		<-exit
-	}()
-
-	if code, body := httpGet(t, base+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
-		t.Fatalf("healthz: %d %q", code, body)
-	}
-	waitIngested(t, base)
-
-	// Reports: list, one table, unknown name -> 404 (not 500, not 200).
-	if code, body := httpGet(t, base+"/reports/"); code != 200 || !strings.Contains(body, "table1") {
-		t.Errorf("report list: %d %s", code, body)
-	}
-	code, body := httpGet(t, base+"/reports/table1")
-	if code != 200 {
-		t.Errorf("table1: %d %s", code, body)
-	}
-	var table1 struct{ Rows []struct{ Total int } }
-	if err := json.Unmarshal([]byte(body), &table1); err != nil || len(table1.Rows) == 0 {
-		t.Errorf("table1 body: %v %s", err, body)
-	}
-	if code, _ := httpGet(t, base+"/reports/nope"); code != http.StatusNotFound {
-		t.Errorf("unknown report: %d, want 404", code)
-	}
-
-	// Metrics: Prometheus text with the core series, all live.
-	code, metricsBody := httpGet(t, base+"/metrics")
-	if code != 200 {
-		t.Fatalf("/metrics: %d", code)
-	}
-	for _, series := range []string{
-		"stream_conns_ingested_total",
-		"stream_certs_ingested_total",
-		"stream_rebuilds_total",
-		"tail_lag_bytes{file=\"ssl\"}",
-		"tail_bytes_read_total{file=\"ssl\"}",
-		"tail_rotations_total{file=\"x509\"}",
-		"mtlsd_http_request_seconds_count{path=\"/healthz\"}",
-		"mtlsd_http_requests_total{path=\"/healthz\",code=\"200\"}",
-		"stream_apply_latency_seconds_bucket",
-	} {
-		if !strings.Contains(metricsBody, series) {
-			t.Errorf("/metrics missing %s", series)
-		}
-	}
-	for _, nonZero := range []string{"stream_conns_ingested_total ", "tail_bytes_read_total{file=\"ssl\"} "} {
-		for _, line := range strings.Split(metricsBody, "\n") {
-			if strings.HasPrefix(line, nonZero) && strings.HasSuffix(line, " 0") {
-				t.Errorf("series %s is zero after ingestion", nonZero)
-			}
-		}
-	}
-
-	// JSON exposition of the same registry.
-	if code, body := httpGet(t, base+"/metrics?format=json"); code != 200 {
-		t.Errorf("/metrics json: %d", code)
-	} else {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(body), &m); err != nil {
-			t.Errorf("metrics json decode: %v", err)
-		}
-	}
-
-	// pprof is mounted when the flag is on.
-	if code, _ := httpGet(t, base+"/debug/pprof/cmdline"); code != 200 {
-		t.Errorf("pprof cmdline: %d", code)
-	}
-}
-
-// TestDaemonPprofOffByDefault: without -pprof the profile endpoints are
-// not mounted.
-func TestDaemonPprofOffByDefault(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	base, cancel, exit := startDaemon(t, options{
-		logs: dir, listen: "127.0.0.1:0", poll: 50 * time.Millisecond, scale: cfg.CertScale,
-	})
-	defer func() {
-		cancel()
-		<-exit
-	}()
-	if code, _ := httpGet(t, base+"/debug/pprof/cmdline"); code != http.StatusNotFound {
-		t.Errorf("pprof mounted without -pprof: %d", code)
-	}
-}
-
-// TestDaemonSIGTERMCheckpoint: a real SIGTERM shuts the daemon down
-// cleanly (exit 0) and the final checkpoint lands, restorable with the
-// tail offsets intact — the state-loss regression for the old
-// log.Fatal shutdown path.
-func TestDaemonSIGTERMCheckpoint(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	ckpt := filepath.Join(t.TempDir(), "mtlsd.ckpt")
-	base, cancel, exit := startDaemon(t, options{
-		logs:       dir,
-		listen:     "127.0.0.1:0",
-		poll:       50 * time.Millisecond,
-		scale:      cfg.CertScale,
-		checkpoint: ckpt,
-		ckptEvery:  time.Hour, // periodic path stays quiet; only shutdown writes
-	})
-	defer cancel()
-	waitIngested(t, base)
-
-	// The daemon's signal.NotifyContext owns SIGTERM while running, so
-	// signalling our own process exercises the real shutdown path.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-exit:
-		if code != 0 {
-			t.Fatalf("exit code %d after SIGTERM, want 0", code)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not exit after SIGTERM")
-	}
-
-	fi, err := os.Stat(ckpt)
-	if err != nil {
-		t.Fatalf("final checkpoint missing: %v", err)
-	}
-	if fi.Size() == 0 {
-		t.Fatal("final checkpoint empty")
-	}
-	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
-	in.Raw = nil
-	restored, cursor, err := stream.Restore(stream.Config{Input: in}, ckpt)
-	if err != nil {
-		t.Fatalf("restore final checkpoint: %v", err)
-	}
-	defer restored.Close()
-	if restored.Stats().ConnsIngested == 0 {
-		t.Error("restored engine has no connections")
-	}
-	if cursor["ssl.log"] == 0 || cursor["x509.log"] == 0 {
-		t.Errorf("cursor offsets not persisted: %v", cursor)
-	}
-}
-
-// TestDaemonListenConflict: a busy port fails fast with a nonzero exit
-// before any state is touched (the old path log.Fatal'd much later).
-func TestDaemonListenConflict(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	base, cancel, exit := startDaemon(t, options{
-		logs: dir, listen: "127.0.0.1:0", poll: 50 * time.Millisecond, scale: cfg.CertScale,
-	})
-	defer func() {
-		cancel()
-		<-exit
-	}()
-	addr := strings.TrimPrefix(base, "http://")
-
-	ctx, cancel2 := context.WithCancel(context.Background())
-	defer cancel2()
-	code := run(ctx, options{logs: dir, listen: addr, scale: cfg.CertScale}, testLogger(t), nil)
-	if code == 0 {
-		t.Fatal("second daemon on the same port must fail")
-	}
-}
-
-// TestReportsHandler500: an internal materialization failure maps to
-// 500, not 404 — exercised against a stub reporter so the failure is
-// deterministic.
-func TestReportsHandler500(t *testing.T) {
-	reg := metrics.New()
-	mux := newMux(failingReporter{}, reg, testLogger(t), false, daemonInfo{})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	res, err := http.Get(srv.URL + "/reports/table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusInternalServerError {
-		t.Errorf("internal failure: %d, want 500", res.StatusCode)
-	}
-
-	res, err = http.Get(srv.URL + "/reports/definitely-not-a-report")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown report: %d, want 404", res.StatusCode)
-	}
-
-	// The status-labeled request counters observed both outcomes.
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`code="500"`, `code="404"`} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("request counter missing %s:\n%s", want, buf.String())
-		}
-	}
-}
-
-// failingReporter fails materialization for known names and reports
-// unknown ones with the typed sentinel, mirroring the engine's contract.
-type failingReporter struct{}
-
-func (failingReporter) Report(name string) (any, error) {
-	if name == "table1" {
-		return nil, fmt.Errorf("simulated materialization failure")
-	}
-	return nil, fmt.Errorf("%w: %q", stream.ErrUnknownReport, name)
-}
-
-func (failingReporter) Stats() stream.Stats { return stream.Stats{} }

@@ -1,0 +1,274 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"log/slog"
+	"net"
+	"os"
+	"path/filepath"
+	"runtime"
+	"time"
+
+	"repro/internal/backoff"
+	"repro/internal/core"
+	"repro/internal/distrib"
+	"repro/internal/metrics"
+	"repro/internal/stream"
+	"repro/internal/zeek"
+)
+
+// engine is the surface the monitor drives. *stream.Engine and
+// *stream.Sharded both satisfy it; their WriteCheckpoint layouts differ
+// (see openEngine).
+type engine interface {
+	reporter
+	IngestConnBatch(recs []core.ConnRecord) int
+	IngestCertBatch(recs []core.CertRecord) int
+	Drain()
+	Close()
+	WriteCheckpoint(path string, cursor map[string]int64) error
+}
+
+// monitor is the tailing half of the monitor and sensor roles: two log
+// tails feeding one engine, checkpointed on a schedule.
+type monitor struct {
+	o      options
+	logger *slog.Logger
+	reg    *metrics.Registry
+	eng    engine
+	ssl    *zeek.SSLTail
+	x509   *zeek.X509Tail
+
+	ckptWrites, ckptErrs *metrics.Counter
+}
+
+// runMonitor is the -role monitor / sensor body. A sensor is a monitor
+// whose engine additionally stamps every admitted event with an export
+// sequence, so /api/v1/snapshot can serve cursor deltas.
+func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(addr string)) int {
+	switch {
+	case o.sensors != "":
+		logger.Error("-sensors requires -role aggregator")
+		return 2
+	case o.logs == "":
+		logger.Error("-logs is required")
+		return 2
+	case o.store == "disk" && o.storeDir == "":
+		logger.Error("-store disk requires -store-dir")
+		return 2
+	case o.quarantine != "" && o.strict:
+		logger.Error("-quarantine is meaningless with -strict (strict mode never skips rows)")
+		return 2
+	}
+
+	// Bind the socket first: a port conflict must fail fast, before any
+	// state exists that a failed exit could lose.
+	ln, err := net.Listen("tcp", o.listen)
+	if err != nil {
+		logger.Error("listen", "addr", o.listen, "err", err)
+		return 1
+	}
+	defer ln.Close() // error paths; after serve it is closed already
+
+	reg := metrics.New()
+	in, err := contextInput(o)
+	if err != nil {
+		logger.Error("build analysis context", "err", err)
+		return 2
+	}
+
+	// Malformed-row policy. Permissive (the default) quarantines bad rows
+	// and keeps tailing — one corrupt line must not wedge a monitor that
+	// runs for months; -strict restores fail-stop for operators who would
+	// rather halt than skip. RejectTotals pre-registers the zero-valued
+	// rejection series so /metrics shows the family from boot.
+	zopts := zeek.Options{Strict: o.strict, Metrics: reg}
+	if o.quarantine != "" {
+		q, err := zeek.OpenQuarantine(o.quarantine)
+		if err != nil {
+			logger.Error("open quarantine", "path", o.quarantine, "err", err)
+			return 1
+		}
+		defer q.Close()
+		q.SetMaxBytes(o.quarantineMax)
+		q.Instrument(reg)
+		zopts.Quarantine = q
+	}
+	zeek.RejectTotals(reg)
+
+	m := &monitor{
+		o: o, logger: logger, reg: reg,
+		ssl:        zeek.NewSSLTail(filepath.Join(o.logs, "ssl.log")),
+		x509:       zeek.NewX509Tail(filepath.Join(o.logs, "x509.log")),
+		ckptWrites: reg.Counter("mtlsd_checkpoint_writes_total", "checkpoints attempted by the daemon"),
+		ckptErrs:   reg.Counter("mtlsd_checkpoint_errors_total", "checkpoint attempts that failed"),
+	}
+	m.ssl.Instrument(reg)
+	m.x509.Instrument(reg)
+	m.ssl.SetOptions(zopts)
+	m.x509.SetOptions(zopts)
+
+	scfg := stream.Config{Input: in, Buffer: o.buffer, Retention: o.retention, Metrics: reg,
+		TrackExport: o.role == "sensor",
+		Store:       o.store, StoreDir: o.storeDir, HotBytes: o.hotBytes}
+	if o.drop {
+		scfg.Policy = stream.Drop
+	}
+	// Resolve the shard count up front: routing and the checkpoint layout
+	// are functions of it.
+	shards := o.shards
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	eng, cursor, err := openEngine(scfg, shards, o.checkpoint)
+	if err != nil {
+		logger.Error("open engine", "shards", shards, "checkpoint", o.checkpoint, "err", err)
+		return 1
+	}
+	defer eng.Close()
+	m.eng = eng
+	if cursor != nil {
+		m.ssl.SetOffset(cursor["ssl.log"])
+		m.x509.SetOffset(cursor["x509.log"])
+		st := eng.Stats()
+		logger.Info("restored checkpoint", "path", o.checkpoint, "shards", shards,
+			"conns", st.ConnsIngested, "certs", st.UniqueCerts,
+			"ssl_offset", cursor["ssl.log"], "x509_offset", cursor["x509.log"])
+	}
+
+	info := daemonInfo{role: o.role, shards: shards}
+	if o.role == "sensor" {
+		// The engine was built with TrackExport, so the concrete type
+		// (Engine or Sharded) always satisfies the export surface.
+		info.sensor = distrib.NewSensor(eng.(distrib.Exporter), reg, logger)
+	}
+	logger.Info("serving", "addr", ln.Addr().String(), "role", o.role, "shards", shards, "pprof", o.pprof)
+	return serve(ctx, ln, newMux(eng, reg, logger, o.pprof, info), logger, ready, m.run)
+}
+
+// openEngine restores the engine from the checkpoint at path, or starts
+// a fresh one when path is empty or holds no checkpoint yet. shards == 1
+// is the classic single-engine deployment (unlabeled stream_* series, an
+// incremental checkpoint directory or a legacy file); more runs the
+// sharded engine, whose per-shard series carry a shard="i" label and
+// whose checkpoint is a manifest plus one file per shard. The cursor is
+// nil for a fresh engine. A path holding the other layout's checkpoint
+// is an error from the restore, not "no checkpoint yet".
+func openEngine(cfg stream.Config, shards int, path string) (engine, map[string]int64, error) {
+	if path != "" {
+		var eng engine
+		var cursor map[string]int64
+		var err error
+		if shards == 1 {
+			eng, cursor, err = stream.Restore(cfg, path)
+		} else {
+			eng, cursor, err = stream.RestoreSharded(cfg, shards, path)
+		}
+		if err == nil {
+			return eng, cursor, nil
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			return nil, nil, fmt.Errorf("restore checkpoint: %w", err)
+		}
+	}
+	if shards == 1 {
+		e, err := stream.New(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return e, nil, nil
+	}
+	s, err := stream.NewSharded(shards, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, nil, nil
+}
+
+// run is the tailer: the single producer goroutine, then the final
+// checkpoint once ctx is done and nothing can produce any more.
+// Certificates are polled before connections within each round so
+// enrichment resolves chains on first try (out-of-order arrivals still
+// converge, via a rebuild). Each Poll consumes at most one chunk of
+// backlog; catchUp interleaves the two logs chunk-for-chunk so a hot
+// file cannot starve the other, and caps the rounds per tick so
+// checkpoints stay on schedule.
+func (m *monitor) run(ctx context.Context) {
+	srcs := []*tailSource{
+		m.source("x509.log", func() (int, error) {
+			certs, err := m.x509.Poll()
+			inRuns(certs, m.eng.IngestCertBatch)
+			return len(certs), err
+		}),
+		m.source("ssl.log", func() (int, error) {
+			conns, err := m.ssl.Poll()
+			inRuns(conns, m.eng.IngestConnBatch)
+			return len(conns), err
+		}),
+	}
+	ticker := time.NewTicker(m.o.poll)
+	defer ticker.Stop()
+	var lastCkpt time.Time
+	for ctx.Err() == nil {
+		counts := catchUp(ctx, catchUpRounds, srcs)
+		if nCerts, nConns := counts[0], counts[1]; nCerts > 0 || nConns > 0 {
+			m.logger.Debug("ingested", "conns", nConns, "certs", nCerts)
+		}
+		if m.o.ckptEvery > 0 && time.Since(lastCkpt) >= m.o.ckptEvery {
+			m.checkpoint(false)
+			lastCkpt = time.Now()
+		}
+		select {
+		case <-ctx.Done():
+		case <-ticker.C:
+		}
+	}
+	m.checkpoint(true) // no producer left; offsets are final
+}
+
+// source wraps one log's poll with its retry schedule. Persistent poll
+// errors (an unreadable disk, or strict mode parked on a malformed row)
+// back off exponentially instead of burning a full-rate retry loop: the
+// offset does not advance, so retrying every poll interval re-reads the
+// same failure.
+func (m *monitor) source(file string, poll func() (int, error)) *tailSource {
+	errs := m.reg.Counter(tailErrMetric, tailErrHelp, "file", file)
+	return &tailSource{bo: backoff.New(m.o.poll), poll: poll,
+		fail: func(err error, wait time.Duration) {
+			errs.Inc()
+			m.logger.Warn("tail "+file, "err", err, "backoff", wait)
+		}}
+}
+
+// inRuns hands one Poll's records to the engine in
+// zeek.DefaultBatchSize runs, so one channel hop (and one lock
+// acquisition downstream) amortizes over each run.
+func inRuns[T any](recs []T, ingest func([]T) int) {
+	for lo := 0; lo < len(recs); lo += zeek.DefaultBatchSize {
+		ingest(recs[lo:min(lo+zeek.DefaultBatchSize, len(recs))])
+	}
+}
+
+// checkpoint drains the engine (so the state covers everything the
+// tails have read) and persists it together with the tail offsets. Only
+// the tailer goroutine produces events, and it is the caller here, so
+// after Drain the offsets are exactly consistent with the applied state.
+func (m *monitor) checkpoint(final bool) {
+	if m.o.checkpoint == "" {
+		return
+	}
+	m.ckptWrites.Inc()
+	m.eng.Drain()
+	err := m.eng.WriteCheckpoint(m.o.checkpoint, map[string]int64{
+		"ssl.log":  m.ssl.Offset(),
+		"x509.log": m.x509.Offset(),
+	})
+	if err != nil {
+		m.ckptErrs.Inc()
+		m.logger.Error("checkpoint", "path", m.o.checkpoint, "final", final, "err", err)
+	} else if final {
+		m.logger.Info("final checkpoint written", "path", m.o.checkpoint)
+	}
+}

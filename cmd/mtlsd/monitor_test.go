@@ -1,0 +1,361 @@
+package main
+
+import (
+	"context"
+	"log/slog"
+	"os"
+	"path/filepath"
+	"strings"
+	"syscall"
+	"testing"
+	"time"
+
+	mtls "repro"
+	"repro/internal/core"
+	"repro/internal/stream"
+	"repro/internal/zeek"
+)
+
+// TestDaemonMalformedRow is the end-to-end poison-pill regression: a
+// daemon tailing a live log receives a malformed row mid-stream, must
+// keep ingesting everything behind it, must surface the rejection in
+// /stats, /metrics, and the quarantine file, and its reports must
+// deep-equal a batch engine fed only the valid rows.
+func TestDaemonMalformedRow(t *testing.T) {
+	cfg := mtls.DefaultConfig()
+	cfg.CertScale = testScale
+	build := mtls.GenerateConfig(cfg)
+	conns := build.Raw.Conns
+	half := len(conns) / 2
+
+	// Daemon dir: full x509.log, ssl.log holding only the first half.
+	dir := t.TempDir()
+	if err := mtls.WriteLogs(build.Raw, dir); err != nil {
+		t.Fatal(err)
+	}
+	sslPath := filepath.Join(dir, "ssl.log")
+	f, err := os.Create(sslPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := zeek.NewSSLWriter(f)
+	for i := range conns[:half] {
+		if err := w.Write(&conns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	quarantine := filepath.Join(t.TempDir(), "quarantine.log")
+	o := testOptions(dir, cfg)
+	o.quarantine = quarantine
+	base, cancel, exit := startDaemon(t, o)
+	defer func() {
+		cancel()
+		<-exit
+	}()
+	waitConns(t, base, uint64(half))
+
+	// Mid-stream poison: a zero weight and a truncated row, then the
+	// rest of the valid connections behind them.
+	f, err = os.OpenFile(sslPath, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("1654041600.000000\tPOISON\t10.0.0.1\t1234\t192.0.2.1\t443\tTLSv12\tbad.example\tT\t-\t-\t0\n" +
+		"truncated\trow\n"); err != nil {
+		t.Fatal(err)
+	}
+	w = zeek.NewSSLWriter(f)
+	w.SkipHeader()
+	for i := half; i < len(conns); i++ {
+		if err := w.Write(&conns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	// Every valid row lands despite the poison pills between them.
+	st := waitConns(t, base, uint64(len(conns)))
+	if st.RowsRejected != 2 {
+		t.Fatalf("RowsRejected = %d, want 2", st.RowsRejected)
+	}
+	if st.RejectedByReason["ssl/"+string(zeek.RejectWeight)] != 1 ||
+		st.RejectedByReason["ssl/"+string(zeek.RejectFieldCount)] != 1 {
+		t.Fatalf("RejectedByReason = %v", st.RejectedByReason)
+	}
+
+	// The rejection counter is visible on /metrics, labeled by reason.
+	code, metricsBody := httpGet(t, base+"/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics: %d", code)
+	}
+	for _, line := range []string{
+		`zeek_rows_rejected_total{file="ssl",reason="weight"} 1`,
+		`zeek_rows_rejected_total{file="ssl",reason="field_count"} 1`,
+	} {
+		if !strings.Contains(metricsBody, line) {
+			t.Errorf("/metrics missing %q", line)
+		}
+	}
+
+	// The quarantine file retains both raw rows for forensics.
+	qraw, err := os.ReadFile(quarantine)
+	if err != nil {
+		t.Fatalf("quarantine file: %v", err)
+	}
+	if !strings.Contains(string(qraw), "POISON") || !strings.Contains(string(qraw), string(zeek.RejectFieldCount)) {
+		t.Fatalf("quarantine missing rejected rows:\n%s", qraw)
+	}
+
+	// Reports must equal a batch engine fed only the valid rows: the
+	// malformed lines changed counters, never analysis results.
+	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
+	in.Raw = nil
+	ref, err := stream.New(stream.Config{Input: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	xf, err := os.Open(filepath.Join(dir, "x509.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	certs, err := zeek.ReadX509(xf)
+	xf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range certs {
+		ref.IngestCert(&certs[i])
+	}
+	for i := range conns {
+		ref.IngestConn(&conns[i])
+	}
+	ref.Drain()
+
+	checkReportsAgainst(t, base, ref, "valid-rows batch reference")
+}
+
+// TestDaemonStrictQuarantineConflict: -strict with -quarantine is a
+// configuration error (strict mode never skips rows), refused at boot.
+func TestDaemonStrictQuarantineConflict(t *testing.T) {
+	dir, cfg := writeTestLogs(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	o := testOptions(dir, cfg)
+	o.strict, o.quarantine = true, filepath.Join(t.TempDir(), "q.log")
+	code := run(ctx, o, testLogger(t), nil)
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2 (usage error)", code)
+	}
+}
+
+// TestDaemonSIGTERMCheckpoint: a real SIGTERM shuts the daemon down
+// cleanly (exit 0) and the final checkpoint lands, restorable with the
+// tail offsets intact — the state-loss regression for the old
+// log.Fatal shutdown path.
+func TestDaemonSIGTERMCheckpoint(t *testing.T) {
+	dir, cfg := writeTestLogs(t)
+	ckpt := filepath.Join(t.TempDir(), "mtlsd.ckpt")
+	o := testOptions(dir, cfg)
+	o.checkpoint, o.ckptEvery = ckpt, time.Hour // periodic path stays quiet; only shutdown writes
+	base, cancel, exit := startDaemon(t, o)
+	defer cancel()
+	waitIngested(t, base)
+
+	// The daemon's signal.NotifyContext owns SIGTERM while running, so
+	// signalling our own process exercises the real shutdown path.
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("exit code %d after SIGTERM, want 0", code)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not exit after SIGTERM")
+	}
+
+	fi, err := os.Stat(ckpt)
+	if err != nil {
+		t.Fatalf("final checkpoint missing: %v", err)
+	}
+	if fi.Size() == 0 {
+		t.Fatal("final checkpoint empty")
+	}
+	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
+	in.Raw = nil
+	restored, cursor, err := stream.Restore(stream.Config{Input: in}, ckpt)
+	if err != nil {
+		t.Fatalf("restore final checkpoint: %v", err)
+	}
+	defer restored.Close()
+	if restored.Stats().ConnsIngested == 0 {
+		t.Error("restored engine has no connections")
+	}
+	if cursor["ssl.log"] == 0 || cursor["x509.log"] == 0 {
+		t.Errorf("cursor offsets not persisted: %v", cursor)
+	}
+}
+
+// TestDaemonListenConflict: a busy port fails fast with a nonzero exit
+// before any state is touched (the old path log.Fatal'd much later).
+func TestDaemonListenConflict(t *testing.T) {
+	dir, cfg := writeTestLogs(t)
+	base, cancel, exit := startDaemon(t, testOptions(dir, cfg))
+	defer func() {
+		cancel()
+		<-exit
+	}()
+	addr := strings.TrimPrefix(base, "http://")
+
+	ctx, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	o := testOptions(dir, cfg)
+	o.listen = addr
+	code := run(ctx, o, testLogger(t), nil)
+	if code == 0 {
+		t.Fatal("second daemon on the same port must fail")
+	}
+}
+
+// TestDaemonSharded drives mtlsd with -shards 2 end to end: every report
+// must deep-equal a single-engine reference fed the same logs, /metrics
+// must carry the per-shard labeled series, and SIGTERM must land a
+// restorable manifest-committed checkpoint directory.
+func TestDaemonSharded(t *testing.T) {
+	dir, cfg := writeTestLogs(t)
+	ckptDir := filepath.Join(t.TempDir(), "ckpt")
+	o := testOptions(dir, cfg)
+	o.shards, o.checkpoint, o.ckptEvery = 2, ckptDir, time.Hour // only the shutdown checkpoint writes
+	base, cancel, exit := startDaemon(t, o)
+	defer cancel()
+
+	build := mtls.GenerateConfig(cfg)
+	waitConns(t, base, uint64(len(build.Raw.Conns)))
+
+	// Single-engine reference over the same dataset.
+	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
+	in.Raw = nil
+	ref, err := stream.New(stream.Config{Input: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for _, c := range build.Raw.Certs {
+		ref.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+	}
+	for i := range build.Raw.Conns {
+		ref.IngestConn(&build.Raw.Conns[i])
+	}
+	ref.Drain()
+
+	checkReportsAgainst(t, base, ref, "single-engine reference")
+
+	// Per-shard series are labeled; the router's gauges are live.
+	code, metricsBody := httpGet(t, base+"/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics: %d", code)
+	}
+	for _, series := range []string{
+		`stream_conns_ingested_total{shard="0"}`,
+		`stream_conns_ingested_total{shard="1"}`,
+		`stream_buffer_occupancy{shard="0"}`,
+		"stream_shards 2",
+		"stream_cert_fanout_total",
+	} {
+		if !strings.Contains(metricsBody, series) {
+			t.Errorf("/metrics missing %s", series)
+		}
+	}
+
+	// SIGTERM → clean exit, committed manifest, restorable directory.
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("exit code %d after SIGTERM, want 0", code)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not exit after SIGTERM")
+	}
+	if _, err := os.Stat(filepath.Join(ckptDir, "manifest.json")); err != nil {
+		t.Fatalf("checkpoint manifest missing: %v", err)
+	}
+	rin := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
+	rin.Raw = nil
+	restoredEng, cursor, err := stream.RestoreSharded(stream.Config{Input: rin}, 2, ckptDir)
+	if err != nil {
+		t.Fatalf("restore sharded checkpoint: %v", err)
+	}
+	defer restoredEng.Close()
+	if got := restoredEng.Stats().ConnsIngested; got != uint64(len(build.Raw.Conns)) {
+		t.Errorf("restored ConnsIngested = %d, want %d", got, len(build.Raw.Conns))
+	}
+	if cursor["ssl.log"] == 0 || cursor["x509.log"] == 0 {
+		t.Errorf("cursor offsets not persisted: %v", cursor)
+	}
+}
+
+// TestDaemonCheckpointLayoutMismatch: a -checkpoint directory written at
+// one kind of shard count must stop a daemon started at the other. The
+// two layouts share no files, so the restore used to see "no checkpoint
+// yet": the daemon started empty, re-tailed the logs from byte 0 and
+// then wrote the second layout into the same directory.
+func TestDaemonCheckpointLayoutMismatch(t *testing.T) {
+	dir, cfg := writeTestLogs(t)
+	total := uint64(len(mtls.GenerateConfig(cfg).Raw.Conns))
+	for _, c := range []struct {
+		name           string
+		first, second  int
+		commit, absent string
+	}{
+		{"sharded then single", 2, 1, "manifest.json", "MANIFEST"},
+		{"single then sharded", 1, 2, "MANIFEST", "manifest.json"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := testOptions(dir, cfg)
+			o.checkpoint, o.ckptEvery = filepath.Join(t.TempDir(), "ckpt"), time.Hour
+			o.shards = c.first
+			base, cancel, exit := startDaemon(t, o)
+			waitConns(t, base, total)
+			cancel()
+			if code := <-exit; code != 0 {
+				t.Fatalf("first daemon exit code %d", code)
+			}
+			if _, err := os.Stat(filepath.Join(o.checkpoint, c.commit)); err != nil {
+				t.Fatalf("first daemon left no %s: %v", c.commit, err)
+			}
+
+			// A daemon that wrongly starts is stopped by the deadline and
+			// exits 0; the refusal exits 1 long before it.
+			ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
+			defer stop()
+			o.shards = c.second
+			var log strings.Builder
+			logger := slog.New(slog.NewTextHandler(&log, nil))
+			if code := run(ctx, o, logger, nil); code != 1 {
+				t.Fatalf("daemon at -shards %d over a -shards %d checkpoint: exit %d, want 1\n%s",
+					c.second, c.first, code, log.String())
+			}
+			for _, want := range []string{"MANIFEST", "manifest.json"} {
+				if !strings.Contains(log.String(), want) {
+					t.Errorf("refusal does not name %s:\n%s", want, log.String())
+				}
+			}
+			if _, err := os.Stat(filepath.Join(o.checkpoint, c.absent)); err == nil {
+				t.Errorf("refused daemon still wrote %s beside %s", c.absent, c.commit)
+			}
+		})
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	mtls "repro"
+	"repro/internal/backoff"
 	"repro/internal/zeek"
 )
 
@@ -24,9 +25,9 @@ func TestCatchUpInterleaves(t *testing.T) {
 	noFail := func(err error, wait time.Duration) { t.Fatalf("unexpected failure: %v", err) }
 	srcs := []*tailSource{
 		// Hot forever: a writer appending at least as fast as we drain.
-		{bo: newBackoff(time.Millisecond), fail: noFail,
+		{bo: backoff.New(time.Millisecond), fail: noFail,
 			poll: func() (int, error) { x509Polls++; return 10, nil }},
-		{bo: newBackoff(time.Millisecond), fail: noFail,
+		{bo: backoff.New(time.Millisecond), fail: noFail,
 			poll: func() (int, error) { sslPolls++; return 1, nil }},
 	}
 	counts := catchUp(context.Background(), catchUpRounds, srcs)
@@ -49,7 +50,7 @@ func TestCatchUpDrains(t *testing.T) {
 	var polls [2]int
 	noFail := func(err error, wait time.Duration) { t.Fatalf("unexpected failure: %v", err) }
 	mk := func(i int) *tailSource {
-		return &tailSource{bo: newBackoff(time.Millisecond), fail: noFail,
+		return &tailSource{bo: backoff.New(time.Millisecond), fail: noFail,
 			poll: func() (int, error) {
 				polls[i]++
 				if polls[i] <= backlog[i] {
@@ -74,7 +75,7 @@ func TestCatchUpBackoff(t *testing.T) {
 	var failPolls, okPolls, fails int
 	boom := errors.New("disk on fire")
 	srcs := []*tailSource{
-		{bo: newBackoff(time.Minute),
+		{bo: backoff.New(time.Minute),
 			poll: func() (int, error) { failPolls++; return 0, boom },
 			fail: func(err error, wait time.Duration) {
 				fails++
@@ -82,7 +83,7 @@ func TestCatchUpBackoff(t *testing.T) {
 					t.Errorf("fail(%v, %v)", err, wait)
 				}
 			}},
-		{bo: newBackoff(time.Minute), fail: func(err error, wait time.Duration) { t.Fatal(err) },
+		{bo: backoff.New(time.Minute), fail: func(err error, wait time.Duration) { t.Fatal(err) },
 			poll: func() (int, error) {
 				okPolls++
 				if okPolls <= 5 {
@@ -181,12 +182,9 @@ func TestDaemonConcurrentWriters(t *testing.T) {
 	writeSSL(sslPath, conns[:halfC], false)
 	writeX509(x509Path, certs[:halfX], false)
 
-	base, cancel, exit := startDaemon(t, options{
-		logs:   dir,
-		listen: "127.0.0.1:0",
-		poll:   10 * time.Millisecond,
-		scale:  cfg.CertScale,
-	})
+	o := testOptions(dir, cfg)
+	o.poll = 10 * time.Millisecond
+	base, cancel, exit := startDaemon(t, o)
 	defer func() {
 		cancel()
 		<-exit

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"slices"
+	"sync"
+	"time"
+
 	"repro/internal/certmodel"
 	"repro/internal/ids"
+	"repro/internal/interception"
 )
 
 // ShardState is one shard's raw admitted event stream: the certificate
@@ -74,4 +79,99 @@ func MergeShards(in *Input, shards []ShardState, exclude func(ids.Fingerprint) b
 		}
 		b.AddConn(rec)
 	}
+}
+
+// MergeCapture is one consistent snapshot of a MergedView's sources.
+type MergeCapture struct {
+	// Shards is each source's raw state, ready for MergeShards.
+	Shards []ShardState
+	// Versions is the version vector the captured state reflects — the
+	// cache key, read under the same locks as the state so the two
+	// cannot disagree.
+	Versions []uint64
+	// Evidence is the union of the sources' raw §3.2 evidence. The view
+	// recomputes the global verdict from it; per-source verdicts are
+	// never merged.
+	Evidence *interception.Merge
+	// RawConns counts connection events ingested across the sources,
+	// before filtering and eviction.
+	RawConns uint64
+}
+
+// MergedView is the merged materialization of several independently
+// accumulated sources — the shards of one sharded engine, or the sensors
+// behind an aggregator — cached on their version vector: while no source
+// moves, every report reuses one Builder; any component bump costs one
+// full replay through MergeShards. It is the one place that decision
+// lives, so an incremental merger has a single seam to replace.
+//
+// A MergedView with its four exported fields set is ready to use.
+type MergedView struct {
+	// Input is the analysis context every replay runs under.
+	Input *Input
+	// Versions reads the sources' current version vector. It runs on
+	// every materialization, so it must be cheap.
+	Versions func() []uint64
+	// Capture snapshots every source for a replay. The returned slices
+	// must stay valid without the sources' locks.
+	Capture func() MergeCapture
+	// OnMerge observes each replay's duration — the caller's merge
+	// counter and histogram.
+	OnMerge func(time.Duration)
+
+	mu     sync.Mutex
+	vers   []uint64 // vector the cached merge reflects
+	b      *Builder // nil until the first merge
+	pre    *PreprocessReport
+	merges uint64
+}
+
+// WithPipeline runs fn over the merged pipeline; fn must not retain it.
+// The sources keep ingesting while fn runs.
+func (v *MergedView) WithPipeline(fn func(*Pipeline)) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	b, pre := v.mergedLocked()
+	fn(b.Pipeline(pre))
+}
+
+// mergedLocked returns the global Builder and preprocess report,
+// replaying the sources when any moved since the last merge.
+func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
+	if v.b != nil && slices.Equal(v.Versions(), v.vers) {
+		return v.b, v.pre
+	}
+	t0 := time.Now()
+	c := v.Capture()
+	// Rosters overlap (a certificate is fanned out to every source that
+	// referenced it); the raw count is of distinct fingerprints.
+	seen := make(map[ids.Fingerprint]bool)
+	for i := range c.Shards {
+		for _, cert := range c.Shards[i].Certs {
+			seen[cert.Fingerprint] = true
+		}
+	}
+	res := c.Evidence.Result()
+	v.pre = &PreprocessReport{
+		InterceptionIssuers: res.Issuers,
+		ExcludedCerts:       len(res.ExcludedCerts),
+		ExcludedShare:       res.ExcludedShare(len(seen)),
+		RawCerts:            len(seen),
+		RawConns:            int(c.RawConns),
+	}
+	v.b = MergeShards(v.Input, c.Shards, func(fp ids.Fingerprint) bool {
+		return res.ExcludedCerts[fp]
+	})
+	v.vers = c.Versions
+	v.merges++
+	v.OnMerge(time.Since(t0))
+	return v.b, v.pre
+}
+
+// Stats reports how many replays the view has run and whether a source
+// has moved since the last one (or none has run yet).
+func (v *MergedView) Stats() (merges uint64, stale bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.merges, v.b == nil || !slices.Equal(v.Versions(), v.vers)
 }

@@ -2,11 +2,14 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/certmodel"
 	"repro/internal/ids"
+	"repro/internal/interception"
 	"repro/internal/workload"
 )
 
@@ -187,5 +190,80 @@ func TestMergeShardsExcludeFilter(t *testing.T) {
 	}
 	if merged.Conns() != kept {
 		t.Errorf("merge kept %d conns, want %d after excluding %s", merged.Conns(), kept, victim)
+	}
+}
+
+// TestMergedViewCachesOnVersionVector pins the one caching decision
+// Sharded and the aggregator share: an unchanged version vector reuses
+// the very same Builder without capturing the sources again, a bump of
+// any single component costs exactly one replay, and Stats reports the
+// replay count and staleness the daemons serve as Rebuilds/Dirty.
+func TestMergedViewCachesOnVersionVector(t *testing.T) {
+	in := mergeInput(t)
+	shards := make([]ShardState, 2)
+	shards[0].Certs = mergeCerts(mergeBuild) // roster on one shard, overlapping the other
+	shards[1].Certs = shards[0].Certs[:1]
+	for i := range mergeBuild.Raw.Conns {
+		s := &shards[i%2]
+		s.Conns = append(s.Conns, mergeBuild.Raw.Conns[i])
+		s.Seqs = append(s.Seqs, uint64(i))
+	}
+	vers := []uint64{1, 1}
+	captures, merged := 0, 0
+	v := &MergedView{
+		Input:    in,
+		Versions: func() []uint64 { return slices.Clone(vers) },
+		Capture: func() MergeCapture {
+			captures++
+			return MergeCapture{
+				Shards:   shards,
+				Versions: slices.Clone(vers),
+				Evidence: interception.NewMerge(2),
+				RawConns: uint64(len(mergeBuild.Raw.Conns)),
+			}
+		},
+		OnMerge: func(time.Duration) { merged++ },
+	}
+	check := func(step string, wantMerges uint64, wantStale bool) {
+		t.Helper()
+		if n, stale := v.Stats(); n != wantMerges || stale != wantStale {
+			t.Errorf("%s: Stats() = (%d merges, stale %v), want (%d, %v)", step, n, stale, wantMerges, wantStale)
+		}
+		if captures != int(wantMerges) || merged != int(wantMerges) {
+			t.Errorf("%s: %d captures, %d OnMerge calls, want %d each", step, captures, merged, wantMerges)
+		}
+	}
+	materialize := func() (b *Builder, pre PreprocessReport) {
+		v.WithPipeline(func(p *Pipeline) { pre = *p.PreprocessReport() })
+		return v.b, pre
+	}
+
+	check("before the first read", 0, true)
+	b1, pre := materialize()
+	check("first read", 1, false)
+	if pre.RawCerts != len(shards[0].Certs) || pre.RawConns != len(mergeBuild.Raw.Conns) {
+		t.Errorf("preprocess report counts %d certs / %d conns, want %d distinct / %d",
+			pre.RawCerts, pre.RawConns, len(shards[0].Certs), len(mergeBuild.Raw.Conns))
+	}
+	if b2, _ := materialize(); b2 != b1 {
+		t.Error("equal version vector rebuilt the Builder")
+	}
+	check("second read, nothing moved", 1, false)
+
+	for i := range vers {
+		vers[i]++
+		check("source moved", uint64(1+i), true)
+		b3, _ := materialize()
+		if b3 == b1 {
+			t.Errorf("bump of component %d served the stale Builder", i)
+		}
+		check("read after the bump", uint64(2+i), false)
+		if b4, _ := materialize(); b4 != b3 {
+			t.Error("equal version vector rebuilt the Builder")
+		}
+		b1 = b3
+	}
+	if got := runBuilder(v.b); !reflect.DeepEqual(runBuilder(MergeShards(in, shards, nil)), got) {
+		t.Error("the view's Builder differs from a direct MergeShards over the same capture")
 	}
 }

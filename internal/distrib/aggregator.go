@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/certmodel"
 	"repro/internal/core"
 	"repro/internal/ids"
@@ -36,11 +37,9 @@ type Config struct {
 	// Sensors are the sensor base addresses ("host:port" or full URLs).
 	Sensors []string
 	// Interval is the per-sensor pull cadence (default 5s). Failures
-	// back off exponentially from Interval, capped at MaxBackoff.
+	// back off exponentially from Interval on the tailer's schedule
+	// (internal/backoff).
 	Interval time.Duration
-	// MaxBackoff caps the per-sensor failure backoff (default the
-	// tailer's rule: min(32×Interval, 1m)).
-	MaxBackoff time.Duration
 	// Client is the HTTP client (default http.DefaultClient).
 	Client *http.Client
 	// Metrics receives the distrib_* series; nil disables exposition.
@@ -98,34 +97,8 @@ type sensorState struct {
 	fullResyncs uint64
 	bytes       uint64
 
-	bo backoff
+	bo backoff.Backoff
 }
-
-// backoff mirrors the daemon tailer's failure schedule: first failure
-// waits base, doubling to cap, reset on success.
-type backoff struct {
-	base, cap, cur time.Duration
-	until          time.Time
-}
-
-func (b *backoff) failure(now time.Time) {
-	if b.cur == 0 {
-		b.cur = b.base
-	} else {
-		b.cur *= 2
-		if b.cur > b.cap {
-			b.cur = b.cap
-		}
-	}
-	b.until = now.Add(b.cur)
-}
-
-func (b *backoff) success() {
-	b.cur = 0
-	b.until = time.Time{}
-}
-
-func (b *backoff) ready(now time.Time) bool { return !now.Before(b.until) }
 
 type aggMetrics struct {
 	syncs       func(url string) *metrics.Counter
@@ -153,11 +126,9 @@ type Aggregator struct {
 	mu      sync.Mutex
 	sensors []*sensorState
 
-	matMu     sync.Mutex
-	cachedVer []uint64
-	cachedB   *core.Builder
-	cachedPre *core.PreprocessReport
-	merges    uint64
+	// view is the merged materialization, cached on the per-sensor
+	// version vector.
+	view *core.MergedView
 }
 
 // NewAggregator validates the config and prepares the sensor table; no
@@ -171,12 +142,6 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 32 * cfg.Interval
-		if cfg.MaxBackoff > time.Minute {
-			cfg.MaxBackoff = time.Minute
-		}
 	}
 	if cfg.Client == nil {
 		cfg.Client = http.DefaultClient
@@ -216,6 +181,15 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 			mergeDur: reg.Histogram("distrib_merge_seconds", "merged-view rebuild duration", nil),
 		},
 	}
+	a.view = &core.MergedView{
+		Input:    cfg.Input,
+		Versions: a.versions,
+		Capture:  a.capture,
+		OnMerge: func(d time.Duration) {
+			a.m.merges.Inc()
+			a.m.mergeDur.Observe(d.Seconds())
+		},
+	}
 	for _, raw := range cfg.Sensors {
 		u := strings.TrimRight(raw, "/")
 		if !strings.Contains(u, "://") {
@@ -224,7 +198,7 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 		ss := &sensorState{
 			url:    u,
 			schema: SchemaV1,
-			bo:     backoff{base: cfg.Interval, cap: cfg.MaxBackoff},
+			bo:     backoff.New(cfg.Interval),
 		}
 		a.sensors = append(a.sensors, ss)
 		url := u
@@ -260,7 +234,7 @@ func (a *Aggregator) Run(ctx context.Context) {
 					return
 				case now := <-t.C:
 					a.mu.Lock()
-					due := ss.bo.ready(now)
+					due := ss.bo.Ready(now)
 					a.mu.Unlock()
 					if due {
 						a.syncSensor(ctx, ss)
@@ -295,15 +269,15 @@ func (a *Aggregator) syncSensor(ctx context.Context, ss *sensorState) error {
 	if err != nil {
 		ss.errs++
 		ss.lastErr = err.Error()
-		ss.bo.failure(now)
+		wait := ss.bo.Failure(now)
 		a.m.syncErrors(ss.url).Inc()
-		a.logger.Warn("sensor sync failed", "sensor", ss.url, "err", err, "retry_in", ss.bo.cur.String())
+		a.logger.Warn("sensor sync failed", "sensor", ss.url, "err", err, "retry_in", wait.String())
 		return err
 	}
 	ss.syncs++
 	ss.lastErr = ""
 	ss.lastSync = now
-	ss.bo.success()
+	ss.bo.Success()
 	a.m.syncs(ss.url).Inc()
 	a.m.cursor(ss.url).Set(float64(ss.cursor))
 	return nil
@@ -523,33 +497,32 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// merged rebuilds the global Builder from the accumulated sensor states
-// when any changed since the last merge (cached otherwise). Caller
-// holds matMu.
-func (a *Aggregator) merged() (*core.Builder, *core.PreprocessReport) {
+// versions reads the per-sensor state versions — the merge cache key.
+func (a *Aggregator) versions() []uint64 {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	vers := make([]uint64, len(a.sensors))
 	for i, ss := range a.sensors {
 		vers[i] = ss.version
 	}
-	if a.cachedB != nil && equalVers(vers, a.cachedVer) {
-		a.mu.Unlock()
-		return a.cachedB, a.cachedPre
+	return vers
+}
+
+// capture copies every sensor's accumulated state out from under mu for
+// a merge replay: one shard per sensor, sequences remapped sensor-major,
+// evidence unioned raw.
+func (a *Aggregator) capture() core.MergeCapture {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	c := core.MergeCapture{
+		Shards:   make([]core.ShardState, len(a.sensors)),
+		Versions: make([]uint64, len(a.sensors)),
+		Evidence: interception.NewMerge(2),
 	}
-	t0 := time.Now()
-	im := interception.NewMerge(2)
-	states := make([]core.ShardState, len(a.sensors))
-	var rawConns uint64
-	seen := make(map[ids.Fingerprint]bool)
-	rawCerts := 0
 	for i, ss := range a.sensors {
-		certs := make([]*certmodel.CertInfo, 0, len(ss.certs))
-		for _, ec := range ss.certs {
-			certs = append(certs, ec.Cert)
-			if !seen[ec.Cert.Fingerprint] {
-				seen[ec.Cert.Fingerprint] = true
-				rawCerts++
-			}
+		certs := make([]*certmodel.CertInfo, len(ss.certs))
+		for j, ec := range ss.certs {
+			certs[j] = ec.Cert
 		}
 		conns := make([]core.ConnRecord, len(ss.conns))
 		seqs := make([]uint64, len(ss.conns))
@@ -557,50 +530,19 @@ func (a *Aggregator) merged() (*core.Builder, *core.PreprocessReport) {
 			conns[j] = ec.Conn
 			seqs[j] = uint64(i)<<sensorBits | ec.Seq
 		}
-		states[i] = core.ShardState{Certs: certs, Conns: conns, Seqs: seqs}
-		rawConns += ss.connsIngested
-		im.AbsorbEvidence(ss.evidence)
+		c.Shards[i] = core.ShardState{Certs: certs, Conns: conns, Seqs: seqs}
+		c.Versions[i] = ss.version
+		c.RawConns += ss.connsIngested
+		c.Evidence.AbsorbEvidence(ss.evidence)
 	}
-	a.mu.Unlock()
-
-	res := im.Result()
-	pre := &core.PreprocessReport{
-		InterceptionIssuers: res.Issuers,
-		ExcludedCerts:       len(res.ExcludedCerts),
-		ExcludedShare:       res.ExcludedShare(rawCerts),
-		RawCerts:            rawCerts,
-		RawConns:            int(rawConns),
-	}
-	b := core.MergeShards(a.cfg.Input, states, func(fp ids.Fingerprint) bool {
-		return res.ExcludedCerts[fp]
-	})
-	a.cachedVer, a.cachedB, a.cachedPre = vers, b, pre
-	a.merges++
-	a.m.merges.Inc()
-	a.m.mergeDur.Since(t0)
-	return b, pre
-}
-
-func equalVers(x, y []uint64) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
+	return c
 }
 
 // WithPipeline runs fn over the merged pipeline; fn must not retain it.
 // Satisfies stream.Materializer, so the aggregator serves the same
 // report registry as a local engine.
 func (a *Aggregator) WithPipeline(fn func(*core.Pipeline)) {
-	a.matMu.Lock()
-	defer a.matMu.Unlock()
-	b, pre := a.merged()
-	fn(b.Pipeline(pre))
+	a.view.WithPipeline(fn)
 }
 
 // Analysis materializes every table and figure over the merged state.
@@ -624,11 +566,9 @@ func (a *Aggregator) Report(name string) (any, error) {
 func (a *Aggregator) Stats() stream.Stats {
 	a.mu.Lock()
 	var st stream.Stats
-	vers := make([]uint64, len(a.sensors))
 	seen := make(map[ids.Fingerprint]bool)
 	im := interception.NewMerge(2)
-	for i, ss := range a.sensors {
-		vers[i] = ss.version
+	for _, ss := range a.sensors {
 		st.ConnsIngested += ss.connsIngested
 		st.CertsIngested += ss.certsIngested
 		st.Retained += len(ss.conns)
@@ -646,11 +586,7 @@ func (a *Aggregator) Stats() stream.Stats {
 	st.ExcludedCerts = len(res.ExcludedCerts)
 	st.InterceptionIssuers = len(res.Issuers)
 	st.PendingCerts = im.PendingCount()
-
-	a.matMu.Lock()
-	st.Rebuilds = a.merges
-	st.Dirty = a.cachedB == nil || !equalVers(vers, a.cachedVer)
-	a.matMu.Unlock()
+	st.Rebuilds, st.Dirty = a.view.Stats()
 	return st
 }
 

@@ -237,7 +237,7 @@ func renderLabels(kv []string) string {
 
 // lookup get-or-creates the series for (name, labels), enforcing one
 // kind per family.
-func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *series {
+func (r *Registry) lookup(name, help string, kind metricKind, kv []string, create func(*series)) *series {
 	labels := renderLabels(kv)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -254,7 +254,12 @@ func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *seri
 	}
 	s, ok := r.series[id]
 	if !ok {
+		// The instrument is created under the lock, before the series is
+		// published: get-or-create is called from concurrent goroutines
+		// (HTTP handlers register per-status counters on first use), and
+		// two racing creators would each keep a different instrument.
 		s = &series{name: name, labels: labels}
+		create(s)
 		r.series[id] = s
 	}
 	return s
@@ -263,20 +268,12 @@ func (r *Registry) lookup(name, help string, kind metricKind, kv []string) *seri
 // Counter get-or-creates a counter. labels are alternating key/value
 // pairs, e.g. Counter("tail_rotations_total", "...", "file", "ssl").
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.lookup(name, help, kindCounter, labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.lookup(name, help, kindCounter, labels, func(s *series) { s.c = &Counter{} }).c
 }
 
 // Gauge get-or-creates a gauge.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.lookup(name, help, kindGauge, labels, func(s *series) { s.g = &Gauge{} }).g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at exposition
@@ -284,26 +281,21 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // occupancy. fn must be safe to call concurrently. If the series already
 // exists its callback is left in place (get-or-create symmetry).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{fn: fn}
-	}
+	r.lookup(name, help, kindGauge, labels, func(s *series) { s.g = &Gauge{fn: fn} })
 }
 
 // Histogram get-or-creates a histogram with the given bucket upper
 // bounds (nil means DefBuckets). Bounds must be ascending; they are
 // fixed at first registration.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	s := r.lookup(name, help, kindHistogram, labels)
-	if s.h == nil {
+	return r.lookup(name, help, kindHistogram, labels, func(s *series) {
 		if bounds == nil {
 			bounds = DefBuckets
 		}
 		h := &Histogram{bounds: append([]float64(nil), bounds...)}
 		h.counts = make([]atomic.Uint64, len(h.bounds)+1)
 		s.h = h
-	}
-	return s.h
+	}).h
 }
 
 // snapshot returns the series sorted by (name, labels) for deterministic

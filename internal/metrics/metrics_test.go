@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -174,7 +175,9 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("x_total", "x")
 }
 
-// TestConcurrentUse exercises every instrument from many goroutines;
+// TestConcurrentUse exercises every instrument from many goroutines —
+// including get-or-create of a series no one registered up front, the
+// way HTTP handlers register per-status counters on first use;
 // meaningful under -race, and the final counts must still add up.
 func TestConcurrentUse(t *testing.T) {
 	r := New()
@@ -191,6 +194,7 @@ func TestConcurrentUse(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.Observe(0.001)
+				r.Counter("late_total", "registered on first use", "i", strconv.Itoa(i)).Inc()
 				var buf strings.Builder
 				if i%250 == 0 {
 					r.WritePrometheus(&buf)
@@ -201,6 +205,11 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if c.Value() != workers*per {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*per)
+	}
+	for i := 0; i < per; i++ {
+		if late := r.Counter("late_total", "registered on first use", "i", strconv.Itoa(i)).Value(); late != workers {
+			t.Fatalf("counter %d registered on first use = %d, want %d (racing creators kept different instruments)", i, late, workers)
+		}
 	}
 	if g.Value() != workers*per {
 		t.Errorf("gauge = %v, want %d", g.Value(), workers*per)

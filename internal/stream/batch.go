@@ -11,9 +11,10 @@ import (
 )
 
 // batch is a pooled group of events traveling the ingest channel as one
-// entry: certificates first, then connections, applied in that order (a
-// connection routed behind its forwarded leaf certificate must resolve
-// the chain exactly as it would have on the per-event path).
+// entry — the only ingest mechanism; IngestConn/IngestCert send a batch
+// of one. Certificates apply first, then connections (a connection
+// routed behind its forwarded leaf certificate must find it on the
+// roster when it is enriched).
 //
 // Ownership: IngestConnBatch/IngestCertBatch copy the caller's records
 // into a pooled batch, so the caller may reuse its slice (and the
@@ -21,7 +22,7 @@ import (
 // connection records into the engine's retained window and recycles the
 // batch — the engine copies-on-retain, never aliasing pooled memory.
 // Certificate pointers are shared, not copied: the roster retains the
-// *certmodel.CertInfo itself, exactly as the per-event path does.
+// *certmodel.CertInfo itself.
 type batch struct {
 	certs []*certmodel.CertInfo
 	conns []core.ConnRecord
@@ -46,8 +47,8 @@ func (b *batch) recycle() {
 }
 
 // IngestConnBatch feeds a slice of connection events in one channel
-// operation, amortizing the per-event channel hop and allocation of
-// IngestConn. Records are copied; the caller may reuse recs and its
+// operation, amortizing the channel hop and the apply loop's lock over
+// the slice. Records are copied; the caller may reuse recs and its
 // elements. Invalid records (weight below 1) are rejected individually
 // and counted in Stats.Rejected. Returns how many events were accepted —
 // 0 when the engine is closed or a full buffer shed the whole batch
@@ -61,29 +62,18 @@ func (e *Engine) IngestConnBatch(recs []core.ConnRecord) int {
 	b.conns = slices.Grow(b.conns, len(recs))
 	for i := range recs {
 		if recs[i].Weight < 1 {
-			e.rejected.Add(1)
-			e.m.rejected.Inc()
+			e.reject()
 			continue
 		}
 		b.conns = append(b.conns, recs[i])
 	}
-	n := len(b.conns)
-	if n == 0 {
-		b.recycle()
-		return 0
-	}
-	if !e.sendBatch(b) {
-		b.recycle()
-		return 0
-	}
-	return n
+	return e.sendOrRecycle(b)
 }
 
 // IngestCertBatch feeds a slice of certificate events in one channel
-// operation. Validation matches IngestCert (nil certificates and empty
-// fingerprints are rejected individually); accepted certificates are
-// shared with the engine's roster by pointer, exactly as IngestCert
-// shares them. Returns how many events were accepted.
+// operation. Nil certificates and empty fingerprints are rejected
+// individually; accepted certificates are shared with the engine's
+// roster by pointer. Returns how many events were accepted.
 func (e *Engine) IngestCertBatch(recs []core.CertRecord) int {
 	if len(recs) == 0 {
 		return 0
@@ -92,49 +82,31 @@ func (e *Engine) IngestCertBatch(recs []core.CertRecord) int {
 	b.certs = slices.Grow(b.certs, len(recs))
 	for i := range recs {
 		if recs[i].Cert == nil || recs[i].Cert.Fingerprint == "" {
-			e.rejected.Add(1)
-			e.m.rejected.Inc()
+			e.reject()
 			continue
 		}
 		b.certs = append(b.certs, recs[i].Cert)
 	}
-	n := len(b.certs)
-	if n == 0 {
-		b.recycle()
-		return 0
-	}
-	if !e.sendBatch(b) {
+	return e.sendOrRecycle(b)
+}
+
+// sendOrRecycle delivers a validated batch and returns how many events
+// it carried; an empty, shed or refused batch goes back to the pool and
+// counts 0.
+func (e *Engine) sendOrRecycle(b *batch) int {
+	n := len(b.certs) + len(b.conns)
+	if n == 0 || !e.sendBatch(b) {
 		b.recycle()
 		return 0
 	}
 	return n
 }
 
-// sendBatch delivers b as one channel operation. Under Policy Drop a
-// full buffer sheds the whole batch, counting every carried event in
-// Stats.Dropped. Returns false (without recycling b — the caller may
-// still need its contents to undo routing state) when the batch was
-// shed or the engine is closed.
+// sendBatch delivers b as one channel operation. Returns false (without
+// recycling b — the caller may still need its contents to undo routing
+// state) when the batch was shed or the engine is closed.
 func (e *Engine) sendBatch(b *batch) bool {
-	e.sendMu.RLock()
-	defer e.sendMu.RUnlock()
-	if e.closed {
-		return false
-	}
-	ev := event{batch: b, enq: time.Now()}
-	if e.cfg.Policy == Block {
-		e.ch <- ev
-		return true
-	}
-	select {
-	case e.ch <- ev:
-		return true
-	default:
-		n := uint64(len(b.certs) + len(b.conns))
-		e.dropped.Add(n)
-		e.m.dropped.Add(n)
-		return false
-	}
+	return e.send(event{batch: b, enq: time.Now()}, e.cfg.Policy == Block)
 }
 
 // applyBatchLocked applies one pooled batch — certificates first, then
@@ -161,12 +133,12 @@ func (e *Engine) applyBatchLocked(b *batch) {
 	b.recycle()
 }
 
-// IngestConnBatch partitions the batch by home shard under one router
-// lock acquisition and delivers each shard's slice (any forwarded leaf
-// certificates first, then its connections, in arrival order) over one
-// channel operation — the per-event router pays a lock and a channel hop
-// per record, which is exactly the overhead that made shards>1 slower
-// than shards=1 on one core. Semantics per record match IngestConn.
+// IngestConnBatch is the router: it partitions the batch by home shard
+// (hash of the connection UID) under one lock acquisition and delivers
+// each shard's slice — any already-arrived leaf certificates the shard
+// has not seen first, then its connections, in arrival order — over one
+// channel operation, so shard-local enrichment resolves the chain just
+// as a single engine would. Validation matches Engine.IngestConnBatch.
 // Returns how many events were accepted.
 func (s *Sharded) IngestConnBatch(recs []core.ConnRecord) int {
 	if len(recs) == 0 {
@@ -177,57 +149,49 @@ func (s *Sharded) IngestConnBatch(recs []core.ConnRecord) int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.scratch == nil {
-		s.scratch = make([]*batch, len(s.shards))
-	}
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Weight < 1 {
-			s.rejected.Add(1)
-			s.m.rejected.Inc()
+			s.reject()
 			continue
 		}
 		h := s.home(string(rec.UID))
 		bit := uint64(1) << h
-		b := s.scratch[h]
-		if b == nil {
-			b = newBatch()
-			s.scratch[h] = b
-		}
+		b := s.shardBatch(h)
 		for _, fp := range [2]ids.Fingerprint{rec.ServerLeaf(), rec.ClientLeaf()} {
 			if fp == "" {
 				continue
 			}
-			ent := s.rv[fp]
-			if ent == nil {
-				ent = &rendezvous{}
-				s.rv[fp] = ent
-			}
+			ent := s.rendezvousFor(fp)
 			if ent.cert == nil {
+				// The certificate has not arrived; when it does, the
+				// rendezvous forwards it here and the shard's pending-ref /
+				// missing-fp machinery handles the late arrival.
 				ent.waiting |= bit
 				continue
 			}
 			if ent.delivered&bit == 0 {
-				// Delivery is marked optimistically; flushShardLocked
+				// Delivery is marked optimistically; flushScratchLocked
 				// unmarks it if the shard sheds the batch.
 				b.certs = append(b.certs, ent.cert)
 				ent.delivered |= bit
 			}
 		}
-		seq := s.nextSeq
-		s.nextSeq++
 		b.conns = append(b.conns, *rec)
-		b.seqs = append(b.seqs, seq)
+		b.seqs = append(b.seqs, s.nextSeq)
+		s.nextSeq++
 	}
 	return s.flushScratchLocked()
 }
 
-// IngestCertBatch routes a batch of certificates through the rendezvous
-// under one router lock acquisition, delivering per-shard certificate
-// slices over one channel operation each. Semantics per record match
-// IngestCert. Returns how many records were admitted into the
-// rendezvous (shed deliveries are retried by later references, as on
-// the per-event path).
+// IngestCertBatch admits a batch of certificates into the rendezvous
+// under one router lock acquisition and delivers each to its
+// fingerprint's home shard plus every shard already waiting on it, one
+// channel operation per shard. Shards that reference a fingerprint later
+// receive it from the rendezvous at routing time. Validation matches
+// Engine.IngestCertBatch. Returns how many records were admitted into
+// the rendezvous (a delivery shed under Policy Drop is retried by the
+// next reference).
 func (s *Sharded) IngestCertBatch(recs []core.CertRecord) int {
 	if len(recs) == 0 {
 		return 0
@@ -237,26 +201,21 @@ func (s *Sharded) IngestCertBatch(recs []core.CertRecord) int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.scratch == nil {
-		s.scratch = make([]*batch, len(s.shards))
-	}
 	admitted := 0
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Cert == nil || rec.Cert.Fingerprint == "" {
-			s.rejected.Add(1)
-			s.m.rejected.Inc()
+			s.reject()
 			continue
 		}
 		s.certsRouted++
 		admitted++
 		fp := rec.Cert.Fingerprint
-		ent := s.rv[fp]
-		if ent == nil {
-			ent = &rendezvous{}
-			s.rv[fp] = ent
-		}
+		ent := s.rendezvousFor(fp)
 		if ent.cert == nil {
+			// First observation wins, as on a single engine's roster; the
+			// home shard guarantees every certificate survives in the union
+			// roster even if no connection ever references it.
 			ent.cert = rec.Cert
 			ent.seq = s.nextSeq
 			s.nextSeq++
@@ -268,17 +227,44 @@ func (s *Sharded) IngestCertBatch(recs []core.CertRecord) int {
 			if ent.waiting&bit == 0 || ent.delivered&bit != 0 {
 				continue
 			}
-			b := s.scratch[sh]
-			if b == nil {
-				b = newBatch()
-				s.scratch[sh] = b
-			}
+			b := s.shardBatch(sh)
 			b.certs = append(b.certs, ent.cert)
 			ent.delivered |= bit
 		}
 	}
 	s.flushScratchLocked()
 	return admitted
+}
+
+// reject counts one invalid event refused by the router.
+func (s *Sharded) reject() {
+	s.rejected.Add(1)
+	s.m.rejected.Inc()
+}
+
+// rendezvousFor returns fp's rendezvous entry, creating it on first
+// reference. Caller holds mu.
+func (s *Sharded) rendezvousFor(fp ids.Fingerprint) *rendezvous {
+	ent := s.rv[fp]
+	if ent == nil {
+		ent = &rendezvous{}
+		s.rv[fp] = ent
+	}
+	return ent
+}
+
+// shardBatch returns shard h's pending batch in the scratch partition
+// table, creating either on first use. Caller holds mu.
+func (s *Sharded) shardBatch(h int) *batch {
+	if s.scratch == nil {
+		s.scratch = make([]*batch, len(s.shards))
+	}
+	b := s.scratch[h]
+	if b == nil {
+		b = newBatch()
+		s.scratch[h] = b
+	}
+	return b
 }
 
 // flushScratchLocked sends every accumulated per-shard batch and resets

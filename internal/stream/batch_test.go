@@ -52,121 +52,64 @@ func feedBatches(t *testing.T, g batchIngester, certs []core.CertRecord, conns [
 	}
 }
 
-// TestBatchIngestMatchesSingle is the batched-ingest contract on the
-// plain engine: at every batch granularity, draining the same events
-// through IngestConnBatch/IngestCertBatch yields an Analysis deeply
-// equal to per-event ingest and to the batch pipeline.
-func TestBatchIngestMatchesSingle(t *testing.T) {
+// TestIngestSurfacesMatchBatchPipeline is the ingest contract: the same
+// stream fed one record at a time (IngestConn/IngestCert — a batch of
+// one) and in 512-record batches, at shard counts {1, 2, 4}, drains to
+// an Analysis deeply equal to the batch pipeline's, with the ingest
+// counters exact. Each feed also carries one invalid record of each kind
+// (nil, weightless, unkeyed), which only Stats.Rejected may notice.
+func TestIngestSurfacesMatchBatchPipeline(t *testing.T) {
 	b := genBuild(20240504, 1200)
-	batch := core.Run(inputFromBuild(b))
-
-	in := inputFromBuild(b)
-	in.Raw = nil
-	single := newEngine(t, in, nil)
-	feed(t, single, b)
-	single.Drain()
-	want := single.Analysis()
-	if !reflect.DeepEqual(batch, want) {
-		t.Fatal("single-engine analysis differs from batch (prerequisite broken)")
-	}
-
-	certs := certRecords(b)
-	for _, size := range []int{1, 3, 64, 512, 1 << 20} {
-		e := newEngine(t, in, nil)
-		feedBatches(t, e, certs, b.Raw.Conns, size)
-		e.Drain()
-		if got := e.Analysis(); !reflect.DeepEqual(want, got) {
-			t.Errorf("batch=%d: batched analysis differs from per-event ingest", size)
-		}
-		st := e.Stats()
-		if st.ConnsIngested != uint64(len(b.Raw.Conns)) {
-			t.Errorf("batch=%d: ConnsIngested = %d, want %d", size, st.ConnsIngested, len(b.Raw.Conns))
-		}
-		if st.Dropped != 0 || st.Rejected != 0 {
-			t.Errorf("batch=%d: unexpected dropped=%d rejected=%d", size, st.Dropped, st.Rejected)
-		}
-	}
-}
-
-// TestShardedBatchIngestMatchesSingle extends the contract across the
-// router: at shard counts {1, 2, 4} the batch partitioner must land
-// every record on the same shard per-event routing would, so the merged
-// Analysis stays deeply equal to the batch pipeline.
-func TestShardedBatchIngestMatchesSingle(t *testing.T) {
-	b := genBuild(20240504, 1200)
-	batch := core.Run(inputFromBuild(b))
-	in := inputFromBuild(b)
-	in.Raw = nil
-	certs := certRecords(b)
-
-	for _, n := range []int{1, 2, 4} {
-		for _, size := range []int{3, 512} {
-			s := newSharded(t, n, in, nil)
-			feedBatches(t, s, certs, b.Raw.Conns, size)
-			s.Drain()
-			if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
-				t.Errorf("shards=%d batch=%d: merged analysis differs from batch pipeline", n, size)
-			}
-			st := s.Stats()
-			if st.ConnsIngested != uint64(len(b.Raw.Conns)) {
-				t.Errorf("shards=%d batch=%d: ConnsIngested = %d, want %d",
-					n, size, st.ConnsIngested, len(b.Raw.Conns))
-			}
-			if st.UniqueCerts != len(b.Raw.Certs) {
-				t.Errorf("shards=%d batch=%d: UniqueCerts = %d, want %d",
-					n, size, st.UniqueCerts, len(b.Raw.Certs))
-			}
-			if st.Dropped != 0 {
-				t.Errorf("shards=%d batch=%d: unexpected drops: %d", n, size, st.Dropped)
-			}
-		}
-	}
-}
-
-// TestBatchInterleavedWithSingle mixes the two ingest surfaces in one
-// stream — a run of batches, then a run of per-event calls, with
-// certificate batches landing between connection runs. Deployments
-// migrate between the APIs (or use both: a tailer batches, a backfill
-// script does not), so the engines must not care which path an event
-// took.
-func TestBatchInterleavedWithSingle(t *testing.T) {
-	b := genBuild(7, 1000)
-	batch := core.Run(inputFromBuild(b))
+	want := core.Run(inputFromBuild(b))
 	in := inputFromBuild(b)
 	in.Raw = nil
 	certs := certRecords(b)
 	conns := b.Raw.Conns
+	weightless := conns[0]
+	weightless.Weight = 0
 
-	for _, n := range []int{1, 2, 4} {
-		s := newSharded(t, n, in, nil)
-		ci, coi := 0, 0
-		turn := 0
-		for ci < len(certs) || coi < len(conns) {
-			switch turn % 4 {
-			case 0: // a connection batch
-				hi := min(coi+48, len(conns))
-				s.IngestConnBatch(conns[coi:hi])
-				coi = hi
-			case 1: // per-event certificates
-				for k := 0; k < 8 && ci < len(certs); k++ {
-					s.IngestCert(&certs[ci])
-					ci++
-				}
-			case 2: // per-event connections
-				for k := 0; k < 16 && coi < len(conns); k++ {
-					s.IngestConn(&conns[coi])
-					coi++
-				}
-			case 3: // a certificate batch
-				hi := min(ci+24, len(certs))
-				s.IngestCertBatch(certs[ci:hi])
-				ci = hi
+	feeds := map[string]struct {
+		feed     func(t *testing.T, s *Sharded)
+		rejected uint64
+	}{
+		"per-event": {func(t *testing.T, s *Sharded) {
+			if s.IngestConn(nil) || s.IngestConn(&weightless) || s.IngestCert(nil) || s.IngestCert(&core.CertRecord{}) {
+				t.Error("invalid event accepted")
 			}
-			turn++
-		}
-		s.Drain()
-		if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: mixed batch/per-event analysis differs from batch pipeline", n)
+			for i := range certs {
+				if !s.IngestCert(&certs[i]) {
+					t.Fatal("cert event rejected")
+				}
+			}
+			for i := range conns {
+				if !s.IngestConn(&conns[i]) {
+					t.Fatal("conn event rejected")
+				}
+			}
+		}, 4},
+		"batch=512": {func(t *testing.T, s *Sharded) {
+			if s.IngestConnBatch([]core.ConnRecord{weightless}) != 0 || s.IngestCertBatch([]core.CertRecord{{}}) != 0 {
+				t.Error("invalid event accepted")
+			}
+			feedBatches(t, s, certs, conns, 512)
+		}, 2},
+	}
+	for _, n := range []int{1, 2, 4} {
+		for name, f := range feeds {
+			s := newSharded(t, n, in, nil)
+			f.feed(t, s)
+			s.Drain()
+			if got := s.Analysis(); !reflect.DeepEqual(want, got) {
+				t.Errorf("shards=%d %s: analysis differs from batch pipeline", n, name)
+			}
+			st := s.Stats()
+			if st.ConnsIngested != uint64(len(conns)) || st.CertsIngested != uint64(len(certs)) || st.UniqueCerts != len(certs) {
+				t.Errorf("shards=%d %s: ingested %d conns / %d certs (%d unique), want %d / %d",
+					n, name, st.ConnsIngested, st.CertsIngested, st.UniqueCerts, len(conns), len(certs))
+			}
+			if st.Dropped != 0 || st.Rejected != f.rejected {
+				t.Errorf("shards=%d %s: dropped=%d rejected=%d, want 0 and %d", n, name, st.Dropped, st.Rejected, f.rejected)
+			}
 		}
 	}
 }

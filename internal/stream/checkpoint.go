@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -249,6 +250,24 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
+}
+
+// layoutErr is what a restore returns when reading dir's commit file
+// (want) failed with err: err itself, unless the file is missing while
+// the other deployment shape's commit file is there — the single-engine
+// MANIFEST versus the sharded manifest.json. That is a refusal, not a
+// not-exist error: a caller reading it as "no checkpoint yet" would
+// start empty, re-tail its logs from byte 0, and then write a second
+// layout into the same directory.
+func layoutErr(err error, dir, want, other string) error {
+	if !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	if _, serr := os.Stat(filepath.Join(dir, other)); serr != nil {
+		return err
+	}
+	return fmt.Errorf("stream: %s has %s but no %s: it holds the other checkpoint layout (%s commits a single engine, %s a sharded one); restore it at the shard count it was written with, or name another path",
+		dir, other, want, ckptManifestName, manifestName)
 }
 
 // readCkptManifest loads and validates a directory's MANIFEST.
@@ -755,7 +774,7 @@ func (e *Engine) finishRestoreLocked(icpt *interception.StreamState) {
 func restoreDir(cfg Config, dir string) (*Engine, map[string]int64, error) {
 	man, err := readCkptManifest(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, layoutErr(err, dir, ckptManifestName, manifestName)
 	}
 	if len(man.Segments) == 0 {
 		return nil, nil, fmt.Errorf("stream: checkpoint manifest references no segments")

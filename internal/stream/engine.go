@@ -123,7 +123,7 @@ type Config struct {
 	// trackSeqs makes the engine record each connection's global ingest
 	// sequence alongside the retained record, so a sharded deployment can
 	// k-way merge shard-local streams back into the single-stream order.
-	// Set by NewSharded; sequences arrive via ingestConnSeq.
+	// Set by NewSharded; sequences arrive in the router's batches.
 	trackSeqs bool
 	// metricLabels are alternating key/value pairs appended to every
 	// stream_* series this engine registers (e.g. "shard", "3"), so the
@@ -153,18 +153,13 @@ type Stats struct {
 	CheckpointAge  float64   // seconds since LastCheckpoint (0 if none)
 }
 
-// event is one ingest-queue entry: a connection, a certificate, or a
-// flush barrier. enq stamps when the producer enqueued it, so the apply
-// loop can observe queue latency.
+// event is one ingest-queue entry: a batch of records or a flush
+// barrier. enq stamps when the producer enqueued it, so the apply loop
+// can observe queue latency.
 type event struct {
-	conn  *core.ConnRecord
-	cert  *certmodel.CertInfo
 	batch *batch
 	flush chan struct{}
 	enq   time.Time
-	// seq is the connection's global ingest sequence, meaningful only
-	// when Config.trackSeqs is set (the sharded router stamps it).
-	seq uint64
 }
 
 // Engine is the incremental analysis engine. Create with New, feed with
@@ -306,51 +301,45 @@ func (e *Engine) resetBuilderLocked() {
 	e.dirty = e.tiered
 }
 
-// IngestConn feeds one connection event. The record is copied; the
-// caller may reuse it. Returns false when the event was rejected as
-// invalid, dropped (Policy Drop with a full buffer), or the engine is
-// closed.
+// IngestConn feeds one connection event — a batch of one over
+// IngestConnBatch. The record is copied; the caller may reuse it.
+// Returns false when the event was rejected as invalid, dropped (Policy
+// Drop with a full buffer), or the engine is closed.
 //
 // A nil record or a weight below 1 is rejected up front (counted in
 // Stats.Rejected): the parsers guarantee weight >= 1, but the engine is
 // also fed by taps and tests, and a zero/negative weight would silently
 // corrupt every weighted percentage the reports derive.
 func (e *Engine) IngestConn(rec *core.ConnRecord) bool {
-	if rec == nil || rec.Weight < 1 {
-		e.rejected.Add(1)
-		e.m.rejected.Inc()
+	if rec == nil {
+		e.reject()
 		return false
 	}
-	c := *rec
-	return e.send(event{conn: &c, enq: time.Now()}, e.cfg.Policy == Block)
+	return e.IngestConnBatch([]core.ConnRecord{*rec}) == 1
 }
 
-// IngestCert feeds one certificate event. A nil record, a nil
-// certificate, or an empty fingerprint is rejected (counted in
-// Stats.Rejected) — an unkeyed certificate could never be resolved from
-// a chain and would only poison the roster.
+// IngestCert feeds one certificate event — a batch of one over
+// IngestCertBatch. A nil record, a nil certificate, or an empty
+// fingerprint is rejected (counted in Stats.Rejected) — an unkeyed
+// certificate could never be resolved from a chain and would only poison
+// the roster.
 func (e *Engine) IngestCert(rec *core.CertRecord) bool {
-	if rec == nil || rec.Cert == nil || rec.Cert.Fingerprint == "" {
-		e.rejected.Add(1)
-		e.m.rejected.Inc()
+	if rec == nil {
+		e.reject()
 		return false
 	}
-	return e.send(event{cert: rec.Cert, enq: time.Now()}, e.cfg.Policy == Block)
+	return e.IngestCertBatch([]core.CertRecord{*rec}) == 1
 }
 
-// ingestConnSeq is IngestConn for the sharded router: rec is already
-// validated and owned by the engine (no defensive copy), and seq is the
-// global ingest sequence the router assigned.
-func (e *Engine) ingestConnSeq(rec *core.ConnRecord, seq uint64) bool {
-	return e.send(event{conn: rec, seq: seq, enq: time.Now()}, e.cfg.Policy == Block)
+// reject counts one invalid event refused at the ingest boundary.
+func (e *Engine) reject() {
+	e.rejected.Add(1)
+	e.m.rejected.Inc()
 }
 
-// ingestCertPtr is IngestCert for the sharded router: the certificate is
-// already validated and shared (the roster stores the pointer either way).
-func (e *Engine) ingestCertPtr(c *certmodel.CertInfo) bool {
-	return e.send(event{cert: c, enq: time.Now()}, e.cfg.Policy == Block)
-}
-
+// send enqueues ev unless the engine is closed. A non-blocking send
+// (Policy Drop; only batches travel that way) that finds the buffer full
+// sheds the whole batch, counting every carried event in Stats.Dropped.
 func (e *Engine) send(ev event, block bool) bool {
 	e.sendMu.RLock()
 	defer e.sendMu.RUnlock()
@@ -365,8 +354,9 @@ func (e *Engine) send(ev event, block bool) bool {
 	case e.ch <- ev:
 		return true
 	default:
-		e.dropped.Add(1)
-		e.m.dropped.Inc()
+		n := uint64(len(ev.batch.certs) + len(ev.batch.conns))
+		e.dropped.Add(n)
+		e.m.dropped.Add(n)
 		return false
 	}
 }
@@ -420,19 +410,12 @@ func (e *Engine) run() {
 }
 
 func (e *Engine) applyLocked(ev event) {
-	switch {
-	case ev.flush != nil:
+	if ev.flush != nil {
 		close(ev.flush)
-	case ev.batch != nil:
-		e.m.applyLatency.Since(ev.enq)
-		e.applyBatchLocked(ev.batch)
-	case ev.cert != nil:
-		e.m.applyLatency.Since(ev.enq)
-		e.applyCertLocked(ev.cert)
-	case ev.conn != nil:
-		e.m.applyLatency.Since(ev.enq)
-		e.applyConnLocked(ev.conn, ev.seq)
+		return
 	}
+	e.m.applyLatency.Since(ev.enq)
+	e.applyBatchLocked(ev.batch)
 }
 
 // applyCertLocked admits one certificate: first observation of a

@@ -60,20 +60,13 @@ type Materializer interface {
 }
 
 // MaterializeReport materializes one named report over m's current
-// state, with the registry and error taxonomy shared by Engine.Report
-// and Sharded.Report — the hook an out-of-package Materializer (the
-// distributed aggregator) uses to serve the same /reports surface.
-func MaterializeReport(m Materializer, name string) (any, error) {
-	return runReport(m, name)
-}
-
-// runReport materializes one named report over m's current state. The
-// returned value is a fresh report struct safe to serialize after the
-// call. An unknown name returns an error wrapping ErrUnknownReport; a
-// panic during materialization (a bug, not a client mistake) is
-// recovered into a plain error so one bad report cannot take down a
-// long-running daemon.
-func runReport(m Materializer, name string) (out any, err error) {
+// state — the registry and error taxonomy behind Engine.Report,
+// Sharded.Report and the distributed aggregator's Report. The returned
+// value is a fresh report struct safe to serialize after the call. An
+// unknown name returns an error wrapping ErrUnknownReport; a panic during
+// materialization (a bug, not a client mistake) is recovered into a plain
+// error so one bad report cannot take down a long-running daemon.
+func MaterializeReport(m Materializer, name string) (out any, err error) {
 	fn, ok := reportFns[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownReport, name)
@@ -88,7 +81,7 @@ func runReport(m Materializer, name string) (out any, err error) {
 }
 
 // Report materializes one named report over the current state; see
-// runReport for the error taxonomy.
+// MaterializeReport for the error taxonomy.
 func (e *Engine) Report(name string) (any, error) {
-	return runReport(e, name)
+	return MaterializeReport(e, name)
 }

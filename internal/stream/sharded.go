@@ -89,13 +89,9 @@ type Sharded struct {
 
 	m *shardedMetrics
 
-	matMu sync.Mutex // guards the merged materialization below
-	// cachedVer is the per-shard stateVer vector the cached merge
-	// reflects; nil until the first merge.
-	cachedVer []uint64
-	cachedB   *core.Builder
-	cachedPre *core.PreprocessReport
-	merges    uint64
+	// view is the merged materialization, cached on the per-shard
+	// stateVer vector.
+	view *core.MergedView
 
 	ckptMu   sync.Mutex // guards manifest generation state
 	ckptGen  uint64
@@ -147,15 +143,8 @@ func NewSharded(n int, cfg Config) (*Sharded, error) {
 	if n > MaxShards {
 		n = MaxShards
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.New()
-	}
-	s := &Sharded{
-		cfg:   cfg,
-		rv:    make(map[ids.Fingerprint]*rendezvous),
-		m:     newShardedMetrics(cfg.Metrics, n),
-		epoch: newEpoch(),
-	}
+	s := newRouter(cfg, n)
+	s.epoch = newEpoch()
 	for i := 0; i < n; i++ {
 		e, err := New(s.shardConfig(i, n))
 		if err != nil {
@@ -168,6 +157,30 @@ func NewSharded(n int, cfg Config) (*Sharded, error) {
 		s.single = s.shards[0]
 	}
 	return s, nil
+}
+
+// newRouter builds the shard-less Sharded that NewSharded and
+// RestoreSharded fill: router state, metrics, and the merged view wired
+// to the shards' state versions.
+func newRouter(cfg Config, n int) *Sharded {
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.New()
+	}
+	s := &Sharded{
+		cfg: cfg,
+		rv:  make(map[ids.Fingerprint]*rendezvous),
+		m:   newShardedMetrics(cfg.Metrics, n),
+	}
+	s.view = &core.MergedView{
+		Input:    cfg.Input,
+		Versions: s.versions,
+		Capture:  s.capture,
+		OnMerge: func(d time.Duration) {
+			s.m.merges.Inc()
+			s.m.mergeDur.Observe(d.Seconds())
+		},
+	}
+	return s
 }
 
 // shardConfig derives shard i's engine config: sequence tracking on (the
@@ -210,97 +223,31 @@ func (s *Sharded) home(key string) int {
 	return int(shardHash(key) % uint64(len(s.shards)))
 }
 
-// IngestConn routes one connection to its UID's home shard, first
-// forwarding any already-arrived leaf certificates the shard has not
-// seen (channel order guarantees the shard applies the certificate
-// before the connection, so shard-local enrichment resolves the chain
-// just as a single engine would). Validation matches Engine.IngestConn.
+// IngestConn routes one connection — a batch of one through the router
+// in IngestConnBatch. Validation matches Engine.IngestConn.
 func (s *Sharded) IngestConn(rec *core.ConnRecord) bool {
 	if s.single != nil {
 		return s.single.IngestConn(rec)
 	}
-	if rec == nil || rec.Weight < 1 {
-		s.rejected.Add(1)
-		s.m.rejected.Inc()
+	if rec == nil {
+		s.reject()
 		return false
 	}
-	c := *rec
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seq := s.nextSeq
-	s.nextSeq++
-	h := s.home(string(c.UID))
-	bit := uint64(1) << h
-	for _, fp := range [2]ids.Fingerprint{c.ServerLeaf(), c.ClientLeaf()} {
-		if fp == "" {
-			continue
-		}
-		ent := s.rv[fp]
-		if ent == nil {
-			ent = &rendezvous{}
-			s.rv[fp] = ent
-		}
-		if ent.cert == nil {
-			// The certificate has not arrived; when it does, the
-			// rendezvous forwards it here and the shard's pending-ref /
-			// missing-fp machinery handles the late arrival.
-			ent.waiting |= bit
-			continue
-		}
-		if ent.delivered&bit == 0 && s.shards[h].ingestCertPtr(ent.cert) {
-			ent.delivered |= bit
-			s.m.fanout.Inc()
-		}
-	}
-	return s.shards[h].ingestConnSeq(&c, seq)
+	return s.IngestConnBatch([]core.ConnRecord{*rec}) == 1
 }
 
-// IngestCert admits one certificate into the rendezvous and delivers it
-// to its fingerprint's home shard plus every shard already waiting on
-// it. Shards that reference the fingerprint later receive it from the
-// rendezvous at routing time. Validation matches Engine.IngestCert.
+// IngestCert admits one certificate — a batch of one through
+// IngestCertBatch. Validation matches Engine.IngestCert; true means the
+// certificate entered the rendezvous.
 func (s *Sharded) IngestCert(rec *core.CertRecord) bool {
 	if s.single != nil {
 		return s.single.IngestCert(rec)
 	}
-	if rec == nil || rec.Cert == nil || rec.Cert.Fingerprint == "" {
-		s.rejected.Add(1)
-		s.m.rejected.Inc()
+	if rec == nil {
+		s.reject()
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.certsRouted++
-	fp := rec.Cert.Fingerprint
-	ent := s.rv[fp]
-	if ent == nil {
-		ent = &rendezvous{}
-		s.rv[fp] = ent
-	}
-	if ent.cert == nil {
-		// First observation wins, as on a single engine's roster; the
-		// home shard guarantees every certificate survives in the union
-		// roster even if no connection ever references it.
-		ent.cert = rec.Cert
-		ent.seq = s.nextSeq
-		s.nextSeq++
-		s.uniqueCerts++
-		ent.waiting |= uint64(1) << s.home(string(fp))
-	}
-	ok := true
-	for i := range s.shards {
-		bit := uint64(1) << i
-		if ent.waiting&bit == 0 || ent.delivered&bit != 0 {
-			continue
-		}
-		if s.shards[i].ingestCertPtr(ent.cert) {
-			ent.delivered |= bit
-			s.m.fanout.Inc()
-		} else {
-			ok = false // Drop policy shed it; a later reference retries
-		}
-	}
-	return ok
+	return s.IngestCertBatch([]core.CertRecord{*rec}) == 1
 }
 
 // Drain blocks until every event ingested before the call has been
@@ -318,74 +265,37 @@ func (s *Sharded) Close() {
 	}
 }
 
-// merged returns the global Builder and preprocess report, rebuilding by
-// replay when any shard's state changed since the last merge. Caller
-// holds matMu.
-func (s *Sharded) merged() (*core.Builder, *core.PreprocessReport) {
+// versions reads the per-shard state versions without the shard locks.
+func (s *Sharded) versions() []uint64 {
 	vers := make([]uint64, len(s.shards))
 	for i, e := range s.shards {
 		vers[i] = e.stateVer.Load()
 	}
-	if s.cachedB != nil && equalU64(vers, s.cachedVer) {
-		return s.cachedB, s.cachedPre
-	}
-	t0 := time.Now()
-	// Snapshot each shard under its lock: slice headers are safe to
-	// replay lock-free afterwards (appends never mutate elements below
-	// the captured length and eviction swaps in a fresh array), roster
-	// pointers are immutable, and the detector evidence is copied by
-	// Absorb. The version is re-read under the lock so the cache key
-	// matches exactly what was captured.
-	im := interception.NewMerge(2)
-	states := make([]core.ShardState, len(s.shards))
-	var rawConns uint64
-	for i, e := range s.shards {
-		e.mu.Lock()
-		vers[i] = e.stateVer.Load()
-		snap := e.st.Snapshot()
-		states[i] = core.ShardState{Certs: snap.Certs, Conns: snap.Conns, Seqs: snap.Seqs}
-		rawConns += e.connsIngested
-		im.Absorb(e.icpt)
-		e.mu.Unlock()
-	}
-	rawCerts := 0
-	seen := make(map[ids.Fingerprint]bool)
-	for i := range states {
-		for _, c := range states[i].Certs {
-			if !seen[c.Fingerprint] {
-				seen[c.Fingerprint] = true
-				rawCerts++
-			}
-		}
-	}
-	res := im.Result()
-	pre := &core.PreprocessReport{
-		InterceptionIssuers: res.Issuers,
-		ExcludedCerts:       len(res.ExcludedCerts),
-		ExcludedShare:       res.ExcludedShare(rawCerts),
-		RawCerts:            rawCerts,
-		RawConns:            int(rawConns),
-	}
-	b := core.MergeShards(s.cfg.Input, states, func(fp ids.Fingerprint) bool {
-		return res.ExcludedCerts[fp]
-	})
-	s.cachedVer, s.cachedB, s.cachedPre = vers, b, pre
-	s.merges++
-	s.m.merges.Inc()
-	s.m.mergeDur.Since(t0)
-	return b, pre
+	return vers
 }
 
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
+// capture snapshots each shard under its lock for a merge replay: slice
+// headers are safe to replay lock-free afterwards (appends never mutate
+// elements below the captured length and eviction swaps in a fresh
+// array), roster pointers are immutable, and the detector evidence is
+// copied by Absorb. The version is read under the lock so the cache key
+// matches exactly what was captured.
+func (s *Sharded) capture() core.MergeCapture {
+	c := core.MergeCapture{
+		Shards:   make([]core.ShardState, len(s.shards)),
+		Versions: make([]uint64, len(s.shards)),
+		Evidence: interception.NewMerge(2),
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	for i, e := range s.shards {
+		e.mu.Lock()
+		c.Versions[i] = e.stateVer.Load()
+		snap := e.st.Snapshot()
+		c.Shards[i] = core.ShardState{Certs: snap.Certs, Conns: snap.Conns, Seqs: snap.Seqs}
+		c.RawConns += e.connsIngested
+		c.Evidence.Absorb(e.icpt)
+		e.mu.Unlock()
 	}
-	return true
+	return c
 }
 
 // WithPipeline runs fn over the merged pipeline; fn must not retain it.
@@ -397,10 +307,7 @@ func (s *Sharded) WithPipeline(fn func(*core.Pipeline)) {
 		s.single.WithPipeline(fn)
 		return
 	}
-	s.matMu.Lock()
-	defer s.matMu.Unlock()
-	b, pre := s.merged()
-	fn(b.Pipeline(pre))
+	s.view.WithPipeline(fn)
 }
 
 // Analysis materializes every table and figure over the merged state —
@@ -415,7 +322,7 @@ func (s *Sharded) Analysis() *core.Analysis {
 // Report materializes one named report over the merged state, with the
 // same name registry and error taxonomy as Engine.Report.
 func (s *Sharded) Report(name string) (any, error) {
-	return runReport(s, name)
+	return MaterializeReport(s, name)
 }
 
 // Stats aggregates the shards' operational counters into the single-
@@ -430,8 +337,7 @@ func (s *Sharded) Stats() Stats {
 		return s.single.Stats()
 	}
 	var st Stats
-	vers := make([]uint64, len(s.shards))
-	for i, e := range s.shards {
+	for _, e := range s.shards {
 		es := e.Stats()
 		st.ConnsIngested += es.ConnsIngested
 		st.Dropped += es.Dropped
@@ -442,7 +348,6 @@ func (s *Sharded) Stats() Stats {
 		if es.Watermark.After(st.Watermark) {
 			st.Watermark = es.Watermark
 		}
-		vers[i] = e.stateVer.Load()
 	}
 	im := interception.NewMerge(2)
 	for _, e := range s.shards {
@@ -460,10 +365,7 @@ func (s *Sharded) Stats() Stats {
 	s.mu.Unlock()
 	st.Rejected += s.rejected.Load()
 
-	s.matMu.Lock()
-	st.Rebuilds = s.merges
-	st.Dirty = s.cachedB == nil || !equalU64(vers, s.cachedVer)
-	s.matMu.Unlock()
+	st.Rebuilds, st.Dirty = s.view.Stats()
 
 	s.ckptMu.Lock()
 	st.LastCheckpoint = s.lastCkpt
@@ -603,7 +505,7 @@ func RestoreSharded(cfg Config, n int, dir string) (*Sharded, map[string]int64, 
 	}
 	buf, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, layoutErr(err, dir, manifestName, ckptManifestName)
 	}
 	var man Manifest
 	if err := json.Unmarshal(buf, &man); err != nil {
@@ -621,17 +523,8 @@ func RestoreSharded(cfg Config, n int, dir string) (*Sharded, map[string]int64, 
 	if n != man.Shards {
 		return nil, nil, fmt.Errorf("stream: checkpoint has %d shards, requested %d (resharding a checkpoint is not supported)", man.Shards, n)
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.New()
-	}
-	s := &Sharded{
-		cfg:     cfg,
-		rv:      make(map[ids.Fingerprint]*rendezvous),
-		m:       newShardedMetrics(cfg.Metrics, n),
-		nextSeq: man.NextSeq,
-		ckptGen: man.Generation,
-		epoch:   man.Epoch,
-	}
+	s := newRouter(cfg, n)
+	s.nextSeq, s.ckptGen, s.epoch = man.NextSeq, man.Generation, man.Epoch
 	if s.epoch == 0 {
 		// Pre-export manifest: fresh numbering scope, so any cursor taken
 		// against the checkpointed deployment is refused as stale.
@@ -670,7 +563,8 @@ func RestoreSharded(cfg Config, n int, dir string) (*Sharded, map[string]int64, 
 
 // rebuildRendezvous reconstructs delivery state from restored shard
 // rosters, then re-registers every retained connection's interest and
-// re-forwards certificates a referencing shard lacks.
+// re-forwards certificates a referencing shard lacks — one certificate
+// batch per shard, through the router's scratch table.
 func (s *Sharded) rebuildRendezvous() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -678,11 +572,7 @@ func (s *Sharded) rebuildRendezvous() {
 		bit := uint64(1) << i
 		e.mu.Lock()
 		e.st.Certs(func(c *certmodel.CertInfo) bool {
-			ent := s.rv[c.Fingerprint]
-			if ent == nil {
-				ent = &rendezvous{}
-				s.rv[c.Fingerprint] = ent
-			}
+			ent := s.rendezvousFor(c.Fingerprint)
 			if ent.cert == nil {
 				ent.cert = c
 				s.uniqueCerts++
@@ -695,33 +585,26 @@ func (s *Sharded) rebuildRendezvous() {
 	}
 	for i, e := range s.shards {
 		bit := uint64(1) << i
-		// Collect heals under the shard lock, send after releasing it:
-		// a channel send can block on a full buffer, and the apply
-		// goroutine needs the same lock to make room.
-		var heal []*certmodel.CertInfo
+		// Heals are only collected under the shard lock and sent after it
+		// is released: a channel send can block on a full buffer, and the
+		// apply goroutine needs the same lock to make room.
 		e.mu.Lock()
 		e.st.Conns(func(rec *core.ConnRecord, _ uint64) bool {
 			for _, fp := range [2]ids.Fingerprint{rec.ServerLeaf(), rec.ClientLeaf()} {
 				if fp == "" {
 					continue
 				}
-				ent := s.rv[fp]
-				if ent == nil {
-					ent = &rendezvous{}
-					s.rv[fp] = ent
-				}
+				ent := s.rendezvousFor(fp)
 				ent.waiting |= bit
 				if ent.cert != nil && ent.delivered&bit == 0 {
-					heal = append(heal, ent.cert)
+					b := s.shardBatch(i)
+					b.certs = append(b.certs, ent.cert)
 					ent.delivered |= bit
 				}
 			}
 			return true
 		})
 		e.mu.Unlock()
-		for _, c := range heal {
-			e.ingestCertPtr(c)
-			s.m.fanout.Inc()
-		}
 	}
+	s.flushScratchLocked()
 }

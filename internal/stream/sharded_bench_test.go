@@ -35,8 +35,7 @@ func benchCertRecs(bld *workload.Build) []core.CertRecord {
 
 // BenchmarkEngineIngest is the single-engine baseline the sharded
 // numbers are read against: events/op over one full feed + drain on the
-// batched ingest path (the tailer→engine hot path since the batch
-// rework; BenchmarkEngineIngestSingle keeps the per-event path honest).
+// batched ingest path.
 func BenchmarkEngineIngest(b *testing.B) {
 	bld := getBenchBuild()
 	in := inputFromBuild(bld)
@@ -55,32 +54,6 @@ func BenchmarkEngineIngest(b *testing.B) {
 		}
 		for lo := 0; lo < len(bld.Raw.Conns); lo += benchBatch {
 			e.IngestConnBatch(bld.Raw.Conns[lo:min(lo+benchBatch, len(bld.Raw.Conns))])
-		}
-		e.Drain()
-		e.Close()
-	}
-	b.ReportMetric(float64(events*b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkEngineIngestSingle is the per-event path: one channel hop and
-// one defensive copy per record.
-func BenchmarkEngineIngestSingle(b *testing.B) {
-	bld := getBenchBuild()
-	in := inputFromBuild(bld)
-	in.Raw = nil
-	events := len(bld.Raw.Certs) + len(bld.Raw.Conns)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, err := New(Config{Input: in})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range bld.Raw.Certs {
-			e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-		}
-		for j := range bld.Raw.Conns {
-			e.IngestConn(&bld.Raw.Conns[j])
 		}
 		e.Drain()
 		e.Close()
@@ -147,9 +120,7 @@ func BenchmarkShardedMaterialize(b *testing.B) {
 			s.Drain()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.matMu.Lock()
-				s.cachedB, s.cachedVer, s.cachedPre = nil, nil, nil // force the replay
-				s.matMu.Unlock()
+				s.shards[0].stateVer.Add(1) // force the replay
 				s.WithPipeline(func(p *core.Pipeline) { p.PreprocessReport() })
 			}
 		})

@@ -56,10 +56,10 @@ func TestFuzzCorpusCoversEveryReason(t *testing.T) {
 		}
 	}
 	feed("FuzzParseSSLRow", "#path\tssl\n", func(in string, o Options) error {
-		return ForEachSSLWith(strings.NewReader(in), o, func(*SSLRecord) error { return nil })
+		return forEachSSL(strings.NewReader(in), o, func(*SSLRecord) error { return nil })
 	})
 	feed("FuzzParseX509Row", "#path\tx509\n", func(in string, o Options) error {
-		return ForEachX509With(strings.NewReader(in), o, func(*X509Record) error { return nil })
+		return forEachX509(strings.NewReader(in), o, func(*X509Record) error { return nil })
 	})
 
 	_, byReason := RejectTotals(reg)
@@ -97,7 +97,7 @@ func TestQuarantineFile(t *testing.T) {
 	input := "#path\tssl\nnot\tenough\tfields\n" +
 		"NaN\tC1\t10.0.0.1\t52000\t10.0.0.2\t443\tTLSv12\ta.com\tT\t-\t-\t1\n"
 	var rows int
-	if err := ForEachSSLWith(strings.NewReader(input), o, func(*SSLRecord) error {
+	if err := forEachSSL(strings.NewReader(input), o, func(*SSLRecord) error {
 		rows++
 		return nil
 	}); err != nil {

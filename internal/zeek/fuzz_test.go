@@ -64,7 +64,7 @@ func FuzzParseSSLRow(f *testing.F) {
 		input := "#path\tssl\n" + string(data)
 		q := NewQuarantine(io.Discard)
 		var rows []SSLRecord
-		err := ForEachSSLWith(strings.NewReader(input), Options{Quarantine: q}, func(r *SSLRecord) error {
+		err := forEachSSL(strings.NewReader(input), Options{Quarantine: q}, func(r *SSLRecord) error {
 			rows = append(rows, *r)
 			return nil
 		})
@@ -144,7 +144,7 @@ func FuzzParseX509Row(f *testing.F) {
 		input := "#path\tx509\n" + string(data)
 		q := NewQuarantine(io.Discard)
 		var rows []X509Record
-		err := ForEachX509With(strings.NewReader(input), Options{Quarantine: q}, func(r *X509Record) error {
+		err := forEachX509(strings.NewReader(input), Options{Quarantine: q}, func(r *X509Record) error {
 			rows = append(rows, *r)
 			return nil
 		})
@@ -263,7 +263,7 @@ func FuzzTailChunking(f *testing.F) {
 
 		qb := NewQuarantine(io.Discard)
 		var batch []SSLRecord
-		berr := ForEachSSLWith(strings.NewReader(content), Options{Quarantine: qb}, func(r *SSLRecord) error {
+		berr := forEachSSL(strings.NewReader(content), Options{Quarantine: qb}, func(r *SSLRecord) error {
 			batch = append(batch, *r)
 			return nil
 		})

@@ -10,8 +10,6 @@ import "repro/internal/metrics"
 //	zeek.ForEachSSL(r, fn, zeek.Permissive())              // skip bad rows
 //	zeek.ForEachSSL(r, fn, zeek.Permissive(),
 //	    zeek.WithQuarantine(q), zeek.WithMetrics(reg))     // and capture them
-//
-// replaces the ForEachSSLWith(r, Options{...}, fn) struct-threading form.
 type Opt func(*Options)
 
 // Strict selects fail-stop parsing: the first malformed row aborts with

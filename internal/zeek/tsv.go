@@ -328,14 +328,6 @@ func ForEachSSL(r io.Reader, fn func(*SSLRecord) error, opts ...Opt) error {
 	return forEachSSL(r, resolveOpts(opts), fn)
 }
 
-// ForEachSSLWith streams an ssl.log under an explicit Options struct.
-//
-// Deprecated: use ForEachSSL with Permissive/WithQuarantine/WithMetrics
-// options.
-func ForEachSSLWith(r io.Reader, o Options, fn func(*SSLRecord) error) error {
-	return forEachSSL(r, o, fn)
-}
-
 func forEachSSL(r io.Reader, o Options, fn func(*SSLRecord) error) error {
 	it := newInternTable()
 	err := readTSV(r, "ssl", len(sslFields), o, func(cols [][]byte) error {
@@ -355,14 +347,6 @@ func forEachSSL(r io.Reader, o Options, fn func(*SSLRecord) error) error {
 // ForEachSSL. fn may return ErrStop to end early.
 func ForEachX509(r io.Reader, fn func(*X509Record) error, opts ...Opt) error {
 	return forEachX509(r, resolveOpts(opts), fn)
-}
-
-// ForEachX509With streams an x509.log under an explicit Options struct.
-//
-// Deprecated: use ForEachX509 with Permissive/WithQuarantine/WithMetrics
-// options.
-func ForEachX509With(r io.Reader, o Options, fn func(*X509Record) error) error {
-	return forEachX509(r, o, fn)
 }
 
 func forEachX509(r io.Reader, o Options, fn func(*X509Record) error) error {
@@ -474,18 +458,7 @@ func ReadX509(r io.Reader) ([]X509Record, error) {
 // Permissive, a corrupt row is quarantined and the rest of the dataset
 // still loads.
 func LoadDataset(ssl, x509 io.Reader, opts ...Opt) (*Dataset, error) {
-	return loadDataset(ssl, x509, resolveOpts(opts))
-}
-
-// LoadDatasetWith reads both logs under an explicit Options struct.
-//
-// Deprecated: use LoadDataset with Permissive/WithQuarantine/WithMetrics
-// options.
-func LoadDatasetWith(ssl, x509 io.Reader, o Options) (*Dataset, error) {
-	return loadDataset(ssl, x509, o)
-}
-
-func loadDataset(ssl, x509 io.Reader, o Options) (*Dataset, error) {
+	o := resolveOpts(opts)
 	d := NewDataset()
 	err := forEachSSLBatch(ssl, o, func(recs []SSLRecord) error {
 		d.Conns = append(d.Conns, recs...)

@@ -33,14 +33,6 @@ import (
 	"repro/internal/zeek"
 )
 
-// LogOptions is the struct form of the malformed-row policy: the zero
-// value skips bad rows silently, Strict fails on the first one, and
-// Quarantine/Metrics capture what was skipped (see zeek.Options).
-//
-// Deprecated: pass Strict/Permissive/WithQuarantine/WithMetrics options
-// to OpenLogs instead.
-type LogOptions = zeek.Options
-
 // OpenQuarantine opens (appending) a quarantine file for rejected rows.
 func OpenQuarantine(path string) (*zeek.Quarantine, error) {
 	return zeek.OpenQuarantine(path)
@@ -155,13 +147,6 @@ func Analyze(b *Build, opts ...AnalyzeOption) *Analysis {
 	in := InputFromBuild(b)
 	in.Workers = cfg.workers
 	return core.Run(in)
-}
-
-// AnalyzeWorkers runs the pipeline with explicit concurrency.
-//
-// Deprecated: use Analyze(b, WithWorkers(workers)).
-func AnalyzeWorkers(b *Build, workers int) *Analysis {
-	return Analyze(b, WithWorkers(workers))
 }
 
 // InputFromBuild adapts a generated build into the core pipeline's input.
@@ -297,23 +282,4 @@ func OpenLogs(dir string, opts ...LogOption) (*zeek.Dataset, error) {
 	}
 	defer x509F.Close()
 	return zeek.LoadDataset(sslF, x509F, opts...)
-}
-
-// OpenLogsWith loads a dataset with an explicit malformed-row policy
-// struct.
-//
-// Deprecated: use OpenLogs with Permissive/WithQuarantine/WithMetrics
-// options.
-func OpenLogsWith(dir string, o zeek.Options) (*zeek.Dataset, error) {
-	sslF, err := os.Open(filepath.Join(dir, "ssl.log"))
-	if err != nil {
-		return nil, err
-	}
-	defer sslF.Close()
-	x509F, err := os.Open(filepath.Join(dir, "x509.log"))
-	if err != nil {
-		return nil, err
-	}
-	defer x509F.Close()
-	return zeek.LoadDatasetWith(sslF, x509F, o)
 }

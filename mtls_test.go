@@ -76,7 +76,7 @@ func TestLogsRoundTrip(t *testing.T) {
 }
 
 // TestOpenLogsPermissive: corrupting one row of each log loses exactly
-// that row under OpenLogsWith (counted per reason) while strict OpenLogs
+// that row under Permissive (counted per reason) while strict OpenLogs
 // refuses the directory outright.
 func TestOpenLogsPermissive(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "logs")
@@ -100,7 +100,7 @@ func TestOpenLogsPermissive(t *testing.T) {
 	}
 
 	reg := metrics.New()
-	ds, err := OpenLogsWith(dir, LogOptions{Metrics: reg})
+	ds, err := OpenLogs(dir, Permissive(), WithMetrics(reg))
 	if err != nil {
 		t.Fatalf("permissive open: %v", err)
 	}
@@ -139,5 +139,50 @@ func TestAnalysisOnReloadedLogs(t *testing.T) {
 	}
 	if a1.SharingSame.InboundConns != a2.SharingSame.InboundConns {
 		t.Fatal("sharing stats differ after round trip")
+	}
+}
+
+// TestWriteLogsAtomic: WriteLogs commits via temp files and renames, so
+// the directory never holds a truncated pair — stale temp files from a
+// crashed writer are invisible to OpenLogs and cleaned by the next
+// successful write, and rewriting over an existing pair leaves a
+// strict-loadable result.
+func TestWriteLogsAtomic(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "logs")
+	build := GenerateConfig(smallConfig())
+	if err := WriteLogs(build.Raw, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, tmp := range []string{"ssl.log.tmp", "x509.log.tmp"} {
+		if _, err := os.Stat(filepath.Join(dir, tmp)); !os.IsNotExist(err) {
+			t.Errorf("%s left behind after a successful write", tmp)
+		}
+	}
+
+	// Simulate a writer that crashed mid-emit: truncated temp files must
+	// not affect a strict open, and the next write replaces them.
+	for _, tmp := range []string{"ssl.log.tmp", "x509.log.tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, tmp), []byte("1654041600.0\ttrunc"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := OpenLogs(dir); err != nil {
+		t.Fatalf("stale temp files broke a strict open: %v", err)
+	}
+	if err := WriteLogs(build.Raw, dir); err != nil {
+		t.Fatalf("rewrite over stale temps: %v", err)
+	}
+	for _, tmp := range []string{"ssl.log.tmp", "x509.log.tmp"} {
+		if _, err := os.Stat(filepath.Join(dir, tmp)); !os.IsNotExist(err) {
+			t.Errorf("%s left behind after rewrite", tmp)
+		}
+	}
+	ds, err := OpenLogs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Conns) != len(build.Raw.Conns) || len(ds.Certs) != len(build.Raw.Certs) {
+		t.Fatalf("rewrite lost rows: %d/%d conns, %d/%d certs",
+			len(ds.Conns), len(build.Raw.Conns), len(ds.Certs), len(build.Raw.Certs))
 	}
 }
