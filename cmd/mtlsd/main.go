@@ -147,9 +147,9 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.quarantine, "quarantine", o.quarantine, "append rejected rows to this file (permissive mode only)")
 	fs.Int64Var(&o.quarantineMax, "quarantine-max-bytes", o.quarantineMax,
 		"quarantine size cap; overflow rows are dropped and counted (0 = unlimited)")
-	fs.StringVar(&o.store, "store", o.store, "engine state store: memory, or disk (hot/cold tiering under -store-dir)")
+	fs.StringVar(&o.store, "store", o.store, "retained-connection store: memory, or disk (hot tail in RAM, older connections spilled under -store-dir; certificates always stay resident)")
 	fs.StringVar(&o.storeDir, "store-dir", o.storeDir, "scratch directory for the disk store (required with -store disk)")
-	fs.Int64Var(&o.hotBytes, "hot-bytes", o.hotBytes, "disk store hot-tier budget in bytes (0 = store default)")
+	fs.Int64Var(&o.hotBytes, "hot-bytes", o.hotBytes, "disk store budget: estimated bytes of hot connections, for the whole deployment at any -shards (0 = store default)")
 	fs.StringVar(&o.role, "role", o.role, "monitor, sensor (monitor + /api/v1/snapshot), or aggregator (pulls -sensors)")
 	fs.StringVar(&o.sensors, "sensors", o.sensors, "comma-separated sensor addresses (aggregator role only)")
 	fs.DurationVar(&o.syncEvery, "sync-every", o.syncEvery, "aggregator sensor pull interval")

@@ -40,8 +40,6 @@ type Config struct {
 	// back off exponentially from Interval on the tailer's schedule
 	// (internal/backoff).
 	Interval time.Duration
-	// Client is the HTTP client (default http.DefaultClient).
-	Client *http.Client
 	// Metrics receives the distrib_* series; nil disables exposition.
 	Metrics *metrics.Registry
 	// Logger receives sync-loop events; nil discards.
@@ -119,7 +117,6 @@ type aggMetrics struct {
 // staleness is visible per sensor in SensorStatuses and /metrics.
 type Aggregator struct {
 	cfg    Config
-	client *http.Client
 	logger *slog.Logger
 	m      *aggMetrics
 
@@ -143,9 +140,6 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Second
 	}
-	if cfg.Client == nil {
-		cfg.Client = http.DefaultClient
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -155,7 +149,6 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 	}
 	a := &Aggregator{
 		cfg:    cfg,
-		client: cfg.Client,
 		logger: cfg.Logger,
 		m: &aggMetrics{
 			syncs: func(u string) *metrics.Counter {
@@ -334,7 +327,7 @@ func (a *Aggregator) negotiate(ctx context.Context, base string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	resp, err := a.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, fmt.Errorf("distrib: version probe: %w", err)
 	}
@@ -377,7 +370,7 @@ func (a *Aggregator) fetch(ctx context.Context, ss *sensorState, cursor, epoch u
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	resp, err := a.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("distrib: pull %s: %w", ss.url, err)
 	}

@@ -10,36 +10,30 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/certmodel"
 	"repro/internal/core"
-	"repro/internal/ids"
 )
 
 // DefaultHotBytes is the hot-tier budget when the caller passes none.
 const DefaultHotBytes = 64 << 20
 
 // spillChunk is how many records one spill frame carries: big enough to
-// amortize the per-frame gob type descriptors, small enough that
-// faulting one cold certificate back in decodes kilobytes, not the
-// whole cold tier.
+// amortize the per-frame gob type descriptors, small enough that the
+// one-frame decode cache stays kilobytes.
 const spillChunk = 512
 
-// Disk is the tiered store: a hot working set in RAM under an estimated
-// byte budget, and a cold remainder spilled to two append-only segment
-// files (conns.seg, certs.seg) under dir, addressed by an in-memory
-// index. The files are scratch, not a durability layer — nothing is
-// fsynced and the directory is recreated on open; crash durability is
-// the checkpoint's job. Spilled space is never reclaimed in place
-// (eviction drops index entries, re-faulted certificates re-spill to
-// fresh offsets); a long-running daemon bounds that growth with its
-// checkpoint-restart cycle or a generous disk.
+// Disk is the tiered store: a hot tail of connections in RAM under an
+// estimated byte budget, and the older remainder spilled to an
+// append-only segment file (conns.seg) under dir, addressed by an
+// in-memory index. The file is scratch, not a durability layer — nothing
+// is fsynced and it is truncated on open; crash durability is the
+// checkpoint's job. Spilled space is never reclaimed in place (eviction
+// only drops index entries); a long-running daemon bounds that growth
+// with its checkpoint-restart cycle or a generous disk.
 //
-// Tier invariants the rest of the file depends on: every certificate
-// fingerprint is in exactly one of hotCerts/coldCerts, and every cold
+// Tier invariant the rest of the file depends on: every cold
 // connection's slot is below every hot connection's slot (spills always
 // take the oldest hot prefix), so cold+hot concatenates in slot order.
 type Disk struct {
-	dir     string
 	budget  int64
 	tracked bool
 	stats   Stats
@@ -53,13 +47,6 @@ type Disk struct {
 	cold    []coldConn // slot-ascending index over conns.seg
 	connSeg *os.File
 	connOff int64
-
-	hotCerts  map[ids.Fingerprint]*certmodel.CertInfo
-	hotOrder  []ids.Fingerprint // admission order; spills are FIFO
-	coldCerts map[ids.Fingerprint]int64
-	certB     int64 // estimated bytes of hot certs
-	certSeg   *os.File
-	certOff   int64
 
 	nextSlot uint64
 
@@ -86,15 +73,7 @@ type connSpill struct {
 	Slots []uint64
 }
 
-// certSpill is the gob payload of one certificate spill frame.
-type certSpill struct {
-	Certs []*certmodel.CertInfo
-}
-
-const (
-	frameConnSpill byte = 1
-	frameCertSpill byte = 2
-)
+const frameConnSpill byte = 1
 
 // OpenDisk creates a tiered store under dir (recreated — segments are
 // scratch, not state to recover). hotBytes <= 0 selects DefaultHotBytes.
@@ -109,21 +88,7 @@ func OpenDisk(dir string, hotBytes int64, trackSeqs bool) (*Disk, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	certSeg, err := os.OpenFile(filepath.Join(dir, "certs.seg"), os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
-	if err != nil {
-		connSeg.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return &Disk{
-		dir:       dir,
-		budget:    hotBytes,
-		tracked:   trackSeqs,
-		connSeg:   connSeg,
-		certSeg:   certSeg,
-		hotCerts:  make(map[ids.Fingerprint]*certmodel.CertInfo),
-		coldCerts: make(map[ids.Fingerprint]int64),
-		cacheOff:  -1,
-	}, nil
+	return &Disk{budget: hotBytes, tracked: trackSeqs, connSeg: connSeg, cacheOff: -1}, nil
 }
 
 // connBytes estimates a record's resident size: struct plus string and
@@ -140,126 +105,6 @@ func connBytes(r *core.ConnRecord) int64 {
 	return int64(n)
 }
 
-// certBytes estimates a certificate's resident size.
-func certBytes(c *certmodel.CertInfo) int64 {
-	n := 240 + len(c.Fingerprint) + len(c.SerialHex) + len(c.IssuerCN) + len(c.IssuerOrg) +
-		len(c.SubjectCN) + len(c.SubjectOrg) + len(c.DER)
-	for _, s := range c.SANDNS {
-		n += 16 + len(s)
-	}
-	for _, s := range c.SANIP {
-		n += 16 + len(s)
-	}
-	for _, s := range c.SANEmail {
-		n += 16 + len(s)
-	}
-	for _, s := range c.SANURI {
-		n += 16 + len(s)
-	}
-	return int64(n)
-}
-
-func (d *Disk) PutCert(c *certmodel.CertInfo) bool {
-	if _, ok := d.hotCerts[c.Fingerprint]; ok {
-		return false
-	}
-	if _, ok := d.coldCerts[c.Fingerprint]; ok {
-		return false
-	}
-	d.admitCert(c)
-	d.maybeSpill()
-	return true
-}
-
-// admitCert places c in the hot tier (new or faulted back in).
-func (d *Disk) admitCert(c *certmodel.CertInfo) {
-	d.hotCerts[c.Fingerprint] = c
-	d.hotOrder = append(d.hotOrder, c.Fingerprint)
-	d.certB += certBytes(c)
-	d.stats.HotCerts.Store(int64(len(d.hotCerts)))
-	d.stats.HotBytes.Store(d.hotB + d.certB)
-}
-
-func (d *Disk) Cert(fp ids.Fingerprint) *certmodel.CertInfo {
-	if c, ok := d.hotCerts[fp]; ok {
-		return c
-	}
-	off, ok := d.coldCerts[fp]
-	if !ok {
-		return nil
-	}
-	var sp certSpill
-	if err := d.decodeFrame(d.certSeg, off, frameCertSpill, &sp); err != nil {
-		// Scratch-file corruption mid-run is unrecoverable state loss;
-		// surfacing it as "roster miss" would silently corrupt reports.
-		panic(fmt.Sprintf("store: cold certificate fault at %d: %v", off, err))
-	}
-	var hit *certmodel.CertInfo
-	for _, c := range sp.Certs {
-		if c.Fingerprint == fp {
-			hit = c
-			break
-		}
-	}
-	if hit == nil {
-		panic(fmt.Sprintf("store: cold index points %s at frame %d which lacks it", fp, off))
-	}
-	d.stats.Loads.Add(1)
-	delete(d.coldCerts, fp)
-	d.stats.ColdCerts.Store(int64(len(d.coldCerts)))
-	d.admitCert(hit)
-	d.maybeSpill()
-	return hit
-}
-
-func (d *Disk) HasCert(fp ids.Fingerprint) bool {
-	if _, ok := d.hotCerts[fp]; ok {
-		return true
-	}
-	_, ok := d.coldCerts[fp]
-	return ok
-}
-
-func (d *Disk) CertCount() int { return len(d.hotCerts) + len(d.coldCerts) }
-
-// Certs iterates hot then cold. Cold frames are decoded once each;
-// faulted copies are not re-admitted (iteration must not reshape the
-// tiers under the caller).
-func (d *Disk) Certs(fn func(*certmodel.CertInfo) bool) {
-	for _, c := range d.hotCerts {
-		if !fn(c) {
-			return
-		}
-	}
-	if len(d.coldCerts) == 0 {
-		return
-	}
-	offs := make(map[int64]bool, len(d.coldCerts))
-	for _, off := range d.coldCerts {
-		offs[off] = true
-	}
-	ordered := make([]int64, 0, len(offs))
-	for off := range offs {
-		ordered = append(ordered, off)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	for _, off := range ordered {
-		var sp certSpill
-		if err := d.decodeFrame(d.certSeg, off, frameCertSpill, &sp); err != nil {
-			panic(fmt.Sprintf("store: cold certificate frame at %d: %v", off, err))
-		}
-		for _, c := range sp.Certs {
-			// A frame may hold stale copies of certificates later faulted
-			// hot and re-spilled elsewhere; the index is the truth.
-			if at, ok := d.coldCerts[c.Fingerprint]; ok && at == off {
-				if !fn(c) {
-					return
-				}
-			}
-		}
-	}
-}
-
 func (d *Disk) AppendConn(rec *core.ConnRecord, seq uint64) *core.ConnRecord {
 	d.hot = append(d.hot, *rec)
 	if d.tracked {
@@ -269,7 +114,7 @@ func (d *Disk) AppendConn(rec *core.ConnRecord, seq uint64) *core.ConnRecord {
 	d.nextSlot++
 	d.hotB += connBytes(rec)
 	d.stats.HotConns.Store(int64(len(d.hot)))
-	d.stats.HotBytes.Store(d.hotB + d.certB)
+	d.stats.HotBytes.Store(d.hotB)
 	stored := &d.hot[len(d.hot)-1]
 	d.maybeSpill()
 	return stored
@@ -283,19 +128,14 @@ func (d *Disk) GrowConns(n int) {
 	d.hotSlots = grown(d.hotSlots, n)
 }
 
-// maybeSpill moves the colder half of whichever hot tier is heavier to
-// its segment file until the estimate fits the budget. Spilling halves
-// (not single records) keeps the amortized cost per append O(1) and the
-// frames batch-sized.
+// maybeSpill moves the older half of the hot connections to the segment
+// file until the estimate fits the budget. Spilling halves (not single
+// records) keeps the amortized cost per append O(1) and the frames
+// batch-sized. A single oversized record stays hot: there is nothing
+// sane to spill.
 func (d *Disk) maybeSpill() {
-	for d.hotB+d.certB > d.budget {
-		if d.hotB >= d.certB && len(d.hot) > 1 {
-			d.spillConns(len(d.hot) / 2)
-		} else if len(d.hotOrder) > 1 {
-			d.spillCerts(len(d.hotCerts) / 2)
-		} else {
-			return // a single oversized record; nothing sane to spill
-		}
+	for d.hotB > d.budget && len(d.hot) > 1 {
+		d.spillConns(len(d.hot) / 2)
 	}
 }
 
@@ -310,7 +150,7 @@ func (d *Disk) spillConns(n int) {
 		if d.tracked {
 			sp.Seqs = d.hotSeqs[start:end]
 		}
-		off, err := d.appendFrame(d.connSeg, &d.connOff, frameConnSpill, &sp)
+		off, err := d.appendFrame(&sp)
 		if err != nil {
 			panic(fmt.Sprintf("store: spill conns: %v", err))
 		}
@@ -339,86 +179,40 @@ func (d *Disk) spillConns(n int) {
 	d.stats.Spills.Add(uint64(n))
 	d.stats.HotConns.Store(int64(len(d.hot)))
 	d.stats.ColdConns.Store(int64(len(d.cold)))
-	d.stats.HotBytes.Store(d.hotB + d.certB)
+	d.stats.HotBytes.Store(d.hotB)
 	d.cacheOff = -1
 }
 
-// spillCerts moves the n least-recently-admitted hot certificates to
-// certs.seg. FIFO by admission: the roster is written once and read at
-// enrichment and rebuild time, where recent certificates are the likely
-// references.
-func (d *Disk) spillCerts(n int) {
-	batch := make([]*certmodel.CertInfo, 0, min(n, spillChunk))
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		off, err := d.appendFrame(d.certSeg, &d.certOff, frameCertSpill, &certSpill{Certs: batch})
-		if err != nil {
-			panic(fmt.Sprintf("store: spill certs: %v", err))
-		}
-		for _, c := range batch {
-			delete(d.hotCerts, c.Fingerprint)
-			d.coldCerts[c.Fingerprint] = off
-			d.certB -= certBytes(c)
-		}
-		d.stats.Spills.Add(uint64(len(batch)))
-		batch = batch[:0]
-	}
-	spilled := 0
-	keep := d.hotOrder[:0]
-	for i, fp := range d.hotOrder {
-		if spilled >= n {
-			keep = append(keep, d.hotOrder[i:]...)
-			break
-		}
-		c, ok := d.hotCerts[fp]
-		if !ok {
-			continue // already spilled under a duplicate order entry
-		}
-		batch = append(batch, c)
-		spilled++
-		if len(batch) == spillChunk {
-			flush()
-		}
-	}
-	flush()
-	d.hotOrder = append(make([]ids.Fingerprint, 0, max(len(keep), 64)), keep...)
-	d.stats.HotCerts.Store(int64(len(d.hotCerts)))
-	d.stats.ColdCerts.Store(int64(len(d.coldCerts)))
-	d.stats.HotBytes.Store(d.hotB + d.certB)
-}
-
-// appendFrame gob-encodes payload and appends it as one frame,
+// appendFrame gob-encodes sp and appends it to conns.seg as one frame,
 // returning the frame's offset.
-func (d *Disk) appendFrame(f *os.File, off *int64, typ byte, payload any) (int64, error) {
+func (d *Disk) appendFrame(sp *connSpill) (int64, error) {
 	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
+	if err := gob.NewEncoder(&body).Encode(sp); err != nil {
 		return 0, err
 	}
 	var frame bytes.Buffer
-	if err := WriteFrame(&frame, typ, body.Bytes()); err != nil {
+	if err := WriteFrame(&frame, frameConnSpill, body.Bytes()); err != nil {
 		return 0, err
 	}
-	at := *off
-	if _, err := f.WriteAt(frame.Bytes(), at); err != nil {
+	at := d.connOff
+	if _, err := d.connSeg.WriteAt(frame.Bytes(), at); err != nil {
 		return 0, err
 	}
-	*off = at + int64(frame.Len())
+	d.connOff = at + int64(frame.Len())
 	return at, nil
 }
 
-// decodeFrame reads and decodes the frame at off.
-func (d *Disk) decodeFrame(f *os.File, off int64, want byte, payload any) error {
-	sr := io.NewSectionReader(f, off, 1<<62)
+// decodeFrame reads and decodes the spill frame at off.
+func (d *Disk) decodeFrame(off int64, sp *connSpill) error {
+	sr := io.NewSectionReader(d.connSeg, off, 1<<62)
 	typ, body, err := ReadFrame(sr)
 	if err != nil {
 		return err
 	}
-	if typ != want {
-		return fmt.Errorf("%w: frame type %d, want %d", ErrCorrupt, typ, want)
+	if typ != frameConnSpill {
+		return fmt.Errorf("%w: frame type %d, want %d", ErrCorrupt, typ, frameConnSpill)
 	}
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(payload)
+	return gob.NewDecoder(bytes.NewReader(body)).Decode(sp)
 }
 
 // connFrame returns the decoded spill frame at off, through the
@@ -428,7 +222,7 @@ func (d *Disk) connFrame(off int64) ([]core.ConnRecord, []uint64, []uint64) {
 		return d.cacheConns, d.cacheSeqs, d.cacheSlots
 	}
 	var sp connSpill
-	if err := d.decodeFrame(d.connSeg, off, frameConnSpill, &sp); err != nil {
+	if err := d.decodeFrame(off, &sp); err != nil {
 		panic(fmt.Sprintf("store: cold connection frame at %d: %v", off, err))
 	}
 	d.stats.Loads.Add(uint64(len(sp.Conns)))
@@ -539,7 +333,7 @@ func (d *Disk) EvictBefore(cutoff time.Time) int {
 	if dropped > 0 {
 		d.stats.HotConns.Store(int64(len(d.hot)))
 		d.stats.ColdConns.Store(int64(len(d.cold)))
-		d.stats.HotBytes.Store(d.hotB + d.certB)
+		d.stats.HotBytes.Store(d.hotB)
 	}
 	return dropped
 }
@@ -560,25 +354,13 @@ func (d *Disk) Snapshot() Snap {
 	if d.tracked {
 		seqs = append(seqs, d.hotSeqs...)
 	}
-	certs := make([]*certmodel.CertInfo, 0, d.CertCount())
-	d.Certs(func(c *certmodel.CertInfo) bool {
-		certs = append(certs, c)
-		return true
-	})
-	return Snap{Certs: certs, Conns: conns, Seqs: seqs}
+	return Snap{Conns: conns, Seqs: seqs}
 }
 
 func (d *Disk) Tiered() bool { return true }
 
 func (d *Disk) Stats() *Stats { return &d.stats }
 
-// Close releases the segment files. Cold records become unreadable;
-// call only when the owning engine will not materialize again.
-func (d *Disk) Close() error {
-	err1 := d.connSeg.Close()
-	err2 := d.certSeg.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
+// Close releases the segment file. Cold records become unreadable; call
+// only when the owning engine will not materialize again.
+func (d *Disk) Close() error { return d.connSeg.Close() }

@@ -3,21 +3,17 @@ package store
 import (
 	"time"
 
-	"repro/internal/certmodel"
 	"repro/internal/core"
-	"repro/internal/ids"
 )
 
 // Mem is the default store: the engine's historical in-RAM state,
 // verbatim. Connections live in one append-only slice (at-least-doubling
-// growth via GrowConns), eviction filters into a fresh backing array so
-// pointers handed out earlier stay valid for whoever retained them, and
-// the roster is a fingerprint-keyed map sharing *CertInfo pointers with
-// the caller. Snapshot returns live slice headers — the abandon-don't-
-// mutate discipline makes them safe to read after the engine lock is
-// released, which the sharded merge depends on.
+// growth via GrowConns) and eviction filters into a fresh backing array so
+// pointers handed out earlier stay valid for whoever retained them.
+// Snapshot returns live slice headers — the abandon-don't-mutate
+// discipline makes them safe to read after the engine lock is released,
+// which the sharded merge depends on.
 type Mem struct {
-	certs map[ids.Fingerprint]*certmodel.CertInfo
 	conns []core.ConnRecord
 	// seqs aligns with conns when tracked (nil otherwise); slots always
 	// aligns with conns and is monotone increasing, so the records
@@ -31,35 +27,7 @@ type Mem struct {
 
 // NewMem returns an empty in-memory store. trackSeqs selects whether
 // the aligned sequence column is maintained.
-func NewMem(trackSeqs bool) *Mem {
-	return &Mem{certs: make(map[ids.Fingerprint]*certmodel.CertInfo), tracked: trackSeqs}
-}
-
-func (m *Mem) PutCert(c *certmodel.CertInfo) bool {
-	if _, ok := m.certs[c.Fingerprint]; ok {
-		return false
-	}
-	m.certs[c.Fingerprint] = c
-	m.stats.HotCerts.Store(int64(len(m.certs)))
-	return true
-}
-
-func (m *Mem) Cert(fp ids.Fingerprint) *certmodel.CertInfo { return m.certs[fp] }
-
-func (m *Mem) HasCert(fp ids.Fingerprint) bool {
-	_, ok := m.certs[fp]
-	return ok
-}
-
-func (m *Mem) CertCount() int { return len(m.certs) }
-
-func (m *Mem) Certs(fn func(*certmodel.CertInfo) bool) {
-	for _, c := range m.certs {
-		if !fn(c) {
-			return
-		}
-	}
-}
+func NewMem(trackSeqs bool) *Mem { return &Mem{tracked: trackSeqs} }
 
 func (m *Mem) AppendConn(rec *core.ConnRecord, seq uint64) *core.ConnRecord {
 	m.conns = append(m.conns, *rec)
@@ -172,13 +140,7 @@ func (m *Mem) EvictBefore(cutoff time.Time) int {
 	return dropped
 }
 
-func (m *Mem) Snapshot() Snap {
-	certs := make([]*certmodel.CertInfo, 0, len(m.certs))
-	for _, c := range m.certs {
-		certs = append(certs, c)
-	}
-	return Snap{Certs: certs, Conns: m.conns, Seqs: m.seqs}
-}
+func (m *Mem) Snapshot() Snap { return Snap{Conns: m.conns, Seqs: m.seqs} }
 
 func (m *Mem) Tiered() bool { return false }
 

@@ -1,17 +1,20 @@
-// Package store is the state layer behind stream.Engine: the retained
-// connection window and the certificate roster live behind the Store
-// interface, so the engine's ingest/rebuild/checkpoint logic is
-// independent of where records physically sit. Two implementations:
+// Package store is the state layer behind stream.Engine's retained
+// connection window — the unbounded dimension of a long-running monitor.
+// The window lives behind the Store interface, so the engine's
+// ingest/rebuild/checkpoint logic is independent of where connection
+// records physically sit. (The certificate roster is not here: it is the
+// small, deduplicated side of the dataset and stays resident in the
+// engine.) Two implementations:
 //
 //   - Mem is the default and preserves the engine's historical
 //     semantics exactly — append-only slices with abandon-don't-mutate
 //     eviction, so slice headers snapshotted under the engine lock stay
 //     valid after it is released.
-//   - Disk keeps a bounded hot working set in RAM and spills the cold
-//     remainder to append-only segment files under a directory, with an
-//     in-memory index, so total retained state can exceed the hot
-//     budget by an order of magnitude while steady-state ingest RSS
-//     stays bounded.
+//   - Disk keeps a bounded hot tail of connections in RAM and spills
+//     the older remainder to an append-only segment file under a
+//     directory, with an in-memory index, so the retained window can
+//     exceed the hot budget by an order of magnitude while steady-state
+//     ingest RSS stays bounded.
 //
 // Concurrency: a Store is owned by one engine and accessed only under
 // that engine's state lock; implementations need no internal locking
@@ -30,19 +33,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/certmodel"
 	"repro/internal/core"
-	"repro/internal/ids"
 )
 
-// Snap is a point-in-time view of the full retained state, used by the
-// sharded merge, full checkpoints, and tiered rebuilds. For Mem the
-// slices are live headers (safe after the engine lock is released:
-// appends past the captured length are invisible and eviction swaps in
-// fresh arrays); for Disk they are freshly materialized copies.
+// Snap is a point-in-time view of the full retained window, used by the
+// sharded merge and full checkpoints. For Mem the slices are live
+// headers (safe after the engine lock is released: appends past the
+// captured length are invisible and eviction swaps in fresh arrays); for
+// Disk they are freshly materialized copies.
 type Snap struct {
-	// Certs is the roster in unspecified order.
-	Certs []*certmodel.CertInfo
 	// Conns is the retained window in append order; Seqs aligns with it
 	// when the store tracks sequences (nil otherwise).
 	Conns []core.ConnRecord
@@ -55,31 +54,14 @@ type Snap struct {
 type Stats struct {
 	HotConns  atomic.Int64
 	ColdConns atomic.Int64
-	HotCerts  atomic.Int64
-	ColdCerts atomic.Int64
-	HotBytes  atomic.Int64 // estimated bytes of hot records
+	HotBytes  atomic.Int64 // estimated bytes of hot connections
 	Spills    atomic.Uint64
 	Loads     atomic.Uint64
 }
 
-// Store is the engine's state layer. All methods except Stats must be
-// called under the owning engine's state lock.
+// Store is the engine's retained connection window. All methods except
+// Stats must be called under the owning engine's state lock.
 type Store interface {
-	// PutCert admits a certificate first-observation-wins; it reports
-	// whether the fingerprint was new.
-	PutCert(c *certmodel.CertInfo) bool
-	// Cert resolves a fingerprint (nil when absent). On a tiered store
-	// this may fault the record in from disk.
-	Cert(fp ids.Fingerprint) *certmodel.CertInfo
-	// HasCert reports presence without faulting anything in.
-	HasCert(fp ids.Fingerprint) bool
-	// CertCount is the roster size.
-	CertCount() int
-	// Certs iterates the roster in unspecified order until fn returns
-	// false. The *CertInfo passed to fn must not be retained past the
-	// iteration on a tiered store.
-	Certs(fn func(*certmodel.CertInfo) bool)
-
 	// AppendConn retains one connection (copied) with its sequence
 	// stamp and returns the stored record. The pointer is valid at
 	// least until the next append/evict; callers that must retain it
@@ -108,11 +90,11 @@ type Store interface {
 	// returns how many were dropped.
 	EvictBefore(cutoff time.Time) int
 
-	// Snapshot materializes the full retained state.
+	// Snapshot materializes the full retained window.
 	Snapshot() Snap
 	// Tiered reports whether records can move under the caller's feet —
-	// i.e. whether pointers returned by AppendConn/Cert are stable for
-	// the store's lifetime (false) or only transiently (true).
+	// i.e. whether pointers returned by AppendConn are stable for the
+	// store's lifetime (false) or only transiently (true).
 	Tiered() bool
 	// Stats exposes tier occupancy for metrics.
 	Stats() *Stats

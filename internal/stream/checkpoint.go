@@ -189,7 +189,7 @@ func (e *Engine) snapshotLegacyLocked(cursor map[string]int64) *checkpointState 
 		Evicted:       e.evicted,
 		Rebuilds:      e.rebuilds,
 		Watermark:     e.watermark,
-		Roster:        snap.Certs,
+		Roster:        e.rosterLocked(),
 		Conns:         snap.Conns,
 		Seqs:          snap.Seqs,
 		Interception:  e.icpt.Snapshot(),
@@ -400,14 +400,12 @@ func (e *Engine) writeIncremental(dir string, cursor map[string]int64) error {
 	var certs []*certmodel.CertInfo
 	if full {
 		snap := e.st.Snapshot()
-		certs, conns, seqs = snap.Certs, snap.Conns, snap.Seqs
+		certs, conns, seqs = e.rosterLocked(), snap.Conns, snap.Seqs
 	} else {
 		conns, seqs = e.st.ConnsSince(e.ckptMark)
 		certs = make([]*certmodel.CertInfo, 0, len(e.ckptNewCerts))
 		for _, fp := range e.ckptNewCerts {
-			if c := e.st.Cert(fp); c != nil {
-				certs = append(certs, c)
-			}
+			certs = append(certs, e.roster[fp])
 		}
 	}
 	nCerts := len(e.ckptNewCerts)
@@ -711,7 +709,7 @@ func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
 	e.rebuilds = st.Rebuilds
 	e.watermark = st.Watermark
 	for _, c := range st.Roster {
-		e.st.PutCert(c)
+		e.putCertLocked(c)
 	}
 	seqs := st.Seqs
 	if cfg.TrackExport {
@@ -728,11 +726,10 @@ func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
 			// epoch New assigned, so exports are internally consistent and
 			// cursors against the old process are refused as stale.
 			seqs = make([]uint64, 0, len(st.Conns))
-			e.st.Certs(func(c *certmodel.CertInfo) bool {
-				e.certSeqs[c.Fingerprint] = e.nextSeq
+			for fp := range e.roster {
+				e.certSeqs[fp] = e.nextSeq
 				e.nextSeq++
-				return true
-			})
+			}
 			for range st.Conns {
 				seqs = append(seqs, e.nextSeq)
 				e.nextSeq++
@@ -878,7 +875,7 @@ func (e *Engine) replaySegmentLocked(path string, wantBytes int64, first bool, r
 				if c == nil || c.Fingerprint == "" {
 					return nil, fmt.Errorf("%w: roster entry without fingerprint", store.ErrCorrupt)
 				}
-				if !e.st.PutCert(c) {
+				if !e.putCertLocked(c) {
 					continue
 				}
 				if e.cfg.TrackExport {

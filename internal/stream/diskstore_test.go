@@ -1,0 +1,87 @@
+package stream
+
+import (
+	"testing"
+
+	"repro/internal/certmodel"
+)
+
+// TestDiskStoreSpillsConnectionsOnly is the count gate on the disk
+// store's ingest path: under a 1 MiB budget the scale-2000 campus build
+// (certificates, then connections, 512-batches, no materialization)
+// must spill connections and load nothing back — the roster is engine
+// state, so no lookup on the apply path can touch the segment file —
+// and every *CertInfo handed out before the spilling is still the
+// roster's entry after it.
+func TestDiskStoreSpillsConnectionsOnly(t *testing.T) {
+	b := genBuild(20240504, 2000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	e := newEngine(t, in, func(c *Config) {
+		c.Store = "disk"
+		c.StoreDir = t.TempDir()
+		c.HotBytes = 1 << 20
+	})
+	certs := certRecords(b)
+	feedBatches(t, e, certs, nil, 512)
+	e.Drain()
+	before := make([]*certmodel.CertInfo, len(certs))
+	e.mu.Lock()
+	for i := range certs {
+		before[i] = e.lookupCert(certs[i].Cert.Fingerprint)
+	}
+	e.mu.Unlock()
+
+	feedBatches(t, e, nil, b.Raw.Conns, 512)
+	e.Drain()
+	st := e.st.Stats()
+	if got := st.Loads.Load(); got != 0 {
+		t.Errorf("stream_store_loaded_total = %d after ingest alone, want 0", got)
+	}
+	if st.Spills.Load() == 0 {
+		t.Error("stream_store_spilled_total = 0: the budget forced no spill, the gate is not exercising the cold tier")
+	}
+	if got := st.HotBytes.Load(); got > 1<<20 {
+		t.Errorf("stream_store_hot_bytes = %d, above the 1 MiB budget", got)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(e.roster) != len(certs) {
+		t.Fatalf("roster holds %d certificates, want %d", len(e.roster), len(certs))
+	}
+	for i := range certs {
+		if got := e.lookupCert(certs[i].Cert.Fingerprint); got == nil || got != before[i] {
+			t.Fatalf("roster pointer for %s moved across connection spilling", certs[i].Cert.Fingerprint)
+		}
+	}
+}
+
+// TestShardedHotBytesIsDeploymentBudget pins -hot-bytes as the
+// deployment's budget at any shard count: four disk-store shards under
+// HotBytes 4 MiB, fed several times that, together hold at most 4 MiB
+// of hot connections (plus one record of slack per shard).
+func TestShardedHotBytesIsDeploymentBudget(t *testing.T) {
+	const shards, budget, recordSlack = 4, 4 << 20, 1 << 10
+	b := genBuild(20240504, 200)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	s, err := NewSharded(shards, Config{Input: in, Store: "disk", StoreDir: t.TempDir(), HotBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
+	s.Drain()
+	var hot, spilled int64
+	for _, e := range s.shards {
+		st := e.st.Stats()
+		hot += st.HotBytes.Load()
+		spilled += int64(st.Spills.Load())
+	}
+	if spilled == 0 {
+		t.Fatal("nothing spilled: the feed did not exceed the budget")
+	}
+	if hot > budget+shards*recordSlack {
+		t.Fatalf("shards hold %d hot bytes in total, above the %d-byte deployment budget", hot, budget)
+	}
+}

@@ -94,21 +94,23 @@ type Config struct {
 	// into a private registry so call sites stay unconditional.
 	Metrics *metrics.Registry
 
-	// Store selects the state layer: "" or "memory" keeps all retained
-	// state in RAM (the default, byte-identical to the historical
-	// engine), "disk" tiers it — a hot working set in RAM under
-	// HotBytes, the cold remainder spilled to segment files under
-	// StoreDir — so total retained state can exceed RAM. A tiered
-	// engine trades materialization cost for bounded ingest RSS: every
-	// report rebuilds derived state from the store (the in-memory
-	// incremental path would pin records the store wants to spill).
+	// Store selects where the retained connection window lives: "" or
+	// "memory" keeps it in RAM (the default, byte-identical to the
+	// historical engine), "disk" tiers it — a hot tail in RAM under
+	// HotBytes, the older remainder spilled to a segment file under
+	// StoreDir — so the window can exceed RAM. The certificate roster is
+	// resident either way. A tiered engine trades materialization cost
+	// for bounded ingest RSS: every report rebuilds derived state from
+	// the store (the in-memory incremental path would pin records the
+	// store wants to spill).
 	Store string
 	// StoreDir is the disk store's scratch directory (required when
 	// Store is "disk"; recreated on start — durability is the
 	// checkpoint's job, not the store's).
 	StoreDir string
-	// HotBytes bounds the disk store's in-RAM hot set (estimated
-	// record bytes; default store.DefaultHotBytes).
+	// HotBytes bounds the disk store's in-RAM hot connections (estimated
+	// record bytes; default store.DefaultHotBytes). Under NewSharded it
+	// is the deployment's budget, split evenly across the shards.
 	HotBytes int64
 
 	// TrackExport makes the engine assign a global ingest sequence to
@@ -185,12 +187,14 @@ type Engine struct {
 	// view is still current; written only under mu.
 	stateVer atomic.Uint64
 
-	// Raw state — ground truth, never invalidated — lives in the store:
-	// the certificate roster and the retained connection window (with
-	// aligned ingest sequences when the engine tracks them). tiered
-	// caches st.Tiered(): when set, derived state is never maintained
-	// incrementally (the builder would pin records the store spills) and
-	// every materialization rebuilds from the store.
+	// Raw state — ground truth, never invalidated: the certificate roster
+	// (first observation wins; cumulative, resident, pointers stable for
+	// the engine's lifetime) and, in the store, the retained connection
+	// window (with aligned ingest sequences when the engine tracks them).
+	// tiered caches st.Tiered(): when set, derived state is never
+	// maintained incrementally (the builder would pin records the store
+	// spills) and every materialization rebuilds from the store.
+	roster map[ids.Fingerprint]*certmodel.CertInfo
 	st     store.Store
 	tiered bool
 	icpt   *interception.Stream
@@ -263,6 +267,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:    cfg,
 		ch:     make(chan event, cfg.Buffer),
 		done:   make(chan struct{}),
+		roster: make(map[ids.Fingerprint]*certmodel.CertInfo),
 		st:     st,
 		tiered: st.Tiered(),
 	}
@@ -282,9 +287,30 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// lookupCert is the detector's certificate source: the raw roster (may
-// fault a cold certificate back into the hot tier on a tiered store).
-func (e *Engine) lookupCert(fp ids.Fingerprint) *certmodel.CertInfo { return e.st.Cert(fp) }
+// lookupCert is the detector's certificate source: the raw roster.
+func (e *Engine) lookupCert(fp ids.Fingerprint) *certmodel.CertInfo { return e.roster[fp] }
+
+// putCertLocked admits c into the roster, first observation wins; it
+// reports whether the fingerprint was new.
+func (e *Engine) putCertLocked(c *certmodel.CertInfo) bool {
+	if _, ok := e.roster[c.Fingerprint]; ok {
+		return false
+	}
+	e.roster[c.Fingerprint] = c
+	e.m.rosterSize.Set(float64(len(e.roster)))
+	return true
+}
+
+// rosterLocked lists the roster in unspecified order. The slice is
+// fresh and the certificates immutable, so it stays readable after the
+// state lock is released.
+func (e *Engine) rosterLocked() []*certmodel.CertInfo {
+	certs := make([]*certmodel.CertInfo, 0, len(e.roster))
+	for _, c := range e.roster {
+		certs = append(certs, c)
+	}
+	return certs
+}
 
 // seqTracked reports whether the retained connections carry aligned
 // sequence stamps (router-assigned or self-assigned for export).
@@ -425,7 +451,7 @@ func (e *Engine) applyLocked(ev event) {
 func (e *Engine) applyCertLocked(c *certmodel.CertInfo) {
 	e.certsIngested++
 	e.m.certsIngested.Inc()
-	if !e.st.PutCert(c) {
+	if !e.putCertLocked(c) {
 		return // first observation wins
 	}
 	e.stateVer.Add(1)
@@ -495,10 +521,10 @@ func (e *Engine) applyConnLocked(rec *core.ConnRecord, seq uint64) {
 // noteMissingLocked records leaf fingerprints this connection will fail
 // to resolve, so their late arrival invalidates the enrichment.
 func (e *Engine) noteMissingLocked(rec *core.ConnRecord) {
-	if fp := rec.ServerLeaf(); fp != "" && !e.st.HasCert(fp) {
+	if fp := rec.ServerLeaf(); fp != "" && e.roster[fp] == nil {
 		e.missing[fp] = true
 	}
-	if fp := rec.ClientLeaf(); fp != "" && !e.st.HasCert(fp) {
+	if fp := rec.ClientLeaf(); fp != "" && e.roster[fp] == nil {
 		e.missing[fp] = true
 	}
 }
@@ -531,12 +557,11 @@ func (e *Engine) evictLocked() {
 func (e *Engine) rebuildLocked() {
 	defer e.m.rebuildDur.Since(time.Now())
 	e.resetBuilderLocked()
-	e.st.Certs(func(c *certmodel.CertInfo) bool {
-		if !e.icpt.Excluded(c.Fingerprint) {
+	for fp, c := range e.roster {
+		if !e.icpt.Excluded(fp) {
 			e.b.AddCert(c)
 		}
-		return true
-	})
+	}
 	e.st.Conns(func(rec *core.ConnRecord, _ uint64) bool {
 		if sl := rec.ServerLeaf(); sl != "" && e.icpt.Excluded(sl) {
 			return true
@@ -566,8 +591,8 @@ func (e *Engine) preReportLocked() *core.PreprocessReport {
 	return &core.PreprocessReport{
 		InterceptionIssuers: res.Issuers,
 		ExcludedCerts:       len(res.ExcludedCerts),
-		ExcludedShare:       res.ExcludedShare(e.st.CertCount()),
-		RawCerts:            e.st.CertCount(),
+		ExcludedShare:       res.ExcludedShare(len(e.roster)),
+		RawCerts:            len(e.roster),
 		RawConns:            int(e.connsIngested),
 	}
 }
@@ -612,7 +637,7 @@ func (e *Engine) Stats() Stats {
 		Evicted:             e.evicted,
 		Rebuilds:            e.rebuilds,
 		Dirty:               e.dirty,
-		UniqueCerts:         e.st.CertCount(),
+		UniqueCerts:         len(e.roster),
 		ExcludedCerts:       e.icpt.ExcludedCount(),
 		InterceptionIssuers: e.icpt.ConfirmedCount(),
 		PendingCerts:        e.icpt.PendingCount(),

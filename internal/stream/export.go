@@ -108,7 +108,7 @@ func (e *Engine) Export(since, epoch uint64) (*ExportState, error) {
 		if seq < since {
 			continue
 		}
-		if c := e.st.Cert(fp); c != nil {
+		if c := e.roster[fp]; c != nil {
 			st.Certs = append(st.Certs, ExportCert{Seq: seq, Cert: c})
 		}
 	}

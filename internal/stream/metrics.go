@@ -28,6 +28,7 @@ type engineMetrics struct {
 	compactDur     *metrics.Histogram
 
 	retained        *metrics.Gauge
+	rosterSize      *metrics.Gauge
 	checkpointBytes *metrics.Gauge
 	checkpointSegs  *metrics.Gauge
 }
@@ -60,6 +61,7 @@ func newEngineMetrics(r *metrics.Registry, e *Engine) *engineMetrics {
 		compactDur:     r.Histogram("stream_compact_seconds", "checkpoint compaction duration", nil, lbl...),
 
 		retained:        r.Gauge("stream_conns_retained", "connections currently in the window", lbl...),
+		rosterSize:      r.Gauge("stream_store_hot_certs", "roster certificates (always resident)", lbl...),
 		checkpointBytes: r.Gauge("stream_checkpoint_bytes", "bytes written by the last checkpoint (delta, not total state)", lbl...),
 		checkpointSegs:  r.Gauge("stream_checkpoint_segments", "segments in the committed checkpoint manifest", lbl...),
 	}
@@ -69,14 +71,12 @@ func newEngineMetrics(r *metrics.Registry, e *Engine) *engineMetrics {
 
 	// Store tier occupancy: the callbacks read atomics the store
 	// maintains, so no engine lock is needed. All-zero for the memory
-	// store except the hot-tier counts.
+	// store except the hot connection count.
 	ts := e.st.Stats()
 	r.GaugeFunc("stream_store_hot_conns", "retained connections in the hot (RAM) tier", func() float64 { return float64(ts.HotConns.Load()) }, lbl...)
 	r.GaugeFunc("stream_store_cold_conns", "retained connections spilled to disk", func() float64 { return float64(ts.ColdConns.Load()) }, lbl...)
-	r.GaugeFunc("stream_store_hot_certs", "roster certificates in the hot (RAM) tier", func() float64 { return float64(ts.HotCerts.Load()) }, lbl...)
-	r.GaugeFunc("stream_store_cold_certs", "roster certificates spilled to disk", func() float64 { return float64(ts.ColdCerts.Load()) }, lbl...)
-	r.GaugeFunc("stream_store_hot_bytes", "estimated bytes of hot-tier records", func() float64 { return float64(ts.HotBytes.Load()) }, lbl...)
-	r.GaugeFunc("stream_store_spilled_total", "records spilled to the cold tier", func() float64 { return float64(ts.Spills.Load()) }, lbl...)
-	r.GaugeFunc("stream_store_loaded_total", "records faulted back from the cold tier", func() float64 { return float64(ts.Loads.Load()) }, lbl...)
+	r.GaugeFunc("stream_store_hot_bytes", "estimated bytes of hot-tier connections (what -hot-bytes bounds)", func() float64 { return float64(ts.HotBytes.Load()) }, lbl...)
+	r.GaugeFunc("stream_store_spilled_total", "connections spilled to the cold tier", func() float64 { return float64(ts.Spills.Load()) }, lbl...)
+	r.GaugeFunc("stream_store_loaded_total", "connections decoded back from the cold tier", func() float64 { return float64(ts.Loads.Load()) }, lbl...)
 	return m
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/interception"
 	"repro/internal/metrics"
+	"repro/internal/store"
 )
 
 // MaxShards bounds the shard count: the rendezvous tracks per-shard
@@ -195,10 +196,18 @@ func (s *Sharded) shardConfig(i, n int) Config {
 	if n > 1 {
 		cfg.TrackExport = false
 	}
-	if cfg.Store == "disk" && cfg.StoreDir != "" {
-		// Each shard tiers into its own subdirectory; the hot budget is
-		// per shard (the deployment's total hot set is n * HotBytes).
-		cfg.StoreDir = filepath.Join(cfg.StoreDir, fmt.Sprintf("shard-%d", i))
+	if cfg.Store == "disk" {
+		// HotBytes is the deployment's budget at any shard count: resolve
+		// the default, then give each shard an even share (at least one
+		// byte — zero would select the default again).
+		if cfg.HotBytes <= 0 {
+			cfg.HotBytes = store.DefaultHotBytes
+		}
+		cfg.HotBytes = max(cfg.HotBytes/int64(n), 1)
+		if cfg.StoreDir != "" {
+			// Each shard tiers into its own subdirectory.
+			cfg.StoreDir = filepath.Join(cfg.StoreDir, fmt.Sprintf("shard-%d", i))
+		}
 	}
 	cfg.metricLabels = []string{"shard", strconv.Itoa(i)}
 	return cfg
@@ -290,7 +299,7 @@ func (s *Sharded) capture() core.MergeCapture {
 		e.mu.Lock()
 		c.Versions[i] = e.stateVer.Load()
 		snap := e.st.Snapshot()
-		c.Shards[i] = core.ShardState{Certs: snap.Certs, Conns: snap.Conns, Seqs: snap.Seqs}
+		c.Shards[i] = core.ShardState{Certs: e.rosterLocked(), Conns: snap.Conns, Seqs: snap.Seqs}
 		c.RawConns += e.connsIngested
 		c.Evidence.Absorb(e.icpt)
 		e.mu.Unlock()
@@ -571,16 +580,15 @@ func (s *Sharded) rebuildRendezvous() {
 	for i, e := range s.shards {
 		bit := uint64(1) << i
 		e.mu.Lock()
-		e.st.Certs(func(c *certmodel.CertInfo) bool {
-			ent := s.rendezvousFor(c.Fingerprint)
+		for fp, c := range e.roster {
+			ent := s.rendezvousFor(fp)
 			if ent.cert == nil {
 				ent.cert = c
 				s.uniqueCerts++
 			}
 			ent.delivered |= bit
 			ent.waiting |= bit
-			return true
-		})
+		}
 		e.mu.Unlock()
 	}
 	for i, e := range s.shards {

@@ -29,10 +29,6 @@ func WithQuarantine(q *Quarantine) Opt { return func(o *Options) { o.Quarantine 
 // (the zeek_rows_rejected_total family).
 func WithMetrics(reg *metrics.Registry) Opt { return func(o *Options) { o.Metrics = reg } }
 
-// WithBatchSize sets the record-batch granularity of the batch readers
-// (ForEachSSLBatch, ForEachX509Batch). Values < 1 keep DefaultBatchSize.
-func WithBatchSize(n int) Opt { return func(o *Options) { o.BatchSize = n } }
-
 // resolveOpts folds opts over the readers' strict default.
 func resolveOpts(opts []Opt) Options {
 	o := Options{Strict: true}

@@ -100,24 +100,12 @@ type Options struct {
 	Strict     bool
 	Quarantine *Quarantine
 	Metrics    *metrics.Registry
-	// BatchSize is the record-batch granularity of the batch readers
-	// (ForEachSSLBatch / ForEachX509Batch); 0 means DefaultBatchSize.
-	// The per-row readers ignore it.
-	BatchSize int
 }
 
-// DefaultBatchSize is the batch readers' record granularity when
-// Options.BatchSize is unset — sized so one batch amortizes the
-// engine's per-ingest channel hop without adding meaningful latency.
+// DefaultBatchSize is the batch readers' record granularity
+// (ForEachSSLBatch / ForEachX509Batch) — sized so one batch amortizes
+// the engine's per-ingest channel hop without adding meaningful latency.
 const DefaultBatchSize = 512
-
-// batchSize resolves the effective batch granularity.
-func (o *Options) batchSize() int {
-	if o.BatchSize > 0 {
-		return o.BatchSize
-	}
-	return DefaultBatchSize
-}
 
 // reject routes one quarantined row to the configured sinks.
 func (o *Options) reject(file string, re *RowError) {

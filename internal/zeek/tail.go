@@ -362,10 +362,6 @@ func (s *SSLTail) Offset() int64 { return s.t.offset }
 // SetOffset resumes tailing from a checkpointed byte position.
 func (s *SSLTail) SetOffset(off int64) { s.t.offset = off }
 
-// SetChunk overrides the per-poll byte cap (<= 0 restores the default).
-// Harnesses shrink it to force many polls over a small backlog.
-func (s *SSLTail) SetChunk(n int64) { s.t.chunk = n }
-
 // X509Tail incrementally reads an x509.log as it is written.
 type X509Tail struct{ t tail }
 
@@ -402,7 +398,3 @@ func (x *X509Tail) Offset() int64 { return x.t.offset }
 
 // SetOffset resumes tailing from a checkpointed byte position.
 func (x *X509Tail) SetOffset(off int64) { x.t.offset = off }
-
-// SetChunk overrides the per-poll byte cap (<= 0 restores the default).
-// Harnesses shrink it to force many polls over a small backlog.
-func (x *X509Tail) SetChunk(n int64) { x.t.chunk = n }

@@ -364,26 +364,26 @@ func forEachX509(r io.Reader, o Options, fn func(*X509Record) error) error {
 	return err
 }
 
-// ForEachSSLBatch streams an ssl.log in record batches of Options
-// .BatchSize (default 512): one callback per batch instead of one per
-// row, sized for Engine.IngestConnBatch. The slice is reused between
-// calls — fn must copy any records it retains past its return (the
-// engine's batch ingest does). Rows parsed before a strict-mode error
-// are still delivered. fn may return ErrStop to end early.
+// ForEachSSLBatch streams an ssl.log in record batches of
+// DefaultBatchSize: one callback per batch instead of one per row,
+// sized for Engine.IngestConnBatch. The slice is reused between calls —
+// fn must copy any records it retains past its return (the engine's
+// batch ingest does). Rows parsed before a strict-mode error are still
+// delivered. fn may return ErrStop to end early.
 func ForEachSSLBatch(r io.Reader, fn func([]SSLRecord) error, opts ...Opt) error {
 	return forEachSSLBatch(r, resolveOpts(opts), fn)
 }
 
 func forEachSSLBatch(r io.Reader, o Options, fn func([]SSLRecord) error) error {
 	it := newInternTable()
-	buf := make([]SSLRecord, 0, o.batchSize())
+	buf := make([]SSLRecord, 0, DefaultBatchSize)
 	err := readTSV(r, "ssl", len(sslFields), o, func(cols [][]byte) error {
 		rec, err := parseSSLCols(cols, it)
 		if err != nil {
 			return err
 		}
 		buf = append(buf, rec)
-		if len(buf) >= o.batchSize() {
+		if len(buf) >= DefaultBatchSize {
 			err := fn(buf)
 			buf = buf[:0]
 			return err
@@ -409,14 +409,14 @@ func ForEachX509Batch(r io.Reader, fn func([]X509Record) error, opts ...Opt) err
 
 func forEachX509Batch(r io.Reader, o Options, fn func([]X509Record) error) error {
 	it := newInternTable()
-	buf := make([]X509Record, 0, o.batchSize())
+	buf := make([]X509Record, 0, DefaultBatchSize)
 	err := readTSV(r, "x509", len(x509Fields), o, func(cols [][]byte) error {
 		rec, err := parseX509Cols(cols, it)
 		if err != nil {
 			return err
 		}
 		buf = append(buf, rec)
-		if len(buf) >= o.batchSize() {
+		if len(buf) >= DefaultBatchSize {
 			err := fn(buf)
 			buf = buf[:0]
 			return err

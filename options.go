@@ -40,8 +40,3 @@ func WithQuarantine(q *zeek.Quarantine) LogOption { return zeek.WithQuarantine(q
 // WithMetrics publishes per-(file, reason) rejection counters into reg;
 // read them back with RejectTotals.
 func WithMetrics(reg *metrics.Registry) LogOption { return zeek.WithMetrics(reg) }
-
-// WithBatchSize sets the record-batch granularity OpenLogs reads with
-// (default zeek.DefaultBatchSize). Larger batches amortize per-row
-// overhead; the loaded Dataset is identical at every setting.
-func WithBatchSize(n int) LogOption { return zeek.WithBatchSize(n) }
