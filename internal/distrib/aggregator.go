@@ -18,6 +18,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/interception"
 	"repro/internal/metrics"
+	"repro/internal/store"
 	"repro/internal/stream"
 )
 
@@ -77,8 +78,12 @@ type sensorState struct {
 	epoch  uint64
 	cursor uint64
 
+	// win replicates the sensor's retained window, each connection under
+	// shift|seq — the sensor's index in the high bits, so the merge
+	// replays sensor-major.
 	certs    []stream.ExportCert
-	conns    []stream.ExportConn
+	win      *store.Window
+	shift    uint64
 	evidence *interception.Evidence
 
 	connsIngested uint64
@@ -183,7 +188,7 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 			a.m.mergeDur.Observe(d.Seconds())
 		},
 	}
-	for _, raw := range cfg.Sensors {
+	for i, raw := range cfg.Sensors {
 		u := strings.TrimRight(raw, "/")
 		if !strings.Contains(u, "://") {
 			u = "http://" + u
@@ -191,6 +196,8 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 		ss := &sensorState{
 			url:    u,
 			schema: SchemaV1,
+			win:    new(store.Window),
+			shift:  uint64(i) << sensorBits,
 			bo:     backoff.New(cfg.Interval),
 		}
 		a.sensors = append(a.sensors, ss)
@@ -297,7 +304,7 @@ func (a *Aggregator) syncOnce(ctx context.Context, ss *sensorState) error {
 		// accumulated view of it is unusable. Discard and full-resync.
 		a.logger.Info("sensor cursor stale; full re-sync", "sensor", ss.url)
 		a.mu.Lock()
-		ss.certs, ss.conns, ss.evidence = nil, nil, nil
+		ss.certs, ss.win, ss.evidence = nil, new(store.Window), nil
 		ss.cursor, ss.epoch = 0, 0
 		ss.fullResyncs++
 		ss.version++
@@ -405,23 +412,38 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 			return fmt.Errorf("distrib: %s sequence overflow", ss.url)
 		}
 	}
+	// The replica is appended in sequence order: within a snapshot the
+	// connections must ascend from the cursor, and NextSeq — the next
+	// cursor — must lie past them all.
+	next := cursor
 	for i := range snap.Conns {
-		if snap.Conns[i].Seq >= 1<<sensorBits {
+		seq := snap.Conns[i].Seq
+		if seq >= 1<<sensorBits {
 			return fmt.Errorf("distrib: %s sequence overflow", ss.url)
 		}
-		if snap.Conns[i].Seq < cursor {
-			return fmt.Errorf("distrib: %s delta re-sent sequence %d below cursor %d", ss.url, snap.Conns[i].Seq, cursor)
+		if seq < next {
+			return fmt.Errorf("distrib: %s sent sequence %d out of order (cursor %d)", ss.url, seq, cursor)
 		}
+		next = seq + 1
+	}
+	if snap.NextSeq < next {
+		return fmt.Errorf("distrib: %s next sequence %d is behind its own records", ss.url, snap.NextSeq)
 	}
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if cursor != ss.cursor {
+		// Another sync of this sensor landed since the cursor was read;
+		// appending this one too would duplicate its records.
+		return fmt.Errorf("distrib: %s cursor moved from %d to %d during the pull", ss.url, cursor, ss.cursor)
+	}
 	if cursor == 0 {
-		ss.certs = snap.Certs
-		ss.conns = snap.Conns
-	} else {
-		ss.certs = append(ss.certs, snap.Certs...)
-		ss.conns = append(ss.conns, snap.Conns...)
+		ss.certs, ss.win = nil, new(store.Window)
+	}
+	ss.certs = append(ss.certs, snap.Certs...)
+	ss.win.GrowConns(len(snap.Conns))
+	for i := range snap.Conns {
+		ss.win.AppendConn(&snap.Conns[i].Conn, ss.shift|snap.Conns[i].Seq)
 	}
 	// An empty steady-state delta changes nothing (every state change on
 	// the sensor consumes a sequence number), so it must not invalidate
@@ -460,18 +482,10 @@ func (a *Aggregator) evictLocked() {
 		}
 	}
 	for _, ss := range a.sensors {
-		if ss.retention <= 0 || len(ss.conns) == 0 {
+		if ss.retention <= 0 {
 			continue
 		}
-		cutoff := wm.Add(-ss.retention)
-		kept := ss.conns[:0]
-		for _, ec := range ss.conns {
-			if !ec.Conn.TS.Before(cutoff) {
-				kept = append(kept, ec)
-			}
-		}
-		if n := len(ss.conns) - len(kept); n > 0 {
-			ss.conns = kept
+		if n := ss.win.EvictBefore(wm.Add(-ss.retention)); n > 0 {
 			ss.evicted += uint64(n)
 			ss.version++
 			a.m.evicted(ss.url).Add(uint64(n))
@@ -501,9 +515,11 @@ func (a *Aggregator) versions() []uint64 {
 	return vers
 }
 
-// capture copies every sensor's accumulated state out from under mu for
-// a merge replay: one shard per sensor, sequences remapped sensor-major,
-// evidence unioned raw.
+// capture snapshots every sensor's accumulated state under mu for a
+// merge replay: one shard per sensor, evidence unioned raw. The window
+// headers stay readable after mu is released, as in Sharded.capture:
+// appends land past the captured length and eviction (or a full
+// re-sync) swaps in fresh arrays.
 func (a *Aggregator) capture() core.MergeCapture {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -517,12 +533,7 @@ func (a *Aggregator) capture() core.MergeCapture {
 		for j, ec := range ss.certs {
 			certs[j] = ec.Cert
 		}
-		conns := make([]core.ConnRecord, len(ss.conns))
-		seqs := make([]uint64, len(ss.conns))
-		for j, ec := range ss.conns {
-			conns[j] = ec.Conn
-			seqs[j] = uint64(i)<<sensorBits | ec.Seq
-		}
+		conns, seqs := ss.win.Snapshot()
 		c.Shards[i] = core.ShardState{Certs: certs, Conns: conns, Seqs: seqs}
 		c.Versions[i] = ss.version
 		c.RawConns += ss.connsIngested
@@ -555,7 +566,9 @@ func (a *Aggregator) Report(name string) (any, error) {
 // daemon's /api/v1/stats surface is uniform across roles: ingest
 // counters sum the sensors' reported totals, the roster numbers come
 // from the accumulated union, and the §3.2 numbers reflect the merged
-// verdict. Rebuilds counts merges; Dirty means unmerged sensor state.
+// verdict. Evicted counts connections dropped at the aggregator (aged
+// out of their sensor's retention window here), not the sensors' own
+// evictions. Rebuilds counts merges; Dirty means unmerged sensor state.
 func (a *Aggregator) Stats() stream.Stats {
 	a.mu.Lock()
 	var st stream.Stats
@@ -564,7 +577,8 @@ func (a *Aggregator) Stats() stream.Stats {
 	for _, ss := range a.sensors {
 		st.ConnsIngested += ss.connsIngested
 		st.CertsIngested += ss.certsIngested
-		st.Retained += len(ss.conns)
+		st.Retained += ss.win.ConnCount()
+		st.Evicted += ss.evicted
 		for _, ec := range ss.certs {
 			seen[ec.Cert.Fingerprint] = true
 		}
@@ -596,7 +610,7 @@ func (a *Aggregator) SensorStatuses() []SensorStatus {
 			Epoch:         ss.epoch,
 			Cursor:        ss.cursor,
 			Certs:         len(ss.certs),
-			Conns:         len(ss.conns),
+			Conns:         ss.win.ConnCount(),
 			ConnsIngested: ss.connsIngested,
 			LastSync:      ss.lastSync,
 			LastError:     ss.lastErr,

@@ -338,6 +338,9 @@ func TestAggregatorRetentionEquivalence(t *testing.T) {
 		if aggEvicted == 0 {
 			t.Errorf("sensors=%d: aggregator evicted nothing — delta-shipped conns never age out", n)
 		}
+		if st.Evicted != aggEvicted {
+			t.Errorf("sensors=%d: Stats().Evicted = %d, sensors sum to %d", n, st.Evicted, aggEvicted)
+		}
 
 		var buf strings.Builder
 		if err := reg.WritePrometheus(&buf); err != nil {
@@ -345,6 +348,34 @@ func TestAggregatorRetentionEquivalence(t *testing.T) {
 		}
 		if !strings.Contains(buf.String(), "distrib_aggregator_evicted_total") {
 			t.Error("metrics exposition missing distrib_aggregator_evicted_total")
+		}
+
+		// A materialized merge reads the replicas' own arrays, so it must
+		// outlive a later sync untouched: one connection far past the
+		// window is appended in place and ages every other record out of
+		// every replica. The sync runs on its own goroutine so the race
+		// detector sees it overlap the reads.
+		a.WithPipeline(func(p *core.Pipeline) {
+			before := analysisJSON(t, p.RunAll())
+			late := conns[order[len(order)-1]]
+			late.UID, late.TS = "Clate", late.TS.Add(2*retention)
+			engines[0].IngestConn(&late)
+			engines[0].Drain()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if err := a.SyncAll(context.Background()); err != nil {
+					t.Errorf("sensors=%d: late SyncAll: %v", n, err)
+				}
+			}()
+			during := analysisJSON(t, p.RunAll())
+			<-done
+			if after := analysisJSON(t, p.RunAll()); before != during || before != after {
+				t.Errorf("sensors=%d: a materialized merge changed under a later sync and eviction", n)
+			}
+		})
+		if got := a.Stats().Retained; got != 1 {
+			t.Errorf("sensors=%d: %d conns retained behind the late watermark, want 1", n, got)
 		}
 	}
 }

@@ -1,56 +1,46 @@
-// Package store is the state layer behind stream.Engine's retained
-// connection window — the unbounded dimension of a long-running monitor.
-// The window lives behind the Store interface, so the engine's
-// ingest/rebuild/checkpoint logic is independent of where connection
-// records physically sit. (The certificate roster is not here: it is the
-// small, deduplicated side of the dataset and stays resident in the
-// engine.) Two implementations:
+// Package store holds the retained connection window — the unbounded
+// dimension of a long-running monitor — as one concrete type, Window.
+// Everything that retains connections holds one: stream.Engine for its
+// raw state, the aggregator for each sensor's replica. (The certificate
+// roster is not here: it is the small, deduplicated side of the dataset
+// and stays resident in its owner.)
 //
-//   - Mem is the default and preserves the engine's historical
-//     semantics exactly — append-only slices with abandon-don't-mutate
-//     eviction, so slice headers snapshotted under the engine lock stay
-//     valid after it is released.
-//   - Disk keeps a bounded hot tail of connections in RAM and spills
-//     the older remainder to an append-only segment file under a
-//     directory, with an in-memory index, so the retained window can
-//     exceed the hot budget by an order of magnitude while steady-state
-//     ingest RSS stays bounded.
+// A Window is an append-only hot tail in RAM with abandon-don't-mutate
+// eviction: appends never touch elements below a previously observed
+// length and eviction swaps in fresh arrays, so slice headers
+// snapshotted under the owner's lock stay valid after it is released.
 //
-// Concurrency: a Store is owned by one engine and accessed only under
-// that engine's state lock; implementations need no internal locking
-// except for the Stats counters, which are read lock-free by metric
-// callbacks.
+// Open with kind "disk" adds the optional cold tier: the hot tail is
+// held under an estimated byte budget and the older remainder spills to
+// an append-only segment file, addressed by an in-memory index, so the
+// window can exceed the budget by an order of magnitude while
+// steady-state ingest RSS stays bounded. Without it a Window never
+// estimates bytes, never spills, and Snapshot returns the live headers.
 //
-// Slots: every appended connection gets a monotone, never-reused slot
-// number. Eviction removes records but never renumbers, so "slot >=
-// mark" identifies exactly the records appended since mark — the delta
-// an incremental checkpoint serializes. Slots are an in-memory notion
-// only; nothing on disk depends on them.
+// Sequences: every appended connection carries a caller-assigned
+// sequence number, and the window requires them strictly increasing in
+// append order (gaps are fine — certificates consume numbers from the
+// same space). Eviction removes records but never renumbers, so
+// "sequence >= s" always identifies a suffix of the window; Since is the
+// one query over it, serving checkpoint deltas and export cursors alike.
+//
+// Concurrency: a Window is accessed only under its owner's state lock
+// and needs no locking of its own, except for the Stats counters, which
+// metric callbacks read lock-free.
 package store
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 )
 
-// Snap is a point-in-time view of the full retained window, used by the
-// sharded merge and full checkpoints. For Mem the slices are live
-// headers (safe after the engine lock is released: appends past the
-// captured length are invisible and eviction swaps in fresh arrays); for
-// Disk they are freshly materialized copies.
-type Snap struct {
-	// Conns is the retained window in append order; Seqs aligns with it
-	// when the store tracks sequences (nil otherwise).
-	Conns []core.ConnRecord
-	Seqs  []uint64
-}
-
-// Stats is the store's tier occupancy and traffic, read lock-free by
-// metric gauges (all fields are atomics updated by the owning engine's
-// apply path).
+// Stats is the window's tier occupancy and traffic, read lock-free by
+// metric gauges (all fields are atomics updated on the owner's apply
+// path). Without a cold tier only HotConns moves.
 type Stats struct {
 	HotConns  atomic.Int64
 	ColdConns atomic.Int64
@@ -59,64 +49,185 @@ type Stats struct {
 	Loads     atomic.Uint64
 }
 
-// Store is the engine's retained connection window. All methods except
-// Stats must be called under the owning engine's state lock.
-type Store interface {
-	// AppendConn retains one connection (copied) with its sequence
-	// stamp and returns the stored record. The pointer is valid at
-	// least until the next append/evict; callers that must retain it
-	// (the in-memory builder) may do so only on a non-tiered store.
-	AppendConn(rec *core.ConnRecord, seq uint64) *core.ConnRecord
-	// GrowConns pre-grows for n more appends (batch ingest).
-	GrowConns(n int)
-	// ConnCount is the retained window size.
-	ConnCount() int
-	// NextSlot is the slot the next append will receive; all retained
-	// records have slots below it.
-	NextSlot() uint64
-	// ConnsSince returns fresh copies of the retained records with
-	// slot >= mark (the suffix appended since mark survived eviction),
-	// with their aligned sequence stamps.
-	ConnsSince(mark uint64) ([]core.ConnRecord, []uint64)
-	// Conns iterates the retained window in append order until fn
-	// returns false. seq is zero when sequences are untracked. On a
-	// non-tiered store the pointer is into the live backing array and
-	// may be retained under the abandon-don't-mutate discipline; on a
-	// tiered store it is a decoded copy that fn may also retain (the
-	// store never reuses decoded buffers), at the cost of pinning the
-	// copy's frame.
-	Conns(fn func(rec *core.ConnRecord, seq uint64) bool)
-	// EvictBefore drops retained records with TS before cutoff and
-	// returns how many were dropped.
-	EvictBefore(cutoff time.Time) int
-
-	// Snapshot materializes the full retained window.
-	Snapshot() Snap
-	// Tiered reports whether records can move under the caller's feet —
-	// i.e. whether pointers returned by AppendConn are stable for the
-	// store's lifetime (false) or only transiently (true).
-	Tiered() bool
-	// Stats exposes tier occupancy for metrics.
-	Stats() *Stats
-	// Close releases any files. State already materialized remains
-	// usable; further mutation does not.
-	Close() error
+// Window is the retained connection window. The zero value is an empty
+// window without a cold tier. All methods except Stats must be called
+// under the owner's state lock.
+type Window struct {
+	// Hot tail in append order (the whole window without a cold tier);
+	// seqs aligns with conns and is strictly increasing.
+	conns []core.ConnRecord
+	seqs  []uint64
+	// next is one past the highest sequence ever appended; eviction does
+	// not lower it.
+	next  uint64
+	cold  *coldTier // nil unless opened with kind "disk"
+	stats Stats
 }
 
-// Open builds a store from the engine configuration triple: kind is ""
+// Open builds a window from the engine configuration triple: kind is ""
 // or "memory" (default) or "disk"; dir and hotBytes apply to "disk".
-// trackSeqs selects whether the store maintains the aligned sequence
-// column.
-func Open(kind, dir string, hotBytes int64, trackSeqs bool) (Store, error) {
+func Open(kind, dir string, hotBytes int64) (*Window, error) {
 	switch kind {
 	case "", "memory":
-		return NewMem(trackSeqs), nil
+		return new(Window), nil
 	case "disk":
 		if dir == "" {
 			return nil, fmt.Errorf("store: disk store requires a directory")
 		}
-		return OpenDisk(dir, hotBytes, trackSeqs)
+		cold, err := openCold(dir, hotBytes)
+		if err != nil {
+			return nil, err
+		}
+		return &Window{cold: cold}, nil
 	default:
 		return nil, fmt.Errorf("store: unknown store kind %q (want memory or disk)", kind)
 	}
 }
+
+// AppendConn retains one connection (copied) under seq, which must
+// exceed every sequence appended before, and returns the stored record.
+// The pointer is valid at least until the next append or evict; callers
+// that must retain it (the in-memory builder) may do so only on a
+// non-tiered window.
+func (w *Window) AppendConn(rec *core.ConnRecord, seq uint64) *core.ConnRecord {
+	if seq < w.next {
+		panic(fmt.Sprintf("store: sequence %d appended after %d", seq, w.next-1))
+	}
+	w.next = seq + 1
+	w.conns = append(w.conns, *rec)
+	w.seqs = append(w.seqs, seq)
+	w.stats.HotConns.Store(int64(len(w.conns)))
+	stored := &w.conns[len(w.conns)-1]
+	if w.cold != nil {
+		w.cold.hotB += connBytes(rec)
+		w.stats.HotBytes.Store(w.cold.hotB)
+		w.maybeSpill()
+	}
+	return stored
+}
+
+// GrowConns ensures room for n more appends (batch ingest), at least
+// doubling the backing arrays when they must reallocate — append's
+// sub-doubling growth regime for large slices costs ~4x the final size
+// in copy churn on a multi-megabyte retained window.
+func (w *Window) GrowConns(n int) {
+	w.conns = grown(w.conns, n)
+	w.seqs = grown(w.seqs, n)
+}
+
+// grown ensures room for n more elements, at least doubling on
+// reallocation.
+func grown[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	c := 2 * cap(s)
+	if c < len(s)+n {
+		c = len(s) + n
+	}
+	ns := make([]T, len(s), c)
+	copy(ns, s)
+	return ns
+}
+
+// ConnCount is the retained window size.
+func (w *Window) ConnCount() int {
+	if w.cold != nil {
+		return len(w.cold.index) + len(w.conns)
+	}
+	return len(w.conns)
+}
+
+// Since iterates the retained records with sequence >= seq — the suffix
+// appended since a cursor that survived eviction; 0 iterates the whole
+// window — in append order until fn returns false. Without a cold tier
+// the pointer is into the live backing array and may be retained under
+// the abandon-don't-mutate discipline; a spilled record arrives as a
+// decoded copy that fn may also retain (decoded buffers are never
+// reused), at the cost of pinning the copy's frame.
+func (w *Window) Since(seq uint64, fn func(rec *core.ConnRecord, seq uint64) bool) {
+	if w.cold != nil && !w.coldSince(seq, fn) {
+		return
+	}
+	i, _ := slices.BinarySearch(w.seqs, seq)
+	for ; i < len(w.conns); i++ {
+		if !fn(&w.conns[i], w.seqs[i]) {
+			return
+		}
+	}
+}
+
+// EvictBefore drops retained records with TS before cutoff and returns
+// how many were dropped. The hot tail is filtered into fresh backing
+// arrays: enriched views and snapshots hold pointers into the old ones,
+// which must stay intact.
+func (w *Window) EvictBefore(cutoff time.Time) int {
+	dropped := 0
+	if w.cold != nil {
+		dropped = w.cold.evictBefore(cutoff)
+	}
+	first := 0 // the first hot record to drop; nothing to copy if none
+	for first < len(w.conns) && !w.conns[first].TS.Before(cutoff) {
+		first++
+	}
+	if first < len(w.conns) {
+		kept := append(make([]core.ConnRecord, 0, len(w.conns)-1), w.conns[:first]...)
+		keptSeqs := append(make([]uint64, 0, len(w.conns)-1), w.seqs[:first]...)
+		for i := first + 1; i < len(w.conns); i++ {
+			if !w.conns[i].TS.Before(cutoff) {
+				kept = append(kept, w.conns[i])
+				keptSeqs = append(keptSeqs, w.seqs[i])
+			}
+		}
+		dropped += len(w.conns) - len(kept)
+		w.conns, w.seqs = kept, keptSeqs
+	}
+	if dropped > 0 {
+		w.publish()
+	}
+	return dropped
+}
+
+// publish refreshes the occupancy gauges after the tiers changed shape
+// (spill, eviction), re-estimating the hot bytes when they are budgeted.
+func (w *Window) publish() {
+	w.stats.HotConns.Store(int64(len(w.conns)))
+	if w.cold == nil {
+		return
+	}
+	w.cold.hotB = 0
+	for i := range w.conns {
+		w.cold.hotB += connBytes(&w.conns[i])
+	}
+	w.stats.HotBytes.Store(w.cold.hotB)
+	w.stats.ColdConns.Store(int64(len(w.cold.index)))
+}
+
+// Snapshot is a point-in-time view of the full retained window with its
+// aligned sequences, for the sharded merge and full checkpoints. Without
+// a cold tier the slices are live headers (safe after the owner's lock
+// is released: appends past the captured length are invisible and
+// eviction swaps in fresh arrays). With one they are fresh copies, the
+// spilled records streamed up from disk ahead of the hot tail — O(retained)
+// RAM for as long as the caller holds them, the tiered engine's
+// documented materialization cost.
+func (w *Window) Snapshot() ([]core.ConnRecord, []uint64) {
+	if w.cold == nil {
+		return w.conns, w.seqs
+	}
+	conns := make([]core.ConnRecord, 0, w.ConnCount())
+	seqs := make([]uint64, 0, w.ConnCount())
+	w.Since(0, func(rec *core.ConnRecord, seq uint64) bool {
+		conns, seqs = append(conns, *rec), append(seqs, seq)
+		return true
+	})
+	return conns, seqs
+}
+
+// Tiered reports whether records can move under the caller's feet —
+// i.e. whether pointers returned by AppendConn are stable for the
+// window's lifetime (false) or only transiently (true).
+func (w *Window) Tiered() bool { return w.cold != nil }
+
+// Stats exposes tier occupancy for metrics.
+func (w *Window) Stats() *Stats { return &w.stats }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -27,66 +28,129 @@ func testConn(i int) core.ConnRecord {
 	}
 }
 
-// openBoth returns a memory store and a tightly budgeted disk store, so
-// every test runs the same scenario against both and the disk store is
-// forced through its spill/fault machinery.
-func openBoth(t *testing.T, trackSeqs bool) map[string]Store {
+// openBoth returns the one window type at two budgets — no cold tier,
+// and a cold tier starved enough that every scenario is forced through
+// the spill and cold-read machinery.
+func openBoth(t *testing.T) map[string]*Window {
 	t.Helper()
-	mem := NewMem(trackSeqs)
-	disk, err := OpenDisk(t.TempDir(), 16<<10, trackSeqs)
+	mem, err := Open("memory", "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { mem.Close(); disk.Close() })
-	return map[string]Store{"memory": mem, "disk": disk}
+	disk, err := Open("disk", t.TempDir(), 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Window{"memory": mem, "disk": disk}
 }
 
-// TestStoreEquivalence drives both implementations through the same
-// append/evict/read scenario and requires identical observable state —
-// the contract the engine's byte-identical-reports gate rests on.
-func TestStoreEquivalence(t *testing.T) {
-	const nConns = 3000
-	stores := openBoth(t, true)
-	type view struct {
-		snap    Snap
-		since   []core.ConnRecord
-		seqs    []uint64
-		count   int
-		evicted int
-	}
-	views := map[string]*view{}
-	for name, st := range stores {
-		var mark uint64
-		for i := 0; i < nConns; i++ {
-			c := testConn(i)
-			st.AppendConn(&c, uint64(i+1))
-			if i == nConns/2 {
-				mark = st.NextSlot()
+// seqConn is one retained record as a reader sees it.
+type seqConn struct {
+	Seq  uint64
+	Conn core.ConnRecord
+}
+
+// since collects w.Since(seq) as values.
+func since(w *Window, seq uint64) []seqConn {
+	var out []seqConn
+	w.Since(seq, func(rec *core.ConnRecord, s uint64) bool {
+		out = append(out, seqConn{s, *rec})
+		return true
+	})
+	return out
+}
+
+// TestWindowEquivalence drives both budgets through the same random
+// interleaving of appends (increasing sequences with gaps, as
+// certificates leave them), evictions and suffix queries, and requires
+// identical observable state at every step — the contract the engine's
+// byte-identical-reports gate rests on. Within each window the suffix
+// query must equal a full iteration filtered by seq >= s.
+func TestWindowEquivalence(t *testing.T) {
+	wins := openBoth(t)
+	mem, disk := wins["memory"], wins["disk"]
+	rng := rand.New(rand.NewSource(20240504))
+	var seq uint64
+	appended := 0
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(10); {
+		case op < 7: // a burst of appends
+			for n := rng.Intn(40); n >= 0; n-- {
+				seq += 1 + uint64(rng.Intn(3))
+				c := testConn(appended)
+				appended++
+				for name, w := range wins {
+					if got := w.AppendConn(&c, seq); got.UID != c.UID {
+						t.Fatalf("%s: AppendConn returned %s, want %s", name, got.UID, c.UID)
+					}
+				}
+			}
+		case op < 8: // an eviction cutting somewhere into what was appended
+			cut := time.Unix(1700000000+int64(rng.Intn(appended+1)), 0)
+			if m, d := mem.EvictBefore(cut), disk.EvictBefore(cut); m != d {
+				t.Fatalf("step %d: evicted memory %d, disk %d", step, m, d)
+			}
+		default: // a suffix query at, between or past retained sequences
+			s := uint64(rng.Int63n(int64(seq) + 3))
+			all := since(mem, 0)
+			var want []seqConn
+			for _, sc := range all {
+				if sc.Seq >= s {
+					want = append(want, sc)
+				}
+			}
+			for name, w := range wins {
+				if got := since(w, s); !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: %s Since(%d) returned %d records, want %d (or contents differ)",
+						step, name, s, len(got), len(want))
+				}
 			}
 		}
-		evicted := st.EvictBefore(time.Unix(1700000000+nConns/4, 0))
-		since, seqs := st.ConnsSince(mark)
-		v := &view{
-			snap:    st.Snapshot(),
-			since:   since,
-			seqs:    seqs,
-			count:   st.ConnCount(),
-			evicted: evicted,
+		if m, d := mem.ConnCount(), disk.ConnCount(); m != d {
+			t.Fatalf("step %d: counts differ: memory %d, disk %d", step, m, d)
 		}
-		views[name] = v
 	}
-	m, d := views["memory"], views["disk"]
-	if m.count != d.count {
-		t.Fatalf("counts differ: memory %d, disk %d", m.count, d.count)
+	if disk.Stats().ColdConns.Load() == 0 || mem.ConnCount() == 0 {
+		t.Fatal("scenario ended without a populated cold tier")
 	}
-	if m.evicted != d.evicted {
-		t.Fatalf("evicted differ: memory %d, disk %d", m.evicted, d.evicted)
+	mConns, mSeqs := mem.Snapshot()
+	dConns, dSeqs := disk.Snapshot()
+	if !reflect.DeepEqual(mConns, dConns) || !reflect.DeepEqual(mSeqs, dSeqs) {
+		t.Fatal("snapshots differ between memory and disk")
 	}
-	if !reflect.DeepEqual(m.since, d.since) || !reflect.DeepEqual(m.seqs, d.seqs) {
-		t.Fatal("ConnsSince results differ between memory and disk")
+	all := since(disk, 0)
+	if len(all) != len(mConns) {
+		t.Fatalf("full iteration visited %d records, snapshot has %d", len(all), len(mConns))
 	}
-	if !reflect.DeepEqual(m.snap.Conns, d.snap.Conns) || !reflect.DeepEqual(m.snap.Seqs, d.snap.Seqs) {
-		t.Fatal("snapshot connection streams differ between memory and disk")
+	for i, sc := range all {
+		if sc.Seq != mSeqs[i] || !reflect.DeepEqual(sc.Conn, mConns[i]) {
+			t.Fatalf("iteration and snapshot disagree at %d", i)
+		}
+		if i > 0 && sc.Seq <= all[i-1].Seq {
+			t.Fatalf("iteration out of append order at %d", i)
+		}
+	}
+	if mem.Tiered() || !disk.Tiered() {
+		t.Fatalf("Tiered: memory %v, disk %v", mem.Tiered(), disk.Tiered())
+	}
+}
+
+// TestAppendRefusesNonIncreasingSequence pins the contract the suffix
+// search depends on: a sequence at or below one already appended —
+// even one since evicted — is a caller bug, not a record.
+func TestAppendRefusesNonIncreasingSequence(t *testing.T) {
+	for name, w := range openBoth(t) {
+		c := testConn(0)
+		w.AppendConn(&c, 7)
+		w.EvictBefore(time.Unix(1700000001, 0))
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: sequence 7 appended twice", name)
+				}
+			}()
+			w.AppendConn(&c, 7)
+		}()
 	}
 }
 
@@ -94,15 +158,14 @@ func TestStoreEquivalence(t *testing.T) {
 // the data size must spill most connections cold, keep every one
 // readable, and count the traffic in Stats.
 func TestDiskSpillsAndFaults(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), 8<<10, false)
+	d, err := Open("disk", t.TempDir(), 8<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	const n = 2000
 	for i := 0; i < n; i++ {
 		c := testConn(i)
-		d.AppendConn(&c, 0)
+		d.AppendConn(&c, uint64(i))
 	}
 	st := d.Stats()
 	if st.ColdConns.Load() == 0 {
@@ -116,9 +179,9 @@ func TestDiskSpillsAndFaults(t *testing.T) {
 	}
 	// The iterator sees every conn in append order, cold ones included.
 	i := 0
-	d.Conns(func(rec *core.ConnRecord, _ uint64) bool {
-		if rec.UID != ids.UID(fmt.Sprintf("C%06d", i)) {
-			t.Fatalf("conn %d out of order: %s", i, rec.UID)
+	d.Since(0, func(rec *core.ConnRecord, seq uint64) bool {
+		if rec.UID != ids.UID(fmt.Sprintf("C%06d", i)) || seq != uint64(i) {
+			t.Fatalf("conn %d out of order: %s under sequence %d", i, rec.UID, seq)
 		}
 		i++
 		return true
@@ -134,15 +197,14 @@ func TestDiskSpillsAndFaults(t *testing.T) {
 // TestDiskEvictAcrossTiers evicts a cutoff landing inside the cold tier
 // and checks counts and survivors on both tiers.
 func TestDiskEvictAcrossTiers(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), 4<<10, false)
+	d, err := Open("disk", t.TempDir(), 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	const n = 1500
 	for i := 0; i < n; i++ {
 		c := testConn(i)
-		d.AppendConn(&c, 0)
+		d.AppendConn(&c, uint64(i))
 	}
 	if d.Stats().ColdConns.Load() == 0 {
 		t.Fatal("scenario needs a populated cold tier")
@@ -155,7 +217,7 @@ func TestDiskEvictAcrossTiers(t *testing.T) {
 	if got := d.ConnCount(); got != n-n/3 {
 		t.Fatalf("ConnCount = %d, want %d", got, n-n/3)
 	}
-	d.Conns(func(rec *core.ConnRecord, _ uint64) bool {
+	d.Since(0, func(rec *core.ConnRecord, _ uint64) bool {
 		if rec.TS.Before(cut) {
 			t.Fatalf("evicted conn %s still visible", rec.UID)
 		}
@@ -220,27 +282,27 @@ func TestFrameCodecTorn(t *testing.T) {
 }
 
 // TestConnsSinceAfterEviction pins the mark semantics: eviction may
-// consume part of the suffix a mark addresses; ConnsSince returns only
-// the survivors, in order.
+// consume part of the suffix a mark addresses; Since returns only the
+// survivors, in order.
 func TestConnsSinceAfterEviction(t *testing.T) {
-	for name, st := range openBoth(t, false) {
+	for name, w := range openBoth(t) {
 		for i := 0; i < 100; i++ {
 			r := testConn(i)
-			st.AppendConn(&r, 0)
+			w.AppendConn(&r, uint64(2*i))
 		}
-		mark := st.NextSlot()
+		mark := uint64(2 * 100) // one past everything appended so far
 		for i := 100; i < 200; i++ {
 			r := testConn(i)
-			st.AppendConn(&r, 0)
+			w.AppendConn(&r, uint64(2*i+1))
 		}
 		// Cutoff lands inside the post-mark range.
-		st.EvictBefore(time.Unix(1700000000+150, 0))
-		got, _ := st.ConnsSince(mark)
+		w.EvictBefore(time.Unix(1700000000+150, 0))
+		got := since(w, mark)
 		if len(got) != 50 {
-			t.Fatalf("%s: ConnsSince after eviction returned %d conns, want 50", name, len(got))
+			t.Fatalf("%s: Since after eviction returned %d conns, want 50", name, len(got))
 		}
-		if got[0].UID != ids.UID(fmt.Sprintf("C%06d", 150)) {
-			t.Fatalf("%s: first survivor is %s, want C%06d", name, got[0].UID, 150)
+		if got[0].Conn.UID != ids.UID(fmt.Sprintf("C%06d", 150)) {
+			t.Fatalf("%s: first survivor is %s, want C%06d", name, got[0].Conn.UID, 150)
 		}
 	}
 }

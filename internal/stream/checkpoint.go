@@ -32,7 +32,7 @@ import (
 //   - Incremental (the default for fresh paths): a directory of
 //     CRC-framed segment files plus a MANIFEST. Each WriteCheckpoint
 //     appends one segment carrying only the delta since the previous
-//     commit — connections appended since the last committed slot mark,
+//     commit — connections appended since the last committed sequence mark,
 //     certificates admitted since then, the latest eviction cutoff, the
 //     cumulative detector state, and the counters — and then rewrites
 //     the MANIFEST through the atomicfile protocol, which is the single
@@ -104,7 +104,8 @@ type segCerts struct {
 }
 
 // segConns is one retained-connection batch in append order; Seqs
-// aligns global ingest sequences when tracked (nil otherwise).
+// aligns ingest sequences when the writer's were read outside its
+// process (a shard or an exporting sensor; nil otherwise).
 type segConns struct {
 	Conns []core.ConnRecord
 	Seqs  []uint64
@@ -145,10 +146,10 @@ type checkpointState struct {
 	Roster       []*certmodel.CertInfo
 	Conns        []core.ConnRecord
 	Interception *interception.StreamState
-	// Seqs are the retained connections' global ingest sequences when the
-	// engine tracks sequences — as a shard of a sharded deployment or
-	// under TrackExport (nil otherwise; gob tolerates the absent field in
-	// old checkpoints).
+	// Seqs are the retained connections' ingest sequences when the writer
+	// was a shard of a sharded deployment or ran under TrackExport (nil
+	// otherwise — restore then numbers the records in replay order; gob
+	// tolerates the absent field in old checkpoints).
 	Seqs []uint64
 	// Export-cursor state (TrackExport engines): the numbering epoch, the
 	// next sequence, and each roster fingerprint's admission sequence.
@@ -175,12 +176,15 @@ func (e *Engine) WriteCheckpoint(path string, cursor map[string]int64) error {
 }
 
 // snapshotLegacyLocked assembles the legacy checkpoint state under mu.
-// The record slices come from the store snapshot: safe to encode after
-// mu is released because the store never mutates handed-out state
+// The record slices come from the window snapshot: safe to encode after
+// mu is released because the window never mutates handed-out state
 // (appends land beyond the captured length, eviction swaps in fresh
 // arrays), so encoding sees exactly the captured prefix.
 func (e *Engine) snapshotLegacyLocked(cursor map[string]int64) *checkpointState {
-	snap := e.st.Snapshot()
+	conns, seqs := e.st.Snapshot()
+	if !e.seqTracked() {
+		seqs = nil
+	}
 	st := &checkpointState{
 		Version:       checkpointVersion,
 		Cursor:        cursor,
@@ -190,13 +194,12 @@ func (e *Engine) snapshotLegacyLocked(cursor map[string]int64) *checkpointState 
 		Rebuilds:      e.rebuilds,
 		Watermark:     e.watermark,
 		Roster:        e.rosterLocked(),
-		Conns:         snap.Conns,
-		Seqs:          snap.Seqs,
+		Conns:         conns,
+		Seqs:          seqs,
 		Interception:  e.icpt.Snapshot(),
-		Epoch:         e.epoch,
-		NextSeq:       e.nextSeq,
 	}
 	if e.cfg.TrackExport {
+		st.Epoch, st.NextSeq = e.epoch, e.nextSeq
 		st.CertSeqs = make(map[ids.Fingerprint]uint64, len(e.certSeqs))
 		for fp, seq := range e.certSeqs {
 			st.CertSeqs[fp] = seq
@@ -399,17 +402,23 @@ func (e *Engine) writeIncremental(dir string, cursor map[string]int64) error {
 	var seqs []uint64
 	var certs []*certmodel.CertInfo
 	if full {
-		snap := e.st.Snapshot()
-		certs, conns, seqs = e.rosterLocked(), snap.Conns, snap.Seqs
+		certs = e.rosterLocked()
+		conns, seqs = e.st.Snapshot()
 	} else {
-		conns, seqs = e.st.ConnsSince(e.ckptMark)
+		e.st.Since(e.ckptMark, func(rec *core.ConnRecord, seq uint64) bool {
+			conns, seqs = append(conns, *rec), append(seqs, seq)
+			return true
+		})
 		certs = make([]*certmodel.CertInfo, 0, len(e.ckptNewCerts))
 		for _, fp := range e.ckptNewCerts {
 			certs = append(certs, e.roster[fp])
 		}
 	}
+	if !e.seqTracked() {
+		seqs = nil
+	}
 	nCerts := len(e.ckptNewCerts)
-	newMark := e.st.NextSlot()
+	newMark := e.nextSeq
 	st := &segState{
 		ConnsIngested: e.connsIngested,
 		CertsIngested: e.certsIngested,
@@ -417,8 +426,6 @@ func (e *Engine) writeIncremental(dir string, cursor map[string]int64) error {
 		Rebuilds:      e.rebuilds,
 		Watermark:     e.watermark,
 		EvictCutoff:   e.ckptCutoff,
-		Epoch:         e.epoch,
-		NextSeq:       e.nextSeq,
 		Interception:  e.icpt.Snapshot(),
 	}
 	var certSeqs []uint64
@@ -428,6 +435,7 @@ func (e *Engine) writeIncremental(dir string, cursor map[string]int64) error {
 		sort.Slice(certs, func(i, j int) bool { return certs[i].Fingerprint < certs[j].Fingerprint })
 	}
 	if e.cfg.TrackExport {
+		st.Epoch, st.NextSeq = e.epoch, e.nextSeq
 		certSeqs = make([]uint64, len(certs))
 		for i, c := range certs {
 			certSeqs[i] = e.certSeqs[c.Fingerprint]
@@ -713,11 +721,10 @@ func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
 	}
 	seqs := st.Seqs
 	if cfg.TrackExport {
-		if st.Epoch != 0 && len(st.Seqs) == len(st.Conns) {
+		if st.Epoch != 0 {
 			// The checkpoint carries export state: resume the numbering so
 			// cursors taken before the restart keep working.
 			e.epoch = st.Epoch
-			e.nextSeq = st.NextSeq
 			for fp, seq := range st.CertSeqs {
 				e.certSeqs[fp] = seq
 			}
@@ -725,37 +732,58 @@ func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
 			// Pre-export checkpoint: renumber everything under the fresh
 			// epoch New assigned, so exports are internally consistent and
 			// cursors against the old process are refused as stale.
-			seqs = make([]uint64, 0, len(st.Conns))
+			seqs = nil
 			for fp := range e.roster {
 				e.certSeqs[fp] = e.nextSeq
 				e.nextSeq++
 			}
-			for range st.Conns {
-				seqs = append(seqs, e.nextSeq)
-				e.nextSeq++
+		}
+	}
+	err = e.restoreConnsLocked(st.Conns, seqs)
+	if err == nil {
+		e.nextSeq = max(e.nextSeq, st.NextSeq)
+		e.finishRestoreLocked(st.Interception)
+	}
+	e.mu.Unlock()
+	if err != nil {
+		e.Close()
+		return nil, nil, fmt.Errorf("stream: restore %s: %w", path, err)
+	}
+	return e, st.Cursor, nil
+}
+
+// restoreConnsLocked appends one restored batch to the window. Without
+// a sequence column (a plain engine wrote the checkpoint, or the restore
+// renumbers) the records are numbered in replay order from the engine's
+// counter; a column must align with the records and keep the window
+// strictly increasing — anything else is a damaged checkpoint, refused
+// rather than replayed out of order. Either way the counter ends past
+// everything restored.
+func (e *Engine) restoreConnsLocked(conns []core.ConnRecord, seqs []uint64) error {
+	if seqs != nil && len(seqs) != len(conns) {
+		return fmt.Errorf("%w: %d sequences for %d connections", store.ErrCorrupt, len(seqs), len(conns))
+	}
+	for i := range conns {
+		seq := e.nextSeq
+		if seqs != nil {
+			if seq = seqs[i]; seq < e.nextSeq {
+				return fmt.Errorf("%w: connection sequence %d does not follow %d", store.ErrCorrupt, seq, e.nextSeq-1)
 			}
 		}
+		e.st.AppendConn(&conns[i], seq)
+		e.nextSeq = seq + 1
 	}
-	for i := range st.Conns {
-		var seq uint64
-		if i < len(seqs) {
-			seq = seqs[i]
-		}
-		e.st.AppendConn(&st.Conns[i], seq)
-	}
-	e.finishRestoreLocked(st.Interception)
-	e.mu.Unlock()
-	return e, st.Cursor, nil
+	return nil
 }
 
 // finishRestoreLocked completes any restore: detector state, lazily
 // rebuilt derived state, and checkpoint bookkeeping (everything in the
-// store is covered by what was just read, so the next delta starts at
-// the current slot mark with no pending certificates).
+// window is covered by what was just read, so the next delta starts at
+// the current sequence mark with no pending certificates).
 func (e *Engine) finishRestoreLocked(icpt *interception.StreamState) {
 	e.icpt = e.det.RestoreStream(e.lookupCert, icpt)
 	e.dirty = true // derived state does not exist yet; rebuild on demand
-	e.ckptMark = e.st.NextSlot()
+	e.ckptMark = e.nextSeq
 	e.ckptNewCerts = nil
 	e.stateVer.Add(1)
 	e.lastCkpt = time.Now()
@@ -803,7 +831,7 @@ func restoreDir(cfg Config, dir string) (*Engine, map[string]int64, error) {
 		}
 		if cfg.TrackExport && !renumber {
 			e.epoch = last.Epoch
-			e.nextSeq = last.NextSeq
+			e.nextSeq = max(e.nextSeq, last.NextSeq)
 		}
 		e.finishRestoreLocked(last.Interception)
 	}
@@ -819,7 +847,7 @@ func restoreDir(cfg Config, dir string) (*Engine, map[string]int64, error) {
 	return e, man.Cursor, nil
 }
 
-// replaySegmentLocked streams one segment into the store. first+renumber
+// replaySegmentLocked streams one segment into the window. first+renumber
 // handle the export-numbering decision: a checkpoint written without
 // export state (epoch 0) restored into a TrackExport engine renumbers
 // records in replay order under the fresh epoch New assigned.
@@ -896,16 +924,11 @@ func (e *Engine) replaySegmentLocked(path string, wantBytes int64, first bool, r
 			if err := dec.Decode(&batch); err != nil {
 				return nil, fmt.Errorf("%w: conns frame: %v", store.ErrCorrupt, err)
 			}
-			for i := range batch.Conns {
-				var seq uint64
-				switch {
-				case *renumber:
-					seq = e.nextSeq
-					e.nextSeq++
-				case i < len(batch.Seqs):
-					seq = batch.Seqs[i]
-				}
-				e.st.AppendConn(&batch.Conns[i], seq)
+			if *renumber {
+				batch.Seqs = nil
+			}
+			if err := e.restoreConnsLocked(batch.Conns, batch.Seqs); err != nil {
+				return nil, err
 			}
 		default:
 			return nil, fmt.Errorf("%w: unknown frame type %d", store.ErrCorrupt, typ)

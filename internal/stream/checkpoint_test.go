@@ -1,7 +1,11 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +16,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/race"
 	"repro/internal/report"
+	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // ckptSlices cuts a build's connections into k contiguous intervals, so
@@ -486,6 +492,99 @@ func TestTornCheckpointCorpus(t *testing.T) {
 		eng.Close()
 		t.Fatal("restore with a missing segment succeeded")
 	}
+
+	// Damage the framing cannot see: every frame and checksum intact, but
+	// the sequence column runs backwards. Replaying it would hand the
+	// window records out of order, so it is refused as corruption by
+	// plain and exporting engines alike.
+	seg := nonIncreasingSeqSegment(t, in, b)
+	tdir = filepath.Join(base, "seqs-backwards")
+	if err := os.MkdirAll(tdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(tdir, segName), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	backwards := fmt.Sprintf(`{"Version":1,"Gen":1,"NextSeg":2,"Segments":[{"Name":%q,"Bytes":%d}]}`, segName, len(seg))
+	if err := os.WriteFile(filepath.Join(tdir, ckptManifestName), []byte(backwards), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{{Input: in}, {Input: in, TrackExport: true}} {
+		eng, _, err := Restore(cfg, tdir)
+		if err == nil {
+			eng.Close()
+			t.Fatalf("TrackExport=%v: restore of a backwards sequence column succeeded", cfg.TrackExport)
+		}
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Fatalf("TrackExport=%v: backwards sequence column: err = %v, want store.ErrCorrupt", cfg.TrackExport, err)
+		}
+	}
+}
+
+// nonIncreasingSeqSegment returns a base segment that is intact in every
+// frame and checksum but whose sequence column runs backwards: an
+// exporting engine's checkpoint with the first two stamps of its first
+// connection frame swapped.
+func nonIncreasingSeqSegment(t testing.TB, in *core.Input, b *workload.Build) []byte {
+	t.Helper()
+	e, err := New(Config{Input: in, TrackExport: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range b.Raw.Certs {
+		e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+	}
+	for i := range b.Raw.Conns {
+		e.IngestConn(&b.Raw.Conns[i])
+	}
+	e.Drain()
+	dir := filepath.Join(t.TempDir(), "seqs")
+	if err := e.WriteCheckpoint(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	man, err := readCkptManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, man.Segments[0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out bytes.Buffer
+	swapped := false
+	for {
+		typ, body, err := store.ReadFrame(f)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ == segFrameConns && !swapped {
+			var batch segConns
+			if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&batch); err != nil {
+				t.Fatal(err)
+			}
+			if len(batch.Seqs) != len(batch.Conns) || len(batch.Seqs) < 2 {
+				t.Fatalf("exporting engine wrote %d sequences for %d connections", len(batch.Seqs), len(batch.Conns))
+			}
+			batch.Seqs[0], batch.Seqs[1] = batch.Seqs[1], batch.Seqs[0]
+			var enc bytes.Buffer
+			if err := gob.NewEncoder(&enc).Encode(&batch); err != nil {
+				t.Fatal(err)
+			}
+			body, swapped = enc.Bytes(), true
+		}
+		if err := store.WriteFrame(&out, typ, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !swapped {
+		t.Fatal("segment has no connection frame")
+	}
+	return out.Bytes()
 }
 
 // TestLegacyStaleTempSwept is the regression for the `.tmp` leak: a
@@ -685,6 +784,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte{})
+	f.Add(nonIncreasingSeqSegment(f, in, b))
 
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := t.TempDir()

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/certmodel"
@@ -83,5 +85,62 @@ func TestShardedHotBytesIsDeploymentBudget(t *testing.T) {
 	}
 	if hot > budget+shards*recordSlack {
 		t.Fatalf("shards hold %d hot bytes in total, above the %d-byte deployment budget", hot, budget)
+	}
+}
+
+// TestPlainCheckpointRestoresOntoDiskStore covers the restore the
+// sequence column's absence used to hide: a plain engine writes no
+// column, so a disk-store restore numbers the records in replay order.
+// Were they all left at zero, the cold index could not tell a frame's
+// records apart. Under a starved budget every one of the reports must
+// equal the memory-store restore of the same checkpoint.
+func TestPlainCheckpointRestoresOntoDiskStore(t *testing.T) {
+	b := genBuild(7, 1200)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	e := newEngine(t, in, nil)
+	feed(t, e, b)
+	e.Drain()
+	for _, legacy := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "ckpt")
+		var err error
+		if legacy {
+			err = e.writeLegacyCheckpoint(path, nil)
+		} else {
+			err = e.WriteCheckpoint(path, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem, _, err := Restore(Config{Input: in}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(mem.Close)
+		disk, _, err := Restore(Config{Input: in, Store: "disk", StoreDir: t.TempDir(), HotBytes: 16 << 10}, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(disk.Close)
+		if st := disk.st.Stats(); st.ColdConns.Load() == 0 || disk.st.ConnCount() != len(b.Raw.Conns) {
+			t.Fatalf("legacy=%v: disk restore holds %d conns (%d cold) of %d", legacy, disk.st.ConnCount(), st.ColdConns.Load(), len(b.Raw.Conns))
+		}
+		names := ReportNames()
+		if len(names) != 23 {
+			t.Fatalf("%d reports registered, want 23", len(names))
+		}
+		for _, name := range names {
+			want, err := mem.Report(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := disk.Report(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("legacy=%v: report %s differs between the disk-store and memory-store restores", legacy, name)
+			}
+		}
 	}
 }

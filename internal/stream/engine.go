@@ -94,15 +94,14 @@ type Config struct {
 	// into a private registry so call sites stay unconditional.
 	Metrics *metrics.Registry
 
-	// Store selects where the retained connection window lives: "" or
-	// "memory" keeps it in RAM (the default, byte-identical to the
-	// historical engine), "disk" tiers it — a hot tail in RAM under
-	// HotBytes, the older remainder spilled to a segment file under
-	// StoreDir — so the window can exceed RAM. The certificate roster is
-	// resident either way. A tiered engine trades materialization cost
-	// for bounded ingest RSS: every report rebuilds derived state from
-	// the store (the in-memory incremental path would pin records the
-	// store wants to spill).
+	// Store selects where the retained connection window (a store.Window)
+	// lives: "" or "memory" keeps it in RAM (the default), "disk" gives it
+	// a cold tier — a hot tail in RAM under HotBytes, the older remainder
+	// spilled to a segment file under StoreDir — so the window can exceed
+	// RAM. The certificate roster is resident either way. A tiered engine
+	// trades materialization cost for bounded ingest RSS: every report
+	// rebuilds derived state from the window (the in-memory incremental
+	// path would pin records the window wants to spill).
 	Store string
 	// StoreDir is the disk store's scratch directory (required when
 	// Store is "disk"; recreated on start — durability is the
@@ -113,19 +112,19 @@ type Config struct {
 	// is the deployment's budget, split evenly across the shards.
 	HotBytes int64
 
-	// TrackExport makes the engine assign a global ingest sequence to
-	// every applied connection and first-observed certificate, enabling
-	// Export — the cursor-addressable snapshot a sensor serves to an
-	// aggregator. Sequences live in one number space (certificates and
-	// connections interleave), so a single cursor covers both. Off by
-	// default: the bookkeeping is one map insert per unique certificate
-	// and one counter increment per connection.
+	// TrackExport enables Export — the cursor-addressable snapshot a
+	// sensor serves to an aggregator. Every engine stamps the connections
+	// it applies with an ingest sequence; under TrackExport first-observed
+	// certificates draw from the same number space (so a single cursor
+	// covers both), the numbering is scoped by an epoch, and checkpoints
+	// carry it so cursors survive a restart. Off by default: the
+	// bookkeeping is one map insert per unique certificate.
 	TrackExport bool
 
-	// trackSeqs makes the engine record each connection's global ingest
-	// sequence alongside the retained record, so a sharded deployment can
-	// k-way merge shard-local streams back into the single-stream order.
-	// Set by NewSharded; sequences arrive in the router's batches.
+	// trackSeqs makes the engine stamp connections with the sequences
+	// arriving in the router's batches instead of its own counter, so a
+	// sharded deployment can k-way merge shard-local streams back into
+	// the single-stream order. Set by NewSharded.
 	trackSeqs bool
 	// metricLabels are alternating key/value pairs appended to every
 	// stream_* series this engine registers (e.g. "shard", "3"), so the
@@ -189,21 +188,23 @@ type Engine struct {
 
 	// Raw state — ground truth, never invalidated: the certificate roster
 	// (first observation wins; cumulative, resident, pointers stable for
-	// the engine's lifetime) and, in the store, the retained connection
-	// window (with aligned ingest sequences when the engine tracks them).
-	// tiered caches st.Tiered(): when set, derived state is never
-	// maintained incrementally (the builder would pin records the store
-	// spills) and every materialization rebuilds from the store.
+	// the engine's lifetime) and the retained connection window, every
+	// record under its ingest sequence. tiered caches st.Tiered(): when
+	// set, derived state is never maintained incrementally (the builder
+	// would pin records the window spills) and every materialization
+	// rebuilds from the window.
 	roster map[ids.Fingerprint]*certmodel.CertInfo
-	st     store.Store
+	st     *store.Window
 	tiered bool
 	icpt   *interception.Stream
 
-	// Export-cursor state, meaningful only under cfg.TrackExport: the
-	// next sequence to assign, the per-fingerprint admission sequence,
-	// and the epoch that scopes cursors to this sequence numbering (a
-	// fresh engine gets a fresh epoch, so a cursor taken against a
-	// predecessor is detectably stale rather than silently wrong).
+	// nextSeq is one past every sequence stamped so far: the engine's own
+	// counter, or trailing the router's stamps on a shard. The rest is
+	// export-cursor state, meaningful only under cfg.TrackExport: the
+	// per-fingerprint admission sequence, and the epoch that scopes
+	// cursors to this sequence numbering (a fresh engine gets a fresh
+	// epoch, so a cursor taken against a predecessor is detectably stale
+	// rather than silently wrong).
 	nextSeq  uint64
 	certSeqs map[ids.Fingerprint]uint64
 	epoch    uint64
@@ -227,7 +228,7 @@ type Engine struct {
 	watermark     time.Time
 	lastCkpt      time.Time
 
-	// Incremental-checkpoint bookkeeping (still under mu): slots below
+	// Incremental-checkpoint bookkeeping (still under mu): sequences below
 	// ckptMark are covered by committed segments; ckptNewCerts lists
 	// roster fingerprints admitted since the last commit (append-only —
 	// a commit truncates the prefix it serialized); ckptCutoff is the
@@ -259,7 +260,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.EvictEvery <= 0 {
 		cfg.EvictEvery = 1024
 	}
-	st, err := store.Open(cfg.Store, cfg.StoreDir, cfg.HotBytes, cfg.trackSeqs || cfg.TrackExport)
+	st, err := store.Open(cfg.Store, cfg.StoreDir, cfg.HotBytes)
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
@@ -312,8 +313,10 @@ func (e *Engine) rosterLocked() []*certmodel.CertInfo {
 	return certs
 }
 
-// seqTracked reports whether the retained connections carry aligned
-// sequence stamps (router-assigned or self-assigned for export).
+// seqTracked reports whether anyone outside this process reads the
+// connection sequences — a router merging shards, an aggregator holding
+// a cursor. Only then do checkpoints carry the sequence column; a plain
+// engine's numbers are renumbered in replay order on restore.
 func (e *Engine) seqTracked() bool { return e.cfg.trackSeqs || e.cfg.TrackExport }
 
 // resetBuilderLocked replaces the derived state with an empty Builder.
@@ -489,10 +492,10 @@ func (e *Engine) applyConnLocked(rec *core.ConnRecord, seq uint64) {
 	if rec.TS.After(e.watermark) {
 		e.watermark = rec.TS
 	}
-	if e.cfg.TrackExport {
+	if !e.cfg.trackSeqs {
 		seq = e.nextSeq
-		e.nextSeq++
 	}
+	e.nextSeq = seq + 1
 	stored := e.st.AppendConn(rec, seq)
 
 	e.icpt.Observe(stored)
@@ -551,7 +554,7 @@ func (e *Engine) evictLocked() {
 
 // rebuildLocked reconstructs the derived state from the retained raw
 // records under the current exclusion set — the same code path as
-// incremental ingestion, replayed. On a tiered store this streams the
+// incremental ingestion, replayed. On a tiered window this streams the
 // cold records up from disk; the Builder's enriched views hold the
 // decoded copies until the next reset.
 func (e *Engine) rebuildLocked() {
@@ -562,7 +565,7 @@ func (e *Engine) rebuildLocked() {
 			e.b.AddCert(c)
 		}
 	}
-	e.st.Conns(func(rec *core.ConnRecord, _ uint64) bool {
+	e.st.Since(0, func(rec *core.ConnRecord, _ uint64) bool {
 		if sl := rec.ServerLeaf(); sl != "" && e.icpt.Excluded(sl) {
 			return true
 		}

@@ -112,14 +112,18 @@ func (e *Engine) Export(since, epoch uint64) (*ExportState, error) {
 			st.Certs = append(st.Certs, ExportCert{Seq: seq, Cert: c})
 		}
 	}
-	e.st.Conns(func(rec *core.ConnRecord, seq uint64) bool {
-		if seq >= since {
-			st.Conns = append(st.Conns, ExportConn{Seq: seq, Conn: *rec})
-		}
-		return true
-	})
+	e.exportConnsLocked(st)
 	sortExport(st)
 	return st, nil
+}
+
+// exportConnsLocked appends the retained connections at or after
+// st.Since — a suffix of the window, so a delta costs O(delta).
+func (e *Engine) exportConnsLocked(st *ExportState) {
+	e.st.Since(st.Since, func(rec *core.ConnRecord, seq uint64) bool {
+		st.Conns = append(st.Conns, ExportConn{Seq: seq, Conn: *rec})
+		return true
+	})
 }
 
 // Export snapshots the sharded deployment as one state: the router lock
@@ -161,12 +165,7 @@ func (s *Sharded) Export(since, epoch uint64) (*ExportState, error) {
 		if e.watermark.After(st.Watermark) {
 			st.Watermark = e.watermark
 		}
-		e.st.Conns(func(rec *core.ConnRecord, seq uint64) bool {
-			if seq >= since {
-				st.Conns = append(st.Conns, ExportConn{Seq: seq, Conn: *rec})
-			}
-			return true
-		})
+		e.exportConnsLocked(st)
 		im.Absorb(e.icpt)
 		e.mu.Unlock()
 	}

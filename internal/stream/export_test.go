@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/certmodel"
 	"repro/internal/core"
@@ -183,6 +184,92 @@ func TestExportDelta(t *testing.T) {
 		empty := mustExport(t, s, delta.NextSeq, delta.Epoch)
 		if len(empty.Certs) != 0 || len(empty.Conns) != 0 {
 			t.Errorf("shards=%d: steady-state delta not empty", n)
+		}
+	}
+}
+
+// TestExportSinceIsSuffixOfFull: a delta export is exactly the full
+// export filtered to its cursor — on either store, at one shard (the
+// plain engine under TrackExport) and at two, for cursors before, inside
+// and past the retained window, including one taken before retention
+// evicted the records on both sides of it.
+func TestExportSinceIsSuffixOfFull(t *testing.T) {
+	b := genBuild(7, 800)
+	certs := certList(b)
+	// Timestamp order, so the watermark advances and the early records
+	// age out of a window a third of the stream long.
+	conns := append([]core.ConnRecord(nil), b.Raw.Conns...)
+	sort.SliceStable(conns, func(i, j int) bool { return conns[i].TS.Before(conns[j].TS) })
+	feedRound := func(g ingester, cs []*certmodel.CertInfo, recs []core.ConnRecord) {
+		t.Helper()
+		for _, c := range cs {
+			if !g.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c}) {
+				t.Fatal("cert event rejected")
+			}
+		}
+		for i := range recs {
+			if !g.IngestConn(&recs[i]) {
+				t.Fatal("conn event rejected")
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		n    int
+		disk bool
+	}{{1, false}, {1, true}, {2, false}, {2, true}} {
+		in := inputFromBuild(b)
+		in.Raw = nil
+		s := newSharded(t, tc.n, in, func(c *Config) {
+			c.TrackExport = true
+			c.Retention = 200 * 24 * time.Hour
+			c.EvictEvery = 16
+			if tc.disk {
+				c.Store, c.StoreDir, c.HotBytes = "disk", t.TempDir(), 64<<10
+			}
+		})
+		third := len(conns) / 3
+		feedRound(s, certs[:len(certs)/2], conns[:third])
+		s.Drain()
+		early := mustExport(t, s, 0, 0)
+		feedRound(s, certs[len(certs)/2:], conns[third:])
+		s.Drain()
+		full := mustExport(t, s, 0, 0)
+
+		if st := s.Stats(); st.Evicted == 0 || len(full.Conns) != st.Retained {
+			t.Fatalf("%+v: evicted %d, export carries %d of %d retained", tc, st.Evicted, len(full.Conns), st.Retained)
+		}
+		if full.Conns[0].Seq <= early.NextSeq {
+			t.Fatalf("%+v: eviction never reached the early cursor", tc)
+		}
+		if tc.disk {
+			var cold int64
+			for _, e := range s.shards {
+				cold += e.st.Stats().ColdConns.Load()
+			}
+			if cold == 0 {
+				t.Fatalf("%+v: hot budget did not force any spill", tc)
+			}
+		}
+		mid := full.Conns[len(full.Conns)/2].Seq
+		for _, since := range []uint64{1, early.NextSeq, mid, mid + 1, full.NextSeq} {
+			got := mustExport(t, s, since, full.Epoch)
+			var wantConns []ExportConn
+			for _, ec := range full.Conns {
+				if ec.Seq >= since {
+					wantConns = append(wantConns, ec)
+				}
+			}
+			var wantCerts []ExportCert
+			for _, ec := range full.Certs {
+				if ec.Seq >= since {
+					wantCerts = append(wantCerts, ec)
+				}
+			}
+			if !reflect.DeepEqual(got.Conns, wantConns) || !reflect.DeepEqual(got.Certs, wantCerts) {
+				t.Errorf("%+v: Export(%d) carries %d conns / %d certs, full export filtered to it %d / %d (or contents differ)",
+					tc, since, len(got.Conns), len(got.Certs), len(wantConns), len(wantCerts))
+			}
 		}
 	}
 }

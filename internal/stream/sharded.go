@@ -298,8 +298,8 @@ func (s *Sharded) capture() core.MergeCapture {
 	for i, e := range s.shards {
 		e.mu.Lock()
 		c.Versions[i] = e.stateVer.Load()
-		snap := e.st.Snapshot()
-		c.Shards[i] = core.ShardState{Certs: e.rosterLocked(), Conns: snap.Conns, Seqs: snap.Seqs}
+		conns, seqs := e.st.Snapshot()
+		c.Shards[i] = core.ShardState{Certs: e.rosterLocked(), Conns: conns, Seqs: seqs}
 		c.RawConns += e.connsIngested
 		c.Evidence.Absorb(e.icpt)
 		e.mu.Unlock()
@@ -597,7 +597,7 @@ func (s *Sharded) rebuildRendezvous() {
 		// is released: a channel send can block on a full buffer, and the
 		// apply goroutine needs the same lock to make room.
 		e.mu.Lock()
-		e.st.Conns(func(rec *core.ConnRecord, _ uint64) bool {
+		e.st.Since(0, func(rec *core.ConnRecord, _ uint64) bool {
 			for _, fp := range [2]ids.Fingerprint{rec.ServerLeaf(), rec.ClientLeaf()} {
 				if fp == "" {
 					continue

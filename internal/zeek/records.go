@@ -12,7 +12,6 @@
 package zeek
 
 import (
-	"strings"
 	"time"
 
 	"repro/internal/certmodel"
@@ -115,28 +114,4 @@ func (d *Dataset) Merge(other *Dataset) {
 	for _, c := range other.Certs {
 		d.AddCert(c)
 	}
-}
-
-// joinKey renders chain fingerprints for the TSV cert_chain_fps column.
-func joinFPs(fps []ids.Fingerprint) string {
-	if len(fps) == 0 {
-		return setEmpty
-	}
-	parts := make([]string, len(fps))
-	for i, fp := range fps {
-		parts[i] = string(fp)
-	}
-	return strings.Join(parts, ",")
-}
-
-func splitFPs(s string) []ids.Fingerprint {
-	if s == setEmpty || s == unsetField || s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]ids.Fingerprint, len(parts))
-	for i, p := range parts {
-		out[i] = ids.Fingerprint(p)
-	}
-	return out
 }
