@@ -16,16 +16,21 @@ package mtls
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"repro/internal/certmodel"
 	"repro/internal/core"
+	"repro/internal/distrib"
 	"repro/internal/ids"
 	"repro/internal/infotype"
 	"repro/internal/psl"
 	"repro/internal/stats"
+	"repro/internal/stream"
 	"repro/internal/tlswire"
 	"repro/internal/zeek"
 )
@@ -667,5 +672,95 @@ func BenchmarkExperimentsCompare(b *testing.B) {
 		if len(Experiments(a, "bench")) == 0 {
 			b.Fatal("empty experiments")
 		}
+	}
+}
+
+// --- O(1) stats ------------------------------------------------------------
+//
+// /api/v1/stats is probed every few milliseconds, so Sharded.Stats and
+// Aggregator.Stats must not follow the evidence or roster size: both read
+// the §3.2 counts off a long-lived evidence union. Each benchmark runs at
+// two dataset sizes ~10× apart; ns/op and allocs/op should be flat across
+// them (a per-call rebuild of the union grows with both).
+
+// statsBenchScales are campus scales (larger = smaller dataset).
+var statsBenchScales = []int{12000, 300}
+
+// statsBenchInput generates the campus workload at scale: the analysis
+// context plus the events to feed, certificates first.
+func statsBenchInput(scale int) (*core.Input, []core.CertRecord, []core.ConnRecord) {
+	cfg := DefaultConfig()
+	cfg.CertScale = scale
+	build := GenerateConfig(cfg)
+	in := InputFromBuild(build)
+	in.Raw = nil
+	certs := make([]core.CertRecord, 0, len(build.Raw.Certs))
+	for _, c := range build.Raw.Certs {
+		certs = append(certs, core.CertRecord{TS: c.NotBefore, Cert: c})
+	}
+	return in, certs, build.Raw.Conns
+}
+
+// BenchmarkShardedStats times Stats on a drained two-shard deployment.
+func BenchmarkShardedStats(b *testing.B) {
+	for _, scale := range statsBenchScales {
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			in, certs, conns := statsBenchInput(scale)
+			s, err := stream.NewSharded(2, stream.Config{Input: in})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(s.Close)
+			s.IngestCertBatch(certs)
+			s.IngestConnBatch(conns)
+			s.Drain()
+			st := s.Stats()
+			logOnce(b, "certs=%d excluded=%d issuers=%d", st.UniqueCerts, st.ExcludedCerts, st.InterceptionIssuers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s.Stats().ConnsIngested == 0 {
+					b.Fatal("empty stats")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAggregatorStats times Stats on an aggregator synced with one
+// sensor holding the whole dataset.
+func BenchmarkAggregatorStats(b *testing.B) {
+	for _, scale := range statsBenchScales {
+		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
+			in, certs, conns := statsBenchInput(scale)
+			e, err := stream.New(stream.Config{Input: in, TrackExport: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(e.Close)
+			e.IngestCertBatch(certs)
+			e.IngestConnBatch(conns)
+			e.Drain()
+			mux := http.NewServeMux()
+			mux.HandleFunc("/api/v1/snapshot", distrib.NewSensor(e, nil, nil).Handler())
+			srv := httptest.NewServer(mux)
+			b.Cleanup(srv.Close)
+			a, err := distrib.NewAggregator(distrib.Config{Input: in, Sensors: []string{srv.URL}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := a.SyncAll(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			st := a.Stats()
+			logOnce(b, "certs=%d excluded=%d issuers=%d", st.UniqueCerts, st.ExcludedCerts, st.InterceptionIssuers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if a.Stats().ConnsIngested == 0 {
+					b.Fatal("empty stats")
+				}
+			}
+		})
 	}
 }

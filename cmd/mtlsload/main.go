@@ -435,7 +435,7 @@ func run(o *options) int {
 			"checkpoint_every": o.ckptEvery.String(), "shards": o.shards,
 			"chaos": sortedKeys(modes), "malformed_rows": o.stormRows,
 			"slowdisk_bytes_per_sec": o.throttle,
-			"store": o.store, "hot_bytes": o.hotBytes, "max_rss_bytes": o.maxRSS,
+			"store":                  o.store, "hot_bytes": o.hotBytes, "max_rss_bytes": o.maxRSS,
 		},
 		Totals: totals{
 			Conns: len(conns), Certs: len(certs), MalformedRows: stormTotal(modes, o),

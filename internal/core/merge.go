@@ -89,10 +89,11 @@ type MergeCapture struct {
 	// cache key, read under the same locks as the state so the two
 	// cannot disagree.
 	Versions []uint64
-	// Evidence is the union of the sources' raw §3.2 evidence. The view
-	// recomputes the global verdict from it; per-source verdicts are
+	// Verdict is the global §3.2 verdict over exactly the captured state:
+	// the owner's evidence union, caught up with each source under the
+	// same lock hold as that source's snapshot. Per-source verdicts are
 	// never merged.
-	Evidence *interception.Merge
+	Verdict *interception.Result
 	// RawConns counts connection events ingested across the sources,
 	// before filtering and eviction.
 	RawConns uint64
@@ -151,7 +152,7 @@ func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
 			seen[cert.Fingerprint] = true
 		}
 	}
-	res := c.Evidence.Result()
+	res := c.Verdict
 	v.pre = &PreprocessReport{
 		InterceptionIssuers: res.Issuers,
 		ExcludedCerts:       len(res.ExcludedCerts),

@@ -218,7 +218,7 @@ func TestMergedViewCachesOnVersionVector(t *testing.T) {
 			return MergeCapture{
 				Shards:   shards,
 				Versions: slices.Clone(vers),
-				Evidence: interception.NewMerge(2),
+				Verdict:  interception.NewMerge(2).Result(),
 				RawConns: uint64(len(mergeBuild.Raw.Conns)),
 			}
 		},

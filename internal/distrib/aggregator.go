@@ -116,10 +116,10 @@ type aggMetrics struct {
 
 // Aggregator pulls N sensors and serves their merged analysis: each
 // sensor's accumulated snapshot stream is one shard, replayed through
-// core.MergeShards under a §3.2 verdict recomputed from the union of
-// raw sensor evidence (interception.Merge). An unreachable sensor backs
-// off and the aggregator keeps serving the last-good merge; the
-// staleness is visible per sensor in SensorStatuses and /metrics.
+// core.MergeShards under the §3.2 verdict of the union of raw sensor
+// evidence (interception.Merge). An unreachable sensor backs off and the
+// aggregator keeps serving the last-good merge; the staleness is visible
+// per sensor in SensorStatuses and /metrics.
 type Aggregator struct {
 	cfg    Config
 	logger *slog.Logger
@@ -127,6 +127,13 @@ type Aggregator struct {
 
 	mu      sync.Mutex
 	sensors []*sensorState
+
+	// union is the fleet's §3.2 evidence and seen its distinct roster
+	// fingerprints, both maintained as syncs land (apply) so Stats and
+	// capture read them off instead of re-deriving them from every
+	// sensor. Guarded by mu.
+	union *interception.Merge
+	seen  map[ids.Fingerprint]bool
 
 	// view is the merged materialization, cached on the per-sensor
 	// version vector.
@@ -155,6 +162,8 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 	a := &Aggregator{
 		cfg:    cfg,
 		logger: cfg.Logger,
+		union:  interception.NewMerge(2),
+		seen:   make(map[ids.Fingerprint]bool),
 		m: &aggMetrics{
 			syncs: func(u string) *metrics.Counter {
 				return reg.Counter("distrib_syncs_total", "successful sensor syncs", "sensor", u)
@@ -308,6 +317,7 @@ func (a *Aggregator) syncOnce(ctx context.Context, ss *sensorState) error {
 		ss.cursor, ss.epoch = 0, 0
 		ss.fullResyncs++
 		ss.version++
+		a.rebuildUnionLocked()
 		a.mu.Unlock()
 		a.m.fullResyncs(ss.url).Inc()
 		cursor, epoch = 0, 0
@@ -438,7 +448,7 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 		return fmt.Errorf("distrib: %s cursor moved from %d to %d during the pull", ss.url, cursor, ss.cursor)
 	}
 	if cursor == 0 {
-		ss.certs, ss.win = nil, new(store.Window)
+		ss.certs, ss.win, ss.evidence = nil, new(store.Window), nil
 	}
 	ss.certs = append(ss.certs, snap.Certs...)
 	ss.win.GrowConns(len(snap.Conns))
@@ -452,6 +462,14 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 	if cursor == 0 || len(snap.Certs) > 0 || len(snap.Conns) > 0 {
 		ss.evidence = snap.Evidence
 		ss.version++
+		if cursor == 0 {
+			a.rebuildUnionLocked()
+		} else {
+			for _, ec := range snap.Certs {
+				a.seen[ec.Cert.Fingerprint] = true
+			}
+			a.union.AbsorbEvidence(snap.Evidence)
+		}
 	}
 	ss.epoch = snap.Epoch
 	ss.cursor = snap.NextSeq
@@ -463,6 +481,23 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 	a.m.syncBytes(ss.url).Add(uint64(nbytes))
 	a.evictLocked()
 	return nil
+}
+
+// rebuildUnionLocked re-derives union and seen from what every sensor
+// holds now. A delta only ever adds — certificates to a roster, pairs to
+// a sensor's cumulative evidence — and apply absorbs it in place; a
+// sensor that starts over (a full snapshot, or its state discarded on a
+// stale cursor) may hold less than was absorbed from it, which growth
+// cannot express. Caller holds a.mu.
+func (a *Aggregator) rebuildUnionLocked() {
+	a.union.Reset()
+	clear(a.seen)
+	for _, ss := range a.sensors {
+		for _, ec := range ss.certs {
+			a.seen[ec.Cert.Fingerprint] = true
+		}
+		a.union.AbsorbEvidence(ss.evidence)
+	}
 }
 
 // evictLocked drops accumulated connections that have aged out of their
@@ -516,17 +551,18 @@ func (a *Aggregator) versions() []uint64 {
 }
 
 // capture snapshots every sensor's accumulated state under mu for a
-// merge replay: one shard per sensor, evidence unioned raw. The window
-// headers stay readable after mu is released, as in Sharded.capture:
-// appends land past the captured length and eviction (or a full
-// re-sync) swaps in fresh arrays.
+// merge replay: one shard per sensor, under the union's verdict — current
+// with every sensor, since both change only under mu. The window headers
+// stay readable after mu is released, as in Sharded.capture: appends
+// land past the captured length and eviction (or a full re-sync) swaps
+// in fresh arrays.
 func (a *Aggregator) capture() core.MergeCapture {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	c := core.MergeCapture{
 		Shards:   make([]core.ShardState, len(a.sensors)),
 		Versions: make([]uint64, len(a.sensors)),
-		Evidence: interception.NewMerge(2),
+		Verdict:  a.union.Result(),
 	}
 	for i, ss := range a.sensors {
 		certs := make([]*certmodel.CertInfo, len(ss.certs))
@@ -537,7 +573,6 @@ func (a *Aggregator) capture() core.MergeCapture {
 		c.Shards[i] = core.ShardState{Certs: certs, Conns: conns, Seqs: seqs}
 		c.Versions[i] = ss.version
 		c.RawConns += ss.connsIngested
-		c.Evidence.AbsorbEvidence(ss.evidence)
 	}
 	return c
 }
@@ -564,35 +599,31 @@ func (a *Aggregator) Report(name string) (any, error) {
 
 // Stats maps the aggregated view onto the engine's Stats shape so the
 // daemon's /api/v1/stats surface is uniform across roles: ingest
-// counters sum the sensors' reported totals, the roster numbers come
-// from the accumulated union, and the §3.2 numbers reflect the merged
-// verdict. Evicted counts connections dropped at the aggregator (aged
-// out of their sensor's retention window here), not the sensors' own
-// evictions. Rebuilds counts merges; Dirty means unmerged sensor state.
+// counters sum the sensors' reported totals, and the roster and §3.2
+// numbers are the sizes of sets kept current as syncs land — O(sensors),
+// whatever the roster or evidence size. Evicted counts connections
+// dropped at the aggregator (aged out of their sensor's retention window
+// here), not the sensors' own evictions. Rebuilds counts merges; Dirty
+// means unmerged sensor state.
 func (a *Aggregator) Stats() stream.Stats {
 	a.mu.Lock()
 	var st stream.Stats
-	seen := make(map[ids.Fingerprint]bool)
-	im := interception.NewMerge(2)
 	for _, ss := range a.sensors {
 		st.ConnsIngested += ss.connsIngested
 		st.CertsIngested += ss.certsIngested
 		st.Retained += ss.win.ConnCount()
 		st.Evicted += ss.evicted
-		for _, ec := range ss.certs {
-			seen[ec.Cert.Fingerprint] = true
-		}
 		if ss.watermark.After(st.Watermark) {
 			st.Watermark = ss.watermark
 		}
-		im.AbsorbEvidence(ss.evidence)
+		if ss.evidence != nil {
+			st.PendingCerts += ss.evidence.Pending
+		}
 	}
+	st.UniqueCerts = len(a.seen)
+	st.ExcludedCerts = a.union.ExcludedCount()
+	st.InterceptionIssuers = a.union.ConfirmedCount()
 	a.mu.Unlock()
-	st.UniqueCerts = len(seen)
-	res := im.Result()
-	st.ExcludedCerts = len(res.ExcludedCerts)
-	st.InterceptionIssuers = len(res.Issuers)
-	st.PendingCerts = im.PendingCount()
 	st.Rebuilds, st.Dirty = a.view.Stats()
 	return st
 }

@@ -20,65 +20,7 @@ type Evidence struct {
 // Evidence deep-copies the stream's raw relations. The caller must
 // synchronize access to s (the engine holds its state lock).
 func (s *Stream) Evidence() *Evidence {
-	ev := &Evidence{
-		Observed:     make(map[string]map[ids.Fingerprint]bool, len(s.observed)),
-		Contradicted: make(map[string]map[string]bool, len(s.contradicted)),
-		Pending:      s.PendingCount(),
-	}
-	for k, v := range s.observed {
-		ev.Observed[k] = copyMap(v)
-	}
-	for k, v := range s.contradicted {
-		ev.Contradicted[k] = copyMap(v)
-	}
-	return ev
-}
-
-// AbsorbEvidence unions raw relations into the accumulator, exactly as
-// Absorb does for a live Stream. Evidence from the same source must not
-// be absorbed twice into one Merge (the relations are cumulative, so a
-// re-absorb would be harmless for Observed/Contradicted but would
-// double-count Pending).
-func (m *Merge) AbsorbEvidence(ev *Evidence) {
-	if ev == nil {
-		return
-	}
-	for issuer, fps := range ev.Observed {
-		dst := m.observed[issuer]
-		if dst == nil {
-			dst = make(map[ids.Fingerprint]bool, len(fps))
-			m.observed[issuer] = dst
-		}
-		for fp := range fps {
-			dst[fp] = true
-		}
-	}
-	for issuer, domains := range ev.Contradicted {
-		dst := m.contradicted[issuer]
-		if dst == nil {
-			dst = make(map[string]bool, len(domains))
-			m.contradicted[issuer] = dst
-		}
-		for d := range domains {
-			dst[d] = true
-		}
-	}
-	m.pending += ev.Pending
-}
-
-// Evidence deep-copies the accumulator's own union relations — a sharded
-// sensor exports this so its N shards travel as one evidence set.
-func (m *Merge) Evidence() *Evidence {
-	ev := &Evidence{
-		Observed:     make(map[string]map[ids.Fingerprint]bool, len(m.observed)),
-		Contradicted: make(map[string]map[string]bool, len(m.contradicted)),
-		Pending:      m.pending,
-	}
-	for k, v := range m.observed {
-		ev.Observed[k] = copyMap(v)
-	}
-	for k, v := range m.contradicted {
-		ev.Contradicted[k] = copyMap(v)
-	}
+	ev := s.ev.Evidence()
+	ev.Pending = s.parked
 	return ev
 }

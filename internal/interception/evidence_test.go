@@ -1,9 +1,53 @@
 package interception
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
+
+	"repro/internal/certmodel"
+	"repro/internal/ids"
 )
+
+// rebuildVerdict is the oracle for the incremental Merge, sharing no code
+// with it: union the relations from scratch, confirm issuers
+// contradicted on >= 2 domains, exclude everything they were seen
+// issuing.
+func rebuildVerdict(evs ...*Evidence) *Result {
+	observed := map[string]map[ids.Fingerprint]bool{}
+	contradicted := map[string]map[string]bool{}
+	for _, ev := range evs {
+		for issuer, fps := range ev.Observed {
+			if observed[issuer] == nil {
+				observed[issuer] = map[ids.Fingerprint]bool{}
+			}
+			for fp := range fps {
+				observed[issuer][fp] = true
+			}
+		}
+		for issuer, domains := range ev.Contradicted {
+			if contradicted[issuer] == nil {
+				contradicted[issuer] = map[string]bool{}
+			}
+			for d := range domains {
+				contradicted[issuer][d] = true
+			}
+		}
+	}
+	res := &Result{CandidateCount: len(contradicted), ExcludedCerts: map[ids.Fingerprint]bool{}}
+	for issuer, domains := range contradicted {
+		if len(domains) < 2 {
+			continue
+		}
+		res.Issuers = append(res.Issuers, issuer)
+		for fp := range observed[issuer] {
+			res.ExcludedCerts[fp] = true
+		}
+	}
+	sort.Strings(res.Issuers)
+	return res
+}
 
 // streamOver drains a subset of the scenario dataset (certs first, then
 // the given conn indices) through a fresh Stream.
@@ -30,15 +74,119 @@ func TestAbsorbEvidenceMatchesAbsorb(t *testing.T) {
 	s := streamOver(t)
 
 	direct := NewMerge(2)
-	direct.Absorb(s)
+	direct.Absorb(s, 0)
 	viaEv := NewMerge(2)
 	viaEv.AbsorbEvidence(s.Evidence())
+	viaEv.AbsorbEvidence(s.Evidence()) // re-presenting a source adds nothing
 
-	if got, want := viaEv.Result(), direct.Result(); !reflect.DeepEqual(got, want) {
+	want := rebuildVerdict(s.Evidence())
+	if got := direct.Result(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Absorb result = %+v, want %+v", got, want)
+	}
+	if got := viaEv.Result(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("AbsorbEvidence result = %+v, want %+v", got, want)
 	}
-	if viaEv.PendingCount() != direct.PendingCount() {
-		t.Fatalf("pending %d != %d", viaEv.PendingCount(), direct.PendingCount())
+	if got := s.Result(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stream's own result = %+v, want %+v", got, want)
+	}
+}
+
+// TestAbsorbBySuffixMatchesRebuild feeds two streams in random order and
+// catches one long-lived union up by journal suffix after every step; the
+// verdict must equal the from-scratch union of both streams' evidence
+// each time, and a union restored streams feed from cursor 0 must agree.
+func TestAbsorbBySuffixMatchesRebuild(t *testing.T) {
+	ds, det := buildScenario(t)
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 20; round++ {
+		streams := []*Stream{det.NewStream(ds.Cert), det.NewStream(ds.Cert)}
+		union := NewMerge(2)
+		cursors := make([]int, len(streams))
+		for _, i := range rng.Perm(len(ds.Conns)) {
+			streams[rng.Intn(len(streams))].Observe(&ds.Conns[i])
+			if rng.Intn(2) == 0 {
+				continue // let a suffix of several pairs build up
+			}
+			for j, s := range streams {
+				cursors[j] = union.Absorb(s, cursors[j])
+			}
+			want := rebuildVerdict(streams[0].Evidence(), streams[1].Evidence())
+			if got := union.Result(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: union = %+v, rebuild = %+v", round, got, want)
+			}
+			if union.ExcludedCount() != len(want.ExcludedCerts) || union.ConfirmedCount() != len(want.Issuers) {
+				t.Fatalf("round %d: counts %d/%d, want %d/%d", round,
+					union.ExcludedCount(), union.ConfirmedCount(), len(want.ExcludedCerts), len(want.Issuers))
+			}
+		}
+		restored := NewMerge(2)
+		for _, s := range streams {
+			restored.Absorb(det.RestoreStream(ds.Cert, s.Snapshot()), 0)
+			union.Absorb(s, 0) // a re-absorb from 0 is idempotent
+		}
+		if got, want := restored.Result(), union.Result(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: union over restored streams = %+v, want %+v", round, got, want)
+		}
+	}
+}
+
+// TestMergeResetForgets pins the one non-monotone step: after Reset the
+// union holds only what is absorbed afterwards.
+func TestMergeResetForgets(t *testing.T) {
+	full, one := streamOver(t), streamOver(t, 0)
+	m := NewMerge(2)
+	m.AbsorbEvidence(full.Evidence())
+	if m.ConfirmedCount() != 1 {
+		t.Fatalf("confirmed = %d, want 1", m.ConfirmedCount())
+	}
+	m.Reset()
+	m.AbsorbEvidence(one.Evidence())
+	if got, want := m.Result(), rebuildVerdict(one.Evidence()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Reset: %+v, want %+v", got, want)
+	}
+}
+
+// TestPendingCountTracksParkedConns pins the running count against the
+// pending map it summarizes, across parking, delivery and restore.
+func TestPendingCountTracksParkedConns(t *testing.T) {
+	ds, det := buildScenario(t)
+	known := map[ids.Fingerprint]bool{}
+	s := det.NewStream(func(fp ids.Fingerprint) *certmodel.CertInfo {
+		if known[fp] {
+			return ds.Certs[fp]
+		}
+		return nil
+	})
+	walk := func(s *Stream) int {
+		n := 0
+		for _, refs := range s.pending {
+			n += len(refs)
+		}
+		return n
+	}
+	for i := range ds.Conns {
+		s.Observe(&ds.Conns[i])
+		s.Observe(&ds.Conns[i]) // two conns parked on one fingerprint
+	}
+	if got := s.PendingCount(); got != 2*len(ds.Conns) || got != walk(s) {
+		t.Fatalf("parked %d, map holds %d, want %d", got, walk(s), 2*len(ds.Conns))
+	}
+	restored := det.RestoreStream(ds.Cert, s.Snapshot())
+	if restored.PendingCount() != walk(restored) || restored.PendingCount() != s.PendingCount() {
+		t.Fatalf("restored count %d, map holds %d, source %d", restored.PendingCount(), walk(restored), s.PendingCount())
+	}
+	for fp, c := range ds.Certs {
+		known[fp] = true
+		s.ObserveCert(c)
+		if s.PendingCount() != walk(s) {
+			t.Fatalf("after %s: count %d, map holds %d", fp, s.PendingCount(), walk(s))
+		}
+	}
+	if s.PendingCount() != 0 {
+		t.Fatalf("%d still parked after every certificate arrived", s.PendingCount())
+	}
+	if got, want := s.Result(), det.Run(ds); !reflect.DeepEqual(got, want) {
+		t.Fatalf("late-certificate verdict %+v, want %+v", got, want)
 	}
 }
 
@@ -61,6 +209,9 @@ func TestEvidenceCorroboratesAcrossSources(t *testing.T) {
 	}
 	if len(res.ExcludedCerts) != 2 {
 		t.Fatalf("merged exclusions = %d, want 2", len(res.ExcludedCerts))
+	}
+	if want := rebuildVerdict(a.Evidence(), b.Evidence()); !reflect.DeepEqual(res, want) {
+		t.Fatalf("merged = %+v, rebuild = %+v", res, want)
 	}
 
 	// A Merge's own Evidence() must round-trip through AbsorbEvidence.

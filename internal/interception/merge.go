@@ -6,31 +6,50 @@ import (
 	"repro/internal/ids"
 )
 
-// Merge recomputes a global §3.2 verdict from several independently
-// accumulated Streams — the sharded engine's materialization path.
+// Merge is the §3.2 evidence union and the verdict it implies: the
+// observed (issuer -> leaf fingerprints) and contradicted (issuer ->
+// domains) relations, with the confirmed-issuer and excluded-certificate
+// sets maintained as each pair arrives. A Stream keeps its own evidence
+// in one; a sharded engine and an aggregator each own one more, fed from
+// their sources, so the global verdict is a long-lived value that costs
+// O(new pairs) to bring current rather than a per-read rebuild.
 //
-// It works because the detector's evidence is order-independent and
-// per-connection: each observation contributes at most one
-// (issuer, leaf-fingerprint) pair to the observed relation and at most
-// one (issuer, domain) pair to the contradicted relation, regardless of
-// what any other connection did. Confirmation and exclusion are pure
-// functions of those two relations — an issuer is confirmed when CT
-// contradicts it on >= min distinct domains, and every certificate a
-// confirmed issuer was ever seen issuing is excluded — so unioning the
-// per-shard relations and recomputing yields exactly the verdict a
-// single Stream would have reached over the interleaved whole. Evidence
-// split across shards (domain A contradicted on shard 1, domain B on
-// shard 2) corroborates globally here even though neither shard alone
-// confirms the issuer.
+// A union of independently accumulated sources equals the verdict of one
+// Stream over the interleaved whole because the evidence is
+// order-independent and per-connection: each observation contributes at
+// most one (issuer, leaf) pair and at most one (issuer, domain) pair,
+// regardless of what any other connection did, and confirmation and
+// exclusion are pure functions of the two relations — an issuer is
+// confirmed when CT contradicts it on >= min distinct domains, and every
+// certificate a confirmed issuer was ever seen issuing is excluded.
+// Evidence split across sources (domain A contradicted on shard 1,
+// domain B on shard 2) therefore corroborates here even though neither
+// source alone confirms the issuer. Both relations only grow, which is
+// what lets a source be absorbed by journal suffix (Absorb) or by
+// re-presenting everything it has (AbsorbEvidence); only a source that
+// comes back with less than it had needs Reset and a re-absorb.
+//
+// A Merge is not synchronized; its owner's lock guards it.
 type Merge struct {
 	min          int
 	observed     map[string]map[ids.Fingerprint]bool
 	contradicted map[string]map[string]bool
-	pending      int
+	// confirmed: issuers contradicted on >= min domains.
+	confirmed map[string]bool
+	// excluded = union of observed[issuer] over confirmed issuers.
+	excluded map[ids.Fingerprint]bool
 }
 
-// NewMerge returns an empty accumulator confirming issuers contradicted
-// on >= min domains (min <= 0 selects the paper's default of 2).
+// pair is one element of either relation: an observed (issuer, leaf)
+// when domain is empty, a contradicted (issuer, domain) otherwise.
+type pair struct {
+	issuer string
+	leaf   ids.Fingerprint
+	domain string
+}
+
+// NewMerge returns an empty union confirming issuers contradicted on
+// >= min domains (min <= 0 selects the paper's default of 2).
 func NewMerge(min int) *Merge {
 	if min <= 0 {
 		min = 2
@@ -39,53 +58,124 @@ func NewMerge(min int) *Merge {
 		min:          min,
 		observed:     map[string]map[ids.Fingerprint]bool{},
 		contradicted: map[string]map[string]bool{},
+		confirmed:    map[string]bool{},
+		excluded:     map[ids.Fingerprint]bool{},
 	}
 }
 
-// Absorb unions one stream's evidence into the accumulator. The caller
-// must synchronize access to s (the engine holds its state lock).
-func (m *Merge) Absorb(s *Stream) {
-	for issuer, fps := range s.observed {
-		dst := m.observed[issuer]
-		if dst == nil {
-			dst = make(map[ids.Fingerprint]bool, len(fps))
-			m.observed[issuer] = dst
+// add unions one pair in and keeps the verdict current; it reports
+// whether the pair was new.
+func (m *Merge) add(p pair) bool {
+	if p.domain == "" {
+		fps := m.observed[p.issuer]
+		if fps == nil {
+			fps = map[ids.Fingerprint]bool{}
+			m.observed[p.issuer] = fps
 		}
+		if fps[p.leaf] {
+			return false
+		}
+		fps[p.leaf] = true
+		if m.confirmed[p.issuer] {
+			m.excluded[p.leaf] = true
+		}
+		return true
+	}
+	domains := m.contradicted[p.issuer]
+	if domains == nil {
+		domains = map[string]bool{}
+		m.contradicted[p.issuer] = domains
+	}
+	if domains[p.domain] {
+		return false
+	}
+	domains[p.domain] = true
+	// Corroboration across domains confirms the issuer; every certificate
+	// it was ever seen issuing becomes excluded.
+	if !m.confirmed[p.issuer] && len(domains) >= m.min {
+		m.confirmed[p.issuer] = true
+		for fp := range m.observed[p.issuer] {
+			m.excluded[fp] = true
+		}
+	}
+	return true
+}
+
+// Absorb unions in the evidence s gathered since cursor — a position in
+// its journal, 0 for a stream not absorbed before — and returns the
+// cursor to pass next time. The caller must synchronize access to s (the
+// engine holds its state lock).
+func (m *Merge) Absorb(s *Stream, cursor int) int {
+	for _, p := range s.journal[cursor:] {
+		m.add(p)
+	}
+	return len(s.journal)
+}
+
+// AbsorbEvidence unions raw relations in. A source's relations are
+// cumulative, so presenting its latest Evidence again — as an aggregator
+// does on every sync — adds exactly what is new.
+func (m *Merge) AbsorbEvidence(ev *Evidence) {
+	if ev == nil {
+		return
+	}
+	for issuer, fps := range ev.Observed {
 		for fp := range fps {
-			dst[fp] = true
+			m.add(pair{issuer: issuer, leaf: fp})
 		}
 	}
-	for issuer, domains := range s.contradicted {
-		dst := m.contradicted[issuer]
-		if dst == nil {
-			dst = make(map[string]bool, len(domains))
-			m.contradicted[issuer] = dst
-		}
+	for issuer, domains := range ev.Contradicted {
 		for d := range domains {
-			dst[d] = true
+			if d != "" { // an empty domain would read as an observed pair
+				m.add(pair{issuer: issuer, domain: d})
+			}
 		}
 	}
-	m.pending += s.PendingCount()
 }
 
-// PendingCount sums the absorbed streams' parked observations.
-func (m *Merge) PendingCount() int { return m.pending }
+// Reset empties the union, for the one case growth cannot express: a
+// source restarted and now holds less than was absorbed from it. The
+// owner re-absorbs every source afterwards.
+func (m *Merge) Reset() {
+	clear(m.observed)
+	clear(m.contradicted)
+	clear(m.confirmed)
+	clear(m.excluded)
+}
 
-// Result materializes the merged verdict in Detector.Run's format:
-// sorted confirmed issuers plus the union exclusion set.
+// Evidence deep-copies the union's relations — what a sharded sensor
+// exports, so its N shards travel as one evidence set. Pending is the
+// caller's to fill: parked observations are not part of the union.
+func (m *Merge) Evidence() *Evidence {
+	ev := &Evidence{
+		Observed:     make(map[string]map[ids.Fingerprint]bool, len(m.observed)),
+		Contradicted: make(map[string]map[string]bool, len(m.contradicted)),
+	}
+	for k, v := range m.observed {
+		ev.Observed[k] = copyMap(v)
+	}
+	for k, v := range m.contradicted {
+		ev.Contradicted[k] = copyMap(v)
+	}
+	return ev
+}
+
+// ExcludedCount is the current exclusion-set size.
+func (m *Merge) ExcludedCount() int { return len(m.excluded) }
+
+// ConfirmedCount is how many issuers are currently confirmed as
+// interception.
+func (m *Merge) ConfirmedCount() int { return len(m.confirmed) }
+
+// Result materializes the current verdict in Detector.Run's format:
+// sorted confirmed issuers plus a copy of the exclusion set.
 func (m *Merge) Result() *Result {
 	res := &Result{
 		CandidateCount: len(m.contradicted),
-		ExcludedCerts:  map[ids.Fingerprint]bool{},
+		ExcludedCerts:  copyMap(m.excluded),
 	}
-	for issuer, domains := range m.contradicted {
-		if len(domains) < m.min {
-			continue
-		}
+	for issuer := range m.confirmed {
 		res.Issuers = append(res.Issuers, issuer)
-		for fp := range m.observed[issuer] {
-			res.ExcludedCerts[fp] = true
-		}
 	}
 	sort.Strings(res.Issuers)
 	return res

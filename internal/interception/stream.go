@@ -1,8 +1,6 @@
 package interception
 
 import (
-	"sort"
-
 	"repro/internal/certmodel"
 	"repro/internal/ids"
 	"repro/internal/psl"
@@ -32,23 +30,21 @@ type CertSource func(ids.Fingerprint) *certmodel.CertInfo
 // certificates) with one comparison.
 type Stream struct {
 	d     *Detector
-	min   int
 	certs CertSource
 	memo  *truststore.IssuerMemo
 	sld   *psl.SplitCache
 
-	// observed: issuer -> server-leaf fingerprints presented under it.
-	observed map[string]map[ids.Fingerprint]bool
-	// contradicted: issuer -> domains where CT disagrees.
-	contradicted map[string]map[string]bool
-	// pending: leaf fingerprint -> conns waiting for that certificate.
-	pending map[ids.Fingerprint][]PendingRef
-	// confirmed issuers (contradicted on >= min domains).
-	confirmed map[string]bool
-	// excluded = union of observed[issuer] over confirmed issuers.
-	excluded map[ids.Fingerprint]bool
+	// ev is the evidence gathered so far and its verdict. journal lists
+	// each pair in the order it first entered ev — append-only, since the
+	// relations only grow — so a cross-source union (Merge.Absorb) catches
+	// up on a suffix instead of re-reading the maps.
+	ev      *Merge
+	journal []pair
 
-	gen uint64
+	// pending: leaf fingerprint -> conns waiting for that certificate;
+	// parked counts the waiting conns.
+	pending map[ids.Fingerprint][]PendingRef
+	parked  int
 }
 
 // PendingRef is one connection observation parked until its server leaf
@@ -62,21 +58,13 @@ type PendingRef struct {
 // NewStream returns an incremental detector resolving certificates
 // through certs.
 func (d *Detector) NewStream(certs CertSource) *Stream {
-	min := d.MinDomains
-	if min <= 0 {
-		min = 2
-	}
 	return &Stream{
-		d:            d,
-		min:          min,
-		certs:        certs,
-		memo:         d.Bundle.NewIssuerMemo(),
-		sld:          psl.NewSplitCache(d.PSL),
-		observed:     map[string]map[ids.Fingerprint]bool{},
-		contradicted: map[string]map[string]bool{},
-		pending:      map[ids.Fingerprint][]PendingRef{},
-		confirmed:    map[string]bool{},
-		excluded:     map[ids.Fingerprint]bool{},
+		d:       d,
+		certs:   certs,
+		memo:    d.Bundle.NewIssuerMemo(),
+		sld:     psl.NewSplitCache(d.PSL),
+		ev:      NewMerge(d.MinDomains),
+		pending: map[ids.Fingerprint][]PendingRef{},
 	}
 }
 
@@ -91,6 +79,7 @@ func (s *Stream) Observe(conn *zeek.SSLRecord) {
 	leaf := s.certs(leafFP)
 	if leaf == nil {
 		s.pending[leafFP] = append(s.pending[leafFP], ref)
+		s.parked++
 		return
 	}
 	s.observe(leaf, ref)
@@ -105,6 +94,7 @@ func (s *Stream) ObserveCert(c *certmodel.CertInfo) {
 		return
 	}
 	delete(s.pending, c.Fingerprint)
+	s.parked -= len(refs)
 	for _, ref := range refs {
 		s.observe(c, ref)
 	}
@@ -122,15 +112,7 @@ func (s *Stream) observe(leaf *certmodel.CertInfo, ref PendingRef) {
 	if issuer == "" {
 		return
 	}
-	if s.observed[issuer] == nil {
-		s.observed[issuer] = map[ids.Fingerprint]bool{}
-	}
-	if !s.observed[issuer][leaf.Fingerprint] {
-		s.observed[issuer][leaf.Fingerprint] = true
-		if s.confirmed[issuer] {
-			s.exclude(leaf.Fingerprint)
-		}
-	}
+	s.record(pair{issuer: issuer, leaf: leaf.Fingerprint})
 
 	// Step 2: CT comparison on the connection's domain.
 	domain := s.sld.SLD(ref.SNI)
@@ -143,68 +125,42 @@ func (s *Stream) observe(leaf *certmodel.CertInfo, ref PendingRef) {
 	if s.d.CT.HasIssuer(domain, issuer) {
 		return
 	}
-	if s.contradicted[issuer] == nil {
-		s.contradicted[issuer] = map[string]bool{}
-	}
-	s.contradicted[issuer][domain] = true
-
-	// Step 3: corroboration across domains confirms the issuer; every
-	// certificate it was ever seen issuing becomes excluded.
-	if !s.confirmed[issuer] && len(s.contradicted[issuer]) >= s.min {
-		s.confirmed[issuer] = true
-		for fp := range s.observed[issuer] {
-			s.exclude(fp)
-		}
-	}
+	// Step 3 — corroboration across domains confirms the issuer and
+	// excludes every certificate it was ever seen issuing — happens as the
+	// pair lands (Merge.add).
+	s.record(pair{issuer: issuer, domain: domain})
 }
 
-func (s *Stream) exclude(fp ids.Fingerprint) {
-	if !s.excluded[fp] {
-		s.excluded[fp] = true
-		s.gen++
+// record adds one evidence pair, journaling it when it is new.
+func (s *Stream) record(p pair) {
+	if s.ev.add(p) {
+		s.journal = append(s.journal, p)
 	}
 }
 
 // Gen is the exclusion-set generation: it increases whenever a
 // certificate joins the exclusion set and never decreases.
-func (s *Stream) Gen() uint64 { return s.gen }
+func (s *Stream) Gen() uint64 { return uint64(len(s.ev.excluded)) }
 
 // Excluded reports whether a fingerprint is currently excluded. The
 // verdict can flip from false to true as evidence accumulates, never
 // back.
-func (s *Stream) Excluded(fp ids.Fingerprint) bool { return s.excluded[fp] }
+func (s *Stream) Excluded(fp ids.Fingerprint) bool { return s.ev.excluded[fp] }
 
 // ExcludedCount is the current exclusion-set size.
-func (s *Stream) ExcludedCount() int { return len(s.excluded) }
+func (s *Stream) ExcludedCount() int { return s.ev.ExcludedCount() }
 
 // ConfirmedCount is how many issuers are currently confirmed as
 // interception.
-func (s *Stream) ConfirmedCount() int { return len(s.confirmed) }
+func (s *Stream) ConfirmedCount() int { return s.ev.ConfirmedCount() }
 
 // PendingCount is how many connections are parked waiting for their
 // server leaf certificate.
-func (s *Stream) PendingCount() int {
-	n := 0
-	for _, refs := range s.pending {
-		n += len(refs)
-	}
-	return n
-}
+func (s *Stream) PendingCount() int { return s.parked }
 
 // Result materializes the current verdict in Detector.Run's format:
 // sorted confirmed issuers plus a copy of the exclusion set.
-func (s *Stream) Result() *Result {
-	res := &Result{ExcludedCerts: make(map[ids.Fingerprint]bool, len(s.excluded))}
-	res.CandidateCount = len(s.contradicted)
-	for issuer := range s.confirmed {
-		res.Issuers = append(res.Issuers, issuer)
-	}
-	for fp := range s.excluded {
-		res.ExcludedCerts[fp] = true
-	}
-	sort.Strings(res.Issuers)
-	return res
-}
+func (s *Stream) Result() *Result { return s.ev.Result() }
 
 // StreamState is the serializable snapshot of a Stream, exported so the
 // streaming engine can checkpoint the detector alongside its own state
@@ -221,51 +177,41 @@ type StreamState struct {
 
 // Snapshot copies the stream's state for serialization.
 func (s *Stream) Snapshot() *StreamState {
+	ev := s.ev.Evidence()
 	st := &StreamState{
-		Observed:     make(map[string]map[ids.Fingerprint]bool, len(s.observed)),
-		Contradicted: make(map[string]map[string]bool, len(s.contradicted)),
+		Observed:     ev.Observed,
+		Contradicted: ev.Contradicted,
 		Pending:      make(map[ids.Fingerprint][]PendingRef, len(s.pending)),
-		Confirmed:    make(map[string]bool, len(s.confirmed)),
-		Excluded:     make(map[ids.Fingerprint]bool, len(s.excluded)),
-		Gen:          s.gen,
-	}
-	for k, v := range s.observed {
-		st.Observed[k] = copyMap(v)
-	}
-	for k, v := range s.contradicted {
-		st.Contradicted[k] = copyMap(v)
+		Confirmed:    copyMap(s.ev.confirmed),
+		Excluded:     copyMap(s.ev.excluded),
+		Gen:          s.Gen(),
 	}
 	for k, v := range s.pending {
 		st.Pending[k] = append([]PendingRef(nil), v...)
 	}
-	for k := range s.confirmed {
-		st.Confirmed[k] = true
-	}
-	for k := range s.excluded {
-		st.Excluded[k] = true
-	}
 	return st
 }
 
-// RestoreStream rebuilds a Stream from a snapshot.
+// RestoreStream rebuilds a Stream from a snapshot. The two relations are
+// replayed pair by pair, which rebuilds the journal and re-derives the
+// verdict (Confirmed, Excluded and Gen are functions of the relations;
+// the snapshot carries them for readers that restore them verbatim).
 func (d *Detector) RestoreStream(certs CertSource, st *StreamState) *Stream {
 	s := d.NewStream(certs)
-	for k, v := range st.Observed {
-		s.observed[k] = copyMap(v)
+	for issuer, fps := range st.Observed {
+		for fp := range fps {
+			s.record(pair{issuer: issuer, leaf: fp})
+		}
 	}
-	for k, v := range st.Contradicted {
-		s.contradicted[k] = copyMap(v)
+	for issuer, domains := range st.Contradicted {
+		for domain := range domains {
+			s.record(pair{issuer: issuer, domain: domain})
+		}
 	}
 	for k, v := range st.Pending {
 		s.pending[k] = append([]PendingRef(nil), v...)
+		s.parked += len(v)
 	}
-	for k := range st.Confirmed {
-		s.confirmed[k] = true
-	}
-	for k := range st.Excluded {
-		s.excluded[k] = true
-	}
-	s.gen = st.Gen
 	return s
 }
 

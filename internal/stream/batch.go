@@ -121,7 +121,7 @@ func (e *Engine) applyBatchLocked(b *batch) {
 		// (half the benchmark's allocated bytes before this). The store
 		// at-least-doubles instead.
 		e.st.GrowConns(len(b.conns))
-		e.b.GrowConns(len(b.conns))
+		e.d.growConns(len(b.conns))
 		for i := range b.conns {
 			var seq uint64
 			if len(b.seqs) == len(b.conns) {
@@ -218,6 +218,9 @@ func (s *Sharded) IngestCertBatch(recs []core.CertRecord) int {
 			// roster even if no connection ever references it.
 			ent.cert = rec.Cert
 			ent.seq = s.nextSeq
+			if s.cfg.TrackExport {
+				s.certLog = append(s.certLog, ExportCert{Seq: ent.seq, Cert: ent.cert})
+			}
 			s.nextSeq++
 			s.uniqueCerts++
 			ent.waiting |= uint64(1) << s.home(string(fp))

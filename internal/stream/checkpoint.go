@@ -185,13 +185,14 @@ func (e *Engine) snapshotLegacyLocked(cursor map[string]int64) *checkpointState 
 	if !e.seqTracked() {
 		seqs = nil
 	}
+	rebuilds, _ := e.d.stats()
 	st := &checkpointState{
 		Version:       checkpointVersion,
 		Cursor:        cursor,
 		ConnsIngested: e.connsIngested,
 		CertsIngested: e.certsIngested,
 		Evicted:       e.evicted,
-		Rebuilds:      e.rebuilds,
+		Rebuilds:      rebuilds,
 		Watermark:     e.watermark,
 		Roster:        e.rosterLocked(),
 		Conns:         conns,
@@ -419,11 +420,12 @@ func (e *Engine) writeIncremental(dir string, cursor map[string]int64) error {
 	}
 	nCerts := len(e.ckptNewCerts)
 	newMark := e.nextSeq
+	rebuilds, _ := e.d.stats()
 	st := &segState{
 		ConnsIngested: e.connsIngested,
 		CertsIngested: e.certsIngested,
 		Evicted:       e.evicted,
-		Rebuilds:      e.rebuilds,
+		Rebuilds:      rebuilds,
 		Watermark:     e.watermark,
 		EvictCutoff:   e.ckptCutoff,
 		Interception:  e.icpt.Snapshot(),
@@ -714,7 +716,6 @@ func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
 	e.connsIngested = st.ConnsIngested
 	e.certsIngested = st.CertsIngested
 	e.evicted = st.Evicted
-	e.rebuilds = st.Rebuilds
 	e.watermark = st.Watermark
 	for _, c := range st.Roster {
 		e.putCertLocked(c)
@@ -742,7 +743,7 @@ func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
 	err = e.restoreConnsLocked(st.Conns, seqs)
 	if err == nil {
 		e.nextSeq = max(e.nextSeq, st.NextSeq)
-		e.finishRestoreLocked(st.Interception)
+		e.finishRestoreLocked(st.Interception, st.Rebuilds)
 	}
 	e.mu.Unlock()
 	if err != nil {
@@ -780,9 +781,20 @@ func (e *Engine) restoreConnsLocked(conns []core.ConnRecord, seqs []uint64) erro
 // rebuilt derived state, and checkpoint bookkeeping (everything in the
 // window is covered by what was just read, so the next delta starts at
 // the current sequence mark with no pending certificates).
-func (e *Engine) finishRestoreLocked(icpt *interception.StreamState) {
+func (e *Engine) finishRestoreLocked(icpt *interception.StreamState, rebuilds uint64) {
 	e.icpt = e.det.RestoreStream(e.lookupCert, icpt)
-	e.dirty = true // derived state does not exist yet; rebuild on demand
+	e.d.restored(rebuilds)
+	if e.cfg.TrackExport {
+		// certSeqs was restored in file order; the log wants admission
+		// order.
+		e.certLog = make([]ExportCert, 0, len(e.certSeqs))
+		for fp, seq := range e.certSeqs {
+			if c := e.roster[fp]; c != nil {
+				e.certLog = append(e.certLog, ExportCert{Seq: seq, Cert: c})
+			}
+		}
+		sortCertLog(e.certLog)
+	}
 	e.ckptMark = e.nextSeq
 	e.ckptNewCerts = nil
 	e.stateVer.Add(1)
@@ -824,7 +836,6 @@ func restoreDir(cfg Config, dir string) (*Engine, map[string]int64, error) {
 		e.connsIngested = last.ConnsIngested
 		e.certsIngested = last.CertsIngested
 		e.evicted = last.Evicted
-		e.rebuilds = last.Rebuilds
 		e.watermark = last.Watermark
 		if last.EvictCutoff.After(e.ckptCutoff) {
 			e.ckptCutoff = last.EvictCutoff
@@ -833,7 +844,7 @@ func restoreDir(cfg Config, dir string) (*Engine, map[string]int64, error) {
 			e.epoch = last.Epoch
 			e.nextSeq = max(e.nextSeq, last.NextSeq)
 		}
-		e.finishRestoreLocked(last.Interception)
+		e.finishRestoreLocked(last.Interception, last.Rebuilds)
 	}
 	e.mu.Unlock()
 	if rerr != nil {

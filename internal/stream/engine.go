@@ -121,11 +121,13 @@ type Config struct {
 	// bookkeeping is one map insert per unique certificate.
 	TrackExport bool
 
-	// trackSeqs makes the engine stamp connections with the sequences
-	// arriving in the router's batches instead of its own counter, so a
-	// sharded deployment can k-way merge shard-local streams back into
-	// the single-stream order. Set by NewSharded.
-	trackSeqs bool
+	// routed marks a shard behind a router (NewSharded at n > 1). It
+	// stamps connections with the sequences arriving in the router's
+	// batches instead of its own counter, so the deployment can k-way
+	// merge shard-local streams back into the single-stream order, and it
+	// keeps raw state only: reports are materialized from the merged
+	// view, never from a shard.
+	routed bool
 	// metricLabels are alternating key/value pairs appended to every
 	// stream_* series this engine registers (e.g. "shard", "3"), so the
 	// shards of one deployment expose distinguishable series in one
@@ -188,42 +190,32 @@ type Engine struct {
 
 	// Raw state — ground truth, never invalidated: the certificate roster
 	// (first observation wins; cumulative, resident, pointers stable for
-	// the engine's lifetime) and the retained connection window, every
-	// record under its ingest sequence. tiered caches st.Tiered(): when
-	// set, derived state is never maintained incrementally (the builder
-	// would pin records the window spills) and every materialization
-	// rebuilds from the window.
+	// the engine's lifetime), the retained connection window, every record
+	// under its ingest sequence, and the cumulative §3.2 detector.
 	roster map[ids.Fingerprint]*certmodel.CertInfo
 	st     *store.Window
-	tiered bool
 	icpt   *interception.Stream
 
 	// nextSeq is one past every sequence stamped so far: the engine's own
 	// counter, or trailing the router's stamps on a shard. The rest is
 	// export-cursor state, meaningful only under cfg.TrackExport: the
-	// per-fingerprint admission sequence, and the epoch that scopes
-	// cursors to this sequence numbering (a fresh engine gets a fresh
-	// epoch, so a cursor taken against a predecessor is detectably stale
-	// rather than silently wrong).
+	// per-fingerprint admission sequence, the same roster as an
+	// append-only log ascending by that sequence (Export binary-searches
+	// its suffix), and the epoch that scopes cursors to this sequence
+	// numbering (a fresh engine gets a fresh epoch, so a cursor taken
+	// against a predecessor is detectably stale rather than silently
+	// wrong).
 	nextSeq  uint64
 	certSeqs map[ids.Fingerprint]uint64
+	certLog  []ExportCert
 	epoch    uint64
 
-	// Derived state — the batch pipeline's enriched views, kept current
-	// incrementally; rebuilt from raw state when dirty.
-	b *core.Builder
-	// bGen is the exclusion-set generation the derived state reflects.
-	bGen uint64
-	// missing tracks leaf fingerprints that an enriched connection failed
-	// to resolve; the fingerprint arriving later invalidates that
-	// enrichment.
-	missing map[ids.Fingerprint]bool
-	dirty   bool
+	// d is the derived state; nil on a routed shard.
+	d *derived
 
 	connsIngested uint64
 	certsIngested uint64
 	evicted       uint64
-	rebuilds      uint64
 	sinceEvict    int
 	watermark     time.Time
 	lastCkpt      time.Time
@@ -270,7 +262,6 @@ func New(cfg Config) (*Engine, error) {
 		done:   make(chan struct{}),
 		roster: make(map[ids.Fingerprint]*certmodel.CertInfo),
 		st:     st,
-		tiered: st.Tiered(),
 	}
 	if cfg.TrackExport {
 		e.certSeqs = make(map[ids.Fingerprint]uint64)
@@ -283,7 +274,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.icpt = e.det.NewStream(e.lookupCert)
 	e.m = newEngineMetrics(cfg.Metrics, e)
-	e.resetBuilderLocked()
+	if !cfg.routed {
+		e.d = newDerived(e)
+	}
 	go e.run()
 	return e, nil
 }
@@ -317,18 +310,7 @@ func (e *Engine) rosterLocked() []*certmodel.CertInfo {
 // connection sequences — a router merging shards, an aggregator holding
 // a cursor. Only then do checkpoints carry the sequence column; a plain
 // engine's numbers are renumbered in replay order on restore.
-func (e *Engine) seqTracked() bool { return e.cfg.trackSeqs || e.cfg.TrackExport }
-
-// resetBuilderLocked replaces the derived state with an empty Builder.
-// A tiered engine comes out of the reset dirty: its derived state is
-// only ever valid transiently (rebuilt per materialization, released
-// afterwards), never maintained incrementally.
-func (e *Engine) resetBuilderLocked() {
-	e.b = core.NewBuilder(e.cfg.Input)
-	e.missing = make(map[ids.Fingerprint]bool)
-	e.bGen = e.icpt.Gen()
-	e.dirty = e.tiered
-}
+func (e *Engine) seqTracked() bool { return e.cfg.routed || e.cfg.TrackExport }
 
 // IngestConn feeds one connection event — a batch of one over
 // IngestConnBatch. The record is copied; the caller may reuse it.
@@ -449,8 +431,7 @@ func (e *Engine) applyLocked(ev event) {
 
 // applyCertLocked admits one certificate: first observation of a
 // fingerprint joins the roster (as zeek.Dataset.AddCert would), wakes any
-// parked detector observations, and — unless it arrived too late or is
-// excluded — becomes resolvable for future enrichment.
+// parked detector observations, and is offered to the derived state.
 func (e *Engine) applyCertLocked(c *certmodel.CertInfo) {
 	e.certsIngested++
 	e.m.certsIngested.Inc()
@@ -461,30 +442,16 @@ func (e *Engine) applyCertLocked(c *certmodel.CertInfo) {
 	e.ckptNewCerts = append(e.ckptNewCerts, c.Fingerprint)
 	if e.cfg.TrackExport {
 		e.certSeqs[c.Fingerprint] = e.nextSeq
+		e.certLog = append(e.certLog, ExportCert{Seq: e.nextSeq, Cert: c})
 		e.nextSeq++
 	}
 	e.icpt.ObserveCert(c)
-	if e.icpt.Gen() != e.bGen {
-		e.dirty = true
-	}
-	if e.dirty {
-		return
-	}
-	if e.missing[c.Fingerprint] {
-		// An already-enriched connection resolved this fingerprint to
-		// nil; the batch pipeline would have resolved it.
-		e.dirty = true
-		return
-	}
-	if !e.icpt.Excluded(c.Fingerprint) {
-		e.b.AddCert(c)
-	}
+	e.d.certAdmitted(c)
 }
 
 // applyConnLocked admits one connection: it is retained raw (the window
 // the derived state can always be rebuilt from), observed by the
-// interception detector, and — when the derived state is clean and the
-// connection survives the §3.2 filter — enriched immediately.
+// interception detector, and offered to the derived state.
 func (e *Engine) applyConnLocked(rec *core.ConnRecord, seq uint64) {
 	e.connsIngested++
 	e.m.connsIngested.Inc()
@@ -492,24 +459,14 @@ func (e *Engine) applyConnLocked(rec *core.ConnRecord, seq uint64) {
 	if rec.TS.After(e.watermark) {
 		e.watermark = rec.TS
 	}
-	if !e.cfg.trackSeqs {
+	if !e.cfg.routed {
 		seq = e.nextSeq
 	}
 	e.nextSeq = seq + 1
 	stored := e.st.AppendConn(rec, seq)
 
 	e.icpt.Observe(stored)
-	if e.icpt.Gen() != e.bGen {
-		e.dirty = true
-	}
-	if !e.dirty {
-		if sl := stored.ServerLeaf(); sl != "" && e.icpt.Excluded(sl) {
-			// Filtered out, as interception.Filter drops it in batch.
-		} else {
-			e.noteMissingLocked(stored)
-			e.b.AddConn(stored)
-		}
-	}
+	e.d.connApplied(stored)
 
 	if e.cfg.Retention > 0 {
 		e.sinceEvict++
@@ -519,17 +476,6 @@ func (e *Engine) applyConnLocked(rec *core.ConnRecord, seq uint64) {
 		}
 	}
 	e.m.retained.Set(float64(e.st.ConnCount()))
-}
-
-// noteMissingLocked records leaf fingerprints this connection will fail
-// to resolve, so their late arrival invalidates the enrichment.
-func (e *Engine) noteMissingLocked(rec *core.ConnRecord) {
-	if fp := rec.ServerLeaf(); fp != "" && e.roster[fp] == nil {
-		e.missing[fp] = true
-	}
-	if fp := rec.ClientLeaf(); fp != "" && e.roster[fp] == nil {
-		e.missing[fp] = true
-	}
 }
 
 // evictLocked drops connections that fell out of the retention window.
@@ -548,42 +494,8 @@ func (e *Engine) evictLocked() {
 	}
 	e.evicted += dropped
 	e.m.evicted.Add(dropped)
-	e.dirty = true
+	e.d.invalidate()
 	e.stateVer.Add(1)
-}
-
-// rebuildLocked reconstructs the derived state from the retained raw
-// records under the current exclusion set — the same code path as
-// incremental ingestion, replayed. On a tiered window this streams the
-// cold records up from disk; the Builder's enriched views hold the
-// decoded copies until the next reset.
-func (e *Engine) rebuildLocked() {
-	defer e.m.rebuildDur.Since(time.Now())
-	e.resetBuilderLocked()
-	for fp, c := range e.roster {
-		if !e.icpt.Excluded(fp) {
-			e.b.AddCert(c)
-		}
-	}
-	e.st.Since(0, func(rec *core.ConnRecord, _ uint64) bool {
-		if sl := rec.ServerLeaf(); sl != "" && e.icpt.Excluded(sl) {
-			return true
-		}
-		e.noteMissingLocked(rec)
-		e.b.AddConn(rec)
-		return true
-	})
-	e.rebuilds++
-	e.m.rebuilds.Inc()
-}
-
-// pipelineLocked materializes the current state as a core.Pipeline,
-// rebuilding first if retroactive evidence arrived.
-func (e *Engine) pipelineLocked() *core.Pipeline {
-	if e.dirty {
-		e.rebuildLocked()
-	}
-	return e.b.Pipeline(e.preReportLocked())
 }
 
 // preReportLocked assembles the §3.2 statistics exactly as the batch
@@ -620,10 +532,13 @@ func (e *Engine) Analysis() *core.Analysis {
 func (e *Engine) WithPipeline(fn func(*core.Pipeline)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.d == nil {
+		panic("stream: a routed shard keeps raw state only; materialize through its Sharded")
+	}
 	defer e.m.materializeDur.Since(time.Now())
-	fn(e.pipelineLocked())
-	if e.tiered {
-		e.resetBuilderLocked()
+	fn(e.d.pipeline())
+	if e.d.tiered {
+		e.d.reset()
 	}
 }
 
@@ -631,6 +546,13 @@ func (e *Engine) WithPipeline(fn func(*core.Pipeline)) {
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.statsLocked()
+}
+
+// statsLocked is Stats for a caller already holding the state lock (the
+// router reads a shard's counters and detector under one hold).
+func (e *Engine) statsLocked() Stats {
+	rebuilds, dirty := e.d.stats()
 	st := Stats{
 		ConnsIngested:       e.connsIngested,
 		CertsIngested:       e.certsIngested,
@@ -638,8 +560,8 @@ func (e *Engine) Stats() Stats {
 		Rejected:            e.rejected.Load(),
 		Retained:            e.st.ConnCount(),
 		Evicted:             e.evicted,
-		Rebuilds:            e.rebuilds,
-		Dirty:               e.dirty,
+		Rebuilds:            rebuilds,
+		Dirty:               dirty,
 		UniqueCerts:         len(e.roster),
 		ExcludedCerts:       e.icpt.ExcludedCount(),
 		InterceptionIssuers: e.icpt.ConfirmedCount(),

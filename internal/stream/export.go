@@ -104,21 +104,33 @@ func (e *Engine) Export(since, epoch uint64) (*ExportState, error) {
 		Retention:     e.cfg.Retention,
 		Evidence:      e.icpt.Evidence(),
 	}
-	for fp, seq := range e.certSeqs {
-		if seq < since {
-			continue
-		}
-		if c := e.roster[fp]; c != nil {
-			st.Certs = append(st.Certs, ExportCert{Seq: seq, Cert: c})
-		}
-	}
+	st.Certs = certsSince(e.certLog, since)
 	e.exportConnsLocked(st)
-	sortExport(st)
 	return st, nil
 }
 
+// certsSince copies the suffix of an admission-ordered certificate log
+// at or after since, so a delta costs O(delta) whatever the roster size.
+func certsSince(log []ExportCert, since uint64) []ExportCert {
+	i := sort.Search(len(log), func(i int) bool { return log[i].Seq >= since })
+	return append([]ExportCert(nil), log[i:]...)
+}
+
+// sortCertLog orders a restored certificate log ascending by sequence.
+// Certificates restored from a pre-export checkpoint may all carry
+// sequence 0, where fingerprint order keeps exports deterministic.
+func sortCertLog(log []ExportCert) {
+	sort.Slice(log, func(i, j int) bool {
+		if log[i].Seq != log[j].Seq {
+			return log[i].Seq < log[j].Seq
+		}
+		return log[i].Cert.Fingerprint < log[j].Cert.Fingerprint
+	})
+}
+
 // exportConnsLocked appends the retained connections at or after
-// st.Since — a suffix of the window, so a delta costs O(delta).
+// st.Since, ascending — a suffix of the window, so a delta costs
+// O(delta).
 func (e *Engine) exportConnsLocked(st *ExportState) {
 	e.st.Since(st.Since, func(rec *core.ConnRecord, seq uint64) bool {
 		st.Conns = append(st.Conns, ExportConn{Seq: seq, Conn: *rec})
@@ -130,8 +142,10 @@ func (e *Engine) exportConnsLocked(st *ExportState) {
 // is held so no new sequences are assigned, each shard is drained so
 // every already-assigned sequence is applied (otherwise a cursor could
 // advance past in-flight records and a delta would skip them forever),
-// and the per-shard streams are collected back into one ascending
-// sequence order. Requires Config.TrackExport.
+// the per-shard streams are collected back into one ascending sequence
+// order, and the evidence is the router's union, caught up with each
+// shard under the lock hold that exports its connections. Requires
+// Config.TrackExport.
 func (s *Sharded) Export(since, epoch uint64) (*ExportState, error) {
 	if s.single != nil {
 		return s.single.Export(since, epoch)
@@ -158,39 +172,26 @@ func (s *Sharded) Export(since, epoch uint64) (*ExportState, error) {
 		NextSeq:   s.nextSeq,
 		Retention: s.cfg.Retention,
 	}
-	im := interception.NewMerge(2)
-	for _, e := range s.shards {
+	pending := 0
+	s.unionMu.Lock()
+	for i, e := range s.shards {
 		e.mu.Lock()
 		st.ConnsIngested += e.connsIngested
 		if e.watermark.After(st.Watermark) {
 			st.Watermark = e.watermark
 		}
 		e.exportConnsLocked(st)
-		im.Absorb(e.icpt)
+		s.absorbLocked(i)
+		pending += e.icpt.PendingCount()
 		e.mu.Unlock()
 	}
+	st.Evidence = s.union.Evidence()
+	s.unionMu.Unlock()
+	st.Evidence.Pending = pending
 	st.CertsIngested = s.certsRouted
-	for _, ent := range s.rv {
-		if ent.cert == nil || ent.seq < since {
-			continue
-		}
-		st.Certs = append(st.Certs, ExportCert{Seq: ent.seq, Cert: ent.cert})
-	}
-	st.Evidence = im.Evidence()
-	sortExport(st)
-	return st, nil
-}
-
-// sortExport orders both record streams ascending by sequence. Ties
-// cannot occur between connections (each consumed a distinct sequence);
-// certificates restored from a pre-export checkpoint may all carry
-// sequence 0, where fingerprint order keeps the output deterministic.
-func sortExport(st *ExportState) {
-	sort.Slice(st.Certs, func(i, j int) bool {
-		if st.Certs[i].Seq != st.Certs[j].Seq {
-			return st.Certs[i].Seq < st.Certs[j].Seq
-		}
-		return st.Certs[i].Cert.Fingerprint < st.Certs[j].Cert.Fingerprint
-	})
+	st.Certs = certsSince(s.certLog, since)
+	// Each shard's suffix is ascending; every connection consumed a
+	// distinct sequence, so there are no ties to break.
 	sort.Slice(st.Conns, func(i, j int) bool { return st.Conns[i].Seq < st.Conns[j].Seq })
+	return st, nil
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/interception"
+	"repro/internal/race"
 	"repro/internal/workload"
 )
 
@@ -394,5 +396,90 @@ func TestExportFreshRestartIsStale(t *testing.T) {
 	got := replayAnalysis(in, []*ExportState{full})
 	if !reflect.DeepEqual(core.Run(inputFromBuild(b)), got) {
 		t.Error("renumbered export replay differs from batch")
+	}
+}
+
+// syntheticCerts returns n certificates nothing references: roster size
+// without evidence or connections.
+func syntheticCerts(n int) []core.CertRecord {
+	recs := make([]core.CertRecord, n)
+	for i := range recs {
+		recs[i].Cert = &certmodel.CertInfo{Fingerprint: ids.Fingerprint(fmt.Sprintf("synthetic-%06d", i))}
+	}
+	return recs
+}
+
+// exportingRoster starts an exporting deployment holding n synthetic
+// certificates and returns it with its full export.
+func exportingRoster(t testing.TB, in *core.Input, shards, n int) (*Sharded, *ExportState) {
+	t.Helper()
+	s, err := NewSharded(shards, Config{Input: in, TrackExport: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	if got := s.IngestCertBatch(syntheticCerts(n)); got != n {
+		t.Fatalf("admitted %d of %d certificates", got, n)
+	}
+	s.Drain()
+	full, err := s.Export(0, 0)
+	if err != nil || len(full.Certs) != n {
+		t.Fatalf("full export: %d of %d certificates, err %v", len(full.Certs), n, err)
+	}
+	return s, full
+}
+
+// TestExportDeltaAllocsFlat pins the certificate side of a delta export
+// against the roster size: a delta is the admission log's suffix, and an
+// empty one (since = NextSeq) allocates the same over a 1k and a 50k
+// roster, on a plain engine and through the router — nothing copies,
+// collects or sorts the roster on the way. (The walk itself being
+// O(delta) is a time, not an allocation: BenchmarkExportEmptyDelta.)
+func TestExportDeltaAllocsFlat(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts include race-detector bookkeeping under -race")
+	}
+	b := genBuild(7, 4000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	for _, shards := range []int{1, 2} {
+		var allocs [2]float64
+		for i, roster := range []int{1000, 50000} {
+			s, full := exportingRoster(t, in, shards, roster)
+			mid := full.Certs[roster/2].Seq
+			if got := mustExport(t, s, mid, full.Epoch); !reflect.DeepEqual(got.Certs, full.Certs[roster/2:]) {
+				t.Fatalf("shards=%d: Export(%d) is not the roster's suffix", shards, mid)
+			}
+			allocs[i] = testing.AllocsPerRun(20, func() {
+				if st := mustExport(t, s, full.NextSeq, full.Epoch); len(st.Certs) != 0 {
+					t.Fatalf("empty delta carries %d certificates", len(st.Certs))
+				}
+			})
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("shards=%d: an empty delta allocates %.0f over 1k certificates, %.0f over 50k", shards, allocs[0], allocs[1])
+		}
+	}
+}
+
+// BenchmarkExportEmptyDelta is the 100 ms sync of an idle sensor: ns/op
+// must not follow the roster size.
+func BenchmarkExportEmptyDelta(b *testing.B) {
+	bld := getBenchBuild()
+	in := inputFromBuild(bld)
+	in.Raw = nil
+	for _, shards := range []int{1, 2} {
+		for _, roster := range []int{1000, 50000} {
+			b.Run(fmt.Sprintf("shards=%d/roster=%d", shards, roster), func(b *testing.B) {
+				s, full := exportingRoster(b, in, shards, roster)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.Export(full.NextSeq, full.Epoch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -43,23 +43,31 @@ const MaxShards = 64
 // (a k-way merge on router-assigned sequence numbers), certificate
 // rosters union to the single roster (the rendezvous always delivers a
 // certificate to its fingerprint's home shard, duplicates resolve
-// first-observation-wins to the same copy), and the §3.2 verdict is
-// recomputed from the union of per-shard detector evidence — correct
-// because that evidence is order-independent and per-connection, so
-// domains contradicting an issuer on different shards corroborate
-// globally (interception.Merge). Mid-stream, a materialization reflects
-// each shard's applied prefix — a consistent snapshot per shard, not
+// first-observation-wins to the same copy), and the §3.2 verdict is the
+// verdict of the union of per-shard detector evidence — correct because
+// that evidence is order-independent and per-connection, so domains
+// contradicting an issuer on different shards corroborate globally
+// (interception.Merge). Mid-stream, a materialization reflects each
+// shard's applied prefix — a consistent snapshot per shard, not
 // necessarily a prefix of the interleaved global stream.
 //
 // # Cost model
 //
 // Ingest parallelizes across shard apply goroutines — the bottleneck the
-// single engine's one-goroutine design caps at one core. The price moves
-// to materialization: the merged view is rebuilt by full replay whenever
-// any shard's state changed since the last merge (cached otherwise),
-// where a settled single engine materializes incrementally. That is the
-// right trade for a monitor that ingests continuously and reports
-// occasionally.
+// single engine's one-goroutine design caps at one core — and a shard
+// pays for raw state only: roster, window, detector. It enriches nothing,
+// because nothing reads a shard's enrichment. The price moves to
+// materialization: the merged view is rebuilt by full replay whenever any
+// shard's state changed since the last merge (cached otherwise), where a
+// settled single engine materializes incrementally. That is the right
+// trade for a monitor that ingests continuously and reports occasionally.
+//
+// The §3.2 verdict is not part of that price. The router owns one
+// evidence union for the deployment's lifetime; Stats, the merged view's
+// capture and Export each bring it current with the pairs the shards
+// journaled since the last catch-up — O(new pairs), usually none — and
+// read the verdict off it. Stats is therefore O(shards), whatever the
+// evidence or roster size.
 type Sharded struct {
 	cfg    Config
 	shards []*Engine
@@ -85,10 +93,22 @@ type Sharded struct {
 	rv          map[ids.Fingerprint]*rendezvous
 	uniqueCerts int    // fingerprints whose certificate has arrived
 	certsRouted uint64 // IngestCert calls admitted (incl. duplicate fps)
+	// certLog lists the arrived certificates ascending by rendezvous seq —
+	// append-only, so Export binary-searches its suffix. Kept only under
+	// cfg.TrackExport.
+	certLog []ExportCert
 
 	rejected atomic.Uint64
 
 	m *shardedMetrics
+
+	// union is the deployment's §3.2 evidence: every shard's journal up
+	// to cursors[i]. unionMu guards both. Lock order: mu (Export only),
+	// then unionMu, then a shard's state lock — catching up reads a
+	// shard's detector under that shard's lock.
+	unionMu sync.Mutex
+	union   *interception.Merge
+	cursors []int
 
 	// view is the merged materialization, cached on the per-shard
 	// stateVer vector.
@@ -168,9 +188,11 @@ func newRouter(cfg Config, n int) *Sharded {
 		cfg.Metrics = metrics.New()
 	}
 	s := &Sharded{
-		cfg: cfg,
-		rv:  make(map[ids.Fingerprint]*rendezvous),
-		m:   newShardedMetrics(cfg.Metrics, n),
+		cfg:     cfg,
+		rv:      make(map[ids.Fingerprint]*rendezvous),
+		m:       newShardedMetrics(cfg.Metrics, n),
+		union:   interception.NewMerge(2),
+		cursors: make([]int, n),
 	}
 	s.view = &core.MergedView{
 		Input:    cfg.Input,
@@ -184,15 +206,17 @@ func newRouter(cfg Config, n int) *Sharded {
 	return s
 }
 
-// shardConfig derives shard i's engine config: sequence tracking on (the
-// merge path needs the global order; a single shard IS the global order,
-// so the n=1 passthrough skips it) and per-shard metric labels. With
-// more than one shard the router owns the sequence space and the export
-// cursor, so the engines' own export assignment is forced off — a shard
-// stamping its own sequences would collide with router stamps.
+// shardConfig derives shard i's engine config: per-shard metric labels,
+// and with more than one shard a routed engine — router-stamped
+// sequences (the merge path needs the global order) and raw state only.
+// A single shard IS the global order and materializes its own reports, so
+// the n=1 passthrough stays a plain engine. With more than one shard the
+// router also owns the sequence space and the export cursor, so the
+// engines' own export assignment is forced off — a shard stamping its own
+// sequences would collide with router stamps.
 func (s *Sharded) shardConfig(i, n int) Config {
 	cfg := s.cfg
-	cfg.trackSeqs = n > 1
+	cfg.routed = n > 1
 	if n > 1 {
 		cfg.TrackExport = false
 	}
@@ -283,27 +307,37 @@ func (s *Sharded) versions() []uint64 {
 	return vers
 }
 
+// absorbLocked brings the union current with shard i's detector. Caller
+// holds unionMu and the shard's state lock.
+func (s *Sharded) absorbLocked(i int) {
+	s.cursors[i] = s.union.Absorb(s.shards[i].icpt, s.cursors[i])
+}
+
 // capture snapshots each shard under its lock for a merge replay: slice
 // headers are safe to replay lock-free afterwards (appends never mutate
 // elements below the captured length and eviction swaps in a fresh
-// array), roster pointers are immutable, and the detector evidence is
-// copied by Absorb. The version is read under the lock so the cache key
-// matches exactly what was captured.
+// array) and roster pointers are immutable. The version is read, and the
+// union caught up, under the same lock hold as the state, so the cache
+// key and the verdict match exactly what was captured; the union lock is
+// held across all shards so a concurrent Stats cannot run the verdict
+// ahead of a shard already captured.
 func (s *Sharded) capture() core.MergeCapture {
 	c := core.MergeCapture{
 		Shards:   make([]core.ShardState, len(s.shards)),
 		Versions: make([]uint64, len(s.shards)),
-		Evidence: interception.NewMerge(2),
 	}
+	s.unionMu.Lock()
+	defer s.unionMu.Unlock()
 	for i, e := range s.shards {
 		e.mu.Lock()
 		c.Versions[i] = e.stateVer.Load()
 		conns, seqs := e.st.Snapshot()
 		c.Shards[i] = core.ShardState{Certs: e.rosterLocked(), Conns: conns, Seqs: seqs}
 		c.RawConns += e.connsIngested
-		c.Evidence.Absorb(e.icpt)
+		s.absorbLocked(i)
 		e.mu.Unlock()
 	}
+	c.Verdict = s.union.Result()
 	return c
 }
 
@@ -337,17 +371,23 @@ func (s *Sharded) Report(name string) (any, error) {
 // Stats aggregates the shards' operational counters into the single-
 // engine shape: ingest/drop/retention counters sum, the watermark is the
 // max, the certificate numbers come from the router (shard rosters
-// double-count fanned-out certificates), and the §3.2 numbers reflect
-// the merged verdict. Rebuilds counts merged-view replays; Dirty means
-// shard state changed since the last merge.
+// double-count fanned-out certificates), and the §3.2 numbers are the
+// sizes of the union's verdict sets once it has caught up with every
+// shard — one lock hold per shard for both, nothing proportional to the
+// evidence or the roster. Rebuilds counts merged-view replays; Dirty
+// means shard state changed since the last merge.
 func (s *Sharded) Stats() Stats {
 	if s.single != nil {
 		// Passthrough: the engine's counters are the deployment's.
 		return s.single.Stats()
 	}
 	var st Stats
-	for _, e := range s.shards {
-		es := e.Stats()
+	s.unionMu.Lock()
+	for i, e := range s.shards {
+		e.mu.Lock()
+		es := e.statsLocked()
+		s.absorbLocked(i)
+		e.mu.Unlock()
 		st.ConnsIngested += es.ConnsIngested
 		st.Dropped += es.Dropped
 		st.Rejected += es.Rejected
@@ -358,15 +398,9 @@ func (s *Sharded) Stats() Stats {
 			st.Watermark = es.Watermark
 		}
 	}
-	im := interception.NewMerge(2)
-	for _, e := range s.shards {
-		e.mu.Lock()
-		im.Absorb(e.icpt)
-		e.mu.Unlock()
-	}
-	res := im.Result()
-	st.ExcludedCerts = len(res.ExcludedCerts)
-	st.InterceptionIssuers = len(res.Issuers)
+	st.ExcludedCerts = s.union.ExcludedCount()
+	st.InterceptionIssuers = s.union.ConfirmedCount()
+	s.unionMu.Unlock()
 
 	s.mu.Lock()
 	st.CertsIngested = s.certsRouted
@@ -562,6 +596,14 @@ func RestoreSharded(cfg Config, n int, dir string) (*Sharded, map[string]int64, 
 		if ent := s.rv[ids.Fingerprint(fp)]; ent != nil {
 			ent.seq = seq
 		}
+	}
+	if cfg.TrackExport {
+		for _, ent := range s.rv {
+			if ent.cert != nil {
+				s.certLog = append(s.certLog, ExportCert{Seq: ent.seq, Cert: ent.cert})
+			}
+		}
+		sortCertLog(s.certLog)
 	}
 	s.mu.Unlock()
 	s.ckptMu.Lock()

@@ -1,0 +1,294 @@
+package stream
+
+import (
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/certmodel"
+	"repro/internal/core"
+	"repro/internal/ct"
+	"repro/internal/ids"
+	"repro/internal/interception"
+	"repro/internal/race"
+	"repro/internal/truststore"
+)
+
+// rebuildCounts is the oracle for the long-lived union: a fresh union
+// absorbing every source's whole evidence, which is what a per-call
+// rebuild of the verdict computes. (That a union's verdict is the right
+// function of its relations is pinned in package interception, against a
+// recomputation that shares no code with it.)
+func rebuildCounts(evs ...*interception.Evidence) (excluded, issuers int) {
+	m := interception.NewMerge(2)
+	for _, ev := range evs {
+		m.AbsorbEvidence(ev)
+	}
+	return m.ExcludedCount(), m.ConfirmedCount()
+}
+
+// shardEvidence copies each shard's raw evidence under its lock.
+func shardEvidence(s *Sharded) []*interception.Evidence {
+	evs := make([]*interception.Evidence, len(s.shards))
+	for i, e := range s.shards {
+		e.mu.Lock()
+		evs[i] = e.icpt.Evidence()
+		e.mu.Unlock()
+	}
+	return evs
+}
+
+// checkUnion asserts the deployment's §3.2 stats equal the from-scratch
+// union of its shards' evidence. The deployment must be drained.
+func checkUnion(t *testing.T, s *Sharded, step string) Stats {
+	t.Helper()
+	st := s.Stats()
+	excluded, issuers := rebuildCounts(shardEvidence(s)...)
+	if st.ExcludedCerts != excluded || st.InterceptionIssuers != issuers {
+		t.Fatalf("%s: Stats = %d excluded / %d issuers, from-scratch union = %d / %d",
+			step, st.ExcludedCerts, st.InterceptionIssuers, excluded, issuers)
+	}
+	return st
+}
+
+// TestShardedStatsUnionMatchesRebuild drives random interleavings of
+// certificates and connections through sharded deployments and, after
+// every batch, holds Stats' §3.2 numbers to the from-scratch union of the
+// shards' evidence; mid-stream the deployment is checkpointed, killed and
+// restored (the union starts over from the rebuilt journals); drained,
+// the numbers and the merged preprocess report equal a single engine's
+// over the same events.
+func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
+	b := genBuild(20240504, 4000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	certs := certRecords(b)
+
+	for _, n := range []int{2, 3, 4} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		// One event list, certificates and connections shuffled together:
+		// a connection before its leaf certificate parks in the detector
+		// and lands as evidence only when the rendezvous forwards the
+		// certificate, so pairs arrive on both paths.
+		order := rng.Perm(len(certs) + len(b.Raw.Conns))
+
+		single := newEngine(t, in, nil)
+		s := newSharded(t, n, in, nil)
+		restoreAt := len(order) / 2
+		for lo, batchNo := 0, 0; lo < len(order); batchNo++ {
+			hi := min(lo+200+rng.Intn(800), len(order))
+			for _, k := range order[lo:hi] {
+				if k < len(certs) {
+					single.IngestCert(&certs[k])
+					s.IngestCert(&certs[k])
+				} else {
+					single.IngestConn(&b.Raw.Conns[k-len(certs)])
+					s.IngestConn(&b.Raw.Conns[k-len(certs)])
+				}
+			}
+			s.Drain()
+			checkUnion(t, s, fmt.Sprintf("shards=%d batch %d", n, batchNo))
+			if lo < restoreAt && hi >= restoreAt {
+				dir := filepath.Join(t.TempDir(), "ckpt")
+				if err := s.WriteCheckpoint(dir, nil); err != nil {
+					t.Fatal(err)
+				}
+				before := s.Stats()
+				s.Close()
+				restored, _, err := RestoreSharded(Config{Input: in}, n, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(restored.Close)
+				s = restored
+				s.Drain() // rendezvous heals are in flight after a restore
+				after := checkUnion(t, s, fmt.Sprintf("shards=%d restored", n))
+				if after.ExcludedCerts != before.ExcludedCerts || after.InterceptionIssuers != before.InterceptionIssuers {
+					t.Fatalf("shards=%d: restore moved the verdict %d/%d -> %d/%d", n,
+						before.ExcludedCerts, before.InterceptionIssuers, after.ExcludedCerts, after.InterceptionIssuers)
+				}
+			}
+			lo = hi
+		}
+		single.Drain()
+		want, got := single.Stats(), s.Stats()
+		if want.InterceptionIssuers == 0 || want.ExcludedCerts == 0 {
+			t.Fatal("vacuous: the workload confirmed no interception issuer")
+		}
+		if got.ExcludedCerts != want.ExcludedCerts || got.InterceptionIssuers != want.InterceptionIssuers ||
+			got.PendingCerts != want.PendingCerts {
+			t.Errorf("shards=%d: drained Stats %d excluded / %d issuers / %d pending, single engine %d / %d / %d", n,
+				got.ExcludedCerts, got.InterceptionIssuers, got.PendingCerts,
+				want.ExcludedCerts, want.InterceptionIssuers, want.PendingCerts)
+		}
+		wantPre, _ := single.Report("preprocess")
+		gotPre, _ := s.Report("preprocess")
+		if !reflect.DeepEqual(wantPre, gotPre) {
+			t.Errorf("shards=%d: merged preprocess report %+v, single engine %+v", n, gotPre, wantPre)
+		}
+	}
+}
+
+// corroborationInput is a minimal analysis context in which one
+// untrusted issuer re-signs two CT-logged domains: either connection
+// alone leaves it a candidate, both together confirm it.
+func corroborationInput() (*core.Input, []*certmodel.CertInfo, []core.ConnRecord) {
+	log := ct.NewLog()
+	proxy := &interception.Proxy{IssuerOrg: "Sneaky Inspection CA", IssuerCN: "Sneaky Root"}
+	var certs []*certmodel.CertInfo
+	var conns []core.ConnRecord
+	for i, dom := range []string{"bank.com", "shop.com"} {
+		orig := &certmodel.CertInfo{
+			SerialHex: "0A", Version: 3, IssuerOrg: "DigiCert Inc", IssuerCN: "DigiCert Inc CA",
+			SubjectCN: "www." + dom, SANDNS: []string{"www." + dom},
+			NotBefore: time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC), NotAfter: time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC),
+		}
+		orig.Fingerprint = certmodel.SyntheticFingerprint(orig, dom)
+		log.AddChain(ct.Entry{Domain: dom, IssuerOrg: "DigiCert Inc"})
+		re := proxy.Intercept(orig, dom)
+		certs = append(certs, re)
+		conns = append(conns, core.ConnRecord{
+			TS: time.Date(2022, 6, 1+i, 0, 0, 0, 0, time.UTC), SNI: "www." + dom,
+			RespPort: 443, Established: true,
+			ServerChain: []ids.Fingerprint{re.Fingerprint}, Weight: 1,
+		})
+	}
+	return &core.Input{CT: log, Bundle: truststore.DefaultBundle()}, certs, conns
+}
+
+// TestShardedUnionCorroboratesAcrossShards is the case a per-shard
+// verdict cannot see: the issuer is contradicted on domain A on one shard
+// and on domain B on another, so no shard confirms it and only the union
+// does — incrementally, as the second pair lands.
+func TestShardedUnionCorroboratesAcrossShards(t *testing.T) {
+	in, certs, conns := corroborationInput()
+	for _, n := range []int{2, 3, 4} {
+		s := newSharded(t, n, in, nil)
+		// UIDs chosen so the two connections have different home shards.
+		conns[0].UID = "Ca"
+		for i := 0; ; i++ {
+			conns[1].UID = ids.UID(fmt.Sprintf("Cb%d", i))
+			if s.home(string(conns[1].UID)) != s.home(string(conns[0].UID)) {
+				break
+			}
+		}
+		for _, c := range certs {
+			s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+		}
+		s.IngestConn(&conns[0])
+		s.Drain()
+		if st := checkUnion(t, s, "first domain"); st.InterceptionIssuers != 0 || st.ExcludedCerts != 0 {
+			t.Fatalf("shards=%d: one contradicted domain confirmed the issuer: %+v", n, st)
+		}
+		s.IngestConn(&conns[1])
+		s.Drain()
+		for i, e := range s.shards {
+			if es := e.Stats(); es.InterceptionIssuers != 0 {
+				t.Fatalf("shards=%d: shard %d confirmed the issuer alone; the split is vacuous", n, i)
+			}
+		}
+		if st := checkUnion(t, s, "second domain"); st.InterceptionIssuers != 1 || st.ExcludedCerts != 2 {
+			t.Fatalf("shards=%d: union verdict %d issuers / %d excluded, want 1 / 2", n, st.InterceptionIssuers, st.ExcludedCerts)
+		}
+	}
+}
+
+// TestShardedUnionConcurrent runs Stats, Report and Export against live
+// ingest — the three consumers of the one union, each catching it up
+// under its own lock order — for the race detector, then checks the
+// drained verdict.
+func TestShardedUnionConcurrent(t *testing.T) {
+	b := genBuild(7, 4000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	certs := certRecords(b)
+	s := newSharded(t, 3, in, func(c *Config) { c.TrackExport = true })
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	reader := func(fn func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					fn()
+				}
+			}
+		}()
+	}
+	var lastExcluded int
+	reader(func() {
+		// The union only grows, so one reader never sees it shrink.
+		if st := s.Stats(); st.ExcludedCerts < lastExcluded {
+			t.Errorf("ExcludedCerts went backwards: %d after %d", st.ExcludedCerts, lastExcluded)
+		} else {
+			lastExcluded = st.ExcludedCerts
+		}
+	})
+	reader(func() {
+		if _, err := s.Report("preprocess"); err != nil {
+			t.Error(err)
+		}
+	})
+	reader(func() {
+		if _, err := s.Export(0, 0); err != nil {
+			t.Error(err)
+		}
+	})
+	feedBatches(t, s, certs, b.Raw.Conns, 256)
+	s.Drain()
+	close(stop)
+	wg.Wait()
+
+	st := checkUnion(t, s, "drained")
+	pre, err := s.Report("preprocess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pre.(*core.PreprocessReport); got.ExcludedCerts != st.ExcludedCerts || len(got.InterceptionIssuers) != st.InterceptionIssuers {
+		t.Fatalf("preprocess report %d excluded / %d issuers, Stats %d / %d",
+			got.ExcludedCerts, len(got.InterceptionIssuers), st.ExcludedCerts, st.InterceptionIssuers)
+	}
+}
+
+// statsAllocs measures Sharded.Stats on a drained two-shard deployment
+// holding the campus workload at the given scale (larger = smaller).
+func statsAllocs(t *testing.T, scale int) (allocs float64, st Stats) {
+	t.Helper()
+	b := genBuild(20240504, scale)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	s := newSharded(t, 2, in, nil)
+	feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
+	s.Drain()
+	s.Stats() // catch the union up; the measured calls find nothing new
+	return testing.AllocsPerRun(100, func() { st = s.Stats() }), st
+}
+
+// TestShardedStatsAllocsFlat is the regression guard for the O(1) Stats:
+// the allocation count must not depend on how much evidence or roster the
+// deployment holds. Rebuilding the union per call allocates a map per
+// issuer and an entry per observed leaf, so it grows with both.
+func TestShardedStatsAllocsFlat(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts include race-detector bookkeeping under -race")
+	}
+	small, stSmall := statsAllocs(t, 12000)
+	large, stLarge := statsAllocs(t, 300)
+	if stLarge.UniqueCerts < 10*stSmall.UniqueCerts || stLarge.ExcludedCerts < 10*stSmall.ExcludedCerts {
+		t.Fatalf("sizes too close to show a slope: %d -> %d certs, %d -> %d excluded",
+			stSmall.UniqueCerts, stLarge.UniqueCerts, stSmall.ExcludedCerts, stLarge.ExcludedCerts)
+	}
+	if small != large {
+		t.Errorf("Sharded.Stats allocates %.0f at %d certs / %d excluded but %.0f at %d / %d",
+			small, stSmall.UniqueCerts, stSmall.ExcludedCerts, large, stLarge.UniqueCerts, stLarge.ExcludedCerts)
+	}
+}
