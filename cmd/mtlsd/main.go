@@ -47,12 +47,14 @@
 // With -checkpoint the engine state is periodically persisted together
 // with the log-file byte offsets; on restart mtlsd restores the state
 // and resumes tailing exactly where it stopped, so reports after the
-// restart match an uninterrupted run. A fresh path becomes a directory:
-// at -shards 1 an incremental segment chain committed by MANIFEST (an
-// existing legacy single-file checkpoint keeps being rewritten in
-// place), at -shards n>1 one file per shard committed by manifest.json.
-// The layouts do not convert: a daemon pointed at a directory written
-// at the other kind of shard count refuses to start. Every shutdown
+// restart match an uninterrupted run. The checkpoint is a directory:
+// one segment chain per shard, each interval appending only what changed,
+// all committed by the rename of one MANIFEST that also holds the
+// offsets. Routing is a function of the shard count, so a daemon started
+// at another -shards than the checkpoint was written with refuses to
+// start, naming both counts. A checkpoint in an earlier format (a single
+// file, or a directory committed by manifest.json) is restored and then
+// replaced, in place, by the first checkpoint after it. Every shutdown
 // path — SIGINT/SIGTERM, or the HTTP server failing — drains the tailer
 // and writes a final checkpoint before exiting; nothing short of a kill
 // loses tailed state.
@@ -131,7 +133,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.logs, "logs", o.logs, "directory with ssl.log/x509.log to tail (required)")
 	fs.StringVar(&o.listen, "listen", o.listen, "HTTP listen address")
 	fs.DurationVar(&o.poll, "poll", o.poll, "log poll interval")
-	fs.StringVar(&o.checkpoint, "checkpoint", o.checkpoint, "checkpoint path (restore on start, persist periodically); fresh paths become a directory, an existing legacy file is rewritten in place")
+	fs.StringVar(&o.checkpoint, "checkpoint", o.checkpoint, "checkpoint directory (restore on start, persist periodically)")
 	fs.DurationVar(&o.ckptEvery, "checkpoint-every", o.ckptEvery, "checkpoint interval (0 = only on shutdown)")
 	fs.DurationVar(&o.retention, "retention", o.retention, "connection retention window (0 = keep everything)")
 	fs.IntVar(&o.buffer, "buffer", o.buffer, "ingest buffer size in batches (0 = engine default)")

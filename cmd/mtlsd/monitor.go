@@ -20,8 +20,7 @@ import (
 )
 
 // engine is the surface the monitor drives. *stream.Engine and
-// *stream.Sharded both satisfy it; their WriteCheckpoint layouts differ
-// (see openEngine).
+// *stream.Sharded both satisfy it.
 type engine interface {
 	reporter
 	IngestConnBatch(recs []core.ConnRecord) int
@@ -116,8 +115,8 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 	if o.drop {
 		scfg.Policy = stream.Drop
 	}
-	// Resolve the shard count up front: routing and the checkpoint layout
-	// are functions of it.
+	// Resolve the shard count up front: routing, and so which checkpoints
+	// can be restored, is a function of it.
 	shards := o.shards
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -149,13 +148,13 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 }
 
 // openEngine restores the engine from the checkpoint at path, or starts
-// a fresh one when path is empty or holds no checkpoint yet. shards == 1
-// is the classic single-engine deployment (unlabeled stream_* series, an
-// incremental checkpoint directory or a legacy file); more runs the
-// sharded engine, whose per-shard series carry a shard="i" label and
-// whose checkpoint is a manifest plus one file per shard. The cursor is
-// nil for a fresh engine. A path holding the other layout's checkpoint
-// is an error from the restore, not "no checkpoint yet".
+// a fresh one when path is empty or holds no checkpoint yet — the one
+// case the restores report as os.ErrNotExist; a checkpoint written at
+// another shard count, or one whose manifest names a file that is gone,
+// is an error. shards == 1 is the classic single-engine deployment
+// (unlabeled stream_* series); more runs the sharded engine, whose
+// per-shard series carry a shard="i" label. The cursor is nil for a fresh
+// engine.
 func openEngine(cfg stream.Config, shards int, path string) (engine, map[string]int64, error) {
 	if path != "" {
 		var eng engine

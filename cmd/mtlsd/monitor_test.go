@@ -2,9 +2,12 @@ package main
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -12,6 +15,7 @@ import (
 
 	mtls "repro"
 	"repro/internal/core"
+	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/zeek"
 )
@@ -289,7 +293,7 @@ func TestDaemonSharded(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not exit after SIGTERM")
 	}
-	if _, err := os.Stat(filepath.Join(ckptDir, "manifest.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(ckptDir, "MANIFEST")); err != nil {
 		t.Fatalf("checkpoint manifest missing: %v", err)
 	}
 	rin := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
@@ -308,20 +312,19 @@ func TestDaemonSharded(t *testing.T) {
 }
 
 // TestDaemonCheckpointLayoutMismatch: a -checkpoint directory written at
-// one kind of shard count must stop a daemon started at the other. The
-// two layouts share no files, so the restore used to see "no checkpoint
-// yet": the daemon started empty, re-tailed the logs from byte 0 and
-// then wrote the second layout into the same directory.
+// one shard count must stop a daemon started at another, with both counts
+// in the refusal. Routing is a function of the count; the alternatives —
+// starting empty and re-tailing the logs from byte 0, or restoring shards
+// that own the wrong connections — are both silent corruption.
 func TestDaemonCheckpointLayoutMismatch(t *testing.T) {
 	dir, cfg := writeTestLogs(t)
 	total := uint64(len(mtls.GenerateConfig(cfg).Raw.Conns))
 	for _, c := range []struct {
-		name           string
-		first, second  int
-		commit, absent string
+		name          string
+		first, second int
 	}{
-		{"sharded then single", 2, 1, "manifest.json", "MANIFEST"},
-		{"single then sharded", 1, 2, "MANIFEST", "manifest.json"},
+		{"sharded then single", 2, 1},
+		{"single then sharded", 1, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			o := testOptions(dir, cfg)
@@ -333,9 +336,7 @@ func TestDaemonCheckpointLayoutMismatch(t *testing.T) {
 			if code := <-exit; code != 0 {
 				t.Fatalf("first daemon exit code %d", code)
 			}
-			if _, err := os.Stat(filepath.Join(o.checkpoint, c.commit)); err != nil {
-				t.Fatalf("first daemon left no %s: %v", c.commit, err)
-			}
+			before := listDir(t, o.checkpoint)
 
 			// A daemon that wrongly starts is stopped by the deadline and
 			// exits 0; the refusal exits 1 long before it.
@@ -348,14 +349,84 @@ func TestDaemonCheckpointLayoutMismatch(t *testing.T) {
 				t.Fatalf("daemon at -shards %d over a -shards %d checkpoint: exit %d, want 1\n%s",
 					c.second, c.first, code, log.String())
 			}
-			for _, want := range []string{"MANIFEST", "manifest.json"} {
-				if !strings.Contains(log.String(), want) {
-					t.Errorf("refusal does not name %s:\n%s", want, log.String())
-				}
+			if want := fmt.Sprintf("checkpoint has %d shards, requested %d", c.first, c.second); !strings.Contains(log.String(), want) {
+				t.Errorf("refusal does not say %q:\n%s", want, log.String())
 			}
-			if _, err := os.Stat(filepath.Join(o.checkpoint, c.absent)); err == nil {
-				t.Errorf("refused daemon still wrote %s beside %s", c.absent, c.commit)
+			if after := listDir(t, o.checkpoint); !reflect.DeepEqual(before, after) {
+				t.Errorf("refused daemon changed the checkpoint directory: %v → %v", before, after)
 			}
 		})
+	}
+}
+
+// listDir names a directory's entries with their sizes.
+func listDir(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, ent := range ents {
+		fi, err := ent.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, fmt.Sprintf("%s:%d", ent.Name(), fi.Size()))
+	}
+	return out
+}
+
+// TestOpenEngineMissingNamedFile: a committed manifest that names a file
+// which is gone is a damaged checkpoint, at either kind of shard count.
+// The restore used to hand back the *PathError wrapped, openEngine took
+// its os.ErrNotExist for "no checkpoint yet", and the daemon started
+// empty, re-tailed from byte 0 and swept the rest of the chain with its
+// first commit.
+func TestOpenEngineMissingNamedFile(t *testing.T) {
+	cfg := mtls.DefaultConfig()
+	cfg.CertScale = testScale
+	build := mtls.GenerateConfig(cfg)
+	in := mtls.InputFromBuild(build)
+	in.Raw = nil
+	scfg := stream.Config{Input: in}
+	for _, shards := range []int{1, 2} {
+		path := filepath.Join(t.TempDir(), "ckpt")
+		eng, cursor, err := openEngine(scfg, shards, path)
+		if err != nil || cursor != nil {
+			t.Fatalf("shards=%d: an absent path must open a fresh engine: cursor %v, err %v", shards, cursor, err)
+		}
+		eng.IngestConnBatch(build.Raw.Conns[:500])
+		eng.Drain()
+		for i := 1; i <= 2; i++ { // a base and a delta per chain
+			if err := eng.WriteCheckpoint(path, map[string]int64{"ssl.log": int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Close()
+		segs, err := filepath.Glob(filepath.Join(path, "seg-*.ckpt"))
+		if err != nil || len(segs) != 2*shards {
+			t.Fatalf("shards=%d: %d segments on disk (%v), want %d", shards, len(segs), err, 2*shards)
+		}
+		if err := os.Remove(segs[len(segs)-1]); err != nil {
+			t.Fatal(err)
+		}
+		eng, _, err = openEngine(scfg, shards, path)
+		if err == nil {
+			eng.Close()
+			t.Fatalf("shards=%d: a manifest naming a missing segment opened an engine", shards)
+		}
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("shards=%d: err = %v, want store.ErrCorrupt", shards, err)
+		}
+		// A directory with no commit file is still "no checkpoint yet".
+		if err := os.Remove(filepath.Join(path, "MANIFEST")); err != nil {
+			t.Fatal(err)
+		}
+		eng, cursor, err = openEngine(scfg, shards, path)
+		if err != nil || cursor != nil {
+			t.Fatalf("shards=%d: a directory without a manifest must open a fresh engine: cursor %v, err %v", shards, cursor, err)
+		}
+		eng.Close()
 	}
 }

@@ -139,27 +139,3 @@ func SyncDir(dir string) error {
 	}
 	return nil
 }
-
-// SweepTemps removes stale "<base>.tmp" partials matching glob inside
-// dir — the residue of a crash between create and rename. keep lists
-// basenames that must survive (a concurrent writer's live temp).
-// Best-effort: removal errors are ignored, the next sweep retries.
-func SweepTemps(dir, glob string, keep ...string) {
-	matches, err := filepath.Glob(filepath.Join(dir, glob))
-	if err != nil {
-		return
-	}
-	for _, m := range matches {
-		base := filepath.Base(m)
-		skip := false
-		for _, k := range keep {
-			if base == k {
-				skip = true
-				break
-			}
-		}
-		if !skip {
-			os.Remove(m)
-		}
-	}
-}

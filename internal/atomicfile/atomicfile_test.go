@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -101,34 +100,6 @@ func TestWriteToEmitError(t *testing.T) {
 	}
 	if _, err := os.Stat(TempName(path)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("temp file left behind after emit failure")
-	}
-}
-
-// TestSweepTemps removes stale partials, honors the keep list, and
-// leaves committed files alone.
-func TestSweepTemps(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(name string) {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk("state")
-	mk("state.tmp")
-	mk("other.tmp")
-	mk("live.tmp")
-	SweepTemps(dir, "*.tmp", "live.tmp")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	got := strings.Join(names, ",")
-	if got != "live.tmp,state" {
-		t.Fatalf("after sweep: %s, want live.tmp,state", got)
 	}
 }
 

@@ -10,56 +10,58 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/atomicfile"
 	"repro/internal/certmodel"
 	"repro/internal/core"
-	"repro/internal/ids"
 	"repro/internal/interception"
+	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
-// Checkpoints come in two on-disk shapes:
+// A checkpoint is a directory: one MANIFEST and the CRC-framed segment
+// files it names. The manifest lists one segment chain per shard (a
+// plain engine is one chain), the caller's cursor and, for a sharded
+// deployment, the router's state. Each WriteCheckpoint appends one
+// segment to every chain, carrying only what changed since the previous
+// commit — connections appended past the committed sequence mark,
+// certificates admitted since, the latest eviction cutoff, the cumulative
+// detector state and the counters — and then rewrites the MANIFEST
+// through the atomicfile protocol. Restore replays each chain in order:
+// apply the segment's eviction cutoff to the state accumulated so far,
+// then append its records. A background compactor folds every chain
+// back into one base, so the directory stays O(state) while each
+// interval's write stays O(delta).
 //
-//   - Legacy: one gob file holding the full state, committed by temp+
-//     rename. Still written to paths that already hold a regular file
-//     (so a deployment that checkpointed before this format exists keeps
-//     its file) and for the per-shard files of a sharded checkpoint
-//     directory, whose manifest is the commit point for the whole set.
+// The manifest has one owner — the Engine, or the Sharded for all its
+// shards — and its rename is the only commit point: shards write segment
+// files and nothing else, so no crash can leave shard states that
+// disagree with each other or with the cursor.
 //
-//   - Incremental (the default for fresh paths): a directory of
-//     CRC-framed segment files plus a MANIFEST. Each WriteCheckpoint
-//     appends one segment carrying only the delta since the previous
-//     commit — connections appended since the last committed sequence mark,
-//     certificates admitted since then, the latest eviction cutoff, the
-//     cumulative detector state, and the counters — and then rewrites
-//     the MANIFEST through the atomicfile protocol, which is the single
-//     commit point. Restore replays the segments in order: apply the
-//     segment's eviction cutoff to the state accumulated so far, then
-//     append its records. A background compactor folds the segment
-//     chain back into one base so the directory stays O(state), while
-//     each interval's write stays O(delta).
-//
-// Crash matrix (see DESIGN.md §8 for the narrative): a crash before the
-// MANIFEST rename leaves the previous commit fully intact (new segment
-// files are unreferenced garbage, swept on the next write or restore);
-// a crash after the rename is a completed commit (segment data was
-// fsynced before the manifest named it, the manifest through
-// atomicfile); mid-compaction crashes leave the old manifest and
-// segments untouched.
+// Crash matrix (DESIGN.md §8 has the narrative): nothing is deleted
+// before a commit, and after one the owner sweeps every file the new
+// manifest does not name. A crash before the rename leaves the previous
+// commit intact beside unreferenced files; a crash after it is the new
+// commit (segments were fsynced before the manifest named them). That
+// covers a delta, a compaction, and the first write into a directory
+// some other history committed. Formats older than this one are read by
+// migrate.go and replaced by the first write after the restore.
 
-// checkpointVersion guards the legacy on-disk format.
-const checkpointVersion = 1
+// ckptManifestVersion guards the manifest format. Version 1 named a
+// single chain as Segments; it is still read.
+const ckptManifestVersion = 2
 
-// ckptManifestVersion guards the incremental directory format.
-const ckptManifestVersion = 1
-
-// ckptManifestName is the commit point of an incremental checkpoint
-// directory. Distinct from the sharded manifest.json so the two
-// directory layouts cannot be mistaken for each other.
+// ckptManifestName is the commit point of a checkpoint directory.
 const ckptManifestName = "MANIFEST"
+
+// ckptSwapSuffix names the directory built beside a regular file that
+// holds the checkpoint path, until it takes the file's place.
+const ckptSwapSuffix = ".swap"
 
 // ckptCompactEvery is the segment-chain length that triggers the
 // background compactor after a delta commit.
@@ -118,163 +120,34 @@ type ckptSeg struct {
 	Bytes int64
 }
 
-// ckptManifest is the incremental directory's commit record.
+// routerState is what a sharded deployment checkpoints beside its
+// shards' chains: the sequence counter, the admitted-certificate count
+// and, when it exports, the numbering epoch and each certificate's
+// admission sequence, so cursors survive a restart (without them a
+// restore numbers under a fresh epoch, which refuses stale cursors).
+type routerState struct {
+	NextSeq     uint64
+	CertsRouted uint64
+	Epoch       uint64            `json:",omitempty"`
+	CertSeqs    map[string]uint64 `json:",omitempty"`
+}
+
+// ckptManifest is a checkpoint directory's commit record. Gen counts the
+// directory's commits; NextSeg numbers its segment files, across chains.
 type ckptManifest struct {
-	Version  int
-	Gen      uint64
-	NextSeg  int
-	Segments []ckptSeg
-	Cursor   map[string]int64
-}
-
-// checkpointState is the legacy serialized engine: the raw ground truth
-// (certificate roster, retained connections, cumulative detector state
-// and counters) from which every derived structure is rebuilt on
-// restore. The daemon's log-file cursor rides along so ingestion resumes
-// exactly where the checkpointed state ends.
-type checkpointState struct {
 	Version int
-	// Cursor is opaque to the engine: mtlsd stores per-file byte offsets.
-	Cursor map[string]int64
+	Gen     uint64
+	NextSeg int
+	Chains  [][]ckptSeg
+	Cursor  map[string]int64
+	Router  *routerState `json:",omitempty"`
 
-	ConnsIngested uint64
-	CertsIngested uint64
-	Evicted       uint64
-	Rebuilds      uint64
-	Watermark     time.Time
-
-	Roster       []*certmodel.CertInfo
-	Conns        []core.ConnRecord
-	Interception *interception.StreamState
-	// Seqs are the retained connections' ingest sequences when the writer
-	// was a shard of a sharded deployment or ran under TrackExport (nil
-	// otherwise — restore then numbers the records in replay order; gob
-	// tolerates the absent field in old checkpoints).
-	Seqs []uint64
-	// Export-cursor state (TrackExport engines): the numbering epoch, the
-	// next sequence, and each roster fingerprint's admission sequence.
-	// Zero/nil in checkpoints from engines without export, in which case
-	// a TrackExport restore renumbers under a fresh epoch.
-	Epoch    uint64
-	NextSeq  uint64
-	CertSeqs map[ids.Fingerprint]uint64
+	// Segments is version 1's single chain; never written.
+	Segments []ckptSeg `json:",omitempty"`
 }
 
-// WriteCheckpoint serializes the engine state (plus the caller's
-// cursor) to path. A path already holding a regular file is rewritten
-// in the legacy full-gob format; any other path (fresh, or an existing
-// checkpoint directory) gets the incremental directory format, where
-// each call appends a segment carrying only the delta since the last
-// commit. The caller must ensure the cursor is consistent with the
-// applied state — i.e. Drain first, then read tail offsets, then
-// checkpoint.
-func (e *Engine) WriteCheckpoint(path string, cursor map[string]int64) error {
-	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
-		return e.writeLegacyCheckpoint(path, cursor)
-	}
-	return e.writeIncremental(path, cursor)
-}
-
-// snapshotLegacyLocked assembles the legacy checkpoint state under mu.
-// The record slices come from the window snapshot: safe to encode after
-// mu is released because the window never mutates handed-out state
-// (appends land beyond the captured length, eviction swaps in fresh
-// arrays), so encoding sees exactly the captured prefix.
-func (e *Engine) snapshotLegacyLocked(cursor map[string]int64) *checkpointState {
-	conns, seqs := e.st.Snapshot()
-	if !e.seqTracked() {
-		seqs = nil
-	}
-	rebuilds, _ := e.d.stats()
-	st := &checkpointState{
-		Version:       checkpointVersion,
-		Cursor:        cursor,
-		ConnsIngested: e.connsIngested,
-		CertsIngested: e.certsIngested,
-		Evicted:       e.evicted,
-		Rebuilds:      rebuilds,
-		Watermark:     e.watermark,
-		Roster:        e.rosterLocked(),
-		Conns:         conns,
-		Seqs:          seqs,
-		Interception:  e.icpt.Snapshot(),
-	}
-	if e.cfg.TrackExport {
-		st.Epoch, st.NextSeq = e.epoch, e.nextSeq
-		st.CertSeqs = make(map[ids.Fingerprint]uint64, len(e.certSeqs))
-		for fp, seq := range e.certSeqs {
-			st.CertSeqs[fp] = seq
-		}
-	}
-	return st
-}
-
-// writeLegacyCheckpoint writes the full-gob format through the
-// atomicfile commit protocol (fsync on the temp file and the parent
-// directory — the historical Create→Encode→Close→Rename was atomic
-// against readers but not against power loss).
-func (e *Engine) writeLegacyCheckpoint(path string, cursor map[string]int64) error {
-	defer e.m.checkpointDur.Since(time.Now())
-	e.mu.Lock()
-	st := e.snapshotLegacyLocked(cursor)
-	e.mu.Unlock()
-	// Deterministic roster order keeps checkpoint bytes stable across
-	// runs of the same state.
-	sort.Slice(st.Roster, func(i, j int) bool {
-		return st.Roster[i].Fingerprint < st.Roster[j].Fingerprint
-	})
-
-	var n int64
-	err := atomicfile.WriteTo(path, func(f *os.File) error {
-		cw := &countingWriter{w: f}
-		if err := gob.NewEncoder(cw).Encode(st); err != nil {
-			return fmt.Errorf("stream: checkpoint encode: %w", err)
-		}
-		n = cw.n
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
-	}
-	e.m.checkpoints.Inc()
-	e.m.checkpointBytes.Set(float64(n))
-	e.mu.Lock()
-	e.lastCkpt = time.Now()
-	e.mu.Unlock()
-	return nil
-}
-
-// countingWriter tracks bytes written, for the checkpoint size gauge.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// layoutErr is what a restore returns when reading dir's commit file
-// (want) failed with err: err itself, unless the file is missing while
-// the other deployment shape's commit file is there — the single-engine
-// MANIFEST versus the sharded manifest.json. That is a refusal, not a
-// not-exist error: a caller reading it as "no checkpoint yet" would
-// start empty, re-tail its logs from byte 0, and then write a second
-// layout into the same directory.
-func layoutErr(err error, dir, want, other string) error {
-	if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	if _, serr := os.Stat(filepath.Join(dir, other)); serr != nil {
-		return err
-	}
-	return fmt.Errorf("stream: %s has %s but no %s: it holds the other checkpoint layout (%s commits a single engine, %s a sharded one); restore it at the shard count it was written with, or name another path",
-		dir, other, want, ckptManifestName, manifestName)
-}
-
-// readCkptManifest loads and validates a directory's MANIFEST.
+// readCkptManifest loads and validates a directory's MANIFEST, reading a
+// version-1 manifest as the one-chain directory it is.
 func readCkptManifest(dir string) (*ckptManifest, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, ckptManifestName))
 	if err != nil {
@@ -284,84 +157,261 @@ func readCkptManifest(dir string) (*ckptManifest, error) {
 	if err := json.Unmarshal(buf, &man); err != nil {
 		return nil, fmt.Errorf("stream: checkpoint manifest decode: %w", err)
 	}
-	if man.Version != ckptManifestVersion {
+	switch man.Version {
+	case 1:
+		man.Version, man.Chains, man.Segments = ckptManifestVersion, [][]ckptSeg{man.Segments}, nil
+	case ckptManifestVersion:
+	default:
 		return nil, fmt.Errorf("stream: checkpoint manifest version %d, want %d", man.Version, ckptManifestVersion)
+	}
+	if len(man.Chains) == 0 || len(man.Chains) > MaxShards {
+		return nil, fmt.Errorf("stream: checkpoint manifest names %d chains", len(man.Chains))
+	}
+	for _, chain := range man.Chains {
+		if len(chain) == 0 {
+			return nil, fmt.Errorf("stream: checkpoint manifest names a chain without segments")
+		}
 	}
 	return &man, nil
 }
 
-// writeCkptManifest commits a manifest through the atomicfile protocol.
-func writeCkptManifest(dir string, man *ckptManifest) error {
-	buf, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("stream: checkpoint manifest: %w", err)
+// checkpointer owns one checkpoint directory on behalf of the engines
+// whose chains it holds: a plain engine's own, or a Sharded's for all
+// its shards. It is the only writer of the MANIFEST. Lock order: mu
+// before any engine's state lock — writers hold mu throughout and take
+// an engine's lock briefly for its snapshot.
+type checkpointer struct {
+	engines []*Engine           // chain i is engines[i]'s
+	router  func() *routerState // nil for a plain engine
+	// dur and compactDur observe whole calls: one commit, one fold.
+	dur, compactDur *metrics.Histogram
+
+	mu sync.Mutex
+	// dir is the directory being written and man these engines' last
+	// commit there. After first contact man has no chains yet — the next
+	// write is a base per chain rather than a delta — only the generation
+	// and segment numbering to continue.
+	dir string
+	man *ckptManifest
+
+	compactWG sync.WaitGroup
+}
+
+// WriteCheckpoint commits the engine state, and the caller's cursor with
+// it, to the checkpoint directory at path: a base segment on the first
+// write there, a delta since the previous commit on every later one. A
+// regular file at path — a checkpoint from before the directory format —
+// is replaced by the directory. The caller must ensure the cursor is
+// consistent with the applied state — i.e. Drain first, then read tail
+// offsets, then checkpoint.
+func (e *Engine) WriteCheckpoint(path string, cursor map[string]int64) error {
+	return e.ckpt.write(path, cursor)
+}
+
+// Compact folds the committed segment chain into one base segment, so
+// the directory returns to O(state) while the per-interval delta cost
+// stays O(delta). Runs in the background after every ckptCompactEvery-th
+// commit; safe to call directly. A crash at any point leaves the previous
+// manifest and its segments untouched.
+func (e *Engine) Compact() error {
+	return e.ckpt.compact()
+}
+
+// finishSwap completes a file → directory replacement that stopped
+// between removing the file and renaming the finished directory into its
+// place. The directory's MANIFEST shows it was finished; anything less
+// beside a path that still exists is an abandoned attempt.
+func finishSwap(path string) error {
+	staging := path + ckptSwapSuffix
+	if _, err := os.Lstat(path); !errors.Is(err, os.ErrNotExist) {
+		return nil
 	}
-	if err := atomicfile.WriteFile(filepath.Join(dir, ckptManifestName), append(buf, '\n')); err != nil {
-		return fmt.Errorf("stream: checkpoint manifest: %w", err)
+	if _, err := os.Stat(filepath.Join(staging, ckptManifestName)); err != nil {
+		return nil
+	}
+	return atomicfile.Rename(staging, path)
+}
+
+// firstContact points the checkpointer at path, which this process has
+// not written or restored. Whatever is committed there stays readable
+// until the replacement commits: a directory's manifest is read for the
+// numbering to continue, and a regular file is left alone while the new
+// directory is built beside it, for write to swap in once committed.
+func (c *checkpointer) firstContact(path string) error {
+	if err := finishSwap(path); err != nil {
+		return err
+	}
+	staging := path + ckptSwapSuffix
+	if err := os.RemoveAll(staging); err != nil {
+		return err
+	}
+	dir := path
+	if fi, err := os.Stat(path); err == nil && !fi.IsDir() {
+		dir = staging
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	man := &ckptManifest{NextSeg: 1}
+	switch found, err := readCkptManifest(dir); {
+	case err == nil:
+		man.Gen, man.NextSeg = found.Gen, found.NextSeg
+	case !errors.Is(err, os.ErrNotExist):
+		// Not ours to overwrite: a commit file that cannot be read says
+		// nothing about which files it still needs.
+		return err
+	}
+	c.dir, c.man = dir, man
+	return nil
+}
+
+// write appends one segment per chain and commits the set.
+func (c *checkpointer) write(path string, cursor map[string]int64) error {
+	defer c.dur.Since(time.Now())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.man == nil || c.dir != path {
+		if err := c.firstContact(path); err != nil {
+			return fmt.Errorf("stream: checkpoint: %w", err)
+		}
+	}
+	man := &ckptManifest{
+		Version: ckptManifestVersion,
+		Gen:     c.man.Gen + 1,
+		NextSeg: c.man.NextSeg,
+		Chains:  make([][]ckptSeg, len(c.engines)),
+		Cursor:  cursor,
+	}
+	if c.router != nil {
+		man.Router = c.router()
+	}
+	full := c.man.Chains == nil
+	committed := make([]func(chainLen int), len(c.engines))
+	for i, e := range c.engines {
+		if !full {
+			man.Chains[i] = slices.Clone(c.man.Chains[i])
+		}
+		name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
+		n, done, err := e.writeDelta(filepath.Join(c.dir, name), full)
+		if err != nil {
+			return fmt.Errorf("stream: checkpoint segment: %w", err)
+		}
+		man.NextSeg++
+		man.Chains[i] = append(man.Chains[i], ckptSeg{Name: name, Bytes: n})
+		committed[i] = done
+	}
+	if err := c.commit(man); err != nil {
+		return err
+	}
+	for i, done := range committed {
+		done(len(man.Chains[i]))
+	}
+	if c.dir != path {
+		// The directory beside the file is complete and committed: it
+		// takes the file's place.
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("stream: checkpoint: %w", err)
+		}
+		if err := finishSwap(path); err != nil {
+			return fmt.Errorf("stream: checkpoint: %w", err)
+		}
+		c.dir = path
+	}
+	if len(man.Chains[0]) >= ckptCompactEvery { // chains grow and fold together
+		c.compactWG.Add(1)
+		go func() {
+			defer c.compactWG.Done()
+			c.compact()
+		}()
 	}
 	return nil
 }
 
-// sweepCkptDir removes segment files the manifest does not reference
-// and stale temp files — the residue of crashed commits. Caller holds
-// ckptMu.
-func sweepCkptDir(dir string, man *ckptManifest) {
-	refd := map[string]bool{}
-	if man != nil {
-		for _, s := range man.Segments {
-			refd[s.Name] = true
+// commit renames man into place and then sweeps every checkpoint file it
+// does not name. A failure keeps the previous commit as the one to
+// continue from, but burns the generation and the segment names the
+// attempt used: the error may have come after the rename (the directory
+// fsync), and a manifest that did land must keep pointing at intact
+// files until the next commit supersedes it.
+func (c *checkpointer) commit(man *ckptManifest) error {
+	buf, err := json.MarshalIndent(man, "", "  ")
+	if err == nil {
+		err = atomicfile.WriteFile(filepath.Join(c.dir, ckptManifestName), append(buf, '\n'))
+	}
+	if err != nil {
+		c.man.Gen, c.man.NextSeg = man.Gen, man.NextSeg
+		return fmt.Errorf("stream: checkpoint manifest: %w", err)
+	}
+	c.man = man
+	keep := map[string]bool{}
+	for _, chain := range man.Chains {
+		for _, sg := range chain {
+			keep[sg.Name] = true
 		}
 	}
-	if matches, err := filepath.Glob(filepath.Join(dir, "seg-*.ckpt")); err == nil {
-		for _, m := range matches {
-			if !refd[filepath.Base(m)] {
-				os.Remove(m)
-			}
+	ents, err := os.ReadDir(c.dir)
+	if err != nil {
+		return nil // best effort: the next commit sweeps again
+	}
+	for _, ent := range ents {
+		name := ent.Name()
+		if !keep[name] && (strings.HasSuffix(name, ".ckpt") || strings.HasSuffix(name, ".tmp") || name == parentManifestName) {
+			os.Remove(filepath.Join(c.dir, name))
 		}
 	}
-	atomicfile.SweepTemps(dir, "*.tmp")
+	return nil
 }
 
-// writeSegment streams one segment to path: the state frame first, then
-// the roster and connection batches, fsynced before return so the
-// manifest that will reference it never names un-durable data. Returns
-// the segment's size.
-func writeSegment(path string, st *segState, certs []*certmodel.CertInfo, certSeqs []uint64, conns []core.ConnRecord, seqs []uint64) (int64, error) {
+// compact folds every chain into one base segment and commits the
+// folded set through the manifest, cursor and router state unchanged.
+// Chains grow and fold together, so the first speaks for all.
+func (c *checkpointer) compact() error {
+	defer c.compactDur.Since(time.Now())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.man == nil || c.man.Chains == nil || len(c.man.Chains[0]) <= 1 {
+		return nil
+	}
+	man := *c.man
+	man.Gen++
+	man.Chains = make([][]ckptSeg, len(c.man.Chains))
+	for i, chain := range c.man.Chains {
+		name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
+		n, err := foldChain(c.dir, chain, name)
+		if err != nil {
+			return fmt.Errorf("stream: compact: %w", err)
+		}
+		man.NextSeg++
+		man.Chains[i] = []ckptSeg{{Name: name, Bytes: n}}
+	}
+	if err := c.commit(&man); err != nil {
+		return err
+	}
+	for _, e := range c.engines {
+		e.m.compactions.Inc()
+		e.m.checkpointSegs.Set(1)
+	}
+	return nil
+}
+
+// createSegment writes one segment file: emit streams its frames, and
+// the file is fsynced before return, so the manifest that will name it
+// never names un-durable data. Returns the segment's size.
+func createSegment(path string, emit func(w io.Writer) error) (size int64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	cw := &countingWriter{w: f}
-	w := bufio.NewWriterSize(cw, 1<<20)
-	emit := func(typ byte, payload any) error {
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(payload); err != nil {
-			return err
-		}
-		return store.WriteFrame(w, typ, body.Bytes())
-	}
-	err = emit(segFrameState, st)
-	for i := 0; err == nil && i < len(certs); i += ckptCertChunk {
-		end := min(i+ckptCertChunk, len(certs))
-		batch := segCerts{Certs: certs[i:end]}
-		if certSeqs != nil {
-			batch.Seqs = certSeqs[i:end]
-		}
-		err = emit(segFrameCerts, &batch)
-	}
-	for i := 0; err == nil && i < len(conns); i += ckptConnChunk {
-		end := min(i+ckptConnChunk, len(conns))
-		batch := segConns{Conns: conns[i:end]}
-		if seqs != nil {
-			batch.Seqs = seqs[i:end]
-		}
-		err = emit(segFrameConns, &batch)
-	}
+	w := bufio.NewWriterSize(f, 1<<20)
+	err = emit(w)
 	if err == nil {
 		err = w.Flush()
 	}
 	if err == nil {
 		err = f.Sync()
+	}
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -370,34 +420,53 @@ func writeSegment(path string, st *segState, certs []*certmodel.CertInfo, certSe
 		os.Remove(path)
 		return 0, err
 	}
-	return cw.n, nil
+	return size, nil
 }
 
-// writeIncremental appends one delta segment (or, on first contact with
-// the directory, a full base) and commits it via the MANIFEST.
-func (e *Engine) writeIncremental(dir string, cursor map[string]int64) error {
-	defer e.m.checkpointDur.Since(time.Now())
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("stream: checkpoint: %w", err)
+// writeFrame gob-encodes payload as one frame of type typ.
+func writeFrame(w io.Writer, typ byte, payload any) error {
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
+		return err
 	}
-	if e.ckptDir != dir {
-		// First contact with this directory in this process. A manifest
-		// already there belongs to some other engine history — deltas
-		// against an unknown base would corrupt it, so start a fresh
-		// full base regardless (its commit obsoletes the old segments,
-		// which the sweep below then collects).
-		e.ckptDir, e.ckptMan = dir, nil
-	}
-	sweepCkptDir(dir, e.ckptMan)
+	return store.WriteFrame(w, typ, body.Bytes())
+}
 
-	full := e.ckptMan == nil
+// writeSegment streams one segment to path: the state frame first, then
+// the roster and connection batches.
+func writeSegment(path string, st *segState, certs []*certmodel.CertInfo, certSeqs []uint64, conns []core.ConnRecord, seqs []uint64) (int64, error) {
+	return createSegment(path, func(w io.Writer) error {
+		err := writeFrame(w, segFrameState, st)
+		for i := 0; err == nil && i < len(certs); i += ckptCertChunk {
+			end := min(i+ckptCertChunk, len(certs))
+			batch := segCerts{Certs: certs[i:end]}
+			if certSeqs != nil {
+				batch.Seqs = certSeqs[i:end]
+			}
+			err = writeFrame(w, segFrameCerts, &batch)
+		}
+		for i := 0; err == nil && i < len(conns); i += ckptConnChunk {
+			end := min(i+ckptConnChunk, len(conns))
+			batch := segConns{Conns: conns[i:end]}
+			if seqs != nil {
+				batch.Seqs = seqs[i:end]
+			}
+			err = writeFrame(w, segFrameConns, &batch)
+		}
+		return err
+	})
+}
 
-	// Snapshot the delta (or everything, for a base) under the state
-	// lock. All slices are fresh copies or abandon-don't-mutate
-	// snapshots, so encoding proceeds after unlock without stalling
-	// ingest.
+// writeDelta snapshots what changed since this engine's last committed
+// segment — everything, for a base — and writes it to path as one
+// segment, returning its size. The engine's marks stand until the owner
+// calls done, once its manifest names the segment; a commit that fails
+// is simply covered again by the next delta.
+func (e *Engine) writeDelta(path string, full bool) (int64, func(chainLen int), error) {
+	// Snapshot under the state lock. All slices are fresh copies or
+	// abandon-don't-mutate snapshots (appends land beyond the captured
+	// length, eviction swaps in fresh arrays), so encoding proceeds after
+	// unlock without stalling ingest.
 	e.mu.Lock()
 	var conns []core.ConnRecord
 	var seqs []uint64
@@ -445,76 +514,35 @@ func (e *Engine) writeIncremental(dir string, cursor map[string]int64) error {
 	}
 	e.mu.Unlock()
 
-	man := &ckptManifest{Version: ckptManifestVersion, NextSeg: 1}
-	if e.ckptMan != nil {
-		cp := *e.ckptMan
-		cp.Segments = append([]ckptSeg(nil), e.ckptMan.Segments...)
-		man = &cp
-	}
-	name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
-	n, err := writeSegment(filepath.Join(dir, name), st, certs, certSeqs, conns, seqs)
+	n, err := writeSegment(path, st, certs, certSeqs, conns, seqs)
 	if err != nil {
-		return fmt.Errorf("stream: checkpoint segment: %w", err)
+		return 0, nil, err
 	}
-	man.Gen++
-	man.NextSeg++
-	man.Segments = append(man.Segments, ckptSeg{Name: name, Bytes: n})
-	man.Cursor = cursor
-	if err := writeCkptManifest(dir, man); err != nil {
-		os.Remove(filepath.Join(dir, name))
-		return err
-	}
-	e.ckptMan = man
-
-	e.m.checkpoints.Inc()
-	e.m.checkpointBytes.Set(float64(n))
-	e.m.checkpointSegs.Set(float64(len(man.Segments)))
-	e.mu.Lock()
-	e.ckptMark = newMark
-	e.ckptNewCerts = e.ckptNewCerts[nCerts:]
-	e.lastCkpt = time.Now()
-	e.mu.Unlock()
-
-	if len(man.Segments) >= ckptCompactEvery {
-		e.compactWG.Add(1)
-		go func() {
-			defer e.compactWG.Done()
-			e.Compact()
-		}()
-	}
-	return nil
+	return n, func(chainLen int) {
+		e.m.checkpoints.Inc()
+		e.m.checkpointBytes.Set(float64(n))
+		e.m.checkpointSegs.Set(float64(chainLen))
+		e.mu.Lock()
+		e.ckptMark = newMark
+		e.ckptNewCerts = e.ckptNewCerts[nCerts:]
+		e.lastCkpt = time.Now()
+		e.mu.Unlock()
+	}, nil
 }
 
-// Compact folds the committed segment chain into one base segment, so
-// the directory returns to O(state) while the per-interval delta cost
-// stays O(delta). It streams frame by frame — roster frames copy
-// verbatim (fingerprints are unique across segments by construction),
-// connection frames are filtered by the eviction cutoffs of later
-// segments — so its transient memory is one frame, not the full state.
-// Runs in the background after every ckptCompactEvery-th commit; safe
-// to call directly. A crash at any point leaves the previous manifest
-// and its segments untouched.
-func (e *Engine) Compact() error {
-	if !e.compacting.CompareAndSwap(false, true) {
-		return nil // a compaction is already running
-	}
-	defer e.compacting.Store(false)
-	defer e.m.compactDur.Since(time.Now())
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
-	man := e.ckptMan
-	if man == nil || len(man.Segments) <= 1 {
-		return nil
-	}
-	dir := e.ckptDir
-
+// foldChain streams a chain into the one segment name, returning its
+// size: roster frames copy verbatim (fingerprints are unique across
+// segments by construction), connection frames are filtered by the
+// eviction cutoffs of later segments — so the transient memory is one
+// frame, not the full state.
+func foldChain(dir string, chain []ckptSeg, name string) (int64, error) {
 	// Pass 1: each segment's state frame, for the cutoff schedule and
 	// the final (authoritative) state.
-	states := make([]*segState, len(man.Segments))
-	for i, sg := range man.Segments {
+	states := make([]*segState, len(chain))
+	for i, sg := range chain {
 		st, err := readSegmentState(filepath.Join(dir, sg.Name), sg.Bytes)
 		if err != nil {
-			return fmt.Errorf("stream: compact %s: %w", sg.Name, err)
+			return 0, fmt.Errorf("%s: %w", sg.Name, err)
 		}
 		states[i] = st
 	}
@@ -530,227 +558,205 @@ func (e *Engine) Compact() error {
 		}
 	}
 
-	name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
-	out, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return fmt.Errorf("stream: compact: %w", err)
-	}
-	cw := &countingWriter{w: out}
-	w := bufio.NewWriterSize(cw, 1<<20)
-	fail := func(err error) error {
-		out.Close()
-		os.Remove(filepath.Join(dir, name))
-		return fmt.Errorf("stream: compact: %w", err)
-	}
-	{
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(states[len(states)-1]); err != nil {
-			return fail(err)
+	return createSegment(filepath.Join(dir, name), func(w io.Writer) error {
+		if err := writeFrame(w, segFrameState, states[len(states)-1]); err != nil {
+			return err
 		}
-		if err := store.WriteFrame(w, segFrameState, body.Bytes()); err != nil {
-			return fail(err)
+		for i, sg := range chain {
+			if err := copySegmentRecords(filepath.Join(dir, sg.Name), sg.Bytes, w, futureCut[i]); err != nil {
+				return fmt.Errorf("%s: %w", sg.Name, err)
+			}
 		}
-	}
-	for i, sg := range man.Segments {
-		if err := copySegmentRecords(filepath.Join(dir, sg.Name), w, futureCut[i]); err != nil {
-			return fail(fmt.Errorf("%s: %w", sg.Name, err))
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := out.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := out.Close(); err != nil {
-		os.Remove(filepath.Join(dir, name))
-		return fmt.Errorf("stream: compact: %w", err)
-	}
-
-	newMan := &ckptManifest{
-		Version:  ckptManifestVersion,
-		Gen:      man.Gen + 1,
-		NextSeg:  man.NextSeg + 1,
-		Segments: []ckptSeg{{Name: name, Bytes: cw.n}},
-		Cursor:   man.Cursor,
-	}
-	if err := writeCkptManifest(dir, newMan); err != nil {
-		os.Remove(filepath.Join(dir, name))
-		return err
-	}
-	e.ckptMan = newMan
-	for _, sg := range man.Segments {
-		os.Remove(filepath.Join(dir, sg.Name))
-	}
-	e.m.compactions.Inc()
-	e.m.checkpointSegs.Set(1)
-	return nil
+		return nil
+	})
 }
 
-// readSegmentState returns a segment's state frame (its first frame),
-// verifying the file is exactly the committed size.
-func readSegmentState(path string, wantBytes int64) (*segState, error) {
-	f, err := os.Open(path)
+// eachFrame hands fn every frame of a committed segment in order; fn
+// returns io.EOF to stop early. The file must be exactly the size its
+// manifest recorded — shorter is truncation, even where it parses.
+func eachFrame(path string, wantBytes int64, fn func(typ byte, body []byte) error) error {
+	f, err := openNamed(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	if fi, err := f.Stat(); err != nil {
-		return nil, err
-	} else if fi.Size() != wantBytes {
-		return nil, fmt.Errorf("%w: segment is %d bytes, manifest committed %d", store.ErrCorrupt, fi.Size(), wantBytes)
-	}
-	typ, body, err := store.ReadFrame(bufio.NewReader(f))
-	if err != nil {
-		return nil, err
-	}
-	if typ != segFrameState {
-		return nil, fmt.Errorf("%w: first frame type %d, want state", store.ErrCorrupt, typ)
-	}
-	var st segState
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("%w: state frame: %v", store.ErrCorrupt, err)
-	}
-	return &st, nil
-}
-
-// copySegmentRecords streams a segment's record frames into w: roster
-// frames verbatim, connection frames filtered by cut (zero = verbatim).
-func copySegmentRecords(path string, w io.Writer, cut time.Time) error {
-	f, err := os.Open(path)
-	if err != nil {
 		return err
+	} else if fi.Size() != wantBytes {
+		return fmt.Errorf("%w: segment is %d bytes, manifest committed %d", store.ErrCorrupt, fi.Size(), wantBytes)
 	}
-	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
 	for {
 		typ, body, err := store.ReadFrame(r)
+		if err == nil {
+			err = fn(typ, body)
+		}
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		switch typ {
-		case segFrameState:
-			// The folded state frame was already written.
-		case segFrameCerts:
-			if err := store.WriteFrame(w, typ, body); err != nil {
-				return err
-			}
-		case segFrameConns:
-			if cut.IsZero() {
-				if err := store.WriteFrame(w, typ, body); err != nil {
-					return err
-				}
-				continue
-			}
-			var batch segConns
-			if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&batch); err != nil {
-				return fmt.Errorf("%w: conns frame: %v", store.ErrCorrupt, err)
-			}
-			kept := segConns{Conns: batch.Conns[:0]}
-			if batch.Seqs != nil {
-				kept.Seqs = batch.Seqs[:0]
-			}
-			for i := range batch.Conns {
-				if !batch.Conns[i].TS.Before(cut) {
-					kept.Conns = append(kept.Conns, batch.Conns[i])
-					if batch.Seqs != nil {
-						kept.Seqs = append(kept.Seqs, batch.Seqs[i])
-					}
-				}
-			}
-			if len(kept.Conns) == 0 {
-				continue
-			}
-			var out bytes.Buffer
-			if err := gob.NewEncoder(&out).Encode(&kept); err != nil {
-				return err
-			}
-			if err := store.WriteFrame(w, typ, out.Bytes()); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("%w: unknown frame type %d", store.ErrCorrupt, typ)
-		}
 	}
 }
 
-// Restore starts an engine from a checkpoint written by WriteCheckpoint
-// — a legacy gob file or an incremental directory — and returns the
+// decodeFrame gob-decodes one frame body; what names it in the error.
+func decodeFrame(body []byte, what string, into any) error {
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(into); err != nil {
+		return fmt.Errorf("%w: %s frame: %v", store.ErrCorrupt, what, err)
+	}
+	return nil
+}
+
+// readSegmentState returns a segment's state frame (its first frame).
+func readSegmentState(path string, wantBytes int64) (*segState, error) {
+	var st *segState
+	err := eachFrame(path, wantBytes, func(typ byte, body []byte) error {
+		if typ != segFrameState {
+			return fmt.Errorf("%w: first frame type %d, want state", store.ErrCorrupt, typ)
+		}
+		st = &segState{}
+		if err := decodeFrame(body, "state", st); err != nil {
+			return err
+		}
+		return io.EOF
+	})
+	if err == nil && st == nil {
+		err = fmt.Errorf("%w: segment has no state frame", store.ErrCorrupt)
+	}
+	return st, err
+}
+
+// copySegmentRecords streams a segment's record frames into w: roster
+// frames verbatim, connection frames filtered by cut (zero = verbatim).
+func copySegmentRecords(path string, wantBytes int64, w io.Writer, cut time.Time) error {
+	return eachFrame(path, wantBytes, func(typ byte, body []byte) error {
+		switch {
+		case typ == segFrameState:
+			return nil // the folded state frame was already written
+		case typ == segFrameCerts, typ == segFrameConns && cut.IsZero():
+			return store.WriteFrame(w, typ, body)
+		case typ != segFrameConns:
+			return fmt.Errorf("%w: unknown frame type %d", store.ErrCorrupt, typ)
+		}
+		var batch segConns
+		if err := decodeFrame(body, "conns", &batch); err != nil {
+			return err
+		}
+		if batch.Seqs != nil && len(batch.Seqs) != len(batch.Conns) {
+			return fmt.Errorf("%w: %d sequences for %d connections", store.ErrCorrupt, len(batch.Seqs), len(batch.Conns))
+		}
+		keep := 0
+		for i := range batch.Conns {
+			if batch.Conns[i].TS.Before(cut) {
+				continue
+			}
+			batch.Conns[keep] = batch.Conns[i]
+			if batch.Seqs != nil {
+				batch.Seqs[keep] = batch.Seqs[i]
+			}
+			keep++
+		}
+		if keep == 0 {
+			return nil
+		}
+		batch.Conns = batch.Conns[:keep]
+		if batch.Seqs != nil {
+			batch.Seqs = batch.Seqs[:keep]
+		}
+		return writeFrame(w, typ, &batch)
+	})
+}
+
+// committed is what a checkpoint path holds: man names one chain per
+// shard. For a checkpoint an older format wrote the chains are empty,
+// gobs names the full-state file standing in for each, and man carries
+// only what that format recorded.
+type committed struct {
+	dir  string
+	man  *ckptManifest
+	gobs []string
+}
+
+// openCheckpoint reads path's commit record, for a caller running n
+// shards (0: however many it holds). Only an absent path, or a directory
+// with no commit file, is os.ErrNotExist — "no checkpoint yet". A regular
+// file is one engine's full state; a directory is read off its MANIFEST,
+// which wins over an older format's commit file that a migration's
+// sweep did not get to. Routing is a function of the shard count, so
+// any other count than the checkpoint's is refused.
+func openCheckpoint(path string, n int) (*committed, error) {
+	if err := finishSwap(path); err != nil {
+		return nil, fmt.Errorf("stream: restore %s: %v", path, err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	var ck *committed
+	if !fi.IsDir() {
+		ck = &committed{man: &ckptManifest{Chains: make([][]ckptSeg, 1)}, gobs: []string{path}}
+	} else if man, err := readCkptManifest(path); err == nil {
+		ck = &committed{dir: path, man: man}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	} else if ck, err = readParentManifest(path); err != nil {
+		return nil, err
+	}
+	if have := len(ck.man.Chains); n != 0 && n != have {
+		return nil, fmt.Errorf("stream: checkpoint has %d shards, requested %d (resharding a checkpoint is not supported)", have, n)
+	}
+	return ck, nil
+}
+
+// openNamed opens a file a commit record names. The record is
+// committed, so an absent file is damage — store.ErrCorrupt, never the
+// os.ErrNotExist a caller takes for "no checkpoint yet".
+func openNamed(path string) (*os.File, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		err = fmt.Errorf("%w: %v", store.ErrCorrupt, err)
+	}
+	return f, err
+}
+
+// restoreShard starts shard i's engine from its chain or its gob file.
+func (ck *committed) restoreShard(cfg Config, i int) (*Engine, error) {
+	if ck.gobs == nil {
+		return restoreChain(cfg, ck.dir, ck.man.Chains[i])
+	}
+	e, cursor, err := restoreFile(cfg, ck.gobs[i])
+	if cursor != nil {
+		ck.man.Cursor = cursor // a lone gob file carries its own
+	}
+	return e, err
+}
+
+// adopt lets c continue the restored directory in place, next write a
+// delta. A checkpoint in an older format is not continued: c stays
+// unpointed, and its first write replaces it.
+func (ck *committed) adopt(c *checkpointer) {
+	if ck.gobs == nil {
+		c.dir, c.man = ck.dir, ck.man
+	}
+}
+
+// Restore starts an engine from the checkpoint at path and returns the
 // cursor stored with it. The restored engine's derived state is rebuilt
 // lazily on first materialization; resuming ingestion from the cursor
 // and draining yields reports byte-identical to an uninterrupted run.
+// The error is os.ErrNotExist only when path holds no checkpoint.
 func Restore(cfg Config, path string) (*Engine, map[string]int64, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return restoreDir(cfg, path)
-	}
-	// A crash between creating <path>.tmp and the rename leaves the
-	// temp behind forever on the legacy path (the incremental directory
-	// sweeps its own); collect it here so checkpointed daemons do not
-	// accrete one stale temp per crash.
-	os.Remove(atomicfile.TempName(path))
-	return restoreFile(cfg, path)
-}
-
-// restoreFile restores the legacy full-gob format.
-func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
-	f, err := os.Open(path)
+	ck, err := openCheckpoint(path, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer f.Close()
-	var st checkpointState
-	if err := gob.NewDecoder(f).Decode(&st); err != nil {
-		return nil, nil, fmt.Errorf("stream: checkpoint decode: %w", err)
-	}
-	if st.Version != checkpointVersion {
-		return nil, nil, fmt.Errorf("stream: checkpoint version %d, want %d", st.Version, checkpointVersion)
-	}
-	e, err := New(cfg)
+	e, err := ck.restoreShard(cfg, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.mu.Lock()
-	e.connsIngested = st.ConnsIngested
-	e.certsIngested = st.CertsIngested
-	e.evicted = st.Evicted
-	e.watermark = st.Watermark
-	for _, c := range st.Roster {
-		e.putCertLocked(c)
-	}
-	seqs := st.Seqs
-	if cfg.TrackExport {
-		if st.Epoch != 0 {
-			// The checkpoint carries export state: resume the numbering so
-			// cursors taken before the restart keep working.
-			e.epoch = st.Epoch
-			for fp, seq := range st.CertSeqs {
-				e.certSeqs[fp] = seq
-			}
-		} else {
-			// Pre-export checkpoint: renumber everything under the fresh
-			// epoch New assigned, so exports are internally consistent and
-			// cursors against the old process are refused as stale.
-			seqs = nil
-			for fp := range e.roster {
-				e.certSeqs[fp] = e.nextSeq
-				e.nextSeq++
-			}
-		}
-	}
-	err = e.restoreConnsLocked(st.Conns, seqs)
-	if err == nil {
-		e.nextSeq = max(e.nextSeq, st.NextSeq)
-		e.finishRestoreLocked(st.Interception, st.Rebuilds)
-	}
-	e.mu.Unlock()
-	if err != nil {
-		e.Close()
-		return nil, nil, fmt.Errorf("stream: restore %s: %w", path, err)
-	}
-	return e, st.Cursor, nil
+	ck.adopt(e.ckpt)
+	return e, ck.man.Cursor, nil
 }
 
 // restoreConnsLocked appends one restored batch to the window. Without
@@ -777,13 +783,50 @@ func (e *Engine) restoreConnsLocked(conns []core.ConnRecord, seqs []uint64) erro
 	return nil
 }
 
-// finishRestoreLocked completes any restore: detector state, lazily
-// rebuilt derived state, and checkpoint bookkeeping (everything in the
-// window is covered by what was just read, so the next delta starts at
-// the current sequence mark with no pending certificates).
-func (e *Engine) finishRestoreLocked(icpt *interception.StreamState, rebuilds uint64) {
-	e.icpt = e.det.RestoreStream(e.lookupCert, icpt)
-	e.d.restored(rebuilds)
+// restoreCertsLocked admits one restored roster batch. Under TrackExport
+// each new certificate keeps the admission sequence the batch aligns to
+// it, or — renumber: the checkpoint was written without export state —
+// draws a fresh one in replay order.
+func (e *Engine) restoreCertsLocked(batch *segCerts, renumber bool) error {
+	for i, c := range batch.Certs {
+		if c == nil || c.Fingerprint == "" {
+			return fmt.Errorf("%w: roster entry without fingerprint", store.ErrCorrupt)
+		}
+		if !e.putCertLocked(c) || !e.cfg.TrackExport {
+			continue
+		}
+		switch {
+		case renumber:
+			e.certSeqs[c.Fingerprint] = e.nextSeq
+			e.nextSeq++
+		case i < len(batch.Seqs):
+			e.certSeqs[c.Fingerprint] = batch.Seqs[i]
+		}
+	}
+	return nil
+}
+
+// finishRestoreLocked completes any restore from the last state read:
+// counters, export numbering (kept unless the records were renumbered,
+// whose fresh epoch then refuses cursors against the old process as
+// stale), detector state, lazily rebuilt derived state, and checkpoint
+// bookkeeping (everything in the window is covered by what was just
+// read, so the next delta starts at the current sequence mark with no
+// pending certificates).
+func (e *Engine) finishRestoreLocked(last *segState, renumber bool) {
+	e.connsIngested = last.ConnsIngested
+	e.certsIngested = last.CertsIngested
+	e.evicted = last.Evicted
+	e.watermark = last.Watermark
+	if last.EvictCutoff.After(e.ckptCutoff) {
+		e.ckptCutoff = last.EvictCutoff
+	}
+	if e.cfg.TrackExport && !renumber {
+		e.epoch = last.Epoch
+		e.nextSeq = max(e.nextSeq, last.NextSeq)
+	}
+	e.icpt = e.det.RestoreStream(e.lookupCert, last.Interception)
+	e.d.restored(last.Rebuilds)
 	if e.cfg.TrackExport {
 		// certSeqs was restored in file order; the log wants admission
 		// order.
@@ -802,60 +845,35 @@ func (e *Engine) finishRestoreLocked(icpt *interception.StreamState, rebuilds ui
 	e.m.retained.Set(float64(e.st.ConnCount()))
 }
 
-// restoreDir restores an incremental checkpoint directory by replaying
-// its committed segments in order: apply each segment's eviction cutoff
-// to the state accumulated so far, then append its records. Counters,
-// export numbering, and detector state come from the last segment. Any
+// restoreChain restores one engine by replaying a committed segment
+// chain in order: apply each segment's eviction cutoff to the state
+// accumulated so far, then append its records. Counters, export
+// numbering, and detector state come from the last segment. Any
 // framing, checksum, or truncation damage surfaces as a clean error —
 // never a panic or a silently partial restore.
-func restoreDir(cfg Config, dir string) (*Engine, map[string]int64, error) {
-	man, err := readCkptManifest(dir)
-	if err != nil {
-		return nil, nil, layoutErr(err, dir, ckptManifestName, manifestName)
-	}
-	if len(man.Segments) == 0 {
-		return nil, nil, fmt.Errorf("stream: checkpoint manifest references no segments")
-	}
+func restoreChain(cfg Config, dir string, chain []ckptSeg) (*Engine, error) {
 	e, err := New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var last *segState
-	var rerr error
 	renumber := false
 	e.mu.Lock()
-	for i, sg := range man.Segments {
-		st, err := e.replaySegmentLocked(filepath.Join(dir, sg.Name), sg.Bytes, i == 0, &renumber)
-		if err != nil {
-			rerr = fmt.Errorf("stream: restore %s: %w", sg.Name, err)
+	for i, sg := range chain {
+		if last, err = e.replaySegmentLocked(filepath.Join(dir, sg.Name), sg.Bytes, i == 0, &renumber); err != nil {
+			err = fmt.Errorf("stream: restore %s: %w", sg.Name, err)
 			break
 		}
-		last = st
 	}
-	if rerr == nil {
-		e.connsIngested = last.ConnsIngested
-		e.certsIngested = last.CertsIngested
-		e.evicted = last.Evicted
-		e.watermark = last.Watermark
-		if last.EvictCutoff.After(e.ckptCutoff) {
-			e.ckptCutoff = last.EvictCutoff
-		}
-		if cfg.TrackExport && !renumber {
-			e.epoch = last.Epoch
-			e.nextSeq = max(e.nextSeq, last.NextSeq)
-		}
-		e.finishRestoreLocked(last.Interception, last.Rebuilds)
+	if err == nil {
+		e.finishRestoreLocked(last, renumber)
 	}
 	e.mu.Unlock()
-	if rerr != nil {
+	if err != nil {
 		e.Close()
-		return nil, nil, rerr
+		return nil, err
 	}
-	e.ckptMu.Lock()
-	e.ckptDir = dir
-	e.ckptMan = man
-	e.ckptMu.Unlock()
-	return e, man.Cursor, nil
+	return e, nil
 }
 
 // replaySegmentLocked streams one segment into the window. first+renumber
@@ -863,35 +881,16 @@ func restoreDir(cfg Config, dir string) (*Engine, map[string]int64, error) {
 // export state (epoch 0) restored into a TrackExport engine renumbers
 // records in replay order under the fresh epoch New assigned.
 func (e *Engine) replaySegmentLocked(path string, wantBytes int64, first bool, renumber *bool) (*segState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if fi, err := f.Stat(); err != nil {
-		return nil, err
-	} else if fi.Size() != wantBytes {
-		return nil, fmt.Errorf("%w: segment is %d bytes, manifest committed %d", store.ErrCorrupt, fi.Size(), wantBytes)
-	}
-	r := bufio.NewReaderSize(f, 1<<20)
 	var st *segState
-	for {
-		typ, body, err := store.ReadFrame(r)
-		if err == io.EOF {
-			break
+	err := eachFrame(path, wantBytes, func(typ byte, body []byte) error {
+		if (typ == segFrameState) != (st == nil) {
+			return fmt.Errorf("%w: a segment is one state frame, then records", store.ErrCorrupt)
 		}
-		if err != nil {
-			return nil, err
-		}
-		dec := gob.NewDecoder(bytes.NewReader(body))
 		switch typ {
 		case segFrameState:
-			if st != nil {
-				return nil, fmt.Errorf("%w: duplicate state frame", store.ErrCorrupt)
-			}
 			st = &segState{}
-			if err := dec.Decode(st); err != nil {
-				return nil, fmt.Errorf("%w: state frame: %v", store.ErrCorrupt, err)
+			if err := decodeFrame(body, "state", st); err != nil {
+				return err
 			}
 			if first {
 				*renumber = e.cfg.TrackExport && st.Epoch == 0
@@ -902,51 +901,27 @@ func (e *Engine) replaySegmentLocked(path string, wantBytes int64, first bool, r
 			if !st.EvictCutoff.IsZero() {
 				e.st.EvictBefore(st.EvictCutoff)
 			}
+			return nil
 		case segFrameCerts:
-			if st == nil {
-				return nil, fmt.Errorf("%w: records before state frame", store.ErrCorrupt)
-			}
 			var batch segCerts
-			if err := dec.Decode(&batch); err != nil {
-				return nil, fmt.Errorf("%w: certs frame: %v", store.ErrCorrupt, err)
+			if err := decodeFrame(body, "certs", &batch); err != nil {
+				return err
 			}
-			for i, c := range batch.Certs {
-				if c == nil || c.Fingerprint == "" {
-					return nil, fmt.Errorf("%w: roster entry without fingerprint", store.ErrCorrupt)
-				}
-				if !e.putCertLocked(c) {
-					continue
-				}
-				if e.cfg.TrackExport {
-					switch {
-					case *renumber:
-						e.certSeqs[c.Fingerprint] = e.nextSeq
-						e.nextSeq++
-					case i < len(batch.Seqs):
-						e.certSeqs[c.Fingerprint] = batch.Seqs[i]
-					}
-				}
-			}
+			return e.restoreCertsLocked(&batch, *renumber)
 		case segFrameConns:
-			if st == nil {
-				return nil, fmt.Errorf("%w: records before state frame", store.ErrCorrupt)
-			}
 			var batch segConns
-			if err := dec.Decode(&batch); err != nil {
-				return nil, fmt.Errorf("%w: conns frame: %v", store.ErrCorrupt, err)
+			if err := decodeFrame(body, "conns", &batch); err != nil {
+				return err
 			}
 			if *renumber {
 				batch.Seqs = nil
 			}
-			if err := e.restoreConnsLocked(batch.Conns, batch.Seqs); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown frame type %d", store.ErrCorrupt, typ)
+			return e.restoreConnsLocked(batch.Conns, batch.Seqs)
 		}
+		return fmt.Errorf("%w: unknown frame type %d", store.ErrCorrupt, typ)
+	})
+	if err == nil && st == nil {
+		err = fmt.Errorf("%w: segment has no state frame", store.ErrCorrupt)
 	}
-	if st == nil {
-		return nil, fmt.Errorf("%w: segment has no state frame", store.ErrCorrupt)
-	}
-	return st, nil
+	return st, err
 }

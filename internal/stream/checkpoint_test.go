@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -69,8 +70,8 @@ func TestIncrementalCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Segments) != 3 {
-		t.Fatalf("manifest has %d segments after 3 commits, want 3", len(man.Segments))
+	if len(man.Chains[0]) != 3 {
+		t.Fatalf("manifest has %d segments after 3 commits, want 3", len(man.Chains[0]))
 	}
 
 	restored, cursor, err := Restore(Config{Input: in}, dir)
@@ -180,8 +181,8 @@ func TestCheckpointCompaction(t *testing.T) {
 	want := e.Analysis()
 
 	man, _ := readCkptManifest(dir)
-	if len(man.Segments) != ckptCompactEvery-1 {
-		t.Fatalf("precondition: %d segments, want %d", len(man.Segments), ckptCompactEvery-1)
+	if len(man.Chains[0]) != ckptCompactEvery-1 {
+		t.Fatalf("precondition: %d segments, want %d", len(man.Chains[0]), ckptCompactEvery-1)
 	}
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
@@ -190,8 +191,8 @@ func TestCheckpointCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Segments) != 1 {
-		t.Fatalf("after Compact: %d segments, want 1", len(man.Segments))
+	if len(man.Chains[0]) != 1 {
+		t.Fatalf("after Compact: %d segments, want 1", len(man.Chains[0]))
 	}
 	// Old segment files are gone; only the folded one remains.
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.ckpt"))
@@ -214,8 +215,8 @@ func TestCheckpointCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	man, _ = readCkptManifest(dir)
-	if len(man.Segments) != 2 {
-		t.Fatalf("delta after Compact: %d segments, want 2", len(man.Segments))
+	if len(man.Chains[0]) != 2 {
+		t.Fatalf("delta after Compact: %d segments, want 2", len(man.Chains[0]))
 	}
 	e.Close()
 }
@@ -240,13 +241,13 @@ func TestCheckpointAutoCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.compactWG.Wait()
+	e.ckpt.compactWG.Wait()
 	man, err := readCkptManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Segments) != 1 {
-		t.Fatalf("background compaction left %d segments, want 1", len(man.Segments))
+	if len(man.Chains[0]) != 1 {
+		t.Fatalf("background compaction left %d segments, want 1", len(man.Chains[0]))
 	}
 	e.Close()
 }
@@ -314,8 +315,8 @@ func TestCheckpointCrashMidDelta(t *testing.T) {
 	}
 	man, _ := readCkptManifest(dir)
 	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.ckpt"))
-	if len(segs) != len(man.Segments) {
-		t.Fatalf("%d segment files on disk, manifest references %d (orphan not swept)", len(segs), len(man.Segments))
+	if len(segs) != len(man.Chains[0]) {
+		t.Fatalf("%d segment files on disk, manifest references %d (orphan not swept)", len(segs), len(man.Chains[0]))
 	}
 	want := restored.Analysis()
 	restored.Close()
@@ -364,8 +365,8 @@ func TestCheckpointCrashMidCompaction(t *testing.T) {
 		t.Fatal("injected compaction failure did not surface")
 	}
 	man, _ := readCkptManifest(dir)
-	if len(man.Segments) != 4 {
-		t.Fatalf("torn compaction disturbed the manifest: %d segments, want 4", len(man.Segments))
+	if len(man.Chains[0]) != 4 {
+		t.Fatalf("torn compaction disturbed the manifest: %d segments, want 4", len(man.Chains[0]))
 	}
 	restored, _, err := Restore(Config{Input: in}, dir)
 	if err != nil {
@@ -380,8 +381,8 @@ func TestCheckpointCrashMidCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	man, _ = readCkptManifest(dir)
-	if len(man.Segments) != 1 {
-		t.Fatalf("retried compaction left %d segments, want 1", len(man.Segments))
+	if len(man.Chains[0]) != 1 {
+		t.Fatalf("retried compaction left %d segments, want 1", len(man.Chains[0]))
 	}
 	again, _, err := Restore(Config{Input: in}, dir)
 	if err != nil {
@@ -394,118 +395,390 @@ func TestCheckpointCrashMidCompaction(t *testing.T) {
 	e.Close()
 }
 
-// TestTornCheckpointCorpus truncates a committed segment at every frame
-// boundary (and a probe inside each frame) and requires Restore to
-// return a clean error — never a panic, never a silently partial engine.
-func TestTornCheckpointCorpus(t *testing.T) {
+// TestFirstContactKeepsCommittedChain: an engine that did not restore
+// from a directory writes into it anyway — some other history's commit is
+// there. Until the replacement's manifest is in place that commit must
+// stay restorable: the writer used to sweep every segment first and
+// create its base over the old manifest's seg-1.ckpt, so a crash at the
+// rename left a manifest naming files that were gone.
+func TestFirstContactKeepsCommittedChain(t *testing.T) {
 	b := genBuild(7, 300)
 	in := inputFromBuild(b)
 	in.Raw = nil
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	parts := ckptSlices(b.Raw.Conns, 2)
+
+	first := newEngine(t, in, nil)
+	for _, c := range b.Raw.Certs {
+		first.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+	}
+	for _, part := range parts {
+		first.IngestConnBatch(part)
+		first.Drain()
+		if err := first.WriteCheckpoint(dir, map[string]int64{"who": 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := first.Analysis()
+	first.Close()
+
+	second := newEngine(t, in, nil)
+	second.IngestConnBatch(parts[0])
+	second.Drain()
+	atomicfile.Failpoint = func(stage atomicfile.Stage, path string) error {
+		if stage == atomicfile.StageRename && filepath.Base(path) == ckptManifestName {
+			return fmt.Errorf("injected crash at manifest rename")
+		}
+		return nil
+	}
+	err := second.WriteCheckpoint(dir, map[string]int64{"who": 2})
+	atomicfile.Failpoint = nil
+	if err == nil {
+		t.Fatal("injected rename failure did not surface")
+	}
+	restored, cursor, err := Restore(Config{Input: in}, dir)
+	if err != nil {
+		t.Fatalf("the committed chain did not survive a failed first write over it: %v", err)
+	}
+	t.Cleanup(restored.Close)
+	if cursor["who"] != 1 || !reflect.DeepEqual(want, restored.Analysis()) {
+		t.Fatalf("restored cursor %v, want the first engine's commit", cursor)
+	}
+
+	// The retry replaces it, and only then collects its files.
+	if err := second.WriteCheckpoint(dir, map[string]int64{"who": 2}); err != nil {
+		t.Fatal(err)
+	}
+	if man := assertOnlyCommitted(t, dir); len(man.Chains[0]) != 1 {
+		t.Fatalf("replacement chain has %d segments, want one base", len(man.Chains[0]))
+	}
+	replaced, cursor, err := Restore(Config{Input: in}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(replaced.Close)
+	if cursor["who"] != 2 || !reflect.DeepEqual(second.Analysis(), replaced.Analysis()) {
+		t.Fatalf("restored cursor %v, want the second engine's commit", cursor)
+	}
+}
+
+// TestCheckpointCrashMatrix fails every atomicfile stage of a delta
+// commit, of a compaction and of the file → directory swap, one at a
+// time, for a plain engine and for two shards. After each failure the
+// path must restore to exactly the previous commit or exactly the new
+// one — cursor and reports from the same commit, never an error, never
+// shards of different generations under one cursor — and the writer's
+// retry must commit and leave nothing unnamed behind. The stages are
+// found by recording a clean run, so a stage added to the protocol is
+// covered without touching this test.
+func TestCheckpointCrashMatrix(t *testing.T) {
+	fx := loadFixture()
+	type hit struct {
+		stage atomicfile.Stage
+		path  string
+	}
+	// failAt fails the k-th stage consulted (none when k < 0) and returns
+	// the record of what was consulted.
+	failAt := func(k int) *[]hit {
+		var hits []hit
+		atomicfile.Failpoint = func(stage atomicfile.Stage, path string) error {
+			hits = append(hits, hit{stage, path})
+			if len(hits)-1 == k {
+				return fmt.Errorf("injected failure at %s %s", stage, filepath.Base(path))
+			}
+			return nil
+		}
+		return &hits
+	}
+	defer func() { atomicfile.Failpoint = nil }()
+
+	type commit struct {
+		cursor  int64
+		reports map[string]any
+	}
+	for _, n := range []int{1, 2} {
+		restore := func(t *testing.T, path string) (ckptEngine, int64) {
+			t.Helper()
+			var eng ckptEngine
+			var cursor map[string]int64
+			var err error
+			if n == 1 {
+				eng, cursor, err = Restore(Config{Input: fx.in}, path)
+			} else {
+				// 0 adopts the count: the swap's previous commit is a gob
+				// file, one shard whatever n is.
+				eng, cursor, err = RestoreSharded(Config{Input: fx.in}, 0, path)
+			}
+			if err != nil {
+				t.Fatalf("restore after the failure: %v", err)
+			}
+			t.Cleanup(eng.Close)
+			return eng, cursor["i"]
+		}
+		fresh := func(t *testing.T) ckptEngine {
+			if n == 1 {
+				return newEngine(t, fx.in, nil)
+			}
+			return newSharded(t, n, fx.in, nil)
+		}
+		compact := func(eng ckptEngine) error {
+			if e, ok := eng.(*Engine); ok {
+				return e.Compact()
+			}
+			return eng.(*Sharded).ckpt.compact()
+		}
+		// Each scenario leaves a previous commit at path and returns the
+		// operation under test with the commit it is meant to produce.
+		type scenario func(t *testing.T, path string) (prev commit, op func() error, next func() commit)
+		for _, sc := range []struct {
+			name  string
+			setup scenario
+		}{
+			{"delta", func(t *testing.T, path string) (commit, func() error, func() commit) {
+				eng := fresh(t)
+				feedRows(t, eng, fx.early, fx.before)
+				eng.Drain()
+				if err := eng.WriteCheckpoint(path, map[string]int64{"i": 1}); err != nil {
+					t.Fatal(err)
+				}
+				prev := commit{1, allReports(t, eng)}
+				feedRows(t, eng, fx.late, fx.after)
+				eng.Drain()
+				return prev,
+					func() error { return eng.WriteCheckpoint(path, map[string]int64{"i": 2}) },
+					func() commit { return commit{2, allReports(t, eng)} }
+			}},
+			{"compaction", func(t *testing.T, path string) (commit, func() error, func() commit) {
+				eng := fresh(t)
+				feedRows(t, eng, fx.early, nil)
+				for _, part := range ckptSlices(fx.before, 3) {
+					feedRows(t, eng, nil, part)
+					eng.Drain()
+					if err := eng.WriteCheckpoint(path, map[string]int64{"i": 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				same := commit{1, allReports(t, eng)}
+				return same, func() error { return compact(eng) }, func() commit { return same }
+			}},
+			{"swap", func(t *testing.T, path string) (commit, func() error, func() commit) {
+				buf, err := os.ReadFile(filepath.Join("testdata", "parent", "gob", "mtlsd.ckpt"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, buf, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				eng := fresh(t)
+				feedRows(t, eng, fx.early, fx.before)
+				eng.Drain()
+				prev := commit{0, allReports(t, eng)} // what the file holds, under its cursor (no "i")
+				feedRows(t, eng, fx.late, fx.after)
+				eng.Drain()
+				return prev,
+					func() error { return eng.WriteCheckpoint(path, map[string]int64{"i": 2}) },
+					func() commit { return commit{2, allReports(t, eng)} }
+			}},
+		} {
+			// A clean run lists the stages.
+			path := filepath.Join(t.TempDir(), "ckpt")
+			_, op, _ := sc.setup(t, path)
+			hits := failAt(-1)
+			if err := op(); err != nil {
+				t.Fatalf("shards=%d %s: clean run: %v", n, sc.name, err)
+			}
+			atomicfile.Failpoint = nil
+			assertOnlyCommitted(t, path)
+			if len(*hits) < 6 {
+				t.Fatalf("shards=%d %s: only %d stages consulted: %v", n, sc.name, len(*hits), *hits)
+			}
+			var sawPrev, sawNew bool
+			for k, h := range *hits {
+				t.Run(fmt.Sprintf("shards=%d/%s/%d-%s-%s", n, sc.name, k, h.stage, filepath.Base(h.path)), func(t *testing.T) {
+					path := filepath.Join(t.TempDir(), "ckpt")
+					prev, op, next := sc.setup(t, path)
+					failAt(k)
+					err := op()
+					atomicfile.Failpoint = nil
+					if err == nil {
+						t.Fatal("injected failure did not surface")
+					}
+					want := next()
+
+					// The crash: whatever the directory holds now.
+					restored, cursor := restore(t, path)
+					switch cursor {
+					case prev.cursor:
+						sawPrev = true
+						diffReports(t, "previous commit", prev.reports, allReports(t, restored))
+					case want.cursor:
+						sawNew = true
+						diffReports(t, "new commit", want.reports, allReports(t, restored))
+					default:
+						t.Fatalf("restored cursor %d is neither the previous commit's %d nor the new one's %d", cursor, prev.cursor, want.cursor)
+					}
+					restored.Close()
+
+					// The retry, by the writer that saw the error.
+					if err := op(); err != nil {
+						t.Fatalf("retry: %v", err)
+					}
+					assertOnlyCommitted(t, path)
+					again, cursor := restore(t, path)
+					if cursor != want.cursor {
+						t.Fatalf("cursor after the retry = %d, want %d", cursor, want.cursor)
+					}
+					diffReports(t, "after the retry", want.reports, allReports(t, again))
+				})
+			}
+			// Failures on both sides of the commit point were exercised (a
+			// compaction's two sides are the same commit).
+			if !sawPrev || (sc.name != "compaction" && !sawNew) {
+				t.Errorf("shards=%d %s: restored to the previous commit: %v, to the new one: %v", n, sc.name, sawPrev, sawNew)
+			}
+		}
+	}
+}
+
+// TestTornCheckpointCorpus truncates a committed segment at every frame
+// boundary (and a probe inside each frame) and requires the restore to
+// return a clean error — never a panic, never a silently partial engine.
+// The same corpus runs over a plain engine's directory and over one
+// chain of a two-shard directory, where the other shard's intact chain
+// must not be restored around the damage.
+func TestTornCheckpointCorpus(t *testing.T) {
+	b := genBuild(7, 1000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+
 	e := newEngine(t, in, nil)
-	base := t.TempDir()
-	dir := filepath.Join(base, "ckpt")
 	feed(t, e, b)
 	e.Drain()
-	if err := e.WriteCheckpoint(dir, nil); err != nil {
+	plain := filepath.Join(t.TempDir(), "ckpt")
+	if err := e.WriteCheckpoint(plain, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
+	s := newSharded(t, 2, in, nil)
+	feedCertsFirst(t, s, b)
+	s.Drain()
+	sharded := filepath.Join(t.TempDir(), "ckpt")
+	if err := s.WriteCheckpoint(sharded, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
 
-	man, err := readCkptManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segName := man.Segments[0].Name
-	whole, err := os.ReadFile(filepath.Join(dir, segName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	manifest, err := os.ReadFile(filepath.Join(dir, ckptManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name, dir string
+		chain     int
+		restore   func(dir string) (interface{ Close() }, error)
+	}{
+		{"plain", plain, 0, func(dir string) (interface{ Close() }, error) {
+			eng, _, err := Restore(Config{Input: in}, dir)
+			return eng, err
+		}},
+		{"sharded", sharded, 1, func(dir string) (interface{ Close() }, error) {
+			eng, _, err := RestoreSharded(Config{Input: in}, 2, dir)
+			return eng, err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			man, err := readCkptManifest(c.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segName := man.Chains[c.chain][0].Name
+			whole, err := os.ReadFile(filepath.Join(c.dir, segName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng, err := c.restore(c.dir); err != nil {
+				t.Fatalf("the undamaged directory does not restore: %v", err)
+			} else {
+				eng.Close()
+			}
 
-	// Walk the frame boundaries of the real segment.
-	var cuts []int
-	off := 0
-	for off < len(whole) {
-		if off+9 > len(whole) {
-			t.Fatalf("segment has trailing garbage at %d", off)
-		}
-		n := int(uint32(whole[off+1]) | uint32(whole[off+2])<<8 | uint32(whole[off+3])<<16 | uint32(whole[off+4])<<24)
-		off += 9 + n
-		cuts = append(cuts, off)
-	}
-	if cuts[len(cuts)-1] != len(whole) {
-		t.Fatalf("frame walk ended at %d, file is %d bytes", cuts[len(cuts)-1], len(whole))
-	}
+			// Walk the frame boundaries of the real segment.
+			var cuts []int
+			off := 0
+			for off < len(whole) {
+				if off+9 > len(whole) {
+					t.Fatalf("segment has trailing garbage at %d", off)
+				}
+				n := int(uint32(whole[off+1]) | uint32(whole[off+2])<<8 | uint32(whole[off+3])<<16 | uint32(whole[off+4])<<24)
+				off += 9 + n
+				cuts = append(cuts, off)
+			}
+			if cuts[len(cuts)-1] != len(whole) {
+				t.Fatalf("frame walk ended at %d, file is %d bytes", cuts[len(cuts)-1], len(whole))
+			}
 
-	try := func(name string, seg []byte) {
-		t.Helper()
-		tdir := filepath.Join(base, name)
-		if err := os.MkdirAll(tdir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(tdir, segName), seg, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(tdir, ckptManifestName), manifest, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		eng, _, err := Restore(Config{Input: in}, tdir)
-		if err == nil {
-			eng.Close()
-			t.Fatalf("%s: restore of a damaged checkpoint succeeded", name)
-		}
-	}
+			// try restores a copy of the directory whose segment is seg
+			// (nil: absent) and requires a refusal.
+			base := t.TempDir()
+			try := func(name string, seg []byte) error {
+				t.Helper()
+				tdir := filepath.Join(base, name)
+				copyDir(t, c.dir, tdir)
+				if err := os.Remove(filepath.Join(tdir, segName)); err != nil {
+					t.Fatal(err)
+				}
+				if seg != nil {
+					if err := os.WriteFile(filepath.Join(tdir, segName), seg, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				eng, err := c.restore(tdir)
+				if err == nil {
+					eng.Close()
+					t.Fatalf("%s: restore of a damaged checkpoint succeeded", name)
+				}
+				return err
+			}
 
-	prev := 0
-	for i, cut := range cuts {
-		// Exactly at the boundary: framing is intact but the manifest
-		// size no longer matches — truncation must still be detected
-		// (a shorter-than-committed segment is torn even if it parses).
-		if cut != len(whole) {
-			try(fmt.Sprintf("bound-%d", i), whole[:cut])
-		}
-		// Inside the frame: framing itself is damaged.
-		mid := prev + (cut-prev)/2
-		if mid > prev {
-			try(fmt.Sprintf("mid-%d", i), whole[:mid])
-		}
-		prev = cut
-	}
-	// Bit rot without truncation: CRC must catch it.
-	for _, at := range []int{1, len(whole) / 2, len(whole) - 1} {
-		mangled := append([]byte(nil), whole...)
-		mangled[at] ^= 0x80
-		try(fmt.Sprintf("flip-%d", at), mangled)
-	}
-	// A manifest referencing a missing segment is a clean error too.
-	tdir := filepath.Join(base, "missing-seg")
-	if err := os.MkdirAll(tdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(tdir, ckptManifestName), manifest, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if eng, _, err := Restore(Config{Input: in}, tdir); err == nil {
-		eng.Close()
-		t.Fatal("restore with a missing segment succeeded")
+			prev := 0
+			for i, cut := range cuts {
+				// Exactly at the boundary: framing is intact but the manifest
+				// size no longer matches — truncation must still be detected
+				// (a shorter-than-committed segment is torn even if it parses).
+				if cut != len(whole) {
+					try(fmt.Sprintf("bound-%d", i), whole[:cut])
+				}
+				// Inside the frame: framing itself is damaged.
+				mid := prev + (cut-prev)/2
+				if mid > prev {
+					try(fmt.Sprintf("mid-%d", i), whole[:mid])
+				}
+				prev = cut
+			}
+			// Bit rot without truncation: CRC must catch it.
+			for _, at := range []int{1, len(whole) / 2, len(whole) - 1} {
+				mangled := append([]byte(nil), whole...)
+				mangled[at] ^= 0x80
+				try(fmt.Sprintf("flip-%d", at), mangled)
+			}
+			// A committed manifest naming an absent segment is damage, not
+			// "no checkpoint yet".
+			err = try("missing-seg", nil)
+			if !errors.Is(err, store.ErrCorrupt) || errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("missing segment: err = %v, want store.ErrCorrupt and not os.ErrNotExist", err)
+			}
+		})
 	}
 
 	// Damage the framing cannot see: every frame and checksum intact, but
 	// the sequence column runs backwards. Replaying it would hand the
 	// window records out of order, so it is refused as corruption by
-	// plain and exporting engines alike.
+	// plain and exporting engines alike. The manifest is a version-1 one.
 	seg := nonIncreasingSeqSegment(t, in, b)
-	tdir = filepath.Join(base, "seqs-backwards")
+	tdir := filepath.Join(t.TempDir(), "seqs-backwards")
 	if err := os.MkdirAll(tdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(tdir, segName), seg, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(tdir, "seg-1.ckpt"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	backwards := fmt.Sprintf(`{"Version":1,"Gen":1,"NextSeg":2,"Segments":[{"Name":%q,"Bytes":%d}]}`, segName, len(seg))
+	backwards := fmt.Sprintf(`{"Version":1,"Gen":1,"NextSeg":2,"Segments":[{"Name":"seg-1.ckpt","Bytes":%d}]}`, len(seg))
 	if err := os.WriteFile(filepath.Join(tdir, ckptManifestName), []byte(backwards), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +820,7 @@ func nonIncreasingSeqSegment(t testing.TB, in *core.Input, b *workload.Build) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(filepath.Join(dir, man.Segments[0].Name))
+	f, err := os.Open(filepath.Join(dir, man.Chains[0][0].Name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,44 +858,6 @@ func nonIncreasingSeqSegment(t testing.TB, in *core.Input, b *workload.Build) []
 		t.Fatal("segment has no connection frame")
 	}
 	return out.Bytes()
-}
-
-// TestLegacyStaleTempSwept is the regression for the `.tmp` leak: a
-// crash between Create and Rename on the legacy single-file path used
-// to leave <path>.tmp behind forever. Restore must collect it.
-func TestLegacyStaleTempSwept(t *testing.T) {
-	b := genBuild(7, 200)
-	in := inputFromBuild(b)
-	in.Raw = nil
-	e := newEngine(t, in, nil)
-	feed(t, e, b)
-	e.Drain()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "mtlsd.ckpt")
-	// Seed a legacy-format file so WriteCheckpoint stays on that path.
-	if f, err := os.Create(path); err != nil {
-		t.Fatal(err)
-	} else {
-		f.Close()
-	}
-	if err := e.WriteCheckpoint(path, map[string]int64{"i": 1}); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-
-	// The residue a mid-commit crash leaves.
-	stale := atomicfile.TempName(path)
-	if err := os.WriteFile(stale, []byte("half-written checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	restored, _, err := Restore(Config{Input: in}, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(restored.Close)
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale temp %s survived restore", stale)
-	}
 }
 
 // TestIncrementalCheckpointIsODelta is the cost gate for the tentpole's
@@ -695,10 +930,64 @@ func readCkptSize(t *testing.T, dir string, n int) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Segments) < n {
-		t.Fatalf("manifest has %d segments, want at least %d", len(man.Segments), n)
+	if len(man.Chains[0]) < n {
+		t.Fatalf("manifest has %d segments, want at least %d", len(man.Chains[0]), n)
 	}
-	return uint64(man.Segments[n-1].Bytes)
+	return uint64(man.Chains[0][n-1].Bytes)
+}
+
+// TestShardedCheckpointIsODelta is the same gate for a sharded
+// deployment, whose shards used to be rewritten in full every interval:
+// with a large state committed, the second commit's bytes and allocations
+// must follow the interval, not the window.
+func TestShardedCheckpointIsODelta(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting is not stable under -race")
+	}
+	b := genBuild(20240504, 2000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	s := newSharded(t, 2, in, nil)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	for _, c := range b.Raw.Certs {
+		s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+	}
+	nBig := len(b.Raw.Conns) - 64
+	s.IngestConnBatch(b.Raw.Conns[:nBig])
+	s.Drain()
+	commit := func() (alloc, bytes uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := s.WriteCheckpoint(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		man, err := readCkptManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chain := range man.Chains {
+			bytes += uint64(chain[len(chain)-1].Bytes)
+		}
+		fi, err := os.Stat(filepath.Join(dir, ckptManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, bytes + uint64(fi.Size())
+	}
+	baseAlloc, baseBytes := commit()
+	s.IngestConnBatch(b.Raw.Conns[nBig:])
+	s.Drain()
+	deltaAlloc, deltaBytes := commit()
+	if deltaBytes*8 > baseBytes {
+		t.Fatalf("second commit wrote %d bytes vs %d for the bases — not a delta", deltaBytes, baseBytes)
+	}
+	// Per shard the same constant floor as the plain engine (the segment
+	// writer's 1MiB buffer, the full detector snapshot) plus O(delta).
+	if deltaAlloc*3 > baseAlloc {
+		t.Fatalf("second commit allocated %d bytes vs %d for the bases — O(state) work on the delta path", deltaAlloc, baseAlloc)
+	}
 }
 
 // TestDiskStoreMatchesMemory runs the load-bearing equivalence contract
@@ -749,35 +1038,58 @@ func TestDiskStoreMatchesMemory(t *testing.T) {
 	}
 }
 
-// FuzzRestore hammers the directory-restore path with arbitrary segment
-// bytes: any input must produce either a working engine or a clean
-// error — never a panic. The seed corpus is a valid committed segment,
-// so mutations explore near-valid framing.
+// FuzzRestore hammers the restore path with arbitrary segment bytes: any
+// input must produce either a working engine or a clean error — never a
+// panic. Each input is tried as a plain engine's only segment (under a
+// version-1 manifest) and as one shard's chain in a two-shard directory
+// whose other chain is intact. The seed corpus is valid committed
+// segments, so mutations explore near-valid framing.
 func FuzzRestore(f *testing.F) {
-	b := genBuild(7, 30)
+	b := genBuild(7, 20000)
 	in := inputFromBuild(b)
 	in.Raw = nil
 	e, err := New(Config{Input: in})
 	if err != nil {
 		f.Fatal(err)
 	}
+	s, err := NewSharded(2, Config{Input: in})
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, c := range b.Raw.Certs {
 		e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+		s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
 	}
 	for i := range b.Raw.Conns {
 		e.IngestConn(&b.Raw.Conns[i])
+		s.IngestConn(&b.Raw.Conns[i])
 	}
 	e.Drain()
+	s.Drain()
 	seedDir := filepath.Join(f.TempDir(), "seed")
 	if err := e.WriteCheckpoint(seedDir, nil); err != nil {
 		f.Fatal(err)
 	}
 	e.Close()
+	shardedDir := filepath.Join(f.TempDir(), "sharded")
+	if err := s.WriteCheckpoint(shardedDir, nil); err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
 	man, err := readCkptManifest(seedDir)
 	if err != nil {
 		f.Fatal(err)
 	}
-	seed, err := os.ReadFile(filepath.Join(seedDir, man.Segments[0].Name))
+	seed, err := os.ReadFile(filepath.Join(seedDir, man.Chains[0][0].Name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	shardedMan, err := readCkptManifest(shardedDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	intact, fuzzed := shardedMan.Chains[0][0], shardedMan.Chains[1][0].Name
+	shardSeed, err := os.ReadFile(filepath.Join(shardedDir, fuzzed))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -785,6 +1097,7 @@ func FuzzRestore(f *testing.F) {
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte{})
 	f.Add(nonIncreasingSeqSegment(f, in, b))
+	f.Add(shardSeed)
 
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := t.TempDir()
@@ -798,6 +1111,27 @@ func FuzzRestore(f *testing.F) {
 		eng, _, err := Restore(Config{Input: in}, dir)
 		if err == nil {
 			eng.Close()
+		}
+
+		dir = t.TempDir()
+		if err := os.Link(filepath.Join(shardedDir, intact.Name), filepath.Join(dir, intact.Name)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fuzzed), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := *shardedMan
+		m.Chains = [][]ckptSeg{{intact}, {{Name: fuzzed, Bytes: int64(len(seg))}}}
+		buf, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ckptManifestName), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sh, _, err := RestoreSharded(Config{Input: in}, 2, dir)
+		if err == nil {
+			sh.Close()
 		}
 	})
 }

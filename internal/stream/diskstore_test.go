@@ -2,10 +2,10 @@ package stream
 
 import (
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/certmodel"
+	"repro/internal/core"
 )
 
 // TestDiskStoreSpillsConnectionsOnly is the count gate on the disk
@@ -93,7 +93,8 @@ func TestShardedHotBytesIsDeploymentBudget(t *testing.T) {
 // column, so a disk-store restore numbers the records in replay order.
 // Were they all left at zero, the cold index could not tell a frame's
 // records apart. Under a starved budget every one of the reports must
-// equal the memory-store restore of the same checkpoint.
+// equal the memory-store restore of the same checkpoint — a directory
+// written now, and the parent commit's gob file.
 func TestPlainCheckpointRestoresOntoDiskStore(t *testing.T) {
 	b := genBuild(7, 1200)
 	in := inputFromBuild(b)
@@ -101,46 +102,32 @@ func TestPlainCheckpointRestoresOntoDiskStore(t *testing.T) {
 	e := newEngine(t, in, nil)
 	feed(t, e, b)
 	e.Drain()
-	for _, legacy := range []bool{false, true} {
-		path := filepath.Join(t.TempDir(), "ckpt")
-		var err error
-		if legacy {
-			err = e.writeLegacyCheckpoint(path, nil)
-		} else {
-			err = e.WriteCheckpoint(path, nil)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem, _, err := Restore(Config{Input: in}, path)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := e.WriteCheckpoint(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	fx := loadFixture()
+	for _, c := range []struct {
+		name, path string
+		in         *core.Input
+		conns      int
+	}{
+		{"directory", dir, in, len(b.Raw.Conns)},
+		{"gob file", filepath.Join("testdata", "parent", "gob", "mtlsd.ckpt"), fx.in, len(fx.before)},
+	} {
+		mem, _, err := Restore(Config{Input: c.in}, c.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(mem.Close)
-		disk, _, err := Restore(Config{Input: in, Store: "disk", StoreDir: t.TempDir(), HotBytes: 16 << 10}, path)
+		disk, _, err := Restore(Config{Input: c.in, Store: "disk", StoreDir: t.TempDir(), HotBytes: 16 << 10}, c.path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(disk.Close)
-		if st := disk.st.Stats(); st.ColdConns.Load() == 0 || disk.st.ConnCount() != len(b.Raw.Conns) {
-			t.Fatalf("legacy=%v: disk restore holds %d conns (%d cold) of %d", legacy, disk.st.ConnCount(), st.ColdConns.Load(), len(b.Raw.Conns))
+		if st := disk.st.Stats(); st.ColdConns.Load() == 0 || disk.st.ConnCount() != c.conns {
+			t.Fatalf("%s: disk restore holds %d conns (%d cold) of %d", c.name, disk.st.ConnCount(), st.ColdConns.Load(), c.conns)
 		}
-		names := ReportNames()
-		if len(names) != 23 {
-			t.Fatalf("%d reports registered, want 23", len(names))
-		}
-		for _, name := range names {
-			want, err := mem.Report(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := disk.Report(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("legacy=%v: report %s differs between the disk-store and memory-store restores", legacy, name)
-			}
-		}
+		diffReports(t, c.name+": disk-store against memory-store restore", allReports(t, mem), allReports(t, disk))
 	}
 }

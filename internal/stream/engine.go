@@ -220,25 +220,19 @@ type Engine struct {
 	watermark     time.Time
 	lastCkpt      time.Time
 
-	// Incremental-checkpoint bookkeeping (still under mu): sequences below
-	// ckptMark are covered by committed segments; ckptNewCerts lists
-	// roster fingerprints admitted since the last commit (append-only —
-	// a commit truncates the prefix it serialized); ckptCutoff is the
-	// latest eviction cutoff applied, which a delta records so restore
-	// can replay the eviction against earlier segments.
+	// Checkpoint bookkeeping (still under mu), against this engine's
+	// chain: sequences below ckptMark are covered by committed segments;
+	// ckptNewCerts lists roster fingerprints admitted since the last
+	// commit (append-only — a commit truncates the prefix it serialized);
+	// ckptCutoff is the latest eviction cutoff applied, which a delta
+	// records so restore can replay the eviction against earlier segments.
 	ckptMark     uint64
 	ckptNewCerts []ids.Fingerprint
 	ckptCutoff   time.Time
 
-	// ckptMu serializes checkpoint-directory writers (delta commits and
-	// the compactor) and guards the cached manifest. Lock order: ckptMu
-	// before mu — writers take ckptMu, then mu briefly for the state
-	// snapshot; nothing acquires ckptMu while holding mu.
-	ckptMu     sync.Mutex
-	ckptDir    string
-	ckptMan    *ckptManifest
-	compacting atomic.Bool
-	compactWG  sync.WaitGroup
+	// ckpt owns the checkpoint directory; nil on a routed shard, whose
+	// chain its Sharded commits.
+	ckpt *checkpointer
 }
 
 // New starts an engine. Call Close to stop it.
@@ -276,6 +270,7 @@ func New(cfg Config) (*Engine, error) {
 	e.m = newEngineMetrics(cfg.Metrics, e)
 	if !cfg.routed {
 		e.d = newDerived(e)
+		e.ckpt = &checkpointer{engines: []*Engine{e}, dur: e.m.checkpointDur, compactDur: e.m.compactDur}
 	}
 	go e.run()
 	return e, nil

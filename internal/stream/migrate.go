@@ -1,0 +1,147 @@
+package stream
+
+import (
+	"encoding/gob"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"time"
+
+	"repro/internal/atomicfile"
+	"repro/internal/certmodel"
+	"repro/internal/core"
+	"repro/internal/ids"
+	"repro/internal/interception"
+)
+
+// Readers for the checkpoint formats that preceded the segment-chain
+// directory. Nothing here writes: Restore reads one of these, and the
+// restored engine's first WriteCheckpoint replaces it (checkpoint.go).
+
+// checkpointVersion guards the gob format.
+const checkpointVersion = 1
+
+// checkpointState is one engine's full state as a single gob: the raw
+// ground truth (certificate roster, retained connections, cumulative
+// detector state and counters) from which every derived structure is
+// rebuilt on restore, and — when the file stood alone rather than under
+// a manifest.json — the daemon's log-file cursor.
+type checkpointState struct {
+	Version int
+	Cursor  map[string]int64
+
+	ConnsIngested uint64
+	CertsIngested uint64
+	Evicted       uint64
+	Rebuilds      uint64
+	Watermark     time.Time
+
+	Roster       []*certmodel.CertInfo
+	Conns        []core.ConnRecord
+	Interception *interception.StreamState
+	// Seqs aligns ingest sequences with Conns when the writer was a shard
+	// or exported (nil otherwise); Epoch, NextSeq and CertSeqs are an
+	// exporting writer's numbering, zero/nil otherwise.
+	Seqs     []uint64
+	Epoch    uint64
+	NextSeq  uint64
+	CertSeqs map[ids.Fingerprint]uint64
+}
+
+// restoreFile starts an engine from a full-state gob file and returns
+// the cursor stored in it.
+func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
+	// A writer of this format that died mid-commit left <path>.tmp
+	// behind; nothing else collects it once the file itself is replaced.
+	os.Remove(atomicfile.TempName(path))
+	f, err := openNamed(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	var st checkpointState
+	if err := gob.NewDecoder(f).Decode(&st); err != nil {
+		return nil, nil, fmt.Errorf("stream: checkpoint decode: %w", err)
+	}
+	if st.Version != checkpointVersion {
+		return nil, nil, fmt.Errorf("stream: checkpoint version %d, want %d", st.Version, checkpointVersion)
+	}
+	e, err := New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The same replay as one segment of a chain: roster, then window,
+	// then the state that closes it.
+	renumber := cfg.TrackExport && st.Epoch == 0
+	certs := segCerts{Certs: st.Roster}
+	if !renumber && st.CertSeqs != nil {
+		certs.Seqs = make([]uint64, len(st.Roster))
+		for i, c := range st.Roster {
+			if c != nil {
+				certs.Seqs[i] = st.CertSeqs[c.Fingerprint]
+			}
+		}
+	}
+	if renumber {
+		st.Seqs = nil
+	}
+	e.mu.Lock()
+	err = e.restoreCertsLocked(&certs, renumber)
+	if err == nil {
+		err = e.restoreConnsLocked(st.Conns, st.Seqs)
+	}
+	if err == nil {
+		e.finishRestoreLocked(&segState{
+			ConnsIngested: st.ConnsIngested,
+			CertsIngested: st.CertsIngested,
+			Evicted:       st.Evicted,
+			Rebuilds:      st.Rebuilds,
+			Watermark:     st.Watermark,
+			Epoch:         st.Epoch,
+			NextSeq:       st.NextSeq,
+			Interception:  st.Interception,
+		}, renumber)
+	}
+	e.mu.Unlock()
+	if err != nil {
+		e.Close()
+		return nil, nil, fmt.Errorf("stream: restore %s: %w", path, err)
+	}
+	return e, st.Cursor, nil
+}
+
+// parentManifestName was the commit point of a sharded checkpoint
+// directory: it named one generation-suffixed gob file per shard.
+const parentManifestName = "manifest.json"
+
+// readParentManifest reads dir's manifest.json as the commit record of
+// one gob file per shard.
+func readParentManifest(dir string) (*committed, error) {
+	buf, err := os.ReadFile(filepath.Join(dir, parentManifestName))
+	if err != nil {
+		return nil, err
+	}
+	var pm struct {
+		Version, Shards int
+		Cursor          map[string]int64
+		Files           []string
+		routerState
+	}
+	if err := json.Unmarshal(buf, &pm); err != nil {
+		return nil, fmt.Errorf("stream: %s decode: %w", parentManifestName, err)
+	}
+	if pm.Version != 1 {
+		return nil, fmt.Errorf("stream: %s version %d, want 1", parentManifestName, pm.Version)
+	}
+	if pm.Shards <= 0 || pm.Shards > MaxShards || len(pm.Files) != pm.Shards {
+		return nil, fmt.Errorf("stream: %s is inconsistent: %d shards, %d files", parentManifestName, pm.Shards, len(pm.Files))
+	}
+	ck := &committed{dir: dir, man: &ckptManifest{
+		Chains: make([][]ckptSeg, pm.Shards), Cursor: pm.Cursor, Router: &pm.routerState,
+	}}
+	for _, f := range pm.Files {
+		ck.gobs = append(ck.gobs, filepath.Join(dir, f))
+	}
+	return ck, nil
+}

@@ -1,0 +1,339 @@
+package stream
+
+import (
+	"encoding/json"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/atomicfile"
+	"repro/internal/certmodel"
+	"repro/internal/core"
+	"repro/internal/ids"
+	"repro/internal/workload"
+)
+
+// The fixtures under testdata/parent are checkpoints written by the commit
+// before the segment-chain directory became the only format (see the
+// README there): real bytes of each shape a deployed daemon may hold.
+
+// fixtureRows is the slice of the fixture build those checkpoints were
+// fed: every 24th connection and the certificates their chains name,
+// small enough to commit. Keep in step with testdata/parent/README.md.
+func fixtureRows(b *workload.Build) (certs []*certmodel.CertInfo, conns []core.ConnRecord) {
+	seen := map[ids.Fingerprint]bool{}
+	for i := 0; i < len(b.Raw.Conns); i += 24 {
+		c := b.Raw.Conns[i]
+		conns = append(conns, c)
+		for _, chain := range [][]ids.Fingerprint{c.ServerChain, c.ClientChain} {
+			for _, fp := range chain {
+				if cert := b.Raw.Certs[fp]; cert != nil && !seen[fp] {
+					seen[fp] = true
+					certs = append(certs, cert)
+				}
+			}
+		}
+	}
+	sort.Slice(certs, func(i, j int) bool { return certs[i].Fingerprint < certs[j].Fingerprint })
+	return certs, conns
+}
+
+// fixture is the input the fixtures were cut from, in the order they were
+// fed: the punctual certificates, the connections before the cut (what
+// the checkpoints hold), then every seventh certificate — late, so the
+// checkpoints hold connections parked on it — and the remaining
+// connections.
+type fixture struct {
+	in            *core.Input
+	early, late   []*certmodel.CertInfo
+	before, after []core.ConnRecord
+}
+
+func loadFixture() *fixture {
+	b := genBuild(7, 20000)
+	fx := &fixture{in: inputFromBuild(b)}
+	fx.in.Raw = nil
+	certs, conns := fixtureRows(b)
+	for i, c := range certs {
+		if i%7 == 0 {
+			fx.late = append(fx.late, c)
+		} else {
+			fx.early = append(fx.early, c)
+		}
+	}
+	cut := len(conns) * 3 / 5
+	fx.before, fx.after = conns[:cut], conns[cut:]
+	return fx
+}
+
+// ckptEngine is what Engine and Sharded share, as far as the checkpoint
+// tests drive them.
+type ckptEngine interface {
+	ingester
+	Drain()
+	Close()
+	WriteCheckpoint(path string, cursor map[string]int64) error
+	Report(name string) (any, error)
+	Export(since, epoch uint64) (*ExportState, error)
+}
+
+func feedRows(t testing.TB, e ingester, certs []*certmodel.CertInfo, conns []core.ConnRecord) {
+	t.Helper()
+	for _, c := range certs {
+		if !e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c}) {
+			t.Fatal("cert event rejected")
+		}
+	}
+	for i := range conns {
+		if !e.IngestConn(&conns[i]) {
+			t.Fatal("conn event rejected")
+		}
+	}
+}
+
+// allReports materializes the 23 reports by name.
+func allReports(t testing.TB, e interface{ Report(string) (any, error) }) map[string]any {
+	t.Helper()
+	names := ReportNames()
+	if len(names) != 23 {
+		t.Fatalf("%d reports registered, want 23", len(names))
+	}
+	out := make(map[string]any, len(names))
+	for _, name := range names {
+		r, err := e.Report(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = r
+	}
+	return out
+}
+
+func diffReports(t testing.TB, what string, want, got map[string]any) {
+	t.Helper()
+	for name := range want {
+		if !reflect.DeepEqual(want[name], got[name]) {
+			t.Errorf("%s: report %s differs", what, name)
+		}
+	}
+}
+
+// copyDir copies the file tree at src to dst.
+func copyDir(t testing.TB, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), buf, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertOnlyCommitted requires the checkpoint at path to be a directory
+// holding its version-2 MANIFEST, the segments it names, and nothing
+// else — no older format's files, no temp files, no half-swapped
+// directory beside it — and returns the manifest.
+func assertOnlyCommitted(t testing.TB, path string) *ckptManifest {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join(path, ckptManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(buf), `"Version": 2`) {
+		t.Fatalf("MANIFEST is not version 2:\n%s", buf)
+	}
+	man, err := readCkptManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{ckptManifestName}
+	for _, chain := range man.Chains {
+		for _, sg := range chain {
+			want = append(want, sg.Name)
+		}
+	}
+	sort.Strings(want)
+	ents, err := os.ReadDir(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ent := range ents {
+		got = append(got, ent.Name())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("checkpoint directory holds %v, want exactly %v", got, want)
+	}
+	for _, beside := range []string{path + ckptSwapSuffix, atomicfile.TempName(path)} {
+		if _, err := os.Lstat(beside); !os.IsNotExist(err) {
+			t.Fatalf("%s left beside the checkpoint", beside)
+		}
+	}
+	return man
+}
+
+// exportNumbering is the part of a full export a restart must keep for
+// cursors to survive it.
+type exportNumbering struct {
+	Epoch, NextSeq uint64
+	CertSeqs       map[string]uint64
+	ConnSeqs       []uint64
+}
+
+func numbering(t testing.TB, e ckptEngine) exportNumbering {
+	t.Helper()
+	st, err := e.Export(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := exportNumbering{Epoch: st.Epoch, NextSeq: st.NextSeq, CertSeqs: map[string]uint64{}}
+	for _, c := range st.Certs {
+		n.CertSeqs[string(c.Cert.Fingerprint)] = c.Seq
+	}
+	for _, c := range st.Conns {
+		n.ConnSeqs = append(n.ConnSeqs, c.Seq)
+	}
+	return n
+}
+
+// TestMigrateParentCheckpoints restores each older checkpoint shape from
+// the bytes the parent commit wrote, resumes it to the reports of an
+// engine fed the same rows, and requires the first write afterwards to
+// leave a version-2 directory — and nothing of the older format — that
+// restores to the same place.
+func TestMigrateParentCheckpoints(t *testing.T) {
+	fx := loadFixture()
+	ref := newEngine(t, fx.in, nil)
+	feedRows(t, ref, fx.early, fx.before)
+	feedRows(t, ref, fx.late, fx.after)
+	ref.Drain()
+	want := allReports(t, ref)
+
+	for _, c := range []struct {
+		name, path string
+		shards     int
+		export     bool
+		chainLen   int // of each chain after the first write
+	}{
+		{"gob", "gob/mtlsd.ckpt", 1, false, 1},
+		{"v1", "v1", 1, false, 4}, // continued in place: its three segments and a delta
+		{"sharded", "sharded", 2, true, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			copyDir(t, filepath.Join("testdata", "parent"), tmp)
+			path := filepath.Join(tmp, c.path)
+			cfg := Config{Input: fx.in, TrackExport: c.export}
+			restore := func() (ckptEngine, map[string]int64) {
+				t.Helper()
+				var eng ckptEngine
+				var cursor map[string]int64
+				var err error
+				if c.shards == 1 {
+					eng, cursor, err = Restore(cfg, path)
+				} else {
+					eng, cursor, err = RestoreSharded(cfg, c.shards, path)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(eng.Close)
+				return eng, cursor
+			}
+
+			eng, cursor := restore()
+			if got := cursor["conn_index"]; got != int64(len(fx.before)) {
+				t.Fatalf("cursor = %v, want conn_index=%d", cursor, len(fx.before))
+			}
+			if c.export {
+				var recorded exportNumbering
+				buf, err := os.ReadFile(filepath.Join(tmp, "sharded.export.json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(buf, &recorded); err != nil {
+					t.Fatal(err)
+				}
+				if got := numbering(t, eng); !reflect.DeepEqual(got, recorded) {
+					t.Fatalf("restored export numbering (epoch %d, next %d) differs from the writer's (epoch %d, next %d)",
+						got.Epoch, got.NextSeq, recorded.Epoch, recorded.NextSeq)
+				}
+			}
+			feedRows(t, eng, fx.late, fx.after)
+			eng.Drain()
+			diffReports(t, "resumed from the parent's bytes", want, allReports(t, eng))
+
+			end := map[string]int64{"conn_index": int64(len(fx.before) + len(fx.after))}
+			if err := eng.WriteCheckpoint(path, end); err != nil {
+				t.Fatal(err)
+			}
+			man := assertOnlyCommitted(t, path)
+			if len(man.Chains) != c.shards {
+				t.Fatalf("manifest names %d chains, want %d", len(man.Chains), c.shards)
+			}
+			for i, chain := range man.Chains {
+				if len(chain) != c.chainLen {
+					t.Fatalf("chain %d has %d segments, want %d", i, len(chain), c.chainLen)
+				}
+			}
+
+			again, cursor := restore()
+			if !reflect.DeepEqual(cursor, end) {
+				t.Fatalf("cursor after migration = %v, want %v", cursor, end)
+			}
+			diffReports(t, "restored from the migrated directory", want, allReports(t, again))
+			if c.export {
+				if before, after := numbering(t, eng), numbering(t, again); !reflect.DeepEqual(before, after) {
+					t.Fatalf("export numbering changed across the migration: epoch %d → %d, next %d → %d",
+						before.Epoch, after.Epoch, before.NextSeq, after.NextSeq)
+				}
+			}
+		})
+	}
+}
+
+// TestLegacyStaleTempSwept: a writer of the gob format that died between
+// create and rename left <path>.tmp beside the file. Restore collects it
+// — after the migration the path is a directory, and nothing else would.
+func TestLegacyStaleTempSwept(t *testing.T) {
+	fx := loadFixture()
+	path := filepath.Join(t.TempDir(), "mtlsd.ckpt")
+	buf, err := os.ReadFile(filepath.Join("testdata", "parent", "gob", "mtlsd.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stale := atomicfile.TempName(path)
+	if err := os.WriteFile(stale, []byte("half-written checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, _, err := Restore(Config{Input: fx.in}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(restored.Close)
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp %s survived restore", stale)
+	}
+	if err := restored.WriteCheckpoint(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	assertOnlyCommitted(t, path)
+}

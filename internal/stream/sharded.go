@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -11,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/atomicfile"
 	"repro/internal/certmodel"
 	"repro/internal/core"
 	"repro/internal/ids"
@@ -114,9 +111,9 @@ type Sharded struct {
 	// stateVer vector.
 	view *core.MergedView
 
-	ckptMu   sync.Mutex // guards manifest generation state
-	ckptGen  uint64
-	lastCkpt time.Time
+	// ckpt owns the checkpoint directory for all the shards' chains; at
+	// n=1 it is the one engine's own.
+	ckpt *checkpointer
 }
 
 // rendezvous is one fingerprint's delivery state. delivered and waiting
@@ -132,21 +129,25 @@ type rendezvous struct {
 }
 
 type shardedMetrics struct {
-	rejected  *metrics.Counter
-	fanout    *metrics.Counter
-	merges    *metrics.Counter
-	mergeDur  *metrics.Histogram
-	manifests *metrics.Counter
+	rejected      *metrics.Counter
+	fanout        *metrics.Counter
+	merges        *metrics.Counter
+	mergeDur      *metrics.Histogram
+	checkpointDur *metrics.Histogram
+	compactDur    *metrics.Histogram
 }
 
 func newShardedMetrics(r *metrics.Registry, n int) *shardedMetrics {
 	r.Gauge("stream_shards", "engine shards in the sharded deployment").Set(float64(n))
 	return &shardedMetrics{
-		rejected:  r.Counter("stream_events_rejected_total", "invalid events refused at the ingest boundary", "shard", "router"),
-		fanout:    r.Counter("stream_cert_fanout_total", "certificate deliveries to shards (first + forwarded copies)"),
-		merges:    r.Counter("stream_merges_total", "merged-view rebuilds (k-way replay through one Builder)"),
-		mergeDur:  r.Histogram("stream_merge_seconds", "merged-view rebuild duration", nil),
-		manifests: r.Counter("stream_checkpoint_manifests_total", "checkpoint manifests committed"),
+		rejected: r.Counter("stream_events_rejected_total", "invalid events refused at the ingest boundary", "shard", "router"),
+		fanout:   r.Counter("stream_cert_fanout_total", "certificate deliveries to shards (first + forwarded copies)"),
+		merges:   r.Counter("stream_merges_total", "merged-view rebuilds (k-way replay through one Builder)"),
+		mergeDur: r.Histogram("stream_merge_seconds", "merged-view rebuild duration", nil),
+		// One observation per commit or fold of the whole shard set, which
+		// the router owns; the shards' own series of these names stay empty.
+		checkpointDur: r.Histogram("stream_checkpoint_seconds", "checkpoint serialization+rename duration", nil, "shard", "router"),
+		compactDur:    r.Histogram("stream_compact_seconds", "checkpoint compaction duration", nil, "shard", "router"),
 	}
 }
 
@@ -174,10 +175,19 @@ func NewSharded(n int, cfg Config) (*Sharded, error) {
 		}
 		s.shards = append(s.shards, e)
 	}
-	if n == 1 {
-		s.single = s.shards[0]
-	}
+	s.ownShards()
 	return s, nil
+}
+
+// ownShards finishes construction once every shard exists: one shard is
+// the passthrough, more are checkpointed as one set by the router.
+func (s *Sharded) ownShards() {
+	if len(s.shards) == 1 {
+		s.single = s.shards[0]
+		s.ckpt = s.single.ckpt
+		return
+	}
+	s.ckpt = &checkpointer{engines: s.shards, router: s.routerState, dur: s.m.checkpointDur, compactDur: s.m.compactDur}
 }
 
 // newRouter builds the shard-less Sharded that NewSharded and
@@ -397,6 +407,9 @@ func (s *Sharded) Stats() Stats {
 		if es.Watermark.After(st.Watermark) {
 			st.Watermark = es.Watermark
 		}
+		if es.LastCheckpoint.After(st.LastCheckpoint) {
+			st.LastCheckpoint = es.LastCheckpoint
+		}
 	}
 	st.ExcludedCerts = s.union.ExcludedCount()
 	st.InterceptionIssuers = s.union.ConfirmedCount()
@@ -409,190 +422,84 @@ func (s *Sharded) Stats() Stats {
 	st.Rejected += s.rejected.Load()
 
 	st.Rebuilds, st.Dirty = s.view.Stats()
-
-	s.ckptMu.Lock()
-	st.LastCheckpoint = s.lastCkpt
-	s.ckptMu.Unlock()
 	if !st.LastCheckpoint.IsZero() {
 		st.CheckpointAge = time.Since(st.LastCheckpoint).Seconds()
 	}
 	return st
 }
 
-// manifestVersion guards the checkpoint-directory format.
-const manifestVersion = 1
-
-// manifestName is the commit point of a sharded checkpoint directory.
-const manifestName = "manifest.json"
-
-// Manifest describes one committed sharded checkpoint: which per-shard
-// files belong to it (generation-suffixed so a crashed write can never
-// mix generations), the router's sequence counter, and the caller's
-// ingest cursor. The manifest is written last and renamed into place, so
-// a directory either has a complete generation or the previous one.
-type Manifest struct {
-	Version     int
-	Shards      int
-	Generation  uint64
-	NextSeq     uint64
-	CertsRouted uint64
-	Cursor      map[string]int64
-	Files       []string
-	// Epoch and CertSeqs carry the export-cursor state (the sequence-
-	// numbering epoch and each roster fingerprint's admission sequence)
-	// so a restored sensor keeps serving deltas against cursors taken
-	// before the restart. Absent in pre-export manifests: a restored
-	// deployment then gets a fresh epoch, and stale cursors are refused.
-	Epoch    uint64            `json:",omitempty"`
-	CertSeqs map[string]uint64 `json:",omitempty"`
+// routerState snapshots what the router checkpoints beside the shards'
+// chains.
+func (s *Sharded) routerState() *routerState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := &routerState{NextSeq: s.nextSeq, CertsRouted: s.certsRouted}
+	if s.cfg.TrackExport {
+		r.Epoch = s.epoch
+		r.CertSeqs = make(map[string]uint64, len(s.certLog))
+		for _, c := range s.certLog {
+			r.CertSeqs[string(c.Cert.Fingerprint)] = c.Seq
+		}
+	}
+	return r
 }
 
-// WriteCheckpoint serializes every shard into dir and commits the set
-// with an atomically renamed manifest; the previous generation's files
-// are removed only after the commit. Shard files use the legacy
-// full-snapshot format — the manifest is this directory's commit point,
-// so per-shard incremental chains would add commit points without
-// removing the full-serialize cost of the fan-in. As with
+// WriteCheckpoint commits every shard's state, the router's and the
+// caller's cursor to the checkpoint directory at dir: each shard appends
+// one segment to its chain — a delta since the previous commit — and the
+// router renames the one manifest naming them all. As with
 // Engine.WriteCheckpoint, the caller must Drain first so the cursor is
 // consistent with applied state.
 func (s *Sharded) WriteCheckpoint(dir string, cursor map[string]int64) error {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("stream: sharded checkpoint: %w", err)
-	}
-	// Temp files are residue of crashed commits; collect them before
-	// creating this generation's.
-	atomicfile.SweepTemps(dir, "*.tmp")
-	gen := s.ckptGen + 1
-	s.mu.Lock()
-	next, routed, epoch := s.nextSeq, s.certsRouted, s.epoch
-	certSeqs := make(map[string]uint64, len(s.rv))
-	for fp, ent := range s.rv {
-		if ent.cert != nil {
-			certSeqs[string(fp)] = ent.seq
-		}
-	}
-	s.mu.Unlock()
-
-	files := make([]string, len(s.shards))
-	for i, e := range s.shards {
-		files[i] = fmt.Sprintf("shard-%d.g%d.ckpt", i, gen)
-		if err := e.writeLegacyCheckpoint(filepath.Join(dir, files[i]), nil); err != nil {
-			for _, f := range files[:i+1] {
-				os.Remove(filepath.Join(dir, f))
-			}
-			return err
-		}
-	}
-	man := Manifest{
-		Version:     manifestVersion,
-		Shards:      len(s.shards),
-		Generation:  gen,
-		NextSeq:     next,
-		CertsRouted: routed,
-		Cursor:      cursor,
-		Files:       files,
-		Epoch:       epoch,
-		CertSeqs:    certSeqs,
-	}
-	buf, err := json.MarshalIndent(&man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("stream: sharded checkpoint: %w", err)
-	}
-	// The manifest rename is the commit point for the whole generation:
-	// atomicfile fsyncs the shard set's name into place, and the shard
-	// files themselves were fsynced by writeLegacyCheckpoint before the
-	// manifest could reference them.
-	if err := atomicfile.WriteFile(filepath.Join(dir, manifestName), append(buf, '\n')); err != nil {
-		return fmt.Errorf("stream: sharded checkpoint: %w", err)
-	}
-	// Committed: the previous generation is garbage now, as is anything a
-	// crashed commit left behind — both fully written shard files of a
-	// generation whose manifest never committed and ".ckpt.tmp" partials
-	// killed mid-write (the trailing * picks those up; matching only
-	// "*.ckpt" leaked them forever). Best-effort removal — stray files
-	// are re-collected by the next commit's scan.
-	if old, err := filepath.Glob(filepath.Join(dir, "shard-*.g*.ckpt*")); err == nil {
-		for _, f := range old {
-			keep := false
-			for _, cur := range files {
-				if filepath.Base(f) == cur {
-					keep = true
-					break
-				}
-			}
-			if !keep {
-				os.Remove(f)
-			}
-		}
-	}
-	s.ckptGen = gen
-	s.lastCkpt = time.Now()
-	s.m.manifests.Inc()
-	return nil
+	return s.ckpt.write(dir, cursor)
 }
 
-// RestoreSharded starts a sharded engine from a checkpoint directory
-// written by WriteCheckpoint and returns the cursor stored with it.
-// n must match the manifest's shard count (routing is a function of the
-// count, so resharding would orphan state); 0 adopts the manifest's.
-// The rendezvous is not serialized — it is rebuilt here from the
-// restored rosters and retained connections, re-forwarding any
-// certificate a referencing shard is missing (possible after Drop-policy
-// shedding), so the restored deployment self-heals to the same delivery
-// state the checkpointed one had.
-func RestoreSharded(cfg Config, n int, dir string) (*Sharded, map[string]int64, error) {
+// RestoreSharded starts a sharded engine from the checkpoint at path and
+// returns the cursor stored with it. n must match the checkpoint's shard
+// count (routing is a function of the count, so resharding would orphan
+// state); 0 adopts it. The rendezvous is not serialized — it is rebuilt
+// here from the restored rosters and retained connections, re-forwarding
+// any certificate a referencing shard is missing (possible after
+// Drop-policy shedding), so the restored deployment self-heals to the
+// same delivery state the checkpointed one had. The error is
+// os.ErrNotExist only when path holds no checkpoint.
+func RestoreSharded(cfg Config, n int, path string) (*Sharded, map[string]int64, error) {
 	if cfg.Input == nil {
 		return nil, nil, fmt.Errorf("stream: Config.Input is required")
 	}
-	buf, err := os.ReadFile(filepath.Join(dir, manifestName))
+	ck, err := openCheckpoint(path, n)
 	if err != nil {
-		return nil, nil, layoutErr(err, dir, manifestName, ckptManifestName)
+		return nil, nil, err
 	}
-	var man Manifest
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, nil, fmt.Errorf("stream: manifest decode: %w", err)
-	}
-	if man.Version != manifestVersion {
-		return nil, nil, fmt.Errorf("stream: manifest version %d, want %d", man.Version, manifestVersion)
-	}
-	if man.Shards <= 0 || man.Shards > MaxShards || len(man.Files) != man.Shards {
-		return nil, nil, fmt.Errorf("stream: manifest is inconsistent: %d shards, %d files", man.Shards, len(man.Files))
-	}
-	if n == 0 {
-		n = man.Shards
-	}
-	if n != man.Shards {
-		return nil, nil, fmt.Errorf("stream: checkpoint has %d shards, requested %d (resharding a checkpoint is not supported)", man.Shards, n)
+	n = len(ck.man.Chains)
+	r := ck.man.Router
+	if n > 1 && r == nil {
+		return nil, nil, fmt.Errorf("%w: checkpoint has %d shards but no router state", store.ErrCorrupt, n)
 	}
 	s := newRouter(cfg, n)
-	s.nextSeq, s.ckptGen, s.epoch = man.NextSeq, man.Generation, man.Epoch
-	if s.epoch == 0 {
-		// Pre-export manifest: fresh numbering scope, so any cursor taken
-		// against the checkpointed deployment is refused as stale.
-		s.epoch = newEpoch()
-	}
-	s.certsRouted = man.CertsRouted
 	for i := 0; i < n; i++ {
-		e, _, err := Restore(s.shardConfig(i, n), filepath.Join(dir, man.Files[i]))
+		e, err := ck.restoreShard(s.shardConfig(i, n), i)
 		if err != nil {
 			s.Close()
 			return nil, nil, fmt.Errorf("stream: restore shard %d: %w", i, err)
 		}
 		s.shards = append(s.shards, e)
 	}
-	if n == 1 {
+	s.ownShards()
+	ck.adopt(s.ckpt)
+	if s.single != nil {
 		// Passthrough from here on; the rendezvous is never consulted.
-		s.single = s.shards[0]
-		s.ckptMu.Lock()
-		s.lastCkpt = time.Now()
-		s.ckptMu.Unlock()
-		return s, man.Cursor, nil
+		return s, ck.man.Cursor, nil
+	}
+	s.nextSeq, s.certsRouted, s.epoch = r.NextSeq, r.CertsRouted, r.Epoch
+	if s.epoch == 0 {
+		// The checkpointed deployment did not export: fresh numbering
+		// scope, so any cursor taken against it is refused as stale.
+		s.epoch = newEpoch()
 	}
 	s.rebuildRendezvous()
 	s.mu.Lock()
-	for fp, seq := range man.CertSeqs {
+	for fp, seq := range r.CertSeqs {
 		if ent := s.rv[ids.Fingerprint(fp)]; ent != nil {
 			ent.seq = seq
 		}
@@ -606,10 +513,7 @@ func RestoreSharded(cfg Config, n int, dir string) (*Sharded, map[string]int64, 
 		sortCertLog(s.certLog)
 	}
 	s.mu.Unlock()
-	s.ckptMu.Lock()
-	s.lastCkpt = time.Now()
-	s.ckptMu.Unlock()
-	return s, man.Cursor, nil
+	return s, ck.man.Cursor, nil
 }
 
 // rebuildRendezvous reconstructs delivery state from restored shard

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -286,8 +288,9 @@ func TestShardedCheckpointRestoreResume(t *testing.T) {
 }
 
 // TestShardedCheckpointGenerations checks the manifest commit protocol:
-// a second checkpoint supersedes the first atomically and garbage-
-// collects its files, and a stale uncommitted generation is ignored.
+// a second checkpoint supersedes the first atomically — one more
+// generation, one more segment per chain, the second cursor — and the
+// directory holds exactly what the manifest names.
 func TestShardedCheckpointGenerations(t *testing.T) {
 	b := genBuild(7, 500)
 	in := inputFromBuild(b)
@@ -299,27 +302,18 @@ func TestShardedCheckpointGenerations(t *testing.T) {
 	if err := s.WriteCheckpoint(dir, map[string]int64{"g": 1}); err != nil {
 		t.Fatal(err)
 	}
+	first := assertOnlyCommitted(t, dir)
 	if err := s.WriteCheckpoint(dir, map[string]int64{"g": 2}); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	second := assertOnlyCommitted(t, dir)
+	if second.Gen != first.Gen+1 || second.Router == nil {
+		t.Fatalf("second manifest: generation %d after %d, router %v", second.Gen, first.Gen, second.Router)
 	}
-	var ckpts, manifests int
-	for _, e := range ents {
-		switch {
-		case e.Name() == manifestName:
-			manifests++
-		case strings.HasSuffix(e.Name(), ".ckpt"):
-			if !strings.Contains(e.Name(), ".g2.") {
-				t.Fatalf("stale generation file survived: %s", e.Name())
-			}
-			ckpts++
+	for i, chain := range second.Chains {
+		if len(chain) != 2 || chain[0] != first.Chains[i][0] {
+			t.Fatalf("chain %d = %v, want the first commit's base %v and one delta", i, chain, first.Chains[i])
 		}
-	}
-	if manifests != 1 || ckpts != 2 {
-		t.Fatalf("dir has %d manifests / %d shard files, want 1 / 2", manifests, ckpts)
 	}
 	if _, cursor, err := RestoreSharded(Config{Input: in}, 0, dir); err != nil {
 		t.Fatal(err)
@@ -330,13 +324,10 @@ func TestShardedCheckpointGenerations(t *testing.T) {
 
 // TestShardedCrashMidCheckpoint: a kill -9 landing between the shard
 // writes and the manifest rename leaves the directory with the previous
-// committed generation's manifest plus the doomed commit's debris — a
-// fully written next-generation shard file, a ".ckpt.tmp" partial killed
-// mid-write, and a ".ckpt.tmp" partial from an even older doomed commit
-// whose generation number no future commit will reuse. Restore must come
-// up on the committed generation, resume cleanly, and the next
-// checkpoint must garbage-collect every orphan — the old "*.ckpt" GC
-// glob never matched the ".tmp" partials, so they accumulated forever.
+// commit's manifest plus the doomed commit's debris — a fully written
+// next segment for shard 0, a torn one for shard 1, the manifest's temp
+// file. Restore must come up on the committed generation, resume
+// cleanly, and the next checkpoint must collect every orphan.
 func TestShardedCrashMidCheckpoint(t *testing.T) {
 	b := genBuild(20240504, 600)
 	in := inputFromBuild(b)
@@ -360,20 +351,17 @@ func TestShardedCrashMidCheckpoint(t *testing.T) {
 	if err := s.WriteCheckpoint(dir, map[string]int64{"conn_index": int64(cut)}); err != nil {
 		t.Fatal(err)
 	}
+	man := assertOnlyCommitted(t, dir)
 
-	// The doomed generation-2 commit: shard 0 fully written, shard 1
-	// killed mid-write, and the manifest rename never reached. The g9
-	// partial is an older doomed commit at a generation the restored
-	// process will never write again.
-	g1, err := os.ReadFile(filepath.Join(dir, "shard-0.g1.ckpt"))
+	// The doomed second commit, under the names it would have used.
+	base, err := os.ReadFile(filepath.Join(dir, man.Chains[0][0].Name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, content := range map[string][]byte{
-		"shard-0.g2.ckpt":     g1,
-		"shard-1.g2.ckpt.tmp": g1[:len(g1)/3],
-		"shard-0.g9.ckpt.tmp": g1[:16],
-		"manifest.json.tmp":   []byte("{\"Version\":1"),
+		fmt.Sprintf("seg-%d.ckpt", man.NextSeg):   base,
+		fmt.Sprintf("seg-%d.ckpt", man.NextSeg+1): base[:len(base)/3],
+		ckptManifestName + ".tmp":                 []byte("{\"Version\":2"),
 	} {
 		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
 			t.Fatal(err)
@@ -401,23 +389,11 @@ func TestShardedCrashMidCheckpoint(t *testing.T) {
 		t.Fatal("resumed analysis differs from uninterrupted run")
 	}
 
-	// The next commit (generation 2 again) must sweep all the debris.
+	// The next commit reuses the doomed names and sweeps the rest.
 	if err := restored.WriteCheckpoint(dir, map[string]int64{"conn_index": int64(len(b.Raw.Conns))}); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]string, 0, len(ents))
-	for _, e := range ents {
-		got = append(got, e.Name())
-	}
-	sort.Strings(got)
-	wantFiles := []string{manifestName, "shard-0.g2.ckpt", "shard-1.g2.ckpt"}
-	if !reflect.DeepEqual(got, wantFiles) {
-		t.Fatalf("post-commit dir = %v, want exactly %v (orphans must be GC'd)", got, wantFiles)
-	}
+	assertOnlyCommitted(t, dir)
 
 	// And the swept directory restores to the full-run state.
 	again, cursor2, err := RestoreSharded(Config{Input: in}, 0, dir)
@@ -433,9 +409,12 @@ func TestShardedCrashMidCheckpoint(t *testing.T) {
 	}
 }
 
-// TestShardedRestoreShardMismatch: restoring with a different shard
-// count must fail loudly (resharding a checkpoint is unsupported), and
-// n=0 must adopt the manifest's count.
+// TestShardedRestoreShardMismatch: restoring at a different shard count
+// must fail loudly, naming both counts (resharding a checkpoint is
+// unsupported) — between two sharded counts and between a plain engine
+// and a sharded one, whose checkpoints differ only in how many chains the
+// manifest names — and never as "no checkpoint here". n=0 adopts the
+// manifest's count.
 func TestShardedRestoreShardMismatch(t *testing.T) {
 	b := genBuild(7, 300)
 	in := inputFromBuild(b)
@@ -443,20 +422,48 @@ func TestShardedRestoreShardMismatch(t *testing.T) {
 	s := newSharded(t, 2, in, nil)
 	feedCertsFirst(t, s, b)
 	s.Drain()
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	if err := s.WriteCheckpoint(dir, nil); err != nil {
+	sharded := filepath.Join(t.TempDir(), "ckpt")
+	if err := s.WriteCheckpoint(sharded, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RestoreSharded(Config{Input: in}, 3, dir); err == nil {
-		t.Fatal("restore with mismatched shard count must error")
+	e := newEngine(t, in, nil)
+	feed(t, e, b)
+	e.Drain()
+	plain := filepath.Join(t.TempDir(), "ckpt")
+	if err := e.WriteCheckpoint(plain, nil); err != nil {
+		t.Fatal(err)
 	}
-	adopted, _, err := RestoreSharded(Config{Input: in}, 0, dir)
+
+	refused := func(what string, err error, have, want int) {
+		t.Helper()
+		msg := fmt.Sprintf("checkpoint has %d shards, requested %d", have, want)
+		if err == nil || !strings.Contains(err.Error(), msg) || errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: err = %v, want a refusal saying %q", what, err, msg)
+		}
+	}
+	_, _, err := RestoreSharded(Config{Input: in}, 3, sharded)
+	refused("2 shards restored at 3", err, 2, 3)
+	_, _, err = Restore(Config{Input: in}, sharded)
+	refused("2 shards restored as a plain engine", err, 2, 1)
+	_, _, err = RestoreSharded(Config{Input: in}, 2, plain)
+	refused("a plain engine restored at 2 shards", err, 1, 2)
+
+	adopted, _, err := RestoreSharded(Config{Input: in}, 0, sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(adopted.Close)
 	if adopted.Shards() != 2 {
 		t.Fatalf("Shards() = %d, want the manifest's 2", adopted.Shards())
+	}
+	// One shard and a plain engine are the same checkpoint.
+	one, _, err := RestoreSharded(Config{Input: in}, 1, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(one.Close)
+	if !reflect.DeepEqual(e.Analysis(), one.Analysis()) {
+		t.Fatal("a plain engine's checkpoint restored at one shard differs")
 	}
 }
 
