@@ -1,0 +1,36 @@
+#!/usr/bin/env python3
+"""check_merge_replays.py PREFIX BEFORE AFTER: two /metrics scrapes of one
+mtlsd, taken around an append to its logs and a report read.
+
+The merged view caught up with the append (PREFIX_merges_total grew) by
+appending to its Builder: PREFIX_merge_replays_total did not grow for any
+reason but "verdict" (new rows may grow the exclusion set; nothing was
+lost, no certificate came late), and no connection ever arrived out of
+order (reason "order" absent or 0).
+"""
+import re
+import sys
+
+prefix, before, after = sys.argv[1], sys.argv[2], sys.argv[3]
+
+
+def scrape(path):
+    merges, replays = None, {}
+    with open(path) as f:
+        for line in f:
+            if line.startswith(f"{prefix}_merges_total "):
+                merges = float(line.split()[1])
+            m = re.match(rf'{prefix}_merge_replays_total{{reason="(\w+)"}} (\S+)', line)
+            if m:
+                replays[m.group(1)] = float(m.group(2))
+    assert merges is not None, f"{path}: no {prefix}_merges_total"
+    return merges, replays
+
+
+m0, r0 = scrape(before)
+m1, r1 = scrape(after)
+assert m1 > m0, f"{prefix}_merges_total did not grow: {m0} -> {m1}"
+other = lambda r: sum(v for why, v in r.items() if why != "verdict")
+assert other(r1) == other(r0), f"the append was replayed, not appended: {r0} -> {r1}"
+assert r1.get("order", 0) == 0, f"a connection arrived out of order: {r1}"
+print(f"{prefix}: merges {m0:.0f} -> {m1:.0f}, replays {r0} -> {r1}")

@@ -764,3 +764,82 @@ func BenchmarkAggregatorStats(b *testing.B) {
 		})
 	}
 }
+
+// --- O(delta) reads ----------------------------------------------------------
+
+// BenchmarkAggregatorRead times the first report read after a sync on an
+// aggregator over one sensor. catchup is the usual case — the sync
+// brought a fixed 1 000-connection delta, which the merged view appends —
+// and should read flat across the two dataset sizes; replay is a read
+// that has to re-enrich the whole replica, priced here on the first read
+// of a fresh aggregator.
+func BenchmarkAggregatorRead(b *testing.B) {
+	const delta = 1000
+	for _, scale := range statsBenchScales {
+		start := func(b *testing.B) (*stream.Engine, []core.ConnRecord, distrib.Config) {
+			in, certs, conns := statsBenchInput(scale)
+			e, err := stream.New(stream.Config{Input: in, TrackExport: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(e.Close)
+			e.IngestCertBatch(certs)
+			e.IngestConnBatch(conns)
+			e.Drain()
+			mux := http.NewServeMux()
+			mux.HandleFunc("/api/v1/snapshot", distrib.NewSensor(e, nil, nil).Handler())
+			srv := httptest.NewServer(mux)
+			b.Cleanup(srv.Close)
+			logOnce(b, "conns=%d certs=%d", len(conns), len(certs))
+			return e, conns, distrib.Config{Input: in, Sensors: []string{srv.URL}}
+		}
+		synced := func(b *testing.B, cfg distrib.Config) *distrib.Aggregator {
+			a, err := distrib.NewAggregator(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := a.SyncAll(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			return a
+		}
+		read := func(b *testing.B, a *distrib.Aggregator) {
+			if _, err := a.Report("preprocess"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("catchup/scale=%d", scale), func(b *testing.B) {
+			e, conns, cfg := start(b)
+			a := synced(b, cfg)
+			read(b, a)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for fed := 0; fed < delta; {
+					fed += e.IngestConnBatch(conns[:min(delta-fed, len(conns))])
+				}
+				e.Drain()
+				if err := a.SyncAll(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				read(b, a)
+			}
+			if st := a.Stats(); st.Rebuilds != 1 {
+				b.Fatalf("%d replays, want only the first read's", st.Rebuilds)
+			}
+		})
+		b.Run(fmt.Sprintf("replay/scale=%d", scale), func(b *testing.B) {
+			_, _, cfg := start(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a := synced(b, cfg)
+				b.StartTimer()
+				read(b, a)
+			}
+		})
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	mtls "repro"
@@ -62,11 +63,26 @@ type daemonStats struct {
 // request counters and latency histograms; failures are a JSON envelope
 // {"error", "code"}. The reports handler distinguishes an unknown report
 // name (404, a client mistake) from a materialization failure (500, our
-// bug).
+// bug). Every series a handler reads or bumps per request is resolved
+// here, once: the stats endpoint is probed hundreds of times a second,
+// and the registry's get-or-create renders labels under a mutex.
 func newMux(eng reporter, reg *metrics.Registry, logger *slog.Logger, withPprof bool, info daemonInfo) *http.ServeMux {
 	mux := http.NewServeMux()
 	handle := func(path string, h http.HandlerFunc) {
 		mux.HandleFunc(path, instrument(reg, path, h))
+	}
+	rejects := zeek.ResolveRejectCounters(reg)
+	tailErrs := []*metrics.Counter{
+		reg.Counter(tailErrMetric, tailErrHelp, "file", "ssl.log"),
+		reg.Counter(tailErrMetric, tailErrHelp, "file", "x509.log"),
+	}
+	// An aggregator tails nothing and exposes no lag.
+	var lag []tailLagGauge
+	if info.agg == nil {
+		for _, f := range []string{"ssl", "x509"} {
+			lag = append(lag, tailLagGauge{f, reg.Gauge("tail_lag_bytes",
+				"file size minus consumed offset after a poll", "file", f)})
+		}
 	}
 	handle("/api/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -76,19 +92,26 @@ func newMux(eng reporter, reg *metrics.Registry, logger *slog.Logger, withPprof 
 		writeJSON(w, versionInfo{Info: mtls.BuildInfo("mtlsd"), Role: info.role, Shards: info.shards})
 	})
 	handle("/api/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		total, byReason := zeek.RejectTotals(reg)
+		total, byReason := rejects.Totals()
 		ds := daemonStats{
 			Stats:            eng.Stats(),
 			Role:             info.role,
 			Shards:           info.shards,
 			RowsRejected:     total,
 			RejectedByReason: byReason,
-			TailErrors:       tailErrTotal(reg),
+		}
+		for _, c := range tailErrs {
+			ds.TailErrors += c.Value()
 		}
 		if info.agg != nil {
 			ds.Sensors = info.agg.SensorStatuses()
 		} else {
-			ds.TailLag = tailLag(reg)
+			// Read back so a load harness can wait for drain from the stats
+			// instead of parsing the /metrics exposition.
+			ds.TailLag = make(map[string]int64, len(lag))
+			for _, l := range lag {
+				ds.TailLag[l.file] = int64(l.g.Value())
+			}
 		}
 		writeJSON(w, ds)
 	})
@@ -127,38 +150,42 @@ func newMux(eng reporter, reg *metrics.Registry, logger *slog.Logger, withPprof 
 	return mux
 }
 
-// tailErrTotal sums the per-file tail error counters.
-func tailErrTotal(reg *metrics.Registry) uint64 {
-	var n uint64
-	for _, f := range []string{"ssl.log", "x509.log"} {
-		n += reg.Counter(tailErrMetric, tailErrHelp, "file", f).Value()
-	}
-	return n
-}
-
-// tailLag reads back the per-file ingestion lag gauges (file size minus
-// consumed offset after the last poll) so a load harness can wait for
-// drain from /api/v1/stats instead of parsing the /metrics exposition.
-func tailLag(reg *metrics.Registry) map[string]int64 {
-	out := make(map[string]int64, 2)
-	for _, f := range []string{"ssl", "x509"} {
-		out[f] = int64(reg.Gauge("tail_lag_bytes",
-			"file size minus consumed offset after a poll", "file", f).Value())
-	}
-	return out
+// tailLagGauge is one log's ingestion-lag gauge (file size minus consumed
+// offset after the last poll), as the tailer publishes it.
+type tailLagGauge struct {
+	file string
+	g    *metrics.Gauge
 }
 
 // instrument wraps a handler with a per-endpoint latency histogram and a
-// per-endpoint, per-status request counter.
+// per-endpoint, per-status request counter. The 200 counter is resolved
+// up front, any other status on its first use.
 func instrument(reg *metrics.Registry, path string, h http.HandlerFunc) http.HandlerFunc {
 	dur := reg.Histogram("mtlsd_http_request_seconds", "HTTP request handling latency", nil, "path", path)
+	requests := func(code int) *metrics.Counter {
+		return reg.Counter("mtlsd_http_requests_total", "HTTP requests served",
+			"path", path, "code", strconv.Itoa(code))
+	}
+	ok := requests(http.StatusOK)
+	var mu sync.Mutex
+	other := make(map[int]*metrics.Counter)
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
 		dur.Since(t0)
-		reg.Counter("mtlsd_http_requests_total", "HTTP requests served",
-			"path", path, "code", strconv.Itoa(sw.code)).Inc()
+		if sw.code == http.StatusOK {
+			ok.Inc()
+			return
+		}
+		mu.Lock()
+		c := other[sw.code]
+		if c == nil {
+			c = requests(sw.code)
+			other[sw.code] = c
+		}
+		mu.Unlock()
+		c.Inc()
 	}
 }
 

@@ -46,18 +46,33 @@ func MergeShards(in *Input, shards []ShardState, exclude func(ids.Fingerprint) b
 		exclude = func(ids.Fingerprint) bool { return false }
 	}
 	b := NewBuilder(in)
+	mergeInto(b, shards, exclude, nil)
+	return b
+}
+
+// mergeInto adds shard states to b: every certificate exclude lets
+// through, then the connections that survive it in ascending sequence.
+// unresolved, when set, is told each leaf fingerprint an added connection
+// named that resolved to no certificate although the verdict does not
+// exclude it — the enrichment a later arrival of that certificate would
+// have changed. It returns how many connections it added.
+func mergeInto(b *Builder, shards []ShardState, exclude func(ids.Fingerprint) bool, unresolved func(ids.Fingerprint)) int {
+	conns := 0
 	for i := range shards {
 		for _, c := range shards[i].Certs {
 			if !exclude(c.Fingerprint) {
 				b.AddCert(c)
 			}
 		}
+		conns += len(shards[i].Conns)
 	}
+	b.GrowConns(conns) // one reallocation at most, doubling: the view slice is the window's size
 	// K-way merge on the global sequence stamps. Each shard's list is
 	// already ascending (the router assigns sequences in send order), so
 	// a linear head comparison per step suffices; shard counts are small
 	// (bounded by CPU count), making a heap pointless overhead.
 	idx := make([]int, len(shards))
+	added := 0
 	for {
 		best := -1
 		var bestSeq uint64
@@ -70,61 +85,150 @@ func MergeShards(in *Input, shards []ShardState, exclude func(ids.Fingerprint) b
 			}
 		}
 		if best < 0 {
-			return b
+			return added
 		}
 		rec := &shards[best].Conns[idx[best]]
 		idx[best]++
-		if sl := rec.ServerLeaf(); sl != "" && exclude(sl) {
+		sl := rec.ServerLeaf()
+		if sl != "" && exclude(sl) {
 			continue
 		}
 		b.AddConn(rec)
+		added++
+		if unresolved == nil {
+			continue
+		}
+		cv := &b.e.conns[len(b.e.conns)-1]
+		if sl != "" && cv.serverCert == nil {
+			unresolved(sl)
+		}
+		if cl := rec.ClientLeaf(); cl != "" && cv.clientCert == nil && !exclude(cl) {
+			unresolved(cl)
+		}
 	}
+}
+
+// MergeCursor is where a MergedView stands in one source: what it has
+// already merged and must not be handed again.
+type MergeCursor struct {
+	// Certs counts the entries of the source's roster log already merged.
+	Certs int
+	// Seq is one past the highest connection sequence merged from the
+	// source; 0 before any.
+	Seq uint64
 }
 
 // MergeCapture is one consistent snapshot of a MergedView's sources.
 type MergeCapture struct {
-	// Shards is each source's raw state, ready for MergeShards.
+	// Shards is what each source appended since the cursor it was asked
+	// from — the roster-log entries from Certs on and the retained
+	// connections at or after Seq — ready for MergeShards. From the zero
+	// cursor that is the source's whole state.
 	Shards []ShardState
 	// Versions is the version vector the captured state reflects — the
 	// cache key, read under the same locks as the state so the two
 	// cannot disagree.
 	Versions []uint64
+	// Lost counts, per source, how often it dropped or replaced records
+	// it had already appended (eviction, a sensor starting over). A
+	// cursor into a source whose count moved is meaningless; the view
+	// replays.
+	Lost []uint64
 	// Verdict is the global §3.2 verdict over exactly the captured state:
 	// the owner's evidence union, caught up with each source under the
 	// same lock hold as that source's snapshot. Per-source verdicts are
-	// never merged.
+	// never merged. It must not exclude a certificate no source lists.
 	Verdict *interception.Result
 	// RawConns counts connection events ingested across the sources,
-	// before filtering and eviction.
+	// before filtering and eviction; RawCerts the distinct certificates
+	// on their rosters (rosters overlap — a certificate is fanned out to
+	// every source that referenced it).
 	RawConns uint64
+	RawCerts int
+}
+
+// ReplayReason names why a MergedView rebuilt its Builder from the
+// sources' whole state instead of appending what was new.
+type ReplayReason string
+
+// The cases where appending would not equal replaying.
+const (
+	// ReplayFirst: the view has no Builder yet.
+	ReplayFirst ReplayReason = "first"
+	// ReplayVerdict: the §3.2 exclusion set grew, so records already
+	// merged may have to go.
+	ReplayVerdict ReplayReason = "verdict"
+	// ReplayLateCert: a certificate arrived that an already-enriched
+	// connection had failed to resolve.
+	ReplayLateCert ReplayReason = "late_cert"
+	// ReplayLost: a source dropped or replaced records (MergeCapture.Lost).
+	ReplayLost ReplayReason = "lost"
+	// ReplayOrder: a source appended a connection that sorts at or below
+	// one already merged. The owners number connections so that this does
+	// not happen; if it does, the price is a replay, not a wrong report.
+	ReplayOrder ReplayReason = "order"
+)
+
+// ReplayReasons lists every reason, for owners that pre-register one
+// series per reason.
+var ReplayReasons = []ReplayReason{ReplayFirst, ReplayVerdict, ReplayLateCert, ReplayLost, ReplayOrder}
+
+// MergeStats is a MergedView's work so far.
+type MergeStats struct {
+	Merges   uint64 // catch-ups run, replays included
+	Replays  uint64 // of those, rebuilds from the sources' whole state
+	Enriched uint64 // connections enriched across all of them
+	Stale    bool   // a source moved since the last catch-up (or none has run)
 }
 
 // MergedView is the merged materialization of several independently
 // accumulated sources — the shards of one sharded engine, or the sensors
-// behind an aggregator — cached on their version vector: while no source
-// moves, every report reuses one Builder; any component bump costs one
-// full replay through MergeShards. It is the one place that decision
-// lives, so an incremental merger has a single seam to replace.
+// behind an aggregator. It keeps one Builder for its owner's lifetime,
+// cached on the sources' version vector: while no source moves, every
+// report reuses it as is; when one does, the view asks each source only
+// for what it appended since the view's cursor, adds every source's new
+// certificates, then the new connections in ascending sequence — the
+// order a replay of the grown state would take, provided the owner
+// numbers later appends after earlier ones. A read after new rows
+// therefore costs the rows, not the window.
+//
+// Where appending would not equal replaying (the ReplayReason constants)
+// the view starts a fresh Builder and runs the same merge over the
+// sources' whole state — what MergeShards does, and what the tests hold
+// every catch-up against.
 //
 // A MergedView with its four exported fields set is ready to use.
 type MergedView struct {
-	// Input is the analysis context every replay runs under.
+	// Input is the analysis context every merge runs under.
 	Input *Input
 	// Versions reads the sources' current version vector. It runs on
 	// every materialization, so it must be cheap.
 	Versions func() []uint64
-	// Capture snapshots every source for a replay. The returned slices
-	// must stay valid without the sources' locks.
-	Capture func() MergeCapture
-	// OnMerge observes each replay's duration — the caller's merge
-	// counter and histogram.
-	OnMerge func(time.Duration)
+	// Capture snapshots what every source holds beyond since — one cursor
+	// per source of the version vector; zero cursors ask for everything.
+	// The returned slices must stay valid without the sources' locks.
+	Capture func(since []MergeCursor) MergeCapture
+	// OnMerge observes each catch-up's duration and, when it was a
+	// replay, why — the caller's merge counters and histogram.
+	OnMerge func(d time.Duration, replay ReplayReason)
 
-	mu     sync.Mutex
-	vers   []uint64 // vector the cached merge reflects
-	b      *Builder // nil until the first merge
-	pre    *PreprocessReport
-	merges uint64
+	mu   sync.Mutex
+	vers []uint64 // vector the Builder reflects
+	b    *Builder // nil until the first merge
+	pre  *PreprocessReport
+	// cur is the view's position in each source; next is one past the
+	// highest sequence merged from any of them.
+	cur  []MergeCursor
+	next uint64
+	// excluded is the size of the exclusion set b was built under, and
+	// lost the sources' loss counters then.
+	excluded int
+	lost     []uint64
+	// unresolved holds the leaf fingerprints an enriched connection named
+	// that no source had listed: such a certificate arriving later
+	// invalidates that enrichment.
+	unresolved map[ids.Fingerprint]bool
+	stats      MergeStats
 }
 
 // WithPipeline runs fn over the merged pipeline; fn must not retain it.
@@ -136,43 +240,87 @@ func (v *MergedView) WithPipeline(fn func(*Pipeline)) {
 	fn(b.Pipeline(pre))
 }
 
-// mergedLocked returns the global Builder and preprocess report,
-// replaying the sources when any moved since the last merge.
+// mergedLocked returns the global Builder and preprocess report, caught
+// up with the sources when any moved since the last merge.
 func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
-	if v.b != nil && slices.Equal(v.Versions(), v.vers) {
+	vers := v.Versions()
+	if v.b != nil && slices.Equal(vers, v.vers) {
 		return v.b, v.pre
 	}
 	t0 := time.Now()
-	c := v.Capture()
-	// Rosters overlap (a certificate is fanned out to every source that
-	// referenced it); the raw count is of distinct fingerprints.
-	seen := make(map[ids.Fingerprint]bool)
-	for i := range c.Shards {
-		for _, cert := range c.Shards[i].Certs {
-			seen[cert.Fingerprint] = true
+	if v.cur == nil {
+		v.cur = make([]MergeCursor, len(vers))
+	}
+	c := v.Capture(v.cur)
+	why := v.replayReason(&c)
+	if why != "" {
+		clear(v.cur)
+		if v.b != nil {
+			// What was captured is a suffix; a replay needs everything.
+			c = v.Capture(v.cur)
 		}
+		v.b = NewBuilder(v.Input)
+		v.next = 0
+		v.unresolved = make(map[ids.Fingerprint]bool)
+		v.stats.Replays++
 	}
 	res := c.Verdict
+	n := mergeInto(v.b, c.Shards,
+		func(fp ids.Fingerprint) bool { return res.ExcludedCerts[fp] },
+		func(fp ids.Fingerprint) { v.unresolved[fp] = true })
+	for i := range c.Shards {
+		v.cur[i].Certs += len(c.Shards[i].Certs)
+		if seqs := c.Shards[i].Seqs; len(seqs) > 0 {
+			v.cur[i].Seq = seqs[len(seqs)-1] + 1
+			v.next = max(v.next, v.cur[i].Seq)
+		}
+	}
 	v.pre = &PreprocessReport{
 		InterceptionIssuers: res.Issuers,
 		ExcludedCerts:       len(res.ExcludedCerts),
-		ExcludedShare:       res.ExcludedShare(len(seen)),
-		RawCerts:            len(seen),
+		ExcludedShare:       res.ExcludedShare(c.RawCerts),
+		RawCerts:            c.RawCerts,
 		RawConns:            int(c.RawConns),
 	}
-	v.b = MergeShards(v.Input, c.Shards, func(fp ids.Fingerprint) bool {
-		return res.ExcludedCerts[fp]
-	})
-	v.vers = c.Versions
-	v.merges++
-	v.OnMerge(time.Since(t0))
+	v.vers, v.lost, v.excluded = c.Versions, c.Lost, len(res.ExcludedCerts)
+	v.stats.Merges++
+	v.stats.Enriched += uint64(n)
+	v.OnMerge(time.Since(t0), why)
 	return v.b, v.pre
 }
 
-// Stats reports how many replays the view has run and whether a source
-// has moved since the last one (or none has run yet).
-func (v *MergedView) Stats() (merges uint64, stale bool) {
+// replayReason decides whether what c holds beyond the view's cursor can
+// be appended to the Builder ("") or the sources must be replayed.
+func (v *MergedView) replayReason(c *MergeCapture) ReplayReason {
+	switch {
+	case v.b == nil:
+		return ReplayFirst
+	case !slices.Equal(c.Lost, v.lost):
+		return ReplayLost
+	case len(c.Verdict.ExcludedCerts) != v.excluded:
+		return ReplayVerdict
+	}
+	for i := range c.Shards {
+		for _, cert := range c.Shards[i].Certs {
+			if v.unresolved[cert.Fingerprint] {
+				return ReplayLateCert
+			}
+		}
+	}
+	for i := range c.Shards {
+		if seqs := c.Shards[i].Seqs; len(seqs) > 0 && seqs[0] < v.next {
+			return ReplayOrder
+		}
+	}
+	return ""
+}
+
+// Stats reports the view's work so far and whether a source has moved
+// since the last catch-up.
+func (v *MergedView) Stats() MergeStats {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.merges, v.b == nil || !slices.Equal(v.Versions(), v.vers)
+	st := v.stats
+	st.Stale = v.b == nil || !slices.Equal(v.Versions(), v.vers)
+	return st
 }

@@ -193,10 +193,26 @@ func TestMergeShardsExcludeFilter(t *testing.T) {
 	}
 }
 
+// suffixes cuts full source states down to what lies beyond the cursors,
+// as a MergedView's owner answers Capture.
+func suffixes(full []ShardState, since []MergeCursor) []ShardState {
+	out := make([]ShardState, len(full))
+	for i, sh := range full {
+		k, _ := slices.BinarySearch(sh.Seqs, since[i].Seq)
+		out[i] = ShardState{
+			Certs: sh.Certs[min(since[i].Certs, len(sh.Certs)):],
+			Conns: sh.Conns[k:],
+			Seqs:  sh.Seqs[k:],
+		}
+	}
+	return out
+}
+
 // TestMergedViewCachesOnVersionVector pins the one caching decision
 // Sharded and the aggregator share: an unchanged version vector reuses
-// the very same Builder without capturing the sources again, a bump of
-// any single component costs exactly one replay, and Stats reports the
+// the Builder without capturing the sources again, the first read is the
+// one replay, a bump of any single component costs exactly one capture
+// and one catch-up onto the very same Builder, and Stats reports the
 // replay count and staleness the daemons serve as Rebuilds/Dirty.
 func TestMergedViewCachesOnVersionVector(t *testing.T) {
 	in := mergeInput(t)
@@ -210,24 +226,36 @@ func TestMergedViewCachesOnVersionVector(t *testing.T) {
 	}
 	vers := []uint64{1, 1}
 	captures, merged := 0, 0
+	var replays []ReplayReason
 	v := &MergedView{
 		Input:    in,
 		Versions: func() []uint64 { return slices.Clone(vers) },
-		Capture: func() MergeCapture {
+		Capture: func(since []MergeCursor) MergeCapture {
 			captures++
 			return MergeCapture{
-				Shards:   shards,
+				Shards:   suffixes(shards, since),
 				Versions: slices.Clone(vers),
+				Lost:     make([]uint64, len(shards)),
 				Verdict:  interception.NewMerge(2).Result(),
 				RawConns: uint64(len(mergeBuild.Raw.Conns)),
+				RawCerts: len(shards[0].Certs),
 			}
 		},
-		OnMerge: func(time.Duration) { merged++ },
+		OnMerge: func(_ time.Duration, why ReplayReason) {
+			merged++
+			if why != "" {
+				replays = append(replays, why)
+			}
+		},
 	}
 	check := func(step string, wantMerges uint64, wantStale bool) {
 		t.Helper()
-		if n, stale := v.Stats(); n != wantMerges || stale != wantStale {
-			t.Errorf("%s: Stats() = (%d merges, stale %v), want (%d, %v)", step, n, stale, wantMerges, wantStale)
+		want := MergeStats{Merges: wantMerges, Replays: min(wantMerges, 1), Stale: wantStale}
+		if wantMerges > 0 {
+			want.Enriched = uint64(len(mergeBuild.Raw.Conns))
+		}
+		if got := v.Stats(); got != want {
+			t.Errorf("%s: Stats() = %+v, want %+v", step, got, want)
 		}
 		if captures != int(wantMerges) || merged != int(wantMerges) {
 			t.Errorf("%s: %d captures, %d OnMerge calls, want %d each", step, captures, merged, wantMerges)
@@ -253,17 +281,18 @@ func TestMergedViewCachesOnVersionVector(t *testing.T) {
 	for i := range vers {
 		vers[i]++
 		check("source moved", uint64(1+i), true)
-		b3, _ := materialize()
-		if b3 == b1 {
-			t.Errorf("bump of component %d served the stale Builder", i)
+		if b3, _ := materialize(); b3 != b1 {
+			t.Errorf("bump of component %d with nothing lost replaced the Builder", i)
 		}
 		check("read after the bump", uint64(2+i), false)
-		if b4, _ := materialize(); b4 != b3 {
+		if b4, _ := materialize(); b4 != b1 {
 			t.Error("equal version vector rebuilt the Builder")
 		}
-		b1 = b3
+	}
+	if !slices.Equal(replays, []ReplayReason{ReplayFirst}) {
+		t.Errorf("replays %v, want only the first read's", replays)
 	}
 	if got := runBuilder(v.b); !reflect.DeepEqual(runBuilder(MergeShards(in, shards, nil)), got) {
-		t.Error("the view's Builder differs from a direct MergeShards over the same capture")
+		t.Error("the view's Builder differs from a direct MergeShards over the same state")
 	}
 }

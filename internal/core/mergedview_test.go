@@ -1,0 +1,486 @@
+package core
+
+import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/certmodel"
+	"repro/internal/ids"
+	"repro/internal/interception"
+	"repro/internal/race"
+)
+
+// viewSource is one source of a MergedView as the property test keeps
+// it: a roster log, a window under ascending sequences, and the two
+// counters an owner publishes.
+type viewSource struct {
+	certs   []*certmodel.CertInfo
+	conns   []ConnRecord
+	seqs    []uint64
+	version uint64
+	lost    uint64
+}
+
+// issuerCerts counts the build's certificates per issuer.
+var issuerCerts = sync.OnceValue(func() map[string]int {
+	n := map[string]int{}
+	for _, c := range mergeBuild.Raw.Certs {
+		n[c.IssuerKey()]++
+	}
+	return n
+})
+
+// viewWorld is the whole state a MergedView reads — sources, the §3.2
+// verdict, the raw counts — plus the bookkeeping the program needs to
+// inject each replay reason on purpose and to know, independently of the
+// view, which reason a step must produce.
+type viewWorld struct {
+	in  *Input
+	rng *rand.Rand
+
+	srcs      []*viewSource
+	roster    map[ids.Fingerprint]bool // fingerprints on any source's roster
+	confirmed map[string]bool          // issuers the verdict confirms
+	verdict   *interception.Result
+	rawConns  uint64
+	nextSeq   uint64 // even numbers; odd ones are left for out-of-order inserts
+	pool      int    // next connection of the build to append
+
+	view    *MergedView
+	merges  int
+	replays map[ReplayReason]int
+}
+
+func newViewWorld(t *testing.T, seed int64, n int) *viewWorld {
+	w := &viewWorld{
+		in:        mergeInput(t),
+		rng:       rand.New(rand.NewSource(seed)),
+		roster:    map[ids.Fingerprint]bool{},
+		confirmed: map[string]bool{},
+		replays:   map[ReplayReason]int{},
+	}
+	for i := 0; i < n; i++ {
+		w.srcs = append(w.srcs, &viewSource{})
+	}
+	w.pool = w.rng.Intn(len(mergeBuild.Raw.Conns))
+	w.reverdict()
+	w.view = &MergedView{
+		Input: w.in,
+		Versions: func() []uint64 {
+			vers := make([]uint64, len(w.srcs))
+			for i, s := range w.srcs {
+				vers[i] = s.version
+			}
+			return vers
+		},
+		Capture: func(since []MergeCursor) MergeCapture {
+			c := MergeCapture{
+				Shards:   suffixes(w.full(), since),
+				Versions: w.view.Versions(),
+				Lost:     make([]uint64, len(w.srcs)),
+				Verdict:  w.verdict,
+				RawConns: w.rawConns,
+				RawCerts: len(w.roster),
+			}
+			for i, s := range w.srcs {
+				c.Lost[i] = s.lost
+			}
+			return c
+		},
+		OnMerge: func(_ time.Duration, why ReplayReason) {
+			w.merges++
+			if why != "" {
+				w.replays[why]++
+			}
+		},
+	}
+	return w
+}
+
+// full lists every source's whole state.
+func (w *viewWorld) full() []ShardState {
+	out := make([]ShardState, len(w.srcs))
+	for i, s := range w.srcs {
+		out[i] = ShardState{Certs: s.certs, Conns: s.conns, Seqs: s.seqs}
+	}
+	return out
+}
+
+// reroster recounts the roster set after a source dropped certificates.
+func (w *viewWorld) reroster() {
+	clear(w.roster)
+	for _, s := range w.srcs {
+		for _, c := range s.certs {
+			w.roster[c.Fingerprint] = true
+		}
+	}
+}
+
+// reverdict recomputes the verdict as the detector's step 3 would: every
+// rostered certificate of a confirmed issuer is excluded. A changed
+// verdict is a new value, as interception.Merge hands them out.
+func (w *viewWorld) reverdict() {
+	res := &interception.Result{ExcludedCerts: map[ids.Fingerprint]bool{}}
+	for issuer := range w.confirmed {
+		res.Issuers = append(res.Issuers, issuer)
+	}
+	sort.Strings(res.Issuers)
+	for _, s := range w.srcs {
+		for _, c := range s.certs {
+			if w.confirmed[c.IssuerKey()] {
+				res.ExcludedCerts[c.Fingerprint] = true
+			}
+		}
+	}
+	if w.verdict == nil || !reflect.DeepEqual(res, w.verdict) {
+		w.verdict = res
+	}
+}
+
+// unresolved is the set a late certificate has to come from, derived
+// from the state alone: leaf fingerprints named by a retained connection
+// the filter lets through that no roster lists.
+func (w *viewWorld) unresolved() map[ids.Fingerprint]bool {
+	set := map[ids.Fingerprint]bool{}
+	for _, s := range w.srcs {
+		for i := range s.conns {
+			sl := s.conns[i].ServerLeaf()
+			if w.verdict.ExcludedCerts[sl] {
+				continue
+			}
+			for _, fp := range [2]ids.Fingerprint{sl, s.conns[i].ClientLeaf()} {
+				if fp != "" && !w.roster[fp] {
+					set[fp] = true
+				}
+			}
+		}
+	}
+	return set
+}
+
+func (w *viewWorld) addCert(s *viewSource, c *certmodel.CertInfo) {
+	s.certs = append(s.certs, c)
+	s.version++
+	w.roster[c.Fingerprint] = true
+}
+
+// appendConns appends the build's next n connections to s under fresh
+// sequences, rostering each unrostered leaf first with probability p.
+func (w *viewWorld) appendConns(s *viewSource, n int, p float64) {
+	for ; n > 0; n-- {
+		rec := mergeBuild.Raw.Conns[w.pool%len(mergeBuild.Raw.Conns)]
+		w.pool++
+		for _, fp := range [2]ids.Fingerprint{rec.ServerLeaf(), rec.ClientLeaf()} {
+			if c := mergeBuild.Raw.Certs[fp]; c != nil && !w.roster[fp] && w.rng.Float64() < p {
+				w.addCert(s, c)
+			}
+		}
+		w.nextSeq += 2
+		s.conns = append(s.conns, rec)
+		s.seqs = append(s.seqs, w.nextSeq)
+		s.version++
+		w.rawConns++
+	}
+}
+
+// step mutates the world once and returns a description of what it did.
+// The reason the view must replay for — if any — is not returned: run
+// derives it from the state before and after.
+func (w *viewWorld) step() string {
+	s := w.srcs[w.rng.Intn(len(w.srcs))]
+	switch k := w.rng.Intn(100); {
+	case k < 38:
+		w.appendConns(s, 1+w.rng.Intn(8), 0.75)
+		return "append connections"
+	case k < 48: // certificates nobody named yet, and a fanned-out duplicate
+		for n := 1 + w.rng.Intn(3); n > 0; n-- {
+			rec := &mergeBuild.Raw.Conns[w.rng.Intn(len(mergeBuild.Raw.Conns))]
+			if c := mergeBuild.Raw.Certs[rec.ServerLeaf()]; c != nil && !w.roster[c.Fingerprint] {
+				w.addCert(s, c)
+			}
+		}
+		if other := w.srcs[w.rng.Intn(len(w.srcs))]; len(other.certs) > 0 {
+			w.addCert(s, other.certs[w.rng.Intn(len(other.certs))])
+		}
+		return "append certificates"
+	case k < 58: // a certificate after a connection that named it
+		for fp := range w.unresolved() {
+			if c := mergeBuild.Raw.Certs[fp]; c != nil {
+				w.addCert(s, c)
+				return "late certificate"
+			}
+		}
+		w.appendConns(s, 3, 0) // nothing to be late for yet: make some
+		return "append connections without their certificates"
+	case k < 64: // an issuer confirmed retroactively
+		// A small issuer: confirming one that signs most of the build
+		// would turn every later append into a verdict replay.
+		if c := s.certs; len(w.confirmed) < 6 && len(c) > 0 {
+			if issuer := c[w.rng.Intn(len(c))].IssuerKey(); issuerCerts()[issuer] <= 40 {
+				w.confirmed[issuer] = true
+				s.version++
+				return "confirm an issuer"
+			}
+		}
+		fallthrough
+	case k < 70: // a new leaf of a confirmed issuer
+		for _, c := range mergeBuild.Raw.Certs {
+			if w.confirmed[c.IssuerKey()] && !w.roster[c.Fingerprint] {
+				w.addCert(s, c)
+				return "new leaf of a confirmed issuer"
+			}
+		}
+		s.version++
+		return "empty bump"
+	case k < 78: // retention
+		if len(s.conns) == 0 {
+			return "nothing to evict"
+		}
+		cut := 1 + w.rng.Intn(len(s.conns))
+		s.conns, s.seqs = slices.Clone(s.conns[cut:]), slices.Clone(s.seqs[cut:])
+		s.lost++
+		s.version++
+		return "evict a prefix"
+	case k < 84: // a source starting over: empty, or re-sent under new numbers
+		had := len(s.certs) > 0 || len(s.conns) > 0
+		old := s.conns
+		s.certs, s.conns, s.seqs = nil, nil, nil
+		w.reroster()
+		if w.rng.Intn(2) == 0 {
+			for i := range old {
+				w.nextSeq += 2
+				s.conns, s.seqs = append(s.conns, old[i]), append(s.seqs, w.nextSeq)
+			}
+		}
+		if had {
+			s.lost++
+		}
+		s.version++
+		return "reset a source"
+	case k < 92: // a connection that sorts below one already merged
+		if n := len(s.seqs); n > 0 && s.seqs[n-1] < w.nextSeq {
+			rec := mergeBuild.Raw.Conns[w.pool%len(mergeBuild.Raw.Conns)]
+			w.pool++
+			s.conns = append(s.conns, rec)
+			s.seqs = append(s.seqs, s.seqs[n-1]+1)
+			s.version++
+			w.rawConns++
+			return "out of order"
+		}
+		fallthrough
+	default:
+		if w.rng.Intn(2) == 0 {
+			s.version++
+			return "empty bump"
+		}
+		return "nothing"
+	}
+}
+
+// TestMergedViewIncrementalMatchesReplay is the one equivalence the
+// merged view rests on, explored: seeded random programs over one, two
+// and three sources append connections and certificates, grow the
+// verdict, evict, reset and misorder, and after every step the view's
+// analysis must deep-equal a fresh MergeShards over the same full state,
+// the replay counters must show exactly the reason the step injected,
+// and a step that only appended must have been caught up — onto the same
+// Builder, enriching exactly the new connections — not replayed.
+func TestMergedViewIncrementalMatchesReplay(t *testing.T) {
+	seeds, steps := 20, 400
+	if race.Enabled || testing.Short() {
+		seeds, steps = 6, 120
+	}
+	var mu sync.Mutex
+	injected := map[ReplayReason]int{}
+	defer func() {
+		for _, why := range ReplayReasons {
+			if injected[why] == 0 && !t.Failed() {
+				t.Errorf("no program injected %q", why)
+			}
+		}
+		t.Logf("replays injected across %d programs of %d steps: %v", seeds, steps, injected)
+	}()
+	// The group returns once its parallel programs have.
+	t.Run("programs", func(t *testing.T) {
+		for seed := 0; seed < seeds; seed++ {
+			n := 1 + seed%3
+			t.Run(fmt.Sprintf("seed=%d/sources=%d", seed, n), func(t *testing.T) {
+				t.Parallel()
+				want := newViewWorld(t, int64(seed), n).run(t, steps)
+				mu.Lock()
+				defer mu.Unlock()
+				for why, n := range want {
+					injected[why] += n
+				}
+			})
+		}
+	})
+}
+
+// run drives the program for steps steps, holding the view against the
+// oracle after each, and returns the replays it injected by reason.
+func (w *viewWorld) run(t *testing.T, steps int) map[ReplayReason]int {
+	want := map[ReplayReason]int{}
+	wantMerges := 0
+	// high is the highest sequence in the view's Builder: of what
+	// was retained at its last replay and appended since.
+	var high uint64
+	for step := 0; step < steps; step++ {
+		before := w.view.Stats()
+		builder := w.view.b
+		versBefore := w.view.Versions()
+		lostBefore := 0
+		for _, s := range w.srcs {
+			lostBefore += int(s.lost)
+		}
+		excludedBefore := len(w.verdict.ExcludedCerts)
+		unresolved := w.unresolved()
+		rosteredBefore := maps.Clone(w.roster)
+		var tails []int
+		for _, s := range w.srcs {
+			tails = append(tails, len(s.seqs))
+		}
+
+		what := w.step()
+		w.reverdict()
+
+		// The reason this step must replay for, from the state alone.
+		var why ReplayReason
+		lost := 0
+		for _, s := range w.srcs {
+			lost += int(s.lost)
+		}
+		late, misordered, fresh := false, false, 0
+		for fp := range w.roster {
+			if !rosteredBefore[fp] && unresolved[fp] {
+				late = true
+			}
+		}
+		if lost == lostBefore { // otherwise the tails mean nothing
+			for i, s := range w.srcs {
+				for j := tails[i]; j < len(s.seqs); j++ {
+					if s.seqs[j] <= high && builder != nil {
+						misordered = true
+					}
+					if !w.verdict.ExcludedCerts[s.conns[j].ServerLeaf()] {
+						fresh++
+					}
+				}
+			}
+		}
+		moved := !slices.Equal(versBefore, w.view.Versions())
+		switch {
+		case !moved && builder != nil:
+		case builder == nil:
+			why = ReplayFirst
+		case lost != lostBefore:
+			why = ReplayLost
+		case len(w.verdict.ExcludedCerts) != excludedBefore:
+			why = ReplayVerdict
+		case late:
+			why = ReplayLateCert
+		case misordered:
+			why = ReplayOrder
+		}
+		if moved || builder == nil {
+			wantMerges++
+		}
+		if why != "" {
+			want[why]++
+			high = 0
+		}
+		for _, s := range w.srcs {
+			if n := len(s.seqs); n > 0 {
+				high = max(high, s.seqs[n-1])
+			}
+		}
+
+		pre := &PreprocessReport{
+			InterceptionIssuers: w.verdict.Issuers,
+			ExcludedCerts:       len(w.verdict.ExcludedCerts),
+			ExcludedShare:       w.verdict.ExcludedShare(len(w.roster)),
+			RawCerts:            len(w.roster),
+			RawConns:            int(w.rawConns),
+		}
+		oracle := MergeShards(w.in, w.full(), func(fp ids.Fingerprint) bool { return w.verdict.ExcludedCerts[fp] })
+		var got *Analysis
+		w.view.WithPipeline(func(p *Pipeline) { got = p.RunAll() })
+		if !reflect.DeepEqual(got, oracle.Pipeline(pre).RunAll()) {
+			t.Fatalf("step %d (%s): the view differs from a replay of the same state", step, what)
+		}
+		if !reflect.DeepEqual(w.replays, want) || w.merges != wantMerges {
+			t.Fatalf("step %d (%s): %d merges with replays %v, want %d with %v",
+				step, what, w.merges, w.replays, wantMerges, want)
+		}
+		after := w.view.Stats()
+		if why == "" && builder != nil {
+			if w.view.b != builder {
+				t.Fatalf("step %d (%s): a catch-up replaced the Builder", step, what)
+			}
+			if d := after.Enriched - before.Enriched; d != uint64(fresh) {
+				t.Fatalf("step %d (%s): caught up by enriching %d connections, %d are new", step, what, d, fresh)
+			}
+		}
+		if after.Stale || int(after.Merges) != wantMerges {
+			t.Fatalf("step %d (%s): Stats() = %+v after a read, want %d merges and not stale", step, what, after, wantMerges)
+		}
+	}
+	return want
+}
+
+// TestMergedViewCatchUpIsODelta gates the view's cost model on counts: a
+// catch-up of k connections enriches k connections and allocates the same
+// whether the window behind it holds 5k or 50k.
+func TestMergedViewCatchUpIsODelta(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts under the race detector pin its internals")
+	}
+	const k, rounds = 500, 5
+	measure := func(window int) (enriched uint64, allocs uint64) {
+		w := newViewWorld(t, 1, 2)
+		w.pool = 0
+		for i := 0; i < window; i += 100 {
+			w.appendConns(w.srcs[(i/100)%2], 100, 1)
+		}
+		w.view.WithPipeline(func(*Pipeline) {})
+		allocs = ^uint64(0)
+		for r := 0; r < rounds; r++ {
+			// The same k records at both window sizes, already seen once so
+			// the certificate-usage state they touch is warm in both.
+			w.pool = 0
+			w.appendConns(w.srcs[0], k/2, 1)
+			w.appendConns(w.srcs[1], k/2, 1)
+			before := w.view.Stats().Enriched
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			w.view.WithPipeline(func(*Pipeline) {})
+			runtime.ReadMemStats(&m1)
+			enriched = w.view.Stats().Enriched - before
+			// The enriched-view slice doubles now and then; the cheapest
+			// round is the one that did not.
+			allocs = min(allocs, m1.Mallocs-m0.Mallocs)
+		}
+		if got := w.replays; len(got) != 1 || got[ReplayFirst] != 1 {
+			t.Fatalf("window %d: replays %v, want only the first read's", window, got)
+		}
+		return enriched, allocs
+	}
+	smallN, smallA := measure(5000)
+	largeN, largeA := measure(50000)
+	t.Logf("catch-up of %d: window 5k enriched %d with %d allocs, window 50k enriched %d with %d allocs",
+		k, smallN, smallA, largeN, largeA)
+	if smallN != k || largeN != k {
+		t.Errorf("a catch-up of %d connections enriched %d / %d", k, smallN, largeN)
+	}
+	if smallA != largeA {
+		t.Errorf("catch-up allocations depend on the window: %d at 5k, %d at 50k", smallA, largeA)
+	}
+}

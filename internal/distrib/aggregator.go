@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,14 +22,6 @@ import (
 	"repro/internal/store"
 	"repro/internal/stream"
 )
-
-// sensorBits is how far each sensor's local sequences are shifted into
-// the aggregator's global replay order: connections replay sensor-major
-// (every connection of sensor i before any of sensor i+1), local order
-// preserved within a sensor. Local sequences must stay below 1<<48 —
-// checked at sync time — which at one event per microsecond is ~9 years
-// of a single sensor's stream.
-const sensorBits = 48
 
 // Config configures an Aggregator.
 type Config struct {
@@ -75,15 +68,22 @@ type sensorState struct {
 	schema     int
 	negotiated bool
 
+	// epoch and cursor are the sensor's own numbering, spoken only on the
+	// wire: the next delta to ask for.
 	epoch  uint64
 	cursor uint64
 
-	// win replicates the sensor's retained window, each connection under
-	// shift|seq — the sensor's index in the high bits, so the merge
-	// replays sensor-major.
-	certs    []stream.ExportCert
+	// certs is the sensor's roster in the order its snapshots listed it,
+	// append-only between losses; win replicates its retained window, each
+	// connection under the arrival number the aggregator gave it when its
+	// sync landed (Aggregator.nextSeq) — not the sensor's sequence, which
+	// says nothing about order across sensors. lost counts the times what
+	// is held here was dropped or replaced rather than appended to
+	// (eviction, a full snapshot over existing state, a 410 discard): the
+	// merged view's cursor into this sensor is void past such a point.
+	certs    []*certmodel.CertInfo
 	win      *store.Window
-	shift    uint64
+	lost     uint64
 	evidence *interception.Evidence
 
 	connsIngested uint64
@@ -110,16 +110,20 @@ type aggMetrics struct {
 	cursor      func(url string) *metrics.Gauge
 	fullResyncs func(url string) *metrics.Counter
 	evicted     func(url string) *metrics.Counter
-	merges      *metrics.Counter
-	mergeDur    *metrics.Histogram
 }
 
 // Aggregator pulls N sensors and serves their merged analysis: each
-// sensor's accumulated snapshot stream is one shard, replayed through
-// core.MergeShards under the §3.2 verdict of the union of raw sensor
-// evidence (interception.Merge). An unreachable sensor backs off and the
-// aggregator keeps serving the last-good merge; the staleness is visible
-// per sensor in SensorStatuses and /metrics.
+// sensor's accumulated snapshot stream is one source of a
+// core.MergedView, merged under the §3.2 verdict of the union of raw
+// sensor evidence (interception.Merge). Connections are numbered as
+// their sync lands, so the merged order is the order the aggregator
+// learned of them — a later sync always sorts after an earlier one,
+// whichever sensor it came from — and the view appends each sync's delta
+// to its long-lived Builder; a replay, when one is due (a sensor started
+// over, retention evicted, the verdict grew), reproduces that same order
+// from the replicas. An unreachable sensor backs off and the aggregator
+// keeps serving the last-good merge; the staleness is visible per sensor
+// in SensorStatuses and /metrics.
 type Aggregator struct {
 	cfg    Config
 	logger *slog.Logger
@@ -127,6 +131,8 @@ type Aggregator struct {
 
 	mu      sync.Mutex
 	sensors []*sensorState
+	// nextSeq numbers the next connection to land in any sensor's replica.
+	nextSeq uint64
 
 	// union is the fleet's §3.2 evidence and seen its distinct roster
 	// fingerprints, both maintained as syncs land (apply) so Stats and
@@ -136,7 +142,7 @@ type Aggregator struct {
 	seen  map[ids.Fingerprint]bool
 
 	// view is the merged materialization, cached on the per-sensor
-	// version vector.
+	// version vector and caught up from the replicas' suffixes.
 	view *core.MergedView
 }
 
@@ -184,20 +190,15 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 				return reg.Counter("distrib_aggregator_evicted_total",
 					"accumulated conns dropped at the aggregator by the sensor's retention window", "sensor", u)
 			},
-			merges:   reg.Counter("distrib_merges_total", "merged-view rebuilds"),
-			mergeDur: reg.Histogram("distrib_merge_seconds", "merged-view rebuild duration", nil),
 		},
 	}
 	a.view = &core.MergedView{
 		Input:    cfg.Input,
 		Versions: a.versions,
 		Capture:  a.capture,
-		OnMerge: func(d time.Duration) {
-			a.m.merges.Inc()
-			a.m.mergeDur.Observe(d.Seconds())
-		},
+		OnMerge:  stream.MergeObserver(reg, "distrib"),
 	}
-	for i, raw := range cfg.Sensors {
+	for _, raw := range cfg.Sensors {
 		u := strings.TrimRight(raw, "/")
 		if !strings.Contains(u, "://") {
 			u = "http://" + u
@@ -206,7 +207,6 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 			url:    u,
 			schema: SchemaV1,
 			win:    new(store.Window),
-			shift:  uint64(i) << sensorBits,
 			bo:     backoff.New(cfg.Interval),
 		}
 		a.sensors = append(a.sensors, ss)
@@ -313,7 +313,7 @@ func (a *Aggregator) syncOnce(ctx context.Context, ss *sensorState) error {
 		// accumulated view of it is unusable. Discard and full-resync.
 		a.logger.Info("sensor cursor stale; full re-sync", "sensor", ss.url)
 		a.mu.Lock()
-		ss.certs, ss.win, ss.evidence = nil, new(store.Window), nil
+		ss.discardLocked()
 		ss.cursor, ss.epoch = 0, 0
 		ss.fullResyncs++
 		ss.version++
@@ -417,20 +417,12 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 	if cursor > 0 && snap.Epoch != ss.epoch {
 		return fmt.Errorf("distrib: %s changed epoch mid-delta", ss.url)
 	}
-	for i := range snap.Certs {
-		if snap.Certs[i].Seq >= 1<<sensorBits {
-			return fmt.Errorf("distrib: %s sequence overflow", ss.url)
-		}
-	}
-	// The replica is appended in sequence order: within a snapshot the
-	// connections must ascend from the cursor, and NextSeq — the next
-	// cursor — must lie past them all.
+	// A delta holds what the sensor first observed since the cursor, in
+	// its order: within a snapshot the connections must ascend from the
+	// cursor, and NextSeq — the next cursor — must lie past them all.
 	next := cursor
 	for i := range snap.Conns {
 		seq := snap.Conns[i].Seq
-		if seq >= 1<<sensorBits {
-			return fmt.Errorf("distrib: %s sequence overflow", ss.url)
-		}
 		if seq < next {
 			return fmt.Errorf("distrib: %s sent sequence %d out of order (cursor %d)", ss.url, seq, cursor)
 		}
@@ -448,12 +440,16 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 		return fmt.Errorf("distrib: %s cursor moved from %d to %d during the pull", ss.url, cursor, ss.cursor)
 	}
 	if cursor == 0 {
-		ss.certs, ss.win, ss.evidence = nil, new(store.Window), nil
+		ss.discardLocked()
 	}
-	ss.certs = append(ss.certs, snap.Certs...)
+	ss.certs = slices.Grow(ss.certs, len(snap.Certs))
+	for i := range snap.Certs {
+		ss.certs = append(ss.certs, snap.Certs[i].Cert)
+	}
 	ss.win.GrowConns(len(snap.Conns))
 	for i := range snap.Conns {
-		ss.win.AppendConn(&snap.Conns[i].Conn, ss.shift|snap.Conns[i].Seq)
+		ss.win.AppendConn(&snap.Conns[i].Conn, a.nextSeq)
+		a.nextSeq++
 	}
 	// An empty steady-state delta changes nothing (every state change on
 	// the sensor consumes a sequence number), so it must not invalidate
@@ -465,8 +461,8 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 		if cursor == 0 {
 			a.rebuildUnionLocked()
 		} else {
-			for _, ec := range snap.Certs {
-				a.seen[ec.Cert.Fingerprint] = true
+			for i := range snap.Certs {
+				a.seen[snap.Certs[i].Cert.Fingerprint] = true
 			}
 			a.union.AbsorbEvidence(snap.Evidence)
 		}
@@ -483,6 +479,17 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 	return nil
 }
 
+// discardLocked forgets everything held of the sensor — a full snapshot
+// is about to replace it, or its numbering went stale. Forgetting
+// something is a loss the merged view must hear of; forgetting nothing
+// (the first sync) is not.
+func (ss *sensorState) discardLocked() {
+	if len(ss.certs) > 0 || ss.win.ConnCount() > 0 {
+		ss.lost++
+	}
+	ss.certs, ss.win, ss.evidence = nil, new(store.Window), nil
+}
+
 // rebuildUnionLocked re-derives union and seen from what every sensor
 // holds now. A delta only ever adds — certificates to a roster, pairs to
 // a sensor's cumulative evidence — and apply absorbs it in place; a
@@ -493,8 +500,8 @@ func (a *Aggregator) rebuildUnionLocked() {
 	a.union.Reset()
 	clear(a.seen)
 	for _, ss := range a.sensors {
-		for _, ec := range ss.certs {
-			a.seen[ec.Cert.Fingerprint] = true
+		for _, c := range ss.certs {
+			a.seen[c.Fingerprint] = true
 		}
 		a.union.AbsorbEvidence(ss.evidence)
 	}
@@ -522,6 +529,7 @@ func (a *Aggregator) evictLocked() {
 		}
 		if n := ss.win.EvictBefore(wm.Add(-ss.retention)); n > 0 {
 			ss.evicted += uint64(n)
+			ss.lost++
 			ss.version++
 			a.m.evicted(ss.url).Add(uint64(n))
 		}
@@ -550,28 +558,31 @@ func (a *Aggregator) versions() []uint64 {
 	return vers
 }
 
-// capture snapshots every sensor's accumulated state under mu for a
-// merge replay: one shard per sensor, under the union's verdict — current
-// with every sensor, since both change only under mu. The window headers
-// stay readable after mu is released, as in Sharded.capture: appends
-// land past the captured length and eviction (or a full re-sync) swaps
-// in fresh arrays.
-func (a *Aggregator) capture() core.MergeCapture {
+// capture snapshots, under mu, what every sensor's replica holds beyond
+// the merged view's cursor — one source per sensor — and the union's
+// verdict, current with every sensor since both change only under mu. The
+// slice headers stay readable after mu is released, as in
+// Sharded.capture: appends land past the captured length and eviction
+// (or a full re-sync) swaps in fresh arrays.
+func (a *Aggregator) capture(since []core.MergeCursor) core.MergeCapture {
+	n := len(a.sensors)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	c := core.MergeCapture{
-		Shards:   make([]core.ShardState, len(a.sensors)),
-		Versions: make([]uint64, len(a.sensors)),
+		Shards:   make([]core.ShardState, n),
+		Versions: make([]uint64, n),
+		Lost:     make([]uint64, n),
 		Verdict:  a.union.Result(),
+		RawCerts: len(a.seen),
 	}
 	for i, ss := range a.sensors {
-		certs := make([]*certmodel.CertInfo, len(ss.certs))
-		for j, ec := range ss.certs {
-			certs[j] = ec.Cert
-		}
-		conns, seqs := ss.win.Snapshot()
+		// A cursor taken before a loss may point past what is held now; the
+		// view discards this capture when it sees Lost moved.
+		certs := ss.certs[min(since[i].Certs, len(ss.certs)):]
+		conns, seqs := ss.win.Snapshot(since[i].Seq)
 		c.Shards[i] = core.ShardState{Certs: certs, Conns: conns, Seqs: seqs}
 		c.Versions[i] = ss.version
+		c.Lost[i] = ss.lost
 		c.RawConns += ss.connsIngested
 	}
 	return c
@@ -603,8 +614,9 @@ func (a *Aggregator) Report(name string) (any, error) {
 // numbers are the sizes of sets kept current as syncs land — O(sensors),
 // whatever the roster or evidence size. Evicted counts connections
 // dropped at the aggregator (aged out of their sensor's retention window
-// here), not the sensors' own evictions. Rebuilds counts merges; Dirty
-// means unmerged sensor state.
+// here), not the sensors' own evictions. Rebuilds counts merged-view
+// replays (not the catch-ups that append a sync's delta); Dirty means
+// unmerged sensor state.
 func (a *Aggregator) Stats() stream.Stats {
 	a.mu.Lock()
 	var st stream.Stats
@@ -624,7 +636,8 @@ func (a *Aggregator) Stats() stream.Stats {
 	st.ExcludedCerts = a.union.ExcludedCount()
 	st.InterceptionIssuers = a.union.ConfirmedCount()
 	a.mu.Unlock()
-	st.Rebuilds, st.Dirty = a.view.Stats()
+	ms := a.view.Stats()
+	st.Rebuilds, st.Dirty = ms.Replays, ms.Stale
 	return st
 }
 

@@ -1,0 +1,248 @@
+package distrib
+
+import (
+	"context"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/ids"
+	"repro/internal/metrics"
+	"repro/internal/race"
+)
+
+// aggReplays reads the merged view's replay counters back by reason.
+func aggReplays(reg *metrics.Registry) map[core.ReplayReason]uint64 {
+	out := map[core.ReplayReason]uint64{}
+	for _, why := range core.ReplayReasons {
+		if n := reg.Counter("distrib_merge_replays_total", "", "reason", string(why)).Value(); n > 0 {
+			out[why] = n
+		}
+	}
+	return out
+}
+
+// TestAggregatorIncrementalMatchesRebuild reads the aggregator between
+// delta rounds from a plain and a sharded sensor and holds every read
+// against a fresh MergeShards over the replicas as they stand: appending
+// each sync's delta must equal replaying everything. A round that only
+// brought new records may replay for the verdict or a late certificate
+// but never for loss or order; a sensor back under a new epoch (410) and
+// a full snapshot over existing state (since 0) each replay exactly once,
+// for loss. At the end the incremental aggregator equals a fresh one that
+// pulled everything in one snapshot per sensor, and one engine that saw
+// the whole stream.
+func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
+	b := genBuild(20240504, 1500)
+	certs := certList(b)
+	var connsA, connsB []core.ConnRecord
+	for i := range b.Raw.Conns {
+		if i%2 == 0 {
+			connsA = append(connsA, b.Raw.Conns[i])
+		} else {
+			connsB = append(connsB, b.Raw.Conns[i])
+		}
+	}
+	const rounds = 5
+	// feed gives g round r of its connections, then — so that they arrive
+	// late — half the certificates in each of the first two rounds.
+	feed := func(g ingester, conns []core.ConnRecord, r int) {
+		t.Helper()
+		for i := len(conns) * r / rounds; i < len(conns)*(r+1)/rounds; i++ {
+			if !g.IngestConn(&conns[i]) {
+				t.Fatal("conn event rejected")
+			}
+		}
+		if r < 2 {
+			feedSlice(t, g, b, certs, len(certs)*r/2, len(certs)*(r+1)/2, 0, 0)
+		}
+	}
+	e1 := newSensorEngine(t, b)
+	swA := &swapExporter{exp: e1}
+	sB := newShardedSensor(t, b)
+	urls := []string{
+		newSensorServer(t, swA, SupportedSchemas()).URL,
+		newSensorServer(t, sB, SupportedSchemas()).URL,
+	}
+	reg := metrics.New()
+	a := newAgg(t, b, reg, urls...)
+
+	var sensorA ingester = e1
+	reasons := map[core.ReplayReason]int{}
+	// read syncs, reads, names the one reason the read replayed for (""
+	// for a catch-up) and holds the analysis against a replay of the
+	// replicas.
+	read := func(step string, allowed ...core.ReplayReason) {
+		t.Helper()
+		sensorA.(interface{ Drain() }).Drain()
+		sB.Drain()
+		if err := a.SyncAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		before, merges := aggReplays(reg), reg.Counter("distrib_merges_total", "").Value()
+		got := a.Analysis()
+		if n := reg.Counter("distrib_merges_total", "").Value() - merges; n != 1 {
+			t.Fatalf("%s: the read ran %d merges, want 1", step, n)
+		}
+		var why core.ReplayReason
+		for r, n := range aggReplays(reg) {
+			if n != before[r] {
+				if why != "" || n != before[r]+1 {
+					t.Fatalf("%s: one read moved the replay counters from %v to %v", step, before, aggReplays(reg))
+				}
+				why = r
+			}
+		}
+		if !slices.Contains(allowed, why) {
+			t.Fatalf("%s: the read replayed for %q, want one of %q", step, why, allowed)
+		}
+		reasons[why]++
+		c := a.capture(make([]core.MergeCursor, len(a.sensors))) // zero cursors: everything
+		replay := core.MergeShards(a.cfg.Input, c.Shards, func(fp ids.Fingerprint) bool { return c.Verdict.ExcludedCerts[fp] })
+		if !reflect.DeepEqual(got, replay.Pipeline(got.Preprocess).RunAll()) {
+			t.Fatalf("%s: the read differs from a replay of the replicas", step)
+		}
+		if st := a.Stats(); st.Dirty || int(st.Rebuilds) != replayed(reasons) {
+			t.Fatalf("%s: Stats() = %d rebuilds, dirty %v; replays so far %v", step, st.Rebuilds, st.Dirty, reasons)
+		}
+	}
+	appended := []core.ReplayReason{"", core.ReplayVerdict, core.ReplayLateCert}
+
+	feed(e1, connsA, 0)
+	feed(sB, connsB, 0)
+	read("first read", core.ReplayFirst)
+	for r := 1; r <= 2; r++ {
+		feed(e1, connsA, r)
+		feed(sB, connsB, r)
+		read("delta round", appended...)
+	}
+
+	// Sensor A comes back under a new epoch holding the same records: 410,
+	// discard, full re-sync.
+	e2 := newSensorEngine(t, b)
+	for r := 0; r <= 2; r++ {
+		feed(e2, connsA, r)
+	}
+	swA.swap(e2)
+	sensorA = e2
+	read("sensor back under a new epoch", core.ReplayLost)
+	if n := a.SensorStatuses()[0].FullResyncs; n != 1 {
+		t.Fatalf("FullResyncs = %d, want 1", n)
+	}
+
+	feed(e2, connsA, 3)
+	feed(sB, connsB, 3)
+	read("delta round after the re-sync", appended...)
+
+	// Sensor B is asked for everything again although its replica is
+	// intact: the full snapshot replaces it.
+	a.mu.Lock()
+	a.sensors[1].cursor = 0
+	a.mu.Unlock()
+	read("full snapshot over existing state", core.ReplayLost)
+
+	feed(e2, connsA, 4)
+	feed(sB, connsB, 4)
+	read("last delta round", appended...)
+
+	if reasons[core.ReplayFirst] != 1 || reasons[core.ReplayLost] != 2 || reasons[core.ReplayOrder] != 0 {
+		t.Errorf("replays by reason %v, want one first, two lost, no order", reasons)
+	}
+	if reasons[""] == 0 {
+		t.Errorf("vacuous: no read was a catch-up (%v)", reasons)
+	}
+	t.Logf("reads by replay reason: %v", reasons)
+
+	got := analysisJSON(t, a.Analysis())
+	fresh := newAgg(t, b, nil, urls...)
+	if err := fresh.SyncAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got != analysisJSON(t, fresh.Analysis()) {
+		t.Error("the incremental aggregator differs from a fresh one over the same sensors")
+	}
+	whole := newSensorEngine(t, b)
+	feedSlice(t, whole, b, certs, 0, len(certs), 0, len(b.Raw.Conns))
+	whole.Drain()
+	if got != analysisJSON(t, whole.Analysis()) {
+		t.Error("the incremental aggregator differs from one engine over the whole stream")
+	}
+}
+
+// replayed counts the reads that were replays, whatever the reason.
+func replayed(reasons map[core.ReplayReason]int) int {
+	n := 0
+	for why, k := range reasons {
+		if why != "" {
+			n += k
+		}
+	}
+	return n
+}
+
+// aggCatchUp syncs an aggregator with one sensor whose window holds at
+// least window connections (the build's, cycled), reads it, and then
+// measures reads that each follow a sync of k further connections: how
+// many connections the catch-up enriched and the fewest allocations one
+// took.
+func aggCatchUp(t *testing.T, window, k int) (enriched, allocs uint64) {
+	t.Helper()
+	b := genBuild(20240504, 3000)
+	e := newSensorEngine(t, b)
+	feedSlice(t, e, b, certList(b), 0, len(b.Raw.Certs), 0, 0)
+	for fed := 0; fed < window; fed += len(b.Raw.Conns) {
+		e.IngestConnBatch(b.Raw.Conns)
+	}
+	reg := metrics.New()
+	a := newAgg(t, b, reg, newSensorServer(t, e, SupportedSchemas()).URL)
+	sync := func() {
+		t.Helper()
+		e.Drain()
+		if err := a.SyncAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sync()
+	a.WithPipeline(func(*core.Pipeline) {})
+	allocs = ^uint64(0)
+	for round := 0; round < 5; round++ {
+		e.IngestConnBatch(b.Raw.Conns[:k])
+		sync()
+		before := a.view.Stats().Enriched
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		a.WithPipeline(func(*core.Pipeline) {})
+		runtime.ReadMemStats(&m1)
+		enriched = a.view.Stats().Enriched - before
+		// The enriched-view slice doubles now and then; the cheapest round
+		// is one that did not.
+		allocs = min(allocs, m1.Mallocs-m0.Mallocs)
+	}
+	if got := aggReplays(reg); len(got) != 1 || got[core.ReplayFirst] != 1 {
+		t.Fatalf("window=%d: replays %v, want only the first read's", window, got)
+	}
+	return enriched, allocs
+}
+
+// TestAggregatorCatchUpIsODelta gates the aggregator read's cost on
+// counts: a read that follows a sync of k new connections enriches those
+// and allocates the same, whether 5k or 50k connections are already
+// merged.
+func TestAggregatorCatchUpIsODelta(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts under the race detector pin its internals")
+	}
+	const k = 1000
+	smallN, smallA := aggCatchUp(t, 5000, k)
+	largeN, largeA := aggCatchUp(t, 50000, k)
+	t.Logf("a catch-up of %d enriched %d with %d allocs behind 5k, %d with %d allocs behind 50k",
+		k, smallN, smallA, largeN, largeA)
+	if smallN == 0 || smallN > k || smallN != largeN {
+		t.Errorf("a catch-up of %d connections enriched %d behind 5k and %d behind 50k", k, smallN, largeN)
+	}
+	if smallA != largeA {
+		t.Errorf("catch-up allocations depend on the window: %d behind 5k, %d behind 50k", smallA, largeA)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/interception"
+	"repro/internal/metrics"
 	"repro/internal/race"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -23,8 +24,8 @@ func rebuildStats(a *Aggregator) (unique, excluded, issuers, pending int) {
 	seen := map[ids.Fingerprint]bool{}
 	m := interception.NewMerge(2)
 	for _, ss := range a.sensors {
-		for _, ec := range ss.certs {
-			seen[ec.Cert.Fingerprint] = true
+		for _, c := range ss.certs {
+			seen[c.Fingerprint] = true
 		}
 		if ss.evidence != nil {
 			pending += ss.evidence.Pending
@@ -64,7 +65,8 @@ func newShardedSensor(t *testing.T, b *workload.Build) *stream.Sharded {
 // comes back under a new epoch holding less than before (the union must
 // shrink — the one thing absorbing cannot do), and once everything is
 // re-fed, against one engine that saw the whole stream. Stats and Report
-// run concurrently throughout, for the race detector.
+// run concurrently throughout, for the race detector — the reader's
+// merged view catching up between syncs as they land.
 func TestAggregatorStatsUnionMatchesRebuild(t *testing.T) {
 	b := genBuild(20240504, 1500)
 	certs := certList(b)
@@ -97,7 +99,8 @@ func TestAggregatorStatsUnionMatchesRebuild(t *testing.T) {
 	e1 := newSensorEngine(t, b)
 	swA := &swapExporter{exp: e1}
 	sB := newShardedSensor(t, b)
-	a := newAgg(t, b, nil,
+	reg := metrics.New()
+	a := newAgg(t, b, reg,
 		newSensorServer(t, swA, SupportedSchemas()).URL,
 		newSensorServer(t, sB, SupportedSchemas()).URL)
 
@@ -184,6 +187,11 @@ func TestAggregatorStatsUnionMatchesRebuild(t *testing.T) {
 	if p := pre.(*core.PreprocessReport); p.ExcludedCerts != got.ExcludedCerts || len(p.InterceptionIssuers) != got.InterceptionIssuers || p.RawCerts != got.UniqueCerts {
 		t.Errorf("preprocess report %d certs / %d excluded / %d issuers disagrees with Stats %d / %d / %d",
 			p.RawCerts, p.ExcludedCerts, len(p.InterceptionIssuers), got.UniqueCerts, got.ExcludedCerts, got.InterceptionIssuers)
+	}
+	// The concurrent reader merged between syncs all along: whatever it
+	// replayed for, it never met a connection out of order.
+	if replays := aggReplays(reg); replays[core.ReplayOrder] != 0 {
+		t.Errorf("replays %v: arrival numbering leaves no order replay", replays)
 	}
 }
 

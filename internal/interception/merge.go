@@ -38,6 +38,9 @@ type Merge struct {
 	confirmed map[string]bool
 	// excluded = union of observed[issuer] over confirmed issuers.
 	excluded map[ids.Fingerprint]bool
+	// res is the verdict as last materialized by Result; nil once a pair
+	// moved it.
+	res *Result
 }
 
 // pair is one element of either relation: an observed (issuer, leaf)
@@ -78,6 +81,7 @@ func (m *Merge) add(p pair) bool {
 		fps[p.leaf] = true
 		if m.confirmed[p.issuer] {
 			m.excluded[p.leaf] = true
+			m.res = nil
 		}
 		return true
 	}
@@ -85,6 +89,7 @@ func (m *Merge) add(p pair) bool {
 	if domains == nil {
 		domains = map[string]bool{}
 		m.contradicted[p.issuer] = domains
+		m.res = nil // one more candidate
 	}
 	if domains[p.domain] {
 		return false
@@ -94,6 +99,7 @@ func (m *Merge) add(p pair) bool {
 	// it was ever seen issuing becomes excluded.
 	if !m.confirmed[p.issuer] && len(domains) >= m.min {
 		m.confirmed[p.issuer] = true
+		m.res = nil
 		for fp := range m.observed[p.issuer] {
 			m.excluded[fp] = true
 		}
@@ -141,6 +147,7 @@ func (m *Merge) Reset() {
 	clear(m.contradicted)
 	clear(m.confirmed)
 	clear(m.excluded)
+	m.res = nil
 }
 
 // Evidence deep-copies the union's relations — what a sharded sensor
@@ -167,9 +174,15 @@ func (m *Merge) ExcludedCount() int { return len(m.excluded) }
 // interception.
 func (m *Merge) ConfirmedCount() int { return len(m.confirmed) }
 
-// Result materializes the current verdict in Detector.Run's format:
-// sorted confirmed issuers plus a copy of the exclusion set.
+// Result is the current verdict in Detector.Run's format: sorted
+// confirmed issuers plus a copy of the exclusion set. It is materialized
+// when the verdict has moved since the last call and shared until it
+// moves again, so callers must treat it as read-only — and may keep it
+// without the owner's lock, since a later verdict is a new value.
 func (m *Merge) Result() *Result {
+	if m.res != nil {
+		return m.res
+	}
 	res := &Result{
 		CandidateCount: len(m.contradicted),
 		ExcludedCerts:  copyMap(m.excluded),
@@ -178,5 +191,6 @@ func (m *Merge) Result() *Result {
 		res.Issuers = append(res.Issuers, issuer)
 	}
 	sort.Strings(res.Issuers)
+	m.res = res
 	return res
 }

@@ -158,8 +158,8 @@ func (s *Stream) ConfirmedCount() int { return s.ev.ConfirmedCount() }
 // server leaf certificate.
 func (s *Stream) PendingCount() int { return s.parked }
 
-// Result materializes the current verdict in Detector.Run's format:
-// sorted confirmed issuers plus a copy of the exclusion set.
+// Result is the current verdict in Detector.Run's format, shared and
+// read-only as Merge.Result describes.
 func (s *Stream) Result() *Result { return s.ev.Result() }
 
 // StreamState is the serializable snapshot of a Stream, exported so the

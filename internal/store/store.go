@@ -15,7 +15,7 @@
 // an append-only segment file, addressed by an in-memory index, so the
 // window can exceed the budget by an order of magnitude while
 // steady-state ingest RSS stays bounded. Without it a Window never
-// estimates bytes, never spills, and Snapshot returns the live headers.
+// estimates bytes, never spills, and Snapshot returns live headers.
 //
 // Sequences: every appended connection carries a caller-assigned
 // sequence number, and the window requires them strictly increasing in
@@ -203,21 +203,27 @@ func (w *Window) publish() {
 	w.stats.ColdConns.Store(int64(len(w.cold.index)))
 }
 
-// Snapshot is a point-in-time view of the full retained window with its
-// aligned sequences, for the sharded merge and full checkpoints. Without
-// a cold tier the slices are live headers (safe after the owner's lock
-// is released: appends past the captured length are invisible and
-// eviction swaps in fresh arrays). With one they are fresh copies, the
-// spilled records streamed up from disk ahead of the hot tail — O(retained)
-// RAM for as long as the caller holds them, the tiered engine's
-// documented materialization cost.
-func (w *Window) Snapshot() ([]core.ConnRecord, []uint64) {
+// Snapshot is a point-in-time view of the retained records with
+// sequence >= seq (0: the whole window) and their aligned sequences, for
+// the merged view's catch-up and full checkpoints. Without a cold tier
+// the slices are live headers — a binary search, no copy — and safe after
+// the owner's lock is released: appends past the captured length are
+// invisible and eviction swaps in fresh arrays. With one they are fresh
+// copies, spilled records streamed up from disk ahead of the hot tail —
+// O(records returned) RAM for as long as the caller holds them, the
+// tiered engine's documented materialization cost.
+func (w *Window) Snapshot(seq uint64) ([]core.ConnRecord, []uint64) {
 	if w.cold == nil {
-		return w.conns, w.seqs
+		i, _ := slices.BinarySearch(w.seqs, seq)
+		return w.conns[i:], w.seqs[i:]
 	}
-	conns := make([]core.ConnRecord, 0, w.ConnCount())
-	seqs := make([]uint64, 0, w.ConnCount())
-	w.Since(0, func(rec *core.ConnRecord, seq uint64) bool {
+	var conns []core.ConnRecord
+	var seqs []uint64
+	if seq == 0 {
+		conns = make([]core.ConnRecord, 0, w.ConnCount())
+		seqs = make([]uint64, 0, w.ConnCount())
+	}
+	w.Since(seq, func(rec *core.ConnRecord, seq uint64) bool {
 		conns, seqs = append(conns, *rec), append(seqs, seq)
 		return true
 	})

@@ -65,7 +65,8 @@ func since(w *Window, seq uint64) []seqConn {
 // certificates leave them), evictions and suffix queries, and requires
 // identical observable state at every step — the contract the engine's
 // byte-identical-reports gate rests on. Within each window the suffix
-// query must equal a full iteration filtered by seq >= s.
+// query — iterated (Since) or as slices (Snapshot) — must equal a full
+// iteration filtered by seq >= s.
 func TestWindowEquivalence(t *testing.T) {
 	wins := openBoth(t)
 	mem, disk := wins["memory"], wins["disk"]
@@ -104,6 +105,16 @@ func TestWindowEquivalence(t *testing.T) {
 					t.Fatalf("step %d: %s Since(%d) returned %d records, want %d (or contents differ)",
 						step, name, s, len(got), len(want))
 				}
+				conns, seqs := w.Snapshot(s)
+				if len(conns) != len(want) || len(seqs) != len(want) {
+					t.Fatalf("step %d: %s Snapshot(%d) holds %d records / %d sequences, want %d",
+						step, name, s, len(conns), len(seqs), len(want))
+				}
+				for i, sc := range want {
+					if seqs[i] != sc.Seq || !reflect.DeepEqual(conns[i], sc.Conn) {
+						t.Fatalf("step %d: %s Snapshot(%d) differs from Since at %d", step, name, s, i)
+					}
+				}
 			}
 		}
 		if m, d := mem.ConnCount(), disk.ConnCount(); m != d {
@@ -113,8 +124,8 @@ func TestWindowEquivalence(t *testing.T) {
 	if disk.Stats().ColdConns.Load() == 0 || mem.ConnCount() == 0 {
 		t.Fatal("scenario ended without a populated cold tier")
 	}
-	mConns, mSeqs := mem.Snapshot()
-	dConns, dSeqs := disk.Snapshot()
+	mConns, mSeqs := mem.Snapshot(0)
+	dConns, dSeqs := disk.Snapshot(0)
 	if !reflect.DeepEqual(mConns, dConns) || !reflect.DeepEqual(mSeqs, dSeqs) {
 		t.Fatal("snapshots differ between memory and disk")
 	}

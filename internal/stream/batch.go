@@ -285,8 +285,13 @@ func (s *Sharded) flushScratchLocked() int {
 		// Counts are captured before the send: on success the apply loop
 		// owns (and recycles) the batch.
 		nConns, nCerts := len(b.conns), len(b.certs)
+		routed := s.routed[h]
+		if nConns > 0 {
+			routed = b.seqs[nConns-1] + 1
+		}
 		if s.shards[h].sendBatch(b) {
 			accepted += nConns
+			s.routed[h] = routed
 			s.m.fanout.Add(uint64(nCerts))
 			continue
 		}

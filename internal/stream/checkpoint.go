@@ -472,22 +472,19 @@ func (e *Engine) writeDelta(path string, full bool) (int64, func(chainLen int), 
 	var seqs []uint64
 	var certs []*certmodel.CertInfo
 	if full {
-		certs = e.rosterLocked()
-		conns, seqs = e.st.Snapshot()
+		certs = slices.Clone(e.rosterLog) // sorted below
+		conns, seqs = e.st.Snapshot(0)
 	} else {
 		e.st.Since(e.ckptMark, func(rec *core.ConnRecord, seq uint64) bool {
 			conns, seqs = append(conns, *rec), append(seqs, seq)
 			return true
 		})
-		certs = make([]*certmodel.CertInfo, 0, len(e.ckptNewCerts))
-		for _, fp := range e.ckptNewCerts {
-			certs = append(certs, e.roster[fp])
-		}
+		certs = e.rosterLog[e.ckptCerts:]
 	}
 	if !e.seqTracked() {
 		seqs = nil
 	}
-	nCerts := len(e.ckptNewCerts)
+	nCerts := len(e.rosterLog)
 	newMark := e.nextSeq
 	rebuilds, _ := e.d.stats()
 	st := &segState{
@@ -524,7 +521,7 @@ func (e *Engine) writeDelta(path string, full bool) (int64, func(chainLen int), 
 		e.m.checkpointSegs.Set(float64(chainLen))
 		e.mu.Lock()
 		e.ckptMark = newMark
-		e.ckptNewCerts = e.ckptNewCerts[nCerts:]
+		e.ckptCerts = nCerts
 		e.lastCkpt = time.Now()
 		e.mu.Unlock()
 	}, nil
@@ -839,7 +836,7 @@ func (e *Engine) finishRestoreLocked(last *segState, renumber bool) {
 		sortCertLog(e.certLog)
 	}
 	e.ckptMark = e.nextSeq
-	e.ckptNewCerts = nil
+	e.ckptCerts = len(e.rosterLog)
 	e.stateVer.Add(1)
 	e.lastCkpt = time.Now()
 	e.m.retained.Set(float64(e.st.ConnCount()))

@@ -190,11 +190,15 @@ type Engine struct {
 
 	// Raw state — ground truth, never invalidated: the certificate roster
 	// (first observation wins; cumulative, resident, pointers stable for
-	// the engine's lifetime), the retained connection window, every record
-	// under its ingest sequence, and the cumulative §3.2 detector.
-	roster map[ids.Fingerprint]*certmodel.CertInfo
-	st     *store.Window
-	icpt   *interception.Stream
+	// the engine's lifetime) and the same certificates as an append-only
+	// log in admission order — so "the roster since" a checkpoint commit
+	// or a merged view's cursor is a slice suffix, readable after the
+	// state lock is released — the retained connection window, every
+	// record under its ingest sequence, and the cumulative §3.2 detector.
+	roster    map[ids.Fingerprint]*certmodel.CertInfo
+	rosterLog []*certmodel.CertInfo
+	st        *store.Window
+	icpt      *interception.Stream
 
 	// nextSeq is one past every sequence stamped so far: the engine's own
 	// counter, or trailing the router's stamps on a shard. The rest is
@@ -221,14 +225,13 @@ type Engine struct {
 	lastCkpt      time.Time
 
 	// Checkpoint bookkeeping (still under mu), against this engine's
-	// chain: sequences below ckptMark are covered by committed segments;
-	// ckptNewCerts lists roster fingerprints admitted since the last
-	// commit (append-only — a commit truncates the prefix it serialized);
-	// ckptCutoff is the latest eviction cutoff applied, which a delta
-	// records so restore can replay the eviction against earlier segments.
-	ckptMark     uint64
-	ckptNewCerts []ids.Fingerprint
-	ckptCutoff   time.Time
+	// chain: sequences below ckptMark and roster-log entries below
+	// ckptCerts are covered by committed segments; ckptCutoff is the
+	// latest eviction cutoff applied, which a delta records so restore can
+	// replay the eviction against earlier segments.
+	ckptMark   uint64
+	ckptCerts  int
+	ckptCutoff time.Time
 
 	// ckpt owns the checkpoint directory; nil on a routed shard, whose
 	// chain its Sharded commits.
@@ -286,19 +289,9 @@ func (e *Engine) putCertLocked(c *certmodel.CertInfo) bool {
 		return false
 	}
 	e.roster[c.Fingerprint] = c
+	e.rosterLog = append(e.rosterLog, c)
 	e.m.rosterSize.Set(float64(len(e.roster)))
 	return true
-}
-
-// rosterLocked lists the roster in unspecified order. The slice is
-// fresh and the certificates immutable, so it stays readable after the
-// state lock is released.
-func (e *Engine) rosterLocked() []*certmodel.CertInfo {
-	certs := make([]*certmodel.CertInfo, 0, len(e.roster))
-	for _, c := range e.roster {
-		certs = append(certs, c)
-	}
-	return certs
 }
 
 // seqTracked reports whether anyone outside this process reads the
@@ -395,13 +388,14 @@ func (e *Engine) Close() {
 // lock acquisition to keep lock churn off the hot path.
 func (e *Engine) run() {
 	defer close(e.done)
-	for ev := range e.ch {
+	ch := e.ch // read once: the loop owns this queue for life
+	for ev := range ch {
 		e.mu.Lock()
 		e.applyLocked(ev)
 	drain:
 		for i := 0; i < 256; i++ {
 			select {
-			case next, ok := <-e.ch:
+			case next, ok := <-ch:
 				if !ok {
 					e.mu.Unlock()
 					return
@@ -434,7 +428,6 @@ func (e *Engine) applyCertLocked(c *certmodel.CertInfo) {
 		return // first observation wins
 	}
 	e.stateVer.Add(1)
-	e.ckptNewCerts = append(e.ckptNewCerts, c.Fingerprint)
 	if e.cfg.TrackExport {
 		e.certSeqs[c.Fingerprint] = e.nextSeq
 		e.certLog = append(e.certLog, ExportCert{Seq: e.nextSeq, Cert: c})

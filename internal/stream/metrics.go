@@ -1,8 +1,32 @@
 package stream
 
 import (
+	"time"
+
+	"repro/internal/core"
 	"repro/internal/metrics"
 )
+
+// MergeObserver registers a merged view's series under prefix ("stream"
+// for a sharded engine, "distrib" for an aggregator) — <prefix>_merges_total
+// and <prefix>_merge_seconds for every catch-up, and
+// <prefix>_merge_replays_total{reason} for those that had to replay, all
+// five reasons visible from boot — and returns the core.MergedView.OnMerge
+// that feeds them.
+func MergeObserver(reg *metrics.Registry, prefix string) func(time.Duration, core.ReplayReason) {
+	merges := reg.Counter(prefix+"_merges_total", "merged-view catch-ups (what the sources appended, through one Builder)")
+	dur := reg.Histogram(prefix+"_merge_seconds", "merged-view catch-up duration", nil)
+	replays := make(map[core.ReplayReason]*metrics.Counter, len(core.ReplayReasons))
+	for _, why := range core.ReplayReasons {
+		replays[why] = reg.Counter(prefix+"_merge_replays_total",
+			"merged-view catch-ups that had to replay every source's whole state", "reason", string(why))
+	}
+	return func(d time.Duration, replay core.ReplayReason) {
+		merges.Inc()
+		dur.Observe(d.Seconds())
+		replays[replay].Inc() // "" has no series: a nil counter, a no-op
+	}
+}
 
 // engineMetrics is the engine's instrumentation: counters for the event
 // flow, histograms for the costs that dominate a long-running monitor

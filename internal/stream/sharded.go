@@ -2,8 +2,10 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -44,20 +46,29 @@ const MaxShards = 64
 // verdict of the union of per-shard detector evidence — correct because
 // that evidence is order-independent and per-connection, so domains
 // contradicting an issuer on different shards corroborate globally
-// (interception.Merge). Mid-stream, a materialization reflects each
-// shard's applied prefix — a consistent snapshot per shard, not
-// necessarily a prefix of the interleaved global stream.
+// (interception.Merge). Mid-stream, a materialization is a prefix of the
+// interleaved global stream: every connection below the applied frontier
+// — the lowest sequence a shard with routed-but-unapplied work has still
+// to apply — and none above it. A shard running ahead of a lagging one
+// is therefore read one batch stale rather than out of order, which is
+// what lets the merged view append what is new instead of replaying.
+// (The verdict those connections are filtered under is the union's over
+// everything applied, so it may run ahead of the frontier by the batches
+// in flight.)
 //
 // # Cost model
 //
 // Ingest parallelizes across shard apply goroutines — the bottleneck the
 // single engine's one-goroutine design caps at one core — and a shard
 // pays for raw state only: roster, window, detector. It enriches nothing,
-// because nothing reads a shard's enrichment. The price moves to
-// materialization: the merged view is rebuilt by full replay whenever any
-// shard's state changed since the last merge (cached otherwise), where a
-// settled single engine materializes incrementally. That is the right
-// trade for a monitor that ingests continuously and reports occasionally.
+// because nothing reads a shard's enrichment. Enrichment happens once, in
+// the merged view's long-lived Builder: a materialization after new
+// events costs those events (each shard's roster-log and window suffix
+// past the view's cursor), and nothing at all while no shard moved. Only
+// the cases core.ReplayReason names re-enrich the window — the §3.2
+// verdict grew, a certificate arrived after a connection that named it,
+// retention evicted — as a settled single engine rebuilds for the same
+// causes.
 //
 // The §3.2 verdict is not part of that price. The router owns one
 // evidence union for the deployment's lifetime; Stats, the merged view's
@@ -81,6 +92,12 @@ type Sharded struct {
 	// nextSeq is the next global sequence number (connections and
 	// first-observed certificates share one number space).
 	nextSeq uint64
+	// routed[i] is one past the last connection sequence handed to shard
+	// i's queue: a shard whose own nextSeq trails it has work to apply.
+	// merged is one past the highest sequence a capture has handed the
+	// merged view; every connection below it is applied.
+	routed []uint64
+	merged uint64
 	// epoch scopes export cursors to this sequence numbering; preserved
 	// across checkpoint/restore, fresh otherwise.
 	epoch uint64
@@ -100,15 +117,15 @@ type Sharded struct {
 	m *shardedMetrics
 
 	// union is the deployment's §3.2 evidence: every shard's journal up
-	// to cursors[i]. unionMu guards both. Lock order: mu (Export only),
-	// then unionMu, then a shard's state lock — catching up reads a
-	// shard's detector under that shard's lock.
+	// to cursors[i]. unionMu guards both. Lock order: mu (Export and the
+	// merged view's capture), then unionMu, then a shard's state lock —
+	// catching up reads a shard's detector under that shard's lock.
 	unionMu sync.Mutex
 	union   *interception.Merge
 	cursors []int
 
 	// view is the merged materialization, cached on the per-shard
-	// stateVer vector.
+	// stateVer vector and caught up from the shards' suffixes.
 	view *core.MergedView
 
 	// ckpt owns the checkpoint directory for all the shards' chains; at
@@ -131,8 +148,6 @@ type rendezvous struct {
 type shardedMetrics struct {
 	rejected      *metrics.Counter
 	fanout        *metrics.Counter
-	merges        *metrics.Counter
-	mergeDur      *metrics.Histogram
 	checkpointDur *metrics.Histogram
 	compactDur    *metrics.Histogram
 }
@@ -142,8 +157,6 @@ func newShardedMetrics(r *metrics.Registry, n int) *shardedMetrics {
 	return &shardedMetrics{
 		rejected: r.Counter("stream_events_rejected_total", "invalid events refused at the ingest boundary", "shard", "router"),
 		fanout:   r.Counter("stream_cert_fanout_total", "certificate deliveries to shards (first + forwarded copies)"),
-		merges:   r.Counter("stream_merges_total", "merged-view rebuilds (k-way replay through one Builder)"),
-		mergeDur: r.Histogram("stream_merge_seconds", "merged-view rebuild duration", nil),
 		// One observation per commit or fold of the whole shard set, which
 		// the router owns; the shards' own series of these names stay empty.
 		checkpointDur: r.Histogram("stream_checkpoint_seconds", "checkpoint serialization+rename duration", nil, "shard", "router"),
@@ -201,6 +214,7 @@ func newRouter(cfg Config, n int) *Sharded {
 		cfg:     cfg,
 		rv:      make(map[ids.Fingerprint]*rendezvous),
 		m:       newShardedMetrics(cfg.Metrics, n),
+		routed:  make([]uint64, n),
 		union:   interception.NewMerge(2),
 		cursors: make([]int, n),
 	}
@@ -208,10 +222,7 @@ func newRouter(cfg Config, n int) *Sharded {
 		Input:    cfg.Input,
 		Versions: s.versions,
 		Capture:  s.capture,
-		OnMerge: func(d time.Duration) {
-			s.m.merges.Inc()
-			s.m.mergeDur.Observe(d.Seconds())
-		},
+		OnMerge:  MergeObserver(cfg.Metrics, "stream"),
 	}
 	return s
 }
@@ -323,31 +334,63 @@ func (s *Sharded) absorbLocked(i int) {
 	s.cursors[i] = s.union.Absorb(s.shards[i].icpt, s.cursors[i])
 }
 
-// capture snapshots each shard under its lock for a merge replay: slice
-// headers are safe to replay lock-free afterwards (appends never mutate
-// elements below the captured length and eviction swaps in a fresh
-// array) and roster pointers are immutable. The version is read, and the
-// union caught up, under the same lock hold as the state, so the cache
-// key and the verdict match exactly what was captured; the union lock is
-// held across all shards so a concurrent Stats cannot run the verdict
-// ahead of a shard already captured.
-func (s *Sharded) capture() core.MergeCapture {
+// capture snapshots what each shard holds beyond the merged view's
+// cursor — the roster-log entries and the window suffix it has not seen —
+// under that shard's lock: slice headers are safe to merge lock-free
+// afterwards (appends never mutate elements below the captured length
+// and eviction swaps in a fresh array) and roster pointers are immutable.
+// The version is read, and the union caught up, under the same lock hold
+// as the state, so the cache key and the verdict match exactly what was
+// captured; the union lock is held across all shards so a concurrent
+// Stats cannot run the verdict ahead of a shard already captured.
+//
+// The router lock is held throughout, so no sequence is assigned while
+// the shards are read and routed[] says exactly which of them still have
+// connections to apply. The capture stops at the applied frontier, the
+// lowest sequence any such shard has yet to apply: everything below it
+// is applied on every shard, so what a later capture adds sorts after
+// what this one returned. When every shard has caught up — always, after
+// Drain — that is everything. The frontier never falls below what an
+// earlier capture returned (merged), so a replay while a shard lags
+// rebuilds at least what the view already showed.
+func (s *Sharded) capture(since []core.MergeCursor) core.MergeCapture {
+	n := len(s.shards)
 	c := core.MergeCapture{
-		Shards:   make([]core.ShardState, len(s.shards)),
-		Versions: make([]uint64, len(s.shards)),
+		Shards:   make([]core.ShardState, n),
+		Versions: make([]uint64, n),
+		Lost:     make([]uint64, n),
 	}
+	frontier := uint64(math.MaxUint64)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.unionMu.Lock()
-	defer s.unionMu.Unlock()
 	for i, e := range s.shards {
 		e.mu.Lock()
 		c.Versions[i] = e.stateVer.Load()
-		conns, seqs := e.st.Snapshot()
-		c.Shards[i] = core.ShardState{Certs: e.rosterLocked(), Conns: conns, Seqs: seqs}
+		c.Lost[i] = e.evicted
+		conns, seqs := e.st.Snapshot(since[i].Seq)
+		c.Shards[i] = core.ShardState{Certs: e.rosterLog[since[i].Certs:], Conns: conns, Seqs: seqs}
 		c.RawConns += e.connsIngested
+		if e.nextSeq < s.routed[i] {
+			frontier = min(frontier, e.nextSeq)
+		}
 		s.absorbLocked(i)
 		e.mu.Unlock()
 	}
 	c.Verdict = s.union.Result()
+	s.unionMu.Unlock()
+	c.RawCerts = s.uniqueCerts
+	frontier = max(frontier, s.merged)
+	for i := range c.Shards {
+		sh := &c.Shards[i]
+		if k, _ := slices.BinarySearch(sh.Seqs, frontier); k < len(sh.Seqs) {
+			c.RawConns -= uint64(len(sh.Seqs) - k)
+			sh.Conns, sh.Seqs = sh.Conns[:k], sh.Seqs[:k]
+		}
+		if k := len(sh.Seqs); k > 0 {
+			s.merged = max(s.merged, sh.Seqs[k-1]+1)
+		}
+	}
 	return c
 }
 
@@ -384,8 +427,9 @@ func (s *Sharded) Report(name string) (any, error) {
 // double-count fanned-out certificates), and the §3.2 numbers are the
 // sizes of the union's verdict sets once it has caught up with every
 // shard — one lock hold per shard for both, nothing proportional to the
-// evidence or the roster. Rebuilds counts merged-view replays; Dirty
-// means shard state changed since the last merge.
+// evidence or the roster. Rebuilds counts merged-view replays (not the
+// catch-ups that append); Dirty means shard state changed since the last
+// catch-up.
 func (s *Sharded) Stats() Stats {
 	if s.single != nil {
 		// Passthrough: the engine's counters are the deployment's.
@@ -421,7 +465,8 @@ func (s *Sharded) Stats() Stats {
 	s.mu.Unlock()
 	st.Rejected += s.rejected.Load()
 
-	st.Rebuilds, st.Dirty = s.view.Stats()
+	ms := s.view.Stats()
+	st.Rebuilds, st.Dirty = ms.Replays, ms.Stale
 	if !st.LastCheckpoint.IsZero() {
 		st.CheckpointAge = time.Since(st.LastCheckpoint).Seconds()
 	}

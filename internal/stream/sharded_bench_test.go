@@ -95,33 +95,66 @@ func BenchmarkShardedIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedMaterialize prices the other side of the trade: the
-// merged-view replay a sharded deployment pays on the first
-// materialization after new events (the cached path is ~free and not
-// what this measures). At shards=1 the passthrough materializes the
-// single engine incrementally — no replay at all.
+// BenchmarkShardedMaterialize prices the other side of the trade, the
+// first materialization after new events on a four-shard deployment.
+// catchup is the usual case — a fixed 1 000-connection delta appended to
+// the merged view's Builder — at two window sizes, and must read flat
+// across them; replay is the rare one (the verdict grew, a late
+// certificate, an eviction), which re-enriches the whole window. A read
+// with nothing new is ~free and not what either measures.
 func BenchmarkShardedMaterialize(b *testing.B) {
 	bld := getBenchBuild()
 	in := inputFromBuild(bld)
 	in.Raw = nil
-	for _, n := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			s, err := NewSharded(n, Config{Input: in})
+	certRecs := benchCertRecs(bld)
+	const delta = 1000
+	for _, cycles := range []int{1, 4} {
+		window := cycles * len(bld.Raw.Conns)
+		start := func(b *testing.B) *Sharded {
+			s, err := NewSharded(4, Config{Input: in})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
-			for _, c := range bld.Raw.Certs {
-				s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-			}
-			for j := range bld.Raw.Conns {
-				s.IngestConn(&bld.Raw.Conns[j])
+			b.Cleanup(s.Close)
+			s.IngestCertBatch(certRecs)
+			for c := 0; c < cycles; c++ {
+				s.IngestConnBatch(bld.Raw.Conns)
 			}
 			s.Drain()
+			s.WithPipeline(func(*core.Pipeline) {})
+			return s
+		}
+		b.Run(fmt.Sprintf("catchup/window=%d", window), func(b *testing.B) {
+			s := start(b)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.shards[0].stateVer.Add(1) // force the replay
-				s.WithPipeline(func(p *core.Pipeline) { p.PreprocessReport() })
+				b.StopTimer()
+				s.IngestConnBatch(bld.Raw.Conns[:delta])
+				s.Drain()
+				b.StartTimer()
+				s.WithPipeline(func(*core.Pipeline) {})
+			}
+			if st := s.view.Stats(); st.Replays != 1 {
+				b.Fatalf("measured %+v, want every delta appended after the first read's replay", st)
+			}
+		})
+		b.Run(fmt.Sprintf("replay/window=%d", window), func(b *testing.B) {
+			s := start(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Every reason costs the same replay; a loss is the one that
+				// can be injected without new evidence.
+				e := s.shards[0]
+				e.mu.Lock()
+				e.evicted++
+				e.stateVer.Add(1)
+				e.mu.Unlock()
+				s.WithPipeline(func(*core.Pipeline) {})
+			}
+			if st := s.view.Stats(); st.Replays != uint64(1+b.N) {
+				b.Fatalf("measured %+v, want a replay per read", st)
 			}
 		})
 	}

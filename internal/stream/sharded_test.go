@@ -193,8 +193,8 @@ func TestShardedRetroactiveExclusion(t *testing.T) {
 	}
 }
 
-// TestShardedMidStream takes a merged snapshot mid-stream (a consistent
-// per-shard prefix), then finishes the stream and requires convergence
+// TestShardedMidStream takes a merged snapshot mid-stream (a prefix of
+// the global stream), then finishes the stream and requires convergence
 // to batch — materialization must not disturb ingest state.
 func TestShardedMidStream(t *testing.T) {
 	b := genBuild(20240504, 1000)
@@ -521,15 +521,19 @@ func TestShardedRejectsInvalid(t *testing.T) {
 
 // TestShardedConcurrentIngestAndMaterialize hammers materialization and
 // stats while ingestion is in flight — the merge snapshots shard state
-// under each shard's lock but replays lock-free against live slice
+// under each shard's lock but merges lock-free against live slice
 // headers, and this is the test that puts the race detector on that
-// path. The final drained analysis must still equal batch.
+// path. Reads land between batches with shards at different points of
+// their queues; none may meet a connection sorting below one it already
+// merged, most must be catch-ups, and the final drained analysis must
+// still equal batch.
 func TestShardedConcurrentIngestAndMaterialize(t *testing.T) {
 	b := genBuild(99, 1000)
 	batch := core.Run(inputFromBuild(b))
 	in := inputFromBuild(b)
 	in.Raw = nil
-	s := newSharded(t, 4, in, nil)
+	reg := metrics.New()
+	s := newSharded(t, 4, in, func(c *Config) { c.Metrics = reg })
 
 	done := make(chan struct{})
 	go func() {
@@ -553,6 +557,14 @@ func TestShardedConcurrentIngestAndMaterialize(t *testing.T) {
 	s.Drain()
 	if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
 		t.Error("merged analysis differs from batch after concurrent materialization")
+	}
+	replays := mergeReplays(reg)
+	if replays[core.ReplayOrder] != 0 || replays[core.ReplayLost] != 0 {
+		t.Errorf("replays %v: a frontier-capped, never-evicting deployment has no order or lost replay", replays)
+	}
+	st := s.Stats()
+	if merges := reg.Counter("stream_merges_total", "").Value(); merges <= st.Rebuilds {
+		t.Errorf("%d merges, %d of them replays (%v): no read was a catch-up", merges, st.Rebuilds, replays)
 	}
 }
 
@@ -578,6 +590,8 @@ func TestShardedMetricsLabels(t *testing.T) {
 		`stream_buffer_occupancy{shard="1"}`,
 		`stream_shards 2`,
 		`stream_merges_total 1`,
+		`stream_merge_replays_total{reason="first"} 1`,
+		`stream_merge_replays_total{reason="order"} 0`,
 		`stream_cert_fanout_total`,
 	} {
 		if !strings.Contains(text, want) {

@@ -115,22 +115,52 @@ func (o *Options) reject(file string, re *RowError) {
 	o.Quarantine.Record(file, re)
 }
 
-// RejectTotals reads back the rejection counters from a registry: the
-// grand total and the per-"file/reason" breakdown (zero-valued series
-// are pre-registered as a side effect, so the metric family is visible
-// on /metrics from boot, not from the first corrupt row).
-func RejectTotals(reg *metrics.Registry) (total uint64, byReason map[string]uint64) {
-	byReason = make(map[string]uint64, len(rejectFiles)*len(Reasons))
+// RejectCounters is the rejection counter family of one registry with
+// every (file, reason) series resolved — for a reader that totals them
+// often (the daemon's stats endpoint) and should not go through the
+// registry's get-or-create each time.
+type RejectCounters []rejectCounter
+
+type rejectCounter struct {
+	key string // "file/reason"
+	c   *metrics.Counter
+}
+
+// ResolveRejectCounters get-or-creates every series of the family, so it
+// is visible on /metrics zero-valued from boot, not from the first
+// corrupt row.
+func ResolveRejectCounters(reg *metrics.Registry) RejectCounters {
+	rc := make(RejectCounters, 0, len(rejectFiles)*len(Reasons))
 	for _, file := range rejectFiles {
 		for _, reason := range Reasons {
-			v := reg.Counter(RejectMetric, rejectHelp, "file", file, "reason", string(reason)).Value()
-			total += v
-			if v > 0 {
-				byReason[file+"/"+string(reason)] = v
-			}
+			rc = append(rc, rejectCounter{
+				key: file + "/" + string(reason),
+				c:   reg.Counter(RejectMetric, rejectHelp, "file", file, "reason", string(reason)),
+			})
+		}
+	}
+	return rc
+}
+
+// Totals reads the counters: the grand total and the per-"file/reason"
+// breakdown of the nonzero ones.
+func (rc RejectCounters) Totals() (total uint64, byReason map[string]uint64) {
+	byReason = make(map[string]uint64, len(rc))
+	for _, r := range rc {
+		v := r.c.Value()
+		total += v
+		if v > 0 {
+			byReason[r.key] = v
 		}
 	}
 	return total, byReason
+}
+
+// RejectTotals reads back the rejection counters from a registry: the
+// grand total and the per-"file/reason" breakdown (zero-valued series
+// are pre-registered as a side effect).
+func RejectTotals(reg *metrics.Registry) (total uint64, byReason map[string]uint64) {
+	return ResolveRejectCounters(reg).Totals()
 }
 
 // DefaultQuarantineMaxBytes is the daemon's default quarantine size cap:
