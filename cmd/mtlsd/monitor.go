@@ -190,10 +190,10 @@ func openEngine(cfg stream.Config, shards int, path string) (engine, map[string]
 // checkpoint once ctx is done and nothing can produce any more.
 // Certificates are polled before connections within each round so
 // enrichment resolves chains on first try (out-of-order arrivals still
-// converge, via a rebuild). Each Poll consumes at most one chunk of
-// backlog; catchUp interleaves the two logs chunk-for-chunk so a hot
-// file cannot starve the other, and caps the rounds per tick so
-// checkpoints stay on schedule.
+// converge, via a replay when a read came between). Each Poll consumes
+// at most one chunk of backlog; catchUp interleaves the two logs
+// chunk-for-chunk so a hot file cannot starve the other, and caps the
+// rounds per tick so checkpoints stay on schedule.
 func (m *monitor) run(ctx context.Context) {
 	srcs := []*tailSource{
 		m.source("x509.log", func() (int, error) {

@@ -36,8 +36,7 @@ type ShardState struct {
 // exclude is the global §3.2 verdict (nil excludes nothing): excluded
 // certificates are kept out of the chain-resolution roster and
 // connections whose server leaf is excluded are filtered, exactly as
-// interception.Filter drops them on the batch path and as a single
-// engine's rebuild drops them on the streaming path. Because every
+// interception.Filter drops them on the batch path. Because every
 // certificate is admitted before any connection and connections replay
 // in global sequence order, the result is deeply equal to a single
 // engine draining the same event stream — at any shard count.
@@ -145,6 +144,12 @@ type MergeCapture struct {
 	// every source that referenced it).
 	RawConns uint64
 	RawCerts int
+	// Copies says the connection slices in Shards are private copies made
+	// for this capture (a tiered window decoding its cold records), not
+	// headers over memory the source holds anyway. A Builder fed from them
+	// is the only thing keeping them alive, so the view lets it go after
+	// the read it was built for.
+	Copies bool
 }
 
 // ReplayReason names why a MergedView rebuilt its Builder from the
@@ -178,7 +183,7 @@ type MergeStats struct {
 	Merges   uint64 // catch-ups run, replays included
 	Replays  uint64 // of those, rebuilds from the sources' whole state
 	Enriched uint64 // connections enriched across all of them
-	Stale    bool   // a source moved since the last catch-up (or none has run)
+	Stale    bool   // a source moved since the last catch-up, or no Builder is held
 }
 
 // MergedView is the merged materialization of several independently
@@ -197,6 +202,12 @@ type MergeStats struct {
 // sources' whole state — what MergeShards does, and what the tests hold
 // every catch-up against.
 //
+// One case keeps no Builder at all: when a capture's records are private
+// copies (MergeCapture.Copies — a tiered window), holding the Builder
+// would pin every decoded record the window had spilled. The view drops
+// it, and its cursors, as soon as the read it was built for returns;
+// every read over such sources is a ReplayFirst.
+//
 // A MergedView with its four exported fields set is ready to use.
 type MergedView struct {
 	// Input is the analysis context every merge runs under.
@@ -212,10 +223,11 @@ type MergedView struct {
 	// replay, why — the caller's merge counters and histogram.
 	OnMerge func(d time.Duration, replay ReplayReason)
 
-	mu   sync.Mutex
-	vers []uint64 // vector the Builder reflects
-	b    *Builder // nil until the first merge
-	pre  *PreprocessReport
+	// mu serializes readers: it is held across a catch-up and the fn that
+	// reads the Builder after it.
+	mu  sync.Mutex
+	b   *Builder // nil until the first merge, and after a release
+	pre *PreprocessReport
 	// cur is the view's position in each source; next is one past the
 	// highest sequence merged from any of them.
 	cur  []MergeCursor
@@ -228,7 +240,15 @@ type MergedView struct {
 	// that no source had listed: such a certificate arriving later
 	// invalidates that enrichment.
 	unresolved map[ids.Fingerprint]bool
-	stats      MergeStats
+	// copies is the last capture's Copies: release after the read.
+	copies bool
+
+	// statMu guards what Stats reads — written under mu as well, so a
+	// reader holding mu needs no statMu — and is never held across fn: a
+	// health check does not wait behind a report scan.
+	statMu sync.Mutex
+	vers   []uint64 // vector the Builder reflects; nil while there is none
+	stats  MergeStats
 }
 
 // WithPipeline runs fn over the merged pipeline; fn must not retain it.
@@ -238,6 +258,13 @@ func (v *MergedView) WithPipeline(fn func(*Pipeline)) {
 	defer v.mu.Unlock()
 	b, pre := v.mergedLocked()
 	fn(b.Pipeline(pre))
+	if v.copies {
+		v.b, v.unresolved = nil, nil
+		clear(v.cur)
+		v.statMu.Lock()
+		v.vers = nil
+		v.statMu.Unlock()
+	}
 }
 
 // mergedLocked returns the global Builder and preprocess report, caught
@@ -262,7 +289,6 @@ func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
 		v.b = NewBuilder(v.Input)
 		v.next = 0
 		v.unresolved = make(map[ids.Fingerprint]bool)
-		v.stats.Replays++
 	}
 	res := c.Verdict
 	n := mergeInto(v.b, c.Shards,
@@ -282,9 +308,15 @@ func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
 		RawCerts:            c.RawCerts,
 		RawConns:            int(c.RawConns),
 	}
-	v.vers, v.lost, v.excluded = c.Versions, c.Lost, len(res.ExcludedCerts)
+	v.lost, v.excluded, v.copies = c.Lost, len(res.ExcludedCerts), c.Copies
+	v.statMu.Lock()
+	v.vers = c.Versions
 	v.stats.Merges++
 	v.stats.Enriched += uint64(n)
+	if why != "" {
+		v.stats.Replays++
+	}
+	v.statMu.Unlock()
 	v.OnMerge(time.Since(t0), why)
 	return v.b, v.pre
 }
@@ -316,11 +348,12 @@ func (v *MergedView) replayReason(c *MergeCapture) ReplayReason {
 }
 
 // Stats reports the view's work so far and whether a source has moved
-// since the last catch-up.
+// since the last catch-up. It does not wait for a read in progress.
 func (v *MergedView) Stats() MergeStats {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+	now := v.Versions()
+	v.statMu.Lock()
+	defer v.statMu.Unlock()
 	st := v.stats
-	st.Stale = v.b == nil || !slices.Equal(v.Versions(), v.vers)
+	st.Stale = v.vers == nil || !slices.Equal(now, v.vers)
 	return st
 }

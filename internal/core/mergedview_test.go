@@ -484,3 +484,93 @@ func TestMergedViewCatchUpIsODelta(t *testing.T) {
 		t.Errorf("catch-up allocations depend on the window: %d at 5k, %d at 50k", smallA, largeA)
 	}
 }
+
+// oracle is what a read of the world as it stands must equal: a fresh
+// MergeShards over every source's whole state under the current verdict.
+func (w *viewWorld) oracle() *Analysis {
+	pre := &PreprocessReport{
+		InterceptionIssuers: w.verdict.Issuers,
+		ExcludedCerts:       len(w.verdict.ExcludedCerts),
+		ExcludedShare:       w.verdict.ExcludedShare(len(w.roster)),
+		RawCerts:            len(w.roster),
+		RawConns:            int(w.rawConns),
+	}
+	b := MergeShards(w.in, w.full(), func(fp ids.Fingerprint) bool { return w.verdict.ExcludedCerts[fp] })
+	return b.Pipeline(pre).RunAll()
+}
+
+// TestMergedViewCopiesReleasedAfterRead: sources whose captures are
+// private copies (a tiered window) must not be pinned by the view. Every
+// read, whatever happened to the sources since the last one — nothing
+// included — is a first replay asked from zero cursors, equals a fresh
+// MergeShards over the same state, and leaves no Builder behind.
+func TestMergedViewCopiesReleasedAfterRead(t *testing.T) {
+	steps := 120
+	if race.Enabled || testing.Short() {
+		steps = 40
+	}
+	for n := 1; n <= 2; n++ {
+		w := newViewWorld(t, int64(40+n), n)
+		capture := w.view.Capture
+		w.view.Capture = func(since []MergeCursor) MergeCapture {
+			if !slices.Equal(since, make([]MergeCursor, n)) {
+				t.Fatalf("capture asked from %+v, want zero cursors", since)
+			}
+			c := capture(since)
+			for i := range c.Shards {
+				c.Shards[i].Conns = slices.Clone(c.Shards[i].Conns)
+			}
+			c.Copies = true
+			return c
+		}
+		for step := 0; step < steps; step++ {
+			what := "nothing"
+			if step%4 != 3 { // every fourth read follows no change at all
+				what = w.step()
+				w.reverdict()
+			}
+			var got *Analysis
+			w.view.WithPipeline(func(p *Pipeline) { got = p.RunAll() })
+			if !reflect.DeepEqual(got, w.oracle()) {
+				t.Fatalf("sources=%d step %d (%s): the view differs from a replay of the same state", n, step, what)
+			}
+			if w.merges != step+1 || len(w.replays) != 1 || w.replays[ReplayFirst] != step+1 {
+				t.Fatalf("sources=%d step %d (%s): %d merges with replays %v, want %d first replays",
+					n, step, what, w.merges, w.replays, step+1)
+			}
+			if w.view.b != nil || w.view.unresolved != nil {
+				t.Fatalf("sources=%d step %d (%s): the view kept its Builder after the read", n, step, what)
+			}
+			want := MergeStats{Merges: uint64(step + 1), Replays: uint64(step + 1), Stale: true}
+			if st := w.view.Stats(); st.Merges != want.Merges || st.Replays != want.Replays || st.Stale != want.Stale {
+				t.Fatalf("sources=%d step %d (%s): Stats() = %+v, want %+v", n, step, what, st, want)
+			}
+		}
+	}
+}
+
+// TestMergedViewStatsDoesNotWaitForRead: Stats is what a health check
+// reads; a report scan parked inside fn must not hold it up.
+func TestMergedViewStatsDoesNotWaitForRead(t *testing.T) {
+	w := newViewWorld(t, 7, 2)
+	w.appendConns(w.srcs[0], 50, 1)
+	parked, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.view.WithPipeline(func(*Pipeline) { close(parked); <-release })
+	}()
+	<-parked
+	got := make(chan MergeStats, 1)
+	go func() { got <- w.view.Stats() }()
+	select {
+	case st := <-got:
+		if st.Merges != 1 || st.Replays != 1 || st.Stale {
+			t.Errorf("Stats() during the read = %+v, want the one first replay, not stale", st)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Stats waited behind a parked read")
+	}
+	close(release)
+	<-done
+}

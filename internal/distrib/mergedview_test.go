@@ -6,11 +6,13 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/metrics"
 	"repro/internal/race"
+	"repro/internal/stream"
 )
 
 // aggReplays reads the merged view's replay counters back by reason.
@@ -245,4 +247,54 @@ func TestAggregatorCatchUpIsODelta(t *testing.T) {
 	if smallA != largeA {
 		t.Errorf("catch-up allocations depend on the window: %d behind 5k, %d behind 50k", smallA, largeA)
 	}
+}
+
+// TestAggregatorParkedReportBlocksNothing: a report scan parked inside
+// its fn does not hold up a sync landing or the stats a health check
+// reads — the aggregator's third of the property stream's
+// TestParkedReportBlocksNothing holds for an engine and a router.
+func TestAggregatorParkedReportBlocksNothing(t *testing.T) {
+	b := genBuild(20240504, 2000)
+	certs := certList(b)
+	e := newSensorEngine(t, b)
+	a := newAgg(t, b, metrics.New(), newSensorServer(t, e, SupportedSchemas()).URL)
+	half := len(b.Raw.Conns) / 2
+	feedSlice(t, e, b, certs, 0, len(certs), 0, half)
+	e.Drain()
+	if err := a.SyncAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		a.WithPipeline(func(*core.Pipeline) { close(parked); <-release })
+	}()
+	<-parked
+	feedSlice(t, e, b, certs, 0, 0, half, len(b.Raw.Conns))
+	e.Drain()
+	type result struct {
+		st  stream.Stats
+		err error
+	}
+	got := make(chan result, 1)
+	go func() {
+		err := a.SyncAll(context.Background())
+		got <- result{a.Stats(), err}
+	}()
+	select {
+	case r := <-got:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.st.ConnsIngested != uint64(len(b.Raw.Conns)) || r.st.Rebuilds != 1 || !r.st.Dirty {
+			t.Errorf("Stats() beside the parked report = %d conns, %d rebuilds, dirty %v; want %d, 1, true",
+				r.st.ConnsIngested, r.st.Rebuilds, r.st.Dirty, len(b.Raw.Conns))
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a sync or Stats waited behind a parked report")
+	}
+	close(release)
+	<-read
 }

@@ -121,7 +121,6 @@ func (e *Engine) applyBatchLocked(b *batch) {
 		// (half the benchmark's allocated bytes before this). The store
 		// at-least-doubles instead.
 		e.st.GrowConns(len(b.conns))
-		e.d.growConns(len(b.conns))
 		for i := range b.conns {
 			var seq uint64
 			if len(b.seqs) == len(b.conns) {
@@ -137,8 +136,8 @@ func (e *Engine) applyBatchLocked(b *batch) {
 // (hash of the connection UID) under one lock acquisition and delivers
 // each shard's slice — any already-arrived leaf certificates the shard
 // has not seen first, then its connections, in arrival order — over one
-// channel operation, so shard-local enrichment resolves the chain just
-// as a single engine would. Validation matches Engine.IngestConnBatch.
+// channel operation, so the shard's detector resolves the leaf just as a
+// single engine's would. Validation matches Engine.IngestConnBatch.
 // Returns how many events were accepted.
 func (s *Sharded) IngestConnBatch(recs []core.ConnRecord) int {
 	if len(recs) == 0 {
@@ -165,8 +164,9 @@ func (s *Sharded) IngestConnBatch(recs []core.ConnRecord) int {
 			ent := s.rendezvousFor(fp)
 			if ent.cert == nil {
 				// The certificate has not arrived; when it does, the
-				// rendezvous forwards it here and the shard's pending-ref /
-				// missing-fp machinery handles the late arrival.
+				// rendezvous forwards it here, where it wakes the shard's
+				// parked detector observations; the merged view prices the
+				// lateness (core.ReplayLateCert).
 				ent.waiting |= bit
 				continue
 			}

@@ -90,7 +90,6 @@ type segState struct {
 	ConnsIngested uint64
 	CertsIngested uint64
 	Evicted       uint64
-	Rebuilds      uint64
 	Watermark     time.Time
 	EvictCutoff   time.Time
 	Epoch         uint64
@@ -486,12 +485,10 @@ func (e *Engine) writeDelta(path string, full bool) (int64, func(chainLen int), 
 	}
 	nCerts := len(e.rosterLog)
 	newMark := e.nextSeq
-	rebuilds, _ := e.d.stats()
 	st := &segState{
 		ConnsIngested: e.connsIngested,
 		CertsIngested: e.certsIngested,
 		Evicted:       e.evicted,
-		Rebuilds:      rebuilds,
 		Watermark:     e.watermark,
 		EvictCutoff:   e.ckptCutoff,
 		Interception:  e.icpt.Snapshot(),
@@ -739,9 +736,9 @@ func (ck *committed) adopt(c *checkpointer) {
 }
 
 // Restore starts an engine from the checkpoint at path and returns the
-// cursor stored with it. The restored engine's derived state is rebuilt
-// lazily on first materialization; resuming ingestion from the cursor
-// and draining yields reports byte-identical to an uninterrupted run.
+// cursor stored with it. The restored engine's first read replays the
+// restored window; resuming ingestion from the cursor and draining
+// yields reports byte-identical to an uninterrupted run.
 // The error is os.ErrNotExist only when path holds no checkpoint.
 func Restore(cfg Config, path string) (*Engine, map[string]int64, error) {
 	ck, err := openCheckpoint(path, 1)
@@ -806,10 +803,9 @@ func (e *Engine) restoreCertsLocked(batch *segCerts, renumber bool) error {
 // finishRestoreLocked completes any restore from the last state read:
 // counters, export numbering (kept unless the records were renumbered,
 // whose fresh epoch then refuses cursors against the old process as
-// stale), detector state, lazily rebuilt derived state, and checkpoint
-// bookkeeping (everything in the window is covered by what was just
-// read, so the next delta starts at the current sequence mark with no
-// pending certificates).
+// stale), detector state, and checkpoint bookkeeping (everything in the
+// window is covered by what was just read, so the next delta starts at
+// the current sequence mark with no pending certificates).
 func (e *Engine) finishRestoreLocked(last *segState, renumber bool) {
 	e.connsIngested = last.ConnsIngested
 	e.certsIngested = last.CertsIngested
@@ -823,7 +819,6 @@ func (e *Engine) finishRestoreLocked(last *segState, renumber bool) {
 		e.nextSeq = max(e.nextSeq, last.NextSeq)
 	}
 	e.icpt = e.det.RestoreStream(e.lookupCert, last.Interception)
-	e.d.restored(last.Rebuilds)
 	if e.cfg.TrackExport {
 		// certSeqs was restored in file order; the log wants admission
 		// order.

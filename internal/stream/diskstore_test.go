@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/certmodel"
@@ -129,5 +131,62 @@ func TestPlainCheckpointRestoresOntoDiskStore(t *testing.T) {
 			t.Fatalf("%s: disk restore holds %d conns (%d cold) of %d", c.name, disk.st.ConnCount(), st.ColdConns.Load(), c.conns)
 		}
 		diffReports(t, c.name+": disk-store against memory-store restore", allReports(t, mem), allReports(t, disk))
+	}
+}
+
+// liveHeap is the heap still reachable after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestTieredReportDoesNotPinRecords: a disk-store deployment under a
+// starved hot budget holds the same live heap after a round of reports
+// as before it, at one shard and at two — a view that kept its Builder
+// would hold every record the report decoded from the cold tier, and the
+// budget would bound nothing from the first report on. The reports
+// themselves equal the memory store's.
+func TestTieredReportDoesNotPinRecords(t *testing.T) {
+	const margin = 4 << 20
+	b := genBuild(20240504, 400)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	mem := newEngine(t, in, nil)
+	feedBatches(t, mem, certRecords(b), b.Raw.Conns, 512)
+	mem.Drain()
+	want := allReports(t, mem)
+
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			s := newSharded(t, n, in, func(c *Config) {
+				c.Store = "disk"
+				c.StoreDir = t.TempDir()
+				c.HotBytes = 256 << 10
+			})
+			feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
+			s.Drain()
+			var cold int64
+			for _, e := range s.shards {
+				cold += e.st.Stats().ColdConns.Load()
+			}
+			if cold < int64(len(b.Raw.Conns))*9/10 {
+				t.Fatalf("%d of %d connections are cold: the budget is not starving the hot tier", cold, len(b.Raw.Conns))
+			}
+			before := liveHeap()
+			got := allReports(t, s)
+			diffReports(t, "disk store against memory store", want, got)
+			got = nil
+			after := liveHeap()
+			t.Logf("live heap %.1f MB before the reports, %.1f MB after", float64(before)/1e6, float64(after)/1e6)
+			if after-before > margin {
+				t.Errorf("live heap grew %.1f MB across a round of reports (%.1f → %.1f MB): decoded records are pinned",
+					float64(after-before)/1e6, float64(before)/1e6, float64(after)/1e6)
+			}
+			if st := s.Stats(); !st.Dirty {
+				t.Error("Stats().Dirty = false after a read: the view is holding a Builder over a tiered window")
+			}
+		})
 	}
 }

@@ -15,31 +15,36 @@
 // (the same enricher the serial batch path runs) and interception
 // filtering through interception.Stream (which Detector.Run itself wraps).
 //
-// # Retroactive evidence and rebuilds
+// # Retroactive evidence and replays
 //
-// Two kinds of evidence arrive late in a stream and invalidate earlier
-// conclusions, both impossible in batch where all data is present up
-// front: a certificate can arrive after connections that referenced it
-// (their enrichment resolved the chain to nil), and an issuer can be
-// confirmed as TLS interception after its certificates were already
-// admitted (§3.2 excludes them retroactively). The engine detects both —
-// a generation counter on the exclusion set, a missing-reference set for
-// late certificates — and marks the derived state dirty; the next
-// materialization rebuilds it from the retained raw records through the
-// same Builder path. Rebuilds are counted in Stats. Between rebuilds
-// (the steady state once the certificate roster has settled) ingestion
-// is purely incremental.
+// The apply loop stores raw state only: the certificate roster, the
+// retained connection window, the §3.2 detector. Reports are read through
+// a one-source core.MergedView over that state — the same materializer a
+// sharded engine and an aggregator use — whose Builder lives as long as
+// the engine and, on a read after new events, enriches those events and
+// nothing else. Late evidence can make appending differ from what batch
+// would compute, where all data is present up front; the view then
+// replays the retained window through a fresh Builder, for exactly the
+// reasons core.ReplayReason names: the §3.2 exclusion set grew (an issuer
+// confirmed as interception after its certificates were admitted), a
+// certificate arrived after a read had enriched a connection that named
+// it (a certificate that is late but lands before the next read costs
+// nothing: a catch-up adds certificates ahead of connections), or
+// retention evicted. Replays are counted in Stats.Rebuilds and, by
+// reason, in stream_merge_replays_total. A read holds the engine's state
+// lock only while it snapshots what is new; the report scan itself runs
+// beside ingestion.
 //
 // # Bounded memory
 //
 // Connection state is the unbounded dimension of a long-running monitor;
 // Config.Retention bounds it with a sliding time window over connection
 // timestamps. Eviction drops raw connections older than the watermark
-// minus the retention and rebuilds derived state on the next
-// materialization, so reports then describe the retained window. The
-// certificate roster and the interception detector are cumulative by
-// design: certificates are the deduplicated entity the paper counts, and
-// evicted connections must still count toward issuer confirmation.
+// minus the retention; the next read replays, so reports then describe
+// the retained window. The certificate roster and the interception
+// detector are cumulative by design: certificates are the deduplicated
+// entity the paper counts, and evicted connections must still count
+// toward issuer confirmation.
 package stream
 
 import (
@@ -89,7 +94,7 @@ type Config struct {
 	// sweeps when Retention is set (default 1024).
 	EvictEvery int
 	// Metrics receives the engine's operational series (ingest counters,
-	// queue latency, rebuild/materialize/evict durations, buffer
+	// queue latency, merge/materialize/evict durations, buffer
 	// occupancy). Nil disables exposition; the engine still instruments
 	// into a private registry so call sites stay unconditional.
 	Metrics *metrics.Registry
@@ -100,8 +105,9 @@ type Config struct {
 	// spilled to a segment file under StoreDir — so the window can exceed
 	// RAM. The certificate roster is resident either way. A tiered engine
 	// trades materialization cost for bounded ingest RSS: every report
-	// rebuilds derived state from the window (the in-memory incremental
-	// path would pin records the window wants to spill).
+	// replays the window, decoding the spilled records, and lets the
+	// enriched state go when it returns (kept, it would pin every record
+	// the window spilled) — at any shard count.
 	Store string
 	// StoreDir is the disk store's scratch directory (required when
 	// Store is "disk"; recreated on start — durability is the
@@ -143,8 +149,8 @@ type Stats struct {
 	Rejected      uint64 // invalid events refused at the ingest boundary
 	Retained      int    // connections currently in the window
 	Evicted       uint64 // connections dropped by retention
-	Rebuilds      uint64 // derived-state rebuilds (retroactive evidence)
-	Dirty         bool   // derived state awaiting rebuild
+	Rebuilds      uint64 // merged-view replays since the process started
+	Dirty         bool   // state changed since the last read caught up
 
 	UniqueCerts         int // certificate roster size
 	ExcludedCerts       int // §3.2 interception exclusions so far
@@ -214,8 +220,9 @@ type Engine struct {
 	certLog  []ExportCert
 	epoch    uint64
 
-	// d is the derived state; nil on a routed shard.
-	d *derived
+	// view materializes reports from the raw state above; nil on a routed
+	// shard, whose Sharded reads all shards through one view.
+	view *core.MergedView
 
 	connsIngested uint64
 	certsIngested uint64
@@ -272,7 +279,12 @@ func New(cfg Config) (*Engine, error) {
 	e.icpt = e.det.NewStream(e.lookupCert)
 	e.m = newEngineMetrics(cfg.Metrics, e)
 	if !cfg.routed {
-		e.d = newDerived(e)
+		e.view = &core.MergedView{
+			Input:    cfg.Input,
+			Versions: func() []uint64 { return []uint64{e.stateVer.Load()} },
+			Capture:  e.capture,
+			OnMerge:  e.m.onMerge,
+		}
 		e.ckpt = &checkpointer{engines: []*Engine{e}, dur: e.m.checkpointDur, compactDur: e.m.compactDur}
 	}
 	go e.run()
@@ -419,8 +431,8 @@ func (e *Engine) applyLocked(ev event) {
 }
 
 // applyCertLocked admits one certificate: first observation of a
-// fingerprint joins the roster (as zeek.Dataset.AddCert would), wakes any
-// parked detector observations, and is offered to the derived state.
+// fingerprint joins the roster (as zeek.Dataset.AddCert would) and wakes
+// any parked detector observations.
 func (e *Engine) applyCertLocked(c *certmodel.CertInfo) {
 	e.certsIngested++
 	e.m.certsIngested.Inc()
@@ -434,12 +446,11 @@ func (e *Engine) applyCertLocked(c *certmodel.CertInfo) {
 		e.nextSeq++
 	}
 	e.icpt.ObserveCert(c)
-	e.d.certAdmitted(c)
 }
 
 // applyConnLocked admits one connection: it is retained raw (the window
-// the derived state can always be rebuilt from), observed by the
-// interception detector, and offered to the derived state.
+// every report is materialized from) and observed by the interception
+// detector.
 func (e *Engine) applyConnLocked(rec *core.ConnRecord, seq uint64) {
 	e.connsIngested++
 	e.m.connsIngested.Inc()
@@ -451,10 +462,7 @@ func (e *Engine) applyConnLocked(rec *core.ConnRecord, seq uint64) {
 		seq = e.nextSeq
 	}
 	e.nextSeq = seq + 1
-	stored := e.st.AppendConn(rec, seq)
-
-	e.icpt.Observe(stored)
-	e.d.connApplied(stored)
+	e.icpt.Observe(e.st.AppendConn(rec, seq))
 
 	if e.cfg.Retention > 0 {
 		e.sinceEvict++
@@ -482,65 +490,68 @@ func (e *Engine) evictLocked() {
 	}
 	e.evicted += dropped
 	e.m.evicted.Add(dropped)
-	e.d.invalidate()
 	e.stateVer.Add(1)
 }
 
-// preReportLocked assembles the §3.2 statistics exactly as the batch
-// preprocess reports them: raw counts before filtering, the confirmed
-// issuer list, and the exclusion share of the certificate roster.
-func (e *Engine) preReportLocked() *core.PreprocessReport {
-	res := e.icpt.Result()
-	return &core.PreprocessReport{
-		InterceptionIssuers: res.Issuers,
-		ExcludedCerts:       len(res.ExcludedCerts),
-		ExcludedShare:       res.ExcludedShare(len(e.roster)),
-		RawCerts:            len(e.roster),
-		RawConns:            int(e.connsIngested),
+// capture is the view's one source: the roster-log entries and window
+// suffix past the cursor, with the version, loss count and §3.2 verdict
+// they were read under. All of it stays readable once the lock is
+// released (roster pointers are immutable, appends land past the captured
+// lengths, eviction swaps in fresh arrays, a verdict is a new value when
+// it moves); on a tiered window the records are copies made here, which
+// is what Copies tells the view.
+func (e *Engine) capture(since []core.MergeCursor) core.MergeCapture {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	conns, seqs := e.st.Snapshot(since[0].Seq)
+	return core.MergeCapture{
+		Shards:   []core.ShardState{{Certs: e.rosterLog[since[0].Certs:], Conns: conns, Seqs: seqs}},
+		Versions: []uint64{e.stateVer.Load()},
+		Lost:     []uint64{e.evicted},
+		Verdict:  e.icpt.Result(),
+		RawConns: e.connsIngested,
+		RawCerts: len(e.roster),
+		Copies:   e.st.Tiered(),
 	}
 }
 
 // Analysis materializes every table and figure over the state applied so
 // far — mid-stream this is a consistent snapshot; after Drain on a
-// finite input it deep-equals the batch pipeline's Analysis. Ingestion
-// pauses while the analyses run.
+// finite input it deep-equals the batch pipeline's Analysis.
 func (e *Engine) Analysis() *core.Analysis {
 	var a *core.Analysis
 	e.WithPipeline(func(p *core.Pipeline) { a = p.RunAll() })
 	return a
 }
 
-// WithPipeline runs fn over a materialized pipeline while holding the
-// engine's state lock; fn must not retain the pipeline. The whole
-// materialization (any pending rebuild plus fn) is observed in
-// stream_materialize_seconds. On a tiered store the derived state is
-// released afterwards — it pins records the store spilled, so keeping
-// it would defeat the hot-set bound; the cost is a full rebuild per
-// materialization, the tiered engine's documented trade.
+// WithPipeline runs fn over the engine's materialized pipeline; fn must
+// not retain it. Ingestion keeps flowing while fn runs. The whole
+// materialization (any catch-up or replay plus fn) is observed in
+// stream_materialize_seconds.
 func (e *Engine) WithPipeline(fn func(*core.Pipeline)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.d == nil {
+	if e.view == nil {
 		panic("stream: a routed shard keeps raw state only; materialize through its Sharded")
 	}
 	defer e.m.materializeDur.Since(time.Now())
-	fn(e.d.pipeline())
-	if e.d.tiered {
-		e.d.reset()
-	}
+	e.view.WithPipeline(fn)
 }
 
 // Stats returns the operational counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.statsLocked()
+	st := e.statsLocked()
+	e.mu.Unlock()
+	if e.view != nil {
+		ms := e.view.Stats()
+		st.Rebuilds, st.Dirty = ms.Replays, ms.Stale
+	}
+	return st
 }
 
-// statsLocked is Stats for a caller already holding the state lock (the
-// router reads a shard's counters and detector under one hold).
+// statsLocked is the raw state's counters, for a caller already holding
+// the state lock (the router reads a shard's counters and detector under
+// one hold). Rebuilds and Dirty belong to whoever owns the view.
 func (e *Engine) statsLocked() Stats {
-	rebuilds, dirty := e.d.stats()
 	st := Stats{
 		ConnsIngested:       e.connsIngested,
 		CertsIngested:       e.certsIngested,
@@ -548,8 +559,6 @@ func (e *Engine) statsLocked() Stats {
 		Rejected:            e.rejected.Load(),
 		Retained:            e.st.ConnCount(),
 		Evicted:             e.evicted,
-		Rebuilds:            rebuilds,
-		Dirty:               dirty,
 		UniqueCerts:         len(e.roster),
 		ExcludedCerts:       e.icpt.ExcludedCount(),
 		InterceptionIssuers: e.icpt.ConfirmedCount(),

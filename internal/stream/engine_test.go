@@ -11,6 +11,7 @@ import (
 	"repro/internal/certmodel"
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/workload"
 	"repro/internal/zeek"
@@ -196,9 +197,30 @@ func TestStreamOutOfOrderCerts(t *testing.T) {
 
 	in := inputFromBuild(b)
 	in.Raw = nil
-	e := newEngine(t, in, nil)
+	reg := metrics.New()
+	e := newEngine(t, in, func(c *Config) { c.Metrics = reg })
 	for i := range b.Raw.Conns {
 		e.IngestConn(&b.Raw.Conns[i])
+	}
+	// A read now enriches every connection against an empty roster; the
+	// certificates that follow are late for it. The client-only ones go
+	// first: they cannot move the §3.2 verdict, so the read after them
+	// replays for the late certificates and nothing else.
+	e.Drain()
+	e.Analysis()
+	served := map[ids.Fingerprint]bool{}
+	for i := range b.Raw.Conns {
+		served[b.Raw.Conns[i].ServerLeaf()] = true
+	}
+	for _, c := range b.Raw.Certs {
+		if !served[c.Fingerprint] {
+			e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+		}
+	}
+	e.Drain()
+	e.Analysis()
+	if got := mergeReplays(reg); got[core.ReplayFirst] != 1 || got[core.ReplayLateCert] != 1 || len(got) != 2 {
+		t.Errorf("replays after the client-only certificates: %v, want first 1 and late_cert 1", got)
 	}
 	for _, c := range b.Raw.Certs {
 		e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
@@ -207,8 +229,92 @@ func TestStreamOutOfOrderCerts(t *testing.T) {
 	if got := e.Analysis(); !reflect.DeepEqual(batch, got) {
 		t.Error("out-of-order stream analysis differs from batch")
 	}
-	if st := e.Stats(); st.Rebuilds == 0 {
-		t.Error("late certificates should have forced a rebuild")
+	got := mergeReplays(reg)
+	if got[core.ReplayOrder] != 0 || got[core.ReplayLost] != 0 || got[core.ReplayVerdict]+got[core.ReplayLateCert] != 2 {
+		t.Errorf("replays %v, want one more for the verdict or a late certificate, none for order or loss", got)
+	}
+	if st := e.Stats(); st.Rebuilds != 3 {
+		t.Errorf("Stats().Rebuilds = %d, want the 3 replays %v", st.Rebuilds, got)
+	}
+}
+
+// TestEngineLateCertBetweenReads prices a late certificate by when it
+// lands. Withheld until after the connections that name it but delivered
+// before the next read, it costs nothing — a catch-up adds certificates
+// ahead of connections, so the enrichment resolves it as batch would.
+// Delivered after a read that enriched those connections without it, it
+// costs exactly one late_cert replay. Both ways the reports equal batch.
+func TestEngineLateCertBetweenReads(t *testing.T) {
+	b := genBuild(20240504, 2000)
+	batch := core.Run(inputFromBuild(b))
+	// The withheld certificate: a client leaf no connection presents as a
+	// server leaf, so it cannot move the §3.2 verdict; and the connection
+	// that first names it repeats an earlier one's server leaf and SNI, so
+	// that connection brings the detector no new evidence either. Nothing
+	// but the certificate's lateness can then make the read after it
+	// replay. The latest such connection, for a window worth replaying.
+	type serverSide struct {
+		leaf ids.Fingerprint
+		sni  string
+	}
+	served, named, seen := map[ids.Fingerprint]bool{}, map[ids.Fingerprint]bool{}, map[serverSide]bool{}
+	for i := range b.Raw.Conns {
+		served[b.Raw.Conns[i].ServerLeaf()] = true
+	}
+	var late *certmodel.CertInfo
+	first := -1
+	for i := range b.Raw.Conns {
+		rec := &b.Raw.Conns[i]
+		side := serverSide{rec.ServerLeaf(), rec.SNI}
+		if cl := rec.ClientLeaf(); cl != "" && !named[cl] {
+			named[cl] = true
+			if c := b.Raw.Certs[cl]; c != nil && !served[cl] && seen[side] {
+				late, first = c, i
+			}
+		}
+		seen[side] = true
+	}
+	if late == nil {
+		t.Fatal("the build has no client-only leaf first named beside a repeated server side")
+	}
+
+	for _, readBetween := range []bool{false, true} {
+		in := inputFromBuild(b)
+		in.Raw = nil
+		reg := metrics.New()
+		e := newEngine(t, in, func(c *Config) { c.Metrics = reg })
+		for _, c := range b.Raw.Certs {
+			if c != late {
+				e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+			}
+		}
+		e.IngestConnBatch(b.Raw.Conns[:first])
+		e.Drain()
+		e.Analysis() // the first replay
+		e.IngestConn(&b.Raw.Conns[first])
+		want := map[core.ReplayReason]uint64{core.ReplayFirst: 1}
+		if readBetween {
+			e.Drain()
+			e.Analysis() // enriches the connection without its client certificate
+			want[core.ReplayLateCert] = 1
+		}
+		e.IngestCert(&core.CertRecord{TS: late.NotBefore, Cert: late})
+		e.Drain()
+		e.Analysis()
+		if got := mergeReplays(reg); !reflect.DeepEqual(got, want) {
+			t.Errorf("read between %v: replays %v, want %v", readBetween, got, want)
+		}
+		if st := e.Stats(); st.Rebuilds != uint64(len(want)) || st.Dirty {
+			t.Errorf("read between %v: Stats() = %d rebuilds, dirty %v; want %d, false", readBetween, st.Rebuilds, st.Dirty, len(want))
+		}
+		e.IngestConnBatch(b.Raw.Conns[first+1:])
+		e.Drain()
+		if got := e.Analysis(); !reflect.DeepEqual(batch, got) {
+			t.Errorf("read between %v: analysis differs from batch", readBetween)
+		}
+		if got := mergeReplays(reg); got[core.ReplayOrder] != 0 || got[core.ReplayLost] != 0 {
+			t.Errorf("read between %v: replays %v, want none for order or loss", readBetween, got)
+		}
 	}
 }
 
@@ -300,6 +406,14 @@ func TestCheckpointRestoreResume(t *testing.T) {
 	}
 }
 
+// stallApply stops e's apply loop by taking the state lock it applies
+// under — a report no longer holds that lock, so parking one stalls
+// nothing. release lets the loop go again.
+func stallApply(e *Engine) (release func()) {
+	e.mu.Lock()
+	return e.mu.Unlock
+}
+
 // TestBackpressureDrop verifies the Drop policy sheds load without
 // corrupting state, and that drops are counted.
 func TestBackpressureDrop(t *testing.T) {
@@ -308,11 +422,8 @@ func TestBackpressureDrop(t *testing.T) {
 	in.Raw = nil
 	e := newEngine(t, in, func(c *Config) { c.Policy = Drop; c.Buffer = 8 })
 
-	// Stall the apply loop by holding the state lock, then flood.
-	hold := make(chan struct{})
-	release := make(chan struct{})
-	go e.WithPipeline(func(*core.Pipeline) { close(hold); <-release })
-	<-hold
+	// Stall the apply loop, then flood.
+	release := stallApply(e)
 	var accepted, dropped int
 	for i := range b.Raw.Conns {
 		if e.IngestConn(&b.Raw.Conns[i]) {
@@ -321,7 +432,7 @@ func TestBackpressureDrop(t *testing.T) {
 			dropped++
 		}
 	}
-	close(release)
+	release()
 	e.Drain()
 
 	if dropped == 0 {
@@ -347,10 +458,7 @@ func TestBackpressureBlock(t *testing.T) {
 	in.Raw = nil
 	e := newEngine(t, in, func(c *Config) { c.Buffer = 8 })
 
-	hold := make(chan struct{})
-	release := make(chan struct{})
-	go e.WithPipeline(func(*core.Pipeline) { close(hold); <-release })
-	<-hold
+	release := stallApply(e)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -363,7 +471,7 @@ func TestBackpressureBlock(t *testing.T) {
 		t.Fatal("producer finished against a stalled consumer with an 8-slot buffer")
 	case <-time.After(50 * time.Millisecond):
 	}
-	close(release)
+	release()
 	<-done
 	e.Drain()
 	if st := e.Stats(); st.Dropped != 0 || st.ConnsIngested != uint64(len(b.Raw.Conns)) {
@@ -380,11 +488,19 @@ func TestWindowedEviction(t *testing.T) {
 	in := inputFromBuild(b)
 	in.Raw = nil
 	retention := 120 * 24 * time.Hour // 4 months of a 23-month stream
+	reg := metrics.New()
 	e := newEngine(t, in, func(c *Config) {
 		c.Retention = retention
 		c.EvictEvery = 256
+		c.Metrics = reg
 	})
-	feed(t, e, b)
+	// A read halfway: the evictions that follow are a loss to it, and the
+	// next read replays for that and nothing else.
+	half := len(b.Raw.Conns) / 2
+	feedBatches(t, e, certRecords(b), b.Raw.Conns[:half], 512)
+	e.Drain()
+	e.Analysis()
+	feedBatches(t, e, nil, b.Raw.Conns[half:], 512)
 	e.Drain()
 
 	st := e.Stats()
@@ -395,6 +511,9 @@ func TestWindowedEviction(t *testing.T) {
 		t.Fatalf("retained %d of %d, expected a bounded window", st.Retained, len(b.Raw.Conns))
 	}
 	a := e.Analysis()
+	if got := mergeReplays(reg); got[core.ReplayFirst] != 1 || got[core.ReplayLost] != 1 || len(got) != 2 {
+		t.Errorf("replays %v, want first 1 and lost 1 (order 0)", got)
+	}
 	if a.Preprocess.RawConns != len(b.Raw.Conns) {
 		t.Fatalf("cumulative RawConns = %d, want %d", a.Preprocess.RawConns, len(b.Raw.Conns))
 	}

@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ids"
@@ -216,5 +218,57 @@ func TestShardedCatchUpIsODelta(t *testing.T) {
 		if smallA != largeA {
 			t.Errorf("shards=%d: catch-up allocations depend on the window: %d behind 5k, %d behind 50k", n, smallA, largeA)
 		}
+	}
+}
+
+// TestParkedReportBlocksNothing: a report scan parked inside its fn holds
+// no lock that ingestion or a health check needs — at one engine or
+// behind a router, a batch is applied, Drain returns and Stats answers
+// (stale, with the parked read's one replay) while the scan is still out.
+func TestParkedReportBlocksNothing(t *testing.T) {
+	b := genBuild(20240504, 2000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	type owner interface {
+		batchIngester
+		Materializer
+		Drain()
+		Stats() Stats
+	}
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			var g owner = newEngine(t, in, nil)
+			if n > 1 {
+				g = newSharded(t, n, in, nil)
+			}
+			half := len(b.Raw.Conns) / 2
+			feedBatches(t, g, certRecords(b), b.Raw.Conns[:half], 512)
+			g.Drain()
+
+			parked, release := make(chan struct{}), make(chan struct{})
+			read := make(chan struct{})
+			go func() {
+				defer close(read)
+				g.WithPipeline(func(*core.Pipeline) { close(parked); <-release })
+			}()
+			<-parked
+			got := make(chan Stats, 1)
+			go func() {
+				g.IngestConnBatch(b.Raw.Conns[half:])
+				g.Drain()
+				got <- g.Stats()
+			}()
+			select {
+			case st := <-got:
+				if st.ConnsIngested != uint64(len(b.Raw.Conns)) || st.Rebuilds != 1 || !st.Dirty {
+					t.Errorf("Stats() beside the parked report = %d conns, %d rebuilds, dirty %v; want %d, 1, true",
+						st.ConnsIngested, st.Rebuilds, st.Dirty, len(b.Raw.Conns))
+				}
+			case <-time.After(10 * time.Second):
+				t.Error("ingest, Drain or Stats waited behind a parked report")
+			}
+			close(release)
+			<-read
+		})
 	}
 }

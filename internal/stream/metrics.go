@@ -8,7 +8,7 @@ import (
 )
 
 // MergeObserver registers a merged view's series under prefix ("stream"
-// for a sharded engine, "distrib" for an aggregator) — <prefix>_merges_total
+// for an engine, plain or sharded, "distrib" for an aggregator) — <prefix>_merges_total
 // and <prefix>_merge_seconds for every catch-up, and
 // <prefix>_merge_replays_total{reason} for those that had to replay, all
 // five reasons visible from boot — and returns the core.MergedView.OnMerge
@@ -30,7 +30,7 @@ func MergeObserver(reg *metrics.Registry, prefix string) func(time.Duration, cor
 
 // engineMetrics is the engine's instrumentation: counters for the event
 // flow, histograms for the costs that dominate a long-running monitor
-// (queue latency, rebuild and materialization duration, eviction sweeps,
+// (queue latency, replay and materialization duration, eviction sweeps,
 // checkpoint writes), and gauges for current occupancy. Registered into
 // Config.Metrics; when the caller passes no registry a private one is
 // created so every call site stays unconditional.
@@ -40,12 +40,10 @@ type engineMetrics struct {
 	dropped       *metrics.Counter
 	rejected      *metrics.Counter
 	evicted       *metrics.Counter
-	rebuilds      *metrics.Counter
 	checkpoints   *metrics.Counter
 	compactions   *metrics.Counter
 
 	applyLatency   *metrics.Histogram // enqueue -> apply
-	rebuildDur     *metrics.Histogram
 	materializeDur *metrics.Histogram
 	evictDur       *metrics.Histogram
 	checkpointDur  *metrics.Histogram
@@ -55,6 +53,10 @@ type engineMetrics struct {
 	rosterSize      *metrics.Gauge
 	checkpointBytes *metrics.Gauge
 	checkpointSegs  *metrics.Gauge
+
+	// onMerge feeds the view's series; nil on a routed shard, which has
+	// no view.
+	onMerge func(time.Duration, core.ReplayReason)
 }
 
 // newEngineMetrics registers the engine's series. The occupancy gauges
@@ -73,13 +75,11 @@ func newEngineMetrics(r *metrics.Registry, e *Engine) *engineMetrics {
 		dropped:       r.Counter("stream_events_dropped_total", "events shed under Policy Drop", lbl...),
 		rejected:      r.Counter("stream_events_rejected_total", "invalid events refused at the ingest boundary", lbl...),
 		evicted:       r.Counter("stream_conns_evicted_total", "connections dropped by the retention window", lbl...),
-		rebuilds:      r.Counter("stream_rebuilds_total", "derived-state rebuilds (retroactive evidence)", lbl...),
 		checkpoints:   r.Counter("stream_checkpoints_total", "checkpoints written", lbl...),
 		compactions:   r.Counter("stream_checkpoint_compactions_total", "checkpoint segment compactions", lbl...),
 
 		applyLatency:   r.Histogram("stream_apply_latency_seconds", "ingest enqueue to apply latency", nil, lbl...),
-		rebuildDur:     r.Histogram("stream_rebuild_seconds", "derived-state rebuild duration", nil, lbl...),
-		materializeDur: r.Histogram("stream_materialize_seconds", "report materialization duration (incl. any rebuild)", nil, lbl...),
+		materializeDur: r.Histogram("stream_materialize_seconds", "report materialization duration (incl. any catch-up or replay)", nil, lbl...),
 		evictDur:       r.Histogram("stream_evict_seconds", "retention eviction sweep duration", nil, lbl...),
 		checkpointDur:  r.Histogram("stream_checkpoint_seconds", "checkpoint serialization+rename duration", nil, lbl...),
 		compactDur:     r.Histogram("stream_compact_seconds", "checkpoint compaction duration", nil, lbl...),
@@ -88,6 +88,21 @@ func newEngineMetrics(r *metrics.Registry, e *Engine) *engineMetrics {
 		rosterSize:      r.Gauge("stream_store_hot_certs", "roster certificates (always resident)", lbl...),
 		checkpointBytes: r.Gauge("stream_checkpoint_bytes", "bytes written by the last checkpoint (delta, not total state)", lbl...),
 		checkpointSegs:  r.Gauge("stream_checkpoint_segments", "segments in the committed checkpoint manifest", lbl...),
+	}
+	// The two rebuild series are the replays among the view's catch-ups
+	// under the names they have always had; a routed shard never replays
+	// and exposes them at zero.
+	rebuilds := r.Counter("stream_rebuilds_total", "merged-view replays (retroactive evidence)", lbl...)
+	rebuildDur := r.Histogram("stream_rebuild_seconds", "merged-view replay duration", nil, lbl...)
+	if !e.cfg.routed {
+		merge := MergeObserver(r, "stream")
+		m.onMerge = func(d time.Duration, replay core.ReplayReason) {
+			merge(d, replay)
+			if replay != "" {
+				rebuilds.Inc()
+				rebuildDur.Observe(d.Seconds())
+			}
+		}
 	}
 	r.GaugeFunc("stream_buffer_occupancy", "events waiting in the ingest buffer",
 		func() float64 { return float64(len(e.ch)) }, lbl...)

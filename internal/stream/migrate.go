@@ -24,9 +24,9 @@ const checkpointVersion = 1
 
 // checkpointState is one engine's full state as a single gob: the raw
 // ground truth (certificate roster, retained connections, cumulative
-// detector state and counters) from which every derived structure is
-// rebuilt on restore, and — when the file stood alone rather than under
-// a manifest.json — the daemon's log-file cursor.
+// detector state and counters) from which every report is materialized,
+// and — when the file stood alone rather than under a manifest.json —
+// the daemon's log-file cursor.
 type checkpointState struct {
 	Version int
 	Cursor  map[string]int64
@@ -34,7 +34,6 @@ type checkpointState struct {
 	ConnsIngested uint64
 	CertsIngested uint64
 	Evicted       uint64
-	Rebuilds      uint64
 	Watermark     time.Time
 
 	Roster       []*certmodel.CertInfo
@@ -96,7 +95,6 @@ func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
 			ConnsIngested: st.ConnsIngested,
 			CertsIngested: st.CertsIngested,
 			Evicted:       st.Evicted,
-			Rebuilds:      st.Rebuilds,
 			Watermark:     st.Watermark,
 			Epoch:         st.Epoch,
 			NextSeq:       st.NextSeq,

@@ -157,8 +157,20 @@ func TestEngineMetrics(t *testing.T) {
 	if got := reg.Counter("stream_certs_ingested_total", "").Value(); got != st.CertsIngested {
 		t.Errorf("certs counter = %d, stats = %d", got, st.CertsIngested)
 	}
-	if got := reg.Counter("stream_rebuilds_total", "").Value(); got != st.Rebuilds {
-		t.Errorf("rebuilds counter = %d, stats = %d", got, st.Rebuilds)
+	// One read so far: the first replay, under every name it is counted.
+	var replays uint64
+	for _, n := range mergeReplays(reg) {
+		replays += n
+	}
+	if got := reg.Counter("stream_rebuilds_total", "").Value(); got != 1 || replays != 1 || st.Rebuilds != 1 {
+		t.Errorf("rebuilds counter = %d, replays by reason = %d (%v), stats = %d; want 1 each",
+			got, replays, mergeReplays(reg), st.Rebuilds)
+	}
+	if got := reg.Histogram("stream_rebuild_seconds", "", nil).Count(); got != 1 {
+		t.Errorf("rebuild histogram saw %d replays, want 1", got)
+	}
+	if merges, timed := reg.Counter("stream_merges_total", "").Value(), reg.Histogram("stream_merge_seconds", "", nil).Count(); merges != 1 || timed != 1 {
+		t.Errorf("%d merges counted, %d timed, want 1 each", merges, timed)
 	}
 	if got := reg.Histogram("stream_apply_latency_seconds", "", nil).Count(); got != st.ConnsIngested+st.CertsIngested {
 		t.Errorf("apply latency observations = %d, want %d", got, st.ConnsIngested+st.CertsIngested)
@@ -181,6 +193,7 @@ func TestEngineMetrics(t *testing.T) {
 		"stream_buffer_capacity",
 		"stream_buffer_occupancy",
 		"stream_conns_retained",
+		`stream_merge_replays_total{reason="order"} 0`,
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("exposition missing %s", want)

@@ -67,8 +67,10 @@ const MaxShards = 64
 // past the view's cursor), and nothing at all while no shard moved. Only
 // the cases core.ReplayReason names re-enrich the window — the §3.2
 // verdict grew, a certificate arrived after a connection that named it,
-// retention evicted — as a settled single engine rebuilds for the same
-// causes.
+// retention evicted — the same view, for the same causes, as a single
+// engine's. On the disk store the shards' captures are decoded copies, so
+// the view keeps no Builder between reads: every report replays, and the
+// hot-set bound holds after a report as it did before it.
 //
 // The §3.2 verdict is not part of that price. The router owns one
 // evidence union for the deployment's lifetime; Stats, the merged view's
@@ -336,9 +338,7 @@ func (s *Sharded) absorbLocked(i int) {
 
 // capture snapshots what each shard holds beyond the merged view's
 // cursor — the roster-log entries and the window suffix it has not seen —
-// under that shard's lock: slice headers are safe to merge lock-free
-// afterwards (appends never mutate elements below the captured length
-// and eviction swaps in a fresh array) and roster pointers are immutable.
+// under that shard's lock, as Engine.capture does for a single engine.
 // The version is read, and the union caught up, under the same lock hold
 // as the state, so the cache key and the verdict match exactly what was
 // captured; the union lock is held across all shards so a concurrent
@@ -371,6 +371,7 @@ func (s *Sharded) capture(since []core.MergeCursor) core.MergeCapture {
 		conns, seqs := e.st.Snapshot(since[i].Seq)
 		c.Shards[i] = core.ShardState{Certs: e.rosterLog[since[i].Certs:], Conns: conns, Seqs: seqs}
 		c.RawConns += e.connsIngested
+		c.Copies = e.st.Tiered() // one store configuration for all shards
 		if e.nextSeq < s.routed[i] {
 			frontier = min(frontier, e.nextSeq)
 		}
@@ -399,7 +400,7 @@ func (s *Sharded) capture(since []core.MergeCursor) core.MergeCapture {
 // state briefly per shard, then releases the locks).
 func (s *Sharded) WithPipeline(fn func(*core.Pipeline)) {
 	if s.single != nil {
-		// No merge: the single engine materializes incrementally.
+		// Nothing to merge: the single engine's own view.
 		s.single.WithPipeline(fn)
 		return
 	}
