@@ -97,7 +97,7 @@ func aggStats(t *testing.T, base string) daemonStats {
 
 // TestDaemonDistrib is the two-process (here: four-goroutine) oracle:
 // two sensor daemons tailing disjoint halves of the connection log —
-// one single-engine, one sharded — an aggregator pulling both, and a
+// one at one shard, one at two — an aggregator pulling both, and a
 // union daemon tailing everything. Every report the aggregator serves
 // must deep-equal the union daemon's, and the distributed tier's
 // identity/health surfaces must be live on both roles.

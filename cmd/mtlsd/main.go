@@ -19,15 +19,16 @@
 //
 //	mtlsgen -out ./data                # produce logs (once, or keep appending)
 //	mtlsd -logs ./data -listen :8411   # tail and serve
-//	mtlsd -logs ./data -shards 4       # shard ingest across 4 engines
+//	mtlsd -logs ./data -shards 4       # apply ingest on 4 shards
 //	curl -s localhost:8411/api/v1/reports/table1 | jq .
 //	curl -s localhost:8411/metrics     # ingest lag, rebuild churn, HTTP latency
 //
-// With -shards n (0 = one per CPU) ingest is routed across n independent
-// engine shards (internal/stream.Sharded): connections by UID hash,
-// certificates to every shard that references them. Reports merge the
-// shard states on demand and are identical to a single-engine run at any
-// shard count. Per-shard series carry a shard="i" label on /metrics.
+// Every daemon runs one internal/stream.Engine: a router over -shards n
+// apply goroutines (default 1; 0 = one per CPU, at most 64), connections
+// to a shard by UID hash, certificates to every shard that references
+// them. Reports are read through one merged view over the shards and are
+// identical at any shard count. Per-shard series carry a shard="i" label
+// on /metrics — shard="0" when there is one.
 //
 // The distributed tier stacks two roles on the same binary. A sensor is
 // a monitor that additionally serializes its engine state over
@@ -142,7 +143,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.scale, "scale", o.scale, "context scale divisor (must match the generator's)")
 	fs.Uint64Var(&o.seed, "seed", o.seed, "context seed (must match the generator's)")
 	fs.IntVar(&o.workers, "workers", o.workers, "report workers: 0 = one per CPU, 1 = serial")
-	fs.IntVar(&o.shards, "shards", o.shards, "engine shards: 1 = single engine, 0 = one per CPU, n = exactly n")
+	fs.IntVar(&o.shards, "shards", o.shards, "engine shards: n apply goroutines behind one router, at most 64 (0 = one per CPU)")
 	fs.BoolVar(&o.pprof, "pprof", o.pprof, "expose net/http/pprof under /debug/pprof/")
 	fs.StringVar(&o.logLevel, "log-level", o.logLevel, "log level: debug, info, warn, error")
 	fs.BoolVar(&o.strict, "strict", o.strict, "fail-stop on malformed log rows instead of quarantining them")

@@ -8,27 +8,14 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"repro/internal/backoff"
-	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/metrics"
 	"repro/internal/stream"
 	"repro/internal/zeek"
 )
-
-// engine is the surface the monitor drives. *stream.Engine and
-// *stream.Sharded both satisfy it.
-type engine interface {
-	reporter
-	IngestConnBatch(recs []core.ConnRecord) int
-	IngestCertBatch(recs []core.CertRecord) int
-	Drain()
-	Close()
-	WriteCheckpoint(path string, cursor map[string]int64) error
-}
 
 // monitor is the tailing half of the monitor and sensor roles: two log
 // tails feeding one engine, checkpointed on a schedule.
@@ -36,7 +23,7 @@ type monitor struct {
 	o      options
 	logger *slog.Logger
 	reg    *metrics.Registry
-	eng    engine
+	eng    *stream.Engine
 	ssl    *zeek.SSLTail
 	x509   *zeek.X509Tail
 
@@ -59,6 +46,14 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 		return 2
 	case o.quarantine != "" && o.strict:
 		logger.Error("-quarantine is meaningless with -strict (strict mode never skips rows)")
+		return 2
+	}
+
+	// Resolve the shard count once, up front: routing, and so which
+	// checkpoints can be restored, is a function of it.
+	shards, err := stream.ShardCount(o.shards)
+	if err != nil {
+		logger.Error("-shards", "err", err)
 		return 2
 	}
 
@@ -115,12 +110,6 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 	if o.drop {
 		scfg.Policy = stream.Drop
 	}
-	// Resolve the shard count up front: routing, and so which checkpoints
-	// can be restored, is a function of it.
-	shards := o.shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
 	eng, cursor, err := openEngine(scfg, shards, o.checkpoint)
 	if err != nil {
 		logger.Error("open engine", "shards", shards, "checkpoint", o.checkpoint, "err", err)
@@ -139,9 +128,7 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 
 	info := daemonInfo{role: o.role, shards: shards}
 	if o.role == "sensor" {
-		// The engine was built with TrackExport, so the concrete type
-		// (Engine or Sharded) always satisfies the export surface.
-		info.sensor = distrib.NewSensor(eng.(distrib.Exporter), reg, logger)
+		info.sensor = distrib.NewSensor(eng, reg, logger)
 	}
 	logger.Info("serving", "addr", ln.Addr().String(), "role", o.role, "shards", shards, "pprof", o.pprof)
 	return serve(ctx, ln, newMux(eng, reg, logger, o.pprof, info), logger, ready, m.run)
@@ -149,22 +136,12 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 
 // openEngine restores the engine from the checkpoint at path, or starts
 // a fresh one when path is empty or holds no checkpoint yet — the one
-// case the restores report as os.ErrNotExist; a checkpoint written at
+// case the restore reports as os.ErrNotExist; a checkpoint written at
 // another shard count, or one whose manifest names a file that is gone,
-// is an error. shards == 1 is the classic single-engine deployment
-// (unlabeled stream_* series); more runs the sharded engine, whose
-// per-shard series carry a shard="i" label. The cursor is nil for a fresh
-// engine.
-func openEngine(cfg stream.Config, shards int, path string) (engine, map[string]int64, error) {
+// is an error. The cursor is nil for a fresh engine.
+func openEngine(cfg stream.Config, shards int, path string) (*stream.Engine, map[string]int64, error) {
 	if path != "" {
-		var eng engine
-		var cursor map[string]int64
-		var err error
-		if shards == 1 {
-			eng, cursor, err = stream.Restore(cfg, path)
-		} else {
-			eng, cursor, err = stream.RestoreSharded(cfg, shards, path)
-		}
+		eng, cursor, err := stream.RestoreSharded(cfg, shards, path)
 		if err == nil {
 			return eng, cursor, nil
 		}
@@ -172,18 +149,8 @@ func openEngine(cfg stream.Config, shards int, path string) (engine, map[string]
 			return nil, nil, fmt.Errorf("restore checkpoint: %w", err)
 		}
 	}
-	if shards == 1 {
-		e, err := stream.New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e, nil, nil
-	}
-	s, err := stream.NewSharded(shards, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, nil, nil
+	eng, err := stream.NewSharded(shards, cfg)
+	return eng, nil, err
 }
 
 // run is the tailer: the single producer goroutine, then the final

@@ -2,12 +2,14 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -232,7 +234,7 @@ func TestDaemonListenConflict(t *testing.T) {
 }
 
 // TestDaemonSharded drives mtlsd with -shards 2 end to end: every report
-// must deep-equal a single-engine reference fed the same logs, /metrics
+// must deep-equal a one-shard reference fed the same logs, /metrics
 // must carry the per-shard labeled series, and SIGTERM must land a
 // restorable manifest-committed checkpoint directory.
 func TestDaemonSharded(t *testing.T) {
@@ -246,7 +248,7 @@ func TestDaemonSharded(t *testing.T) {
 	build := mtls.GenerateConfig(cfg)
 	waitConns(t, base, uint64(len(build.Raw.Conns)))
 
-	// Single-engine reference over the same dataset.
+	// One-shard reference over the same dataset.
 	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
 	in.Raw = nil
 	ref, err := stream.New(stream.Config{Input: in})
@@ -262,7 +264,7 @@ func TestDaemonSharded(t *testing.T) {
 	}
 	ref.Drain()
 
-	checkReportsAgainst(t, base, ref, "single-engine reference")
+	checkReportsAgainst(t, base, ref, "one-shard reference")
 
 	// Per-shard series are labeled; the router's gauges are live.
 	code, metricsBody := httpGet(t, base+"/metrics")
@@ -356,6 +358,49 @@ func TestDaemonCheckpointLayoutMismatch(t *testing.T) {
 				t.Errorf("refused daemon changed the checkpoint directory: %v → %v", before, after)
 			}
 		})
+	}
+}
+
+// TestDaemonPerCPUShardsRestart: -shards 0 on a host with more CPUs than
+// the engine has shards to give runs MaxShards of them, says so on
+// /api/v1/version, and restarts onto its own checkpoint. (The count used
+// to be resolved twice: the engine clamped it, the daemon did not, and
+// the restart refused the checkpoint as written at another count.)
+func TestDaemonPerCPUShardsRestart(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(stream.MaxShards + 1))
+	dir, cfg := writeTestLogs(t)
+	total := uint64(len(mtls.GenerateConfig(cfg).Raw.Conns))
+	o := testOptions(dir, cfg)
+	o.shards, o.checkpoint, o.ckptEvery = 0, filepath.Join(t.TempDir(), "ckpt"), time.Hour
+	for _, start := range []string{"first start", "restart"} {
+		base, cancel, exit := startDaemon(t, o)
+		waitConns(t, base, total)
+		var v versionInfo
+		if code, body := httpGet(t, base+"/api/v1/version"); code != 200 || json.Unmarshal([]byte(body), &v) != nil || v.Shards != stream.MaxShards {
+			t.Errorf("%s: /api/v1/version = %d %s, want %d shards", start, code, body, stream.MaxShards)
+		}
+		cancel()
+		if code := <-exit; code != 0 {
+			t.Fatalf("%s: exit code %d", start, code)
+		}
+	}
+}
+
+// TestDaemonTooManyShards: an explicit -shards above what the engine
+// supports is a usage error, not a silently smaller deployment.
+func TestDaemonTooManyShards(t *testing.T) {
+	dir, cfg := writeTestLogs(t)
+	o := testOptions(dir, cfg)
+	o.shards = stream.MaxShards + 1
+	var log strings.Builder
+	if code := run(context.Background(), o, slog.New(slog.NewTextHandler(&log, nil)), nil); code != 2 {
+		t.Fatalf("exit code %d, want 2 (usage error)\n%s", code, log.String())
+	}
+	if !strings.Contains(log.String(), "at most 64") {
+		t.Errorf("the refusal does not name the bound:\n%s", log.String())
+	}
+	if _, err := stream.NewSharded(o.shards, stream.Config{Input: &core.Input{}}); err == nil {
+		t.Error("NewSharded accepted more than MaxShards")
 	}
 }
 

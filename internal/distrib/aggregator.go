@@ -562,7 +562,7 @@ func (a *Aggregator) versions() []uint64 {
 // the merged view's cursor — one source per sensor — and the union's
 // verdict, current with every sensor since both change only under mu. The
 // slice headers stay readable after mu is released, as in
-// Sharded.capture: appends land past the captured length and eviction
+// stream.Engine.capture: appends land past the captured length and eviction
 // (or a full re-sync) swaps in fresh arrays.
 func (a *Aggregator) capture(since []core.MergeCursor) core.MergeCapture {
 	n := len(a.sensors)

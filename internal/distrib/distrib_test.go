@@ -19,13 +19,6 @@ import (
 	"repro/internal/workload"
 )
 
-// ingester is the shared feed surface of stream.Engine and
-// stream.Sharded.
-type ingester interface {
-	IngestCert(*core.CertRecord) bool
-	IngestConn(*core.ConnRecord) bool
-}
-
 // certList orders the build's certificate map by fingerprint so tests
 // can split it into deterministic slices.
 func certList(b *workload.Build) []*certmodel.CertInfo {
@@ -40,7 +33,7 @@ func certList(b *workload.Build) []*certmodel.CertInfo {
 // feedSlice pushes index ranges of the build — the tool for splitting
 // one dataset across sensors and sync rounds. Connections go first so
 // every certificate arrives late (the §3.2 retroactive path).
-func feedSlice(t *testing.T, g ingester, b *workload.Build, certs []*certmodel.CertInfo, c0, c1, n0, n1 int) {
+func feedSlice(t *testing.T, g *stream.Engine, b *workload.Build, certs []*certmodel.CertInfo, c0, c1, n0, n1 int) {
 	t.Helper()
 	for i := n0; i < n1; i++ {
 		if !g.IngestConn(&b.Raw.Conns[i]) {
@@ -259,7 +252,7 @@ func TestAggregatorRetentionEquivalence(t *testing.T) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(i, j int) bool { return conns[order[i]].TS.Before(conns[order[j]].TS) })
-	feedSorted := func(g ingester, lo, hi int) {
+	feedSorted := func(g *stream.Engine, lo, hi int) {
 		t.Helper()
 		for _, idx := range order[lo:hi] {
 			if !g.IngestConn(&conns[idx]) {
@@ -267,7 +260,7 @@ func TestAggregatorRetentionEquivalence(t *testing.T) {
 			}
 		}
 	}
-	feedCerts := func(g ingester) {
+	feedCerts := func(g *stream.Engine) {
 		t.Helper()
 		for _, c := range certs {
 			if !g.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c}) {
@@ -736,7 +729,7 @@ func TestSensorHandlerErrors(t *testing.T) {
 		t.Errorf("POST: status %d, want 405", resp.StatusCode)
 	}
 
-	// A plain engine without TrackExport cannot serve snapshots at all.
+	// An engine without TrackExport cannot serve snapshots at all.
 	in := inputFromBuild(b)
 	in.Raw = nil
 	plain, err := stream.New(stream.Config{Input: in})

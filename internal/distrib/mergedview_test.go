@@ -50,7 +50,7 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 	const rounds = 5
 	// feed gives g round r of its connections, then — so that they arrive
 	// late — half the certificates in each of the first two rounds.
-	feed := func(g ingester, conns []core.ConnRecord, r int) {
+	feed := func(g *stream.Engine, conns []core.ConnRecord, r int) {
 		t.Helper()
 		for i := len(conns) * r / rounds; i < len(conns)*(r+1)/rounds; i++ {
 			if !g.IngestConn(&conns[i]) {
@@ -71,14 +71,14 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 	reg := metrics.New()
 	a := newAgg(t, b, reg, urls...)
 
-	var sensorA ingester = e1
+	sensorA := e1
 	reasons := map[core.ReplayReason]int{}
 	// read syncs, reads, names the one reason the read replayed for (""
 	// for a catch-up) and holds the analysis against a replay of the
 	// replicas.
 	read := func(step string, allowed ...core.ReplayReason) {
 		t.Helper()
-		sensorA.(interface{ Drain() }).Drain()
+		sensorA.Drain()
 		sB.Drain()
 		if err := a.SyncAll(context.Background()); err != nil {
 			t.Fatal(err)

@@ -12,9 +12,8 @@ import (
 	"repro/internal/stream"
 )
 
-// Exporter is the engine-side surface a sensor serves snapshots from:
-// stream.Engine and stream.Sharded both satisfy it (with
-// Config.TrackExport set).
+// Exporter is the engine-side surface a sensor serves snapshots from: a
+// stream.Engine with Config.TrackExport set.
 type Exporter interface {
 	Export(since, epoch uint64) (*stream.ExportState, error)
 }

@@ -47,7 +47,7 @@ func checkAggUnion(t *testing.T, a *Aggregator, step string) stream.Stats {
 }
 
 // newShardedSensor builds an exporting two-shard deployment.
-func newShardedSensor(t *testing.T, b *workload.Build) *stream.Sharded {
+func newShardedSensor(t *testing.T, b *workload.Build) *stream.Engine {
 	t.Helper()
 	in := inputFromBuild(b)
 	in.Raw = nil
@@ -87,7 +87,7 @@ func TestAggregatorStatsUnionMatchesRebuild(t *testing.T) {
 	}
 	// feedPart feeds parts [from, to) of the given number of equal parts
 	// of a sensor's connections and of the certificates.
-	feedPart := func(g ingester, conns []core.ConnRecord, parts, from, to int) {
+	feedPart := func(g *stream.Engine, conns []core.ConnRecord, parts, from, to int) {
 		t.Helper()
 		for i := len(conns) * from / parts; i < len(conns)*to/parts; i++ {
 			if !g.IngestConn(&conns[i]) {

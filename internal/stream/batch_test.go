@@ -10,14 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// batchIngester is the batched ingest surface shared by Engine and
-// Sharded, so the batch equivalence tests drive both through one path.
-type batchIngester interface {
-	ingester
-	IngestConnBatch([]core.ConnRecord) int
-	IngestCertBatch([]core.CertRecord) int
-}
-
 // certRecords flattens a build's certificate roster into ingest records
 // in a deterministic (fingerprint-sorted) order, so batch boundaries
 // land on the same records across runs.
@@ -36,7 +28,7 @@ func certRecords(b *workload.Build) []core.CertRecord {
 
 // feedBatches pushes certificates then connections through the batched
 // ingest in runs of size, the order a well-ordered log replay produces.
-func feedBatches(t *testing.T, g batchIngester, certs []core.CertRecord, conns []core.ConnRecord, size int) {
+func feedBatches(t *testing.T, g *Engine, certs []core.CertRecord, conns []core.ConnRecord, size int) {
 	t.Helper()
 	for lo := 0; lo < len(certs); lo += size {
 		hi := min(lo+size, len(certs))
@@ -69,10 +61,10 @@ func TestIngestSurfacesMatchBatchPipeline(t *testing.T) {
 	weightless.Weight = 0
 
 	feeds := map[string]struct {
-		feed     func(t *testing.T, s *Sharded)
+		feed     func(t *testing.T, s *Engine)
 		rejected uint64
 	}{
-		"per-event": {func(t *testing.T, s *Sharded) {
+		"per-event": {func(t *testing.T, s *Engine) {
 			if s.IngestConn(nil) || s.IngestConn(&weightless) || s.IngestCert(nil) || s.IngestCert(&core.CertRecord{}) {
 				t.Error("invalid event accepted")
 			}
@@ -87,7 +79,7 @@ func TestIngestSurfacesMatchBatchPipeline(t *testing.T) {
 				}
 			}
 		}, 4},
-		"batch=512": {func(t *testing.T, s *Sharded) {
+		"batch=512": {func(t *testing.T, s *Engine) {
 			if s.IngestConnBatch([]core.ConnRecord{weightless}) != 0 || s.IngestCertBatch([]core.CertRecord{{}}) != 0 {
 				t.Error("invalid event accepted")
 			}

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -19,15 +18,15 @@ import (
 	"repro/internal/atomicfile"
 	"repro/internal/certmodel"
 	"repro/internal/core"
+	"repro/internal/ids"
 	"repro/internal/interception"
 	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
 // A checkpoint is a directory: one MANIFEST and the CRC-framed segment
-// files it names. The manifest lists one segment chain per shard (a
-// plain engine is one chain), the caller's cursor and, for a sharded
-// deployment, the router's state. Each WriteCheckpoint appends one
+// files it names. The manifest lists one segment chain per shard, the
+// caller's cursor and the router's state. Each WriteCheckpoint appends one
 // segment to every chain, carrying only what changed since the previous
 // commit — connections appended past the committed sequence mark,
 // certificates admitted since, the latest eviction cutoff, the cumulative
@@ -38,8 +37,8 @@ import (
 // back into one base, so the directory stays O(state) while each
 // interval's write stays O(delta).
 //
-// The manifest has one owner — the Engine, or the Sharded for all its
-// shards — and its rename is the only commit point: shards write segment
+// The manifest has one owner, the Engine, and its rename is the only
+// commit point: shards write segment
 // files and nothing else, so no crash can leave shard states that
 // disagree with each other or with the cursor.
 //
@@ -82,31 +81,38 @@ const (
 )
 
 // segState is a segment's snapshot of everything that is not a record
-// stream: counters, the export numbering, the eviction cutoff to replay
-// before this segment's records, and the cumulative detector state
-// (small next to the record stream, so every segment carries the full
-// thing and the last one wins on restore).
+// stream: the shard's counters, the eviction cutoff to replay before this
+// segment's records, and the cumulative detector state (small next to the
+// record stream, so every segment carries the full thing and the last one
+// wins on restore).
 type segState struct {
 	ConnsIngested uint64
 	CertsIngested uint64
 	Evicted       uint64
 	Watermark     time.Time
 	EvictCutoff   time.Time
-	Epoch         uint64
-	NextSeq       uint64
 	Interception  *interception.StreamState
+
+	// Epoch and NextSeq are where an exporting engine of the release
+	// before the router owned every numbering kept its own; never
+	// written (migrate.go reads them).
+	Epoch   uint64
+	NextSeq uint64
 }
 
-// segCerts is one roster batch; Seqs aligns per-certificate admission
-// sequences when the writer tracked export (nil otherwise).
+// segCerts is one roster batch with the sequence the router admitted each
+// certificate under — where the certificate is, so a commit's cost follows
+// what it adds, not the roster. Seqs is nil in segments the previous
+// release wrote without exporting.
 type segCerts struct {
 	Certs []*certmodel.CertInfo
 	Seqs  []uint64
 }
 
-// segConns is one retained-connection batch in append order; Seqs
-// aligns ingest sequences when the writer's were read outside its
-// process (a shard or an exporting sensor; nil otherwise).
+// segConns is one retained-connection batch in append order with the
+// router's sequences. Seqs is nil in segments a one-shard engine of the
+// previous release wrote without exporting; restore numbers those in
+// replay order.
 type segConns struct {
 	Conns []core.ConnRecord
 	Seqs  []uint64
@@ -119,15 +125,22 @@ type ckptSeg struct {
 	Bytes int64
 }
 
-// routerState is what a sharded deployment checkpoints beside its
-// shards' chains: the sequence counter, the admitted-certificate count
-// and, when it exports, the numbering epoch and each certificate's
-// admission sequence, so cursors survive a restart (without them a
-// restore numbers under a fresh epoch, which refuses stale cursors).
+// routerState is what the router checkpoints beside the shards' chains:
+// the sequence counter, the admitted-certificate count and, when the
+// engine exports, the numbering epoch, so cursors survive a restart
+// (without it a restore numbers under a fresh epoch, which refuses stale
+// cursors).
 type routerState struct {
 	NextSeq     uint64
 	CertsRouted uint64
-	Epoch       uint64            `json:",omitempty"`
+	Epoch       uint64 `json:"ExportEpoch,omitempty"`
+
+	// What the previous release wrote instead, read and never written: its
+	// epoch, and every certificate's admission sequence — which now lives
+	// in the segments. The epoch changed its key with that move, so the
+	// previous release, finding neither, numbers afresh under a new epoch
+	// instead of serving deltas off certificates it reads as sequence 0.
+	ParentEpoch uint64            `json:"Epoch,omitempty"`
 	CertSeqs    map[string]uint64 `json:",omitempty"`
 }
 
@@ -139,7 +152,9 @@ type ckptManifest struct {
 	NextSeg int
 	Chains  [][]ckptSeg
 	Cursor  map[string]int64
-	Router  *routerState `json:",omitempty"`
+	// Router is absent from what a one-shard engine of the previous
+	// release wrote (migrate.go synthesizes it).
+	Router *routerState `json:",omitempty"`
 
 	// Segments is version 1's single chain; never written.
 	Segments []ckptSeg `json:",omitempty"`
@@ -174,19 +189,18 @@ func readCkptManifest(dir string) (*ckptManifest, error) {
 	return &man, nil
 }
 
-// checkpointer owns one checkpoint directory on behalf of the engines
-// whose chains it holds: a plain engine's own, or a Sharded's for all
-// its shards. It is the only writer of the MANIFEST. Lock order: mu
-// before any engine's state lock — writers hold mu throughout and take
-// an engine's lock briefly for its snapshot.
+// checkpointer owns an Engine's checkpoint directory: its shards' chains
+// and the one MANIFEST, of which it is the only writer. Lock order: mu
+// before the router lock and any shard's state lock — writers hold mu
+// throughout and take the others briefly for their snapshots.
 type checkpointer struct {
-	engines []*Engine           // chain i is engines[i]'s
-	router  func() *routerState // nil for a plain engine
+	shards []*shard            // chain i is shards[i]'s
+	router func() *routerState // the router's state, snapshotted per commit
 	// dur and compactDur observe whole calls: one commit, one fold.
 	dur, compactDur *metrics.Histogram
 
 	mu sync.Mutex
-	// dir is the directory being written and man these engines' last
+	// dir is the directory being written and man this engine's last
 	// commit there. After first contact man has no chains yet — the next
 	// write is a base per chain rather than a delta — only the generation
 	// and segment numbering to continue.
@@ -196,24 +210,38 @@ type checkpointer struct {
 	compactWG sync.WaitGroup
 }
 
-// WriteCheckpoint commits the engine state, and the caller's cursor with
-// it, to the checkpoint directory at path: a base segment on the first
-// write there, a delta since the previous commit on every later one. A
-// regular file at path — a checkpoint from before the directory format —
-// is replaced by the directory. The caller must ensure the cursor is
-// consistent with the applied state — i.e. Drain first, then read tail
-// offsets, then checkpoint.
-func (e *Engine) WriteCheckpoint(path string, cursor map[string]int64) error {
-	return e.ckpt.write(path, cursor)
+// WriteCheckpoint commits every shard's state, the router's and the
+// caller's cursor to the checkpoint directory at path: each shard appends
+// one segment to its chain — a base on the first write there, a delta
+// since the previous commit on every later one — and the one manifest
+// naming them all is renamed into place. A regular file at path — a
+// checkpoint from before the directory format — is replaced by the
+// directory. The caller must ensure the cursor is consistent with the
+// applied state — i.e. Drain first, then read tail offsets, then
+// checkpoint.
+func (s *Engine) WriteCheckpoint(path string, cursor map[string]int64) error {
+	return s.ckpt.write(path, cursor)
 }
 
-// Compact folds the committed segment chain into one base segment, so
+// Compact folds every committed segment chain into one base segment, so
 // the directory returns to O(state) while the per-interval delta cost
 // stays O(delta). Runs in the background after every ckptCompactEvery-th
-// commit; safe to call directly. A crash at any point leaves the previous
-// manifest and its segments untouched.
-func (e *Engine) Compact() error {
-	return e.ckpt.compact()
+// commit (Close waits for one in flight); safe to call directly. A crash
+// at any point leaves the previous manifest and its segments untouched.
+func (s *Engine) Compact() error {
+	return s.ckpt.compact()
+}
+
+// routerState snapshots what the router checkpoints beside the shards'
+// chains.
+func (s *Engine) routerState() *routerState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := &routerState{NextSeq: s.nextSeq, CertsRouted: s.certsRouted}
+	if s.cfg.TrackExport {
+		r.Epoch = s.epoch
+	}
+	return r
 }
 
 // finishSwap completes a file → directory replacement that stopped
@@ -278,15 +306,13 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 		Version: ckptManifestVersion,
 		Gen:     c.man.Gen + 1,
 		NextSeg: c.man.NextSeg,
-		Chains:  make([][]ckptSeg, len(c.engines)),
+		Chains:  make([][]ckptSeg, len(c.shards)),
 		Cursor:  cursor,
-	}
-	if c.router != nil {
-		man.Router = c.router()
+		Router:  c.router(),
 	}
 	full := c.man.Chains == nil
-	committed := make([]func(chainLen int), len(c.engines))
-	for i, e := range c.engines {
+	committed := make([]func(chainLen int), len(c.shards))
+	for i, e := range c.shards {
 		if !full {
 			man.Chains[i] = slices.Clone(c.man.Chains[i])
 		}
@@ -386,7 +412,7 @@ func (c *checkpointer) compact() error {
 	if err := c.commit(&man); err != nil {
 		return err
 	}
-	for _, e := range c.engines {
+	for _, e := range c.shards {
 		e.m.compactions.Inc()
 		e.m.checkpointSegs.Set(1)
 	}
@@ -438,30 +464,22 @@ func writeSegment(path string, st *segState, certs []*certmodel.CertInfo, certSe
 		err := writeFrame(w, segFrameState, st)
 		for i := 0; err == nil && i < len(certs); i += ckptCertChunk {
 			end := min(i+ckptCertChunk, len(certs))
-			batch := segCerts{Certs: certs[i:end]}
-			if certSeqs != nil {
-				batch.Seqs = certSeqs[i:end]
-			}
-			err = writeFrame(w, segFrameCerts, &batch)
+			err = writeFrame(w, segFrameCerts, &segCerts{Certs: certs[i:end], Seqs: certSeqs[i:end]})
 		}
 		for i := 0; err == nil && i < len(conns); i += ckptConnChunk {
 			end := min(i+ckptConnChunk, len(conns))
-			batch := segConns{Conns: conns[i:end]}
-			if seqs != nil {
-				batch.Seqs = seqs[i:end]
-			}
-			err = writeFrame(w, segFrameConns, &batch)
+			err = writeFrame(w, segFrameConns, &segConns{Conns: conns[i:end], Seqs: seqs[i:end]})
 		}
 		return err
 	})
 }
 
-// writeDelta snapshots what changed since this engine's last committed
+// writeDelta snapshots what changed since this shard's last committed
 // segment — everything, for a base — and writes it to path as one
-// segment, returning its size. The engine's marks stand until the owner
+// segment, returning its size. The shard's marks stand until the owner
 // calls done, once its manifest names the segment; a commit that fails
 // is simply covered again by the next delta.
-func (e *Engine) writeDelta(path string, full bool) (int64, func(chainLen int), error) {
+func (e *shard) writeDelta(path string, full bool) (int64, func(chainLen int), error) {
 	// Snapshot under the state lock. All slices are fresh copies or
 	// abandon-don't-mutate snapshots (appends land beyond the captured
 	// length, eviction swaps in fresh arrays), so encoding proceeds after
@@ -469,20 +487,19 @@ func (e *Engine) writeDelta(path string, full bool) (int64, func(chainLen int), 
 	e.mu.Lock()
 	var conns []core.ConnRecord
 	var seqs []uint64
-	var certs []*certmodel.CertInfo
+	from := e.ckptCerts
 	if full {
-		certs = slices.Clone(e.rosterLog) // sorted below
+		from = 0
 		conns, seqs = e.st.Snapshot(0)
 	} else {
 		e.st.Since(e.ckptMark, func(rec *core.ConnRecord, seq uint64) bool {
 			conns, seqs = append(conns, *rec), append(seqs, seq)
 			return true
 		})
-		certs = e.rosterLog[e.ckptCerts:]
 	}
-	if !e.seqTracked() {
-		seqs = nil
-	}
+	// The roster log is append-only, in delivery order: a suffix of it is
+	// the delta, and the same state always writes the same bytes.
+	certs, certSeqs := e.rosterLog[from:], e.rosterSeqs[from:]
 	nCerts := len(e.rosterLog)
 	newMark := e.nextSeq
 	st := &segState{
@@ -492,19 +509,6 @@ func (e *Engine) writeDelta(path string, full bool) (int64, func(chainLen int), 
 		Watermark:     e.watermark,
 		EvictCutoff:   e.ckptCutoff,
 		Interception:  e.icpt.Snapshot(),
-	}
-	var certSeqs []uint64
-	if full {
-		// Deterministic roster order keeps base bytes stable for the
-		// same state (delta certs are already in admission order).
-		sort.Slice(certs, func(i, j int) bool { return certs[i].Fingerprint < certs[j].Fingerprint })
-	}
-	if e.cfg.TrackExport {
-		st.Epoch, st.NextSeq = e.epoch, e.nextSeq
-		certSeqs = make([]uint64, len(certs))
-		for i, c := range certs {
-			certSeqs[i] = e.certSeqs[c.Fingerprint]
-		}
 	}
 	e.mu.Unlock()
 
@@ -663,19 +667,22 @@ func copySegmentRecords(path string, wantBytes int64, w io.Writer, cut time.Time
 }
 
 // committed is what a checkpoint path holds: man names one chain per
-// shard. For a checkpoint an older format wrote the chains are empty,
-// gobs names the full-state file standing in for each, and man carries
-// only what that format recorded.
+// shard. For a checkpoint a format before the directory wrote, the chains
+// are empty, gobs names the full-state file standing in for each, and man
+// carries only what that format recorded. last collects each restored
+// shard's final state frame, for the shapes whose manifest has no router
+// state.
 type committed struct {
 	dir  string
 	man  *ckptManifest
 	gobs []string
+	last []*segState
 }
 
 // openCheckpoint reads path's commit record, for a caller running n
 // shards (0: however many it holds). Only an absent path, or a directory
 // with no commit file, is os.ErrNotExist — "no checkpoint yet". A regular
-// file is one engine's full state; a directory is read off its MANIFEST,
+// file is one shard's full state; a directory is read off its MANIFEST,
 // which wins over an older format's commit file that a migration's
 // sweep did not get to. Routing is a function of the shard count, so
 // any other count than the checkpoint's is refused.
@@ -714,53 +721,139 @@ func openNamed(path string) (*os.File, error) {
 	return f, err
 }
 
-// restoreShard starts shard i's engine from its chain or its gob file.
-func (ck *committed) restoreShard(cfg Config, i int) (*Engine, error) {
+// restoreShard starts the next shard — they are restored in order — from
+// its chain or its gob file.
+func (ck *committed) restoreShard(cfg Config) (e *shard, err error) {
+	i := len(ck.last)
+	var last *segState
 	if ck.gobs == nil {
-		return restoreChain(cfg, ck.dir, ck.man.Chains[i])
+		e, last, err = restoreChain(cfg, ck.dir, ck.man.Chains[i])
+	} else {
+		e, last, err = restoreFile(cfg, ck.gobs[i], ck.man)
 	}
-	e, cursor, err := restoreFile(cfg, ck.gobs[i])
-	if cursor != nil {
-		ck.man.Cursor = cursor // a lone gob file carries its own
+	if err != nil {
+		return nil, fmt.Errorf("stream: restore shard %d: %w", i, err)
 	}
-	return e, err
+	ck.last = append(ck.last, last)
+	return e, nil
 }
 
-// adopt lets c continue the restored directory in place, next write a
-// delta. A checkpoint in an older format is not continued: c stays
-// unpointed, and its first write replaces it.
-func (ck *committed) adopt(c *checkpointer) {
-	if ck.gobs == nil {
-		c.dir, c.man = ck.dir, ck.man
-	}
+// current reports whether this release wrote the checkpoint: a directory
+// whose manifest carries the router's state and keeps no certificate
+// sequences in it. Only such a directory is continued in place, next
+// write a delta; anything older is replaced by the first write, whose
+// bases carry every sequence where this release reads it.
+func (ck *committed) current() bool {
+	return ck.gobs == nil && ck.man.Router != nil && ck.man.Router.CertSeqs == nil
 }
 
-// Restore starts an engine from the checkpoint at path and returns the
-// cursor stored with it. The restored engine's first read replays the
-// restored window; resuming ingestion from the cursor and draining
-// yields reports byte-identical to an uninterrupted run.
-// The error is os.ErrNotExist only when path holds no checkpoint.
+// Restore starts a one-shard engine from the checkpoint at path; see
+// RestoreSharded.
 func Restore(cfg Config, path string) (*Engine, map[string]int64, error) {
-	ck, err := openCheckpoint(path, 1)
+	return RestoreSharded(cfg, 1, path)
+}
+
+// RestoreSharded starts an engine from the checkpoint at path and returns
+// the cursor stored with it. n must match the checkpoint's shard count
+// (routing is a function of the count, so resharding would orphan state);
+// 0 adopts it. The restored engine's first read replays the restored
+// window; resuming ingestion from the cursor and draining yields reports
+// byte-identical to an uninterrupted run. The error is os.ErrNotExist
+// only when path holds no checkpoint.
+func RestoreSharded(cfg Config, n int, path string) (*Engine, map[string]int64, error) {
+	ck, err := openCheckpoint(path, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := ck.restoreShard(cfg, 0)
+	s, err := start(cfg, len(ck.man.Chains), ck.restoreShard)
 	if err != nil {
 		return nil, nil, err
 	}
-	ck.adopt(e.ckpt)
-	return e, ck.man.Cursor, nil
+	r := ck.man.Router
+	if r == nil {
+		if r, err = ck.plainRouter(); err != nil {
+			s.Close()
+			return nil, nil, err
+		}
+	}
+	s.restoreRouter(r)
+	if ck.current() {
+		s.ckpt.dir, s.ckpt.man = ck.dir, ck.man
+	}
+	return s, ck.man.Cursor, nil
+}
+
+// restoreRouter rebuilds the router from its checkpointed counters and the
+// restored shards. The rendezvous is not serialized: delivery state comes
+// from the shards' rosters, each certificate under the sequence its
+// segment recorded, then every retained connection re-registers its
+// interest and any certificate a referencing shard is missing (possible
+// after Drop-policy shedding) is re-forwarded — one batch per shard — so
+// the restored engine self-heals to the delivery state the checkpointed
+// one had.
+func (s *Engine) restoreRouter(r *routerState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.nextSeq, s.certsRouted = r.NextSeq, r.CertsRouted
+	if s.epoch = max(r.Epoch, r.ParentEpoch); s.epoch == 0 {
+		// The checkpointed engine did not export: fresh numbering scope,
+		// so any cursor taken against it is refused as stale.
+		s.epoch = newEpoch()
+	}
+	for i, e := range s.shards {
+		bit := uint64(1) << i
+		e.mu.Lock()
+		s.nextSeq = max(s.nextSeq, e.nextSeq)
+		for k, c := range e.rosterLog {
+			if seq, ok := r.CertSeqs[string(c.Fingerprint)]; ok {
+				e.rosterSeqs[k] = seq // where the previous release kept it
+			}
+			ent := s.rendezvousFor(c.Fingerprint)
+			if ent.cert == nil {
+				ent.cert, ent.seq = c, e.rosterSeqs[k]
+				s.uniqueCerts++
+				if s.cfg.TrackExport {
+					s.certLog = append(s.certLog, ExportCert{Seq: ent.seq, Cert: c})
+				}
+			}
+			ent.delivered |= bit
+			ent.waiting |= bit
+		}
+		e.mu.Unlock()
+	}
+	sortCertLog(s.certLog)
+	for i, e := range s.shards {
+		bit := uint64(1) << i
+		// Heals are only collected under the shard lock and sent after it
+		// is released: a channel send can block on a full buffer, and the
+		// apply goroutine needs the same lock to make room.
+		e.mu.Lock()
+		e.st.Since(0, func(rec *core.ConnRecord, _ uint64) bool {
+			for _, fp := range [2]ids.Fingerprint{rec.ServerLeaf(), rec.ClientLeaf()} {
+				if fp == "" {
+					continue
+				}
+				ent := s.rendezvousFor(fp)
+				ent.waiting |= bit
+				if ent.cert != nil && ent.delivered&bit == 0 {
+					s.deliverLocked(i, ent)
+				}
+			}
+			return true
+		})
+		e.mu.Unlock()
+	}
+	s.flushScratchLocked()
 }
 
 // restoreConnsLocked appends one restored batch to the window. Without
-// a sequence column (a plain engine wrote the checkpoint, or the restore
-// renumbers) the records are numbered in replay order from the engine's
-// counter; a column must align with the records and keep the window
-// strictly increasing — anything else is a damaged checkpoint, refused
-// rather than replayed out of order. Either way the counter ends past
-// everything restored.
-func (e *Engine) restoreConnsLocked(conns []core.ConnRecord, seqs []uint64) error {
+// a sequence column (a one-shard engine of the previous release wrote the
+// segment without exporting) the records are numbered in replay order
+// from the shard's counter; a column must align with the records and keep
+// the window strictly increasing — anything else is a damaged checkpoint,
+// refused rather than replayed out of order. Either way the counter ends
+// past everything restored.
+func (e *shard) restoreConnsLocked(conns []core.ConnRecord, seqs []uint64) error {
 	if seqs != nil && len(seqs) != len(conns) {
 		return fmt.Errorf("%w: %d sequences for %d connections", store.ErrCorrupt, len(seqs), len(conns))
 	}
@@ -777,36 +870,31 @@ func (e *Engine) restoreConnsLocked(conns []core.ConnRecord, seqs []uint64) erro
 	return nil
 }
 
-// restoreCertsLocked admits one restored roster batch. Under TrackExport
-// each new certificate keeps the admission sequence the batch aligns to
-// it, or — renumber: the checkpoint was written without export state —
-// draws a fresh one in replay order.
-func (e *Engine) restoreCertsLocked(batch *segCerts, renumber bool) error {
+// restoreCertsLocked admits one restored roster batch, each certificate
+// under the admission sequence the batch aligns to it (0 where the writer
+// recorded none).
+func (e *shard) restoreCertsLocked(batch *segCerts) error {
+	if batch.Seqs != nil && len(batch.Seqs) != len(batch.Certs) {
+		return fmt.Errorf("%w: %d sequences for %d certificates", store.ErrCorrupt, len(batch.Seqs), len(batch.Certs))
+	}
 	for i, c := range batch.Certs {
 		if c == nil || c.Fingerprint == "" {
 			return fmt.Errorf("%w: roster entry without fingerprint", store.ErrCorrupt)
 		}
-		if !e.putCertLocked(c) || !e.cfg.TrackExport {
-			continue
+		var seq uint64
+		if batch.Seqs != nil {
+			seq = batch.Seqs[i]
 		}
-		switch {
-		case renumber:
-			e.certSeqs[c.Fingerprint] = e.nextSeq
-			e.nextSeq++
-		case i < len(batch.Seqs):
-			e.certSeqs[c.Fingerprint] = batch.Seqs[i]
-		}
+		e.putCertLocked(c, seq)
 	}
 	return nil
 }
 
 // finishRestoreLocked completes any restore from the last state read:
-// counters, export numbering (kept unless the records were renumbered,
-// whose fresh epoch then refuses cursors against the old process as
-// stale), detector state, and checkpoint bookkeeping (everything in the
+// counters, detector state, and checkpoint bookkeeping (everything in the
 // window is covered by what was just read, so the next delta starts at
 // the current sequence mark with no pending certificates).
-func (e *Engine) finishRestoreLocked(last *segState, renumber bool) {
+func (e *shard) finishRestoreLocked(last *segState) {
 	e.connsIngested = last.ConnsIngested
 	e.certsIngested = last.CertsIngested
 	e.evicted = last.Evicted
@@ -814,22 +902,7 @@ func (e *Engine) finishRestoreLocked(last *segState, renumber bool) {
 	if last.EvictCutoff.After(e.ckptCutoff) {
 		e.ckptCutoff = last.EvictCutoff
 	}
-	if e.cfg.TrackExport && !renumber {
-		e.epoch = last.Epoch
-		e.nextSeq = max(e.nextSeq, last.NextSeq)
-	}
 	e.icpt = e.det.RestoreStream(e.lookupCert, last.Interception)
-	if e.cfg.TrackExport {
-		// certSeqs was restored in file order; the log wants admission
-		// order.
-		e.certLog = make([]ExportCert, 0, len(e.certSeqs))
-		for fp, seq := range e.certSeqs {
-			if c := e.roster[fp]; c != nil {
-				e.certLog = append(e.certLog, ExportCert{Seq: seq, Cert: c})
-			}
-		}
-		sortCertLog(e.certLog)
-	}
 	e.ckptMark = e.nextSeq
 	e.ckptCerts = len(e.rosterLog)
 	e.stateVer.Add(1)
@@ -837,42 +910,39 @@ func (e *Engine) finishRestoreLocked(last *segState, renumber bool) {
 	e.m.retained.Set(float64(e.st.ConnCount()))
 }
 
-// restoreChain restores one engine by replaying a committed segment
+// restoreChain restores one shard by replaying a committed segment
 // chain in order: apply each segment's eviction cutoff to the state
-// accumulated so far, then append its records. Counters, export
-// numbering, and detector state come from the last segment. Any
-// framing, checksum, or truncation damage surfaces as a clean error —
-// never a panic or a silently partial restore.
-func restoreChain(cfg Config, dir string, chain []ckptSeg) (*Engine, error) {
-	e, err := New(cfg)
+// accumulated so far, then append its records. Counters and detector
+// state come from the last segment's state frame, which is returned with
+// the shard. Any framing, checksum, or truncation damage surfaces as a
+// clean error — never a panic or a silently partial restore.
+func restoreChain(cfg Config, dir string, chain []ckptSeg) (*shard, *segState, error) {
+	e, err := newShard(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var last *segState
-	renumber := false
 	e.mu.Lock()
-	for i, sg := range chain {
-		if last, err = e.replaySegmentLocked(filepath.Join(dir, sg.Name), sg.Bytes, i == 0, &renumber); err != nil {
+	for _, sg := range chain {
+		if last, err = e.replaySegmentLocked(filepath.Join(dir, sg.Name), sg.Bytes); err != nil {
 			err = fmt.Errorf("stream: restore %s: %w", sg.Name, err)
 			break
 		}
 	}
 	if err == nil {
-		e.finishRestoreLocked(last, renumber)
+		e.finishRestoreLocked(last)
 	}
 	e.mu.Unlock()
 	if err != nil {
-		e.Close()
-		return nil, err
+		e.close()
+		return nil, nil, err
 	}
-	return e, nil
+	return e, last, nil
 }
 
-// replaySegmentLocked streams one segment into the window. first+renumber
-// handle the export-numbering decision: a checkpoint written without
-// export state (epoch 0) restored into a TrackExport engine renumbers
-// records in replay order under the fresh epoch New assigned.
-func (e *Engine) replaySegmentLocked(path string, wantBytes int64, first bool, renumber *bool) (*segState, error) {
+// replaySegmentLocked streams one segment into the shard's state and
+// returns its state frame.
+func (e *shard) replaySegmentLocked(path string, wantBytes int64) (*segState, error) {
 	var st *segState
 	err := eachFrame(path, wantBytes, func(typ byte, body []byte) error {
 		if (typ == segFrameState) != (st == nil) {
@@ -883,9 +953,6 @@ func (e *Engine) replaySegmentLocked(path string, wantBytes int64, first bool, r
 			st = &segState{}
 			if err := decodeFrame(body, "state", st); err != nil {
 				return err
-			}
-			if first {
-				*renumber = e.cfg.TrackExport && st.Epoch == 0
 			}
 			// The cutoff replays the evictions that ran between the
 			// previous commit and this one, before this segment's
@@ -899,14 +966,11 @@ func (e *Engine) replaySegmentLocked(path string, wantBytes int64, first bool, r
 			if err := decodeFrame(body, "certs", &batch); err != nil {
 				return err
 			}
-			return e.restoreCertsLocked(&batch, *renumber)
+			return e.restoreCertsLocked(&batch)
 		case segFrameConns:
 			var batch segConns
 			if err := decodeFrame(body, "conns", &batch); err != nil {
 				return err
-			}
-			if *renumber {
-				batch.Seqs = nil
 			}
 			return e.restoreConnsLocked(batch.Conns, batch.Seqs)
 		}

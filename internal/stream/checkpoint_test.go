@@ -241,7 +241,7 @@ func TestCheckpointAutoCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.ckpt.compactWG.Wait()
+	e.Close() // waits for the fold the last commit started
 	man, err := readCkptManifest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,6 @@ func TestCheckpointAutoCompaction(t *testing.T) {
 	if len(man.Chains[0]) != 1 {
 		t.Fatalf("background compaction left %d segments, want 1", len(man.Chains[0]))
 	}
-	e.Close()
 }
 
 // TestCheckpointCrashMidDelta injects a failure at the manifest rename —
@@ -464,7 +463,7 @@ func TestFirstContactKeepsCommittedChain(t *testing.T) {
 
 // TestCheckpointCrashMatrix fails every atomicfile stage of a delta
 // commit, of a compaction and of the file → directory swap, one at a
-// time, for a plain engine and for two shards. After each failure the
+// time, for one shard and for two. After each failure the
 // path must restore to exactly the previous commit or exactly the new
 // one — cursor and reports from the same commit, never an error, never
 // shards of different generations under one cursor — and the writer's
@@ -497,36 +496,18 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 		reports map[string]any
 	}
 	for _, n := range []int{1, 2} {
-		restore := func(t *testing.T, path string) (ckptEngine, int64) {
+		restore := func(t *testing.T, path string) (*Engine, int64) {
 			t.Helper()
-			var eng ckptEngine
-			var cursor map[string]int64
-			var err error
-			if n == 1 {
-				eng, cursor, err = Restore(Config{Input: fx.in}, path)
-			} else {
-				// 0 adopts the count: the swap's previous commit is a gob
-				// file, one shard whatever n is.
-				eng, cursor, err = RestoreSharded(Config{Input: fx.in}, 0, path)
-			}
+			// 0 adopts the count: the swap's previous commit is a gob
+			// file, one shard whatever n is.
+			eng, cursor, err := RestoreSharded(Config{Input: fx.in}, 0, path)
 			if err != nil {
 				t.Fatalf("restore after the failure: %v", err)
 			}
 			t.Cleanup(eng.Close)
 			return eng, cursor["i"]
 		}
-		fresh := func(t *testing.T) ckptEngine {
-			if n == 1 {
-				return newEngine(t, fx.in, nil)
-			}
-			return newSharded(t, n, fx.in, nil)
-		}
-		compact := func(eng ckptEngine) error {
-			if e, ok := eng.(*Engine); ok {
-				return e.Compact()
-			}
-			return eng.(*Sharded).ckpt.compact()
-		}
+		fresh := func(t *testing.T) *Engine { return newSharded(t, n, fx.in, nil) }
 		// Each scenario leaves a previous commit at path and returns the
 		// operation under test with the commit it is meant to produce.
 		type scenario func(t *testing.T, path string) (prev commit, op func() error, next func() commit)
@@ -559,7 +540,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 					}
 				}
 				same := commit{1, allReports(t, eng)}
-				return same, func() error { return compact(eng) }, func() commit { return same }
+				return same, eng.Compact, func() commit { return same }
 			}},
 			{"swap", func(t *testing.T, path string) (commit, func() error, func() commit) {
 				buf, err := os.ReadFile(filepath.Join("testdata", "parent", "gob", "mtlsd.ckpt"))
@@ -643,7 +624,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 // TestTornCheckpointCorpus truncates a committed segment at every frame
 // boundary (and a probe inside each frame) and requires the restore to
 // return a clean error — never a panic, never a silently partial engine.
-// The same corpus runs over a plain engine's directory and over one
+// The same corpus runs over a one-shard directory and over one
 // chain of a two-shard directory, where the other shard's intact chain
 // must not be restored around the damage.
 func TestTornCheckpointCorpus(t *testing.T) {
@@ -660,7 +641,7 @@ func TestTornCheckpointCorpus(t *testing.T) {
 	}
 	e.Close()
 	s := newSharded(t, 2, in, nil)
-	feedCertsFirst(t, s, b)
+	feed(t, s, b)
 	s.Drain()
 	sharded := filepath.Join(t.TempDir(), "ckpt")
 	if err := s.WriteCheckpoint(sharded, nil); err != nil {
@@ -983,7 +964,7 @@ func TestShardedCheckpointIsODelta(t *testing.T) {
 	if deltaBytes*8 > baseBytes {
 		t.Fatalf("second commit wrote %d bytes vs %d for the bases — not a delta", deltaBytes, baseBytes)
 	}
-	// Per shard the same constant floor as the plain engine (the segment
+	// Per shard the same constant floor as at one shard (the segment
 	// writer's 1MiB buffer, the full detector snapshot) plus O(delta).
 	if deltaAlloc*3 > baseAlloc {
 		t.Fatalf("second commit allocated %d bytes vs %d for the bases — O(state) work on the delta path", deltaAlloc, baseAlloc)
@@ -1011,8 +992,7 @@ func TestDiskStoreMatchesMemory(t *testing.T) {
 	})
 	feed(t, disk, b)
 	disk.Drain()
-	st := disk.st.Stats()
-	if st.ColdConns.Load() == 0 {
+	if coldConns(disk) == 0 {
 		t.Fatal("hot budget did not force any spill — test is not exercising the cold tier")
 	}
 	got := disk.Analysis()
@@ -1040,7 +1020,7 @@ func TestDiskStoreMatchesMemory(t *testing.T) {
 
 // FuzzRestore hammers the restore path with arbitrary segment bytes: any
 // input must produce either a working engine or a clean error — never a
-// panic. Each input is tried as a plain engine's only segment (under a
+// panic. Each input is tried as a one-shard engine's only segment (under a
 // version-1 manifest) and as one shard's chain in a two-shard directory
 // whose other chain is intact. The seed corpus is valid committed
 // segments, so mutations explore near-valid framing.

@@ -21,14 +21,15 @@ func TestDiskStoreSpillsConnectionsOnly(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	e := newEngine(t, in, func(c *Config) {
+	eng := newEngine(t, in, func(c *Config) {
 		c.Store = "disk"
 		c.StoreDir = t.TempDir()
 		c.HotBytes = 1 << 20
 	})
 	certs := certRecords(b)
-	feedBatches(t, e, certs, nil, 512)
-	e.Drain()
+	feedBatches(t, eng, certs, nil, 512)
+	eng.Drain()
+	e := eng.shards[0]
 	before := make([]*certmodel.CertInfo, len(certs))
 	e.mu.Lock()
 	for i := range certs {
@@ -36,8 +37,8 @@ func TestDiskStoreSpillsConnectionsOnly(t *testing.T) {
 	}
 	e.mu.Unlock()
 
-	feedBatches(t, e, nil, b.Raw.Conns, 512)
-	e.Drain()
+	feedBatches(t, eng, nil, b.Raw.Conns, 512)
+	eng.Drain()
 	st := e.st.Stats()
 	if got := st.Loads.Load(); got != 0 {
 		t.Errorf("stream_store_loaded_total = %d after ingest alone, want 0", got)
@@ -91,12 +92,12 @@ func TestShardedHotBytesIsDeploymentBudget(t *testing.T) {
 }
 
 // TestPlainCheckpointRestoresOntoDiskStore covers the restore the
-// sequence column's absence used to hide: a plain engine writes no
-// column, so a disk-store restore numbers the records in replay order.
-// Were they all left at zero, the cold index could not tell a frame's
-// records apart. Under a starved budget every one of the reports must
-// equal the memory-store restore of the same checkpoint — a directory
-// written now, and the parent commit's gob file.
+// sequence column's absence used to hide: the gob file a one-shard engine
+// once wrote has no column, so a disk-store restore numbers the records
+// in replay order. Were they all left at zero, the cold index could not
+// tell a frame's records apart. Under a starved budget every one of the
+// reports must equal the memory-store restore of the same checkpoint — a
+// directory written now, and that gob file.
 func TestPlainCheckpointRestoresOntoDiskStore(t *testing.T) {
 	b := genBuild(7, 1200)
 	in := inputFromBuild(b)
@@ -127,14 +128,22 @@ func TestPlainCheckpointRestoresOntoDiskStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(disk.Close)
-		if st := disk.st.Stats(); st.ColdConns.Load() == 0 || disk.st.ConnCount() != c.conns {
-			t.Fatalf("%s: disk restore holds %d conns (%d cold) of %d", c.name, disk.st.ConnCount(), st.ColdConns.Load(), c.conns)
+		if cold, held := coldConns(disk), disk.Stats().Retained; cold == 0 || held != c.conns {
+			t.Fatalf("%s: disk restore holds %d conns (%d cold) of %d", c.name, held, cold, c.conns)
 		}
 		diffReports(t, c.name+": disk-store against memory-store restore", allReports(t, mem), allReports(t, disk))
 	}
 }
 
 // liveHeap is the heap still reachable after a collection.
+// coldConns counts the connections e's shards hold in the cold tier.
+func coldConns(e *Engine) (cold int64) {
+	for _, sh := range e.shards {
+		cold += sh.st.Stats().ColdConns.Load()
+	}
+	return cold
+}
+
 func liveHeap() int64 {
 	runtime.GC()
 	var m runtime.MemStats
@@ -167,10 +176,7 @@ func TestTieredReportDoesNotPinRecords(t *testing.T) {
 			})
 			feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
 			s.Drain()
-			var cold int64
-			for _, e := range s.shards {
-				cold += e.st.Stats().ColdConns.Load()
-			}
+			cold := coldConns(s)
 			if cold < int64(len(b.Raw.Conns))*9/10 {
 				t.Fatalf("%d of %d connections are cold: the budget is not starving the hot tier", cold, len(b.Raw.Conns))
 			}

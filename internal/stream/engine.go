@@ -1,29 +1,57 @@
 // Package stream is the incremental analysis engine: it consumes
 // core.ConnRecord / core.CertRecord events one at a time — as a border
-// tap or log tailer produces them — and keeps the enriched joint
-// SSL×X509 state of the paper's pipeline current, so any table or figure
-// can be materialized at any point mid-stream. cmd/mtlsd wraps it in a
+// tap or log tailer produces them — and keeps the joint SSL×X509 state of
+// the paper's pipeline current, so any table or figure can be
+// materialized at any point mid-stream. cmd/mtlsd wraps it in a
 // long-running daemon.
+//
+// # One engine type
+//
+// An Engine is a router, n ≥ 1 shards and one merged view, and every
+// deployment — New's one shard, NewSharded's n, a sensor, a restored
+// daemon — is that and nothing else. The router validates each event,
+// stamps it with the deployment's one sequence, hashes each connection's
+// UID to a home shard and fans each certificate out to the shard(s) that
+// reference it through a shared rendezvous. A shard (shard.go) is an
+// apply goroutine over raw state: the certificates delivered to it, the
+// retained window of its connections, the §3.2 detector over both, and
+// the segment chain they are checkpointed to. It enriches nothing and is
+// never read directly. Reports are read through one core.MergedView with
+// one source per shard — the materializer an aggregator uses too.
 //
 // # Equivalence contract
 //
-// Feeding a finite dataset through the engine (certificates and
+// Feeding a finite dataset through an Engine (certificates and
 // connections in any interleaving, connections in dataset order) and
 // draining it produces an Analysis deeply equal to mtls.Analyze on the
-// same input. The engine shares the batch pipeline's implementation
-// rather than reimplementing it: enrichment goes through core.Builder
-// (the same enricher the serial batch path runs) and interception
-// filtering through interception.Stream (which Detector.Run itself wraps).
+// same input, at any shard count. The engine shares the batch pipeline's
+// implementation rather than reimplementing it: enrichment goes through
+// core.Builder (the same enricher the serial batch path runs) and
+// interception filtering through interception.Stream (which Detector.Run
+// itself wraps). Connections are replayed in their ingest order (a k-way
+// merge on router-assigned sequence numbers), certificate rosters union
+// to the one roster (the rendezvous always delivers a certificate to its
+// fingerprint's home shard, duplicates resolve first-observation-wins to
+// the same copy), and the §3.2 verdict is the verdict of the union of
+// per-shard detector evidence — correct because that evidence is
+// order-independent and per-connection, so domains contradicting an
+// issuer on different shards corroborate globally (interception.Merge).
+// Mid-stream, a materialization is a prefix of the ingested stream: every
+// connection below the applied frontier — the lowest sequence a shard
+// with routed-but-unapplied work has still to apply — and none above it.
+// A shard running ahead of a lagging one is therefore read one batch
+// stale rather than out of order, which is what lets the merged view
+// append what is new instead of replaying. (The verdict those connections
+// are filtered under is the union's over everything applied, so it may
+// run ahead of the frontier by the batches in flight.)
 //
 // # Retroactive evidence and replays
 //
-// The apply loop stores raw state only: the certificate roster, the
-// retained connection window, the §3.2 detector. Reports are read through
-// a one-source core.MergedView over that state — the same materializer a
-// sharded engine and an aggregator use — whose Builder lives as long as
-// the engine and, on a read after new events, enriches those events and
-// nothing else. Late evidence can make appending differ from what batch
-// would compute, where all data is present up front; the view then
+// The view's Builder lives as long as the engine and, on a read after new
+// events, enriches those events — each shard's roster-log and window
+// suffix past the view's cursor — and nothing else; a read while no shard
+// moved costs nothing. Late evidence can make appending differ from what
+// batch would compute, where all data is present up front; the view then
 // replays the retained window through a fresh Builder, for exactly the
 // reasons core.ReplayReason names: the §3.2 exclusion set grew (an issuer
 // confirmed as interception after its certificates were admitted), a
@@ -31,9 +59,16 @@
 // it (a certificate that is late but lands before the next read costs
 // nothing: a catch-up adds certificates ahead of connections), or
 // retention evicted. Replays are counted in Stats.Rebuilds and, by
-// reason, in stream_merge_replays_total. A read holds the engine's state
-// lock only while it snapshots what is new; the report scan itself runs
-// beside ingestion.
+// reason, in stream_merge_replays_total. A read holds the router lock and
+// each shard's state lock only while it snapshots what is new; the report
+// scan itself runs beside ingestion.
+//
+// The §3.2 verdict is not part of a read's price. The router owns one
+// evidence union for the engine's lifetime; Stats, the merged view's
+// capture and Export each bring it current with the pairs the shards
+// journaled since the last catch-up — O(new pairs), usually none — and
+// read the verdict off it. Stats is therefore O(shards), whatever the
+// evidence or roster size.
 //
 // # Bounded memory
 //
@@ -44,11 +79,19 @@
 // the retained window. The certificate roster and the interception
 // detector are cumulative by design: certificates are the deduplicated
 // entity the paper counts, and evicted connections must still count
-// toward issuer confirmation.
+// toward issuer confirmation. On the disk store the shards' captures are
+// decoded copies, so the view keeps no Builder between reads: every
+// report replays, and the hot-set bound holds after a report as it did
+// before it.
 package stream
 
 import (
 	"fmt"
+	"math"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,11 +101,10 @@ import (
 	"repro/internal/ids"
 	"repro/internal/interception"
 	"repro/internal/metrics"
-	"repro/internal/psl"
 	"repro/internal/store"
 )
 
-// Policy selects what Ingest does when the bounded buffer is full.
+// Policy selects what Ingest does when a shard's bounded buffer is full.
 type Policy int
 
 const (
@@ -82,7 +124,7 @@ type Config struct {
 	// map, netsim plan, months, workers). Input.Raw is ignored — the
 	// engine accumulates its own dataset from the ingested events.
 	Input *core.Input
-	// Buffer is the ingest channel capacity (default 1024).
+	// Buffer is each shard's ingest channel capacity (default 1024).
 	Buffer int
 	// Policy is the full-buffer behavior (default Block).
 	Policy Policy
@@ -90,61 +132,56 @@ type Config struct {
 	// length behind the newest connection timestamp. 0 retains
 	// everything (required for batch equivalence).
 	Retention time.Duration
-	// EvictEvery is how many connection events elapse between eviction
-	// sweeps when Retention is set (default 1024).
+	// EvictEvery is how many connection events elapse on a shard between
+	// its eviction sweeps when Retention is set (default 1024).
 	EvictEvery int
 	// Metrics receives the engine's operational series (ingest counters,
 	// queue latency, merge/materialize/evict durations, buffer
-	// occupancy). Nil disables exposition; the engine still instruments
-	// into a private registry so call sites stay unconditional.
+	// occupancy); per-shard series carry a shard="i" label. Nil disables
+	// exposition; the engine still instruments into a private registry so
+	// call sites stay unconditional.
 	Metrics *metrics.Registry
 
-	// Store selects where the retained connection window (a store.Window)
-	// lives: "" or "memory" keeps it in RAM (the default), "disk" gives it
-	// a cold tier — a hot tail in RAM under HotBytes, the older remainder
-	// spilled to a segment file under StoreDir — so the window can exceed
-	// RAM. The certificate roster is resident either way. A tiered engine
-	// trades materialization cost for bounded ingest RSS: every report
-	// replays the window, decoding the spilled records, and lets the
-	// enriched state go when it returns (kept, it would pin every record
-	// the window spilled) — at any shard count.
+	// Store selects where each shard's retained connection window (a
+	// store.Window) lives: "" or "memory" keeps it in RAM (the default),
+	// "disk" gives it a cold tier — a hot tail in RAM under HotBytes, the
+	// older remainder spilled to a segment file under StoreDir — so the
+	// window can exceed RAM. The certificate roster is resident either
+	// way. A tiered engine trades materialization cost for bounded ingest
+	// RSS: every report replays the window, decoding the spilled records,
+	// and lets the enriched state go when it returns (kept, it would pin
+	// every record the window spilled).
 	Store string
 	// StoreDir is the disk store's scratch directory (required when
 	// Store is "disk"; recreated on start — durability is the
-	// checkpoint's job, not the store's).
+	// checkpoint's job, not the store's). Shard i tiers into its
+	// shard-i subdirectory.
 	StoreDir string
 	// HotBytes bounds the disk store's in-RAM hot connections (estimated
-	// record bytes; default store.DefaultHotBytes). Under NewSharded it
-	// is the deployment's budget, split evenly across the shards.
+	// record bytes; default store.DefaultHotBytes). It is the engine's
+	// budget, split evenly across its shards.
 	HotBytes int64
 
 	// TrackExport enables Export — the cursor-addressable snapshot a
-	// sensor serves to an aggregator. Every engine stamps the connections
-	// it applies with an ingest sequence; under TrackExport first-observed
-	// certificates draw from the same number space (so a single cursor
-	// covers both), the numbering is scoped by an epoch, and checkpoints
-	// carry it so cursors survive a restart. Off by default: the
-	// bookkeeping is one map insert per unique certificate.
+	// sensor serves to an aggregator. The router numbers connections and
+	// first-observed certificates from one sequence whether or not anyone
+	// exports; under TrackExport it also keeps the certificates as a log
+	// ascending by that sequence, so a delta is a suffix, and checkpoints
+	// carry the epoch that scopes the numbering, so cursors survive a
+	// restart. Off by default: the log is sixteen bytes per unique
+	// certificate.
 	TrackExport bool
 
-	// routed marks a shard behind a router (NewSharded at n > 1). It
-	// stamps connections with the sequences arriving in the router's
-	// batches instead of its own counter, so the deployment can k-way
-	// merge shard-local streams back into the single-stream order, and it
-	// keeps raw state only: reports are materialized from the merged
-	// view, never from a shard.
-	routed bool
 	// metricLabels are alternating key/value pairs appended to every
-	// stream_* series this engine registers (e.g. "shard", "3"), so the
-	// shards of one deployment expose distinguishable series in one
-	// registry.
+	// stream_* series a shard registers ("shard", "3"), so the shards of
+	// one engine expose distinguishable series in one registry.
 	metricLabels []string
 }
 
 // Stats is the engine's operational counters, served by mtlsd /stats.
 type Stats struct {
 	ConnsIngested uint64 // connection events applied
-	CertsIngested uint64 // certificate events applied (incl. duplicates)
+	CertsIngested uint64 // certificate events admitted (incl. duplicates)
 	Dropped       uint64 // events shed under Policy Drop
 	Rejected      uint64 // invalid events refused at the ingest boundary
 	Retained      int    // connections currently in the window
@@ -162,155 +199,193 @@ type Stats struct {
 	CheckpointAge  float64   // seconds since LastCheckpoint (0 if none)
 }
 
-// event is one ingest-queue entry: a batch of records or a flush
-// barrier. enq stamps when the producer enqueued it, so the apply loop
-// can observe queue latency.
-type event struct {
-	batch *batch
-	flush chan struct{}
-	enq   time.Time
-}
+// MaxShards bounds the shard count: the rendezvous tracks per-shard
+// delivery in one uint64 bitmask, which is far beyond any core count the
+// single-producer router could keep fed anyway.
+const MaxShards = 64
 
-// Engine is the incremental analysis engine. Create with New, feed with
-// IngestConn/IngestCert, materialize with Analysis or Report.
+// Engine is the incremental analysis engine: one router feeding n shards,
+// read through one merged view. Create with New or NewSharded, feed with
+// IngestConn/IngestCert or their batch forms, materialize with Analysis
+// or Report.
 type Engine struct {
-	cfg  Config
-	det  *interception.Detector
-	ch   chan event
-	done chan struct{}
+	cfg    Config
+	shards []*shard
 
-	sendMu   sync.RWMutex // guards closed + ch against Close
-	closed   bool
-	dropped  atomic.Uint64
+	mu sync.Mutex // guards router state below
+	// closed stops admission: a closed engine assigns no sequence and
+	// moves no counter.
+	closed bool
+	// scratch is the per-shard batch partition table the ingest path
+	// reuses across calls (populated and flushed under mu).
+	scratch []*batch
+	// nextSeq is the next sequence number (connections and first-observed
+	// certificates share one number space).
+	nextSeq uint64
+	// routed[i] is one past the last connection sequence handed to shard
+	// i's queue: a shard whose own nextSeq trails it has work to apply.
+	// merged is one past the highest sequence a capture has handed the
+	// merged view; every connection below it is applied.
+	routed []uint64
+	merged uint64
+	// epoch scopes export cursors to this sequence numbering (a fresh
+	// engine gets a fresh epoch, so a cursor taken against a predecessor
+	// is detectably stale rather than silently wrong); preserved across
+	// checkpoint/restore under cfg.TrackExport.
+	epoch uint64
+	// rv is the certificate rendezvous: every ingested or awaited
+	// fingerprint, which shards hold the certificate, and which shards
+	// referenced it before it arrived.
+	rv          map[ids.Fingerprint]*rendezvous
+	rvSlab      []rendezvous // unused entries, handed out by rendezvousFor
+	uniqueCerts int          // fingerprints whose certificate has arrived
+	certsRouted uint64       // IngestCert calls admitted (incl. duplicate fps)
+	// certLog lists the arrived certificates ascending by rendezvous seq —
+	// append-only, so Export binary-searches its suffix. Kept only under
+	// cfg.TrackExport.
+	certLog []ExportCert
+
 	rejected atomic.Uint64
 
-	m *engineMetrics
+	m *routerMetrics
 
-	mu sync.Mutex // guards all state below
+	// union is the engine's §3.2 evidence: every shard's journal up to
+	// cursors[i]. unionMu guards both. Lock order: mu (Export and the
+	// merged view's capture), then unionMu, then a shard's state lock —
+	// catching up reads a shard's detector under that shard's lock.
+	unionMu sync.Mutex
+	union   *interception.Merge
+	cursors []int
 
-	// stateVer counts report-visible state changes (roster growth,
-	// connection applies, evictions, restores). The sharded merge cache
-	// reads it without the state lock to decide whether its materialized
-	// view is still current; written only under mu.
-	stateVer atomic.Uint64
-
-	// Raw state — ground truth, never invalidated: the certificate roster
-	// (first observation wins; cumulative, resident, pointers stable for
-	// the engine's lifetime) and the same certificates as an append-only
-	// log in admission order — so "the roster since" a checkpoint commit
-	// or a merged view's cursor is a slice suffix, readable after the
-	// state lock is released — the retained connection window, every
-	// record under its ingest sequence, and the cumulative §3.2 detector.
-	roster    map[ids.Fingerprint]*certmodel.CertInfo
-	rosterLog []*certmodel.CertInfo
-	st        *store.Window
-	icpt      *interception.Stream
-
-	// nextSeq is one past every sequence stamped so far: the engine's own
-	// counter, or trailing the router's stamps on a shard. The rest is
-	// export-cursor state, meaningful only under cfg.TrackExport: the
-	// per-fingerprint admission sequence, the same roster as an
-	// append-only log ascending by that sequence (Export binary-searches
-	// its suffix), and the epoch that scopes cursors to this sequence
-	// numbering (a fresh engine gets a fresh epoch, so a cursor taken
-	// against a predecessor is detectably stale rather than silently
-	// wrong).
-	nextSeq  uint64
-	certSeqs map[ids.Fingerprint]uint64
-	certLog  []ExportCert
-	epoch    uint64
-
-	// view materializes reports from the raw state above; nil on a routed
-	// shard, whose Sharded reads all shards through one view.
+	// view is the merged materialization, cached on the per-shard
+	// stateVer vector and caught up from the shards' suffixes.
 	view *core.MergedView
 
-	connsIngested uint64
-	certsIngested uint64
-	evicted       uint64
-	sinceEvict    int
-	watermark     time.Time
-	lastCkpt      time.Time
-
-	// Checkpoint bookkeeping (still under mu), against this engine's
-	// chain: sequences below ckptMark and roster-log entries below
-	// ckptCerts are covered by committed segments; ckptCutoff is the
-	// latest eviction cutoff applied, which a delta records so restore can
-	// replay the eviction against earlier segments.
-	ckptMark   uint64
-	ckptCerts  int
-	ckptCutoff time.Time
-
-	// ckpt owns the checkpoint directory; nil on a routed shard, whose
-	// chain its Sharded commits.
+	// ckpt owns the checkpoint directory: one segment chain per shard,
+	// committed with the router's state by one MANIFEST.
 	ckpt *checkpointer
 }
 
-// New starts an engine. Call Close to stop it.
-func New(cfg Config) (*Engine, error) {
+// rendezvous is one fingerprint's delivery state. delivered and waiting
+// are shard bitmasks (bit i = shard i).
+type rendezvous struct {
+	cert      *certmodel.CertInfo
+	delivered uint64 // shards whose roster has (or will apply) the cert
+	waiting   uint64 // shards that referenced the fp before it arrived
+	// seq is the sequence consumed when the certificate first arrived
+	// (certificates and connections share the router's one number space),
+	// giving Export a cursor over the roster. It travels with every
+	// delivery, so each shard's checkpoint segments record it.
+	seq uint64
+}
+
+// New starts a one-shard engine. Call Close to stop it.
+func New(cfg Config) (*Engine, error) { return NewSharded(1, cfg) }
+
+// ShardCount resolves a requested shard count: n <= 0 selects one shard
+// per CPU, at most MaxShards; more than MaxShards is an error.
+func ShardCount(n int) (int, error) {
+	if n <= 0 {
+		return min(runtime.GOMAXPROCS(0), MaxShards), nil
+	}
+	if n > MaxShards {
+		return 0, fmt.Errorf("stream: %d shards requested, at most %d are supported", n, MaxShards)
+	}
+	return n, nil
+}
+
+// NewSharded starts an engine of n shards; n is resolved by ShardCount.
+// Config applies to every shard (Buffer is per shard). Call Close to stop
+// it.
+func NewSharded(n int, cfg Config) (*Engine, error) {
+	n, err := ShardCount(n)
+	if err != nil {
+		return nil, err
+	}
+	s, err := start(cfg, n, newShard)
+	if err != nil {
+		return nil, err
+	}
+	s.epoch = newEpoch()
+	return s, nil
+}
+
+// start builds an engine of n shards, each opened by open in shard order —
+// fresh, or restored from its chain: router state, metrics, the merged
+// view wired to the shards' state versions, and the checkpointer over
+// their chains.
+func start(cfg Config, n int, open func(Config) (*shard, error)) (*Engine, error) {
 	if cfg.Input == nil {
 		return nil, fmt.Errorf("stream: Config.Input is required")
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 1024
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.New()
 	}
-	if cfg.EvictEvery <= 0 {
-		cfg.EvictEvery = 1024
+	s := &Engine{
+		cfg:     cfg,
+		rv:      make(map[ids.Fingerprint]*rendezvous),
+		m:       newRouterMetrics(cfg.Metrics, n),
+		scratch: make([]*batch, n),
+		routed:  make([]uint64, n),
+		union:   interception.NewMerge(2),
+		cursors: make([]int, n),
 	}
-	st, err := store.Open(cfg.Store, cfg.StoreDir, cfg.HotBytes)
-	if err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
-	}
-	e := &Engine{
-		cfg:    cfg,
-		ch:     make(chan event, cfg.Buffer),
-		done:   make(chan struct{}),
-		roster: make(map[ids.Fingerprint]*certmodel.CertInfo),
-		st:     st,
-	}
-	if cfg.TrackExport {
-		e.certSeqs = make(map[ids.Fingerprint]uint64)
-		e.epoch = newEpoch()
-	}
-	// The detector must match the batch preprocess exactly (core uses
-	// MinDomains 2 over the default PSL).
-	e.det = &interception.Detector{
-		Bundle: cfg.Input.Bundle, CT: cfg.Input.CT, PSL: psl.Default(), MinDomains: 2,
-	}
-	e.icpt = e.det.NewStream(e.lookupCert)
-	e.m = newEngineMetrics(cfg.Metrics, e)
-	if !cfg.routed {
-		e.view = &core.MergedView{
-			Input:    cfg.Input,
-			Versions: func() []uint64 { return []uint64{e.stateVer.Load()} },
-			Capture:  e.capture,
-			OnMerge:  e.m.onMerge,
+	for i := 0; i < n; i++ {
+		e, err := open(s.shardConfig(i, n))
+		if err != nil {
+			s.Close()
+			return nil, err
 		}
-		e.ckpt = &checkpointer{engines: []*Engine{e}, dur: e.m.checkpointDur, compactDur: e.m.compactDur}
+		s.shards = append(s.shards, e)
 	}
-	go e.run()
-	return e, nil
+	s.view = &core.MergedView{
+		Input:    cfg.Input,
+		Versions: s.versions,
+		Capture:  s.capture,
+		OnMerge:  s.m.onMerge,
+	}
+	s.ckpt = &checkpointer{shards: s.shards, router: s.routerState, dur: s.m.checkpointDur, compactDur: s.m.compactDur}
+	return s, nil
 }
 
-// lookupCert is the detector's certificate source: the raw roster.
-func (e *Engine) lookupCert(fp ids.Fingerprint) *certmodel.CertInfo { return e.roster[fp] }
-
-// putCertLocked admits c into the roster, first observation wins; it
-// reports whether the fingerprint was new.
-func (e *Engine) putCertLocked(c *certmodel.CertInfo) bool {
-	if _, ok := e.roster[c.Fingerprint]; ok {
-		return false
+// shardConfig derives shard i's config: its metric label, and on the disk
+// store its share of the hot budget and its own subdirectory.
+func (s *Engine) shardConfig(i, n int) Config {
+	cfg := s.cfg
+	if cfg.Store == "disk" {
+		// HotBytes is the engine's budget at any shard count: resolve the
+		// default, then give each shard an even share (at least one byte —
+		// zero would select the default again).
+		if cfg.HotBytes <= 0 {
+			cfg.HotBytes = store.DefaultHotBytes
+		}
+		cfg.HotBytes = max(cfg.HotBytes/int64(n), 1)
+		if cfg.StoreDir != "" {
+			cfg.StoreDir = filepath.Join(cfg.StoreDir, fmt.Sprintf("shard-%d", i))
+		}
 	}
-	e.roster[c.Fingerprint] = c
-	e.rosterLog = append(e.rosterLog, c)
-	e.m.rosterSize.Set(float64(len(e.roster)))
-	return true
+	cfg.metricLabels = []string{"shard", strconv.Itoa(i)}
+	return cfg
 }
 
-// seqTracked reports whether anyone outside this process reads the
-// connection sequences — a router merging shards, an aggregator holding
-// a cursor. Only then do checkpoints carry the sequence column; a plain
-// engine's numbers are renumbered in replay order on restore.
-func (e *Engine) seqTracked() bool { return e.cfg.routed || e.cfg.TrackExport }
+// Shards reports the shard count.
+func (s *Engine) Shards() int { return len(s.shards) }
+
+// shardHash is FNV-1a over the routing key. UID hashing spreads
+// connections; fingerprint hashing picks each certificate's home shard.
+func shardHash(key string) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= prime64
+	}
+	return h
+}
+
+func (s *Engine) home(key string) int {
+	return int(shardHash(key) % uint64(len(s.shards)))
+}
 
 // IngestConn feeds one connection event — a batch of one over
 // IngestConnBatch. The record is copied; the caller may reuse it.
@@ -321,253 +396,188 @@ func (e *Engine) seqTracked() bool { return e.cfg.routed || e.cfg.TrackExport }
 // Stats.Rejected): the parsers guarantee weight >= 1, but the engine is
 // also fed by taps and tests, and a zero/negative weight would silently
 // corrupt every weighted percentage the reports derive.
-func (e *Engine) IngestConn(rec *core.ConnRecord) bool {
+func (s *Engine) IngestConn(rec *core.ConnRecord) bool {
 	if rec == nil {
-		e.reject()
+		s.reject()
 		return false
 	}
-	return e.IngestConnBatch([]core.ConnRecord{*rec}) == 1
+	return s.IngestConnBatch([]core.ConnRecord{*rec}) == 1
 }
 
 // IngestCert feeds one certificate event — a batch of one over
-// IngestCertBatch. A nil record, a nil certificate, or an empty
-// fingerprint is rejected (counted in Stats.Rejected) — an unkeyed
-// certificate could never be resolved from a chain and would only poison
-// the roster.
-func (e *Engine) IngestCert(rec *core.CertRecord) bool {
+// IngestCertBatch; true means the certificate entered the rendezvous. A
+// nil record, a nil certificate, or an empty fingerprint is rejected
+// (counted in Stats.Rejected) — an unkeyed certificate could never be
+// resolved from a chain and would only poison the roster.
+func (s *Engine) IngestCert(rec *core.CertRecord) bool {
 	if rec == nil {
-		e.reject()
+		s.reject()
 		return false
 	}
-	return e.IngestCertBatch([]core.CertRecord{*rec}) == 1
-}
-
-// reject counts one invalid event refused at the ingest boundary.
-func (e *Engine) reject() {
-	e.rejected.Add(1)
-	e.m.rejected.Inc()
-}
-
-// send enqueues ev unless the engine is closed. A non-blocking send
-// (Policy Drop; only batches travel that way) that finds the buffer full
-// sheds the whole batch, counting every carried event in Stats.Dropped.
-func (e *Engine) send(ev event, block bool) bool {
-	e.sendMu.RLock()
-	defer e.sendMu.RUnlock()
-	if e.closed {
-		return false
-	}
-	if block {
-		e.ch <- ev
-		return true
-	}
-	select {
-	case e.ch <- ev:
-		return true
-	default:
-		n := uint64(len(ev.batch.certs) + len(ev.batch.conns))
-		e.dropped.Add(n)
-		e.m.dropped.Add(n)
-		return false
-	}
+	return s.IngestCertBatch([]core.CertRecord{*rec}) == 1
 }
 
 // Drain blocks until every event ingested before the call has been
-// applied. It is never dropped, regardless of policy.
-func (e *Engine) Drain() {
-	done := make(chan struct{})
-	if !e.send(event{flush: done}, true) {
-		return
+// applied on its shard.
+func (s *Engine) Drain() {
+	for _, e := range s.shards {
+		e.drain()
 	}
-	<-done
 }
 
-// Close drains the queue, stops the apply loop, and makes further
-// ingests return false. Materialization remains available.
-func (e *Engine) Close() {
-	e.sendMu.Lock()
-	if e.closed {
-		e.sendMu.Unlock()
-		return
+// Close stops admission, drains and stops every shard, and waits for a
+// checkpoint compaction still folding in the background, so nothing
+// writes to the checkpoint directory once it returns. Materialization
+// remains available.
+func (s *Engine) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	for _, e := range s.shards {
+		e.close()
 	}
-	e.closed = true
-	close(e.ch)
-	e.sendMu.Unlock()
-	<-e.done
+	if s.ckpt != nil {
+		s.ckpt.compactWG.Wait()
+	}
 }
 
-// run is the single apply goroutine. It batches queued events under one
-// lock acquisition to keep lock churn off the hot path.
-func (e *Engine) run() {
-	defer close(e.done)
-	ch := e.ch // read once: the loop owns this queue for life
-	for ev := range ch {
+// versions reads the per-shard state versions without the shard locks.
+func (s *Engine) versions() []uint64 {
+	vers := make([]uint64, len(s.shards))
+	for i, e := range s.shards {
+		vers[i] = e.stateVer.Load()
+	}
+	return vers
+}
+
+// absorbLocked brings the union current with shard i's detector. Caller
+// holds unionMu and the shard's state lock.
+func (s *Engine) absorbLocked(i int) {
+	s.cursors[i] = s.union.Absorb(s.shards[i].icpt, s.cursors[i])
+}
+
+// capture is the merged view's source: what each shard holds beyond the
+// view's cursor — the roster-log entries and the window suffix it has not
+// seen — snapshotted under that shard's lock. All of it stays readable
+// once the lock is released (roster pointers are immutable, appends land
+// past the captured lengths, eviction swaps in fresh arrays, a verdict is
+// a new value when it moves); on a tiered window the records are copies
+// made here, which is what Copies tells the view. The version is read, and
+// the union caught up, under the same lock hold as the state, so the cache
+// key and the verdict match exactly what was captured; the union lock is
+// held across all shards so a concurrent Stats cannot run the verdict
+// ahead of a shard already captured.
+//
+// The router lock is held throughout, so no sequence is assigned while
+// the shards are read and routed[] says exactly which of them still have
+// connections to apply. The capture stops at the applied frontier, the
+// lowest sequence any such shard has yet to apply: everything below it
+// is applied on every shard, so what a later capture adds sorts after
+// what this one returned. When every shard has caught up — always, after
+// Drain — that is everything. The frontier never falls below what an
+// earlier capture returned (merged), so a replay while a shard lags
+// rebuilds at least what the view already showed.
+func (s *Engine) capture(since []core.MergeCursor) core.MergeCapture {
+	n := len(s.shards)
+	c := core.MergeCapture{
+		Shards:   make([]core.ShardState, n),
+		Versions: make([]uint64, n),
+		Lost:     make([]uint64, n),
+	}
+	frontier := uint64(math.MaxUint64)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.unionMu.Lock()
+	for i, e := range s.shards {
 		e.mu.Lock()
-		e.applyLocked(ev)
-	drain:
-		for i := 0; i < 256; i++ {
-			select {
-			case next, ok := <-ch:
-				if !ok {
-					e.mu.Unlock()
-					return
-				}
-				e.applyLocked(next)
-			default:
-				break drain
-			}
+		c.Versions[i] = e.stateVer.Load()
+		c.Lost[i] = e.evicted
+		conns, seqs := e.st.Snapshot(since[i].Seq)
+		c.Shards[i] = core.ShardState{Certs: e.rosterLog[since[i].Certs:], Conns: conns, Seqs: seqs}
+		c.RawConns += e.connsIngested
+		c.Copies = e.st.Tiered() // one store configuration for all shards
+		if e.nextSeq < s.routed[i] {
+			frontier = min(frontier, e.nextSeq)
 		}
+		s.absorbLocked(i)
 		e.mu.Unlock()
 	}
-}
-
-func (e *Engine) applyLocked(ev event) {
-	if ev.flush != nil {
-		close(ev.flush)
-		return
-	}
-	e.m.applyLatency.Since(ev.enq)
-	e.applyBatchLocked(ev.batch)
-}
-
-// applyCertLocked admits one certificate: first observation of a
-// fingerprint joins the roster (as zeek.Dataset.AddCert would) and wakes
-// any parked detector observations.
-func (e *Engine) applyCertLocked(c *certmodel.CertInfo) {
-	e.certsIngested++
-	e.m.certsIngested.Inc()
-	if !e.putCertLocked(c) {
-		return // first observation wins
-	}
-	e.stateVer.Add(1)
-	if e.cfg.TrackExport {
-		e.certSeqs[c.Fingerprint] = e.nextSeq
-		e.certLog = append(e.certLog, ExportCert{Seq: e.nextSeq, Cert: c})
-		e.nextSeq++
-	}
-	e.icpt.ObserveCert(c)
-}
-
-// applyConnLocked admits one connection: it is retained raw (the window
-// every report is materialized from) and observed by the interception
-// detector.
-func (e *Engine) applyConnLocked(rec *core.ConnRecord, seq uint64) {
-	e.connsIngested++
-	e.m.connsIngested.Inc()
-	e.stateVer.Add(1)
-	if rec.TS.After(e.watermark) {
-		e.watermark = rec.TS
-	}
-	if !e.cfg.routed {
-		seq = e.nextSeq
-	}
-	e.nextSeq = seq + 1
-	e.icpt.Observe(e.st.AppendConn(rec, seq))
-
-	if e.cfg.Retention > 0 {
-		e.sinceEvict++
-		if e.sinceEvict >= e.cfg.EvictEvery {
-			e.sinceEvict = 0
-			e.evictLocked()
+	c.Verdict = s.union.Result()
+	s.unionMu.Unlock()
+	c.RawCerts = s.uniqueCerts
+	frontier = max(frontier, s.merged)
+	for i := range c.Shards {
+		sh := &c.Shards[i]
+		if k, _ := slices.BinarySearch(sh.Seqs, frontier); k < len(sh.Seqs) {
+			c.RawConns -= uint64(len(sh.Seqs) - k)
+			sh.Conns, sh.Seqs = sh.Conns[:k], sh.Seqs[:k]
+		}
+		if k := len(sh.Seqs); k > 0 {
+			s.merged = max(s.merged, sh.Seqs[k-1]+1)
 		}
 	}
-	e.m.retained.Set(float64(e.st.ConnCount()))
+	return c
 }
 
-// evictLocked drops connections that fell out of the retention window.
-// The store allocates fresh backing arrays because enriched views hold
-// pointers into the old ones. The cutoff is remembered so the next
-// checkpoint delta can replay the eviction on restore.
-func (e *Engine) evictLocked() {
-	defer e.m.evictDur.Since(time.Now())
-	cutoff := e.watermark.Add(-e.cfg.Retention)
-	dropped := uint64(e.st.EvictBefore(cutoff))
-	if dropped == 0 {
-		return
-	}
-	if cutoff.After(e.ckptCutoff) {
-		e.ckptCutoff = cutoff
-	}
-	e.evicted += dropped
-	e.m.evicted.Add(dropped)
-	e.stateVer.Add(1)
-}
-
-// capture is the view's one source: the roster-log entries and window
-// suffix past the cursor, with the version, loss count and §3.2 verdict
-// they were read under. All of it stays readable once the lock is
-// released (roster pointers are immutable, appends land past the captured
-// lengths, eviction swaps in fresh arrays, a verdict is a new value when
-// it moves); on a tiered window the records are copies made here, which
-// is what Copies tells the view.
-func (e *Engine) capture(since []core.MergeCursor) core.MergeCapture {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	conns, seqs := e.st.Snapshot(since[0].Seq)
-	return core.MergeCapture{
-		Shards:   []core.ShardState{{Certs: e.rosterLog[since[0].Certs:], Conns: conns, Seqs: seqs}},
-		Versions: []uint64{e.stateVer.Load()},
-		Lost:     []uint64{e.evicted},
-		Verdict:  e.icpt.Result(),
-		RawConns: e.connsIngested,
-		RawCerts: len(e.roster),
-		Copies:   e.st.Tiered(),
-	}
+// WithPipeline runs fn over the engine's materialized pipeline; fn must
+// not retain it. Ingestion keeps flowing while fn runs (the view
+// snapshots shard state briefly per shard, then releases the locks). The
+// whole materialization — any catch-up or replay plus fn — is observed in
+// stream_materialize_seconds.
+func (s *Engine) WithPipeline(fn func(*core.Pipeline)) {
+	defer s.m.materializeDur.Since(time.Now())
+	s.view.WithPipeline(fn)
 }
 
 // Analysis materializes every table and figure over the state applied so
 // far — mid-stream this is a consistent snapshot; after Drain on a
 // finite input it deep-equals the batch pipeline's Analysis.
-func (e *Engine) Analysis() *core.Analysis {
+func (s *Engine) Analysis() *core.Analysis {
 	var a *core.Analysis
-	e.WithPipeline(func(p *core.Pipeline) { a = p.RunAll() })
+	s.WithPipeline(func(p *core.Pipeline) { a = p.RunAll() })
 	return a
 }
 
-// WithPipeline runs fn over the engine's materialized pipeline; fn must
-// not retain it. Ingestion keeps flowing while fn runs. The whole
-// materialization (any catch-up or replay plus fn) is observed in
-// stream_materialize_seconds.
-func (e *Engine) WithPipeline(fn func(*core.Pipeline)) {
-	if e.view == nil {
-		panic("stream: a routed shard keeps raw state only; materialize through its Sharded")
+// Stats returns the operational counters: the shards' ingest, drop and
+// retention counters summed, the newest watermark, the certificate
+// numbers from the router (shard rosters double-count fanned-out
+// certificates), and the §3.2 numbers as the sizes of the union's verdict
+// sets once it has caught up with every shard — one lock hold per shard
+// for both, nothing proportional to the evidence or the roster. Rebuilds
+// counts merged-view replays (not the catch-ups that append); Dirty means
+// shard state changed since the last catch-up.
+func (s *Engine) Stats() Stats {
+	st := Stats{Rejected: s.rejected.Load()}
+	s.unionMu.Lock()
+	for i, e := range s.shards {
+		e.mu.Lock()
+		st.ConnsIngested += e.connsIngested
+		st.Dropped += e.dropped.Load()
+		st.Retained += e.st.ConnCount()
+		st.Evicted += e.evicted
+		st.PendingCerts += e.icpt.PendingCount()
+		if e.watermark.After(st.Watermark) {
+			st.Watermark = e.watermark
+		}
+		if e.lastCkpt.After(st.LastCheckpoint) {
+			st.LastCheckpoint = e.lastCkpt
+		}
+		s.absorbLocked(i)
+		e.mu.Unlock()
 	}
-	defer e.m.materializeDur.Since(time.Now())
-	e.view.WithPipeline(fn)
-}
+	st.ExcludedCerts = s.union.ExcludedCount()
+	st.InterceptionIssuers = s.union.ConfirmedCount()
+	s.unionMu.Unlock()
 
-// Stats returns the operational counters.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	st := e.statsLocked()
-	e.mu.Unlock()
-	if e.view != nil {
-		ms := e.view.Stats()
-		st.Rebuilds, st.Dirty = ms.Replays, ms.Stale
-	}
-	return st
-}
+	s.mu.Lock()
+	st.CertsIngested = s.certsRouted
+	st.UniqueCerts = s.uniqueCerts
+	s.mu.Unlock()
 
-// statsLocked is the raw state's counters, for a caller already holding
-// the state lock (the router reads a shard's counters and detector under
-// one hold). Rebuilds and Dirty belong to whoever owns the view.
-func (e *Engine) statsLocked() Stats {
-	st := Stats{
-		ConnsIngested:       e.connsIngested,
-		CertsIngested:       e.certsIngested,
-		Dropped:             e.dropped.Load(),
-		Rejected:            e.rejected.Load(),
-		Retained:            e.st.ConnCount(),
-		Evicted:             e.evicted,
-		UniqueCerts:         len(e.roster),
-		ExcludedCerts:       e.icpt.ExcludedCount(),
-		InterceptionIssuers: e.icpt.ConfirmedCount(),
-		PendingCerts:        e.icpt.PendingCount(),
-		Watermark:           e.watermark,
-		LastCheckpoint:      e.lastCkpt,
-	}
-	if !e.lastCkpt.IsZero() {
-		st.CheckpointAge = time.Since(e.lastCkpt).Seconds()
+	ms := s.view.Stats()
+	st.Rebuilds, st.Dirty = ms.Replays, ms.Stale
+	if !st.LastCheckpoint.IsZero() {
+		st.CheckpointAge = time.Since(st.LastCheckpoint).Seconds()
 	}
 	return st
 }

@@ -122,18 +122,10 @@ func feed(t *testing.T, e *Engine, b *workload.Build) {
 	}
 }
 
+// newEngine starts a one-shard engine that the test's cleanup closes.
 func newEngine(t *testing.T, in *core.Input, mutate func(*Config)) *Engine {
 	t.Helper()
-	cfg := Config{Input: in}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	return e
+	return newSharded(t, 1, in, mutate)
 }
 
 // TestStreamMatchesBatch is the load-bearing contract: draining a finite
@@ -406,12 +398,12 @@ func TestCheckpointRestoreResume(t *testing.T) {
 	}
 }
 
-// stallApply stops e's apply loop by taking the state lock it applies
+// stallApply stops e's one apply loop by taking the state lock it applies
 // under — a report no longer holds that lock, so parking one stalls
 // nothing. release lets the loop go again.
 func stallApply(e *Engine) (release func()) {
-	e.mu.Lock()
-	return e.mu.Unlock
+	e.shards[0].mu.Lock()
+	return e.shards[0].mu.Unlock
 }
 
 // TestBackpressureDrop verifies the Drop policy sheds load without
@@ -556,24 +548,39 @@ func TestReportRegistry(t *testing.T) {
 	}
 }
 
-// TestIngestAfterClose: a closed engine rejects events instead of
-// panicking, and still materializes.
+// TestIngestAfterClose: a closed engine admits nothing — connections and
+// certificates are refused one at a time and in batches, and no counter
+// or sequence moves — instead of panicking, and still materializes.
 func TestIngestAfterClose(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	e, err := New(Config{Input: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, e, b)
-	e.Close()
-	if e.IngestConn(&b.Raw.Conns[0]) {
-		t.Fatal("ingest after close must return false")
-	}
-	e.Drain() // must not hang
-	if a := e.Analysis(); a.CertStats.Row("Total").Total == 0 {
-		t.Fatal("closed engine must still materialize")
+	fresh := syntheticCerts(2) // the roster has never seen these
+	for _, n := range []int{1, 2} {
+		e, err := NewSharded(n, Config{Input: in, TrackExport: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(t, e, b)
+		e.Close()
+		want, wantExport := e.Stats(), mustExport(t, e, 0, 0)
+		if e.IngestConn(&b.Raw.Conns[0]) || e.IngestConnBatch(b.Raw.Conns[:8]) != 0 {
+			t.Fatalf("shards=%d: connection ingest after close must admit nothing", n)
+		}
+		if e.IngestCert(&fresh[0]) || e.IngestCertBatch(fresh) != 0 {
+			t.Fatalf("shards=%d: certificate ingest after close must admit nothing", n)
+		}
+		e.Drain() // must not hang
+		if got := e.Stats(); got != want {
+			t.Fatalf("shards=%d: Stats moved after close:\n got %+v\nwant %+v", n, got, want)
+		}
+		if got := mustExport(t, e, 0, 0); got.NextSeq != wantExport.NextSeq || len(got.Certs) != len(wantExport.Certs) {
+			t.Fatalf("shards=%d: closed engine numbered on: next sequence %d → %d, %d → %d certificates",
+				n, wantExport.NextSeq, got.NextSeq, len(wantExport.Certs), len(got.Certs))
+		}
+		if a := e.Analysis(); a.CertStats.Row("Total").Total == 0 {
+			t.Fatalf("shards=%d: closed engine must still materialize", n)
+		}
 	}
 }
 

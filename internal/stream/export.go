@@ -75,40 +75,6 @@ func newEpoch() uint64 {
 	return e
 }
 
-// Export snapshots the engine's raw state at or after cursor since,
-// copying under the state lock exactly as WriteCheckpoint does. since 0
-// is a full snapshot (epoch is ignored); a nonzero since must carry the
-// epoch of the export it was taken from, and a mismatch — or a cursor
-// beyond NextSeq — returns ErrStaleCursor. Connections already evicted
-// by retention are not replayed into a delta, mirroring what the
-// engine's own reports describe.
-func (e *Engine) Export(since, epoch uint64) (*ExportState, error) {
-	if !e.cfg.TrackExport {
-		return nil, ErrExportDisabled
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if since > 0 && epoch != e.epoch {
-		return nil, fmt.Errorf("%w: epoch %d, engine has %d", ErrStaleCursor, epoch, e.epoch)
-	}
-	if since > e.nextSeq {
-		return nil, fmt.Errorf("%w: since %d beyond next sequence %d", ErrStaleCursor, since, e.nextSeq)
-	}
-	st := &ExportState{
-		Epoch:         e.epoch,
-		Since:         since,
-		NextSeq:       e.nextSeq,
-		ConnsIngested: e.connsIngested,
-		CertsIngested: e.certsIngested,
-		Watermark:     e.watermark,
-		Retention:     e.cfg.Retention,
-		Evidence:      e.icpt.Evidence(),
-	}
-	st.Certs = certsSince(e.certLog, since)
-	e.exportConnsLocked(st)
-	return st, nil
-}
-
 // certsSince copies the suffix of an admission-ordered certificate log
 // at or after since, so a delta costs O(delta) whatever the roster size.
 func certsSince(log []ExportCert, since uint64) []ExportCert {
@@ -128,44 +94,43 @@ func sortCertLog(log []ExportCert) {
 	})
 }
 
-// exportConnsLocked appends the retained connections at or after
+// exportConnsLocked appends the shard's retained connections at or after
 // st.Since, ascending — a suffix of the window, so a delta costs
 // O(delta).
-func (e *Engine) exportConnsLocked(st *ExportState) {
+func (e *shard) exportConnsLocked(st *ExportState) {
 	e.st.Since(st.Since, func(rec *core.ConnRecord, seq uint64) bool {
 		st.Conns = append(st.Conns, ExportConn{Seq: seq, Conn: *rec})
 		return true
 	})
 }
 
-// Export snapshots the sharded deployment as one state: the router lock
-// is held so no new sequences are assigned, each shard is drained so
-// every already-assigned sequence is applied (otherwise a cursor could
-// advance past in-flight records and a delta would skip them forever),
-// the per-shard streams are collected back into one ascending sequence
-// order, and the evidence is the router's union, caught up with each
-// shard under the lock hold that exports its connections. Requires
-// Config.TrackExport.
-func (s *Sharded) Export(since, epoch uint64) (*ExportState, error) {
-	if s.single != nil {
-		return s.single.Export(since, epoch)
-	}
+// Export snapshots the engine's raw state at or after cursor since. since
+// 0 is a full snapshot (epoch is ignored); a nonzero since must carry the
+// epoch of the export it was taken from, and a mismatch — or a cursor
+// beyond NextSeq — returns ErrStaleCursor. The router lock is held so no
+// new sequences are assigned, each shard is drained so every
+// already-assigned sequence is applied (otherwise a cursor could advance
+// past in-flight records and a delta would skip them forever), the
+// per-shard streams are collected back into one ascending sequence order,
+// and the evidence is the router's union, caught up with each shard under
+// the lock hold that exports its connections. Connections already evicted
+// by retention are not replayed into a delta, mirroring what the engine's
+// own reports describe. Requires Config.TrackExport.
+func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 	if !s.cfg.TrackExport {
 		return nil, ErrExportDisabled
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if since > 0 && epoch != s.epoch {
-		return nil, fmt.Errorf("%w: epoch %d, router has %d", ErrStaleCursor, epoch, s.epoch)
+		return nil, fmt.Errorf("%w: epoch %d, engine has %d", ErrStaleCursor, epoch, s.epoch)
 	}
 	if since > s.nextSeq {
 		return nil, fmt.Errorf("%w: since %d beyond next sequence %d", ErrStaleCursor, since, s.nextSeq)
 	}
 	// Drain without the shard state locks: the apply goroutines never
 	// take the router lock, so they make progress while we hold it.
-	for _, e := range s.shards {
-		e.Drain()
-	}
+	s.Drain()
 	st := &ExportState{
 		Epoch:     s.epoch,
 		Since:     since,

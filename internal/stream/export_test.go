@@ -3,9 +3,11 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,14 +66,7 @@ func replayAnalysis(in *core.Input, sensors ...[]*ExportState) *core.Analysis {
 	return b.Pipeline(pre).RunAll()
 }
 
-// exporter is the shared export surface of Engine and Sharded.
-type exporter interface {
-	ingester
-	Drain()
-	Export(since, epoch uint64) (*ExportState, error)
-}
-
-func mustExport(t *testing.T, e exporter, since, epoch uint64) *ExportState {
+func mustExport(t *testing.T, e *Engine, since, epoch uint64) *ExportState {
 	t.Helper()
 	st, err := e.Export(since, epoch)
 	if err != nil {
@@ -93,7 +88,7 @@ func certList(b *workload.Build) []*certmodel.CertInfo {
 
 // feedSlice pushes certificates and connections from index ranges of the
 // build — the tool for splitting one dataset into sync rounds.
-func feedSlice(t *testing.T, g ingester, b *workload.Build, certs []*certmodel.CertInfo, c0, c1, n0, n1 int) {
+func feedSlice(t *testing.T, g *Engine, b *workload.Build, certs []*certmodel.CertInfo, c0, c1, n0, n1 int) {
 	t.Helper()
 	for _, c := range certs[c0:c1] {
 		if !g.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c}) {
@@ -109,7 +104,7 @@ func feedSlice(t *testing.T, g ingester, b *workload.Build, certs []*certmodel.C
 
 // TestExportFullReplay: a full export replayed through MergeShards +
 // evidence merge reproduces the engine's own analysis exactly — at
-// shard counts 1 (plain engine passthrough), 2, and 4.
+// shard counts 1, 2, and 4.
 func TestExportFullReplay(t *testing.T) {
 	b := genBuild(20240504, 1200)
 	batch := core.Run(inputFromBuild(b))
@@ -118,7 +113,7 @@ func TestExportFullReplay(t *testing.T) {
 		in := inputFromBuild(b)
 		in.Raw = nil
 		s := newSharded(t, n, in, func(c *Config) { c.TrackExport = true })
-		feedCertsFirst(t, s, b)
+		feed(t, s, b)
 		s.Drain()
 		st := mustExport(t, s, 0, 0)
 
@@ -191,8 +186,8 @@ func TestExportDelta(t *testing.T) {
 }
 
 // TestExportSinceIsSuffixOfFull: a delta export is exactly the full
-// export filtered to its cursor — on either store, at one shard (the
-// plain engine under TrackExport) and at two, for cursors before, inside
+// export filtered to its cursor — on either store, at one shard and at
+// two, for cursors before, inside
 // and past the retained window, including one taken before retention
 // evicted the records on both sides of it.
 func TestExportSinceIsSuffixOfFull(t *testing.T) {
@@ -202,7 +197,7 @@ func TestExportSinceIsSuffixOfFull(t *testing.T) {
 	// age out of a window a third of the stream long.
 	conns := append([]core.ConnRecord(nil), b.Raw.Conns...)
 	sort.SliceStable(conns, func(i, j int) bool { return conns[i].TS.Before(conns[j].TS) })
-	feedRound := func(g ingester, cs []*certmodel.CertInfo, recs []core.ConnRecord) {
+	feedRound := func(g *Engine, cs []*certmodel.CertInfo, recs []core.ConnRecord) {
 		t.Helper()
 		for _, c := range cs {
 			if !g.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c}) {
@@ -245,11 +240,7 @@ func TestExportSinceIsSuffixOfFull(t *testing.T) {
 			t.Fatalf("%+v: eviction never reached the early cursor", tc)
 		}
 		if tc.disk {
-			var cold int64
-			for _, e := range s.shards {
-				cold += e.st.Stats().ColdConns.Load()
-			}
-			if cold == 0 {
+			if coldConns(s) == 0 {
 				t.Fatalf("%+v: hot budget did not force any spill", tc)
 			}
 		}
@@ -300,11 +291,6 @@ func TestExportStaleCursor(t *testing.T) {
 	if _, err := plain.Export(0, 0); !errors.Is(err, ErrExportDisabled) {
 		t.Errorf("export without TrackExport: err = %v, want ErrExportDisabled", err)
 	}
-
-	s := newSharded(t, 2, in, nil)
-	if _, err := s.Export(0, 0); !errors.Is(err, ErrExportDisabled) {
-		t.Errorf("sharded export without TrackExport: err = %v, want ErrExportDisabled", err)
-	}
 }
 
 // TestExportCheckpointResume: a cursor taken before a checkpoint/restart
@@ -350,6 +336,51 @@ func TestExportCheckpointResume(t *testing.T) {
 		got := replayAnalysis(inputFromBuild(b), []*ExportState{full, delta})
 		if !reflect.DeepEqual(batch, got) {
 			t.Errorf("shards=%d: full+post-restart delta differs from batch", n)
+		}
+	}
+}
+
+// TestExportManifestDoesNotFollowRoster: an exporting engine's certificate
+// sequences are committed in the segments, beside the certificates, so
+// the MANIFEST every commit rewrites stays the same few hundred bytes
+// while the roster grows tenfold between two commits — and the sequences
+// still come back on restore.
+func TestExportManifestDoesNotFollowRoster(t *testing.T) {
+	b := genBuild(7, 4000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	certs := syntheticCerts(1100)
+	for _, n := range []int{1, 2} {
+		cfg := Config{Input: in, TrackExport: true}
+		s := newSharded(t, n, in, func(c *Config) { *c = cfg })
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		var sizes []int
+		for _, part := range [][]core.CertRecord{certs[:100], certs[100:]} {
+			s.IngestCertBatch(part)
+			s.Drain()
+			if err := s.WriteCheckpoint(dir, nil); err != nil {
+				t.Fatal(err)
+			}
+			buf, err := os.ReadFile(filepath.Join(dir, ckptManifestName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(string(buf), "CertSeqs") {
+				t.Fatalf("shards=%d: MANIFEST holds certificate sequences:\n%.400s", n, buf)
+			}
+			sizes = append(sizes, len(buf))
+		}
+		// The second manifest names one more segment per chain.
+		if grew := sizes[1] - sizes[0]; grew > 128*n {
+			t.Errorf("shards=%d: MANIFEST grew %d bytes (%d → %d) across 1000 certificates", n, grew, sizes[0], sizes[1])
+		}
+		restored, _, err := RestoreSharded(cfg, n, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(restored.Close)
+		if want, got := mustExport(t, s, 0, 0), mustExport(t, restored, 0, 0); !reflect.DeepEqual(want.Certs, got.Certs) || want.Epoch != got.Epoch {
+			t.Errorf("shards=%d: the restored engine numbers its %d certificates differently (epoch %d → %d)", n, len(got.Certs), want.Epoch, got.Epoch)
 		}
 	}
 }
@@ -411,7 +442,7 @@ func syntheticCerts(n int) []core.CertRecord {
 
 // exportingRoster starts an exporting deployment holding n synthetic
 // certificates and returns it with its full export.
-func exportingRoster(t testing.TB, in *core.Input, shards, n int) (*Sharded, *ExportState) {
+func exportingRoster(t testing.TB, in *core.Input, shards, n int) (*Engine, *ExportState) {
 	t.Helper()
 	s, err := NewSharded(shards, Config{Input: in, TrackExport: true})
 	if err != nil {
@@ -432,7 +463,7 @@ func exportingRoster(t testing.TB, in *core.Input, shards, n int) (*Sharded, *Ex
 // TestExportDeltaAllocsFlat pins the certificate side of a delta export
 // against the roster size: a delta is the admission log's suffix, and an
 // empty one (since = NextSeq) allocates the same over a 1k and a 50k
-// roster, on a plain engine and through the router — nothing copies,
+// roster, at one shard and at two — nothing copies,
 // collects or sorts the roster on the way. (The walk itself being
 // O(delta) is a time, not an allocation: BenchmarkExportEmptyDelta.)
 func TestExportDeltaAllocsFlat(t *testing.T) {

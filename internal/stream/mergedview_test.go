@@ -30,8 +30,8 @@ func mergeReplays(reg *metrics.Registry) map[core.ReplayReason]uint64 {
 // lock stays free — a lagging apply goroutine without the timing. release
 // forwards what piled up, in order, and reconnects the queue; it also
 // runs at cleanup, since Close must find the real queue.
-func holdBack(t *testing.T, e *Engine) (release func()) {
-	e.Drain() // the apply loop holds its channel by now and never re-reads the field
+func holdBack(t *testing.T, e *shard) (release func()) {
+	e.drain() // the apply loop holds its channel by now and never re-reads the field
 	queue, parked := e.ch, make(chan event, 1<<16)
 	e.sendMu.Lock()
 	e.ch = parked
@@ -51,7 +51,7 @@ func holdBack(t *testing.T, e *Engine) (release func()) {
 // frontierOracle replays s's shards as they stand through a fresh
 // MergeShards, connections capped below frontier, under the union's
 // current verdict — what a read must equal while a shard lags.
-func frontierOracle(s *Sharded, frontier uint64, pre *core.PreprocessReport) *core.Analysis {
+func frontierOracle(s *Engine, frontier uint64, pre *core.PreprocessReport) *core.Analysis {
 	states := make([]core.ShardState, len(s.shards))
 	for i, e := range s.shards {
 		e.mu.Lock()
@@ -74,7 +74,7 @@ func frontierOracle(s *Sharded, frontier uint64, pre *core.PreprocessReport) *co
 // that, what an earlier read had already merged), a true prefix of the
 // global stream — and costs a catch-up, not a replay; once
 // the shard catches up the next read appends what was held back, and
-// after Drain the deployment equals a single engine. No read ever meets a
+// after Drain the engine equals the batch pipeline. No read ever meets a
 // connection sorting below one it already merged.
 func TestShardedLaggingShardCatchesUp(t *testing.T) {
 	b := genBuild(20240504, 1500)
@@ -129,7 +129,7 @@ func TestShardedLaggingShardCatchesUp(t *testing.T) {
 		feedBatches(t, s, nil, conns[lo:hi], 256)
 		for i, e := range s.shards {
 			if i != lagging {
-				e.Drain()
+				e.drain()
 			}
 		}
 		// The frontier: what the held shard has applied, and never below
@@ -151,11 +151,8 @@ func TestShardedLaggingShardCatchesUp(t *testing.T) {
 		read("the shard caught up", all, hi)
 	}
 
-	single := newEngine(t, in, nil)
-	feedBatches(t, single, certs, conns, 256)
-	single.Drain()
-	if !reflect.DeepEqual(s.Analysis(), single.Analysis()) {
-		t.Error("after Drain the sharded analysis differs from a single engine's")
+	if !reflect.DeepEqual(s.Analysis(), core.Run(inputFromBuild(b))) {
+		t.Error("after Drain the analysis differs from the batch pipeline's")
 	}
 	if n := wantReplays[core.ReplayFirst] + wantReplays[core.ReplayVerdict]; reg.Counter("stream_merges_total", "").Value() <= n {
 		t.Errorf("vacuous: every one of the merges was a replay (%v)", wantReplays)
@@ -222,25 +219,16 @@ func TestShardedCatchUpIsODelta(t *testing.T) {
 }
 
 // TestParkedReportBlocksNothing: a report scan parked inside its fn holds
-// no lock that ingestion or a health check needs — at one engine or
-// behind a router, a batch is applied, Drain returns and Stats answers
+// no lock that ingestion or a health check needs — at one shard or two, a
+// batch is applied, Drain returns and Stats answers
 // (stale, with the parked read's one replay) while the scan is still out.
 func TestParkedReportBlocksNothing(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	type owner interface {
-		batchIngester
-		Materializer
-		Drain()
-		Stats() Stats
-	}
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			var g owner = newEngine(t, in, nil)
-			if n > 1 {
-				g = newSharded(t, n, in, nil)
-			}
+			g := newSharded(t, n, in, nil)
 			half := len(b.Raw.Conns) / 2
 			feedBatches(t, g, certRecords(b), b.Raw.Conns[:half], 512)
 			g.Drain()

@@ -8,7 +8,7 @@ import (
 )
 
 // MergeObserver registers a merged view's series under prefix ("stream"
-// for an engine, plain or sharded, "distrib" for an aggregator) — <prefix>_merges_total
+// for an engine, "distrib" for an aggregator) — <prefix>_merges_total
 // and <prefix>_merge_seconds for every catch-up, and
 // <prefix>_merge_replays_total{reason} for those that had to replay, all
 // five reasons visible from boot — and returns the core.MergedView.OnMerge
@@ -28,88 +28,95 @@ func MergeObserver(reg *metrics.Registry, prefix string) func(time.Duration, cor
 	}
 }
 
-// engineMetrics is the engine's instrumentation: counters for the event
-// flow, histograms for the costs that dominate a long-running monitor
-// (queue latency, replay and materialization duration, eviction sweeps,
-// checkpoint writes), and gauges for current occupancy. Registered into
-// Config.Metrics; when the caller passes no registry a private one is
-// created so every call site stays unconditional.
-type engineMetrics struct {
+// routerMetrics is the engine-level instrumentation: what the router
+// refuses and fans out, and what the engine does once for all its shards —
+// a read through the merged view, a checkpoint commit, a fold.
+type routerMetrics struct {
+	rejected *metrics.Counter
+	fanout   *metrics.Counter
+
+	materializeDur *metrics.Histogram
+	checkpointDur  *metrics.Histogram
+	compactDur     *metrics.Histogram
+
+	// onMerge feeds the view's series: every catch-up through
+	// MergeObserver, and the replays among them once more under the two
+	// rebuild names they have always had.
+	onMerge func(time.Duration, core.ReplayReason)
+}
+
+func newRouterMetrics(r *metrics.Registry, n int) *routerMetrics {
+	r.Gauge("stream_shards", "engine shards").Set(float64(n))
+	merge := MergeObserver(r, "stream")
+	rebuilds := r.Counter("stream_rebuilds_total", "merged-view replays (retroactive evidence)")
+	rebuildDur := r.Histogram("stream_rebuild_seconds", "merged-view replay duration", nil)
+	return &routerMetrics{
+		rejected: r.Counter("stream_events_rejected_total", "invalid events refused at the ingest boundary"),
+		fanout:   r.Counter("stream_cert_fanout_total", "certificate deliveries to shards (first + forwarded copies)"),
+
+		materializeDur: r.Histogram("stream_materialize_seconds", "report materialization duration (incl. any catch-up or replay)", nil),
+		checkpointDur:  r.Histogram("stream_checkpoint_seconds", "checkpoint serialization+rename duration", nil),
+		compactDur:     r.Histogram("stream_compact_seconds", "checkpoint compaction duration", nil),
+
+		onMerge: func(d time.Duration, replay core.ReplayReason) {
+			merge(d, replay)
+			if replay != "" {
+				rebuilds.Inc()
+				rebuildDur.Observe(d.Seconds())
+			}
+		},
+	}
+}
+
+// shardMetrics is one shard's instrumentation: counters for the event
+// flow, histograms for queue latency and eviction sweeps, and gauges for
+// current occupancy and the last checkpoint segment. cfg.metricLabels
+// tags every series (shard="i") so one registry holds distinguishable
+// per-shard series.
+type shardMetrics struct {
 	connsIngested *metrics.Counter
 	certsIngested *metrics.Counter
 	dropped       *metrics.Counter
-	rejected      *metrics.Counter
 	evicted       *metrics.Counter
 	checkpoints   *metrics.Counter
 	compactions   *metrics.Counter
 
-	applyLatency   *metrics.Histogram // enqueue -> apply
-	materializeDur *metrics.Histogram
-	evictDur       *metrics.Histogram
-	checkpointDur  *metrics.Histogram
-	compactDur     *metrics.Histogram
+	applyLatency *metrics.Histogram // enqueue -> apply
+	evictDur     *metrics.Histogram
 
 	retained        *metrics.Gauge
 	rosterSize      *metrics.Gauge
 	checkpointBytes *metrics.Gauge
 	checkpointSegs  *metrics.Gauge
-
-	// onMerge feeds the view's series; nil on a routed shard, which has
-	// no view.
-	onMerge func(time.Duration, core.ReplayReason)
 }
 
-// newEngineMetrics registers the engine's series. The occupancy gauges
+// newShardMetrics registers the shard's series. The occupancy gauges
 // read channel length/capacity through callbacks — safe without the
-// engine lock because channel len is internally synchronized. When the
-// engine is a shard, cfg.metricLabels tags every series (shard="i") so
-// one registry holds distinguishable per-shard series.
-func newEngineMetrics(r *metrics.Registry, e *Engine) *engineMetrics {
-	if r == nil {
-		r = metrics.New()
-	}
+// shard lock because channel len is internally synchronized.
+func newShardMetrics(r *metrics.Registry, e *shard) *shardMetrics {
 	lbl := e.cfg.metricLabels
-	m := &engineMetrics{
+	m := &shardMetrics{
 		connsIngested: r.Counter("stream_conns_ingested_total", "connection events applied", lbl...),
 		certsIngested: r.Counter("stream_certs_ingested_total", "certificate events applied (incl. duplicates)", lbl...),
 		dropped:       r.Counter("stream_events_dropped_total", "events shed under Policy Drop", lbl...),
-		rejected:      r.Counter("stream_events_rejected_total", "invalid events refused at the ingest boundary", lbl...),
 		evicted:       r.Counter("stream_conns_evicted_total", "connections dropped by the retention window", lbl...),
 		checkpoints:   r.Counter("stream_checkpoints_total", "checkpoints written", lbl...),
 		compactions:   r.Counter("stream_checkpoint_compactions_total", "checkpoint segment compactions", lbl...),
 
-		applyLatency:   r.Histogram("stream_apply_latency_seconds", "ingest enqueue to apply latency", nil, lbl...),
-		materializeDur: r.Histogram("stream_materialize_seconds", "report materialization duration (incl. any catch-up or replay)", nil, lbl...),
-		evictDur:       r.Histogram("stream_evict_seconds", "retention eviction sweep duration", nil, lbl...),
-		checkpointDur:  r.Histogram("stream_checkpoint_seconds", "checkpoint serialization+rename duration", nil, lbl...),
-		compactDur:     r.Histogram("stream_compact_seconds", "checkpoint compaction duration", nil, lbl...),
+		applyLatency: r.Histogram("stream_apply_latency_seconds", "ingest enqueue to apply latency", nil, lbl...),
+		evictDur:     r.Histogram("stream_evict_seconds", "retention eviction sweep duration", nil, lbl...),
 
 		retained:        r.Gauge("stream_conns_retained", "connections currently in the window", lbl...),
 		rosterSize:      r.Gauge("stream_store_hot_certs", "roster certificates (always resident)", lbl...),
 		checkpointBytes: r.Gauge("stream_checkpoint_bytes", "bytes written by the last checkpoint (delta, not total state)", lbl...),
 		checkpointSegs:  r.Gauge("stream_checkpoint_segments", "segments in the committed checkpoint manifest", lbl...),
 	}
-	// The two rebuild series are the replays among the view's catch-ups
-	// under the names they have always had; a routed shard never replays
-	// and exposes them at zero.
-	rebuilds := r.Counter("stream_rebuilds_total", "merged-view replays (retroactive evidence)", lbl...)
-	rebuildDur := r.Histogram("stream_rebuild_seconds", "merged-view replay duration", nil, lbl...)
-	if !e.cfg.routed {
-		merge := MergeObserver(r, "stream")
-		m.onMerge = func(d time.Duration, replay core.ReplayReason) {
-			merge(d, replay)
-			if replay != "" {
-				rebuilds.Inc()
-				rebuildDur.Observe(d.Seconds())
-			}
-		}
-	}
 	r.GaugeFunc("stream_buffer_occupancy", "events waiting in the ingest buffer",
 		func() float64 { return float64(len(e.ch)) }, lbl...)
 	r.Gauge("stream_buffer_capacity", "ingest buffer capacity", lbl...).Set(float64(cap(e.ch)))
 
 	// Store tier occupancy: the callbacks read atomics the store
-	// maintains, so no engine lock is needed. All-zero for the memory
+	// maintains, so no shard lock is needed. All-zero for the memory
 	// store except the hot connection count.
 	ts := e.st.Stats()
 	r.GaugeFunc("stream_store_hot_conns", "retained connections in the hot (RAM) tier", func() float64 { return float64(ts.HotConns.Load()) }, lbl...)

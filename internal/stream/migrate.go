@@ -13,11 +13,31 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/interception"
+	"repro/internal/store"
 )
 
-// Readers for the checkpoint formats that preceded the segment-chain
-// directory. Nothing here writes: Restore reads one of these, and the
-// restored engine's first WriteCheckpoint replaces it (checkpoint.go).
+// Readers for the checkpoint shapes older than what checkpoint.go writes:
+// the formats that preceded the segment-chain directory, and the
+// directories of the release in which a one-shard engine checkpointed
+// without a router. Nothing here writes: RestoreSharded reads one of
+// these, and the restored engine's first WriteCheckpoint replaces it
+// (checkpoint.go).
+
+// plainRouter synthesizes the router state for a checkpoint whose
+// manifest has none: a one-shard engine of the previous release, which
+// numbered its own events, wrote it — as a gob file, under a version-1
+// MANIFEST, or under a version-2 one. What the router would have recorded
+// is in the chain's last state frame: the sequence counter and epoch when
+// that engine exported (else zero, and restoreRouter continues past what
+// the shard numbered in replay order, under a fresh epoch), and every
+// certificate event reached the one shard.
+func (ck *committed) plainRouter() (*routerState, error) {
+	if len(ck.last) != 1 {
+		return nil, fmt.Errorf("%w: checkpoint has %d shards but no router state", store.ErrCorrupt, len(ck.last))
+	}
+	st := ck.last[0]
+	return &routerState{NextSeq: st.NextSeq, CertsRouted: st.CertsIngested, Epoch: st.Epoch}, nil
+}
 
 // checkpointVersion guards the gob format.
 const checkpointVersion = 1
@@ -48,9 +68,10 @@ type checkpointState struct {
 	CertSeqs map[ids.Fingerprint]uint64
 }
 
-// restoreFile starts an engine from a full-state gob file and returns
-// the cursor stored in it.
-func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
+// restoreFile starts a shard from a full-state gob file and returns what
+// a chain's last state frame would hold. A file that stood alone carries
+// its own cursor, which goes to man.
+func restoreFile(cfg Config, path string, man *ckptManifest) (*shard, *segState, error) {
 	// A writer of this format that died mid-commit left <path>.tmp
 	// behind; nothing else collects it once the file itself is replaced.
 	os.Remove(atomicfile.TempName(path))
@@ -66,15 +87,17 @@ func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
 	if st.Version != checkpointVersion {
 		return nil, nil, fmt.Errorf("stream: checkpoint version %d, want %d", st.Version, checkpointVersion)
 	}
-	e, err := New(cfg)
+	if st.Cursor != nil {
+		man.Cursor = st.Cursor
+	}
+	e, err := newShard(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	// The same replay as one segment of a chain: roster, then window,
 	// then the state that closes it.
-	renumber := cfg.TrackExport && st.Epoch == 0
 	certs := segCerts{Certs: st.Roster}
-	if !renumber && st.CertSeqs != nil {
+	if st.CertSeqs != nil {
 		certs.Seqs = make([]uint64, len(st.Roster))
 		for i, c := range st.Roster {
 			if c != nil {
@@ -82,31 +105,29 @@ func restoreFile(cfg Config, path string) (*Engine, map[string]int64, error) {
 			}
 		}
 	}
-	if renumber {
-		st.Seqs = nil
+	last := &segState{
+		ConnsIngested: st.ConnsIngested,
+		CertsIngested: st.CertsIngested,
+		Evicted:       st.Evicted,
+		Watermark:     st.Watermark,
+		Epoch:         st.Epoch,
+		NextSeq:       st.NextSeq,
+		Interception:  st.Interception,
 	}
 	e.mu.Lock()
-	err = e.restoreCertsLocked(&certs, renumber)
+	err = e.restoreCertsLocked(&certs)
 	if err == nil {
 		err = e.restoreConnsLocked(st.Conns, st.Seqs)
 	}
 	if err == nil {
-		e.finishRestoreLocked(&segState{
-			ConnsIngested: st.ConnsIngested,
-			CertsIngested: st.CertsIngested,
-			Evicted:       st.Evicted,
-			Watermark:     st.Watermark,
-			Epoch:         st.Epoch,
-			NextSeq:       st.NextSeq,
-			Interception:  st.Interception,
-		}, renumber)
+		e.finishRestoreLocked(last)
 	}
 	e.mu.Unlock()
 	if err != nil {
-		e.Close()
+		e.close()
 		return nil, nil, fmt.Errorf("stream: restore %s: %w", path, err)
 	}
-	return e, st.Cursor, nil
+	return e, last, nil
 }
 
 // parentManifestName was the commit point of a sharded checkpoint

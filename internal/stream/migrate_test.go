@@ -17,9 +17,10 @@ import (
 	"repro/internal/workload"
 )
 
-// The fixtures under testdata/parent are checkpoints written by the commit
-// before the segment-chain directory became the only format (see the
-// README there): real bytes of each shape a deployed daemon may hold.
+// The fixtures under testdata/parent are checkpoints written by parent
+// commits — before the segment-chain directory became the only format, and
+// before the router owned every engine's numbering (see the README
+// there): real bytes of each shape a deployed daemon may hold.
 
 // fixtureRows is the slice of the fixture build those checkpoints were
 // fed: every 24th connection and the certificates their chains name,
@@ -70,18 +71,7 @@ func loadFixture() *fixture {
 	return fx
 }
 
-// ckptEngine is what Engine and Sharded share, as far as the checkpoint
-// tests drive them.
-type ckptEngine interface {
-	ingester
-	Drain()
-	Close()
-	WriteCheckpoint(path string, cursor map[string]int64) error
-	Report(name string) (any, error)
-	Export(since, epoch uint64) (*ExportState, error)
-}
-
-func feedRows(t testing.TB, e ingester, certs []*certmodel.CertInfo, conns []core.ConnRecord) {
+func feedRows(t testing.TB, e *Engine, certs []*certmodel.CertInfo, conns []core.ConnRecord) {
 	t.Helper()
 	for _, c := range certs {
 		if !e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c}) {
@@ -195,7 +185,7 @@ type exportNumbering struct {
 	ConnSeqs       []uint64
 }
 
-func numbering(t testing.TB, e ckptEngine) exportNumbering {
+func numbering(t testing.TB, e *Engine) exportNumbering {
 	t.Helper()
 	st, err := e.Export(0, 0)
 	if err != nil {
@@ -212,10 +202,12 @@ func numbering(t testing.TB, e ckptEngine) exportNumbering {
 }
 
 // TestMigrateParentCheckpoints restores each older checkpoint shape from
-// the bytes the parent commit wrote, resumes it to the reports of an
-// engine fed the same rows, and requires the first write afterwards to
-// leave a version-2 directory — and nothing of the older format — that
-// restores to the same place.
+// the bytes a parent commit wrote, resumes it to the reports of an engine
+// fed the same rows — serving a cursor taken before the upgrade a delta,
+// where the writer exported — and requires the first write afterwards to
+// leave a version-2 directory of one base per shard, and nothing of the
+// older shape, that restores to the same place and is continued by
+// deltas from then on.
 func TestMigrateParentCheckpoints(t *testing.T) {
 	fx := loadFixture()
 	ref := newEngine(t, fx.in, nil)
@@ -227,28 +219,23 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 	for _, c := range []struct {
 		name, path string
 		shards     int
-		export     bool
-		chainLen   int // of each chain after the first write
+		export     bool // the writer exported; <name>.export.json is its numbering
 	}{
-		{"gob", "gob/mtlsd.ckpt", 1, false, 1},
-		{"v1", "v1", 1, false, 4}, // continued in place: its three segments and a delta
-		{"sharded", "sharded", 2, true, 1},
+		{"gob", "gob/mtlsd.ckpt", 1, false},
+		{"v1", "v1", 1, false},
+		{"sharded", "sharded", 2, true},
+		{"v2-plain", "v2-plain", 1, false},
+		{"v2-export", "v2-export", 1, true},
+		{"v2-sharded-export", "v2-sharded-export", 2, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tmp := t.TempDir()
 			copyDir(t, filepath.Join("testdata", "parent"), tmp)
 			path := filepath.Join(tmp, c.path)
 			cfg := Config{Input: fx.in, TrackExport: c.export}
-			restore := func() (ckptEngine, map[string]int64) {
+			restore := func() (*Engine, map[string]int64) {
 				t.Helper()
-				var eng ckptEngine
-				var cursor map[string]int64
-				var err error
-				if c.shards == 1 {
-					eng, cursor, err = Restore(cfg, path)
-				} else {
-					eng, cursor, err = RestoreSharded(cfg, c.shards, path)
-				}
+				eng, cursor, err := RestoreSharded(cfg, c.shards, path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -260,9 +247,9 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 			if got := cursor["conn_index"]; got != int64(len(fx.before)) {
 				t.Fatalf("cursor = %v, want conn_index=%d", cursor, len(fx.before))
 			}
+			var recorded exportNumbering
 			if c.export {
-				var recorded exportNumbering
-				buf, err := os.ReadFile(filepath.Join(tmp, "sharded.export.json"))
+				buf, err := os.ReadFile(filepath.Join(tmp, c.name+".export.json"))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -277,18 +264,29 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 			feedRows(t, eng, fx.late, fx.after)
 			eng.Drain()
 			diffReports(t, "resumed from the parent's bytes", want, allReports(t, eng))
+			if c.export {
+				// A sensor's cursor from before the upgrade: a delta, not a 410.
+				delta, err := eng.Export(recorded.NextSeq, recorded.Epoch)
+				if err != nil {
+					t.Fatalf("the writer's cursor after the upgrade: %v", err)
+				}
+				if len(delta.Certs) != len(fx.late) || len(delta.Conns) != len(fx.after) {
+					t.Fatalf("delta carries %d certificates and %d connections, want the %d and %d fed since",
+						len(delta.Certs), len(delta.Conns), len(fx.late), len(fx.after))
+				}
+			}
 
 			end := map[string]int64{"conn_index": int64(len(fx.before) + len(fx.after))}
 			if err := eng.WriteCheckpoint(path, end); err != nil {
 				t.Fatal(err)
 			}
 			man := assertOnlyCommitted(t, path)
-			if len(man.Chains) != c.shards {
-				t.Fatalf("manifest names %d chains, want %d", len(man.Chains), c.shards)
+			if len(man.Chains) != c.shards || man.Router == nil || man.Router.CertSeqs != nil {
+				t.Fatalf("manifest names %d chains, want %d, beside a router state without certificate sequences: %+v", len(man.Chains), c.shards, man.Router)
 			}
 			for i, chain := range man.Chains {
-				if len(chain) != c.chainLen {
-					t.Fatalf("chain %d has %d segments, want %d", i, len(chain), c.chainLen)
+				if len(chain) != 1 {
+					t.Fatalf("chain %d has %d segments, want one base", i, len(chain))
 				}
 			}
 
@@ -303,6 +301,17 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 						before.Epoch, after.Epoch, before.NextSeq, after.NextSeq)
 				}
 			}
+
+			// The migrated directory is this release's own: continued by a
+			// delta, which restores to the same place again.
+			if err := again.WriteCheckpoint(path, end); err != nil {
+				t.Fatal(err)
+			}
+			if man := assertOnlyCommitted(t, path); len(man.Chains[0]) != 2 {
+				t.Fatalf("chain 0 has %d segments after a second write, want the base and a delta", len(man.Chains[0]))
+			}
+			third, _ := restore()
+			diffReports(t, "restored from the continued directory", want, allReports(t, third))
 		})
 	}
 }

@@ -2,8 +2,10 @@ package stream
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -131,72 +133,88 @@ func TestReportPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestEngineMetrics: the registry's series agree with the engine's own
-// Stats counters after a full drain, and the latency/duration
+// TestEngineMetrics: at one shard and at two, the registry's series agree
+// with the engine's own Stats counters after a full drain — the per-shard
+// ones summed over their shard="i" labels, the view's once for the engine
+// under every name a replay is counted — and the latency/duration
 // histograms saw traffic.
 func TestEngineMetrics(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	reg := metrics.New()
-	e := newEngine(t, in, func(c *Config) { c.Metrics = reg })
-	feed(t, e, b)
-	e.Drain()
-	if a := e.Analysis(); a == nil {
-		t.Fatal("nil analysis")
-	}
-	ckpt := filepath.Join(t.TempDir(), "m.ckpt")
-	if err := e.WriteCheckpoint(ckpt, nil); err != nil {
-		t.Fatal(err)
-	}
+	for _, n := range []int{1, 2} {
+		reg := metrics.New()
+		e := newSharded(t, n, in, func(c *Config) { c.Metrics = reg })
+		feed(t, e, b)
+		e.Drain()
+		const reads = 3 // the first replays; nothing moved before the others
+		for i := 0; i < reads; i++ {
+			if a := e.Analysis(); a == nil {
+				t.Fatal("nil analysis")
+			}
+		}
+		ckpt := filepath.Join(t.TempDir(), "m.ckpt")
+		if err := e.WriteCheckpoint(ckpt, nil); err != nil {
+			t.Fatal(err)
+		}
 
-	st := e.Stats()
-	if got := reg.Counter("stream_conns_ingested_total", "").Value(); got != st.ConnsIngested {
-		t.Errorf("conns counter = %d, stats = %d", got, st.ConnsIngested)
-	}
-	if got := reg.Counter("stream_certs_ingested_total", "").Value(); got != st.CertsIngested {
-		t.Errorf("certs counter = %d, stats = %d", got, st.CertsIngested)
-	}
-	// One read so far: the first replay, under every name it is counted.
-	var replays uint64
-	for _, n := range mergeReplays(reg) {
-		replays += n
-	}
-	if got := reg.Counter("stream_rebuilds_total", "").Value(); got != 1 || replays != 1 || st.Rebuilds != 1 {
-		t.Errorf("rebuilds counter = %d, replays by reason = %d (%v), stats = %d; want 1 each",
-			got, replays, mergeReplays(reg), st.Rebuilds)
-	}
-	if got := reg.Histogram("stream_rebuild_seconds", "", nil).Count(); got != 1 {
-		t.Errorf("rebuild histogram saw %d replays, want 1", got)
-	}
-	if merges, timed := reg.Counter("stream_merges_total", "").Value(), reg.Histogram("stream_merge_seconds", "", nil).Count(); merges != 1 || timed != 1 {
-		t.Errorf("%d merges counted, %d timed, want 1 each", merges, timed)
-	}
-	if got := reg.Histogram("stream_apply_latency_seconds", "", nil).Count(); got != st.ConnsIngested+st.CertsIngested {
-		t.Errorf("apply latency observations = %d, want %d", got, st.ConnsIngested+st.CertsIngested)
-	}
-	if reg.Histogram("stream_materialize_seconds", "", nil).Count() == 0 {
-		t.Error("materialize histogram empty after Analysis")
-	}
-	if reg.Counter("stream_checkpoints_total", "").Value() != 1 {
-		t.Error("checkpoint counter != 1")
-	}
-	if reg.Gauge("stream_checkpoint_bytes", "").Value() <= 0 {
-		t.Error("checkpoint bytes gauge not set")
-	}
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"stream_conns_ingested_total",
-		"stream_buffer_capacity",
-		"stream_buffer_occupancy",
-		"stream_conns_retained",
-		`stream_merge_replays_total{reason="order"} 0`,
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("exposition missing %s", want)
+		st := e.Stats()
+		var conns, applied, checkpoints uint64
+		var ckptBytes float64
+		for i := 0; i < n; i++ {
+			shard := []string{"shard", strconv.Itoa(i)}
+			conns += reg.Counter("stream_conns_ingested_total", "", shard...).Value()
+			applied += reg.Histogram("stream_apply_latency_seconds", "", nil, shard...).Count()
+			checkpoints += reg.Counter("stream_checkpoints_total", "", shard...).Value()
+			ckptBytes += reg.Gauge("stream_checkpoint_bytes", "", shard...).Value()
+		}
+		if conns != st.ConnsIngested || st.ConnsIngested != uint64(len(b.Raw.Conns)) {
+			t.Errorf("shards=%d: conns counters sum to %d, stats = %d, fed %d", n, conns, st.ConnsIngested, len(b.Raw.Conns))
+		}
+		// One batch per event was fed (a forwarded certificate rides the
+		// batch of the connection that names it).
+		if applied != st.ConnsIngested+st.CertsIngested {
+			t.Errorf("shards=%d: apply latency observations = %d, want %d", n, applied, st.ConnsIngested+st.CertsIngested)
+		}
+		if checkpoints != uint64(n) || ckptBytes <= 0 {
+			t.Errorf("shards=%d: %d checkpoint segments counted, %v bytes; want one per shard", n, checkpoints, ckptBytes)
+		}
+		// The first read replayed, under every name that is counted.
+		var replays uint64
+		for _, k := range mergeReplays(reg) {
+			replays += k
+		}
+		if got := reg.Counter("stream_rebuilds_total", "").Value(); got != 1 || replays != 1 || st.Rebuilds != 1 {
+			t.Errorf("shards=%d: rebuilds counter = %d, replays by reason = %d (%v), stats = %d; want 1 each",
+				n, got, replays, mergeReplays(reg), st.Rebuilds)
+		}
+		if got := reg.Histogram("stream_rebuild_seconds", "", nil).Count(); got != 1 {
+			t.Errorf("shards=%d: rebuild histogram saw %d replays, want 1", n, got)
+		}
+		if merges, timed := reg.Counter("stream_merges_total", "").Value(), reg.Histogram("stream_merge_seconds", "", nil).Count(); merges != 1 || timed != 1 {
+			t.Errorf("shards=%d: %d merges counted, %d timed, want 1 each", n, merges, timed)
+		}
+		if got := reg.Histogram("stream_materialize_seconds", "", nil).Count(); got != reads {
+			t.Errorf("shards=%d: materialize histogram saw %d reads, want %d", n, got, reads)
+		}
+		if got := reg.Histogram("stream_checkpoint_seconds", "", nil).Count(); got != 1 {
+			t.Errorf("shards=%d: checkpoint histogram saw %d commits, want 1", n, got)
+		}
+		var buf strings.Builder
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf("stream_shards %d", n),
+			fmt.Sprintf(`stream_certs_ingested_total{shard="%d"}`, n-1),
+			fmt.Sprintf(`stream_buffer_capacity{shard="%d"}`, n-1),
+			fmt.Sprintf(`stream_buffer_occupancy{shard="%d"}`, n-1),
+			fmt.Sprintf(`stream_conns_retained{shard="%d"}`, n-1),
+			`stream_merge_replays_total{reason="order"} 0`,
+		} {
+			if !strings.Contains(buf.String(), want) {
+				t.Errorf("shards=%d: exposition missing %s", n, want)
+			}
 		}
 	}
 }

@@ -53,15 +53,14 @@ func ReportNames() []string {
 }
 
 // Materializer is anything that can expose a consistent core.Pipeline:
-// a single Engine, a Sharded deployment, or a distributed aggregator's
-// merged view. Implementations must not let fn retain the pipeline.
+// an Engine, or a distributed aggregator's merged view. Implementations must not let fn retain the pipeline.
 type Materializer interface {
 	WithPipeline(func(*core.Pipeline))
 }
 
 // MaterializeReport materializes one named report over m's current
-// state — the registry and error taxonomy behind Engine.Report,
-// Sharded.Report and the distributed aggregator's Report. The returned
+// state — the registry and error taxonomy behind Engine.Report and the
+// distributed aggregator's Report. The returned
 // value is a fresh report struct safe to serialize after the call. An
 // unknown name returns an error wrapping ErrUnknownReport; a panic during
 // materialization (a bug, not a client mistake) is recovered into a plain
@@ -82,6 +81,6 @@ func MaterializeReport(m Materializer, name string) (out any, err error) {
 
 // Report materializes one named report over the current state; see
 // MaterializeReport for the error taxonomy.
-func (e *Engine) Report(name string) (any, error) {
-	return MaterializeReport(e, name)
+func (s *Engine) Report(name string) (any, error) {
+	return MaterializeReport(s, name)
 }

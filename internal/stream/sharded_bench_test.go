@@ -33,39 +33,11 @@ func benchCertRecs(bld *workload.Build) []core.CertRecord {
 	return recs
 }
 
-// BenchmarkEngineIngest is the single-engine baseline the sharded
-// numbers are read against: events/op over one full feed + drain on the
-// batched ingest path.
-func BenchmarkEngineIngest(b *testing.B) {
-	bld := getBenchBuild()
-	in := inputFromBuild(bld)
-	in.Raw = nil
-	certRecs := benchCertRecs(bld)
-	events := len(certRecs) + len(bld.Raw.Conns)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e, err := New(Config{Input: in})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for lo := 0; lo < len(certRecs); lo += benchBatch {
-			e.IngestCertBatch(certRecs[lo:min(lo+benchBatch, len(certRecs)):len(certRecs)])
-		}
-		for lo := 0; lo < len(bld.Raw.Conns); lo += benchBatch {
-			e.IngestConnBatch(bld.Raw.Conns[lo:min(lo+benchBatch, len(bld.Raw.Conns))])
-		}
-		e.Drain()
-		e.Close()
-	}
-	b.ReportMetric(float64(events*b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
 // BenchmarkShardedIngest measures ingest throughput (feed + drain, no
 // materialization) at shard counts 1/2/4/8 on the batched router path —
 // one lock acquisition and one channel operation per shard per batch.
-// On a single-core host the counts collapse onto the baseline; the
-// shape of the scaling is only visible with cores to spend.
+// On a single-core host the counts collapse onto shards=1; the shape of
+// the scaling is only visible with cores to spend.
 func BenchmarkShardedIngest(b *testing.B) {
 	bld := getBenchBuild()
 	in := inputFromBuild(bld)
@@ -110,7 +82,7 @@ func BenchmarkShardedMaterialize(b *testing.B) {
 	const delta = 1000
 	for _, cycles := range []int{1, 4} {
 		window := cycles * len(bld.Raw.Conns)
-		start := func(b *testing.B) *Sharded {
+		start := func(b *testing.B) *Engine {
 			s, err := NewSharded(4, Config{Input: in})
 			if err != nil {
 				b.Fatal(err)

@@ -14,35 +14,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/report"
-	"repro/internal/workload"
 )
 
-// shardCounts is the acceptance matrix: a sharded deployment must be
-// indistinguishable from a single engine at every one of these.
+// shardCounts is the acceptance matrix: an engine must be
+// indistinguishable from the batch pipeline at every one of these.
 var shardCounts = []int{1, 2, 4, 8}
 
-// ingester is the shared ingest surface of Engine and Sharded, so the
-// feeding helpers drive both through one code path.
-type ingester interface {
-	IngestConn(*core.ConnRecord) bool
-	IngestCert(*core.CertRecord) bool
-}
-
-func feedCertsFirst(t *testing.T, g ingester, b *workload.Build) {
-	t.Helper()
-	for _, c := range b.Raw.Certs {
-		if !g.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c}) {
-			t.Fatal("cert event rejected")
-		}
-	}
-	for i := range b.Raw.Conns {
-		if !g.IngestConn(&b.Raw.Conns[i]) {
-			t.Fatal("conn event rejected")
-		}
-	}
-}
-
-func newSharded(t *testing.T, n int, in *core.Input, mutate func(*Config)) *Sharded {
+func newSharded(t *testing.T, n int, in *core.Input, mutate func(*Config)) *Engine {
 	t.Helper()
 	cfg := Config{Input: in}
 	if mutate != nil {
@@ -57,32 +35,20 @@ func newSharded(t *testing.T, n int, in *core.Input, mutate func(*Config)) *Shar
 }
 
 // TestShardedMatchesSingleAndBatch is the tentpole contract: at every
-// shard count, draining the same event stream yields an Analysis deeply
-// equal to both the single engine's and the batch pipeline's.
+// shard count, one included, draining the same event stream yields an
+// Analysis deeply equal to the batch pipeline's.
 func TestShardedMatchesSingleAndBatch(t *testing.T) {
 	b := genBuild(20240504, 1200)
 	batch := core.Run(inputFromBuild(b))
-
 	in := inputFromBuild(b)
 	in.Raw = nil
-	single := newEngine(t, in, nil)
-	feed(t, single, b)
-	single.Drain()
-	want := single.Analysis()
-	if !reflect.DeepEqual(batch, want) {
-		t.Fatal("single-engine analysis differs from batch (prerequisite broken)")
-	}
 
 	for _, n := range shardCounts {
 		s := newSharded(t, n, in, nil)
-		feedCertsFirst(t, s, b)
+		feed(t, s, b)
 		s.Drain()
-		got := s.Analysis()
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("shards=%d: merged analysis differs from single engine", n)
-		}
-		if !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: merged analysis differs from batch", n)
+		if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
+			t.Errorf("shards=%d: analysis differs from batch", n)
 		}
 		st := s.Stats()
 		if st.ConnsIngested != uint64(len(b.Raw.Conns)) {
@@ -174,7 +140,7 @@ func TestShardedRetroactiveExclusion(t *testing.T) {
 
 	for _, n := range shardCounts {
 		s := newSharded(t, n, in, nil)
-		feedCertsFirst(t, s, b)
+		feed(t, s, b)
 		s.Drain()
 		got := s.Analysis()
 		if !reflect.DeepEqual(batch.Preprocess, got.Preprocess) {
@@ -245,7 +211,7 @@ func TestShardedCheckpointRestoreResume(t *testing.T) {
 
 	for _, n := range []int{1, 4} {
 		full := newSharded(t, n, in, nil)
-		feedCertsFirst(t, full, b)
+		feed(t, full, b)
 		full.Drain()
 		want := full.Analysis()
 
@@ -296,7 +262,7 @@ func TestShardedCheckpointGenerations(t *testing.T) {
 	in := inputFromBuild(b)
 	in.Raw = nil
 	s := newSharded(t, 2, in, nil)
-	feedCertsFirst(t, s, b)
+	feed(t, s, b)
 	s.Drain()
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	if err := s.WriteCheckpoint(dir, map[string]int64{"g": 1}); err != nil {
@@ -334,7 +300,7 @@ func TestShardedCrashMidCheckpoint(t *testing.T) {
 	in.Raw = nil
 
 	full := newSharded(t, 2, in, nil)
-	feedCertsFirst(t, full, b)
+	feed(t, full, b)
 	full.Drain()
 	want := full.Analysis()
 
@@ -411,16 +377,14 @@ func TestShardedCrashMidCheckpoint(t *testing.T) {
 
 // TestShardedRestoreShardMismatch: restoring at a different shard count
 // must fail loudly, naming both counts (resharding a checkpoint is
-// unsupported) — between two sharded counts and between a plain engine
-// and a sharded one, whose checkpoints differ only in how many chains the
-// manifest names — and never as "no checkpoint here". n=0 adopts the
-// manifest's count.
+// unsupported) — up, down, and through Restore, which asks for one shard —
+// and never as "no checkpoint here". n=0 adopts the manifest's count.
 func TestShardedRestoreShardMismatch(t *testing.T) {
 	b := genBuild(7, 300)
 	in := inputFromBuild(b)
 	in.Raw = nil
 	s := newSharded(t, 2, in, nil)
-	feedCertsFirst(t, s, b)
+	feed(t, s, b)
 	s.Drain()
 	sharded := filepath.Join(t.TempDir(), "ckpt")
 	if err := s.WriteCheckpoint(sharded, nil); err != nil {
@@ -444,9 +408,9 @@ func TestShardedRestoreShardMismatch(t *testing.T) {
 	_, _, err := RestoreSharded(Config{Input: in}, 3, sharded)
 	refused("2 shards restored at 3", err, 2, 3)
 	_, _, err = Restore(Config{Input: in}, sharded)
-	refused("2 shards restored as a plain engine", err, 2, 1)
+	refused("2 shards restored through Restore", err, 2, 1)
 	_, _, err = RestoreSharded(Config{Input: in}, 2, plain)
-	refused("a plain engine restored at 2 shards", err, 1, 2)
+	refused("1 shard restored at 2", err, 1, 2)
 
 	adopted, _, err := RestoreSharded(Config{Input: in}, 0, sharded)
 	if err != nil {
@@ -456,25 +420,16 @@ func TestShardedRestoreShardMismatch(t *testing.T) {
 	if adopted.Shards() != 2 {
 		t.Fatalf("Shards() = %d, want the manifest's 2", adopted.Shards())
 	}
-	// One shard and a plain engine are the same checkpoint.
-	one, _, err := RestoreSharded(Config{Input: in}, 1, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(one.Close)
-	if !reflect.DeepEqual(e.Analysis(), one.Analysis()) {
-		t.Fatal("a plain engine's checkpoint restored at one shard differs")
-	}
 }
 
-// TestShardedReportRegistry: the merged deployment serves the same report
-// registry with the same error taxonomy as a single engine.
+// TestShardedReportRegistry: two shards serve the same report registry
+// with the same error taxonomy as one.
 func TestShardedReportRegistry(t *testing.T) {
 	b := genBuild(20240504, 800)
 	in := inputFromBuild(b)
 	in.Raw = nil
 	s := newSharded(t, 2, in, nil)
-	feedCertsFirst(t, s, b)
+	feed(t, s, b)
 	s.Drain()
 	for _, name := range ReportNames() {
 		out, err := s.Report(name)
@@ -490,8 +445,8 @@ func TestShardedReportRegistry(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsInvalid: the router enforces the same ingest
-// boundary as a single engine and counts refusals.
+// TestShardedRejectsInvalid: the router enforces the ingest boundary and
+// counts refusals, whichever shard the event would have gone to.
 func TestShardedRejectsInvalid(t *testing.T) {
 	b := genBuild(20240504, 300)
 	in := inputFromBuild(b)
@@ -538,7 +493,7 @@ func TestShardedConcurrentIngestAndMaterialize(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		feedCertsFirst(t, s, b)
+		feed(t, s, b)
 	}()
 	for i := 0; ; i++ {
 		select {
@@ -576,7 +531,7 @@ func TestShardedMetricsLabels(t *testing.T) {
 	in.Raw = nil
 	reg := metrics.New()
 	s := newSharded(t, 2, in, func(c *Config) { c.Metrics = reg })
-	feedCertsFirst(t, s, b)
+	feed(t, s, b)
 	s.Drain()
 	s.Analysis()
 	var sb strings.Builder

@@ -32,7 +32,7 @@ func rebuildCounts(evs ...*interception.Evidence) (excluded, issuers int) {
 }
 
 // shardEvidence copies each shard's raw evidence under its lock.
-func shardEvidence(s *Sharded) []*interception.Evidence {
+func shardEvidence(s *Engine) []*interception.Evidence {
 	evs := make([]*interception.Evidence, len(s.shards))
 	for i, e := range s.shards {
 		e.mu.Lock()
@@ -44,7 +44,7 @@ func shardEvidence(s *Sharded) []*interception.Evidence {
 
 // checkUnion asserts the deployment's §3.2 stats equal the from-scratch
 // union of its shards' evidence. The deployment must be drained.
-func checkUnion(t *testing.T, s *Sharded, step string) Stats {
+func checkUnion(t *testing.T, s *Engine, step string) Stats {
 	t.Helper()
 	st := s.Stats()
 	excluded, issuers := rebuildCounts(shardEvidence(s)...)
@@ -60,15 +60,20 @@ func checkUnion(t *testing.T, s *Sharded, step string) Stats {
 // every batch, holds Stats' §3.2 numbers to the from-scratch union of the
 // shards' evidence; mid-stream the deployment is checkpointed, killed and
 // restored (the union starts over from the rebuilt journals); drained,
-// the numbers and the merged preprocess report equal a single engine's
-// over the same events.
+// the numbers and the preprocess report equal the batch pipeline's over
+// the same events, and every shard count parks the same connections.
 func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 	b := genBuild(20240504, 4000)
 	in := inputFromBuild(b)
 	in.Raw = nil
 	certs := certRecords(b)
+	want := core.Run(inputFromBuild(b)).Preprocess
+	if len(want.InterceptionIssuers) == 0 || want.ExcludedCerts == 0 {
+		t.Fatal("vacuous: the workload confirmed no interception issuer")
+	}
+	pending := -1
 
-	for _, n := range []int{2, 3, 4} {
+	for _, n := range []int{1, 2, 3, 4} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		// One event list, certificates and connections shuffled together:
 		// a connection before its leaf certificate parks in the detector
@@ -76,17 +81,14 @@ func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 		// certificate, so pairs arrive on both paths.
 		order := rng.Perm(len(certs) + len(b.Raw.Conns))
 
-		single := newEngine(t, in, nil)
 		s := newSharded(t, n, in, nil)
 		restoreAt := len(order) / 2
 		for lo, batchNo := 0, 0; lo < len(order); batchNo++ {
 			hi := min(lo+200+rng.Intn(800), len(order))
 			for _, k := range order[lo:hi] {
 				if k < len(certs) {
-					single.IngestCert(&certs[k])
 					s.IngestCert(&certs[k])
 				} else {
-					single.IngestConn(&b.Raw.Conns[k-len(certs)])
 					s.IngestConn(&b.Raw.Conns[k-len(certs)])
 				}
 			}
@@ -114,21 +116,18 @@ func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 			}
 			lo = hi
 		}
-		single.Drain()
-		want, got := single.Stats(), s.Stats()
-		if want.InterceptionIssuers == 0 || want.ExcludedCerts == 0 {
-			t.Fatal("vacuous: the workload confirmed no interception issuer")
+		got := s.Stats()
+		if pending < 0 {
+			pending = got.PendingCerts
 		}
-		if got.ExcludedCerts != want.ExcludedCerts || got.InterceptionIssuers != want.InterceptionIssuers ||
-			got.PendingCerts != want.PendingCerts {
-			t.Errorf("shards=%d: drained Stats %d excluded / %d issuers / %d pending, single engine %d / %d / %d", n,
+		if got.ExcludedCerts != want.ExcludedCerts || got.InterceptionIssuers != len(want.InterceptionIssuers) ||
+			got.PendingCerts != pending {
+			t.Errorf("shards=%d: drained Stats %d excluded / %d issuers / %d pending, want %d / %d / %d", n,
 				got.ExcludedCerts, got.InterceptionIssuers, got.PendingCerts,
-				want.ExcludedCerts, want.InterceptionIssuers, want.PendingCerts)
+				want.ExcludedCerts, len(want.InterceptionIssuers), pending)
 		}
-		wantPre, _ := single.Report("preprocess")
-		gotPre, _ := s.Report("preprocess")
-		if !reflect.DeepEqual(wantPre, gotPre) {
-			t.Errorf("shards=%d: merged preprocess report %+v, single engine %+v", n, gotPre, wantPre)
+		if gotPre, _ := s.Report("preprocess"); !reflect.DeepEqual(want, gotPre) {
+			t.Errorf("shards=%d: preprocess report %+v, batch pipeline %+v", n, gotPre, want)
 		}
 	}
 }
@@ -187,7 +186,10 @@ func TestShardedUnionCorroboratesAcrossShards(t *testing.T) {
 		s.IngestConn(&conns[1])
 		s.Drain()
 		for i, e := range s.shards {
-			if es := e.Stats(); es.InterceptionIssuers != 0 {
+			e.mu.Lock()
+			alone := e.icpt.ConfirmedCount()
+			e.mu.Unlock()
+			if alone != 0 {
 				t.Fatalf("shards=%d: shard %d confirmed the issuer alone; the split is vacuous", n, i)
 			}
 		}
@@ -259,7 +261,7 @@ func TestShardedUnionConcurrent(t *testing.T) {
 	}
 }
 
-// statsAllocs measures Sharded.Stats on a drained two-shard deployment
+// statsAllocs measures Engine.Stats on a drained two-shard deployment
 // holding the campus workload at the given scale (larger = smaller).
 func statsAllocs(t *testing.T, scale int) (allocs float64, st Stats) {
 	t.Helper()
@@ -288,7 +290,7 @@ func TestShardedStatsAllocsFlat(t *testing.T) {
 			stSmall.UniqueCerts, stLarge.UniqueCerts, stSmall.ExcludedCerts, stLarge.ExcludedCerts)
 	}
 	if small != large {
-		t.Errorf("Sharded.Stats allocates %.0f at %d certs / %d excluded but %.0f at %d / %d",
+		t.Errorf("Engine.Stats allocates %.0f at %d certs / %d excluded but %.0f at %d / %d",
 			small, stSmall.UniqueCerts, stSmall.ExcludedCerts, large, stLarge.UniqueCerts, stLarge.ExcludedCerts)
 	}
 }
