@@ -276,7 +276,8 @@ func TestDaemonSharded(t *testing.T) {
 		`stream_conns_ingested_total{shard="1"}`,
 		`stream_buffer_occupancy{shard="0"}`,
 		"stream_shards 2",
-		"stream_cert_fanout_total",
+		"stream_certs_ingested_total ",
+		"stream_store_hot_certs ",
 	} {
 		if !strings.Contains(metricsBody, series) {
 			t.Errorf("/metrics missing %s", series)

@@ -104,7 +104,7 @@ func main() {
 	fmt.Println("\noperational metrics (the daemon serves these on /metrics):")
 	fmt.Printf("  ingested: %d conns, %d certs; rebuilds: %d; materializations: %d\n",
 		reg.Counter("stream_conns_ingested_total", "", shard...).Value(),
-		reg.Counter("stream_certs_ingested_total", "", shard...).Value(),
+		reg.Counter("stream_certs_ingested_total", "").Value(),
 		reg.Counter("stream_rebuilds_total", "").Value(),
 		reg.Histogram("stream_materialize_seconds", "", nil).Count())
 	fmt.Printf("  checkpoint writes: %d, last size: %.0f bytes\n",

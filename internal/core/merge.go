@@ -10,15 +10,16 @@ import (
 	"repro/internal/interception"
 )
 
-// ShardState is one shard's raw admitted event stream: the certificate
-// roster it accumulated plus the retained connections in shard-local
-// ingest order, each stamped with the global ingest sequence the router
-// assigned. It is the unit the sharded stream engine hands to
-// MergeShards when a report is materialized.
+// ShardState is one source's raw admitted event stream: the certificates
+// it holds plus the retained connections in source-local ingest order,
+// each stamped with the global ingest sequence its owner assigned. It is
+// the unit a MergedView's owner hands over when a report is materialized;
+// a source may hold only one of the two (the stream engine keeps its one
+// roster in a source of its own, beside its shards' windows).
 type ShardState struct {
-	// Certs is the shard's certificate roster. Shards may overlap (a
-	// certificate fanned out to every shard that referenced it);
-	// MergeShards deduplicates by fingerprint, first observation wins.
+	// Certs is the source's certificate roster. Sources may overlap (every
+	// sensor of a fleet sees the same issuers); MergeShards deduplicates
+	// by fingerprint, first observation wins.
 	Certs []*certmodel.CertInfo
 	// Conns are the retained connections, ascending in ingest order.
 	Conns []ConnRecord
@@ -140,8 +141,7 @@ type MergeCapture struct {
 	Verdict *interception.Result
 	// RawConns counts connection events ingested across the sources,
 	// before filtering and eviction; RawCerts the distinct certificates
-	// on their rosters (rosters overlap — a certificate is fanned out to
-	// every source that referenced it).
+	// on their rosters (rosters may overlap, so it is the owner's count).
 	RawConns uint64
 	RawCerts int
 	// Copies says the connection slices in Shards are private copies made

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/certmodel"
 	"repro/internal/ids"
 )
 
@@ -54,17 +53,17 @@ func rebuildVerdict(evs ...*Evidence) *Result {
 func streamOver(t *testing.T, connIdx ...int) *Stream {
 	t.Helper()
 	ds, det := buildScenario(t)
-	s := det.NewStream(ds.Cert)
+	s := det.NewStream()
 	for _, c := range ds.Certs {
 		s.ObserveCert(c)
 	}
 	if len(connIdx) == 0 {
 		for i := range ds.Conns {
-			s.Observe(&ds.Conns[i])
+			s.Observe(&ds.Conns[i], ds.Cert(ds.Conns[i].ServerLeaf()))
 		}
 	} else {
 		for _, i := range connIdx {
-			s.Observe(&ds.Conns[i])
+			s.Observe(&ds.Conns[i], ds.Cert(ds.Conns[i].ServerLeaf()))
 		}
 	}
 	return s
@@ -99,11 +98,11 @@ func TestAbsorbBySuffixMatchesRebuild(t *testing.T) {
 	ds, det := buildScenario(t)
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
-		streams := []*Stream{det.NewStream(ds.Cert), det.NewStream(ds.Cert)}
+		streams := []*Stream{det.NewStream(), det.NewStream()}
 		union := NewMerge(2)
 		cursors := make([]int, len(streams))
 		for _, i := range rng.Perm(len(ds.Conns)) {
-			streams[rng.Intn(len(streams))].Observe(&ds.Conns[i])
+			streams[rng.Intn(len(streams))].Observe(&ds.Conns[i], ds.Cert(ds.Conns[i].ServerLeaf()))
 			if rng.Intn(2) == 0 {
 				continue // let a suffix of several pairs build up
 			}
@@ -121,7 +120,7 @@ func TestAbsorbBySuffixMatchesRebuild(t *testing.T) {
 		}
 		restored := NewMerge(2)
 		for _, s := range streams {
-			restored.Absorb(det.RestoreStream(ds.Cert, s.Snapshot()), 0)
+			restored.Absorb(det.RestoreStream(s.Snapshot()), 0)
 			union.Absorb(s, 0) // a re-absorb from 0 is idempotent
 		}
 		if got, want := restored.Result(), union.Result(); !reflect.DeepEqual(got, want) {
@@ -150,13 +149,7 @@ func TestMergeResetForgets(t *testing.T) {
 // pending map it summarizes, across parking, delivery and restore.
 func TestPendingCountTracksParkedConns(t *testing.T) {
 	ds, det := buildScenario(t)
-	known := map[ids.Fingerprint]bool{}
-	s := det.NewStream(func(fp ids.Fingerprint) *certmodel.CertInfo {
-		if known[fp] {
-			return ds.Certs[fp]
-		}
-		return nil
-	})
+	s := det.NewStream()
 	walk := func(s *Stream) int {
 		n := 0
 		for _, refs := range s.pending {
@@ -165,18 +158,17 @@ func TestPendingCountTracksParkedConns(t *testing.T) {
 		return n
 	}
 	for i := range ds.Conns {
-		s.Observe(&ds.Conns[i])
-		s.Observe(&ds.Conns[i]) // two conns parked on one fingerprint
+		s.Observe(&ds.Conns[i], nil)
+		s.Observe(&ds.Conns[i], nil) // two conns parked on one fingerprint
 	}
 	if got := s.PendingCount(); got != 2*len(ds.Conns) || got != walk(s) {
 		t.Fatalf("parked %d, map holds %d, want %d", got, walk(s), 2*len(ds.Conns))
 	}
-	restored := det.RestoreStream(ds.Cert, s.Snapshot())
+	restored := det.RestoreStream(s.Snapshot())
 	if restored.PendingCount() != walk(restored) || restored.PendingCount() != s.PendingCount() {
 		t.Fatalf("restored count %d, map holds %d, source %d", restored.PendingCount(), walk(restored), s.PendingCount())
 	}
 	for fp, c := range ds.Certs {
-		known[fp] = true
 		s.ObserveCert(c)
 		if s.PendingCount() != walk(s) {
 			t.Fatalf("after %s: count %d, map holds %d", fp, s.PendingCount(), walk(s))

@@ -88,12 +88,14 @@ type Detector struct {
 
 // Run inspects every connection's server leaf and returns the confirmed
 // interception issuers plus the certificates to exclude. It is the batch
-// form of the incremental Stream: one Observe per connection, then
-// Result — so the one-shot and streaming paths share one implementation.
+// form of the incremental Stream: one Observe per connection, its leaf
+// resolved off the dataset's roster, then Result — so the one-shot and
+// streaming paths share one implementation.
 func (d *Detector) Run(ds *zeek.Dataset) *Result {
-	s := d.NewStream(ds.Cert)
+	s := d.NewStream()
 	for i := range ds.Conns {
-		s.Observe(&ds.Conns[i])
+		conn := &ds.Conns[i]
+		s.Observe(conn, ds.Cert(conn.ServerLeaf()))
 	}
 	return s.Result()
 }

@@ -8,10 +8,6 @@ import (
 	"repro/internal/zeek"
 )
 
-// CertSource resolves a fingerprint to a certificate, or nil when the
-// certificate has not been observed (yet). zeek.Dataset.Cert satisfies it.
-type CertSource func(ids.Fingerprint) *certmodel.CertInfo
-
 // Stream is the incremental form of the Detector: the same three-step
 // filter (§3.2), maintained one observation at a time so a long-running
 // monitor can keep the interception verdict current while records arrive.
@@ -29,10 +25,9 @@ type CertSource func(ids.Fingerprint) *certmodel.CertInfo
 // confirmed issuer invalidates conclusions drawn from its earlier
 // certificates) with one comparison.
 type Stream struct {
-	d     *Detector
-	certs CertSource
-	memo  *truststore.IssuerMemo
-	sld   *psl.SplitCache
+	d    *Detector
+	memo *truststore.IssuerMemo
+	sld  *psl.SplitCache
 
 	// ev is the evidence gathered so far and its verdict. journal lists
 	// each pair in the order it first entered ev — append-only, since the
@@ -55,12 +50,10 @@ type PendingRef struct {
 	Rest []ids.Fingerprint
 }
 
-// NewStream returns an incremental detector resolving certificates
-// through certs.
-func (d *Detector) NewStream(certs CertSource) *Stream {
+// NewStream returns an incremental detector.
+func (d *Detector) NewStream() *Stream {
 	return &Stream{
 		d:       d,
-		certs:   certs,
 		memo:    d.Bundle.NewIssuerMemo(),
 		sld:     psl.NewSplitCache(d.PSL),
 		ev:      NewMerge(d.MinDomains),
@@ -68,15 +61,15 @@ func (d *Detector) NewStream(certs CertSource) *Stream {
 	}
 }
 
-// Observe feeds one connection. If the server leaf certificate is not
-// resolvable yet the observation is parked until ObserveCert delivers it.
-func (s *Stream) Observe(conn *zeek.SSLRecord) {
+// Observe feeds one connection with its server leaf certificate as the
+// caller resolved it — nil when the certificate has not been observed yet,
+// which parks the observation until ObserveCert delivers it.
+func (s *Stream) Observe(conn *zeek.SSLRecord, leaf *certmodel.CertInfo) {
 	leafFP := conn.ServerLeaf()
 	if leafFP == "" {
 		return
 	}
 	ref := PendingRef{SNI: conn.SNI, Rest: conn.ServerChain[1:]}
-	leaf := s.certs(leafFP)
 	if leaf == nil {
 		s.pending[leafFP] = append(s.pending[leafFP], ref)
 		s.parked++
@@ -158,6 +151,14 @@ func (s *Stream) ConfirmedCount() int { return s.ev.ConfirmedCount() }
 // server leaf certificate.
 func (s *Stream) PendingCount() int { return s.parked }
 
+// PendingLeaves calls fn with each leaf fingerprint that has connections
+// parked on it — what ObserveCert is still owed.
+func (s *Stream) PendingLeaves(fn func(ids.Fingerprint)) {
+	for fp := range s.pending {
+		fn(fp)
+	}
+}
+
 // Result is the current verdict in Detector.Run's format, shared and
 // read-only as Merge.Result describes.
 func (s *Stream) Result() *Result { return s.ev.Result() }
@@ -196,8 +197,8 @@ func (s *Stream) Snapshot() *StreamState {
 // replayed pair by pair, which rebuilds the journal and re-derives the
 // verdict (Confirmed, Excluded and Gen are functions of the relations;
 // the snapshot carries them for readers that restore them verbatim).
-func (d *Detector) RestoreStream(certs CertSource, st *StreamState) *Stream {
-	s := d.NewStream(certs)
+func (d *Detector) RestoreStream(st *StreamState) *Stream {
+	s := d.NewStream()
 	for issuer, fps := range st.Observed {
 		for fp := range fps {
 			s.record(pair{issuer: issuer, leaf: fp})

@@ -15,7 +15,7 @@ import (
 // window's arrays and the detector's maps are grown, which is how a
 // long-lived daemon spends almost all of its time — a batch costs the
 // Drain barrier's channel and nothing per event. Cold — a fresh engine fed
-// the whole build — pays for growth: rosters, windows, detector evidence,
+// the whole build — pays for growth: the roster, windows, detector evidence,
 // and the rendezvous, whose entries come from a slab. The seed's
 // per-event path spent >10 allocations per event; the gates sit just
 // above what is measured so a regression (a dropped pool, a per-event

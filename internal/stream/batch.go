@@ -12,52 +12,65 @@ import (
 
 // batch is a pooled group of events traveling a shard's ingest channel as
 // one entry — the only ingest mechanism; IngestConn/IngestCert route a
-// batch of one. Certificates apply first, then connections (a connection
-// routed behind its forwarded leaf certificate must find it on the
-// roster when it is observed).
+// batch of one. It carries the shard's connections, each beside the
+// server leaf certificate the router resolved for it, and ahead of them
+// any wakes: certificates that arrived after the shard parked an
+// observation on their fingerprint.
 //
 // Ownership: the router copies the caller's records into a pooled batch
 // per shard, so the caller may reuse its slice (and the records' backing
 // storage it owns) immediately. The apply loop copies connection records
 // into the shard's retained window and recycles the batch — the shard
 // copies-on-retain, never aliasing pooled memory. Certificate pointers
-// are shared, not copied: the roster retains the *certmodel.CertInfo
-// itself.
+// are shared, not copied: they are the router's roster entries.
 type batch struct {
-	// certSeqs aligns with certs, seqs with conns: the sequence the router
-	// admitted each under.
-	certs    []*certmodel.CertInfo
-	certSeqs []uint64
-	conns    []core.ConnRecord
-	seqs     []uint64
+	// certs are the wakes. A full buffer sheds a batch's connections but
+	// the router keeps its wakes for the next send — the detector still
+	// holds the observations parked on them.
+	certs []*certmodel.CertInfo
+	// leaves and seqs align with conns: the server leaf as the router
+	// resolved it (nil: not arrived yet) and the sequence it admitted the
+	// connection under.
+	conns  []core.ConnRecord
+	leaves []*certmodel.CertInfo
+	seqs   []uint64
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 func newBatch() *batch { return batchPool.Get().(*batch) }
 
-// recycle clears the batch (dropping references so pooled memory cannot
-// pin records or certificates) and returns it to the pool.
-func (b *batch) recycle() {
-	clear(b.certs)
+// dropConns clears the connections (dropping references so pooled memory
+// cannot pin records or certificates), keeping the wakes.
+func (b *batch) dropConns() {
 	clear(b.conns)
-	b.certs, b.certSeqs = b.certs[:0], b.certSeqs[:0]
-	b.conns, b.seqs = b.conns[:0], b.seqs[:0]
+	clear(b.leaves)
+	b.conns, b.leaves, b.seqs = b.conns[:0], b.leaves[:0], b.seqs[:0]
+}
+
+// recycle clears the batch and returns it to the pool.
+func (b *batch) recycle() {
+	b.dropConns()
+	clear(b.certs)
+	b.certs = b.certs[:0]
 	batchPool.Put(b)
 }
 
 // sendBatch delivers b as one channel operation. Returns false (without
-// recycling b — the router still needs its contents to undo routing
-// state) when the batch was shed or the shard is closed.
+// recycling b — the router keeps its wakes) when the batch was shed or the
+// shard is closed.
 func (e *shard) sendBatch(b *batch) bool {
 	return e.send(event{batch: b, enq: time.Now()}, e.cfg.Policy == Block)
 }
 
-// applyBatchLocked applies one pooled batch — certificates first, then
-// connections — growing the retained window once, and recycles it.
+// applyBatchLocked applies one pooled batch — wakes first, then
+// connections, growing the retained window once — and recycles it.
 func (e *shard) applyBatchLocked(b *batch) {
-	for i, c := range b.certs {
-		e.applyCertLocked(c, b.certSeqs[i])
+	for _, c := range b.certs {
+		e.icpt.ObserveCert(c)
+	}
+	if len(b.certs) > 0 {
+		e.stateVer.Add(1) // the verdict may have moved
 	}
 	if len(b.conns) > 0 {
 		// The retained window is multi-megabyte at steady state; append's
@@ -66,23 +79,24 @@ func (e *shard) applyBatchLocked(b *batch) {
 		// at-least-doubles instead.
 		e.st.GrowConns(len(b.conns))
 		for i := range b.conns {
-			e.applyConnLocked(&b.conns[i], b.seqs[i])
+			e.applyConnLocked(&b.conns[i], b.leaves[i], b.seqs[i])
 		}
 	}
 	b.recycle()
 }
 
-// IngestConnBatch feeds a slice of connection events: the router
-// partitions it by home shard (hash of the connection UID) under one lock
-// acquisition and delivers each shard's slice — any already-arrived leaf
-// certificates the shard has not seen first, then its connections, in
-// arrival order — over one channel operation, amortizing the channel hop
-// and the apply loop's lock over the slice. Records are copied; the
-// caller may reuse recs and its elements. Invalid records (weight below
-// 1) are rejected individually and counted in Stats.Rejected. Returns how
-// many events were accepted — 0 when the engine is closed; a shard whose
-// full buffer sheds its slice under Policy Drop sheds it atomically,
-// counted per event in Stats.Dropped.
+// IngestConnBatch feeds a slice of connection events: the router resolves
+// each one's server leaf against the roster — the one certificate probe a
+// connection costs; a fingerprint not admitted yet marks the home shard as
+// waiting on it — partitions the slice by home shard (hash of the
+// connection UID) under one lock acquisition and delivers each shard's
+// share, in arrival order, over one channel operation, amortizing the
+// channel hop and the apply loop's lock over the slice. Records are
+// copied; the caller may reuse recs and its elements. Invalid records
+// (weight below 1) are rejected individually and counted in
+// Stats.Rejected. Returns how many events were accepted — 0 when the
+// engine is closed; a shard whose full buffer sheds its slice under Policy
+// Drop sheds it atomically, counted per event in Stats.Dropped.
 func (s *Engine) IngestConnBatch(recs []core.ConnRecord) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,39 +110,33 @@ func (s *Engine) IngestConnBatch(recs []core.ConnRecord) int {
 			continue
 		}
 		h := s.home(string(rec.UID))
-		bit := uint64(1) << h
-		for _, fp := range [2]ids.Fingerprint{rec.ServerLeaf(), rec.ClientLeaf()} {
-			if fp == "" {
-				continue
-			}
+		var leaf *certmodel.CertInfo
+		if fp := rec.ServerLeaf(); fp != "" {
 			ent := s.rendezvousFor(fp)
-			if ent.cert == nil {
-				// The certificate has not arrived; when it does, the
-				// rendezvous forwards it here, where it wakes the shard's
-				// parked detector observations; the merged view prices the
+			if leaf = ent.cert; leaf == nil {
+				// The detector parks the observation; the certificate's
+				// arrival wakes it, and the merged view prices the
 				// lateness (core.ReplayLateCert).
-				ent.waiting |= bit
-			} else if ent.delivered&bit == 0 {
-				s.deliverLocked(h, ent)
+				ent.waiting |= uint64(1) << h
 			}
 		}
 		b := s.shardBatch(h)
 		b.conns = append(b.conns, *rec)
+		b.leaves = append(b.leaves, leaf)
 		b.seqs = append(b.seqs, s.nextSeq)
 		s.nextSeq++
 	}
 	return s.flushScratchLocked()
 }
 
-// IngestCertBatch admits a batch of certificates into the rendezvous
-// under one router lock acquisition and delivers each to its
-// fingerprint's home shard plus every shard already waiting on it, one
-// channel operation per shard. Shards that reference a fingerprint later
-// receive it from the rendezvous at routing time. Nil certificates and
+// IngestCertBatch admits a batch of certificates into the roster under one
+// router lock acquisition, first observation of a fingerprint wins. An
+// admitted certificate is readable at once and crosses no shard buffer —
+// Policy Drop never sheds one; only a shard waiting on the fingerprint is
+// sent anything, a wake for its parked observations. Nil certificates and
 // empty fingerprints are rejected individually; accepted certificates are
-// shared with the shards' rosters by pointer. Returns how many records
-// were admitted into the rendezvous (a delivery shed under Policy Drop is
-// retried by the next reference) — 0 when the engine is closed.
+// retained by pointer. Returns how many records were accepted (duplicates
+// included) — 0 when the engine is closed.
 func (s *Engine) IngestCertBatch(recs []core.CertRecord) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -137,35 +145,38 @@ func (s *Engine) IngestCertBatch(recs []core.CertRecord) int {
 	}
 	admitted := 0
 	for i := range recs {
-		rec := &recs[i]
-		if rec.Cert == nil || rec.Cert.Fingerprint == "" {
+		c := recs[i].Cert
+		if c == nil || c.Fingerprint == "" {
 			s.reject()
 			continue
 		}
-		s.certsRouted++
 		admitted++
-		fp := rec.Cert.Fingerprint
-		ent := s.rendezvousFor(fp)
-		if ent.cert == nil {
-			// First observation wins; the home shard guarantees every
-			// certificate survives in the union roster even if no
-			// connection ever references it.
-			ent.cert = rec.Cert
-			ent.seq = s.nextSeq
-			if s.cfg.TrackExport {
-				s.certLog = append(s.certLog, ExportCert{Seq: ent.seq, Cert: ent.cert})
-			}
-			s.nextSeq++
-			s.uniqueCerts++
-			ent.waiting |= uint64(1) << s.home(string(fp))
+		ent := s.rendezvousFor(c.Fingerprint)
+		if ent.cert != nil {
+			continue
 		}
-		// Every shard waiting on it that does not have it yet, lowest first.
-		for pending := ent.waiting &^ ent.delivered; pending != 0; pending &= pending - 1 {
-			s.deliverLocked(bits.TrailingZeros64(pending), ent)
+		ent.cert = c
+		s.roster = append(s.roster, c)
+		s.certSeqs = append(s.certSeqs, s.nextSeq)
+		s.nextSeq++
+		for w := ent.waiting; w != 0; w &= w - 1 {
+			b := s.shardBatch(bits.TrailingZeros64(w))
+			b.certs = append(b.certs, c)
 		}
+		ent.waiting = 0 // the wakes are queued, and kept until a send is accepted
 	}
+	s.certsRouted.Add(uint64(admitted))
+	s.m.certsIngested.Add(uint64(admitted))
+	s.rosterGrewLocked()
 	s.flushScratchLocked()
 	return admitted
+}
+
+// rosterGrewLocked publishes the roster's length to the lock-free readers
+// (Stats, the merged view's version vector) and the gauge.
+func (s *Engine) rosterGrewLocked() {
+	s.rosterLen.Store(uint64(len(s.roster)))
+	s.m.rosterSize.Set(float64(len(s.roster)))
 }
 
 // reject counts one invalid event refused at the ingest boundary.
@@ -200,49 +211,30 @@ func (s *Engine) shardBatch(h int) *batch {
 	return b
 }
 
-// deliverLocked queues ent's certificate, under the sequence it was
-// admitted with, ahead of whatever else shard h's pending batch carries.
-// Delivery is marked optimistically; flushScratchLocked unmarks it if the
-// shard sheds the batch. Caller holds mu.
-func (s *Engine) deliverLocked(h int, ent *rendezvous) {
-	b := s.shardBatch(h)
-	b.certs = append(b.certs, ent.cert)
-	b.certSeqs = append(b.certSeqs, ent.seq)
-	ent.delivered |= uint64(1) << h
-}
-
-// flushScratchLocked sends every accumulated per-shard batch and resets
-// the scratch table. A shard that sheds its batch (Policy Drop, full
-// buffer) gets its optimistic rendezvous delivery marks rolled back so a
-// later reference re-forwards the certificates. Returns the number of
-// connection events accepted across shards.
+// flushScratchLocked sends every pending per-shard batch. A shard that
+// sheds its batch (Policy Drop, full buffer) loses the connections; the
+// wakes stay in the scratch table and go out with whatever is sent there
+// next. Returns the number of connection events accepted across shards.
 func (s *Engine) flushScratchLocked() int {
 	accepted := 0
 	for h, b := range s.scratch {
-		if b == nil {
+		if b == nil || len(b.conns)+len(b.certs) == 0 {
 			continue
 		}
-		s.scratch[h] = nil
 		// Counts are captured before the send: on success the apply loop
 		// owns (and recycles) the batch.
-		nConns, nCerts := len(b.conns), len(b.certs)
+		nConns := len(b.conns)
 		routed := s.routed[h]
 		if nConns > 0 {
 			routed = b.seqs[nConns-1] + 1
 		}
-		if s.shards[h].sendBatch(b) {
-			accepted += nConns
-			s.routed[h] = routed
-			s.m.fanout.Add(uint64(nCerts))
+		if !s.shards[h].sendBatch(b) {
+			b.dropConns()
 			continue
 		}
-		bit := uint64(1) << h
-		for _, c := range b.certs {
-			if ent := s.rv[c.Fingerprint]; ent != nil {
-				ent.delivered &^= bit
-			}
-		}
-		b.recycle()
+		accepted += nConns
+		s.routed[h] = routed
+		s.scratch[h] = nil
 	}
 	return accepted
 }

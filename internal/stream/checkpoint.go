@@ -27,15 +27,15 @@ import (
 // A checkpoint is a directory: one MANIFEST and the CRC-framed segment
 // files it names. The manifest lists one segment chain per shard, the
 // caller's cursor and the router's state. Each WriteCheckpoint appends one
-// segment to every chain, carrying only what changed since the previous
-// commit — connections appended past the committed sequence mark,
-// certificates admitted since, the latest eviction cutoff, the cumulative
-// detector state and the counters — and then rewrites the MANIFEST
-// through the atomicfile protocol. Restore replays each chain in order:
-// apply the segment's eviction cutoff to the state accumulated so far,
-// then append its records. A background compactor folds every chain
-// back into one base, so the directory stays O(state) while each
-// interval's write stays O(delta).
+// segment to every chain, carrying only what changed on that shard since
+// the previous commit — connections appended past the committed sequence
+// mark, the latest eviction cutoff, the cumulative detector state and the
+// counters; chain 0's also carries the certificates the router admitted
+// since — and then rewrites the MANIFEST through the atomicfile protocol.
+// Restore replays each chain in order: apply the segment's eviction cutoff
+// to the state accumulated so far, then append its records. A background
+// compactor folds every chain back into one base, so the directory stays
+// O(state) while each interval's write stays O(delta).
 //
 // The manifest has one owner, the Engine, and its rename is the only
 // commit point: shards write segment
@@ -87,14 +87,14 @@ const (
 // wins on restore).
 type segState struct {
 	ConnsIngested uint64
-	CertsIngested uint64
+	CertsIngested uint64 // as Epoch and NextSeq below: a shard's own count, once
 	Evicted       uint64
 	Watermark     time.Time
 	EvictCutoff   time.Time
 	Interception  *interception.StreamState
 
-	// Epoch and NextSeq are where an exporting engine of the release
-	// before the router owned every numbering kept its own; never
+	// Epoch and NextSeq are where an exporting engine of a release before
+	// the router owned every certificate and numbering kept its own; never
 	// written (migrate.go reads them).
 	Epoch   uint64
 	NextSeq uint64
@@ -102,8 +102,9 @@ type segState struct {
 
 // segCerts is one roster batch with the sequence the router admitted each
 // certificate under — where the certificate is, so a commit's cost follows
-// what it adds, not the roster. Seqs is nil in segments the previous
-// release wrote without exporting.
+// what it adds, not the roster. This release writes them into chain 0
+// alone; restore admits them from whichever chain holds them. Seqs is nil
+// in segments an older release wrote without exporting.
 type segCerts struct {
 	Certs []*certmodel.CertInfo
 	Seqs  []uint64
@@ -194,8 +195,10 @@ func readCkptManifest(dir string) (*ckptManifest, error) {
 // before the router lock and any shard's state lock — writers hold mu
 // throughout and take the others briefly for their snapshots.
 type checkpointer struct {
-	shards []*shard            // chain i is shards[i]'s
-	router func() *routerState // the router's state, snapshotted per commit
+	shards []*shard // chain i is shards[i]'s
+	// router snapshots, per commit, the router's state and its roster log
+	// from entry from on.
+	router func(from int) (*routerState, []*certmodel.CertInfo, []uint64)
 	// dur and compactDur observe whole calls: one commit, one fold.
 	dur, compactDur *metrics.Histogram
 
@@ -206,6 +209,8 @@ type checkpointer struct {
 	// and segment numbering to continue.
 	dir string
 	man *ckptManifest
+	// certs counts the roster-log entries committed segments cover.
+	certs int
 
 	compactWG sync.WaitGroup
 }
@@ -232,16 +237,18 @@ func (s *Engine) Compact() error {
 	return s.ckpt.compact()
 }
 
-// routerState snapshots what the router checkpoints beside the shards'
-// chains.
-func (s *Engine) routerState() *routerState {
+// routerState snapshots what the router checkpoints: its counters for the
+// manifest, and the roster log from entry from on — append-only, so the
+// suffix is the delta, readable after the lock is released, and the same
+// state always writes the same bytes.
+func (s *Engine) routerState(from int) (*routerState, []*certmodel.CertInfo, []uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := &routerState{NextSeq: s.nextSeq, CertsRouted: s.certsRouted}
+	r := &routerState{NextSeq: s.nextSeq, CertsRouted: s.certsRouted.Load()}
 	if s.cfg.TrackExport {
 		r.Epoch = s.epoch
 	}
-	return r
+	return r, s.roster[from:], s.certSeqs[from:]
 }
 
 // finishSwap completes a file → directory replacement that stopped
@@ -302,25 +309,32 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 			return fmt.Errorf("stream: checkpoint: %w", err)
 		}
 	}
+	full := c.man.Chains == nil
+	from := c.certs
+	if full {
+		from = 0
+	}
+	router, certs, certSeqs := c.router(from)
+	covered := from + len(certs)
 	man := &ckptManifest{
 		Version: ckptManifestVersion,
 		Gen:     c.man.Gen + 1,
 		NextSeg: c.man.NextSeg,
 		Chains:  make([][]ckptSeg, len(c.shards)),
 		Cursor:  cursor,
-		Router:  c.router(),
+		Router:  router,
 	}
-	full := c.man.Chains == nil
 	committed := make([]func(chainLen int), len(c.shards))
 	for i, e := range c.shards {
 		if !full {
 			man.Chains[i] = slices.Clone(c.man.Chains[i])
 		}
 		name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
-		n, done, err := e.writeDelta(filepath.Join(c.dir, name), full)
+		n, done, err := e.writeDelta(filepath.Join(c.dir, name), full, certs, certSeqs)
 		if err != nil {
 			return fmt.Errorf("stream: checkpoint segment: %w", err)
 		}
+		certs, certSeqs = nil, nil // the roster rides chain 0
 		man.NextSeg++
 		man.Chains[i] = append(man.Chains[i], ckptSeg{Name: name, Bytes: n})
 		committed[i] = done
@@ -331,6 +345,7 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 	for i, done := range committed {
 		done(len(man.Chains[i]))
 	}
+	c.certs = covered
 	if c.dir != path {
 		// The directory beside the file is complete and committed: it
 		// takes the file's place.
@@ -476,10 +491,11 @@ func writeSegment(path string, st *segState, certs []*certmodel.CertInfo, certSe
 
 // writeDelta snapshots what changed since this shard's last committed
 // segment — everything, for a base — and writes it to path as one
-// segment, returning its size. The shard's marks stand until the owner
-// calls done, once its manifest names the segment; a commit that fails
-// is simply covered again by the next delta.
-func (e *shard) writeDelta(path string, full bool) (int64, func(chainLen int), error) {
+// segment, ahead of its connections whatever roster batch the owner hands
+// it, returning the segment's size. The shard's marks stand until the
+// owner calls done, once its manifest names the segment; a commit that
+// fails is simply covered again by the next delta.
+func (e *shard) writeDelta(path string, full bool, certs []*certmodel.CertInfo, certSeqs []uint64) (int64, func(chainLen int), error) {
 	// Snapshot under the state lock. All slices are fresh copies or
 	// abandon-don't-mutate snapshots (appends land beyond the captured
 	// length, eviction swaps in fresh arrays), so encoding proceeds after
@@ -487,9 +503,7 @@ func (e *shard) writeDelta(path string, full bool) (int64, func(chainLen int), e
 	e.mu.Lock()
 	var conns []core.ConnRecord
 	var seqs []uint64
-	from := e.ckptCerts
 	if full {
-		from = 0
 		conns, seqs = e.st.Snapshot(0)
 	} else {
 		e.st.Since(e.ckptMark, func(rec *core.ConnRecord, seq uint64) bool {
@@ -497,14 +511,9 @@ func (e *shard) writeDelta(path string, full bool) (int64, func(chainLen int), e
 			return true
 		})
 	}
-	// The roster log is append-only, in delivery order: a suffix of it is
-	// the delta, and the same state always writes the same bytes.
-	certs, certSeqs := e.rosterLog[from:], e.rosterSeqs[from:]
-	nCerts := len(e.rosterLog)
 	newMark := e.nextSeq
 	st := &segState{
 		ConnsIngested: e.connsIngested,
-		CertsIngested: e.certsIngested,
 		Evicted:       e.evicted,
 		Watermark:     e.watermark,
 		EvictCutoff:   e.ckptCutoff,
@@ -522,15 +531,14 @@ func (e *shard) writeDelta(path string, full bool) (int64, func(chainLen int), e
 		e.m.checkpointSegs.Set(float64(chainLen))
 		e.mu.Lock()
 		e.ckptMark = newMark
-		e.ckptCerts = nCerts
 		e.lastCkpt = time.Now()
 		e.mu.Unlock()
 	}, nil
 }
 
 // foldChain streams a chain into the one segment name, returning its
-// size: roster frames copy verbatim (fingerprints are unique across
-// segments by construction), connection frames are filtered by the
+// size: roster frames copy verbatim (fingerprints are unique across a
+// chain's segments by construction), connection frames are filtered by the
 // eviction cutoffs of later segments — so the transient memory is one
 // frame, not the full state.
 func foldChain(dir string, chain []ckptSeg, name string) (int64, error) {
@@ -671,12 +679,13 @@ func copySegmentRecords(path string, wantBytes int64, w io.Writer, cut time.Time
 // are empty, gobs names the full-state file standing in for each, and man
 // carries only what that format recorded. last collects each restored
 // shard's final state frame, for the shapes whose manifest has no router
-// state.
+// state, and certs every roster batch of every chain, for the router.
 type committed struct {
-	dir  string
-	man  *ckptManifest
-	gobs []string
-	last []*segState
+	dir   string
+	man   *ckptManifest
+	gobs  []string
+	last  []*segState
+	certs []ExportCert
 }
 
 // openCheckpoint reads path's commit record, for a caller running n
@@ -727,9 +736,9 @@ func (ck *committed) restoreShard(cfg Config) (e *shard, err error) {
 	i := len(ck.last)
 	var last *segState
 	if ck.gobs == nil {
-		e, last, err = restoreChain(cfg, ck.dir, ck.man.Chains[i])
+		e, last, err = restoreChain(cfg, ck.dir, ck.man.Chains[i], &ck.certs)
 	} else {
-		e, last, err = restoreFile(cfg, ck.gobs[i], ck.man)
+		e, last, err = restoreFile(cfg, ck.gobs[i], ck.man, &ck.certs)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore shard %d: %w", i, err)
@@ -738,11 +747,13 @@ func (ck *committed) restoreShard(cfg Config) (e *shard, err error) {
 	return e, nil
 }
 
-// current reports whether this release wrote the checkpoint: a directory
-// whose manifest carries the router's state and keeps no certificate
-// sequences in it. Only such a directory is continued in place, next
-// write a delta; anything older is replaced by the first write, whose
-// bases carry every sequence where this release reads it.
+// current reports whether the checkpoint keeps everything where this
+// release reads it: a directory whose manifest carries the router's state
+// and whose segments carry the certificate sequences. Such a directory is
+// continued in place, next write a delta — also one whose writer still
+// gave every shard a roster, its certificates repeated across chains;
+// anything older is replaced by the first write, whose bases carry every
+// sequence in the segments.
 func (ck *committed) current() bool {
 	return ck.gobs == nil && ck.man.Router != nil && ck.man.Router.CertSeqs == nil
 }
@@ -776,70 +787,57 @@ func RestoreSharded(cfg Config, n int, path string) (*Engine, map[string]int64, 
 			return nil, nil, err
 		}
 	}
-	s.restoreRouter(r)
+	s.restoreRouter(r, ck.certs)
 	if ck.current() {
-		s.ckpt.dir, s.ckpt.man = ck.dir, ck.man
+		s.ckpt.dir, s.ckpt.man, s.ckpt.certs = ck.dir, ck.man, int(s.rosterLen.Load())
 	}
 	return s, ck.man.Cursor, nil
 }
 
-// restoreRouter rebuilds the router from its checkpointed counters and the
-// restored shards. The rendezvous is not serialized: delivery state comes
-// from the shards' rosters, each certificate under the sequence its
-// segment recorded, then every retained connection re-registers its
-// interest and any certificate a referencing shard is missing (possible
-// after Drop-policy shedding) is re-forwarded — one batch per shard — so
-// the restored engine self-heals to the delivery state the checkpointed
-// one had.
-func (s *Engine) restoreRouter(r *routerState) {
+// restoreRouter rebuilds the router from its checkpointed counters, the
+// roster batches read off the chains and the restored shards. The roster
+// is every batch's certificates in sequence order, first observation of a
+// fingerprint wins — a writer that gave every shard a roster repeated a
+// certificate in each chain that referenced it, under the same sequence.
+// The rendezvous is not serialized: a shard waits on exactly the
+// fingerprints its detector has connections parked on, and one the roster
+// already holds (the checkpoint caught a wake in flight, or its writer
+// shed one) is woken now.
+func (s *Engine) restoreRouter(r *routerState, certs []ExportCert) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextSeq, s.certsRouted = r.NextSeq, r.CertsRouted
+	s.nextSeq = r.NextSeq
+	s.certsRouted.Store(r.CertsRouted)
 	if s.epoch = max(r.Epoch, r.ParentEpoch); s.epoch == 0 {
 		// The checkpointed engine did not export: fresh numbering scope,
 		// so any cursor taken against it is refused as stale.
 		s.epoch = newEpoch()
 	}
+	for i := range certs {
+		if seq, ok := r.CertSeqs[string(certs[i].Cert.Fingerprint)]; ok {
+			certs[i].Seq = seq // where an older release kept it
+		}
+	}
+	sortCertLog(certs)
+	for _, c := range certs {
+		if ent := s.rendezvousFor(c.Cert.Fingerprint); ent.cert == nil {
+			ent.cert = c.Cert
+			s.roster = append(s.roster, c.Cert)
+			s.certSeqs = append(s.certSeqs, c.Seq)
+			s.nextSeq = max(s.nextSeq, c.Seq+1)
+		}
+	}
+	s.rosterGrewLocked()
 	for i, e := range s.shards {
-		bit := uint64(1) << i
 		e.mu.Lock()
 		s.nextSeq = max(s.nextSeq, e.nextSeq)
-		for k, c := range e.rosterLog {
-			if seq, ok := r.CertSeqs[string(c.Fingerprint)]; ok {
-				e.rosterSeqs[k] = seq // where the previous release kept it
+		e.icpt.PendingLeaves(func(fp ids.Fingerprint) {
+			if ent := s.rendezvousFor(fp); ent.cert == nil {
+				ent.waiting |= uint64(1) << i
+			} else {
+				b := s.shardBatch(i)
+				b.certs = append(b.certs, ent.cert)
 			}
-			ent := s.rendezvousFor(c.Fingerprint)
-			if ent.cert == nil {
-				ent.cert, ent.seq = c, e.rosterSeqs[k]
-				s.uniqueCerts++
-				if s.cfg.TrackExport {
-					s.certLog = append(s.certLog, ExportCert{Seq: ent.seq, Cert: c})
-				}
-			}
-			ent.delivered |= bit
-			ent.waiting |= bit
-		}
-		e.mu.Unlock()
-	}
-	sortCertLog(s.certLog)
-	for i, e := range s.shards {
-		bit := uint64(1) << i
-		// Heals are only collected under the shard lock and sent after it
-		// is released: a channel send can block on a full buffer, and the
-		// apply goroutine needs the same lock to make room.
-		e.mu.Lock()
-		e.st.Since(0, func(rec *core.ConnRecord, _ uint64) bool {
-			for _, fp := range [2]ids.Fingerprint{rec.ServerLeaf(), rec.ClientLeaf()} {
-				if fp == "" {
-					continue
-				}
-				ent := s.rendezvousFor(fp)
-				ent.waiting |= bit
-				if ent.cert != nil && ent.delivered&bit == 0 {
-					s.deliverLocked(i, ent)
-				}
-			}
-			return true
 		})
 		e.mu.Unlock()
 	}
@@ -870,10 +868,10 @@ func (e *shard) restoreConnsLocked(conns []core.ConnRecord, seqs []uint64) error
 	return nil
 }
 
-// restoreCertsLocked admits one restored roster batch, each certificate
-// under the admission sequence the batch aligns to it (0 where the writer
-// recorded none).
-func (e *shard) restoreCertsLocked(batch *segCerts) error {
+// restoreCerts collects one restored roster batch for the router, each
+// certificate under the admission sequence the batch aligns to it (0 where
+// the writer recorded none).
+func restoreCerts(batch *segCerts, roster *[]ExportCert) error {
 	if batch.Seqs != nil && len(batch.Seqs) != len(batch.Certs) {
 		return fmt.Errorf("%w: %d sequences for %d certificates", store.ErrCorrupt, len(batch.Seqs), len(batch.Certs))
 	}
@@ -885,7 +883,7 @@ func (e *shard) restoreCertsLocked(batch *segCerts) error {
 		if batch.Seqs != nil {
 			seq = batch.Seqs[i]
 		}
-		e.putCertLocked(c, seq)
+		*roster = append(*roster, ExportCert{Seq: seq, Cert: c})
 	}
 	return nil
 }
@@ -893,18 +891,16 @@ func (e *shard) restoreCertsLocked(batch *segCerts) error {
 // finishRestoreLocked completes any restore from the last state read:
 // counters, detector state, and checkpoint bookkeeping (everything in the
 // window is covered by what was just read, so the next delta starts at
-// the current sequence mark with no pending certificates).
+// the current sequence mark).
 func (e *shard) finishRestoreLocked(last *segState) {
 	e.connsIngested = last.ConnsIngested
-	e.certsIngested = last.CertsIngested
 	e.evicted = last.Evicted
 	e.watermark = last.Watermark
 	if last.EvictCutoff.After(e.ckptCutoff) {
 		e.ckptCutoff = last.EvictCutoff
 	}
-	e.icpt = e.det.RestoreStream(e.lookupCert, last.Interception)
+	e.icpt = e.det.RestoreStream(last.Interception)
 	e.ckptMark = e.nextSeq
-	e.ckptCerts = len(e.rosterLog)
 	e.stateVer.Add(1)
 	e.lastCkpt = time.Now()
 	e.m.retained.Set(float64(e.st.ConnCount()))
@@ -912,11 +908,12 @@ func (e *shard) finishRestoreLocked(last *segState) {
 
 // restoreChain restores one shard by replaying a committed segment
 // chain in order: apply each segment's eviction cutoff to the state
-// accumulated so far, then append its records. Counters and detector
-// state come from the last segment's state frame, which is returned with
-// the shard. Any framing, checksum, or truncation damage surfaces as a
-// clean error — never a panic or a silently partial restore.
-func restoreChain(cfg Config, dir string, chain []ckptSeg) (*shard, *segState, error) {
+// accumulated so far, then append its records; roster batches go to
+// roster, for the router. Counters and detector state come from the last
+// segment's state frame, which is returned with the shard. Any framing,
+// checksum, or truncation damage surfaces as a clean error — never a
+// panic or a silently partial restore.
+func restoreChain(cfg Config, dir string, chain []ckptSeg, roster *[]ExportCert) (*shard, *segState, error) {
 	e, err := newShard(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -924,7 +921,7 @@ func restoreChain(cfg Config, dir string, chain []ckptSeg) (*shard, *segState, e
 	var last *segState
 	e.mu.Lock()
 	for _, sg := range chain {
-		if last, err = e.replaySegmentLocked(filepath.Join(dir, sg.Name), sg.Bytes); err != nil {
+		if last, err = e.replaySegmentLocked(filepath.Join(dir, sg.Name), sg.Bytes, roster); err != nil {
 			err = fmt.Errorf("stream: restore %s: %w", sg.Name, err)
 			break
 		}
@@ -940,9 +937,9 @@ func restoreChain(cfg Config, dir string, chain []ckptSeg) (*shard, *segState, e
 	return e, last, nil
 }
 
-// replaySegmentLocked streams one segment into the shard's state and
-// returns its state frame.
-func (e *shard) replaySegmentLocked(path string, wantBytes int64) (*segState, error) {
+// replaySegmentLocked streams one segment into the shard's state, its
+// roster batches into roster, and returns its state frame.
+func (e *shard) replaySegmentLocked(path string, wantBytes int64, roster *[]ExportCert) (*segState, error) {
 	var st *segState
 	err := eachFrame(path, wantBytes, func(typ byte, body []byte) error {
 		if (typ == segFrameState) != (st == nil) {
@@ -966,7 +963,7 @@ func (e *shard) replaySegmentLocked(path string, wantBytes int64) (*segState, er
 			if err := decodeFrame(body, "certs", &batch); err != nil {
 				return err
 			}
-			return e.restoreCertsLocked(&batch)
+			return restoreCerts(&batch, roster)
 		case segFrameConns:
 			var batch segConns
 			if err := decodeFrame(body, "conns", &batch); err != nil {

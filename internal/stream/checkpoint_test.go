@@ -1115,3 +1115,46 @@ func FuzzRestore(f *testing.F) {
 		}
 	})
 }
+
+// TestRestoreWakesParkedObservations: a checkpoint taken while every
+// connection is parked on a certificate that has not arrived restores the
+// router's waiting marks from the detectors' parked fingerprints — the
+// rendezvous itself is not serialized. The certificates arriving after
+// the restore wake every shard that waits on them: nothing stays parked,
+// and every report equals the batch pipeline's.
+func TestRestoreWakesParkedObservations(t *testing.T) {
+	b := genBuild(20240504, 1200)
+	batch := core.Run(inputFromBuild(b))
+	in := inputFromBuild(b)
+	in.Raw = nil
+	certs := certRecords(b)
+	for _, n := range []int{1, 2} {
+		s := newSharded(t, n, in, nil)
+		feedBatches(t, s, nil, b.Raw.Conns, 512)
+		s.Drain()
+		parked := s.Stats().PendingCerts
+		if parked == 0 {
+			t.Fatalf("shards=%d: no connection parked without its certificate: the test exercises nothing", n)
+		}
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		if err := s.WriteCheckpoint(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		restored, _, err := RestoreSharded(Config{Input: in}, n, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(restored.Close)
+		if got := restored.Stats().PendingCerts; got != parked {
+			t.Fatalf("shards=%d: restored with %d parked observations, the writer had %d", n, got, parked)
+		}
+		feedBatches(t, restored, certs, nil, 512)
+		restored.Drain()
+		if got := restored.Stats().PendingCerts; got != 0 {
+			t.Errorf("shards=%d: %d observations still parked after every certificate arrived", n, got)
+		}
+		if got := restored.Analysis(); !reflect.DeepEqual(batch, got) {
+			t.Errorf("shards=%d: analysis differs from batch after the late certificates", n)
+		}
+	}
+}

@@ -31,11 +31,11 @@ func TestDiskStoreSpillsConnectionsOnly(t *testing.T) {
 	eng.Drain()
 	e := eng.shards[0]
 	before := make([]*certmodel.CertInfo, len(certs))
-	e.mu.Lock()
+	eng.mu.Lock()
 	for i := range certs {
-		before[i] = e.lookupCert(certs[i].Cert.Fingerprint)
+		before[i] = eng.rv[certs[i].Cert.Fingerprint].cert
 	}
-	e.mu.Unlock()
+	eng.mu.Unlock()
 
 	feedBatches(t, eng, nil, b.Raw.Conns, 512)
 	eng.Drain()
@@ -49,13 +49,13 @@ func TestDiskStoreSpillsConnectionsOnly(t *testing.T) {
 	if got := st.HotBytes.Load(); got > 1<<20 {
 		t.Errorf("stream_store_hot_bytes = %d, above the 1 MiB budget", got)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.roster) != len(certs) {
-		t.Fatalf("roster holds %d certificates, want %d", len(e.roster), len(certs))
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	if len(eng.roster) != len(certs) {
+		t.Fatalf("roster holds %d certificates, want %d", len(eng.roster), len(certs))
 	}
 	for i := range certs {
-		if got := e.lookupCert(certs[i].Cert.Fingerprint); got == nil || got != before[i] {
+		if got := eng.rv[certs[i].Cert.Fingerprint].cert; got == nil || got != before[i] {
 			t.Fatalf("roster pointer for %s moved across connection spilling", certs[i].Cert.Fingerprint)
 		}
 	}

@@ -9,15 +9,17 @@
 //
 // An Engine is a router, n ≥ 1 shards and one merged view, and every
 // deployment — New's one shard, NewSharded's n, a sensor, a restored
-// daemon — is that and nothing else. The router validates each event,
-// stamps it with the deployment's one sequence, hashes each connection's
-// UID to a home shard and fans each certificate out to the shard(s) that
-// reference it through a shared rendezvous. A shard (shard.go) is an
-// apply goroutine over raw state: the certificates delivered to it, the
-// retained window of its connections, the §3.2 detector over both, and
-// the segment chain they are checkpointed to. It enriches nothing and is
-// never read directly. Reports are read through one core.MergedView with
-// one source per shard — the materializer an aggregator uses too.
+// daemon — is that and nothing else. The router validates each event and
+// stamps it with the deployment's one sequence. It holds the certificate
+// roster — the deduplicated entity the paper counts, kept once — and
+// resolves each connection's server leaf against it before hashing the
+// connection's UID to a home shard, so the join on the fingerprint is one
+// probe per connection. A shard (shard.go) is an apply goroutine over raw
+// state: the retained window of its connections, the §3.2 detector over
+// them, and the segment chain they are checkpointed to. It holds no
+// certificate table, enriches nothing and is never read directly. Reports
+// are read through one core.MergedView with one source per shard and one
+// for the roster — the materializer an aggregator uses too.
 //
 // # Equivalence contract
 //
@@ -29,16 +31,18 @@
 // core.Builder (the same enricher the serial batch path runs) and
 // interception filtering through interception.Stream (which Detector.Run
 // itself wraps). Connections are replayed in their ingest order (a k-way
-// merge on router-assigned sequence numbers), certificate rosters union
-// to the one roster (the rendezvous always delivers a certificate to its
-// fingerprint's home shard, duplicates resolve first-observation-wins to
-// the same copy), and the §3.2 verdict is the verdict of the union of
-// per-shard detector evidence — correct because that evidence is
-// order-independent and per-connection, so domains contradicting an
-// issuer on different shards corroborate globally (interception.Merge).
-// Mid-stream, a materialization is a prefix of the ingested stream: every
-// connection below the applied frontier — the lowest sequence a shard
-// with routed-but-unapplied work has still to apply — and none above it.
+// merge on router-assigned sequence numbers), there is one roster (first
+// observation of a fingerprint wins, as zeek.Dataset.AddCert has it), and
+// the §3.2 verdict is the verdict of the union of per-shard detector
+// evidence — correct because that evidence is order-independent and
+// per-connection, so domains contradicting an issuer on different shards
+// corroborate globally (interception.Merge). A connection routed before
+// its leaf certificate arrived is parked in its shard's detector; the
+// certificate's arrival sends that shard a wake, so the evidence does not
+// depend on how the two logs interleave. Mid-stream, a materialization is
+// every certificate admitted and a prefix of the connections: every one
+// below the applied frontier — the lowest sequence a shard with
+// routed-but-unapplied work has still to apply — and none above it.
 // A shard running ahead of a lagging one is therefore read one batch
 // stale rather than out of order, which is what lets the merged view
 // append what is new instead of replaying. (The verdict those connections
@@ -48,8 +52,8 @@
 // # Retroactive evidence and replays
 //
 // The view's Builder lives as long as the engine and, on a read after new
-// events, enriches those events — each shard's roster-log and window
-// suffix past the view's cursor — and nothing else; a read while no shard
+// events, enriches those events — the roster's and each shard's window's
+// suffix past the view's cursor — and nothing else; a read while nothing
 // moved costs nothing. Late evidence can make appending differ from what
 // batch would compute, where all data is present up front; the view then
 // replays the retained window through a fresh Builder, for exactly the
@@ -68,7 +72,8 @@
 // capture and Export each bring it current with the pairs the shards
 // journaled since the last catch-up — O(new pairs), usually none — and
 // read the verdict off it. Stats is therefore O(shards), whatever the
-// evidence or roster size.
+// evidence or roster size, and takes no router lock: it never waits
+// behind a batch being routed or an Export.
 //
 // # Bounded memory
 //
@@ -165,11 +170,10 @@ type Config struct {
 	// TrackExport enables Export — the cursor-addressable snapshot a
 	// sensor serves to an aggregator. The router numbers connections and
 	// first-observed certificates from one sequence whether or not anyone
-	// exports; under TrackExport it also keeps the certificates as a log
-	// ascending by that sequence, so a delta is a suffix, and checkpoints
+	// exports, and the roster is a log ascending by that sequence, so a
+	// delta is a suffix; under TrackExport Export is served and checkpoints
 	// carry the epoch that scopes the numbering, so cursors survive a
-	// restart. Off by default: the log is sixteen bytes per unique
-	// certificate.
+	// restart. Off by default.
 	TrackExport bool
 
 	// metricLabels are alternating key/value pairs appended to every
@@ -182,7 +186,7 @@ type Config struct {
 type Stats struct {
 	ConnsIngested uint64 // connection events applied
 	CertsIngested uint64 // certificate events admitted (incl. duplicates)
-	Dropped       uint64 // events shed under Policy Drop
+	Dropped       uint64 // connection events shed under Policy Drop
 	Rejected      uint64 // invalid events refused at the ingest boundary
 	Retained      int    // connections currently in the window
 	Evicted       uint64 // connections dropped by retention
@@ -199,8 +203,8 @@ type Stats struct {
 	CheckpointAge  float64   // seconds since LastCheckpoint (0 if none)
 }
 
-// MaxShards bounds the shard count: the rendezvous tracks per-shard
-// delivery in one uint64 bitmask, which is far beyond any core count the
+// MaxShards bounds the shard count: the rendezvous tracks the shards
+// waiting on a fingerprint in one uint64 bitmask, which is far beyond any core count the
 // single-producer router could keep fed anyway.
 const MaxShards = 64
 
@@ -233,19 +237,24 @@ type Engine struct {
 	// is detectably stale rather than silently wrong); preserved across
 	// checkpoint/restore under cfg.TrackExport.
 	epoch uint64
-	// rv is the certificate rendezvous: every ingested or awaited
-	// fingerprint, which shards hold the certificate, and which shards
-	// referenced it before it arrived.
-	rv          map[ids.Fingerprint]*rendezvous
-	rvSlab      []rendezvous // unused entries, handed out by rendezvousFor
-	uniqueCerts int          // fingerprints whose certificate has arrived
-	certsRouted uint64       // IngestCert calls admitted (incl. duplicate fps)
-	// certLog lists the arrived certificates ascending by rendezvous seq —
-	// append-only, so Export binary-searches its suffix. Kept only under
-	// cfg.TrackExport.
-	certLog []ExportCert
+	// rv is the certificate rendezvous: every admitted or awaited
+	// fingerprint — the certificate, or the shards that named it as a
+	// server leaf before it arrived.
+	rv     map[ids.Fingerprint]*rendezvous
+	rvSlab []rendezvous // unused entries, handed out by rendezvousFor
+	// roster is the certificate roster as an append-only log in admission
+	// order (first observation wins; cumulative, resident, pointers stable
+	// for the engine's lifetime), certSeqs the sequence each was admitted
+	// under, ascending — so "the roster since" a checkpoint commit, the
+	// merged view's cursor or an export cursor is a slice suffix, readable
+	// after mu is released. rosterLen is its length for readers without
+	// mu.
+	roster    []*certmodel.CertInfo
+	certSeqs  []uint64
+	rosterLen atomic.Uint64
 
-	rejected atomic.Uint64
+	certsRouted atomic.Uint64 // IngestCert calls admitted (incl. duplicate fps)
+	rejected    atomic.Uint64
 
 	m *routerMetrics
 
@@ -266,17 +275,12 @@ type Engine struct {
 	ckpt *checkpointer
 }
 
-// rendezvous is one fingerprint's delivery state. delivered and waiting
-// are shard bitmasks (bit i = shard i).
+// rendezvous is one fingerprint's state: the certificate once it has
+// arrived, until then the shards (bit i = shard i) whose detector has
+// parked a connection on it and is owed a wake.
 type rendezvous struct {
-	cert      *certmodel.CertInfo
-	delivered uint64 // shards whose roster has (or will apply) the cert
-	waiting   uint64 // shards that referenced the fp before it arrived
-	// seq is the sequence consumed when the certificate first arrived
-	// (certificates and connections share the router's one number space),
-	// giving Export a cursor over the roster. It travels with every
-	// delivery, so each shard's checkpoint segments record it.
-	seq uint64
+	cert    *certmodel.CertInfo
+	waiting uint64
 }
 
 // New starts a one-shard engine. Call Close to stop it.
@@ -371,8 +375,7 @@ func (s *Engine) shardConfig(i, n int) Config {
 // Shards reports the shard count.
 func (s *Engine) Shards() int { return len(s.shards) }
 
-// shardHash is FNV-1a over the routing key. UID hashing spreads
-// connections; fingerprint hashing picks each certificate's home shard.
+// shardHash is FNV-1a over the routing key, a connection's UID.
 func shardHash(key string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
@@ -405,8 +408,8 @@ func (s *Engine) IngestConn(rec *core.ConnRecord) bool {
 }
 
 // IngestCert feeds one certificate event — a batch of one over
-// IngestCertBatch; true means the certificate entered the rendezvous. A
-// nil record, a nil certificate, or an empty fingerprint is rejected
+// IngestCertBatch; true means the roster holds the certificate. A nil
+// record, a nil certificate, or an empty fingerprint is rejected
 // (counted in Stats.Rejected) — an unkeyed certificate could never be
 // resolved from a chain and would only poison the roster.
 func (s *Engine) IngestCert(rec *core.CertRecord) bool {
@@ -441,12 +444,14 @@ func (s *Engine) Close() {
 	}
 }
 
-// versions reads the per-shard state versions without the shard locks.
+// versions reads the merged view's version vector without a lock: each
+// shard's state version, then the roster's length.
 func (s *Engine) versions() []uint64 {
-	vers := make([]uint64, len(s.shards))
+	vers := make([]uint64, len(s.shards)+1)
 	for i, e := range s.shards {
 		vers[i] = e.stateVer.Load()
 	}
+	vers[len(s.shards)] = s.rosterLen.Load()
 	return vers
 }
 
@@ -456,17 +461,20 @@ func (s *Engine) absorbLocked(i int) {
 	s.cursors[i] = s.union.Absorb(s.shards[i].icpt, s.cursors[i])
 }
 
-// capture is the merged view's source: what each shard holds beyond the
-// view's cursor — the roster-log entries and the window suffix it has not
-// seen — snapshotted under that shard's lock. All of it stays readable
-// once the lock is released (roster pointers are immutable, appends land
-// past the captured lengths, eviction swaps in fresh arrays, a verdict is
-// a new value when it moves); on a tiered window the records are copies
-// made here, which is what Copies tells the view. The version is read, and
-// the union caught up, under the same lock hold as the state, so the cache
-// key and the verdict match exactly what was captured; the union lock is
-// held across all shards so a concurrent Stats cannot run the verdict
-// ahead of a shard already captured.
+// capture is the merged view's source: what each shard's window holds
+// beyond the view's cursor, snapshotted under that shard's lock, and as
+// one more source, certificates only, the roster log's suffix. All of it
+// stays readable once the locks are released (roster pointers are
+// immutable, appends land past the captured lengths, eviction swaps in
+// fresh arrays, a verdict is a new value when it moves); on a tiered
+// window the records are copies made here, which is what Copies tells the
+// view. The version is read, and the union caught up, under the same lock
+// hold as the state, so the cache key and the verdict match exactly what
+// was captured; the union lock is held across all shards so a concurrent
+// Stats cannot run the verdict ahead of a shard already captured. A
+// detector only ever resolves a leaf the router handed it, so the verdict
+// excludes no certificate the roster — read under the router lock, after
+// the shards — does not list.
 //
 // The router lock is held throughout, so no sequence is assigned while
 // the shards are read and routed[] says exactly which of them still have
@@ -480,9 +488,9 @@ func (s *Engine) absorbLocked(i int) {
 func (s *Engine) capture(since []core.MergeCursor) core.MergeCapture {
 	n := len(s.shards)
 	c := core.MergeCapture{
-		Shards:   make([]core.ShardState, n),
-		Versions: make([]uint64, n),
-		Lost:     make([]uint64, n),
+		Shards:   make([]core.ShardState, n+1),
+		Versions: make([]uint64, n+1),
+		Lost:     make([]uint64, n+1),
 	}
 	frontier := uint64(math.MaxUint64)
 	s.mu.Lock()
@@ -493,7 +501,7 @@ func (s *Engine) capture(since []core.MergeCursor) core.MergeCapture {
 		c.Versions[i] = e.stateVer.Load()
 		c.Lost[i] = e.evicted
 		conns, seqs := e.st.Snapshot(since[i].Seq)
-		c.Shards[i] = core.ShardState{Certs: e.rosterLog[since[i].Certs:], Conns: conns, Seqs: seqs}
+		c.Shards[i] = core.ShardState{Conns: conns, Seqs: seqs}
 		c.RawConns += e.connsIngested
 		c.Copies = e.st.Tiered() // one store configuration for all shards
 		if e.nextSeq < s.routed[i] {
@@ -504,7 +512,9 @@ func (s *Engine) capture(since []core.MergeCursor) core.MergeCapture {
 	}
 	c.Verdict = s.union.Result()
 	s.unionMu.Unlock()
-	c.RawCerts = s.uniqueCerts
+	c.Shards[n] = core.ShardState{Certs: s.roster[since[n].Certs:]}
+	c.Versions[n] = uint64(len(s.roster))
+	c.RawCerts = len(s.roster)
 	frontier = max(frontier, s.merged)
 	for i := range c.Shards {
 		sh := &c.Shards[i]
@@ -539,11 +549,11 @@ func (s *Engine) Analysis() *core.Analysis {
 }
 
 // Stats returns the operational counters: the shards' ingest, drop and
-// retention counters summed, the newest watermark, the certificate
-// numbers from the router (shard rosters double-count fanned-out
-// certificates), and the §3.2 numbers as the sizes of the union's verdict
-// sets once it has caught up with every shard — one lock hold per shard
-// for both, nothing proportional to the evidence or the roster. Rebuilds
+// retention counters summed, the newest watermark, the router's
+// certificate numbers read off their atomics, and the §3.2 numbers as the
+// sizes of the union's verdict sets once it has caught up with every shard
+// — one lock hold per shard, none of the router's, nothing proportional
+// to the evidence or the roster. Rebuilds
 // counts merged-view replays (not the catch-ups that append); Dirty means
 // shard state changed since the last catch-up.
 func (s *Engine) Stats() Stats {
@@ -569,11 +579,8 @@ func (s *Engine) Stats() Stats {
 	st.InterceptionIssuers = s.union.ConfirmedCount()
 	s.unionMu.Unlock()
 
-	s.mu.Lock()
-	st.CertsIngested = s.certsRouted
-	st.UniqueCerts = s.uniqueCerts
-	s.mu.Unlock()
-
+	st.CertsIngested = s.certsRouted.Load()
+	st.UniqueCerts = int(s.rosterLen.Load())
 	ms := s.view.Stats()
 	st.Rebuilds, st.Dirty = ms.Replays, ms.Stale
 	if !st.LastCheckpoint.IsZero() {

@@ -442,6 +442,123 @@ func TestBackpressureDrop(t *testing.T) {
 	}
 }
 
+// TestDropNeverShedsCertificates: a certificate is admitted into the
+// router's roster without crossing a shard buffer, so a full buffer under
+// Policy Drop cannot shed one. With every apply loop stalled behind a
+// two-slot buffer, every certificate IngestCert accepts is counted, none
+// as dropped, and the roster and the read that follow — before any
+// connection is fed — hold them all, the ones no connection will name as
+// a leaf included; connections fed afterwards (drained one batch at a
+// time, so none is shed) then yield the batch pipeline's reports.
+func TestDropNeverShedsCertificates(t *testing.T) {
+	b := genBuild(20240504, 2000)
+	batch := core.Run(inputFromBuild(b))
+	in := inputFromBuild(b)
+	in.Raw = nil
+	certs := certRecords(b)
+	for _, n := range []int{1, 2} {
+		s := newSharded(t, n, in, func(c *Config) { c.Policy = Drop; c.Buffer = 2 })
+		for _, e := range s.shards {
+			e.mu.Lock()
+		}
+		accepted := 0
+		for i := range certs {
+			if s.IngestCert(&certs[i]) {
+				accepted++
+			}
+		}
+		for _, e := range s.shards {
+			e.mu.Unlock()
+		}
+		s.Drain()
+		if accepted != len(certs) {
+			t.Fatalf("shards=%d: IngestCert accepted %d of %d", n, accepted, len(certs))
+		}
+		if st := s.Stats(); st.Dropped != 0 || st.UniqueCerts != accepted || st.CertsIngested != uint64(accepted) {
+			t.Errorf("shards=%d: dropped %d, unique %d, ingested %d; want 0 and the %d accepted", n, st.Dropped, st.UniqueCerts, st.CertsIngested, accepted)
+		}
+		if a := s.Analysis(); a.Preprocess.RawCerts != accepted {
+			t.Errorf("shards=%d: the read holds %d certificates, want %d", n, a.Preprocess.RawCerts, accepted)
+		}
+		s.mu.Lock()
+		held := len(s.roster)
+		s.mu.Unlock()
+		if held != accepted {
+			t.Errorf("shards=%d: the roster holds %d certificates, want %d", n, held, accepted)
+		}
+		for lo := 0; lo < len(b.Raw.Conns); lo += 512 {
+			hi := min(lo+512, len(b.Raw.Conns))
+			if got := s.IngestConnBatch(b.Raw.Conns[lo:hi]); got != hi-lo {
+				t.Fatalf("shards=%d: a drained engine shed %d connections", n, hi-lo-got)
+			}
+			s.Drain()
+		}
+		if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
+			t.Errorf("shards=%d: analysis differs from batch: an accepted certificate is missing", n)
+		}
+	}
+}
+
+// TestShedWakeRidesNextBatch: the one thing a certificate sends a shard
+// is a wake for the observations parked on it, and a full buffer under
+// Policy Drop does not lose it — the router keeps it and sends it with
+// the next batch routed there, so the parked connection is observed.
+func TestShedWakeRidesNextBatch(t *testing.T) {
+	b := genBuild(20240504, 2000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	var parked, other *core.ConnRecord
+	for i := range b.Raw.Conns {
+		if c := &b.Raw.Conns[i]; c.ServerLeaf() == "" {
+			continue
+		} else if parked == nil {
+			parked = c
+		} else if c.ServerLeaf() != parked.ServerLeaf() {
+			other = c
+			break
+		}
+	}
+	late := b.Raw.Certs[parked.ServerLeaf()]
+	e := newEngine(t, in, func(c *Config) { c.Policy = Drop; c.Buffer = 1 })
+	if punctual := b.Raw.Certs[other.ServerLeaf()]; !e.IngestCert(&core.CertRecord{TS: punctual.NotBefore, Cert: punctual}) {
+		t.Fatal("cert event rejected")
+	}
+	if !e.IngestConn(parked) {
+		t.Fatal("conn event rejected")
+	}
+	e.Drain()
+	if got := e.Stats().PendingCerts; got != 1 {
+		t.Fatalf("%d observations parked, want the one whose certificate is late", got)
+	}
+
+	release := stallApply(e)
+	// Two accepted sends: the stalled loop holds one, the one-slot buffer
+	// the other, so nothing more fits until release.
+	shed := uint64(0)
+	for accepted := 0; accepted < 2; {
+		if e.IngestConn(other) {
+			accepted++
+		} else {
+			shed++
+		}
+	}
+	if !e.IngestCert(&core.CertRecord{TS: late.NotBefore, Cert: late}) {
+		t.Fatal("a full shard buffer refused a certificate")
+	}
+	release()
+	e.Drain()
+	if st := e.Stats(); st.PendingCerts != 1 || st.Dropped != shed {
+		t.Fatalf("after the shed wake: %d parked, %d dropped; want 1 and the %d connections (a kept wake is not a drop)", st.PendingCerts, st.Dropped, shed)
+	}
+	if !e.IngestConn(other) {
+		t.Fatal("conn event rejected")
+	}
+	e.Drain()
+	if got := e.Stats().PendingCerts; got != 0 {
+		t.Fatalf("%d observations still parked after the next batch carried the wake", got)
+	}
+}
+
 // TestBackpressureBlock verifies the Block policy never drops: a stalled
 // consumer delays the producer, and everything lands.
 func TestBackpressureBlock(t *testing.T) {

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -75,14 +76,7 @@ func newEpoch() uint64 {
 	return e
 }
 
-// certsSince copies the suffix of an admission-ordered certificate log
-// at or after since, so a delta costs O(delta) whatever the roster size.
-func certsSince(log []ExportCert, since uint64) []ExportCert {
-	i := sort.Search(len(log), func(i int) bool { return log[i].Seq >= since })
-	return append([]ExportCert(nil), log[i:]...)
-}
-
-// sortCertLog orders a restored certificate log ascending by sequence.
+// sortCertLog orders restored roster batches ascending by sequence.
 // Certificates restored from a pre-export checkpoint may all carry
 // sequence 0, where fingerprint order keeps exports deterministic.
 func sortCertLog(log []ExportCert) {
@@ -94,14 +88,43 @@ func sortCertLog(log []ExportCert) {
 	})
 }
 
-// exportConnsLocked appends the shard's retained connections at or after
-// st.Since, ascending — a suffix of the window, so a delta costs
-// O(delta).
-func (e *shard) exportConnsLocked(st *ExportState) {
-	e.st.Since(st.Since, func(rec *core.ConnRecord, seq uint64) bool {
-		st.Conns = append(st.Conns, ExportConn{Seq: seq, Conn: *rec})
+// exportConnsLocked returns the shard's retained connections at or after
+// since, ascending — a suffix of the window, so a delta costs O(delta).
+func (e *shard) exportConnsLocked(since uint64) (conns []ExportConn) {
+	e.st.Since(since, func(rec *core.ConnRecord, seq uint64) bool {
+		conns = append(conns, ExportConn{Seq: seq, Conn: *rec})
 		return true
 	})
+	return conns
+}
+
+// mergeExportConns collects per-shard suffixes, each ascending, into one
+// ascending list: the linear head comparison core's merge of shard states
+// uses (shard counts are small). Every connection consumed a distinct
+// sequence, so there are no ties to break. A suffix that is the only
+// non-empty one is the result as it stands.
+func mergeExportConns(parts [][]ExportConn) []ExportConn {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	for _, p := range parts {
+		if len(p) == total {
+			return p
+		}
+	}
+	out := make([]ExportConn, 0, total)
+	for len(out) < total {
+		best := -1
+		for i, p := range parts {
+			if len(p) > 0 && (best < 0 || p[0].Seq < parts[best][0].Seq) {
+				best = i
+			}
+		}
+		out = append(out, parts[best][0])
+		parts[best] = parts[best][1:]
+	}
+	return out
 }
 
 // Export snapshots the engine's raw state at or after cursor since. since
@@ -138,6 +161,7 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 		Retention: s.cfg.Retention,
 	}
 	pending := 0
+	parts := make([][]ExportConn, len(s.shards))
 	s.unionMu.Lock()
 	for i, e := range s.shards {
 		e.mu.Lock()
@@ -145,7 +169,7 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 		if e.watermark.After(st.Watermark) {
 			st.Watermark = e.watermark
 		}
-		e.exportConnsLocked(st)
+		parts[i] = e.exportConnsLocked(since)
 		s.absorbLocked(i)
 		pending += e.icpt.PendingCount()
 		e.mu.Unlock()
@@ -153,10 +177,14 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 	st.Evidence = s.union.Evidence()
 	s.unionMu.Unlock()
 	st.Evidence.Pending = pending
-	st.CertsIngested = s.certsRouted
-	st.Certs = certsSince(s.certLog, since)
-	// Each shard's suffix is ascending; every connection consumed a
-	// distinct sequence, so there are no ties to break.
-	sort.Slice(st.Conns, func(i, j int) bool { return st.Conns[i].Seq < st.Conns[j].Seq })
+	st.CertsIngested = s.certsRouted.Load()
+	// The roster log ascends by sequence: a delta is its suffix, O(delta)
+	// whatever the roster size.
+	k, _ := slices.BinarySearch(s.certSeqs, since)
+	st.Certs = slices.Grow(st.Certs, len(s.roster)-k)
+	for ; k < len(s.roster); k++ {
+		st.Certs = append(st.Certs, ExportCert{Seq: s.certSeqs[k], Cert: s.roster[k]})
+	}
+	st.Conns = mergeExportConns(parts)
 	return st, nil
 }

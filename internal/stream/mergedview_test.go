@@ -52,12 +52,14 @@ func holdBack(t *testing.T, e *shard) (release func()) {
 // MergeShards, connections capped below frontier, under the union's
 // current verdict — what a read must equal while a shard lags.
 func frontierOracle(s *Engine, frontier uint64, pre *core.PreprocessReport) *core.Analysis {
-	states := make([]core.ShardState, len(s.shards))
-	for i, e := range s.shards {
+	s.mu.Lock()
+	states := []core.ShardState{{Certs: s.roster}}
+	s.mu.Unlock()
+	for _, e := range s.shards {
 		e.mu.Lock()
 		conns, seqs := e.st.Snapshot(0)
 		k, _ := slices.BinarySearch(seqs, frontier)
-		states[i] = core.ShardState{Certs: e.rosterLog, Conns: conns[:k], Seqs: seqs[:k]}
+		states = append(states, core.ShardState{Conns: conns[:k], Seqs: seqs[:k]})
 		e.mu.Unlock()
 	}
 	s.Stats() // absorbs every shard's evidence

@@ -29,11 +29,13 @@ func MergeObserver(reg *metrics.Registry, prefix string) func(time.Duration, cor
 }
 
 // routerMetrics is the engine-level instrumentation: what the router
-// refuses and fans out, and what the engine does once for all its shards —
-// a read through the merged view, a checkpoint commit, a fold.
+// refuses and what it admits into the roster, and what the engine does
+// once for all its shards — a read through the merged view, a checkpoint
+// commit, a fold.
 type routerMetrics struct {
-	rejected *metrics.Counter
-	fanout   *metrics.Counter
+	rejected      *metrics.Counter
+	certsIngested *metrics.Counter
+	rosterSize    *metrics.Gauge
 
 	materializeDur *metrics.Histogram
 	checkpointDur  *metrics.Histogram
@@ -51,8 +53,9 @@ func newRouterMetrics(r *metrics.Registry, n int) *routerMetrics {
 	rebuilds := r.Counter("stream_rebuilds_total", "merged-view replays (retroactive evidence)")
 	rebuildDur := r.Histogram("stream_rebuild_seconds", "merged-view replay duration", nil)
 	return &routerMetrics{
-		rejected: r.Counter("stream_events_rejected_total", "invalid events refused at the ingest boundary"),
-		fanout:   r.Counter("stream_cert_fanout_total", "certificate deliveries to shards (first + forwarded copies)"),
+		rejected:      r.Counter("stream_events_rejected_total", "invalid events refused at the ingest boundary"),
+		certsIngested: r.Counter("stream_certs_ingested_total", "certificate events admitted (incl. duplicates)"),
+		rosterSize:    r.Gauge("stream_store_hot_certs", "roster certificates (always resident)"),
 
 		materializeDur: r.Histogram("stream_materialize_seconds", "report materialization duration (incl. any catch-up or replay)", nil),
 		checkpointDur:  r.Histogram("stream_checkpoint_seconds", "checkpoint serialization+rename duration", nil),
@@ -75,7 +78,6 @@ func newRouterMetrics(r *metrics.Registry, n int) *routerMetrics {
 // per-shard series.
 type shardMetrics struct {
 	connsIngested *metrics.Counter
-	certsIngested *metrics.Counter
 	dropped       *metrics.Counter
 	evicted       *metrics.Counter
 	checkpoints   *metrics.Counter
@@ -85,7 +87,6 @@ type shardMetrics struct {
 	evictDur     *metrics.Histogram
 
 	retained        *metrics.Gauge
-	rosterSize      *metrics.Gauge
 	checkpointBytes *metrics.Gauge
 	checkpointSegs  *metrics.Gauge
 }
@@ -97,8 +98,7 @@ func newShardMetrics(r *metrics.Registry, e *shard) *shardMetrics {
 	lbl := e.cfg.metricLabels
 	m := &shardMetrics{
 		connsIngested: r.Counter("stream_conns_ingested_total", "connection events applied", lbl...),
-		certsIngested: r.Counter("stream_certs_ingested_total", "certificate events applied (incl. duplicates)", lbl...),
-		dropped:       r.Counter("stream_events_dropped_total", "events shed under Policy Drop", lbl...),
+		dropped:       r.Counter("stream_events_dropped_total", "connection events shed under Policy Drop", lbl...),
 		evicted:       r.Counter("stream_conns_evicted_total", "connections dropped by the retention window", lbl...),
 		checkpoints:   r.Counter("stream_checkpoints_total", "checkpoints written", lbl...),
 		compactions:   r.Counter("stream_checkpoint_compactions_total", "checkpoint segment compactions", lbl...),
@@ -107,7 +107,6 @@ func newShardMetrics(r *metrics.Registry, e *shard) *shardMetrics {
 		evictDur:     r.Histogram("stream_evict_seconds", "retention eviction sweep duration", nil, lbl...),
 
 		retained:        r.Gauge("stream_conns_retained", "connections currently in the window", lbl...),
-		rosterSize:      r.Gauge("stream_store_hot_certs", "roster certificates (always resident)", lbl...),
 		checkpointBytes: r.Gauge("stream_checkpoint_bytes", "bytes written by the last checkpoint (delta, not total state)", lbl...),
 		checkpointSegs:  r.Gauge("stream_checkpoint_segments", "segments in the committed checkpoint manifest", lbl...),
 	}

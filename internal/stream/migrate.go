@@ -29,8 +29,8 @@ import (
 // MANIFEST, or under a version-2 one. What the router would have recorded
 // is in the chain's last state frame: the sequence counter and epoch when
 // that engine exported (else zero, and restoreRouter continues past what
-// the shard numbered in replay order, under a fresh epoch), and every
-// certificate event reached the one shard.
+// the shard numbered in replay order, under a fresh epoch), and the one
+// shard counted every certificate event.
 func (ck *committed) plainRouter() (*routerState, error) {
 	if len(ck.last) != 1 {
 		return nil, fmt.Errorf("%w: checkpoint has %d shards but no router state", store.ErrCorrupt, len(ck.last))
@@ -71,7 +71,7 @@ type checkpointState struct {
 // restoreFile starts a shard from a full-state gob file and returns what
 // a chain's last state frame would hold. A file that stood alone carries
 // its own cursor, which goes to man.
-func restoreFile(cfg Config, path string, man *ckptManifest) (*shard, *segState, error) {
+func restoreFile(cfg Config, path string, man *ckptManifest, roster *[]ExportCert) (*shard, *segState, error) {
 	// A writer of this format that died mid-commit left <path>.tmp
 	// behind; nothing else collects it once the file itself is replaced.
 	os.Remove(atomicfile.TempName(path))
@@ -115,7 +115,7 @@ func restoreFile(cfg Config, path string, man *ckptManifest) (*shard, *segState,
 		Interception:  st.Interception,
 	}
 	e.mu.Lock()
-	err = e.restoreCertsLocked(&certs)
+	err = restoreCerts(&certs, roster)
 	if err == nil {
 		err = e.restoreConnsLocked(st.Conns, st.Seqs)
 	}

@@ -18,9 +18,10 @@ import (
 )
 
 // The fixtures under testdata/parent are checkpoints written by parent
-// commits — before the segment-chain directory became the only format, and
-// before the router owned every engine's numbering (see the README
-// there): real bytes of each shape a deployed daemon may hold.
+// commits — before the segment-chain directory became the only format,
+// before the router owned every engine's numbering, and before it owned
+// the one certificate roster (see the README there): real bytes of each
+// shape a deployed daemon may hold.
 
 // fixtureRows is the slice of the fixture build those checkpoints were
 // fed: every 24th connection and the certificates their chains name,
@@ -203,11 +204,14 @@ func numbering(t testing.TB, e *Engine) exportNumbering {
 
 // TestMigrateParentCheckpoints restores each older checkpoint shape from
 // the bytes a parent commit wrote, resumes it to the reports of an engine
-// fed the same rows — serving a cursor taken before the upgrade a delta,
-// where the writer exported — and requires the first write afterwards to
-// leave a version-2 directory of one base per shard, and nothing of the
-// older shape, that restores to the same place and is continued by
-// deltas from then on.
+// fed the same rows — serving a cursor taken before the upgrade exactly
+// the rows fed since, where the writer exported — and requires the first
+// write afterwards to leave a version-2 directory that restores to the
+// same place and is continued by deltas from then on: one base per shard
+// and nothing of the older shape, or, where the parent's directory already
+// keeps everything where this release reads it (the routed-* three, whose
+// only difference is a certificate repeated in every chain that referenced
+// it), the parent's own chains one delta longer.
 func TestMigrateParentCheckpoints(t *testing.T) {
 	fx := loadFixture()
 	ref := newEngine(t, fx.in, nil)
@@ -220,13 +224,17 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 		name, path string
 		shards     int
 		export     bool // the writer exported; <name>.export.json is its numbering
+		chain      int  // segments per chain the writer left, where the directory is continued in place
 	}{
-		{"gob", "gob/mtlsd.ckpt", 1, false},
-		{"v1", "v1", 1, false},
-		{"sharded", "sharded", 2, true},
-		{"v2-plain", "v2-plain", 1, false},
-		{"v2-export", "v2-export", 1, true},
-		{"v2-sharded-export", "v2-sharded-export", 2, true},
+		{"gob", "gob/mtlsd.ckpt", 1, false, 0},
+		{"v1", "v1", 1, false, 0},
+		{"sharded", "sharded", 2, true, 0},
+		{"v2-plain", "v2-plain", 1, false, 0},
+		{"v2-export", "v2-export", 1, true, 0},
+		{"v2-sharded-export", "v2-sharded-export", 2, true, 0},
+		{"routed-plain", "routed-plain", 1, false, 2},
+		{"routed-export", "routed-export", 1, true, 2},
+		{"routed-sharded-export", "routed-sharded-export", 2, true, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tmp := t.TempDir()
@@ -243,6 +251,7 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 				return eng, cursor
 			}
 
+			written, _ := readCkptManifest(path) // nil for the shapes older than the MANIFEST
 			eng, cursor := restore()
 			if got := cursor["conn_index"]; got != int64(len(fx.before)) {
 				t.Fatalf("cursor = %v, want conn_index=%d", cursor, len(fx.before))
@@ -274,6 +283,16 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 					t.Fatalf("delta carries %d certificates and %d connections, want the %d and %d fed since",
 						len(delta.Certs), len(delta.Conns), len(fx.late), len(fx.after))
 				}
+				for i, c := range delta.Certs {
+					if c.Cert.Fingerprint != fx.late[i].Fingerprint {
+						t.Fatalf("delta certificate %d is %s, want %s as fed", i, c.Cert.Fingerprint, fx.late[i].Fingerprint)
+					}
+				}
+				for i, c := range delta.Conns {
+					if c.Conn.UID != fx.after[i].UID {
+						t.Fatalf("delta connection %d is %s, want %s as fed", i, c.Conn.UID, fx.after[i].UID)
+					}
+				}
 			}
 
 			end := map[string]int64{"conn_index": int64(len(fx.before) + len(fx.after))}
@@ -285,8 +304,11 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 				t.Fatalf("manifest names %d chains, want %d, beside a router state without certificate sequences: %+v", len(man.Chains), c.shards, man.Router)
 			}
 			for i, chain := range man.Chains {
-				if len(chain) != 1 {
-					t.Fatalf("chain %d has %d segments, want one base", i, len(chain))
+				if len(chain) != c.chain+1 {
+					t.Fatalf("chain %d has %d segments, want %d: a base alone, or the writer's and a delta", i, len(chain), c.chain+1)
+				}
+				if c.chain > 0 && !reflect.DeepEqual(chain[:c.chain], written.Chains[i]) {
+					t.Fatalf("chain %d starts %v, want the writer's segments %v kept", i, chain[:c.chain], written.Chains[i])
 				}
 			}
 
@@ -307,8 +329,8 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 			if err := again.WriteCheckpoint(path, end); err != nil {
 				t.Fatal(err)
 			}
-			if man := assertOnlyCommitted(t, path); len(man.Chains[0]) != 2 {
-				t.Fatalf("chain 0 has %d segments after a second write, want the base and a delta", len(man.Chains[0]))
+			if man := assertOnlyCommitted(t, path); len(man.Chains[0]) != c.chain+2 {
+				t.Fatalf("chain 0 has %d segments after a second write, want one more delta (%d)", len(man.Chains[0]), c.chain+2)
 			}
 			third, _ := restore()
 			diffReports(t, "restored from the continued directory", want, allReports(t, third))

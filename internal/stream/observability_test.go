@@ -171,10 +171,16 @@ func TestEngineMetrics(t *testing.T) {
 		if conns != st.ConnsIngested || st.ConnsIngested != uint64(len(b.Raw.Conns)) {
 			t.Errorf("shards=%d: conns counters sum to %d, stats = %d, fed %d", n, conns, st.ConnsIngested, len(b.Raw.Conns))
 		}
-		// One batch per event was fed (a forwarded certificate rides the
-		// batch of the connection that names it).
-		if applied != st.ConnsIngested+st.CertsIngested {
-			t.Errorf("shards=%d: apply latency observations = %d, want %d", n, applied, st.ConnsIngested+st.CertsIngested)
+		// One batch per connection was fed; a certificate crosses no shard
+		// buffer (every one arrived ahead of its connections: no wakes).
+		if applied != st.ConnsIngested {
+			t.Errorf("shards=%d: apply latency observations = %d, want %d", n, applied, st.ConnsIngested)
+		}
+		if got := reg.Counter("stream_certs_ingested_total", "").Value(); got != st.CertsIngested || got != uint64(len(b.Raw.Certs)) {
+			t.Errorf("shards=%d: certs counter = %d, stats = %d, fed %d", n, got, st.CertsIngested, len(b.Raw.Certs))
+		}
+		if got := reg.Gauge("stream_store_hot_certs", "").Value(); int(got) != st.UniqueCerts {
+			t.Errorf("shards=%d: roster gauge = %v, stats = %d", n, got, st.UniqueCerts)
 		}
 		if checkpoints != uint64(n) || ckptBytes <= 0 {
 			t.Errorf("shards=%d: %d checkpoint segments counted, %v bytes; want one per shard", n, checkpoints, ckptBytes)
@@ -206,7 +212,9 @@ func TestEngineMetrics(t *testing.T) {
 		}
 		for _, want := range []string{
 			fmt.Sprintf("stream_shards %d", n),
-			fmt.Sprintf(`stream_certs_ingested_total{shard="%d"}`, n-1),
+			fmt.Sprintf(`stream_conns_ingested_total{shard="%d"}`, n-1),
+			"stream_certs_ingested_total ",
+			"stream_store_hot_certs ",
 			fmt.Sprintf(`stream_buffer_capacity{shard="%d"}`, n-1),
 			fmt.Sprintf(`stream_buffer_occupancy{shard="%d"}`, n-1),
 			fmt.Sprintf(`stream_conns_retained{shard="%d"}`, n-1),

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/certmodel"
 	"repro/internal/core"
-	"repro/internal/ids"
 	"repro/internal/interception"
 	"repro/internal/psl"
 	"repro/internal/store"
@@ -23,13 +22,14 @@ type event struct {
 	enq   time.Time
 }
 
-// shard is one apply loop and the raw state it owns: the certificates the
-// router delivered to it, the retained window of the connections hashed to
-// it, the §3.2 detector over both, and the segment chain that state is
-// checkpointed to. A shard is always fed by its Engine's router — every
-// record arrives validated and stamped with a deployment-wide sequence —
-// and never read directly: it enriches nothing and materializes nothing,
-// the Engine's merged view reads every shard's suffix instead.
+// shard is one apply loop and the raw state it owns: the retained window
+// of the connections hashed to it, the §3.2 detector over them, and the
+// segment chain that state is checkpointed to. A shard is always fed by
+// its Engine's router — every record arrives validated, stamped with a
+// deployment-wide sequence and beside the server leaf certificate the
+// router resolved for it, so a shard holds no certificate table — and
+// never read directly: it enriches nothing and materializes nothing, the
+// Engine's merged view reads every shard's suffix instead.
 type shard struct {
 	cfg  Config
 	det  *interception.Detector
@@ -44,44 +44,33 @@ type shard struct {
 
 	mu sync.Mutex // guards all state below
 
-	// stateVer counts report-visible state changes (roster growth,
-	// connection applies, evictions, restores). The merged view reads it
+	// stateVer counts report-visible state changes (connection applies,
+	// wakes, evictions, restores). The merged view reads it
 	// without the state lock to decide whether what it materialized is
 	// still current; written only under mu.
 	stateVer atomic.Uint64
 
-	// Raw state — ground truth, never invalidated: the certificate roster
-	// (first observation wins; cumulative, resident, pointers stable for
-	// the shard's lifetime), the same certificates as an append-only log
-	// in delivery order beside the sequence the router admitted each under
-	// — so "the roster since" a checkpoint commit or the merged view's
-	// cursor is a slice suffix, readable after the state lock is released
-	// — the retained connection window, every record under its sequence,
-	// and the cumulative §3.2 detector.
-	roster     map[ids.Fingerprint]*certmodel.CertInfo
-	rosterLog  []*certmodel.CertInfo
-	rosterSeqs []uint64
-	st         *store.Window
-	icpt       *interception.Stream
+	// Raw state — ground truth, never invalidated: the retained connection
+	// window, every record under its sequence, and the cumulative §3.2
+	// detector.
+	st   *store.Window
+	icpt *interception.Stream
 
 	// nextSeq is one past the last connection sequence applied; it trails
 	// the router's stamps.
 	nextSeq uint64
 
 	connsIngested uint64
-	certsIngested uint64
 	evicted       uint64
 	sinceEvict    int
 	watermark     time.Time
 	lastCkpt      time.Time
 
 	// Checkpoint bookkeeping (still under mu), against this shard's chain:
-	// sequences below ckptMark and roster-log entries below ckptCerts are
-	// covered by committed segments; ckptCutoff is the latest eviction
-	// cutoff applied, which a delta records so restore can replay the
-	// eviction against earlier segments.
+	// sequences below ckptMark are covered by committed segments;
+	// ckptCutoff is the latest eviction cutoff applied, which a delta
+	// records so restore can replay the eviction against earlier segments.
 	ckptMark   uint64
-	ckptCerts  int
 	ckptCutoff time.Time
 }
 
@@ -98,42 +87,26 @@ func newShard(cfg Config) (*shard, error) {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	e := &shard{
-		cfg:    cfg,
-		ch:     make(chan event, cfg.Buffer),
-		done:   make(chan struct{}),
-		roster: make(map[ids.Fingerprint]*certmodel.CertInfo),
-		st:     st,
+		cfg:  cfg,
+		ch:   make(chan event, cfg.Buffer),
+		done: make(chan struct{}),
+		st:   st,
 	}
 	// The detector must match the batch preprocess exactly (core uses
 	// MinDomains 2 over the default PSL).
 	e.det = &interception.Detector{
 		Bundle: cfg.Input.Bundle, CT: cfg.Input.CT, PSL: psl.Default(), MinDomains: 2,
 	}
-	e.icpt = e.det.NewStream(e.lookupCert)
+	e.icpt = e.det.NewStream()
 	e.m = newShardMetrics(cfg.Metrics, e)
 	go e.run()
 	return e, nil
 }
 
-// lookupCert is the detector's certificate source: the raw roster.
-func (e *shard) lookupCert(fp ids.Fingerprint) *certmodel.CertInfo { return e.roster[fp] }
-
-// putCertLocked admits c, which the router numbered seq, into the roster,
-// first observation wins; it reports whether the fingerprint was new.
-func (e *shard) putCertLocked(c *certmodel.CertInfo, seq uint64) bool {
-	if _, ok := e.roster[c.Fingerprint]; ok {
-		return false
-	}
-	e.roster[c.Fingerprint] = c
-	e.rosterLog = append(e.rosterLog, c)
-	e.rosterSeqs = append(e.rosterSeqs, seq)
-	e.m.rosterSize.Set(float64(len(e.roster)))
-	return true
-}
-
 // send enqueues ev unless the shard is closed. A non-blocking send
 // (Policy Drop; only batches travel that way) that finds the buffer full
-// sheds the whole batch, counting every carried event in Stats.Dropped.
+// sheds the batch, counting its connection events in Stats.Dropped; its
+// wakes are not lost (the router keeps them for the next send).
 func (e *shard) send(ev event, block bool) bool {
 	e.sendMu.RLock()
 	defer e.sendMu.RUnlock()
@@ -148,7 +121,7 @@ func (e *shard) send(ev event, block bool) bool {
 	case e.ch <- ev:
 		return true
 	default:
-		n := uint64(len(ev.batch.certs) + len(ev.batch.conns))
+		n := uint64(len(ev.batch.conns))
 		e.dropped.Add(n)
 		e.m.dropped.Add(n)
 		return false
@@ -213,23 +186,11 @@ func (e *shard) applyLocked(ev event) {
 	e.applyBatchLocked(ev.batch)
 }
 
-// applyCertLocked admits one certificate: first observation of a
-// fingerprint joins the roster (as zeek.Dataset.AddCert would) and wakes
-// any parked detector observations.
-func (e *shard) applyCertLocked(c *certmodel.CertInfo, seq uint64) {
-	e.certsIngested++
-	e.m.certsIngested.Inc()
-	if !e.putCertLocked(c, seq) {
-		return // first observation wins
-	}
-	e.stateVer.Add(1)
-	e.icpt.ObserveCert(c)
-}
-
 // applyConnLocked admits one connection under the router's sequence: it
 // is retained raw (the window every report is materialized from) and
-// observed by the interception detector.
-func (e *shard) applyConnLocked(rec *core.ConnRecord, seq uint64) {
+// observed by the interception detector, with the server leaf the router
+// resolved.
+func (e *shard) applyConnLocked(rec *core.ConnRecord, leaf *certmodel.CertInfo, seq uint64) {
 	e.connsIngested++
 	e.m.connsIngested.Inc()
 	e.stateVer.Add(1)
@@ -237,7 +198,7 @@ func (e *shard) applyConnLocked(rec *core.ConnRecord, seq uint64) {
 		e.watermark = rec.TS
 	}
 	e.nextSeq = seq + 1
-	e.icpt.Observe(e.st.AppendConn(rec, seq))
+	e.icpt.Observe(e.st.AppendConn(rec, seq), leaf)
 
 	if e.cfg.Retention > 0 {
 		e.sinceEvict++

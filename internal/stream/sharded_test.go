@@ -547,7 +547,8 @@ func TestShardedMetricsLabels(t *testing.T) {
 		`stream_merges_total 1`,
 		`stream_merge_replays_total{reason="first"} 1`,
 		`stream_merge_replays_total{reason="order"} 0`,
-		`stream_cert_fanout_total`,
+		`stream_certs_ingested_total `,
+		`stream_store_hot_certs `,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition is missing %q", want)

@@ -294,3 +294,30 @@ func TestShardedStatsAllocsFlat(t *testing.T) {
 			small, stSmall.UniqueCerts, stSmall.ExcludedCerts, large, stLarge.UniqueCerts, stLarge.ExcludedCerts)
 	}
 }
+
+// TestStatsDoesNotWaitForRouter: Stats reads the router's certificate
+// numbers off atomics, so the daemon's 2 ms prober never queues behind a
+// batch being routed or an Export holding the router lock across a Drain.
+func TestStatsDoesNotWaitForRouter(t *testing.T) {
+	b := genBuild(7, 300)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	for _, n := range []int{1, 2} {
+		s := newSharded(t, n, in, nil)
+		feed(t, s, b)
+		s.Drain()
+		s.mu.Lock()
+		done := make(chan Stats, 1)
+		go func() { done <- s.Stats() }()
+		select {
+		case st := <-done:
+			s.mu.Unlock()
+			if st.UniqueCerts != len(b.Raw.Certs) || st.CertsIngested != uint64(len(b.Raw.Certs)) {
+				t.Errorf("shards=%d: Stats under the router lock read %d unique of %d ingested certificates, want %d", n, st.UniqueCerts, st.CertsIngested, len(b.Raw.Certs))
+			}
+		case <-time.After(10 * time.Second):
+			s.mu.Unlock()
+			t.Fatalf("shards=%d: Stats waits for the router lock", n)
+		}
+	}
+}
