@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """check_merge_replays.py PREFIX BEFORE AFTER: two /metrics scrapes of one
-mtlsd, taken around an append to its logs and a report read.
+mtlsd, taken around an append to its logs — connection rows, or
+certificates that rows already read had named — and a report read.
 
-The merged view caught up with the append (PREFIX_merges_total grew) by
-appending to its Builder: PREFIX_merge_replays_total did not grow for any
+The merged view caught up with the append (PREFIX_merges_total grew) on
+the Builder it had: PREFIX_merge_replays_total did not grow for any
 reason but "verdict" (new rows may grow the exclusion set; nothing was
-lost, no certificate came late), and no connection ever arrived out of
-order (reason "order" absent or 0).
+lost, and a late certificate is patched into the connections that named
+it, which PREFIX_merge_late_conns_total counts), and no connection ever
+arrived out of order (reason "order" absent or 0).
 """
 import re
 import sys

@@ -22,13 +22,26 @@ type CertRecord = zeek.X509Record
 // and the Builder turns the admitted sequence into the same state
 // NewPipeline would produce for an equivalent filtered dataset.
 //
-// The caller owns ordering: feeding the same certificates and the same
-// connections in the same order as a batch run yields a deeply equal
-// Analysis, because certificate classification is first-observation-wins
-// exactly as on the serial path.
+// The caller owns the order of connections: feeding the same connections
+// in the same order as a batch run yields a deeply equal Analysis,
+// because certificate classification is first-observation-wins exactly as
+// on the serial path. When a certificate arrives relative to the
+// connections that name it does not matter: AddCert re-enriches, in
+// position order, the views that failed to resolve it, and every usage
+// update is idempotent (flags, min/max timestamps, subnet sets), so the
+// state equals the one the certificate-first order builds. Nothing can
+// be taken back, though: a removed connection's share of another
+// certificate's first/last-seen cannot be un-counted, so a grown
+// verdict, a lossy source or a misordered append cost a fresh Builder
+// (MergedView's ReplayReason constants).
 type Builder struct {
 	e *enriched
 	w *enricher
+	// waiting lists, per leaf fingerprint a connection named that the
+	// dataset could not resolve, the positions in e.conns of those views,
+	// ascending. An entry lives until its certificate arrives; one that
+	// never does costs four bytes per naming connection.
+	waiting map[ids.Fingerprint][]int32
 }
 
 // NewBuilder returns an empty Builder for the input's analysis context
@@ -37,12 +50,27 @@ type Builder struct {
 func NewBuilder(in *Input) *Builder {
 	e := newEnriched(in)
 	e.ds = zeek.NewDataset()
-	return &Builder{e: e, w: e.newEnricher(in.Assoc.index())}
+	return &Builder{e: e, w: e.newEnricher(in.Assoc.index()), waiting: make(map[ids.Fingerprint][]int32)}
 }
 
-// AddCert registers a certificate for chain resolution. First observation
-// of a fingerprint wins, matching zeek.Dataset.AddCert.
-func (b *Builder) AddCert(c *certmodel.CertInfo) { b.e.ds.AddCert(c) }
+// AddCert registers a certificate for chain resolution and rebuilds the
+// views of the connections that were waiting for it, lowest position
+// first — the connection a certificate-first order would have classified
+// it from. It returns how many it rebuilt. First observation of a
+// fingerprint wins, matching zeek.Dataset.AddCert: a repeat changes
+// nothing.
+func (b *Builder) AddCert(c *certmodel.CertInfo) int {
+	if b.HasCert(c.Fingerprint) {
+		return 0
+	}
+	b.e.ds.AddCert(c)
+	late := b.waiting[c.Fingerprint]
+	delete(b.waiting, c.Fingerprint)
+	for _, pos := range late {
+		b.e.conns[pos] = b.w.view(b.e.conns[pos].rec)
+	}
+	return len(late)
+}
 
 // HasCert reports whether a fingerprint is already resolvable.
 func (b *Builder) HasCert(fp ids.Fingerprint) bool { return b.e.ds.Cert(fp) != nil }
@@ -51,7 +79,18 @@ func (b *Builder) HasCert(fp ids.Fingerprint) bool { return b.e.ds.Cert(fp) != n
 // The record pointer is retained by the enriched view; callers must not
 // mutate it afterwards.
 func (b *Builder) AddConn(rec *ConnRecord) {
-	b.e.conns = append(b.e.conns, b.w.enrich(rec))
+	cv := b.w.enrich(rec)
+	// A leaf the view names but could not resolve: list the position
+	// under it — once when both sides name the same one.
+	pos := int32(len(b.e.conns))
+	sl, cl := rec.ServerLeaf(), rec.ClientLeaf()
+	if cv.serverCert == nil && sl != "" {
+		b.waiting[sl] = append(b.waiting[sl], pos)
+	}
+	if cv.clientCert == nil && cl != "" && cl != sl {
+		b.waiting[cl] = append(b.waiting[cl], pos)
+	}
+	b.e.conns = append(b.e.conns, cv)
 }
 
 // Conns reports how many connections have been added.

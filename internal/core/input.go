@@ -355,13 +355,21 @@ func (w *enricher) splitHost(host string) psl.Result {
 	return w.e.psl.Split(host)
 }
 
-// enrich builds the view for one connection record.
+// enrich accounts one connection record's weight and builds its view.
 func (w *enricher) enrich(rec *zeek.SSLRecord) connView {
-	e := w.e
 	w.totalW += rec.Weight
 	if rec.Version == "TLSv13" {
 		w.tls13W += rec.Weight
 	}
+	return w.view(rec)
+}
+
+// view builds the view for one connection record against the dataset as
+// it stands and observes it into the usage state. Unlike the weight
+// accounting it may run again for the same record once the dataset has
+// grown (Builder.AddCert): every usage update is idempotent.
+func (w *enricher) view(rec *zeek.SSLRecord) connView {
+	e := w.e
 	cv := connView{
 		rec:   rec,
 		dir:   e.input.Plan.DirectionOf(rec.OrigIP, rec.RespIP),

@@ -46,22 +46,20 @@ func MergeShards(in *Input, shards []ShardState, exclude func(ids.Fingerprint) b
 		exclude = func(ids.Fingerprint) bool { return false }
 	}
 	b := NewBuilder(in)
-	mergeInto(b, shards, exclude, nil)
+	mergeInto(b, shards, exclude)
 	return b
 }
 
 // mergeInto adds shard states to b: every certificate exclude lets
 // through, then the connections that survive it in ascending sequence.
-// unresolved, when set, is told each leaf fingerprint an added connection
-// named that resolved to no certificate although the verdict does not
-// exclude it — the enrichment a later arrival of that certificate would
-// have changed. It returns how many connections it added.
-func mergeInto(b *Builder, shards []ShardState, exclude func(ids.Fingerprint) bool, unresolved func(ids.Fingerprint)) int {
+// It returns how many connections it added, and how many views already
+// in b its certificates completed (Builder.AddCert).
+func mergeInto(b *Builder, shards []ShardState, exclude func(ids.Fingerprint) bool) (added, late int) {
 	conns := 0
 	for i := range shards {
 		for _, c := range shards[i].Certs {
 			if !exclude(c.Fingerprint) {
-				b.AddCert(c)
+				late += b.AddCert(c)
 			}
 		}
 		conns += len(shards[i].Conns)
@@ -72,7 +70,6 @@ func mergeInto(b *Builder, shards []ShardState, exclude func(ids.Fingerprint) bo
 	// a linear head comparison per step suffices; shard counts are small
 	// (bounded by CPU count), making a heap pointless overhead.
 	idx := make([]int, len(shards))
-	added := 0
 	for {
 		best := -1
 		var bestSeq uint64
@@ -85,7 +82,7 @@ func mergeInto(b *Builder, shards []ShardState, exclude func(ids.Fingerprint) bo
 			}
 		}
 		if best < 0 {
-			return added
+			return added, late
 		}
 		rec := &shards[best].Conns[idx[best]]
 		idx[best]++
@@ -95,16 +92,6 @@ func mergeInto(b *Builder, shards []ShardState, exclude func(ids.Fingerprint) bo
 		}
 		b.AddConn(rec)
 		added++
-		if unresolved == nil {
-			continue
-		}
-		cv := &b.e.conns[len(b.e.conns)-1]
-		if sl != "" && cv.serverCert == nil {
-			unresolved(sl)
-		}
-		if cl := rec.ClientLeaf(); cl != "" && cv.clientCert == nil && !exclude(cl) {
-			unresolved(cl)
-		}
 	}
 }
 
@@ -163,9 +150,6 @@ const (
 	// ReplayVerdict: the §3.2 exclusion set grew, so records already
 	// merged may have to go.
 	ReplayVerdict ReplayReason = "verdict"
-	// ReplayLateCert: a certificate arrived that an already-enriched
-	// connection had failed to resolve.
-	ReplayLateCert ReplayReason = "late_cert"
 	// ReplayLost: a source dropped or replaced records (MergeCapture.Lost).
 	ReplayLost ReplayReason = "lost"
 	// ReplayOrder: a source appended a connection that sorts at or below
@@ -176,13 +160,14 @@ const (
 
 // ReplayReasons lists every reason, for owners that pre-register one
 // series per reason.
-var ReplayReasons = []ReplayReason{ReplayFirst, ReplayVerdict, ReplayLateCert, ReplayLost, ReplayOrder}
+var ReplayReasons = []ReplayReason{ReplayFirst, ReplayVerdict, ReplayLost, ReplayOrder}
 
 // MergeStats is a MergedView's work so far.
 type MergeStats struct {
 	Merges   uint64 // catch-ups run, replays included
 	Replays  uint64 // of those, rebuilds from the sources' whole state
 	Enriched uint64 // connections enriched across all of them
+	Late     uint64 // views re-enriched in place because their certificate came after them
 	Stale    bool   // a source moved since the last catch-up, or no Builder is held
 }
 
@@ -194,8 +179,10 @@ type MergeStats struct {
 // for what it appended since the view's cursor, adds every source's new
 // certificates, then the new connections in ascending sequence — the
 // order a replay of the grown state would take, provided the owner
-// numbers later appends after earlier ones. A read after new rows
-// therefore costs the rows, not the window.
+// numbers later appends after earlier ones; a certificate that trails
+// connections naming it completes their views in place (Builder.AddCert).
+// A read after new rows therefore costs the rows, and the connections
+// they were late for, not the window.
 //
 // Where appending would not equal replaying (the ReplayReason constants)
 // the view starts a fresh Builder and runs the same merge over the
@@ -219,9 +206,10 @@ type MergedView struct {
 	// per source of the version vector; zero cursors ask for everything.
 	// The returned slices must stay valid without the sources' locks.
 	Capture func(since []MergeCursor) MergeCapture
-	// OnMerge observes each catch-up's duration and, when it was a
-	// replay, why — the caller's merge counters and histogram.
-	OnMerge func(d time.Duration, replay ReplayReason)
+	// OnMerge observes each catch-up's duration, why it was a replay when
+	// it was one, and how many views a late certificate made it re-enrich
+	// in place — the caller's merge counters and histogram.
+	OnMerge func(d time.Duration, replay ReplayReason, late int)
 
 	// mu serializes readers: it is held across a catch-up and the fn that
 	// reads the Builder after it.
@@ -236,10 +224,6 @@ type MergedView struct {
 	// lost the sources' loss counters then.
 	excluded int
 	lost     []uint64
-	// unresolved holds the leaf fingerprints an enriched connection named
-	// that no source had listed: such a certificate arriving later
-	// invalidates that enrichment.
-	unresolved map[ids.Fingerprint]bool
 	// copies is the last capture's Copies: release after the read.
 	copies bool
 
@@ -259,7 +243,7 @@ func (v *MergedView) WithPipeline(fn func(*Pipeline)) {
 	b, pre := v.mergedLocked()
 	fn(b.Pipeline(pre))
 	if v.copies {
-		v.b, v.unresolved = nil, nil
+		v.b = nil
 		clear(v.cur)
 		v.statMu.Lock()
 		v.vers = nil
@@ -288,12 +272,9 @@ func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
 		}
 		v.b = NewBuilder(v.Input)
 		v.next = 0
-		v.unresolved = make(map[ids.Fingerprint]bool)
 	}
 	res := c.Verdict
-	n := mergeInto(v.b, c.Shards,
-		func(fp ids.Fingerprint) bool { return res.ExcludedCerts[fp] },
-		func(fp ids.Fingerprint) { v.unresolved[fp] = true })
+	n, late := mergeInto(v.b, c.Shards, func(fp ids.Fingerprint) bool { return res.ExcludedCerts[fp] })
 	for i := range c.Shards {
 		v.cur[i].Certs += len(c.Shards[i].Certs)
 		if seqs := c.Shards[i].Seqs; len(seqs) > 0 {
@@ -313,11 +294,12 @@ func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
 	v.vers = c.Versions
 	v.stats.Merges++
 	v.stats.Enriched += uint64(n)
+	v.stats.Late += uint64(late)
 	if why != "" {
 		v.stats.Replays++
 	}
 	v.statMu.Unlock()
-	v.OnMerge(time.Since(t0), why)
+	v.OnMerge(time.Since(t0), why, late)
 	return v.b, v.pre
 }
 
@@ -331,13 +313,6 @@ func (v *MergedView) replayReason(c *MergeCapture) ReplayReason {
 		return ReplayLost
 	case len(c.Verdict.ExcludedCerts) != v.excluded:
 		return ReplayVerdict
-	}
-	for i := range c.Shards {
-		for _, cert := range c.Shards[i].Certs {
-			if v.unresolved[cert.Fingerprint] {
-				return ReplayLateCert
-			}
-		}
 	}
 	for i := range c.Shards {
 		if seqs := c.Shards[i].Seqs; len(seqs) > 0 && seqs[0] < v.next {

@@ -57,6 +57,7 @@ type viewWorld struct {
 	view    *MergedView
 	merges  int
 	replays map[ReplayReason]int
+	late    int // views re-enriched in place, as OnMerge reported them
 }
 
 func newViewWorld(t *testing.T, seed int64, n int) *viewWorld {
@@ -95,8 +96,9 @@ func newViewWorld(t *testing.T, seed int64, n int) *viewWorld {
 			}
 			return c
 		},
-		OnMerge: func(_ time.Duration, why ReplayReason) {
+		OnMerge: func(_ time.Duration, why ReplayReason, late int) {
 			w.merges++
+			w.late += late
 			if why != "" {
 				w.replays[why]++
 			}
@@ -146,20 +148,21 @@ func (w *viewWorld) reverdict() {
 }
 
 // unresolved is the set a late certificate has to come from, derived
-// from the state alone: leaf fingerprints named by a retained connection
-// the filter lets through that no roster lists.
-func (w *viewWorld) unresolved() map[ids.Fingerprint]bool {
-	set := map[ids.Fingerprint]bool{}
+// from the state alone: leaf fingerprints no roster lists, each with the
+// number of retained connections the filter lets through that name it.
+func (w *viewWorld) unresolved() map[ids.Fingerprint]int {
+	set := map[ids.Fingerprint]int{}
 	for _, s := range w.srcs {
 		for i := range s.conns {
-			sl := s.conns[i].ServerLeaf()
+			sl, cl := s.conns[i].ServerLeaf(), s.conns[i].ClientLeaf()
 			if w.verdict.ExcludedCerts[sl] {
 				continue
 			}
-			for _, fp := range [2]ids.Fingerprint{sl, s.conns[i].ClientLeaf()} {
-				if fp != "" && !w.roster[fp] {
-					set[fp] = true
-				}
+			if sl != "" && !w.roster[sl] {
+				set[sl]++
+			}
+			if cl != "" && cl != sl && !w.roster[cl] {
+				set[cl]++
 			}
 		}
 	}
@@ -183,12 +186,17 @@ func (w *viewWorld) appendConns(s *viewSource, n int, p float64) {
 				w.addCert(s, c)
 			}
 		}
-		w.nextSeq += 2
-		s.conns = append(s.conns, rec)
-		s.seqs = append(s.seqs, w.nextSeq)
-		s.version++
-		w.rawConns++
+		w.appendConn(s, rec)
 	}
+}
+
+// appendConn appends rec to s under a fresh sequence.
+func (w *viewWorld) appendConn(s *viewSource, rec ConnRecord) {
+	w.nextSeq += 2
+	s.conns = append(s.conns, rec)
+	s.seqs = append(s.seqs, w.nextSeq)
+	s.version++
+	w.rawConns++
 }
 
 // step mutates the world once and returns a description of what it did.
@@ -292,7 +300,8 @@ func (w *viewWorld) step() string {
 // analysis must deep-equal a fresh MergeShards over the same full state,
 // the replay counters must show exactly the reason the step injected,
 // and a step that only appended must have been caught up — onto the same
-// Builder, enriching exactly the new connections — not replayed.
+// Builder, enriching exactly the new connections and re-enriching exactly
+// the ones a late certificate had been named by — not replayed.
 func TestMergedViewIncrementalMatchesReplay(t *testing.T) {
 	seeds, steps := 20, 400
 	if race.Enabled || testing.Short() {
@@ -300,13 +309,18 @@ func TestMergedViewIncrementalMatchesReplay(t *testing.T) {
 	}
 	var mu sync.Mutex
 	injected := map[ReplayReason]int{}
+	late := 0
 	defer func() {
 		for _, why := range ReplayReasons {
 			if injected[why] == 0 && !t.Failed() {
 				t.Errorf("no program injected %q", why)
 			}
 		}
-		t.Logf("replays injected across %d programs of %d steps: %v", seeds, steps, injected)
+		if late == 0 && !t.Failed() {
+			t.Error("no program caught up with a late certificate")
+		}
+		t.Logf("across %d programs of %d steps: replays injected %v, %d connections re-enriched for a late certificate",
+			seeds, steps, injected, late)
 	}()
 	// The group returns once its parallel programs have.
 	t.Run("programs", func(t *testing.T) {
@@ -314,12 +328,14 @@ func TestMergedViewIncrementalMatchesReplay(t *testing.T) {
 			n := 1 + seed%3
 			t.Run(fmt.Sprintf("seed=%d/sources=%d", seed, n), func(t *testing.T) {
 				t.Parallel()
-				want := newViewWorld(t, int64(seed), n).run(t, steps)
+				w := newViewWorld(t, int64(seed), n)
+				want := w.run(t, steps)
 				mu.Lock()
 				defer mu.Unlock()
 				for why, n := range want {
 					injected[why] += n
 				}
+				late += w.late
 			})
 		}
 	})
@@ -358,10 +374,12 @@ func (w *viewWorld) run(t *testing.T, steps int) map[ReplayReason]int {
 		for _, s := range w.srcs {
 			lost += int(s.lost)
 		}
-		late, misordered, fresh := false, false, 0
+		// late counts the merged connections a certificate this step
+		// rostered had been named by; a catch-up re-enriches exactly those.
+		late, misordered, fresh := 0, false, 0
 		for fp := range w.roster {
-			if !rosteredBefore[fp] && unresolved[fp] {
-				late = true
+			if !rosteredBefore[fp] {
+				late += unresolved[fp]
 			}
 		}
 		if lost == lostBefore { // otherwise the tails mean nothing
@@ -385,8 +403,6 @@ func (w *viewWorld) run(t *testing.T, steps int) map[ReplayReason]int {
 			why = ReplayLost
 		case len(w.verdict.ExcludedCerts) != excludedBefore:
 			why = ReplayVerdict
-		case late:
-			why = ReplayLateCert
 		case misordered:
 			why = ReplayOrder
 		}
@@ -403,19 +419,7 @@ func (w *viewWorld) run(t *testing.T, steps int) map[ReplayReason]int {
 			}
 		}
 
-		pre := &PreprocessReport{
-			InterceptionIssuers: w.verdict.Issuers,
-			ExcludedCerts:       len(w.verdict.ExcludedCerts),
-			ExcludedShare:       w.verdict.ExcludedShare(len(w.roster)),
-			RawCerts:            len(w.roster),
-			RawConns:            int(w.rawConns),
-		}
-		oracle := MergeShards(w.in, w.full(), func(fp ids.Fingerprint) bool { return w.verdict.ExcludedCerts[fp] })
-		var got *Analysis
-		w.view.WithPipeline(func(p *Pipeline) { got = p.RunAll() })
-		if !reflect.DeepEqual(got, oracle.Pipeline(pre).RunAll()) {
-			t.Fatalf("step %d (%s): the view differs from a replay of the same state", step, what)
-		}
+		w.read(t, fmt.Sprintf("step %d (%s)", step, what))
 		if !reflect.DeepEqual(w.replays, want) || w.merges != wantMerges {
 			t.Fatalf("step %d (%s): %d merges with replays %v, want %d with %v",
 				step, what, w.merges, w.replays, wantMerges, want)
@@ -428,6 +432,14 @@ func (w *viewWorld) run(t *testing.T, steps int) map[ReplayReason]int {
 			if d := after.Enriched - before.Enriched; d != uint64(fresh) {
 				t.Fatalf("step %d (%s): caught up by enriching %d connections, %d are new", step, what, d, fresh)
 			}
+			if d := after.Late - before.Late; d != uint64(late) {
+				t.Fatalf("step %d (%s): caught up by re-enriching %d connections, %d named a certificate that came late", step, what, d, late)
+			}
+		} else if after.Late != before.Late {
+			t.Fatalf("step %d (%s): a replay re-enriched %d connections in place", step, what, after.Late-before.Late)
+		}
+		if int(after.Late) != w.late {
+			t.Fatalf("step %d (%s): Stats().Late = %d, OnMerge reported %d", step, what, after.Late, w.late)
 		}
 		if after.Stale || int(after.Merges) != wantMerges {
 			t.Fatalf("step %d (%s): Stats() = %+v after a read, want %d merges and not stale", step, what, after, wantMerges)
@@ -438,7 +450,9 @@ func (w *viewWorld) run(t *testing.T, steps int) map[ReplayReason]int {
 
 // TestMergedViewCatchUpIsODelta gates the view's cost model on counts: a
 // catch-up of k connections enriches k connections and allocates the same
-// whether the window behind it holds 5k or 50k.
+// whether the window behind it holds 5k or 50k, and a certificate that
+// comes after the k connections naming it re-enriches those k, enriches
+// nothing and allocates the same behind 5k and behind 20k.
 func TestMergedViewCatchUpIsODelta(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts under the race detector pin its internals")
@@ -483,11 +497,56 @@ func TestMergedViewCatchUpIsODelta(t *testing.T) {
 	if smallA != largeA {
 		t.Errorf("catch-up allocations depend on the window: %d at 5k, %d at 50k", smallA, largeA)
 	}
+
+	measureLate := func(window int) (st MergeStats, allocs uint64) {
+		w := newViewWorld(t, 1, 2)
+		w.pool = 0
+		for i := 0; i < window; i += 100 {
+			w.appendConns(w.srcs[(i/100)%2], 100, 1)
+		}
+		allocs = ^uint64(0)
+		for r := 0; r < rounds; r++ {
+			// k connections across both sources presenting one client
+			// certificate nobody has rostered, read, then the certificate.
+			late := mkTestCert(fmt.Sprintf("late%d", r), "Late CA", fmt.Sprintf("late%d.example.org", r))
+			for i := 0; i < k; i++ {
+				rec := mergeBuild.Raw.Conns[i]
+				rec.ClientChain = []ids.Fingerprint{late.Fingerprint}
+				w.appendConn(w.srcs[i%2], rec)
+			}
+			w.view.WithPipeline(func(*Pipeline) {})
+			w.addCert(w.srcs[r%2], late)
+			before := w.view.Stats()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			w.view.WithPipeline(func(*Pipeline) {})
+			runtime.ReadMemStats(&m1)
+			st = w.view.Stats()
+			st.Enriched, st.Late = st.Enriched-before.Enriched, st.Late-before.Late
+			allocs = min(allocs, m1.Mallocs-m0.Mallocs)
+		}
+		if got := w.replays; len(got) != 1 || got[ReplayFirst] != 1 {
+			t.Fatalf("window %d: replays %v, want only the first read's", window, got)
+		}
+		return st, allocs
+	}
+	smallSt, smallA := measureLate(5000)
+	largeSt, largeA := measureLate(20000)
+	t.Logf("late certificate named by %d: window 5k re-enriched %d (enriched %d) with %d allocs, window 20k re-enriched %d (enriched %d) with %d allocs",
+		k, smallSt.Late, smallSt.Enriched, smallA, largeSt.Late, largeSt.Enriched, largeA)
+	for _, st := range []MergeStats{smallSt, largeSt} {
+		if st.Late != k || st.Enriched != 0 {
+			t.Errorf("a certificate late for %d connections re-enriched %d and enriched %d", k, st.Late, st.Enriched)
+		}
+	}
+	if smallA != largeA {
+		t.Errorf("late-certificate allocations depend on the window: %d at 5k, %d at 20k", smallA, largeA)
+	}
 }
 
 // oracle is what a read of the world as it stands must equal: a fresh
 // MergeShards over every source's whole state under the current verdict.
-func (w *viewWorld) oracle() *Analysis {
+func (w *viewWorld) oracle() (*Builder, *Analysis) {
 	pre := &PreprocessReport{
 		InterceptionIssuers: w.verdict.Issuers,
 		ExcludedCerts:       len(w.verdict.ExcludedCerts),
@@ -496,7 +555,23 @@ func (w *viewWorld) oracle() *Analysis {
 		RawConns:            int(w.rawConns),
 	}
 	b := MergeShards(w.in, w.full(), func(fp ids.Fingerprint) bool { return w.verdict.ExcludedCerts[fp] })
-	return b.Pipeline(pre).RunAll()
+	return b, b.Pipeline(pre).RunAll()
+}
+
+// read reads the view and holds it against the oracle: the same analysis,
+// and a Builder waiting for the same certificates at the same positions.
+func (w *viewWorld) read(t *testing.T, when string) {
+	t.Helper()
+	oracle, want := w.oracle()
+	var got *Analysis
+	var waiting map[ids.Fingerprint][]int32
+	w.view.WithPipeline(func(p *Pipeline) { got, waiting = p.RunAll(), w.view.b.waiting })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: the view differs from a replay of the same state", when)
+	}
+	if !reflect.DeepEqual(waiting, oracle.waiting) {
+		t.Fatalf("%s: the view's Builder waits for %v, a replay's for %v", when, waiting, oracle.waiting)
+	}
 }
 
 // TestMergedViewCopiesReleasedAfterRead: sources whose captures are
@@ -529,17 +604,13 @@ func TestMergedViewCopiesReleasedAfterRead(t *testing.T) {
 				what = w.step()
 				w.reverdict()
 			}
-			var got *Analysis
-			w.view.WithPipeline(func(p *Pipeline) { got = p.RunAll() })
-			if !reflect.DeepEqual(got, w.oracle()) {
-				t.Fatalf("sources=%d step %d (%s): the view differs from a replay of the same state", n, step, what)
-			}
+			w.read(t, fmt.Sprintf("sources=%d step %d (%s)", n, step, what))
 			if w.merges != step+1 || len(w.replays) != 1 || w.replays[ReplayFirst] != step+1 {
 				t.Fatalf("sources=%d step %d (%s): %d merges with replays %v, want %d first replays",
 					n, step, what, w.merges, w.replays, step+1)
 			}
-			if w.view.b != nil || w.view.unresolved != nil {
-				t.Fatalf("sources=%d step %d (%s): the view kept its Builder after the read", n, step, what)
+			if w.view.b != nil {
+				t.Fatalf("sources=%d step %d (%s): the view kept its Builder, and the waiting lists in it, after the read", n, step, what)
 			}
 			want := MergeStats{Merges: uint64(step + 1), Replays: uint64(step + 1), Stale: true}
 			if st := w.view.Stats(); st.Merges != want.Merges || st.Replays != want.Replays || st.Stale != want.Stale {

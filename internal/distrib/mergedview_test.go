@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -30,8 +31,9 @@ func aggReplays(reg *metrics.Registry) map[core.ReplayReason]uint64 {
 // delta rounds from a plain and a sharded sensor and holds every read
 // against a fresh MergeShards over the replicas as they stand: appending
 // each sync's delta must equal replaying everything. A round that only
-// brought new records may replay for the verdict or a late certificate
-// but never for loss or order; a sensor back under a new epoch (410) and
+// brought new records may replay for the verdict — a late certificate is
+// patched into the connections that named it — but never for loss or
+// order; a sensor back under a new epoch (410) and
 // a full snapshot over existing state (since 0) each replay exactly once,
 // for loss. At the end the incremental aggregator equals a fresh one that
 // pulled everything in one snapshot per sensor, and one engine that saw
@@ -110,7 +112,7 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 			t.Fatalf("%s: Stats() = %d rebuilds, dirty %v; replays so far %v", step, st.Rebuilds, st.Dirty, reasons)
 		}
 	}
-	appended := []core.ReplayReason{"", core.ReplayVerdict, core.ReplayLateCert}
+	appended := []core.ReplayReason{"", core.ReplayVerdict}
 
 	feed(e1, connsA, 0)
 	feed(sB, connsB, 0)
@@ -155,7 +157,11 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 	if reasons[""] == 0 {
 		t.Errorf("vacuous: no read was a catch-up (%v)", reasons)
 	}
-	t.Logf("reads by replay reason: %v", reasons)
+	late := reg.Counter("distrib_merge_late_conns_total", "").Value()
+	if late == 0 || late != a.view.Stats().Late {
+		t.Errorf("distrib_merge_late_conns_total = %d, the view re-enriched %d; want the same, and some", late, a.view.Stats().Late)
+	}
+	t.Logf("reads by replay reason: %v, %d connections re-enriched for a late certificate", reasons, late)
 
 	got := analysisJSON(t, a.Analysis())
 	fresh := newAgg(t, b, nil, urls...)
@@ -228,10 +234,61 @@ func aggCatchUp(t *testing.T, window, k int) (enriched, allocs uint64) {
 	return enriched, allocs
 }
 
+// aggLateCert is aggCatchUp for a certificate synced after k connections
+// presenting it as their client leaf, a read in between: what the read
+// after the certificate enriched, re-enriched in place and, at the
+// least, allocated.
+func aggLateCert(t *testing.T, window, k int) (st core.MergeStats, allocs uint64) {
+	t.Helper()
+	b := genBuild(20240504, 3000)
+	e := newSensorEngine(t, b)
+	feedSlice(t, e, b, certList(b), 0, len(b.Raw.Certs), 0, 0)
+	for fed := 0; fed < window; fed += len(b.Raw.Conns) {
+		e.IngestConnBatch(b.Raw.Conns)
+	}
+	reg := metrics.New()
+	a := newAgg(t, b, reg, newSensorServer(t, e, SupportedSchemas()).URL)
+	sync := func() {
+		t.Helper()
+		e.Drain()
+		if err := a.SyncAll(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs = ^uint64(0)
+	for round := 0; round < 5; round++ {
+		late := *b.Raw.Certs[b.Raw.Conns[0].ServerLeaf()]
+		late.Fingerprint = ids.Fingerprint(fmt.Sprintf("late-client-%d", round))
+		naming := slices.Clone(b.Raw.Conns[:k])
+		for i := range naming {
+			naming[i].ClientChain = []ids.Fingerprint{late.Fingerprint}
+		}
+		e.IngestConnBatch(naming)
+		sync()
+		a.WithPipeline(func(*core.Pipeline) {})
+		e.IngestCert(&core.CertRecord{TS: late.NotBefore, Cert: &late})
+		sync()
+		before := a.view.Stats()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		a.WithPipeline(func(*core.Pipeline) {})
+		runtime.ReadMemStats(&m1)
+		st = a.view.Stats()
+		st.Enriched, st.Late = st.Enriched-before.Enriched, st.Late-before.Late
+		allocs = min(allocs, m1.Mallocs-m0.Mallocs)
+	}
+	if got := aggReplays(reg); len(got) != 1 || got[core.ReplayFirst] != 1 {
+		t.Fatalf("window=%d: replays %v, want only the first read's", window, got)
+	}
+	return st, allocs
+}
+
 // TestAggregatorCatchUpIsODelta gates the aggregator read's cost on
 // counts: a read that follows a sync of k new connections enriches those
 // and allocates the same, whether 5k or 50k connections are already
-// merged.
+// merged; a read that follows the sync of a certificate k merged
+// connections had named re-enriches those, enriches nothing and allocates
+// the same behind 5k and behind 20k.
 func TestAggregatorCatchUpIsODelta(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts under the race detector pin its internals")
@@ -246,6 +303,18 @@ func TestAggregatorCatchUpIsODelta(t *testing.T) {
 	}
 	if smallA != largeA {
 		t.Errorf("catch-up allocations depend on the window: %d behind 5k, %d behind 50k", smallA, largeA)
+	}
+	smallSt, smallA := aggLateCert(t, 5000, k)
+	largeSt, largeA := aggLateCert(t, 20000, k)
+	t.Logf("a certificate late for %d re-enriched %d with %d allocs behind 5k, %d with %d allocs behind 20k",
+		k, smallSt.Late, smallA, largeSt.Late, largeA)
+	for _, st := range []core.MergeStats{smallSt, largeSt} {
+		if st.Late != k || st.Enriched != 0 {
+			t.Errorf("a certificate late for %d connections re-enriched %d and enriched %d", k, st.Late, st.Enriched)
+		}
+	}
+	if smallA != largeA {
+		t.Errorf("late-certificate allocations depend on the window: %d behind 5k, %d behind 20k", smallA, largeA)
 	}
 }
 

@@ -115,8 +115,8 @@ func (s *Engine) IngestConnBatch(recs []core.ConnRecord) int {
 			ent := s.rendezvousFor(fp)
 			if leaf = ent.cert; leaf == nil {
 				// The detector parks the observation; the certificate's
-				// arrival wakes it, and the merged view prices the
-				// lateness (core.ReplayLateCert).
+				// arrival wakes it, and the merged view completes the
+				// connection's enrichment in place (core.Builder.AddCert).
 				ent.waiting |= uint64(1) << h
 			}
 		}

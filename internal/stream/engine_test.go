@@ -181,8 +181,9 @@ func TestStreamMatchesBatchParallelMaterialize(t *testing.T) {
 
 // TestStreamOutOfOrderCerts feeds every connection before any
 // certificate: enrichment initially resolves nothing, the interception
-// detector parks every observation, and the late certificates invalidate
-// the derived state. The drained result must still equal batch.
+// detector parks every observation, and the late certificates complete
+// the merged view's connections in place. The drained result must still
+// equal batch.
 func TestStreamOutOfOrderCerts(t *testing.T) {
 	b := genBuild(20240504, 1000)
 	batch := core.Run(inputFromBuild(b))
@@ -197,7 +198,7 @@ func TestStreamOutOfOrderCerts(t *testing.T) {
 	// A read now enriches every connection against an empty roster; the
 	// certificates that follow are late for it. The client-only ones go
 	// first: they cannot move the §3.2 verdict, so the read after them
-	// replays for the late certificates and nothing else.
+	// replays for nothing — it re-enriches the connections that named them.
 	e.Drain()
 	e.Analysis()
 	served := map[ids.Fingerprint]bool{}
@@ -211,8 +212,12 @@ func TestStreamOutOfOrderCerts(t *testing.T) {
 	}
 	e.Drain()
 	e.Analysis()
-	if got := mergeReplays(reg); got[core.ReplayFirst] != 1 || got[core.ReplayLateCert] != 1 || len(got) != 2 {
-		t.Errorf("replays after the client-only certificates: %v, want first 1 and late_cert 1", got)
+	if got := mergeReplays(reg); got[core.ReplayFirst] != 1 || len(got) != 1 {
+		t.Errorf("replays after the client-only certificates: %v, want first 1 and nothing else", got)
+	}
+	late := reg.Counter("stream_merge_late_conns_total", "").Value()
+	if st := e.Stats(); late == 0 || st.Rebuilds != 1 {
+		t.Errorf("after the client-only certificates: %d connections re-enriched in place, %d rebuilds; want some and 1", late, st.Rebuilds)
 	}
 	for _, c := range b.Raw.Certs {
 		e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
@@ -221,12 +226,14 @@ func TestStreamOutOfOrderCerts(t *testing.T) {
 	if got := e.Analysis(); !reflect.DeepEqual(batch, got) {
 		t.Error("out-of-order stream analysis differs from batch")
 	}
+	// The server certificates bring the §3.2 evidence with them: this
+	// build's verdict grows, which is the one further replay.
 	got := mergeReplays(reg)
-	if got[core.ReplayOrder] != 0 || got[core.ReplayLost] != 0 || got[core.ReplayVerdict]+got[core.ReplayLateCert] != 2 {
-		t.Errorf("replays %v, want one more for the verdict or a late certificate, none for order or loss", got)
+	if want := (map[core.ReplayReason]uint64{core.ReplayFirst: 1, core.ReplayVerdict: 1}); !reflect.DeepEqual(got, want) {
+		t.Errorf("replays %v, want %v", got, want)
 	}
-	if st := e.Stats(); st.Rebuilds != 3 {
-		t.Errorf("Stats().Rebuilds = %d, want the 3 replays %v", st.Rebuilds, got)
+	if st := e.Stats(); st.Rebuilds != 2 {
+		t.Errorf("Stats().Rebuilds = %d, want the 2 replays %v", st.Rebuilds, got)
 	}
 }
 
@@ -235,7 +242,8 @@ func TestStreamOutOfOrderCerts(t *testing.T) {
 // before the next read, it costs nothing — a catch-up adds certificates
 // ahead of connections, so the enrichment resolves it as batch would.
 // Delivered after a read that enriched those connections without it, it
-// costs exactly one late_cert replay. Both ways the reports equal batch.
+// costs re-enriching that one connection in place, not a replay. Both
+// ways the reports equal batch.
 func TestEngineLateCertBetweenReads(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	batch := core.Run(inputFromBuild(b))
@@ -284,11 +292,11 @@ func TestEngineLateCertBetweenReads(t *testing.T) {
 		e.Drain()
 		e.Analysis() // the first replay
 		e.IngestConn(&b.Raw.Conns[first])
-		want := map[core.ReplayReason]uint64{core.ReplayFirst: 1}
+		want, wantLate := map[core.ReplayReason]uint64{core.ReplayFirst: 1}, uint64(0)
 		if readBetween {
 			e.Drain()
 			e.Analysis() // enriches the connection without its client certificate
-			want[core.ReplayLateCert] = 1
+			wantLate = 1
 		}
 		e.IngestCert(&core.CertRecord{TS: late.NotBefore, Cert: late})
 		e.Drain()
@@ -296,8 +304,11 @@ func TestEngineLateCertBetweenReads(t *testing.T) {
 		if got := mergeReplays(reg); !reflect.DeepEqual(got, want) {
 			t.Errorf("read between %v: replays %v, want %v", readBetween, got, want)
 		}
-		if st := e.Stats(); st.Rebuilds != uint64(len(want)) || st.Dirty {
-			t.Errorf("read between %v: Stats() = %d rebuilds, dirty %v; want %d, false", readBetween, st.Rebuilds, st.Dirty, len(want))
+		if got := reg.Counter("stream_merge_late_conns_total", "").Value(); got != wantLate {
+			t.Errorf("read between %v: %d connections re-enriched in place, want %d", readBetween, got, wantLate)
+		}
+		if st := e.Stats(); st.Rebuilds != 1 || st.Dirty {
+			t.Errorf("read between %v: Stats() = %d rebuilds, dirty %v; want 1, false", readBetween, st.Rebuilds, st.Dirty)
 		}
 		e.IngestConnBatch(b.Raw.Conns[first+1:])
 		e.Drain()

@@ -198,9 +198,57 @@ func shardedCatchUp(t *testing.T, n, window, k int) (enriched, allocs uint64) {
 	return enriched, allocs
 }
 
+// shardedLateCert is shardedCatchUp for a certificate that comes after k
+// connections presenting it as their client leaf, a read in between: what
+// the read after the certificate enriched, re-enriched in place and, at
+// the least, allocated.
+func shardedLateCert(t *testing.T, n, window, k int) (st core.MergeStats, allocs uint64) {
+	t.Helper()
+	b := genBuild(20240504, 3000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	reg := metrics.New()
+	s := newSharded(t, n, in, func(c *Config) { c.Metrics = reg })
+	feedBatches(t, s, certRecords(b), nil, 512)
+	for fed := 0; fed < window; fed += len(b.Raw.Conns) {
+		feedBatches(t, s, nil, b.Raw.Conns, 512)
+	}
+	allocs = ^uint64(0)
+	for round := 0; round < 5; round++ {
+		late := *b.Raw.Certs[b.Raw.Conns[0].ServerLeaf()]
+		late.Fingerprint = ids.Fingerprint(fmt.Sprintf("late-client-%d", round))
+		naming := slices.Clone(b.Raw.Conns[:k])
+		for i := range naming {
+			naming[i].ClientChain = []ids.Fingerprint{late.Fingerprint}
+		}
+		feedBatches(t, s, nil, naming, 512)
+		s.Drain()
+		s.WithPipeline(func(*core.Pipeline) {})
+		s.IngestCert(&core.CertRecord{TS: late.NotBefore, Cert: &late})
+		s.Drain()
+		before := s.view.Stats()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s.WithPipeline(func(*core.Pipeline) {})
+		runtime.ReadMemStats(&m1)
+		st = s.view.Stats()
+		st.Enriched, st.Late = st.Enriched-before.Enriched, st.Late-before.Late
+		allocs = min(allocs, m1.Mallocs-m0.Mallocs)
+	}
+	if got := mergeReplays(reg); len(got) != 1 || got[core.ReplayFirst] != 1 {
+		t.Fatalf("shards=%d window=%d: replays %v, want only the first read's", n, window, got)
+	}
+	if got := reg.Counter("stream_merge_late_conns_total", "").Value(); got != s.view.Stats().Late {
+		t.Fatalf("shards=%d window=%d: stream_merge_late_conns_total = %d, the view re-enriched %d", n, window, got, s.view.Stats().Late)
+	}
+	return st, allocs
+}
+
 // TestShardedCatchUpIsODelta gates the sharded read's cost on counts: a
 // read that follows k new connections enriches those and allocates the
-// same, whether 5k or 50k connections are already merged.
+// same, whether 5k or 50k connections are already merged; a read that
+// follows a certificate k merged connections had named re-enriches those,
+// enriches nothing and allocates the same behind 5k and behind 20k.
 func TestShardedCatchUpIsODelta(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts under the race detector pin its internals")
@@ -216,6 +264,18 @@ func TestShardedCatchUpIsODelta(t *testing.T) {
 		}
 		if smallA != largeA {
 			t.Errorf("shards=%d: catch-up allocations depend on the window: %d behind 5k, %d behind 50k", n, smallA, largeA)
+		}
+		smallSt, smallA := shardedLateCert(t, n, 5000, k)
+		largeSt, largeA := shardedLateCert(t, n, 20000, k)
+		t.Logf("shards=%d: a certificate late for %d re-enriched %d with %d allocs behind 5k, %d with %d allocs behind 20k",
+			n, k, smallSt.Late, smallA, largeSt.Late, largeA)
+		for _, st := range []core.MergeStats{smallSt, largeSt} {
+			if st.Late != k || st.Enriched != 0 {
+				t.Errorf("shards=%d: a certificate late for %d connections re-enriched %d and enriched %d", n, k, st.Late, st.Enriched)
+			}
+		}
+		if smallA != largeA {
+			t.Errorf("shards=%d: late-certificate allocations depend on the window: %d behind 5k, %d behind 20k", n, smallA, largeA)
 		}
 	}
 }

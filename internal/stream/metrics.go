@@ -9,21 +9,24 @@ import (
 
 // MergeObserver registers a merged view's series under prefix ("stream"
 // for an engine, "distrib" for an aggregator) — <prefix>_merges_total
-// and <prefix>_merge_seconds for every catch-up, and
-// <prefix>_merge_replays_total{reason} for those that had to replay, all
-// five reasons visible from boot — and returns the core.MergedView.OnMerge
-// that feeds them.
-func MergeObserver(reg *metrics.Registry, prefix string) func(time.Duration, core.ReplayReason) {
+// and <prefix>_merge_seconds for every catch-up,
+// <prefix>_merge_late_conns_total for the connections a late certificate
+// made one re-enrich in place, and <prefix>_merge_replays_total{reason}
+// for those that had to replay, all four reasons visible from boot — and
+// returns the core.MergedView.OnMerge that feeds them.
+func MergeObserver(reg *metrics.Registry, prefix string) func(time.Duration, core.ReplayReason, int) {
 	merges := reg.Counter(prefix+"_merges_total", "merged-view catch-ups (what the sources appended, through one Builder)")
 	dur := reg.Histogram(prefix+"_merge_seconds", "merged-view catch-up duration", nil)
+	lateConns := reg.Counter(prefix+"_merge_late_conns_total", "connections re-enriched in place because their certificate arrived after them")
 	replays := make(map[core.ReplayReason]*metrics.Counter, len(core.ReplayReasons))
 	for _, why := range core.ReplayReasons {
 		replays[why] = reg.Counter(prefix+"_merge_replays_total",
 			"merged-view catch-ups that had to replay every source's whole state", "reason", string(why))
 	}
-	return func(d time.Duration, replay core.ReplayReason) {
+	return func(d time.Duration, replay core.ReplayReason, late int) {
 		merges.Inc()
 		dur.Observe(d.Seconds())
+		lateConns.Add(uint64(late))
 		replays[replay].Inc() // "" has no series: a nil counter, a no-op
 	}
 }
@@ -44,7 +47,7 @@ type routerMetrics struct {
 	// onMerge feeds the view's series: every catch-up through
 	// MergeObserver, and the replays among them once more under the two
 	// rebuild names they have always had.
-	onMerge func(time.Duration, core.ReplayReason)
+	onMerge func(time.Duration, core.ReplayReason, int)
 }
 
 func newRouterMetrics(r *metrics.Registry, n int) *routerMetrics {
@@ -61,8 +64,8 @@ func newRouterMetrics(r *metrics.Registry, n int) *routerMetrics {
 		checkpointDur:  r.Histogram("stream_checkpoint_seconds", "checkpoint serialization+rename duration", nil),
 		compactDur:     r.Histogram("stream_compact_seconds", "checkpoint compaction duration", nil),
 
-		onMerge: func(d time.Duration, replay core.ReplayReason) {
-			merge(d, replay)
+		onMerge: func(d time.Duration, replay core.ReplayReason, late int) {
+			merge(d, replay, late)
 			if replay != "" {
 				rebuilds.Inc()
 				rebuildDur.Observe(d.Seconds())
