@@ -279,8 +279,7 @@ func newEnriched(in *Input) *enriched {
 func preprocess(in *Input) *enriched {
 	e := newEnriched(in)
 
-	det := &interception.Detector{Bundle: in.Bundle, CT: in.CT, PSL: e.psl, MinDomains: 2}
-	res := det.Run(in.Raw)
+	res := interception.NewDetector(in.Bundle, in.CT).Run(in.Raw)
 	e.ds = interception.Filter(in.Raw, res)
 	e.pre = &PreprocessReport{
 		InterceptionIssuers: res.Issuers,

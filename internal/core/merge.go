@@ -121,10 +121,11 @@ type MergeCapture struct {
 	// cursor into a source whose count moved is meaningless; the view
 	// replays.
 	Lost []uint64
-	// Verdict is the global §3.2 verdict over exactly the captured state:
-	// the owner's evidence union, caught up with each source under the
-	// same lock hold as that source's snapshot. Per-source verdicts are
-	// never merged. It must not exclude a certificate no source lists.
+	// Verdict is the global §3.2 verdict, never a merge of per-source
+	// ones: an engine's one detector's, over every connection it has
+	// routed — the captured ones and any still in flight; an aggregator's
+	// evidence union's, over its sensors' evidence. It must not exclude a
+	// certificate no source lists.
 	Verdict *interception.Result
 	// RawConns counts connection events ingested across the sources,
 	// before filtering and eviction; RawCerts the distinct certificates

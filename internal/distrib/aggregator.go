@@ -168,7 +168,7 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 	a := &Aggregator{
 		cfg:    cfg,
 		logger: cfg.Logger,
-		union:  interception.NewMerge(2),
+		union:  interception.NewMerge(0),
 		seen:   make(map[ids.Fingerprint]bool),
 		m: &aggMetrics{
 			syncs: func(u string) *metrics.Counter {

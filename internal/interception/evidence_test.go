@@ -69,19 +69,14 @@ func streamOver(t *testing.T, connIdx ...int) *Stream {
 	return s
 }
 
-func TestAbsorbEvidenceMatchesAbsorb(t *testing.T) {
+func TestAbsorbEvidenceMatchesRebuild(t *testing.T) {
 	s := streamOver(t)
 
-	direct := NewMerge(2)
-	direct.Absorb(s, 0)
-	viaEv := NewMerge(2)
+	viaEv := NewMerge(0)
 	viaEv.AbsorbEvidence(s.Evidence())
 	viaEv.AbsorbEvidence(s.Evidence()) // re-presenting a source adds nothing
 
 	want := rebuildVerdict(s.Evidence())
-	if got := direct.Result(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Absorb result = %+v, want %+v", got, want)
-	}
 	if got := viaEv.Result(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("AbsorbEvidence result = %+v, want %+v", got, want)
 	}
@@ -90,41 +85,50 @@ func TestAbsorbEvidenceMatchesAbsorb(t *testing.T) {
 	}
 }
 
-// TestAbsorbBySuffixMatchesRebuild feeds two streams in random order and
-// catches one long-lived union up by journal suffix after every step; the
-// verdict must equal the from-scratch union of both streams' evidence
-// each time, and a union restored streams feed from cursor 0 must agree.
-func TestAbsorbBySuffixMatchesRebuild(t *testing.T) {
+// TestRestoreUnionsSnapshots deals the scenario's connections to two
+// streams at random, half of them ahead of their leaf certificate, and
+// restores both snapshots into one fresh stream: it must hold what one
+// stream fed everything holds — the verdict of the from-scratch union, the
+// same evidence, every parked observation once — and once the certificates
+// arrive, Detector.Run's result.
+func TestRestoreUnionsSnapshots(t *testing.T) {
 	ds, det := buildScenario(t)
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 20; round++ {
-		streams := []*Stream{det.NewStream(), det.NewStream()}
-		union := NewMerge(2)
-		cursors := make([]int, len(streams))
+		parts := []*Stream{det.NewStream(), det.NewStream()}
+		whole := det.NewStream()
 		for _, i := range rng.Perm(len(ds.Conns)) {
-			streams[rng.Intn(len(streams))].Observe(&ds.Conns[i], ds.Cert(ds.Conns[i].ServerLeaf()))
+			conn := &ds.Conns[i]
+			leaf := ds.Cert(conn.ServerLeaf())
 			if rng.Intn(2) == 0 {
-				continue // let a suffix of several pairs build up
+				leaf = nil
 			}
-			for j, s := range streams {
-				cursors[j] = union.Absorb(s, cursors[j])
-			}
-			want := rebuildVerdict(streams[0].Evidence(), streams[1].Evidence())
-			if got := union.Result(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d: union = %+v, rebuild = %+v", round, got, want)
-			}
-			if union.ExcludedCount() != len(want.ExcludedCerts) || union.ConfirmedCount() != len(want.Issuers) {
-				t.Fatalf("round %d: counts %d/%d, want %d/%d", round,
-					union.ExcludedCount(), union.ConfirmedCount(), len(want.ExcludedCerts), len(want.Issuers))
-			}
+			parts[rng.Intn(len(parts))].Observe(conn, leaf)
+			whole.Observe(conn, leaf)
 		}
-		restored := NewMerge(2)
-		for _, s := range streams {
-			restored.Absorb(det.RestoreStream(s.Snapshot()), 0)
-			union.Absorb(s, 0) // a re-absorb from 0 is idempotent
+		restored := det.NewStream()
+		for _, s := range parts {
+			restored.Restore(s.Snapshot())
 		}
-		if got, want := restored.Result(), union.Result(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("round %d: union over restored streams = %+v, want %+v", round, got, want)
+		want := rebuildVerdict(parts[0].Evidence(), parts[1].Evidence())
+		if got := restored.Result(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: restored = %+v, rebuild = %+v", round, got, want)
+		}
+		if got, want := restored.Evidence(), whole.Evidence(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: restored evidence = %+v, one stream's = %+v", round, got, want)
+		}
+		if restored.ExcludedCount() != len(want.ExcludedCerts) || restored.ConfirmedCount() != len(want.Issuers) {
+			t.Fatalf("round %d: counts %d/%d, want %d/%d", round,
+				restored.ExcludedCount(), restored.ConfirmedCount(), len(want.ExcludedCerts), len(want.Issuers))
+		}
+		for _, c := range ds.Certs {
+			restored.ObserveCert(c)
+		}
+		if restored.PendingCount() != 0 {
+			t.Fatalf("round %d: %d still parked after every certificate arrived", round, restored.PendingCount())
+		}
+		if got, want := restored.Result(), det.Run(ds); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: drained verdict %+v, want %+v", round, got, want)
 		}
 	}
 }
@@ -164,7 +168,8 @@ func TestPendingCountTracksParkedConns(t *testing.T) {
 	if got := s.PendingCount(); got != 2*len(ds.Conns) || got != walk(s) {
 		t.Fatalf("parked %d, map holds %d, want %d", got, walk(s), 2*len(ds.Conns))
 	}
-	restored := det.RestoreStream(s.Snapshot())
+	restored := det.NewStream()
+	restored.Restore(s.Snapshot())
 	if restored.PendingCount() != walk(restored) || restored.PendingCount() != s.PendingCount() {
 		t.Fatalf("restored count %d, map holds %d, source %d", restored.PendingCount(), walk(restored), s.PendingCount())
 	}

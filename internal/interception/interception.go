@@ -86,6 +86,14 @@ type Detector struct {
 	MinDomains int
 }
 
+// NewDetector returns the detector with the paper's parameters —
+// corroboration on 2 distinct registrable domains of the default public
+// suffix list — which the batch preprocess and the streaming engine share
+// so the two cannot drift apart.
+func NewDetector(bundle *truststore.Bundle, log *ct.Log) *Detector {
+	return &Detector{Bundle: bundle, CT: log, PSL: psl.Default()}
+}
+
 // Run inspects every connection's server leaf and returns the confirmed
 // interception issuers plus the certificates to exclude. It is the batch
 // form of the incremental Stream: one Observe per connection, its leaf

@@ -10,9 +10,9 @@ import (
 // observed (issuer -> leaf fingerprints) and contradicted (issuer ->
 // domains) relations, with the confirmed-issuer and excluded-certificate
 // sets maintained as each pair arrives. A Stream keeps its own evidence
-// in one; a sharded engine and an aggregator each own one more, fed from
-// their sources, so the global verdict is a long-lived value that costs
-// O(new pairs) to bring current rather than a per-read rebuild.
+// in one; an aggregator owns one more, fed from its sensors, so the global
+// verdict is a long-lived value that costs O(new pairs) to bring current
+// rather than a per-read rebuild.
 //
 // A union of independently accumulated sources equals the verdict of one
 // Stream over the interleaved whole because the evidence is
@@ -25,9 +25,9 @@ import (
 // Evidence split across sources (domain A contradicted on shard 1,
 // domain B on shard 2) therefore corroborates here even though neither
 // source alone confirms the issuer. Both relations only grow, which is
-// what lets a source be absorbed by journal suffix (Absorb) or by
-// re-presenting everything it has (AbsorbEvidence); only a source that
-// comes back with less than it had needs Reset and a re-absorb.
+// what lets a source be absorbed by re-presenting everything it has
+// (AbsorbEvidence); only a source that comes back with less than it had
+// needs Reset and a re-absorb.
 //
 // A Merge is not synchronized; its owner's lock guards it.
 type Merge struct {
@@ -66,9 +66,8 @@ func NewMerge(min int) *Merge {
 	}
 }
 
-// add unions one pair in and keeps the verdict current; it reports
-// whether the pair was new.
-func (m *Merge) add(p pair) bool {
+// add unions one pair in and keeps the verdict current.
+func (m *Merge) add(p pair) {
 	if p.domain == "" {
 		fps := m.observed[p.issuer]
 		if fps == nil {
@@ -76,14 +75,14 @@ func (m *Merge) add(p pair) bool {
 			m.observed[p.issuer] = fps
 		}
 		if fps[p.leaf] {
-			return false
+			return
 		}
 		fps[p.leaf] = true
 		if m.confirmed[p.issuer] {
 			m.excluded[p.leaf] = true
 			m.res = nil
 		}
-		return true
+		return
 	}
 	domains := m.contradicted[p.issuer]
 	if domains == nil {
@@ -92,7 +91,7 @@ func (m *Merge) add(p pair) bool {
 		m.res = nil // one more candidate
 	}
 	if domains[p.domain] {
-		return false
+		return
 	}
 	domains[p.domain] = true
 	// Corroboration across domains confirms the issuer; every certificate
@@ -104,18 +103,6 @@ func (m *Merge) add(p pair) bool {
 			m.excluded[fp] = true
 		}
 	}
-	return true
-}
-
-// Absorb unions in the evidence s gathered since cursor — a position in
-// its journal, 0 for a stream not absorbed before — and returns the
-// cursor to pass next time. The caller must synchronize access to s (the
-// engine holds its state lock).
-func (m *Merge) Absorb(s *Stream, cursor int) int {
-	for _, p := range s.journal[cursor:] {
-		m.add(p)
-	}
-	return len(s.journal)
 }
 
 // AbsorbEvidence unions raw relations in. A source's relations are
@@ -150,9 +137,8 @@ func (m *Merge) Reset() {
 	m.res = nil
 }
 
-// Evidence deep-copies the union's relations — what a sharded sensor
-// exports, so its N shards travel as one evidence set. Pending is the
-// caller's to fill: parked observations are not part of the union.
+// Evidence deep-copies the union's relations. Pending is the caller's to
+// fill: parked observations are not part of the union.
 func (m *Merge) Evidence() *Evidence {
 	ev := &Evidence{
 		Observed:     make(map[string]map[ids.Fingerprint]bool, len(m.observed)),

@@ -20,21 +20,16 @@ import (
 // x509.log rows interleave, and draining a finite input produces exactly
 // Detector.Run's result.
 //
-// The exclusion set only ever grows. Gen increases monotonically every
-// time it does, so callers can detect retroactive exclusions (a newly
-// confirmed issuer invalidates conclusions drawn from its earlier
-// certificates) with one comparison.
+// The exclusion set only ever grows, so callers detect retroactive
+// exclusions (a newly confirmed issuer invalidates conclusions drawn from
+// its earlier certificates) by comparing ExcludedCount.
 type Stream struct {
 	d    *Detector
 	memo *truststore.IssuerMemo
 	sld  *psl.SplitCache
 
-	// ev is the evidence gathered so far and its verdict. journal lists
-	// each pair in the order it first entered ev — append-only, since the
-	// relations only grow — so a cross-source union (Merge.Absorb) catches
-	// up on a suffix instead of re-reading the maps.
-	ev      *Merge
-	journal []pair
+	// ev is the evidence gathered so far and its verdict.
+	ev *Merge
 
 	// pending: leaf fingerprint -> conns waiting for that certificate;
 	// parked counts the waiting conns.
@@ -105,7 +100,7 @@ func (s *Stream) observe(leaf *certmodel.CertInfo, ref PendingRef) {
 	if issuer == "" {
 		return
 	}
-	s.record(pair{issuer: issuer, leaf: leaf.Fingerprint})
+	s.ev.add(pair{issuer: issuer, leaf: leaf.Fingerprint})
 
 	// Step 2: CT comparison on the connection's domain.
 	domain := s.sld.SLD(ref.SNI)
@@ -121,24 +116,8 @@ func (s *Stream) observe(leaf *certmodel.CertInfo, ref PendingRef) {
 	// Step 3 — corroboration across domains confirms the issuer and
 	// excludes every certificate it was ever seen issuing — happens as the
 	// pair lands (Merge.add).
-	s.record(pair{issuer: issuer, domain: domain})
+	s.ev.add(pair{issuer: issuer, domain: domain})
 }
-
-// record adds one evidence pair, journaling it when it is new.
-func (s *Stream) record(p pair) {
-	if s.ev.add(p) {
-		s.journal = append(s.journal, p)
-	}
-}
-
-// Gen is the exclusion-set generation: it increases whenever a
-// certificate joins the exclusion set and never decreases.
-func (s *Stream) Gen() uint64 { return uint64(len(s.ev.excluded)) }
-
-// Excluded reports whether a fingerprint is currently excluded. The
-// verdict can flip from false to true as evidence accumulates, never
-// back.
-func (s *Stream) Excluded(fp ids.Fingerprint) bool { return s.ev.excluded[fp] }
 
 // ExcludedCount is the current exclusion-set size.
 func (s *Stream) ExcludedCount() int { return s.ev.ExcludedCount() }
@@ -151,14 +130,6 @@ func (s *Stream) ConfirmedCount() int { return s.ev.ConfirmedCount() }
 // server leaf certificate.
 func (s *Stream) PendingCount() int { return s.parked }
 
-// PendingLeaves calls fn with each leaf fingerprint that has connections
-// parked on it — what ObserveCert is still owed.
-func (s *Stream) PendingLeaves(fn func(ids.Fingerprint)) {
-	for fp := range s.pending {
-		fn(fp)
-	}
-}
-
 // Result is the current verdict in Detector.Run's format, shared and
 // read-only as Merge.Result describes.
 func (s *Stream) Result() *Result { return s.ev.Result() }
@@ -167,13 +138,11 @@ func (s *Stream) Result() *Result { return s.ev.Result() }
 // streaming engine can checkpoint the detector alongside its own state
 // (the detector is cumulative: evicted connections still count toward
 // issuer confirmation, so it cannot be rebuilt from a retention window).
+// The verdict is a function of the two relations and is not stored.
 type StreamState struct {
 	Observed     map[string]map[ids.Fingerprint]bool
 	Contradicted map[string]map[string]bool
 	Pending      map[ids.Fingerprint][]PendingRef
-	Confirmed    map[string]bool
-	Excluded     map[ids.Fingerprint]bool
-	Gen          uint64
 }
 
 // Snapshot copies the stream's state for serialization.
@@ -183,9 +152,6 @@ func (s *Stream) Snapshot() *StreamState {
 		Observed:     ev.Observed,
 		Contradicted: ev.Contradicted,
 		Pending:      make(map[ids.Fingerprint][]PendingRef, len(s.pending)),
-		Confirmed:    copyMap(s.ev.confirmed),
-		Excluded:     copyMap(s.ev.excluded),
-		Gen:          s.Gen(),
 	}
 	for k, v := range s.pending {
 		st.Pending[k] = append([]PendingRef(nil), v...)
@@ -193,27 +159,17 @@ func (s *Stream) Snapshot() *StreamState {
 	return st
 }
 
-// RestoreStream rebuilds a Stream from a snapshot. The two relations are
-// replayed pair by pair, which rebuilds the journal and re-derives the
-// verdict (Confirmed, Excluded and Gen are functions of the relations;
-// the snapshot carries them for readers that restore them verbatim).
-func (d *Detector) RestoreStream(st *StreamState) *Stream {
-	s := d.NewStream()
-	for issuer, fps := range st.Observed {
-		for fp := range fps {
-			s.record(pair{issuer: issuer, leaf: fp})
-		}
-	}
-	for issuer, domains := range st.Contradicted {
-		for domain := range domains {
-			s.record(pair{issuer: issuer, domain: domain})
-		}
-	}
+// Restore unions a snapshot into the stream: its relations pair by pair,
+// which re-derives the verdict, and its parked observations behind any
+// already waiting on the same leaf. Snapshots of streams that each saw
+// part of an input restore, one after another, to the stream that saw the
+// whole; the same observation restored twice is parked twice.
+func (s *Stream) Restore(st *StreamState) {
+	s.ev.AbsorbEvidence(&Evidence{Observed: st.Observed, Contradicted: st.Contradicted})
 	for k, v := range st.Pending {
-		s.pending[k] = append([]PendingRef(nil), v...)
+		s.pending[k] = append(s.pending[k], v...)
 		s.parked += len(v)
 	}
-	return s
 }
 
 func copyMap[K comparable](m map[K]bool) map[K]bool {

@@ -11,15 +11,14 @@ import (
 // channel hop, and the apply loop folding events into shard state
 // (AllocsPerRun counts process-wide, so the apply goroutine's work is
 // included). Two budgets, both per event over 512-event batches on one
-// shard. Warm — every fingerprint already has its rendezvous entry, the
-// window's arrays and the detector's maps are grown, which is how a
-// long-lived daemon spends almost all of its time — a batch costs the
-// Drain barrier's channel and nothing per event. Cold — a fresh engine fed
-// the whole build — pays for growth: the roster, windows, detector evidence,
-// and the rendezvous, whose entries come from a slab. The seed's
-// per-event path spent >10 allocations per event; the gates sit just
-// above what is measured so a regression (a dropped pool, a per-event
-// box, a heap object per fingerprint) cannot hide.
+// shard. Warm — the roster is admitted, the window's arrays and the
+// detector's maps are grown, which is how a long-lived daemon spends
+// almost all of its time — a batch costs the Drain barrier's channel and
+// nothing per event. Cold — a fresh engine fed the whole build — pays for
+// growth: the roster and its index, windows, detector evidence. The
+// seed's per-event path spent >10 allocations per event; the gates sit
+// just above what is measured so a regression (a dropped pool, a
+// per-event box, a heap object per fingerprint) cannot hide.
 func TestIngestBatchAllocGate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts include race-detector bookkeeping under -race")

@@ -1,102 +1,75 @@
 package stream
 
 import (
-	"math/bits"
 	"sync"
 	"time"
 
 	"repro/internal/certmodel"
 	"repro/internal/core"
-	"repro/internal/ids"
 )
 
-// batch is a pooled group of events traveling a shard's ingest channel as
-// one entry — the only ingest mechanism; IngestConn/IngestCert route a
-// batch of one. It carries the shard's connections, each beside the
-// server leaf certificate the router resolved for it, and ahead of them
-// any wakes: certificates that arrived after the shard parked an
-// observation on their fingerprint.
+// batch is a pooled group of connections traveling a shard's ingest
+// channel as one entry — the only ingest mechanism; IngestConn routes a
+// batch of one. Certificates never travel: the router admits them into
+// its roster.
 //
 // Ownership: the router copies the caller's records into a pooled batch
 // per shard, so the caller may reuse its slice (and the records' backing
-// storage it owns) immediately. The apply loop copies connection records
-// into the shard's retained window and recycles the batch — the shard
-// copies-on-retain, never aliasing pooled memory. Certificate pointers
-// are shared, not copied: they are the router's roster entries.
+// storage it owns) immediately. The apply loop copies the records into
+// the shard's retained window and recycles the batch — the shard
+// copies-on-retain, never aliasing pooled memory.
 type batch struct {
-	// certs are the wakes. A full buffer sheds a batch's connections but
-	// the router keeps its wakes for the next send — the detector still
-	// holds the observations parked on them.
-	certs []*certmodel.CertInfo
-	// leaves and seqs align with conns: the server leaf as the router
-	// resolved it (nil: not arrived yet) and the sequence it admitted the
+	// seqs aligns with conns: the sequence the router admitted each
 	// connection under.
-	conns  []core.ConnRecord
-	leaves []*certmodel.CertInfo
-	seqs   []uint64
+	conns []core.ConnRecord
+	seqs  []uint64
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batch) }}
 
 func newBatch() *batch { return batchPool.Get().(*batch) }
 
-// dropConns clears the connections (dropping references so pooled memory
-// cannot pin records or certificates), keeping the wakes.
-func (b *batch) dropConns() {
-	clear(b.conns)
-	clear(b.leaves)
-	b.conns, b.leaves, b.seqs = b.conns[:0], b.leaves[:0], b.seqs[:0]
-}
-
-// recycle clears the batch and returns it to the pool.
+// recycle clears the batch (dropping references so pooled memory cannot
+// pin records) and returns it to the pool.
 func (b *batch) recycle() {
-	b.dropConns()
-	clear(b.certs)
-	b.certs = b.certs[:0]
+	clear(b.conns)
+	b.conns, b.seqs = b.conns[:0], b.seqs[:0]
 	batchPool.Put(b)
 }
 
 // sendBatch delivers b as one channel operation. Returns false (without
-// recycling b — the router keeps its wakes) when the batch was shed or the
-// shard is closed.
+// recycling b) when the batch was shed or the shard is closed.
 func (e *shard) sendBatch(b *batch) bool {
 	return e.send(event{batch: b, enq: time.Now()}, e.cfg.Policy == Block)
 }
 
-// applyBatchLocked applies one pooled batch — wakes first, then
-// connections, growing the retained window once — and recycles it.
+// applyBatchLocked applies one pooled batch, growing the retained window
+// once, and recycles it.
 func (e *shard) applyBatchLocked(b *batch) {
-	for _, c := range b.certs {
-		e.icpt.ObserveCert(c)
-	}
-	if len(b.certs) > 0 {
-		e.stateVer.Add(1) // the verdict may have moved
-	}
-	if len(b.conns) > 0 {
-		// The retained window is multi-megabyte at steady state; append's
-		// 1.25× growth regime there costs ~4× the final size in copy churn
-		// (half the benchmark's allocated bytes before this). The store
-		// at-least-doubles instead.
-		e.st.GrowConns(len(b.conns))
-		for i := range b.conns {
-			e.applyConnLocked(&b.conns[i], b.leaves[i], b.seqs[i])
-		}
+	// The retained window is multi-megabyte at steady state; append's
+	// 1.25× growth regime there costs ~4× the final size in copy churn
+	// (half the benchmark's allocated bytes before this). The store
+	// at-least-doubles instead.
+	e.st.GrowConns(len(b.conns))
+	for i := range b.conns {
+		e.applyConnLocked(&b.conns[i], b.seqs[i])
 	}
 	b.recycle()
 }
 
 // IngestConnBatch feeds a slice of connection events: the router resolves
 // each one's server leaf against the roster — the one certificate probe a
-// connection costs; a fingerprint not admitted yet marks the home shard as
-// waiting on it — partitions the slice by home shard (hash of the
-// connection UID) under one lock acquisition and delivers each shard's
-// share, in arrival order, over one channel operation, amortizing the
-// channel hop and the apply loop's lock over the slice. Records are
-// copied; the caller may reuse recs and its elements. Invalid records
-// (weight below 1) are rejected individually and counted in
-// Stats.Rejected. Returns how many events were accepted — 0 when the
-// engine is closed; a shard whose full buffer sheds its slice under Policy
-// Drop sheds it atomically, counted per event in Stats.Dropped.
+// connection costs — and runs the §3.2 detector over the pair, which parks
+// the observation when the certificate has not been admitted yet; it then
+// partitions the slice by home shard (hash of the connection UID) under
+// one lock acquisition and delivers each shard's share, in arrival order,
+// over one channel operation, amortizing the channel hop and the apply
+// loop's lock over the slice. Records are copied; the caller may reuse
+// recs and its elements. Invalid records (weight below 1) are rejected
+// individually and counted in Stats.Rejected. Returns how many events were
+// accepted — 0 when the engine is closed; a shard whose full buffer sheds
+// its slice under Policy Drop sheds it atomically, counted per event in
+// Stats.Dropped.
 func (s *Engine) IngestConnBatch(recs []core.ConnRecord) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -109,32 +82,33 @@ func (s *Engine) IngestConnBatch(recs []core.ConnRecord) int {
 			s.reject()
 			continue
 		}
-		h := s.home(string(rec.UID))
-		var leaf *certmodel.CertInfo
 		if fp := rec.ServerLeaf(); fp != "" {
-			ent := s.rendezvousFor(fp)
-			if leaf = ent.cert; leaf == nil {
-				// The detector parks the observation; the certificate's
-				// arrival wakes it, and the merged view completes the
-				// connection's enrichment in place (core.Builder.AddCert).
-				ent.waiting |= uint64(1) << h
-			}
+			// A leaf not admitted yet parks the observation in the
+			// detector; the certificate's arrival drains it, and the merged
+			// view completes the connection's enrichment in place
+			// (core.Builder.AddCert).
+			s.icpt.Observe(rec, s.certs[fp])
 		}
-		b := s.shardBatch(h)
+		h := s.home(string(rec.UID))
+		b := s.scratch[h]
+		if b == nil {
+			b = newBatch()
+			s.scratch[h] = b
+		}
 		b.conns = append(b.conns, *rec)
-		b.leaves = append(b.leaves, leaf)
 		b.seqs = append(b.seqs, s.nextSeq)
 		s.nextSeq++
 	}
+	s.publishLocked()
 	return s.flushScratchLocked()
 }
 
 // IngestCertBatch admits a batch of certificates into the roster under one
 // router lock acquisition, first observation of a fingerprint wins. An
 // admitted certificate is readable at once and crosses no shard buffer —
-// Policy Drop never sheds one; only a shard waiting on the fingerprint is
-// sent anything, a wake for its parked observations. Nil certificates and
-// empty fingerprints are rejected individually; accepted certificates are
+// Policy Drop never sheds one — and the detector drains the observations
+// parked on it before the call returns. Nil certificates and empty
+// fingerprints are rejected individually; accepted certificates are
 // retained by pointer. Returns how many records were accepted (duplicates
 // included) — 0 when the engine is closed.
 func (s *Engine) IngestCertBatch(recs []core.CertRecord) int {
@@ -151,32 +125,36 @@ func (s *Engine) IngestCertBatch(recs []core.CertRecord) int {
 			continue
 		}
 		admitted++
-		ent := s.rendezvousFor(c.Fingerprint)
-		if ent.cert != nil {
+		if s.certs[c.Fingerprint] != nil {
 			continue
 		}
-		ent.cert = c
-		s.roster = append(s.roster, c)
-		s.certSeqs = append(s.certSeqs, s.nextSeq)
+		s.admitLocked(c, s.nextSeq)
 		s.nextSeq++
-		for w := ent.waiting; w != 0; w &= w - 1 {
-			b := s.shardBatch(bits.TrailingZeros64(w))
-			b.certs = append(b.certs, c)
-		}
-		ent.waiting = 0 // the wakes are queued, and kept until a send is accepted
 	}
 	s.certsRouted.Add(uint64(admitted))
 	s.m.certsIngested.Add(uint64(admitted))
-	s.rosterGrewLocked()
-	s.flushScratchLocked()
+	s.publishLocked()
 	return admitted
 }
 
-// rosterGrewLocked publishes the roster's length to the lock-free readers
-// (Stats, the merged view's version vector) and the gauge.
-func (s *Engine) rosterGrewLocked() {
+// admitLocked appends a certificate first observed under seq to the roster
+// and hands it to the detector.
+func (s *Engine) admitLocked(c *certmodel.CertInfo, seq uint64) {
+	s.certs[c.Fingerprint] = c
+	s.roster = append(s.roster, c)
+	s.certSeqs = append(s.certSeqs, seq)
+	s.icpt.ObserveCert(c)
+}
+
+// publishLocked publishes, at the end of an ingest batch, what is read
+// without the router lock: the roster's length (Stats, the merged view's
+// version vector, the gauge) and the detector's three sizes (Stats).
+func (s *Engine) publishLocked() {
 	s.rosterLen.Store(uint64(len(s.roster)))
 	s.m.rosterSize.Set(float64(len(s.roster)))
+	s.parked.Store(int64(s.icpt.PendingCount()))
+	s.excluded.Store(int64(s.icpt.ExcludedCount()))
+	s.confirmed.Store(int64(s.icpt.ConfirmedCount()))
 }
 
 // reject counts one invalid event refused at the ingest boundary.
@@ -185,56 +163,27 @@ func (s *Engine) reject() {
 	s.m.rejected.Inc()
 }
 
-// rendezvousFor returns fp's rendezvous entry, creating it on first
-// reference — carved from a slab, so a new fingerprint costs the map
-// insert and not a heap object of its own. Caller holds mu.
-func (s *Engine) rendezvousFor(fp ids.Fingerprint) *rendezvous {
-	ent := s.rv[fp]
-	if ent == nil {
-		if len(s.rvSlab) == 0 {
-			s.rvSlab = make([]rendezvous, 256)
-		}
-		ent, s.rvSlab = &s.rvSlab[0], s.rvSlab[1:]
-		s.rv[fp] = ent
-	}
-	return ent
-}
-
-// shardBatch returns shard h's pending batch in the scratch partition
-// table, creating it on first use. Caller holds mu.
-func (s *Engine) shardBatch(h int) *batch {
-	b := s.scratch[h]
-	if b == nil {
-		b = newBatch()
-		s.scratch[h] = b
-	}
-	return b
-}
-
-// flushScratchLocked sends every pending per-shard batch. A shard that
-// sheds its batch (Policy Drop, full buffer) loses the connections; the
-// wakes stay in the scratch table and go out with whatever is sent there
-// next. Returns the number of connection events accepted across shards.
+// flushScratchLocked sends every pending per-shard batch and returns the
+// number of connection events accepted across shards. A shard that sheds
+// its batch (Policy Drop, full buffer) loses the connections, not what the
+// detector saw in them.
 func (s *Engine) flushScratchLocked() int {
 	accepted := 0
 	for h, b := range s.scratch {
-		if b == nil || len(b.conns)+len(b.certs) == 0 {
+		if b == nil {
 			continue
 		}
-		// Counts are captured before the send: on success the apply loop
-		// owns (and recycles) the batch.
-		nConns := len(b.conns)
-		routed := s.routed[h]
-		if nConns > 0 {
-			routed = b.seqs[nConns-1] + 1
-		}
-		if !s.shards[h].sendBatch(b) {
-			b.dropConns()
-			continue
-		}
-		accepted += nConns
-		s.routed[h] = routed
 		s.scratch[h] = nil
+		// Read before the send: on success the apply loop owns (and
+		// recycles) the batch.
+		n := len(b.conns)
+		routed := b.seqs[n-1] + 1
+		if !s.shards[h].sendBatch(b) {
+			b.recycle()
+			continue
+		}
+		accepted += n
+		s.routed[h] = routed
 	}
 	return accepted
 }

@@ -107,9 +107,9 @@ func TestIngestSurfacesMatchBatchPipeline(t *testing.T) {
 }
 
 // TestBatchOutOfOrderCerts feeds every connection batch before any
-// certificate batch: shards park observations, the rendezvous forwards
-// late certificates, and the §3.2 retroactive-evidence path must work
-// unchanged when events arrive in batches.
+// certificate batch: the detector parks every observation, the late
+// certificates drain them, and the §3.2 retroactive-evidence path must
+// work unchanged when events arrive in batches.
 func TestBatchOutOfOrderCerts(t *testing.T) {
 	b := genBuild(20240504, 1000)
 	batch := core.Run(inputFromBuild(b))

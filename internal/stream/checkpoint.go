@@ -18,7 +18,6 @@ import (
 	"repro/internal/atomicfile"
 	"repro/internal/certmodel"
 	"repro/internal/core"
-	"repro/internal/ids"
 	"repro/internal/interception"
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -29,9 +28,10 @@ import (
 // caller's cursor and the router's state. Each WriteCheckpoint appends one
 // segment to every chain, carrying only what changed on that shard since
 // the previous commit — connections appended past the committed sequence
-// mark, the latest eviction cutoff, the cumulative detector state and the
-// counters; chain 0's also carries the certificates the router admitted
-// since — and then rewrites the MANIFEST through the atomicfile protocol.
+// mark, the latest eviction cutoff and the counters; chain 0's also carries
+// what is the router's, the certificates it admitted since and its
+// cumulative detector state — and then rewrites the MANIFEST through the
+// atomicfile protocol.
 // Restore replays each chain in order: apply the segment's eviction cutoff
 // to the state accumulated so far, then append its records. A background
 // compactor folds every chain back into one base, so the directory stays
@@ -82,9 +82,10 @@ const (
 
 // segState is a segment's snapshot of everything that is not a record
 // stream: the shard's counters, the eviction cutoff to replay before this
-// segment's records, and the cumulative detector state (small next to the
-// record stream, so every segment carries the full thing and the last one
-// wins on restore).
+// segment's records, and in chain 0 the router's cumulative detector state
+// (every segment there carries the full thing and the last one wins on
+// restore). A release that ran a detector per shard wrote one into every
+// chain; restore unions what the chains' last segments hold.
 type segState struct {
 	ConnsIngested uint64
 	CertsIngested uint64 // as Epoch and NextSeq below: a shard's own count, once
@@ -196,9 +197,9 @@ func readCkptManifest(dir string) (*ckptManifest, error) {
 // throughout and take the others briefly for their snapshots.
 type checkpointer struct {
 	shards []*shard // chain i is shards[i]'s
-	// router snapshots, per commit, the router's state and its roster log
-	// from entry from on.
-	router func(from int) (*routerState, []*certmodel.CertInfo, []uint64)
+	// router snapshots, per commit, the router's state, its roster log
+	// from entry from on and its detector.
+	router func(from int) (*routerState, []*certmodel.CertInfo, []uint64, *interception.StreamState)
 	// dur and compactDur observe whole calls: one commit, one fold.
 	dur, compactDur *metrics.Histogram
 
@@ -238,17 +239,18 @@ func (s *Engine) Compact() error {
 }
 
 // routerState snapshots what the router checkpoints: its counters for the
-// manifest, and the roster log from entry from on — append-only, so the
-// suffix is the delta, readable after the lock is released, and the same
-// state always writes the same bytes.
-func (s *Engine) routerState(from int) (*routerState, []*certmodel.CertInfo, []uint64) {
+// manifest, and for chain 0 the roster log from entry from on —
+// append-only, so the suffix is the delta, readable after the lock is
+// released, and the same state always writes the same bytes — and a copy
+// of the detector's state.
+func (s *Engine) routerState(from int) (*routerState, []*certmodel.CertInfo, []uint64, *interception.StreamState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := &routerState{NextSeq: s.nextSeq, CertsRouted: s.certsRouted.Load()}
 	if s.cfg.TrackExport {
 		r.Epoch = s.epoch
 	}
-	return r, s.roster[from:], s.certSeqs[from:]
+	return r, s.roster[from:], s.certSeqs[from:], s.icpt.Snapshot()
 }
 
 // finishSwap completes a file → directory replacement that stopped
@@ -314,7 +316,7 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 	if full {
 		from = 0
 	}
-	router, certs, certSeqs := c.router(from)
+	router, certs, certSeqs, det := c.router(from)
 	covered := from + len(certs)
 	man := &ckptManifest{
 		Version: ckptManifestVersion,
@@ -330,11 +332,11 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 			man.Chains[i] = slices.Clone(c.man.Chains[i])
 		}
 		name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
-		n, done, err := e.writeDelta(filepath.Join(c.dir, name), full, certs, certSeqs)
+		n, done, err := e.writeDelta(filepath.Join(c.dir, name), full, certs, certSeqs, det)
 		if err != nil {
 			return fmt.Errorf("stream: checkpoint segment: %w", err)
 		}
-		certs, certSeqs = nil, nil // the roster rides chain 0
+		certs, certSeqs, det = nil, nil, nil // what is the router's rides chain 0
 		man.NextSeg++
 		man.Chains[i] = append(man.Chains[i], ckptSeg{Name: name, Bytes: n})
 		committed[i] = done
@@ -491,11 +493,11 @@ func writeSegment(path string, st *segState, certs []*certmodel.CertInfo, certSe
 
 // writeDelta snapshots what changed since this shard's last committed
 // segment — everything, for a base — and writes it to path as one
-// segment, ahead of its connections whatever roster batch the owner hands
-// it, returning the segment's size. The shard's marks stand until the
-// owner calls done, once its manifest names the segment; a commit that
-// fails is simply covered again by the next delta.
-func (e *shard) writeDelta(path string, full bool, certs []*certmodel.CertInfo, certSeqs []uint64) (int64, func(chainLen int), error) {
+// segment, ahead of its connections whatever roster batch and detector
+// state the owner hands it, returning the segment's size. The shard's
+// marks stand until the owner calls done, once its manifest names the
+// segment; a commit that fails is simply covered again by the next delta.
+func (e *shard) writeDelta(path string, full bool, certs []*certmodel.CertInfo, certSeqs []uint64, det *interception.StreamState) (int64, func(chainLen int), error) {
 	// Snapshot under the state lock. All slices are fresh copies or
 	// abandon-don't-mutate snapshots (appends land beyond the captured
 	// length, eviction swaps in fresh arrays), so encoding proceeds after
@@ -517,7 +519,7 @@ func (e *shard) writeDelta(path string, full bool, certs []*certmodel.CertInfo, 
 		Evicted:       e.evicted,
 		Watermark:     e.watermark,
 		EvictCutoff:   e.ckptCutoff,
-		Interception:  e.icpt.Snapshot(),
+		Interception:  det,
 	}
 	e.mu.Unlock()
 
@@ -677,9 +679,10 @@ func copySegmentRecords(path string, wantBytes int64, w io.Writer, cut time.Time
 // committed is what a checkpoint path holds: man names one chain per
 // shard. For a checkpoint a format before the directory wrote, the chains
 // are empty, gobs names the full-state file standing in for each, and man
-// carries only what that format recorded. last collects each restored
-// shard's final state frame, for the shapes whose manifest has no router
-// state, and certs every roster batch of every chain, for the router.
+// carries only what that format recorded. For the router, last collects
+// each restored shard's final state frame — the detector states, and what
+// a manifest without router state leaves out — and certs every roster
+// batch of every chain.
 type committed struct {
 	dir   string
 	man   *ckptManifest
@@ -787,7 +790,7 @@ func RestoreSharded(cfg Config, n int, path string) (*Engine, map[string]int64, 
 			return nil, nil, err
 		}
 	}
-	s.restoreRouter(r, ck.certs)
+	s.restoreRouter(r, ck.certs, ck.last)
 	if ck.current() {
 		s.ckpt.dir, s.ckpt.man, s.ckpt.certs = ck.dir, ck.man, int(s.rosterLen.Load())
 	}
@@ -795,15 +798,15 @@ func RestoreSharded(cfg Config, n int, path string) (*Engine, map[string]int64, 
 }
 
 // restoreRouter rebuilds the router from its checkpointed counters, the
-// roster batches read off the chains and the restored shards. The roster
-// is every batch's certificates in sequence order, first observation of a
-// fingerprint wins — a writer that gave every shard a roster repeated a
-// certificate in each chain that referenced it, under the same sequence.
-// The rendezvous is not serialized: a shard waits on exactly the
-// fingerprints its detector has connections parked on, and one the roster
-// already holds (the checkpoint caught a wake in flight, or its writer
-// shed one) is woken now.
-func (s *Engine) restoreRouter(r *routerState, certs []ExportCert) {
+// roster batches read off the chains and each chain's last state frame.
+// The detector is the union of the states those frames carry — one, in
+// chain 0, from this release; one per chain from a release that ran a
+// detector per shard. The roster is every batch's certificates in sequence
+// order, first observation of a fingerprint wins — a writer that gave every
+// shard a roster repeated a certificate in each chain that referenced it,
+// under the same sequence — and admitting it drains any observation the
+// checkpoint caught parked on a certificate the roster already held.
+func (s *Engine) restoreRouter(r *routerState, certs []ExportCert, last []*segState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextSeq = r.NextSeq
@@ -813,6 +816,11 @@ func (s *Engine) restoreRouter(r *routerState, certs []ExportCert) {
 		// so any cursor taken against it is refused as stale.
 		s.epoch = newEpoch()
 	}
+	for _, st := range last {
+		if st.Interception != nil {
+			s.icpt.Restore(st.Interception)
+		}
+	}
 	for i := range certs {
 		if seq, ok := r.CertSeqs[string(certs[i].Cert.Fingerprint)]; ok {
 			certs[i].Seq = seq // where an older release kept it
@@ -820,28 +828,17 @@ func (s *Engine) restoreRouter(r *routerState, certs []ExportCert) {
 	}
 	sortCertLog(certs)
 	for _, c := range certs {
-		if ent := s.rendezvousFor(c.Cert.Fingerprint); ent.cert == nil {
-			ent.cert = c.Cert
-			s.roster = append(s.roster, c.Cert)
-			s.certSeqs = append(s.certSeqs, c.Seq)
+		if s.certs[c.Cert.Fingerprint] == nil {
+			s.admitLocked(c.Cert, c.Seq)
 			s.nextSeq = max(s.nextSeq, c.Seq+1)
 		}
 	}
-	s.rosterGrewLocked()
-	for i, e := range s.shards {
+	s.publishLocked()
+	for _, e := range s.shards {
 		e.mu.Lock()
 		s.nextSeq = max(s.nextSeq, e.nextSeq)
-		e.icpt.PendingLeaves(func(fp ids.Fingerprint) {
-			if ent := s.rendezvousFor(fp); ent.cert == nil {
-				ent.waiting |= uint64(1) << i
-			} else {
-				b := s.shardBatch(i)
-				b.certs = append(b.certs, ent.cert)
-			}
-		})
 		e.mu.Unlock()
 	}
-	s.flushScratchLocked()
 }
 
 // restoreConnsLocked appends one restored batch to the window. Without
@@ -889,9 +886,9 @@ func restoreCerts(batch *segCerts, roster *[]ExportCert) error {
 }
 
 // finishRestoreLocked completes any restore from the last state read:
-// counters, detector state, and checkpoint bookkeeping (everything in the
-// window is covered by what was just read, so the next delta starts at
-// the current sequence mark).
+// counters and checkpoint bookkeeping (everything in the window is covered
+// by what was just read, so the next delta starts at the current sequence
+// mark).
 func (e *shard) finishRestoreLocked(last *segState) {
 	e.connsIngested = last.ConnsIngested
 	e.evicted = last.Evicted
@@ -899,7 +896,6 @@ func (e *shard) finishRestoreLocked(last *segState) {
 	if last.EvictCutoff.After(e.ckptCutoff) {
 		e.ckptCutoff = last.EvictCutoff
 	}
-	e.icpt = e.det.RestoreStream(last.Interception)
 	e.ckptMark = e.nextSeq
 	e.stateVer.Add(1)
 	e.lastCkpt = time.Now()
@@ -909,8 +905,8 @@ func (e *shard) finishRestoreLocked(last *segState) {
 // restoreChain restores one shard by replaying a committed segment
 // chain in order: apply each segment's eviction cutoff to the state
 // accumulated so far, then append its records; roster batches go to
-// roster, for the router. Counters and detector state come from the last
-// segment's state frame, which is returned with the shard. Any framing,
+// roster, for the router. Counters come from the last segment's state
+// frame, which is returned with the shard. Any framing,
 // checksum, or truncation damage surfaces as a clean error — never a
 // panic or a silently partial restore.
 func restoreChain(cfg Config, dir string, chain []ckptSeg, roster *[]ExportCert) (*shard, *segState, error) {

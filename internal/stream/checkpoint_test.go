@@ -1118,10 +1118,9 @@ func FuzzRestore(f *testing.F) {
 
 // TestRestoreWakesParkedObservations: a checkpoint taken while every
 // connection is parked on a certificate that has not arrived restores the
-// router's waiting marks from the detectors' parked fingerprints — the
-// rendezvous itself is not serialized. The certificates arriving after
-// the restore wake every shard that waits on them: nothing stays parked,
-// and every report equals the batch pipeline's.
+// detector with as many parked as the writer had. The certificates
+// arriving after the restore drain them: nothing stays parked, and every
+// report equals the batch pipeline's.
 func TestRestoreWakesParkedObservations(t *testing.T) {
 	b := genBuild(20240504, 1200)
 	batch := core.Run(inputFromBuild(b))

@@ -33,7 +33,7 @@ func TestDiskStoreSpillsConnectionsOnly(t *testing.T) {
 	before := make([]*certmodel.CertInfo, len(certs))
 	eng.mu.Lock()
 	for i := range certs {
-		before[i] = eng.rv[certs[i].Cert.Fingerprint].cert
+		before[i] = eng.certs[certs[i].Cert.Fingerprint]
 	}
 	eng.mu.Unlock()
 
@@ -55,7 +55,7 @@ func TestDiskStoreSpillsConnectionsOnly(t *testing.T) {
 		t.Fatalf("roster holds %d certificates, want %d", len(eng.roster), len(certs))
 	}
 	for i := range certs {
-		if got := eng.rv[certs[i].Cert.Fingerprint].cert; got == nil || got != before[i] {
+		if got := eng.certs[certs[i].Cert.Fingerprint]; got == nil || got != before[i] {
 			t.Fatalf("roster pointer for %s moved across connection spilling", certs[i].Cert.Fingerprint)
 		}
 	}

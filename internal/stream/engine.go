@@ -11,15 +11,18 @@
 // deployment — New's one shard, NewSharded's n, a sensor, a restored
 // daemon — is that and nothing else. The router validates each event and
 // stamps it with the deployment's one sequence. It holds the certificate
-// roster — the deduplicated entity the paper counts, kept once — and
-// resolves each connection's server leaf against it before hashing the
-// connection's UID to a home shard, so the join on the fingerprint is one
-// probe per connection. A shard (shard.go) is an apply goroutine over raw
-// state: the retained window of its connections, the §3.2 detector over
-// them, and the segment chain they are checkpointed to. It holds no
-// certificate table, enriches nothing and is never read directly. Reports
-// are read through one core.MergedView with one source per shard and one
-// for the roster — the materializer an aggregator uses too.
+// roster — the deduplicated entity the paper counts, kept once — and the
+// one §3.2 detector: it resolves each connection's server leaf against
+// the roster, one probe per connection, and runs the interception filter
+// over the pair before hashing the connection's UID to a home shard, so
+// the verdict — a fact about the whole dataset — is computed in one
+// place. A shard (shard.go) is an apply goroutine over raw state: the
+// retained window of its connections and the segment chain they are
+// checkpointed to. It holds no certificate table and no detector, enriches
+// nothing and is never read directly. Reports are read through one
+// core.MergedView with one source per shard and one for the roster — the
+// materializer an aggregator uses too. There are two lock levels, always
+// taken router → shard.
 //
 // # Equivalence contract
 //
@@ -33,21 +36,21 @@
 // itself wraps). Connections are replayed in their ingest order (a k-way
 // merge on router-assigned sequence numbers), there is one roster (first
 // observation of a fingerprint wins, as zeek.Dataset.AddCert has it), and
-// the §3.2 verdict is the verdict of the union of per-shard detector
-// evidence — correct because that evidence is order-independent and
-// per-connection, so domains contradicting an issuer on different shards
-// corroborate globally (interception.Merge). A connection routed before
-// its leaf certificate arrived is parked in its shard's detector; the
-// certificate's arrival sends that shard a wake, so the evidence does not
-// depend on how the two logs interleave. Mid-stream, a materialization is
-// every certificate admitted and a prefix of the connections: every one
-// below the applied frontier — the lowest sequence a shard with
-// routed-but-unapplied work has still to apply — and none above it.
-// A shard running ahead of a lagging one is therefore read one batch
-// stale rather than out of order, which is what lets the merged view
-// append what is new instead of replaying. (The verdict those connections
-// are filtered under is the union's over everything applied, so it may
-// run ahead of the frontier by the batches in flight.)
+// the §3.2 verdict is one interception.Stream's over every connection in
+// routing order, wherever it was hashed to. A connection routed before
+// its leaf certificate arrived is parked in the detector and observed when
+// the certificate is admitted, so the evidence does not depend on how the
+// two logs interleave. Mid-stream, a materialization is every certificate
+// admitted and a prefix of the connections: every one below the applied
+// frontier — the lowest sequence a shard with routed-but-unapplied work
+// has still to apply — and none above it. A shard running ahead of a
+// lagging one is therefore read one batch stale rather than out of order,
+// which is what lets the merged view append what is new instead of
+// replaying. (The verdict those connections
+// are filtered under is the detector's over everything routed, so it runs
+// ahead of the frontier by the batches in flight — and, under Policy Drop,
+// by the connections a full buffer shed after the router numbered them.
+// After Drain with nothing shed, routed and applied are the same set.)
 //
 // # Retroactive evidence and replays
 //
@@ -67,13 +70,12 @@
 // each shard's state lock only while it snapshots what is new; the report
 // scan itself runs beside ingestion.
 //
-// The §3.2 verdict is not part of a read's price. The router owns one
-// evidence union for the engine's lifetime; Stats, the merged view's
-// capture and Export each bring it current with the pairs the shards
-// journaled since the last catch-up — O(new pairs), usually none — and
-// read the verdict off it. Stats is therefore O(shards), whatever the
-// evidence or roster size, and takes no router lock: it never waits
-// behind a batch being routed or an Export.
+// The §3.2 verdict is not part of a read's price: the detector keeps it
+// current as each pair lands. The merged view's capture and Export, which
+// hold the router lock anyway, read it there; Stats reads the three sizes
+// the router publishes at the end of each ingest batch. Stats is
+// therefore O(shards), whatever the evidence or roster size, and takes no
+// router lock: it never waits behind a batch being routed or an Export.
 //
 // # Bounded memory
 //
@@ -110,6 +112,7 @@ import (
 )
 
 // Policy selects what Ingest does when a shard's bounded buffer is full.
+// Only connections cross a buffer: a certificate is never shed.
 type Policy int
 
 const (
@@ -119,7 +122,10 @@ const (
 	Block Policy = iota
 	// Drop sheds load: Ingest discards the event, counts it in
 	// Stats.Dropped, and returns false. Right when the producer is a live
-	// tap that must never stall the capture path.
+	// tap that must never stall the capture path. A shed connection is not
+	// retained and not counted in Stats.ConnsIngested, but the router's
+	// §3.2 detector observed it when it numbered it: like a connection
+	// retention evicted, it still counts toward issuer confirmation.
 	Drop
 )
 
@@ -203,9 +209,9 @@ type Stats struct {
 	CheckpointAge  float64   // seconds since LastCheckpoint (0 if none)
 }
 
-// MaxShards bounds the shard count: the rendezvous tracks the shards
-// waiting on a fingerprint in one uint64 bitmask, which is far beyond any core count the
-// single-producer router could keep fed anyway.
+// MaxShards is the sanity bound on a requested shard count and on the
+// chains a checkpoint manifest may name: far beyond any core count the
+// single-producer router could keep fed.
 const MaxShards = 64
 
 // Engine is the incremental analysis engine: one router feeding n shards,
@@ -216,7 +222,9 @@ type Engine struct {
 	cfg    Config
 	shards []*shard
 
-	mu sync.Mutex // guards router state below
+	// mu guards the router state below. Lock order: mu, then a shard's
+	// state lock (Export and the merged view's capture hold both).
+	mu sync.Mutex
 	// closed stops admission: a closed engine assigns no sequence and
 	// moves no counter.
 	closed bool
@@ -237,34 +245,28 @@ type Engine struct {
 	// is detectably stale rather than silently wrong); preserved across
 	// checkpoint/restore under cfg.TrackExport.
 	epoch uint64
-	// rv is the certificate rendezvous: every admitted or awaited
-	// fingerprint — the certificate, or the shards that named it as a
-	// server leaf before it arrived.
-	rv     map[ids.Fingerprint]*rendezvous
-	rvSlab []rendezvous // unused entries, handed out by rendezvousFor
 	// roster is the certificate roster as an append-only log in admission
 	// order (first observation wins; cumulative, resident, pointers stable
 	// for the engine's lifetime), certSeqs the sequence each was admitted
 	// under, ascending — so "the roster since" a checkpoint commit, the
 	// merged view's cursor or an export cursor is a slice suffix, readable
-	// after mu is released. rosterLen is its length for readers without
-	// mu.
+	// after mu is released. certs indexes it by fingerprint; rosterLen is
+	// its length for readers without mu.
 	roster    []*certmodel.CertInfo
 	certSeqs  []uint64
+	certs     map[ids.Fingerprint]*certmodel.CertInfo
 	rosterLen atomic.Uint64
+	// icpt is the §3.2 detector, cumulative over every connection routed:
+	// it observes each one beside the leaf the roster resolved for it and
+	// parks those whose leaf has not been admitted. parked, excluded and
+	// confirmed are its three sizes as of the last ingest batch, for Stats.
+	icpt                        *interception.Stream
+	parked, excluded, confirmed atomic.Int64
 
 	certsRouted atomic.Uint64 // IngestCert calls admitted (incl. duplicate fps)
 	rejected    atomic.Uint64
 
 	m *routerMetrics
-
-	// union is the engine's §3.2 evidence: every shard's journal up to
-	// cursors[i]. unionMu guards both. Lock order: mu (Export and the
-	// merged view's capture), then unionMu, then a shard's state lock —
-	// catching up reads a shard's detector under that shard's lock.
-	unionMu sync.Mutex
-	union   *interception.Merge
-	cursors []int
 
 	// view is the merged materialization, cached on the per-shard
 	// stateVer vector and caught up from the shards' suffixes.
@@ -273,14 +275,6 @@ type Engine struct {
 	// ckpt owns the checkpoint directory: one segment chain per shard,
 	// committed with the router's state by one MANIFEST.
 	ckpt *checkpointer
-}
-
-// rendezvous is one fingerprint's state: the certificate once it has
-// arrived, until then the shards (bit i = shard i) whose detector has
-// parked a connection on it and is owed a wake.
-type rendezvous struct {
-	cert    *certmodel.CertInfo
-	waiting uint64
 }
 
 // New starts a one-shard engine. Call Close to stop it.
@@ -327,12 +321,11 @@ func start(cfg Config, n int, open func(Config) (*shard, error)) (*Engine, error
 	}
 	s := &Engine{
 		cfg:     cfg,
-		rv:      make(map[ids.Fingerprint]*rendezvous),
+		certs:   make(map[ids.Fingerprint]*certmodel.CertInfo),
+		icpt:    interception.NewDetector(cfg.Input.Bundle, cfg.Input.CT).NewStream(),
 		m:       newRouterMetrics(cfg.Metrics, n),
 		scratch: make([]*batch, n),
 		routed:  make([]uint64, n),
-		union:   interception.NewMerge(2),
-		cursors: make([]int, n),
 	}
 	for i := 0; i < n; i++ {
 		e, err := open(s.shardConfig(i, n))
@@ -455,12 +448,6 @@ func (s *Engine) versions() []uint64 {
 	return vers
 }
 
-// absorbLocked brings the union current with shard i's detector. Caller
-// holds unionMu and the shard's state lock.
-func (s *Engine) absorbLocked(i int) {
-	s.cursors[i] = s.union.Absorb(s.shards[i].icpt, s.cursors[i])
-}
-
 // capture is the merged view's source: what each shard's window holds
 // beyond the view's cursor, snapshotted under that shard's lock, and as
 // one more source, certificates only, the roster log's suffix. All of it
@@ -468,13 +455,11 @@ func (s *Engine) absorbLocked(i int) {
 // immutable, appends land past the captured lengths, eviction swaps in
 // fresh arrays, a verdict is a new value when it moves); on a tiered
 // window the records are copies made here, which is what Copies tells the
-// view. The version is read, and the union caught up, under the same lock
-// hold as the state, so the cache key and the verdict match exactly what
-// was captured; the union lock is held across all shards so a concurrent
-// Stats cannot run the verdict ahead of a shard already captured. A
-// detector only ever resolves a leaf the router handed it, so the verdict
-// excludes no certificate the roster — read under the router lock, after
-// the shards — does not list.
+// view. Each version is read under the same lock hold as the state, so the
+// cache key matches exactly what was captured. The detector only ever
+// resolves a leaf the roster handed it, and both are read under the one
+// router lock hold, so the verdict excludes no certificate the roster does
+// not list.
 //
 // The router lock is held throughout, so no sequence is assigned while
 // the shards are read and routed[] says exactly which of them still have
@@ -495,7 +480,6 @@ func (s *Engine) capture(since []core.MergeCursor) core.MergeCapture {
 	frontier := uint64(math.MaxUint64)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.unionMu.Lock()
 	for i, e := range s.shards {
 		e.mu.Lock()
 		c.Versions[i] = e.stateVer.Load()
@@ -507,11 +491,9 @@ func (s *Engine) capture(since []core.MergeCursor) core.MergeCapture {
 		if e.nextSeq < s.routed[i] {
 			frontier = min(frontier, e.nextSeq)
 		}
-		s.absorbLocked(i)
 		e.mu.Unlock()
 	}
-	c.Verdict = s.union.Result()
-	s.unionMu.Unlock()
+	c.Verdict = s.icpt.Result()
 	c.Shards[n] = core.ShardState{Certs: s.roster[since[n].Certs:]}
 	c.Versions[n] = uint64(len(s.roster))
 	c.RawCerts = len(s.roster)
@@ -549,38 +531,34 @@ func (s *Engine) Analysis() *core.Analysis {
 }
 
 // Stats returns the operational counters: the shards' ingest, drop and
-// retention counters summed, the newest watermark, the router's
-// certificate numbers read off their atomics, and the §3.2 numbers as the
-// sizes of the union's verdict sets once it has caught up with every shard
-// — one lock hold per shard, none of the router's, nothing proportional
-// to the evidence or the roster. Rebuilds
-// counts merged-view replays (not the catch-ups that append); Dirty means
-// shard state changed since the last catch-up.
+// retention counters summed, the newest watermark, and the router's
+// certificate and §3.2 numbers read off their atomics — one lock hold per
+// shard, none of the router's, nothing proportional to the evidence or the
+// roster. Rebuilds counts merged-view replays (not the catch-ups that
+// append); Dirty means shard state changed since the last catch-up.
 func (s *Engine) Stats() Stats {
-	st := Stats{Rejected: s.rejected.Load()}
-	s.unionMu.Lock()
-	for i, e := range s.shards {
+	st := Stats{
+		Rejected:            s.rejected.Load(),
+		CertsIngested:       s.certsRouted.Load(),
+		UniqueCerts:         int(s.rosterLen.Load()),
+		PendingCerts:        int(s.parked.Load()),
+		ExcludedCerts:       int(s.excluded.Load()),
+		InterceptionIssuers: int(s.confirmed.Load()),
+	}
+	for _, e := range s.shards {
 		e.mu.Lock()
 		st.ConnsIngested += e.connsIngested
 		st.Dropped += e.dropped.Load()
 		st.Retained += e.st.ConnCount()
 		st.Evicted += e.evicted
-		st.PendingCerts += e.icpt.PendingCount()
 		if e.watermark.After(st.Watermark) {
 			st.Watermark = e.watermark
 		}
 		if e.lastCkpt.After(st.LastCheckpoint) {
 			st.LastCheckpoint = e.lastCkpt
 		}
-		s.absorbLocked(i)
 		e.mu.Unlock()
 	}
-	st.ExcludedCerts = s.union.ExcludedCount()
-	st.InterceptionIssuers = s.union.ConfirmedCount()
-	s.unionMu.Unlock()
-
-	st.CertsIngested = s.certsRouted.Load()
-	st.UniqueCerts = int(s.rosterLen.Load())
 	ms := s.view.Stats()
 	st.Rebuilds, st.Dirty = ms.Replays, ms.Stale
 	if !st.LastCheckpoint.IsZero() {

@@ -418,18 +418,31 @@ func stallApply(e *Engine) (release func()) {
 }
 
 // TestBackpressureDrop verifies the Drop policy sheds load without
-// corrupting state, and that drops are counted.
+// corrupting state, and that drops are counted. A shed connection is not
+// retained and not counted as ingested, but the router's detector saw it
+// when it numbered it: the §3.2 numbers are those of one stream over every
+// connection offered, not over the accepted ones alone.
 func TestBackpressureDrop(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	in := inputFromBuild(b)
 	in.Raw = nil
 	e := newEngine(t, in, func(c *Config) { c.Policy = Drop; c.Buffer = 8 })
+	offered, kept := newOracle(in), newOracle(in)
+	for _, c := range b.Raw.Certs {
+		if !e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c}) {
+			t.Fatal("cert event rejected")
+		}
+		offered.cert(c)
+		kept.cert(c)
+	}
 
 	// Stall the apply loop, then flood.
 	release := stallApply(e)
 	var accepted, dropped int
 	for i := range b.Raw.Conns {
+		offered.conn(&b.Raw.Conns[i])
 		if e.IngestConn(&b.Raw.Conns[i]) {
+			kept.conn(&b.Raw.Conns[i])
 			accepted++
 		} else {
 			dropped++
@@ -441,15 +454,22 @@ func TestBackpressureDrop(t *testing.T) {
 	if dropped == 0 {
 		t.Fatal("expected drops with a stalled consumer and an 8-slot buffer")
 	}
-	st := e.Stats()
+	st := offered.check(t, e, "flooded")
+	if st.ExcludedCerts <= kept.icpt.ExcludedCount() {
+		t.Fatalf("vacuous: the accepted connections alone exclude %d certificates, all offered %d", kept.icpt.ExcludedCount(), st.ExcludedCerts)
+	}
 	if st.Dropped != uint64(dropped) {
 		t.Fatalf("Stats.Dropped = %d, want %d", st.Dropped, dropped)
 	}
 	if st.ConnsIngested != uint64(accepted) {
 		t.Fatalf("ConnsIngested = %d, want %d accepted", st.ConnsIngested, accepted)
 	}
-	if a := e.Analysis(); a.Preprocess.RawConns != accepted {
+	a := e.Analysis()
+	if a.Preprocess.RawConns != accepted {
 		t.Fatalf("RawConns = %d, want %d", a.Preprocess.RawConns, accepted)
+	}
+	if a.Preprocess.ExcludedCerts != st.ExcludedCerts {
+		t.Fatalf("the read excludes %d certificates, Stats %d", a.Preprocess.ExcludedCerts, st.ExcludedCerts)
 	}
 }
 
@@ -510,11 +530,12 @@ func TestDropNeverShedsCertificates(t *testing.T) {
 	}
 }
 
-// TestShedWakeRidesNextBatch: the one thing a certificate sends a shard
-// is a wake for the observations parked on it, and a full buffer under
-// Policy Drop does not lose it — the router keeps it and sends it with
-// the next batch routed there, so the parked connection is observed.
-func TestShedWakeRidesNextBatch(t *testing.T) {
+// TestLateCertDrainsBehindFullBuffer: a certificate crosses no shard
+// buffer, and neither do the observations parked on it — they wait in the
+// router's detector. With the apply loop stalled behind a full one-slot
+// buffer under Policy Drop, the late leaf's arrival alone takes
+// PendingCerts from 1 to 0: no apply, no further connection.
+func TestLateCertDrainsBehindFullBuffer(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	in := inputFromBuild(b)
 	in.Raw = nil
@@ -556,17 +577,15 @@ func TestShedWakeRidesNextBatch(t *testing.T) {
 	if !e.IngestCert(&core.CertRecord{TS: late.NotBefore, Cert: late}) {
 		t.Fatal("a full shard buffer refused a certificate")
 	}
+	if e.IngestConn(other) {
+		t.Fatal("the buffer took a third batch: the certificate did not arrive behind a full one")
+	}
+	shed++
+	// Stats takes the state lock the stall holds, so it is read after the
+	// release — without a Drain: the number does not wait for the shard.
 	release()
-	e.Drain()
-	if st := e.Stats(); st.PendingCerts != 1 || st.Dropped != shed {
-		t.Fatalf("after the shed wake: %d parked, %d dropped; want 1 and the %d connections (a kept wake is not a drop)", st.PendingCerts, st.Dropped, shed)
-	}
-	if !e.IngestConn(other) {
-		t.Fatal("conn event rejected")
-	}
-	e.Drain()
-	if got := e.Stats().PendingCerts; got != 0 {
-		t.Fatalf("%d observations still parked after the next batch carried the wake", got)
+	if st := e.Stats(); st.PendingCerts != 0 || st.Dropped != shed {
+		t.Fatalf("after the late certificate: %d parked, %d dropped; want 0 and the %d connections shed", st.PendingCerts, st.Dropped, shed)
 	}
 }
 

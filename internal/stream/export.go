@@ -135,8 +135,7 @@ func mergeExportConns(parts [][]ExportConn) []ExportConn {
 // already-assigned sequence is applied (otherwise a cursor could advance
 // past in-flight records and a delta would skip them forever), the
 // per-shard streams are collected back into one ascending sequence order,
-// and the evidence is the router's union, caught up with each shard under
-// the lock hold that exports its connections. Connections already evicted
+// and the evidence is the router's detector's. Connections already evicted
 // by retention are not replayed into a delta, mirroring what the engine's
 // own reports describe. Requires Config.TrackExport.
 func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
@@ -160,9 +159,7 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 		NextSeq:   s.nextSeq,
 		Retention: s.cfg.Retention,
 	}
-	pending := 0
 	parts := make([][]ExportConn, len(s.shards))
-	s.unionMu.Lock()
 	for i, e := range s.shards {
 		e.mu.Lock()
 		st.ConnsIngested += e.connsIngested
@@ -170,13 +167,9 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 			st.Watermark = e.watermark
 		}
 		parts[i] = e.exportConnsLocked(since)
-		s.absorbLocked(i)
-		pending += e.icpt.PendingCount()
 		e.mu.Unlock()
 	}
-	st.Evidence = s.union.Evidence()
-	s.unionMu.Unlock()
-	st.Evidence.Pending = pending
+	st.Evidence = s.icpt.Evidence()
 	st.CertsIngested = s.certsRouted.Load()
 	// The roster log ascends by sequence: a delta is its suffix, O(delta)
 	// whatever the roster size.

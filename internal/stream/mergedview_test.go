@@ -49,11 +49,12 @@ func holdBack(t *testing.T, e *shard) (release func()) {
 }
 
 // frontierOracle replays s's shards as they stand through a fresh
-// MergeShards, connections capped below frontier, under the union's
+// MergeShards, connections capped below frontier, under the detector's
 // current verdict — what a read must equal while a shard lags.
 func frontierOracle(s *Engine, frontier uint64, pre *core.PreprocessReport) *core.Analysis {
 	s.mu.Lock()
 	states := []core.ShardState{{Certs: s.roster}}
+	res := s.icpt.Result()
 	s.mu.Unlock()
 	for _, e := range s.shards {
 		e.mu.Lock()
@@ -62,10 +63,6 @@ func frontierOracle(s *Engine, frontier uint64, pre *core.PreprocessReport) *cor
 		states = append(states, core.ShardState{Conns: conns[:k], Seqs: seqs[:k]})
 		e.mu.Unlock()
 	}
-	s.Stats() // absorbs every shard's evidence
-	s.unionMu.Lock()
-	res := s.union.Result()
-	s.unionMu.Unlock()
 	b := core.MergeShards(s.cfg.Input, states, func(fp ids.Fingerprint) bool { return res.ExcludedCerts[fp] })
 	return b.Pipeline(pre).RunAll()
 }

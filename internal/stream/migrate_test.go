@@ -14,14 +14,15 @@ import (
 	"repro/internal/certmodel"
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/interception"
 	"repro/internal/workload"
 )
 
 // The fixtures under testdata/parent are checkpoints written by parent
 // commits — before the segment-chain directory became the only format,
-// before the router owned every engine's numbering, and before it owned
-// the one certificate roster (see the README there): real bytes of each
-// shape a deployed daemon may hold.
+// before the router owned every engine's numbering, before it owned the
+// one certificate roster, and before it owned the one §3.2 detector (see
+// the README there): real bytes of each shape a deployed daemon may hold.
 
 // fixtureRows is the slice of the fixture build those checkpoints were
 // fed: every 24th connection and the certificates their chains name,
@@ -186,6 +187,30 @@ type exportNumbering struct {
 	ConnSeqs       []uint64
 }
 
+// detectorState is a writer's §3.2 state at its last commit, which the
+// roster-* writers recorded beside their numbering: Stats' three numbers
+// and the exported evidence.
+type detectorState struct {
+	PendingCerts, ExcludedCerts, InterceptionIssuers int
+	Evidence                                         *interception.Evidence
+}
+
+func detectorStats(e *Engine) detectorState {
+	st := e.Stats()
+	return detectorState{PendingCerts: st.PendingCerts, ExcludedCerts: st.ExcludedCerts, InterceptionIssuers: st.InterceptionIssuers}
+}
+
+func readJSON(t testing.TB, path string, into any) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf, into); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func numbering(t testing.TB, e *Engine) exportNumbering {
 	t.Helper()
 	st, err := e.Export(0, 0)
@@ -211,7 +236,12 @@ func numbering(t testing.TB, e *Engine) exportNumbering {
 // and nothing of the older shape, or, where the parent's directory already
 // keeps everything where this release reads it (the routed-* three, whose
 // only difference is a certificate repeated in every chain that referenced
-// it), the parent's own chains one delta longer.
+// it, and the roster-* three, whose only difference is a detector state in
+// every chain), the parent's own chains one delta longer. The roster-*
+// writers ran a detector per shard and recorded what the deployment's
+// §3.2 state was: the one detector restored from their chains must hold
+// exactly that, and keep holding it once this release's deltas — detector
+// state in chain 0 alone — sit on top of the writer's segments.
 func TestMigrateParentCheckpoints(t *testing.T) {
 	fx := loadFixture()
 	ref := newEngine(t, fx.in, nil)
@@ -223,18 +253,24 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 	for _, c := range []struct {
 		name, path string
 		shards     int
-		export     bool // the writer exported; <name>.export.json is its numbering
-		chain      int  // segments per chain the writer left, where the directory is continued in place
+		export     bool   // the writer exported; <name>.export.json is its numbering
+		chain      int    // segments per chain the writer left, where the directory is continued in place
+		detector   string // the export record holding the writer's §3.2 state ("": not recorded)
 	}{
-		{"gob", "gob/mtlsd.ckpt", 1, false, 0},
-		{"v1", "v1", 1, false, 0},
-		{"sharded", "sharded", 2, true, 0},
-		{"v2-plain", "v2-plain", 1, false, 0},
-		{"v2-export", "v2-export", 1, true, 0},
-		{"v2-sharded-export", "v2-sharded-export", 2, true, 0},
-		{"routed-plain", "routed-plain", 1, false, 2},
-		{"routed-export", "routed-export", 1, true, 2},
-		{"routed-sharded-export", "routed-sharded-export", 2, true, 2},
+		{"gob", "gob/mtlsd.ckpt", 1, false, 0, ""},
+		{"v1", "v1", 1, false, 0, ""},
+		{"sharded", "sharded", 2, true, 0, ""},
+		{"v2-plain", "v2-plain", 1, false, 0, ""},
+		{"v2-export", "v2-export", 1, true, 0, ""},
+		{"v2-sharded-export", "v2-sharded-export", 2, true, 0, ""},
+		{"routed-plain", "routed-plain", 1, false, 2, ""},
+		{"routed-export", "routed-export", 1, true, 2, ""},
+		{"routed-sharded-export", "routed-sharded-export", 2, true, 2, ""},
+		// The same rows at one shard hold the same §3.2 state, so the plain
+		// writer — which could not export — is held to the exporting one's.
+		{"roster-plain", "roster-plain", 1, false, 2, "roster-export"},
+		{"roster-export", "roster-export", 1, true, 2, "roster-export"},
+		{"roster-sharded-export", "roster-sharded-export", 2, true, 2, "roster-sharded-export"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tmp := t.TempDir()
@@ -258,17 +294,56 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 			}
 			var recorded exportNumbering
 			if c.export {
-				buf, err := os.ReadFile(filepath.Join(tmp, c.name+".export.json"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := json.Unmarshal(buf, &recorded); err != nil {
-					t.Fatal(err)
-				}
+				readJSON(t, filepath.Join(tmp, c.name+".export.json"), &recorded)
 				if got := numbering(t, eng); !reflect.DeepEqual(got, recorded) {
 					t.Fatalf("restored export numbering (epoch %d, next %d) differs from the writer's (epoch %d, next %d)",
 						got.Epoch, got.NextSeq, recorded.Epoch, recorded.NextSeq)
 				}
+			}
+			if c.detector != "" {
+				var wrote detectorState
+				readJSON(t, filepath.Join(tmp, c.detector+".export.json"), &wrote)
+				if wrote.PendingCerts == 0 || len(wrote.Evidence.Observed) == 0 {
+					t.Fatal("vacuous: the writer recorded no parked observation or no evidence")
+				}
+				held := func(e *Engine, when string) {
+					t.Helper()
+					got := detectorStats(e)
+					if c.export {
+						st, err := e.Export(0, 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got.Evidence = st.Evidence
+					} else {
+						got.Evidence = wrote.Evidence
+					}
+					if !reflect.DeepEqual(got, wrote) {
+						t.Fatalf("%s: %d parked / %d excluded / %d issuers (evidence equal: %v), the writer had %d / %d / %d", when,
+							got.PendingCerts, got.ExcludedCerts, got.InterceptionIssuers, reflect.DeepEqual(got.Evidence, wrote.Evidence),
+							wrote.PendingCerts, wrote.ExcludedCerts, wrote.InterceptionIssuers)
+					}
+				}
+				held(eng, "restored from the parent's bytes")
+				// The same on a copy this release has continued before the late
+				// certificates arrive: the writer's chain-1 state now lies under
+				// a delta that carries none, and what it had parked is in chain
+				// 0's — restored once, not once per segment that mentions it.
+				side := filepath.Join(t.TempDir(), "continued")
+				copyDir(t, path, side)
+				early, cursor, err := RestoreSharded(cfg, c.shards, side)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := early.WriteCheckpoint(side, cursor); err != nil {
+					t.Fatal(err)
+				}
+				early.Close()
+				if early, _, err = RestoreSharded(cfg, c.shards, side); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(early.Close)
+				held(early, "restored from the parent's bytes under one delta")
 			}
 			feedRows(t, eng, fx.late, fx.after)
 			eng.Drain()
@@ -310,6 +385,15 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 				if c.chain > 0 && !reflect.DeepEqual(chain[:c.chain], written.Chains[i]) {
 					t.Fatalf("chain %d starts %v, want the writer's segments %v kept", i, chain[:c.chain], written.Chains[i])
 				}
+				// The detector is the router's: its state rides chain 0.
+				sg := chain[len(chain)-1]
+				st, err := readSegmentState(filepath.Join(path, sg.Name), sg.Bytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (st.Interception != nil) != (i == 0) {
+					t.Fatalf("chain %d's new segment carries detector state: %v, want it in chain 0 alone", i, st.Interception != nil)
+				}
 			}
 
 			again, cursor := restore()
@@ -317,6 +401,9 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 				t.Fatalf("cursor after migration = %v, want %v", cursor, end)
 			}
 			diffReports(t, "restored from the migrated directory", want, allReports(t, again))
+			if before, after := detectorStats(eng), detectorStats(again); before != after {
+				t.Fatalf("§3.2 state changed across the migration: %+v → %+v", before, after)
+			}
 			if c.export {
 				if before, after := numbering(t, eng), numbering(t, again); !reflect.DeepEqual(before, after) {
 					t.Fatalf("export numbering changed across the migration: epoch %d → %d, next %d → %d",

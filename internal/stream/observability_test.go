@@ -172,7 +172,7 @@ func TestEngineMetrics(t *testing.T) {
 			t.Errorf("shards=%d: conns counters sum to %d, stats = %d, fed %d", n, conns, st.ConnsIngested, len(b.Raw.Conns))
 		}
 		// One batch per connection was fed; a certificate crosses no shard
-		// buffer (every one arrived ahead of its connections: no wakes).
+		// buffer.
 		if applied != st.ConnsIngested {
 			t.Errorf("shards=%d: apply latency observations = %d, want %d", n, applied, st.ConnsIngested)
 		}

@@ -6,10 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/certmodel"
 	"repro/internal/core"
-	"repro/internal/interception"
-	"repro/internal/psl"
 	"repro/internal/store"
 )
 
@@ -22,17 +19,15 @@ type event struct {
 	enq   time.Time
 }
 
-// shard is one apply loop and the raw state it owns: the retained window
-// of the connections hashed to it, the §3.2 detector over them, and the
-// segment chain that state is checkpointed to. A shard is always fed by
-// its Engine's router — every record arrives validated, stamped with a
-// deployment-wide sequence and beside the server leaf certificate the
-// router resolved for it, so a shard holds no certificate table — and
-// never read directly: it enriches nothing and materializes nothing, the
-// Engine's merged view reads every shard's suffix instead.
+// shard is one apply loop and the raw state it owns: its window — the
+// retained connections hashed to it — and its checkpoint chain. A shard is
+// always fed by its Engine's router — every record arrives validated and
+// stamped with a deployment-wide sequence; the certificate roster and the
+// §3.2 detector are the router's — and never read directly: it enriches
+// nothing and materializes nothing, the Engine's merged view reads every
+// shard's suffix instead.
 type shard struct {
 	cfg  Config
-	det  *interception.Detector
 	ch   chan event
 	done chan struct{}
 
@@ -45,16 +40,14 @@ type shard struct {
 	mu sync.Mutex // guards all state below
 
 	// stateVer counts report-visible state changes (connection applies,
-	// wakes, evictions, restores). The merged view reads it
-	// without the state lock to decide whether what it materialized is
-	// still current; written only under mu.
+	// evictions, restores). The merged view reads it without the state
+	// lock to decide whether what it materialized is still current;
+	// written only under mu.
 	stateVer atomic.Uint64
 
-	// Raw state — ground truth, never invalidated: the retained connection
-	// window, every record under its sequence, and the cumulative §3.2
-	// detector.
-	st   *store.Window
-	icpt *interception.Stream
+	// st is the raw state — ground truth, never invalidated: the retained
+	// connection window, every record under its sequence.
+	st *store.Window
 
 	// nextSeq is one past the last connection sequence applied; it trails
 	// the router's stamps.
@@ -92,12 +85,6 @@ func newShard(cfg Config) (*shard, error) {
 		done: make(chan struct{}),
 		st:   st,
 	}
-	// The detector must match the batch preprocess exactly (core uses
-	// MinDomains 2 over the default PSL).
-	e.det = &interception.Detector{
-		Bundle: cfg.Input.Bundle, CT: cfg.Input.CT, PSL: psl.Default(), MinDomains: 2,
-	}
-	e.icpt = e.det.NewStream()
 	e.m = newShardMetrics(cfg.Metrics, e)
 	go e.run()
 	return e, nil
@@ -105,8 +92,7 @@ func newShard(cfg Config) (*shard, error) {
 
 // send enqueues ev unless the shard is closed. A non-blocking send
 // (Policy Drop; only batches travel that way) that finds the buffer full
-// sheds the batch, counting its connection events in Stats.Dropped; its
-// wakes are not lost (the router keeps them for the next send).
+// sheds the batch, counting its connection events in Stats.Dropped.
 func (e *shard) send(ev event, block bool) bool {
 	e.sendMu.RLock()
 	defer e.sendMu.RUnlock()
@@ -187,10 +173,8 @@ func (e *shard) applyLocked(ev event) {
 }
 
 // applyConnLocked admits one connection under the router's sequence: it
-// is retained raw (the window every report is materialized from) and
-// observed by the interception detector, with the server leaf the router
-// resolved.
-func (e *shard) applyConnLocked(rec *core.ConnRecord, leaf *certmodel.CertInfo, seq uint64) {
+// is retained raw (the window every report is materialized from).
+func (e *shard) applyConnLocked(rec *core.ConnRecord, seq uint64) {
 	e.connsIngested++
 	e.m.connsIngested.Inc()
 	e.stateVer.Add(1)
@@ -198,7 +182,7 @@ func (e *shard) applyConnLocked(rec *core.ConnRecord, leaf *certmodel.CertInfo, 
 		e.watermark = rec.TS
 	}
 	e.nextSeq = seq + 1
-	e.icpt.Observe(e.st.AppendConn(rec, seq), leaf)
+	e.st.AppendConn(rec, seq)
 
 	if e.cfg.Retention > 0 {
 		e.sinceEvict++

@@ -64,10 +64,9 @@ func TestShardedMatchesSingleAndBatch(t *testing.T) {
 }
 
 // TestShardedOutOfOrderCerts feeds every connection before any
-// certificate: each shard parks observations in its own pending set, the
-// rendezvous forwards every late certificate to the shards that
-// registered interest, and the drained merge must still equal batch —
-// the per-shard retroactive-evidence path under fan-out.
+// certificate: the detector parks every observation, each late
+// certificate drains the ones waiting on it, and the drained merge must
+// still equal batch — the retroactive-evidence path at every shard count.
 func TestShardedOutOfOrderCerts(t *testing.T) {
 	b := genBuild(20240504, 1000)
 	batch := core.Run(inputFromBuild(b))
@@ -91,8 +90,8 @@ func TestShardedOutOfOrderCerts(t *testing.T) {
 
 // TestShardedInterleaved alternates chunks of connections and
 // certificates, so some leaf certificates arrive before their
-// connections (direct rendezvous delivery at routing time) and some
-// after (waiting-set forwarding) — both rendezvous paths in one stream.
+// connections (resolved at routing time) and some after (parked, then
+// drained by the certificate) — both detector paths in one stream.
 func TestShardedInterleaved(t *testing.T) {
 	b := genBuild(7, 1000)
 	batch := core.Run(inputFromBuild(b))

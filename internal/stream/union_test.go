@@ -18,50 +18,52 @@ import (
 	"repro/internal/truststore"
 )
 
-// rebuildCounts is the oracle for the long-lived union: a fresh union
-// absorbing every source's whole evidence, which is what a per-call
-// rebuild of the verdict computes. (That a union's verdict is the right
-// function of its relations is pinned in package interception, against a
-// recomputation that shares no code with it.)
-func rebuildCounts(evs ...*interception.Evidence) (excluded, issuers int) {
-	m := interception.NewMerge(2)
-	for _, ev := range evs {
-		m.AbsorbEvidence(ev)
-	}
-	return m.ExcludedCount(), m.ConfirmedCount()
+// oracle is the §3.2 filter in one place: one interception.Stream and the
+// roster it resolves leaves against, fed the events an engine accepted in
+// the order it accepted them. It shares package interception with the
+// engine and nothing of package stream.
+type oracle struct {
+	certs map[ids.Fingerprint]*certmodel.CertInfo
+	icpt  *interception.Stream
 }
 
-// shardEvidence copies each shard's raw evidence under its lock.
-func shardEvidence(s *Engine) []*interception.Evidence {
-	evs := make([]*interception.Evidence, len(s.shards))
-	for i, e := range s.shards {
-		e.mu.Lock()
-		evs[i] = e.icpt.Evidence()
-		e.mu.Unlock()
+func newOracle(in *core.Input) *oracle {
+	return &oracle{
+		certs: map[ids.Fingerprint]*certmodel.CertInfo{},
+		icpt:  interception.NewDetector(in.Bundle, in.CT).NewStream(),
 	}
-	return evs
 }
 
-// checkUnion asserts the deployment's §3.2 stats equal the from-scratch
-// union of its shards' evidence. The deployment must be drained.
-func checkUnion(t *testing.T, s *Engine, step string) Stats {
+func (o *oracle) cert(c *certmodel.CertInfo) {
+	if o.certs[c.Fingerprint] == nil {
+		o.certs[c.Fingerprint] = c
+		o.icpt.ObserveCert(c)
+	}
+}
+
+func (o *oracle) conn(rec *core.ConnRecord) {
+	o.icpt.Observe(rec, o.certs[rec.ServerLeaf()])
+}
+
+// check asserts the engine's three §3.2 stats equal the oracle's.
+func (o *oracle) check(t *testing.T, s *Engine, step string) Stats {
 	t.Helper()
 	st := s.Stats()
-	excluded, issuers := rebuildCounts(shardEvidence(s)...)
-	if st.ExcludedCerts != excluded || st.InterceptionIssuers != issuers {
-		t.Fatalf("%s: Stats = %d excluded / %d issuers, from-scratch union = %d / %d",
-			step, st.ExcludedCerts, st.InterceptionIssuers, excluded, issuers)
+	if st.PendingCerts != o.icpt.PendingCount() || st.ExcludedCerts != o.icpt.ExcludedCount() || st.InterceptionIssuers != o.icpt.ConfirmedCount() {
+		t.Fatalf("%s: Stats = %d pending / %d excluded / %d issuers, one stream fed the same events = %d / %d / %d",
+			step, st.PendingCerts, st.ExcludedCerts, st.InterceptionIssuers,
+			o.icpt.PendingCount(), o.icpt.ExcludedCount(), o.icpt.ConfirmedCount())
 	}
 	return st
 }
 
 // TestShardedStatsUnionMatchesRebuild drives random interleavings of
-// certificates and connections through sharded deployments and, after
-// every batch, holds Stats' §3.2 numbers to the from-scratch union of the
-// shards' evidence; mid-stream the deployment is checkpointed, killed and
-// restored (the union starts over from the rebuilt journals); drained,
-// the numbers and the preprocess report equal the batch pipeline's over
-// the same events, and every shard count parks the same connections.
+// certificates and connections through engines of one to four shards and,
+// after every batch — before the shards have applied it — holds Stats'
+// three §3.2 numbers to one fresh interception.Stream fed the same events;
+// mid-stream the engine is checkpointed, killed and restored; drained, the
+// numbers and the preprocess report equal the batch pipeline's over the
+// same events, and every shard count parks the same connections.
 func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 	b := genBuild(20240504, 4000)
 	in := inputFromBuild(b)
@@ -77,29 +79,33 @@ func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		// One event list, certificates and connections shuffled together:
 		// a connection before its leaf certificate parks in the detector
-		// and lands as evidence only when the rendezvous forwards the
-		// certificate, so pairs arrive on both paths.
+		// and lands as evidence only when the certificate arrives, so pairs
+		// arrive on both paths.
 		order := rng.Perm(len(certs) + len(b.Raw.Conns))
 
 		s := newSharded(t, n, in, nil)
+		o := newOracle(in)
+		parkedMidStream := false
 		restoreAt := len(order) / 2
 		for lo, batchNo := 0, 0; lo < len(order); batchNo++ {
 			hi := min(lo+200+rng.Intn(800), len(order))
 			for _, k := range order[lo:hi] {
 				if k < len(certs) {
 					s.IngestCert(&certs[k])
+					o.cert(certs[k].Cert)
 				} else {
 					s.IngestConn(&b.Raw.Conns[k-len(certs)])
+					o.conn(&b.Raw.Conns[k-len(certs)])
 				}
 			}
-			s.Drain()
-			checkUnion(t, s, fmt.Sprintf("shards=%d batch %d", n, batchNo))
+			o.check(t, s, fmt.Sprintf("shards=%d batch %d", n, batchNo))
 			if lo < restoreAt && hi >= restoreAt {
+				parkedMidStream = o.icpt.PendingCount() > 0
+				s.Drain()
 				dir := filepath.Join(t.TempDir(), "ckpt")
 				if err := s.WriteCheckpoint(dir, nil); err != nil {
 					t.Fatal(err)
 				}
-				before := s.Stats()
 				s.Close()
 				restored, _, err := RestoreSharded(Config{Input: in}, n, dir)
 				if err != nil {
@@ -107,16 +113,15 @@ func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 				}
 				t.Cleanup(restored.Close)
 				s = restored
-				s.Drain() // rendezvous heals are in flight after a restore
-				after := checkUnion(t, s, fmt.Sprintf("shards=%d restored", n))
-				if after.ExcludedCerts != before.ExcludedCerts || after.InterceptionIssuers != before.InterceptionIssuers {
-					t.Fatalf("shards=%d: restore moved the verdict %d/%d -> %d/%d", n,
-						before.ExcludedCerts, before.InterceptionIssuers, after.ExcludedCerts, after.InterceptionIssuers)
-				}
+				o.check(t, s, fmt.Sprintf("shards=%d restored", n))
 			}
 			lo = hi
 		}
-		got := s.Stats()
+		if !parkedMidStream {
+			t.Errorf("shards=%d: vacuous: nothing was parked when the engine was checkpointed", n)
+		}
+		s.Drain()
+		got := o.check(t, s, fmt.Sprintf("shards=%d drained", n))
 		if pending < 0 {
 			pending = got.PendingCerts
 		}
@@ -160,13 +165,14 @@ func corroborationInput() (*core.Input, []*certmodel.CertInfo, []core.ConnRecord
 }
 
 // TestShardedUnionCorroboratesAcrossShards is the case a per-shard
-// verdict cannot see: the issuer is contradicted on domain A on one shard
-// and on domain B on another, so no shard confirms it and only the union
-// does — incrementally, as the second pair lands.
+// verdict cannot see: the issuer is contradicted on domain A by a
+// connection of one shard and on domain B by a connection of another, so
+// only a verdict over both confirms it — as the second pair lands.
 func TestShardedUnionCorroboratesAcrossShards(t *testing.T) {
 	in, certs, conns := corroborationInput()
 	for _, n := range []int{2, 3, 4} {
 		s := newSharded(t, n, in, nil)
+		o := newOracle(in)
 		// UIDs chosen so the two connections have different home shards.
 		conns[0].UID = "Ca"
 		for i := 0; ; i++ {
@@ -177,32 +183,27 @@ func TestShardedUnionCorroboratesAcrossShards(t *testing.T) {
 		}
 		for _, c := range certs {
 			s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+			o.cert(c)
 		}
 		s.IngestConn(&conns[0])
+		o.conn(&conns[0])
 		s.Drain()
-		if st := checkUnion(t, s, "first domain"); st.InterceptionIssuers != 0 || st.ExcludedCerts != 0 {
+		if st := o.check(t, s, "first domain"); st.InterceptionIssuers != 0 || st.ExcludedCerts != 0 {
 			t.Fatalf("shards=%d: one contradicted domain confirmed the issuer: %+v", n, st)
 		}
 		s.IngestConn(&conns[1])
+		o.conn(&conns[1])
 		s.Drain()
-		for i, e := range s.shards {
-			e.mu.Lock()
-			alone := e.icpt.ConfirmedCount()
-			e.mu.Unlock()
-			if alone != 0 {
-				t.Fatalf("shards=%d: shard %d confirmed the issuer alone; the split is vacuous", n, i)
-			}
-		}
-		if st := checkUnion(t, s, "second domain"); st.InterceptionIssuers != 1 || st.ExcludedCerts != 2 {
+		if st := o.check(t, s, "second domain"); st.InterceptionIssuers != 1 || st.ExcludedCerts != 2 {
 			t.Fatalf("shards=%d: union verdict %d issuers / %d excluded, want 1 / 2", n, st.InterceptionIssuers, st.ExcludedCerts)
 		}
 	}
 }
 
 // TestShardedUnionConcurrent runs Stats, Report and Export against live
-// ingest — the three consumers of the one union, each catching it up
-// under its own lock order — for the race detector, then checks the
-// drained verdict.
+// ingest — the three readers of the one detector: Stats off its published
+// sizes, the other two under the router lock — for the race detector, then
+// checks the drained verdict.
 func TestShardedUnionConcurrent(t *testing.T) {
 	b := genBuild(7, 4000)
 	in := inputFromBuild(b)
@@ -228,7 +229,7 @@ func TestShardedUnionConcurrent(t *testing.T) {
 	}
 	var lastExcluded int
 	reader(func() {
-		// The union only grows, so one reader never sees it shrink.
+		// The exclusion set only grows, so one reader never sees it shrink.
 		if st := s.Stats(); st.ExcludedCerts < lastExcluded {
 			t.Errorf("ExcludedCerts went backwards: %d after %d", st.ExcludedCerts, lastExcluded)
 		} else {
@@ -250,7 +251,14 @@ func TestShardedUnionConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	st := checkUnion(t, s, "drained")
+	o := newOracle(in)
+	for i := range certs {
+		o.cert(certs[i].Cert)
+	}
+	for i := range b.Raw.Conns {
+		o.conn(&b.Raw.Conns[i])
+	}
+	st := o.check(t, s, "drained")
 	pre, err := s.Report("preprocess")
 	if err != nil {
 		t.Fatal(err)
@@ -271,13 +279,12 @@ func statsAllocs(t *testing.T, scale int) (allocs float64, st Stats) {
 	s := newSharded(t, 2, in, nil)
 	feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
 	s.Drain()
-	s.Stats() // catch the union up; the measured calls find nothing new
 	return testing.AllocsPerRun(100, func() { st = s.Stats() }), st
 }
 
 // TestShardedStatsAllocsFlat is the regression guard for the O(1) Stats:
 // the allocation count must not depend on how much evidence or roster the
-// deployment holds. Rebuilding the union per call allocates a map per
+// deployment holds. Computing the verdict per call allocates a map per
 // issuer and an entry per observed leaf, so it grows with both.
 func TestShardedStatsAllocsFlat(t *testing.T) {
 	if race.Enabled {
