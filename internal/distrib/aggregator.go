@@ -3,6 +3,7 @@ package distrib
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -336,9 +337,10 @@ func (a *Aggregator) syncOnce(ctx context.Context, ss *sensorState) error {
 	return a.apply(ss, snap, n, cursor)
 }
 
-// negotiate picks the highest snapshot schema both sides support. A
-// sensor without /api/v1/version (an older build) is assumed to speak
-// SchemaV1.
+// negotiate picks the highest snapshot schema both sides support —
+// SchemaV2 with a sensor of this release, SchemaV1 with the previous one's.
+// A sensor without /api/v1/version (an older build still) is assumed to
+// speak SchemaV1.
 func (a *Aggregator) negotiate(ctx context.Context, base string) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/version", nil)
 	if err != nil {
@@ -379,7 +381,8 @@ func (a *Aggregator) negotiate(ctx context.Context, base string) (int, error) {
 // fetch pulls one snapshot. The HTTP status is returned alongside the
 // error so the caller can route 410/406 to their recovery paths.
 func (a *Aggregator) fetch(ctx context.Context, ss *sensorState, cursor, epoch uint64) (*Snapshot, int64, int, error) {
-	url := ss.url + "/api/v1/snapshot?schema=" + strconv.Itoa(ss.schema)
+	schema := ss.schema
+	url := ss.url + "/api/v1/snapshot?schema=" + strconv.Itoa(schema)
 	if cursor > 0 {
 		url += "&since=" + strconv.FormatUint(cursor, 10) + "&epoch=" + strconv.FormatUint(epoch, 10)
 	}
@@ -399,6 +402,15 @@ func (a *Aggregator) fetch(ctx context.Context, ss *sensorState, cursor, epoch u
 	}
 	cr := &countingReader{r: resp.Body}
 	snap, err := Decode(cr)
+	if err == nil && snap.Schema != schema {
+		err = fmt.Errorf("%w: %s answered schema %d, asked %d", ErrSchema, ss.url, snap.Schema, schema)
+	}
+	if errors.Is(err, ErrSchema) {
+		// The sensor no longer speaks what was negotiated (it was upgraded
+		// or rolled back under us): the same recovery as its refusing the
+		// schema outright — nothing of this body is merged.
+		return nil, cr.n, http.StatusNotAcceptable, err
+	}
 	if err != nil {
 		return nil, cr.n, resp.StatusCode, err
 	}

@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
+	"repro/internal/interception"
+	"repro/internal/store"
 	"repro/internal/stream"
 )
 
@@ -16,9 +19,20 @@ import (
 // connection frames, one evidence frame, and a trailer frame carrying
 // the record counts (so a truncated stream is detected even when it
 // ends on a frame boundary). Each frame is one type byte, a uvarint
-// payload length, and a JSON payload. Records travel in bounded batches
-// — frameRecords per frame — so encoding streams in O(batch) memory and
-// a snapshot larger than any single HTTP buffer flows through cleanly.
+// payload length, and a payload. Records travel in bounded batches —
+// frameRecords per frame — so encoding streams in O(batch) memory and a
+// snapshot larger than any single HTTP buffer flows through cleanly.
+//
+// The payloads are what the schema says. SchemaV2's are the record codec
+// a checkpoint segment carries (store/record.go): the header is the
+// schema number, the counters as uvarints, the watermark and the
+// retention; a record frame a count and that many records under their
+// sequences; the evidence frame a presence byte, the parked count and
+// every pair in interception.ComparePairs order; the trailer two counts.
+// SchemaV1's are JSON, one value per frame — the previous release's
+// format, decoded and on request still served for one release. The
+// header frame tells them apart: a JSON payload opens with '{', which as
+// a schema number is 123.
 const (
 	magic = "MTLSSNAP"
 
@@ -66,14 +80,19 @@ type trailer struct {
 	Conns int
 }
 
-// Encode writes s as one framed snapshot stream. The output is
-// canonical: encoding the result of Decode reproduces the bytes
-// Decode's input would have had under this encoder (JSON map keys are
-// sorted, batch boundaries are fixed, and the frame order is strict),
-// which is what the fuzz harness pins.
+// Encode writes s as one framed snapshot stream under s.Schema: SchemaV2
+// selects the binary payloads, anything else the JSON ones under that
+// number (which Decode accepts only as SchemaV1). The output is canonical
+// either way: encoding the result of Decode reproduces the bytes Decode's
+// input would have had under this encoder (evidence pairs and JSON map
+// keys are sorted, batch boundaries are fixed, and the frame order is
+// strict), which is what the fuzz harness pins.
 func Encode(w io.Writer, s *Snapshot) error {
 	if _, err := io.WriteString(w, magic); err != nil {
 		return err
+	}
+	if s.Schema == SchemaV2 {
+		return encodeBinary(w, s)
 	}
 	h := header{
 		Schema:        s.Schema,
@@ -121,14 +140,78 @@ func writeFrame(w io.Writer, typ byte, payload any) error {
 	return err
 }
 
-// Decode reads one framed snapshot stream, validating as it goes:
-// unknown frame types, out-of-order frames, oversized or truncated
-// payloads, malformed JSON, schema versions this build does not speak,
+// frameRoom is the space a binary frame's type byte and length prefix may
+// need ahead of its payload.
+const frameRoom = 1 + binary.MaxVarintLen64
+
+// encodeBinary writes the SchemaV2 frames. Every frame is encoded into
+// the one buffer, behind room for its prefix, and goes out in one Write.
+func encodeBinary(w io.Writer, s *Snapshot) error {
+	buf := make([]byte, frameRoom, 64<<10)
+	flush := func(typ byte) error {
+		var prefix [frameRoom]byte
+		prefix[0] = typ
+		n := 1 + binary.PutUvarint(prefix[1:], uint64(len(buf)-frameRoom))
+		start := frameRoom - n
+		copy(buf[start:], prefix[:n])
+		_, err := w.Write(buf[start:])
+		buf = buf[:frameRoom]
+		return err
+	}
+
+	buf = binary.AppendUvarint(buf, SchemaV2)
+	buf = binary.AppendUvarint(buf, s.Epoch)
+	buf = binary.AppendUvarint(buf, s.Since)
+	buf = binary.AppendUvarint(buf, s.NextSeq)
+	buf = binary.AppendUvarint(buf, s.ConnsIngested)
+	buf = binary.AppendUvarint(buf, s.CertsIngested)
+	buf = store.AppendTime(buf, s.Watermark)
+	buf = binary.AppendVarint(buf, int64(s.Retention))
+	if err := flush(frameHeader); err != nil {
+		return err
+	}
+	for off := 0; off < len(s.Certs); off += frameRecords {
+		batch := s.Certs[off:min(off+frameRecords, len(s.Certs))]
+		buf = binary.AppendUvarint(buf, uint64(len(batch)))
+		for i := range batch {
+			buf = store.AppendCert(buf, batch[i].Cert, batch[i].Seq)
+		}
+		if err := flush(frameCerts); err != nil {
+			return err
+		}
+	}
+	for off := 0; off < len(s.Conns); off += frameRecords {
+		batch := s.Conns[off:min(off+frameRecords, len(s.Conns))]
+		buf = binary.AppendUvarint(buf, uint64(len(batch)))
+		for i := range batch {
+			buf = store.AppendConn(buf, &batch[i].Conn, batch[i].Seq)
+		}
+		if err := flush(frameConns); err != nil {
+			return err
+		}
+	}
+	buf = store.AppendBool(buf, s.Evidence != nil)
+	if s.Evidence != nil {
+		buf = binary.AppendUvarint(buf, uint64(s.Evidence.Pending))
+		buf = store.AppendPairs(buf, s.Evidence.Pairs())
+	}
+	if err := flush(frameEvidence); err != nil {
+		return err
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(s.Certs)))
+	buf = binary.AppendUvarint(buf, uint64(len(s.Conns)))
+	return flush(frameTrailer)
+}
+
+// Decode reads one framed snapshot stream of either schema, validating as
+// it goes: unknown frame types, out-of-order frames, oversized or truncated
+// payloads, malformed payloads, schema versions this build does not speak,
 // non-positive connection weights, unkeyed certificates, sequence-order
-// violations, record counts disagreeing with the trailer, and time
-// values JSON cannot re-encode are all errors — never panics. A decoded
-// snapshot therefore always re-encodes cleanly and is safe to hand to
-// the merge path.
+// violations, evidence pairs out of canonical order, record counts
+// disagreeing with the trailer, and — under SchemaV1 — time values JSON
+// cannot re-encode are all errors, never panics. A decoded snapshot
+// therefore always re-encodes cleanly under its schema and is safe to hand
+// to the merge path.
 func Decode(r io.Reader) (*Snapshot, error) {
 	br := &byteReader{r: r}
 	var m [len(magic)]byte
@@ -146,25 +229,21 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	// appear at or after its stage, and record frames may not follow
 	// the evidence frame.
 	stage := 0 // 0=header 1=certs 2=conns 3=evidence 4=trailer
+	var buf []byte
 	for tr == nil {
-		typ, payload, err := readFrame(br)
+		typ, payload, err := readFrame(br, buf)
 		if err != nil {
 			return nil, err
 		}
+		buf = payload[:0] // every decoder below copies what it keeps
 		switch typ {
 		case frameHeader:
 			if stage > 0 {
 				return nil, fmt.Errorf("%w: duplicate header frame", errCodec)
 			}
-			var h header
-			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, fmt.Errorf("%w: header: %v", errCodec, err)
-			}
-			if !SchemaSupported(h.Schema) {
-				return nil, fmt.Errorf("%w: schema %d", ErrSchema, h.Schema)
-			}
-			if !jsonSafeTime(h.Watermark) {
-				return nil, fmt.Errorf("%w: watermark year out of range", errCodec)
+			h, err := decodeHeader(payload)
+			if err != nil {
+				return nil, err
 			}
 			if h.Retention < 0 {
 				return nil, fmt.Errorf("%w: negative retention", errCodec)
@@ -180,17 +259,14 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			if !seenHeader || stage > 1 {
 				return nil, fmt.Errorf("%w: certificate frame out of order", errCodec)
 			}
-			var batch []stream.ExportCert
-			if err := json.Unmarshal(payload, &batch); err != nil {
-				return nil, fmt.Errorf("%w: certs: %v", errCodec, err)
+			batch, err := decodeCerts(s.Schema, payload)
+			if err != nil {
+				return nil, err
 			}
 			for i := range batch {
 				c := batch[i].Cert
 				if c == nil || c.Fingerprint == "" {
 					return nil, fmt.Errorf("%w: unkeyed certificate", errCodec)
-				}
-				if !jsonSafeTime(c.NotBefore) || !jsonSafeTime(c.NotAfter) {
-					return nil, fmt.Errorf("%w: certificate date year out of range", errCodec)
 				}
 				if n := len(s.Certs); n > 0 {
 					prev := s.Certs[n-1]
@@ -206,16 +282,13 @@ func Decode(r io.Reader) (*Snapshot, error) {
 				return nil, fmt.Errorf("%w: connection frame out of order", errCodec)
 			}
 			stage = 2
-			var batch []stream.ExportConn
-			if err := json.Unmarshal(payload, &batch); err != nil {
-				return nil, fmt.Errorf("%w: conns: %v", errCodec, err)
+			batch, err := decodeConns(s.Schema, payload)
+			if err != nil {
+				return nil, err
 			}
 			for i := range batch {
 				if batch[i].Conn.Weight < 1 {
 					return nil, fmt.Errorf("%w: connection weight below 1", errCodec)
-				}
-				if !jsonSafeTime(batch[i].Conn.TS) {
-					return nil, fmt.Errorf("%w: connection timestamp year out of range", errCodec)
 				}
 				if n := len(s.Conns); n > 0 && batch[i].Seq <= s.Conns[n-1].Seq {
 					return nil, fmt.Errorf("%w: connection sequence not ascending at %d", errCodec, n)
@@ -226,11 +299,8 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			if !seenHeader || seenEvidence {
 				return nil, fmt.Errorf("%w: evidence frame out of order", errCodec)
 			}
-			if err := json.Unmarshal(payload, &s.Evidence); err != nil {
-				return nil, fmt.Errorf("%w: evidence: %v", errCodec, err)
-			}
-			if s.Evidence != nil && s.Evidence.Pending < 0 {
-				return nil, fmt.Errorf("%w: negative pending count", errCodec)
+			if s.Evidence, err = decodeEvidence(s.Schema, payload); err != nil {
+				return nil, err
 			}
 			seenEvidence = true
 			stage = 3
@@ -238,9 +308,8 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			if !seenEvidence {
 				return nil, fmt.Errorf("%w: trailer before evidence", errCodec)
 			}
-			tr = &trailer{}
-			if err := json.Unmarshal(payload, tr); err != nil {
-				return nil, fmt.Errorf("%w: trailer: %v", errCodec, err)
+			if tr, err = decodeTrailer(s.Schema, payload); err != nil {
+				return nil, err
 			}
 		default:
 			return nil, fmt.Errorf("%w: unknown frame type %q", errCodec, typ)
@@ -253,7 +322,143 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-func readFrame(br *byteReader) (byte, []byte, error) {
+// binaryErr reports what a record decoder made of a frame as a codec
+// error.
+func binaryErr(what string, d *store.Decoder) error {
+	if err := d.End(); err != nil {
+		return fmt.Errorf("%w: %s: %v", errCodec, what, err)
+	}
+	return nil
+}
+
+// decodeHeader reads the header frame of either schema; which one it is
+// decides how every later frame is read.
+func decodeHeader(payload []byte) (h header, err error) {
+	if len(payload) > 0 && payload[0] == '{' {
+		if err := json.Unmarshal(payload, &h); err != nil {
+			return h, fmt.Errorf("%w: header: %v", errCodec, err)
+		}
+		if h.Schema != SchemaV1 {
+			return h, fmt.Errorf("%w: schema %d", ErrSchema, h.Schema)
+		}
+		if !jsonSafeTime(h.Watermark) {
+			return h, fmt.Errorf("%w: watermark year out of range", errCodec)
+		}
+		return h, nil
+	}
+	d := store.NewDecoder(payload)
+	if schema := d.Uvarint(); schema != SchemaV2 {
+		return h, fmt.Errorf("%w: schema %d", ErrSchema, schema)
+	}
+	h = header{
+		Schema:        SchemaV2,
+		Epoch:         d.Uvarint(),
+		Since:         d.Uvarint(),
+		NextSeq:       d.Uvarint(),
+		ConnsIngested: d.Uvarint(),
+		CertsIngested: d.Uvarint(),
+		Watermark:     d.Time(),
+		Retention:     time.Duration(d.Varint()),
+	}
+	return h, binaryErr("header", d)
+}
+
+func decodeCerts(schema int, payload []byte) (batch []stream.ExportCert, err error) {
+	if schema == SchemaV1 {
+		if err := json.Unmarshal(payload, &batch); err != nil {
+			return nil, fmt.Errorf("%w: certs: %v", errCodec, err)
+		}
+		for i := range batch {
+			if c := batch[i].Cert; c != nil && (!jsonSafeTime(c.NotBefore) || !jsonSafeTime(c.NotAfter)) {
+				return nil, fmt.Errorf("%w: certificate date year out of range", errCodec)
+			}
+		}
+		return batch, nil
+	}
+	d := store.NewDecoder(payload)
+	batch = make([]stream.ExportCert, d.Count(store.MinCertBytes))
+	for i := range batch {
+		batch[i].Cert, batch[i].Seq = d.Cert()
+	}
+	return batch, binaryErr("certs", d)
+}
+
+func decodeConns(schema int, payload []byte) (batch []stream.ExportConn, err error) {
+	if schema == SchemaV1 {
+		if err := json.Unmarshal(payload, &batch); err != nil {
+			return nil, fmt.Errorf("%w: conns: %v", errCodec, err)
+		}
+		for i := range batch {
+			if !jsonSafeTime(batch[i].Conn.TS) {
+				return nil, fmt.Errorf("%w: connection timestamp year out of range", errCodec)
+			}
+		}
+		return batch, nil
+	}
+	d := store.NewDecoder(payload)
+	batch = make([]stream.ExportConn, d.Count(store.MinConnBytes))
+	for i := range batch {
+		batch[i].Seq = d.Conn(&batch[i].Conn)
+	}
+	return batch, binaryErr("conns", d)
+}
+
+func decodeEvidence(schema int, payload []byte) (ev *interception.Evidence, err error) {
+	if schema == SchemaV1 {
+		if err := json.Unmarshal(payload, &ev); err != nil {
+			return nil, fmt.Errorf("%w: evidence: %v", errCodec, err)
+		}
+		if ev != nil && ev.Pending < 0 {
+			return nil, fmt.Errorf("%w: negative pending count", errCodec)
+		}
+		return ev, nil
+	}
+	d := store.NewDecoder(payload)
+	if !d.Bool() {
+		return nil, binaryErr("evidence", d)
+	}
+	pending, pairs := d.Uvarint(), d.Pairs()
+	if err := binaryErr("evidence", d); err != nil {
+		return nil, err
+	}
+	if !slices.IsSortedFunc(pairs, strictlyBefore) {
+		return nil, fmt.Errorf("%w: evidence pairs out of canonical order", errCodec)
+	}
+	ev = interception.EvidenceOf(pairs)
+	if ev.Pending = int(pending); ev.Pending < 0 {
+		return nil, fmt.Errorf("%w: negative pending count", errCodec)
+	}
+	return ev, nil
+}
+
+// strictlyBefore compares pairs so that only a strictly ascending list —
+// canonical order, nothing twice — counts as sorted.
+func strictlyBefore(a, b interception.Pair) int {
+	if c := interception.ComparePairs(a, b); c != 0 {
+		return c
+	}
+	return 1
+}
+
+func decodeTrailer(schema int, payload []byte) (*trailer, error) {
+	tr := &trailer{}
+	if schema == SchemaV1 {
+		if err := json.Unmarshal(payload, tr); err != nil {
+			return nil, fmt.Errorf("%w: trailer: %v", errCodec, err)
+		}
+		return tr, nil
+	}
+	d := store.NewDecoder(payload)
+	if tr.Certs, tr.Conns = int(d.Uvarint()), int(d.Uvarint()); tr.Certs < 0 || tr.Conns < 0 {
+		return nil, fmt.Errorf("%w: trailer counts out of range", errCodec)
+	}
+	return tr, binaryErr("trailer", d)
+}
+
+// readFrame reads the next frame into buf's storage, grown when the frame
+// needs more; the payload is valid until that storage is handed to
+// another call.
+func readFrame(br *byteReader, buf []byte) (byte, []byte, error) {
 	typ, err := br.ReadByte()
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: frame type: %v", errCodec, err)
@@ -265,11 +470,14 @@ func readFrame(br *byteReader) (byte, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("%w: frame length %d exceeds %d", errCodec, n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(br, buf); err != nil {
 		return 0, nil, fmt.Errorf("%w: truncated frame: %v", errCodec, err)
 	}
-	return typ, payload, nil
+	return typ, buf, nil
 }
 
 // jsonSafeTime reports whether t survives a JSON round trip: Go's

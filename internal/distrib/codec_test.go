@@ -69,38 +69,74 @@ func TestCodecRoundTrip(t *testing.T) {
 	if len(s.Certs) == 0 || len(s.Conns) == 0 || s.Evidence == nil {
 		t.Fatal("snapshot is vacuous")
 	}
-
-	var b1 bytes.Buffer
-	if err := Encode(&b1, s); err != nil {
-		t.Fatal(err)
-	}
-	d1, err := Decode(bytes.NewReader(b1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.Schema != SchemaV1 || d1.Epoch != s.Epoch || d1.NextSeq != s.NextSeq {
-		t.Fatalf("header drifted: %+v", d1)
-	}
-	if len(d1.Certs) != len(s.Certs) || len(d1.Conns) != len(s.Conns) {
-		t.Fatalf("record counts drifted: %d/%d certs, %d/%d conns",
-			len(d1.Certs), len(s.Certs), len(d1.Conns), len(s.Conns))
+	if s.Schema != SchemaV2 {
+		t.Fatalf("FromExport stamps schema %d, want the newest (%d)", s.Schema, SchemaV2)
 	}
 
-	// Canonical form: encode(decode(bytes)) is byte-identical, and a
-	// second round trip is a fixed point.
-	var b2 bytes.Buffer
-	if err := Encode(&b2, d1); err != nil {
+	size := map[int]int{}
+	for _, schema := range SupportedSchemas() {
+		s.Schema = schema
+		var b1 bytes.Buffer
+		if err := Encode(&b1, s); err != nil {
+			t.Fatal(err)
+		}
+		size[schema] = b1.Len()
+		d1, err := Decode(bytes.NewReader(b1.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d1.Schema != schema || d1.Epoch != s.Epoch || d1.NextSeq != s.NextSeq {
+			t.Fatalf("schema %d: header drifted: schema %d epoch %d next %d", schema, d1.Schema, d1.Epoch, d1.NextSeq)
+		}
+		if len(d1.Certs) != len(s.Certs) || len(d1.Conns) != len(s.Conns) {
+			t.Fatalf("schema %d: record counts drifted: %d/%d certs, %d/%d conns", schema,
+				len(d1.Certs), len(s.Certs), len(d1.Conns), len(s.Conns))
+		}
+		// The binary payloads carry every field as it is; JSON moves time
+		// locations and drops the raw encoding, so only they are held to
+		// deep equality.
+		if schema == SchemaV2 && !reflect.DeepEqual(d1, s) {
+			t.Fatal("schema 2: decoded snapshot is not deeply equal to the one encoded")
+		}
+
+		// Canonical form: encode(decode(bytes)) is byte-identical, and a
+		// second round trip is a fixed point.
+		var b2 bytes.Buffer
+		if err := Encode(&b2, d1); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+			t.Fatalf("schema %d: re-encode is not byte-identical", schema)
+		}
+		d2, err := Decode(bytes.NewReader(b2.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d1, d2) {
+			t.Fatalf("schema %d: second decode drifted", schema)
+		}
+	}
+	if size[SchemaV2]*2 > size[SchemaV1] {
+		t.Errorf("schema 2 body is %d bytes against schema 1's %d: want under half", size[SchemaV2], size[SchemaV1])
+	}
+}
+
+// TestCodecTruncatedBinary: a SchemaV2 body cut at any byte is a decode
+// error — the trailer closes the stream, so there is no prefix that parses.
+func TestCodecTruncatedBinary(t *testing.T) {
+	s := tinySnapshot()
+	s.Schema = SchemaV2
+	var body bytes.Buffer
+	if err := Encode(&body, s); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("re-encode is not byte-identical")
-	}
-	d2, err := Decode(bytes.NewReader(b2.Bytes()))
-	if err != nil {
+	if _, err := Decode(bytes.NewReader(body.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(d1.Evidence, d2.Evidence) || len(d1.Conns) != len(d2.Conns) {
-		t.Fatal("second decode drifted")
+	for cut := 0; cut < body.Len(); cut++ {
+		if _, err := Decode(bytes.NewReader(body.Bytes()[:cut])); !errors.Is(err, errCodec) {
+			t.Fatalf("cut at %d of %d: err = %v, want a codec error", cut, body.Len(), err)
+		}
 	}
 }
 

@@ -54,6 +54,18 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(append([]byte(magic), 'Z', 0))
 	f.Add(bytes.Replace(valid.Bytes(), []byte(`"Weight":3`), []byte(`"Weight":0`), 1))
 	f.Add(bytes.Replace(valid.Bytes(), []byte(`"Schema":1`), []byte(`"Schema":9`), 1))
+	// The same under SchemaV2, whole and damaged, and a JSON header
+	// claiming the binary schema's number.
+	binary := tinySnapshot()
+	binary.Schema = SchemaV2
+	var v2 bytes.Buffer
+	if err := Encode(&v2, binary); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
+	f.Add(v2.Bytes()[:len(v2.Bytes())-2])
+	f.Add(bytes.Replace(v2.Bytes(), []byte("example.com"), []byte("example.co\x00"), 1))
+	f.Add(bytes.Replace(valid.Bytes(), []byte(`"Schema":1`), []byte(`"Schema":2`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(bytes.NewReader(data))

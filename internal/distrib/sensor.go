@@ -20,9 +20,11 @@ type Exporter interface {
 
 // Sensor serves an exporting engine's state over HTTP: GET /snapshot
 // for a full snapshot, GET /snapshot?since=<cursor>&epoch=<epoch> for a
-// delta. The response is the framed SchemaV1 stream; a stale cursor is
-// 410 Gone (the puller must full-resync), an unsupported schema request
-// is 406 Not Acceptable with the supported set in the error body.
+// delta. The response is the framed stream under the schema ?schema=
+// names — an aggregator asks for what it negotiated; a request naming none
+// gets SchemaV1, as it always has; a stale cursor is 410 Gone (the puller
+// must full-resync), an unsupported schema request is 406 Not Acceptable
+// with the supported set in the error body.
 type Sensor struct {
 	exp    Exporter
 	logger *slog.Logger

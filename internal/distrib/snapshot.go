@@ -27,12 +27,18 @@ import (
 
 // SchemaV1 is the first snapshot schema: JSON frame payloads carrying
 // stream.ExportCert / stream.ExportConn records and raw
-// interception.Evidence.
+// interception.Evidence. The previous release spoke nothing else; this one
+// still decodes it and serves it on request, for one release.
 const SchemaV1 = 1
+
+// SchemaV2 is the same frames in the same order with the payloads in the
+// record codec checkpoint segments carry (store/record.go): what this
+// release's sensors serve and its aggregators ask for.
+const SchemaV2 = 2
 
 // SupportedSchemas lists the snapshot schema versions this build can
 // decode, newest first — the negotiation set /api/v1/version reports.
-func SupportedSchemas() []int { return []int{SchemaV1} }
+func SupportedSchemas() []int { return []int{SchemaV2, SchemaV1} }
 
 // SchemaSupported reports whether this build can serve or decode the
 // given schema version.
@@ -71,10 +77,11 @@ type Snapshot struct {
 	Evidence *interception.Evidence
 }
 
-// FromExport wraps an engine export as a wire snapshot.
+// FromExport wraps an engine export as a wire snapshot under the newest
+// schema.
 func FromExport(st *stream.ExportState) *Snapshot {
 	return &Snapshot{
-		Schema:        SchemaV1,
+		Schema:        SchemaV2,
 		Epoch:         st.Epoch,
 		Since:         st.Since,
 		NextSeq:       st.NextSeq,

@@ -108,7 +108,7 @@ func TestRestoreUnionsSnapshots(t *testing.T) {
 		}
 		restored := det.NewStream()
 		for _, s := range parts {
-			restored.Restore(s.Snapshot())
+			restored.Restore(s.Pairs(0), s.Parked())
 		}
 		want := rebuildVerdict(parts[0].Evidence(), parts[1].Evidence())
 		if got := restored.Result(); !reflect.DeepEqual(got, want) {
@@ -169,7 +169,7 @@ func TestPendingCountTracksParkedConns(t *testing.T) {
 		t.Fatalf("parked %d, map holds %d, want %d", got, walk(s), 2*len(ds.Conns))
 	}
 	restored := det.NewStream()
-	restored.Restore(s.Snapshot())
+	restored.Restore(s.Pairs(0), s.Parked())
 	if restored.PendingCount() != walk(restored) || restored.PendingCount() != s.PendingCount() {
 		t.Fatalf("restored count %d, map holds %d, source %d", restored.PendingCount(), walk(restored), s.PendingCount())
 	}

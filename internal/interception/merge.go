@@ -43,12 +43,12 @@ type Merge struct {
 	res *Result
 }
 
-// pair is one element of either relation: an observed (issuer, leaf)
-// when domain is empty, a contradicted (issuer, domain) otherwise.
-type pair struct {
-	issuer string
-	leaf   ids.Fingerprint
-	domain string
+// Pair is one element of either relation: an observed (issuer, leaf)
+// when Domain is empty, a contradicted (issuer, domain) otherwise.
+type Pair struct {
+	Issuer string
+	Leaf   ids.Fingerprint
+	Domain string
 }
 
 // NewMerge returns an empty union confirming issuers contradicted on
@@ -66,43 +66,45 @@ func NewMerge(min int) *Merge {
 	}
 }
 
-// add unions one pair in and keeps the verdict current.
-func (m *Merge) add(p pair) {
-	if p.domain == "" {
-		fps := m.observed[p.issuer]
+// add unions one pair in and keeps the verdict current; it reports
+// whether the pair was new.
+func (m *Merge) add(p Pair) bool {
+	if p.Domain == "" {
+		fps := m.observed[p.Issuer]
 		if fps == nil {
 			fps = map[ids.Fingerprint]bool{}
-			m.observed[p.issuer] = fps
+			m.observed[p.Issuer] = fps
 		}
-		if fps[p.leaf] {
-			return
+		if fps[p.Leaf] {
+			return false
 		}
-		fps[p.leaf] = true
-		if m.confirmed[p.issuer] {
-			m.excluded[p.leaf] = true
+		fps[p.Leaf] = true
+		if m.confirmed[p.Issuer] {
+			m.excluded[p.Leaf] = true
 			m.res = nil
 		}
-		return
+		return true
 	}
-	domains := m.contradicted[p.issuer]
+	domains := m.contradicted[p.Issuer]
 	if domains == nil {
 		domains = map[string]bool{}
-		m.contradicted[p.issuer] = domains
+		m.contradicted[p.Issuer] = domains
 		m.res = nil // one more candidate
 	}
-	if domains[p.domain] {
-		return
+	if domains[p.Domain] {
+		return false
 	}
-	domains[p.domain] = true
+	domains[p.Domain] = true
 	// Corroboration across domains confirms the issuer; every certificate
 	// it was ever seen issuing becomes excluded.
-	if !m.confirmed[p.issuer] && len(domains) >= m.min {
-		m.confirmed[p.issuer] = true
+	if !m.confirmed[p.Issuer] && len(domains) >= m.min {
+		m.confirmed[p.Issuer] = true
 		m.res = nil
-		for fp := range m.observed[p.issuer] {
+		for fp := range m.observed[p.Issuer] {
 			m.excluded[fp] = true
 		}
 	}
+	return true
 }
 
 // AbsorbEvidence unions raw relations in. A source's relations are
@@ -114,13 +116,13 @@ func (m *Merge) AbsorbEvidence(ev *Evidence) {
 	}
 	for issuer, fps := range ev.Observed {
 		for fp := range fps {
-			m.add(pair{issuer: issuer, leaf: fp})
+			m.add(Pair{Issuer: issuer, Leaf: fp})
 		}
 	}
 	for issuer, domains := range ev.Contradicted {
 		for d := range domains {
 			if d != "" { // an empty domain would read as an observed pair
-				m.add(pair{issuer: issuer, domain: d})
+				m.add(Pair{Issuer: issuer, Domain: d})
 			}
 		}
 	}

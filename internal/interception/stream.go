@@ -28,8 +28,12 @@ type Stream struct {
 	memo *truststore.IssuerMemo
 	sld  *psl.SplitCache
 
-	// ev is the evidence gathered so far and its verdict.
-	ev *Merge
+	// ev is the evidence gathered so far and its verdict; log is the same
+	// pairs in the order they were new to it. Both relations only grow, so
+	// the log is append-only and "the evidence since" a position is a slice
+	// suffix: what a checkpoint delta writes.
+	ev  *Merge
+	log []Pair
 
 	// pending: leaf fingerprint -> conns waiting for that certificate;
 	// parked counts the waiting conns.
@@ -100,7 +104,7 @@ func (s *Stream) observe(leaf *certmodel.CertInfo, ref PendingRef) {
 	if issuer == "" {
 		return
 	}
-	s.ev.add(pair{issuer: issuer, leaf: leaf.Fingerprint})
+	s.add(Pair{Issuer: issuer, Leaf: leaf.Fingerprint})
 
 	// Step 2: CT comparison on the connection's domain.
 	domain := s.sld.SLD(ref.SNI)
@@ -116,7 +120,14 @@ func (s *Stream) observe(leaf *certmodel.CertInfo, ref PendingRef) {
 	// Step 3 — corroboration across domains confirms the issuer and
 	// excludes every certificate it was ever seen issuing — happens as the
 	// pair lands (Merge.add).
-	s.ev.add(pair{issuer: issuer, domain: domain})
+	s.add(Pair{Issuer: issuer, Domain: domain})
+}
+
+// add unions one pair into the evidence and, when it was new, logs it.
+func (s *Stream) add(p Pair) {
+	if s.ev.add(p) {
+		s.log = append(s.log, p)
+	}
 }
 
 // ExcludedCount is the current exclusion-set size.
@@ -134,39 +145,38 @@ func (s *Stream) PendingCount() int { return s.parked }
 // read-only as Merge.Result describes.
 func (s *Stream) Result() *Result { return s.ev.Result() }
 
-// StreamState is the serializable snapshot of a Stream, exported so the
-// streaming engine can checkpoint the detector alongside its own state
-// (the detector is cumulative: evicted connections still count toward
-// issuer confirmation, so it cannot be rebuilt from a retention window).
-// The verdict is a function of the two relations and is not stored.
-type StreamState struct {
-	Observed     map[string]map[ids.Fingerprint]bool
-	Contradicted map[string]map[string]bool
-	Pending      map[ids.Fingerprint][]PendingRef
-}
+// Pairs returns the evidence log from position from on: every pair that
+// was new to the stream since it held from of them, in arrival order. The
+// log only grows by appending, so the slice stays readable after the
+// caller's lock is released, and len(Pairs(0)) is the position to pass
+// next time. The detector is cumulative — evicted connections still count
+// toward issuer confirmation — so it cannot be rebuilt from a retention
+// window: a checkpoint keeps the log, one delta at a time, and the verdict,
+// a function of the pairs, is not stored.
+func (s *Stream) Pairs(from int) []Pair { return s.log[from:] }
 
-// Snapshot copies the stream's state for serialization.
-func (s *Stream) Snapshot() *StreamState {
-	ev := s.ev.Evidence()
-	st := &StreamState{
-		Observed:     ev.Observed,
-		Contradicted: ev.Contradicted,
-		Pending:      make(map[ids.Fingerprint][]PendingRef, len(s.pending)),
-	}
+// Parked copies the observations waiting for their leaf certificate: the
+// part of the detector's state that shrinks, which a checkpoint therefore
+// writes whole.
+func (s *Stream) Parked() map[ids.Fingerprint][]PendingRef {
+	parked := make(map[ids.Fingerprint][]PendingRef, len(s.pending))
 	for k, v := range s.pending {
-		st.Pending[k] = append([]PendingRef(nil), v...)
+		parked[k] = append([]PendingRef(nil), v...)
 	}
-	return st
+	return parked
 }
 
-// Restore unions a snapshot into the stream: its relations pair by pair,
-// which re-derives the verdict, and its parked observations behind any
-// already waiting on the same leaf. Snapshots of streams that each saw
-// part of an input restore, one after another, to the stream that saw the
-// whole; the same observation restored twice is parked twice.
-func (s *Stream) Restore(st *StreamState) {
-	s.ev.AbsorbEvidence(&Evidence{Observed: st.Observed, Contradicted: st.Contradicted})
-	for k, v := range st.Pending {
+// Restore unions checkpointed state into the stream: the pairs one by
+// one, which re-derives the verdict (and logs those that were new, in the
+// order given), and the parked observations behind any already waiting on
+// the same leaf. States of streams that each saw part of an input restore,
+// one after another, to the stream that saw the whole; the same
+// observation restored twice is parked twice.
+func (s *Stream) Restore(pairs []Pair, parked map[ids.Fingerprint][]PendingRef) {
+	for _, p := range pairs {
+		s.add(p)
+	}
+	for k, v := range parked {
 		s.pending[k] = append(s.pending[k], v...)
 		s.parked += len(v)
 	}

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -17,8 +15,8 @@ import (
 const DefaultHotBytes = 64 << 20
 
 // spillChunk is how many records one spill frame carries: big enough to
-// amortize the per-frame gob type descriptors, small enough that the
-// one-frame decode cache stays kilobytes.
+// amortize the per-frame write, small enough that the one-frame decode
+// cache stays kilobytes.
 const spillChunk = 512
 
 // coldTier is what kind "disk" adds to a Window: an estimated byte
@@ -46,6 +44,10 @@ type coldTier struct {
 	// touch consecutive index entries that share a frame.
 	cacheOff int64
 	cache    []core.ConnRecord
+
+	// buf is the one buffer frames are encoded into and read back
+	// through; a decoded frame keeps none of its bytes.
+	buf []byte
 }
 
 // coldConn locates one spilled, still-retained connection: enough to
@@ -58,11 +60,8 @@ type coldConn struct {
 	idx int32 // position in the frame
 }
 
-// connSpill is the gob payload of one connection spill frame.
-type connSpill struct {
-	Conns []core.ConnRecord
-}
-
+// frameConnSpill is a spill frame: a count, then that many connections
+// under their sequences, in the record codec (record.go).
 const frameConnSpill byte = 1
 
 // openCold creates the cold tier under dir (recreated — segments are
@@ -111,7 +110,7 @@ func (w *Window) spill(n int) {
 	c := w.cold
 	for start := 0; start < n; start += spillChunk {
 		end := min(start+spillChunk, n)
-		off, err := c.appendFrame(&connSpill{Conns: w.conns[start:end]})
+		off, err := c.appendFrame(w.conns[start:end], w.seqs[start:end])
 		if err != nil {
 			panic(fmt.Sprintf("store: spill conns: %v", err))
 		}
@@ -131,36 +130,36 @@ func (w *Window) spill(n int) {
 	c.cacheOff = -1
 }
 
-// appendFrame gob-encodes sp and appends it to conns.seg as one frame,
-// returning the frame's offset.
-func (c *coldTier) appendFrame(sp *connSpill) (int64, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(sp); err != nil {
-		return 0, err
-	}
-	var frame bytes.Buffer
-	if err := WriteFrame(&frame, frameConnSpill, body.Bytes()); err != nil {
+// appendFrame encodes the records and appends them to conns.seg as one
+// frame, returning the frame's offset.
+func (c *coldTier) appendFrame(conns []core.ConnRecord, seqs []uint64) (int64, error) {
+	b := AppendConns(BeginFrame(c.buf[:0], frameConnSpill), conns, seqs)
+	b, err := EndFrame(b, 0)
+	c.buf = b[:0]
+	if err != nil {
 		return 0, err
 	}
 	at := c.off
-	if _, err := c.seg.WriteAt(frame.Bytes(), at); err != nil {
+	if _, err := c.seg.WriteAt(b, at); err != nil {
 		return 0, err
 	}
-	c.off = at + int64(frame.Len())
+	c.off = at + int64(len(b))
 	return at, nil
 }
 
 // decodeFrame reads and decodes the spill frame at off.
-func (c *coldTier) decodeFrame(off int64, sp *connSpill) error {
-	sr := io.NewSectionReader(c.seg, off, 1<<62)
-	typ, body, err := ReadFrame(sr)
+func (c *coldTier) decodeFrame(off int64) ([]core.ConnRecord, error) {
+	typ, body, err := ReadFrame(io.NewSectionReader(c.seg, off, c.off-off), c.buf)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	c.buf = body[:0]
 	if typ != frameConnSpill {
-		return fmt.Errorf("%w: frame type %d, want %d", ErrCorrupt, typ, frameConnSpill)
+		return nil, fmt.Errorf("%w: frame type %d, want %d", ErrCorrupt, typ, frameConnSpill)
 	}
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(sp)
+	d := NewDecoder(body)
+	conns, _ := d.Conns()
+	return conns, d.End()
 }
 
 // frame returns the decoded spill frame at off, through the one-frame
@@ -170,27 +169,31 @@ func (w *Window) frame(off int64) []core.ConnRecord {
 	if c.cacheOff == off {
 		return c.cache
 	}
-	var sp connSpill
-	if err := c.decodeFrame(off, &sp); err != nil {
+	conns, err := c.decodeFrame(off)
+	if err != nil {
 		panic(fmt.Sprintf("store: cold connection frame at %d: %v", off, err))
 	}
-	w.stats.Loads.Add(uint64(len(sp.Conns)))
-	c.cacheOff, c.cache = off, sp.Conns
-	return sp.Conns
+	w.stats.Loads.Add(uint64(len(conns)))
+	c.cacheOff, c.cache = off, conns
+	return conns
 }
 
 // coldSince is the cold half of Since: the spilled records with
 // sequence >= seq, each frame decoded once through the cache. It reports
 // whether fn wants the hot tail too.
 func (w *Window) coldSince(seq uint64, fn func(rec *core.ConnRecord, seq uint64) bool) bool {
-	index := w.cold.index
-	lo := sort.Search(len(index), func(i int) bool { return index[i].seq >= seq })
-	for _, cc := range index[lo:] {
+	for _, cc := range w.cold.index[w.cold.search(seq):] {
 		if !fn(&w.frame(cc.off)[cc.idx], cc.seq) {
 			return false
 		}
 	}
 	return true
+}
+
+// search is the index position of the first spilled record with
+// sequence >= seq.
+func (c *coldTier) search(seq uint64) int {
+	return sort.Search(len(c.index), func(i int) bool { return c.index[i].seq >= seq })
 }
 
 // evictBefore drops index entries with TS before cutoff and returns how

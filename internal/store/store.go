@@ -217,12 +217,12 @@ func (w *Window) Snapshot(seq uint64) ([]core.ConnRecord, []uint64) {
 		i, _ := slices.BinarySearch(w.seqs, seq)
 		return w.conns[i:], w.seqs[i:]
 	}
-	var conns []core.ConnRecord
-	var seqs []uint64
-	if seq == 0 {
-		conns = make([]core.ConnRecord, 0, w.ConnCount())
-		seqs = make([]uint64, 0, w.ConnCount())
-	}
+	// Sized once from the two tiers' counts past seq: the walk below runs
+	// under the owner's lock and must not spend it regrowing slices.
+	hot, _ := slices.BinarySearch(w.seqs, seq)
+	n := len(w.conns) - hot + len(w.cold.index) - w.cold.search(seq)
+	conns := make([]core.ConnRecord, 0, n)
+	seqs := make([]uint64, 0, n)
 	w.Since(seq, func(rec *core.ConnRecord, seq uint64) bool {
 		conns, seqs = append(conns, *rec), append(seqs, seq)
 		return true

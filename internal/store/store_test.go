@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,7 +15,7 @@ import (
 
 func testConn(i int) core.ConnRecord {
 	return core.ConnRecord{
-		TS:          time.Unix(1700000000+int64(i), 0),
+		TS:          time.Unix(1700000000+int64(i), 0).UTC(), // as the log parser stamps them
 		UID:         ids.UID(fmt.Sprintf("C%06d", i)),
 		OrigIP:      "10.0.0.1",
 		OrigPort:    uint16(10000 + i%50000),
@@ -241,27 +242,33 @@ func TestDiskEvictAcrossTiers(t *testing.T) {
 // is ErrCorrupt (or a clean EOF exactly at a frame boundary) — never a
 // panic, never silently wrong bytes.
 func TestFrameCodecTorn(t *testing.T) {
-	var buf bytes.Buffer
 	payloads := [][]byte{[]byte("alpha"), []byte("beta-beta"), {}, []byte("gamma")}
+	var full []byte
 	var bounds []int
 	for i, p := range payloads {
-		if err := WriteFrame(&buf, byte(i+1), p); err != nil {
+		var err error
+		if full, err = EndFrame(append(BeginFrame(full, byte(i+1)), p...), len(full)); err != nil {
 			t.Fatal(err)
 		}
-		bounds = append(bounds, buf.Len())
+		bounds = append(bounds, len(full))
 	}
-	full := buf.Bytes()
 
+	// One buffer across the frames, as the segment readers lend it.
 	readAll := func(b []byte) (n int, err error) {
 		r := bytes.NewReader(b)
+		var buf []byte
 		for {
-			_, _, err := ReadFrame(r)
+			typ, body, err := ReadFrame(r, buf)
 			if err != nil {
-				if err.Error() == "EOF" {
+				if err == io.EOF {
 					return n, nil
 				}
 				return n, err
 			}
+			if typ != byte(n+1) || !bytes.Equal(body, payloads[n]) {
+				return n, fmt.Errorf("frame %d read back as type %d %q", n, typ, body)
+			}
+			buf = body[:0]
 			n++
 		}
 	}

@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,6 +16,7 @@ import (
 	"repro/internal/atomicfile"
 	"repro/internal/certmodel"
 	"repro/internal/core"
+	"repro/internal/ids"
 	"repro/internal/interception"
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -29,13 +28,22 @@ import (
 // segment to every chain, carrying only what changed on that shard since
 // the previous commit — connections appended past the committed sequence
 // mark, the latest eviction cutoff and the counters; chain 0's also carries
-// what is the router's, the certificates it admitted since and its
-// cumulative detector state — and then rewrites the MANIFEST through the
-// atomicfile protocol.
+// what is the router's, the certificates it admitted and the §3.2 evidence
+// pairs its detector gained since, and the detector's parked observations
+// whole — and then rewrites the MANIFEST through the atomicfile protocol.
 // Restore replays each chain in order: apply the segment's eviction cutoff
-// to the state accumulated so far, then append its records. A background
-// compactor folds every chain back into one base, so the directory stays
-// O(state) while each interval's write stays O(delta).
+// to the state accumulated so far, then append its records; the evidence
+// is the union of what the chains hold. A background compactor folds every
+// chain back into one base, so the directory stays O(state) while each
+// interval's write stays O(delta).
+//
+// Frames carry the record codec (store/record.go); DESIGN.md §8 has the
+// table. The previous release wrote the same chains with gob payloads
+// under manifest version 2, the detector's whole state in every segment of
+// chain 0: its frames are still read (migrate.go), a chain may mix the
+// two — a version-2 directory is continued in place by this release's
+// deltas — and a fold rewrites whatever it reads into one base of this
+// release's frames.
 //
 // The manifest has one owner, the Engine, and its rename is the only
 // commit point: shards write segment
@@ -51,9 +59,12 @@ import (
 // some other history committed. Formats older than this one are read by
 // migrate.go and replaced by the first write after the restore.
 
-// ckptManifestVersion guards the manifest format. Version 1 named a
-// single chain as Segments; it is still read.
-const ckptManifestVersion = 2
+// ckptManifestVersion guards the manifest format: the number says which
+// frames the segments may hold, so a build that cannot read this one's
+// refuses the directory instead of misreading it. Version 2 is the same
+// manifest over gob frames, version 1 named a single chain as Segments;
+// both are still read.
+const ckptManifestVersion = 3
 
 // ckptManifestName is the commit point of a checkpoint directory.
 const ckptManifestName = "MANIFEST"
@@ -66,58 +77,101 @@ const ckptSwapSuffix = ".swap"
 // background compactor after a delta commit.
 const ckptCompactEvery = 8
 
-// ckptConnChunk / ckptCertChunk bound one frame's record count, so a
-// restore decodes bounded batches rather than one giant frame.
+// ckptConnChunk / ckptCertChunk / ckptPairChunk bound one frame's record
+// count, so a restore decodes bounded batches rather than one giant frame.
 const (
 	ckptConnChunk = 4096
 	ckptCertChunk = 1024
+	ckptPairChunk = 8192
 )
 
-// Segment frame types.
+// segFlushBytes is how many encoded bytes a segment writer gathers before
+// it hands them to the file: a delta is one write, a base one per few
+// frames.
+const segFlushBytes = 1 << 20
+
+// Segment frame types. 1–3 are the previous release's gob frames, read by
+// migrate.go and never written.
 const (
-	segFrameState byte = 1
-	segFrameCerts byte = 2
-	segFrameConns byte = 3
+	segFrameState    byte = 4 // segState: counters, eviction cutoff, parked observations
+	segFrameCerts    byte = 5 // count, then (sequence, certificate) records
+	segFrameConns    byte = 6 // count, then (sequence, connection) records
+	segFrameEvidence byte = 7 // §3.2 pairs new since the previous segment
 )
 
 // segState is a segment's snapshot of everything that is not a record
 // stream: the shard's counters, the eviction cutoff to replay before this
-// segment's records, and in chain 0 the router's cumulative detector state
-// (every segment there carries the full thing and the last one wins on
-// restore). A release that ran a detector per shard wrote one into every
-// chain; restore unions what the chains' last segments hold.
+// segment's records, and in chain 0 the observations the router's detector
+// had parked at the commit — the part of its state that shrinks, so every
+// segment there carries it whole and the last one wins on restore. (The
+// part that only grows, the evidence, is a record stream: segFrameEvidence.)
 type segState struct {
 	ConnsIngested uint64
-	CertsIngested uint64 // as Epoch and NextSeq below: a shard's own count, once
 	Evicted       uint64
 	Watermark     time.Time
 	EvictCutoff   time.Time
-	Interception  *interception.StreamState
+	// Parked is nil in a segment without detector state: every chain but 0.
+	Parked map[ids.Fingerprint][]interception.PendingRef
 
-	// Epoch and NextSeq are where an exporting engine of a release before
-	// the router owned every certificate and numbering kept its own; never
-	// written (migrate.go reads them).
-	Epoch   uint64
-	NextSeq uint64
+	// What only a gob state frame holds (migrate.go): the detector's
+	// cumulative evidence, and where a release before the router owned
+	// every certificate and numbering kept its own.
+	Evidence      []interception.Pair
+	CertsIngested uint64
+	Epoch         uint64
+	NextSeq       uint64
 }
 
-// segCerts is one roster batch with the sequence the router admitted each
-// certificate under — where the certificate is, so a commit's cost follows
-// what it adds, not the roster. This release writes them into chain 0
-// alone; restore admits them from whichever chain holds them. Seqs is nil
-// in segments an older release wrote without exporting.
-type segCerts struct {
-	Certs []*certmodel.CertInfo
-	Seqs  []uint64
+// appendSegState encodes st as a segFrameState payload; parked leaves go
+// out sorted, so the same state always writes the same bytes.
+func appendSegState(b []byte, st *segState) []byte {
+	b = binary.AppendUvarint(b, st.ConnsIngested)
+	b = binary.AppendUvarint(b, st.Evicted)
+	b = store.AppendTime(b, st.Watermark)
+	b = store.AppendTime(b, st.EvictCutoff)
+	b = store.AppendBool(b, st.Parked != nil)
+	if st.Parked == nil {
+		return b
+	}
+	leaves := make([]ids.Fingerprint, 0, len(st.Parked))
+	for leaf := range st.Parked {
+		leaves = append(leaves, leaf)
+	}
+	slices.Sort(leaves)
+	b = binary.AppendUvarint(b, uint64(len(leaves)))
+	for _, leaf := range leaves {
+		refs := st.Parked[leaf]
+		b = store.AppendFingerprint(b, leaf)
+		b = binary.AppendUvarint(b, uint64(len(refs)))
+		for _, ref := range refs {
+			b = store.AppendString(b, ref.SNI)
+			b = store.AppendFingerprints(b, ref.Rest)
+		}
+	}
+	return b
 }
 
-// segConns is one retained-connection batch in append order with the
-// router's sequences. Seqs is nil in segments a one-shard engine of the
-// previous release wrote without exporting; restore numbers those in
-// replay order.
-type segConns struct {
-	Conns []core.ConnRecord
-	Seqs  []uint64
+// decodeSegState reads a segFrameState payload.
+func decodeSegState(body []byte) (*segState, error) {
+	d := store.NewDecoder(body)
+	st := &segState{
+		ConnsIngested: d.Uvarint(),
+		Evicted:       d.Uvarint(),
+		Watermark:     d.Time(),
+		EvictCutoff:   d.Time(),
+	}
+	if d.Bool() {
+		st.Parked = map[ids.Fingerprint][]interception.PendingRef{}
+		for n := d.Count(2); n > 0; n-- {
+			leaf := d.Fingerprint()
+			refs := make([]interception.PendingRef, d.Count(2))
+			for i := range refs {
+				refs[i] = interception.PendingRef{SNI: d.String(), Rest: d.Fingerprints()}
+			}
+			st.Parked[leaf] = append(st.Parked[leaf], refs...)
+		}
+	}
+	return st, d.End()
 }
 
 // ckptSeg names one committed segment and its exact size — a referenced
@@ -163,7 +217,8 @@ type ckptManifest struct {
 }
 
 // readCkptManifest loads and validates a directory's MANIFEST, reading a
-// version-1 manifest as the one-chain directory it is.
+// version-1 manifest as the one-chain directory it is and a version-2 one
+// as what it is but for its frames' payloads.
 func readCkptManifest(dir string) (*ckptManifest, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, ckptManifestName))
 	if err != nil {
@@ -175,8 +230,8 @@ func readCkptManifest(dir string) (*ckptManifest, error) {
 	}
 	switch man.Version {
 	case 1:
-		man.Version, man.Chains, man.Segments = ckptManifestVersion, [][]ckptSeg{man.Segments}, nil
-	case ckptManifestVersion:
+		man.Chains, man.Segments = [][]ckptSeg{man.Segments}, nil
+	case 2, ckptManifestVersion:
 	default:
 		return nil, fmt.Errorf("stream: checkpoint manifest version %d, want %d", man.Version, ckptManifestVersion)
 	}
@@ -197,9 +252,10 @@ func readCkptManifest(dir string) (*ckptManifest, error) {
 // throughout and take the others briefly for their snapshots.
 type checkpointer struct {
 	shards []*shard // chain i is shards[i]'s
-	// router snapshots, per commit, the router's state, its roster log
-	// from entry from on and its detector.
-	router func(from int) (*routerState, []*certmodel.CertInfo, []uint64, *interception.StreamState)
+	// router snapshots, per commit, the router's state and what it adds to
+	// chain 0: its roster log and its detector's evidence log from the
+	// given positions on, and the detector's parked observations.
+	router func(certs, pairs int) (*routerState, routerDelta)
 	// dur and compactDur observe whole calls: one commit, one fold.
 	dur, compactDur *metrics.Histogram
 
@@ -210,8 +266,12 @@ type checkpointer struct {
 	// and segment numbering to continue.
 	dir string
 	man *ckptManifest
-	// certs counts the roster-log entries committed segments cover.
-	certs int
+	// certs and pairs count the roster-log and evidence-log entries
+	// committed segments cover.
+	certs, pairs int
+	// buf is the buffer every segment of every commit and fold is encoded
+	// in (segWriter).
+	buf []byte
 
 	compactWG sync.WaitGroup
 }
@@ -238,19 +298,35 @@ func (s *Engine) Compact() error {
 	return s.ckpt.compact()
 }
 
+// routerDelta is what a commit adds to chain 0 on the router's behalf:
+// the certificates admitted and the evidence pairs gained since the
+// previous commit, and the detector's parked observations, whole.
+type routerDelta struct {
+	certs    []*certmodel.CertInfo
+	certSeqs []uint64
+	pairs    []interception.Pair
+	parked   map[ids.Fingerprint][]interception.PendingRef
+}
+
 // routerState snapshots what the router checkpoints: its counters for the
-// manifest, and for chain 0 the roster log from entry from on —
-// append-only, so the suffix is the delta, readable after the lock is
-// released, and the same state always writes the same bytes — and a copy
-// of the detector's state.
-func (s *Engine) routerState(from int) (*routerState, []*certmodel.CertInfo, []uint64, *interception.StreamState) {
+// manifest, and for chain 0 the roster log and the detector's evidence log
+// from the given positions on — both append-only, so the suffixes are the
+// delta, readable after the lock is released, and the same state always
+// writes the same bytes — and a copy of the small set the detector has
+// parked.
+func (s *Engine) routerState(certs, pairs int) (*routerState, routerDelta) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := &routerState{NextSeq: s.nextSeq, CertsRouted: s.certsRouted.Load()}
 	if s.cfg.TrackExport {
 		r.Epoch = s.epoch
 	}
-	return r, s.roster[from:], s.certSeqs[from:], s.icpt.Snapshot()
+	return r, routerDelta{
+		certs:    s.roster[certs:],
+		certSeqs: s.certSeqs[certs:],
+		pairs:    s.icpt.Pairs(pairs),
+		parked:   s.icpt.Parked(),
+	}
 }
 
 // finishSwap completes a file → directory replacement that stopped
@@ -312,12 +388,12 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 		}
 	}
 	full := c.man.Chains == nil
-	from := c.certs
+	certs, pairs := c.certs, c.pairs
 	if full {
-		from = 0
+		certs, pairs = 0, 0
 	}
-	router, certs, certSeqs, det := c.router(from)
-	covered := from + len(certs)
+	router, delta := c.router(certs, pairs)
+	certs, pairs = certs+len(delta.certs), pairs+len(delta.pairs)
 	man := &ckptManifest{
 		Version: ckptManifestVersion,
 		Gen:     c.man.Gen + 1,
@@ -332,11 +408,11 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 			man.Chains[i] = slices.Clone(c.man.Chains[i])
 		}
 		name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
-		n, done, err := e.writeDelta(filepath.Join(c.dir, name), full, certs, certSeqs, det)
+		n, done, err := e.writeDelta(filepath.Join(c.dir, name), &c.buf, full, delta)
 		if err != nil {
 			return fmt.Errorf("stream: checkpoint segment: %w", err)
 		}
-		certs, certSeqs, det = nil, nil, nil // what is the router's rides chain 0
+		delta = routerDelta{} // what is the router's rides chain 0
 		man.NextSeg++
 		man.Chains[i] = append(man.Chains[i], ckptSeg{Name: name, Bytes: n})
 		committed[i] = done
@@ -347,7 +423,7 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 	for i, done := range committed {
 		done(len(man.Chains[i]))
 	}
-	c.certs = covered
+	c.certs, c.pairs = certs, pairs
 	if c.dir != path {
 		// The directory beside the file is complete and committed: it
 		// takes the file's place.
@@ -415,11 +491,12 @@ func (c *checkpointer) compact() error {
 		return nil
 	}
 	man := *c.man
+	man.Version = ckptManifestVersion // a fold leaves none but this release's frames
 	man.Gen++
 	man.Chains = make([][]ckptSeg, len(c.man.Chains))
 	for i, chain := range c.man.Chains {
 		name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
-		n, err := foldChain(c.dir, chain, name)
+		n, err := foldChain(c.dir, chain, name, &c.buf)
 		if err != nil {
 			return fmt.Errorf("stream: compact: %w", err)
 		}
@@ -436,19 +513,95 @@ func (c *checkpointer) compact() error {
 	return nil
 }
 
-// createSegment writes one segment file: emit streams its frames, and
-// the file is fsynced before return, so the manifest that will name it
-// never names un-durable data. Returns the segment's size.
-func createSegment(path string, emit func(w io.Writer) error) (size int64, err error) {
+// segWriter streams one segment's frames to its file through the
+// checkpointer's buffer: a frame is encoded in place behind the ones
+// still waiting, and the file sees them segFlushBytes at a time.
+type segWriter struct {
+	f     *os.File
+	buf   []byte
+	start int // where the open frame begins in buf
+}
+
+// begin opens a frame; the caller appends its payload to w.buf.
+func (w *segWriter) begin(typ byte) {
+	w.start = len(w.buf)
+	w.buf = store.BeginFrame(w.buf, typ)
+}
+
+// end closes the open frame.
+func (w *segWriter) end() (err error) {
+	if w.buf, err = store.EndFrame(w.buf, w.start); err != nil {
+		return err
+	}
+	if len(w.buf) >= segFlushBytes {
+		return w.flush()
+	}
+	return nil
+}
+
+func (w *segWriter) flush() error {
+	_, err := w.f.Write(w.buf)
+	w.buf = w.buf[:0]
+	return err
+}
+
+// copyFrame writes a frame around a payload already encoded.
+func (w *segWriter) copyFrame(typ byte, payload []byte) error {
+	w.begin(typ)
+	w.buf = append(w.buf, payload...)
+	return w.end()
+}
+
+func (w *segWriter) state(st *segState) error {
+	w.begin(segFrameState)
+	w.buf = appendSegState(w.buf, st)
+	return w.end()
+}
+
+func (w *segWriter) certs(certs []*certmodel.CertInfo, seqs []uint64) (err error) {
+	for i := 0; err == nil && i < len(certs); i += ckptCertChunk {
+		end := min(i+ckptCertChunk, len(certs))
+		w.begin(segFrameCerts)
+		w.buf = store.AppendCerts(w.buf, certs[i:end], seqs[i:end])
+		err = w.end()
+	}
+	return err
+}
+
+func (w *segWriter) pairs(pairs []interception.Pair) (err error) {
+	for i := 0; err == nil && i < len(pairs); i += ckptPairChunk {
+		w.begin(segFrameEvidence)
+		w.buf = store.AppendPairs(w.buf, pairs[i:min(i+ckptPairChunk, len(pairs))])
+		err = w.end()
+	}
+	return err
+}
+
+func (w *segWriter) conns(conns []core.ConnRecord, seqs []uint64) (err error) {
+	for i := 0; err == nil && i < len(conns); i += ckptConnChunk {
+		end := min(i+ckptConnChunk, len(conns))
+		w.begin(segFrameConns)
+		w.buf = store.AppendConns(w.buf, conns[i:end], seqs[i:end])
+		err = w.end()
+	}
+	return err
+}
+
+// createSegment writes one segment file: emit streams its frames, encoded
+// in *buf (kept, grown, for the next segment), and the file is fsynced
+// before return, so the manifest that will name it never names un-durable
+// data. Returns the segment's size.
+func createSegment(path string, buf *[]byte, emit func(w *segWriter) error) (size int64, err error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	w := bufio.NewWriterSize(f, 1<<20)
+	w := &segWriter{f: f, buf: (*buf)[:0]}
 	err = emit(w)
 	if err == nil {
-		err = w.Flush()
+		err = w.flush()
 	}
+	*buf = w.buf[:0]
 	if err == nil {
 		err = f.Sync()
 	}
@@ -465,65 +618,47 @@ func createSegment(path string, emit func(w io.Writer) error) (size int64, err e
 	return size, nil
 }
 
-// writeFrame gob-encodes payload as one frame of type typ.
-func writeFrame(w io.Writer, typ byte, payload any) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(payload); err != nil {
-		return err
-	}
-	return store.WriteFrame(w, typ, body.Bytes())
-}
-
-// writeSegment streams one segment to path: the state frame first, then
-// the roster and connection batches.
-func writeSegment(path string, st *segState, certs []*certmodel.CertInfo, certSeqs []uint64, conns []core.ConnRecord, seqs []uint64) (int64, error) {
-	return createSegment(path, func(w io.Writer) error {
-		err := writeFrame(w, segFrameState, st)
-		for i := 0; err == nil && i < len(certs); i += ckptCertChunk {
-			end := min(i+ckptCertChunk, len(certs))
-			err = writeFrame(w, segFrameCerts, &segCerts{Certs: certs[i:end], Seqs: certSeqs[i:end]})
-		}
-		for i := 0; err == nil && i < len(conns); i += ckptConnChunk {
-			end := min(i+ckptConnChunk, len(conns))
-			err = writeFrame(w, segFrameConns, &segConns{Conns: conns[i:end], Seqs: seqs[i:end]})
-		}
-		return err
-	})
-}
-
 // writeDelta snapshots what changed since this shard's last committed
 // segment — everything, for a base — and writes it to path as one
-// segment, ahead of its connections whatever roster batch and detector
-// state the owner hands it, returning the segment's size. The shard's
+// segment: the state frame first, then whatever the owner hands it of the
+// router's, then its connections. Returns the segment's size. The shard's
 // marks stand until the owner calls done, once its manifest names the
 // segment; a commit that fails is simply covered again by the next delta.
-func (e *shard) writeDelta(path string, full bool, certs []*certmodel.CertInfo, certSeqs []uint64, det *interception.StreamState) (int64, func(chainLen int), error) {
-	// Snapshot under the state lock. All slices are fresh copies or
-	// abandon-don't-mutate snapshots (appends land beyond the captured
-	// length, eviction swaps in fresh arrays), so encoding proceeds after
-	// unlock without stalling ingest.
+func (e *shard) writeDelta(path string, buf *[]byte, full bool, router routerDelta) (int64, func(chainLen int), error) {
+	// Snapshot under the state lock: the window's suffix past the mark —
+	// live headers on the memory store (appends land beyond the captured
+	// length, eviction swaps in fresh arrays), copies sized up front on a
+	// tiered one — so the lock is held for a binary search and encoding
+	// proceeds after unlock without stalling ingest.
 	e.mu.Lock()
-	var conns []core.ConnRecord
-	var seqs []uint64
+	mark := e.ckptMark
 	if full {
-		conns, seqs = e.st.Snapshot(0)
-	} else {
-		e.st.Since(e.ckptMark, func(rec *core.ConnRecord, seq uint64) bool {
-			conns, seqs = append(conns, *rec), append(seqs, seq)
-			return true
-		})
+		mark = 0
 	}
+	conns, seqs := e.st.Snapshot(mark)
 	newMark := e.nextSeq
 	st := &segState{
 		ConnsIngested: e.connsIngested,
 		Evicted:       e.evicted,
 		Watermark:     e.watermark,
 		EvictCutoff:   e.ckptCutoff,
-		Interception:  det,
+		Parked:        router.parked,
 	}
 	e.mu.Unlock()
 
-	n, err := writeSegment(path, st, certs, certSeqs, conns, seqs)
+	n, err := createSegment(path, buf, func(w *segWriter) error {
+		err := w.state(st)
+		if err == nil {
+			err = w.certs(router.certs, router.certSeqs)
+		}
+		if err == nil {
+			err = w.pairs(router.pairs)
+		}
+		if err == nil {
+			err = w.conns(conns, seqs)
+		}
+		return err
+	})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -539,11 +674,13 @@ func (e *shard) writeDelta(path string, full bool, certs []*certmodel.CertInfo, 
 }
 
 // foldChain streams a chain into the one segment name, returning its
-// size: roster frames copy verbatim (fingerprints are unique across a
-// chain's segments by construction), connection frames are filtered by the
-// eviction cutoffs of later segments — so the transient memory is one
-// frame, not the full state.
-func foldChain(dir string, chain []ckptSeg, name string) (int64, error) {
+// size: roster and evidence frames copy verbatim (fingerprints are unique
+// across a chain's segments by construction, pairs across its evidence
+// frames), connection frames are filtered by the eviction cutoffs of later
+// segments, and a gob frame is rewritten in this release's codec — so the
+// transient memory is one frame, not the full state, and the fold of any
+// chain is a base of this release's frames alone.
+func foldChain(dir string, chain []ckptSeg, name string, buf *[]byte) (int64, error) {
 	// Pass 1: each segment's state frame, for the cutoff schedule and
 	// the final (authoritative) state.
 	states := make([]*segState, len(chain))
@@ -566,9 +703,20 @@ func foldChain(dir string, chain []ckptSeg, name string) (int64, error) {
 		}
 	}
 
-	return createSegment(filepath.Join(dir, name), func(w io.Writer) error {
-		if err := writeFrame(w, segFrameState, states[len(states)-1]); err != nil {
+	return createSegment(filepath.Join(dir, name), buf, func(w *segWriter) error {
+		last := states[len(states)-1]
+		if err := w.state(last); err != nil {
 			return err
+		}
+		// A gob state frame holds the detector's whole evidence as of its
+		// commit: the last one stands for them all.
+		for i := len(states) - 1; i >= 0; i-- {
+			if states[i].Evidence != nil {
+				if err := w.pairs(states[i].Evidence); err != nil {
+					return err
+				}
+				break
+			}
 		}
 		for i, sg := range chain {
 			if err := copySegmentRecords(filepath.Join(dir, sg.Name), sg.Bytes, w, futureCut[i]); err != nil {
@@ -580,8 +728,10 @@ func foldChain(dir string, chain []ckptSeg, name string) (int64, error) {
 }
 
 // eachFrame hands fn every frame of a committed segment in order; fn
-// returns io.EOF to stop early. The file must be exactly the size its
-// manifest recorded — shorter is truncation, even where it parses.
+// returns io.EOF to stop early. body is read into one buffer the frames
+// share: fn copies what it keeps (the record decoders do). The file must
+// be exactly the size its manifest recorded — shorter is truncation, even
+// where it parses.
 func eachFrame(path string, wantBytes int64, fn func(typ byte, body []byte) error) error {
 	f, err := openNamed(path)
 	if err != nil {
@@ -593,10 +743,11 @@ func eachFrame(path string, wantBytes int64, fn func(typ byte, body []byte) erro
 	} else if fi.Size() != wantBytes {
 		return fmt.Errorf("%w: segment is %d bytes, manifest committed %d", store.ErrCorrupt, fi.Size(), wantBytes)
 	}
-	r := bufio.NewReaderSize(f, 1<<20)
+	var buf []byte
 	for {
-		typ, body, err := store.ReadFrame(r)
+		typ, body, err := store.ReadFrame(f, buf)
 		if err == nil {
+			buf = body[:0]
 			err = fn(typ, body)
 		}
 		if err == io.EOF {
@@ -608,23 +759,57 @@ func eachFrame(path string, wantBytes int64, fn func(typ byte, body []byte) erro
 	}
 }
 
-// decodeFrame gob-decodes one frame body; what names it in the error.
-func decodeFrame(body []byte, what string, into any) error {
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(into); err != nil {
-		return fmt.Errorf("%w: %s frame: %v", store.ErrCorrupt, what, err)
+// segRecords is one decoded record frame of either generation: a roster
+// batch (certs), a connection batch (conns) or an evidence batch (pairs),
+// the first two under their sequences. seqs is nil where an older release
+// wrote the batch without recording any.
+type segRecords struct {
+	certs []*certmodel.CertInfo
+	conns []core.ConnRecord
+	seqs  []uint64
+	pairs []interception.Pair
+}
+
+// decodeRecords decodes one record frame, this release's or a gob one, and
+// checks a sequence column against its records.
+func decodeRecords(typ byte, body []byte) (rec segRecords, err error) {
+	d := store.NewDecoder(body)
+	switch typ {
+	case segFrameCerts:
+		rec.certs, rec.seqs = d.Certs()
+	case segFrameConns:
+		rec.conns, rec.seqs = d.Conns()
+	case segFrameEvidence:
+		rec.pairs = d.Pairs()
+	case gobFrameCerts, gobFrameConns:
+		if rec, err = decodeGobRecords(typ, body); err != nil {
+			return rec, err
+		}
+		if n := len(rec.certs) + len(rec.conns); rec.seqs != nil && len(rec.seqs) != n {
+			return rec, fmt.Errorf("%w: %d sequences for %d records", store.ErrCorrupt, len(rec.seqs), n)
+		}
+		return rec, nil
+	default:
+		return rec, fmt.Errorf("%w: unknown frame type %d", store.ErrCorrupt, typ)
 	}
-	return nil
+	return rec, d.End()
+}
+
+// decodeState decodes a state frame of either generation.
+func decodeState(typ byte, body []byte) (*segState, error) {
+	switch typ {
+	case segFrameState:
+		return decodeSegState(body)
+	case gobFrameState:
+		return decodeGobState(body)
+	}
+	return nil, fmt.Errorf("%w: first frame type %d, want state", store.ErrCorrupt, typ)
 }
 
 // readSegmentState returns a segment's state frame (its first frame).
-func readSegmentState(path string, wantBytes int64) (*segState, error) {
-	var st *segState
-	err := eachFrame(path, wantBytes, func(typ byte, body []byte) error {
-		if typ != segFrameState {
-			return fmt.Errorf("%w: first frame type %d, want state", store.ErrCorrupt, typ)
-		}
-		st = &segState{}
-		if err := decodeFrame(body, "state", st); err != nil {
+func readSegmentState(path string, wantBytes int64) (st *segState, err error) {
+	err = eachFrame(path, wantBytes, func(typ byte, body []byte) error {
+		if st, err = decodeState(typ, body); err != nil {
 			return err
 		}
 		return io.EOF
@@ -635,44 +820,37 @@ func readSegmentState(path string, wantBytes int64) (*segState, error) {
 	return st, err
 }
 
-// copySegmentRecords streams a segment's record frames into w: roster
-// frames verbatim, connection frames filtered by cut (zero = verbatim).
-func copySegmentRecords(path string, wantBytes int64, w io.Writer, cut time.Time) error {
+// copySegmentRecords streams a segment's record frames into w: this
+// release's roster and evidence frames verbatim, its connection frames
+// filtered by cut (zero = verbatim), gob frames re-encoded.
+func copySegmentRecords(path string, wantBytes int64, w *segWriter, cut time.Time) error {
 	return eachFrame(path, wantBytes, func(typ byte, body []byte) error {
 		switch {
-		case typ == segFrameState:
+		case typ == segFrameState, typ == gobFrameState:
 			return nil // the folded state frame was already written
-		case typ == segFrameCerts, typ == segFrameConns && cut.IsZero():
-			return store.WriteFrame(w, typ, body)
-		case typ != segFrameConns:
-			return fmt.Errorf("%w: unknown frame type %d", store.ErrCorrupt, typ)
+		case typ == segFrameCerts, typ == segFrameEvidence, typ == segFrameConns && cut.IsZero():
+			return w.copyFrame(typ, body)
 		}
-		var batch segConns
-		if err := decodeFrame(body, "conns", &batch); err != nil {
+		rec, err := decodeRecords(typ, body)
+		if err != nil {
 			return err
 		}
-		if batch.Seqs != nil && len(batch.Seqs) != len(batch.Conns) {
-			return fmt.Errorf("%w: %d sequences for %d connections", store.ErrCorrupt, len(batch.Seqs), len(batch.Conns))
+		if rec.seqs == nil && len(rec.certs)+len(rec.conns) > 0 {
+			// Only a release that numbered in replay order wrote none, and
+			// its directories are replaced by a base, never folded.
+			return fmt.Errorf("%w: gob record frame without sequences in a chain being folded", store.ErrCorrupt)
+		}
+		if rec.certs != nil {
+			return w.certs(rec.certs, rec.seqs)
 		}
 		keep := 0
-		for i := range batch.Conns {
-			if batch.Conns[i].TS.Before(cut) {
-				continue
+		for i := range rec.conns {
+			if !rec.conns[i].TS.Before(cut) {
+				rec.conns[keep], rec.seqs[keep] = rec.conns[i], rec.seqs[i]
+				keep++
 			}
-			batch.Conns[keep] = batch.Conns[i]
-			if batch.Seqs != nil {
-				batch.Seqs[keep] = batch.Seqs[i]
-			}
-			keep++
 		}
-		if keep == 0 {
-			return nil
-		}
-		batch.Conns = batch.Conns[:keep]
-		if batch.Seqs != nil {
-			batch.Seqs = batch.Seqs[:keep]
-		}
-		return writeFrame(w, typ, &batch)
+		return w.conns(rec.conns[:keep], rec.seqs[:keep])
 	})
 }
 
@@ -680,14 +858,16 @@ func copySegmentRecords(path string, wantBytes int64, w io.Writer, cut time.Time
 // shard. For a checkpoint a format before the directory wrote, the chains
 // are empty, gobs names the full-state file standing in for each, and man
 // carries only what that format recorded. For the router, last collects
-// each restored shard's final state frame — the detector states, and what
-// a manifest without router state leaves out — and certs every roster
-// batch of every chain.
+// each restored shard's final state frame — the parked observations, and
+// what a manifest without router state leaves out — pairs the evidence
+// each chain holds, in chain order, and certs every roster batch of every
+// chain.
 type committed struct {
 	dir   string
 	man   *ckptManifest
 	gobs  []string
 	last  []*segState
+	pairs [][]interception.Pair
 	certs []ExportCert
 }
 
@@ -738,10 +918,11 @@ func openNamed(path string) (*os.File, error) {
 func (ck *committed) restoreShard(cfg Config) (e *shard, err error) {
 	i := len(ck.last)
 	var last *segState
+	ck.pairs = append(ck.pairs, nil)
 	if ck.gobs == nil {
-		e, last, err = restoreChain(cfg, ck.dir, ck.man.Chains[i], &ck.certs)
+		e, last, err = restoreChain(cfg, ck.dir, ck.man.Chains[i], ck)
 	} else {
-		e, last, err = restoreFile(cfg, ck.gobs[i], ck.man, &ck.certs)
+		e, last, err = restoreFile(cfg, ck.gobs[i], ck)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore shard %d: %w", i, err)
@@ -790,23 +971,28 @@ func RestoreSharded(cfg Config, n int, path string) (*Engine, map[string]int64, 
 			return nil, nil, err
 		}
 	}
-	s.restoreRouter(r, ck.certs, ck.last)
+	pairs := s.restoreRouter(r, ck)
 	if ck.current() {
-		s.ckpt.dir, s.ckpt.man, s.ckpt.certs = ck.dir, ck.man, int(s.rosterLen.Load())
+		s.ckpt.dir, s.ckpt.man, s.ckpt.certs, s.ckpt.pairs = ck.dir, ck.man, int(s.rosterLen.Load()), pairs
 	}
 	return s, ck.man.Cursor, nil
 }
 
-// restoreRouter rebuilds the router from its checkpointed counters, the
-// roster batches read off the chains and each chain's last state frame.
-// The detector is the union of the states those frames carry — one, in
-// chain 0, from this release; one per chain from a release that ran a
-// detector per shard. The roster is every batch's certificates in sequence
-// order, first observation of a fingerprint wins — a writer that gave every
-// shard a roster repeated a certificate in each chain that referenced it,
-// under the same sequence — and admitting it drains any observation the
-// checkpoint caught parked on a certificate the roster already held.
-func (s *Engine) restoreRouter(r *routerState, certs []ExportCert, last []*segState) {
+// restoreRouter rebuilds the router from its checkpointed counters and
+// what the chains held, and returns how much of the detector's evidence log
+// chain 0 covers — where the next delta's evidence frame starts. The
+// detector is the union of the evidence every chain holds, chain 0's first,
+// and of the observations each chain's last state frame has parked: all of
+// it in chain 0 from this release and the previous one; spread over the
+// chains from a release that ran a detector per shard, whose other chains'
+// share therefore lies past the returned position and goes into chain 0
+// with the next commit. The roster is every batch's certificates in
+// sequence order, first observation of a fingerprint wins — a writer that
+// gave every shard a roster repeated a certificate in each chain that
+// referenced it, under the same sequence — and admitting it drains any
+// observation the checkpoint caught parked on a certificate the roster
+// already held.
+func (s *Engine) restoreRouter(r *routerState, ck *committed) (covered int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextSeq = r.NextSeq
@@ -816,11 +1002,13 @@ func (s *Engine) restoreRouter(r *routerState, certs []ExportCert, last []*segSt
 		// so any cursor taken against it is refused as stale.
 		s.epoch = newEpoch()
 	}
-	for _, st := range last {
-		if st.Interception != nil {
-			s.icpt.Restore(st.Interception)
+	for i, st := range ck.last {
+		s.icpt.Restore(ck.pairs[i], st.Parked)
+		if i == 0 {
+			covered = len(s.icpt.Pairs(0))
 		}
 	}
+	certs := ck.certs
 	for i := range certs {
 		if seq, ok := r.CertSeqs[string(certs[i].Cert.Fingerprint)]; ok {
 			certs[i].Seq = seq // where an older release kept it
@@ -839,6 +1027,7 @@ func (s *Engine) restoreRouter(r *routerState, certs []ExportCert, last []*segSt
 		s.nextSeq = max(s.nextSeq, e.nextSeq)
 		e.mu.Unlock()
 	}
+	return covered
 }
 
 // restoreConnsLocked appends one restored batch to the window. Without
@@ -868,19 +1057,16 @@ func (e *shard) restoreConnsLocked(conns []core.ConnRecord, seqs []uint64) error
 // restoreCerts collects one restored roster batch for the router, each
 // certificate under the admission sequence the batch aligns to it (0 where
 // the writer recorded none).
-func restoreCerts(batch *segCerts, roster *[]ExportCert) error {
-	if batch.Seqs != nil && len(batch.Seqs) != len(batch.Certs) {
-		return fmt.Errorf("%w: %d sequences for %d certificates", store.ErrCorrupt, len(batch.Seqs), len(batch.Certs))
-	}
-	for i, c := range batch.Certs {
+func (ck *committed) restoreCerts(certs []*certmodel.CertInfo, seqs []uint64) error {
+	for i, c := range certs {
 		if c == nil || c.Fingerprint == "" {
 			return fmt.Errorf("%w: roster entry without fingerprint", store.ErrCorrupt)
 		}
 		var seq uint64
-		if batch.Seqs != nil {
-			seq = batch.Seqs[i]
+		if seqs != nil {
+			seq = seqs[i]
 		}
-		*roster = append(*roster, ExportCert{Seq: seq, Cert: c})
+		ck.certs = append(ck.certs, ExportCert{Seq: seq, Cert: c})
 	}
 	return nil
 }
@@ -904,12 +1090,12 @@ func (e *shard) finishRestoreLocked(last *segState) {
 
 // restoreChain restores one shard by replaying a committed segment
 // chain in order: apply each segment's eviction cutoff to the state
-// accumulated so far, then append its records; roster batches go to
-// roster, for the router. Counters come from the last segment's state
+// accumulated so far, then append its records; roster and evidence batches
+// go to ck, for the router. Counters come from the last segment's state
 // frame, which is returned with the shard. Any framing,
 // checksum, or truncation damage surfaces as a clean error — never a
 // panic or a silently partial restore.
-func restoreChain(cfg Config, dir string, chain []ckptSeg, roster *[]ExportCert) (*shard, *segState, error) {
+func restoreChain(cfg Config, dir string, chain []ckptSeg, ck *committed) (*shard, *segState, error) {
 	e, err := newShard(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -917,7 +1103,7 @@ func restoreChain(cfg Config, dir string, chain []ckptSeg, roster *[]ExportCert)
 	var last *segState
 	e.mu.Lock()
 	for _, sg := range chain {
-		if last, err = e.replaySegmentLocked(filepath.Join(dir, sg.Name), sg.Bytes, roster); err != nil {
+		if last, err = e.replaySegmentLocked(filepath.Join(dir, sg.Name), sg.Bytes, ck); err != nil {
 			err = fmt.Errorf("stream: restore %s: %w", sg.Name, err)
 			break
 		}
@@ -934,17 +1120,18 @@ func restoreChain(cfg Config, dir string, chain []ckptSeg, roster *[]ExportCert)
 }
 
 // replaySegmentLocked streams one segment into the shard's state, its
-// roster batches into roster, and returns its state frame.
-func (e *shard) replaySegmentLocked(path string, wantBytes int64, roster *[]ExportCert) (*segState, error) {
+// roster and evidence batches into ck (the chain being restored is ck's
+// newest), and returns its state frame.
+func (e *shard) replaySegmentLocked(path string, wantBytes int64, ck *committed) (*segState, error) {
 	var st *segState
-	err := eachFrame(path, wantBytes, func(typ byte, body []byte) error {
-		if (typ == segFrameState) != (st == nil) {
+	pairs := &ck.pairs[len(ck.pairs)-1]
+	err := eachFrame(path, wantBytes, func(typ byte, body []byte) (err error) {
+		isState := typ == segFrameState || typ == gobFrameState
+		if isState != (st == nil) {
 			return fmt.Errorf("%w: a segment is one state frame, then records", store.ErrCorrupt)
 		}
-		switch typ {
-		case segFrameState:
-			st = &segState{}
-			if err := decodeFrame(body, "state", st); err != nil {
+		if isState {
+			if st, err = decodeState(typ, body); err != nil {
 				return err
 			}
 			// The cutoff replays the evictions that ran between the
@@ -953,21 +1140,21 @@ func (e *shard) replaySegmentLocked(path string, wantBytes int64, roster *[]Expo
 			if !st.EvictCutoff.IsZero() {
 				e.st.EvictBefore(st.EvictCutoff)
 			}
+			*pairs = append(*pairs, st.Evidence...)
 			return nil
-		case segFrameCerts:
-			var batch segCerts
-			if err := decodeFrame(body, "certs", &batch); err != nil {
-				return err
-			}
-			return restoreCerts(&batch, roster)
-		case segFrameConns:
-			var batch segConns
-			if err := decodeFrame(body, "conns", &batch); err != nil {
-				return err
-			}
-			return e.restoreConnsLocked(batch.Conns, batch.Seqs)
 		}
-		return fmt.Errorf("%w: unknown frame type %d", store.ErrCorrupt, typ)
+		rec, err := decodeRecords(typ, body)
+		if err != nil {
+			return err
+		}
+		switch {
+		case rec.certs != nil:
+			return ck.restoreCerts(rec.certs, rec.seqs)
+		case rec.pairs != nil:
+			*pairs = append(*pairs, rec.pairs...)
+			return nil
+		}
+		return e.restoreConnsLocked(rec.conns, rec.seqs)
 	})
 	if err == nil && st == nil {
 		err = fmt.Errorf("%w: segment has no state frame", store.ErrCorrupt)

@@ -1,12 +1,11 @@
 package stream
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -806,10 +805,10 @@ func nonIncreasingSeqSegment(t testing.TB, in *core.Input, b *workload.Build) []
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var out bytes.Buffer
+	var out []byte
 	swapped := false
 	for {
-		typ, body, err := store.ReadFrame(f)
+		typ, body, err := store.ReadFrame(f, nil)
 		if err == io.EOF {
 			break
 		}
@@ -817,28 +816,25 @@ func nonIncreasingSeqSegment(t testing.TB, in *core.Input, b *workload.Build) []
 			t.Fatal(err)
 		}
 		if typ == segFrameConns && !swapped {
-			var batch segConns
-			if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&batch); err != nil {
+			d := store.NewDecoder(body)
+			conns, seqs := d.Conns()
+			if err := d.End(); err != nil {
 				t.Fatal(err)
 			}
-			if len(batch.Seqs) != len(batch.Conns) || len(batch.Seqs) < 2 {
-				t.Fatalf("exporting engine wrote %d sequences for %d connections", len(batch.Seqs), len(batch.Conns))
+			if len(seqs) < 2 {
+				t.Fatalf("exporting engine wrote %d connections into its first frame", len(seqs))
 			}
-			batch.Seqs[0], batch.Seqs[1] = batch.Seqs[1], batch.Seqs[0]
-			var enc bytes.Buffer
-			if err := gob.NewEncoder(&enc).Encode(&batch); err != nil {
-				t.Fatal(err)
-			}
-			body, swapped = enc.Bytes(), true
+			seqs[0], seqs[1] = seqs[1], seqs[0]
+			body, swapped = store.AppendConns(nil, conns, seqs), true
 		}
-		if err := store.WriteFrame(&out, typ, body); err != nil {
+		if out, err = store.EndFrame(append(store.BeginFrame(out, typ), body...), len(out)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !swapped {
 		t.Fatal("segment has no connection frame")
 	}
-	return out.Bytes()
+	return out
 }
 
 // TestIncrementalCheckpointIsODelta is the cost gate for the tentpole's
@@ -895,10 +891,10 @@ func TestIncrementalCheckpointIsODelta(t *testing.T) {
 	if deltaBytes*8 > baseBytes {
 		t.Fatalf("delta segment is %d bytes vs %d base — not a delta", deltaBytes, baseBytes)
 	}
-	// The delta pays a constant floor (the segment writer's 1MiB buffer,
-	// the full detector snapshot) plus O(delta records); re-serializing
-	// the ~2000-record state — what the removed full copy under the
-	// engine lock used to do every interval — costs several times that.
+	// The delta pays a small constant floor (the commit's encode buffer,
+	// the manifest) plus O(delta records); re-serializing the
+	// ~2000-record state — what the removed full copy under the engine
+	// lock used to do every interval — costs several times that.
 	if deltaAlloc*3 > baseAlloc {
 		t.Fatalf("delta checkpoint allocated %d bytes vs %d for the base — O(state) work on the delta path", deltaAlloc, baseAlloc)
 	}
@@ -964,10 +960,77 @@ func TestShardedCheckpointIsODelta(t *testing.T) {
 	if deltaBytes*8 > baseBytes {
 		t.Fatalf("second commit wrote %d bytes vs %d for the bases — not a delta", deltaBytes, baseBytes)
 	}
-	// Per shard the same constant floor as at one shard (the segment
-	// writer's 1MiB buffer, the full detector snapshot) plus O(delta).
+	// The same constant floor as at one shard plus O(delta).
 	if deltaAlloc*3 > baseAlloc {
 		t.Fatalf("second commit allocated %d bytes vs %d for the bases — O(state) work on the delta path", deltaAlloc, baseAlloc)
+	}
+}
+
+// TestEmptyCommitIsAStateFrame: with nothing new since the previous commit
+// a checkpoint writes one state frame a chain — under a kilobyte in all, at
+// 1, 2 and 4 shards, on the build the backfill workload runs (scale 200),
+// where the previous release rewrote 1.1 MB of detector state — and what a
+// commit writes and allocates does not depend on how much §3.2 evidence is
+// already committed: a build with several times the evidence costs the same.
+func TestEmptyCommitIsAStateFrame(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation accounting is not stable under -race")
+	}
+	scales := []int{2000, 200}
+	if testing.Short() {
+		scales = []int{2000, 600}
+	}
+	for _, n := range []int{1, 2, 4} {
+		var bytes, mallocs, pairs [2]uint64
+		for k, scale := range scales {
+			b := genBuild(20240504, scale)
+			in := inputFromBuild(b)
+			in.Raw = nil
+			s := newSharded(t, n, in, nil)
+			feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
+			s.Drain()
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			if err := s.WriteCheckpoint(dir, nil); err != nil {
+				t.Fatal(err)
+			}
+			// The fewest of five empty commits: the runtime's own
+			// allocations land in the count now and then.
+			mallocs[k] = math.MaxUint64
+			for i := 0; i < 5; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := s.WriteCheckpoint(dir, nil); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				mallocs[k] = min(mallocs[k], after.Mallocs-before.Mallocs)
+			}
+			man, err := readCkptManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, chain := range man.Chains {
+				if len(chain) != 6 {
+					t.Fatalf("shards=%d: chain of %d segments after six commits", n, len(chain))
+				}
+				bytes[k] += uint64(chain[5].Bytes)
+			}
+			pairs[k] = uint64(s.ckpt.pairs)
+			s.Close()
+		}
+		if pairs[1] < 3*pairs[0] || pairs[0] == 0 {
+			t.Fatalf("shards=%d: %d and %d evidence pairs committed: the builds do not differ enough to show anything", n, pairs[0], pairs[1])
+		}
+		t.Logf("shards=%d: empty commit %d bytes / %d mallocs over %d committed pairs, %d / %d over %d", n, bytes[0], mallocs[0], pairs[0], bytes[1], mallocs[1], pairs[1])
+		if bytes[1] >= 1000 {
+			t.Errorf("shards=%d: an empty commit wrote %d bytes of segments, want under 1000", n, bytes[1])
+		}
+		if diff := int64(bytes[1]) - int64(bytes[0]); diff > int64(8*n) || diff < -int64(8*n) {
+			t.Errorf("shards=%d: an empty commit wrote %d bytes over %d committed pairs and %d over %d — it follows the evidence", n, bytes[0], pairs[0], bytes[1], pairs[1])
+		}
+		if mallocs[1] > mallocs[0]+16 {
+			t.Errorf("shards=%d: an empty commit allocated %d times over %d committed pairs and %d over %d — it follows the evidence", n, mallocs[0], pairs[0], mallocs[1], pairs[1])
+		}
 	}
 }
 
@@ -1023,7 +1086,8 @@ func TestDiskStoreMatchesMemory(t *testing.T) {
 // panic. Each input is tried as a one-shard engine's only segment (under a
 // version-1 manifest) and as one shard's chain in a two-shard directory
 // whose other chain is intact. The seed corpus is valid committed
-// segments, so mutations explore near-valid framing.
+// segments of both frame generations, so mutations explore near-valid
+// framing of each.
 func FuzzRestore(f *testing.F) {
 	b := genBuild(7, 20000)
 	in := inputFromBuild(b)
@@ -1078,6 +1142,16 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(nonIncreasingSeqSegment(f, in, b))
 	f.Add(shardSeed)
+	// What the previous release wrote — gob frames, the detector's whole
+	// state in the state frame — beside this release's frames above: a base
+	// and a delta of chain 0, and a segment of chain 1.
+	for _, name := range []string{"detector-export/seg-1.ckpt", "detector-export/seg-3.ckpt", "detector-sharded-export/seg-2.ckpt"} {
+		gobSeed, err := os.ReadFile(filepath.Join("testdata", "parent", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(gobSeed)
+	}
 
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := t.TempDir()

@@ -88,14 +88,17 @@ func sortCertLog(log []ExportCert) {
 	})
 }
 
-// exportConnsLocked returns the shard's retained connections at or after
-// since, ascending — a suffix of the window, so a delta costs O(delta).
-func (e *shard) exportConnsLocked(since uint64) (conns []ExportConn) {
-	e.st.Since(since, func(rec *core.ConnRecord, seq uint64) bool {
-		conns = append(conns, ExportConn{Seq: seq, Conn: *rec})
-		return true
-	})
-	return conns
+// exportConns pairs a window snapshot's connections with their sequences
+// — a suffix of the window, so a delta costs O(delta), sized once.
+func exportConns(conns []core.ConnRecord, seqs []uint64) []ExportConn {
+	if len(conns) == 0 {
+		return nil
+	}
+	out := make([]ExportConn, len(conns))
+	for i := range conns {
+		out[i] = ExportConn{Seq: seqs[i], Conn: conns[i]}
+	}
+	return out
 }
 
 // mergeExportConns collects per-shard suffixes, each ascending, into one
@@ -166,8 +169,12 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 		if e.watermark.After(st.Watermark) {
 			st.Watermark = e.watermark
 		}
-		parts[i] = e.exportConnsLocked(since)
+		conns, seqs := e.st.Snapshot(since)
 		e.mu.Unlock()
+		// The snapshot stays readable without the shard's lock (live
+		// headers, or copies on a tiered window): the copy into the export's
+		// layout is not the apply loop's to wait for.
+		parts[i] = exportConns(conns, seqs)
 	}
 	st.Evidence = s.icpt.Evidence()
 	st.CertsIngested = s.certsRouted.Load()

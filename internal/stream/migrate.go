@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
@@ -17,11 +18,94 @@ import (
 )
 
 // Readers for the checkpoint shapes older than what checkpoint.go writes:
-// the formats that preceded the segment-chain directory, and the
-// directories of the release in which a one-shard engine checkpointed
-// without a router. Nothing here writes: RestoreSharded reads one of
-// these, and the restored engine's first WriteCheckpoint replaces it
-// (checkpoint.go).
+// the gob frames every segment held up to manifest version 2, the formats
+// that preceded the segment-chain directory, and the directories of the
+// release in which a one-shard engine checkpointed without a router.
+// Nothing here writes, and gob is used nowhere else: RestoreSharded reads
+// one of these, and the restored engine's first WriteCheckpoint continues
+// it with frames of its own or replaces it (checkpoint.go).
+
+// Segment frame types of manifest versions 1 and 2: one gob value each,
+// through an encoder of its own.
+const (
+	gobFrameState byte = 1 // gobSegState
+	gobFrameCerts byte = 2 // gobRecords, Certs set
+	gobFrameConns byte = 3 // gobRecords, Conns set
+)
+
+// gobDetector is a detector's whole state as every gob checkpoint carried
+// it: both relations and the parked observations.
+type gobDetector struct {
+	Observed     map[string]map[ids.Fingerprint]bool
+	Contradicted map[string]map[string]bool
+	Pending      map[ids.Fingerprint][]interception.PendingRef
+}
+
+// state moves what the gob carried of the detector into st: the relations
+// as pairs in canonical order (a restore logs them in the order given, and
+// the same bytes must restore to the same log), the parked set as it is.
+func (det *gobDetector) state(st *segState) {
+	if det == nil {
+		return
+	}
+	st.Evidence = (&interception.Evidence{Observed: det.Observed, Contradicted: det.Contradicted}).Pairs()
+	if st.Parked = det.Pending; st.Parked == nil {
+		st.Parked = map[ids.Fingerprint][]interception.PendingRef{}
+	}
+}
+
+// gobSegState is the gob state frame: the shard's counters and cutoff, in
+// chain 0 (every chain, from a release that ran a detector per shard) the
+// detector's cumulative state, and — from a release before the router
+// owned every certificate and numbering — an exporting engine's epoch and
+// next sequence.
+type gobSegState struct {
+	ConnsIngested uint64
+	CertsIngested uint64
+	Evicted       uint64
+	Watermark     time.Time
+	EvictCutoff   time.Time
+	Interception  *gobDetector
+	Epoch         uint64
+	NextSeq       uint64
+}
+
+// gobRecords is a gob roster or connection batch; Seqs is nil in segments
+// an older release wrote without exporting.
+type gobRecords struct {
+	Certs []*certmodel.CertInfo
+	Conns []core.ConnRecord
+	Seqs  []uint64
+}
+
+func decodeGob(body []byte, what string, into any) error {
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(into); err != nil {
+		return fmt.Errorf("%w: %s frame: %v", store.ErrCorrupt, what, err)
+	}
+	return nil
+}
+
+func decodeGobState(body []byte) (*segState, error) {
+	var g gobSegState
+	if err := decodeGob(body, "state", &g); err != nil {
+		return nil, err
+	}
+	st := &segState{
+		ConnsIngested: g.ConnsIngested, Evicted: g.Evicted, Watermark: g.Watermark, EvictCutoff: g.EvictCutoff,
+		CertsIngested: g.CertsIngested, Epoch: g.Epoch, NextSeq: g.NextSeq,
+	}
+	g.Interception.state(st)
+	return st, nil
+}
+
+func decodeGobRecords(typ byte, body []byte) (segRecords, error) {
+	var g gobRecords
+	err := decodeGob(body, "record", &g)
+	if typ == gobFrameCerts {
+		return segRecords{certs: g.Certs, seqs: g.Seqs}, err
+	}
+	return segRecords{conns: g.Conns, seqs: g.Seqs}, err
+}
 
 // plainRouter synthesizes the router state for a checkpoint whose
 // manifest has none: a one-shard engine of the previous release, which
@@ -58,7 +142,7 @@ type checkpointState struct {
 
 	Roster       []*certmodel.CertInfo
 	Conns        []core.ConnRecord
-	Interception *interception.StreamState
+	Interception *gobDetector
 	// Seqs aligns ingest sequences with Conns when the writer was a shard
 	// or exported (nil otherwise); Epoch, NextSeq and CertSeqs are an
 	// exporting writer's numbering, zero/nil otherwise.
@@ -71,7 +155,7 @@ type checkpointState struct {
 // restoreFile starts a shard from a full-state gob file and returns what
 // a chain's last state frame would hold. A file that stood alone carries
 // its own cursor, which goes to man.
-func restoreFile(cfg Config, path string, man *ckptManifest, roster *[]ExportCert) (*shard, *segState, error) {
+func restoreFile(cfg Config, path string, ck *committed) (*shard, *segState, error) {
 	// A writer of this format that died mid-commit left <path>.tmp
 	// behind; nothing else collects it once the file itself is replaced.
 	os.Remove(atomicfile.TempName(path))
@@ -88,7 +172,7 @@ func restoreFile(cfg Config, path string, man *ckptManifest, roster *[]ExportCer
 		return nil, nil, fmt.Errorf("stream: checkpoint version %d, want %d", st.Version, checkpointVersion)
 	}
 	if st.Cursor != nil {
-		man.Cursor = st.Cursor
+		ck.man.Cursor = st.Cursor
 	}
 	e, err := newShard(cfg)
 	if err != nil {
@@ -96,12 +180,12 @@ func restoreFile(cfg Config, path string, man *ckptManifest, roster *[]ExportCer
 	}
 	// The same replay as one segment of a chain: roster, then window,
 	// then the state that closes it.
-	certs := segCerts{Certs: st.Roster}
+	var certSeqs []uint64
 	if st.CertSeqs != nil {
-		certs.Seqs = make([]uint64, len(st.Roster))
+		certSeqs = make([]uint64, len(st.Roster))
 		for i, c := range st.Roster {
 			if c != nil {
-				certs.Seqs[i] = st.CertSeqs[c.Fingerprint]
+				certSeqs[i] = st.CertSeqs[c.Fingerprint]
 			}
 		}
 	}
@@ -112,10 +196,11 @@ func restoreFile(cfg Config, path string, man *ckptManifest, roster *[]ExportCer
 		Watermark:     st.Watermark,
 		Epoch:         st.Epoch,
 		NextSeq:       st.NextSeq,
-		Interception:  st.Interception,
 	}
+	st.Interception.state(last)
+	ck.pairs[len(ck.pairs)-1] = last.Evidence
 	e.mu.Lock()
-	err = restoreCerts(&certs, roster)
+	err = ck.restoreCerts(st.Roster, certSeqs)
 	if err == nil {
 		err = e.restoreConnsLocked(st.Conns, st.Seqs)
 	}

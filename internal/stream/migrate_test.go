@@ -137,7 +137,7 @@ func copyDir(t testing.TB, src, dst string) {
 }
 
 // assertOnlyCommitted requires the checkpoint at path to be a directory
-// holding its version-2 MANIFEST, the segments it names, and nothing
+// holding its version-3 MANIFEST, the segments it names, and nothing
 // else — no older format's files, no temp files, no half-swapped
 // directory beside it — and returns the manifest.
 func assertOnlyCommitted(t testing.TB, path string) *ckptManifest {
@@ -146,8 +146,8 @@ func assertOnlyCommitted(t testing.TB, path string) *ckptManifest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(buf), `"Version": 2`) {
-		t.Fatalf("MANIFEST is not version 2:\n%s", buf)
+	if !strings.Contains(string(buf), `"Version": 3`) {
+		t.Fatalf("MANIFEST is not version 3:\n%s", buf)
 	}
 	man, err := readCkptManifest(path)
 	if err != nil {
@@ -391,8 +391,8 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if (st.Interception != nil) != (i == 0) {
-					t.Fatalf("chain %d's new segment carries detector state: %v, want it in chain 0 alone", i, st.Interception != nil)
+				if (st.Parked != nil) != (i == 0) {
+					t.Fatalf("chain %d's new segment carries detector state: %v, want it in chain 0 alone", i, st.Parked != nil)
 				}
 			}
 

@@ -1,0 +1,323 @@
+package stream
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/certmodel"
+	"repro/internal/ids"
+	"repro/internal/interception"
+	"repro/internal/store"
+)
+
+// The detector-* fixtures are manifest-2 directories the previous release
+// wrote (commit 01cd2dd, the last to write gob frames; README.md beside
+// them has the writer): one shard and two, exporting, under a retention
+// window that evicted between commits, a base and two deltas a chain, the
+// detector's whole state in every segment of chain 0 and 26 observations
+// parked in it. Each sits beside its writer's Stats and Export(0, 0) at
+// the last commit.
+
+// gobFixtureConfig is the configuration the writer ran under: a shard's
+// every apply runs an eviction pass, so the retained window is a function
+// of the rows applied, not of where a restart fell between passes.
+func gobFixtureConfig(fx *fixture) Config {
+	return Config{Input: fx.in, TrackExport: true, Retention: 400 * 24 * time.Hour, EvictEvery: 1}
+}
+
+// writerRecord is what a detector-* writer recorded at its last commit.
+type writerRecord struct {
+	Stats  Stats
+	Export *ExportState
+}
+
+// held requires e to hold exactly what the writer recorded: the counters
+// Stats reports and the whole export — numbering, retained window, roster,
+// §3.2 evidence and parked count.
+func (w *writerRecord) held(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	got, want := e.Stats(), w.Stats
+	for _, st := range []*Stats{&got, &want} { // what a restart legitimately moves
+		st.Rebuilds, st.Dirty, st.LastCheckpoint, st.CheckpointAge = 0, false, time.Time{}, 0
+	}
+	if got != want {
+		t.Fatalf("%s: stats %+v, the writer had %+v", when, got, want)
+	}
+	exp, err := e.Export(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(exp, w.Export) {
+		t.Fatalf("%s: export differs from the writer's: %d/%d certs, %d/%d conns, next %d/%d, evidence equal: %v", when,
+			len(exp.Certs), len(w.Export.Certs), len(exp.Conns), len(w.Export.Conns), exp.NextSeq, w.Export.NextSeq,
+			reflect.DeepEqual(exp.Evidence, w.Export.Evidence))
+	}
+}
+
+// frameTypes lists the type byte of every frame of a committed segment.
+func frameTypes(t *testing.T, dir string, sg ckptSeg) (types []byte) {
+	t.Helper()
+	err := eachFrame(filepath.Join(dir, sg.Name), sg.Bytes, func(typ byte, _ []byte) error {
+		types = append(types, typ)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return types
+}
+
+func isGob(typ byte) bool { return typ <= gobFrameConns }
+
+// TestParentGobDirectories restores each gob directory from the bytes the
+// previous release wrote to exactly what its writer recorded, resumes it to
+// the 23 reports of an engine that was never stopped, and then lives with
+// it the way an upgraded daemon does: the first commit puts a delta of this
+// release's frames on the writer's gob chain under a version-3 manifest,
+// the mixed chain restores to the writer's record again, and a fold turns
+// it into one base of this release's frames alone that restores to the same
+// reports. (The reference is an engine under the writer's retention, not
+// the batch pipeline: batch has no window.)
+func TestParentGobDirectories(t *testing.T) {
+	fx := loadFixture()
+	cfg := gobFixtureConfig(fx)
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{
+		{"detector-export", 1},
+		{"detector-sharded-export", 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref := newSharded(t, c.shards, fx.in, func(cf *Config) { *cf = cfg })
+			feedRows(t, ref, fx.early, fx.before)
+			feedRows(t, ref, fx.late, fx.after)
+			ref.Drain()
+			want := allReports(t, ref)
+
+			dir := filepath.Join(t.TempDir(), c.name)
+			copyDir(t, filepath.Join("testdata", "parent", c.name), dir)
+			var wrote writerRecord
+			readJSON(t, filepath.Join("testdata", "parent", c.name+".export.json"), &wrote)
+			if wrote.Stats.Evicted == 0 || wrote.Stats.PendingCerts == 0 || len(wrote.Export.Evidence.Observed) == 0 {
+				t.Fatalf("vacuous: the writer evicted %d, parked %d", wrote.Stats.Evicted, wrote.Stats.PendingCerts)
+			}
+			written, err := readCkptManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cutoffs := 0
+			for i, chain := range written.Chains {
+				if written.Version != 2 || len(chain) != 3 {
+					t.Fatalf("chain %d of the version-%d fixture has %d segments, want a base and two deltas under version 2", i, written.Version, len(chain))
+				}
+				for _, sg := range chain {
+					for _, typ := range frameTypes(t, dir, sg) {
+						if !isGob(typ) {
+							t.Fatalf("fixture segment %s holds frame type %d: not the previous release's bytes", sg.Name, typ)
+						}
+					}
+					st, err := readSegmentState(filepath.Join(dir, sg.Name), sg.Bytes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !st.EvictCutoff.IsZero() {
+						cutoffs++
+					}
+				}
+			}
+			if cutoffs == 0 {
+				t.Fatal("vacuous: no segment of the fixture replays an eviction")
+			}
+			restore := func() *Engine {
+				t.Helper()
+				e, cursor, err := RestoreSharded(cfg, c.shards, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(e.Close)
+				if cursor["conn_index"] != int64(len(fx.before)) {
+					t.Fatalf("cursor = %v, want conn_index=%d", cursor, len(fx.before))
+				}
+				return e
+			}
+
+			resumed := restore()
+			wrote.held(t, resumed, "restored from the parent's bytes")
+			feedRows(t, resumed, fx.late, fx.after)
+			resumed.Drain()
+			diffReports(t, "resumed from the parent's bytes", want, allReports(t, resumed))
+			resumed.Close() // it never wrote: the directory is still the parent's
+
+			// The upgrade's first commit: an empty delta of this release's
+			// frames on every gob chain, under a version-3 manifest.
+			cursor := map[string]int64{"conn_index": int64(len(fx.before))}
+			upgraded := restore()
+			if err := upgraded.WriteCheckpoint(dir, cursor); err != nil {
+				t.Fatal(err)
+			}
+			man := assertOnlyCommitted(t, dir)
+			for i, chain := range man.Chains {
+				if len(chain) != 4 || !reflect.DeepEqual(chain[:3], written.Chains[i]) {
+					t.Fatalf("chain %d is %v, want the writer's %v and one delta", i, chain, written.Chains[i])
+				}
+				if types := frameTypes(t, dir, chain[3]); len(types) != 1 || types[0] != segFrameState {
+					t.Fatalf("chain %d's delta over nothing new holds frames %v, want one state frame", i, types)
+				}
+			}
+			wrote.held(t, restore(), "restored from the gob chain under a delta of this release's")
+
+			// It goes on: the late certificates and the rest of the
+			// connections, a second delta — evidence pairs, roster and
+			// connection frames this time — and a fold.
+			feedRows(t, upgraded, fx.late, fx.after)
+			upgraded.Drain()
+			if err := upgraded.WriteCheckpoint(dir, cursor); err != nil {
+				t.Fatal(err)
+			}
+			man = assertOnlyCommitted(t, dir)
+			types := frameTypes(t, dir, man.Chains[0][4])
+			for _, typ := range []byte{segFrameState, segFrameCerts, segFrameEvidence, segFrameConns} {
+				if !slices.Contains(types, typ) {
+					t.Fatalf("chain 0's second delta holds frames %v, want one of type %d among them", types, typ)
+				}
+			}
+			evidence := func(e *Engine) *interception.Evidence {
+				t.Helper()
+				exp, err := e.Export(0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return exp.Evidence
+			}
+			mixed := restore()
+			diffReports(t, "restored from the mixed chain", want, allReports(t, mixed))
+			if !reflect.DeepEqual(evidence(mixed), evidence(upgraded)) {
+				t.Fatal("the mixed chain restores to other §3.2 evidence than the engine that wrote it holds: gob state and evidence frames are a union")
+			}
+			before := numbering(t, upgraded)
+			if err := upgraded.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			man = assertOnlyCommitted(t, dir)
+			for i, chain := range man.Chains {
+				if len(chain) != 1 {
+					t.Fatalf("chain %d has %d segments after the fold, want 1", i, len(chain))
+				}
+				for _, typ := range frameTypes(t, dir, chain[0]) {
+					if isGob(typ) {
+						t.Fatalf("chain %d's folded base still holds a gob frame (type %d)", i, typ)
+					}
+				}
+			}
+			folded := restore()
+			diffReports(t, "restored from the folded base", want, allReports(t, folded))
+			if after := numbering(t, folded); !reflect.DeepEqual(before, after) {
+				t.Fatalf("export numbering changed across the fold: epoch %d → %d, next %d → %d", before.Epoch, after.Epoch, before.NextSeq, after.NextSeq)
+			}
+			if a, b := detectorStats(upgraded), detectorStats(folded); a != b {
+				t.Fatalf("§3.2 state changed across the fold: %+v → %+v", a, b)
+			}
+			if !reflect.DeepEqual(evidence(folded), evidence(upgraded)) {
+				t.Fatal("the folded base restores to other §3.2 evidence than the engine that wrote it holds")
+			}
+		})
+	}
+}
+
+// TestBinarySegmentTruncated: a segment of this release's frames cut at any
+// byte but a frame boundary does not read as frames, and no frame's payload
+// cut at any byte decodes — each is store.ErrCorrupt. (A cut at a boundary
+// is what the size the manifest records is for: TestTornCheckpointCorpus.)
+func TestBinarySegmentTruncated(t *testing.T) {
+	fx := loadFixture()
+	e := newEngine(t, fx.in, nil)
+	// A segment of a few kilobytes (every cut re-reads it): 96 connections
+	// and the punctual certificates their chains name.
+	conns := fx.before[:96]
+	named := map[ids.Fingerprint]bool{}
+	for _, c := range conns {
+		for _, fp := range append(slices.Clone(c.ServerChain), c.ClientChain...) {
+			named[fp] = true
+		}
+	}
+	var certs []*certmodel.CertInfo
+	for _, c := range fx.early {
+		if named[c.Fingerprint] {
+			certs = append(certs, c)
+		}
+	}
+	feedRows(t, e, certs, conns)
+	e.Drain()
+	if e.Stats().PendingCerts == 0 {
+		t.Fatal("vacuous: nothing parked for the state frame to carry")
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := e.WriteCheckpoint(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	man, err := readCkptManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(filepath.Join(dir, man.Chains[0][0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// frames reads b as frames and returns each payload with its type.
+	type frame struct {
+		typ  byte
+		body []byte
+	}
+	frames := func(b []byte) (out []frame, err error) {
+		for r := bytes.NewReader(b); ; {
+			typ, body, err := store.ReadFrame(r, nil)
+			if err == io.EOF {
+				return out, nil
+			}
+			if err != nil {
+				return out, err
+			}
+			out = append(out, frame{typ, body})
+		}
+	}
+	all, err := frames(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundary := map[int]bool{0: true}
+	seen, off := map[byte]bool{}, 0
+	for _, f := range all {
+		off += len(f.body) + 9
+		boundary[off], seen[f.typ] = true, true
+	}
+	if len(seen) != 4 {
+		t.Fatalf("segment holds frame types %v, want state, roster, evidence and connections", seen)
+	}
+	for cut := 0; cut < len(whole); cut++ {
+		if _, err := frames(whole[:cut]); boundary[cut] != (err == nil) || (err != nil && !errors.Is(err, store.ErrCorrupt)) {
+			t.Fatalf("cut at %d of %d (frame boundary: %v): err = %v", cut, len(whole), boundary[cut], err)
+		}
+	}
+	for _, f := range all {
+		for cut := 0; cut < len(f.body); cut++ {
+			var err error
+			if f.typ == segFrameState {
+				_, err = decodeState(f.typ, f.body[:cut])
+			} else {
+				_, err = decodeRecords(f.typ, f.body[:cut])
+			}
+			if !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("frame type %d payload cut at %d of %d: err = %v, want store.ErrCorrupt", f.typ, cut, len(f.body), err)
+			}
+		}
+	}
+}
