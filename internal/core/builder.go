@@ -1,8 +1,12 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/certmodel"
+	"repro/internal/classify"
 	"repro/internal/ids"
+	"repro/internal/truststore"
 	"repro/internal/zeek"
 )
 
@@ -29,10 +33,10 @@ type CertRecord = zeek.X509Record
 // connections that name it does not matter: AddCert re-enriches, in
 // position order, the views that failed to resolve it, and every usage
 // update is idempotent (flags, min/max timestamps, subnet sets), so the
-// state equals the one the certificate-first order builds. Nothing can
-// be taken back, though: a removed connection's share of another
-// certificate's first/last-seen cannot be un-counted, so a grown
-// verdict, a lossy source or a misordered append cost a fresh Builder
+// state equals the one the certificate-first order builds. One thing can
+// be taken back: the certificates a grown §3.2 verdict excludes, with the
+// connections they served (Exclude). Anything else that removes records —
+// a lossy source, a misordered append — costs a fresh Builder
 // (MergedView's ReplayReason constants).
 type Builder struct {
 	e *enriched
@@ -51,6 +55,29 @@ func NewBuilder(in *Input) *Builder {
 	e := newEnriched(in)
 	e.ds = zeek.NewDataset()
 	return &Builder{e: e, w: e.newEnricher(in.Assoc.index()), waiting: make(map[ids.Fingerprint][]int32)}
+}
+
+// issuerMemos are the enricher's two caches keyed by certificate issuer
+// strings — pure functions of strings a roster keeps resident, so they
+// may outlive the Builder that filled them. The PSL split cache and the
+// subnet memo may not: their keys are connection strings, which over a
+// MergeCapture.Copies capture are all that still points into the decoded
+// records the view has to let go.
+type issuerMemos struct {
+	memo    *classify.Memo
+	issuers *truststore.IssuerMemo
+}
+
+// shareIssuerMemos makes b classify issuers through the memos m holds,
+// or, when it holds none yet, leaves b's own there for the next Builder.
+func (b *Builder) shareIssuerMemos(m *issuerMemos) {
+	switch {
+	case b.w.memo == nil: // Input.NoCache
+	case m.memo == nil:
+		*m = issuerMemos{b.w.memo, b.w.issuers}
+	default:
+		b.w.memo, b.w.issuers = m.memo, m.issuers
+	}
 }
 
 // AddCert registers a certificate for chain resolution and rebuilds the
@@ -74,6 +101,123 @@ func (b *Builder) AddCert(c *certmodel.CertInfo) int {
 
 // HasCert reports whether a fingerprint is already resolvable.
 func (b *Builder) HasCert(fp ids.Fingerprint) bool { return b.e.ds.Cert(fp) != nil }
+
+// Exclude takes back what a §3.2 verdict grown by newly removes, leaving
+// the Builder as a fresh one fed the same certificates and connections
+// under the grown verdict would stand: the certificates leave the chain-
+// resolution dataset and the usage state, every connection whose server
+// leaf is one of them is removed (as interception.Filter drops it on the
+// batch path), and a surviving connection that presented one as its
+// client leaf is re-enriched without it. It returns how many connections
+// it removed.
+//
+// A certificate no connection names costs its two map deletes. Otherwise
+// the views are compacted in one pass; what a removed connection had
+// contributed to a surviving certificate — its client leaf — cannot be
+// subtracted from first/last-seen or a subnet set, so those certificates'
+// usage entries are dropped and observed again from the surviving views
+// that name them, lowest position first: the connection a replay would
+// classify each from. Every other usage update of that second pass is
+// idempotent.
+func (b *Builder) Exclude(newly []ids.Fingerprint) int {
+	e, w := b.e, b.w
+	// gone holds the excluded certificates some view resolved; drop the
+	// positions of the views still waiting for one as their server leaf.
+	var gone map[*certmodel.CertInfo]bool
+	var drop []int32
+	for _, fp := range newly {
+		if c := e.ds.Certs[fp]; c != nil {
+			delete(e.ds.Certs, fp)
+			if _, used := w.usage[fp]; used {
+				delete(w.usage, fp)
+				if gone == nil {
+					gone = make(map[*certmodel.CertInfo]bool)
+				}
+				gone[c] = true
+			}
+			continue
+		}
+		for _, pos := range b.waiting[fp] {
+			if e.conns[pos].rec.ServerLeaf() == fp {
+				drop = append(drop, pos)
+			}
+		}
+	}
+	if len(gone) == 0 && len(drop) == 0 {
+		return 0
+	}
+	slices.Sort(drop) // the lists of different leaves interleave
+
+	// One pass: removed collects the old positions taken out, reviewed
+	// the new positions of the views rebuilt without their client leaf,
+	// touched the surviving certificates a removed view had observed.
+	var removed, reviewed []int32
+	touched := make(map[*certmodel.CertInfo]bool)
+	n := 0
+	for i := range e.conns {
+		cv := &e.conns[i]
+		var out bool
+		if cv.serverCert != nil {
+			out = gone[cv.serverCert]
+		} else if len(drop) > 0 && drop[0] == int32(i) {
+			out, drop = true, drop[1:]
+		}
+		if out {
+			w.totalW -= cv.rec.Weight
+			if cv.rec.Version == "TLSv13" {
+				w.tls13W -= cv.rec.Weight
+			}
+			if c := cv.clientCert; c != nil && !gone[c] {
+				touched[c] = true
+			}
+			removed = append(removed, int32(i))
+			continue
+		}
+		if cv.clientCert != nil && gone[cv.clientCert] {
+			*cv = w.view(cv.rec)
+			reviewed = append(reviewed, int32(n))
+		}
+		if n != i {
+			e.conns[n] = *cv
+		}
+		n++
+	}
+	clear(e.conns[n:]) // let the removed records go
+	e.conns = e.conns[:n]
+
+	if len(touched) > 0 {
+		for c := range touched {
+			delete(w.usage, c.Fingerprint)
+		}
+		for i := range e.conns {
+			if cv := &e.conns[i]; touched[cv.serverCert] || touched[cv.clientCert] {
+				w.observeConn(cv)
+			}
+		}
+	}
+
+	// The waiting lists, against the compacted positions.
+	if len(removed) > 0 {
+		for fp, list := range b.waiting {
+			kept := list[:0]
+			for _, pos := range list {
+				if below, out := slices.BinarySearch(removed, pos); !out {
+					kept = append(kept, pos-int32(below))
+				}
+			}
+			if len(kept) == 0 {
+				delete(b.waiting, fp)
+			} else {
+				b.waiting[fp] = kept
+			}
+		}
+	}
+	for _, pos := range reviewed {
+		cl := e.conns[pos].rec.ClientLeaf()
+		b.waiting[cl] = append(b.waiting[cl], pos)
+	}
+	return len(removed)
+}
 
 // AddConn enriches one connection and appends it to the analysis state.
 // The record pointer is retained by the enriched view; callers must not

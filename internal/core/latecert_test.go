@@ -191,8 +191,10 @@ func TestLateCertEqualsCertFirst(t *testing.T) {
 }
 
 // TestLateCertExcluded is case (f): a late certificate the verdict
-// excludes is never added — its arrival grows the exclusion set, which is
-// a replay — and the connections it served are filtered.
+// excludes is never added — its arrival grows the exclusion set, and the
+// connection that waited for it as its server leaf is taken back out of
+// the same Builder; the one that presented it as a client leaf stays,
+// still waiting.
 func TestLateCertExcluded(t *testing.T) {
 	mitm := mkTestCert("b1", "Intercepting Proxy", "www.virginia.edu")
 	mitmClient := mkTestCert("b2", "Intercepting Proxy", "device.example.org")
@@ -203,7 +205,8 @@ func TestLateCertExcluded(t *testing.T) {
 	w.appendConn(w.srcs[0], lateConn("C1", 10, chain(mitm.Fingerprint), nil))
 	w.appendConn(w.srcs[1], lateConn("C2", 11, chain(srv.Fingerprint), chain(mitmClient.Fingerprint)))
 	w.read(t, "before the certificates")
-	if n := w.view.b.Conns(); n != 2 {
+	first := w.view.b
+	if n := first.Conns(); n != 2 {
 		t.Fatalf("%d connections merged before the verdict, want 2", n)
 	}
 	w.confirmed[mitm.IssuerKey()] = true
@@ -218,11 +221,15 @@ func TestLateCertExcluded(t *testing.T) {
 	if n := b.Conns(); n != 1 {
 		t.Errorf("%d connections merged, want the one whose server leaf is not excluded", n)
 	}
-	if want := (map[ReplayReason]int{ReplayFirst: 1, ReplayVerdict: 1}); !reflect.DeepEqual(w.replays, want) {
-		t.Errorf("replays %v, want %v", w.replays, want)
+	if want := (map[ReplayReason]int{ReplayFirst: 1}); b != first || !reflect.DeepEqual(w.replays, want) {
+		t.Errorf("replays %v (same Builder: %v), want %v", w.replays, b == first, want)
 	}
-	if st := w.view.Stats(); st.Late != 0 {
-		t.Errorf("Late = %d, want 0: nothing was patched in place", st.Late)
+	want := MergeStats{Merges: 2, Replays: 1, Enriched: 2, Retracted: 1}
+	if st := w.view.Stats(); st != want {
+		t.Errorf("Stats() = %+v, want %+v: one connection taken back, nothing patched in place", st, want)
+	}
+	if want := (map[ids.Fingerprint][]int32{mitmClient.Fingerprint: {0}}); !reflect.DeepEqual(b.waiting, want) {
+		t.Errorf("waiting lists %v, want %v", b.waiting, want)
 	}
 }
 

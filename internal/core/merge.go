@@ -148,10 +148,9 @@ type ReplayReason string
 const (
 	// ReplayFirst: the view has no Builder yet.
 	ReplayFirst ReplayReason = "first"
-	// ReplayVerdict: the §3.2 exclusion set grew, so records already
-	// merged may have to go.
-	ReplayVerdict ReplayReason = "verdict"
-	// ReplayLost: a source dropped or replaced records (MergeCapture.Lost).
+	// ReplayLost: a source dropped or replaced records (MergeCapture.Lost),
+	// or the verdict no longer excludes a certificate it did (an
+	// aggregator's evidence union starting over with such a source).
 	ReplayLost ReplayReason = "lost"
 	// ReplayOrder: a source appended a connection that sorts at or below
 	// one already merged. The owners number connections so that this does
@@ -161,7 +160,7 @@ const (
 
 // ReplayReasons lists every reason, for owners that pre-register one
 // series per reason.
-var ReplayReasons = []ReplayReason{ReplayFirst, ReplayVerdict, ReplayLost, ReplayOrder}
+var ReplayReasons = []ReplayReason{ReplayFirst, ReplayLost, ReplayOrder}
 
 // MergeStats is a MergedView's work so far.
 type MergeStats struct {
@@ -169,7 +168,10 @@ type MergeStats struct {
 	Replays  uint64 // of those, rebuilds from the sources' whole state
 	Enriched uint64 // connections enriched across all of them
 	Late     uint64 // views re-enriched in place because their certificate came after them
-	Stale    bool   // a source moved since the last catch-up, or no Builder is held
+	// Retracted counts the merged connections taken back out because the
+	// §3.2 verdict came to exclude their server leaf after them.
+	Retracted uint64
+	Stale     bool // a source moved since the last catch-up, or no Builder is held
 }
 
 // MergedView is the merged materialization of several independently
@@ -177,13 +179,14 @@ type MergeStats struct {
 // behind an aggregator. It keeps one Builder for its owner's lifetime,
 // cached on the sources' version vector: while no source moves, every
 // report reuses it as is; when one does, the view asks each source only
-// for what it appended since the view's cursor, adds every source's new
+// for what it appended since the view's cursor, takes out what a grown
+// §3.2 verdict now excludes (Builder.Exclude), adds every source's new
 // certificates, then the new connections in ascending sequence — the
 // order a replay of the grown state would take, provided the owner
 // numbers later appends after earlier ones; a certificate that trails
 // connections naming it completes their views in place (Builder.AddCert).
-// A read after new rows therefore costs the rows, and the connections
-// they were late for, not the window.
+// A read after new rows therefore costs the rows, the connections they
+// were late for and the connections they excluded, not the window.
 //
 // Where appending would not equal replaying (the ReplayReason constants)
 // the view starts a fresh Builder and runs the same merge over the
@@ -208,23 +211,28 @@ type MergedView struct {
 	// The returned slices must stay valid without the sources' locks.
 	Capture func(since []MergeCursor) MergeCapture
 	// OnMerge observes each catch-up's duration, why it was a replay when
-	// it was one, and how many views a late certificate made it re-enrich
-	// in place — the caller's merge counters and histogram.
-	OnMerge func(d time.Duration, replay ReplayReason, late int)
+	// it was one, how many views a late certificate made it re-enrich in
+	// place and how many a grown verdict made it take back — the caller's
+	// merge counters and histogram.
+	OnMerge func(d time.Duration, replay ReplayReason, late, retracted int)
 
 	// mu serializes readers: it is held across a catch-up and the fn that
 	// reads the Builder after it.
 	mu  sync.Mutex
 	b   *Builder // nil until the first merge, and after a release
 	pre *PreprocessReport
+	// memos outlives b: a replacement Builder starts from the issuer
+	// classifications its predecessors worked out.
+	memos issuerMemos
 	// cur is the view's position in each source; next is one past the
 	// highest sequence merged from any of them.
 	cur  []MergeCursor
 	next uint64
-	// excluded is the size of the exclusion set b was built under, and
-	// lost the sources' loss counters then.
-	excluded int
-	lost     []uint64
+	// verdict is the §3.2 verdict b was built under — a verdict that moved
+	// is a new value (interception.Merge.Result) — and lost the sources'
+	// loss counters then.
+	verdict *interception.Result
+	lost    []uint64
 	// copies is the last capture's Copies: release after the read.
 	copies bool
 
@@ -264,7 +272,8 @@ func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
 		v.cur = make([]MergeCursor, len(vers))
 	}
 	c := v.Capture(v.cur)
-	why := v.replayReason(&c)
+	why, newly := v.replayReason(&c)
+	retracted := 0
 	if why != "" {
 		clear(v.cur)
 		if v.b != nil {
@@ -272,7 +281,10 @@ func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
 			c = v.Capture(v.cur)
 		}
 		v.b = NewBuilder(v.Input)
+		v.b.shareIssuerMemos(&v.memos)
 		v.next = 0
+	} else {
+		retracted = v.b.Exclude(newly)
 	}
 	res := c.Verdict
 	n, late := mergeInto(v.b, c.Shards, func(fp ids.Fingerprint) bool { return res.ExcludedCerts[fp] })
@@ -290,37 +302,50 @@ func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
 		RawCerts:            c.RawCerts,
 		RawConns:            int(c.RawConns),
 	}
-	v.lost, v.excluded, v.copies = c.Lost, len(res.ExcludedCerts), c.Copies
+	v.lost, v.verdict, v.copies = c.Lost, res, c.Copies
 	v.statMu.Lock()
 	v.vers = c.Versions
 	v.stats.Merges++
 	v.stats.Enriched += uint64(n)
 	v.stats.Late += uint64(late)
+	v.stats.Retracted += uint64(retracted)
 	if why != "" {
 		v.stats.Replays++
 	}
 	v.statMu.Unlock()
-	v.OnMerge(time.Since(t0), why, late)
+	v.OnMerge(time.Since(t0), why, late, retracted)
 	return v.b, v.pre
 }
 
 // replayReason decides whether what c holds beyond the view's cursor can
-// be appended to the Builder ("") or the sources must be replayed.
-func (v *MergedView) replayReason(c *MergeCapture) ReplayReason {
+// be appended to the Builder ("") or the sources must be replayed. With
+// "" it also returns what c's verdict excludes that the Builder's did not,
+// for the Builder to take back first.
+func (v *MergedView) replayReason(c *MergeCapture) (ReplayReason, []ids.Fingerprint) {
 	switch {
 	case v.b == nil:
-		return ReplayFirst
+		return ReplayFirst, nil
 	case !slices.Equal(c.Lost, v.lost):
-		return ReplayLost
-	case len(c.Verdict.ExcludedCerts) != v.excluded:
-		return ReplayVerdict
+		return ReplayLost, nil
+	}
+	var newly []ids.Fingerprint
+	if c.Verdict != v.verdict {
+		old := v.verdict.ExcludedCerts
+		for fp := range c.Verdict.ExcludedCerts {
+			if !old[fp] {
+				newly = append(newly, fp)
+			}
+		}
+		if len(c.Verdict.ExcludedCerts)-len(newly) != len(old) {
+			return ReplayLost, nil // not a superset: an exclusion was withdrawn
+		}
 	}
 	for i := range c.Shards {
 		if seqs := c.Shards[i].Seqs; len(seqs) > 0 && seqs[0] < v.next {
-			return ReplayOrder
+			return ReplayOrder, nil
 		}
 	}
-	return ""
+	return "", newly
 }
 
 // Stats reports the view's work so far and whether a source has moved

@@ -241,7 +241,7 @@ func TestMergedViewCachesOnVersionVector(t *testing.T) {
 				RawCerts: len(shards[0].Certs),
 			}
 		},
-		OnMerge: func(_ time.Duration, why ReplayReason, _ int) {
+		OnMerge: func(_ time.Duration, why ReplayReason, _, _ int) {
 			merged++
 			if why != "" {
 				replays = append(replays, why)

@@ -120,11 +120,11 @@ type aggMetrics struct {
 // their sync lands, so the merged order is the order the aggregator
 // learned of them — a later sync always sorts after an earlier one,
 // whichever sensor it came from — and the view appends each sync's delta
-// to its long-lived Builder; a replay, when one is due (a sensor started
-// over, retention evicted, the verdict grew), reproduces that same order
-// from the replicas. An unreachable sensor backs off and the aggregator
-// keeps serving the last-good merge; the staleness is visible per sensor
-// in SensorStatuses and /metrics.
+// to its long-lived Builder, taking back first what a grown verdict came
+// to exclude; a replay, when one is due (a sensor started over, retention
+// evicted), reproduces that same order from the replicas. An unreachable
+// sensor backs off and the aggregator keeps serving the last-good merge;
+// the staleness is visible per sensor in SensorStatuses and /metrics.
 type Aggregator struct {
 	cfg    Config
 	logger *slog.Logger
@@ -627,8 +627,8 @@ func (a *Aggregator) Report(name string) (any, error) {
 // whatever the roster or evidence size. Evicted counts connections
 // dropped at the aggregator (aged out of their sensor's retention window
 // here), not the sensors' own evictions. Rebuilds counts merged-view
-// replays (not the catch-ups that append a sync's delta); Dirty means
-// unmerged sensor state.
+// replays (not the catch-ups that append a sync's delta or take back
+// what its evidence came to exclude); Dirty means unmerged sensor state.
 func (a *Aggregator) Stats() stream.Stats {
 	a.mu.Lock()
 	var st stream.Stats

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/certmodel"
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/interception"
 	"repro/internal/metrics"
 	"repro/internal/race"
 	"repro/internal/stream"
@@ -31,22 +33,35 @@ func aggReplays(reg *metrics.Registry) map[core.ReplayReason]uint64 {
 // delta rounds from a plain and a sharded sensor and holds every read
 // against a fresh MergeShards over the replicas as they stand: appending
 // each sync's delta must equal replaying everything. A round that only
-// brought new records may replay for the verdict — a late certificate is
-// patched into the connections that named it — but never for loss or
-// order; a sensor back under a new epoch (410) and
-// a full snapshot over existing state (since 0) each replay exactly once,
-// for loss. At the end the incremental aggregator equals a fresh one that
-// pulled everything in one snapshot per sensor, and one engine that saw
-// the whole stream.
+// brought new records never replays — a late certificate is patched into
+// the connections that named it, and the forged leaves of the build's
+// interception issuers, withheld until every connection they served is
+// merged, take exactly those connections back out; a sensor back under a
+// new epoch (410) and a full snapshot over existing state (since 0) each
+// replay exactly once, for loss. At the end the incremental aggregator
+// equals a fresh one that pulled everything in one snapshot per sensor,
+// and one engine that saw the whole stream.
 func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 	b := genBuild(20240504, 1500)
-	certs := certList(b)
+	verdict := interception.NewDetector(b.Bundle, b.CT).Run(b.Raw)
+	var certs, forged []*certmodel.CertInfo
+	for _, c := range certList(b) {
+		if verdict.ExcludedCerts[c.Fingerprint] {
+			forged = append(forged, c)
+		} else {
+			certs = append(certs, c)
+		}
+	}
 	var connsA, connsB []core.ConnRecord
+	intercepted := uint64(0)
 	for i := range b.Raw.Conns {
 		if i%2 == 0 {
 			connsA = append(connsA, b.Raw.Conns[i])
 		} else {
 			connsB = append(connsB, b.Raw.Conns[i])
+		}
+		if verdict.ExcludedCerts[b.Raw.Conns[i].ServerLeaf()] {
+			intercepted++
 		}
 	}
 	const rounds = 5
@@ -112,15 +127,13 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 			t.Fatalf("%s: Stats() = %d rebuilds, dirty %v; replays so far %v", step, st.Rebuilds, st.Dirty, reasons)
 		}
 	}
-	appended := []core.ReplayReason{"", core.ReplayVerdict}
-
 	feed(e1, connsA, 0)
 	feed(sB, connsB, 0)
 	read("first read", core.ReplayFirst)
 	for r := 1; r <= 2; r++ {
 		feed(e1, connsA, r)
 		feed(sB, connsB, r)
-		read("delta round", appended...)
+		read("delta round", "")
 	}
 
 	// Sensor A comes back under a new epoch holding the same records: 410,
@@ -138,7 +151,7 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 
 	feed(e2, connsA, 3)
 	feed(sB, connsB, 3)
-	read("delta round after the re-sync", appended...)
+	read("delta round after the re-sync", "")
 
 	// Sensor B is asked for everything again although its replica is
 	// intact: the full snapshot replaces it.
@@ -149,7 +162,13 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 
 	feed(e2, connsA, 4)
 	feed(sB, connsB, 4)
-	read("last delta round", appended...)
+	read("last delta round", "")
+	if n := a.view.Stats().Retracted; n != 0 {
+		t.Fatalf("%d connections taken back before any verdict", n)
+	}
+	feedSlice(t, e2, b, forged, 0, len(forged), 0, 0)
+	feedSlice(t, sB, b, forged, 0, len(forged), 0, 0)
+	read("the forged leaves, after the connections they served", "")
 
 	if reasons[core.ReplayFirst] != 1 || reasons[core.ReplayLost] != 2 || reasons[core.ReplayOrder] != 0 {
 		t.Errorf("replays by reason %v, want one first, two lost, no order", reasons)
@@ -161,7 +180,12 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 	if late == 0 || late != a.view.Stats().Late {
 		t.Errorf("distrib_merge_late_conns_total = %d, the view re-enriched %d; want the same, and some", late, a.view.Stats().Late)
 	}
-	t.Logf("reads by replay reason: %v, %d connections re-enriched for a late certificate", reasons, late)
+	retracted := reg.Counter("distrib_merge_retracted_conns_total", "").Value()
+	if retracted != a.view.Stats().Retracted || retracted != intercepted || retracted == 0 {
+		t.Errorf("distrib_merge_retracted_conns_total = %d, the view took back %d; want the %d (some) connections the verdict excludes",
+			retracted, a.view.Stats().Retracted, intercepted)
+	}
+	t.Logf("reads by replay reason: %v, %d connections re-enriched for a late certificate, %d taken back for a grown verdict", reasons, late, retracted)
 
 	got := analysisJSON(t, a.Analysis())
 	fresh := newAgg(t, b, nil, urls...)
@@ -172,7 +196,7 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 		t.Error("the incremental aggregator differs from a fresh one over the same sensors")
 	}
 	whole := newSensorEngine(t, b)
-	feedSlice(t, whole, b, certs, 0, len(certs), 0, len(b.Raw.Conns))
+	feedSlice(t, whole, b, append(certs, forged...), 0, len(b.Raw.Certs), 0, len(b.Raw.Conns))
 	whole.Drain()
 	if got != analysisJSON(t, whole.Analysis()) {
 		t.Error("the incremental aggregator differs from one engine over the whole stream")

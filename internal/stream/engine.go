@@ -57,15 +57,19 @@
 // The view's Builder lives as long as the engine and, on a read after new
 // events, enriches those events — the roster's and each shard's window's
 // suffix past the view's cursor — and nothing else; a read while nothing
-// moved costs nothing. Late evidence can make appending differ from what
-// batch would compute, where all data is present up front; the view then
-// replays the retained window through a fresh Builder, for exactly the
-// reasons core.ReplayReason names: the §3.2 exclusion set grew (an issuer
-// confirmed as interception after its certificates were admitted), a
-// certificate arrived after a read had enriched a connection that named
-// it (a certificate that is late but lands before the next read costs
-// nothing: a catch-up adds certificates ahead of connections), or
-// retention evicted. Replays are counted in Stats.Rebuilds and, by
+// moved costs nothing. Late evidence is patched into that Builder, so the
+// result still equals what batch would compute with all data present up
+// front: a certificate that arrives after a read had enriched connections
+// naming it re-enriches those connections in place (one that lands before
+// the next read costs nothing: a catch-up adds certificates ahead of
+// connections), and a §3.2 exclusion set that grew (an issuer confirmed as
+// interception after its certificates were admitted, or one more forged
+// leaf of a confirmed one) takes the connections those certificates
+// served back out — stream_merge_late_conns_total and
+// stream_merge_retracted_conns_total count the two. What cannot be
+// patched replays the retained window through a fresh Builder, for
+// exactly the reasons core.ReplayReason names: the first read, and
+// retention evicting. Replays are counted in Stats.Rebuilds and, by
 // reason, in stream_merge_replays_total. A read holds the router lock and
 // each shard's state lock only while it snapshots what is new; the report
 // scan itself runs beside ingestion.
@@ -196,7 +200,7 @@ type Stats struct {
 	Rejected      uint64 // invalid events refused at the ingest boundary
 	Retained      int    // connections currently in the window
 	Evicted       uint64 // connections dropped by retention
-	Rebuilds      uint64 // merged-view replays since the process started
+	Rebuilds      uint64 // merged-view replays (first read, eviction) since the process started
 	Dirty         bool   // state changed since the last read caught up
 
 	UniqueCerts         int // certificate roster size
@@ -535,7 +539,8 @@ func (s *Engine) Analysis() *core.Analysis {
 // certificate and §3.2 numbers read off their atomics — one lock hold per
 // shard, none of the router's, nothing proportional to the evidence or the
 // roster. Rebuilds counts merged-view replays (not the catch-ups that
-// append); Dirty means shard state changed since the last catch-up.
+// append, complete or take back in place); Dirty means shard state
+// changed since the last catch-up.
 func (s *Engine) Stats() Stats {
 	st := Stats{
 		Rejected:            s.rejected.Load(),

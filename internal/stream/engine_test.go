@@ -11,6 +11,7 @@ import (
 	"repro/internal/certmodel"
 	"repro/internal/core"
 	"repro/internal/ids"
+	"repro/internal/interception"
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/workload"
@@ -227,13 +228,25 @@ func TestStreamOutOfOrderCerts(t *testing.T) {
 		t.Error("out-of-order stream analysis differs from batch")
 	}
 	// The server certificates bring the §3.2 evidence with them: this
-	// build's verdict grows, which is the one further replay.
+	// build's verdict grows, and the read takes the connections it now
+	// excludes — all of them merged by the first read — back out of the
+	// Builder it had.
 	got := mergeReplays(reg)
-	if want := (map[core.ReplayReason]uint64{core.ReplayFirst: 1, core.ReplayVerdict: 1}); !reflect.DeepEqual(got, want) {
+	if want := (map[core.ReplayReason]uint64{core.ReplayFirst: 1}); !reflect.DeepEqual(got, want) {
 		t.Errorf("replays %v, want %v", got, want)
 	}
-	if st := e.Stats(); st.Rebuilds != 2 {
-		t.Errorf("Stats().Rebuilds = %d, want the 2 replays %v", st.Rebuilds, got)
+	if st := e.Stats(); st.Rebuilds != 1 {
+		t.Errorf("Stats().Rebuilds = %d, want the 1 replay %v", st.Rebuilds, got)
+	}
+	res := interception.NewDetector(in.Bundle, in.CT).Run(b.Raw)
+	var excluded uint64
+	for i := range b.Raw.Conns {
+		if res.ExcludedCerts[b.Raw.Conns[i].ServerLeaf()] {
+			excluded++
+		}
+	}
+	if got := reg.Counter("stream_merge_retracted_conns_total", "").Value(); got == 0 || got != excluded {
+		t.Errorf("%d connections taken back, want the %d (some) the verdict excludes", got, excluded)
 	}
 }
 

@@ -11,22 +11,26 @@ import (
 // for an engine, "distrib" for an aggregator) — <prefix>_merges_total
 // and <prefix>_merge_seconds for every catch-up,
 // <prefix>_merge_late_conns_total for the connections a late certificate
-// made one re-enrich in place, and <prefix>_merge_replays_total{reason}
-// for those that had to replay, all four reasons visible from boot — and
-// returns the core.MergedView.OnMerge that feeds them.
-func MergeObserver(reg *metrics.Registry, prefix string) func(time.Duration, core.ReplayReason, int) {
+// made one re-enrich in place, <prefix>_merge_retracted_conns_total for
+// those a grown §3.2 verdict made one take back, and
+// <prefix>_merge_replays_total{reason} for the catch-ups that had to
+// replay, all three reasons visible from boot — and returns the
+// core.MergedView.OnMerge that feeds them.
+func MergeObserver(reg *metrics.Registry, prefix string) func(time.Duration, core.ReplayReason, int, int) {
 	merges := reg.Counter(prefix+"_merges_total", "merged-view catch-ups (what the sources appended, through one Builder)")
 	dur := reg.Histogram(prefix+"_merge_seconds", "merged-view catch-up duration", nil)
 	lateConns := reg.Counter(prefix+"_merge_late_conns_total", "connections re-enriched in place because their certificate arrived after them")
+	retractedConns := reg.Counter(prefix+"_merge_retracted_conns_total", "merged connections taken back because the §3.2 verdict came to exclude their server certificate")
 	replays := make(map[core.ReplayReason]*metrics.Counter, len(core.ReplayReasons))
 	for _, why := range core.ReplayReasons {
 		replays[why] = reg.Counter(prefix+"_merge_replays_total",
 			"merged-view catch-ups that had to replay every source's whole state", "reason", string(why))
 	}
-	return func(d time.Duration, replay core.ReplayReason, late int) {
+	return func(d time.Duration, replay core.ReplayReason, late, retracted int) {
 		merges.Inc()
 		dur.Observe(d.Seconds())
 		lateConns.Add(uint64(late))
+		retractedConns.Add(uint64(retracted))
 		replays[replay].Inc() // "" has no series: a nil counter, a no-op
 	}
 }
@@ -47,13 +51,13 @@ type routerMetrics struct {
 	// onMerge feeds the view's series: every catch-up through
 	// MergeObserver, and the replays among them once more under the two
 	// rebuild names they have always had.
-	onMerge func(time.Duration, core.ReplayReason, int)
+	onMerge func(time.Duration, core.ReplayReason, int, int)
 }
 
 func newRouterMetrics(r *metrics.Registry, n int) *routerMetrics {
 	r.Gauge("stream_shards", "engine shards").Set(float64(n))
 	merge := MergeObserver(r, "stream")
-	rebuilds := r.Counter("stream_rebuilds_total", "merged-view replays (retroactive evidence)")
+	rebuilds := r.Counter("stream_rebuilds_total", "merged-view replays (every source's whole state through a fresh Builder)")
 	rebuildDur := r.Histogram("stream_rebuild_seconds", "merged-view replay duration", nil)
 	return &routerMetrics{
 		rejected:      r.Counter("stream_events_rejected_total", "invalid events refused at the ingest boundary"),
@@ -64,8 +68,8 @@ func newRouterMetrics(r *metrics.Registry, n int) *routerMetrics {
 		checkpointDur:  r.Histogram("stream_checkpoint_seconds", "checkpoint serialization+rename duration", nil),
 		compactDur:     r.Histogram("stream_compact_seconds", "checkpoint compaction duration", nil),
 
-		onMerge: func(d time.Duration, replay core.ReplayReason, late int) {
-			merge(d, replay, late)
+		onMerge: func(d time.Duration, replay core.ReplayReason, late, retracted int) {
+			merge(d, replay, late, retracted)
 			if replay != "" {
 				rebuilds.Inc()
 				rebuildDur.Observe(d.Seconds())
