@@ -53,9 +53,11 @@
 // all committed by the rename of one MANIFEST that also holds the
 // offsets. Routing is a function of the shard count, so a daemon started
 // at another -shards than the checkpoint was written with refuses to
-// start, naming both counts. A checkpoint in an earlier format (a single
-// file, or a directory committed by manifest.json) is restored and then
-// replaced, in place, by the first checkpoint after it. Every shutdown
+// start, naming both counts. A checkpoint the previous release wrote or
+// was continuing is restored and continued in place; an older shape (a
+// single file, a directory committed by manifest.json, an older MANIFEST)
+// is refused, untouched, with a message naming the build that rewrites
+// it, and mtlsd does not start. Every shutdown
 // path — SIGINT/SIGTERM, or the HTTP server failing — drains the tailer
 // and writes a final checkpoint before exiting; nothing short of a kill
 // loses tailed state.

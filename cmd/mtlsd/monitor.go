@@ -137,8 +137,9 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 // openEngine restores the engine from the checkpoint at path, or starts
 // a fresh one when path is empty or holds no checkpoint yet — the one
 // case the restore reports as os.ErrNotExist; a checkpoint written at
-// another shard count, or one whose manifest names a file that is gone,
-// is an error. The cursor is nil for a fresh engine.
+// another shard count, one whose manifest names a file that is gone, or
+// one of a shape this release no longer reads is an error. The cursor is
+// nil for a fresh engine.
 func openEngine(cfg stream.Config, shards int, path string) (*stream.Engine, map[string]int64, error) {
 	if path != "" {
 		eng, cursor, err := stream.RestoreSharded(cfg, shards, path)

@@ -476,3 +476,35 @@ func TestOpenEngineMissingNamedFile(t *testing.T) {
 		eng.Close()
 	}
 }
+
+// TestOpenEngineRetiredCheckpoint: a directory committed by manifest.json
+// holds no MANIFEST, which is what "no checkpoint yet" looks like too. It is
+// refused, naming the build that rewrites it, and left as it was: taken for
+// an empty path, the daemon would start fresh, re-tail from byte 0 and
+// sweep the shard files with its first commit.
+func TestOpenEngineRetiredCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"manifest.json":   `{"Version":1,"Shards":1,"Files":["shard-0.g2.ckpt"]}`,
+		"shard-0.g2.ckpt": "a shard's full state, as one gob",
+	} {
+		if err := os.WriteFile(filepath.Join(path, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := listDir(t, path)
+	eng, cursor, err := openEngine(stream.Config{Input: &core.Input{}}, 1, path)
+	if err == nil {
+		eng.Close()
+		t.Fatalf("a manifest.json directory opened an engine (cursor %v)", cursor)
+	}
+	if errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "7a5e8ef") {
+		t.Fatalf("err = %v, want a refusal naming 7a5e8ef", err)
+	}
+	if after := listDir(t, path); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refusal changed the directory: %v → %v", before, after)
+	}
+}

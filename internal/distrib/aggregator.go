@@ -2,8 +2,6 @@ package distrib
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -45,7 +43,7 @@ type Config struct {
 // aggregators — the topology visibility a fleet operator watches.
 type SensorStatus struct {
 	URL           string
-	Schema        int
+	Schema        int // of the last body applied; 0 before the first
 	Epoch         uint64
 	Cursor        uint64
 	Certs         int
@@ -65,9 +63,8 @@ type SensorStatus struct {
 // bookkeeping; guarded by the aggregator's mu except inside the
 // sensor's own fetch (network I/O happens unlocked).
 type sensorState struct {
-	url        string
-	schema     int
-	negotiated bool
+	url    string
+	schema int // of the last body applied
 
 	// epoch and cursor are the sensor's own numbering, spoken only on the
 	// wire: the next delta to ask for.
@@ -205,10 +202,9 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 			u = "http://" + u
 		}
 		ss := &sensorState{
-			url:    u,
-			schema: SchemaV1,
-			win:    new(store.Window),
-			bo:     backoff.New(cfg.Interval),
+			url: u,
+			win: new(store.Window),
+			bo:  backoff.New(cfg.Interval),
 		}
 		a.sensors = append(a.sensors, ss)
 		url := u
@@ -269,8 +265,7 @@ func (a *Aggregator) SyncAll(ctx context.Context) error {
 	return first
 }
 
-// syncSensor performs one negotiation-aware sync of one sensor and
-// records the outcome.
+// syncSensor performs one sync of one sensor and records the outcome.
 func (a *Aggregator) syncSensor(ctx context.Context, ss *sensorState) error {
 	err := a.syncOnce(ctx, ss)
 	now := time.Now()
@@ -295,18 +290,8 @@ func (a *Aggregator) syncSensor(ctx context.Context, ss *sensorState) error {
 
 func (a *Aggregator) syncOnce(ctx context.Context, ss *sensorState) error {
 	a.mu.Lock()
-	negotiated, cursor, epoch := ss.negotiated, ss.cursor, ss.epoch
+	cursor, epoch := ss.cursor, ss.epoch
 	a.mu.Unlock()
-
-	if !negotiated {
-		schema, err := a.negotiate(ctx, ss.url)
-		if err != nil {
-			return err
-		}
-		a.mu.Lock()
-		ss.schema, ss.negotiated = schema, true
-		a.mu.Unlock()
-	}
 
 	snap, n, status, err := a.fetch(ctx, ss, cursor, epoch)
 	if status == http.StatusGone {
@@ -324,65 +309,19 @@ func (a *Aggregator) syncOnce(ctx context.Context, ss *sensorState) error {
 		cursor, epoch = 0, 0
 		snap, n, status, err = a.fetch(ctx, ss, 0, 0)
 	}
-	if status == http.StatusNotAcceptable {
-		// The sensor stopped speaking our schema (upgraded or
-		// downgraded): renegotiate on the next attempt.
-		a.mu.Lock()
-		ss.negotiated = false
-		a.mu.Unlock()
-	}
 	if err != nil {
 		return err
 	}
 	return a.apply(ss, snap, n, cursor)
 }
 
-// negotiate picks the highest snapshot schema both sides support —
-// SchemaV2 with a sensor of this release, SchemaV1 with the previous one's.
-// A sensor without /api/v1/version (an older build still) is assumed to
-// speak SchemaV1.
-func (a *Aggregator) negotiate(ctx context.Context, base string) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/version", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("distrib: version probe: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return SchemaV1, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("distrib: version probe: status %d", resp.StatusCode)
-	}
-	var info struct {
-		SnapshotSchemas []int `json:"snapshot_schemas"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&info); err != nil {
-		return 0, fmt.Errorf("distrib: version decode: %w", err)
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	best := -1
-	for _, theirs := range info.SnapshotSchemas {
-		if SchemaSupported(theirs) && theirs > best {
-			best = theirs
-		}
-	}
-	if best < 0 {
-		return 0, fmt.Errorf("distrib: no common snapshot schema: sensor speaks %v, this build %v",
-			info.SnapshotSchemas, SupportedSchemas())
-	}
-	return best, nil
-}
-
-// fetch pulls one snapshot. The HTTP status is returned alongside the
-// error so the caller can route 410/406 to their recovery paths.
+// fetch pulls one snapshot under SchemaV2. The HTTP status is returned
+// alongside the error so the caller can route a 410 to a full re-sync. A
+// sensor that refuses the schema (406, naming what it offers in the body)
+// or answers under another is an error like any failed pull: nothing of
+// it is merged, and the sensor backs off.
 func (a *Aggregator) fetch(ctx context.Context, ss *sensorState, cursor, epoch uint64) (*Snapshot, int64, int, error) {
-	schema := ss.schema
-	url := ss.url + "/api/v1/snapshot?schema=" + strconv.Itoa(schema)
+	url := ss.url + "/api/v1/snapshot?schema=" + strconv.Itoa(SchemaV2)
 	if cursor > 0 {
 		url += "&since=" + strconv.FormatUint(cursor, 10) + "&epoch=" + strconv.FormatUint(epoch, 10)
 	}
@@ -402,17 +341,8 @@ func (a *Aggregator) fetch(ctx context.Context, ss *sensorState, cursor, epoch u
 	}
 	cr := &countingReader{r: resp.Body}
 	snap, err := Decode(cr)
-	if err == nil && snap.Schema != schema {
-		err = fmt.Errorf("%w: %s answered schema %d, asked %d", ErrSchema, ss.url, snap.Schema, schema)
-	}
-	if errors.Is(err, ErrSchema) {
-		// The sensor no longer speaks what was negotiated (it was upgraded
-		// or rolled back under us): the same recovery as its refusing the
-		// schema outright — nothing of this body is merged.
-		return nil, cr.n, http.StatusNotAcceptable, err
-	}
 	if err != nil {
-		return nil, cr.n, resp.StatusCode, err
+		return nil, cr.n, resp.StatusCode, fmt.Errorf("distrib: pull %s: %w", ss.url, err)
 	}
 	// Read through the end of the body so the connection is released
 	// back to the pool instead of lingering half-read.
@@ -479,6 +409,7 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 			a.union.AbsorbEvidence(snap.Evidence)
 		}
 	}
+	ss.schema = SchemaV2
 	ss.epoch = snap.Epoch
 	ss.cursor = snap.NextSeq
 	ss.connsIngested = snap.ConnsIngested

@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,16 +22,14 @@ import (
 // frameRecords per frame — so encoding streams in O(batch) memory and a
 // snapshot larger than any single HTTP buffer flows through cleanly.
 //
-// The payloads are what the schema says. SchemaV2's are the record codec
-// a checkpoint segment carries (store/record.go): the header is the
-// schema number, the counters as uvarints, the watermark and the
-// retention; a record frame a count and that many records under their
-// sequences; the evidence frame a presence byte, the parked count and
-// every pair in interception.ComparePairs order; the trailer two counts.
-// SchemaV1's are JSON, one value per frame — the previous release's
-// format, decoded and on request still served for one release. The
-// header frame tells them apart: a JSON payload opens with '{', which as
-// a schema number is 123.
+// The payloads are the record codec a checkpoint segment carries
+// (store/record.go): the header is the schema number (SchemaV2), the
+// counters as uvarints, the watermark and the retention; a record frame a
+// count and that many records under their sequences; the evidence frame a
+// presence byte, the parked count and every pair in
+// interception.ComparePairs order; the trailer two counts. A header under
+// any other schema is refused with ErrSchema — among them the JSON frames
+// of the retired schema 1, whose header opens with '{'.
 const (
 	magic = "MTLSSNAP"
 
@@ -49,29 +46,13 @@ const (
 	maxFrame = 64 << 20
 )
 
-// ErrSchema marks a snapshot whose schema version this build cannot
-// decode; the puller should renegotiate via /api/v1/version.
+// ErrSchema marks a snapshot under a schema this build does not decode;
+// nothing of it is merged.
 var ErrSchema = errors.New("distrib: unsupported snapshot schema")
 
 // errCodec prefixes decode failures; hostile bytes yield errors
 // wrapping it, never panics.
 var errCodec = errors.New("distrib: snapshot decode")
-
-// header is the 'H' frame payload: everything about the snapshot except
-// its records. Retention is omitted when zero so snapshots from sensors
-// that keep everything encode byte-identically to the pre-retention
-// format — the canonical-bytes property the fuzz corpus pins survives
-// the field's addition.
-type header struct {
-	Schema        int
-	Epoch         uint64
-	Since         uint64
-	NextSeq       uint64
-	ConnsIngested uint64
-	CertsIngested uint64
-	Watermark     time.Time
-	Retention     time.Duration `json:",omitempty"`
-}
 
 // trailer is the 'T' frame payload: total record counts for truncation
 // detection.
@@ -80,73 +61,20 @@ type trailer struct {
 	Conns int
 }
 
-// Encode writes s as one framed snapshot stream under s.Schema: SchemaV2
-// selects the binary payloads, anything else the JSON ones under that
-// number (which Decode accepts only as SchemaV1). The output is canonical
-// either way: encoding the result of Decode reproduces the bytes Decode's
-// input would have had under this encoder (evidence pairs and JSON map
-// keys are sorted, batch boundaries are fixed, and the frame order is
-// strict), which is what the fuzz harness pins.
+// frameRoom is the space a frame's type byte and length prefix may need
+// ahead of its payload.
+const frameRoom = 1 + binary.MaxVarintLen64
+
+// Encode writes s as one framed snapshot stream. Every frame is encoded
+// into one buffer, behind room for its prefix, and goes out in one Write.
+// The output is canonical: encoding the result of Decode reproduces the
+// bytes Decode's input would have had under this encoder (evidence pairs
+// are sorted, batch boundaries are fixed, and the frame order is strict),
+// which is what the fuzz harness pins.
 func Encode(w io.Writer, s *Snapshot) error {
 	if _, err := io.WriteString(w, magic); err != nil {
 		return err
 	}
-	if s.Schema == SchemaV2 {
-		return encodeBinary(w, s)
-	}
-	h := header{
-		Schema:        s.Schema,
-		Epoch:         s.Epoch,
-		Since:         s.Since,
-		NextSeq:       s.NextSeq,
-		ConnsIngested: s.ConnsIngested,
-		CertsIngested: s.CertsIngested,
-		Watermark:     s.Watermark,
-		Retention:     s.Retention,
-	}
-	if err := writeFrame(w, frameHeader, h); err != nil {
-		return err
-	}
-	for off := 0; off < len(s.Certs); off += frameRecords {
-		end := min(off+frameRecords, len(s.Certs))
-		if err := writeFrame(w, frameCerts, s.Certs[off:end]); err != nil {
-			return err
-		}
-	}
-	for off := 0; off < len(s.Conns); off += frameRecords {
-		end := min(off+frameRecords, len(s.Conns))
-		if err := writeFrame(w, frameConns, s.Conns[off:end]); err != nil {
-			return err
-		}
-	}
-	if err := writeFrame(w, frameEvidence, s.Evidence); err != nil {
-		return err
-	}
-	return writeFrame(w, frameTrailer, trailer{Certs: len(s.Certs), Conns: len(s.Conns)})
-}
-
-func writeFrame(w io.Writer, typ byte, payload any) error {
-	buf, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("distrib: snapshot encode: %w", err)
-	}
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = typ
-	n := binary.PutUvarint(hdr[1:], uint64(len(buf)))
-	if _, err := w.Write(hdr[:1+n]); err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// frameRoom is the space a binary frame's type byte and length prefix may
-// need ahead of its payload.
-const frameRoom = 1 + binary.MaxVarintLen64
-
-// encodeBinary writes the SchemaV2 frames. Every frame is encoded into
-// the one buffer, behind room for its prefix, and goes out in one Write.
-func encodeBinary(w io.Writer, s *Snapshot) error {
 	buf := make([]byte, frameRoom, 64<<10)
 	flush := func(typ byte) error {
 		var prefix [frameRoom]byte
@@ -203,15 +131,14 @@ func encodeBinary(w io.Writer, s *Snapshot) error {
 	return flush(frameTrailer)
 }
 
-// Decode reads one framed snapshot stream of either schema, validating as
-// it goes: unknown frame types, out-of-order frames, oversized or truncated
-// payloads, malformed payloads, schema versions this build does not speak,
+// Decode reads one framed snapshot stream, validating as it goes: unknown
+// frame types, out-of-order frames, oversized or truncated payloads,
+// malformed payloads, schemas other than SchemaV2 (ErrSchema),
 // non-positive connection weights, unkeyed certificates, sequence-order
-// violations, evidence pairs out of canonical order, record counts
-// disagreeing with the trailer, and — under SchemaV1 — time values JSON
-// cannot re-encode are all errors, never panics. A decoded snapshot
-// therefore always re-encodes cleanly under its schema and is safe to hand
-// to the merge path.
+// violations, evidence pairs out of canonical order and record counts
+// disagreeing with the trailer are all errors, never panics. A decoded
+// snapshot therefore always re-encodes cleanly and is safe to hand to the
+// merge path.
 func Decode(r io.Reader) (*Snapshot, error) {
 	br := &byteReader{r: r}
 	var m [len(magic)]byte
@@ -241,25 +168,19 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			if stage > 0 {
 				return nil, fmt.Errorf("%w: duplicate header frame", errCodec)
 			}
-			h, err := decodeHeader(payload)
-			if err != nil {
+			if err := decodeHeader(payload, s); err != nil {
 				return nil, err
 			}
-			if h.Retention < 0 {
+			if s.Retention < 0 {
 				return nil, fmt.Errorf("%w: negative retention", errCodec)
 			}
-			s.Schema = h.Schema
-			s.Epoch, s.Since, s.NextSeq = h.Epoch, h.Since, h.NextSeq
-			s.ConnsIngested, s.CertsIngested = h.ConnsIngested, h.CertsIngested
-			s.Watermark = h.Watermark
-			s.Retention = h.Retention
 			seenHeader = true
 			stage = 1
 		case frameCerts:
 			if !seenHeader || stage > 1 {
 				return nil, fmt.Errorf("%w: certificate frame out of order", errCodec)
 			}
-			batch, err := decodeCerts(s.Schema, payload)
+			batch, err := decodeCerts(payload)
 			if err != nil {
 				return nil, err
 			}
@@ -282,7 +203,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 				return nil, fmt.Errorf("%w: connection frame out of order", errCodec)
 			}
 			stage = 2
-			batch, err := decodeConns(s.Schema, payload)
+			batch, err := decodeConns(payload)
 			if err != nil {
 				return nil, err
 			}
@@ -299,7 +220,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			if !seenHeader || seenEvidence {
 				return nil, fmt.Errorf("%w: evidence frame out of order", errCodec)
 			}
-			if s.Evidence, err = decodeEvidence(s.Schema, payload); err != nil {
+			if s.Evidence, err = decodeEvidence(payload); err != nil {
 				return nil, err
 			}
 			seenEvidence = true
@@ -308,7 +229,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			if !seenEvidence {
 				return nil, fmt.Errorf("%w: trailer before evidence", errCodec)
 			}
-			if tr, err = decodeTrailer(s.Schema, payload); err != nil {
+			if tr, err = decodeTrailer(payload); err != nil {
 				return nil, err
 			}
 		default:
@@ -331,88 +252,41 @@ func binaryErr(what string, d *store.Decoder) error {
 	return nil
 }
 
-// decodeHeader reads the header frame of either schema; which one it is
-// decides how every later frame is read.
-func decodeHeader(payload []byte) (h header, err error) {
-	if len(payload) > 0 && payload[0] == '{' {
-		if err := json.Unmarshal(payload, &h); err != nil {
-			return h, fmt.Errorf("%w: header: %v", errCodec, err)
-		}
-		if h.Schema != SchemaV1 {
-			return h, fmt.Errorf("%w: schema %d", ErrSchema, h.Schema)
-		}
-		if !jsonSafeTime(h.Watermark) {
-			return h, fmt.Errorf("%w: watermark year out of range", errCodec)
-		}
-		return h, nil
-	}
+// decodeHeader reads the header frame — everything about the snapshot but
+// its records — into s, refusing any schema but SchemaV2.
+func decodeHeader(payload []byte, s *Snapshot) error {
 	d := store.NewDecoder(payload)
 	if schema := d.Uvarint(); schema != SchemaV2 {
-		return h, fmt.Errorf("%w: schema %d", ErrSchema, schema)
+		if len(payload) > 0 && payload[0] == '{' {
+			return fmt.Errorf("%w: a JSON header (schema 1)", ErrSchema)
+		}
+		return fmt.Errorf("%w: schema %d", ErrSchema, schema)
 	}
-	h = header{
-		Schema:        SchemaV2,
-		Epoch:         d.Uvarint(),
-		Since:         d.Uvarint(),
-		NextSeq:       d.Uvarint(),
-		ConnsIngested: d.Uvarint(),
-		CertsIngested: d.Uvarint(),
-		Watermark:     d.Time(),
-		Retention:     time.Duration(d.Varint()),
-	}
-	return h, binaryErr("header", d)
+	s.Epoch, s.Since, s.NextSeq = d.Uvarint(), d.Uvarint(), d.Uvarint()
+	s.ConnsIngested, s.CertsIngested = d.Uvarint(), d.Uvarint()
+	s.Watermark, s.Retention = d.Time(), time.Duration(d.Varint())
+	return binaryErr("header", d)
 }
 
-func decodeCerts(schema int, payload []byte) (batch []stream.ExportCert, err error) {
-	if schema == SchemaV1 {
-		if err := json.Unmarshal(payload, &batch); err != nil {
-			return nil, fmt.Errorf("%w: certs: %v", errCodec, err)
-		}
-		for i := range batch {
-			if c := batch[i].Cert; c != nil && (!jsonSafeTime(c.NotBefore) || !jsonSafeTime(c.NotAfter)) {
-				return nil, fmt.Errorf("%w: certificate date year out of range", errCodec)
-			}
-		}
-		return batch, nil
-	}
+func decodeCerts(payload []byte) ([]stream.ExportCert, error) {
 	d := store.NewDecoder(payload)
-	batch = make([]stream.ExportCert, d.Count(store.MinCertBytes))
+	batch := make([]stream.ExportCert, d.Count(store.MinCertBytes))
 	for i := range batch {
 		batch[i].Cert, batch[i].Seq = d.Cert()
 	}
 	return batch, binaryErr("certs", d)
 }
 
-func decodeConns(schema int, payload []byte) (batch []stream.ExportConn, err error) {
-	if schema == SchemaV1 {
-		if err := json.Unmarshal(payload, &batch); err != nil {
-			return nil, fmt.Errorf("%w: conns: %v", errCodec, err)
-		}
-		for i := range batch {
-			if !jsonSafeTime(batch[i].Conn.TS) {
-				return nil, fmt.Errorf("%w: connection timestamp year out of range", errCodec)
-			}
-		}
-		return batch, nil
-	}
+func decodeConns(payload []byte) ([]stream.ExportConn, error) {
 	d := store.NewDecoder(payload)
-	batch = make([]stream.ExportConn, d.Count(store.MinConnBytes))
+	batch := make([]stream.ExportConn, d.Count(store.MinConnBytes))
 	for i := range batch {
 		batch[i].Seq = d.Conn(&batch[i].Conn)
 	}
 	return batch, binaryErr("conns", d)
 }
 
-func decodeEvidence(schema int, payload []byte) (ev *interception.Evidence, err error) {
-	if schema == SchemaV1 {
-		if err := json.Unmarshal(payload, &ev); err != nil {
-			return nil, fmt.Errorf("%w: evidence: %v", errCodec, err)
-		}
-		if ev != nil && ev.Pending < 0 {
-			return nil, fmt.Errorf("%w: negative pending count", errCodec)
-		}
-		return ev, nil
-	}
+func decodeEvidence(payload []byte) (*interception.Evidence, error) {
 	d := store.NewDecoder(payload)
 	if !d.Bool() {
 		return nil, binaryErr("evidence", d)
@@ -424,7 +298,7 @@ func decodeEvidence(schema int, payload []byte) (ev *interception.Evidence, err 
 	if !slices.IsSortedFunc(pairs, strictlyBefore) {
 		return nil, fmt.Errorf("%w: evidence pairs out of canonical order", errCodec)
 	}
-	ev = interception.EvidenceOf(pairs)
+	ev := interception.EvidenceOf(pairs)
 	if ev.Pending = int(pending); ev.Pending < 0 {
 		return nil, fmt.Errorf("%w: negative pending count", errCodec)
 	}
@@ -440,14 +314,8 @@ func strictlyBefore(a, b interception.Pair) int {
 	return 1
 }
 
-func decodeTrailer(schema int, payload []byte) (*trailer, error) {
+func decodeTrailer(payload []byte) (*trailer, error) {
 	tr := &trailer{}
-	if schema == SchemaV1 {
-		if err := json.Unmarshal(payload, tr); err != nil {
-			return nil, fmt.Errorf("%w: trailer: %v", errCodec, err)
-		}
-		return tr, nil
-	}
 	d := store.NewDecoder(payload)
 	if tr.Certs, tr.Conns = int(d.Uvarint()), int(d.Uvarint()); tr.Certs < 0 || tr.Conns < 0 {
 		return nil, fmt.Errorf("%w: trailer counts out of range", errCodec)
@@ -478,14 +346,6 @@ func readFrame(br *byteReader, buf []byte) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: truncated frame: %v", errCodec, err)
 	}
 	return typ, buf, nil
-}
-
-// jsonSafeTime reports whether t survives a JSON round trip: Go's
-// time.Time.MarshalJSON refuses years outside [1, 9999], so a decoded
-// snapshot carrying one could never be re-encoded.
-func jsonSafeTime(t time.Time) bool {
-	y := t.Year()
-	return y >= 1 && y <= 9999
 }
 
 // byteReader adapts an io.Reader for binary.ReadUvarint without

@@ -69,63 +69,40 @@ func TestCodecRoundTrip(t *testing.T) {
 	if len(s.Certs) == 0 || len(s.Conns) == 0 || s.Evidence == nil {
 		t.Fatal("snapshot is vacuous")
 	}
-	if s.Schema != SchemaV2 {
-		t.Fatalf("FromExport stamps schema %d, want the newest (%d)", s.Schema, SchemaV2)
+	var b1 bytes.Buffer
+	if err := Encode(&b1, s); err != nil {
+		t.Fatal(err)
+	}
+	d1, err := Decode(bytes.NewReader(b1.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d1, s) {
+		t.Fatal("decoded snapshot is not deeply equal to the one encoded")
 	}
 
-	size := map[int]int{}
-	for _, schema := range SupportedSchemas() {
-		s.Schema = schema
-		var b1 bytes.Buffer
-		if err := Encode(&b1, s); err != nil {
-			t.Fatal(err)
-		}
-		size[schema] = b1.Len()
-		d1, err := Decode(bytes.NewReader(b1.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d1.Schema != schema || d1.Epoch != s.Epoch || d1.NextSeq != s.NextSeq {
-			t.Fatalf("schema %d: header drifted: schema %d epoch %d next %d", schema, d1.Schema, d1.Epoch, d1.NextSeq)
-		}
-		if len(d1.Certs) != len(s.Certs) || len(d1.Conns) != len(s.Conns) {
-			t.Fatalf("schema %d: record counts drifted: %d/%d certs, %d/%d conns", schema,
-				len(d1.Certs), len(s.Certs), len(d1.Conns), len(s.Conns))
-		}
-		// The binary payloads carry every field as it is; JSON moves time
-		// locations and drops the raw encoding, so only they are held to
-		// deep equality.
-		if schema == SchemaV2 && !reflect.DeepEqual(d1, s) {
-			t.Fatal("schema 2: decoded snapshot is not deeply equal to the one encoded")
-		}
-
-		// Canonical form: encode(decode(bytes)) is byte-identical, and a
-		// second round trip is a fixed point.
-		var b2 bytes.Buffer
-		if err := Encode(&b2, d1); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Fatalf("schema %d: re-encode is not byte-identical", schema)
-		}
-		d2, err := Decode(bytes.NewReader(b2.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(d1, d2) {
-			t.Fatalf("schema %d: second decode drifted", schema)
-		}
+	// Canonical form: encode(decode(bytes)) is byte-identical, and a
+	// second round trip is a fixed point.
+	var b2 bytes.Buffer
+	if err := Encode(&b2, d1); err != nil {
+		t.Fatal(err)
 	}
-	if size[SchemaV2]*2 > size[SchemaV1] {
-		t.Errorf("schema 2 body is %d bytes against schema 1's %d: want under half", size[SchemaV2], size[SchemaV1])
+	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+		t.Fatal("re-encode is not byte-identical")
+	}
+	d2, err := Decode(bytes.NewReader(b2.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(d1, d2) {
+		t.Fatal("second decode drifted")
 	}
 }
 
-// TestCodecTruncatedBinary: a SchemaV2 body cut at any byte is a decode
-// error — the trailer closes the stream, so there is no prefix that parses.
+// TestCodecTruncatedBinary: a body cut at any byte is a decode error — the
+// trailer closes the stream, so there is no prefix that parses.
 func TestCodecTruncatedBinary(t *testing.T) {
 	s := tinySnapshot()
-	s.Schema = SchemaV2
 	var body bytes.Buffer
 	if err := Encode(&body, s); err != nil {
 		t.Fatal(err)
@@ -141,7 +118,7 @@ func TestCodecTruncatedBinary(t *testing.T) {
 }
 
 func TestCodecEmptySnapshot(t *testing.T) {
-	s := &Snapshot{Schema: SchemaV1, Epoch: 42, NextSeq: 0, Watermark: time.Time{}.AddDate(0, 0, 1)}
+	s := &Snapshot{Epoch: 42, NextSeq: 0, Watermark: time.Time{}.AddDate(0, 0, 1)}
 	var buf bytes.Buffer
 	if err := Encode(&buf, s); err != nil {
 		t.Fatal(err)
@@ -180,12 +157,22 @@ func TestCodecRejects(t *testing.T) {
 		}
 	}
 
-	// A schema from the future is refused with ErrSchema specifically.
+	// Another schema is refused with ErrSchema specifically: one from the
+	// future (the header's first byte is the schema number), and the
+	// retired schema 1's JSON frames.
 	var buf bytes.Buffer
-	if err := Encode(&buf, &Snapshot{Schema: 999}); err != nil {
+	if err := Encode(&buf, &Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrSchema) {
-		t.Errorf("future schema: err = %v, want ErrSchema", err)
+	future := buf.Bytes()
+	if at := len(magic) + 2; future[at] != SchemaV2 {
+		t.Fatalf("header opens with %d, want the schema number", future[at])
+	} else {
+		future[at] = 99
+	}
+	for name, in := range map[string][]byte{"future schema": future, "schema 1": schema1Body(tinySnapshot())} {
+		if _, err := Decode(bytes.NewReader(in)); !errors.Is(err, ErrSchema) {
+			t.Errorf("%s: err = %v, want ErrSchema", name, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -67,19 +68,12 @@ func (s *swapExporter) swap(exp Exporter) {
 	s.mu.Unlock()
 }
 
-// newSensorServer serves exp the way mtlsd -role sensor does:
-// /api/v1/snapshot from a Sensor, and /api/v1/version advertising
-// schemas (nil = no version endpoint, an older build).
-func newSensorServer(t *testing.T, exp Exporter, schemas []int) *httptest.Server {
+// newSensorServer serves exp's /api/v1/snapshot the way mtlsd -role
+// sensor does, from a Sensor.
+func newSensorServer(t *testing.T, exp Exporter) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/api/v1/snapshot", NewSensor(exp, nil, nil).Handler())
-	if schemas != nil {
-		mux.HandleFunc("/api/v1/version", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(map[string]any{"snapshot_schemas": schemas})
-		})
-	}
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
@@ -144,7 +138,7 @@ func TestAggregatorEquivalence(t *testing.T) {
 			n0, n1 := i*len(b.Raw.Conns)/n, (i+1)*len(b.Raw.Conns)/n
 			feedSlice(t, e, b, certs, 0, len(certs), n0, n1)
 			e.Drain()
-			urls[i] = newSensorServer(t, e, SupportedSchemas()).URL
+			urls[i] = newSensorServer(t, e).URL
 		}
 
 		a := newAgg(t, b, nil, urls...)
@@ -196,8 +190,8 @@ func TestAggregatorDiskStoreSensorEquivalence(t *testing.T) {
 	mem.Drain()
 
 	a := newAgg(t, b, nil,
-		newSensorServer(t, disk, SupportedSchemas()).URL,
-		newSensorServer(t, mem, SupportedSchemas()).URL)
+		newSensorServer(t, disk).URL,
+		newSensorServer(t, mem).URL)
 	if err := a.SyncAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +285,7 @@ func TestAggregatorRetentionEquivalence(t *testing.T) {
 		urls := make([]string, n)
 		for i := range engines {
 			engines[i] = newRetentionSensor(t, b, retention)
-			urls[i] = newSensorServer(t, engines[i], SupportedSchemas()).URL
+			urls[i] = newSensorServer(t, engines[i]).URL
 		}
 		reg := metrics.New()
 		a := newAgg(t, b, reg, urls...)
@@ -386,7 +380,7 @@ func TestAggregatorDeltaSync(t *testing.T) {
 	urls := make([]string, 2)
 	for i := range engines {
 		engines[i] = newSensorEngine(t, b)
-		urls[i] = newSensorServer(t, engines[i], SupportedSchemas()).URL
+		urls[i] = newSensorServer(t, engines[i]).URL
 	}
 	// Round 1: connections only, split across the sensors. No
 	// certificates yet, so every verdict is still pending.
@@ -482,7 +476,7 @@ func TestAggregatorSensorRestartResume(t *testing.T) {
 	e1.Drain()
 
 	sw := &swapExporter{exp: e1}
-	srv := newSensorServer(t, sw, SupportedSchemas())
+	srv := newSensorServer(t, sw)
 	a := newAgg(t, b, nil, srv.URL)
 	if err := a.SyncAll(context.Background()); err != nil {
 		t.Fatal(err)
@@ -533,7 +527,7 @@ func TestAggregatorFreshRestartFullResync(t *testing.T) {
 	feedSlice(t, e1, b, certs, 0, len(certs)/2, 0, half)
 	e1.Drain()
 	sw := &swapExporter{exp: e1}
-	srv := newSensorServer(t, sw, SupportedSchemas())
+	srv := newSensorServer(t, sw)
 	a := newAgg(t, b, nil, srv.URL)
 	if err := a.SyncAll(context.Background()); err != nil {
 		t.Fatal(err)
@@ -574,8 +568,8 @@ func TestAggregatorUnreachableSensor(t *testing.T) {
 	feedSlice(t, e1, b, certs, len(certs)/2, len(certs), half, len(b.Raw.Conns))
 	e0.Drain()
 	e1.Drain()
-	srv0 := newSensorServer(t, e0, SupportedSchemas())
-	srv1 := newSensorServer(t, e1, SupportedSchemas())
+	srv0 := newSensorServer(t, e0)
+	srv1 := newSensorServer(t, e1)
 
 	a := newAgg(t, b, nil, srv0.URL, srv1.URL)
 	if err := a.SyncAll(context.Background()); err != nil {
@@ -623,7 +617,7 @@ func TestAggregatorRunLoop(t *testing.T) {
 	e := newSensorEngine(t, b)
 	feedSlice(t, e, b, certs, 0, len(certs), 0, len(b.Raw.Conns))
 	e.Drain()
-	srv := newSensorServer(t, e, SupportedSchemas())
+	srv := newSensorServer(t, e)
 
 	a, err := NewAggregator(Config{
 		Input:    inputFromBuild(b),
@@ -662,9 +656,11 @@ func TestAggregatorRunLoop(t *testing.T) {
 	}
 }
 
-// TestAggregatorNegotiation covers the version handshake: no version
-// endpoint falls back to schema v1, a shared schema is picked, and a
-// sensor from the future with no overlap is a hard error.
+// TestAggregatorNegotiation: there is one schema and nothing to negotiate.
+// A sensor that serves only schema 1 refuses the aggregator's ?schema=2,
+// which is a sync error naming what the sensor offers, with nothing
+// merged; this release's sensor refuses ?schema=1 listing 2, and serves
+// schema 2 to a request that names no schema.
 func TestAggregatorNegotiation(t *testing.T) {
 	b := genBuild(7, 200)
 	certs := certList(b)
@@ -672,26 +668,37 @@ func TestAggregatorNegotiation(t *testing.T) {
 	feedSlice(t, e, b, certs, 0, len(certs), 0, len(b.Raw.Conns))
 	e.Drain()
 
-	legacy := newSensorServer(t, e, nil) // no /api/v1/version
-	a := newAgg(t, b, nil, legacy.URL)
-	if err := a.SyncAll(context.Background()); err != nil {
-		t.Fatalf("legacy sensor: %v", err)
+	v1only := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if v := r.URL.Query().Get("schema"); v != "1" {
+			writeAPIError(w, http.StatusNotAcceptable, "unsupported snapshot schema "+v+"; supported: 1")
+			return
+		}
+		st, err := e.Export(0, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		w.Write(schema1Body(FromExport(st)))
+	}))
+	t.Cleanup(v1only.Close)
+	a := newAgg(t, b, nil, v1only.URL)
+	if err := a.SyncAll(context.Background()); err == nil || !strings.Contains(err.Error(), "406") || !strings.Contains(err.Error(), "supported: 1") {
+		t.Fatalf("a sensor serving only schema 1: err = %v, want its 406 naming schema 1", err)
 	}
-	if s := a.SensorStatuses()[0]; s.Schema != SchemaV1 {
-		t.Errorf("legacy negotiation picked schema %d, want %d", s.Schema, SchemaV1)
+	if st := a.SensorStatuses()[0]; st.Conns != 0 || st.Certs != 0 || st.Cursor != 0 || st.Syncs != 0 || st.Schema != 0 {
+		t.Fatalf("a refused sync merged something: %+v", st)
 	}
 
-	shared := newSensorServer(t, e, []int{SchemaV1, 999})
-	a2 := newAgg(t, b, nil, shared.URL)
-	if err := a2.SyncAll(context.Background()); err != nil {
-		t.Fatalf("shared-schema sensor: %v", err)
+	srv := newSensorServer(t, e)
+	if code, body := httpGet(t, srv.URL+"/api/v1/snapshot?schema=1"); code != http.StatusNotAcceptable || !strings.Contains(string(body), "supported: 2") {
+		t.Fatalf("?schema=1: status %d, body %s; want 406 listing 2", code, body)
 	}
-
-	future := newSensorServer(t, e, []int{999})
-	a3 := newAgg(t, b, nil, future.URL)
-	err := a3.SyncAll(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "no common snapshot schema") {
-		t.Errorf("future-only sensor: err = %v, want schema mismatch", err)
+	code, body := httpGet(t, srv.URL+"/api/v1/snapshot")
+	if code != http.StatusOK {
+		t.Fatalf("no schema named: status %d", code)
+	}
+	if snap, err := Decode(bytes.NewReader(body)); err != nil || len(snap.Conns) != len(b.Raw.Conns) {
+		t.Fatalf("no schema named: not a schema 2 body of the sensor's state (%v)", err)
 	}
 }
 
@@ -700,7 +707,7 @@ func TestSensorHandlerErrors(t *testing.T) {
 	b := genBuild(7, 200)
 	e := newSensorEngine(t, b)
 	e.Drain()
-	srv := newSensorServer(t, e, SupportedSchemas())
+	srv := newSensorServer(t, e)
 
 	get := func(path string) *http.Response {
 		t.Helper()
@@ -737,7 +744,7 @@ func TestSensorHandlerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(plain.Close)
-	psrv := newSensorServer(t, plain, SupportedSchemas())
+	psrv := newSensorServer(t, plain)
 	if resp := get2(t, psrv.URL+"/api/v1/snapshot"); resp != http.StatusInternalServerError {
 		t.Errorf("untracked engine: status %d, want 500", resp)
 	}

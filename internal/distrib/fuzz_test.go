@@ -2,6 +2,8 @@ package distrib
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -22,7 +24,7 @@ func tinySnapshot() *Snapshot {
 		NotBefore: ts, NotAfter: ts.AddDate(1, 0, 0),
 	}
 	return &Snapshot{
-		Schema: SchemaV1, Epoch: 7, NextSeq: 2, ConnsIngested: 1, CertsIngested: 1,
+		Epoch: 7, NextSeq: 2, ConnsIngested: 1, CertsIngested: 1,
 		Watermark: ts,
 		Certs:     []stream.ExportCert{{Seq: 0, Cert: cert}},
 		Conns: []stream.ExportConn{{Seq: 1, Conn: core.ConnRecord{
@@ -36,41 +38,70 @@ func tinySnapshot() *Snapshot {
 	}
 }
 
-// FuzzSnapshotDecode pins the codec's two hard properties: hostile
-// bytes never panic the decoder, and any stream the decoder accepts
-// re-encodes to a canonical fixed point — encode(decode(x)) decodes to
-// the same snapshot and re-encodes byte-identically.
-func FuzzSnapshotDecode(f *testing.F) {
-	var valid bytes.Buffer
-	if err := Encode(&valid, tinySnapshot()); err != nil {
-		f.Fatal(err)
+// schema1Body frames s the way the retired schema 1 did: the same frames
+// in the same order, each payload one JSON value.
+func schema1Body(s *Snapshot) []byte {
+	b := []byte(magic)
+	frame := func(typ byte, v any) {
+		buf, err := json.Marshal(v)
+		if err != nil {
+			panic(err)
+		}
+		b = append(binary.AppendUvarint(append(b, typ), uint64(len(buf))), buf...)
 	}
-	f.Add(valid.Bytes())
+	frame(frameHeader, struct {
+		Schema                                              int
+		Epoch, Since, NextSeq, ConnsIngested, CertsIngested uint64
+		Watermark                                           time.Time
+	}{1, s.Epoch, s.Since, s.NextSeq, s.ConnsIngested, s.CertsIngested, s.Watermark})
+	for off := 0; off < len(s.Certs); off += frameRecords {
+		frame(frameCerts, s.Certs[off:min(off+frameRecords, len(s.Certs))])
+	}
+	for off := 0; off < len(s.Conns); off += frameRecords {
+		frame(frameConns, s.Conns[off:min(off+frameRecords, len(s.Conns))])
+	}
+	frame(frameEvidence, s.Evidence)
+	frame(frameTrailer, struct{ Certs, Conns int }{len(s.Certs), len(s.Conns)})
+	return b
+}
+
+// FuzzSnapshotDecode pins the codec's hard properties: hostile bytes never
+// panic the decoder, a header opening with '{' — schema 1's JSON, whatever
+// number it claims — never decodes, and any stream the decoder accepts
+// re-encodes to a canonical fixed point — encode(decode(x)) decodes to the
+// same snapshot and re-encodes byte-identically.
+func FuzzSnapshotDecode(f *testing.F) {
+	json1 := schema1Body(tinySnapshot())
+	f.Add(json1)
 	f.Add([]byte{})
 	f.Add([]byte(magic))
 	f.Add([]byte("NOTASNAP"))
-	f.Add(valid.Bytes()[:len(valid.Bytes())-2])
+	f.Add(json1[:len(json1)-2])
 	f.Add(append([]byte(magic), frameHeader, 2, '{', '}'))
 	f.Add(append([]byte(magic), 'Z', 0))
-	f.Add(bytes.Replace(valid.Bytes(), []byte(`"Weight":3`), []byte(`"Weight":0`), 1))
-	f.Add(bytes.Replace(valid.Bytes(), []byte(`"Schema":1`), []byte(`"Schema":9`), 1))
-	// The same under SchemaV2, whole and damaged, and a JSON header
-	// claiming the binary schema's number.
-	binary := tinySnapshot()
-	binary.Schema = SchemaV2
+	f.Add(bytes.Replace(json1, []byte(`"Weight":3`), []byte(`"Weight":0`), 1))
+	f.Add(bytes.Replace(json1, []byte(`"Schema":1`), []byte(`"Schema":9`), 1))
+	// The binary schema, whole and damaged, and a JSON header claiming its
+	// number.
 	var v2 bytes.Buffer
-	if err := Encode(&v2, binary); err != nil {
+	if err := Encode(&v2, tinySnapshot()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
 	f.Add(v2.Bytes()[:len(v2.Bytes())-2])
 	f.Add(bytes.Replace(v2.Bytes(), []byte("example.com"), []byte("example.co\x00"), 1))
-	f.Add(bytes.Replace(valid.Bytes(), []byte(`"Schema":1`), []byte(`"Schema":2`), 1))
+	f.Add(bytes.Replace(json1, []byte(`"Schema":1`), []byte(`"Schema":2`), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		// A header frame opening with '{' never decodes.
+		if h := data[len(magic):]; h[0] == frameHeader {
+			if n, k := binary.Uvarint(h[1:]); k > 0 && n > 0 && h[1+k] == '{' {
+				t.Fatal("a header opening with '{' decoded")
+			}
 		}
 		var b1 bytes.Buffer
 		if err := Encode(&b1, s); err != nil {

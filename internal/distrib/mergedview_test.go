@@ -82,8 +82,8 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 	swA := &swapExporter{exp: e1}
 	sB := newShardedSensor(t, b)
 	urls := []string{
-		newSensorServer(t, swA, SupportedSchemas()).URL,
-		newSensorServer(t, sB, SupportedSchemas()).URL,
+		newSensorServer(t, swA).URL,
+		newSensorServer(t, sB).URL,
 	}
 	reg := metrics.New()
 	a := newAgg(t, b, reg, urls...)
@@ -228,7 +228,7 @@ func aggCatchUp(t *testing.T, window, k int) (enriched, allocs uint64) {
 		e.IngestConnBatch(b.Raw.Conns)
 	}
 	reg := metrics.New()
-	a := newAgg(t, b, reg, newSensorServer(t, e, SupportedSchemas()).URL)
+	a := newAgg(t, b, reg, newSensorServer(t, e).URL)
 	sync := func() {
 		t.Helper()
 		e.Drain()
@@ -271,7 +271,7 @@ func aggLateCert(t *testing.T, window, k int) (st core.MergeStats, allocs uint64
 		e.IngestConnBatch(b.Raw.Conns)
 	}
 	reg := metrics.New()
-	a := newAgg(t, b, reg, newSensorServer(t, e, SupportedSchemas()).URL)
+	a := newAgg(t, b, reg, newSensorServer(t, e).URL)
 	sync := func() {
 		t.Helper()
 		e.Drain()
@@ -350,7 +350,7 @@ func TestAggregatorParkedReportBlocksNothing(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	certs := certList(b)
 	e := newSensorEngine(t, b)
-	a := newAgg(t, b, metrics.New(), newSensorServer(t, e, SupportedSchemas()).URL)
+	a := newAgg(t, b, metrics.New(), newSensorServer(t, e).URL)
 	half := len(b.Raw.Conns) / 2
 	feedSlice(t, e, b, certs, 0, len(certs), 0, half)
 	e.Drain()

@@ -20,11 +20,10 @@ type Exporter interface {
 
 // Sensor serves an exporting engine's state over HTTP: GET /snapshot
 // for a full snapshot, GET /snapshot?since=<cursor>&epoch=<epoch> for a
-// delta. The response is the framed stream under the schema ?schema=
-// names — an aggregator asks for what it negotiated; a request naming none
-// gets SchemaV1, as it always has; a stale cursor is 410 Gone (the puller
-// must full-resync), an unsupported schema request is 406 Not Acceptable
-// with the supported set in the error body.
+// delta. The response is the framed stream under SchemaV2, whether
+// ?schema=2 names it or no schema is named; a request naming any other
+// schema is 406 Not Acceptable with the one supported in the error body,
+// and a stale cursor is 410 Gone (the puller must full-resync).
 type Sensor struct {
 	exp    Exporter
 	logger *slog.Logger
@@ -75,16 +74,11 @@ func (s *Sensor) Handler() http.HandlerFunc {
 			return
 		}
 		q := r.URL.Query()
-		schema := SchemaV1
-		if v := q.Get("schema"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || !SchemaSupported(n) {
-				s.refused.Inc()
-				writeAPIError(w, http.StatusNotAcceptable,
-					"unsupported snapshot schema "+v+"; supported: "+schemaList())
-				return
-			}
-			schema = n
+		if v := q.Get("schema"); v != "" && v != strconv.Itoa(SchemaV2) {
+			s.refused.Inc()
+			writeAPIError(w, http.StatusNotAcceptable,
+				"unsupported snapshot schema "+v+"; supported: "+strconv.Itoa(SchemaV2))
+			return
 		}
 		var since, epoch uint64
 		var err error
@@ -113,7 +107,6 @@ func (s *Sensor) Handler() http.HandlerFunc {
 		}
 
 		snap := FromExport(st)
-		snap.Schema = schema
 		w.Header().Set("Content-Type", "application/octet-stream")
 		if r.Method == http.MethodHead {
 			return
@@ -132,17 +125,6 @@ func (s *Sensor) Handler() http.HandlerFunc {
 			s.served.Inc()
 		}
 	}
-}
-
-func schemaList() string {
-	out := ""
-	for i, v := range SupportedSchemas() {
-		if i > 0 {
-			out += ","
-		}
-		out += strconv.Itoa(v)
-	}
-	return out
 }
 
 type countingWriter struct {

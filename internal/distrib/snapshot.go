@@ -8,14 +8,16 @@
 // travel: evidence split across sensors must corroborate at the merge
 // point, which per-sensor verdicts would lose.
 //
-// The wire format is versioned and self-describing (a magic string, a
-// schema-stamped header, length-prefixed frames), streams in bounded
-// batches so a snapshot never has to fit one buffer, and supports
-// cursor-based deltas: a snapshot carries the sensor's (epoch, NextSeq)
-// cursor, and requesting since=<cursor> returns only records first
-// observed at or after it. A sensor restarted without its checkpoint
-// renumbers under a fresh epoch and refuses old cursors as stale, which
-// the aggregator answers with a full re-sync.
+// The wire format is self-describing (a magic string, a schema-stamped
+// header, length-prefixed frames) and speaks one schema, SchemaV2: an
+// aggregator asks for it, and a body or a sensor under any other is a
+// sync error, never a merge. It streams in bounded batches so a snapshot
+// never has to fit one buffer, and supports cursor-based deltas: a
+// snapshot carries the sensor's (epoch, NextSeq) cursor, and requesting
+// since=<cursor> returns only records first observed at or after it. A
+// sensor restarted without its checkpoint renumbers under a fresh epoch
+// and refuses old cursors as stale, which the aggregator answers with a
+// full re-sync.
 package distrib
 
 import (
@@ -25,40 +27,20 @@ import (
 	"repro/internal/stream"
 )
 
-// SchemaV1 is the first snapshot schema: JSON frame payloads carrying
-// stream.ExportCert / stream.ExportConn records and raw
-// interception.Evidence. The previous release spoke nothing else; this one
-// still decodes it and serves it on request, for one release.
-const SchemaV1 = 1
-
-// SchemaV2 is the same frames in the same order with the payloads in the
-// record codec checkpoint segments carry (store/record.go): what this
-// release's sensors serve and its aggregators ask for.
+// SchemaV2 is the snapshot schema: frame payloads in the record codec
+// checkpoint segments carry (store/record.go). It replaced schema 1, whose
+// payloads were JSON and which no build since the previous release speaks.
 const SchemaV2 = 2
 
-// SupportedSchemas lists the snapshot schema versions this build can
-// decode, newest first — the negotiation set /api/v1/version reports.
-func SupportedSchemas() []int { return []int{SchemaV2, SchemaV1} }
-
-// SchemaSupported reports whether this build can serve or decode the
-// given schema version.
-func SchemaSupported(v int) bool {
-	for _, s := range SupportedSchemas() {
-		if s == v {
-			return true
-		}
-	}
-	return false
-}
+// SupportedSchemas lists the snapshot schemas this build serves and
+// decodes — the set /api/v1/version reports.
+func SupportedSchemas() []int { return []int{SchemaV2} }
 
 // Snapshot is one decoded sensor state: the wire-level form of a
-// stream.ExportState, stamped with the schema it traveled under.
-// Full snapshots have Since 0; deltas carry the cursor they answer and
-// only records at or after it. Evidence is always the sensor's full
-// cumulative detector state.
+// stream.ExportState. Full snapshots have Since 0; deltas carry the cursor
+// they answer and only records at or after it. Evidence is always the
+// sensor's full cumulative detector state.
 type Snapshot struct {
-	Schema int
-
 	Epoch   uint64
 	Since   uint64
 	NextSeq uint64
@@ -77,11 +59,9 @@ type Snapshot struct {
 	Evidence *interception.Evidence
 }
 
-// FromExport wraps an engine export as a wire snapshot under the newest
-// schema.
+// FromExport wraps an engine export as a wire snapshot.
 func FromExport(st *stream.ExportState) *Snapshot {
 	return &Snapshot{
-		Schema:        SchemaV2,
 		Epoch:         st.Epoch,
 		Since:         st.Since,
 		NextSeq:       st.NextSeq,

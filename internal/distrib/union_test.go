@@ -101,8 +101,8 @@ func TestAggregatorStatsUnionMatchesRebuild(t *testing.T) {
 	sB := newShardedSensor(t, b)
 	reg := metrics.New()
 	a := newAgg(t, b, reg,
-		newSensorServer(t, swA, SupportedSchemas()).URL,
-		newSensorServer(t, sB, SupportedSchemas()).URL)
+		newSensorServer(t, swA).URL,
+		newSensorServer(t, sB).URL)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -203,7 +203,7 @@ func aggStatsAllocs(t *testing.T, scale int) (allocs float64, st stream.Stats) {
 	e := newSensorEngine(t, b)
 	feedSlice(t, e, b, certList(b), 0, len(b.Raw.Certs), 0, len(b.Raw.Conns))
 	e.Drain()
-	a := newAgg(t, b, nil, newSensorServer(t, e, SupportedSchemas()).URL)
+	a := newAgg(t, b, nil, newSensorServer(t, e).URL)
 	if err := a.SyncAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}

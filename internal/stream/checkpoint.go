@@ -38,12 +38,12 @@ import (
 // interval's write stays O(delta).
 //
 // Frames carry the record codec (store/record.go); DESIGN.md §8 has the
-// table. The previous release wrote the same chains with gob payloads
-// under manifest version 2, the detector's whole state in every segment of
-// chain 0: its frames are still read (migrate.go), a chain may mix the
-// two — a version-2 directory is continued in place by this release's
-// deltas — and a fold rewrites whatever it reads into one base of this
-// release's frames.
+// table. Compatibility reaches one release back: what the previous release
+// can leave here — this format, or manifest-2 chains of gob frames it was
+// still continuing in place — is read (migrate.go) and continued by this
+// release's deltas, a chain may mix the two, and a fold rewrites whatever
+// it reads into one base of this release's frames. Every older shape is
+// refused by name, untouched (openCheckpoint).
 //
 // The manifest has one owner, the Engine, and its rename is the only
 // commit point: shards write segment
@@ -56,14 +56,12 @@ import (
 // commit intact beside unreferenced files; a crash after it is the new
 // commit (segments were fsynced before the manifest named them). That
 // covers a delta, a compaction, and the first write into a directory
-// some other history committed. Formats older than this one are read by
-// migrate.go and replaced by the first write after the restore.
+// some other history committed.
 
 // ckptManifestVersion guards the manifest format: the number says which
 // frames the segments may hold, so a build that cannot read this one's
 // refuses the directory instead of misreading it. Version 2 is the same
-// manifest over gob frames, version 1 named a single chain as Segments;
-// both are still read.
+// manifest over gob frames, still read.
 const ckptManifestVersion = 3
 
 // ckptManifestName is the commit point of a checkpoint directory.
@@ -90,7 +88,7 @@ const (
 // frames.
 const segFlushBytes = 1 << 20
 
-// Segment frame types. 1–3 are the previous release's gob frames, read by
+// Segment frame types. 1–3 are manifest version 2's gob frames, read by
 // migrate.go and never written.
 const (
 	segFrameState    byte = 4 // segState: counters, eviction cutoff, parked observations
@@ -113,13 +111,9 @@ type segState struct {
 	// Parked is nil in a segment without detector state: every chain but 0.
 	Parked map[ids.Fingerprint][]interception.PendingRef
 
-	// What only a gob state frame holds (migrate.go): the detector's
-	// cumulative evidence, and where a release before the router owned
-	// every certificate and numbering kept its own.
-	Evidence      []interception.Pair
-	CertsIngested uint64
-	Epoch         uint64
-	NextSeq       uint64
+	// Evidence is what only a gob state frame holds (migrate.go): the
+	// detector's cumulative evidence.
+	Evidence []interception.Pair
 }
 
 // appendSegState encodes st as a segFrameState payload; parked leaves go
@@ -190,14 +184,6 @@ type routerState struct {
 	NextSeq     uint64
 	CertsRouted uint64
 	Epoch       uint64 `json:"ExportEpoch,omitempty"`
-
-	// What the previous release wrote instead, read and never written: its
-	// epoch, and every certificate's admission sequence — which now lives
-	// in the segments. The epoch changed its key with that move, so the
-	// previous release, finding neither, numbers afresh under a new epoch
-	// instead of serving deltas off certificates it reads as sequence 0.
-	ParentEpoch uint64            `json:"Epoch,omitempty"`
-	CertSeqs    map[string]uint64 `json:",omitempty"`
 }
 
 // ckptManifest is a checkpoint directory's commit record. Gen counts the
@@ -208,32 +194,38 @@ type ckptManifest struct {
 	NextSeg int
 	Chains  [][]ckptSeg
 	Cursor  map[string]int64
-	// Router is absent from what a one-shard engine of the previous
-	// release wrote (migrate.go synthesizes it).
-	Router *routerState `json:",omitempty"`
-
-	// Segments is version 1's single chain; never written.
-	Segments []ckptSeg `json:",omitempty"`
+	Router  *routerState
 }
 
 // readCkptManifest loads and validates a directory's MANIFEST, reading a
-// version-1 manifest as the one-chain directory it is and a version-2 one
-// as what it is but for its frames' payloads.
+// version-2 one as what it is but for its frames' payloads. The manifest
+// shapes older than the previous release's are refused by name: version 1,
+// one without router state, and one whose router state still carries the
+// certificates' sequences (since moved into the segments).
 func readCkptManifest(dir string) (*ckptManifest, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, ckptManifestName))
 	if err != nil {
 		return nil, err
 	}
 	var man ckptManifest
-	if err := json.Unmarshal(buf, &man); err != nil {
+	var old struct {
+		Router struct{ CertSeqs json.RawMessage }
+	}
+	if err := json.Unmarshal(buf, &man); err == nil {
+		err = json.Unmarshal(buf, &old)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("stream: checkpoint manifest decode: %w", err)
 	}
-	switch man.Version {
-	case 1:
-		man.Chains, man.Segments = [][]ckptSeg{man.Segments}, nil
-	case 2, ckptManifestVersion:
-	default:
+	switch {
+	case man.Version == 1:
+		return nil, retired(dir, "a version-1 MANIFEST")
+	case man.Version != 2 && man.Version != ckptManifestVersion:
 		return nil, fmt.Errorf("stream: checkpoint manifest version %d, want %d", man.Version, ckptManifestVersion)
+	case man.Router == nil:
+		return nil, retired(dir, fmt.Sprintf("a version-%d MANIFEST without router state", man.Version))
+	case old.Router.CertSeqs != nil:
+		return nil, retired(dir, "a MANIFEST whose router state lists certificate sequences")
 	}
 	if len(man.Chains) == 0 || len(man.Chains) > MaxShards {
 		return nil, fmt.Errorf("stream: checkpoint manifest names %d chains", len(man.Chains))
@@ -280,11 +272,10 @@ type checkpointer struct {
 // caller's cursor to the checkpoint directory at path: each shard appends
 // one segment to its chain — a base on the first write there, a delta
 // since the previous commit on every later one — and the one manifest
-// naming them all is renamed into place. A regular file at path — a
-// checkpoint from before the directory format — is replaced by the
-// directory. The caller must ensure the cursor is consistent with the
-// applied state — i.e. Drain first, then read tail offsets, then
-// checkpoint.
+// naming them all is renamed into place. A regular file at path is
+// replaced by the directory once it has committed. The caller must ensure
+// the cursor is consistent with the applied state — i.e. Drain first,
+// then read tail offsets, then checkpoint.
 func (s *Engine) WriteCheckpoint(path string, cursor map[string]int64) error {
 	return s.ckpt.write(path, cursor)
 }
@@ -473,7 +464,7 @@ func (c *checkpointer) commit(man *ckptManifest) error {
 	}
 	for _, ent := range ents {
 		name := ent.Name()
-		if !keep[name] && (strings.HasSuffix(name, ".ckpt") || strings.HasSuffix(name, ".tmp") || name == parentManifestName) {
+		if !keep[name] && (strings.HasSuffix(name, ".ckpt") || strings.HasSuffix(name, ".tmp")) {
 			os.Remove(filepath.Join(c.dir, name))
 		}
 	}
@@ -761,8 +752,7 @@ func eachFrame(path string, wantBytes int64, fn func(typ byte, body []byte) erro
 
 // segRecords is one decoded record frame of either generation: a roster
 // batch (certs), a connection batch (conns) or an evidence batch (pairs),
-// the first two under their sequences. seqs is nil where an older release
-// wrote the batch without recording any.
+// the first two under their sequences.
 type segRecords struct {
 	certs []*certmodel.CertInfo
 	conns []core.ConnRecord
@@ -785,7 +775,7 @@ func decodeRecords(typ byte, body []byte) (rec segRecords, err error) {
 		if rec, err = decodeGobRecords(typ, body); err != nil {
 			return rec, err
 		}
-		if n := len(rec.certs) + len(rec.conns); rec.seqs != nil && len(rec.seqs) != n {
+		if n := len(rec.certs) + len(rec.conns); len(rec.seqs) != n {
 			return rec, fmt.Errorf("%w: %d sequences for %d records", store.ErrCorrupt, len(rec.seqs), n)
 		}
 		return rec, nil
@@ -835,11 +825,6 @@ func copySegmentRecords(path string, wantBytes int64, w *segWriter, cut time.Tim
 		if err != nil {
 			return err
 		}
-		if rec.seqs == nil && len(rec.certs)+len(rec.conns) > 0 {
-			// Only a release that numbered in replay order wrote none, and
-			// its directories are replaced by a base, never folded.
-			return fmt.Errorf("%w: gob record frame without sequences in a chain being folded", store.ErrCorrupt)
-		}
 		if rec.certs != nil {
 			return w.certs(rec.certs, rec.seqs)
 		}
@@ -854,18 +839,13 @@ func copySegmentRecords(path string, wantBytes int64, w *segWriter, cut time.Tim
 	})
 }
 
-// committed is what a checkpoint path holds: man names one chain per
-// shard. For a checkpoint a format before the directory wrote, the chains
-// are empty, gobs names the full-state file standing in for each, and man
-// carries only what that format recorded. For the router, last collects
-// each restored shard's final state frame — the parked observations, and
-// what a manifest without router state leaves out — pairs the evidence
-// each chain holds, in chain order, and certs every roster batch of every
-// chain.
+// committed is what a checkpoint directory holds: man names one chain per
+// shard. For the router, last collects each restored shard's final state
+// frame — its parked observations — pairs the evidence each chain holds,
+// in chain order, and certs every roster batch of every chain.
 type committed struct {
 	dir   string
 	man   *ckptManifest
-	gobs  []string
 	last  []*segState
 	pairs [][]interception.Pair
 	certs []ExportCert
@@ -873,11 +853,12 @@ type committed struct {
 
 // openCheckpoint reads path's commit record, for a caller running n
 // shards (0: however many it holds). Only an absent path, or a directory
-// with no commit file, is os.ErrNotExist — "no checkpoint yet". A regular
-// file is one shard's full state; a directory is read off its MANIFEST,
-// which wins over an older format's commit file that a migration's
-// sweep did not get to. Routing is a function of the shard count, so
-// any other count than the checkpoint's is refused.
+// with neither commit file, is os.ErrNotExist — "no checkpoint yet". What
+// the previous release reads and rewrites with its first checkpoint — a
+// regular file, a directory committed by manifest.json, and the manifest
+// shapes readCkptManifest refuses — is refused by name and left as it is.
+// Routing is a function of the shard count, so any other count than the
+// checkpoint's is refused.
 func openCheckpoint(path string, n int) (*committed, error) {
 	if err := finishSwap(path); err != nil {
 		return nil, fmt.Errorf("stream: restore %s: %v", path, err)
@@ -886,20 +867,22 @@ func openCheckpoint(path string, n int) (*committed, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ck *committed
 	if !fi.IsDir() {
-		ck = &committed{man: &ckptManifest{Chains: make([][]ckptSeg, 1)}, gobs: []string{path}}
-	} else if man, err := readCkptManifest(path); err == nil {
-		ck = &committed{dir: path, man: man}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	} else if ck, err = readParentManifest(path); err != nil {
+		return nil, retired(path, "a single-file checkpoint")
+	}
+	man, err := readCkptManifest(path)
+	if errors.Is(err, os.ErrNotExist) {
+		if _, perr := os.Stat(filepath.Join(path, "manifest.json")); perr == nil {
+			return nil, retired(path, "a directory committed by manifest.json")
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
-	if have := len(ck.man.Chains); n != 0 && n != have {
+	if have := len(man.Chains); n != 0 && n != have {
 		return nil, fmt.Errorf("stream: checkpoint has %d shards, requested %d (resharding a checkpoint is not supported)", have, n)
 	}
-	return ck, nil
+	return &committed{dir: path, man: man}, nil
 }
 
 // openNamed opens a file a commit record names. The record is
@@ -914,32 +897,16 @@ func openNamed(path string) (*os.File, error) {
 }
 
 // restoreShard starts the next shard — they are restored in order — from
-// its chain or its gob file.
-func (ck *committed) restoreShard(cfg Config) (e *shard, err error) {
+// its chain.
+func (ck *committed) restoreShard(cfg Config) (*shard, error) {
 	i := len(ck.last)
-	var last *segState
 	ck.pairs = append(ck.pairs, nil)
-	if ck.gobs == nil {
-		e, last, err = restoreChain(cfg, ck.dir, ck.man.Chains[i], ck)
-	} else {
-		e, last, err = restoreFile(cfg, ck.gobs[i], ck)
-	}
+	e, last, err := restoreChain(cfg, ck.dir, ck.man.Chains[i], ck)
 	if err != nil {
 		return nil, fmt.Errorf("stream: restore shard %d: %w", i, err)
 	}
 	ck.last = append(ck.last, last)
 	return e, nil
-}
-
-// current reports whether the checkpoint keeps everything where this
-// release reads it: a directory whose manifest carries the router's state
-// and whose segments carry the certificate sequences. Such a directory is
-// continued in place, next write a delta — also one whose writer still
-// gave every shard a roster, its certificates repeated across chains;
-// anything older is replaced by the first write, whose bases carry every
-// sequence in the segments.
-func (ck *committed) current() bool {
-	return ck.gobs == nil && ck.man.Router != nil && ck.man.Router.CertSeqs == nil
 }
 
 // Restore starts a one-shard engine from the checkpoint at path; see
@@ -953,8 +920,9 @@ func Restore(cfg Config, path string) (*Engine, map[string]int64, error) {
 // (routing is a function of the count, so resharding would orphan state);
 // 0 adopts it. The restored engine's first read replays the restored
 // window; resuming ingestion from the cursor and draining yields reports
-// byte-identical to an uninterrupted run. The error is os.ErrNotExist
-// only when path holds no checkpoint.
+// byte-identical to an uninterrupted run, and its next write continues the
+// directory in place with a delta. The error is os.ErrNotExist only when
+// path holds no checkpoint.
 func RestoreSharded(cfg Config, n int, path string) (*Engine, map[string]int64, error) {
 	ck, err := openCheckpoint(path, n)
 	if err != nil {
@@ -964,17 +932,8 @@ func RestoreSharded(cfg Config, n int, path string) (*Engine, map[string]int64, 
 	if err != nil {
 		return nil, nil, err
 	}
-	r := ck.man.Router
-	if r == nil {
-		if r, err = ck.plainRouter(); err != nil {
-			s.Close()
-			return nil, nil, err
-		}
-	}
-	pairs := s.restoreRouter(r, ck)
-	if ck.current() {
-		s.ckpt.dir, s.ckpt.man, s.ckpt.certs, s.ckpt.pairs = ck.dir, ck.man, int(s.rosterLen.Load()), pairs
-	}
+	pairs := s.restoreRouter(ck.man.Router, ck)
+	s.ckpt.dir, s.ckpt.man, s.ckpt.certs, s.ckpt.pairs = ck.dir, ck.man, int(s.rosterLen.Load()), pairs
 	return s, ck.man.Cursor, nil
 }
 
@@ -997,7 +956,7 @@ func (s *Engine) restoreRouter(r *routerState, ck *committed) (covered int) {
 	defer s.mu.Unlock()
 	s.nextSeq = r.NextSeq
 	s.certsRouted.Store(r.CertsRouted)
-	if s.epoch = max(r.Epoch, r.ParentEpoch); s.epoch == 0 {
+	if s.epoch = r.Epoch; s.epoch == 0 {
 		// The checkpointed engine did not export: fresh numbering scope,
 		// so any cursor taken against it is refused as stale.
 		s.epoch = newEpoch()
@@ -1008,14 +967,8 @@ func (s *Engine) restoreRouter(r *routerState, ck *committed) (covered int) {
 			covered = len(s.icpt.Pairs(0))
 		}
 	}
-	certs := ck.certs
-	for i := range certs {
-		if seq, ok := r.CertSeqs[string(certs[i].Cert.Fingerprint)]; ok {
-			certs[i].Seq = seq // where an older release kept it
-		}
-	}
-	sortCertLog(certs)
-	for _, c := range certs {
+	sortCertLog(ck.certs)
+	for _, c := range ck.certs {
 		if s.certs[c.Cert.Fingerprint] == nil {
 			s.admitLocked(c.Cert, c.Seq)
 			s.nextSeq = max(s.nextSeq, c.Seq+1)
@@ -1030,43 +983,29 @@ func (s *Engine) restoreRouter(r *routerState, ck *committed) (covered int) {
 	return covered
 }
 
-// restoreConnsLocked appends one restored batch to the window. Without
-// a sequence column (a one-shard engine of the previous release wrote the
-// segment without exporting) the records are numbered in replay order
-// from the shard's counter; a column must align with the records and keep
-// the window strictly increasing — anything else is a damaged checkpoint,
-// refused rather than replayed out of order. Either way the counter ends
-// past everything restored.
+// restoreConnsLocked appends one restored batch, under its sequence column,
+// to the window. The column must keep the window strictly increasing —
+// anything else is a damaged checkpoint, refused rather than replayed out
+// of order. The counter ends past everything restored.
 func (e *shard) restoreConnsLocked(conns []core.ConnRecord, seqs []uint64) error {
-	if seqs != nil && len(seqs) != len(conns) {
-		return fmt.Errorf("%w: %d sequences for %d connections", store.ErrCorrupt, len(seqs), len(conns))
-	}
 	for i := range conns {
-		seq := e.nextSeq
-		if seqs != nil {
-			if seq = seqs[i]; seq < e.nextSeq {
-				return fmt.Errorf("%w: connection sequence %d does not follow %d", store.ErrCorrupt, seq, e.nextSeq-1)
-			}
+		if seqs[i] < e.nextSeq {
+			return fmt.Errorf("%w: connection sequence %d does not follow %d", store.ErrCorrupt, seqs[i], e.nextSeq-1)
 		}
-		e.st.AppendConn(&conns[i], seq)
-		e.nextSeq = seq + 1
+		e.st.AppendConn(&conns[i], seqs[i])
+		e.nextSeq = seqs[i] + 1
 	}
 	return nil
 }
 
 // restoreCerts collects one restored roster batch for the router, each
-// certificate under the admission sequence the batch aligns to it (0 where
-// the writer recorded none).
+// certificate under the admission sequence the batch aligns to it.
 func (ck *committed) restoreCerts(certs []*certmodel.CertInfo, seqs []uint64) error {
 	for i, c := range certs {
 		if c == nil || c.Fingerprint == "" {
 			return fmt.Errorf("%w: roster entry without fingerprint", store.ErrCorrupt)
 		}
-		var seq uint64
-		if seqs != nil {
-			seq = seqs[i]
-		}
-		ck.certs = append(ck.certs, ExportCert{Seq: seq, Cert: c})
+		ck.certs = append(ck.certs, ExportCert{Seq: seqs[i], Cert: c})
 	}
 	return nil
 }

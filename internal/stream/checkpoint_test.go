@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/atomicfile"
@@ -464,11 +466,13 @@ func TestFirstContactKeepsCommittedChain(t *testing.T) {
 // commit, of a compaction and of the file → directory swap, one at a
 // time, for one shard and for two. After each failure the
 // path must restore to exactly the previous commit or exactly the new
-// one — cursor and reports from the same commit, never an error, never
-// shards of different generations under one cursor — and the writer's
-// retry must commit and leave nothing unnamed behind. The stages are
-// found by recording a clean run, so a stage added to the protocol is
-// covered without touching this test.
+// one — cursor and reports from the same commit, never shards of
+// different generations under one cursor — and the writer's retry must
+// commit and leave nothing unnamed behind. The swap replaces a file of
+// arbitrary bytes, which no release reads: before the swap the path must
+// still hold that file, byte for byte, and restore refuses it by name.
+// The stages are found by recording a clean run, so a stage added to the
+// protocol is covered without touching this test.
 func TestCheckpointCrashMatrix(t *testing.T) {
 	fx := loadFixture()
 	type hit struct {
@@ -490,16 +494,17 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 	}
 	defer func() { atomicfile.Failpoint = nil }()
 
+	// commit is what a path held before or after the operation: a commit's
+	// cursor and reports, or — before a swap — a file of other bytes.
 	type commit struct {
 		cursor  int64
 		reports map[string]any
+		file    []byte
 	}
 	for _, n := range []int{1, 2} {
 		restore := func(t *testing.T, path string) (*Engine, int64) {
 			t.Helper()
-			// 0 adopts the count: the swap's previous commit is a gob
-			// file, one shard whatever n is.
-			eng, cursor, err := RestoreSharded(Config{Input: fx.in}, 0, path)
+			eng, cursor, err := RestoreSharded(Config{Input: fx.in}, n, path)
 			if err != nil {
 				t.Fatalf("restore after the failure: %v", err)
 			}
@@ -521,12 +526,12 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 				if err := eng.WriteCheckpoint(path, map[string]int64{"i": 1}); err != nil {
 					t.Fatal(err)
 				}
-				prev := commit{1, allReports(t, eng)}
+				prev := commit{1, allReports(t, eng), nil}
 				feedRows(t, eng, fx.late, fx.after)
 				eng.Drain()
 				return prev,
 					func() error { return eng.WriteCheckpoint(path, map[string]int64{"i": 2}) },
-					func() commit { return commit{2, allReports(t, eng)} }
+					func() commit { return commit{2, allReports(t, eng), nil} }
 			}},
 			{"compaction", func(t *testing.T, path string) (commit, func() error, func() commit) {
 				eng := fresh(t)
@@ -538,26 +543,20 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				same := commit{1, allReports(t, eng)}
+				same := commit{1, allReports(t, eng), nil}
 				return same, eng.Compact, func() commit { return same }
 			}},
 			{"swap", func(t *testing.T, path string) (commit, func() error, func() commit) {
-				buf, err := os.ReadFile(filepath.Join("testdata", "parent", "gob", "mtlsd.ckpt"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf, 0o644); err != nil {
+				prev := commit{file: []byte("\x00arbitrary bytes, not a checkpoint of any release")}
+				if err := os.WriteFile(path, prev.file, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				eng := fresh(t)
 				feedRows(t, eng, fx.early, fx.before)
 				eng.Drain()
-				prev := commit{0, allReports(t, eng)} // what the file holds, under its cursor (no "i")
-				feedRows(t, eng, fx.late, fx.after)
-				eng.Drain()
 				return prev,
 					func() error { return eng.WriteCheckpoint(path, map[string]int64{"i": 2}) },
-					func() commit { return commit{2, allReports(t, eng)} }
+					func() commit { return commit{2, allReports(t, eng), nil} }
 			}},
 		} {
 			// A clean run lists the stages.
@@ -585,19 +584,30 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 					}
 					want := next()
 
-					// The crash: whatever the directory holds now.
-					restored, cursor := restore(t, path)
-					switch cursor {
-					case prev.cursor:
+					// The crash: whatever the path holds now.
+					if held, err := os.ReadFile(path); prev.file != nil && err == nil && bytes.Equal(held, prev.file) {
+						// Before the swap: the file is refused by name, untouched.
 						sawPrev = true
-						diffReports(t, "previous commit", prev.reports, allReports(t, restored))
-					case want.cursor:
-						sawNew = true
-						diffReports(t, "new commit", want.reports, allReports(t, restored))
-					default:
-						t.Fatalf("restored cursor %d is neither the previous commit's %d nor the new one's %d", cursor, prev.cursor, want.cursor)
+						if _, _, err := RestoreSharded(Config{Input: fx.in}, n, path); err == nil || !strings.Contains(err.Error(), retiredRelease) {
+							t.Fatalf("restore of the file the swap did not replace: err = %v, want a refusal naming %s", err, retiredRelease)
+						}
+						if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, prev.file) {
+							t.Fatalf("the refusal changed the file (%v)", err)
+						}
+					} else {
+						restored, cursor := restore(t, path)
+						switch {
+						case prev.file == nil && cursor == prev.cursor:
+							sawPrev = true
+							diffReports(t, "previous commit", prev.reports, allReports(t, restored))
+						case cursor == want.cursor:
+							sawNew = true
+							diffReports(t, "new commit", want.reports, allReports(t, restored))
+						default:
+							t.Fatalf("restored cursor %d is neither the previous commit's %d nor the new one's %d", cursor, prev.cursor, want.cursor)
+						}
+						restored.Close()
 					}
-					restored.Close()
 
 					// The retry, by the writer that saw the error.
 					if err := op(); err != nil {
@@ -749,7 +759,7 @@ func TestTornCheckpointCorpus(t *testing.T) {
 	// Damage the framing cannot see: every frame and checksum intact, but
 	// the sequence column runs backwards. Replaying it would hand the
 	// window records out of order, so it is refused as corruption by
-	// plain and exporting engines alike. The manifest is a version-1 one.
+	// plain and exporting engines alike.
 	seg := nonIncreasingSeqSegment(t, in, b)
 	tdir := filepath.Join(t.TempDir(), "seqs-backwards")
 	if err := os.MkdirAll(tdir, 0o755); err != nil {
@@ -758,7 +768,7 @@ func TestTornCheckpointCorpus(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(tdir, "seg-1.ckpt"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	backwards := fmt.Sprintf(`{"Version":1,"Gen":1,"NextSeg":2,"Segments":[{"Name":"seg-1.ckpt","Bytes":%d}]}`, len(seg))
+	backwards := oneSegmentManifest(len(seg))
 	if err := os.WriteFile(filepath.Join(tdir, ckptManifestName), []byte(backwards), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -772,6 +782,12 @@ func TestTornCheckpointCorpus(t *testing.T) {
 			t.Fatalf("TrackExport=%v: backwards sequence column: err = %v, want store.ErrCorrupt", cfg.TrackExport, err)
 		}
 	}
+}
+
+// oneSegmentManifest is the MANIFEST of a one-shard directory whose chain
+// is the one segment seg-1.ckpt of the given size.
+func oneSegmentManifest(size int) string {
+	return fmt.Sprintf(`{"Version":3,"Gen":1,"NextSeg":2,"Chains":[[{"Name":"seg-1.ckpt","Bytes":%d}]],"Router":{}}`, size)
 }
 
 // nonIncreasingSeqSegment returns a base segment that is intact in every
@@ -1142,9 +1158,10 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(nonIncreasingSeqSegment(f, in, b))
 	f.Add(shardSeed)
-	// What the previous release wrote — gob frames, the detector's whole
-	// state in the state frame — beside this release's frames above: a base
-	// and a delta of chain 0, and a segment of chain 1.
+	// Gob frames — the detector's whole state in the state frame — as the
+	// previous release may still hold them in a chain it continued, beside
+	// this release's frames above: a base and a delta of chain 0, and a
+	// segment of chain 1.
 	for _, name := range []string{"detector-export/seg-1.ckpt", "detector-export/seg-3.ckpt", "detector-sharded-export/seg-2.ckpt"} {
 		gobSeed, err := os.ReadFile(filepath.Join("testdata", "parent", name))
 		if err != nil {
@@ -1158,8 +1175,7 @@ func FuzzRestore(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "seg-1.ckpt"), seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		manifest := fmt.Sprintf(`{"Version":1,"Gen":1,"NextSeg":2,"Segments":[{"Name":"seg-1.ckpt","Bytes":%d}]}`, len(seg))
-		if err := os.WriteFile(filepath.Join(dir, ckptManifestName), []byte(manifest), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, ckptManifestName), []byte(oneSegmentManifest(len(seg))), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		eng, _, err := Restore(Config{Input: in}, dir)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/certmodel"
-	"repro/internal/core"
 )
 
 // TestDiskStoreSpillsConnectionsOnly is the count gate on the disk
@@ -91,13 +90,11 @@ func TestShardedHotBytesIsDeploymentBudget(t *testing.T) {
 	}
 }
 
-// TestPlainCheckpointRestoresOntoDiskStore covers the restore the
-// sequence column's absence used to hide: the gob file a one-shard engine
-// once wrote has no column, so a disk-store restore numbers the records
-// in replay order. Were they all left at zero, the cold index could not
-// tell a frame's records apart. Under a starved budget every one of the
-// reports must equal the memory-store restore of the same checkpoint — a
-// directory written now, and that gob file.
+// TestPlainCheckpointRestoresOntoDiskStore: a plain engine's checkpoint
+// restores onto the disk store under its sequence column — were the
+// records all left at zero, the cold index could not tell a frame's
+// records apart. Under a starved budget every one of the reports must
+// equal the memory-store restore of the same checkpoint.
 func TestPlainCheckpointRestoresOntoDiskStore(t *testing.T) {
 	b := genBuild(7, 1200)
 	in := inputFromBuild(b)
@@ -109,30 +106,20 @@ func TestPlainCheckpointRestoresOntoDiskStore(t *testing.T) {
 	if err := e.WriteCheckpoint(dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	fx := loadFixture()
-	for _, c := range []struct {
-		name, path string
-		in         *core.Input
-		conns      int
-	}{
-		{"directory", dir, in, len(b.Raw.Conns)},
-		{"gob file", filepath.Join("testdata", "parent", "gob", "mtlsd.ckpt"), fx.in, len(fx.before)},
-	} {
-		mem, _, err := Restore(Config{Input: c.in}, c.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(mem.Close)
-		disk, _, err := Restore(Config{Input: c.in, Store: "disk", StoreDir: t.TempDir(), HotBytes: 16 << 10}, c.path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(disk.Close)
-		if cold, held := coldConns(disk), disk.Stats().Retained; cold == 0 || held != c.conns {
-			t.Fatalf("%s: disk restore holds %d conns (%d cold) of %d", c.name, held, cold, c.conns)
-		}
-		diffReports(t, c.name+": disk-store against memory-store restore", allReports(t, mem), allReports(t, disk))
+	mem, _, err := Restore(Config{Input: in}, dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(mem.Close)
+	disk, _, err := Restore(Config{Input: in, Store: "disk", StoreDir: t.TempDir(), HotBytes: 16 << 10}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(disk.Close)
+	if cold, held := coldConns(disk), disk.Stats().Retained; cold == 0 || held != len(b.Raw.Conns) {
+		t.Fatalf("disk restore holds %d conns (%d cold) of %d", held, cold, len(b.Raw.Conns))
+	}
+	diffReports(t, "disk-store against memory-store restore", allReports(t, mem), allReports(t, disk))
 }
 
 // liveHeap is the heap still reachable after a collection.

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -19,10 +21,11 @@ import (
 )
 
 // The fixtures under testdata/parent are checkpoints written by parent
-// commits — before the segment-chain directory became the only format,
-// before the router owned every engine's numbering, before it owned the
-// one certificate roster, and before it owned the one §3.2 detector (see
-// the README there): real bytes of each shape a deployed daemon may hold.
+// commits (see the README there): real bytes of each shape the previous
+// release may hand this one — its own, and the manifest-2 directories it
+// was still continuing in place, written before the router owned the one
+// certificate roster, before it owned the one §3.2 detector, and before
+// the frames left gob.
 
 // fixtureRows is the slice of the fixture build those checkpoints were
 // fed: every 24th connection and the certificates their chains name,
@@ -231,17 +234,16 @@ func numbering(t testing.TB, e *Engine) exportNumbering {
 // the bytes a parent commit wrote, resumes it to the reports of an engine
 // fed the same rows — serving a cursor taken before the upgrade exactly
 // the rows fed since, where the writer exported — and requires the first
-// write afterwards to leave a version-2 directory that restores to the
-// same place and is continued by deltas from then on: one base per shard
-// and nothing of the older shape, or, where the parent's directory already
-// keeps everything where this release reads it (the routed-* three, whose
-// only difference is a certificate repeated in every chain that referenced
-// it, and the roster-* three, whose only difference is a detector state in
-// every chain), the parent's own chains one delta longer. The roster-*
-// writers ran a detector per shard and recorded what the deployment's
-// §3.2 state was: the one detector restored from their chains must hold
-// exactly that, and keep holding it once this release's deltas — detector
-// state in chain 0 alone — sit on top of the writer's segments.
+// write afterwards to continue the parent's own chains with one delta
+// under a version-3 manifest, which restores to the same place and is
+// continued by deltas from then on. The routed-* three differ from today's
+// directories only by a certificate repeated in every chain that
+// referenced it, the roster-* three only by a detector state in every
+// chain. The roster-* writers ran a detector per shard and recorded what
+// the deployment's §3.2 state was: the one detector restored from their
+// chains must hold exactly that, and keep holding it once this release's
+// deltas — detector state in chain 0 alone — sit on top of the writer's
+// segments. The v2-* two, from before the router, are refused.
 func TestMigrateParentCheckpoints(t *testing.T) {
 	fx := loadFixture()
 	ref := newEngine(t, fx.in, nil)
@@ -254,23 +256,16 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 		name, path string
 		shards     int
 		export     bool   // the writer exported; <name>.export.json is its numbering
-		chain      int    // segments per chain the writer left, where the directory is continued in place
 		detector   string // the export record holding the writer's §3.2 state ("": not recorded)
 	}{
-		{"gob", "gob/mtlsd.ckpt", 1, false, 0, ""},
-		{"v1", "v1", 1, false, 0, ""},
-		{"sharded", "sharded", 2, true, 0, ""},
-		{"v2-plain", "v2-plain", 1, false, 0, ""},
-		{"v2-export", "v2-export", 1, true, 0, ""},
-		{"v2-sharded-export", "v2-sharded-export", 2, true, 0, ""},
-		{"routed-plain", "routed-plain", 1, false, 2, ""},
-		{"routed-export", "routed-export", 1, true, 2, ""},
-		{"routed-sharded-export", "routed-sharded-export", 2, true, 2, ""},
+		{"routed-plain", "routed-plain", 1, false, ""},
+		{"routed-export", "routed-export", 1, true, ""},
+		{"routed-sharded-export", "routed-sharded-export", 2, true, ""},
 		// The same rows at one shard hold the same §3.2 state, so the plain
 		// writer — which could not export — is held to the exporting one's.
-		{"roster-plain", "roster-plain", 1, false, 2, "roster-export"},
-		{"roster-export", "roster-export", 1, true, 2, "roster-export"},
-		{"roster-sharded-export", "roster-sharded-export", 2, true, 2, "roster-sharded-export"},
+		{"roster-plain", "roster-plain", 1, false, "roster-export"},
+		{"roster-export", "roster-export", 1, true, "roster-export"},
+		{"roster-sharded-export", "roster-sharded-export", 2, true, "roster-sharded-export"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tmp := t.TempDir()
@@ -287,7 +282,10 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 				return eng, cursor
 			}
 
-			written, _ := readCkptManifest(path) // nil for the shapes older than the MANIFEST
+			written, err := readCkptManifest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 			eng, cursor := restore()
 			if got := cursor["conn_index"]; got != int64(len(fx.before)) {
 				t.Fatalf("cursor = %v, want conn_index=%d", cursor, len(fx.before))
@@ -375,15 +373,13 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			man := assertOnlyCommitted(t, path)
-			if len(man.Chains) != c.shards || man.Router == nil || man.Router.CertSeqs != nil {
-				t.Fatalf("manifest names %d chains, want %d, beside a router state without certificate sequences: %+v", len(man.Chains), c.shards, man.Router)
+			if len(man.Chains) != c.shards {
+				t.Fatalf("manifest names %d chains, want %d", len(man.Chains), c.shards)
 			}
 			for i, chain := range man.Chains {
-				if len(chain) != c.chain+1 {
-					t.Fatalf("chain %d has %d segments, want %d: a base alone, or the writer's and a delta", i, len(chain), c.chain+1)
-				}
-				if c.chain > 0 && !reflect.DeepEqual(chain[:c.chain], written.Chains[i]) {
-					t.Fatalf("chain %d starts %v, want the writer's segments %v kept", i, chain[:c.chain], written.Chains[i])
+				kept := written.Chains[i]
+				if len(chain) != len(kept)+1 || !reflect.DeepEqual(chain[:len(kept)], kept) {
+					t.Fatalf("chain %d is %v, want the writer's segments %v and one delta", i, chain, kept)
 				}
 				// The detector is the router's: its state rides chain 0.
 				sg := chain[len(chain)-1]
@@ -416,42 +412,132 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 			if err := again.WriteCheckpoint(path, end); err != nil {
 				t.Fatal(err)
 			}
-			if man := assertOnlyCommitted(t, path); len(man.Chains[0]) != c.chain+2 {
-				t.Fatalf("chain 0 has %d segments after a second write, want one more delta (%d)", len(man.Chains[0]), c.chain+2)
+			if man := assertOnlyCommitted(t, path); len(man.Chains[0]) != len(written.Chains[0])+2 {
+				t.Fatalf("chain 0 has %d segments after a second write, want one more delta (%d)", len(man.Chains[0]), len(written.Chains[0])+2)
 			}
 			third, _ := restore()
 			diffReports(t, "restored from the continued directory", want, allReports(t, third))
 		})
 	}
+
+	// The v2-* writers predate the router: a version-2 MANIFEST without
+	// Router over one chain of two segments, as below. That shape is
+	// retired, so their directories — whose bytes are no longer kept — are
+	// refused by name and left untouched, under the writer's own Config.
+	man := fmt.Sprintf(`{"Version":2,"Gen":2,"NextSeg":3,"Chains":[[{"Name":"seg-1.ckpt","Bytes":%d},{"Name":"seg-2.ckpt","Bytes":%d}]],"Cursor":{"conn_index":%d}}`,
+		len(unreadSegment), len(unreadSegment), len(fx.before))
+	for _, c := range []struct {
+		name   string
+		export bool
+	}{
+		{"v2-plain", false},
+		{"v2-export", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			assertRefused(t, Config{Input: fx.in, TrackExport: c.export}, "version-2 MANIFEST without router state", map[string]string{
+				"ckpt/MANIFEST":   man,
+				"ckpt/seg-1.ckpt": unreadSegment,
+				"ckpt/seg-2.ckpt": unreadSegment,
+			})
+		})
+	}
 }
 
-// TestLegacyStaleTempSwept: a writer of the gob format that died between
-// create and rename left <path>.tmp beside the file. Restore collects it
-// — after the migration the path is a directory, and nothing else would.
-func TestLegacyStaleTempSwept(t *testing.T) {
+// treeOf maps every path under root to its bytes (a directory to nil).
+func treeOf(t testing.TB, root string) map[string][]byte {
+	t.Helper()
+	tree := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			tree[rel] = nil
+			return nil
+		}
+		tree[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// TestRetiredCheckpointsRefused: each checkpoint shape older than the
+// previous release's is refused by name — never as "no checkpoint yet",
+// which would let a daemon start empty and sweep the files with its first
+// commit — naming the build that rewrites it, and the tree is left byte
+// for byte as it was: nothing swapped in, no temp file collected. The
+// inputs are synthesized, since the refusal is decided from the path and
+// the manifest alone.
+func TestRetiredCheckpointsRefused(t *testing.T) {
 	fx := loadFixture()
-	path := filepath.Join(t.TempDir(), "mtlsd.ckpt")
-	buf, err := os.ReadFile(filepath.Join("testdata", "parent", "gob", "mtlsd.ckpt"))
-	if err != nil {
-		t.Fatal(err)
+	seg := unreadSegment
+	chain := fmt.Sprintf(`[[{"Name":"seg-1.ckpt","Bytes":%d}]]`, len(seg))
+	for _, c := range []struct {
+		name, shape string
+		files       map[string]string // under the checkpoint path's parent
+	}{
+		{"single file", "single-file checkpoint", map[string]string{
+			"ckpt":     "\x00arbitrary bytes, not a checkpoint of any release",
+			"ckpt.tmp": "half-written checkpoint",
+		}},
+		{"manifest.json", "manifest.json", map[string]string{
+			"ckpt/manifest.json":   `{"Version":1,"Shards":1,"Files":["shard-0.g2.ckpt"]}`,
+			"ckpt/shard-0.g2.ckpt": seg,
+		}},
+		{"version 1", "version-1 MANIFEST", map[string]string{
+			"ckpt/MANIFEST":   fmt.Sprintf(`{"Version":1,"Gen":1,"NextSeg":2,"Segments":%s}`, chain[1:len(chain)-1]),
+			"ckpt/seg-1.ckpt": seg,
+		}},
+		{"version 2 without router", "version-2 MANIFEST without router state", map[string]string{
+			"ckpt/MANIFEST":   fmt.Sprintf(`{"Version":2,"Gen":1,"NextSeg":2,"Chains":%s}`, chain),
+			"ckpt/seg-1.ckpt": seg,
+		}},
+		{"certificate sequences", "lists certificate sequences", map[string]string{
+			"ckpt/MANIFEST": fmt.Sprintf(`{"Version":2,"Gen":1,"NextSeg":2,"Chains":%s,`+
+				`"Router":{"NextSeq":1,"CertsRouted":1,"Epoch":7,"CertSeqs":{"00e4":0}}}`, chain),
+			"ckpt/seg-1.ckpt": seg,
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			assertRefused(t, Config{Input: fx.in}, c.shape, c.files)
+		})
 	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// unreadSegment stands in for a segment a refusal never opens.
+const unreadSegment = "segment bytes a refusal never reads"
+
+// assertRefused writes files under a fresh root and requires a restore of
+// root/ckpt under cfg, at either shard count, to be refused naming shape
+// and retiredRelease, with the tree left byte for byte as it was.
+func assertRefused(t *testing.T, cfg Config, shape string, files map[string]string) {
+	t.Helper()
+	root := t.TempDir()
+	for name, body := range files {
+		path := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	stale := atomicfile.TempName(path)
-	if err := os.WriteFile(stale, []byte("half-written checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
+	before := treeOf(t, root)
+	for _, n := range []int{0, 1} {
+		eng, _, err := RestoreSharded(cfg, n, filepath.Join(root, "ckpt"))
+		if err == nil {
+			eng.Close()
+			t.Fatalf("n=%d: a retired shape restored", n)
+		}
+		if errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), shape) || !strings.Contains(err.Error(), retiredRelease) {
+			t.Fatalf("n=%d: err = %v; want a refusal naming the shape (%q) and %s, not os.ErrNotExist", n, err, shape, retiredRelease)
+		}
 	}
-	restored, _, err := Restore(Config{Input: fx.in}, path)
-	if err != nil {
-		t.Fatal(err)
+	if after := treeOf(t, root); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refusal changed the tree: %d paths before, %d after", len(before), len(after))
 	}
-	t.Cleanup(restored.Close)
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale temp %s survived restore", stale)
-	}
-	if err := restored.WriteCheckpoint(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	assertOnlyCommitted(t, path)
 }

@@ -17,13 +17,15 @@ import (
 	"repro/internal/store"
 )
 
-// The detector-* fixtures are manifest-2 directories the previous release
-// wrote (commit 01cd2dd, the last to write gob frames; README.md beside
-// them has the writer): one shard and two, exporting, under a retention
+// The detector-* fixtures are manifest-2 directories of gob frames (commit
+// 01cd2dd, the last to write gob), the binary-* ones manifest-3
+// directories of this release's frames as the previous release wrote them
+// (commit 7a5e8ef, the release this one reads back to; README.md beside
+// them has both writers): one shard and two, exporting, under a retention
 // window that evicted between commits, a base and two deltas a chain, the
-// detector's whole state in every segment of chain 0 and 26 observations
-// parked in it. Each sits beside its writer's Stats and Export(0, 0) at
-// the last commit.
+// detector's state in every segment of chain 0 and 26 observations parked
+// in it. Each sits beside its writer's Stats and Export(0, 0) at the last
+// commit.
 
 // gobFixtureConfig is the configuration the writer ran under: a shard's
 // every apply runs an eviction pass, so the retained window is a function
@@ -76,24 +78,27 @@ func frameTypes(t *testing.T, dir string, sg ckptSeg) (types []byte) {
 
 func isGob(typ byte) bool { return typ <= gobFrameConns }
 
-// TestParentGobDirectories restores each gob directory from the bytes the
-// previous release wrote to exactly what its writer recorded, resumes it to
-// the 23 reports of an engine that was never stopped, and then lives with
-// it the way an upgraded daemon does: the first commit puts a delta of this
-// release's frames on the writer's gob chain under a version-3 manifest,
-// the mixed chain restores to the writer's record again, and a fold turns
-// it into one base of this release's frames alone that restores to the same
-// reports. (The reference is an engine under the writer's retention, not
-// the batch pipeline: batch has no window.)
+// TestParentGobDirectories restores each parent-written directory to
+// exactly what its writer recorded, resumes it to the 23 reports of an
+// engine that was never stopped, and then lives with it the way an upgraded
+// daemon does: the first commit puts a delta of this release's frames on
+// the writer's own chains under a version-3 manifest — a gob chain becomes
+// a mixed one — the continued chain restores to the writer's record again,
+// and a fold turns it into one base of this release's frames alone that
+// restores to the same reports. (The reference is an engine under the
+// writer's retention, not the batch pipeline: batch has no window.)
 func TestParentGobDirectories(t *testing.T) {
 	fx := loadFixture()
 	cfg := gobFixtureConfig(fx)
 	for _, c := range []struct {
-		name   string
-		shards int
+		name    string
+		shards  int
+		version int // the writer's manifest version: 2 holds gob frames alone, 3 none
 	}{
-		{"detector-export", 1},
-		{"detector-sharded-export", 2},
+		{"detector-export", 1, 2},
+		{"detector-sharded-export", 2, 2},
+		{"binary-export", 1, 3},
+		{"binary-sharded-export", 2, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ref := newSharded(t, c.shards, fx.in, func(cf *Config) { *cf = cfg })
@@ -115,13 +120,13 @@ func TestParentGobDirectories(t *testing.T) {
 			}
 			cutoffs := 0
 			for i, chain := range written.Chains {
-				if written.Version != 2 || len(chain) != 3 {
-					t.Fatalf("chain %d of the version-%d fixture has %d segments, want a base and two deltas under version 2", i, written.Version, len(chain))
+				if written.Version != c.version || len(chain) != 3 {
+					t.Fatalf("chain %d of the version-%d fixture has %d segments, want a base and two deltas under version %d", i, written.Version, len(chain), c.version)
 				}
 				for _, sg := range chain {
 					for _, typ := range frameTypes(t, dir, sg) {
-						if !isGob(typ) {
-							t.Fatalf("fixture segment %s holds frame type %d: not the previous release's bytes", sg.Name, typ)
+						if isGob(typ) != (c.version == 2) {
+							t.Fatalf("fixture segment %s holds frame type %d: not its writer's bytes", sg.Name, typ)
 						}
 					}
 					st, err := readSegmentState(filepath.Join(dir, sg.Name), sg.Bytes)
@@ -157,7 +162,8 @@ func TestParentGobDirectories(t *testing.T) {
 			resumed.Close() // it never wrote: the directory is still the parent's
 
 			// The upgrade's first commit: an empty delta of this release's
-			// frames on every gob chain, under a version-3 manifest.
+			// frames on every one of the writer's chains, under a version-3
+			// manifest.
 			cursor := map[string]int64{"conn_index": int64(len(fx.before))}
 			upgraded := restore()
 			if err := upgraded.WriteCheckpoint(dir, cursor); err != nil {
@@ -172,7 +178,7 @@ func TestParentGobDirectories(t *testing.T) {
 					t.Fatalf("chain %d's delta over nothing new holds frames %v, want one state frame", i, types)
 				}
 			}
-			wrote.held(t, restore(), "restored from the gob chain under a delta of this release's")
+			wrote.held(t, restore(), "restored from the writer's chain under a delta of this release's")
 
 			// It goes on: the late certificates and the rest of the
 			// connections, a second delta — evidence pairs, roster and
@@ -197,10 +203,10 @@ func TestParentGobDirectories(t *testing.T) {
 				}
 				return exp.Evidence
 			}
-			mixed := restore()
-			diffReports(t, "restored from the mixed chain", want, allReports(t, mixed))
-			if !reflect.DeepEqual(evidence(mixed), evidence(upgraded)) {
-				t.Fatal("the mixed chain restores to other §3.2 evidence than the engine that wrote it holds: gob state and evidence frames are a union")
+			continued := restore()
+			diffReports(t, "restored from the continued chain", want, allReports(t, continued))
+			if !reflect.DeepEqual(evidence(continued), evidence(upgraded)) {
+				t.Fatal("the continued chain restores to other §3.2 evidence than the engine that wrote it holds: the writer's state and evidence frames and this release's are a union")
 			}
 			before := numbering(t, upgraded)
 			if err := upgraded.Compact(); err != nil {

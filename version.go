@@ -11,9 +11,9 @@ import (
 const Version = "0.7.0"
 
 // Info is the build identity served by /api/v1/version: who is
-// answering, what it was built from, and — the part peers act on —
-// which snapshot schema versions it can exchange with the distributed
-// tier (an aggregator picks the highest schema both sides support).
+// answering, what it was built from, and which snapshot schemas it
+// serves and decodes — one, schema 2, which an aggregator asks every
+// sensor for; an operator staging an upgrade reads it here.
 type Info struct {
 	Service         string `json:"service"`
 	Version         string `json:"version"`
