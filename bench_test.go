@@ -677,7 +677,7 @@ func BenchmarkExperimentsCompare(b *testing.B) {
 
 // --- O(1) stats ------------------------------------------------------------
 //
-// /api/v1/stats is probed every few milliseconds, so Sharded.Stats and
+// /api/v1/stats is probed every few milliseconds, so Engine.Stats and
 // Aggregator.Stats must not follow the evidence or roster size: both read
 // the §3.2 counts off a long-lived evidence union. Each benchmark runs at
 // two dataset sizes ~10× apart; ns/op and allocs/op should be flat across
@@ -701,12 +701,13 @@ func statsBenchInput(scale int) (*core.Input, []core.CertRecord, []core.ConnReco
 	return in, certs, build.Raw.Conns
 }
 
-// BenchmarkShardedStats times Stats on a drained two-shard deployment.
+// BenchmarkShardedStats times Stats on a drained engine (the name the
+// two-shard rows it replaced were read under).
 func BenchmarkShardedStats(b *testing.B) {
 	for _, scale := range statsBenchScales {
 		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
 			in, certs, conns := statsBenchInput(scale)
-			s, err := stream.NewSharded(2, stream.Config{Input: in})
+			s, err := stream.New(stream.Config{Input: in})
 			if err != nil {
 				b.Fatal(err)
 			}

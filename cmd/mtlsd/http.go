@@ -27,22 +27,20 @@ type reporter interface {
 }
 
 // daemonInfo is the deployment identity newMux folds into /api/v1/version
-// and /api/v1/stats: which role this process plays, how many engine
-// shards it runs, the snapshot handler to mount (sensor role), and the
-// aggregator whose per-sensor sync state the stats should carry.
+// and /api/v1/stats: which role this process plays, the snapshot handler
+// to mount (sensor role), and the aggregator whose per-sensor sync state
+// the stats should carry.
 type daemonInfo struct {
 	role   string
-	shards int
 	sensor *distrib.Sensor
 	agg    *distrib.Aggregator
 }
 
 // versionInfo is the /api/v1/version payload: the facade's build
-// identity plus this daemon's deployment shape.
+// identity plus this daemon's role.
 type versionInfo struct {
 	mtls.Info
-	Role   string `json:"role"`
-	Shards int    `json:"shards"`
+	Role string `json:"role"`
 }
 
 // daemonStats is the /api/v1/stats payload: the engine counters plus the
@@ -51,7 +49,6 @@ type versionInfo struct {
 type daemonStats struct {
 	stream.Stats
 	Role             string                 // monitor, sensor, or aggregator
-	Shards           int                    // engine shards (0 on aggregators)
 	Sensors          []distrib.SensorStatus `json:",omitempty"` // per-sensor sync state (aggregator role)
 	RowsRejected     uint64                 // malformed log rows quarantined
 	RejectedByReason map[string]uint64      `json:",omitempty"` // "file/reason" -> count
@@ -89,14 +86,13 @@ func newMux(eng reporter, reg *metrics.Registry, logger *slog.Logger, withPprof 
 		fmt.Fprintln(w, "ok")
 	})
 	handle("/api/v1/version", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, versionInfo{Info: mtls.BuildInfo("mtlsd"), Role: info.role, Shards: info.shards})
+		writeJSON(w, versionInfo{Info: mtls.BuildInfo("mtlsd"), Role: info.role})
 	})
 	handle("/api/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		total, byReason := rejects.Totals()
 		ds := daemonStats{
 			Stats:            eng.Stats(),
 			Role:             info.role,
-			Shards:           info.shards,
 			RowsRejected:     total,
 			RejectedByReason: byReason,
 		}

@@ -217,7 +217,7 @@ func TestStatsHandlerSeriesResolvedOnce(t *testing.T) {
 	lag := reg.Gauge("tail_lag_bytes", "", "file", "ssl")
 	lag.Set(128)
 	reg.Counter(tailErrMetric, tailErrHelp, "file", "x509.log").Inc()
-	mux := newMux(failingReporter{}, reg, testLogger(t), false, daemonInfo{role: "monitor", shards: 1})
+	mux := newMux(failingReporter{}, reg, testLogger(t), false, daemonInfo{role: "monitor"})
 
 	get := func(path string, want int) string {
 		t.Helper()

@@ -19,16 +19,15 @@
 //
 //	mtlsgen -out ./data                # produce logs (once, or keep appending)
 //	mtlsd -logs ./data -listen :8411   # tail and serve
-//	mtlsd -logs ./data -shards 4       # apply ingest on 4 shards
 //	curl -s localhost:8411/api/v1/reports/table1 | jq .
 //	curl -s localhost:8411/metrics     # ingest lag, rebuild churn, HTTP latency
 //
-// Every daemon runs one internal/stream.Engine: a router over -shards n
-// apply goroutines (default 1; 0 = one per CPU, at most 64), connections
-// to a shard by UID hash, certificates to every shard that references
-// them. Reports are read through one merged view over the shards and are
-// identical at any shard count. Per-shard series carry a shard="i" label
-// on /metrics — shard="0" when there is one.
+// Every monitor and sensor runs one internal/stream.Engine: a router that
+// holds the certificate roster and the §3.2 detector, one apply goroutine
+// behind one bounded buffer over the retained connection window, and one
+// merged view reports are read through. Its stream_* series on /metrics
+// carry no shard label. -shards is still parsed and ignored, with one
+// warning when it is set to anything but 1; it goes in the next release.
 //
 // The distributed tier stacks two roles on the same binary. A sensor is
 // a monitor that additionally serializes its engine state over
@@ -48,16 +47,16 @@
 // With -checkpoint the engine state is periodically persisted together
 // with the log-file byte offsets; on restart mtlsd restores the state
 // and resumes tailing exactly where it stopped, so reports after the
-// restart match an uninterrupted run. The checkpoint is a directory:
-// one segment chain per shard, each interval appending only what changed,
-// all committed by the rename of one MANIFEST that also holds the
-// offsets. Routing is a function of the shard count, so a daemon started
-// at another -shards than the checkpoint was written with refuses to
-// start, naming both counts. A checkpoint the previous release wrote or
-// was continuing is restored and continued in place; an older shape (a
-// single file, a directory committed by manifest.json, an older MANIFEST)
-// is refused, untouched, with a message naming the build that rewrites
-// it, and mtlsd does not start. Every shutdown
+// restart match an uninterrupted run. The checkpoint is a directory: one
+// segment chain, each interval appending only what changed, committed by
+// the rename of one MANIFEST that also holds the offsets. A checkpoint of
+// this release's shape is restored and continued in place; anything else
+// the previous release can leave — a chain per -shards it ran at, gob
+// frames — is restored into the one window and rewritten as one chain by
+// the first checkpoint, the old segments swept once it has committed; an
+// older shape (a single file, a directory committed by manifest.json, an
+// older MANIFEST) is refused, untouched, with a message naming the build
+// that rewrites it, and mtlsd does not start. Every shutdown
 // path — SIGINT/SIGTERM, or the HTTP server failing — drains the tailer
 // and writes a final checkpoint before exiting; nothing short of a kill
 // loses tailed state.
@@ -145,7 +144,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.scale, "scale", o.scale, "context scale divisor (must match the generator's)")
 	fs.Uint64Var(&o.seed, "seed", o.seed, "context seed (must match the generator's)")
 	fs.IntVar(&o.workers, "workers", o.workers, "report workers: 0 = one per CPU, 1 = serial")
-	fs.IntVar(&o.shards, "shards", o.shards, "engine shards: n apply goroutines behind one router, at most 64 (0 = one per CPU)")
+	fs.IntVar(&o.shards, "shards", o.shards, "ignored: the engine has one window (goes in the next release)")
 	fs.BoolVar(&o.pprof, "pprof", o.pprof, "expose net/http/pprof under /debug/pprof/")
 	fs.StringVar(&o.logLevel, "log-level", o.logLevel, "log level: debug, info, warn, error")
 	fs.BoolVar(&o.strict, "strict", o.strict, "fail-stop on malformed log rows instead of quarantining them")
@@ -154,7 +153,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 		"quarantine size cap; overflow rows are dropped and counted (0 = unlimited)")
 	fs.StringVar(&o.store, "store", o.store, "retained-connection store: memory, or disk (hot tail in RAM, older connections spilled under -store-dir; certificates always stay resident)")
 	fs.StringVar(&o.storeDir, "store-dir", o.storeDir, "scratch directory for the disk store (required with -store disk)")
-	fs.Int64Var(&o.hotBytes, "hot-bytes", o.hotBytes, "disk store budget: estimated bytes of hot connections, for the whole deployment at any -shards (0 = store default)")
+	fs.Int64Var(&o.hotBytes, "hot-bytes", o.hotBytes, "disk store budget: estimated bytes of hot connections in the window (0 = store default)")
 	fs.StringVar(&o.role, "role", o.role, "monitor, sensor (monitor + /api/v1/snapshot), or aggregator (pulls -sensors)")
 	fs.StringVar(&o.sensors, "sensors", o.sensors, "comma-separated sensor addresses (aggregator role only)")
 	fs.DurationVar(&o.syncEvery, "sync-every", o.syncEvery, "aggregator sensor pull interval")
@@ -174,6 +173,9 @@ func main() {
 // non-nil, is invoked with the bound listen address once the HTTP socket
 // is open (tests listen on :0).
 func run(ctx context.Context, o options, logger *slog.Logger, ready func(addr string)) int {
+	if o.shards != 1 {
+		logger.Warn("-shards is ignored: the engine has one window, and the flag goes in the next release", "shards", o.shards)
+	}
 	switch o.role {
 	case "monitor", "sensor":
 		return runMonitor(ctx, o, logger, ready)

@@ -69,11 +69,17 @@ func testLogger(t *testing.T) *slog.Logger {
 // a channel carrying run's exit code.
 func startDaemon(t *testing.T, o options) (base string, cancel context.CancelFunc, exit chan int) {
 	t.Helper()
+	return startDaemonLogging(t, o, testLogger(t))
+}
+
+// startDaemonLogging is startDaemon logging to logger.
+func startDaemonLogging(t *testing.T, o options, logger *slog.Logger) (base string, cancel context.CancelFunc, exit chan int) {
+	t.Helper()
 	ctx, cancelCtx := context.WithCancel(context.Background())
 	readyCh := make(chan string, 1)
 	exit = make(chan int, 1)
 	go func() {
-		exit <- run(ctx, o, testLogger(t), func(addr string) { readyCh <- addr })
+		exit <- run(ctx, o, logger, func(addr string) { readyCh <- addr })
 	}()
 	select {
 	case addr := <-readyCh:

@@ -49,14 +49,6 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 		return 2
 	}
 
-	// Resolve the shard count once, up front: routing, and so which
-	// checkpoints can be restored, is a function of it.
-	shards, err := stream.ShardCount(o.shards)
-	if err != nil {
-		logger.Error("-shards", "err", err)
-		return 2
-	}
-
 	// Bind the socket first: a port conflict must fail fast, before any
 	// state exists that a failed exit could lose.
 	ln, err := net.Listen("tcp", o.listen)
@@ -110,9 +102,9 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 	if o.drop {
 		scfg.Policy = stream.Drop
 	}
-	eng, cursor, err := openEngine(scfg, shards, o.checkpoint)
+	eng, cursor, err := openEngine(scfg, o.checkpoint)
 	if err != nil {
-		logger.Error("open engine", "shards", shards, "checkpoint", o.checkpoint, "err", err)
+		logger.Error("open engine", "checkpoint", o.checkpoint, "err", err)
 		return 1
 	}
 	defer eng.Close()
@@ -121,28 +113,27 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 		m.ssl.SetOffset(cursor["ssl.log"])
 		m.x509.SetOffset(cursor["x509.log"])
 		st := eng.Stats()
-		logger.Info("restored checkpoint", "path", o.checkpoint, "shards", shards,
+		logger.Info("restored checkpoint", "path", o.checkpoint,
 			"conns", st.ConnsIngested, "certs", st.UniqueCerts,
 			"ssl_offset", cursor["ssl.log"], "x509_offset", cursor["x509.log"])
 	}
 
-	info := daemonInfo{role: o.role, shards: shards}
+	info := daemonInfo{role: o.role}
 	if o.role == "sensor" {
 		info.sensor = distrib.NewSensor(eng, reg, logger)
 	}
-	logger.Info("serving", "addr", ln.Addr().String(), "role", o.role, "shards", shards, "pprof", o.pprof)
+	logger.Info("serving", "addr", ln.Addr().String(), "role", o.role, "pprof", o.pprof)
 	return serve(ctx, ln, newMux(eng, reg, logger, o.pprof, info), logger, ready, m.run)
 }
 
 // openEngine restores the engine from the checkpoint at path, or starts
 // a fresh one when path is empty or holds no checkpoint yet — the one
-// case the restore reports as os.ErrNotExist; a checkpoint written at
-// another shard count, one whose manifest names a file that is gone, or
-// one of a shape this release no longer reads is an error. The cursor is
-// nil for a fresh engine.
-func openEngine(cfg stream.Config, shards int, path string) (*stream.Engine, map[string]int64, error) {
+// case the restore reports as os.ErrNotExist; a checkpoint whose manifest
+// names a file that is gone, or one of a shape this release no longer
+// reads, is an error. The cursor is nil for a fresh engine.
+func openEngine(cfg stream.Config, path string) (*stream.Engine, map[string]int64, error) {
 	if path != "" {
-		eng, cursor, err := stream.RestoreSharded(cfg, shards, path)
+		eng, cursor, err := stream.Restore(cfg, path)
 		if err == nil {
 			return eng, cursor, nil
 		}
@@ -150,7 +141,7 @@ func openEngine(cfg stream.Config, shards int, path string) (*stream.Engine, map
 			return nil, nil, fmt.Errorf("restore checkpoint: %w", err)
 		}
 	}
-	eng, err := stream.NewSharded(shards, cfg)
+	eng, err := stream.New(cfg)
 	return eng, nil, err
 }
 

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -233,22 +232,48 @@ func TestDaemonListenConflict(t *testing.T) {
 	}
 }
 
-// TestDaemonSharded drives mtlsd with -shards 2 end to end: every report
-// must deep-equal a one-shard reference fed the same logs, /metrics
-// must carry the per-shard labeled series, and SIGTERM must land a
-// restorable manifest-committed checkpoint directory.
+// shardsIgnored counts the daemon's warnings that it ignores -shards.
+func shardsIgnored(log string) int { return strings.Count(log, "-shards is ignored") }
+
+// manifestChains reads the segment names of a committed checkpoint's
+// chains off its MANIFEST.
+func manifestChains(t *testing.T, dir string) [][]string {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct{ Chains [][]struct{ Name string } }
+	if err := json.Unmarshal(buf, &man); err != nil {
+		t.Fatal(err)
+	}
+	chains := make([][]string, len(man.Chains))
+	for i, chain := range man.Chains {
+		for _, sg := range chain {
+			chains[i] = append(chains[i], sg.Name)
+		}
+	}
+	return chains
+}
+
+// TestDaemonSharded drives mtlsd with -shards 2, which this release
+// ignores: it says so once, serves every report deep-equal to a reference
+// engine fed the same logs — the 23 the default serves —, its /metrics
+// carry the engine's series without a shard label and no stream_shards,
+// and SIGTERM lands a restorable checkpoint of one chain.
 func TestDaemonSharded(t *testing.T) {
 	dir, cfg := writeTestLogs(t)
 	ckptDir := filepath.Join(t.TempDir(), "ckpt")
 	o := testOptions(dir, cfg)
 	o.shards, o.checkpoint, o.ckptEvery = 2, ckptDir, time.Hour // only the shutdown checkpoint writes
-	base, cancel, exit := startDaemon(t, o)
+	var log strings.Builder
+	base, cancel, exit := startDaemonLogging(t, o, slog.New(slog.NewTextHandler(&log, nil)))
 	defer cancel()
 
 	build := mtls.GenerateConfig(cfg)
 	waitConns(t, base, uint64(len(build.Raw.Conns)))
 
-	// One-shard reference over the same dataset.
+	// The reference: an engine over the same dataset.
 	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
 	in.Raw = nil
 	ref, err := stream.New(stream.Config{Input: in})
@@ -263,19 +288,19 @@ func TestDaemonSharded(t *testing.T) {
 		ref.IngestConn(&build.Raw.Conns[i])
 	}
 	ref.Drain()
+	if got := len(fetchReports(t, base)); got != 23 {
+		t.Fatalf("the daemon serves %d reports, want 23", got)
+	}
+	checkReportsAgainst(t, base, ref, "reference engine")
 
-	checkReportsAgainst(t, base, ref, "one-shard reference")
-
-	// Per-shard series are labeled; the router's gauges are live.
+	// One series each, unlabelled; the router's gauges are live.
 	code, metricsBody := httpGet(t, base+"/metrics")
 	if code != 200 {
 		t.Fatalf("/metrics: %d", code)
 	}
 	for _, series := range []string{
-		`stream_conns_ingested_total{shard="0"}`,
-		`stream_conns_ingested_total{shard="1"}`,
-		`stream_buffer_occupancy{shard="0"}`,
-		"stream_shards 2",
+		"stream_conns_ingested_total ",
+		"stream_buffer_occupancy ",
 		"stream_certs_ingested_total ",
 		"stream_store_hot_certs ",
 	} {
@@ -283,8 +308,11 @@ func TestDaemonSharded(t *testing.T) {
 			t.Errorf("/metrics missing %s", series)
 		}
 	}
+	if strings.Contains(metricsBody, `shard="`) || strings.Contains(metricsBody, "stream_shards") {
+		t.Error("/metrics still carries a per-shard series")
+	}
 
-	// SIGTERM → clean exit, committed manifest, restorable directory.
+	// SIGTERM → clean exit, committed manifest of one chain, restorable.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
@@ -296,14 +324,17 @@ func TestDaemonSharded(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not exit after SIGTERM")
 	}
-	if _, err := os.Stat(filepath.Join(ckptDir, "MANIFEST")); err != nil {
-		t.Fatalf("checkpoint manifest missing: %v", err)
+	if n := shardsIgnored(log.String()); n != 1 {
+		t.Errorf("the daemon warned %d times that it ignores -shards, want once:\n%s", n, log.String())
+	}
+	if chains := manifestChains(t, ckptDir); len(chains) != 1 {
+		t.Fatalf("the checkpoint names %d chains, want one", len(chains))
 	}
 	rin := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
 	rin.Raw = nil
-	restoredEng, cursor, err := stream.RestoreSharded(stream.Config{Input: rin}, 2, ckptDir)
+	restoredEng, cursor, err := stream.Restore(stream.Config{Input: rin}, ckptDir)
 	if err != nil {
-		t.Fatalf("restore sharded checkpoint: %v", err)
+		t.Fatalf("restore the checkpoint: %v", err)
 	}
 	defer restoredEng.Close()
 	if got := restoredEng.Stats().ConnsIngested; got != uint64(len(build.Raw.Conns)) {
@@ -314,11 +345,47 @@ func TestDaemonSharded(t *testing.T) {
 	}
 }
 
+// restartOnto runs the daemon twice over one -checkpoint, at -shards
+// first and then second: each run tails the logs whole and shuts down
+// cleanly. -shards is ignored, so the restart restores the first run's
+// chain and continues it in place — a fresh engine's first commit would
+// have replaced it with a base — and serves every row once. It returns
+// the two runs' logs.
+func restartOnto(t *testing.T, o options, total uint64, first, second int) (logs [2]string) {
+	t.Helper()
+	var before []string
+	for run, shards := range []int{first, second} {
+		var log strings.Builder
+		o.shards = shards
+		base, cancel, exit := startDaemonLogging(t, o, slog.New(slog.NewTextHandler(&log, nil)))
+		if st := waitConns(t, base, total); st.ConnsIngested != total {
+			t.Errorf("run %d at -shards %d serves %d connections, want %d", run, shards, st.ConnsIngested, total)
+		}
+		var v map[string]any
+		if code, body := httpGet(t, base+"/api/v1/version"); code != 200 || json.Unmarshal([]byte(body), &v) != nil || v["shards"] != nil {
+			t.Errorf("run %d: /api/v1/version = %d %s, want no shards field", run, code, body)
+		}
+		cancel()
+		if code := <-exit; code != 0 {
+			t.Fatalf("run %d at -shards %d: exit code %d\n%s", run, shards, code, log.String())
+		}
+		logs[run] = log.String()
+		chains := manifestChains(t, o.checkpoint)
+		if len(chains) != 1 {
+			t.Fatalf("run %d at -shards %d left %d chains, want one", run, shards, len(chains))
+		}
+		if run == 1 && (len(chains[0]) <= len(before) || !reflect.DeepEqual(chains[0][:len(before)], before)) {
+			t.Fatalf("the restart's chain %v does not continue the first run's %v", chains[0], before)
+		}
+		before = chains[0]
+	}
+	return logs
+}
+
 // TestDaemonCheckpointLayoutMismatch: a -checkpoint directory written at
-// one shard count must stop a daemon started at another, with both counts
-// in the refusal. Routing is a function of the count; the alternatives —
-// starting empty and re-tailing the logs from byte 0, or restoring shards
-// that own the wrong connections — are both silent corruption.
+// one -shards and restarted at another is not refused — -shards is
+// ignored, and either way the directory is one chain, which the restart
+// restores and continues in place.
 func TestDaemonCheckpointLayoutMismatch(t *testing.T) {
 	dir, cfg := writeTestLogs(t)
 	total := uint64(len(mtls.GenerateConfig(cfg).Raw.Conns))
@@ -332,76 +399,42 @@ func TestDaemonCheckpointLayoutMismatch(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			o := testOptions(dir, cfg)
 			o.checkpoint, o.ckptEvery = filepath.Join(t.TempDir(), "ckpt"), time.Hour
-			o.shards = c.first
-			base, cancel, exit := startDaemon(t, o)
-			waitConns(t, base, total)
-			cancel()
-			if code := <-exit; code != 0 {
-				t.Fatalf("first daemon exit code %d", code)
-			}
-			before := listDir(t, o.checkpoint)
-
-			// A daemon that wrongly starts is stopped by the deadline and
-			// exits 0; the refusal exits 1 long before it.
-			ctx, stop := context.WithTimeout(context.Background(), 5*time.Second)
-			defer stop()
-			o.shards = c.second
-			var log strings.Builder
-			logger := slog.New(slog.NewTextHandler(&log, nil))
-			if code := run(ctx, o, logger, nil); code != 1 {
-				t.Fatalf("daemon at -shards %d over a -shards %d checkpoint: exit %d, want 1\n%s",
-					c.second, c.first, code, log.String())
-			}
-			if want := fmt.Sprintf("checkpoint has %d shards, requested %d", c.first, c.second); !strings.Contains(log.String(), want) {
-				t.Errorf("refusal does not say %q:\n%s", want, log.String())
-			}
-			if after := listDir(t, o.checkpoint); !reflect.DeepEqual(before, after) {
-				t.Errorf("refused daemon changed the checkpoint directory: %v → %v", before, after)
-			}
+			restartOnto(t, o, total, c.first, c.second)
 		})
 	}
 }
 
-// TestDaemonPerCPUShardsRestart: -shards 0 on a host with more CPUs than
-// the engine has shards to give runs MaxShards of them, says so on
-// /api/v1/version, and restarts onto its own checkpoint. (The count used
-// to be resolved twice: the engine clamped it, the daemon did not, and
-// the restart refused the checkpoint as written at another count.)
+// TestDaemonPerCPUShardsRestart: -shards 0, which used to ask for one
+// shard per CPU, is ignored with a warning, and the daemon restarts onto
+// its own checkpoint.
 func TestDaemonPerCPUShardsRestart(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(stream.MaxShards + 1))
 	dir, cfg := writeTestLogs(t)
 	total := uint64(len(mtls.GenerateConfig(cfg).Raw.Conns))
 	o := testOptions(dir, cfg)
-	o.shards, o.checkpoint, o.ckptEvery = 0, filepath.Join(t.TempDir(), "ckpt"), time.Hour
-	for _, start := range []string{"first start", "restart"} {
-		base, cancel, exit := startDaemon(t, o)
-		waitConns(t, base, total)
-		var v versionInfo
-		if code, body := httpGet(t, base+"/api/v1/version"); code != 200 || json.Unmarshal([]byte(body), &v) != nil || v.Shards != stream.MaxShards {
-			t.Errorf("%s: /api/v1/version = %d %s, want %d shards", start, code, body, stream.MaxShards)
-		}
-		cancel()
-		if code := <-exit; code != 0 {
-			t.Fatalf("%s: exit code %d", start, code)
+	o.checkpoint, o.ckptEvery = filepath.Join(t.TempDir(), "ckpt"), time.Hour
+	for run, log := range restartOnto(t, o, total, 0, 0) {
+		if n := shardsIgnored(log); n != 1 {
+			t.Errorf("run %d warned %d times that it ignores -shards 0, want once", run, n)
 		}
 	}
 }
 
-// TestDaemonTooManyShards: an explicit -shards above what the engine
-// supports is a usage error, not a silently smaller deployment.
+// TestDaemonTooManyShards: an explicit -shards above the 64 an earlier
+// release refused is ignored like any other count: the daemon warns once,
+// naming it, and serves.
 func TestDaemonTooManyShards(t *testing.T) {
 	dir, cfg := writeTestLogs(t)
 	o := testOptions(dir, cfg)
-	o.shards = stream.MaxShards + 1
+	o.shards = 65
 	var log strings.Builder
-	if code := run(context.Background(), o, slog.New(slog.NewTextHandler(&log, nil)), nil); code != 2 {
-		t.Fatalf("exit code %d, want 2 (usage error)\n%s", code, log.String())
+	base, cancel, exit := startDaemonLogging(t, o, slog.New(slog.NewTextHandler(&log, nil)))
+	waitConns(t, base, uint64(len(mtls.GenerateConfig(cfg).Raw.Conns)))
+	cancel()
+	if code := <-exit; code != 0 {
+		t.Fatalf("exit code %d, want 0\n%s", code, log.String())
 	}
-	if !strings.Contains(log.String(), "at most 64") {
-		t.Errorf("the refusal does not name the bound:\n%s", log.String())
-	}
-	if _, err := stream.NewSharded(o.shards, stream.Config{Input: &core.Input{}}); err == nil {
-		t.Error("NewSharded accepted more than MaxShards")
+	if n := shardsIgnored(log.String()); n != 1 || !strings.Contains(log.String(), "shards=65") {
+		t.Errorf("want one warning naming -shards 65:\n%s", log.String())
 	}
 }
 
@@ -424,11 +457,10 @@ func listDir(t *testing.T, dir string) []string {
 }
 
 // TestOpenEngineMissingNamedFile: a committed manifest that names a file
-// which is gone is a damaged checkpoint, at either kind of shard count.
-// The restore used to hand back the *PathError wrapped, openEngine took
-// its os.ErrNotExist for "no checkpoint yet", and the daemon started
-// empty, re-tailed from byte 0 and swept the rest of the chain with its
-// first commit.
+// which is gone is a damaged checkpoint. The restore used to hand back the
+// *PathError wrapped, openEngine took its os.ErrNotExist for "no
+// checkpoint yet", and the daemon started empty, re-tailed from byte 0 and
+// swept the rest of the chain with its first commit.
 func TestOpenEngineMissingNamedFile(t *testing.T) {
 	cfg := mtls.DefaultConfig()
 	cfg.CertScale = testScale
@@ -436,45 +468,43 @@ func TestOpenEngineMissingNamedFile(t *testing.T) {
 	in := mtls.InputFromBuild(build)
 	in.Raw = nil
 	scfg := stream.Config{Input: in}
-	for _, shards := range []int{1, 2} {
-		path := filepath.Join(t.TempDir(), "ckpt")
-		eng, cursor, err := openEngine(scfg, shards, path)
-		if err != nil || cursor != nil {
-			t.Fatalf("shards=%d: an absent path must open a fresh engine: cursor %v, err %v", shards, cursor, err)
-		}
-		eng.IngestConnBatch(build.Raw.Conns[:500])
-		eng.Drain()
-		for i := 1; i <= 2; i++ { // a base and a delta per chain
-			if err := eng.WriteCheckpoint(path, map[string]int64{"ssl.log": int64(i)}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		eng.Close()
-		segs, err := filepath.Glob(filepath.Join(path, "seg-*.ckpt"))
-		if err != nil || len(segs) != 2*shards {
-			t.Fatalf("shards=%d: %d segments on disk (%v), want %d", shards, len(segs), err, 2*shards)
-		}
-		if err := os.Remove(segs[len(segs)-1]); err != nil {
-			t.Fatal(err)
-		}
-		eng, _, err = openEngine(scfg, shards, path)
-		if err == nil {
-			eng.Close()
-			t.Fatalf("shards=%d: a manifest naming a missing segment opened an engine", shards)
-		}
-		if !errors.Is(err, store.ErrCorrupt) {
-			t.Errorf("shards=%d: err = %v, want store.ErrCorrupt", shards, err)
-		}
-		// A directory with no commit file is still "no checkpoint yet".
-		if err := os.Remove(filepath.Join(path, "MANIFEST")); err != nil {
-			t.Fatal(err)
-		}
-		eng, cursor, err = openEngine(scfg, shards, path)
-		if err != nil || cursor != nil {
-			t.Fatalf("shards=%d: a directory without a manifest must open a fresh engine: cursor %v, err %v", shards, cursor, err)
-		}
-		eng.Close()
+	path := filepath.Join(t.TempDir(), "ckpt")
+	eng, cursor, err := openEngine(scfg, path)
+	if err != nil || cursor != nil {
+		t.Fatalf("an absent path must open a fresh engine: cursor %v, err %v", cursor, err)
 	}
+	eng.IngestConnBatch(build.Raw.Conns[:500])
+	eng.Drain()
+	for i := 1; i <= 2; i++ { // a base and a delta
+		if err := eng.WriteCheckpoint(path, map[string]int64{"ssl.log": int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Close()
+	segs, err := filepath.Glob(filepath.Join(path, "seg-*.ckpt"))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("%d segments on disk (%v), want 2", len(segs), err)
+	}
+	if err := os.Remove(segs[len(segs)-1]); err != nil {
+		t.Fatal(err)
+	}
+	eng, _, err = openEngine(scfg, path)
+	if err == nil {
+		eng.Close()
+		t.Fatal("a manifest naming a missing segment opened an engine")
+	}
+	if !errors.Is(err, store.ErrCorrupt) {
+		t.Errorf("err = %v, want store.ErrCorrupt", err)
+	}
+	// A directory with no commit file is still "no checkpoint yet".
+	if err := os.Remove(filepath.Join(path, "MANIFEST")); err != nil {
+		t.Fatal(err)
+	}
+	eng, cursor, err = openEngine(scfg, path)
+	if err != nil || cursor != nil {
+		t.Fatalf("a directory without a manifest must open a fresh engine: cursor %v, err %v", cursor, err)
+	}
+	eng.Close()
 }
 
 // TestOpenEngineRetiredCheckpoint: a directory committed by manifest.json
@@ -496,7 +526,7 @@ func TestOpenEngineRetiredCheckpoint(t *testing.T) {
 		}
 	}
 	before := listDir(t, path)
-	eng, cursor, err := openEngine(stream.Config{Input: &core.Input{}}, 1, path)
+	eng, cursor, err := openEngine(stream.Config{Input: &core.Input{}}, path)
 	if err == nil {
 		eng.Close()
 		t.Fatalf("a manifest.json directory opened an engine (cursor %v)", cursor)

@@ -63,7 +63,6 @@ type options struct {
 	burstFactor float64
 	poll        time.Duration
 	ckptEvery   time.Duration
-	shards      int
 	maxLag      int64
 	maxRSS      int64
 	store       string
@@ -91,7 +90,6 @@ func main() {
 	flag.Float64Var(&o.burstFactor, "burst-factor", 3, "rate multiplier inside a burst window")
 	flag.DurationVar(&o.poll, "poll", 100*time.Millisecond, "daemon log poll interval")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 2*time.Second, "daemon checkpoint interval")
-	flag.IntVar(&o.shards, "shards", 1, "daemon engine shards")
 	flag.Int64Var(&o.maxLag, "max-lag-bytes", 64<<20, "fail if sampled ingestion lag ever exceeds this")
 	flag.Int64Var(&o.maxRSS, "max-rss-bytes", 0, "fail if sampled daemon VmRSS ever exceeds this (0 = no bound)")
 	flag.StringVar(&o.store, "store", "", "daemon state store (passed through as mtlsd -store; empty = daemon default)")
@@ -207,7 +205,6 @@ func (h *harness) daemonArgs() []string {
 		"-spec", h.spec,
 		"-scale", strconv.Itoa(h.o.scale),
 		"-seed", strconv.FormatUint(h.o.seed, 10),
-		"-shards", strconv.Itoa(h.o.shards),
 		"-quarantine", filepath.Join(h.dir, "quarantine.log"),
 		"-log-level", "warn",
 	}
@@ -432,8 +429,8 @@ func run(o *options) int {
 			"scale": o.scale, "seed": o.seed, "rate": o.rate,
 			"burst_every": o.burstEvery.String(), "burst_len": o.burstLen.String(),
 			"burst_factor": o.burstFactor, "poll": o.poll.String(),
-			"checkpoint_every": o.ckptEvery.String(), "shards": o.shards,
-			"chaos": sortedKeys(modes), "malformed_rows": o.stormRows,
+			"checkpoint_every": o.ckptEvery.String(), "chaos": sortedKeys(modes),
+			"malformed_rows":         o.stormRows,
 			"slowdisk_bytes_per_sec": o.throttle,
 			"store":                  o.store, "hot_bytes": o.hotBytes, "max_rss_bytes": o.maxRSS,
 		},

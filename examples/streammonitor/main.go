@@ -98,16 +98,14 @@ func main() {
 
 	// The registry holds everything mtlsd would serve on /metrics:
 	// ingest counters, apply-queue latency, rebuild and materialization
-	// durations, checkpoint cost. What a shard does carries its label
-	// (this engine has one, shard="0"); what the engine does once has none.
-	shard := []string{"shard", "0"}
+	// durations, checkpoint cost — one unlabelled series each.
 	fmt.Println("\noperational metrics (the daemon serves these on /metrics):")
 	fmt.Printf("  ingested: %d conns, %d certs; rebuilds: %d; materializations: %d\n",
-		reg.Counter("stream_conns_ingested_total", "", shard...).Value(),
+		reg.Counter("stream_conns_ingested_total", "").Value(),
 		reg.Counter("stream_certs_ingested_total", "").Value(),
 		reg.Counter("stream_rebuilds_total", "").Value(),
 		reg.Histogram("stream_materialize_seconds", "", nil).Count())
 	fmt.Printf("  checkpoint writes: %d, last size: %.0f bytes\n",
-		reg.Counter("stream_checkpoints_total", "", shard...).Value(),
-		reg.Gauge("stream_checkpoint_bytes", "", shard...).Value())
+		reg.Counter("stream_checkpoints_total", "").Value(),
+		reg.Gauge("stream_checkpoint_bytes", "").Value())
 }

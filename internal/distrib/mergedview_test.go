@@ -30,7 +30,7 @@ func aggReplays(reg *metrics.Registry) map[core.ReplayReason]uint64 {
 }
 
 // TestAggregatorIncrementalMatchesRebuild reads the aggregator between
-// delta rounds from a plain and a sharded sensor and holds every read
+// delta rounds from two sensors and holds every read
 // against a fresh MergeShards over the replicas as they stand: appending
 // each sync's delta must equal replaying everything. A round that only
 // brought new records never replays — a late certificate is patched into
@@ -80,7 +80,7 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 	}
 	e1 := newSensorEngine(t, b)
 	swA := &swapExporter{exp: e1}
-	sB := newShardedSensor(t, b)
+	sB := newSensorEngine(t, b)
 	urls := []string{
 		newSensorServer(t, swA).URL,
 		newSensorServer(t, sB).URL,

@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/race"
 	"repro/internal/stream"
-	"repro/internal/workload"
 )
 
 // rebuildStats is the oracle for the sets maintained as syncs land,
@@ -46,22 +45,9 @@ func checkAggUnion(t *testing.T, a *Aggregator, step string) stream.Stats {
 	return st
 }
 
-// newShardedSensor builds an exporting two-shard deployment.
-func newShardedSensor(t *testing.T, b *workload.Build) *stream.Engine {
-	t.Helper()
-	in := inputFromBuild(b)
-	in.Raw = nil
-	s, err := stream.NewSharded(2, stream.Config{Input: in, TrackExport: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	return s
-}
-
 // TestAggregatorStatsUnionMatchesRebuild holds Aggregator.Stats to a
 // from-scratch rebuild over what the sensors hold after every sync: over
-// delta rounds from a plain and a sharded sensor, across a sensor that
+// delta rounds from two sensors, across a sensor that
 // comes back under a new epoch holding less than before (the union must
 // shrink — the one thing absorbing cannot do), and once everything is
 // re-fed, against one engine that saw the whole stream. Stats and Report
@@ -98,7 +84,7 @@ func TestAggregatorStatsUnionMatchesRebuild(t *testing.T) {
 	}
 	e1 := newSensorEngine(t, b)
 	swA := &swapExporter{exp: e1}
-	sB := newShardedSensor(t, b)
+	sB := newSensorEngine(t, b)
 	reg := metrics.New()
 	a := newAgg(t, b, reg,
 		newSensorServer(t, swA).URL,

@@ -7,15 +7,14 @@ import (
 )
 
 // TestIngestBatchAllocGate pins the allocation budget of batched ingest,
-// end to end: the router's copy into a pooled batch per shard, the
-// channel hop, and the apply loop folding events into shard state
-// (AllocsPerRun counts process-wide, so the apply goroutine's work is
-// included). Two budgets, both per event over 512-event batches on one
-// shard. Warm — the roster is admitted, the window's arrays and the
+// end to end: the router's copy into a pooled batch, the channel hop, and
+// the apply loop folding events into the window (AllocsPerRun counts
+// process-wide, so the apply goroutine's work is included). Two budgets,
+// both per event over 512-event batches. Warm — the roster is admitted, the window's arrays and the
 // detector's maps are grown, which is how a long-lived daemon spends
 // almost all of its time — a batch costs the Drain barrier's channel and
 // nothing per event. Cold — a fresh engine fed the whole build — pays for
-// growth: the roster and its index, windows, detector evidence. The
+// growth: the roster and its index, the window, detector evidence. The
 // seed's per-event path spent >10 allocations per event; the gates sit
 // just above what is measured so a regression (a dropped pool, a
 // per-event box, a heap object per fingerprint) cannot hide.

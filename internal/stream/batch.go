@@ -8,16 +8,16 @@ import (
 	"repro/internal/core"
 )
 
-// batch is a pooled group of connections traveling a shard's ingest
+// batch is a pooled group of connections traveling the window's ingest
 // channel as one entry — the only ingest mechanism; IngestConn routes a
 // batch of one. Certificates never travel: the router admits them into
 // its roster.
 //
-// Ownership: the router copies the caller's records into a pooled batch
-// per shard, so the caller may reuse its slice (and the records' backing
-// storage it owns) immediately. The apply loop copies the records into
-// the shard's retained window and recycles the batch — the shard
-// copies-on-retain, never aliasing pooled memory.
+// Ownership: the router copies the caller's records into a pooled batch,
+// so the caller may reuse its slice (and the records' backing storage it
+// owns) immediately. The apply loop copies the records into the retained
+// window and recycles the batch — the window copies-on-retain, never
+// aliasing pooled memory.
 type batch struct {
 	// seqs aligns with conns: the sequence the router admitted each
 	// connection under.
@@ -38,21 +38,21 @@ func (b *batch) recycle() {
 }
 
 // sendBatch delivers b as one channel operation. Returns false (without
-// recycling b) when the batch was shed or the shard is closed.
-func (e *shard) sendBatch(b *batch) bool {
-	return e.send(event{batch: b, enq: time.Now()}, e.cfg.Policy == Block)
+// recycling b) when the batch was shed or the window is closed.
+func (w *window) sendBatch(b *batch) bool {
+	return w.send(event{batch: b, enq: time.Now()}, w.cfg.Policy == Block)
 }
 
 // applyBatchLocked applies one pooled batch, growing the retained window
 // once, and recycles it.
-func (e *shard) applyBatchLocked(b *batch) {
+func (w *window) applyBatchLocked(b *batch) {
 	// The retained window is multi-megabyte at steady state; append's
 	// 1.25× growth regime there costs ~4× the final size in copy churn
 	// (half the benchmark's allocated bytes before this). The store
 	// at-least-doubles instead.
-	e.st.GrowConns(len(b.conns))
+	w.st.GrowConns(len(b.conns))
 	for i := range b.conns {
-		e.applyConnLocked(&b.conns[i], b.seqs[i])
+		w.applyConnLocked(&b.conns[i], b.seqs[i])
 	}
 	b.recycle()
 }
@@ -61,21 +61,21 @@ func (e *shard) applyBatchLocked(b *batch) {
 // each one's server leaf against the roster — the one certificate probe a
 // connection costs — and runs the §3.2 detector over the pair, which parks
 // the observation when the certificate has not been admitted yet; it then
-// partitions the slice by home shard (hash of the connection UID) under
-// one lock acquisition and delivers each shard's share, in arrival order,
-// over one channel operation, amortizing the channel hop and the apply
-// loop's lock over the slice. Records are copied; the caller may reuse
-// recs and its elements. Invalid records (weight below 1) are rejected
-// individually and counted in Stats.Rejected. Returns how many events were
-// accepted — 0 when the engine is closed; a shard whose full buffer sheds
-// its slice under Policy Drop sheds it atomically, counted per event in
-// Stats.Dropped.
+// numbers the slice under one lock acquisition and delivers it, in arrival
+// order, over one channel operation, amortizing the channel hop and the
+// apply loop's lock over the slice. Records are copied; the caller may
+// reuse recs and its elements. Invalid records (weight below 1) are
+// rejected individually and counted in Stats.Rejected. Returns how many
+// events were accepted — 0 when the engine is closed, or when a full
+// buffer under Policy Drop shed the slice, atomically, counted per event
+// in Stats.Dropped; the detector keeps what it saw in a shed connection.
 func (s *Engine) IngestConnBatch(recs []core.ConnRecord) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0
 	}
+	b := newBatch()
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Weight < 1 {
@@ -89,28 +89,29 @@ func (s *Engine) IngestConnBatch(recs []core.ConnRecord) int {
 			// (core.Builder.AddCert).
 			s.icpt.Observe(rec, s.certs[fp])
 		}
-		h := s.home(string(rec.UID))
-		b := s.scratch[h]
-		if b == nil {
-			b = newBatch()
-			s.scratch[h] = b
-		}
 		b.conns = append(b.conns, *rec)
 		b.seqs = append(b.seqs, s.nextSeq)
 		s.nextSeq++
 	}
 	s.publishLocked()
-	return s.flushScratchLocked()
+	// Read before the send: on success the apply loop owns (and recycles)
+	// the batch.
+	n := len(b.conns)
+	if n == 0 || !s.win.sendBatch(b) {
+		b.recycle()
+		return 0
+	}
+	return n
 }
 
 // IngestCertBatch admits a batch of certificates into the roster under one
 // router lock acquisition, first observation of a fingerprint wins. An
-// admitted certificate is readable at once and crosses no shard buffer —
-// Policy Drop never sheds one — and the detector drains the observations
-// parked on it before the call returns. Nil certificates and empty
-// fingerprints are rejected individually; accepted certificates are
-// retained by pointer. Returns how many records were accepted (duplicates
-// included) — 0 when the engine is closed.
+// admitted certificate is readable at once and crosses no buffer — Policy
+// Drop never sheds one — and the detector drains the observations parked
+// on it before the call returns. Nil certificates and empty fingerprints
+// are rejected individually; accepted certificates are retained by
+// pointer. Returns how many records were accepted (duplicates included) —
+// 0 when the engine is closed.
 func (s *Engine) IngestCertBatch(recs []core.CertRecord) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,29 +162,4 @@ func (s *Engine) publishLocked() {
 func (s *Engine) reject() {
 	s.rejected.Add(1)
 	s.m.rejected.Inc()
-}
-
-// flushScratchLocked sends every pending per-shard batch and returns the
-// number of connection events accepted across shards. A shard that sheds
-// its batch (Policy Drop, full buffer) loses the connections, not what the
-// detector saw in them.
-func (s *Engine) flushScratchLocked() int {
-	accepted := 0
-	for h, b := range s.scratch {
-		if b == nil {
-			continue
-		}
-		s.scratch[h] = nil
-		// Read before the send: on success the apply loop owns (and
-		// recycles) the batch.
-		n := len(b.conns)
-		routed := b.seqs[n-1] + 1
-		if !s.shards[h].sendBatch(b) {
-			b.recycle()
-			continue
-		}
-		accepted += n
-		s.routed[h] = routed
-	}
-	return accepted
 }

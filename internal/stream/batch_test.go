@@ -46,8 +46,7 @@ func feedBatches(t *testing.T, g *Engine, certs []core.CertRecord, conns []core.
 
 // TestIngestSurfacesMatchBatchPipeline is the ingest contract: the same
 // stream fed one record at a time (IngestConn/IngestCert — a batch of
-// one) and in 512-record batches, at shard counts {1, 2, 4}, drains to
-// an Analysis deeply equal to the batch pipeline's, with the ingest
+// one) and in 512-record batches drains to an Analysis deeply equal to the batch pipeline's, with the ingest
 // counters exact. Each feed also carries one invalid record of each kind
 // (nil, weightless, unkeyed), which only Stats.Rejected may notice.
 func TestIngestSurfacesMatchBatchPipeline(t *testing.T) {
@@ -86,22 +85,20 @@ func TestIngestSurfacesMatchBatchPipeline(t *testing.T) {
 			feedBatches(t, s, certs, conns, 512)
 		}, 2},
 	}
-	for _, n := range []int{1, 2, 4} {
-		for name, f := range feeds {
-			s := newSharded(t, n, in, nil)
-			f.feed(t, s)
-			s.Drain()
-			if got := s.Analysis(); !reflect.DeepEqual(want, got) {
-				t.Errorf("shards=%d %s: analysis differs from batch pipeline", n, name)
-			}
-			st := s.Stats()
-			if st.ConnsIngested != uint64(len(conns)) || st.CertsIngested != uint64(len(certs)) || st.UniqueCerts != len(certs) {
-				t.Errorf("shards=%d %s: ingested %d conns / %d certs (%d unique), want %d / %d",
-					n, name, st.ConnsIngested, st.CertsIngested, st.UniqueCerts, len(conns), len(certs))
-			}
-			if st.Dropped != 0 || st.Rejected != f.rejected {
-				t.Errorf("shards=%d %s: dropped=%d rejected=%d, want 0 and %d", n, name, st.Dropped, st.Rejected, f.rejected)
-			}
+	for name, f := range feeds {
+		s := newEngine(t, in, nil)
+		f.feed(t, s)
+		s.Drain()
+		if got := s.Analysis(); !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: analysis differs from batch pipeline", name)
+		}
+		st := s.Stats()
+		if st.ConnsIngested != uint64(len(conns)) || st.CertsIngested != uint64(len(certs)) || st.UniqueCerts != len(certs) {
+			t.Errorf("%s: ingested %d conns / %d certs (%d unique), want %d / %d",
+				name, st.ConnsIngested, st.CertsIngested, st.UniqueCerts, len(conns), len(certs))
+		}
+		if st.Dropped != 0 || st.Rejected != f.rejected {
+			t.Errorf("%s: dropped=%d rejected=%d, want 0 and %d", name, st.Dropped, st.Rejected, f.rejected)
 		}
 	}
 }
@@ -117,24 +114,22 @@ func TestBatchOutOfOrderCerts(t *testing.T) {
 	in.Raw = nil
 	certs := certRecords(b)
 
-	for _, n := range []int{1, 2, 4} {
-		s := newSharded(t, n, in, nil)
-		for lo := 0; lo < len(b.Raw.Conns); lo += 512 {
-			s.IngestConnBatch(b.Raw.Conns[lo:min(lo+512, len(b.Raw.Conns))])
-		}
-		for lo := 0; lo < len(certs); lo += 512 {
-			s.IngestCertBatch(certs[lo:min(lo+512, len(certs))])
-		}
-		s.Drain()
-		if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: out-of-order batched analysis differs from batch pipeline", n)
-		}
+	s := newEngine(t, in, nil)
+	for lo := 0; lo < len(b.Raw.Conns); lo += 512 {
+		s.IngestConnBatch(b.Raw.Conns[lo:min(lo+512, len(b.Raw.Conns))])
+	}
+	for lo := 0; lo < len(certs); lo += 512 {
+		s.IngestCertBatch(certs[lo:min(lo+512, len(certs))])
+	}
+	s.Drain()
+	if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
+		t.Error("out-of-order batched analysis differs from batch pipeline")
 	}
 }
 
 // TestBatchRetroactiveExclusion pins the §3.2 exclusion verdict under
 // batched ingest: interception issuers confirmed by evidence spread
-// across shards must be excluded exactly as in the batch pipeline.
+// across batches must be excluded exactly as in the batch pipeline.
 func TestBatchRetroactiveExclusion(t *testing.T) {
 	b := genBuild(20240504, 1200)
 	batch := core.Run(inputFromBuild(b))
@@ -145,20 +140,15 @@ func TestBatchRetroactiveExclusion(t *testing.T) {
 	in.Raw = nil
 	certs := certRecords(b)
 
-	for _, n := range []int{1, 2, 4} {
-		s := newSharded(t, n, in, nil)
-		feedBatches(t, s, certs, b.Raw.Conns, 256)
-		s.Drain()
-		got := s.Analysis()
-		if !reflect.DeepEqual(batch.Preprocess, got.Preprocess) {
-			t.Errorf("shards=%d: batched preprocess verdict differs from batch pipeline:\n got %+v\nwant %+v",
-				n, got.Preprocess, batch.Preprocess)
-		}
-		st := s.Stats()
-		if st.ExcludedCerts != batch.Preprocess.ExcludedCerts {
-			t.Errorf("shards=%d: Stats.ExcludedCerts = %d, want %d",
-				n, st.ExcludedCerts, batch.Preprocess.ExcludedCerts)
-		}
+	s := newEngine(t, in, nil)
+	feedBatches(t, s, certs, b.Raw.Conns, 256)
+	s.Drain()
+	got := s.Analysis()
+	if !reflect.DeepEqual(batch.Preprocess, got.Preprocess) {
+		t.Errorf("batched preprocess verdict differs from batch pipeline:\n got %+v\nwant %+v", got.Preprocess, batch.Preprocess)
+	}
+	if st := s.Stats(); st.ExcludedCerts != batch.Preprocess.ExcludedCerts {
+		t.Errorf("Stats.ExcludedCerts = %d, want %d", st.ExcludedCerts, batch.Preprocess.ExcludedCerts)
 	}
 }
 

@@ -18,45 +18,45 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/interception"
-	"repro/internal/metrics"
 	"repro/internal/store"
 )
 
 // A checkpoint is a directory: one MANIFEST and the CRC-framed segment
-// files it names. The manifest lists one segment chain per shard, the
+// files it names. The manifest names the window's segment chain, the
 // caller's cursor and the router's state. Each WriteCheckpoint appends one
-// segment to every chain, carrying only what changed on that shard since
-// the previous commit — connections appended past the committed sequence
-// mark, the latest eviction cutoff and the counters; chain 0's also carries
-// what is the router's, the certificates it admitted and the §3.2 evidence
-// pairs its detector gained since, and the detector's parked observations
-// whole — and then rewrites the MANIFEST through the atomicfile protocol.
-// Restore replays each chain in order: apply the segment's eviction cutoff
-// to the state accumulated so far, then append its records; the evidence
-// is the union of what the chains hold. A background compactor folds every
-// chain back into one base, so the directory stays O(state) while each
-// interval's write stays O(delta).
+// segment to the chain, carrying only what changed since the previous
+// commit — connections appended past the committed sequence mark, the
+// latest eviction cutoff and the counters, the certificates the router
+// admitted and the §3.2 evidence pairs its detector gained since, and the
+// detector's parked observations whole — and then rewrites the MANIFEST
+// through the atomicfile protocol. Restore replays the chain in order:
+// apply the segment's eviction cutoff to the state accumulated so far,
+// then append its records. A background compactor folds the chain back
+// into one base, so the directory stays O(state) while each interval's
+// write stays O(delta).
 //
 // Frames carry the record codec (store/record.go); DESIGN.md §8 has the
-// table. Compatibility reaches one release back: what the previous release
-// can leave here — this format, or manifest-2 chains of gob frames it was
-// still continuing in place — is read (migrate.go) and continued by this
-// release's deltas, a chain may mix the two, and a fold rewrites whatever
-// it reads into one base of this release's frames. Every older shape is
-// refused by name, untouched (openCheckpoint).
+// table. Compatibility reaches one release back, and only this release's
+// own shape — one chain of its frames — is continued in place. What else
+// the previous release can leave here — a chain per shard, manifest-2
+// chains of gob frames, chains mixing those with this release's frames —
+// is read (migrate.go), its chains merged into the one window in sequence
+// order, and rewritten by the first commit as one base of this release's
+// frames; that commit's sweep then removes the old segments. Every older
+// shape is refused by name, untouched (openCheckpoint).
 //
 // The manifest has one owner, the Engine, and its rename is the only
-// commit point: shards write segment
-// files and nothing else, so no crash can leave shard states that
-// disagree with each other or with the cursor.
+// commit point: the window writes segment files and nothing else, so no
+// crash can leave a chain that disagrees with the cursor.
 //
 // Crash matrix (DESIGN.md §8 has the narrative): nothing is deleted
 // before a commit, and after one the owner sweeps every file the new
 // manifest does not name. A crash before the rename leaves the previous
 // commit intact beside unreferenced files; a crash after it is the new
 // commit (segments were fsynced before the manifest named them). That
-// covers a delta, a compaction, and the first write into a directory
-// some other history committed.
+// covers a delta, a compaction, the rewrite of a previous release's
+// directory, and the first write into a directory some other history
+// committed.
 
 // ckptManifestVersion guards the manifest format: the number says which
 // frames the segments may hold, so a build that cannot read this one's
@@ -89,7 +89,7 @@ const (
 const segFlushBytes = 1 << 20
 
 // Segment frame types. 1–3 are manifest version 2's gob frames, read by
-// migrate.go and never written.
+// a restore (migrate.go) and never written or folded.
 const (
 	segFrameState    byte = 4 // segState: counters, eviction cutoff, parked observations
 	segFrameCerts    byte = 5 // count, then (sequence, certificate) records
@@ -98,17 +98,18 @@ const (
 )
 
 // segState is a segment's snapshot of everything that is not a record
-// stream: the shard's counters, the eviction cutoff to replay before this
-// segment's records, and in chain 0 the observations the router's detector
-// had parked at the commit — the part of its state that shrinks, so every
-// segment there carries it whole and the last one wins on restore. (The
-// part that only grows, the evidence, is a record stream: segFrameEvidence.)
+// stream: the window's counters, the eviction cutoff to replay before this
+// segment's records, and the observations the router's detector had parked
+// at the commit — the part of its state that shrinks, so every segment
+// carries it whole and the last one wins on restore. (The part that only
+// grows, the evidence, is a record stream: segFrameEvidence.)
 type segState struct {
 	ConnsIngested uint64
 	Evicted       uint64
 	Watermark     time.Time
 	EvictCutoff   time.Time
-	// Parked is nil in a segment without detector state: every chain but 0.
+	// Parked is nil in a segment without detector state: a previous
+	// release's chains but the first.
 	Parked map[ids.Fingerprint][]interception.PendingRef
 
 	// Evidence is what only a gob state frame holds (migrate.go): the
@@ -175,7 +176,7 @@ type ckptSeg struct {
 	Bytes int64
 }
 
-// routerState is what the router checkpoints beside the shards' chains:
+// routerState is what the router checkpoints beside the window's chain:
 // the sequence counter, the admitted-certificate count and, when the
 // engine exports, the numbering epoch, so cursors survive a restart
 // (without it a restore numbers under a fresh epoch, which refuses stale
@@ -187,7 +188,9 @@ type routerState struct {
 }
 
 // ckptManifest is a checkpoint directory's commit record. Gen counts the
-// directory's commits; NextSeg numbers its segment files, across chains.
+// directory's commits; NextSeg numbers its segment files. Chains is one
+// chain — a previous release wrote one per shard, which a restore still
+// reads.
 type ckptManifest struct {
 	Version int
 	Gen     uint64
@@ -227,7 +230,7 @@ func readCkptManifest(dir string) (*ckptManifest, error) {
 	case old.Router.CertSeqs != nil:
 		return nil, retired(dir, "a MANIFEST whose router state lists certificate sequences")
 	}
-	if len(man.Chains) == 0 || len(man.Chains) > MaxShards {
+	if len(man.Chains) == 0 {
 		return nil, fmt.Errorf("stream: checkpoint manifest names %d chains", len(man.Chains))
 	}
 	for _, chain := range man.Chains {
@@ -238,24 +241,24 @@ func readCkptManifest(dir string) (*ckptManifest, error) {
 	return &man, nil
 }
 
-// checkpointer owns an Engine's checkpoint directory: its shards' chains
+// checkpointer owns an Engine's checkpoint directory: the window's chain
 // and the one MANIFEST, of which it is the only writer. Lock order: mu
-// before the router lock and any shard's state lock — writers hold mu
+// before the router lock and the window's state lock — writers hold mu
 // throughout and take the others briefly for their snapshots.
 type checkpointer struct {
-	shards []*shard // chain i is shards[i]'s
+	win *window
 	// router snapshots, per commit, the router's state and what it adds to
-	// chain 0: its roster log and its detector's evidence log from the
+	// the segment: its roster log and its detector's evidence log from the
 	// given positions on, and the detector's parked observations.
 	router func(certs, pairs int) (*routerState, routerDelta)
-	// dur and compactDur observe whole calls: one commit, one fold.
-	dur, compactDur *metrics.Histogram
+	m      *engineMetrics
 
 	mu sync.Mutex
 	// dir is the directory being written and man this engine's last
-	// commit there. After first contact man has no chains yet — the next
-	// write is a base per chain rather than a delta — only the generation
-	// and segment numbering to continue.
+	// commit there. After first contact, or a restore of anything but this
+	// release's shape, man has no chain yet — the next write is a base
+	// rather than a delta — only the generation and segment numbering to
+	// continue.
 	dir string
 	man *ckptManifest
 	// certs and pairs count the roster-log and evidence-log entries
@@ -268,19 +271,19 @@ type checkpointer struct {
 	compactWG sync.WaitGroup
 }
 
-// WriteCheckpoint commits every shard's state, the router's and the
-// caller's cursor to the checkpoint directory at path: each shard appends
-// one segment to its chain — a base on the first write there, a delta
-// since the previous commit on every later one — and the one manifest
-// naming them all is renamed into place. A regular file at path is
-// replaced by the directory once it has committed. The caller must ensure
-// the cursor is consistent with the applied state — i.e. Drain first,
-// then read tail offsets, then checkpoint.
+// WriteCheckpoint commits the window's state, the router's and the
+// caller's cursor to the checkpoint directory at path: one segment is
+// appended to the chain — a base on the first write there, a delta since
+// the previous commit on every later one — and the manifest naming it is
+// renamed into place. A regular file at path is replaced by the directory
+// once it has committed. The caller must ensure the cursor is consistent
+// with the applied state — i.e. Drain first, then read tail offsets, then
+// checkpoint.
 func (s *Engine) WriteCheckpoint(path string, cursor map[string]int64) error {
 	return s.ckpt.write(path, cursor)
 }
 
-// Compact folds every committed segment chain into one base segment, so
+// Compact folds the committed segment chain into one base segment, so
 // the directory returns to O(state) while the per-interval delta cost
 // stays O(delta). Runs in the background after every ckptCompactEvery-th
 // commit (Close waits for one in flight); safe to call directly. A crash
@@ -289,7 +292,7 @@ func (s *Engine) Compact() error {
 	return s.ckpt.compact()
 }
 
-// routerDelta is what a commit adds to chain 0 on the router's behalf:
+// routerDelta is what a commit adds to the segment on the router's behalf:
 // the certificates admitted and the evidence pairs gained since the
 // previous commit, and the detector's parked observations, whole.
 type routerDelta struct {
@@ -300,7 +303,7 @@ type routerDelta struct {
 }
 
 // routerState snapshots what the router checkpoints: its counters for the
-// manifest, and for chain 0 the roster log and the detector's evidence log
+// manifest, and for the segment the roster log and the detector's evidence log
 // from the given positions on — both append-only, so the suffixes are the
 // delta, readable after the lock is released, and the same state always
 // writes the same bytes — and a copy of the small set the detector has
@@ -368,9 +371,9 @@ func (c *checkpointer) firstContact(path string) error {
 	return nil
 }
 
-// write appends one segment per chain and commits the set.
+// write appends one segment to the chain and commits it.
 func (c *checkpointer) write(path string, cursor map[string]int64) error {
-	defer c.dur.Since(time.Now())
+	defer c.m.checkpointDur.Since(time.Now())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.man == nil || c.dir != path {
@@ -379,42 +382,30 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 		}
 	}
 	full := c.man.Chains == nil
-	certs, pairs := c.certs, c.pairs
-	if full {
-		certs, pairs = 0, 0
+	var chain []ckptSeg
+	certs, pairs := 0, 0
+	if !full {
+		chain, certs, pairs = slices.Clone(c.man.Chains[0]), c.certs, c.pairs
 	}
 	router, delta := c.router(certs, pairs)
-	certs, pairs = certs+len(delta.certs), pairs+len(delta.pairs)
+	name := fmt.Sprintf("seg-%d.ckpt", c.man.NextSeg)
+	n, done, err := c.win.writeDelta(filepath.Join(c.dir, name), &c.buf, full, delta)
+	if err != nil {
+		return fmt.Errorf("stream: checkpoint segment: %w", err)
+	}
 	man := &ckptManifest{
 		Version: ckptManifestVersion,
 		Gen:     c.man.Gen + 1,
-		NextSeg: c.man.NextSeg,
-		Chains:  make([][]ckptSeg, len(c.shards)),
+		NextSeg: c.man.NextSeg + 1,
+		Chains:  [][]ckptSeg{append(chain, ckptSeg{Name: name, Bytes: n})},
 		Cursor:  cursor,
 		Router:  router,
-	}
-	committed := make([]func(chainLen int), len(c.shards))
-	for i, e := range c.shards {
-		if !full {
-			man.Chains[i] = slices.Clone(c.man.Chains[i])
-		}
-		name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
-		n, done, err := e.writeDelta(filepath.Join(c.dir, name), &c.buf, full, delta)
-		if err != nil {
-			return fmt.Errorf("stream: checkpoint segment: %w", err)
-		}
-		delta = routerDelta{} // what is the router's rides chain 0
-		man.NextSeg++
-		man.Chains[i] = append(man.Chains[i], ckptSeg{Name: name, Bytes: n})
-		committed[i] = done
 	}
 	if err := c.commit(man); err != nil {
 		return err
 	}
-	for i, done := range committed {
-		done(len(man.Chains[i]))
-	}
-	c.certs, c.pairs = certs, pairs
+	done(len(man.Chains[0]))
+	c.certs, c.pairs = certs+len(delta.certs), pairs+len(delta.pairs)
 	if c.dir != path {
 		// The directory beside the file is complete and committed: it
 		// takes the file's place.
@@ -426,7 +417,7 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 		}
 		c.dir = path
 	}
-	if len(man.Chains[0]) >= ckptCompactEvery { // chains grow and fold together
+	if len(man.Chains[0]) >= ckptCompactEvery {
 		c.compactWG.Add(1)
 		go func() {
 			defer c.compactWG.Done()
@@ -471,36 +462,29 @@ func (c *checkpointer) commit(man *ckptManifest) error {
 	return nil
 }
 
-// compact folds every chain into one base segment and commits the
-// folded set through the manifest, cursor and router state unchanged.
-// Chains grow and fold together, so the first speaks for all.
+// compact folds the chain into one base segment and commits it through
+// the manifest, cursor and router state unchanged.
 func (c *checkpointer) compact() error {
-	defer c.compactDur.Since(time.Now())
+	defer c.m.compactDur.Since(time.Now())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.man == nil || c.man.Chains == nil || len(c.man.Chains[0]) <= 1 {
 		return nil
 	}
 	man := *c.man
-	man.Version = ckptManifestVersion // a fold leaves none but this release's frames
 	man.Gen++
-	man.Chains = make([][]ckptSeg, len(c.man.Chains))
-	for i, chain := range c.man.Chains {
-		name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
-		n, err := foldChain(c.dir, chain, name, &c.buf)
-		if err != nil {
-			return fmt.Errorf("stream: compact: %w", err)
-		}
-		man.NextSeg++
-		man.Chains[i] = []ckptSeg{{Name: name, Bytes: n}}
+	name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
+	n, err := foldChain(c.dir, c.man.Chains[0], name, &c.buf)
+	if err != nil {
+		return fmt.Errorf("stream: compact: %w", err)
 	}
+	man.NextSeg++
+	man.Chains = [][]ckptSeg{{{Name: name, Bytes: n}}}
 	if err := c.commit(&man); err != nil {
 		return err
 	}
-	for _, e := range c.shards {
-		e.m.compactions.Inc()
-		e.m.checkpointSegs.Set(1)
-	}
+	c.m.compactions.Inc()
+	c.m.checkpointSegs.Set(1)
 	return nil
 }
 
@@ -609,44 +593,44 @@ func createSegment(path string, buf *[]byte, emit func(w *segWriter) error) (siz
 	return size, nil
 }
 
-// writeDelta snapshots what changed since this shard's last committed
+// writeDelta snapshots what changed since the window's last committed
 // segment — everything, for a base — and writes it to path as one
-// segment: the state frame first, then whatever the owner hands it of the
-// router's, then its connections. Returns the segment's size. The shard's
+// segment: the state frame first, then what the owner hands it of the
+// router's, then the connections. Returns the segment's size. The window's
 // marks stand until the owner calls done, once its manifest names the
 // segment; a commit that fails is simply covered again by the next delta.
-func (e *shard) writeDelta(path string, buf *[]byte, full bool, router routerDelta) (int64, func(chainLen int), error) {
+func (w *window) writeDelta(path string, buf *[]byte, full bool, router routerDelta) (int64, func(chainLen int), error) {
 	// Snapshot under the state lock: the window's suffix past the mark —
 	// live headers on the memory store (appends land beyond the captured
 	// length, eviction swaps in fresh arrays), copies sized up front on a
 	// tiered one — so the lock is held for a binary search and encoding
 	// proceeds after unlock without stalling ingest.
-	e.mu.Lock()
-	mark := e.ckptMark
+	w.mu.Lock()
+	mark := w.ckptMark
 	if full {
 		mark = 0
 	}
-	conns, seqs := e.st.Snapshot(mark)
-	newMark := e.nextSeq
+	conns, seqs := w.st.Snapshot(mark)
+	newMark := w.nextSeq
 	st := &segState{
-		ConnsIngested: e.connsIngested,
-		Evicted:       e.evicted,
-		Watermark:     e.watermark,
-		EvictCutoff:   e.ckptCutoff,
+		ConnsIngested: w.connsIngested,
+		Evicted:       w.evicted,
+		Watermark:     w.watermark,
+		EvictCutoff:   w.ckptCutoff,
 		Parked:        router.parked,
 	}
-	e.mu.Unlock()
+	w.mu.Unlock()
 
-	n, err := createSegment(path, buf, func(w *segWriter) error {
-		err := w.state(st)
+	n, err := createSegment(path, buf, func(sw *segWriter) error {
+		err := sw.state(st)
 		if err == nil {
-			err = w.certs(router.certs, router.certSeqs)
+			err = sw.certs(router.certs, router.certSeqs)
 		}
 		if err == nil {
-			err = w.pairs(router.pairs)
+			err = sw.pairs(router.pairs)
 		}
 		if err == nil {
-			err = w.conns(conns, seqs)
+			err = sw.conns(conns, seqs)
 		}
 		return err
 	})
@@ -654,23 +638,22 @@ func (e *shard) writeDelta(path string, buf *[]byte, full bool, router routerDel
 		return 0, nil, err
 	}
 	return n, func(chainLen int) {
-		e.m.checkpoints.Inc()
-		e.m.checkpointBytes.Set(float64(n))
-		e.m.checkpointSegs.Set(float64(chainLen))
-		e.mu.Lock()
-		e.ckptMark = newMark
-		e.lastCkpt = time.Now()
-		e.mu.Unlock()
+		w.m.checkpoints.Inc()
+		w.m.checkpointBytes.Set(float64(n))
+		w.m.checkpointSegs.Set(float64(chainLen))
+		w.mu.Lock()
+		w.ckptMark = newMark
+		w.lastCkpt = time.Now()
+		w.mu.Unlock()
 	}, nil
 }
 
-// foldChain streams a chain into the one segment name, returning its
-// size: roster and evidence frames copy verbatim (fingerprints are unique
-// across a chain's segments by construction, pairs across its evidence
-// frames), connection frames are filtered by the eviction cutoffs of later
-// segments, and a gob frame is rewritten in this release's codec — so the
-// transient memory is one frame, not the full state, and the fold of any
-// chain is a base of this release's frames alone.
+// foldChain streams a chain of this release's frames into the one segment
+// name, returning its size: roster and evidence frames copy verbatim
+// (fingerprints are unique across a chain's segments by construction,
+// pairs across its evidence frames), and connection frames are filtered by
+// the eviction cutoffs of later segments — so the transient memory is one
+// frame, not the full state.
 func foldChain(dir string, chain []ckptSeg, name string, buf *[]byte) (int64, error) {
 	// Pass 1: each segment's state frame, for the cutoff schedule and
 	// the final (authoritative) state.
@@ -695,19 +678,8 @@ func foldChain(dir string, chain []ckptSeg, name string, buf *[]byte) (int64, er
 	}
 
 	return createSegment(filepath.Join(dir, name), buf, func(w *segWriter) error {
-		last := states[len(states)-1]
-		if err := w.state(last); err != nil {
+		if err := w.state(states[len(states)-1]); err != nil {
 			return err
-		}
-		// A gob state frame holds the detector's whole evidence as of its
-		// commit: the last one stands for them all.
-		for i := len(states) - 1; i >= 0; i-- {
-			if states[i].Evidence != nil {
-				if err := w.pairs(states[i].Evidence); err != nil {
-					return err
-				}
-				break
-			}
 		}
 		for i, sg := range chain {
 			if err := copySegmentRecords(filepath.Join(dir, sg.Name), sg.Bytes, w, futureCut[i]); err != nil {
@@ -796,10 +768,14 @@ func decodeState(typ byte, body []byte) (*segState, error) {
 	return nil, fmt.Errorf("%w: first frame type %d, want state", store.ErrCorrupt, typ)
 }
 
-// readSegmentState returns a segment's state frame (its first frame).
+// readSegmentState returns the state frame (the first frame) of a segment
+// of this release's frames.
 func readSegmentState(path string, wantBytes int64) (st *segState, err error) {
 	err = eachFrame(path, wantBytes, func(typ byte, body []byte) error {
-		if st, err = decodeState(typ, body); err != nil {
+		if typ != segFrameState {
+			return fmt.Errorf("%w: first frame type %d, want state", store.ErrCorrupt, typ)
+		}
+		if st, err = decodeSegState(body); err != nil {
 			return err
 		}
 		return io.EOF
@@ -810,56 +786,60 @@ func readSegmentState(path string, wantBytes int64) (st *segState, err error) {
 	return st, err
 }
 
-// copySegmentRecords streams a segment's record frames into w: this
-// release's roster and evidence frames verbatim, its connection frames
-// filtered by cut (zero = verbatim), gob frames re-encoded.
+// copySegmentRecords streams the record frames of a segment of this
+// release's frames into w: roster and evidence frames verbatim, connection
+// frames filtered by cut (zero = verbatim).
 func copySegmentRecords(path string, wantBytes int64, w *segWriter, cut time.Time) error {
 	return eachFrame(path, wantBytes, func(typ byte, body []byte) error {
 		switch {
-		case typ == segFrameState, typ == gobFrameState:
+		case typ == segFrameState:
 			return nil // the folded state frame was already written
-		case typ == segFrameCerts, typ == segFrameEvidence, typ == segFrameConns && cut.IsZero():
+		case typ == segFrameConns && !cut.IsZero():
+			d := store.NewDecoder(body)
+			conns, seqs := d.Conns()
+			if err := d.End(); err != nil {
+				return err
+			}
+			keep := 0
+			for i := range conns {
+				if !conns[i].TS.Before(cut) {
+					conns[keep], seqs[keep] = conns[i], seqs[i]
+					keep++
+				}
+			}
+			return w.conns(conns[:keep], seqs[:keep])
+		case typ == segFrameCerts, typ == segFrameEvidence, typ == segFrameConns:
 			return w.copyFrame(typ, body)
 		}
-		rec, err := decodeRecords(typ, body)
-		if err != nil {
-			return err
-		}
-		if rec.certs != nil {
-			return w.certs(rec.certs, rec.seqs)
-		}
-		keep := 0
-		for i := range rec.conns {
-			if !rec.conns[i].TS.Before(cut) {
-				rec.conns[keep], rec.seqs[keep] = rec.conns[i], rec.seqs[i]
-				keep++
-			}
-		}
-		return w.conns(rec.conns[:keep], rec.seqs[:keep])
+		return fmt.Errorf("%w: frame type %d in a chain of this release's frames", store.ErrCorrupt, typ)
 	})
 }
 
-// committed is what a checkpoint directory holds: man names one chain per
-// shard. For the router, last collects each restored shard's final state
-// frame — its parked observations — pairs the evidence each chain holds,
-// in chain order, and certs every roster batch of every chain.
+// committed is what a checkpoint directory holds, as a restore reads it:
+// man names its chains — one, or a previous release's one per shard — and
+// per chain last is its final state frame and pairs the evidence it holds;
+// certs collects every roster batch of every chain, and gob says a frame
+// of manifest version 2 was among them.
 type committed struct {
 	dir   string
 	man   *ckptManifest
 	last  []*segState
 	pairs [][]interception.Pair
 	certs []ExportCert
+	gob   bool
 }
 
-// openCheckpoint reads path's commit record, for a caller running n
-// shards (0: however many it holds). Only an absent path, or a directory
-// with neither commit file, is os.ErrNotExist — "no checkpoint yet". What
-// the previous release reads and rewrites with its first checkpoint — a
-// regular file, a directory committed by manifest.json, and the manifest
-// shapes readCkptManifest refuses — is refused by name and left as it is.
-// Routing is a function of the shard count, so any other count than the
-// checkpoint's is refused.
-func openCheckpoint(path string, n int) (*committed, error) {
+// own says the directory is this release's shape — one chain of its
+// frames — which the next commit continues in place.
+func (ck *committed) own() bool { return len(ck.man.Chains) == 1 && !ck.gob }
+
+// openCheckpoint reads path's commit record. Only an absent path, or a
+// directory with neither commit file, is os.ErrNotExist — "no checkpoint
+// yet". What the release at retiredRelease reads and rewrites with its
+// first checkpoint — a regular file, a directory committed by
+// manifest.json, and the manifest shapes readCkptManifest refuses — is
+// refused by name and left as it is.
+func openCheckpoint(path string) (*committed, error) {
 	if err := finishSwap(path); err != nil {
 		return nil, fmt.Errorf("stream: restore %s: %v", path, err)
 	}
@@ -879,9 +859,6 @@ func openCheckpoint(path string, n int) (*committed, error) {
 	if err != nil {
 		return nil, err
 	}
-	if have := len(man.Chains); n != 0 && n != have {
-		return nil, fmt.Errorf("stream: checkpoint has %d shards, requested %d (resharding a checkpoint is not supported)", have, n)
-	}
 	return &committed{dir: path, man: man}, nil
 }
 
@@ -896,62 +873,50 @@ func openNamed(path string) (*os.File, error) {
 	return f, err
 }
 
-// restoreShard starts the next shard — they are restored in order — from
-// its chain.
-func (ck *committed) restoreShard(cfg Config) (*shard, error) {
-	i := len(ck.last)
-	ck.pairs = append(ck.pairs, nil)
-	e, last, err := restoreChain(cfg, ck.dir, ck.man.Chains[i], ck)
-	if err != nil {
-		return nil, fmt.Errorf("stream: restore shard %d: %w", i, err)
-	}
-	ck.last = append(ck.last, last)
-	return e, nil
-}
-
-// Restore starts a one-shard engine from the checkpoint at path; see
-// RestoreSharded.
+// Restore starts an engine from the checkpoint at path and returns the
+// cursor stored with it. The restored engine's first read replays the
+// restored window; resuming ingestion from the cursor and draining yields
+// reports byte-identical to an uninterrupted run. A directory this release
+// wrote is continued in place by the next write, a delta; anything else it
+// reads — a previous release's chain per shard, gob frames — that write
+// rewrites as one base of this release's frames, and the old segments go
+// once it has committed. The error is os.ErrNotExist only when path holds
+// no checkpoint.
 func Restore(cfg Config, path string) (*Engine, map[string]int64, error) {
-	return RestoreSharded(cfg, 1, path)
-}
-
-// RestoreSharded starts an engine from the checkpoint at path and returns
-// the cursor stored with it. n must match the checkpoint's shard count
-// (routing is a function of the count, so resharding would orphan state);
-// 0 adopts it. The restored engine's first read replays the restored
-// window; resuming ingestion from the cursor and draining yields reports
-// byte-identical to an uninterrupted run, and its next write continues the
-// directory in place with a delta. The error is os.ErrNotExist only when
-// path holds no checkpoint.
-func RestoreSharded(cfg Config, n int, path string) (*Engine, map[string]int64, error) {
-	ck, err := openCheckpoint(path, n)
+	ck, err := openCheckpoint(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := start(cfg, len(ck.man.Chains), ck.restoreShard)
+	s, err := start(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	pairs := s.restoreRouter(ck.man.Router, ck)
-	s.ckpt.dir, s.ckpt.man, s.ckpt.certs, s.ckpt.pairs = ck.dir, ck.man, int(s.rosterLen.Load()), pairs
+	if err := s.win.restore(ck); err != nil {
+		s.Close()
+		return nil, nil, fmt.Errorf("stream: restore %s: %w", path, err)
+	}
+	s.restoreRouter(ck)
+	c := s.ckpt
+	c.dir, c.man = ck.dir, &ckptManifest{Gen: ck.man.Gen, NextSeg: ck.man.NextSeg}
+	if ck.own() {
+		c.man, c.certs, c.pairs = ck.man, int(s.rosterLen.Load()), len(s.icpt.Pairs(0))
+	}
 	return s, ck.man.Cursor, nil
 }
 
 // restoreRouter rebuilds the router from its checkpointed counters and
-// what the chains held, and returns how much of the detector's evidence log
-// chain 0 covers — where the next delta's evidence frame starts. The
-// detector is the union of the evidence every chain holds, chain 0's first,
-// and of the observations each chain's last state frame has parked: all of
-// it in chain 0 from this release and the previous one; spread over the
-// chains from a release that ran a detector per shard, whose other chains'
-// share therefore lies past the returned position and goes into chain 0
-// with the next commit. The roster is every batch's certificates in
-// sequence order, first observation of a fingerprint wins — a writer that
-// gave every shard a roster repeated a certificate in each chain that
-// referenced it, under the same sequence — and admitting it drains any
-// observation the checkpoint caught parked on a certificate the roster
-// already held.
-func (s *Engine) restoreRouter(r *routerState, ck *committed) (covered int) {
+// what the chains held. The detector is the union of the evidence every
+// chain holds, chain 0's first, and of the observations each chain's last
+// state frame has parked: all of it in the one chain this release writes
+// and in the previous release's chain 0; spread over the chains from a
+// release that ran a detector per shard. The roster is every batch's
+// certificates in sequence order, first observation of a fingerprint wins
+// — a writer that gave every shard a roster repeated a certificate in each
+// chain that referenced it, under the same sequence — and admitting it
+// drains any observation the checkpoint caught parked on a certificate the
+// roster already held.
+func (s *Engine) restoreRouter(ck *committed) {
+	r := ck.man.Router
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextSeq = r.NextSeq
@@ -963,9 +928,6 @@ func (s *Engine) restoreRouter(r *routerState, ck *committed) (covered int) {
 	}
 	for i, st := range ck.last {
 		s.icpt.Restore(ck.pairs[i], st.Parked)
-		if i == 0 {
-			covered = len(s.icpt.Pairs(0))
-		}
 	}
 	sortCertLog(ck.certs)
 	for _, c := range ck.certs {
@@ -975,96 +937,80 @@ func (s *Engine) restoreRouter(r *routerState, ck *committed) (covered int) {
 		}
 	}
 	s.publishLocked()
-	for _, e := range s.shards {
-		e.mu.Lock()
-		s.nextSeq = max(s.nextSeq, e.nextSeq)
-		e.mu.Unlock()
-	}
-	return covered
+	s.win.mu.Lock()
+	s.nextSeq = max(s.nextSeq, s.win.nextSeq)
+	s.win.mu.Unlock()
 }
 
-// restoreConnsLocked appends one restored batch, under its sequence column,
-// to the window. The column must keep the window strictly increasing —
-// anything else is a damaged checkpoint, refused rather than replayed out
-// of order. The counter ends past everything restored.
-func (e *shard) restoreConnsLocked(conns []core.ConnRecord, seqs []uint64) error {
-	for i := range conns {
-		if seqs[i] < e.nextSeq {
-			return fmt.Errorf("%w: connection sequence %d does not follow %d", store.ErrCorrupt, seqs[i], e.nextSeq-1)
+// restore replays the committed chains into the window, each in segment
+// order: its eviction cutoffs over what it had accumulated, then its
+// records; roster and evidence batches go to ck, for the router. A
+// previous release's chains are replayed into a window each and merged in
+// sequence order — the router numbered them from one sequence, so that is
+// a merge. The counters are the chains' summed and the watermark the
+// newest; the cutoff the next delta records is the oldest chain's, which
+// every restored record has passed (a newer one would take connections
+// back out of the restored window that this engine still holds).
+func (w *window) restore(ck *committed) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	chains := ck.man.Chains
+	wins := []*store.Window{w.st}
+	if len(chains) > 1 {
+		wins = make([]*store.Window, len(chains))
+		for i := range wins {
+			wins[i] = new(store.Window)
 		}
-		e.st.AppendConn(&conns[i], seqs[i])
-		e.nextSeq = seqs[i] + 1
 	}
+	for i, chain := range chains {
+		ck.pairs = append(ck.pairs, nil)
+		var last *segState
+		var next uint64
+		for _, sg := range chain {
+			st, err := ck.replaySegment(wins[i], &next, sg)
+			if err != nil {
+				return fmt.Errorf("%s: %w", sg.Name, err)
+			}
+			last = st
+		}
+		ck.last = append(ck.last, last)
+		w.nextSeq = max(w.nextSeq, next)
+	}
+	if len(wins) > 1 {
+		if err := mergeWindows(w.st, wins); err != nil {
+			return err
+		}
+	}
+	w.ckptCutoff = ck.last[0].EvictCutoff
+	for _, last := range ck.last {
+		w.connsIngested += last.ConnsIngested
+		w.evicted += last.Evicted
+		if last.Watermark.After(w.watermark) {
+			w.watermark = last.Watermark
+		}
+		if last.EvictCutoff.Before(w.ckptCutoff) {
+			w.ckptCutoff = last.EvictCutoff
+		}
+	}
+	// Everything in the window is covered by what was just read, so the
+	// next delta starts at the current sequence mark.
+	w.ckptMark = w.nextSeq
+	w.stateVer.Add(1)
+	w.lastCkpt = time.Now()
+	w.m.retained.Set(float64(w.st.ConnCount()))
 	return nil
 }
 
-// restoreCerts collects one restored roster batch for the router, each
-// certificate under the admission sequence the batch aligns to it.
-func (ck *committed) restoreCerts(certs []*certmodel.CertInfo, seqs []uint64) error {
-	for i, c := range certs {
-		if c == nil || c.Fingerprint == "" {
-			return fmt.Errorf("%w: roster entry without fingerprint", store.ErrCorrupt)
-		}
-		ck.certs = append(ck.certs, ExportCert{Seq: seqs[i], Cert: c})
-	}
-	return nil
-}
-
-// finishRestoreLocked completes any restore from the last state read:
-// counters and checkpoint bookkeeping (everything in the window is covered
-// by what was just read, so the next delta starts at the current sequence
-// mark).
-func (e *shard) finishRestoreLocked(last *segState) {
-	e.connsIngested = last.ConnsIngested
-	e.evicted = last.Evicted
-	e.watermark = last.Watermark
-	if last.EvictCutoff.After(e.ckptCutoff) {
-		e.ckptCutoff = last.EvictCutoff
-	}
-	e.ckptMark = e.nextSeq
-	e.stateVer.Add(1)
-	e.lastCkpt = time.Now()
-	e.m.retained.Set(float64(e.st.ConnCount()))
-}
-
-// restoreChain restores one shard by replaying a committed segment
-// chain in order: apply each segment's eviction cutoff to the state
-// accumulated so far, then append its records; roster and evidence batches
-// go to ck, for the router. Counters come from the last segment's state
-// frame, which is returned with the shard. Any framing,
-// checksum, or truncation damage surfaces as a clean error — never a
-// panic or a silently partial restore.
-func restoreChain(cfg Config, dir string, chain []ckptSeg, ck *committed) (*shard, *segState, error) {
-	e, err := newShard(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var last *segState
-	e.mu.Lock()
-	for _, sg := range chain {
-		if last, err = e.replaySegmentLocked(filepath.Join(dir, sg.Name), sg.Bytes, ck); err != nil {
-			err = fmt.Errorf("stream: restore %s: %w", sg.Name, err)
-			break
-		}
-	}
-	if err == nil {
-		e.finishRestoreLocked(last)
-	}
-	e.mu.Unlock()
-	if err != nil {
-		e.close()
-		return nil, nil, err
-	}
-	return e, last, nil
-}
-
-// replaySegmentLocked streams one segment into the shard's state, its
-// roster and evidence batches into ck (the chain being restored is ck's
-// newest), and returns its state frame.
-func (e *shard) replaySegmentLocked(path string, wantBytes int64, ck *committed) (*segState, error) {
+// replaySegment streams one segment of the chain being restored (ck's
+// newest) into win past *next, its roster and evidence batches into ck,
+// and returns its state frame. Any framing, checksum, or truncation
+// damage surfaces as a clean error — never a panic or a silently partial
+// restore.
+func (ck *committed) replaySegment(win *store.Window, next *uint64, sg ckptSeg) (*segState, error) {
 	var st *segState
 	pairs := &ck.pairs[len(ck.pairs)-1]
-	err := eachFrame(path, wantBytes, func(typ byte, body []byte) (err error) {
+	err := eachFrame(filepath.Join(ck.dir, sg.Name), sg.Bytes, func(typ byte, body []byte) (err error) {
+		ck.gob = ck.gob || isGob(typ)
 		isState := typ == segFrameState || typ == gobFrameState
 		if isState != (st == nil) {
 			return fmt.Errorf("%w: a segment is one state frame, then records", store.ErrCorrupt)
@@ -1077,7 +1023,7 @@ func (e *shard) replaySegmentLocked(path string, wantBytes int64, ck *committed)
 			// previous commit and this one, before this segment's
 			// records are appended (they were alive at commit time).
 			if !st.EvictCutoff.IsZero() {
-				e.st.EvictBefore(st.EvictCutoff)
+				win.EvictBefore(st.EvictCutoff)
 			}
 			*pairs = append(*pairs, st.Evidence...)
 			return nil
@@ -1093,10 +1039,67 @@ func (e *shard) replaySegmentLocked(path string, wantBytes int64, ck *committed)
 			*pairs = append(*pairs, rec.pairs...)
 			return nil
 		}
-		return e.restoreConnsLocked(rec.conns, rec.seqs)
+		return appendRestored(win, next, rec.conns, rec.seqs)
 	})
 	if err == nil && st == nil {
 		err = fmt.Errorf("%w: segment has no state frame", store.ErrCorrupt)
 	}
 	return st, err
+}
+
+// appendRestored appends one restored batch to win under its sequence
+// column, which must keep the window strictly increasing past *next —
+// anything else is a damaged checkpoint, refused rather than replayed out
+// of order — and moves *next past it.
+func appendRestored(win *store.Window, next *uint64, conns []core.ConnRecord, seqs []uint64) error {
+	for i := range conns {
+		if seqs[i] < *next {
+			return fmt.Errorf("%w: connection sequence %d does not follow %d", store.ErrCorrupt, seqs[i], *next-1)
+		}
+		win.AppendConn(&conns[i], seqs[i])
+		*next = seqs[i] + 1
+	}
+	return nil
+}
+
+// mergeWindows appends the records of srcs, each ascending by sequence, to
+// dst in one ascending order.
+func mergeWindows(dst *store.Window, srcs []*store.Window) error {
+	type run struct {
+		conns []core.ConnRecord
+		seqs  []uint64
+	}
+	runs := make([]run, len(srcs))
+	for i, src := range srcs {
+		runs[i].conns, runs[i].seqs = src.Snapshot(0)
+	}
+	var next uint64
+	for {
+		k := -1
+		for i, r := range runs {
+			if len(r.seqs) > 0 && (k < 0 || r.seqs[0] < runs[k].seqs[0]) {
+				k = i
+			}
+		}
+		if k < 0 {
+			return nil
+		}
+		r := &runs[k]
+		if err := appendRestored(dst, &next, r.conns[:1], r.seqs[:1]); err != nil {
+			return err
+		}
+		r.conns, r.seqs = r.conns[1:], r.seqs[1:]
+	}
+}
+
+// restoreCerts collects one restored roster batch for the router, each
+// certificate under the admission sequence the batch aligns to it.
+func (ck *committed) restoreCerts(certs []*certmodel.CertInfo, seqs []uint64) error {
+	for i, c := range certs {
+		if c == nil || c.Fingerprint == "" {
+			return fmt.Errorf("%w: roster entry without fingerprint", store.ErrCorrupt)
+		}
+		ck.certs = append(ck.certs, ExportCert{Seq: seqs[i], Cert: c})
+	}
+	return nil
 }

@@ -13,9 +13,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/atomicfile"
 	"repro/internal/core"
+	"repro/internal/ids"
+	"repro/internal/interception"
 	"repro/internal/race"
 	"repro/internal/report"
 	"repro/internal/store"
@@ -464,15 +467,21 @@ func TestFirstContactKeepsCommittedChain(t *testing.T) {
 
 // TestCheckpointCrashMatrix fails every atomicfile stage of a delta
 // commit, of a compaction and of the file → directory swap, one at a
-// time, for one shard and for two. After each failure the
-// path must restore to exactly the previous commit or exactly the new
-// one — cursor and reports from the same commit, never shards of
-// different generations under one cursor — and the writer's retry must
-// commit and leave nothing unnamed behind. The swap replaces a file of
-// arbitrary bytes, which no release reads: before the swap the path must
-// still hold that file, byte for byte, and restore refuses it by name.
-// The stages are found by recording a clean run, so a stage added to the
-// protocol is covered without touching this test.
+// time. At shards=1 the writer is an engine on this release's own chain.
+// At shards=2 it is an engine restored from a directory the previous
+// release wrote at two shards, and every stage is one of the rewrite its
+// first commit is: the delta row rewrites that directory in place carrying
+// new rows, the compaction row rewrites it carrying none — the parent's
+// commit refolded as one chain, the same commit on both sides — and the
+// swap row writes the restored state over a file. After each failure the
+// path must restore to exactly the previous commit or exactly the new one
+// — cursor and reports from the same commit, the parent's two chains byte
+// for byte or one chain of this release's, never a mix — and the writer's
+// retry must commit and leave nothing unnamed behind. The swap replaces a
+// file of arbitrary bytes, which no release reads: before the swap the
+// path must still hold that file, byte for byte, and restore refuses it by
+// name. The stages are found by recording a clean run, so a stage added
+// to the protocol is covered without touching this test.
 func TestCheckpointCrashMatrix(t *testing.T) {
 	fx := loadFixture()
 	type hit struct {
@@ -495,23 +504,39 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 	defer func() { atomicfile.Failpoint = nil }()
 
 	// commit is what a path held before or after the operation: a commit's
-	// cursor and reports, or — before a swap — a file of other bytes.
+	// cursor and reports — and, for the parent's directory, its files by
+	// name — or, before a swap, a file of other bytes.
 	type commit struct {
 		cursor  int64
 		reports map[string]any
+		files   map[string][]byte
 		file    []byte
 	}
+	parent := filepath.Join("testdata", "parent", "binary-sharded-export")
+	parentFiles := treeOf(t, parent)
+	delete(parentFiles, ".")
+	parentCursor := map[string]int64{"conn_index": int64(len(fx.before))}
 	for _, n := range []int{1, 2} {
+		cfg := Config{Input: fx.in}
+		if n == 2 {
+			cfg = gobFixtureConfig(fx)
+		}
 		restore := func(t *testing.T, path string) (*Engine, int64) {
 			t.Helper()
-			eng, cursor, err := RestoreSharded(Config{Input: fx.in}, n, path)
+			eng, cursor, err := Restore(cfg, path)
 			if err != nil {
 				t.Fatalf("restore after the failure: %v", err)
 			}
 			t.Cleanup(eng.Close)
 			return eng, cursor["i"]
 		}
-		fresh := func(t *testing.T) *Engine { return newSharded(t, n, fx.in, nil) }
+		// fromParent restores an engine from a copy of the parent's
+		// two-chain directory at at, returning it with the commit it holds.
+		fromParent := func(t *testing.T, at string) (*Engine, commit) {
+			copyDir(t, parent, at)
+			eng, cursor := restore(t, at)
+			return eng, commit{cursor: cursor, reports: allReports(t, eng), files: parentFiles}
+		}
 		// Each scenario leaves a previous commit at path and returns the
 		// operation under test with the commit it is meant to produce.
 		type scenario func(t *testing.T, path string) (prev commit, op func() error, next func() commit)
@@ -520,21 +545,31 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 			setup scenario
 		}{
 			{"delta", func(t *testing.T, path string) (commit, func() error, func() commit) {
-				eng := fresh(t)
-				feedRows(t, eng, fx.early, fx.before)
-				eng.Drain()
-				if err := eng.WriteCheckpoint(path, map[string]int64{"i": 1}); err != nil {
-					t.Fatal(err)
+				var eng *Engine
+				var prev commit
+				if n == 1 {
+					eng = newEngine(t, fx.in, nil)
+					feedRows(t, eng, fx.early, fx.before)
+					eng.Drain()
+					if err := eng.WriteCheckpoint(path, map[string]int64{"i": 1}); err != nil {
+						t.Fatal(err)
+					}
+					prev = commit{cursor: 1, reports: allReports(t, eng)}
+				} else {
+					eng, prev = fromParent(t, path)
 				}
-				prev := commit{1, allReports(t, eng), nil}
 				feedRows(t, eng, fx.late, fx.after)
 				eng.Drain()
 				return prev,
 					func() error { return eng.WriteCheckpoint(path, map[string]int64{"i": 2}) },
-					func() commit { return commit{2, allReports(t, eng), nil} }
+					func() commit { return commit{cursor: 2, reports: allReports(t, eng)} }
 			}},
 			{"compaction", func(t *testing.T, path string) (commit, func() error, func() commit) {
-				eng := fresh(t)
+				if n == 2 {
+					eng, same := fromParent(t, path)
+					return same, func() error { return eng.WriteCheckpoint(path, parentCursor) }, func() commit { return same }
+				}
+				eng := newEngine(t, fx.in, nil)
 				feedRows(t, eng, fx.early, nil)
 				for _, part := range ckptSlices(fx.before, 3) {
 					feedRows(t, eng, nil, part)
@@ -543,7 +578,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				same := commit{1, allReports(t, eng), nil}
+				same := commit{cursor: 1, reports: allReports(t, eng)}
 				return same, eng.Compact, func() commit { return same }
 			}},
 			{"swap", func(t *testing.T, path string) (commit, func() error, func() commit) {
@@ -551,12 +586,17 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 				if err := os.WriteFile(path, prev.file, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				eng := fresh(t)
-				feedRows(t, eng, fx.early, fx.before)
-				eng.Drain()
+				var eng *Engine
+				if n == 1 {
+					eng = newEngine(t, fx.in, nil)
+					feedRows(t, eng, fx.early, fx.before)
+					eng.Drain()
+				} else {
+					eng, _ = fromParent(t, path+".parent")
+				}
 				return prev,
 					func() error { return eng.WriteCheckpoint(path, map[string]int64{"i": 2}) },
-					func() commit { return commit{2, allReports(t, eng), nil} }
+					func() commit { return commit{cursor: 2, reports: allReports(t, eng)} }
 			}},
 		} {
 			// A clean run lists the stages.
@@ -585,17 +625,38 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 					want := next()
 
 					// The crash: whatever the path holds now.
-					if held, err := os.ReadFile(path); prev.file != nil && err == nil && bytes.Equal(held, prev.file) {
+					held, err := os.ReadFile(path)
+					manifest, _ := os.ReadFile(filepath.Join(path, ckptManifestName))
+					switch {
+					case prev.file != nil && err == nil && bytes.Equal(held, prev.file):
 						// Before the swap: the file is refused by name, untouched.
 						sawPrev = true
-						if _, _, err := RestoreSharded(Config{Input: fx.in}, n, path); err == nil || !strings.Contains(err.Error(), retiredRelease) {
+						if _, _, err := Restore(cfg, path); err == nil || !strings.Contains(err.Error(), retiredRelease) {
 							t.Fatalf("restore of the file the swap did not replace: err = %v, want a refusal naming %s", err, retiredRelease)
 						}
 						if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, prev.file) {
 							t.Fatalf("the refusal changed the file (%v)", err)
 						}
-					} else {
+					case prev.files != nil && bytes.Equal(manifest, prev.files[ckptManifestName]):
+						// Before the rewrite's commit point: the parent's two
+						// chains, byte for byte, beside the attempt's debris.
+						sawPrev = true
+						for name, body := range prev.files {
+							if got, err := os.ReadFile(filepath.Join(path, name)); err != nil || !bytes.Equal(got, body) {
+								t.Fatalf("the parent's %s is not intact (%v)", name, err)
+							}
+						}
 						restored, cursor := restore(t, path)
+						if cursor != prev.cursor {
+							t.Fatalf("the parent's commit restored cursor %d, want %d", cursor, prev.cursor)
+						}
+						diffReports(t, "previous commit", prev.reports, allReports(t, restored))
+						restored.Close()
+					default:
+						restored, cursor := restore(t, path)
+						if man, err := readCkptManifest(path); err != nil || len(man.Chains) != 1 {
+							t.Fatalf("the path holds neither the previous commit nor one chain (%v)", err)
+						}
 						switch {
 						case prev.file == nil && cursor == prev.cursor:
 							sawPrev = true
@@ -613,7 +674,9 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 					if err := op(); err != nil {
 						t.Fatalf("retry: %v", err)
 					}
-					assertOnlyCommitted(t, path)
+					if man := assertOnlyCommitted(t, path); len(man.Chains) != 1 {
+						t.Fatalf("the retry committed %d chains, want one", len(man.Chains))
+					}
 					again, cursor := restore(t, path)
 					if cursor != want.cursor {
 						t.Fatalf("cursor after the retry = %d, want %d", cursor, want.cursor)
@@ -633,9 +696,9 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 // TestTornCheckpointCorpus truncates a committed segment at every frame
 // boundary (and a probe inside each frame) and requires the restore to
 // return a clean error — never a panic, never a silently partial engine.
-// The same corpus runs over a one-shard directory and over one
-// chain of a two-shard directory, where the other shard's intact chain
-// must not be restored around the damage.
+// The same corpus runs over this release's one chain and over chain 1 of
+// a directory the previous release wrote at two shards, where the intact
+// chain 0 must not be restored around the damage.
 func TestTornCheckpointCorpus(t *testing.T) {
 	b := genBuild(7, 1000)
 	in := inputFromBuild(b)
@@ -649,14 +712,9 @@ func TestTornCheckpointCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Close()
-	s := newSharded(t, 2, in, nil)
-	feed(t, s, b)
-	s.Drain()
+	fx := loadFixture()
 	sharded := filepath.Join(t.TempDir(), "ckpt")
-	if err := s.WriteCheckpoint(sharded, nil); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	copyDir(t, filepath.Join("testdata", "parent", "binary-sharded-export"), sharded)
 
 	for _, c := range []struct {
 		name, dir string
@@ -668,7 +726,7 @@ func TestTornCheckpointCorpus(t *testing.T) {
 			return eng, err
 		}},
 		{"sharded", sharded, 1, func(dir string) (interface{ Close() }, error) {
-			eng, _, err := RestoreSharded(Config{Input: in}, 2, dir)
+			eng, _, err := Restore(gobFixtureConfig(fx), dir)
 			return eng, err
 		}},
 	} {
@@ -929,10 +987,9 @@ func readCkptSize(t *testing.T, dir string, n int) uint64 {
 	return uint64(man.Chains[0][n-1].Bytes)
 }
 
-// TestShardedCheckpointIsODelta is the same gate for a sharded
-// deployment, whose shards used to be rewritten in full every interval:
-// with a large state committed, the second commit's bytes and allocations
-// must follow the interval, not the window.
+// TestShardedCheckpointIsODelta is the same gate fed in batches, counting
+// the manifest: with a large state committed, the second commit's bytes
+// and allocations must follow the interval, not the window.
 func TestShardedCheckpointIsODelta(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting is not stable under -race")
@@ -940,7 +997,7 @@ func TestShardedCheckpointIsODelta(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	s := newSharded(t, 2, in, nil)
+	s := newEngine(t, in, nil)
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	for _, c := range b.Raw.Certs {
 		s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
@@ -974,20 +1031,20 @@ func TestShardedCheckpointIsODelta(t *testing.T) {
 	s.Drain()
 	deltaAlloc, deltaBytes := commit()
 	if deltaBytes*8 > baseBytes {
-		t.Fatalf("second commit wrote %d bytes vs %d for the bases — not a delta", deltaBytes, baseBytes)
+		t.Fatalf("second commit wrote %d bytes vs %d for the base — not a delta", deltaBytes, baseBytes)
 	}
-	// The same constant floor as at one shard plus O(delta).
+	// The same constant floor as fed one by one, plus O(delta).
 	if deltaAlloc*3 > baseAlloc {
-		t.Fatalf("second commit allocated %d bytes vs %d for the bases — O(state) work on the delta path", deltaAlloc, baseAlloc)
+		t.Fatalf("second commit allocated %d bytes vs %d for the base — O(state) work on the delta path", deltaAlloc, baseAlloc)
 	}
 }
 
 // TestEmptyCommitIsAStateFrame: with nothing new since the previous commit
-// a checkpoint writes one state frame a chain — under a kilobyte in all, at
-// 1, 2 and 4 shards, on the build the backfill workload runs (scale 200),
-// where the previous release rewrote 1.1 MB of detector state — and what a
-// commit writes and allocates does not depend on how much §3.2 evidence is
-// already committed: a build with several times the evidence costs the same.
+// a checkpoint writes one state frame — under a kilobyte, on the build the
+// backfill workload runs (scale 200), where an earlier release rewrote
+// 1.1 MB of detector state — and what a commit writes and allocates does
+// not depend on how much §3.2 evidence is already committed: a build with
+// several times the evidence costs the same.
 func TestEmptyCommitIsAStateFrame(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation accounting is not stable under -race")
@@ -996,57 +1053,53 @@ func TestEmptyCommitIsAStateFrame(t *testing.T) {
 	if testing.Short() {
 		scales = []int{2000, 600}
 	}
-	for _, n := range []int{1, 2, 4} {
-		var bytes, mallocs, pairs [2]uint64
-		for k, scale := range scales {
-			b := genBuild(20240504, scale)
-			in := inputFromBuild(b)
-			in.Raw = nil
-			s := newSharded(t, n, in, nil)
-			feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
-			s.Drain()
-			dir := filepath.Join(t.TempDir(), "ckpt")
+	var bytes, mallocs, pairs [2]uint64
+	for k, scale := range scales {
+		b := genBuild(20240504, scale)
+		in := inputFromBuild(b)
+		in.Raw = nil
+		s := newEngine(t, in, nil)
+		feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
+		s.Drain()
+		dir := filepath.Join(t.TempDir(), "ckpt")
+		if err := s.WriteCheckpoint(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		// The fewest of five empty commits: the runtime's own
+		// allocations land in the count now and then.
+		mallocs[k] = math.MaxUint64
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			if err := s.WriteCheckpoint(dir, nil); err != nil {
 				t.Fatal(err)
 			}
-			// The fewest of five empty commits: the runtime's own
-			// allocations land in the count now and then.
-			mallocs[k] = math.MaxUint64
-			for i := 0; i < 5; i++ {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				if err := s.WriteCheckpoint(dir, nil); err != nil {
-					t.Fatal(err)
-				}
-				runtime.ReadMemStats(&after)
-				mallocs[k] = min(mallocs[k], after.Mallocs-before.Mallocs)
-			}
-			man, err := readCkptManifest(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, chain := range man.Chains {
-				if len(chain) != 6 {
-					t.Fatalf("shards=%d: chain of %d segments after six commits", n, len(chain))
-				}
-				bytes[k] += uint64(chain[5].Bytes)
-			}
-			pairs[k] = uint64(s.ckpt.pairs)
-			s.Close()
+			runtime.ReadMemStats(&after)
+			mallocs[k] = min(mallocs[k], after.Mallocs-before.Mallocs)
 		}
-		if pairs[1] < 3*pairs[0] || pairs[0] == 0 {
-			t.Fatalf("shards=%d: %d and %d evidence pairs committed: the builds do not differ enough to show anything", n, pairs[0], pairs[1])
+		man, err := readCkptManifest(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("shards=%d: empty commit %d bytes / %d mallocs over %d committed pairs, %d / %d over %d", n, bytes[0], mallocs[0], pairs[0], bytes[1], mallocs[1], pairs[1])
-		if bytes[1] >= 1000 {
-			t.Errorf("shards=%d: an empty commit wrote %d bytes of segments, want under 1000", n, bytes[1])
+		if len(man.Chains) != 1 || len(man.Chains[0]) != 6 {
+			t.Fatalf("chains %v after six commits, want one of six segments", man.Chains)
 		}
-		if diff := int64(bytes[1]) - int64(bytes[0]); diff > int64(8*n) || diff < -int64(8*n) {
-			t.Errorf("shards=%d: an empty commit wrote %d bytes over %d committed pairs and %d over %d — it follows the evidence", n, bytes[0], pairs[0], bytes[1], pairs[1])
-		}
-		if mallocs[1] > mallocs[0]+16 {
-			t.Errorf("shards=%d: an empty commit allocated %d times over %d committed pairs and %d over %d — it follows the evidence", n, mallocs[0], pairs[0], mallocs[1], pairs[1])
-		}
+		bytes[k] = uint64(man.Chains[0][5].Bytes)
+		pairs[k] = uint64(s.ckpt.pairs)
+		s.Close()
+	}
+	if pairs[1] < 3*pairs[0] || pairs[0] == 0 {
+		t.Fatalf("%d and %d evidence pairs committed: the builds do not differ enough to show anything", pairs[0], pairs[1])
+	}
+	t.Logf("empty commit %d bytes / %d mallocs over %d committed pairs, %d / %d over %d", bytes[0], mallocs[0], pairs[0], bytes[1], mallocs[1], pairs[1])
+	if bytes[1] >= 1000 {
+		t.Errorf("an empty commit wrote %d bytes of segments, want under 1000", bytes[1])
+	}
+	if diff := int64(bytes[1]) - int64(bytes[0]); diff > 8 || diff < -8 {
+		t.Errorf("an empty commit wrote %d bytes over %d committed pairs and %d over %d — it follows the evidence", bytes[0], pairs[0], bytes[1], pairs[1])
+	}
+	if mallocs[1] > mallocs[0]+16 {
+		t.Errorf("an empty commit allocated %d times over %d committed pairs and %d over %d — it follows the evidence", mallocs[0], pairs[0], mallocs[1], pairs[1])
 	}
 }
 
@@ -1099,11 +1152,11 @@ func TestDiskStoreMatchesMemory(t *testing.T) {
 
 // FuzzRestore hammers the restore path with arbitrary segment bytes: any
 // input must produce either a working engine or a clean error — never a
-// panic. Each input is tried as a one-shard engine's only segment (under a
-// version-1 manifest) and as one shard's chain in a two-shard directory
-// whose other chain is intact. The seed corpus is valid committed
-// segments of both frame generations, so mutations explore near-valid
-// framing of each.
+// panic. Each input is tried as a one-chain directory's only segment and
+// as chain 1 of a directory the previous release wrote at two shards,
+// whose chain 0 is intact. The seed corpus is valid committed segments of
+// both frame generations, so mutations explore near-valid framing of
+// each.
 func FuzzRestore(f *testing.F) {
 	b := genBuild(7, 20000)
 	in := inputFromBuild(b)
@@ -1112,30 +1165,18 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s, err := NewSharded(2, Config{Input: in})
-	if err != nil {
-		f.Fatal(err)
-	}
 	for _, c := range b.Raw.Certs {
 		e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-		s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
 	}
 	for i := range b.Raw.Conns {
 		e.IngestConn(&b.Raw.Conns[i])
-		s.IngestConn(&b.Raw.Conns[i])
 	}
 	e.Drain()
-	s.Drain()
 	seedDir := filepath.Join(f.TempDir(), "seed")
 	if err := e.WriteCheckpoint(seedDir, nil); err != nil {
 		f.Fatal(err)
 	}
 	e.Close()
-	shardedDir := filepath.Join(f.TempDir(), "sharded")
-	if err := s.WriteCheckpoint(shardedDir, nil); err != nil {
-		f.Fatal(err)
-	}
-	s.Close()
 	man, err := readCkptManifest(seedDir)
 	if err != nil {
 		f.Fatal(err)
@@ -1144,11 +1185,16 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	shardedDir := filepath.Join("testdata", "parent", "binary-sharded-export")
 	shardedMan, err := readCkptManifest(shardedDir)
 	if err != nil {
 		f.Fatal(err)
 	}
 	intact, fuzzed := shardedMan.Chains[0][0], shardedMan.Chains[1][0].Name
+	intactSeg, err := os.ReadFile(filepath.Join(shardedDir, intact.Name))
+	if err != nil {
+		f.Fatal(err)
+	}
 	shardSeed, err := os.ReadFile(filepath.Join(shardedDir, fuzzed))
 	if err != nil {
 		f.Fatal(err)
@@ -1184,7 +1230,7 @@ func FuzzRestore(f *testing.F) {
 		}
 
 		dir = t.TempDir()
-		if err := os.Link(filepath.Join(shardedDir, intact.Name), filepath.Join(dir, intact.Name)); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, intact.Name), intactSeg, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, fuzzed), seg, 0o644); err != nil {
@@ -1199,7 +1245,7 @@ func FuzzRestore(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, ckptManifestName), buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sh, _, err := RestoreSharded(Config{Input: in}, 2, dir)
+		sh, _, err := Restore(Config{Input: in}, dir)
 		if err == nil {
 			sh.Close()
 		}
@@ -1216,34 +1262,104 @@ func TestRestoreWakesParkedObservations(t *testing.T) {
 	batch := core.Run(inputFromBuild(b))
 	in := inputFromBuild(b)
 	in.Raw = nil
-	certs := certRecords(b)
-	for _, n := range []int{1, 2} {
-		s := newSharded(t, n, in, nil)
-		feedBatches(t, s, nil, b.Raw.Conns, 512)
-		s.Drain()
-		parked := s.Stats().PendingCerts
-		if parked == 0 {
-			t.Fatalf("shards=%d: no connection parked without its certificate: the test exercises nothing", n)
-		}
-		dir := filepath.Join(t.TempDir(), "ckpt")
-		if err := s.WriteCheckpoint(dir, nil); err != nil {
-			t.Fatal(err)
-		}
-		restored, _, err := RestoreSharded(Config{Input: in}, n, dir)
+	s := newEngine(t, in, nil)
+	feedBatches(t, s, nil, b.Raw.Conns, 512)
+	s.Drain()
+	parked := s.Stats().PendingCerts
+	if parked == 0 {
+		t.Fatal("no connection parked without its certificate: the test exercises nothing")
+	}
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := s.WriteCheckpoint(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	restored, _, err := Restore(Config{Input: in}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(restored.Close)
+	if got := restored.Stats().PendingCerts; got != parked {
+		t.Fatalf("restored with %d parked observations, the writer had %d", got, parked)
+	}
+	feedBatches(t, restored, certRecords(b), nil, 512)
+	restored.Drain()
+	if got := restored.Stats().PendingCerts; got != 0 {
+		t.Errorf("%d observations still parked after every certificate arrived", got)
+	}
+	if got := restored.Analysis(); !reflect.DeepEqual(batch, got) {
+		t.Error("analysis differs from batch after the late certificates")
+	}
+}
+
+// TestRestoreMergesChainsUnderTheOldestCutoff: a previous release's chains
+// each evicted against their own shard's watermark, so after the merge the
+// window holds a lagging chain's connection older than a leading chain's
+// cutoff. The deltas after the rewrite replay the cutoff they record
+// against the base, so it must be one every restored connection passed —
+// the oldest chain's — or restoring the base and an empty delta would take
+// that connection out of a window the engine still holds.
+func TestRestoreMergesChainsUnderTheOldestCutoff(t *testing.T) {
+	fx := loadFixture()
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	day := func(d int) time.Time { return time.Date(2022, 1, 1+d, 0, 0, 0, 0, time.UTC) }
+	conn := func(uid string, d int) core.ConnRecord {
+		return core.ConnRecord{UID: ids.UID(uid), TS: day(d), Weight: 1}
+	}
+	var buf []byte
+	segment := func(name string, st *segState, conns []core.ConnRecord, seqs []uint64) []ckptSeg {
+		n, err := createSegment(filepath.Join(dir, name), &buf, func(w *segWriter) error {
+			if err := w.state(st); err != nil {
+				return err
+			}
+			return w.conns(conns, seqs)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(restored.Close)
-		if got := restored.Stats().PendingCerts; got != parked {
-			t.Fatalf("shards=%d: restored with %d parked observations, the writer had %d", n, got, parked)
+		return []ckptSeg{{Name: name, Bytes: n}}
+	}
+	// Chain 0 evicted up to day 5; chain 1, behind it, never evicted and
+	// holds a connection of day 2.
+	man := ckptManifest{
+		Version: ckptManifestVersion, Gen: 1, NextSeg: 3,
+		Chains: [][]ckptSeg{
+			segment("seg-1.ckpt", &segState{ConnsIngested: 3, Evicted: 1, Watermark: day(20), EvictCutoff: day(5), Parked: map[ids.Fingerprint][]interception.PendingRef{}},
+				[]core.ConnRecord{conn("Ca", 10), conn("Cc", 20)}, []uint64{0, 3}),
+			segment("seg-2.ckpt", &segState{ConnsIngested: 1, Watermark: day(2)},
+				[]core.ConnRecord{conn("Cb", 2)}, []uint64{1}),
+		},
+		Router: &routerState{NextSeq: 4},
+	}
+	manifest, err := json.Marshal(&man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ckptManifestName), manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := Restore(Config{Input: fx.in}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	want := e.Stats()
+	if want.Retained != 3 || want.ConnsIngested != 4 || want.Evicted != 1 || !want.Watermark.Equal(day(20)) {
+		t.Fatalf("restored %+v, want the chains' 3 connections, 4 ingested, 1 evicted, the newest watermark", want)
+	}
+	for i := 0; i < 2; i++ { // the rewrite, then an empty delta on it
+		if err := e.WriteCheckpoint(dir, nil); err != nil {
+			t.Fatal(err)
 		}
-		feedBatches(t, restored, certs, nil, 512)
-		restored.Drain()
-		if got := restored.Stats().PendingCerts; got != 0 {
-			t.Errorf("shards=%d: %d observations still parked after every certificate arrived", n, got)
-		}
-		if got := restored.Analysis(); !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: analysis differs from batch after the late certificates", n)
-		}
+	}
+	again, _, err := Restore(Config{Input: fx.in, TrackExport: true}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(again.Close)
+	if got := mustExport(t, again, 0, 0); len(got.Conns) != 3 || got.Conns[1].Conn.UID != "Cb" {
+		t.Fatalf("the base and an empty delta restore %d connections, want the 3 in sequence order", len(got.Conns))
 	}
 }

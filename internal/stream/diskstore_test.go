@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -28,7 +29,7 @@ func TestDiskStoreSpillsConnectionsOnly(t *testing.T) {
 	certs := certRecords(b)
 	feedBatches(t, eng, certs, nil, 512)
 	eng.Drain()
-	e := eng.shards[0]
+	e := eng.win
 	before := make([]*certmodel.CertInfo, len(certs))
 	eng.mu.Lock()
 	for i := range certs {
@@ -60,33 +61,34 @@ func TestDiskStoreSpillsConnectionsOnly(t *testing.T) {
 	}
 }
 
-// TestShardedHotBytesIsDeploymentBudget pins -hot-bytes as the
-// deployment's budget at any shard count: four disk-store shards under
-// HotBytes 4 MiB, fed several times that, together hold at most 4 MiB
-// of hot connections (plus one record of slack per shard).
+// TestShardedHotBytesIsDeploymentBudget pins -hot-bytes as the window's
+// budget, which is the deployment's: a disk-store engine under HotBytes
+// 4 MiB, fed several times that, holds at most 4 MiB of hot connections
+// (plus one record of slack), and tiers into StoreDir itself.
 func TestShardedHotBytesIsDeploymentBudget(t *testing.T) {
-	const shards, budget, recordSlack = 4, 4 << 20, 1 << 10
+	const budget, recordSlack = 4 << 20, 1 << 10
 	b := genBuild(20240504, 200)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	s, err := NewSharded(shards, Config{Input: in, Store: "disk", StoreDir: t.TempDir(), HotBytes: budget})
+	dir := t.TempDir()
+	s := newEngine(t, in, func(c *Config) { c.Store, c.StoreDir, c.HotBytes = "disk", dir, budget })
+	feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
+	s.Drain()
+	st := s.win.st.Stats()
+	if st.Spills.Load() == 0 {
+		t.Fatal("nothing spilled: the feed did not exceed the budget")
+	}
+	if hot := st.HotBytes.Load(); hot > budget+recordSlack {
+		t.Fatalf("the window holds %d hot bytes, above the %d-byte budget", hot, budget)
+	}
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
-	feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
-	s.Drain()
-	var hot, spilled int64
-	for _, e := range s.shards {
-		st := e.st.Stats()
-		hot += st.HotBytes.Load()
-		spilled += int64(st.Spills.Load())
-	}
-	if spilled == 0 {
-		t.Fatal("nothing spilled: the feed did not exceed the budget")
-	}
-	if hot > budget+shards*recordSlack {
-		t.Fatalf("shards hold %d hot bytes in total, above the %d-byte deployment budget", hot, budget)
+	for _, ent := range ents {
+		if ent.IsDir() {
+			t.Fatalf("the store made a subdirectory %s of StoreDir", ent.Name())
+		}
 	}
 }
 
@@ -122,15 +124,10 @@ func TestPlainCheckpointRestoresOntoDiskStore(t *testing.T) {
 	diffReports(t, "disk-store against memory-store restore", allReports(t, mem), allReports(t, disk))
 }
 
-// liveHeap is the heap still reachable after a collection.
-// coldConns counts the connections e's shards hold in the cold tier.
-func coldConns(e *Engine) (cold int64) {
-	for _, sh := range e.shards {
-		cold += sh.st.Stats().ColdConns.Load()
-	}
-	return cold
-}
+// coldConns counts the connections e's window holds in the cold tier.
+func coldConns(e *Engine) int64 { return e.win.st.Stats().ColdConns.Load() }
 
+// liveHeap is the heap still reachable after a collection.
 func liveHeap() int64 {
 	runtime.GC()
 	var m runtime.MemStats
@@ -140,10 +137,11 @@ func liveHeap() int64 {
 
 // TestTieredReportDoesNotPinRecords: a disk-store deployment under a
 // starved hot budget holds the same live heap after a round of reports
-// as before it, at one shard and at two — a view that kept its Builder
-// would hold every record the report decoded from the cold tier, and the
-// budget would bound nothing from the first report on. The reports
-// themselves equal the memory store's.
+// as before it — a view that kept its Builder would hold every record the
+// report decoded from the cold tier, and the budget would bound nothing
+// from the first report on. The reports themselves equal the memory
+// store's. The shards=2 case is what a deployment that still asks for two
+// shards gets: the same one window under the same budget.
 func TestTieredReportDoesNotPinRecords(t *testing.T) {
 	const margin = 4 << 20
 	b := genBuild(20240504, 400)
@@ -156,11 +154,11 @@ func TestTieredReportDoesNotPinRecords(t *testing.T) {
 
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			s := newSharded(t, n, in, func(c *Config) {
-				c.Store = "disk"
-				c.StoreDir = t.TempDir()
-				c.HotBytes = 256 << 10
-			})
+			s, err := NewSharded(n, Config{Input: in, Store: "disk", StoreDir: t.TempDir(), HotBytes: 256 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
 			feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
 			s.Drain()
 			cold := coldConns(s)

@@ -123,10 +123,19 @@ func feed(t *testing.T, e *Engine, b *workload.Build) {
 	}
 }
 
-// newEngine starts a one-shard engine that the test's cleanup closes.
+// newEngine starts an engine that the test's cleanup closes.
 func newEngine(t *testing.T, in *core.Input, mutate func(*Config)) *Engine {
 	t.Helper()
-	return newSharded(t, 1, in, mutate)
+	cfg := Config{Input: in}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	return e
 }
 
 // TestStreamMatchesBatch is the load-bearing contract: draining a finite
@@ -422,12 +431,12 @@ func TestCheckpointRestoreResume(t *testing.T) {
 	}
 }
 
-// stallApply stops e's one apply loop by taking the state lock it applies
+// stallApply stops e's apply loop by taking the state lock it applies
 // under — a report no longer holds that lock, so parking one stalls
 // nothing. release lets the loop go again.
 func stallApply(e *Engine) (release func()) {
-	e.shards[0].mu.Lock()
-	return e.shards[0].mu.Unlock
+	e.win.mu.Lock()
+	return e.win.mu.Unlock
 }
 
 // TestBackpressureDrop verifies the Drop policy sheds load without
@@ -487,8 +496,8 @@ func TestBackpressureDrop(t *testing.T) {
 }
 
 // TestDropNeverShedsCertificates: a certificate is admitted into the
-// router's roster without crossing a shard buffer, so a full buffer under
-// Policy Drop cannot shed one. With every apply loop stalled behind a
+// router's roster without crossing the window's buffer, so a full buffer
+// under Policy Drop cannot shed one. With the apply loop stalled behind a
 // two-slot buffer, every certificate IngestCert accepts is counted, none
 // as dropped, and the roster and the read that follow — before any
 // connection is fed — hold them all, the ones no connection will name as
@@ -500,50 +509,44 @@ func TestDropNeverShedsCertificates(t *testing.T) {
 	in := inputFromBuild(b)
 	in.Raw = nil
 	certs := certRecords(b)
-	for _, n := range []int{1, 2} {
-		s := newSharded(t, n, in, func(c *Config) { c.Policy = Drop; c.Buffer = 2 })
-		for _, e := range s.shards {
-			e.mu.Lock()
+	s := newEngine(t, in, func(c *Config) { c.Policy = Drop; c.Buffer = 2 })
+	release := stallApply(s)
+	accepted := 0
+	for i := range certs {
+		if s.IngestCert(&certs[i]) {
+			accepted++
 		}
-		accepted := 0
-		for i := range certs {
-			if s.IngestCert(&certs[i]) {
-				accepted++
-			}
-		}
-		for _, e := range s.shards {
-			e.mu.Unlock()
+	}
+	release()
+	s.Drain()
+	if accepted != len(certs) {
+		t.Fatalf("IngestCert accepted %d of %d", accepted, len(certs))
+	}
+	if st := s.Stats(); st.Dropped != 0 || st.UniqueCerts != accepted || st.CertsIngested != uint64(accepted) {
+		t.Errorf("dropped %d, unique %d, ingested %d; want 0 and the %d accepted", st.Dropped, st.UniqueCerts, st.CertsIngested, accepted)
+	}
+	if a := s.Analysis(); a.Preprocess.RawCerts != accepted {
+		t.Errorf("the read holds %d certificates, want %d", a.Preprocess.RawCerts, accepted)
+	}
+	s.mu.Lock()
+	held := len(s.roster)
+	s.mu.Unlock()
+	if held != accepted {
+		t.Errorf("the roster holds %d certificates, want %d", held, accepted)
+	}
+	for lo := 0; lo < len(b.Raw.Conns); lo += 512 {
+		hi := min(lo+512, len(b.Raw.Conns))
+		if got := s.IngestConnBatch(b.Raw.Conns[lo:hi]); got != hi-lo {
+			t.Fatalf("a drained engine shed %d connections", hi-lo-got)
 		}
 		s.Drain()
-		if accepted != len(certs) {
-			t.Fatalf("shards=%d: IngestCert accepted %d of %d", n, accepted, len(certs))
-		}
-		if st := s.Stats(); st.Dropped != 0 || st.UniqueCerts != accepted || st.CertsIngested != uint64(accepted) {
-			t.Errorf("shards=%d: dropped %d, unique %d, ingested %d; want 0 and the %d accepted", n, st.Dropped, st.UniqueCerts, st.CertsIngested, accepted)
-		}
-		if a := s.Analysis(); a.Preprocess.RawCerts != accepted {
-			t.Errorf("shards=%d: the read holds %d certificates, want %d", n, a.Preprocess.RawCerts, accepted)
-		}
-		s.mu.Lock()
-		held := len(s.roster)
-		s.mu.Unlock()
-		if held != accepted {
-			t.Errorf("shards=%d: the roster holds %d certificates, want %d", n, held, accepted)
-		}
-		for lo := 0; lo < len(b.Raw.Conns); lo += 512 {
-			hi := min(lo+512, len(b.Raw.Conns))
-			if got := s.IngestConnBatch(b.Raw.Conns[lo:hi]); got != hi-lo {
-				t.Fatalf("shards=%d: a drained engine shed %d connections", n, hi-lo-got)
-			}
-			s.Drain()
-		}
-		if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: analysis differs from batch: an accepted certificate is missing", n)
-		}
+	}
+	if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
+		t.Error("analysis differs from batch: an accepted certificate is missing")
 	}
 }
 
-// TestLateCertDrainsBehindFullBuffer: a certificate crosses no shard
+// TestLateCertDrainsBehindFullBuffer: a certificate crosses no
 // buffer, and neither do the observations parked on it — they wait in the
 // router's detector. With the apply loop stalled behind a full one-slot
 // buffer under Policy Drop, the late leaf's arrival alone takes
@@ -588,14 +591,14 @@ func TestLateCertDrainsBehindFullBuffer(t *testing.T) {
 		}
 	}
 	if !e.IngestCert(&core.CertRecord{TS: late.NotBefore, Cert: late}) {
-		t.Fatal("a full shard buffer refused a certificate")
+		t.Fatal("a full buffer refused a certificate")
 	}
 	if e.IngestConn(other) {
 		t.Fatal("the buffer took a third batch: the certificate did not arrive behind a full one")
 	}
 	shed++
 	// Stats takes the state lock the stall holds, so it is read after the
-	// release — without a Drain: the number does not wait for the shard.
+	// release — without a Drain: the number does not wait for the window.
 	release()
 	if st := e.Stats(); st.PendingCerts != 0 || st.Dropped != shed {
 		t.Fatalf("after the late certificate: %d parked, %d dropped; want 0 and the %d connections shed", st.PendingCerts, st.Dropped, shed)
@@ -716,31 +719,29 @@ func TestIngestAfterClose(t *testing.T) {
 	in := inputFromBuild(b)
 	in.Raw = nil
 	fresh := syntheticCerts(2) // the roster has never seen these
-	for _, n := range []int{1, 2} {
-		e, err := NewSharded(n, Config{Input: in, TrackExport: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		feed(t, e, b)
-		e.Close()
-		want, wantExport := e.Stats(), mustExport(t, e, 0, 0)
-		if e.IngestConn(&b.Raw.Conns[0]) || e.IngestConnBatch(b.Raw.Conns[:8]) != 0 {
-			t.Fatalf("shards=%d: connection ingest after close must admit nothing", n)
-		}
-		if e.IngestCert(&fresh[0]) || e.IngestCertBatch(fresh) != 0 {
-			t.Fatalf("shards=%d: certificate ingest after close must admit nothing", n)
-		}
-		e.Drain() // must not hang
-		if got := e.Stats(); got != want {
-			t.Fatalf("shards=%d: Stats moved after close:\n got %+v\nwant %+v", n, got, want)
-		}
-		if got := mustExport(t, e, 0, 0); got.NextSeq != wantExport.NextSeq || len(got.Certs) != len(wantExport.Certs) {
-			t.Fatalf("shards=%d: closed engine numbered on: next sequence %d → %d, %d → %d certificates",
-				n, wantExport.NextSeq, got.NextSeq, len(wantExport.Certs), len(got.Certs))
-		}
-		if a := e.Analysis(); a.CertStats.Row("Total").Total == 0 {
-			t.Fatalf("shards=%d: closed engine must still materialize", n)
-		}
+	e, err := New(Config{Input: in, TrackExport: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, e, b)
+	e.Close()
+	want, wantExport := e.Stats(), mustExport(t, e, 0, 0)
+	if e.IngestConn(&b.Raw.Conns[0]) || e.IngestConnBatch(b.Raw.Conns[:8]) != 0 {
+		t.Fatal("connection ingest after close must admit nothing")
+	}
+	if e.IngestCert(&fresh[0]) || e.IngestCertBatch(fresh) != 0 {
+		t.Fatal("certificate ingest after close must admit nothing")
+	}
+	e.Drain() // must not hang
+	if got := e.Stats(); got != want {
+		t.Fatalf("Stats moved after close:\n got %+v\nwant %+v", got, want)
+	}
+	if got := mustExport(t, e, 0, 0); got.NextSeq != wantExport.NextSeq || len(got.Certs) != len(wantExport.Certs) {
+		t.Fatalf("closed engine numbered on: next sequence %d → %d, %d → %d certificates",
+			wantExport.NextSeq, got.NextSeq, len(wantExport.Certs), len(got.Certs))
+	}
+	if a := e.Analysis(); a.CertStats.Row("Total").Total == 0 {
+		t.Fatal("closed engine must still materialize")
 	}
 }
 

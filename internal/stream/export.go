@@ -76,9 +76,10 @@ func newEpoch() uint64 {
 	return e
 }
 
-// sortCertLog orders restored roster batches ascending by sequence.
-// Certificates restored from a pre-export checkpoint may all carry
-// sequence 0, where fingerprint order keeps exports deterministic.
+// sortCertLog orders restored roster batches ascending by sequence — the
+// chains of a previous release's directory each hold their own run of
+// them, and one of its writers repeated a certificate, under one
+// sequence, in several chains; fingerprint order breaks any tie.
 func sortCertLog(log []ExportCert) {
 	sort.Slice(log, func(i, j int) bool {
 		if log[i].Seq != log[j].Seq {
@@ -101,44 +102,14 @@ func exportConns(conns []core.ConnRecord, seqs []uint64) []ExportConn {
 	return out
 }
 
-// mergeExportConns collects per-shard suffixes, each ascending, into one
-// ascending list: the linear head comparison core's merge of shard states
-// uses (shard counts are small). Every connection consumed a distinct
-// sequence, so there are no ties to break. A suffix that is the only
-// non-empty one is the result as it stands.
-func mergeExportConns(parts [][]ExportConn) []ExportConn {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	for _, p := range parts {
-		if len(p) == total {
-			return p
-		}
-	}
-	out := make([]ExportConn, 0, total)
-	for len(out) < total {
-		best := -1
-		for i, p := range parts {
-			if len(p) > 0 && (best < 0 || p[0].Seq < parts[best][0].Seq) {
-				best = i
-			}
-		}
-		out = append(out, parts[best][0])
-		parts[best] = parts[best][1:]
-	}
-	return out
-}
-
 // Export snapshots the engine's raw state at or after cursor since. since
 // 0 is a full snapshot (epoch is ignored); a nonzero since must carry the
 // epoch of the export it was taken from, and a mismatch — or a cursor
 // beyond NextSeq — returns ErrStaleCursor. The router lock is held so no
-// new sequences are assigned, each shard is drained so every
+// new sequences are assigned, the window is drained so every
 // already-assigned sequence is applied (otherwise a cursor could advance
-// past in-flight records and a delta would skip them forever), the
-// per-shard streams are collected back into one ascending sequence order,
-// and the evidence is the router's detector's. Connections already evicted
+// past in-flight records and a delta would skip them forever), and the
+// evidence is the router's detector's. Connections already evicted
 // by retention are not replayed into a delta, mirroring what the engine's
 // own reports describe. Requires Config.TrackExport.
 func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
@@ -153,8 +124,8 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 	if since > s.nextSeq {
 		return nil, fmt.Errorf("%w: since %d beyond next sequence %d", ErrStaleCursor, since, s.nextSeq)
 	}
-	// Drain without the shard state locks: the apply goroutines never
-	// take the router lock, so they make progress while we hold it.
+	// Drain without the window's state lock: the apply goroutine never
+	// takes the router lock, so it makes progress while we hold it.
 	s.Drain()
 	st := &ExportState{
 		Epoch:     s.epoch,
@@ -162,20 +133,15 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 		NextSeq:   s.nextSeq,
 		Retention: s.cfg.Retention,
 	}
-	parts := make([][]ExportConn, len(s.shards))
-	for i, e := range s.shards {
-		e.mu.Lock()
-		st.ConnsIngested += e.connsIngested
-		if e.watermark.After(st.Watermark) {
-			st.Watermark = e.watermark
-		}
-		conns, seqs := e.st.Snapshot(since)
-		e.mu.Unlock()
-		// The snapshot stays readable without the shard's lock (live
-		// headers, or copies on a tiered window): the copy into the export's
-		// layout is not the apply loop's to wait for.
-		parts[i] = exportConns(conns, seqs)
-	}
+	w := s.win
+	w.mu.Lock()
+	st.ConnsIngested, st.Watermark = w.connsIngested, w.watermark
+	conns, seqs := w.st.Snapshot(since)
+	w.mu.Unlock()
+	// The snapshot stays readable without the window's lock (live
+	// headers, or copies on a tiered window): the copy into the export's
+	// layout is not the apply loop's to wait for.
+	st.Conns = exportConns(conns, seqs)
 	st.Evidence = s.icpt.Evidence()
 	st.CertsIngested = s.certsRouted.Load()
 	// The roster log ascends by sequence: a delta is its suffix, O(delta)
@@ -185,6 +151,5 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 	for ; k < len(s.roster); k++ {
 		st.Certs = append(st.Certs, ExportCert{Seq: s.certSeqs[k], Cert: s.roster[k]})
 	}
-	st.Conns = mergeExportConns(parts)
 	return st, nil
 }

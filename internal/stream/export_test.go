@@ -103,32 +103,29 @@ func feedSlice(t *testing.T, g *Engine, b *workload.Build, certs []*certmodel.Ce
 }
 
 // TestExportFullReplay: a full export replayed through MergeShards +
-// evidence merge reproduces the engine's own analysis exactly — at
-// shard counts 1, 2, and 4.
+// evidence merge reproduces the engine's own analysis exactly.
 func TestExportFullReplay(t *testing.T) {
 	b := genBuild(20240504, 1200)
 	batch := core.Run(inputFromBuild(b))
 
-	for _, n := range []int{1, 2, 4} {
-		in := inputFromBuild(b)
-		in.Raw = nil
-		s := newSharded(t, n, in, func(c *Config) { c.TrackExport = true })
-		feed(t, s, b)
-		s.Drain()
-		st := mustExport(t, s, 0, 0)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	s := newEngine(t, in, func(c *Config) { c.TrackExport = true })
+	feed(t, s, b)
+	s.Drain()
+	st := mustExport(t, s, 0, 0)
 
-		if len(st.Certs) == 0 || len(st.Conns) == 0 {
-			t.Fatalf("shards=%d: empty export: %d certs, %d conns", n, len(st.Certs), len(st.Conns))
+	if len(st.Certs) == 0 || len(st.Conns) == 0 {
+		t.Fatalf("empty export: %d certs, %d conns", len(st.Certs), len(st.Conns))
+	}
+	for i := 1; i < len(st.Conns); i++ {
+		if st.Conns[i].Seq <= st.Conns[i-1].Seq {
+			t.Fatalf("conn seqs not strictly ascending at %d", i)
 		}
-		for i := 1; i < len(st.Conns); i++ {
-			if st.Conns[i].Seq <= st.Conns[i-1].Seq {
-				t.Fatalf("shards=%d: conn seqs not strictly ascending at %d", n, i)
-			}
-		}
-		got := replayAnalysis(inputFromBuild(b), []*ExportState{st})
-		if !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: replayed analysis differs from batch", n)
-		}
+	}
+	got := replayAnalysis(inputFromBuild(b), []*ExportState{st})
+	if !reflect.DeepEqual(batch, got) {
+		t.Error("replayed analysis differs from batch")
 	}
 }
 
@@ -142,54 +139,50 @@ func TestExportDelta(t *testing.T) {
 	certs := certList(b)
 	half := len(b.Raw.Conns) / 2
 
-	for _, n := range []int{1, 2} {
-		in := inputFromBuild(b)
-		in.Raw = nil
-		s := newSharded(t, n, in, func(c *Config) { c.TrackExport = true })
+	in := inputFromBuild(b)
+	in.Raw = nil
+	s := newEngine(t, in, func(c *Config) { c.TrackExport = true })
 
-		// Round 1: first half of the connections, no certificates yet.
-		feedSlice(t, s, b, certs, 0, 0, 0, half)
-		s.Drain()
-		full := mustExport(t, s, 0, 0)
+	// Round 1: first half of the connections, no certificates yet.
+	feedSlice(t, s, b, certs, 0, 0, 0, half)
+	s.Drain()
+	full := mustExport(t, s, 0, 0)
 
-		// Round 2: every certificate (all late), then the rest.
-		feedSlice(t, s, b, certs, 0, len(certs), half, len(b.Raw.Conns))
-		s.Drain()
-		delta := mustExport(t, s, full.NextSeq, full.Epoch)
+	// Round 2: every certificate (all late), then the rest.
+	feedSlice(t, s, b, certs, 0, len(certs), half, len(b.Raw.Conns))
+	s.Drain()
+	delta := mustExport(t, s, full.NextSeq, full.Epoch)
 
-		if delta.Epoch != full.Epoch {
-			t.Fatalf("shards=%d: delta changed epoch", n)
+	if delta.Epoch != full.Epoch {
+		t.Fatal("delta changed epoch")
+	}
+	for _, ec := range delta.Conns {
+		if ec.Seq < full.NextSeq {
+			t.Fatalf("delta re-sent conn seq %d < cursor %d", ec.Seq, full.NextSeq)
 		}
-		for _, ec := range delta.Conns {
-			if ec.Seq < full.NextSeq {
-				t.Fatalf("shards=%d: delta re-sent conn seq %d < cursor %d", n, ec.Seq, full.NextSeq)
-			}
-		}
-		if got := len(full.Conns) + len(delta.Conns); got != len(b.Raw.Conns) {
-			t.Fatalf("shards=%d: full+delta carry %d conns, want %d", n, got, len(b.Raw.Conns))
-		}
-		if len(full.Certs) != 0 || len(delta.Certs) != len(b.Raw.Certs) {
-			t.Fatalf("shards=%d: certs split %d/%d, want 0/%d",
-				n, len(full.Certs), len(delta.Certs), len(b.Raw.Certs))
-		}
-		got := replayAnalysis(inputFromBuild(b), []*ExportState{full, delta})
-		if !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: full+delta replay differs from batch", n)
-		}
+	}
+	if got := len(full.Conns) + len(delta.Conns); got != len(b.Raw.Conns) {
+		t.Fatalf("full+delta carry %d conns, want %d", got, len(b.Raw.Conns))
+	}
+	if len(full.Certs) != 0 || len(delta.Certs) != len(b.Raw.Certs) {
+		t.Fatalf("certs split %d/%d, want 0/%d", len(full.Certs), len(delta.Certs), len(b.Raw.Certs))
+	}
+	got := replayAnalysis(inputFromBuild(b), []*ExportState{full, delta})
+	if !reflect.DeepEqual(batch, got) {
+		t.Error("full+delta replay differs from batch")
+	}
 
-		// An empty delta from the new cursor is valid and carries nothing.
-		empty := mustExport(t, s, delta.NextSeq, delta.Epoch)
-		if len(empty.Certs) != 0 || len(empty.Conns) != 0 {
-			t.Errorf("shards=%d: steady-state delta not empty", n)
-		}
+	// An empty delta from the new cursor is valid and carries nothing.
+	empty := mustExport(t, s, delta.NextSeq, delta.Epoch)
+	if len(empty.Certs) != 0 || len(empty.Conns) != 0 {
+		t.Error("steady-state delta not empty")
 	}
 }
 
 // TestExportSinceIsSuffixOfFull: a delta export is exactly the full
-// export filtered to its cursor — on either store, at one shard and at
-// two, for cursors before, inside
-// and past the retained window, including one taken before retention
-// evicted the records on both sides of it.
+// export filtered to its cursor — on either store, for cursors before,
+// inside and past the retained window, including one taken before
+// retention evicted the records on both sides of it.
 func TestExportSinceIsSuffixOfFull(t *testing.T) {
 	b := genBuild(7, 800)
 	certs := certList(b)
@@ -212,12 +205,11 @@ func TestExportSinceIsSuffixOfFull(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		n    int
 		disk bool
-	}{{1, false}, {1, true}, {2, false}, {2, true}} {
+	}{{false}, {true}} {
 		in := inputFromBuild(b)
 		in.Raw = nil
-		s := newSharded(t, tc.n, in, func(c *Config) {
+		s := newEngine(t, in, func(c *Config) {
 			c.TrackExport = true
 			c.Retention = 200 * 24 * time.Hour
 			c.EvictEvery = 16
@@ -303,40 +295,38 @@ func TestExportCheckpointResume(t *testing.T) {
 	half := len(b.Raw.Conns) / 2
 	certHalf := len(certs) / 2
 
-	for _, n := range []int{1, 2} {
-		in := inputFromBuild(b)
-		in.Raw = nil
-		cfg := Config{Input: in, TrackExport: true}
-		s, err := NewSharded(n, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedSlice(t, s, b, certs, 0, certHalf, 0, half)
-		s.Drain()
-		full := mustExport(t, s, 0, 0)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	cfg := Config{Input: in, TrackExport: true}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedSlice(t, s, b, certs, 0, certHalf, 0, half)
+	s.Drain()
+	full := mustExport(t, s, 0, 0)
 
-		dir := filepath.Join(t.TempDir(), "ckpt")
-		if err := s.WriteCheckpoint(dir, nil); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := s.WriteCheckpoint(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
 
-		s2, _, err := RestoreSharded(cfg, n, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s2.Close)
-		feedSlice(t, s2, b, certs, certHalf, len(certs), half, len(b.Raw.Conns))
-		s2.Drain()
+	s2, _, err := Restore(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Close)
+	feedSlice(t, s2, b, certs, certHalf, len(certs), half, len(b.Raw.Conns))
+	s2.Drain()
 
-		delta := mustExport(t, s2, full.NextSeq, full.Epoch)
-		if delta.Epoch != full.Epoch {
-			t.Fatalf("shards=%d: restore changed epoch %d -> %d", n, full.Epoch, delta.Epoch)
-		}
-		got := replayAnalysis(inputFromBuild(b), []*ExportState{full, delta})
-		if !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: full+post-restart delta differs from batch", n)
-		}
+	delta := mustExport(t, s2, full.NextSeq, full.Epoch)
+	if delta.Epoch != full.Epoch {
+		t.Fatalf("restore changed epoch %d -> %d", full.Epoch, delta.Epoch)
+	}
+	got := replayAnalysis(inputFromBuild(b), []*ExportState{full, delta})
+	if !reflect.DeepEqual(batch, got) {
+		t.Error("full+post-restart delta differs from batch")
 	}
 }
 
@@ -350,38 +340,36 @@ func TestExportManifestDoesNotFollowRoster(t *testing.T) {
 	in := inputFromBuild(b)
 	in.Raw = nil
 	certs := syntheticCerts(1100)
-	for _, n := range []int{1, 2} {
-		cfg := Config{Input: in, TrackExport: true}
-		s := newSharded(t, n, in, func(c *Config) { *c = cfg })
-		dir := filepath.Join(t.TempDir(), "ckpt")
-		var sizes []int
-		for _, part := range [][]core.CertRecord{certs[:100], certs[100:]} {
-			s.IngestCertBatch(part)
-			s.Drain()
-			if err := s.WriteCheckpoint(dir, nil); err != nil {
-				t.Fatal(err)
-			}
-			buf, err := os.ReadFile(filepath.Join(dir, ckptManifestName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if strings.Contains(string(buf), "CertSeqs") {
-				t.Fatalf("shards=%d: MANIFEST holds certificate sequences:\n%.400s", n, buf)
-			}
-			sizes = append(sizes, len(buf))
+	cfg := Config{Input: in, TrackExport: true}
+	s := newEngine(t, in, func(c *Config) { *c = cfg })
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	var sizes []int
+	for _, part := range [][]core.CertRecord{certs[:100], certs[100:]} {
+		s.IngestCertBatch(part)
+		s.Drain()
+		if err := s.WriteCheckpoint(dir, nil); err != nil {
+			t.Fatal(err)
 		}
-		// The second manifest names one more segment per chain.
-		if grew := sizes[1] - sizes[0]; grew > 128*n {
-			t.Errorf("shards=%d: MANIFEST grew %d bytes (%d → %d) across 1000 certificates", n, grew, sizes[0], sizes[1])
-		}
-		restored, _, err := RestoreSharded(cfg, n, dir)
+		buf, err := os.ReadFile(filepath.Join(dir, ckptManifestName))
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(restored.Close)
-		if want, got := mustExport(t, s, 0, 0), mustExport(t, restored, 0, 0); !reflect.DeepEqual(want.Certs, got.Certs) || want.Epoch != got.Epoch {
-			t.Errorf("shards=%d: the restored engine numbers its %d certificates differently (epoch %d → %d)", n, len(got.Certs), want.Epoch, got.Epoch)
+		if strings.Contains(string(buf), "CertSeqs") {
+			t.Fatalf("MANIFEST holds certificate sequences:\n%.400s", buf)
 		}
+		sizes = append(sizes, len(buf))
+	}
+	// The second manifest names one more segment.
+	if grew := sizes[1] - sizes[0]; grew > 128 {
+		t.Errorf("MANIFEST grew %d bytes (%d → %d) across 1000 certificates", grew, sizes[0], sizes[1])
+	}
+	restored, _, err := Restore(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(restored.Close)
+	if want, got := mustExport(t, s, 0, 0), mustExport(t, restored, 0, 0); !reflect.DeepEqual(want.Certs, got.Certs) || want.Epoch != got.Epoch {
+		t.Errorf("the restored engine numbers its %d certificates differently (epoch %d → %d)", len(got.Certs), want.Epoch, got.Epoch)
 	}
 }
 
@@ -442,9 +430,9 @@ func syntheticCerts(n int) []core.CertRecord {
 
 // exportingRoster starts an exporting deployment holding n synthetic
 // certificates and returns it with its full export.
-func exportingRoster(t testing.TB, in *core.Input, shards, n int) (*Engine, *ExportState) {
+func exportingRoster(t testing.TB, in *core.Input, n int) (*Engine, *ExportState) {
 	t.Helper()
-	s, err := NewSharded(shards, Config{Input: in, TrackExport: true})
+	s, err := New(Config{Input: in, TrackExport: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,8 +451,7 @@ func exportingRoster(t testing.TB, in *core.Input, shards, n int) (*Engine, *Exp
 // TestExportDeltaAllocsFlat pins the certificate side of a delta export
 // against the roster size: a delta is the admission log's suffix, and an
 // empty one (since = NextSeq) allocates the same over a 1k and a 50k
-// roster, at one shard and at two — nothing copies,
-// collects or sorts the roster on the way. (The walk itself being
+// roster — nothing copies, collects or sorts the roster on the way. (The walk itself being
 // O(delta) is a time, not an allocation: BenchmarkExportEmptyDelta.)
 func TestExportDeltaAllocsFlat(t *testing.T) {
 	if race.Enabled {
@@ -473,23 +460,21 @@ func TestExportDeltaAllocsFlat(t *testing.T) {
 	b := genBuild(7, 4000)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	for _, shards := range []int{1, 2} {
-		var allocs [2]float64
-		for i, roster := range []int{1000, 50000} {
-			s, full := exportingRoster(t, in, shards, roster)
-			mid := full.Certs[roster/2].Seq
-			if got := mustExport(t, s, mid, full.Epoch); !reflect.DeepEqual(got.Certs, full.Certs[roster/2:]) {
-				t.Fatalf("shards=%d: Export(%d) is not the roster's suffix", shards, mid)
+	var allocs [2]float64
+	for i, roster := range []int{1000, 50000} {
+		s, full := exportingRoster(t, in, roster)
+		mid := full.Certs[roster/2].Seq
+		if got := mustExport(t, s, mid, full.Epoch); !reflect.DeepEqual(got.Certs, full.Certs[roster/2:]) {
+			t.Fatalf("Export(%d) is not the roster's suffix", mid)
+		}
+		allocs[i] = testing.AllocsPerRun(20, func() {
+			if st := mustExport(t, s, full.NextSeq, full.Epoch); len(st.Certs) != 0 {
+				t.Fatalf("empty delta carries %d certificates", len(st.Certs))
 			}
-			allocs[i] = testing.AllocsPerRun(20, func() {
-				if st := mustExport(t, s, full.NextSeq, full.Epoch); len(st.Certs) != 0 {
-					t.Fatalf("empty delta carries %d certificates", len(st.Certs))
-				}
-			})
-		}
-		if allocs[0] != allocs[1] {
-			t.Errorf("shards=%d: an empty delta allocates %.0f over 1k certificates, %.0f over 50k", shards, allocs[0], allocs[1])
-		}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("an empty delta allocates %.0f over 1k certificates, %.0f over 50k", allocs[0], allocs[1])
 	}
 }
 
@@ -499,18 +484,16 @@ func BenchmarkExportEmptyDelta(b *testing.B) {
 	bld := getBenchBuild()
 	in := inputFromBuild(bld)
 	in.Raw = nil
-	for _, shards := range []int{1, 2} {
-		for _, roster := range []int{1000, 50000} {
-			b.Run(fmt.Sprintf("shards=%d/roster=%d", shards, roster), func(b *testing.B) {
-				s, full := exportingRoster(b, in, shards, roster)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Export(full.NextSeq, full.Epoch); err != nil {
-						b.Fatal(err)
-					}
+	for _, roster := range []int{1000, 50000} {
+		b.Run(fmt.Sprintf("roster=%d", roster), func(b *testing.B) {
+			s, full := exportingRoster(b, in, roster)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Export(full.NextSeq, full.Epoch); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -25,56 +25,52 @@ func mergeReplays(reg *metrics.Registry) map[core.ReplayReason]uint64 {
 	return out
 }
 
-// holdBack parks shard e's queue: what the router sends piles up in a
-// side channel nobody drains, so the shard stops applying while its state
-// lock stays free — a lagging apply goroutine without the timing. release
-// forwards what piled up, in order, and reconnects the queue; it also
-// runs at cleanup, since Close must find the real queue.
-func holdBack(t *testing.T, e *shard) (release func()) {
-	e.drain() // the apply loop holds its channel by now and never re-reads the field
-	queue, parked := e.ch, make(chan event, 1<<16)
-	e.sendMu.Lock()
-	e.ch = parked
-	e.sendMu.Unlock()
+// holdBack parks the window's queue: what the router sends piles up in a
+// side channel nobody drains, so the window stops applying while its
+// state lock stays free — a lagging apply goroutine without the timing.
+// release forwards what piled up, in order, and reconnects the queue; it
+// also runs at cleanup, since Close must find the real queue.
+func holdBack(t *testing.T, w *window) (release func()) {
+	w.drain() // the apply loop holds its channel by now and never re-reads the field
+	queue, parked := w.ch, make(chan event, 1<<16)
+	w.sendMu.Lock()
+	w.ch = parked
+	w.sendMu.Unlock()
 	release = func() {
-		e.sendMu.Lock()
-		defer e.sendMu.Unlock()
+		w.sendMu.Lock()
+		defer w.sendMu.Unlock()
 		for len(parked) > 0 {
 			queue <- <-parked
 		}
-		e.ch = queue
+		w.ch = queue
 	}
 	t.Cleanup(release)
 	return release
 }
 
-// frontierOracle replays s's shards as they stand through a fresh
-// MergeShards, connections capped below frontier, under the detector's
-// current verdict — what a read must equal while a shard lags.
-func frontierOracle(s *Engine, frontier uint64, pre *core.PreprocessReport) *core.Analysis {
+// windowOracle replays s's window and roster as they stand through a fresh
+// MergeShards, under the detector's current verdict — what a read must
+// equal while the apply loop lags.
+func windowOracle(s *Engine, pre *core.PreprocessReport) *core.Analysis {
 	s.mu.Lock()
-	states := []core.ShardState{{Certs: s.roster}}
+	defer s.mu.Unlock()
 	res := s.icpt.Result()
-	s.mu.Unlock()
-	for _, e := range s.shards {
-		e.mu.Lock()
-		conns, seqs := e.st.Snapshot(0)
-		k, _ := slices.BinarySearch(seqs, frontier)
-		states = append(states, core.ShardState{Conns: conns[:k], Seqs: seqs[:k]})
-		e.mu.Unlock()
-	}
+	s.win.mu.Lock()
+	conns, seqs := s.win.st.Snapshot(0)
+	s.win.mu.Unlock()
+	states := []core.ShardState{{Certs: s.roster}, {Conns: conns, Seqs: seqs}}
 	b := core.MergeShards(s.cfg.Input, states, func(fp ids.Fingerprint) bool { return res.ExcludedCerts[fp] })
 	return b.Pipeline(pre).RunAll()
 }
 
-// TestShardedLaggingShardCatchesUp holds one shard's queue back while the
-// others keep applying. A read then reflects the applied frontier — the
-// connections below the lagging shard's last applied sequence (or, past
-// that, what an earlier read had already merged), a true prefix of the
-// global stream — and costs a catch-up, not a replay; once
-// the shard catches up the next read appends what was held back, and
-// after Drain the engine equals the batch pipeline. No read ever meets a
-// connection sorting below one it already merged.
+// TestShardedLaggingShardCatchesUp holds the window's queue back while the
+// router keeps numbering and observing. A read then reflects what the
+// window has applied — a true prefix of the stream, since one apply loop
+// appends in sequence order — under the verdict over everything routed,
+// and costs a catch-up, not a replay; once the window catches up the next
+// read appends what was held back, and after Drain the engine equals the
+// batch pipeline. No read ever meets a connection sorting below one it
+// already merged.
 func TestShardedLaggingShardCatchesUp(t *testing.T) {
 	b := genBuild(20240504, 1500)
 	in := inputFromBuild(b)
@@ -82,7 +78,7 @@ func TestShardedLaggingShardCatchesUp(t *testing.T) {
 	certs, conns := certRecords(b), b.Raw.Conns
 	third := len(conns) / 3
 	reg := metrics.New()
-	s := newSharded(t, 3, in, func(c *Config) { c.Metrics = reg })
+	s := newEngine(t, in, func(c *Config) { c.Metrics = reg })
 	feedBatches(t, s, certs, conns[:third], 256)
 	s.Drain()
 
@@ -90,14 +86,14 @@ func TestShardedLaggingShardCatchesUp(t *testing.T) {
 	// is the first read's: a read that finds the verdict grown takes back
 	// what it excludes.
 	wantReplays := map[core.ReplayReason]uint64{core.ReplayFirst: 1}
-	read := func(step string, frontier uint64, wantConns int) *core.Analysis {
+	read := func(step string, wantConns int) *core.Analysis {
 		t.Helper()
 		got := s.Analysis()
 		if got.Preprocess.RawConns != wantConns {
-			t.Fatalf("%s: the read reflects %d connections, want the %d below the frontier", step, got.Preprocess.RawConns, wantConns)
+			t.Fatalf("%s: the read reflects %d connections, want the %d the window applied", step, got.Preprocess.RawConns, wantConns)
 		}
-		if want := frontierOracle(s, frontier, got.Preprocess); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: the read differs from a replay of the shards below the frontier", step)
+		if want := windowOracle(s, got.Preprocess); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the read differs from a replay of the window as it stands", step)
 		}
 		if replays := mergeReplays(reg); !reflect.DeepEqual(replays, wantReplays) {
 			t.Fatalf("%s: replays %v, want %v", step, replays, wantReplays)
@@ -107,39 +103,29 @@ func TestShardedLaggingShardCatchesUp(t *testing.T) {
 		}
 		return got
 	}
-	const all = ^uint64(0)
-	read("first third, drained", all, third)
+	read("first third, drained", third)
 
-	for round, lagging := range []int{1, 0} {
+	for round := 0; round < 2; round++ {
 		lo, hi := third*(round+1), third*(round+2)
 		if round == 1 {
 			hi = len(conns)
 		}
-		shard := s.shards[lagging]
-		release := holdBack(t, shard)
-		feedBatches(t, s, nil, conns[lo:hi], 256)
-		for i, e := range s.shards {
-			if i != lagging {
-				e.drain()
-			}
-		}
-		// The frontier: what the held shard has applied, and never below
-		// what an earlier read already merged.
-		s.mu.Lock()
-		shard.mu.Lock()
-		frontier := max(shard.nextSeq, s.merged)
-		shard.mu.Unlock()
-		s.mu.Unlock()
+		mid := (lo + hi) / 2
+		feedBatches(t, s, nil, conns[lo:mid], 256)
+		s.Drain()
+		release := holdBack(t, s.win)
+		feedBatches(t, s, nil, conns[mid:hi], 256)
 		merges := reg.Counter("stream_merges_total", "").Value()
-		// The other shards applied their share of the slice, all of it
-		// above the frontier: the read must not move past what it had.
-		read("a shard held back", frontier, lo)
+		// The window applied the slice's first half. The router numbered
+		// the second and its detector saw it; the window applied none of
+		// it, and the read appends the first half alone.
+		read("the window held back", mid)
 		if reg.Counter("stream_merges_total", "").Value() != merges+1 {
-			t.Fatal("the read with a shard held back did not run a catch-up")
+			t.Fatal("the read with the window held back did not run a catch-up")
 		}
 		release()
 		s.Drain()
-		read("the shard caught up", all, hi)
+		read("the window caught up", hi)
 	}
 
 	if !reflect.DeepEqual(s.Analysis(), core.Run(inputFromBuild(b))) {
@@ -150,17 +136,17 @@ func TestShardedLaggingShardCatchesUp(t *testing.T) {
 	}
 }
 
-// shardedCatchUp builds an n-shard deployment whose window holds at
-// least window connections (the build's, cycled), reads it, and then
-// measures reads that each follow k further connections: how many
-// connections the catch-up enriched and the fewest allocations one took.
-func shardedCatchUp(t *testing.T, n, window, k int) (enriched, allocs uint64) {
+// shardedCatchUp builds a deployment whose window holds at least window
+// connections (the build's, cycled), reads it, and then measures reads
+// that each follow k further connections: how many connections the
+// catch-up enriched and the fewest allocations one took.
+func shardedCatchUp(t *testing.T, window, k int) (enriched, allocs uint64) {
 	t.Helper()
 	b := genBuild(20240504, 3000)
 	in := inputFromBuild(b)
 	in.Raw = nil
 	reg := metrics.New()
-	s := newSharded(t, n, in, func(c *Config) { c.Metrics = reg })
+	s := newEngine(t, in, func(c *Config) { c.Metrics = reg })
 	feedBatches(t, s, certRecords(b), nil, 512)
 	for fed := 0; fed < window; fed += len(b.Raw.Conns) {
 		feedBatches(t, s, nil, b.Raw.Conns, 512)
@@ -182,7 +168,7 @@ func shardedCatchUp(t *testing.T, n, window, k int) (enriched, allocs uint64) {
 		allocs = min(allocs, m1.Mallocs-m0.Mallocs)
 	}
 	if got := mergeReplays(reg); len(got) != 1 || got[core.ReplayFirst] != 1 {
-		t.Fatalf("shards=%d window=%d: replays %v, want only the first read's", n, window, got)
+		t.Fatalf("window=%d: replays %v, want only the first read's", window, got)
 	}
 	return enriched, allocs
 }
@@ -191,13 +177,13 @@ func shardedCatchUp(t *testing.T, n, window, k int) (enriched, allocs uint64) {
 // connections presenting it as their client leaf, a read in between: what
 // the read after the certificate enriched, re-enriched in place and, at
 // the least, allocated.
-func shardedLateCert(t *testing.T, n, window, k int) (st core.MergeStats, allocs uint64) {
+func shardedLateCert(t *testing.T, window, k int) (st core.MergeStats, allocs uint64) {
 	t.Helper()
 	b := genBuild(20240504, 3000)
 	in := inputFromBuild(b)
 	in.Raw = nil
 	reg := metrics.New()
-	s := newSharded(t, n, in, func(c *Config) { c.Metrics = reg })
+	s := newEngine(t, in, func(c *Config) { c.Metrics = reg })
 	feedBatches(t, s, certRecords(b), nil, 512)
 	for fed := 0; fed < window; fed += len(b.Raw.Conns) {
 		feedBatches(t, s, nil, b.Raw.Conns, 512)
@@ -225,15 +211,15 @@ func shardedLateCert(t *testing.T, n, window, k int) (st core.MergeStats, allocs
 		allocs = min(allocs, m1.Mallocs-m0.Mallocs)
 	}
 	if got := mergeReplays(reg); len(got) != 1 || got[core.ReplayFirst] != 1 {
-		t.Fatalf("shards=%d window=%d: replays %v, want only the first read's", n, window, got)
+		t.Fatalf("window=%d: replays %v, want only the first read's", window, got)
 	}
 	if got := reg.Counter("stream_merge_late_conns_total", "").Value(); got != s.view.Stats().Late {
-		t.Fatalf("shards=%d window=%d: stream_merge_late_conns_total = %d, the view re-enriched %d", n, window, got, s.view.Stats().Late)
+		t.Fatalf("window=%d: stream_merge_late_conns_total = %d, the view re-enriched %d", window, got, s.view.Stats().Late)
 	}
 	return st, allocs
 }
 
-// TestShardedCatchUpIsODelta gates the sharded read's cost on counts: a
+// TestShardedCatchUpIsODelta gates the batched read's cost on counts: a
 // read that follows k new connections enriches those and allocates the
 // same, whether 5k or 50k connections are already merged; a read that
 // follows a certificate k merged connections had named re-enriches those,
@@ -243,43 +229,45 @@ func TestShardedCatchUpIsODelta(t *testing.T) {
 		t.Skip("allocation counts under the race detector pin its internals")
 	}
 	const k = 1000
-	for _, n := range []int{2, 4} {
-		smallN, smallA := shardedCatchUp(t, n, 5000, k)
-		largeN, largeA := shardedCatchUp(t, n, 50000, k)
-		t.Logf("shards=%d: a catch-up of %d enriched %d with %d allocs behind 5k, %d with %d allocs behind 50k",
-			n, k, smallN, smallA, largeN, largeA)
-		if smallN == 0 || smallN > k || smallN != largeN {
-			t.Errorf("shards=%d: a catch-up of %d connections enriched %d behind 5k and %d behind 50k", n, k, smallN, largeN)
+	smallN, smallA := shardedCatchUp(t, 5000, k)
+	largeN, largeA := shardedCatchUp(t, 50000, k)
+	t.Logf("a catch-up of %d enriched %d with %d allocs behind 5k, %d with %d allocs behind 50k", k, smallN, smallA, largeN, largeA)
+	if smallN == 0 || smallN > k || smallN != largeN {
+		t.Errorf("a catch-up of %d connections enriched %d behind 5k and %d behind 50k", k, smallN, largeN)
+	}
+	if smallA != largeA {
+		t.Errorf("catch-up allocations depend on the window: %d behind 5k, %d behind 50k", smallA, largeA)
+	}
+	smallSt, smallA := shardedLateCert(t, 5000, k)
+	largeSt, largeA := shardedLateCert(t, 20000, k)
+	t.Logf("a certificate late for %d re-enriched %d with %d allocs behind 5k, %d with %d allocs behind 20k",
+		k, smallSt.Late, smallA, largeSt.Late, largeA)
+	for _, st := range []core.MergeStats{smallSt, largeSt} {
+		if st.Late != k || st.Enriched != 0 {
+			t.Errorf("a certificate late for %d connections re-enriched %d and enriched %d", k, st.Late, st.Enriched)
 		}
-		if smallA != largeA {
-			t.Errorf("shards=%d: catch-up allocations depend on the window: %d behind 5k, %d behind 50k", n, smallA, largeA)
-		}
-		smallSt, smallA := shardedLateCert(t, n, 5000, k)
-		largeSt, largeA := shardedLateCert(t, n, 20000, k)
-		t.Logf("shards=%d: a certificate late for %d re-enriched %d with %d allocs behind 5k, %d with %d allocs behind 20k",
-			n, k, smallSt.Late, smallA, largeSt.Late, largeA)
-		for _, st := range []core.MergeStats{smallSt, largeSt} {
-			if st.Late != k || st.Enriched != 0 {
-				t.Errorf("shards=%d: a certificate late for %d connections re-enriched %d and enriched %d", n, k, st.Late, st.Enriched)
-			}
-		}
-		if smallA != largeA {
-			t.Errorf("shards=%d: late-certificate allocations depend on the window: %d behind 5k, %d behind 20k", n, smallA, largeA)
-		}
+	}
+	if smallA != largeA {
+		t.Errorf("late-certificate allocations depend on the window: %d behind 5k, %d behind 20k", smallA, largeA)
 	}
 }
 
 // TestParkedReportBlocksNothing: a report scan parked inside its fn holds
-// no lock that ingestion or a health check needs — at one shard or two, a
-// batch is applied, Drain returns and Stats answers
-// (stale, with the parked read's one replay) while the scan is still out.
+// no lock that ingestion or a health check needs — a batch is applied,
+// Drain returns and Stats answers (stale, with the parked read's one
+// replay) while the scan is still out. The shards=2 case is what a
+// deployment that still asks for two shards gets: the same one window.
 func TestParkedReportBlocksNothing(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	in := inputFromBuild(b)
 	in.Raw = nil
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			g := newSharded(t, n, in, nil)
+			g, err := NewSharded(n, Config{Input: in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(g.Close)
 			half := len(b.Raw.Conns) / 2
 			feedBatches(t, g, certRecords(b), b.Raw.Conns[:half], 512)
 			g.Drain()

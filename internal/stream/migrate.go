@@ -13,12 +13,13 @@ import (
 	"repro/internal/store"
 )
 
-// What the previous release (commit 7a5e8ef) may leave on disk beyond this
+// What the previous release (commit dc2bc03) may leave on disk beyond this
 // release's frames: chains whose segments still hold the gob frames every
 // segment held up to manifest version 2 — it continued such a directory in
 // place until a fold. Nothing here writes, and gob is used nowhere else: a
-// restore reads these frame by frame and a fold (checkpoint.go) rewrites
-// them as this release's. Every older shape is refused by name (retired).
+// restore reads these frame by frame, and its first commit rewrites the
+// directory as one base of this release's frames (checkpoint.go). Every
+// older shape is refused by name (retired).
 
 // Segment frame types of manifest version 2: one gob value each, through an
 // encoder of its own.
@@ -27,6 +28,9 @@ const (
 	gobFrameCerts byte = 2 // gobRecords, Certs set
 	gobFrameConns byte = 3 // gobRecords, Conns set
 )
+
+// isGob says typ is one of manifest version 2's frame types.
+func isGob(typ byte) bool { return typ <= gobFrameConns }
 
 // retiredRelease is the build that reads every checkpoint shape older than
 // the previous release's and rewrites it with its first checkpoint.
@@ -49,7 +53,7 @@ type gobDetector struct {
 	Pending      map[ids.Fingerprint][]interception.PendingRef
 }
 
-// gobSegState is the gob state frame: the shard's counters and cutoff and,
+// gobSegState is the gob state frame: a shard's counters and cutoff and,
 // in chain 0 (every chain, from a release that ran a detector per shard),
 // the detector's cumulative state.
 type gobSegState struct {

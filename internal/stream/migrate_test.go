@@ -22,10 +22,10 @@ import (
 
 // The fixtures under testdata/parent are checkpoints written by parent
 // commits (see the README there): real bytes of each shape the previous
-// release may hand this one — its own, and the manifest-2 directories it
-// was still continuing in place, written before the router owned the one
-// certificate roster, before it owned the one §3.2 detector, and before
-// the frames left gob.
+// release may hand this one — its own, at one shard and at two, and the
+// manifest-2 directories it was still continuing in place, written before
+// the router owned the one certificate roster, before it owned the one
+// §3.2 detector, and before the frames left gob.
 
 // fixtureRows is the slice of the fixture build those checkpoints were
 // fed: every 24th connection and the certificates their chains name,
@@ -230,20 +230,57 @@ func numbering(t testing.TB, e *Engine) exportNumbering {
 	return n
 }
 
-// TestMigrateParentCheckpoints restores each older checkpoint shape from
-// the bytes a parent commit wrote, resumes it to the reports of an engine
-// fed the same rows — serving a cursor taken before the upgrade exactly
-// the rows fed since, where the writer exported — and requires the first
-// write afterwards to continue the parent's own chains with one delta
-// under a version-3 manifest, which restores to the same place and is
-// continued by deltas from then on. The routed-* three differ from today's
-// directories only by a certificate repeated in every chain that
-// referenced it, the roster-* three only by a detector state in every
-// chain. The roster-* writers ran a detector per shard and recorded what
-// the deployment's §3.2 state was: the one detector restored from their
-// chains must hold exactly that, and keep holding it once this release's
-// deltas — detector state in chain 0 alone — sit on top of the writer's
-// segments. The v2-* two, from before the router, are refused.
+// deltaSince requires the writer's cursor from before the upgrade to get,
+// from e resumed with the rows fed since, a delta of exactly those rows,
+// in the order fed — not a 410. Under e's retention, which sweeps on every
+// apply (gobFixtureConfig), that is the connections still inside it.
+func deltaSince(t *testing.T, e *Engine, next, epoch uint64, fx *fixture) {
+	t.Helper()
+	delta, err := e.Export(next, epoch)
+	if err != nil {
+		t.Fatalf("the writer's cursor after the upgrade: %v", err)
+	}
+	conns := fx.after
+	if delta.Retention > 0 {
+		cutoff := delta.Watermark.Add(-delta.Retention)
+		conns = nil
+		for _, c := range fx.after {
+			if !c.TS.Before(cutoff) {
+				conns = append(conns, c)
+			}
+		}
+	}
+	if len(delta.Certs) != len(fx.late) || len(delta.Conns) != len(conns) {
+		t.Fatalf("delta carries %d certificates and %d connections, want the %d and %d fed since",
+			len(delta.Certs), len(delta.Conns), len(fx.late), len(conns))
+	}
+	for i, c := range delta.Certs {
+		if c.Cert.Fingerprint != fx.late[i].Fingerprint {
+			t.Fatalf("delta certificate %d is %s, want %s as fed", i, c.Cert.Fingerprint, fx.late[i].Fingerprint)
+		}
+	}
+	for i, c := range delta.Conns {
+		if c.Conn.UID != conns[i].UID {
+			t.Fatalf("delta connection %d is %s, want %s as fed", i, c.Conn.UID, conns[i].UID)
+		}
+	}
+}
+
+// TestMigrateParentCheckpoints restores each gob-framed checkpoint shape
+// from the bytes a parent commit wrote into the one window, resumes it to
+// the reports of an engine fed the same rows — serving a cursor taken
+// before the upgrade exactly the rows fed since, where the writer exported
+// — and requires the first write afterwards to rewrite it as one base of
+// this release's frames with the writer's segments gone, which restores to
+// the same place and is continued by deltas from then on. The routed-*
+// three differ from today's directories by a certificate repeated in
+// every chain that referenced it, the roster-* three by a detector state
+// in every chain, and the *-sharded-* two by a second chain. The roster-*
+// writers ran a detector per shard and recorded what the deployment's
+// §3.2 state was: the one detector restored from their chains must hold
+// exactly that, and keep holding it once the rewrite has put it in the
+// one chain's state frame. The v2-* two, from before the router, are
+// refused.
 func TestMigrateParentCheckpoints(t *testing.T) {
 	fx := loadFixture()
 	ref := newEngine(t, fx.in, nil)
@@ -253,28 +290,27 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 	want := allReports(t, ref)
 
 	for _, c := range []struct {
-		name, path string
-		shards     int
-		export     bool   // the writer exported; <name>.export.json is its numbering
-		detector   string // the export record holding the writer's §3.2 state ("": not recorded)
+		name     string
+		export   bool   // the writer exported; <name>.export.json is its numbering
+		detector string // the export record holding the writer's §3.2 state ("": not recorded)
 	}{
-		{"routed-plain", "routed-plain", 1, false, ""},
-		{"routed-export", "routed-export", 1, true, ""},
-		{"routed-sharded-export", "routed-sharded-export", 2, true, ""},
+		{"routed-plain", false, ""},
+		{"routed-export", true, ""},
+		{"routed-sharded-export", true, ""},
 		// The same rows at one shard hold the same §3.2 state, so the plain
 		// writer — which could not export — is held to the exporting one's.
-		{"roster-plain", "roster-plain", 1, false, "roster-export"},
-		{"roster-export", "roster-export", 1, true, "roster-export"},
-		{"roster-sharded-export", "roster-sharded-export", 2, true, "roster-sharded-export"},
+		{"roster-plain", false, "roster-export"},
+		{"roster-export", true, "roster-export"},
+		{"roster-sharded-export", true, "roster-sharded-export"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			tmp := t.TempDir()
 			copyDir(t, filepath.Join("testdata", "parent"), tmp)
-			path := filepath.Join(tmp, c.path)
+			path := filepath.Join(tmp, c.name)
 			cfg := Config{Input: fx.in, TrackExport: c.export}
 			restore := func() (*Engine, map[string]int64) {
 				t.Helper()
-				eng, cursor, err := RestoreSharded(cfg, c.shards, path)
+				eng, cursor, err := Restore(cfg, path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -323,13 +359,13 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 					}
 				}
 				held(eng, "restored from the parent's bytes")
-				// The same on a copy this release has continued before the late
-				// certificates arrive: the writer's chain-1 state now lies under
-				// a delta that carries none, and what it had parked is in chain
-				// 0's — restored once, not once per segment that mentions it.
-				side := filepath.Join(t.TempDir(), "continued")
+				// The same on a copy this release has rewritten before the late
+				// certificates arrive: what every chain had parked is now in the
+				// one base's state frame — restored once, not once per chain
+				// that held it.
+				side := filepath.Join(t.TempDir(), "rewritten")
 				copyDir(t, path, side)
-				early, cursor, err := RestoreSharded(cfg, c.shards, side)
+				early, cursor, err := Restore(cfg, side)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -337,59 +373,27 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 					t.Fatal(err)
 				}
 				early.Close()
-				if early, _, err = RestoreSharded(cfg, c.shards, side); err != nil {
+				if early, _, err = Restore(cfg, side); err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(early.Close)
-				held(early, "restored from the parent's bytes under one delta")
+				held(early, "restored from the rewritten base")
 			}
 			feedRows(t, eng, fx.late, fx.after)
 			eng.Drain()
 			diffReports(t, "resumed from the parent's bytes", want, allReports(t, eng))
 			if c.export {
-				// A sensor's cursor from before the upgrade: a delta, not a 410.
-				delta, err := eng.Export(recorded.NextSeq, recorded.Epoch)
-				if err != nil {
-					t.Fatalf("the writer's cursor after the upgrade: %v", err)
-				}
-				if len(delta.Certs) != len(fx.late) || len(delta.Conns) != len(fx.after) {
-					t.Fatalf("delta carries %d certificates and %d connections, want the %d and %d fed since",
-						len(delta.Certs), len(delta.Conns), len(fx.late), len(fx.after))
-				}
-				for i, c := range delta.Certs {
-					if c.Cert.Fingerprint != fx.late[i].Fingerprint {
-						t.Fatalf("delta certificate %d is %s, want %s as fed", i, c.Cert.Fingerprint, fx.late[i].Fingerprint)
-					}
-				}
-				for i, c := range delta.Conns {
-					if c.Conn.UID != fx.after[i].UID {
-						t.Fatalf("delta connection %d is %s, want %s as fed", i, c.Conn.UID, fx.after[i].UID)
-					}
-				}
+				deltaSince(t, eng, recorded.NextSeq, recorded.Epoch, fx)
 			}
 
 			end := map[string]int64{"conn_index": int64(len(fx.before) + len(fx.after))}
 			if err := eng.WriteCheckpoint(path, end); err != nil {
 				t.Fatal(err)
 			}
-			man := assertOnlyCommitted(t, path)
-			if len(man.Chains) != c.shards {
-				t.Fatalf("manifest names %d chains, want %d", len(man.Chains), c.shards)
-			}
-			for i, chain := range man.Chains {
-				kept := written.Chains[i]
-				if len(chain) != len(kept)+1 || !reflect.DeepEqual(chain[:len(kept)], kept) {
-					t.Fatalf("chain %d is %v, want the writer's segments %v and one delta", i, chain, kept)
-				}
-				// The detector is the router's: its state rides chain 0.
-				sg := chain[len(chain)-1]
-				st, err := readSegmentState(filepath.Join(path, sg.Name), sg.Bytes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if (st.Parked != nil) != (i == 0) {
-					t.Fatalf("chain %d's new segment carries detector state: %v, want it in chain 0 alone", i, st.Parked != nil)
-				}
+			// The detector is the router's: its state rides the base.
+			sg := rewritten(t, path, written)[0]
+			if st, err := readSegmentState(filepath.Join(path, sg.Name), sg.Bytes); err != nil || st.Parked == nil {
+				t.Fatalf("the base carries no detector state (%v)", err)
 			}
 
 			again, cursor := restore()
@@ -412,8 +416,8 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 			if err := again.WriteCheckpoint(path, end); err != nil {
 				t.Fatal(err)
 			}
-			if man := assertOnlyCommitted(t, path); len(man.Chains[0]) != len(written.Chains[0])+2 {
-				t.Fatalf("chain 0 has %d segments after a second write, want one more delta (%d)", len(man.Chains[0]), len(written.Chains[0])+2)
+			if man := assertOnlyCommitted(t, path); len(man.Chains) != 1 || len(man.Chains[0]) != 2 {
+				t.Fatalf("chains %v after a second write, want the base and one delta", man.Chains)
 			}
 			third, _ := restore()
 			diffReports(t, "restored from the continued directory", want, allReports(t, third))
@@ -512,8 +516,8 @@ func TestRetiredCheckpointsRefused(t *testing.T) {
 const unreadSegment = "segment bytes a refusal never reads"
 
 // assertRefused writes files under a fresh root and requires a restore of
-// root/ckpt under cfg, at either shard count, to be refused naming shape
-// and retiredRelease, with the tree left byte for byte as it was.
+// root/ckpt under cfg to be refused naming shape and retiredRelease, with
+// the tree left byte for byte as it was.
 func assertRefused(t *testing.T, cfg Config, shape string, files map[string]string) {
 	t.Helper()
 	root := t.TempDir()
@@ -527,15 +531,13 @@ func assertRefused(t *testing.T, cfg Config, shape string, files map[string]stri
 		}
 	}
 	before := treeOf(t, root)
-	for _, n := range []int{0, 1} {
-		eng, _, err := RestoreSharded(cfg, n, filepath.Join(root, "ckpt"))
-		if err == nil {
-			eng.Close()
-			t.Fatalf("n=%d: a retired shape restored", n)
-		}
-		if errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), shape) || !strings.Contains(err.Error(), retiredRelease) {
-			t.Fatalf("n=%d: err = %v; want a refusal naming the shape (%q) and %s, not os.ErrNotExist", n, err, shape, retiredRelease)
-		}
+	eng, _, err := Restore(cfg, filepath.Join(root, "ckpt"))
+	if err == nil {
+		eng.Close()
+		t.Fatal("a retired shape restored")
+	}
+	if errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), shape) || !strings.Contains(err.Error(), retiredRelease) {
+		t.Fatalf("err = %v; want a refusal naming the shape (%q) and %s, not os.ErrNotExist", err, shape, retiredRelease)
 	}
 	if after := treeOf(t, root); !reflect.DeepEqual(after, before) {
 		t.Fatalf("the refusal changed the tree: %d paths before, %d after", len(before), len(after))

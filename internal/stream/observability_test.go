@@ -2,10 +2,8 @@ package stream
 
 import (
 	"errors"
-	"fmt"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -133,96 +131,83 @@ func TestReportPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestEngineMetrics: at one shard and at two, the registry's series agree
-// with the engine's own Stats counters after a full drain — the per-shard
-// ones summed over their shard="i" labels, the view's once for the engine
-// under every name a replay is counted — and the latency/duration
+// TestEngineMetrics: the registry's series agree with the engine's own
+// Stats counters after a full drain — one unlabelled series each, the
+// view's under every name a replay is counted — and the latency/duration
 // histograms saw traffic.
 func TestEngineMetrics(t *testing.T) {
 	b := genBuild(20240504, 2000)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	for _, n := range []int{1, 2} {
-		reg := metrics.New()
-		e := newSharded(t, n, in, func(c *Config) { c.Metrics = reg })
-		feed(t, e, b)
-		e.Drain()
-		const reads = 3 // the first replays; nothing moved before the others
-		for i := 0; i < reads; i++ {
-			if a := e.Analysis(); a == nil {
-				t.Fatal("nil analysis")
-			}
+	reg := metrics.New()
+	e := newEngine(t, in, func(c *Config) { c.Metrics = reg })
+	feed(t, e, b)
+	e.Drain()
+	const reads = 3 // the first replays; nothing moved before the others
+	for i := 0; i < reads; i++ {
+		if a := e.Analysis(); a == nil {
+			t.Fatal("nil analysis")
 		}
-		ckpt := filepath.Join(t.TempDir(), "m.ckpt")
-		if err := e.WriteCheckpoint(ckpt, nil); err != nil {
-			t.Fatal(err)
-		}
+	}
+	ckpt := filepath.Join(t.TempDir(), "m.ckpt")
+	if err := e.WriteCheckpoint(ckpt, nil); err != nil {
+		t.Fatal(err)
+	}
 
-		st := e.Stats()
-		var conns, applied, checkpoints uint64
-		var ckptBytes float64
-		for i := 0; i < n; i++ {
-			shard := []string{"shard", strconv.Itoa(i)}
-			conns += reg.Counter("stream_conns_ingested_total", "", shard...).Value()
-			applied += reg.Histogram("stream_apply_latency_seconds", "", nil, shard...).Count()
-			checkpoints += reg.Counter("stream_checkpoints_total", "", shard...).Value()
-			ckptBytes += reg.Gauge("stream_checkpoint_bytes", "", shard...).Value()
-		}
-		if conns != st.ConnsIngested || st.ConnsIngested != uint64(len(b.Raw.Conns)) {
-			t.Errorf("shards=%d: conns counters sum to %d, stats = %d, fed %d", n, conns, st.ConnsIngested, len(b.Raw.Conns))
-		}
-		// One batch per connection was fed; a certificate crosses no shard
-		// buffer.
-		if applied != st.ConnsIngested {
-			t.Errorf("shards=%d: apply latency observations = %d, want %d", n, applied, st.ConnsIngested)
-		}
-		if got := reg.Counter("stream_certs_ingested_total", "").Value(); got != st.CertsIngested || got != uint64(len(b.Raw.Certs)) {
-			t.Errorf("shards=%d: certs counter = %d, stats = %d, fed %d", n, got, st.CertsIngested, len(b.Raw.Certs))
-		}
-		if got := reg.Gauge("stream_store_hot_certs", "").Value(); int(got) != st.UniqueCerts {
-			t.Errorf("shards=%d: roster gauge = %v, stats = %d", n, got, st.UniqueCerts)
-		}
-		if checkpoints != uint64(n) || ckptBytes <= 0 {
-			t.Errorf("shards=%d: %d checkpoint segments counted, %v bytes; want one per shard", n, checkpoints, ckptBytes)
-		}
-		// The first read replayed, under every name that is counted.
-		var replays uint64
-		for _, k := range mergeReplays(reg) {
-			replays += k
-		}
-		if got := reg.Counter("stream_rebuilds_total", "").Value(); got != 1 || replays != 1 || st.Rebuilds != 1 {
-			t.Errorf("shards=%d: rebuilds counter = %d, replays by reason = %d (%v), stats = %d; want 1 each",
-				n, got, replays, mergeReplays(reg), st.Rebuilds)
-		}
-		if got := reg.Histogram("stream_rebuild_seconds", "", nil).Count(); got != 1 {
-			t.Errorf("shards=%d: rebuild histogram saw %d replays, want 1", n, got)
-		}
-		if merges, timed := reg.Counter("stream_merges_total", "").Value(), reg.Histogram("stream_merge_seconds", "", nil).Count(); merges != 1 || timed != 1 {
-			t.Errorf("shards=%d: %d merges counted, %d timed, want 1 each", n, merges, timed)
-		}
-		if got := reg.Histogram("stream_materialize_seconds", "", nil).Count(); got != reads {
-			t.Errorf("shards=%d: materialize histogram saw %d reads, want %d", n, got, reads)
-		}
-		if got := reg.Histogram("stream_checkpoint_seconds", "", nil).Count(); got != 1 {
-			t.Errorf("shards=%d: checkpoint histogram saw %d commits, want 1", n, got)
-		}
-		var buf strings.Builder
-		if err := reg.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		for _, want := range []string{
-			fmt.Sprintf("stream_shards %d", n),
-			fmt.Sprintf(`stream_conns_ingested_total{shard="%d"}`, n-1),
-			"stream_certs_ingested_total ",
-			"stream_store_hot_certs ",
-			fmt.Sprintf(`stream_buffer_capacity{shard="%d"}`, n-1),
-			fmt.Sprintf(`stream_buffer_occupancy{shard="%d"}`, n-1),
-			fmt.Sprintf(`stream_conns_retained{shard="%d"}`, n-1),
-			`stream_merge_replays_total{reason="order"} 0`,
-		} {
-			if !strings.Contains(buf.String(), want) {
-				t.Errorf("shards=%d: exposition missing %s", n, want)
-			}
+	st := e.Stats()
+	conns := reg.Counter("stream_conns_ingested_total", "").Value()
+	if conns != st.ConnsIngested || st.ConnsIngested != uint64(len(b.Raw.Conns)) {
+		t.Errorf("conns counter = %d, stats = %d, fed %d", conns, st.ConnsIngested, len(b.Raw.Conns))
+	}
+	// One batch per connection was fed; a certificate crosses no buffer.
+	if applied := reg.Histogram("stream_apply_latency_seconds", "", nil).Count(); applied != st.ConnsIngested {
+		t.Errorf("apply latency observations = %d, want %d", applied, st.ConnsIngested)
+	}
+	if got := reg.Counter("stream_certs_ingested_total", "").Value(); got != st.CertsIngested || got != uint64(len(b.Raw.Certs)) {
+		t.Errorf("certs counter = %d, stats = %d, fed %d", got, st.CertsIngested, len(b.Raw.Certs))
+	}
+	if got := reg.Gauge("stream_store_hot_certs", "").Value(); int(got) != st.UniqueCerts {
+		t.Errorf("roster gauge = %v, stats = %d", got, st.UniqueCerts)
+	}
+	if checkpoints, ckptBytes := reg.Counter("stream_checkpoints_total", "").Value(), reg.Gauge("stream_checkpoint_bytes", "").Value(); checkpoints != 1 || ckptBytes <= 0 {
+		t.Errorf("%d checkpoint segments counted, %v bytes; want one", checkpoints, ckptBytes)
+	}
+	// The first read replayed, under every name that is counted.
+	var replays uint64
+	for _, k := range mergeReplays(reg) {
+		replays += k
+	}
+	if got := reg.Counter("stream_rebuilds_total", "").Value(); got != 1 || replays != 1 || st.Rebuilds != 1 {
+		t.Errorf("rebuilds counter = %d, replays by reason = %d (%v), stats = %d; want 1 each",
+			got, replays, mergeReplays(reg), st.Rebuilds)
+	}
+	if got := reg.Histogram("stream_rebuild_seconds", "", nil).Count(); got != 1 {
+		t.Errorf("rebuild histogram saw %d replays, want 1", got)
+	}
+	if merges, timed := reg.Counter("stream_merges_total", "").Value(), reg.Histogram("stream_merge_seconds", "", nil).Count(); merges != 1 || timed != 1 {
+		t.Errorf("%d merges counted, %d timed, want 1 each", merges, timed)
+	}
+	if got := reg.Histogram("stream_materialize_seconds", "", nil).Count(); got != reads {
+		t.Errorf("materialize histogram saw %d reads, want %d", got, reads)
+	}
+	if got := reg.Histogram("stream_checkpoint_seconds", "", nil).Count(); got != 1 {
+		t.Errorf("checkpoint histogram saw %d commits, want 1", got)
+	}
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"stream_conns_ingested_total ",
+		"stream_certs_ingested_total ",
+		"stream_store_hot_certs ",
+		"stream_buffer_capacity ",
+		"stream_buffer_occupancy ",
+		"stream_conns_retained ",
+		`stream_merge_replays_total{reason="order"} 0`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %s", want)
 		}
 	}
 }

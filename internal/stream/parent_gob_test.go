@@ -19,17 +19,16 @@ import (
 
 // The detector-* fixtures are manifest-2 directories of gob frames (commit
 // 01cd2dd, the last to write gob), the binary-* ones manifest-3
-// directories of this release's frames as the previous release wrote them
-// (commit 7a5e8ef, the release this one reads back to; README.md beside
-// them has both writers): one shard and two, exporting, under a retention
-// window that evicted between commits, a base and two deltas a chain, the
-// detector's state in every segment of chain 0 and 26 observations parked
-// in it. Each sits beside its writer's Stats and Export(0, 0) at the last
-// commit.
+// directories of this release's frames (commit 7a5e8ef; the previous
+// release, dc2bc03, writes the same bytes; README.md beside them has both
+// writers): one shard and two, exporting, under a retention window that
+// evicted between commits, a base and two deltas a chain, the detector's
+// state in every segment of chain 0 and 26 observations parked in it.
+// Each sits beside its writer's Stats and Export(0, 0) at the last commit.
 
-// gobFixtureConfig is the configuration the writer ran under: a shard's
-// every apply runs an eviction pass, so the retained window is a function
-// of the rows applied, not of where a restart fell between passes.
+// gobFixtureConfig is the configuration the writer ran under: every apply
+// runs an eviction pass, so the retained window is a function of the rows
+// applied, not of where a restart fell between passes.
 func gobFixtureConfig(fx *fixture) Config {
 	return Config{Input: fx.in, TrackExport: true, Retention: 400 * 24 * time.Hour, EvictEvery: 1}
 }
@@ -76,23 +75,63 @@ func frameTypes(t *testing.T, dir string, sg ckptSeg) (types []byte) {
 	return types
 }
 
-func isGob(typ byte) bool { return typ <= gobFrameConns }
+// stateOf returns a committed segment's state frame, of either generation.
+func stateOf(t *testing.T, dir string, sg ckptSeg) (st *segState) {
+	t.Helper()
+	err := eachFrame(filepath.Join(dir, sg.Name), sg.Bytes, func(typ byte, body []byte) (err error) {
+		if st, err = decodeState(typ, body); err == nil {
+			err = io.EOF
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
-// TestParentGobDirectories restores each parent-written directory to
-// exactly what its writer recorded, resumes it to the 23 reports of an
-// engine that was never stopped, and then lives with it the way an upgraded
-// daemon does: the first commit puts a delta of this release's frames on
-// the writer's own chains under a version-3 manifest — a gob chain becomes
-// a mixed one — the continued chain restores to the writer's record again,
-// and a fold turns it into one base of this release's frames alone that
-// restores to the same reports. (The reference is an engine under the
-// writer's retention, not the batch pipeline: batch has no window.)
+// rewritten requires the directory at dir, after the first commit over
+// written, to be one chain of one base of this release's frames, none of
+// written's segments left, and returns the chain.
+func rewritten(t *testing.T, dir string, written *ckptManifest) []ckptSeg {
+	t.Helper()
+	man := assertOnlyCommitted(t, dir)
+	if len(man.Chains) != 1 || len(man.Chains[0]) != 1 {
+		t.Fatalf("chains %v after the first commit, want one base", man.Chains)
+	}
+	for _, chain := range written.Chains {
+		for _, sg := range chain {
+			if sg.Name == man.Chains[0][0].Name {
+				t.Fatalf("the base took the name of the writer's %s", sg.Name)
+			}
+		}
+	}
+	for _, typ := range frameTypes(t, dir, man.Chains[0][0]) {
+		if isGob(typ) {
+			t.Fatalf("the base holds a gob frame (type %d)", typ)
+		}
+	}
+	return man.Chains[0]
+}
+
+// TestParentGobDirectories restores each parent-written directory into
+// the one window, holding exactly what its writer recorded, resumes it to
+// the 23 reports of an engine that was never stopped, and then lives with
+// it the way an upgraded daemon does. The one-chain directory of this
+// release's frames is this release's own shape: the first commit puts a
+// delta on the writer's chain. Every other one — two chains, or gob
+// frames — the first commit rewrites as one base of this release's frames,
+// and the writer's segments are gone; the base restores to the writer's
+// record again. Either way a second delta and a fold follow, and the
+// folded base restores to the same reports. (The reference is an engine
+// under the writer's retention, not the batch pipeline: batch has no
+// window.)
 func TestParentGobDirectories(t *testing.T) {
 	fx := loadFixture()
 	cfg := gobFixtureConfig(fx)
 	for _, c := range []struct {
 		name    string
-		shards  int
+		chains  int
 		version int // the writer's manifest version: 2 holds gob frames alone, 3 none
 	}{
 		{"detector-export", 1, 2},
@@ -101,7 +140,7 @@ func TestParentGobDirectories(t *testing.T) {
 		{"binary-sharded-export", 2, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ref := newSharded(t, c.shards, fx.in, func(cf *Config) { *cf = cfg })
+			ref := newEngine(t, fx.in, func(cf *Config) { *cf = cfg })
 			feedRows(t, ref, fx.early, fx.before)
 			feedRows(t, ref, fx.late, fx.after)
 			ref.Drain()
@@ -118,6 +157,9 @@ func TestParentGobDirectories(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(written.Chains) != c.chains {
+				t.Fatalf("the fixture names %d chains, want %d", len(written.Chains), c.chains)
+			}
 			cutoffs := 0
 			for i, chain := range written.Chains {
 				if written.Version != c.version || len(chain) != 3 {
@@ -129,11 +171,7 @@ func TestParentGobDirectories(t *testing.T) {
 							t.Fatalf("fixture segment %s holds frame type %d: not its writer's bytes", sg.Name, typ)
 						}
 					}
-					st, err := readSegmentState(filepath.Join(dir, sg.Name), sg.Bytes)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !st.EvictCutoff.IsZero() {
+					if !stateOf(t, dir, sg).EvictCutoff.IsZero() {
 						cutoffs++
 					}
 				}
@@ -143,7 +181,7 @@ func TestParentGobDirectories(t *testing.T) {
 			}
 			restore := func() *Engine {
 				t.Helper()
-				e, cursor, err := RestoreSharded(cfg, c.shards, dir)
+				e, cursor, err := Restore(cfg, dir)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,40 +197,45 @@ func TestParentGobDirectories(t *testing.T) {
 			feedRows(t, resumed, fx.late, fx.after)
 			resumed.Drain()
 			diffReports(t, "resumed from the parent's bytes", want, allReports(t, resumed))
+			deltaSince(t, resumed, wrote.Export.NextSeq, wrote.Export.Epoch, fx)
 			resumed.Close() // it never wrote: the directory is still the parent's
 
-			// The upgrade's first commit: an empty delta of this release's
-			// frames on every one of the writer's chains, under a version-3
-			// manifest.
+			// The upgrade's first commit, over nothing new.
 			cursor := map[string]int64{"conn_index": int64(len(fx.before))}
 			upgraded := restore()
 			if err := upgraded.WriteCheckpoint(dir, cursor); err != nil {
 				t.Fatal(err)
 			}
-			man := assertOnlyCommitted(t, dir)
-			for i, chain := range man.Chains {
-				if len(chain) != 4 || !reflect.DeepEqual(chain[:3], written.Chains[i]) {
-					t.Fatalf("chain %d is %v, want the writer's %v and one delta", i, chain, written.Chains[i])
+			own := c.chains == 1 && c.version == 3
+			if own {
+				// Continued in place: one state frame on the writer's chain.
+				man := assertOnlyCommitted(t, dir)
+				chain := man.Chains[0]
+				if len(man.Chains) != 1 || len(chain) != 4 || !reflect.DeepEqual(chain[:3], written.Chains[0]) {
+					t.Fatalf("chains %v, want the writer's %v and one delta", man.Chains, written.Chains[0])
 				}
 				if types := frameTypes(t, dir, chain[3]); len(types) != 1 || types[0] != segFrameState {
-					t.Fatalf("chain %d's delta over nothing new holds frames %v, want one state frame", i, types)
+					t.Fatalf("the delta over nothing new holds frames %v, want one state frame", types)
 				}
+			} else {
+				rewritten(t, dir, written)
 			}
-			wrote.held(t, restore(), "restored from the writer's chain under a delta of this release's")
+			wrote.held(t, restore(), "restored from the first commit")
 
 			// It goes on: the late certificates and the rest of the
-			// connections, a second delta — evidence pairs, roster and
-			// connection frames this time — and a fold.
+			// connections, a delta — evidence pairs, roster and connection
+			// frames this time — and a fold.
 			feedRows(t, upgraded, fx.late, fx.after)
 			upgraded.Drain()
 			if err := upgraded.WriteCheckpoint(dir, cursor); err != nil {
 				t.Fatal(err)
 			}
-			man = assertOnlyCommitted(t, dir)
-			types := frameTypes(t, dir, man.Chains[0][4])
+			man := assertOnlyCommitted(t, dir)
+			chain := man.Chains[0]
+			types := frameTypes(t, dir, chain[len(chain)-1])
 			for _, typ := range []byte{segFrameState, segFrameCerts, segFrameEvidence, segFrameConns} {
 				if !slices.Contains(types, typ) {
-					t.Fatalf("chain 0's second delta holds frames %v, want one of type %d among them", types, typ)
+					t.Fatalf("the delta holds frames %v, want one of type %d among them", types, typ)
 				}
 			}
 			evidence := func(e *Engine) *interception.Evidence {
@@ -206,21 +249,19 @@ func TestParentGobDirectories(t *testing.T) {
 			continued := restore()
 			diffReports(t, "restored from the continued chain", want, allReports(t, continued))
 			if !reflect.DeepEqual(evidence(continued), evidence(upgraded)) {
-				t.Fatal("the continued chain restores to other §3.2 evidence than the engine that wrote it holds: the writer's state and evidence frames and this release's are a union")
+				t.Fatal("the continued chain restores to other §3.2 evidence than the engine that wrote it holds")
 			}
 			before := numbering(t, upgraded)
 			if err := upgraded.Compact(); err != nil {
 				t.Fatal(err)
 			}
 			man = assertOnlyCommitted(t, dir)
-			for i, chain := range man.Chains {
-				if len(chain) != 1 {
-					t.Fatalf("chain %d has %d segments after the fold, want 1", i, len(chain))
-				}
-				for _, typ := range frameTypes(t, dir, chain[0]) {
-					if isGob(typ) {
-						t.Fatalf("chain %d's folded base still holds a gob frame (type %d)", i, typ)
-					}
+			if len(man.Chains) != 1 || len(man.Chains[0]) != 1 {
+				t.Fatalf("chains %v after the fold, want one base", man.Chains)
+			}
+			for _, typ := range frameTypes(t, dir, man.Chains[0][0]) {
+				if isGob(typ) {
+					t.Fatalf("the folded base still holds a gob frame (type %d)", typ)
 				}
 			}
 			folded := restore()

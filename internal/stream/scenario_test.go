@@ -64,7 +64,7 @@ func TestStreamMatchesBatchSpec(t *testing.T) {
 	}
 }
 
-// TestStreamSpecParallelMaterialize: the same contract with sharded
+// TestStreamSpecParallelMaterialize: the same contract with parallel
 // materialization workers.
 func TestStreamSpecParallelMaterialize(t *testing.T) {
 	b := genSpecBuild(t, 2000)

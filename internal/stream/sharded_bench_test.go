@@ -34,41 +34,36 @@ func benchCertRecs(bld *workload.Build) []core.CertRecord {
 }
 
 // BenchmarkShardedIngest measures ingest throughput (feed + drain, no
-// materialization) at shard counts 1/2/4/8 on the batched router path —
-// one lock acquisition and one channel operation per shard per batch.
-// On a single-core host the counts collapse onto shards=1; the shape of
-// the scaling is only visible with cores to spend.
+// materialization) on the batched router path — one lock acquisition and
+// one channel operation per batch. Its name is the one the shard-count
+// rows it replaced were read under.
 func BenchmarkShardedIngest(b *testing.B) {
 	bld := getBenchBuild()
 	in := inputFromBuild(bld)
 	in.Raw = nil
 	certRecs := benchCertRecs(bld)
 	events := len(certRecs) + len(bld.Raw.Conns)
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s, err := NewSharded(n, Config{Input: in})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for lo := 0; lo < len(certRecs); lo += benchBatch {
-					s.IngestCertBatch(certRecs[lo:min(lo+benchBatch, len(certRecs)):len(certRecs)])
-				}
-				for lo := 0; lo < len(bld.Raw.Conns); lo += benchBatch {
-					s.IngestConnBatch(bld.Raw.Conns[lo:min(lo+benchBatch, len(bld.Raw.Conns))])
-				}
-				s.Drain()
-				s.Close()
-			}
-			b.ReportMetric(float64(events*b.N)/b.Elapsed().Seconds(), "events/s")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(Config{Input: in})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < len(certRecs); lo += benchBatch {
+			s.IngestCertBatch(certRecs[lo:min(lo+benchBatch, len(certRecs)):len(certRecs)])
+		}
+		for lo := 0; lo < len(bld.Raw.Conns); lo += benchBatch {
+			s.IngestConnBatch(bld.Raw.Conns[lo:min(lo+benchBatch, len(bld.Raw.Conns))])
+		}
+		s.Drain()
+		s.Close()
 	}
+	b.ReportMetric(float64(events*b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkShardedMaterialize prices the other side of the trade, the
-// first materialization after new events on a four-shard deployment.
+// BenchmarkShardedMaterialize prices the first materialization after new
+// events.
 // catchup is the usual case — a fixed 1 000-connection delta appended to
 // the merged view's Builder — at two window sizes, and must read flat
 // across them; replay is the rare one (the verdict grew, a late
@@ -83,7 +78,7 @@ func BenchmarkShardedMaterialize(b *testing.B) {
 	for _, cycles := range []int{1, 4} {
 		window := cycles * len(bld.Raw.Conns)
 		start := func(b *testing.B) *Engine {
-			s, err := NewSharded(4, Config{Input: in})
+			s, err := New(Config{Input: in})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -118,11 +113,11 @@ func BenchmarkShardedMaterialize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Every reason costs the same replay; a loss is the one that
 				// can be injected without new evidence.
-				e := s.shards[0]
-				e.mu.Lock()
-				e.evicted++
-				e.stateVer.Add(1)
-				e.mu.Unlock()
+				w := s.win
+				w.mu.Lock()
+				w.evicted++
+				w.stateVer.Add(1)
+				w.mu.Unlock()
 				s.WithPipeline(func(*core.Pipeline) {})
 			}
 			if st := s.view.Stats(); st.Replays != uint64(1+b.N) {

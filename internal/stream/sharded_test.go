@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,75 +15,54 @@ import (
 	"repro/internal/report"
 )
 
-// shardCounts is the acceptance matrix: an engine must be
-// indistinguishable from the batch pipeline at every one of these.
-var shardCounts = []int{1, 2, 4, 8}
-
-func newSharded(t *testing.T, n int, in *core.Input, mutate func(*Config)) *Engine {
-	t.Helper()
-	cfg := Config{Input: in}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	s, err := NewSharded(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	return s
-}
-
-// TestShardedMatchesSingleAndBatch is the tentpole contract: at every
-// shard count, one included, draining the same event stream yields an
-// Analysis deeply equal to the batch pipeline's.
+// TestShardedMatchesSingleAndBatch is the contract a deployment that used
+// to ask for shards now gets from the one window: draining the event
+// stream yields an Analysis deeply equal to the batch pipeline's, with the
+// ingest counters exact.
 func TestShardedMatchesSingleAndBatch(t *testing.T) {
 	b := genBuild(20240504, 1200)
 	batch := core.Run(inputFromBuild(b))
 	in := inputFromBuild(b)
 	in.Raw = nil
 
-	for _, n := range shardCounts {
-		s := newSharded(t, n, in, nil)
-		feed(t, s, b)
-		s.Drain()
-		if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: analysis differs from batch", n)
-		}
-		st := s.Stats()
-		if st.ConnsIngested != uint64(len(b.Raw.Conns)) {
-			t.Errorf("shards=%d: ConnsIngested = %d, want %d", n, st.ConnsIngested, len(b.Raw.Conns))
-		}
-		if st.UniqueCerts != len(b.Raw.Certs) {
-			t.Errorf("shards=%d: UniqueCerts = %d, want %d", n, st.UniqueCerts, len(b.Raw.Certs))
-		}
-		if st.Dropped != 0 {
-			t.Errorf("shards=%d: unexpected drops: %d", n, st.Dropped)
-		}
+	s := newEngine(t, in, nil)
+	feed(t, s, b)
+	s.Drain()
+	if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
+		t.Error("analysis differs from batch")
+	}
+	st := s.Stats()
+	if st.ConnsIngested != uint64(len(b.Raw.Conns)) {
+		t.Errorf("ConnsIngested = %d, want %d", st.ConnsIngested, len(b.Raw.Conns))
+	}
+	if st.UniqueCerts != len(b.Raw.Certs) {
+		t.Errorf("UniqueCerts = %d, want %d", st.UniqueCerts, len(b.Raw.Certs))
+	}
+	if st.Dropped != 0 {
+		t.Errorf("unexpected drops: %d", st.Dropped)
 	}
 }
 
 // TestShardedOutOfOrderCerts feeds every connection before any
 // certificate: the detector parks every observation, each late
 // certificate drains the ones waiting on it, and the drained merge must
-// still equal batch — the retroactive-evidence path at every shard count.
+// still equal batch — the retroactive-evidence path.
 func TestShardedOutOfOrderCerts(t *testing.T) {
 	b := genBuild(20240504, 1000)
 	batch := core.Run(inputFromBuild(b))
 	in := inputFromBuild(b)
 	in.Raw = nil
 
-	for _, n := range shardCounts {
-		s := newSharded(t, n, in, nil)
-		for i := range b.Raw.Conns {
-			s.IngestConn(&b.Raw.Conns[i])
-		}
-		for _, c := range b.Raw.Certs {
-			s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-		}
-		s.Drain()
-		if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: out-of-order merged analysis differs from batch", n)
-		}
+	s := newEngine(t, in, nil)
+	for i := range b.Raw.Conns {
+		s.IngestConn(&b.Raw.Conns[i])
+	}
+	for _, c := range b.Raw.Certs {
+		s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+	}
+	s.Drain()
+	if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
+		t.Error("out-of-order merged analysis differs from batch")
 	}
 }
 
@@ -104,30 +82,28 @@ func TestShardedInterleaved(t *testing.T) {
 	}
 	sort.Slice(certs, func(i, j int) bool { return certs[i].Fingerprint < certs[j].Fingerprint })
 
-	for _, n := range shardCounts {
-		s := newSharded(t, n, in, nil)
-		ci, coi := 0, 0
-		for ci < len(certs) || coi < len(b.Raw.Conns) {
-			for k := 0; k < 16 && coi < len(b.Raw.Conns); k++ {
-				s.IngestConn(&b.Raw.Conns[coi])
-				coi++
-			}
-			for k := 0; k < 8 && ci < len(certs); k++ {
-				s.IngestCert(&core.CertRecord{TS: certs[ci].NotBefore, Cert: certs[ci]})
-				ci++
-			}
+	s := newEngine(t, in, nil)
+	ci, coi := 0, 0
+	for ci < len(certs) || coi < len(b.Raw.Conns) {
+		for k := 0; k < 16 && coi < len(b.Raw.Conns); k++ {
+			s.IngestConn(&b.Raw.Conns[coi])
+			coi++
 		}
-		s.Drain()
-		if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
-			t.Errorf("shards=%d: interleaved merged analysis differs from batch", n)
+		for k := 0; k < 8 && ci < len(certs); k++ {
+			s.IngestCert(&core.CertRecord{TS: certs[ci].NotBefore, Cert: certs[ci]})
+			ci++
 		}
+	}
+	s.Drain()
+	if got := s.Analysis(); !reflect.DeepEqual(batch, got) {
+		t.Error("interleaved merged analysis differs from batch")
 	}
 }
 
-// TestShardedRetroactiveExclusion guards the cross-shard §3.2 property:
-// the workload's interception issuers must be confirmed by the MERGED
-// verdict even when their contradicting domains land on different shards
-// — no single shard needs to see enough evidence on its own.
+// TestShardedRetroactiveExclusion guards the §3.2 property over the whole
+// stream: the workload's interception issuers must be confirmed by the
+// one detector's verdict, in the reports and in Stats, exactly as batch
+// confirms them.
 func TestShardedRetroactiveExclusion(t *testing.T) {
 	b := genBuild(20240504, 1200)
 	batch := core.Run(inputFromBuild(b))
@@ -137,24 +113,19 @@ func TestShardedRetroactiveExclusion(t *testing.T) {
 	in := inputFromBuild(b)
 	in.Raw = nil
 
-	for _, n := range shardCounts {
-		s := newSharded(t, n, in, nil)
-		feed(t, s, b)
-		s.Drain()
-		got := s.Analysis()
-		if !reflect.DeepEqual(batch.Preprocess, got.Preprocess) {
-			t.Errorf("shards=%d: merged preprocess verdict differs from batch:\n got %+v\nwant %+v",
-				n, got.Preprocess, batch.Preprocess)
-		}
-		st := s.Stats()
-		if st.InterceptionIssuers != len(batch.Preprocess.InterceptionIssuers) {
-			t.Errorf("shards=%d: Stats.InterceptionIssuers = %d, want %d",
-				n, st.InterceptionIssuers, len(batch.Preprocess.InterceptionIssuers))
-		}
-		if st.ExcludedCerts != batch.Preprocess.ExcludedCerts {
-			t.Errorf("shards=%d: Stats.ExcludedCerts = %d, want %d",
-				n, st.ExcludedCerts, batch.Preprocess.ExcludedCerts)
-		}
+	s := newEngine(t, in, nil)
+	feed(t, s, b)
+	s.Drain()
+	got := s.Analysis()
+	if !reflect.DeepEqual(batch.Preprocess, got.Preprocess) {
+		t.Errorf("merged preprocess verdict differs from batch:\n got %+v\nwant %+v", got.Preprocess, batch.Preprocess)
+	}
+	st := s.Stats()
+	if st.InterceptionIssuers != len(batch.Preprocess.InterceptionIssuers) {
+		t.Errorf("Stats.InterceptionIssuers = %d, want %d", st.InterceptionIssuers, len(batch.Preprocess.InterceptionIssuers))
+	}
+	if st.ExcludedCerts != batch.Preprocess.ExcludedCerts {
+		t.Errorf("Stats.ExcludedCerts = %d, want %d", st.ExcludedCerts, batch.Preprocess.ExcludedCerts)
 	}
 }
 
@@ -167,7 +138,7 @@ func TestShardedMidStream(t *testing.T) {
 	in := inputFromBuild(b)
 	in.Raw = nil
 
-	s := newSharded(t, 4, in, nil)
+	s := newEngine(t, in, nil)
 	for _, c := range b.Raw.Certs {
 		s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
 	}
@@ -199,68 +170,58 @@ func TestShardedMidStream(t *testing.T) {
 	}
 }
 
-// TestShardedCheckpointRestoreResume kills a sharded deployment
-// mid-stream, restores every shard from the manifest, replays the
-// remainder, and requires byte-identical rendered reports — the
-// acceptance criterion for the per-shard checkpoint manifest.
+// TestShardedCheckpointRestoreResume kills a deployment fed in batches
+// mid-stream, restores it from the manifest, replays the remainder in
+// batches, and requires byte-identical rendered reports.
 func TestShardedCheckpointRestoreResume(t *testing.T) {
 	b := genBuild(20240504, 1000)
 	in := inputFromBuild(b)
 	in.Raw = nil
 
-	for _, n := range []int{1, 4} {
-		full := newSharded(t, n, in, nil)
-		feed(t, full, b)
-		full.Drain()
-		want := full.Analysis()
+	full := newEngine(t, in, nil)
+	feed(t, full, b)
+	full.Drain()
+	want := full.Analysis()
 
-		s := newSharded(t, n, in, nil)
-		for _, c := range b.Raw.Certs {
-			s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-		}
-		cut := len(b.Raw.Conns) * 2 / 5
-		for i := 0; i < cut; i++ {
-			s.IngestConn(&b.Raw.Conns[i])
-		}
-		s.Drain()
-		dir := filepath.Join(t.TempDir(), "ckpt")
-		cursor := map[string]int64{"conn_index": int64(cut)}
-		if err := s.WriteCheckpoint(dir, cursor); err != nil {
-			t.Fatal(err)
-		}
-		s.Close() // the "kill"
+	s := newEngine(t, in, nil)
+	cut := len(b.Raw.Conns) * 2 / 5
+	feedBatches(t, s, certRecords(b), b.Raw.Conns[:cut], 256)
+	s.Drain()
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	cursor := map[string]int64{"conn_index": int64(cut)}
+	if err := s.WriteCheckpoint(dir, cursor); err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // the "kill"
 
-		restored, gotCursor, err := RestoreSharded(Config{Input: in}, n, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(restored.Close)
-		if gotCursor["conn_index"] != int64(cut) {
-			t.Fatalf("shards=%d: cursor = %v, want conn_index=%d", n, gotCursor, cut)
-		}
-		for i := cut; i < len(b.Raw.Conns); i++ {
-			restored.IngestConn(&b.Raw.Conns[i])
-		}
-		restored.Drain()
-		got := restored.Analysis()
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("shards=%d: restored analysis differs from uninterrupted run", n)
-		}
-		if report.RenderAll(want) != report.RenderAll(got) {
-			t.Fatalf("shards=%d: rendered reports are not byte-identical after restore", n)
-		}
+	restored, gotCursor, err := Restore(Config{Input: in}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(restored.Close)
+	if gotCursor["conn_index"] != int64(cut) {
+		t.Fatalf("cursor = %v, want conn_index=%d", gotCursor, cut)
+	}
+	feedBatches(t, restored, nil, b.Raw.Conns[cut:], 256)
+	restored.Drain()
+	got := restored.Analysis()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("restored analysis differs from uninterrupted run")
+	}
+	if report.RenderAll(want) != report.RenderAll(got) {
+		t.Fatal("rendered reports are not byte-identical after restore")
 	}
 }
 
 // TestShardedCheckpointGenerations checks the manifest commit protocol:
 // a second checkpoint supersedes the first atomically — one more
-// generation, one more segment per chain, the second cursor — and the
-// directory holds exactly what the manifest names.
+// generation, one more segment on the one chain, the second cursor — and
+// the directory holds exactly what the manifest names.
 func TestShardedCheckpointGenerations(t *testing.T) {
 	b := genBuild(7, 500)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	s := newSharded(t, 2, in, nil)
+	s := newEngine(t, in, nil)
 	feed(t, s, b)
 	s.Drain()
 	dir := filepath.Join(t.TempDir(), "ckpt")
@@ -275,35 +236,33 @@ func TestShardedCheckpointGenerations(t *testing.T) {
 	if second.Gen != first.Gen+1 || second.Router == nil {
 		t.Fatalf("second manifest: generation %d after %d, router %v", second.Gen, first.Gen, second.Router)
 	}
-	for i, chain := range second.Chains {
-		if len(chain) != 2 || chain[0] != first.Chains[i][0] {
-			t.Fatalf("chain %d = %v, want the first commit's base %v and one delta", i, chain, first.Chains[i])
-		}
+	if len(second.Chains) != 1 || len(second.Chains[0]) != 2 || second.Chains[0][0] != first.Chains[0][0] {
+		t.Fatalf("chains %v, want the first commit's base %v and one delta", second.Chains, first.Chains[0])
 	}
-	if _, cursor, err := RestoreSharded(Config{Input: in}, 0, dir); err != nil {
+	if _, cursor, err := Restore(Config{Input: in}, dir); err != nil {
 		t.Fatal(err)
 	} else if cursor["g"] != 2 {
 		t.Fatalf("restored cursor %v, want the second generation's", cursor)
 	}
 }
 
-// TestShardedCrashMidCheckpoint: a kill -9 landing between the shard
-// writes and the manifest rename leaves the directory with the previous
-// commit's manifest plus the doomed commit's debris — a fully written
-// next segment for shard 0, a torn one for shard 1, the manifest's temp
-// file. Restore must come up on the committed generation, resume
-// cleanly, and the next checkpoint must collect every orphan.
+// TestShardedCrashMidCheckpoint: a kill -9 landing between the segment
+// write and the manifest rename leaves the directory with the previous
+// commit's manifest plus the doomed commits' debris — a fully written
+// next segment, a torn one past it, the manifest's temp file. Restore must
+// come up on the committed generation, resume cleanly, and the next
+// checkpoint must collect every orphan.
 func TestShardedCrashMidCheckpoint(t *testing.T) {
 	b := genBuild(20240504, 600)
 	in := inputFromBuild(b)
 	in.Raw = nil
 
-	full := newSharded(t, 2, in, nil)
+	full := newEngine(t, in, nil)
 	feed(t, full, b)
 	full.Drain()
 	want := full.Analysis()
 
-	s := newSharded(t, 2, in, nil)
+	s := newEngine(t, in, nil)
 	for _, c := range b.Raw.Certs {
 		s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
 	}
@@ -334,7 +293,7 @@ func TestShardedCrashMidCheckpoint(t *testing.T) {
 	}
 	s.Close() // the kill
 
-	restored, cursor, err := RestoreSharded(Config{Input: in}, 0, dir)
+	restored, cursor, err := Restore(Config{Input: in}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +320,7 @@ func TestShardedCrashMidCheckpoint(t *testing.T) {
 	assertOnlyCommitted(t, dir)
 
 	// And the swept directory restores to the full-run state.
-	again, cursor2, err := RestoreSharded(Config{Input: in}, 0, dir)
+	again, cursor2, err := Restore(Config{Input: in}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,61 +333,44 @@ func TestShardedCrashMidCheckpoint(t *testing.T) {
 	}
 }
 
-// TestShardedRestoreShardMismatch: restoring at a different shard count
-// must fail loudly, naming both counts (resharding a checkpoint is
-// unsupported) — up, down, and through Restore, which asks for one shard —
-// and never as "no checkpoint here". n=0 adopts the manifest's count.
+// TestShardedRestoreShardMismatch: a directory the previous release wrote
+// at two shards — one chain each, the roster, evidence and parked
+// observations in chain 0's — is not refused for its count: it restores
+// into the one window, holding exactly what its writer recorded, and is
+// left as it was until a commit replaces it.
 func TestShardedRestoreShardMismatch(t *testing.T) {
-	b := genBuild(7, 300)
-	in := inputFromBuild(b)
-	in.Raw = nil
-	s := newSharded(t, 2, in, nil)
-	feed(t, s, b)
-	s.Drain()
-	sharded := filepath.Join(t.TempDir(), "ckpt")
-	if err := s.WriteCheckpoint(sharded, nil); err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(t, in, nil)
-	feed(t, e, b)
-	e.Drain()
-	plain := filepath.Join(t.TempDir(), "ckpt")
-	if err := e.WriteCheckpoint(plain, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	refused := func(what string, err error, have, want int) {
-		t.Helper()
-		msg := fmt.Sprintf("checkpoint has %d shards, requested %d", have, want)
-		if err == nil || !strings.Contains(err.Error(), msg) || errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("%s: err = %v, want a refusal saying %q", what, err, msg)
-		}
-	}
-	_, _, err := RestoreSharded(Config{Input: in}, 3, sharded)
-	refused("2 shards restored at 3", err, 2, 3)
-	_, _, err = Restore(Config{Input: in}, sharded)
-	refused("2 shards restored through Restore", err, 2, 1)
-	_, _, err = RestoreSharded(Config{Input: in}, 2, plain)
-	refused("1 shard restored at 2", err, 1, 2)
-
-	adopted, _, err := RestoreSharded(Config{Input: in}, 0, sharded)
+	fx := loadFixture()
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	copyDir(t, filepath.Join("testdata", "parent", "binary-sharded-export"), dir)
+	before := treeOf(t, dir)
+	written, err := readCkptManifest(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(adopted.Close)
-	if adopted.Shards() != 2 {
-		t.Fatalf("Shards() = %d, want the manifest's 2", adopted.Shards())
+	if len(written.Chains) != 2 {
+		t.Fatalf("vacuous: the fixture names %d chains, want 2", len(written.Chains))
+	}
+	e, _, err := Restore(gobFixtureConfig(fx), dir)
+	if err != nil {
+		t.Fatalf("a two-chain directory was refused: %v", err)
+	}
+	t.Cleanup(e.Close)
+	var wrote writerRecord
+	readJSON(t, filepath.Join("testdata", "parent", "binary-sharded-export.export.json"), &wrote)
+	wrote.held(t, e, "restored into one window")
+	if after := treeOf(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("the restore changed the directory")
 	}
 }
 
-// TestShardedReportRegistry: two shards serve the same report registry
-// with the same error taxonomy as one.
+// TestShardedReportRegistry: an engine fed in batches serves the whole
+// report registry with its error taxonomy.
 func TestShardedReportRegistry(t *testing.T) {
 	b := genBuild(20240504, 800)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	s := newSharded(t, 2, in, nil)
-	feed(t, s, b)
+	s := newEngine(t, in, nil)
+	feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
 	s.Drain()
 	for _, name := range ReportNames() {
 		out, err := s.Report(name)
@@ -445,12 +387,12 @@ func TestShardedReportRegistry(t *testing.T) {
 }
 
 // TestShardedRejectsInvalid: the router enforces the ingest boundary and
-// counts refusals, whichever shard the event would have gone to.
+// counts refusals before anything reaches the window.
 func TestShardedRejectsInvalid(t *testing.T) {
 	b := genBuild(20240504, 300)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	s := newSharded(t, 4, in, nil)
+	s := newEngine(t, in, nil)
 
 	bad := b.Raw.Conns[0]
 	bad.Weight = 0
@@ -474,20 +416,19 @@ func TestShardedRejectsInvalid(t *testing.T) {
 }
 
 // TestShardedConcurrentIngestAndMaterialize hammers materialization and
-// stats while ingestion is in flight — the merge snapshots shard state
-// under each shard's lock but merges lock-free against live slice
-// headers, and this is the test that puts the race detector on that
-// path. Reads land between batches with shards at different points of
-// their queues; none may meet a connection sorting below one it already
-// merged, most must be catch-ups, and the final drained analysis must
-// still equal batch.
+// stats while ingestion is in flight — the merge snapshots the window
+// under its lock but merges lock-free against live slice headers, and
+// this is the test that puts the race detector on that path. Reads land
+// between batches with the apply loop at any point of its queue; none may
+// meet a connection sorting below one it already merged, most must be
+// catch-ups, and the final drained analysis must still equal batch.
 func TestShardedConcurrentIngestAndMaterialize(t *testing.T) {
 	b := genBuild(99, 1000)
 	batch := core.Run(inputFromBuild(b))
 	in := inputFromBuild(b)
 	in.Raw = nil
 	reg := metrics.New()
-	s := newSharded(t, 4, in, func(c *Config) { c.Metrics = reg })
+	s := newEngine(t, in, func(c *Config) { c.Metrics = reg })
 
 	done := make(chan struct{})
 	go func() {
@@ -514,7 +455,7 @@ func TestShardedConcurrentIngestAndMaterialize(t *testing.T) {
 	}
 	replays := mergeReplays(reg)
 	if replays[core.ReplayOrder] != 0 || replays[core.ReplayLost] != 0 {
-		t.Errorf("replays %v: a frontier-capped, never-evicting deployment has no order or lost replay", replays)
+		t.Errorf("replays %v: a window appended in sequence order that never evicts has no order or lost replay", replays)
 	}
 	st := s.Stats()
 	if merges := reg.Counter("stream_merges_total", "").Value(); merges <= st.Rebuilds {
@@ -522,14 +463,14 @@ func TestShardedConcurrentIngestAndMaterialize(t *testing.T) {
 	}
 }
 
-// TestShardedMetricsLabels: per-shard series carry shard="i" labels and
-// the router registers its own deployment-level series.
+// TestShardedMetricsLabels: the engine's series carry no shard label —
+// one window, one series each — and there is no stream_shards gauge.
 func TestShardedMetricsLabels(t *testing.T) {
 	b := genBuild(7, 300)
 	in := inputFromBuild(b)
 	in.Raw = nil
 	reg := metrics.New()
-	s := newSharded(t, 2, in, func(c *Config) { c.Metrics = reg })
+	s := newEngine(t, in, func(c *Config) { c.Metrics = reg })
 	feed(t, s, b)
 	s.Drain()
 	s.Analysis()
@@ -539,10 +480,8 @@ func TestShardedMetricsLabels(t *testing.T) {
 	}
 	text := sb.String()
 	for _, want := range []string{
-		`stream_conns_ingested_total{shard="0"}`,
-		`stream_conns_ingested_total{shard="1"}`,
-		`stream_buffer_occupancy{shard="1"}`,
-		`stream_shards 2`,
+		`stream_conns_ingested_total `,
+		`stream_buffer_occupancy `,
 		`stream_merges_total 1`,
 		`stream_merge_replays_total{reason="first"} 1`,
 		`stream_merge_replays_total{reason="order"} 0`,
@@ -551,6 +490,11 @@ func TestShardedMetricsLabels(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition is missing %q", want)
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, `shard="`) || strings.HasPrefix(line, "stream_shards") {
+			t.Errorf("exposition still has a per-shard series: %s", line)
 		}
 	}
 }

@@ -57,13 +57,13 @@ func (o *oracle) check(t *testing.T, s *Engine, step string) Stats {
 	return st
 }
 
-// TestShardedStatsUnionMatchesRebuild drives random interleavings of
-// certificates and connections through engines of one to four shards and,
-// after every batch — before the shards have applied it — holds Stats'
-// three §3.2 numbers to one fresh interception.Stream fed the same events;
-// mid-stream the engine is checkpointed, killed and restored; drained, the
-// numbers and the preprocess report equal the batch pipeline's over the
-// same events, and every shard count parks the same connections.
+// TestShardedStatsUnionMatchesRebuild drives four random interleavings of
+// certificates and connections through an engine and, after every batch —
+// before the window has applied it — holds Stats' three §3.2 numbers to
+// one fresh interception.Stream fed the same events; mid-stream the engine
+// is checkpointed, killed and restored; drained, the numbers and the
+// preprocess report equal the batch pipeline's over the same events, and
+// every interleaving parks the same connections.
 func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 	b := genBuild(20240504, 4000)
 	in := inputFromBuild(b)
@@ -75,7 +75,7 @@ func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 	}
 	pending := -1
 
-	for _, n := range []int{1, 2, 3, 4} {
+	for n := 1; n <= 4; n++ {
 		rng := rand.New(rand.NewSource(int64(n)))
 		// One event list, certificates and connections shuffled together:
 		// a connection before its leaf certificate parks in the detector
@@ -83,7 +83,7 @@ func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 		// arrive on both paths.
 		order := rng.Perm(len(certs) + len(b.Raw.Conns))
 
-		s := newSharded(t, n, in, nil)
+		s := newEngine(t, in, nil)
 		o := newOracle(in)
 		parkedMidStream := false
 		restoreAt := len(order) / 2
@@ -98,7 +98,7 @@ func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 					o.conn(&b.Raw.Conns[k-len(certs)])
 				}
 			}
-			o.check(t, s, fmt.Sprintf("shards=%d batch %d", n, batchNo))
+			o.check(t, s, fmt.Sprintf("order %d batch %d", n, batchNo))
 			if lo < restoreAt && hi >= restoreAt {
 				parkedMidStream = o.icpt.PendingCount() > 0
 				s.Drain()
@@ -107,32 +107,32 @@ func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				s.Close()
-				restored, _, err := RestoreSharded(Config{Input: in}, n, dir)
+				restored, _, err := Restore(Config{Input: in}, dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(restored.Close)
 				s = restored
-				o.check(t, s, fmt.Sprintf("shards=%d restored", n))
+				o.check(t, s, fmt.Sprintf("order %d restored", n))
 			}
 			lo = hi
 		}
 		if !parkedMidStream {
-			t.Errorf("shards=%d: vacuous: nothing was parked when the engine was checkpointed", n)
+			t.Errorf("order %d: vacuous: nothing was parked when the engine was checkpointed", n)
 		}
 		s.Drain()
-		got := o.check(t, s, fmt.Sprintf("shards=%d drained", n))
+		got := o.check(t, s, fmt.Sprintf("order %d drained", n))
 		if pending < 0 {
 			pending = got.PendingCerts
 		}
 		if got.ExcludedCerts != want.ExcludedCerts || got.InterceptionIssuers != len(want.InterceptionIssuers) ||
 			got.PendingCerts != pending {
-			t.Errorf("shards=%d: drained Stats %d excluded / %d issuers / %d pending, want %d / %d / %d", n,
+			t.Errorf("order %d: drained Stats %d excluded / %d issuers / %d pending, want %d / %d / %d", n,
 				got.ExcludedCerts, got.InterceptionIssuers, got.PendingCerts,
 				want.ExcludedCerts, len(want.InterceptionIssuers), pending)
 		}
 		if gotPre, _ := s.Report("preprocess"); !reflect.DeepEqual(want, gotPre) {
-			t.Errorf("shards=%d: preprocess report %+v, batch pipeline %+v", n, gotPre, want)
+			t.Errorf("order %d: preprocess report %+v, batch pipeline %+v", n, gotPre, want)
 		}
 	}
 }
@@ -164,39 +164,30 @@ func corroborationInput() (*core.Input, []*certmodel.CertInfo, []core.ConnRecord
 	return &core.Input{CT: log, Bundle: truststore.DefaultBundle()}, certs, conns
 }
 
-// TestShardedUnionCorroboratesAcrossShards is the case a per-shard
-// verdict cannot see: the issuer is contradicted on domain A by a
-// connection of one shard and on domain B by a connection of another, so
-// only a verdict over both confirms it — as the second pair lands.
+// TestShardedUnionCorroboratesAcrossShards is the case a verdict over part
+// of the stream cannot see: the issuer is contradicted on domain A by one
+// connection and on domain B by another, so only the one detector's
+// verdict over both confirms it — as the second pair lands, not before.
 func TestShardedUnionCorroboratesAcrossShards(t *testing.T) {
 	in, certs, conns := corroborationInput()
-	for _, n := range []int{2, 3, 4} {
-		s := newSharded(t, n, in, nil)
-		o := newOracle(in)
-		// UIDs chosen so the two connections have different home shards.
-		conns[0].UID = "Ca"
-		for i := 0; ; i++ {
-			conns[1].UID = ids.UID(fmt.Sprintf("Cb%d", i))
-			if s.home(string(conns[1].UID)) != s.home(string(conns[0].UID)) {
-				break
-			}
-		}
-		for _, c := range certs {
-			s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-			o.cert(c)
-		}
-		s.IngestConn(&conns[0])
-		o.conn(&conns[0])
-		s.Drain()
-		if st := o.check(t, s, "first domain"); st.InterceptionIssuers != 0 || st.ExcludedCerts != 0 {
-			t.Fatalf("shards=%d: one contradicted domain confirmed the issuer: %+v", n, st)
-		}
-		s.IngestConn(&conns[1])
-		o.conn(&conns[1])
-		s.Drain()
-		if st := o.check(t, s, "second domain"); st.InterceptionIssuers != 1 || st.ExcludedCerts != 2 {
-			t.Fatalf("shards=%d: union verdict %d issuers / %d excluded, want 1 / 2", n, st.InterceptionIssuers, st.ExcludedCerts)
-		}
+	s := newEngine(t, in, nil)
+	o := newOracle(in)
+	conns[0].UID, conns[1].UID = "Ca", "Cb"
+	for _, c := range certs {
+		s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
+		o.cert(c)
+	}
+	s.IngestConn(&conns[0])
+	o.conn(&conns[0])
+	s.Drain()
+	if st := o.check(t, s, "first domain"); st.InterceptionIssuers != 0 || st.ExcludedCerts != 0 {
+		t.Fatalf("one contradicted domain confirmed the issuer: %+v", st)
+	}
+	s.IngestConn(&conns[1])
+	o.conn(&conns[1])
+	s.Drain()
+	if st := o.check(t, s, "second domain"); st.InterceptionIssuers != 1 || st.ExcludedCerts != 2 {
+		t.Fatalf("verdict %d issuers / %d excluded, want 1 / 2", st.InterceptionIssuers, st.ExcludedCerts)
 	}
 }
 
@@ -209,7 +200,7 @@ func TestShardedUnionConcurrent(t *testing.T) {
 	in := inputFromBuild(b)
 	in.Raw = nil
 	certs := certRecords(b)
-	s := newSharded(t, 3, in, func(c *Config) { c.TrackExport = true })
+	s := newEngine(t, in, func(c *Config) { c.TrackExport = true })
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -269,14 +260,14 @@ func TestShardedUnionConcurrent(t *testing.T) {
 	}
 }
 
-// statsAllocs measures Engine.Stats on a drained two-shard deployment
-// holding the campus workload at the given scale (larger = smaller).
+// statsAllocs measures Engine.Stats on a drained deployment holding the
+// campus workload at the given scale (larger = smaller).
 func statsAllocs(t *testing.T, scale int) (allocs float64, st Stats) {
 	t.Helper()
 	b := genBuild(20240504, scale)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	s := newSharded(t, 2, in, nil)
+	s := newEngine(t, in, nil)
 	feedBatches(t, s, certRecords(b), b.Raw.Conns, 512)
 	s.Drain()
 	return testing.AllocsPerRun(100, func() { st = s.Stats() }), st
@@ -309,22 +300,20 @@ func TestStatsDoesNotWaitForRouter(t *testing.T) {
 	b := genBuild(7, 300)
 	in := inputFromBuild(b)
 	in.Raw = nil
-	for _, n := range []int{1, 2} {
-		s := newSharded(t, n, in, nil)
-		feed(t, s, b)
-		s.Drain()
-		s.mu.Lock()
-		done := make(chan Stats, 1)
-		go func() { done <- s.Stats() }()
-		select {
-		case st := <-done:
-			s.mu.Unlock()
-			if st.UniqueCerts != len(b.Raw.Certs) || st.CertsIngested != uint64(len(b.Raw.Certs)) {
-				t.Errorf("shards=%d: Stats under the router lock read %d unique of %d ingested certificates, want %d", n, st.UniqueCerts, st.CertsIngested, len(b.Raw.Certs))
-			}
-		case <-time.After(10 * time.Second):
-			s.mu.Unlock()
-			t.Fatalf("shards=%d: Stats waits for the router lock", n)
+	s := newEngine(t, in, nil)
+	feed(t, s, b)
+	s.Drain()
+	s.mu.Lock()
+	done := make(chan Stats, 1)
+	go func() { done <- s.Stats() }()
+	select {
+	case st := <-done:
+		s.mu.Unlock()
+		if st.UniqueCerts != len(b.Raw.Certs) || st.CertsIngested != uint64(len(b.Raw.Certs)) {
+			t.Errorf("Stats under the router lock read %d unique of %d ingested certificates, want %d", st.UniqueCerts, st.CertsIngested, len(b.Raw.Certs))
 		}
+	case <-time.After(10 * time.Second):
+		s.mu.Unlock()
+		t.Fatal("Stats waits for the router lock")
 	}
 }
