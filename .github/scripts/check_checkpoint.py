@@ -5,10 +5,8 @@ Its MANIFEST is version 3, names one non-empty segment chain beside the
 router's state (which holds no certificate sequences: those are in the
 segments), carries the tail offsets, and the directory holds exactly the
 manifest and the segments it names, each at its committed size: nothing
-of an earlier format, no temp file, no chain a previous release left.
-Every segment opens with a state frame of this release's frames (type
-4): a chain of gob frames, or a chain per shard, is rewritten as one
-base by the first commit over it.
+of an earlier format, no temp file, no second chain. Every segment opens
+with a state frame of this release's frames (type 4), never a gob one.
 """
 import json
 import os

@@ -49,12 +49,10 @@
 // and resumes tailing exactly where it stopped, so reports after the
 // restart match an uninterrupted run. The checkpoint is a directory: one
 // segment chain, each interval appending only what changed, committed by
-// the rename of one MANIFEST that also holds the offsets. A checkpoint of
-// this release's shape is restored and continued in place; anything else
-// the previous release can leave — a chain per -shards it ran at, gob
-// frames — is restored into the one window and rewritten as one chain by
-// the first checkpoint, the old segments swept once it has committed; an
-// older shape (a single file, a directory committed by manifest.json, an
+// the rename of one MANIFEST that also holds the offsets. That is the one
+// shape a checkpoint has, and the previous release writes it too: it is
+// restored and continued in place. Any other shape (gob frames, a chain
+// per shard, a single file, a directory committed by manifest.json, an
 // older MANIFEST) is refused, untouched, with a message naming the build
 // that rewrites it, and mtlsd does not start. Every shutdown
 // path — SIGINT/SIGTERM, or the HTTP server failing — drains the tailer

@@ -508,33 +508,47 @@ func TestOpenEngineMissingNamedFile(t *testing.T) {
 }
 
 // TestOpenEngineRetiredCheckpoint: a directory committed by manifest.json
-// holds no MANIFEST, which is what "no checkpoint yet" looks like too. It is
+// holds no MANIFEST, which is what "no checkpoint yet" looks like too, and
+// a version-2 MANIFEST is one the previous release still read. Each is
 // refused, naming the build that rewrites it, and left as it was: taken for
 // an empty path, the daemon would start fresh, re-tail from byte 0 and
-// sweep the shard files with its first commit.
+// sweep the old files with its first commit.
 func TestOpenEngineRetiredCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt")
-	if err := os.MkdirAll(path, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, body := range map[string]string{
-		"manifest.json":   `{"Version":1,"Shards":1,"Files":["shard-0.g2.ckpt"]}`,
-		"shard-0.g2.ckpt": "a shard's full state, as one gob",
+	for _, c := range []struct {
+		name, release string
+		files         map[string]string
+	}{
+		{"manifest.json", "7a5e8ef", map[string]string{
+			"manifest.json":   `{"Version":1,"Shards":1,"Files":["shard-0.g2.ckpt"]}`,
+			"shard-0.g2.ckpt": "a shard's full state, as one gob",
+		}},
+		{"version 2", "d2d26b6", map[string]string{
+			"MANIFEST":   `{"Version":2,"Gen":1,"NextSeg":2,"Chains":[[{"Name":"seg-1.ckpt","Bytes":18}]],"Router":{"NextSeq":1}}`,
+			"seg-1.ckpt": "gob frames, unread",
+		}},
 	} {
-		if err := os.WriteFile(filepath.Join(path, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := listDir(t, path)
-	eng, cursor, err := openEngine(stream.Config{Input: &core.Input{}}, path)
-	if err == nil {
-		eng.Close()
-		t.Fatalf("a manifest.json directory opened an engine (cursor %v)", cursor)
-	}
-	if errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "7a5e8ef") {
-		t.Fatalf("err = %v, want a refusal naming 7a5e8ef", err)
-	}
-	if after := listDir(t, path); !reflect.DeepEqual(after, before) {
-		t.Fatalf("the refusal changed the directory: %v → %v", before, after)
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ckpt")
+			if err := os.MkdirAll(path, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for name, body := range c.files {
+				if err := os.WriteFile(filepath.Join(path, name), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := listDir(t, path)
+			eng, cursor, err := openEngine(stream.Config{Input: &core.Input{}}, path)
+			if err == nil {
+				eng.Close()
+				t.Fatalf("a retired directory opened an engine (cursor %v)", cursor)
+			}
+			if errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), c.release) {
+				t.Fatalf("err = %v, want a refusal naming %s", err, c.release)
+			}
+			if after := listDir(t, path); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the refusal changed the directory: %v → %v", before, after)
+			}
+		})
 	}
 }

@@ -166,12 +166,9 @@ func (s *Stream) Parked() map[ids.Fingerprint][]PendingRef {
 	return parked
 }
 
-// Restore unions checkpointed state into the stream: the pairs one by
-// one, which re-derives the verdict (and logs those that were new, in the
-// order given), and the parked observations behind any already waiting on
-// the same leaf. States of streams that each saw part of an input restore,
-// one after another, to the stream that saw the whole; the same
-// observation restored twice is parked twice.
+// Restore loads checkpointed state into a fresh stream: the pairs one by
+// one, which re-derives the verdict (and logs them in the order given,
+// each once), and the parked observations as they were.
 func (s *Stream) Restore(pairs []Pair, parked map[ids.Fingerprint][]PendingRef) {
 	for _, p := range pairs {
 		s.add(p)

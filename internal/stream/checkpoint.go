@@ -36,14 +36,11 @@ import (
 // write stays O(delta).
 //
 // Frames carry the record codec (store/record.go); DESIGN.md §8 has the
-// table. Compatibility reaches one release back, and only this release's
-// own shape — one chain of its frames — is continued in place. What else
-// the previous release can leave here — a chain per shard, manifest-2
-// chains of gob frames, chains mixing those with this release's frames —
-// is read (migrate.go), its chains merged into the one window in sequence
-// order, and rewritten by the first commit as one base of this release's
-// frames; that commit's sweep then removes the old segments. Every older
-// shape is refused by name, untouched (openCheckpoint).
+// table. A directory has one shape — a version-3 manifest naming one chain
+// of frames 4–7 — which is what this release writes and what the previous
+// release writes too: a restore reads it and the next commit continues it
+// in place. Every other shape is refused by name, untouched, naming the
+// build whose first commit rewrites it (retired).
 //
 // The manifest has one owner, the Engine, and its rename is the only
 // commit point: the window writes segment files and nothing else, so no
@@ -54,14 +51,12 @@ import (
 // manifest does not name. A crash before the rename leaves the previous
 // commit intact beside unreferenced files; a crash after it is the new
 // commit (segments were fsynced before the manifest named them). That
-// covers a delta, a compaction, the rewrite of a previous release's
-// directory, and the first write into a directory some other history
-// committed.
+// covers a delta, a compaction, and the first write into a directory
+// some other history committed.
 
 // ckptManifestVersion guards the manifest format: the number says which
 // frames the segments may hold, so a build that cannot read this one's
-// refuses the directory instead of misreading it. Version 2 is the same
-// manifest over gob frames, still read.
+// refuses the directory instead of misreading it.
 const ckptManifestVersion = 3
 
 // ckptManifestName is the commit point of a checkpoint directory.
@@ -88,8 +83,8 @@ const (
 // frames.
 const segFlushBytes = 1 << 20
 
-// Segment frame types. 1–3 are manifest version 2's gob frames, read by
-// a restore (migrate.go) and never written or folded.
+// Segment frame types. 1–3 were manifest version 2's gob frames, refused
+// by name wherever a chain holds one.
 const (
 	segFrameState    byte = 4 // segState: counters, eviction cutoff, parked observations
 	segFrameCerts    byte = 5 // count, then (sequence, certificate) records
@@ -108,13 +103,9 @@ type segState struct {
 	Evicted       uint64
 	Watermark     time.Time
 	EvictCutoff   time.Time
-	// Parked is nil in a segment without detector state: a previous
-	// release's chains but the first.
+	// Parked is never nil in a segment this release writes; the flag in
+	// front of it on disk dates from chains that carried no detector.
 	Parked map[ids.Fingerprint][]interception.PendingRef
-
-	// Evidence is what only a gob state frame holds (migrate.go): the
-	// detector's cumulative evidence.
-	Evidence []interception.Pair
 }
 
 // appendSegState encodes st as a segFrameState payload; parked leaves go
@@ -188,9 +179,8 @@ type routerState struct {
 }
 
 // ckptManifest is a checkpoint directory's commit record. Gen counts the
-// directory's commits; NextSeg numbers its segment files. Chains is one
-// chain — a previous release wrote one per shard, which a restore still
-// reads.
+// directory's commits; NextSeg numbers its segment files. Chains holds the
+// one chain: the field keeps the shape the previous release reads.
 type ckptManifest struct {
 	Version int
 	Gen     uint64
@@ -200,11 +190,16 @@ type ckptManifest struct {
 	Router  *routerState
 }
 
-// readCkptManifest loads and validates a directory's MANIFEST, reading a
-// version-2 one as what it is but for its frames' payloads. The manifest
-// shapes older than the previous release's are refused by name: version 1,
-// one without router state, and one whose router state still carries the
-// certificates' sequences (since moved into the segments).
+// segName names the n-th segment file a directory's commits create.
+func segName(n int) string { return fmt.Sprintf("seg-%d.ckpt", n) }
+
+// readCkptManifest loads and validates a directory's MANIFEST: version 3,
+// router state, one chain of segments named seg-<n>.ckpt once each with n
+// below NextSeg — the name the next commit creates must not be one this
+// commit needs. The shapes this release does not read are refused by name:
+// version 1, version 2 without router state, and router state that still
+// carries the certificates' sequences (retiredRelease rewrites those);
+// version 2, and more than one chain (previousRelease rewrites those).
 func readCkptManifest(dir string) (*ckptManifest, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, ckptManifestName))
 	if err != nil {
@@ -222,23 +217,47 @@ func readCkptManifest(dir string) (*ckptManifest, error) {
 	}
 	switch {
 	case man.Version == 1:
-		return nil, retired(dir, "a version-1 MANIFEST")
+		return nil, retired(dir, "a version-1 MANIFEST", retiredRelease)
 	case man.Version != 2 && man.Version != ckptManifestVersion:
 		return nil, fmt.Errorf("stream: checkpoint manifest version %d, want %d", man.Version, ckptManifestVersion)
 	case man.Router == nil:
-		return nil, retired(dir, fmt.Sprintf("a version-%d MANIFEST without router state", man.Version))
+		return nil, retired(dir, fmt.Sprintf("a version-%d MANIFEST without router state", man.Version), retiredRelease)
 	case old.Router.CertSeqs != nil:
-		return nil, retired(dir, "a MANIFEST whose router state lists certificate sequences")
+		return nil, retired(dir, "a MANIFEST whose router state lists certificate sequences", retiredRelease)
+	case man.Version == 2:
+		return nil, retired(dir, "a version-2 MANIFEST", previousRelease)
+	case len(man.Chains) > 1:
+		return nil, retired(dir, fmt.Sprintf("a MANIFEST naming %d chains", len(man.Chains)), previousRelease)
+	case len(man.Chains) == 0 || len(man.Chains[0]) == 0:
+		return nil, fmt.Errorf("%w: checkpoint manifest names no segment", store.ErrCorrupt)
 	}
-	if len(man.Chains) == 0 {
-		return nil, fmt.Errorf("stream: checkpoint manifest names %d chains", len(man.Chains))
-	}
-	for _, chain := range man.Chains {
-		if len(chain) == 0 {
-			return nil, fmt.Errorf("stream: checkpoint manifest names a chain without segments")
+	named := map[string]bool{}
+	for _, sg := range man.Chains[0] {
+		var n int
+		if _, err := fmt.Sscanf(sg.Name, "seg-%d.ckpt", &n); err != nil || sg.Name != segName(n) || n < 1 || n >= man.NextSeg || named[sg.Name] {
+			return nil, fmt.Errorf("%w: checkpoint manifest names segment %q (next segment %d) out of place", store.ErrCorrupt, sg.Name, man.NextSeg)
 		}
+		named[sg.Name] = true
 	}
 	return &man, nil
+}
+
+// The builds a refusal names: retiredRelease reads every shape older than
+// the previous release's, previousRelease every shape it read itself; the
+// first commit of each rewrites what it read as that release's own shape,
+// which is this one's.
+const (
+	retiredRelease  = "7a5e8ef"
+	previousRelease = "d2d26b6"
+)
+
+// retired refuses a checkpoint at path of a shape this release does not
+// read, naming the shape and the build that upgrades it. It is never
+// os.ErrNotExist: a caller must not take the path for "no checkpoint yet"
+// and commit over the files it holds.
+func retired(path, shape, release string) error {
+	return fmt.Errorf("stream: checkpoint %s: %s is a shape this release does not read; restore it once with the build at commit %s, whose first checkpoint rewrites it",
+		path, shape, release)
 }
 
 // checkpointer owns an Engine's checkpoint directory: the window's chain
@@ -255,10 +274,9 @@ type checkpointer struct {
 
 	mu sync.Mutex
 	// dir is the directory being written and man this engine's last
-	// commit there. After first contact, or a restore of anything but this
-	// release's shape, man has no chain yet — the next write is a base
-	// rather than a delta — only the generation and segment numbering to
-	// continue.
+	// commit there — after a restore, the commit it read. After first
+	// contact man has no chain yet — the next write is a base rather than
+	// a delta — only the generation and segment numbering to continue.
 	dir string
 	man *ckptManifest
 	// certs and pairs count the roster-log and evidence-log entries
@@ -388,7 +406,7 @@ func (c *checkpointer) write(path string, cursor map[string]int64) error {
 		chain, certs, pairs = slices.Clone(c.man.Chains[0]), c.certs, c.pairs
 	}
 	router, delta := c.router(certs, pairs)
-	name := fmt.Sprintf("seg-%d.ckpt", c.man.NextSeg)
+	name := segName(c.man.NextSeg)
 	n, done, err := c.win.writeDelta(filepath.Join(c.dir, name), &c.buf, full, delta)
 	if err != nil {
 		return fmt.Errorf("stream: checkpoint segment: %w", err)
@@ -444,10 +462,8 @@ func (c *checkpointer) commit(man *ckptManifest) error {
 	}
 	c.man = man
 	keep := map[string]bool{}
-	for _, chain := range man.Chains {
-		for _, sg := range chain {
-			keep[sg.Name] = true
-		}
+	for _, sg := range man.Chains[0] {
+		keep[sg.Name] = true
 	}
 	ents, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -473,7 +489,7 @@ func (c *checkpointer) compact() error {
 	}
 	man := *c.man
 	man.Gen++
-	name := fmt.Sprintf("seg-%d.ckpt", man.NextSeg)
+	name := segName(man.NextSeg)
 	n, err := foldChain(c.dir, c.man.Chains[0], name, &c.buf)
 	if err != nil {
 		return fmt.Errorf("stream: compact: %w", err)
@@ -722,9 +738,9 @@ func eachFrame(path string, wantBytes int64, fn func(typ byte, body []byte) erro
 	}
 }
 
-// segRecords is one decoded record frame of either generation: a roster
-// batch (certs), a connection batch (conns) or an evidence batch (pairs),
-// the first two under their sequences.
+// segRecords is one decoded record frame: a roster batch (certs), a
+// connection batch (conns) or an evidence batch (pairs), the first two
+// under their sequences.
 type segRecords struct {
 	certs []*certmodel.CertInfo
 	conns []core.ConnRecord
@@ -732,8 +748,7 @@ type segRecords struct {
 	pairs []interception.Pair
 }
 
-// decodeRecords decodes one record frame, this release's or a gob one, and
-// checks a sequence column against its records.
+// decodeRecords decodes one record frame.
 func decodeRecords(typ byte, body []byte) (rec segRecords, err error) {
 	d := store.NewDecoder(body)
 	switch typ {
@@ -743,33 +758,13 @@ func decodeRecords(typ byte, body []byte) (rec segRecords, err error) {
 		rec.conns, rec.seqs = d.Conns()
 	case segFrameEvidence:
 		rec.pairs = d.Pairs()
-	case gobFrameCerts, gobFrameConns:
-		if rec, err = decodeGobRecords(typ, body); err != nil {
-			return rec, err
-		}
-		if n := len(rec.certs) + len(rec.conns); len(rec.seqs) != n {
-			return rec, fmt.Errorf("%w: %d sequences for %d records", store.ErrCorrupt, len(rec.seqs), n)
-		}
-		return rec, nil
 	default:
 		return rec, fmt.Errorf("%w: unknown frame type %d", store.ErrCorrupt, typ)
 	}
 	return rec, d.End()
 }
 
-// decodeState decodes a state frame of either generation.
-func decodeState(typ byte, body []byte) (*segState, error) {
-	switch typ {
-	case segFrameState:
-		return decodeSegState(body)
-	case gobFrameState:
-		return decodeGobState(body)
-	}
-	return nil, fmt.Errorf("%w: first frame type %d, want state", store.ErrCorrupt, typ)
-}
-
-// readSegmentState returns the state frame (the first frame) of a segment
-// of this release's frames.
+// readSegmentState returns the state frame (the first frame) of a segment.
 func readSegmentState(path string, wantBytes int64) (st *segState, err error) {
 	err = eachFrame(path, wantBytes, func(typ byte, body []byte) error {
 		if typ != segFrameState {
@@ -816,29 +811,24 @@ func copySegmentRecords(path string, wantBytes int64, w *segWriter, cut time.Tim
 }
 
 // committed is what a checkpoint directory holds, as a restore reads it:
-// man names its chains — one, or a previous release's one per shard — and
-// per chain last is its final state frame and pairs the evidence it holds;
-// certs collects every roster batch of every chain, and gob says a frame
-// of manifest version 2 was among them.
+// man names its one chain, last is the chain's final state frame, pairs
+// the evidence its segments logged and certs its roster, in the order
+// written; roster holds the roster's fingerprints, so none is read twice.
 type committed struct {
-	dir   string
-	man   *ckptManifest
-	last  []*segState
-	pairs [][]interception.Pair
-	certs []ExportCert
-	gob   bool
+	dir    string
+	man    *ckptManifest
+	last   *segState
+	pairs  []interception.Pair
+	certs  []ExportCert
+	roster map[ids.Fingerprint]bool
 }
-
-// own says the directory is this release's shape — one chain of its
-// frames — which the next commit continues in place.
-func (ck *committed) own() bool { return len(ck.man.Chains) == 1 && !ck.gob }
 
 // openCheckpoint reads path's commit record. Only an absent path, or a
 // directory with neither commit file, is os.ErrNotExist — "no checkpoint
-// yet". What the release at retiredRelease reads and rewrites with its
-// first checkpoint — a regular file, a directory committed by
-// manifest.json, and the manifest shapes readCkptManifest refuses — is
-// refused by name and left as it is.
+// yet". A shape this release does not read — a regular file, a directory
+// committed by manifest.json, and the manifests readCkptManifest refuses
+// (a chain holding gob frames is found as it is replayed) — is refused by
+// name and left as it is.
 func openCheckpoint(path string) (*committed, error) {
 	if err := finishSwap(path); err != nil {
 		return nil, fmt.Errorf("stream: restore %s: %v", path, err)
@@ -848,18 +838,18 @@ func openCheckpoint(path string) (*committed, error) {
 		return nil, err
 	}
 	if !fi.IsDir() {
-		return nil, retired(path, "a single-file checkpoint")
+		return nil, retired(path, "a single-file checkpoint", retiredRelease)
 	}
 	man, err := readCkptManifest(path)
 	if errors.Is(err, os.ErrNotExist) {
 		if _, perr := os.Stat(filepath.Join(path, "manifest.json")); perr == nil {
-			return nil, retired(path, "a directory committed by manifest.json")
+			return nil, retired(path, "a directory committed by manifest.json", retiredRelease)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &committed{dir: path, man: man}, nil
+	return &committed{dir: path, man: man, roster: map[ids.Fingerprint]bool{}}, nil
 }
 
 // openNamed opens a file a commit record names. The record is
@@ -876,12 +866,10 @@ func openNamed(path string) (*os.File, error) {
 // Restore starts an engine from the checkpoint at path and returns the
 // cursor stored with it. The restored engine's first read replays the
 // restored window; resuming ingestion from the cursor and draining yields
-// reports byte-identical to an uninterrupted run. A directory this release
-// wrote is continued in place by the next write, a delta; anything else it
-// reads — a previous release's chain per shard, gob frames — that write
-// rewrites as one base of this release's frames, and the old segments go
-// once it has committed. The error is os.ErrNotExist only when path holds
-// no checkpoint.
+// reports byte-identical to an uninterrupted run. The next write continues
+// the chain it read in place, a delta. The error is os.ErrNotExist only
+// when path holds no checkpoint; a shape this release does not read is
+// refused by name, and the path is left as it is.
 func Restore(cfg Config, path string) (*Engine, map[string]int64, error) {
 	ck, err := openCheckpoint(path)
 	if err != nil {
@@ -897,24 +885,15 @@ func Restore(cfg Config, path string) (*Engine, map[string]int64, error) {
 	}
 	s.restoreRouter(ck)
 	c := s.ckpt
-	c.dir, c.man = ck.dir, &ckptManifest{Gen: ck.man.Gen, NextSeg: ck.man.NextSeg}
-	if ck.own() {
-		c.man, c.certs, c.pairs = ck.man, int(s.rosterLen.Load()), len(s.icpt.Pairs(0))
-	}
+	c.dir, c.man, c.certs, c.pairs = ck.dir, ck.man, len(ck.certs), len(s.icpt.Pairs(0))
 	return s, ck.man.Cursor, nil
 }
 
 // restoreRouter rebuilds the router from its checkpointed counters and
-// what the chains held. The detector is the union of the evidence every
-// chain holds, chain 0's first, and of the observations each chain's last
-// state frame has parked: all of it in the one chain this release writes
-// and in the previous release's chain 0; spread over the chains from a
-// release that ran a detector per shard. The roster is every batch's
-// certificates in sequence order, first observation of a fingerprint wins
-// — a writer that gave every shard a roster repeated a certificate in each
-// chain that referenced it, under the same sequence — and admitting it
-// drains any observation the checkpoint caught parked on a certificate the
-// roster already held.
+// what the chain held: the detector from the evidence its segments logged
+// and the observations its last state frame parked, then the roster in
+// sequence order — admitting a certificate drains any observation the
+// checkpoint caught parked on it.
 func (s *Engine) restoreRouter(ck *committed) {
 	r := ck.man.Router
 	s.mu.Lock()
@@ -926,15 +905,10 @@ func (s *Engine) restoreRouter(ck *committed) {
 		// so any cursor taken against it is refused as stale.
 		s.epoch = newEpoch()
 	}
-	for i, st := range ck.last {
-		s.icpt.Restore(ck.pairs[i], st.Parked)
-	}
-	sortCertLog(ck.certs)
+	s.icpt.Restore(ck.pairs, ck.last.Parked)
 	for _, c := range ck.certs {
-		if s.certs[c.Cert.Fingerprint] == nil {
-			s.admitLocked(c.Cert, c.Seq)
-			s.nextSeq = max(s.nextSeq, c.Seq+1)
-		}
+		s.admitLocked(c.Cert, c.Seq)
+		s.nextSeq = max(s.nextSeq, c.Seq+1)
 	}
 	s.publishLocked()
 	s.win.mu.Lock()
@@ -942,56 +916,23 @@ func (s *Engine) restoreRouter(ck *committed) {
 	s.win.mu.Unlock()
 }
 
-// restore replays the committed chains into the window, each in segment
-// order: its eviction cutoffs over what it had accumulated, then its
-// records; roster and evidence batches go to ck, for the router. A
-// previous release's chains are replayed into a window each and merged in
-// sequence order — the router numbered them from one sequence, so that is
-// a merge. The counters are the chains' summed and the watermark the
-// newest; the cutoff the next delta records is the oldest chain's, which
-// every restored record has passed (a newer one would take connections
-// back out of the restored window that this engine still holds).
+// restore replays the committed chain into the window in segment order:
+// each segment's eviction cutoff over what the earlier ones accumulated,
+// then its records; roster and evidence batches go to ck, for the router.
+// The counters, the watermark and the cutoff are the last segment's.
 func (w *window) restore(ck *committed) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	chains := ck.man.Chains
-	wins := []*store.Window{w.st}
-	if len(chains) > 1 {
-		wins = make([]*store.Window, len(chains))
-		for i := range wins {
-			wins[i] = new(store.Window)
+	for _, sg := range ck.man.Chains[0] {
+		st, err := ck.replaySegment(w.st, &w.nextSeq, sg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", sg.Name, err)
 		}
+		ck.last = st
 	}
-	for i, chain := range chains {
-		ck.pairs = append(ck.pairs, nil)
-		var last *segState
-		var next uint64
-		for _, sg := range chain {
-			st, err := ck.replaySegment(wins[i], &next, sg)
-			if err != nil {
-				return fmt.Errorf("%s: %w", sg.Name, err)
-			}
-			last = st
-		}
-		ck.last = append(ck.last, last)
-		w.nextSeq = max(w.nextSeq, next)
-	}
-	if len(wins) > 1 {
-		if err := mergeWindows(w.st, wins); err != nil {
-			return err
-		}
-	}
-	w.ckptCutoff = ck.last[0].EvictCutoff
-	for _, last := range ck.last {
-		w.connsIngested += last.ConnsIngested
-		w.evicted += last.Evicted
-		if last.Watermark.After(w.watermark) {
-			w.watermark = last.Watermark
-		}
-		if last.EvictCutoff.Before(w.ckptCutoff) {
-			w.ckptCutoff = last.EvictCutoff
-		}
-	}
+	last := ck.last
+	w.connsIngested, w.evicted = last.ConnsIngested, last.Evicted
+	w.watermark, w.ckptCutoff = last.Watermark, last.EvictCutoff
 	// Everything in the window is covered by what was just read, so the
 	// next delta starts at the current sequence mark.
 	w.ckptMark = w.nextSeq
@@ -1001,22 +942,22 @@ func (w *window) restore(ck *committed) error {
 	return nil
 }
 
-// replaySegment streams one segment of the chain being restored (ck's
-// newest) into win past *next, its roster and evidence batches into ck,
-// and returns its state frame. Any framing, checksum, or truncation
-// damage surfaces as a clean error — never a panic or a silently partial
-// restore.
+// replaySegment streams one segment of the chain into win past *next, its
+// roster and evidence batches into ck, and returns its state frame. Any
+// framing, checksum, or truncation damage surfaces as a clean error —
+// never a panic or a silently partial restore — and a gob frame as the
+// refusal of the shape that holds one.
 func (ck *committed) replaySegment(win *store.Window, next *uint64, sg ckptSeg) (*segState, error) {
 	var st *segState
-	pairs := &ck.pairs[len(ck.pairs)-1]
 	err := eachFrame(filepath.Join(ck.dir, sg.Name), sg.Bytes, func(typ byte, body []byte) (err error) {
-		ck.gob = ck.gob || isGob(typ)
-		isState := typ == segFrameState || typ == gobFrameState
-		if isState != (st == nil) {
+		if 1 <= typ && typ < segFrameState {
+			return retired(ck.dir, "a chain holding gob frames", previousRelease)
+		}
+		if (typ == segFrameState) != (st == nil) {
 			return fmt.Errorf("%w: a segment is one state frame, then records", store.ErrCorrupt)
 		}
-		if isState {
-			if st, err = decodeState(typ, body); err != nil {
+		if st == nil {
+			if st, err = decodeSegState(body); err != nil {
 				return err
 			}
 			// The cutoff replays the evictions that ran between the
@@ -1025,7 +966,6 @@ func (ck *committed) replaySegment(win *store.Window, next *uint64, sg ckptSeg) 
 			if !st.EvictCutoff.IsZero() {
 				win.EvictBefore(st.EvictCutoff)
 			}
-			*pairs = append(*pairs, st.Evidence...)
 			return nil
 		}
 		rec, err := decodeRecords(typ, body)
@@ -1036,7 +976,7 @@ func (ck *committed) replaySegment(win *store.Window, next *uint64, sg ckptSeg) 
 		case rec.certs != nil:
 			return ck.restoreCerts(rec.certs, rec.seqs)
 		case rec.pairs != nil:
-			*pairs = append(*pairs, rec.pairs...)
+			ck.pairs = append(ck.pairs, rec.pairs...)
 			return nil
 		}
 		return appendRestored(win, next, rec.conns, rec.seqs)
@@ -1062,43 +1002,22 @@ func appendRestored(win *store.Window, next *uint64, conns []core.ConnRecord, se
 	return nil
 }
 
-// mergeWindows appends the records of srcs, each ascending by sequence, to
-// dst in one ascending order.
-func mergeWindows(dst *store.Window, srcs []*store.Window) error {
-	type run struct {
-		conns []core.ConnRecord
-		seqs  []uint64
-	}
-	runs := make([]run, len(srcs))
-	for i, src := range srcs {
-		runs[i].conns, runs[i].seqs = src.Snapshot(0)
-	}
-	var next uint64
-	for {
-		k := -1
-		for i, r := range runs {
-			if len(r.seqs) > 0 && (k < 0 || r.seqs[0] < runs[k].seqs[0]) {
-				k = i
-			}
-		}
-		if k < 0 {
-			return nil
-		}
-		r := &runs[k]
-		if err := appendRestored(dst, &next, r.conns[:1], r.seqs[:1]); err != nil {
-			return err
-		}
-		r.conns, r.seqs = r.conns[1:], r.seqs[1:]
-	}
-}
-
 // restoreCerts collects one restored roster batch for the router, each
-// certificate under the admission sequence the batch aligns to it.
+// certificate under the admission sequence the batch aligns to it. The
+// router wrote its roster as a log ascending by sequence, every
+// fingerprint once; anything else is a damaged checkpoint, refused rather
+// than repaired.
 func (ck *committed) restoreCerts(certs []*certmodel.CertInfo, seqs []uint64) error {
 	for i, c := range certs {
-		if c == nil || c.Fingerprint == "" {
+		switch {
+		case c == nil || c.Fingerprint == "":
 			return fmt.Errorf("%w: roster entry without fingerprint", store.ErrCorrupt)
+		case len(ck.certs) > 0 && seqs[i] <= ck.certs[len(ck.certs)-1].Seq:
+			return fmt.Errorf("%w: certificate sequence %d does not follow %d", store.ErrCorrupt, seqs[i], ck.certs[len(ck.certs)-1].Seq)
+		case ck.roster[c.Fingerprint]:
+			return fmt.Errorf("%w: certificate %s is in the roster twice", store.ErrCorrupt, c.Fingerprint)
 		}
+		ck.roster[c.Fingerprint] = true
 		ck.certs = append(ck.certs, ExportCert{Seq: seqs[i], Cert: c})
 	}
 	return nil

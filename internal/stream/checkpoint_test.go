@@ -11,14 +11,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/atomicfile"
+	"repro/internal/certmodel"
 	"repro/internal/core"
 	"repro/internal/ids"
-	"repro/internal/interception"
 	"repro/internal/race"
 	"repro/internal/report"
 	"repro/internal/store"
@@ -467,21 +467,21 @@ func TestFirstContactKeepsCommittedChain(t *testing.T) {
 
 // TestCheckpointCrashMatrix fails every atomicfile stage of a delta
 // commit, of a compaction and of the file → directory swap, one at a
-// time. At shards=1 the writer is an engine on this release's own chain.
-// At shards=2 it is an engine restored from a directory the previous
-// release wrote at two shards, and every stage is one of the rewrite its
-// first commit is: the delta row rewrites that directory in place carrying
-// new rows, the compaction row rewrites it carrying none — the parent's
-// commit refolded as one chain, the same commit on both sides — and the
-// swap row writes the restored state over a file. After each failure the
-// path must restore to exactly the previous commit or exactly the new one
-// — cursor and reports from the same commit, the parent's two chains byte
-// for byte or one chain of this release's, never a mix — and the writer's
-// retry must commit and leave nothing unnamed behind. The swap replaces a
-// file of arbitrary bytes, which no release reads: before the swap the
-// path must still hold that file, byte for byte, and restore refuses it by
-// name. The stages are found by recording a clean run, so a stage added
-// to the protocol is covered without touching this test.
+// time. At shards=1 the writer is an engine on a chain it started itself.
+// At shards=2 — the label is historical — it is an engine restored from
+// the previous release's window-export directory, and every stage is one
+// of continuing that chain in place: the delta row appends new rows to it,
+// the compaction row folds it — the parent's commit refolded, the same
+// commit on both sides — and the swap row writes the restored state over
+// a file. After each failure the path must restore to exactly the previous
+// commit or exactly the new one — cursor and reports from the same commit,
+// the parent's files byte for byte or a chain that names the new segment,
+// never a mix — and the writer's retry must commit and leave nothing
+// unnamed behind. The swap replaces a file of arbitrary bytes, which no
+// release reads: before the swap the path must still hold that file, byte
+// for byte, and restore refuses it by name. The stages are found by
+// recording a clean run, so a stage added to the protocol is covered
+// without touching this test.
 func TestCheckpointCrashMatrix(t *testing.T) {
 	fx := loadFixture()
 	type hit struct {
@@ -512,14 +512,13 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 		files   map[string][]byte
 		file    []byte
 	}
-	parent := filepath.Join("testdata", "parent", "binary-sharded-export")
+	parent := filepath.Join("testdata", "parent", "window-export")
 	parentFiles := treeOf(t, parent)
 	delete(parentFiles, ".")
-	parentCursor := map[string]int64{"conn_index": int64(len(fx.before))}
 	for _, n := range []int{1, 2} {
 		cfg := Config{Input: fx.in}
 		if n == 2 {
-			cfg = gobFixtureConfig(fx)
+			cfg = parentConfig(fx)
 		}
 		restore := func(t *testing.T, path string) (*Engine, int64) {
 			t.Helper()
@@ -531,7 +530,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 			return eng, cursor["i"]
 		}
 		// fromParent restores an engine from a copy of the parent's
-		// two-chain directory at at, returning it with the commit it holds.
+		// directory at at, returning it with the commit it holds.
 		fromParent := func(t *testing.T, at string) (*Engine, commit) {
 			copyDir(t, parent, at)
 			eng, cursor := restore(t, at)
@@ -567,7 +566,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 			{"compaction", func(t *testing.T, path string) (commit, func() error, func() commit) {
 				if n == 2 {
 					eng, same := fromParent(t, path)
-					return same, func() error { return eng.WriteCheckpoint(path, parentCursor) }, func() commit { return same }
+					return same, eng.Compact, func() commit { return same }
 				}
 				eng := newEngine(t, fx.in, nil)
 				feedRows(t, eng, fx.early, nil)
@@ -638,8 +637,8 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 							t.Fatalf("the refusal changed the file (%v)", err)
 						}
 					case prev.files != nil && bytes.Equal(manifest, prev.files[ckptManifestName]):
-						// Before the rewrite's commit point: the parent's two
-						// chains, byte for byte, beside the attempt's debris.
+						// Before the commit point: the parent's files, byte
+						// for byte, beside the attempt's debris.
 						sawPrev = true
 						for name, body := range prev.files {
 							if got, err := os.ReadFile(filepath.Join(path, name)); err != nil || !bytes.Equal(got, body) {
@@ -696,9 +695,9 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 // TestTornCheckpointCorpus truncates a committed segment at every frame
 // boundary (and a probe inside each frame) and requires the restore to
 // return a clean error — never a panic, never a silently partial engine.
-// The same corpus runs over this release's one chain and over chain 1 of
-// a directory the previous release wrote at two shards, where the intact
-// chain 0 must not be restored around the damage.
+// The same corpus runs over a base this release wrote and over the delta
+// of the previous release's window-export directory, where the intact base
+// must not be restored around the damage.
 func TestTornCheckpointCorpus(t *testing.T) {
 	b := genBuild(7, 1000)
 	in := inputFromBuild(b)
@@ -713,20 +712,20 @@ func TestTornCheckpointCorpus(t *testing.T) {
 	}
 	e.Close()
 	fx := loadFixture()
-	sharded := filepath.Join(t.TempDir(), "ckpt")
-	copyDir(t, filepath.Join("testdata", "parent", "binary-sharded-export"), sharded)
+	parent := filepath.Join(t.TempDir(), "ckpt")
+	copyDir(t, filepath.Join("testdata", "parent", "window-export"), parent)
 
 	for _, c := range []struct {
 		name, dir string
-		chain     int
+		seg       int // the damaged segment's place in the chain
 		restore   func(dir string) (interface{ Close() }, error)
 	}{
 		{"plain", plain, 0, func(dir string) (interface{ Close() }, error) {
 			eng, _, err := Restore(Config{Input: in}, dir)
 			return eng, err
 		}},
-		{"sharded", sharded, 1, func(dir string) (interface{ Close() }, error) {
-			eng, _, err := Restore(gobFixtureConfig(fx), dir)
+		{"parent", parent, 1, func(dir string) (interface{ Close() }, error) {
+			eng, _, err := Restore(parentConfig(fx), dir)
 			return eng, err
 		}},
 	} {
@@ -735,7 +734,7 @@ func TestTornCheckpointCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			segName := man.Chains[c.chain][0].Name
+			segName := man.Chains[0][c.seg].Name
 			whole, err := os.ReadFile(filepath.Join(c.dir, segName))
 			if err != nil {
 				t.Fatal(err)
@@ -818,32 +817,54 @@ func TestTornCheckpointCorpus(t *testing.T) {
 	// the sequence column runs backwards. Replaying it would hand the
 	// window records out of order, so it is refused as corruption by
 	// plain and exporting engines alike.
-	seg := nonIncreasingSeqSegment(t, in, b)
-	tdir := filepath.Join(t.TempDir(), "seqs-backwards")
-	if err := os.MkdirAll(tdir, 0o755); err != nil {
+	assertCorruptSegment(t, in, "backwards sequence column", nonIncreasingSeqSegment(t, in, b))
+}
+
+// TestRestoreRefusesDamagedRoster: the router writes its roster as a log
+// ascending by sequence, every fingerprint once. A roster frame intact in
+// framing and checksum that breaks either is a damaged checkpoint, refused
+// as corruption — not sorted back into order, and not deduplicated first
+// observation wins, which would restore an engine the writer never was.
+func TestRestoreRefusesDamagedRoster(t *testing.T) {
+	b := genBuild(7, 1000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	assertCorruptSegment(t, in, "backwards certificate sequences", rewriteFirstFrame(t, in, b, segFrameCerts, func(d *store.Decoder) []byte {
+		certs, seqs := d.Certs()
+		seqs[0], seqs[1] = seqs[1], seqs[0]
+		return store.AppendCerts(nil, certs, seqs)
+	}))
+	assertCorruptSegment(t, in, "a repeated certificate", repeatedCertSegment(t, in, b))
+}
+
+// assertCorruptSegment requires a directory whose one segment is seg to be
+// refused as store.ErrCorrupt by plain and exporting engines alike.
+func assertCorruptSegment(t *testing.T, in *core.Input, what string, seg []byte) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(tdir, "seg-1.ckpt"), seg, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "seg-1.ckpt"), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	backwards := oneSegmentManifest(len(seg))
-	if err := os.WriteFile(filepath.Join(tdir, ckptManifestName), []byte(backwards), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, ckptManifestName), []byte(oneSegmentManifest(len(seg))), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{{Input: in}, {Input: in, TrackExport: true}} {
-		eng, _, err := Restore(cfg, tdir)
+		eng, _, err := Restore(cfg, dir)
 		if err == nil {
 			eng.Close()
-			t.Fatalf("TrackExport=%v: restore of a backwards sequence column succeeded", cfg.TrackExport)
+			t.Fatalf("TrackExport=%v: restore of %s succeeded", cfg.TrackExport, what)
 		}
 		if !errors.Is(err, store.ErrCorrupt) {
-			t.Fatalf("TrackExport=%v: backwards sequence column: err = %v, want store.ErrCorrupt", cfg.TrackExport, err)
+			t.Fatalf("TrackExport=%v: %s: err = %v, want store.ErrCorrupt", cfg.TrackExport, what, err)
 		}
 	}
 }
 
-// oneSegmentManifest is the MANIFEST of a one-shard directory whose chain
-// is the one segment seg-1.ckpt of the given size.
+// oneSegmentManifest is the MANIFEST of a directory whose chain is the one
+// segment seg-1.ckpt of the given size.
 func oneSegmentManifest(size int) string {
 	return fmt.Sprintf(`{"Version":3,"Gen":1,"NextSeg":2,"Chains":[[{"Name":"seg-1.ckpt","Bytes":%d}]],"Router":{}}`, size)
 }
@@ -853,6 +874,28 @@ func oneSegmentManifest(size int) string {
 // exporting engine's checkpoint with the first two stamps of its first
 // connection frame swapped.
 func nonIncreasingSeqSegment(t testing.TB, in *core.Input, b *workload.Build) []byte {
+	return rewriteFirstFrame(t, in, b, segFrameConns, func(d *store.Decoder) []byte {
+		conns, seqs := d.Conns()
+		seqs[0], seqs[1] = seqs[1], seqs[0]
+		return store.AppendConns(nil, conns, seqs)
+	})
+}
+
+// repeatedCertSegment returns a base segment intact in every frame and
+// checksum whose roster holds a certificate twice: the second entry of its
+// first roster frame replaced by the first, under its own sequence.
+func repeatedCertSegment(t testing.TB, in *core.Input, b *workload.Build) []byte {
+	return rewriteFirstFrame(t, in, b, segFrameCerts, func(d *store.Decoder) []byte {
+		certs, seqs := d.Certs()
+		certs[1] = certs[0]
+		return store.AppendCerts(nil, certs, seqs)
+	})
+}
+
+// rewriteFirstFrame returns an exporting engine's base segment over b with
+// the payload of its first frame of type typ — at least two records —
+// replaced by what rewrite makes of it, every frame re-checksummed.
+func rewriteFirstFrame(t testing.TB, in *core.Input, b *workload.Build, typ byte, rewrite func(d *store.Decoder) []byte) []byte {
 	t.Helper()
 	e, err := New(Config{Input: in, TrackExport: true})
 	if err != nil {
@@ -880,33 +923,28 @@ func nonIncreasingSeqSegment(t testing.TB, in *core.Input, b *workload.Build) []
 	}
 	defer f.Close()
 	var out []byte
-	swapped := false
+	rewritten := false
 	for {
-		typ, body, err := store.ReadFrame(f, nil)
+		ft, body, err := store.ReadFrame(f, nil)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if typ == segFrameConns && !swapped {
+		if ft == typ && !rewritten {
 			d := store.NewDecoder(body)
-			conns, seqs := d.Conns()
+			body, rewritten = rewrite(d), true
 			if err := d.End(); err != nil {
 				t.Fatal(err)
 			}
-			if len(seqs) < 2 {
-				t.Fatalf("exporting engine wrote %d connections into its first frame", len(seqs))
-			}
-			seqs[0], seqs[1] = seqs[1], seqs[0]
-			body, swapped = store.AppendConns(nil, conns, seqs), true
 		}
-		if out, err = store.EndFrame(append(store.BeginFrame(out, typ), body...), len(out)); err != nil {
+		if out, err = store.EndFrame(append(store.BeginFrame(out, ft), body...), len(out)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !swapped {
-		t.Fatal("segment has no connection frame")
+	if !rewritten {
+		t.Fatalf("segment has no frame of type %d", typ)
 	}
 	return out
 }
@@ -1153,10 +1191,11 @@ func TestDiskStoreMatchesMemory(t *testing.T) {
 // FuzzRestore hammers the restore path with arbitrary segment bytes: any
 // input must produce either a working engine or a clean error — never a
 // panic. Each input is tried as a one-chain directory's only segment and
-// as chain 1 of a directory the previous release wrote at two shards,
-// whose chain 0 is intact. The seed corpus is valid committed segments of
-// both frame generations, so mutations explore near-valid framing of
-// each.
+// as the delta after the intact base of the previous release's
+// window-export directory. The seed corpus is valid committed segments —
+// a base and the parent's base and delta — and damaged ones: truncated,
+// empty, a backwards sequence column, a repeated certificate, and a
+// segment of gob frames, so the refusal path is fuzzed too.
 func FuzzRestore(f *testing.F) {
 	b := genBuild(7, 20000)
 	in := inputFromBuild(b)
@@ -1185,17 +1224,17 @@ func FuzzRestore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	shardedDir := filepath.Join("testdata", "parent", "binary-sharded-export")
-	shardedMan, err := readCkptManifest(shardedDir)
+	parentDir := filepath.Join("testdata", "parent", "window-export")
+	parentMan, err := readCkptManifest(parentDir)
 	if err != nil {
 		f.Fatal(err)
 	}
-	intact, fuzzed := shardedMan.Chains[0][0], shardedMan.Chains[1][0].Name
-	intactSeg, err := os.ReadFile(filepath.Join(shardedDir, intact.Name))
+	base, fuzzed := parentMan.Chains[0][0], parentMan.Chains[0][1].Name
+	baseSeg, err := os.ReadFile(filepath.Join(parentDir, base.Name))
 	if err != nil {
 		f.Fatal(err)
 	}
-	shardSeed, err := os.ReadFile(filepath.Join(shardedDir, fuzzed))
+	deltaSeg, err := os.ReadFile(filepath.Join(parentDir, fuzzed))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -1203,18 +1242,10 @@ func FuzzRestore(f *testing.F) {
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte{})
 	f.Add(nonIncreasingSeqSegment(f, in, b))
-	f.Add(shardSeed)
-	// Gob frames — the detector's whole state in the state frame — as the
-	// previous release may still hold them in a chain it continued, beside
-	// this release's frames above: a base and a delta of chain 0, and a
-	// segment of chain 1.
-	for _, name := range []string{"detector-export/seg-1.ckpt", "detector-export/seg-3.ckpt", "detector-sharded-export/seg-2.ckpt"} {
-		gobSeed, err := os.ReadFile(filepath.Join("testdata", "parent", name))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(gobSeed)
-	}
+	f.Add(baseSeg)
+	f.Add(deltaSeg)
+	f.Add(gobSegment(f))
+	f.Add(repeatedCertSegment(f, in, b))
 
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		dir := t.TempDir()
@@ -1230,14 +1261,14 @@ func FuzzRestore(f *testing.F) {
 		}
 
 		dir = t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, intact.Name), intactSeg, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, base.Name), baseSeg, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, fuzzed), seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m := *shardedMan
-		m.Chains = [][]ckptSeg{{intact}, {{Name: fuzzed, Bytes: int64(len(seg))}}}
+		m := *parentMan
+		m.Chains = [][]ckptSeg{{base, {Name: fuzzed, Bytes: int64(len(seg))}}}
 		buf, err := json.Marshal(&m)
 		if err != nil {
 			t.Fatal(err)
@@ -1245,9 +1276,9 @@ func FuzzRestore(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, ckptManifestName), buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sh, _, err := Restore(Config{Input: in}, dir)
+		continued, _, err := Restore(Config{Input: in}, dir)
 		if err == nil {
-			sh.Close()
+			continued.Close()
 		}
 	})
 }
@@ -1291,75 +1322,169 @@ func TestRestoreWakesParkedObservations(t *testing.T) {
 	}
 }
 
-// TestRestoreMergesChainsUnderTheOldestCutoff: a previous release's chains
-// each evicted against their own shard's watermark, so after the merge the
-// window holds a lagging chain's connection older than a leading chain's
-// cutoff. The deltas after the rewrite replay the cutoff they record
-// against the base, so it must be one every restored connection passed —
-// the oldest chain's — or restoring the base and an empty delta would take
-// that connection out of a window the engine still holds.
-func TestRestoreMergesChainsUnderTheOldestCutoff(t *testing.T) {
+// TestBinarySegmentTruncated: a segment of this release's frames cut at any
+// byte but a frame boundary does not read as frames, and no frame's payload
+// cut at any byte decodes — each is store.ErrCorrupt. (A cut at a boundary
+// is what the size the manifest records is for: TestTornCheckpointCorpus.)
+func TestBinarySegmentTruncated(t *testing.T) {
 	fx := loadFixture()
+	e := newEngine(t, fx.in, nil)
+	// A segment of a few kilobytes (every cut re-reads it): 96 connections
+	// and the punctual certificates their chains name.
+	conns := fx.before[:96]
+	named := map[ids.Fingerprint]bool{}
+	for _, c := range conns {
+		for _, fp := range append(slices.Clone(c.ServerChain), c.ClientChain...) {
+			named[fp] = true
+		}
+	}
+	var certs []*certmodel.CertInfo
+	for _, c := range fx.early {
+		if named[c.Fingerprint] {
+			certs = append(certs, c)
+		}
+	}
+	feedRows(t, e, certs, conns)
+	e.Drain()
+	if e.Stats().PendingCerts == 0 {
+		t.Fatal("vacuous: nothing parked for the state frame to carry")
+	}
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := e.WriteCheckpoint(dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	day := func(d int) time.Time { return time.Date(2022, 1, 1+d, 0, 0, 0, 0, time.UTC) }
-	conn := func(uid string, d int) core.ConnRecord {
-		return core.ConnRecord{UID: ids.UID(uid), TS: day(d), Weight: 1}
+	man, err := readCkptManifest(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var buf []byte
-	segment := func(name string, st *segState, conns []core.ConnRecord, seqs []uint64) []ckptSeg {
-		n, err := createSegment(filepath.Join(dir, name), &buf, func(w *segWriter) error {
-			if err := w.state(st); err != nil {
-				return err
+	whole, err := os.ReadFile(filepath.Join(dir, man.Chains[0][0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// frames reads b as frames and returns each payload with its type.
+	type frame struct {
+		typ  byte
+		body []byte
+	}
+	frames := func(b []byte) (out []frame, err error) {
+		for r := bytes.NewReader(b); ; {
+			typ, body, err := store.ReadFrame(r, nil)
+			if err == io.EOF {
+				return out, nil
 			}
-			return w.conns(conns, seqs)
+			if err != nil {
+				return out, err
+			}
+			out = append(out, frame{typ, body})
+		}
+	}
+	all, err := frames(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundary := map[int]bool{0: true}
+	seen, off := map[byte]bool{}, 0
+	for _, f := range all {
+		off += len(f.body) + 9
+		boundary[off], seen[f.typ] = true, true
+	}
+	if len(seen) != 4 {
+		t.Fatalf("segment holds frame types %v, want state, roster, evidence and connections", seen)
+	}
+	for cut := 0; cut < len(whole); cut++ {
+		if _, err := frames(whole[:cut]); boundary[cut] != (err == nil) || (err != nil && !errors.Is(err, store.ErrCorrupt)) {
+			t.Fatalf("cut at %d of %d (frame boundary: %v): err = %v", cut, len(whole), boundary[cut], err)
+		}
+	}
+	for _, f := range all {
+		for cut := 0; cut < len(f.body); cut++ {
+			var err error
+			if f.typ == segFrameState {
+				_, err = decodeSegState(f.body[:cut])
+			} else {
+				_, err = decodeRecords(f.typ, f.body[:cut])
+			}
+			if !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("frame type %d payload cut at %d of %d: err = %v, want store.ErrCorrupt", f.typ, cut, len(f.body), err)
+			}
+		}
+	}
+}
+
+// TestManifestSegmentNamesChecked: a commit creates seg-<NextSeg>.ckpt
+// before its manifest lands, so a damaged manifest that already names that
+// file would have the next commit truncate a segment the committed chain
+// still needs — and a name twice, or one that is not seg-<n>.ckpt below
+// NextSeg, says as much about the manifest. A restore refuses each as
+// corruption, so does a first write into the directory, and the directory
+// is left as it was.
+func TestManifestSegmentNamesChecked(t *testing.T) {
+	b := genBuild(7, 1000)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	e := newEngine(t, in, nil)
+	feedBatches(t, e, certRecords(b), b.Raw.Conns, 512)
+	e.Drain()
+	good := filepath.Join(t.TempDir(), "ckpt")
+	for i := 0; i < 2; i++ {
+		if err := e.WriteCheckpoint(good, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	written, err := readCkptManifest(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written.NextSeg != 3 || len(written.Chains[0]) != 2 {
+		t.Fatalf("two commits left chain %v (next segment %d), want seg-1 and seg-2 (3)", written.Chains[0], written.NextSeg)
+	}
+	for _, c := range []struct {
+		name  string
+		names [2]string // the chain's two segments, renamed
+	}{
+		{"the next commit's name", [2]string{"seg-1.ckpt", "seg-3.ckpt"}},
+		{"a name twice", [2]string{"seg-1.ckpt", "seg-1.ckpt"}},
+		{"not a segment name", [2]string{"seg-1.ckpt", "seg-2.old"}},
+		{"not the name a commit gives", [2]string{"seg-1.ckpt", "seg-02.ckpt"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			man := *written
+			man.Chains = [][]ckptSeg{slices.Clone(written.Chains[0])}
+			for i, name := range c.names {
+				seg, err := os.ReadFile(filepath.Join(good, man.Chains[0][i].Name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), seg, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				man.Chains[0][i].Name = name
+			}
+			buf, err := json.Marshal(&man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, ckptManifestName), buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := treeOf(t, dir)
+			if eng, _, err := Restore(Config{Input: in}, dir); !errors.Is(err, store.ErrCorrupt) {
+				if err == nil {
+					eng.Close()
+				}
+				t.Fatalf("restore: err = %v, want store.ErrCorrupt", err)
+			}
+			if err := e.WriteCheckpoint(dir, nil); !errors.Is(err, store.ErrCorrupt) {
+				t.Fatalf("a first write into the directory: err = %v, want store.ErrCorrupt", err)
+			}
+			if after := treeOf(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("the refusal changed the directory")
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []ckptSeg{{Name: name, Bytes: n}}
-	}
-	// Chain 0 evicted up to day 5; chain 1, behind it, never evicted and
-	// holds a connection of day 2.
-	man := ckptManifest{
-		Version: ckptManifestVersion, Gen: 1, NextSeg: 3,
-		Chains: [][]ckptSeg{
-			segment("seg-1.ckpt", &segState{ConnsIngested: 3, Evicted: 1, Watermark: day(20), EvictCutoff: day(5), Parked: map[ids.Fingerprint][]interception.PendingRef{}},
-				[]core.ConnRecord{conn("Ca", 10), conn("Cc", 20)}, []uint64{0, 3}),
-			segment("seg-2.ckpt", &segState{ConnsIngested: 1, Watermark: day(2)},
-				[]core.ConnRecord{conn("Cb", 2)}, []uint64{1}),
-		},
-		Router: &routerState{NextSeq: 4},
-	}
-	manifest, err := json.Marshal(&man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ckptManifestName), manifest, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e, _, err := Restore(Config{Input: fx.in}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	want := e.Stats()
-	if want.Retained != 3 || want.ConnsIngested != 4 || want.Evicted != 1 || !want.Watermark.Equal(day(20)) {
-		t.Fatalf("restored %+v, want the chains' 3 connections, 4 ingested, 1 evicted, the newest watermark", want)
-	}
-	for i := 0; i < 2; i++ { // the rewrite, then an empty delta on it
-		if err := e.WriteCheckpoint(dir, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	again, _, err := Restore(Config{Input: fx.in, TrackExport: true}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(again.Close)
-	if got := mustExport(t, again, 0, 0); len(got.Conns) != 3 || got.Conns[1].Conn.UID != "Cb" {
-		t.Fatalf("the base and an empty delta restore %d connections, want the 3 in sequence order", len(got.Conns))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/certmodel"
@@ -74,19 +73,6 @@ func newEpoch() uint64 {
 		e = 1
 	}
 	return e
-}
-
-// sortCertLog orders restored roster batches ascending by sequence — the
-// chains of a previous release's directory each hold their own run of
-// them, and one of its writers repeated a certificate, under one
-// sequence, in several chains; fingerprint order breaks any tie.
-func sortCertLog(log []ExportCert) {
-	sort.Slice(log, func(i, j int) bool {
-		if log[i].Seq != log[j].Seq {
-			return log[i].Seq < log[j].Seq
-		}
-		return log[i].Cert.Fingerprint < log[j].Cert.Fingerprint
-	})
 }
 
 // exportConns pairs a window snapshot's connections with their sequences

@@ -8,24 +8,25 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/atomicfile"
 	"repro/internal/certmodel"
 	"repro/internal/core"
 	"repro/internal/ids"
-	"repro/internal/interception"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
 // The fixtures under testdata/parent are checkpoints written by parent
-// commits (see the README there): real bytes of each shape the previous
-// release may hand this one — its own, at one shard and at two, and the
-// manifest-2 directories it was still continuing in place, written before
-// the router owned the one certificate roster, before it owned the one
-// §3.2 detector, and before the frames left gob.
+// commits (see the README there): real bytes of every shape the previous
+// release may hand this one — its own directories, one chain of frames
+// 4–7, as it writes them, folds them, and rewrites what it read from its
+// own predecessor.
 
 // fixtureRows is the slice of the fixture build those checkpoints were
 // fed: every 24th connection and the certificates their chains name,
@@ -74,6 +75,13 @@ func loadFixture() *fixture {
 	cut := len(conns) * 3 / 5
 	fx.before, fx.after = conns[:cut], conns[cut:]
 	return fx
+}
+
+// parentConfig is the configuration the fixtures' writers ran under: every
+// apply runs an eviction pass, so the retained window is a function of the
+// rows applied, not of where a restart fell between passes.
+func parentConfig(fx *fixture) Config {
+	return Config{Input: fx.in, TrackExport: true, Retention: 400 * 24 * time.Hour, EvictEvery: 1}
 }
 
 func feedRows(t testing.TB, e *Engine, certs []*certmodel.CertInfo, conns []core.ConnRecord) {
@@ -157,10 +165,8 @@ func assertOnlyCommitted(t testing.TB, path string) *ckptManifest {
 		t.Fatal(err)
 	}
 	want := []string{ckptManifestName}
-	for _, chain := range man.Chains {
-		for _, sg := range chain {
-			want = append(want, sg.Name)
-		}
+	for _, sg := range man.Chains[0] {
+		want = append(want, sg.Name)
 	}
 	sort.Strings(want)
 	ents, err := os.ReadDir(path)
@@ -182,27 +188,6 @@ func assertOnlyCommitted(t testing.TB, path string) *ckptManifest {
 	return man
 }
 
-// exportNumbering is the part of a full export a restart must keep for
-// cursors to survive it.
-type exportNumbering struct {
-	Epoch, NextSeq uint64
-	CertSeqs       map[string]uint64
-	ConnSeqs       []uint64
-}
-
-// detectorState is a writer's §3.2 state at its last commit, which the
-// roster-* writers recorded beside their numbering: Stats' three numbers
-// and the exported evidence.
-type detectorState struct {
-	PendingCerts, ExcludedCerts, InterceptionIssuers int
-	Evidence                                         *interception.Evidence
-}
-
-func detectorStats(e *Engine) detectorState {
-	st := e.Stats()
-	return detectorState{PendingCerts: st.PendingCerts, ExcludedCerts: st.ExcludedCerts, InterceptionIssuers: st.InterceptionIssuers}
-}
-
 func readJSON(t testing.TB, path string, into any) {
 	t.Helper()
 	buf, err := os.ReadFile(path)
@@ -214,26 +199,56 @@ func readJSON(t testing.TB, path string, into any) {
 	}
 }
 
-func numbering(t testing.TB, e *Engine) exportNumbering {
+// writerRecord is what a fixture's writer recorded at its last commit,
+// beside the directory: its Stats and its whole Export(0, 0).
+type writerRecord struct {
+	Stats  Stats
+	Export *ExportState
+}
+
+// recordOf is e's record, as a writer makes one.
+func recordOf(t *testing.T, e *Engine) *writerRecord {
 	t.Helper()
-	st, err := e.Export(0, 0)
+	return &writerRecord{Stats: e.Stats(), Export: mustExport(t, e, 0, 0)}
+}
+
+// held requires e to hold exactly what the writer recorded: the counters
+// Stats reports and the whole export — numbering, retained window, roster,
+// §3.2 evidence and parked count.
+func (w *writerRecord) held(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	got, want := e.Stats(), w.Stats
+	for _, st := range []*Stats{&got, &want} { // what a restart legitimately moves
+		st.Rebuilds, st.Dirty, st.LastCheckpoint, st.CheckpointAge = 0, false, time.Time{}, 0
+	}
+	if got != want {
+		t.Fatalf("%s: stats %+v, the writer had %+v", when, got, want)
+	}
+	exp := mustExport(t, e, 0, 0)
+	if !reflect.DeepEqual(exp, w.Export) {
+		t.Fatalf("%s: export differs from the writer's: %d/%d certs, %d/%d conns, next %d/%d, evidence equal: %v", when,
+			len(exp.Certs), len(w.Export.Certs), len(exp.Conns), len(w.Export.Conns), exp.NextSeq, w.Export.NextSeq,
+			reflect.DeepEqual(exp.Evidence, w.Export.Evidence))
+	}
+}
+
+// frameTypes lists the type byte of every frame of a committed segment.
+func frameTypes(t *testing.T, dir string, sg ckptSeg) (types []byte) {
+	t.Helper()
+	err := eachFrame(filepath.Join(dir, sg.Name), sg.Bytes, func(typ byte, _ []byte) error {
+		types = append(types, typ)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := exportNumbering{Epoch: st.Epoch, NextSeq: st.NextSeq, CertSeqs: map[string]uint64{}}
-	for _, c := range st.Certs {
-		n.CertSeqs[string(c.Cert.Fingerprint)] = c.Seq
-	}
-	for _, c := range st.Conns {
-		n.ConnSeqs = append(n.ConnSeqs, c.Seq)
-	}
-	return n
+	return types
 }
 
 // deltaSince requires the writer's cursor from before the upgrade to get,
 // from e resumed with the rows fed since, a delta of exactly those rows,
 // in the order fed — not a 410. Under e's retention, which sweeps on every
-// apply (gobFixtureConfig), that is the connections still inside it.
+// apply (parentConfig), that is the connections still inside it.
 func deltaSince(t *testing.T, e *Engine, next, epoch uint64, fx *fixture) {
 	t.Helper()
 	delta, err := e.Export(next, epoch)
@@ -266,185 +281,215 @@ func deltaSince(t *testing.T, e *Engine, next, epoch uint64, fx *fixture) {
 	}
 }
 
-// TestMigrateParentCheckpoints restores each gob-framed checkpoint shape
-// from the bytes a parent commit wrote into the one window, resumes it to
-// the reports of an engine fed the same rows — serving a cursor taken
-// before the upgrade exactly the rows fed since, where the writer exported
-// — and requires the first write afterwards to rewrite it as one base of
-// this release's frames with the writer's segments gone, which restores to
-// the same place and is continued by deltas from then on. The routed-*
-// three differ from today's directories by a certificate repeated in
-// every chain that referenced it, the roster-* three by a detector state
-// in every chain, and the *-sharded-* two by a second chain. The roster-*
-// writers ran a detector per shard and recorded what the deployment's
-// §3.2 state was: the one detector restored from their chains must hold
-// exactly that, and keep holding it once the rewrite has put it in the
-// one chain's state frame. The v2-* two, from before the router, are
-// refused.
+// TestMigrateParentCheckpoints runs every directory the parent fixtures
+// have held. The three the previous release can leave — binary-export
+// (7a5e8ef's writer, the same shape), window-export (a folded base and a
+// delta) and rewritten-export (its first commit over a two-chain gob
+// directory) — restore to exactly what their writer recorded, resume to
+// the 23 reports of an engine that was never stopped, serve the writer's
+// cursor exactly the rows fed since, and are continued in place: the
+// first commit is a delta on the writer's chain, the next one carries
+// every frame type, and a fold restores to the same place. (The reference
+// is an engine under the writer's retention, not the batch pipeline:
+// batch has no window.) The older writers' directories are refused by
+// name under their writer's own Config and left as they were: the
+// routed-* and roster-* ones — a version-2 MANIFEST over gob frames, a
+// chain per shard — which the previous release read and rewrote, and the
+// v2-* ones from before the router. Their bytes are no longer kept: the
+// refusal is decided from the manifest alone.
 func TestMigrateParentCheckpoints(t *testing.T) {
 	fx := loadFixture()
-	ref := newEngine(t, fx.in, nil)
+	cfg := parentConfig(fx)
+	ref := newEngine(t, fx.in, func(c *Config) { *c = cfg })
 	feedRows(t, ref, fx.early, fx.before)
 	feedRows(t, ref, fx.late, fx.after)
 	ref.Drain()
 	want := allReports(t, ref)
 
 	for _, c := range []struct {
-		name     string
-		export   bool   // the writer exported; <name>.export.json is its numbering
-		detector string // the export record holding the writer's §3.2 state ("": not recorded)
+		name string
+		segs int // the writer's chain: a base and its deltas
 	}{
-		{"routed-plain", false, ""},
-		{"routed-export", true, ""},
-		{"routed-sharded-export", true, ""},
-		// The same rows at one shard hold the same §3.2 state, so the plain
-		// writer — which could not export — is held to the exporting one's.
-		{"roster-plain", false, "roster-export"},
-		{"roster-export", true, "roster-export"},
-		{"roster-sharded-export", true, "roster-sharded-export"},
+		{"binary-export", 3},
+		{"window-export", 2},
+		{"rewritten-export", 1},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			tmp := t.TempDir()
-			copyDir(t, filepath.Join("testdata", "parent"), tmp)
-			path := filepath.Join(tmp, c.name)
-			cfg := Config{Input: fx.in, TrackExport: c.export}
-			restore := func() (*Engine, map[string]int64) {
-				t.Helper()
-				eng, cursor, err := Restore(cfg, path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(eng.Close)
-				return eng, cursor
+			dir := filepath.Join(t.TempDir(), c.name)
+			copyDir(t, filepath.Join("testdata", "parent", c.name), dir)
+			var wrote writerRecord
+			readJSON(t, filepath.Join("testdata", "parent", c.name+".export.json"), &wrote)
+			if wrote.Stats.Evicted == 0 || wrote.Stats.PendingCerts == 0 || len(wrote.Export.Evidence.Observed) == 0 {
+				t.Fatalf("vacuous: the writer evicted %d, parked %d", wrote.Stats.Evicted, wrote.Stats.PendingCerts)
 			}
-
-			written, err := readCkptManifest(path)
+			written, err := readCkptManifest(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, cursor := restore()
-			if got := cursor["conn_index"]; got != int64(len(fx.before)) {
-				t.Fatalf("cursor = %v, want conn_index=%d", cursor, len(fx.before))
+			if len(written.Chains[0]) != c.segs {
+				t.Fatalf("the fixture's chain has %d segments, want %d", len(written.Chains[0]), c.segs)
 			}
-			var recorded exportNumbering
-			if c.export {
-				readJSON(t, filepath.Join(tmp, c.name+".export.json"), &recorded)
-				if got := numbering(t, eng); !reflect.DeepEqual(got, recorded) {
-					t.Fatalf("restored export numbering (epoch %d, next %d) differs from the writer's (epoch %d, next %d)",
-						got.Epoch, got.NextSeq, recorded.Epoch, recorded.NextSeq)
-				}
-			}
-			if c.detector != "" {
-				var wrote detectorState
-				readJSON(t, filepath.Join(tmp, c.detector+".export.json"), &wrote)
-				if wrote.PendingCerts == 0 || len(wrote.Evidence.Observed) == 0 {
-					t.Fatal("vacuous: the writer recorded no parked observation or no evidence")
-				}
-				held := func(e *Engine, when string) {
-					t.Helper()
-					got := detectorStats(e)
-					if c.export {
-						st, err := e.Export(0, 0)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got.Evidence = st.Evidence
-					} else {
-						got.Evidence = wrote.Evidence
-					}
-					if !reflect.DeepEqual(got, wrote) {
-						t.Fatalf("%s: %d parked / %d excluded / %d issuers (evidence equal: %v), the writer had %d / %d / %d", when,
-							got.PendingCerts, got.ExcludedCerts, got.InterceptionIssuers, reflect.DeepEqual(got.Evidence, wrote.Evidence),
-							wrote.PendingCerts, wrote.ExcludedCerts, wrote.InterceptionIssuers)
+			for _, sg := range written.Chains[0] {
+				for _, typ := range frameTypes(t, dir, sg) {
+					if typ < segFrameState {
+						t.Fatalf("fixture segment %s holds frame type %d: not its writer's bytes", sg.Name, typ)
 					}
 				}
-				held(eng, "restored from the parent's bytes")
-				// The same on a copy this release has rewritten before the late
-				// certificates arrive: what every chain had parked is now in the
-				// one base's state frame — restored once, not once per chain
-				// that held it.
-				side := filepath.Join(t.TempDir(), "rewritten")
-				copyDir(t, path, side)
-				early, cursor, err := Restore(cfg, side)
+			}
+			restore := func() *Engine {
+				t.Helper()
+				e, cursor, err := Restore(cfg, dir)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := early.WriteCheckpoint(side, cursor); err != nil {
-					t.Fatal(err)
+				t.Cleanup(e.Close)
+				if cursor["conn_index"] != int64(len(fx.before)) {
+					t.Fatalf("cursor = %v, want conn_index=%d", cursor, len(fx.before))
 				}
-				early.Close()
-				if early, _, err = Restore(cfg, side); err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(early.Close)
-				held(early, "restored from the rewritten base")
-			}
-			feedRows(t, eng, fx.late, fx.after)
-			eng.Drain()
-			diffReports(t, "resumed from the parent's bytes", want, allReports(t, eng))
-			if c.export {
-				deltaSince(t, eng, recorded.NextSeq, recorded.Epoch, fx)
+				return e
 			}
 
-			end := map[string]int64{"conn_index": int64(len(fx.before) + len(fx.after))}
-			if err := eng.WriteCheckpoint(path, end); err != nil {
+			resumed := restore()
+			wrote.held(t, resumed, "restored from the parent's bytes")
+			feedRows(t, resumed, fx.late, fx.after)
+			resumed.Drain()
+			diffReports(t, "resumed from the parent's bytes", want, allReports(t, resumed))
+			deltaSince(t, resumed, wrote.Export.NextSeq, wrote.Export.Epoch, fx)
+			resumed.Close() // it never wrote: the directory is still the parent's
+
+			// The upgrade's first commit, over nothing new: one state frame
+			// on the writer's chain.
+			cursor := map[string]int64{"conn_index": int64(len(fx.before))}
+			upgraded := restore()
+			if err := upgraded.WriteCheckpoint(dir, cursor); err != nil {
 				t.Fatal(err)
 			}
-			// The detector is the router's: its state rides the base.
-			sg := rewritten(t, path, written)[0]
-			if st, err := readSegmentState(filepath.Join(path, sg.Name), sg.Bytes); err != nil || st.Parked == nil {
-				t.Fatalf("the base carries no detector state (%v)", err)
+			chain := assertOnlyCommitted(t, dir).Chains[0]
+			if len(chain) != c.segs+1 || !reflect.DeepEqual(chain[:c.segs], written.Chains[0]) {
+				t.Fatalf("chain %v, want the writer's %v and one delta", chain, written.Chains[0])
 			}
+			if types := frameTypes(t, dir, chain[c.segs]); len(types) != 1 || types[0] != segFrameState {
+				t.Fatalf("the delta over nothing new holds frames %v, want one state frame", types)
+			}
+			wrote.held(t, restore(), "restored from the first commit")
 
-			again, cursor := restore()
-			if !reflect.DeepEqual(cursor, end) {
-				t.Fatalf("cursor after migration = %v, want %v", cursor, end)
-			}
-			diffReports(t, "restored from the migrated directory", want, allReports(t, again))
-			if before, after := detectorStats(eng), detectorStats(again); before != after {
-				t.Fatalf("§3.2 state changed across the migration: %+v → %+v", before, after)
-			}
-			if c.export {
-				if before, after := numbering(t, eng), numbering(t, again); !reflect.DeepEqual(before, after) {
-					t.Fatalf("export numbering changed across the migration: epoch %d → %d, next %d → %d",
-						before.Epoch, after.Epoch, before.NextSeq, after.NextSeq)
-				}
-			}
-
-			// The migrated directory is this release's own: continued by a
-			// delta, which restores to the same place again.
-			if err := again.WriteCheckpoint(path, end); err != nil {
+			// It goes on: the late certificates and the rest of the
+			// connections, a delta — evidence pairs, roster and connection
+			// frames this time — and a fold.
+			feedRows(t, upgraded, fx.late, fx.after)
+			upgraded.Drain()
+			if err := upgraded.WriteCheckpoint(dir, cursor); err != nil {
 				t.Fatal(err)
 			}
-			if man := assertOnlyCommitted(t, path); len(man.Chains) != 1 || len(man.Chains[0]) != 2 {
-				t.Fatalf("chains %v after a second write, want the base and one delta", man.Chains)
+			chain = assertOnlyCommitted(t, dir).Chains[0]
+			types := frameTypes(t, dir, chain[len(chain)-1])
+			for _, typ := range []byte{segFrameState, segFrameCerts, segFrameEvidence, segFrameConns} {
+				if !slices.Contains(types, typ) {
+					t.Fatalf("the delta holds frames %v, want one of type %d among them", types, typ)
+				}
 			}
-			third, _ := restore()
-			diffReports(t, "restored from the continued directory", want, allReports(t, third))
+			now := recordOf(t, upgraded)
+			continued := restore()
+			now.held(t, continued, "restored from the continued chain")
+			diffReports(t, "restored from the continued chain", want, allReports(t, continued))
+			if err := upgraded.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if man := assertOnlyCommitted(t, dir); len(man.Chains[0]) != 1 {
+				t.Fatalf("chain %v after the fold, want one base", man.Chains[0])
+			}
+			folded := restore()
+			now.held(t, folded, "restored from the folded base")
+			diffReports(t, "restored from the folded base", want, allReports(t, folded))
 		})
 	}
 
-	// The v2-* writers predate the router: a version-2 MANIFEST without
-	// Router over one chain of two segments, as below. That shape is
-	// retired, so their directories — whose bytes are no longer kept — are
-	// refused by name and left untouched, under the writer's own Config.
-	man := fmt.Sprintf(`{"Version":2,"Gen":2,"NextSeg":3,"Chains":[[{"Name":"seg-1.ckpt","Bytes":%d},{"Name":"seg-2.ckpt","Bytes":%d}]],"Cursor":{"conn_index":%d}}`,
-		len(unreadSegment), len(unreadSegment), len(fx.before))
-	for _, c := range []struct {
-		name   string
-		export bool
-	}{
-		{"v2-plain", false},
-		{"v2-export", true},
+	for _, c := range []parentRefusal{
+		{"routed-plain", false, 2, 1, 2, true, "a version-2 MANIFEST", previousRelease},
+		{"routed-export", true, 2, 1, 2, true, "a version-2 MANIFEST", previousRelease},
+		{"routed-sharded-export", true, 2, 2, 2, true, "a version-2 MANIFEST", previousRelease},
+		{"roster-plain", false, 2, 1, 2, true, "a version-2 MANIFEST", previousRelease},
+		{"roster-export", true, 2, 1, 2, true, "a version-2 MANIFEST", previousRelease},
+		{"roster-sharded-export", true, 2, 2, 2, true, "a version-2 MANIFEST", previousRelease},
+		{"v2-plain", false, 2, 1, 2, false, "a version-2 MANIFEST without router state", retiredRelease},
+		{"v2-export", true, 2, 1, 2, false, "a version-2 MANIFEST without router state", retiredRelease},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			assertRefused(t, Config{Input: fx.in, TrackExport: c.export}, "version-2 MANIFEST without router state", map[string]string{
-				"ckpt/MANIFEST":   man,
-				"ckpt/seg-1.ckpt": unreadSegment,
-				"ckpt/seg-2.ckpt": unreadSegment,
-			})
-		})
+		t.Run(c.name, func(t *testing.T) { c.refused(t, fx) })
 	}
+}
+
+// TestParentGobDirectories: the directories the previous release read and
+// rewrote with its first commit — the detector-* writers' version-2
+// MANIFEST over gob frames, one chain or one per shard, and the
+// binary-sharded-export writer's two chains of frames 4–7 — are refused,
+// naming that release, under their writer's Config, and left as they
+// were. A deployment that ran it and committed once holds
+// rewritten-export's shape instead (TestMigrateParentCheckpoints).
+func TestParentGobDirectories(t *testing.T) {
+	fx := loadFixture()
+	for _, c := range []parentRefusal{
+		{"detector-export", true, 2, 1, 3, true, "a version-2 MANIFEST", previousRelease},
+		{"detector-sharded-export", true, 2, 2, 3, true, "a version-2 MANIFEST", previousRelease},
+		{"binary-sharded-export", true, 3, 2, 3, true, "a MANIFEST naming 2 chains", previousRelease},
+	} {
+		t.Run(c.name, func(t *testing.T) { c.refused(t, fx) })
+	}
+}
+
+// parentRefusal is a directory a parent fixture's writer left that this
+// release refuses: the writer's manifest shape — version, chains of segs
+// segments each, router state or none — and the refusal it must meet.
+type parentRefusal struct {
+	name                  string
+	export                bool // the writer ran under TrackExport
+	version, chains, segs int
+	router                bool
+	shape, release        string
+}
+
+func (c parentRefusal) refused(t *testing.T, fx *fixture) {
+	assertRefused(t, Config{Input: fx.in, TrackExport: c.export}, c.shape, c.release,
+		parentDir(c.version, c.chains, c.segs, c.router))
+}
+
+// parentDir synthesizes the files of a directory under the checkpoint path
+// ckpt: a MANIFEST of the given version naming chains of segs segments
+// each, with router state or without, over segments a refusal never
+// opens.
+func parentDir(version, chains, segs int, router bool) map[string]string {
+	files := map[string]string{}
+	man := ckptManifest{Version: version, Gen: uint64(segs), NextSeg: 1, Cursor: map[string]int64{"conn_index": 288}}
+	for i := 0; i < chains; i++ {
+		var chain []ckptSeg
+		for j := 0; j < segs; j++ {
+			name := segName(man.NextSeg)
+			man.NextSeg++
+			chain = append(chain, ckptSeg{Name: name, Bytes: int64(len(unreadSegment))})
+			files["ckpt/"+name] = unreadSegment
+		}
+		man.Chains = append(man.Chains, chain)
+	}
+	if router {
+		man.Router = &routerState{NextSeq: 555, CertsRouted: 267}
+	}
+	buf, err := json.Marshal(&man)
+	if err != nil {
+		panic(err)
+	}
+	files["ckpt/"+ckptManifestName] = string(buf)
+	return files
+}
+
+// gobSegment is a segment as a version-2 writer began one: one intact
+// frame of gob type 1, the state frame, whose payload no later release
+// decodes.
+func gobSegment(t testing.TB) []byte {
+	t.Helper()
+	seg, err := store.EndFrame(append(store.BeginFrame(nil, 1), "a gob-encoded state"...), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seg
 }
 
 // treeOf maps every path under root to its bytes (a directory to nil).
@@ -469,45 +514,51 @@ func treeOf(t testing.TB, root string) map[string][]byte {
 	return tree
 }
 
-// TestRetiredCheckpointsRefused: each checkpoint shape older than the
-// previous release's is refused by name — never as "no checkpoint yet",
-// which would let a daemon start empty and sweep the files with its first
-// commit — naming the build that rewrites it, and the tree is left byte
-// for byte as it was: nothing swapped in, no temp file collected. The
-// inputs are synthesized, since the refusal is decided from the path and
-// the manifest alone.
+// TestRetiredCheckpointsRefused: each checkpoint shape this release does
+// not read is refused by name — never as "no checkpoint yet", which would
+// let a daemon start empty and sweep the files with its first commit —
+// naming the build that rewrites it, and the tree is left byte for byte
+// as it was: nothing swapped in, no temp file collected. Five shapes are
+// older than the previous release's and name 7a5e8ef; three the previous
+// release still read — a version-2 MANIFEST, more than one chain, a chain
+// holding gob frames — and name it. The inputs are synthesized: all but
+// the last are decided from the path and the manifest alone.
 func TestRetiredCheckpointsRefused(t *testing.T) {
 	fx := loadFixture()
 	seg := unreadSegment
 	chain := fmt.Sprintf(`[[{"Name":"seg-1.ckpt","Bytes":%d}]]`, len(seg))
+	gob := gobSegment(t)
 	for _, c := range []struct {
-		name, shape string
-		files       map[string]string // under the checkpoint path's parent
+		name, shape, release string
+		files                map[string]string // under the checkpoint path's parent
 	}{
-		{"single file", "single-file checkpoint", map[string]string{
+		{"single file", "single-file checkpoint", retiredRelease, map[string]string{
 			"ckpt":     "\x00arbitrary bytes, not a checkpoint of any release",
 			"ckpt.tmp": "half-written checkpoint",
 		}},
-		{"manifest.json", "manifest.json", map[string]string{
+		{"manifest.json", "manifest.json", retiredRelease, map[string]string{
 			"ckpt/manifest.json":   `{"Version":1,"Shards":1,"Files":["shard-0.g2.ckpt"]}`,
 			"ckpt/shard-0.g2.ckpt": seg,
 		}},
-		{"version 1", "version-1 MANIFEST", map[string]string{
-			"ckpt/MANIFEST":   fmt.Sprintf(`{"Version":1,"Gen":1,"NextSeg":2,"Segments":%s}`, chain[1:len(chain)-1]),
+		{"version 1", "version-1 MANIFEST", retiredRelease, map[string]string{
+			"ckpt/MANIFEST":   `{"Version":1,"Gen":1,"NextSeg":2,"Segments":` + chain[1:len(chain)-1] + `}`,
 			"ckpt/seg-1.ckpt": seg,
 		}},
-		{"version 2 without router", "version-2 MANIFEST without router state", map[string]string{
-			"ckpt/MANIFEST":   fmt.Sprintf(`{"Version":2,"Gen":1,"NextSeg":2,"Chains":%s}`, chain),
+		{"version 2 without router", "version-2 MANIFEST without router state", retiredRelease, parentDir(2, 1, 1, false)},
+		{"certificate sequences", "lists certificate sequences", retiredRelease, map[string]string{
+			"ckpt/MANIFEST": `{"Version":2,"Gen":1,"NextSeg":2,"Chains":` + chain + `,` +
+				`"Router":{"NextSeq":1,"CertsRouted":1,"Epoch":7,"CertSeqs":{"00e4":0}}}`,
 			"ckpt/seg-1.ckpt": seg,
 		}},
-		{"certificate sequences", "lists certificate sequences", map[string]string{
-			"ckpt/MANIFEST": fmt.Sprintf(`{"Version":2,"Gen":1,"NextSeg":2,"Chains":%s,`+
-				`"Router":{"NextSeq":1,"CertsRouted":1,"Epoch":7,"CertSeqs":{"00e4":0}}}`, chain),
-			"ckpt/seg-1.ckpt": seg,
+		{"version 2", "a version-2 MANIFEST", previousRelease, parentDir(2, 1, 1, true)},
+		{"two chains", "a MANIFEST naming 2 chains", previousRelease, parentDir(3, 2, 1, true)},
+		{"gob frame", "a chain holding gob frames", previousRelease, map[string]string{
+			"ckpt/MANIFEST":   oneSegmentManifest(len(gob)),
+			"ckpt/seg-1.ckpt": string(gob),
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			assertRefused(t, Config{Input: fx.in}, c.shape, c.files)
+			assertRefused(t, Config{Input: fx.in}, c.shape, c.release, c.files)
 		})
 	}
 }
@@ -516,9 +567,9 @@ func TestRetiredCheckpointsRefused(t *testing.T) {
 const unreadSegment = "segment bytes a refusal never reads"
 
 // assertRefused writes files under a fresh root and requires a restore of
-// root/ckpt under cfg to be refused naming shape and retiredRelease, with
-// the tree left byte for byte as it was.
-func assertRefused(t *testing.T, cfg Config, shape string, files map[string]string) {
+// root/ckpt under cfg to be refused naming shape and release, with the
+// tree left byte for byte as it was.
+func assertRefused(t *testing.T, cfg Config, shape, release string, files map[string]string) {
 	t.Helper()
 	root := t.TempDir()
 	for name, body := range files {
@@ -536,8 +587,9 @@ func assertRefused(t *testing.T, cfg Config, shape string, files map[string]stri
 		eng.Close()
 		t.Fatal("a retired shape restored")
 	}
-	if errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), shape) || !strings.Contains(err.Error(), retiredRelease) {
-		t.Fatalf("err = %v; want a refusal naming the shape (%q) and %s, not os.ErrNotExist", err, shape, retiredRelease)
+	if errors.Is(err, os.ErrNotExist) || errors.Is(err, store.ErrCorrupt) ||
+		!strings.Contains(err.Error(), shape) || !strings.Contains(err.Error(), release) {
+		t.Fatalf("err = %v; want a refusal naming the shape (%q) and %s, not os.ErrNotExist or store.ErrCorrupt", err, shape, release)
 	}
 	if after := treeOf(t, root); !reflect.DeepEqual(after, before) {
 		t.Fatalf("the refusal changed the tree: %d paths before, %d after", len(before), len(after))

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -333,34 +334,39 @@ func TestShardedCrashMidCheckpoint(t *testing.T) {
 	}
 }
 
-// TestShardedRestoreShardMismatch: a directory the previous release wrote
-// at two shards — one chain each, the roster, evidence and parked
-// observations in chain 0's — is not refused for its count: it restores
-// into the one window, holding exactly what its writer recorded, and is
-// left as it was until a commit replaces it.
+// TestShardedRestoreShardMismatch: a directory with a chain per shard —
+// what the releases before the previous one wrote at more than one shard
+// — is refused by name, naming the previous release, whose first commit
+// rewrites it as one chain. It is refused even where every segment reads:
+// the chains are not merged, and the directory is left as it was.
 func TestShardedRestoreShardMismatch(t *testing.T) {
 	fx := loadFixture()
+	e := newEngine(t, fx.in, nil)
 	dir := filepath.Join(t.TempDir(), "ckpt")
-	copyDir(t, filepath.Join("testdata", "parent", "binary-sharded-export"), dir)
-	before := treeOf(t, dir)
-	written, err := readCkptManifest(dir)
+	feedRows(t, e, fx.early, nil)
+	for _, part := range [][]core.ConnRecord{fx.before, fx.after} {
+		feedRows(t, e, nil, part)
+		e.Drain()
+		if err := e.WriteCheckpoint(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The base and the delta, named as two chains of one segment each.
+	man := assertOnlyCommitted(t, dir)
+	man.Chains = [][]ckptSeg{man.Chains[0][:1], man.Chains[0][1:]}
+	buf, err := json.Marshal(man)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(written.Chains) != 2 {
-		t.Fatalf("vacuous: the fixture names %d chains, want 2", len(written.Chains))
+	files := map[string]string{"ckpt/" + ckptManifestName: string(buf)}
+	for _, sg := range append(man.Chains[0], man.Chains[1]...) {
+		seg, err := os.ReadFile(filepath.Join(dir, sg.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files["ckpt/"+sg.Name] = string(seg)
 	}
-	e, _, err := Restore(gobFixtureConfig(fx), dir)
-	if err != nil {
-		t.Fatalf("a two-chain directory was refused: %v", err)
-	}
-	t.Cleanup(e.Close)
-	var wrote writerRecord
-	readJSON(t, filepath.Join("testdata", "parent", "binary-sharded-export.export.json"), &wrote)
-	wrote.held(t, e, "restored into one window")
-	if after := treeOf(t, dir); !reflect.DeepEqual(after, before) {
-		t.Fatal("the restore changed the directory")
-	}
+	assertRefused(t, Config{Input: fx.in}, "a MANIFEST naming 2 chains", previousRelease, files)
 }
 
 // TestShardedReportRegistry: an engine fed in batches serves the whole
