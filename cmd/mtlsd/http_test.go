@@ -103,6 +103,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 		"tail_lag_bytes{file=\"ssl\"}",
 		"tail_bytes_read_total{file=\"ssl\"}",
 		"tail_rotations_total{file=\"x509\"}",
+		"tail_wakes_total{reason=\"event\"}",
+		"tail_wakes_total{reason=\"tick\"}",
 		"mtlsd_http_request_seconds_count{path=\"/api/v1/healthz\"}",
 		"mtlsd_http_requests_total{path=\"/api/v1/healthz\",code=\"200\"}",
 		"stream_apply_latency_seconds_bucket",

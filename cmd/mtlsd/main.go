@@ -15,6 +15,14 @@
 //	GET /metrics                 Prometheus text exposition (?format=json for JSON)
 //	GET /debug/pprof/...         runtime profiles (only with -pprof)
 //
+// The tailer sleeps until a log is written: on Linux it wakes on inotify
+// events naming ssl.log or x509.log in -logs, and reads a row moments
+// after it lands. -poll is the backstop — the longest a written row
+// waits when no event arrives, and the only wake-up off Linux or when
+// the watch cannot be set up or is lost (logged once, with the reason).
+// tail_wakes_total{reason="event"|"tick"} on /metrics says which drove
+// ingestion.
+//
 // Usage:
 //
 //	mtlsgen -out ./data                # produce logs (once, or keep appending)
@@ -62,7 +70,8 @@
 // The code is split by role: main.go (flags, dispatch, the shared
 // serve/shutdown sequence), monitor.go (monitor and sensor: engine,
 // tailer loop, checkpoints), tail.go (interleaved catch-up over the two
-// logs), aggregator.go, and http.go (routes, stats, instrumentation).
+// logs), watch*.go (the file events the tailer loop wakes on),
+// aggregator.go, and http.go (routes, stats, instrumentation).
 package main
 
 import (
@@ -132,7 +141,7 @@ func defaultOptions() options {
 func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.logs, "logs", o.logs, "directory with ssl.log/x509.log to tail (required)")
 	fs.StringVar(&o.listen, "listen", o.listen, "HTTP listen address")
-	fs.DurationVar(&o.poll, "poll", o.poll, "log poll interval")
+	fs.DurationVar(&o.poll, "poll", o.poll, "backstop poll interval: the longest a written row waits when no file event arrives")
 	fs.StringVar(&o.checkpoint, "checkpoint", o.checkpoint, "checkpoint directory (restore on start, persist periodically)")
 	fs.DurationVar(&o.ckptEvery, "checkpoint-every", o.ckptEvery, "checkpoint interval (0 = only on shutdown)")
 	fs.DurationVar(&o.retention, "retention", o.retention, "connection retention window (0 = keep everything)")

@@ -26,8 +26,33 @@ type monitor struct {
 	eng    *stream.Engine
 	ssl    *zeek.SSLTail
 	x509   *zeek.X509Tail
+	// watch opens the file events the tailer loop wakes on (openWatch;
+	// tests swap it to run on the ticker alone).
+	watch func(dir string, logs ...string) (*logWatch, error)
 
 	ckptWrites, ckptErrs *metrics.Counter
+	wakeEvent, wakeTick  *metrics.Counter
+}
+
+// newMonitor builds the tailers over o.logs and registers the loop's
+// series in reg; the caller attaches the engine.
+func newMonitor(o options, logger *slog.Logger, reg *metrics.Registry, zopts zeek.Options) *monitor {
+	const wakes, wakesHelp = "tail_wakes_total", "tailer wake-ups, by what woke the tailer"
+	m := &monitor{
+		o: o, logger: logger, reg: reg,
+		ssl:        zeek.NewSSLTail(filepath.Join(o.logs, "ssl.log")),
+		x509:       zeek.NewX509Tail(filepath.Join(o.logs, "x509.log")),
+		watch:      openWatch,
+		ckptWrites: reg.Counter("mtlsd_checkpoint_writes_total", "checkpoints attempted by the daemon"),
+		ckptErrs:   reg.Counter("mtlsd_checkpoint_errors_total", "checkpoint attempts that failed"),
+		wakeEvent:  reg.Counter(wakes, wakesHelp, "reason", "event"),
+		wakeTick:   reg.Counter(wakes, wakesHelp, "reason", "tick"),
+	}
+	m.ssl.Instrument(reg)
+	m.x509.Instrument(reg)
+	m.ssl.SetOptions(zopts)
+	m.x509.SetOptions(zopts)
+	return m
 }
 
 // runMonitor is the -role monitor / sensor body. A sensor is a monitor
@@ -84,17 +109,7 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 	}
 	zeek.RejectTotals(reg)
 
-	m := &monitor{
-		o: o, logger: logger, reg: reg,
-		ssl:        zeek.NewSSLTail(filepath.Join(o.logs, "ssl.log")),
-		x509:       zeek.NewX509Tail(filepath.Join(o.logs, "x509.log")),
-		ckptWrites: reg.Counter("mtlsd_checkpoint_writes_total", "checkpoints attempted by the daemon"),
-		ckptErrs:   reg.Counter("mtlsd_checkpoint_errors_total", "checkpoint attempts that failed"),
-	}
-	m.ssl.Instrument(reg)
-	m.x509.Instrument(reg)
-	m.ssl.SetOptions(zopts)
-	m.x509.SetOptions(zopts)
+	m := newMonitor(o, logger, reg, zopts)
 
 	scfg := stream.Config{Input: in, Buffer: o.buffer, Retention: o.retention, Metrics: reg,
 		TrackExport: o.role == "sensor",
@@ -152,25 +167,40 @@ func openEngine(cfg stream.Config, path string) (*stream.Engine, map[string]int6
 // converge, via a replay when a read came between). Each Poll consumes
 // at most one chunk of backlog; catchUp interleaves the two logs
 // chunk-for-chunk so a hot file cannot starve the other, and caps the
-// rounds per tick so checkpoints stay on schedule.
+// rounds per wake so checkpoints stay on schedule.
+//
+// The loop sleeps until a log is written: it wakes on a file event from
+// the watch of -logs, or on the -poll ticker, whichever comes first; the
+// ticker is the backstop for a platform without file events and for a
+// watch that cannot be set up or is lost, which is logged once.
 func (m *monitor) run(ctx context.Context) {
 	srcs := []*tailSource{
-		m.source("x509.log", func() (int, error) {
+		m.source("x509.log", func() (int, bool, error) {
 			certs, err := m.x509.Poll()
 			inRuns(certs, m.eng.IngestCertBatch)
-			return len(certs), err
+			return len(certs), m.x509.More(), err
 		}),
-		m.source("ssl.log", func() (int, error) {
+		m.source("ssl.log", func() (int, bool, error) {
 			conns, err := m.ssl.Poll()
 			inRuns(conns, m.eng.IngestConnBatch)
-			return len(conns), err
+			return len(conns), m.ssl.More(), err
 		}),
+	}
+	// The watch is up before the first catch-up, so a row written while
+	// that catch-up runs still wakes the loop.
+	var wake <-chan struct{}
+	w, err := m.watch(m.o.logs, "ssl.log", "x509.log")
+	if err != nil {
+		m.tickerOnly(err)
+	} else {
+		defer w.Close()
+		wake = w.C
 	}
 	ticker := time.NewTicker(m.o.poll)
 	defer ticker.Stop()
 	var lastCkpt time.Time
 	for ctx.Err() == nil {
-		counts := catchUp(ctx, catchUpRounds, srcs)
+		counts, behind := catchUp(ctx, catchUpRounds, srcs)
 		if nCerts, nConns := counts[0], counts[1]; nCerts > 0 || nConns > 0 {
 			m.logger.Debug("ingested", "conns", nConns, "certs", nCerts)
 		}
@@ -178,12 +208,32 @@ func (m *monitor) run(ctx context.Context) {
 			m.checkpoint(false)
 			lastCkpt = time.Now()
 		}
+		if behind {
+			continue // the round cap ended the wake, not the logs
+		}
 		select {
 		case <-ctx.Done():
 		case <-ticker.C:
+			m.wakeTick.Inc()
+		case _, ok := <-wake:
+			if !ok {
+				m.tickerOnly(w.err)
+				wake = nil
+				continue
+			}
+			m.wakeEvent.Inc()
 		}
 	}
 	m.checkpoint(true) // no producer left; offsets are final
+	m.ssl.Close()
+	m.x509.Close()
+}
+
+// tickerOnly says, once, that the tailer has no file events to wake on
+// and waits out the -poll ticker instead.
+func (m *monitor) tickerOnly(err error) {
+	m.logger.Warn("no file events: the tailer wakes on the -poll ticker alone",
+		"dir", m.o.logs, "reason", err, "poll", m.o.poll)
 }
 
 // source wraps one log's poll with its retry schedule. Persistent poll
@@ -191,7 +241,7 @@ func (m *monitor) run(ctx context.Context) {
 // back off exponentially instead of burning a full-rate retry loop: the
 // offset does not advance, so retrying every poll interval re-reads the
 // same failure.
-func (m *monitor) source(file string, poll func() (int, error)) *tailSource {
+func (m *monitor) source(file string, poll func() (int, bool, error)) *tailSource {
 	errs := m.reg.Counter(tailErrMetric, tailErrHelp, "file", file)
 	return &tailSource{bo: backoff.New(m.o.poll), poll: poll,
 		fail: func(err error, wait time.Duration) {

@@ -16,9 +16,9 @@ import (
 )
 
 // TestCatchUpInterleaves pins the tailer-starvation fix: with a writer
-// keeping x509.log hot (every poll returns rows), the old per-tick
-// until-empty loop never reached the ssl.log poll, so its lag grew
-// without bound. catchUp must poll both logs every round and stop at
+// keeping x509.log hot (every poll stops at its chunk cap), the old
+// per-tick until-empty loop never reached the ssl.log poll, so its lag
+// grew without bound. catchUp must poll both logs every round and stop at
 // the round cap rather than chase a hot file forever.
 func TestCatchUpInterleaves(t *testing.T) {
 	var x509Polls, sslPolls int
@@ -26,11 +26,11 @@ func TestCatchUpInterleaves(t *testing.T) {
 	srcs := []*tailSource{
 		// Hot forever: a writer appending at least as fast as we drain.
 		{bo: backoff.New(time.Millisecond), fail: noFail,
-			poll: func() (int, error) { x509Polls++; return 10, nil }},
+			poll: func() (int, bool, error) { x509Polls++; return 10, true, nil }},
 		{bo: backoff.New(time.Millisecond), fail: noFail,
-			poll: func() (int, error) { sslPolls++; return 1, nil }},
+			poll: func() (int, bool, error) { sslPolls++; return 1, true, nil }},
 	}
-	counts := catchUp(context.Background(), catchUpRounds, srcs)
+	counts, behind := catchUp(context.Background(), catchUpRounds, srcs)
 	if x509Polls != catchUpRounds {
 		t.Errorf("x509 polls = %d, want the round cap %d", x509Polls, catchUpRounds)
 	}
@@ -41,31 +41,37 @@ func TestCatchUpInterleaves(t *testing.T) {
 	if counts[0] != 10*catchUpRounds || counts[1] != catchUpRounds {
 		t.Errorf("counts = %v, want [%d %d]", counts, 10*catchUpRounds, catchUpRounds)
 	}
+	if !behind {
+		t.Error("a wake ended by the round cap must report the logs behind")
+	}
 }
 
-// TestCatchUpDrains: once every source reports an empty poll in the same
-// round, the tick ends early — no spinning until the round cap.
+// TestCatchUpDrains: a round follows only while some source stopped at
+// its chunk cap. Once every source read to the end of what was written in
+// the same round, the wake ends — with no extra round of polls that can
+// only find nothing new.
 func TestCatchUpDrains(t *testing.T) {
-	backlog := []int{3, 1} // polls until empty, per source
+	backlog := []int{3, 1} // chunks until drained, per source
 	var polls [2]int
 	noFail := func(err error, wait time.Duration) { t.Fatalf("unexpected failure: %v", err) }
 	mk := func(i int) *tailSource {
 		return &tailSource{bo: backoff.New(time.Millisecond), fail: noFail,
-			poll: func() (int, error) {
+			poll: func() (int, bool, error) {
 				polls[i]++
 				if polls[i] <= backlog[i] {
-					return 5, nil
+					return 5, polls[i] < backlog[i], nil
 				}
-				return 0, nil
+				return 0, false, nil
 			}}
 	}
-	counts := catchUp(context.Background(), catchUpRounds, []*tailSource{mk(0), mk(1)})
-	if counts[0] != 15 || counts[1] != 5 {
-		t.Errorf("counts = %v, want [15 5]", counts)
+	counts, behind := catchUp(context.Background(), catchUpRounds, []*tailSource{mk(0), mk(1)})
+	if counts[0] != 15 || counts[1] != 5 || behind {
+		t.Errorf("counts = %v, behind %v, want [15 5], false", counts, behind)
 	}
-	// The longer backlog dictates the rounds: 3 productive + 1 empty.
-	if polls[0] != 4 || polls[1] != 4 {
-		t.Errorf("polls = %v, want [4 4] (stop on the first all-empty round)", polls)
+	// The longer backlog dictates the rounds: 2 stopped at the cap, the
+	// third read to the end.
+	if polls[0] != 3 || polls[1] != 3 {
+		t.Errorf("polls = %v, want [3 3] (stop on the first round no source stopped at its cap)", polls)
 	}
 }
 
@@ -76,7 +82,7 @@ func TestCatchUpBackoff(t *testing.T) {
 	boom := errors.New("disk on fire")
 	srcs := []*tailSource{
 		{bo: backoff.New(time.Minute),
-			poll: func() (int, error) { failPolls++; return 0, boom },
+			poll: func() (int, bool, error) { failPolls++; return 0, false, boom },
 			fail: func(err error, wait time.Duration) {
 				fails++
 				if !errors.Is(err, boom) || wait <= 0 {
@@ -84,15 +90,12 @@ func TestCatchUpBackoff(t *testing.T) {
 				}
 			}},
 		{bo: backoff.New(time.Minute), fail: func(err error, wait time.Duration) { t.Fatal(err) },
-			poll: func() (int, error) {
+			poll: func() (int, bool, error) {
 				okPolls++
-				if okPolls <= 5 {
-					return 2, nil
-				}
-				return 0, nil
+				return 2, okPolls < 5, nil
 			}},
 	}
-	counts := catchUp(context.Background(), catchUpRounds, srcs)
+	counts, _ := catchUp(context.Background(), catchUpRounds, srcs)
 	if failPolls != 1 || fails != 1 {
 		t.Errorf("failing source polled %d times (failures %d), want 1 (backed off)", failPolls, fails)
 	}

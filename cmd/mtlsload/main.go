@@ -501,9 +501,8 @@ func (h *harness) streamWithChaos(conns []zeek.SSLRecord, certs []zeek.X509Recor
 	}
 	if modes["rotate"] {
 		triggers = append(triggers, trigger{0.35, "rotate", func() {
-			// Quiesce first: the tailer restarts a rotated file from
-			// byte 0, so rows it had not consumed would be lost.
-			drain("rotate")
+			// No quiesce: the tailer reads the rows it had not consumed
+			// from the renamed file before it switches to the new one.
 			if err := h.app.Rotate(chaos.SSLLog); err != nil {
 				h.failf("rotate: %v", err)
 			}

@@ -177,10 +177,9 @@ func (a *Appender) write(f io.Writer, data []byte) error {
 
 // Rotate renames the named log aside (file.1, file.2, ... per call) the
 // way logrotate's default mode does; the next append recreates the live
-// file with a fresh header. The caller is responsible for quiescing:
-// mtlsd's tailer restarts a rotated file from byte 0, so rows the
-// tailer had not consumed before the rename are lost to it — rotate
-// only once ingestion lag is zero if losslessness matters.
+// file with a fresh header. No quiescing is needed: mtlsd's tailer holds
+// the log open, so it reads the rows appended before the rename from the
+// renamed file, then the new file from byte 0.
 func (a *Appender) Rotate(file string) error {
 	a.rotSeq++
 	path := filepath.Join(a.Dir, file)
@@ -194,8 +193,9 @@ func (a *Appender) Rotate(file string) error {
 // CopyTruncate rotates the named log the way logrotate's copytruncate
 // mode does: copy the content aside, then truncate the live file in
 // place (same inode). The tailer detects the shrink (size < offset) and
-// restarts from byte 0. The same quiescing caveat as Rotate applies —
-// rows not yet consumed exist only in the copy, which is never tailed.
+// restarts from byte 0. The caller is responsible for quiescing: rows
+// not yet consumed exist only in the copy, which is never tailed, so
+// truncate only once ingestion lag is zero if losslessness matters.
 func (a *Appender) CopyTruncate(file string) error {
 	a.rotSeq++
 	path := filepath.Join(a.Dir, file)

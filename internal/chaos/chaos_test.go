@@ -92,16 +92,18 @@ func TestAppenderInitAndRoundTrip(t *testing.T) {
 }
 
 // TestCoordinatedRotateLossless is the rotation protocol the harness
-// relies on: drain (poll to EOF) before rotating, and no row is lost
-// even though the tailer restarts the fresh file from byte 0.
+// relies on: no row is lost across a rename, whether the tailer was
+// drained (polled to EOF) before it or not — all[7] lands after the last
+// poll before the rename and is read from the renamed file.
 func TestCoordinatedRotateLossless(t *testing.T) {
 	dir := t.TempDir()
 	a := NewAppender(dir)
 	reg := metrics.New()
 	tl := zeek.NewSSLTail(filepath.Join(dir, SSLLog))
+	defer tl.Close()
 	tl.Instrument(reg)
 
-	all := conns(12, "ro")
+	all := conns(13, "ro")
 	var got []zeek.SSLRecord
 	poll := func() {
 		t.Helper()
@@ -115,11 +117,14 @@ func TestCoordinatedRotateLossless(t *testing.T) {
 	if err := a.AppendConns(all[:7]); err != nil {
 		t.Fatal(err)
 	}
-	poll() // quiesce: tailer at EOF before the rename
-	if err := a.Rotate(SSLLog); err != nil {
+	poll() // tailer at EOF
+	if err := a.AppendConns(all[7:8]); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AppendConns(all[7:]); err != nil {
+	if err := a.Rotate(SSLLog); err != nil { // not quiesced: all[7] is unread
+		t.Fatal(err)
+	}
+	if err := a.AppendConns(all[8:]); err != nil {
 		t.Fatal(err)
 	}
 	poll()
@@ -137,8 +142,8 @@ func TestCoordinatedRotateLossless(t *testing.T) {
 	}
 	// The rotated copy retains the pre-rotation rows.
 	old := readSSL(t, filepath.Join(dir, SSLLog+".1"))
-	if len(old) != 7 {
-		t.Fatalf("rotated file has %d rows, want 7", len(old))
+	if len(old) != 8 {
+		t.Fatalf("rotated file has %d rows, want 8", len(old))
 	}
 }
 

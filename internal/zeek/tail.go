@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 // single read; instead each poll advances by at most one chunk (ending
 // at the last complete line) and the caller keeps polling until it
 // drains. 4 MiB comfortably exceeds any sane Zeek TSV line while keeping
-// the transient allocation bounded.
+// the read buffer, which a tailer reuses across polls, bounded.
 const maxPollChunk = 4 << 20
 
 // sigLen is how many bytes of the first data line identify a file when
@@ -40,19 +41,24 @@ type tailMetrics struct {
 	lag       *metrics.Gauge     // file size − consumed offset
 }
 
-// tail incrementally reads one Zeek TSV log file. Each poll opens the
-// file, seeks to the byte offset reached last time, and consumes newly
-// appeared complete lines, at most maxPollChunk bytes per poll; a
-// trailing partial line (a row the writer has not finished flushing) is
-// left for the next poll. Rotation is detected by file identity — the
-// FileInfo retained from the previous poll compared via os.SameFile,
-// with a first-line signature fallback when no identity is retained
-// (e.g. an offset restored from a checkpoint) — or by the file shrinking
-// below the saved offset (copytruncate keeps the inode). On rotation the
-// tailer restarts from byte 0, so a rotated file that regrows past the
-// old offset before the next poll still has every row read. The offset
-// is exposed so a daemon can persist it in a checkpoint and resume
-// tailing exactly where ingestion stopped.
+// tail incrementally reads one Zeek TSV log file. It holds the file open
+// between polls: a poll stats the path for identity and size, then reads
+// the newly appeared complete lines from the held descriptor at the byte
+// offset reached last time — at most maxPollChunk bytes, into a buffer it
+// reuses — and leaves a trailing partial line (a row the writer has not
+// finished flushing) for the next poll.
+//
+// Rotation is detected three ways. The path naming another file than the
+// one held, or none, is a rename or unlink: the held file's remaining
+// complete lines are read first, then the tailer switches to the new file
+// at byte 0, so rows appended just before the rename are not lost. A
+// first-line signature that no longer matches (the one check left when no
+// identity is held, e.g. an offset restored from a checkpoint) or the
+// file shrinking below the saved offset (copytruncate keeps the inode)
+// restarts the same path from byte 0; copytruncate loses whatever was
+// appended past the offset before the truncation, since those bytes are
+// gone from the file. The offset is exposed so a daemon can persist it in
+// a checkpoint and resume tailing exactly where ingestion stopped.
 type tail struct {
 	path     string
 	wantPath string
@@ -61,13 +67,23 @@ type tail struct {
 	line     int64
 	// chunk is the per-poll byte cap (maxPollChunk; tests shrink it).
 	chunk int64
-	// info is the identity of the file the offset refers to, nil before
-	// the first successful poll.
+	// f is the file the offset refers to and info its identity, both nil
+	// before the first successful poll and after close.
+	f    *os.File
 	info os.FileInfo
+	// more is set when the last poll stopped at the chunk cap with bytes
+	// of the file left behind it.
+	more bool
+	// buf is the read buffer, reused by every poll: nothing parsed from
+	// it outlives a poll uncopied (records copy out through the intern
+	// table).
+	buf []byte
 	// sig is up to sigLen bytes starting at sigOff (the first data
-	// line), the content identity backing up dev/inode comparison.
+	// line), the content identity backing up dev/inode comparison;
+	// sigCur is the scratch a poll reads the same bytes back into.
 	sig    []byte
 	sigOff int64
+	sigCur [sigLen]byte
 	// opts selects strict vs permissive malformed-row handling. The zero
 	// value is permissive: a corrupt row is consumed (quarantined when
 	// sinks are attached) instead of poisoning every subsequent poll.
@@ -100,27 +116,38 @@ func (t *tail) instrument(r *metrics.Registry) {
 	}
 }
 
-// rotated reports whether the file behind f is a different file than the
-// one the saved offset refers to. Identity is dev/inode (os.SameFile on
-// the FileInfo retained from the previous poll); the first-data-line
-// signature backs it up — it is the only check available when no
-// FileInfo is retained (an offset resumed without identity), and it also
-// catches an inode number recycled into a fresh file between polls. A
-// file that shrank below the offset rotated in place (copytruncate
-// keeps the inode).
-func (t *tail) rotated(f *os.File, fi os.FileInfo) bool {
-	if t.info != nil && !os.SameFile(t.info, fi) {
-		return true
-	}
-	if t.offset > 0 && len(t.sig) > 0 && fi.Size() >= t.sigOff+int64(len(t.sig)) {
-		cur := make([]byte, len(t.sig))
-		if n, err := f.ReadAt(cur, t.sigOff); err == nil || err == io.EOF {
+// rewritten reports whether the held file, which the path still names,
+// no longer holds what the saved offset refers to. The first-data-line
+// signature is the only check available when the file was opened without
+// a retained identity (an offset resumed from a checkpoint), and it also
+// catches a file rewritten in place. A file that shrank below the offset
+// rotated in place (copytruncate keeps the inode).
+func (t *tail) rewritten(size int64) bool {
+	if t.offset > 0 && len(t.sig) > 0 && size >= t.sigOff+int64(len(t.sig)) {
+		cur := t.sigCur[:len(t.sig)]
+		if n, err := t.f.ReadAt(cur, t.sigOff); err == nil || err == io.EOF {
 			if !bytes.Equal(cur[:n], t.sig) {
 				return true
 			}
 		}
 	}
-	return fi.Size() < t.offset
+	return size < t.offset
+}
+
+// restart points the tailer at byte 0 of a rotated log.
+func (t *tail) restart() {
+	t.offset, t.line = 0, 0
+	t.sig, t.sigOff = t.sig[:0], 0
+	t.skipping = false
+	t.m.rotations.Inc()
+}
+
+// readBuf returns the reused read buffer resized to n bytes.
+func (t *tail) readBuf(n int64) []byte {
+	if int64(cap(t.buf)) < n {
+		t.buf = make([]byte, n)
+	}
+	return t.buf[:n]
 }
 
 // captureSig (re)derives the signature while it is still shorter than
@@ -129,19 +156,15 @@ func (t *tail) rotated(f *os.File, fi os.FileInfo) bool {
 // short signature (the first data line was still being written when
 // first seen) is extended on later polls; the signed bytes never change
 // because the log is append-only.
-func (t *tail) captureSig(f *os.File, size int64) {
-	if int64(len(t.sig)) >= sigLen || size == 0 {
+func (t *tail) captureSig(size int64) {
+	if len(t.sig) >= sigLen || size == 0 {
 		return
 	}
 	if len(t.sig) > 0 && size <= t.sigOff+int64(len(t.sig)) {
 		return // nothing new to extend with
 	}
-	n := size
-	if n > sigScan {
-		n = sigScan
-	}
-	buf := make([]byte, n)
-	m, err := f.ReadAt(buf, 0)
+	buf := t.readBuf(min(size, sigScan))
+	m, err := t.f.ReadAt(buf, 0)
 	if err != nil && err != io.EOF {
 		return
 	}
@@ -149,12 +172,8 @@ func (t *tail) captureSig(f *os.File, size int64) {
 	var off int64
 	for len(buf) > 0 {
 		if buf[0] != '#' && buf[0] != '\n' {
-			avail := int64(len(buf))
-			if avail > sigLen {
-				avail = sigLen
-			}
 			t.sigOff = off
-			t.sig = append([]byte(nil), buf[:avail]...)
+			t.sig = append(t.sig[:0], buf[:min(len(buf), sigLen)]...)
 			return
 		}
 		nl := bytes.IndexByte(buf, '\n')
@@ -169,7 +188,7 @@ func (t *tail) captureSig(f *os.File, size int64) {
 // poll consumes newly appended complete rows, invoking row per data line.
 // The offset never advances past a partial trailing line, and by at most
 // one chunk per call — callers catching up on a backlog poll repeatedly
-// until no rows remain.
+// while t.more reports bytes left behind the cap.
 //
 // Malformed rows follow t.opts. Permissive (the default): the offset
 // advances past the bad line exactly once, the row is quarantined, and
@@ -180,42 +199,91 @@ func (t *tail) captureSig(f *os.File, size int64) {
 // dropped and ingestion visibly halts there until an operator acts.
 func (t *tail) poll(row func([][]byte) error) error {
 	defer t.m.pollDur.Since(time.Now())
-	f, err := os.Open(t.path)
-	if os.IsNotExist(err) {
+	t.more = false
+	fi, err := os.Stat(t.path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	if t.f != nil && (fi == nil || !os.SameFile(t.info, fi)) {
+		// The path names another file, or none: the log was renamed or
+		// unlinked, and the held descriptor still reads the old one.
+		if switched, err := t.drain(row); !switched {
+			return err
+		}
+	}
+	if fi == nil {
 		return nil // not written yet; keep polling
 	}
+	if t.f == nil {
+		f, err := os.Open(t.path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if fi, err = f.Stat(); err != nil {
+			f.Close()
+			return err
+		}
+		t.f, t.info = f, fi
+	}
+	if t.rewritten(fi.Size()) {
+		t.restart()
+	}
+	t.captureSig(fi.Size())
+	return t.read(fi.Size(), row, false)
+}
+
+// drain reads the held file, which the path no longer names, to its end,
+// then closes it and restarts at byte 0 of whatever the path names now.
+// It reports whether it switched: a drain stopped at the chunk cap (more
+// is set) or by an error resumes on the next poll.
+func (t *tail) drain(row func([][]byte) error) (bool, error) {
+	fi, err := t.f.Stat()
 	if err != nil {
-		return err
+		return false, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return err
+	if err := t.read(fi.Size(), row, true); err != nil || t.more {
+		return false, err
 	}
-	if t.rotated(f, fi) {
-		t.offset = 0
-		t.line = 0
-		t.sig = nil
-		t.sigOff = 0
-		t.skipping = false
-		t.m.rotations.Inc()
+	t.close()
+	t.restart()
+	return true, nil
+}
+
+// close releases the held file; the next poll reopens the path.
+func (t *tail) close() error {
+	if t.f == nil {
+		return nil
 	}
-	t.info = fi
-	t.captureSig(f, fi.Size())
-	if fi.Size() == t.offset {
+	err := t.f.Close()
+	t.f, t.info = nil, nil
+	return err
+}
+
+// read consumes the lines between the offset and size of the held file,
+// at most one chunk of them, setting t.more when the cap left bytes
+// unread. Only complete lines are consumed, except at eof — the file was
+// rotated away, so nothing will complete its last line — where a
+// trailing line without its newline is consumed as the batch reader
+// consumes one at the end of a file: it parses as a row or is rejected.
+func (t *tail) read(size int64, row func([][]byte) error, eof bool) error {
+	if size <= t.offset {
 		t.m.lag.Set(0)
 		return nil
 	}
+	defer func() { t.m.lag.Set(float64(max(size-t.offset, 0))) }()
 	chunk := t.chunk
 	if chunk <= 0 {
 		chunk = maxPollChunk
 	}
-	want := fi.Size() - t.offset
+	want := size - t.offset
 	if want > chunk {
-		want = chunk
+		want, t.more = chunk, true
 	}
-	buf := make([]byte, want)
-	n, err := f.ReadAt(buf, t.offset)
+	buf := t.readBuf(want)
+	n, err := t.f.ReadAt(buf, t.offset)
 	if err != nil && err != io.EOF {
 		return err
 	}
@@ -226,7 +294,6 @@ func (t *tail) poll(row func([][]byte) error) error {
 		nl := bytes.IndexByte(buf, '\n')
 		if nl < 0 {
 			t.offset += int64(len(buf))
-			t.m.lag.Set(float64(fi.Size() - t.offset))
 			return nil
 		}
 		t.offset += int64(nl) + 1
@@ -234,11 +301,13 @@ func (t *tail) poll(row func([][]byte) error) error {
 		t.skipping = false
 		buf = buf[nl+1:]
 	}
-	last := bytes.LastIndexByte(buf, '\n')
-	if last < 0 {
+	end := bytes.LastIndexByte(buf, '\n') + 1
+	if eof && !t.more {
+		end = len(buf)
+	}
+	if end == 0 {
 		if int64(len(buf)) >= chunk {
 			if t.opts.Strict {
-				t.m.lag.Set(float64(fi.Size() - t.offset))
 				return fmt.Errorf("zeek: tail %s: line at offset %d exceeds %d bytes", t.path, t.offset, chunk)
 			}
 			// The line cannot fit in one chunk and its end is not in
@@ -251,22 +320,17 @@ func (t *tail) poll(row func([][]byte) error) error {
 			t.offset += int64(len(buf))
 			t.skipping = true
 		}
-		t.m.lag.Set(float64(fi.Size() - t.offset))
 		return nil // only a partial line so far
 	}
-	data := buf[:last+1]
+	data := buf[:end]
 	t.m.bytesRead.Add(uint64(len(data)))
 	var rows uint64
-	defer func() {
-		t.m.rows.Add(rows)
-		t.m.lag.Set(float64(fi.Size() - t.offset))
-	}()
+	defer func() { t.m.rows.Add(rows) }()
 	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
 		lineStart := t.offset
-		line := data[:nl]
-		data = data[nl+1:]
-		t.offset += int64(nl) + 1
+		line, rest, _ := bytes.Cut(data, newline)
+		t.offset += int64(len(data) - len(rest))
+		data = rest
 		t.line++
 		// The batch reader's bufio.Scanner strips a trailing \r; do the
 		// same so a CRLF log parses identically tailed or batched (the
@@ -308,6 +372,9 @@ func (t *tail) poll(row func([][]byte) error) error {
 	return nil
 }
 
+// newline separates the lines a poll reads.
+var newline = []byte{'\n'}
+
 // badRow resolves one malformed line per the tailer's options: strict
 // rewinds the offset so the line is not consumed and returns the error;
 // permissive quarantines it and returns nil so the poll loop continues.
@@ -342,7 +409,7 @@ func (s *SSLTail) SetOptions(o Options) { s.t.opts = o }
 // Poll returns the connection rows appended since the previous poll (nil
 // when nothing new). Rows parsed before an error are still returned. One
 // call consumes at most one chunk (4 MiB) of the backlog; keep polling
-// until no rows return to drain a large catch-up.
+// while More reports true to drain a large catch-up.
 func (s *SSLTail) Poll() ([]SSLRecord, error) {
 	var out []SSLRecord
 	err := s.t.poll(func(cols [][]byte) error {
@@ -355,6 +422,13 @@ func (s *SSLTail) Poll() ([]SSLRecord, error) {
 	})
 	return out, err
 }
+
+// More reports whether the last Poll stopped at its chunk cap, leaving
+// bytes of the log it has not read yet.
+func (s *SSLTail) More() bool { return s.t.more }
+
+// Close releases the log file the tailer holds open between polls.
+func (s *SSLTail) Close() error { return s.t.close() }
 
 // Offset is the byte position reached so far, for checkpointing.
 func (s *SSLTail) Offset() int64 { return s.t.offset }
@@ -392,6 +466,13 @@ func (x *X509Tail) Poll() ([]X509Record, error) {
 	})
 	return out, err
 }
+
+// More reports whether the last Poll stopped at its chunk cap (see
+// SSLTail.More).
+func (x *X509Tail) More() bool { return x.t.more }
+
+// Close releases the log file the tailer holds open between polls.
+func (x *X509Tail) Close() error { return x.t.close() }
 
 // Offset is the byte position reached so far, for checkpointing.
 func (x *X509Tail) Offset() int64 { return x.t.offset }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -207,6 +209,155 @@ func TestTailRotationRegrow(t *testing.T) {
 	}
 }
 
+// uids lists the records' UIDs, in order.
+func uids(recs []SSLRecord) []string {
+	out := make([]string, len(recs))
+	for i := range recs {
+		out[i] = string(recs[i].UID)
+	}
+	return out
+}
+
+// TestTailRotationDrainsRenamed: rows appended to a log after the last
+// poll and before it was renamed aside are read from the renamed file,
+// ahead of the new file's rows. The tailer used to reopen the path and
+// restart at byte 0 of the new file, losing them.
+func TestTailRotationDrainsRenamed(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ssl.log")
+	ts := time.Date(2022, 6, 1, 0, 0, 0, 0, time.UTC)
+	writeRows(t, path, tailRec("C1", ts), tailRec("C2", ts.Add(time.Second)))
+
+	tl := NewSSLTail(path)
+	defer tl.Close()
+	reg := metrics.New()
+	tl.Instrument(reg)
+	if recs, err := tl.Poll(); err != nil || len(recs) != 2 {
+		t.Fatalf("prefix: recs=%d err=%v", len(recs), err)
+	}
+
+	writeRows(t, path, tailRec("C3", ts.Add(2*time.Second)), tailRec("C4", ts.Add(3*time.Second)),
+		tailRec("C5", ts.Add(4*time.Second)))
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	writeRows(t, path, tailRec("R1", ts.Add(time.Hour)))
+
+	var got []SSLRecord
+	for i := 0; i < 4; i++ {
+		recs, err := tl.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, recs...)
+	}
+	if want := []string{"C3", "C4", "C5", "R1"}; !slices.Equal(uids(got), want) {
+		t.Fatalf("rows across the rename = %v, want %v", uids(got), want)
+	}
+	if n := reg.Counter("tail_rotations_total", "", "file", "ssl").Value(); n != 1 {
+		t.Errorf("rotations metric = %d, want 1", n)
+	}
+}
+
+// TestTailRotationPartialLine: a renamed file's last line without its
+// newline is consumed as the batch reader consumes one at the end of a
+// file — here it is cut short, so it is quarantined — rather than
+// dropped, and the new file follows. Strict mode stops on it instead and
+// stays on the old file.
+func TestTailRotationPartialLine(t *testing.T) {
+	for _, strict := range []bool{false, true} {
+		t.Run(fmt.Sprintf("strict=%v", strict), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "ssl.log")
+			ts := time.Date(2022, 6, 1, 0, 0, 0, 0, time.UTC)
+			writeRows(t, path, tailRec("C1", ts))
+			q := NewQuarantine(io.Discard)
+			tl := NewSSLTail(path)
+			defer tl.Close()
+			tl.SetOptions(Options{Strict: strict, Quarantine: q})
+			if recs, err := tl.Poll(); err != nil || len(recs) != 1 {
+				t.Fatalf("prefix: recs=%d err=%v", len(recs), err)
+			}
+			writeRows(t, path, tailRec("C2", ts.Add(time.Second)))
+			appendRaw(t, path, "1654050000.000000\tC3\t10.0.0.1\t1234")
+			if err := os.Rename(path, path+".1"); err != nil {
+				t.Fatal(err)
+			}
+			writeRows(t, path, tailRec("R1", ts.Add(time.Hour)))
+
+			var got []SSLRecord
+			var errs int
+			for i := 0; i < 3; i++ {
+				recs, err := tl.Poll()
+				if err != nil {
+					errs++
+				}
+				got = append(got, recs...)
+			}
+			if strict {
+				if errs != 3 || !slices.Equal(uids(got), []string{"C2"}) {
+					t.Fatalf("strict: %d failed polls, rows %v; want 3 and [C2] (halted on the cut line)", errs, uids(got))
+				}
+				return
+			}
+			if errs != 0 || !slices.Equal(uids(got), []string{"C2", "R1"}) || q.Count() != 1 {
+				t.Fatalf("permissive: %d failed polls, rows %v, %d quarantined; want 0, [C2 R1], 1", errs, uids(got), q.Count())
+			}
+		})
+	}
+}
+
+// TestTailHeldFileClosed: the tailer holds one descriptor between polls,
+// releases the old file when it switches to a rotated log's new one, and
+// releases it on Close.
+func TestTailHeldFileClosed(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors in /proc/self/fd")
+	}
+	open := func() int {
+		t.Helper()
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ssl.log")
+	ts := time.Date(2022, 6, 1, 0, 0, 0, 0, time.UTC)
+	writeRows(t, path, tailRec("C1", ts))
+	base := open()
+
+	tl := NewSSLTail(path)
+	for i := 0; i < 2; i++ {
+		if _, err := tl.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		if n := open(); n != base+1 {
+			t.Fatalf("poll %d: %d descriptors open, want %d (one held)", i, n, base+1)
+		}
+	}
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	writeRows(t, path, tailRec("R1", ts.Add(time.Hour)))
+	if recs, err := tl.Poll(); err != nil || len(recs) != 1 {
+		t.Fatalf("after the rename: recs=%d err=%v", len(recs), err)
+	}
+	if n := open(); n != base+1 {
+		t.Fatalf("after the switch: %d descriptors open, want %d (the renamed file released)", n, base+1)
+	}
+	if err := tl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := open(); n != base {
+		t.Fatalf("after Close: %d descriptors open, want %d", n, base)
+	}
+	if err := tl.Close(); err != nil {
+		t.Fatalf("a second Close: %v", err)
+	}
+}
+
 // TestTailChunkedBacklog: a backlog far larger than the per-poll chunk
 // is consumed across several polls, each bounded by the chunk size, with
 // no row lost or duplicated.
@@ -225,19 +376,19 @@ func TestTailChunkedBacklog(t *testing.T) {
 	tl.t.chunk = 512 // force many polls; each row is ~100 bytes
 	var got []SSLRecord
 	polls := 0
-	for {
+	for more := true; more; polls++ {
 		batch, err := tl.Poll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batch) == 0 {
-			break
-		}
 		got = append(got, batch...)
-		polls++
+		more = tl.More()
 	}
 	if len(got) != rows {
-		t.Fatalf("drained %d rows across %d polls, want %d", len(got), polls, rows)
+		t.Fatalf("drained %d rows across %d polls, want %d (More must hold until the backlog is read)", len(got), polls, rows)
+	}
+	if batch, err := tl.Poll(); err != nil || len(batch) != 0 || tl.More() {
+		t.Fatalf("a poll after More went false: %d rows, More %v, err %v", len(batch), tl.More(), err)
 	}
 	if polls < 3 {
 		t.Fatalf("backlog consumed in %d polls; chunking is not limiting reads", polls)
@@ -282,8 +433,9 @@ func TestTailSignatureFallback(t *testing.T) {
 		t.Fatalf("prefix rows = %d", len(got))
 	}
 
-	// Simulate a restart: identity lost, offset and signature retained.
-	tl.info = nil
+	// Simulate a restart: the file released and its identity lost, the
+	// offset and signature retained.
+	tl.close()
 	// Replace with a different file that is larger than the offset; only
 	// the signature can reveal the swap.
 	write("gamma\t3\ndelta\t4\nepsilon\t5\n")
