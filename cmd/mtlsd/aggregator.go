@@ -11,8 +11,9 @@ import (
 )
 
 // runAggregator is the -role aggregator body: no tailers, no engine, no
-// checkpoint — the process pulls the configured sensors on -sync-every
-// and serves their merged analysis through the same /api/v1 surface.
+// checkpoint — the process follows the configured sensors (heartbeat and
+// reconnect pacing on -sync-every) and serves their merged analysis
+// through the same /api/v1 surface.
 func runAggregator(ctx context.Context, o options, logger *slog.Logger, ready func(addr string)) int {
 	switch {
 	case o.sensors == "":
@@ -60,5 +61,5 @@ func runAggregator(ctx context.Context, o options, logger *slog.Logger, ready fu
 	logger.Info("serving", "addr", ln.Addr().String(), "role", "aggregator",
 		"sensors", len(sensors), "sync_every", o.syncEvery.String())
 	mux := newMux(agg, reg, logger, o.pprof, daemonInfo{role: "aggregator", agg: agg})
-	return serve(ctx, ln, mux, logger, ready, agg.Run)
+	return serve(ctx, ln, mux, logger, ready, agg.Run, nil)
 }

@@ -1,18 +1,24 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	mtls "repro"
 	"repro/internal/core"
+	"repro/internal/distrib"
 	"repro/internal/stream"
 	"repro/internal/zeek"
 )
@@ -348,6 +354,75 @@ func TestDaemonRoleValidation(t *testing.T) {
 		set(&o)
 		if code := run(context.Background(), o, testLogger(t), nil); code != 2 {
 			t.Errorf("%s: exit %d, want 2", name, code)
+		}
+	}
+}
+
+// TestDaemonSensorFollowStream: a sensor daemon flushes each snapshot of
+// a followed stream through its instrumented handler (a heartbeat
+// arrives, not just the first snapshot), counts the stream in
+// distrib_follow_streams, and on SIGTERM ends it at a snapshot boundary
+// and exits within a second: the body decodes whole to its end.
+func TestDaemonSensorFollowStream(t *testing.T) {
+	dir, cfg := writeTestLogs(t)
+	o := testOptions(dir, cfg)
+	o.role = "sensor"
+	base, cancel, exit := startDaemon(t, o)
+	defer cancel()
+	if code, metrics := httpGet(t, base+"/metrics"); code != 200 || !strings.Contains(metrics, "distrib_follow_streams 0") {
+		t.Fatalf("a fresh sensor does not expose distrib_follow_streams 0 (HTTP %d)", code)
+	}
+	waitIngested(t, base)
+
+	resp, err := http.Get(base + "/api/v1/snapshot?schema=2&follow=20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body := bufio.NewReader(resp.Body)
+	decoded := make(chan error, 1)
+	next := func() error {
+		go func() {
+			_, err := distrib.Decode(body)
+			decoded <- err
+		}()
+		select {
+		case err := <-decoded:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("no snapshot arrived on the followed stream")
+			return nil
+		}
+	}
+	for i := 0; i < 3; i++ { // the first snapshot and two heartbeats
+		if err := next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, metrics := httpGet(t, base+"/metrics"); !strings.Contains(metrics, "distrib_follow_streams 1") {
+		t.Error("distrib_follow_streams is not 1 with one stream open")
+	}
+
+	start := time.Now()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("exit code %d after SIGTERM, want 0", code)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a sensor holding a followed stream did not exit within 1s of SIGTERM")
+	}
+	t.Logf("exited %v after SIGTERM", time.Since(start))
+	for {
+		err := next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("the stream ended mid-snapshot: %v", err)
 		}
 	}
 }

@@ -39,18 +39,20 @@
 //
 // The distributed tier stacks two roles on the same binary. A sensor is
 // a monitor that additionally serializes its engine state over
-// GET /api/v1/snapshot (full snapshots, or deltas from a cursor); an
-// aggregator tails nothing — it pulls N sensors on an interval and
-// serves the merged analysis through the same /api/v1 report surface:
+// GET /api/v1/snapshot (full snapshots, or deltas from a cursor, or with
+// follow=<ms> one stream of deltas written as it ingests); an aggregator
+// tails nothing — it follows N sensors, one such stream each, and serves
+// the merged analysis through the same /api/v1 report surface:
 //
 //	mtlsd -role sensor -logs ./site-a -listen :8411
 //	mtlsd -role sensor -logs ./site-b -listen :8412
 //	mtlsd -role aggregator -sensors localhost:8411,localhost:8412 -listen :8400
 //	curl -s localhost:8400/api/v1/reports/table1 | jq .
 //
-// An unreachable sensor backs off exponentially while the aggregator
-// keeps serving its last-good merge; per-sensor cursors, sync ages, and
-// errors appear in /api/v1/stats and /metrics.
+// -sync-every is a followed sensor's heartbeat and the aggregator's
+// reconnect interval. An unreachable sensor backs off exponentially while
+// the aggregator keeps serving its last-good merge; per-sensor cursors,
+// sync ages, and errors appear in /api/v1/stats and /metrics.
 //
 // With -checkpoint the engine state is periodically persisted together
 // with the log-file byte offsets; on restart mtlsd restores the state
@@ -163,7 +165,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.Int64Var(&o.hotBytes, "hot-bytes", o.hotBytes, "disk store budget: estimated bytes of hot connections in the window (0 = store default)")
 	fs.StringVar(&o.role, "role", o.role, "monitor, sensor (monitor + /api/v1/snapshot), or aggregator (pulls -sensors)")
 	fs.StringVar(&o.sensors, "sensors", o.sensors, "comma-separated sensor addresses (aggregator role only)")
-	fs.DurationVar(&o.syncEvery, "sync-every", o.syncEvery, "aggregator sensor pull interval")
+	fs.DurationVar(&o.syncEvery, "sync-every", o.syncEvery, "heartbeat and reconnect interval of a followed sensor (aggregator role)")
 }
 
 func main() {
@@ -200,9 +202,11 @@ func run(ctx context.Context, o options, logger *slog.Logger, ready func(addr st
 // arrives or the HTTP server dies underneath us. Either way work is then
 // cancelled and waited for — it owns whatever must happen last with its
 // state, such as the final checkpoint — before the server shuts down.
-// Returns the exit code.
+// onShutdown, when non-nil, runs as the shutdown begins: it ends the
+// responses that would otherwise stay open (a sensor's followed
+// streams). Returns the exit code.
 func serve(ctx context.Context, ln net.Listener, h http.Handler, logger *slog.Logger,
-	ready func(addr string), work func(context.Context)) int {
+	ready func(addr string), work func(context.Context), onShutdown func()) int {
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	workDone := make(chan struct{})
@@ -212,6 +216,9 @@ func serve(ctx context.Context, ln net.Listener, h http.Handler, logger *slog.Lo
 	}()
 
 	srv := &http.Server{Handler: h}
+	if onShutdown != nil {
+		srv.RegisterOnShutdown(onShutdown)
+	}
 	srvErr := make(chan error, 1)
 	go func() { srvErr <- srv.Serve(ln) }()
 	if ready != nil {

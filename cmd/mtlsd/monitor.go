@@ -134,11 +134,13 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 	}
 
 	info := daemonInfo{role: o.role}
+	var onShutdown func()
 	if o.role == "sensor" {
 		info.sensor = distrib.NewSensor(eng, reg, logger)
+		onShutdown = info.sensor.Close
 	}
 	logger.Info("serving", "addr", ln.Addr().String(), "role", o.role, "pprof", o.pprof)
-	return serve(ctx, ln, newMux(eng, reg, logger, o.pprof, info), logger, ready, m.run)
+	return serve(ctx, ln, newMux(eng, reg, logger, o.pprof, info), logger, ready, m.run, onShutdown)
 }
 
 // openEngine restores the engine from the checkpoint at path, or starts

@@ -1,7 +1,9 @@
 package distrib
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -29,9 +31,11 @@ type Config struct {
 	Input *core.Input
 	// Sensors are the sensor base addresses ("host:port" or full URLs).
 	Sensors []string
-	// Interval is the per-sensor pull cadence (default 5s). Failures
-	// back off exponentially from Interval on the tailer's schedule
-	// (internal/backoff).
+	// Interval is a followed sensor's heartbeat and the reconnect pacing
+	// (default 5s): a quiet sensor writes an empty snapshot every
+	// Interval, a pull on which nothing arrives for two of them (plus a
+	// grace) fails, and failures back off exponentially from Interval on
+	// the tailer's schedule (internal/backoff).
 	Interval time.Duration
 	// Metrics receives the distrib_* series; nil disables exposition.
 	Metrics *metrics.Registry
@@ -61,7 +65,7 @@ type SensorStatus struct {
 
 // sensorState is one sensor's accumulated raw state plus sync
 // bookkeeping; guarded by the aggregator's mu except inside the
-// sensor's own fetch (network I/O happens unlocked).
+// sensor's own pull (network I/O happens unlocked).
 type sensorState struct {
 	url    string
 	schema int // of the last body applied
@@ -79,10 +83,13 @@ type sensorState struct {
 	// is held here was dropped or replaced rather than appended to
 	// (eviction, a full snapshot over existing state, a 410 discard): the
 	// merged view's cursor into this sensor is void past such a point.
-	certs    []*certmodel.CertInfo
-	win      *store.Window
-	lost     uint64
+	certs []*certmodel.CertInfo
+	win   *store.Window
+	lost  uint64
+	// evidence is the union of every pair the sensor's snapshots carried,
+	// pending the parked count the latest one reported.
 	evidence *interception.Evidence
+	pending  int
 
 	connsIngested uint64
 	certsIngested uint64
@@ -110,7 +117,7 @@ type aggMetrics struct {
 	evicted     func(url string) *metrics.Counter
 }
 
-// Aggregator pulls N sensors and serves their merged analysis: each
+// Aggregator follows N sensors and serves their merged analysis: each
 // sensor's accumulated snapshot stream is one source of a
 // core.MergedView, merged under the §3.2 verdict of the union of raw
 // sensor evidence (interception.Merge). Connections are numbered as
@@ -202,9 +209,10 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 			u = "http://" + u
 		}
 		ss := &sensorState{
-			url: u,
-			win: new(store.Window),
-			bo:  backoff.New(cfg.Interval),
+			url:      u,
+			win:      new(store.Window),
+			evidence: interception.EvidenceOf(nil),
+			bo:       backoff.New(cfg.Interval),
 		}
 		a.sensors = append(a.sensors, ss)
 		url := u
@@ -222,28 +230,48 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 	return a, nil
 }
 
-// Run pulls every sensor on the configured interval until ctx is done:
-// one loop per sensor, so a slow or dead sensor never delays the
-// others. The first sync of each sensor happens immediately.
+// idleGrace is what a pull's idle deadline allows beyond two heartbeats:
+// room for a sensor to export and encode a large first snapshot.
+const idleGrace = 2 * time.Second
+
+// errIdle is the cause a pull's context is cancelled with when nothing
+// arrived on it within the idle deadline.
+var errIdle = errors.New("idle deadline")
+
+// Run follows every sensor until ctx is done: one loop per sensor, so a
+// slow or dead sensor never delays the others. Each loop holds one
+// followed stream open (a pull with follow = Interval), so a sensor's rows
+// land here as it ingests them and its heartbeat arrives every Interval
+// when it is quiet. The Interval ticker only paces reconnects: a followed
+// stream that ended cleanly (the sensor shut down, or renumbered) is
+// reopened at once, once; anything else — a failure, or a sensor that
+// answers one snapshot per request, as the previous release's does —
+// waits for the next tick its backoff allows. The first pull of each
+// sensor happens immediately.
 func (a *Aggregator) Run(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, ss := range a.sensors {
 		wg.Add(1)
 		go func(ss *sensorState) {
 			defer wg.Done()
-			a.syncSensor(ctx, ss)
 			t := time.NewTicker(a.cfg.Interval)
 			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case now := <-t.C:
-					a.mu.Lock()
-					due := ss.bo.Ready(now)
-					a.mu.Unlock()
-					if due {
-						a.syncSensor(ctx, ss)
+			reopened := false
+			for ctx.Err() == nil {
+				followed, err := a.pull(ctx, ss, a.cfg.Interval)
+				if followed && err == nil && !reopened {
+					reopened = true
+					continue
+				}
+				reopened = false
+				for wait := true; wait; {
+					select {
+					case <-ctx.Done():
+						return
+					case now := <-t.C:
+						a.mu.Lock()
+						wait = !ss.bo.Ready(now)
+						a.mu.Unlock()
 					}
 				}
 			}
@@ -252,48 +280,62 @@ func (a *Aggregator) Run(ctx context.Context) {
 	wg.Wait()
 }
 
-// SyncAll synchronously pulls every sensor once, ignoring backoff — the
-// deterministic hook tests and one-shot tools use. Returns the first
-// error (every sensor is still attempted).
+// SyncAll synchronously pulls every sensor once, unfollowed and ignoring
+// backoff — the deterministic hook tests and one-shot tools use. Returns
+// the first error (every sensor is still attempted).
 func (a *Aggregator) SyncAll(ctx context.Context) error {
 	var first error
 	for _, ss := range a.sensors {
-		if err := a.syncSensor(ctx, ss); err != nil && first == nil {
+		if _, err := a.pull(ctx, ss, 0); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// syncSensor performs one sync of one sensor and records the outcome.
-func (a *Aggregator) syncSensor(ctx context.Context, ss *sensorState) error {
-	err := a.syncOnce(ctx, ss)
-	now := time.Now()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if err != nil {
+// pull opens one snapshot request at the sensor's cursor — followed when
+// follow > 0 — and applies every snapshot its body carries, each against
+// the cursor the one before it left, until the body ends. Each snapshot
+// applied is a successful sync; the error that ends a pull is one failed
+// sync and starts the backoff (unless ctx ended it). A 410 discards what
+// is held of the sensor and asks again from zero. Every pull has an idle
+// deadline: nothing arriving on it for two heartbeats (2×Interval) plus
+// idleGrace fails it. followed reports whether more than one snapshot
+// was applied.
+func (a *Aggregator) pull(ctx context.Context, ss *sensorState, follow time.Duration) (followed bool, err error) {
+	n, err := a.consume(ctx, ss, follow)
+	if err != nil && ctx.Err() == nil {
+		a.mu.Lock()
 		ss.errs++
 		ss.lastErr = err.Error()
-		wait := ss.bo.Failure(now)
+		wait := ss.bo.Failure(time.Now())
+		a.mu.Unlock()
 		a.m.syncErrors(ss.url).Inc()
 		a.logger.Warn("sensor sync failed", "sensor", ss.url, "err", err, "retry_in", wait.String())
-		return err
 	}
-	ss.syncs++
-	ss.lastErr = ""
-	ss.lastSync = now
-	ss.bo.Success()
-	a.m.syncs(ss.url).Inc()
-	a.m.cursor(ss.url).Set(float64(ss.cursor))
-	return nil
+	return n > 1, err
 }
 
-func (a *Aggregator) syncOnce(ctx context.Context, ss *sensorState) error {
+// consume is pull's body: it returns how many snapshots were applied.
+func (a *Aggregator) consume(ctx context.Context, ss *sensorState, follow time.Duration) (int, error) {
+	idle := 2*a.cfg.Interval + idleGrace
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	deadline := time.AfterFunc(idle, func() { cancel(errIdle) })
+	defer deadline.Stop()
+	// A pull that failed on its own deadline says so, not "context
+	// canceled".
+	idled := func(err error) error {
+		if context.Cause(ctx) == errIdle {
+			return fmt.Errorf("distrib: pull %s: nothing arrived for %v", ss.url, idle)
+		}
+		return err
+	}
+
 	a.mu.Lock()
 	cursor, epoch := ss.cursor, ss.epoch
 	a.mu.Unlock()
-
-	snap, n, status, err := a.fetch(ctx, ss, cursor, epoch)
+	body, status, err := a.open(ctx, ss, cursor, epoch, follow)
 	if status == http.StatusGone {
 		// The sensor restarted with a new sequence numbering: our
 		// accumulated view of it is unusable. Discard and full-resync.
@@ -306,52 +348,63 @@ func (a *Aggregator) syncOnce(ctx context.Context, ss *sensorState) error {
 		a.rebuildUnionLocked()
 		a.mu.Unlock()
 		a.m.fullResyncs(ss.url).Inc()
-		cursor, epoch = 0, 0
-		snap, n, status, err = a.fetch(ctx, ss, 0, 0)
+		cursor = 0
+		body, _, err = a.open(ctx, ss, 0, 0, follow)
 	}
 	if err != nil {
-		return err
+		return 0, idled(err)
 	}
-	return a.apply(ss, snap, n, cursor)
+	defer body.Close()
+	cr := &countingReader{r: bufio.NewReader(&progressReader{r: body, idle: deadline, d: idle})}
+	for n := 0; ; n++ {
+		before := cr.n
+		snap, err := Decode(cr)
+		if n > 0 && errors.Is(err, io.EOF) {
+			return n, nil // the body ended at a snapshot boundary
+		}
+		if err != nil {
+			return n, idled(fmt.Errorf("distrib: pull %s: %w", ss.url, err))
+		}
+		if err := a.apply(ss, snap, cr.n-before, cursor); err != nil {
+			return n, err
+		}
+		cursor = snap.NextSeq
+	}
 }
 
-// fetch pulls one snapshot under SchemaV2. The HTTP status is returned
-// alongside the error so the caller can route a 410 to a full re-sync. A
-// sensor that refuses the schema (406, naming what it offers in the body)
-// or answers under another is an error like any failed pull: nothing of
-// it is merged, and the sensor backs off.
-func (a *Aggregator) fetch(ctx context.Context, ss *sensorState, cursor, epoch uint64) (*Snapshot, int64, int, error) {
+// open requests a snapshot body under SchemaV2 from the cursor on,
+// followed when follow > 0. The HTTP status is returned alongside the
+// error so the caller can route a 410 to a full re-sync. A sensor that
+// refuses the schema (406, naming what it offers in the body) or answers
+// under another is an error like any failed pull: nothing of it is
+// merged, and the sensor backs off.
+func (a *Aggregator) open(ctx context.Context, ss *sensorState, cursor, epoch uint64, follow time.Duration) (io.ReadCloser, int, error) {
 	url := ss.url + "/api/v1/snapshot?schema=" + strconv.Itoa(SchemaV2)
 	if cursor > 0 {
 		url += "&since=" + strconv.FormatUint(cursor, 10) + "&epoch=" + strconv.FormatUint(epoch, 10)
 	}
+	if follow > 0 {
+		url += "&follow=" + strconv.FormatInt(max(follow.Milliseconds(), 1), 10)
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("distrib: pull %s: %w", ss.url, err)
+		return nil, 0, fmt.Errorf("distrib: pull %s: %w", ss.url, err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, 0, resp.StatusCode,
+		return nil, resp.StatusCode,
 			fmt.Errorf("distrib: pull %s: status %d: %s", ss.url, resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	cr := &countingReader{r: resp.Body}
-	snap, err := Decode(cr)
-	if err != nil {
-		return nil, cr.n, resp.StatusCode, fmt.Errorf("distrib: pull %s: %w", ss.url, err)
-	}
-	// Read through the end of the body so the connection is released
-	// back to the pool instead of lingering half-read.
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	return snap, cr.n, resp.StatusCode, nil
+	return resp.Body, resp.StatusCode, nil
 }
 
-// apply validates a pulled snapshot against the cursor it answered and
-// folds it into the sensor's accumulated state.
+// apply validates a pulled snapshot against the cursor it answered, folds
+// it into the sensor's accumulated state and records the sync.
 func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor uint64) error {
 	if snap.Since != cursor {
 		return fmt.Errorf("distrib: %s answered since %d, asked %d", ss.url, snap.Since, cursor)
@@ -393,12 +446,18 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 		ss.win.AppendConn(&snap.Conns[i].Conn, a.nextSeq)
 		a.nextSeq++
 	}
-	// An empty steady-state delta changes nothing (every state change on
-	// the sensor consumes a sequence number), so it must not invalidate
-	// the merge cache. Evidence is cumulative on the sensor: the latest
-	// snapshot's relations replace (not union with) what we held.
-	if cursor == 0 || len(snap.Certs) > 0 || len(snap.Conns) > 0 {
-		ss.evidence = snap.Evidence
+	// Evidence is unioned in: a later snapshot on a stream carries only
+	// the pairs new since the one before, and the first of every stream
+	// the whole evidence again, which adds nothing already held.
+	grew := false
+	if snap.Evidence != nil {
+		ss.pending = snap.Evidence.Pending
+		grew = ss.evidence.Absorb(snap.Evidence)
+	}
+	// An empty steady-state delta changes nothing (every record on the
+	// sensor consumes a sequence number, and a pair held already is no
+	// news), so it must not invalidate the merge cache.
+	if cursor == 0 || len(snap.Certs) > 0 || len(snap.Conns) > 0 || grew {
 		ss.version++
 		if cursor == 0 {
 			a.rebuildUnionLocked()
@@ -406,7 +465,9 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 			for i := range snap.Certs {
 				a.seen[snap.Certs[i].Cert.Fingerprint] = true
 			}
-			a.union.AbsorbEvidence(snap.Evidence)
+			if grew {
+				a.union.AbsorbEvidence(snap.Evidence)
+			}
 		}
 	}
 	ss.schema = SchemaV2
@@ -419,6 +480,12 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 	ss.bytes += uint64(nbytes)
 	a.m.syncBytes(ss.url).Add(uint64(nbytes))
 	a.evictLocked()
+	ss.syncs++
+	ss.lastErr = ""
+	ss.lastSync = time.Now()
+	ss.bo.Success()
+	a.m.syncs(ss.url).Inc()
+	a.m.cursor(ss.url).Set(float64(ss.cursor))
 	return nil
 }
 
@@ -430,7 +497,8 @@ func (ss *sensorState) discardLocked() {
 	if len(ss.certs) > 0 || ss.win.ConnCount() > 0 {
 		ss.lost++
 	}
-	ss.certs, ss.win, ss.evidence = nil, new(store.Window), nil
+	ss.certs, ss.win = nil, new(store.Window)
+	ss.evidence, ss.pending = interception.EvidenceOf(nil), 0
 }
 
 // rebuildUnionLocked re-derives union and seen from what every sensor
@@ -487,6 +555,21 @@ type countingReader struct {
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
+	return n, err
+}
+
+// progressReader pushes a pull's idle deadline back whenever bytes arrive.
+type progressReader struct {
+	r    io.Reader
+	idle *time.Timer
+	d    time.Duration
+}
+
+func (p *progressReader) Read(b []byte) (int, error) {
+	n, err := p.r.Read(b)
+	if n > 0 {
+		p.idle.Reset(p.d)
+	}
 	return n, err
 }
 
@@ -571,9 +654,7 @@ func (a *Aggregator) Stats() stream.Stats {
 		if ss.watermark.After(st.Watermark) {
 			st.Watermark = ss.watermark
 		}
-		if ss.evidence != nil {
-			st.PendingCerts += ss.evidence.Pending
-		}
+		st.PendingCerts += ss.pending
 	}
 	st.UniqueCerts = len(a.seen)
 	st.ExcludedCerts = a.union.ExcludedCount()

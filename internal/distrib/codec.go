@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/interception"
@@ -65,6 +66,14 @@ type trailer struct {
 // ahead of its payload.
 const frameRoom = 1 + binary.MaxVarintLen64
 
+// frameBufs recycles Encode's frame buffer: a followed sensor encodes a
+// snapshot per published batch, most of them a few hundred bytes, and a
+// fresh 64 KiB buffer each was a tenth of its profile.
+var frameBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 64<<10)
+	return &b
+}}
+
 // Encode writes s as one framed snapshot stream. Every frame is encoded
 // into one buffer, behind room for its prefix, and goes out in one Write.
 // The output is canonical: encoding the result of Decode reproduces the
@@ -75,7 +84,12 @@ func Encode(w io.Writer, s *Snapshot) error {
 	if _, err := io.WriteString(w, magic); err != nil {
 		return err
 	}
-	buf := make([]byte, frameRoom, 64<<10)
+	pooled := frameBufs.Get().(*[]byte)
+	buf := (*pooled)[:frameRoom]
+	defer func() {
+		*pooled = buf[:0]
+		frameBufs.Put(pooled)
+	}()
 	flush := func(typ byte) error {
 		var prefix [frameRoom]byte
 		prefix[0] = typ
@@ -131,7 +145,10 @@ func Encode(w io.Writer, s *Snapshot) error {
 	return flush(frameTrailer)
 }
 
-// Decode reads one framed snapshot stream, validating as it goes: unknown
+// Decode reads one framed snapshot stream and nothing past its trailer, so
+// a body carrying several — a followed sensor's — is read by calling it
+// once per snapshot; a body that ends where a snapshot would begin yields
+// an error wrapping io.EOF. It validates as it goes: unknown
 // frame types, out-of-order frames, oversized or truncated payloads,
 // malformed payloads, schemas other than SchemaV2 (ErrSchema),
 // non-positive connection weights, unkeyed certificates, sequence-order
@@ -143,7 +160,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	br := &byteReader{r: r}
 	var m [len(magic)]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: magic: %v", errCodec, err)
+		return nil, fmt.Errorf("%w: magic: %w", errCodec, err)
 	}
 	if string(m[:]) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", errCodec, m)

@@ -42,10 +42,15 @@ func parentBody(t *testing.T, kind string) ([]byte, *stream.ExportState) {
 	return body, &st
 }
 
-// fixedExporter serves one recorded export, whatever the cursor.
+// fixedExporter serves one recorded export, whatever the cursor, and
+// never publishes.
 type fixedExporter struct{ st *stream.ExportState }
 
-func (f fixedExporter) Export(since, epoch uint64) (*stream.ExportState, error) { return f.st, nil }
+func (f fixedExporter) ExportFrom(since, epoch uint64, pairs int) (*stream.ExportState, error) {
+	return f.st, nil
+}
+
+func (f fixedExporter) NextPublish() <-chan struct{} { return nil }
 
 func httpGet(t *testing.T, url string) (int, []byte) {
 	t.Helper()
@@ -88,11 +93,24 @@ func TestParentSchemaV2Bodies(t *testing.T) {
 			t.Fatalf("%s: re-encoded as %d bytes that differ from the parent's %d", kind, again.Len(), len(body))
 		}
 
+		// A request without follow — the previous release's aggregator's —
+		// is answered with one snapshot, the whole body.
 		srv := newSensorServer(t, fixedExporter{st})
 		for _, query := range []string{"?schema=2", ""} {
 			if code, served := httpGet(t, srv.URL+"/api/v1/snapshot"+query); code != http.StatusOK || !bytes.Equal(served, body) {
 				t.Fatalf("%s: snapshot%s: status %d, %d bytes; want the parent's %d bytes", kind, query, code, len(served), len(body))
 			}
+		}
+		// A followed stream opens with the same bytes.
+		resp, err := http.Get(srv.URL + "/api/v1/snapshot?schema=2&follow=3600000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := make([]byte, len(body))
+		_, err = io.ReadFull(resp.Body, first)
+		resp.Body.Close()
+		if err != nil || !bytes.Equal(first, body) {
+			t.Fatalf("%s: a followed stream does not open with the parent's %d bytes (%v)", kind, len(body), err)
 		}
 	}
 }

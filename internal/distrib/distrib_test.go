@@ -55,12 +55,17 @@ type swapExporter struct {
 	exp Exporter
 }
 
-func (s *swapExporter) Export(since, epoch uint64) (*stream.ExportState, error) {
+func (s *swapExporter) current() Exporter {
 	s.mu.Lock()
-	exp := s.exp
-	s.mu.Unlock()
-	return exp.Export(since, epoch)
+	defer s.mu.Unlock()
+	return s.exp
 }
+
+func (s *swapExporter) ExportFrom(since, epoch uint64, pairs int) (*stream.ExportState, error) {
+	return s.current().ExportFrom(since, epoch, pairs)
+}
+
+func (s *swapExporter) NextPublish() <-chan struct{} { return s.current().NextPublish() }
 
 func (s *swapExporter) swap(exp Exporter) {
 	s.mu.Lock()
@@ -94,16 +99,7 @@ func newSensorEngine(t *testing.T, b *workload.Build) *stream.Engine {
 
 func newAgg(t *testing.T, b *workload.Build, reg *metrics.Registry, urls ...string) *Aggregator {
 	t.Helper()
-	a, err := NewAggregator(Config{
-		Input:    inputFromBuild(b),
-		Sensors:  urls,
-		Interval: time.Hour, // tests drive syncs explicitly
-		Metrics:  reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
+	return newAggEvery(t, b, reg, time.Hour, urls...) // tests drive syncs explicitly
 }
 
 // analysisJSON normalizes an analysis for comparison across the HTTP
@@ -723,6 +719,13 @@ func TestSensorHandlerErrors(t *testing.T) {
 	}
 	if resp := get("/api/v1/snapshot?since=nope"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("since=nope: status %d, want 400", resp.StatusCode)
+	}
+	// A heartbeat past 32 bits of milliseconds would overflow into a
+	// non-positive duration: a stream of heartbeats as fast as they encode.
+	for _, follow := range []string{"nope", "-1", "4294967296"} {
+		if resp := get("/api/v1/snapshot?follow=" + follow); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("follow=%s: status %d, want 400", follow, resp.StatusCode)
+		}
 	}
 	if resp := get("/api/v1/snapshot?since=5&epoch=12345"); resp.StatusCode != http.StatusGone {
 		t.Errorf("foreign epoch: status %d, want 410", resp.StatusCode)

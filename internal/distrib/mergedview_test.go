@@ -40,8 +40,17 @@ func aggReplays(reg *metrics.Registry) map[core.ReplayReason]uint64 {
 // new epoch (410) and a full snapshot over existing state (since 0) each
 // replay exactly once, for loss. At the end the incremental aggregator
 // equals a fresh one that pulled everything in one snapshot per sensor,
-// and one engine that saw the whole stream.
+// and one engine that saw the whole stream. It runs polled (SyncAll
+// between rounds) and followed (Run in the background, each read waiting
+// for the cursors), the latter with snapshots landing while the test
+// feeds.
 func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
+	for _, mode := range syncModes {
+		t.Run(mode.name, func(t *testing.T) { aggregatorIncrementalMatchesRebuild(t, mode.followed) })
+	}
+}
+
+func aggregatorIncrementalMatchesRebuild(t *testing.T, followed bool) {
 	b := genBuild(20240504, 1500)
 	verdict := interception.NewDetector(b.Bundle, b.CT).Run(b.Raw)
 	var certs, forged []*certmodel.CertInfo
@@ -86,7 +95,14 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 		newSensorServer(t, sB).URL,
 	}
 	reg := metrics.New()
-	a := newAgg(t, b, reg, urls...)
+	every := time.Hour // polled: the test drives every sync
+	if followed {
+		// A heartbeat and reconnect pacing that a sensor's restart and a
+		// cursor reset below recover within.
+		every = 50 * time.Millisecond
+	}
+	a := newAggEvery(t, b, reg, every, urls...)
+	catchUp := syncer(t, a, followed)
 
 	sensorA := e1
 	reasons := map[core.ReplayReason]int{}
@@ -95,11 +111,7 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 	// replicas.
 	read := func(step string, allowed ...core.ReplayReason) {
 		t.Helper()
-		sensorA.Drain()
-		sB.Drain()
-		if err := a.SyncAll(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		catchUp(sensorA, sB)
 		before, merges := aggReplays(reg), reg.Counter("distrib_merges_total", "").Value()
 		got := a.Analysis()
 		if n := reg.Counter("distrib_merges_total", "").Value() - merges; n != 1 {
@@ -154,7 +166,8 @@ func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
 	read("delta round after the re-sync", "")
 
 	// Sensor B is asked for everything again although its replica is
-	// intact: the full snapshot replaces it.
+	// intact: the full snapshot replaces it. (Followed, B's open stream
+	// fails on the moved cursor and its next pull asks from zero.)
 	a.mu.Lock()
 	a.sensors[1].cursor = 0
 	a.mu.Unlock()

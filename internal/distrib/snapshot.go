@@ -2,7 +2,7 @@
 // a sensor (an mtlsd tailing one vantage point's logs) serializes its
 // raw engine state — connections in global sequence order, the
 // first-wins certificate roster, raw §3.2 detector evidence — and an
-// aggregator pulls N sensors, treats each as one shard, and rebuilds
+// aggregator follows N sensors, treats each as one shard, and rebuilds
 // the global analysis with exactly the code path the in-process sharded
 // engine uses (core.MergeShards + interception.Merge). Verdicts never
 // travel: evidence split across sensors must corroborate at the merge
@@ -14,10 +14,13 @@
 // sync error, never a merge. It streams in bounded batches so a snapshot
 // never has to fit one buffer, and supports cursor-based deltas: a
 // snapshot carries the sensor's (epoch, NextSeq) cursor, and requesting
-// since=<cursor> returns only records first observed at or after it. A
-// sensor restarted without its checkpoint renumbers under a fresh epoch
-// and refuses old cursors as stale, which the aggregator answers with a
-// full re-sync.
+// since=<cursor> returns only records first observed at or after it.
+// With follow=<ms> the response stays open and carries one snapshot after
+// another — each the delta since the one before, written as the sensor
+// ingests — so the aggregator holds one request per sensor instead of
+// polling. A sensor restarted without its checkpoint renumbers under a
+// fresh epoch and refuses old cursors as stale, which the aggregator
+// answers with a full re-sync.
 package distrib
 
 import (
@@ -38,8 +41,10 @@ func SupportedSchemas() []int { return []int{SchemaV2} }
 
 // Snapshot is one decoded sensor state: the wire-level form of a
 // stream.ExportState. Full snapshots have Since 0; deltas carry the cursor
-// they answer and only records at or after it. Evidence is always the
-// sensor's full cumulative detector state.
+// they answer and only records at or after it. Evidence is the sensor's
+// whole detector evidence on the first snapshot of a response, and only
+// the pairs new since the snapshot before on each later one of a followed
+// stream; Evidence.Pending is the sensor's parked count either way.
 type Snapshot struct {
 	Epoch   uint64
 	Since   uint64

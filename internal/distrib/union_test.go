@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ids"
@@ -26,10 +27,8 @@ func rebuildStats(a *Aggregator) (unique, excluded, issuers, pending int) {
 		for _, c := range ss.certs {
 			seen[c.Fingerprint] = true
 		}
-		if ss.evidence != nil {
-			pending += ss.evidence.Pending
-			m.AbsorbEvidence(ss.evidence)
-		}
+		pending += ss.pending
+		m.AbsorbEvidence(ss.evidence)
 	}
 	return len(seen), m.ExcludedCount(), m.ConfirmedCount(), pending
 }
@@ -52,8 +51,15 @@ func checkAggUnion(t *testing.T, a *Aggregator, step string) stream.Stats {
 // shrink — the one thing absorbing cannot do), and once everything is
 // re-fed, against one engine that saw the whole stream. Stats and Report
 // run concurrently throughout, for the race detector — the reader's
-// merged view catching up between syncs as they land.
+// merged view catching up between syncs as they land. It runs polled and
+// followed, as TestAggregatorIncrementalMatchesRebuild does.
 func TestAggregatorStatsUnionMatchesRebuild(t *testing.T) {
+	for _, mode := range syncModes {
+		t.Run(mode.name, func(t *testing.T) { aggregatorStatsUnionMatchesRebuild(t, mode.followed) })
+	}
+}
+
+func aggregatorStatsUnionMatchesRebuild(t *testing.T, followed bool) {
 	b := genBuild(20240504, 1500)
 	certs := certList(b)
 	nCerts := len(certs)
@@ -86,9 +92,13 @@ func TestAggregatorStatsUnionMatchesRebuild(t *testing.T) {
 	swA := &swapExporter{exp: e1}
 	sB := newSensorEngine(t, b)
 	reg := metrics.New()
-	a := newAgg(t, b, reg,
-		newSensorServer(t, swA).URL,
-		newSensorServer(t, sB).URL)
+	urls := []string{newSensorServer(t, swA).URL, newSensorServer(t, sB).URL}
+	every := time.Hour // polled: the test drives every sync
+	if followed {
+		every = 50 * time.Millisecond // recovers from the restart below
+	}
+	a := newAggEvery(t, b, reg, every, urls...)
+	catchUp := syncer(t, a, followed)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -120,12 +130,7 @@ func TestAggregatorStatsUnionMatchesRebuild(t *testing.T) {
 
 	syncAll := func(step string) stream.Stats {
 		t.Helper()
-		e := swA.exp.(*stream.Engine)
-		e.Drain()
-		sB.Drain()
-		if err := a.SyncAll(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+		catchUp(swA.current().(*stream.Engine), sB)
 		return checkAggUnion(t, a, step)
 	}
 

@@ -22,14 +22,6 @@ type Evidence struct {
 	Pending      int
 }
 
-// Evidence deep-copies the stream's raw relations. The caller must
-// synchronize access to s (the engine holds its state lock).
-func (s *Stream) Evidence() *Evidence {
-	ev := s.ev.Evidence()
-	ev.Pending = s.parked
-	return ev
-}
-
 // Pairs lists both relations as pairs in the one canonical order — by
 // issuer, an issuer's observed leaves ahead of its contradicted domains,
 // each ascending — so equal evidence always serializes to equal bytes.
@@ -96,4 +88,32 @@ func EvidenceOf(pairs []Pair) *Evidence {
 		}
 	}
 	return ev
+}
+
+// Absorb unions o's relations into ev and reports whether any pair was
+// new to it. Pending is the caller's: a parked count is a level, not a
+// relation.
+func (ev *Evidence) Absorb(o *Evidence) bool {
+	grew := false
+	for issuer, fps := range o.Observed {
+		for fp := range fps {
+			if !ev.Observed[issuer][fp] {
+				if ev.Observed[issuer] == nil {
+					ev.Observed[issuer] = map[ids.Fingerprint]bool{}
+				}
+				ev.Observed[issuer][fp], grew = true, true
+			}
+		}
+	}
+	for issuer, domains := range o.Contradicted {
+		for d := range domains {
+			if !ev.Contradicted[issuer][d] {
+				if ev.Contradicted[issuer] == nil {
+					ev.Contradicted[issuer] = map[string]bool{}
+				}
+				ev.Contradicted[issuer][d], grew = true, true
+			}
+		}
+	}
+	return grew
 }

@@ -3,6 +3,7 @@ package interception
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -73,10 +74,10 @@ func TestAbsorbEvidenceMatchesRebuild(t *testing.T) {
 	s := streamOver(t)
 
 	viaEv := NewMerge(0)
-	viaEv.AbsorbEvidence(s.Evidence())
-	viaEv.AbsorbEvidence(s.Evidence()) // re-presenting a source adds nothing
+	viaEv.AbsorbEvidence(EvidenceOf(s.Pairs(0)))
+	viaEv.AbsorbEvidence(EvidenceOf(s.Pairs(0))) // re-presenting a source adds nothing
 
-	want := rebuildVerdict(s.Evidence())
+	want := rebuildVerdict(EvidenceOf(s.Pairs(0)))
 	if got := viaEv.Result(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("AbsorbEvidence result = %+v, want %+v", got, want)
 	}
@@ -110,12 +111,15 @@ func TestRestoreUnionsSnapshots(t *testing.T) {
 		for _, s := range parts {
 			restored.Restore(s.Pairs(0), s.Parked())
 		}
-		want := rebuildVerdict(parts[0].Evidence(), parts[1].Evidence())
+		want := rebuildVerdict(EvidenceOf(parts[0].Pairs(0)), EvidenceOf(parts[1].Pairs(0)))
 		if got := restored.Result(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: restored = %+v, rebuild = %+v", round, got, want)
 		}
-		if got, want := restored.Evidence(), whole.Evidence(); !reflect.DeepEqual(got, want) {
+		if got, want := EvidenceOf(restored.Pairs(0)), EvidenceOf(whole.Pairs(0)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: restored evidence = %+v, one stream's = %+v", round, got, want)
+		}
+		if got, want := restored.PendingCount(), whole.PendingCount(); got != want {
+			t.Fatalf("round %d: restored parks %d, one stream %d", round, got, want)
 		}
 		if restored.ExcludedCount() != len(want.ExcludedCerts) || restored.ConfirmedCount() != len(want.Issuers) {
 			t.Fatalf("round %d: counts %d/%d, want %d/%d", round,
@@ -138,13 +142,13 @@ func TestRestoreUnionsSnapshots(t *testing.T) {
 func TestMergeResetForgets(t *testing.T) {
 	full, one := streamOver(t), streamOver(t, 0)
 	m := NewMerge(2)
-	m.AbsorbEvidence(full.Evidence())
+	m.AbsorbEvidence(EvidenceOf(full.Pairs(0)))
 	if m.ConfirmedCount() != 1 {
 		t.Fatalf("confirmed = %d, want 1", m.ConfirmedCount())
 	}
 	m.Reset()
-	m.AbsorbEvidence(one.Evidence())
-	if got, want := m.Result(), rebuildVerdict(one.Evidence()); !reflect.DeepEqual(got, want) {
+	m.AbsorbEvidence(EvidenceOf(one.Pairs(0)))
+	if got, want := m.Result(), rebuildVerdict(EvidenceOf(one.Pairs(0))); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after Reset: %+v, want %+v", got, want)
 	}
 }
@@ -198,8 +202,8 @@ func TestEvidenceCorroboratesAcrossSources(t *testing.T) {
 	}
 
 	m := NewMerge(2)
-	m.AbsorbEvidence(a.Evidence())
-	m.AbsorbEvidence(b.Evidence())
+	m.AbsorbEvidence(EvidenceOf(a.Pairs(0)))
+	m.AbsorbEvidence(EvidenceOf(b.Pairs(0)))
 	res := m.Result()
 	if len(res.Issuers) != 1 || res.Issuers[0] != "Sneaky Inspection CA" {
 		t.Fatalf("merged issuers = %v", res.Issuers)
@@ -207,21 +211,32 @@ func TestEvidenceCorroboratesAcrossSources(t *testing.T) {
 	if len(res.ExcludedCerts) != 2 {
 		t.Fatalf("merged exclusions = %d, want 2", len(res.ExcludedCerts))
 	}
-	if want := rebuildVerdict(a.Evidence(), b.Evidence()); !reflect.DeepEqual(res, want) {
+	if want := rebuildVerdict(EvidenceOf(a.Pairs(0)), EvidenceOf(b.Pairs(0))); !reflect.DeepEqual(res, want) {
 		t.Fatalf("merged = %+v, rebuild = %+v", res, want)
 	}
+}
 
-	// A Merge's own Evidence() must round-trip through AbsorbEvidence.
-	re := NewMerge(2)
-	re.AbsorbEvidence(m.Evidence())
-	if !reflect.DeepEqual(re.Result(), res) {
-		t.Fatal("Merge.Evidence did not round-trip")
+// TestEvidenceAbsorb: unioning evidence in reports growth exactly when a
+// pair was new, and the union of two sources' pairs is what one stream
+// over both would hold.
+func TestEvidenceAbsorb(t *testing.T) {
+	a, b := streamOver(t, 0), streamOver(t, 1)
+	ev := EvidenceOf(nil)
+	if !ev.Absorb(EvidenceOf(a.Pairs(0))) || !ev.Absorb(EvidenceOf(b.Pairs(0))) {
+		t.Fatal("absorbing a source's first pairs reported no growth")
+	}
+	if ev.Absorb(EvidenceOf(a.Pairs(0))) || ev.Absorb(EvidenceOf(nil)) {
+		t.Fatal("re-presenting a source reported growth")
+	}
+	both := EvidenceOf(append(slices.Clone(a.Pairs(0)), b.Pairs(0)...))
+	if !reflect.DeepEqual(ev.Pairs(), both.Pairs()) {
+		t.Fatalf("absorbed %d pairs, the two sources hold %d", len(ev.Pairs()), len(both.Pairs()))
 	}
 }
 
 func TestEvidenceIsDeepCopy(t *testing.T) {
 	s := streamOver(t)
-	ev := s.Evidence()
+	ev := EvidenceOf(s.Pairs(0))
 	for _, fps := range ev.Observed {
 		for fp := range fps {
 			delete(fps, fp)

@@ -139,22 +139,6 @@ func (m *Merge) Reset() {
 	m.res = nil
 }
 
-// Evidence deep-copies the union's relations. Pending is the caller's to
-// fill: parked observations are not part of the union.
-func (m *Merge) Evidence() *Evidence {
-	ev := &Evidence{
-		Observed:     make(map[string]map[ids.Fingerprint]bool, len(m.observed)),
-		Contradicted: make(map[string]map[string]bool, len(m.contradicted)),
-	}
-	for k, v := range m.observed {
-		ev.Observed[k] = copyMap(v)
-	}
-	for k, v := range m.contradicted {
-		ev.Contradicted[k] = copyMap(v)
-	}
-	return ev
-}
-
 // ExcludedCount is the current exclusion-set size.
 func (m *Merge) ExcludedCount() int { return len(m.excluded) }
 

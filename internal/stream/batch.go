@@ -149,13 +149,32 @@ func (s *Engine) admitLocked(c *certmodel.CertInfo, seq uint64) {
 
 // publishLocked publishes, at the end of an ingest batch, what is read
 // without the router lock: the roster's length (Stats, the merged view's
-// version vector, the gauge) and the detector's three sizes (Stats).
+// version vector, the gauge) and the detector's three sizes (Stats); and
+// it wakes whoever waits on NextPublish.
 func (s *Engine) publishLocked() {
 	s.rosterLen.Store(uint64(len(s.roster)))
 	s.m.rosterSize.Set(float64(len(s.roster)))
 	s.parked.Store(int64(s.icpt.PendingCount()))
 	s.excluded.Store(int64(s.icpt.ExcludedCount()))
 	s.confirmed.Store(int64(s.icpt.ConfirmedCount()))
+	if s.published != nil {
+		close(s.published)
+		s.published = nil
+	}
+}
+
+// NextPublish returns a channel closed when the router next publishes an
+// ingest batch. Take it before the export it follows up on, so a batch
+// published in between is not missed. The channel is allocated only
+// when someone waits: an engine nobody follows pays one nil check per
+// batch.
+func (s *Engine) NextPublish() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.published == nil {
+		s.published = make(chan struct{})
+	}
+	return s.published
 }
 
 // reject counts one invalid event refused at the ingest boundary.

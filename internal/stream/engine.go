@@ -239,6 +239,9 @@ type Engine struct {
 	// confirmed are its three sizes as of the last ingest batch, for Stats.
 	icpt                        *interception.Stream
 	parked, excluded, confirmed atomic.Int64
+	// published is closed by the next publish (publishLocked) and then
+	// forgotten; it exists only while someone waits on it (NextPublish).
+	published chan struct{}
 
 	certsRouted atomic.Uint64 // IngestCert calls admitted (incl. duplicate fps)
 	rejected    atomic.Uint64

@@ -40,9 +40,11 @@ type ExportConn struct {
 // everything an aggregator needs to reproduce this sensor's contribution
 // to a merged analysis. Certs and Conns are ascending by sequence and —
 // on a delta export — contain only records first observed at or after
-// Since. Evidence is always the full cumulative detector state (the
-// relations are monotone and small next to the record stream, and a
-// confirmed-issuer verdict needs the whole history, not a window).
+// Since. Evidence holds the detector's pairs from a position of its log
+// on: all of them from Export (a confirmed-issuer verdict needs the whole
+// history, not a window), only the new ones from an ExportFrom that
+// continues an earlier export; Evidence.Pending is always the current
+// parked count.
 type ExportState struct {
 	// Epoch scopes the sequence numbering; NextSeq is the cursor a caller
 	// passes as since on its next delta export.
@@ -64,6 +66,10 @@ type ExportState struct {
 	Certs    []ExportCert
 	Conns    []ExportConn
 	Evidence *interception.Evidence
+	// NextPair is the detector log position past this export's evidence:
+	// what a caller passes as pairs to ExportFrom for only the pairs new
+	// since. It is local to the engine's lifetime and never travels.
+	NextPair int `json:"-"`
 }
 
 // newEpoch derives a nonzero epoch for a fresh sequence numbering.
@@ -88,17 +94,25 @@ func exportConns(conns []core.ConnRecord, seqs []uint64) []ExportConn {
 	return out
 }
 
-// Export snapshots the engine's raw state at or after cursor since. since
-// 0 is a full snapshot (epoch is ignored); a nonzero since must carry the
-// epoch of the export it was taken from, and a mismatch — or a cursor
-// beyond NextSeq — returns ErrStaleCursor. The router lock is held so no
-// new sequences are assigned, the window is drained so every
-// already-assigned sequence is applied (otherwise a cursor could advance
-// past in-flight records and a delta would skip them forever), and the
-// evidence is the router's detector's. Connections already evicted
-// by retention are not replayed into a delta, mirroring what the engine's
-// own reports describe. Requires Config.TrackExport.
+// Export snapshots the engine's raw state at or after cursor since, with
+// the whole evidence: ExportFrom(since, epoch, 0).
 func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
+	return s.ExportFrom(since, epoch, 0)
+}
+
+// ExportFrom snapshots the engine's raw state at or after cursor since,
+// and the detector's evidence from log position pairs on (the NextPair of
+// the export it continues; 0 for all of it). since 0 is a full snapshot
+// (epoch is ignored); a nonzero since must carry the epoch of the export
+// it was taken from, and a mismatch — or a cursor beyond NextSeq —
+// returns ErrStaleCursor. The router lock is held so no new sequences are
+// assigned, the window is drained so every already-assigned sequence is
+// applied (otherwise a cursor could advance past in-flight records and a
+// delta would skip them forever), and the evidence is the router's
+// detector's. Connections already evicted by retention are not replayed
+// into a delta, mirroring what the engine's own reports describe.
+// Requires Config.TrackExport.
+func (s *Engine) ExportFrom(since, epoch uint64, pairs int) (*ExportState, error) {
 	if !s.cfg.TrackExport {
 		return nil, ErrExportDisabled
 	}
@@ -109,6 +123,9 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 	}
 	if since > s.nextSeq {
 		return nil, fmt.Errorf("%w: since %d beyond next sequence %d", ErrStaleCursor, since, s.nextSeq)
+	}
+	if logged := len(s.icpt.Pairs(0)); pairs < 0 || pairs > logged {
+		return nil, fmt.Errorf("stream: evidence position %d outside the detector's %d pairs", pairs, logged)
 	}
 	// Drain without the window's state lock: the apply goroutine never
 	// takes the router lock, so it makes progress while we hold it.
@@ -124,11 +141,10 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 	st.ConnsIngested, st.Watermark = w.connsIngested, w.watermark
 	conns, seqs := w.st.Snapshot(since)
 	w.mu.Unlock()
-	// The snapshot stays readable without the window's lock (live
-	// headers, or copies on a tiered window): the copy into the export's
-	// layout is not the apply loop's to wait for.
-	st.Conns = exportConns(conns, seqs)
-	st.Evidence = s.icpt.Evidence()
+	// The detector's log, like the roster's, only grows by appending: its
+	// suffix stays readable once the lock is released.
+	delta, pending := s.icpt.Pairs(pairs), s.icpt.PendingCount()
+	st.NextPair = pairs + len(delta)
 	st.CertsIngested = s.certsRouted.Load()
 	// The roster log ascends by sequence: a delta is its suffix, O(delta)
 	// whatever the roster size.
@@ -137,5 +153,11 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 	for ; k < len(s.roster); k++ {
 		st.Certs = append(st.Certs, ExportCert{Seq: s.certSeqs[k], Cert: s.roster[k]})
 	}
+	// The snapshot stays readable without the window's lock (live
+	// headers, or copies on a tiered window): the copy into the export's
+	// layout, like the evidence's, is not the apply loop's to wait for.
+	st.Conns = exportConns(conns, seqs)
+	st.Evidence = interception.EvidenceOf(delta)
+	st.Evidence.Pending = pending
 	return st, nil
 }
