@@ -256,25 +256,17 @@ func manifestChains(t *testing.T, dir string) [][]string {
 	return chains
 }
 
-// TestDaemonSharded drives mtlsd with -shards 2, which this release
-// ignores: it says so once, serves every report deep-equal to a reference
-// engine fed the same logs — the 23 the default serves —, its /metrics
-// carry the engine's series without a shard label and no stream_shards,
-// and SIGTERM lands a restorable checkpoint of one chain.
+// TestDaemonSharded: -shards is ignored, whatever it asks — 0 (one shard
+// per CPU, once), 2, or 65 (above the 64 an earlier release refused). A
+// run at any count but 1 warns exactly once, naming it, serves what one
+// engine does and exits 0 when stopped; the restart, at the same count or
+// another (a directory written "sharded" restarts "single", and the other
+// way round), restores the first run's one chain and continues it.
 func TestDaemonSharded(t *testing.T) {
 	dir, cfg := writeTestLogs(t)
-	ckptDir := filepath.Join(t.TempDir(), "ckpt")
-	o := testOptions(dir, cfg)
-	o.shards, o.checkpoint, o.ckptEvery = 2, ckptDir, time.Hour // only the shutdown checkpoint writes
-	var log strings.Builder
-	base, cancel, exit := startDaemonLogging(t, o, slog.New(slog.NewTextHandler(&log, nil)))
-	defer cancel()
-
 	build := mtls.GenerateConfig(cfg)
-	waitConns(t, base, uint64(len(build.Raw.Conns)))
-
-	// The reference: an engine over the same dataset.
-	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
+	total := uint64(len(build.Raw.Conns))
+	in := mtls.InputFromBuild(build)
 	in.Raw = nil
 	ref, err := stream.New(stream.Config{Input: in})
 	if err != nil {
@@ -288,70 +280,37 @@ func TestDaemonSharded(t *testing.T) {
 		ref.IngestConn(&build.Raw.Conns[i])
 	}
 	ref.Drain()
-	if got := len(fetchReports(t, base)); got != 23 {
-		t.Fatalf("the daemon serves %d reports, want 23", got)
-	}
-	checkReportsAgainst(t, base, ref, "reference engine")
-
-	// One series each, unlabelled; the router's gauges are live.
-	code, metricsBody := httpGet(t, base+"/metrics")
-	if code != 200 {
-		t.Fatalf("/metrics: %d", code)
-	}
-	for _, series := range []string{
-		"stream_conns_ingested_total ",
-		"stream_buffer_occupancy ",
-		"stream_certs_ingested_total ",
-		"stream_store_hot_certs ",
-	} {
-		if !strings.Contains(metricsBody, series) {
-			t.Errorf("/metrics missing %s", series)
-		}
-	}
-	if strings.Contains(metricsBody, `shard="`) || strings.Contains(metricsBody, "stream_shards") {
-		t.Error("/metrics still carries a per-shard series")
-	}
-
-	// SIGTERM → clean exit, committed manifest of one chain, restorable.
-	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case code := <-exit:
-		if code != 0 {
-			t.Fatalf("exit code %d after SIGTERM, want 0", code)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not exit after SIGTERM")
-	}
-	if n := shardsIgnored(log.String()); n != 1 {
-		t.Errorf("the daemon warned %d times that it ignores -shards, want once:\n%s", n, log.String())
-	}
-	if chains := manifestChains(t, ckptDir); len(chains) != 1 {
-		t.Fatalf("the checkpoint names %d chains, want one", len(chains))
-	}
-	rin := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
-	rin.Raw = nil
-	restoredEng, cursor, err := stream.Restore(stream.Config{Input: rin}, ckptDir)
-	if err != nil {
-		t.Fatalf("restore the checkpoint: %v", err)
-	}
-	defer restoredEng.Close()
-	if got := restoredEng.Stats().ConnsIngested; got != uint64(len(build.Raw.Conns)) {
-		t.Errorf("restored ConnsIngested = %d, want %d", got, len(build.Raw.Conns))
-	}
-	if cursor["ssl.log"] == 0 || cursor["x509.log"] == 0 {
-		t.Errorf("cursor offsets not persisted: %v", cursor)
+	for _, c := range []struct {
+		name          string
+		first, second int
+	}{{"shards=0", 0, 0}, {"shards=2-then-1", 2, 1}, {"shards=1-then-2", 1, 2}, {"shards=65", 65, 65}} {
+		t.Run(c.name, func(t *testing.T) {
+			o := testOptions(dir, cfg)
+			o.checkpoint, o.ckptEvery = filepath.Join(t.TempDir(), "ckpt"), time.Hour
+			logs := restartOnto(t, o, total, c.first, c.second, func(base string) {
+				checkReportsAgainst(t, base, ref, "one engine")
+			})
+			for run, shards := range []int{c.first, c.second} {
+				want := 1
+				if shards == 1 {
+					want = 0
+				}
+				if n := shardsIgnored(logs[run]); n != want || (want == 1 && !strings.Contains(logs[run], fmt.Sprintf("shards=%d", shards))) {
+					t.Errorf("run %d at -shards %d warned %d times that it ignores it, want %d naming it:\n%s", run, shards, n, want, logs[run])
+				}
+			}
+		})
 	}
 }
 
 // restartOnto runs the daemon twice over one -checkpoint, at -shards
-// first and then second: each run tails the logs whole and shuts down
-// cleanly. -shards is ignored, so the restart restores the first run's
-// chain and continues it in place — a fresh engine's first commit would
-// have replaced it with a base — and serves every row once. It returns
-// the two runs' logs.
-func restartOnto(t *testing.T, o options, total uint64, first, second int) (logs [2]string) {
+// first and then second: each run tails the logs whole, serves one series
+// per engine metric — no shard label, no stream_shards — and no shards
+// field, passes check, and shuts down cleanly. -shards is ignored, so the
+// restart restores the first run's chain and continues it in place — a
+// fresh engine's first commit would have replaced it with a base — and
+// serves every row once. It returns the two runs' logs.
+func restartOnto(t *testing.T, o options, total uint64, first, second int, check func(base string)) (logs [2]string) {
 	t.Helper()
 	var before []string
 	for run, shards := range []int{first, second} {
@@ -365,6 +324,11 @@ func restartOnto(t *testing.T, o options, total uint64, first, second int) (logs
 		if code, body := httpGet(t, base+"/api/v1/version"); code != 200 || json.Unmarshal([]byte(body), &v) != nil || v["shards"] != nil {
 			t.Errorf("run %d: /api/v1/version = %d %s, want no shards field", run, code, body)
 		}
+		if code, body := httpGet(t, base+"/metrics"); code != 200 || !strings.Contains(body, "stream_conns_ingested_total ") ||
+			strings.Contains(body, `shard="`) || strings.Contains(body, "stream_shards") {
+			t.Errorf("run %d: /metrics = %d, want the engine's series without a per-shard one", run, code)
+		}
+		check(base)
 		cancel()
 		if code := <-exit; code != 0 {
 			t.Fatalf("run %d at -shards %d: exit code %d\n%s", run, shards, code, log.String())
@@ -380,62 +344,6 @@ func restartOnto(t *testing.T, o options, total uint64, first, second int) (logs
 		before = chains[0]
 	}
 	return logs
-}
-
-// TestDaemonCheckpointLayoutMismatch: a -checkpoint directory written at
-// one -shards and restarted at another is not refused — -shards is
-// ignored, and either way the directory is one chain, which the restart
-// restores and continues in place.
-func TestDaemonCheckpointLayoutMismatch(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	total := uint64(len(mtls.GenerateConfig(cfg).Raw.Conns))
-	for _, c := range []struct {
-		name          string
-		first, second int
-	}{
-		{"sharded then single", 2, 1},
-		{"single then sharded", 1, 2},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			o := testOptions(dir, cfg)
-			o.checkpoint, o.ckptEvery = filepath.Join(t.TempDir(), "ckpt"), time.Hour
-			restartOnto(t, o, total, c.first, c.second)
-		})
-	}
-}
-
-// TestDaemonPerCPUShardsRestart: -shards 0, which used to ask for one
-// shard per CPU, is ignored with a warning, and the daemon restarts onto
-// its own checkpoint.
-func TestDaemonPerCPUShardsRestart(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	total := uint64(len(mtls.GenerateConfig(cfg).Raw.Conns))
-	o := testOptions(dir, cfg)
-	o.checkpoint, o.ckptEvery = filepath.Join(t.TempDir(), "ckpt"), time.Hour
-	for run, log := range restartOnto(t, o, total, 0, 0) {
-		if n := shardsIgnored(log); n != 1 {
-			t.Errorf("run %d warned %d times that it ignores -shards 0, want once", run, n)
-		}
-	}
-}
-
-// TestDaemonTooManyShards: an explicit -shards above the 64 an earlier
-// release refused is ignored like any other count: the daemon warns once,
-// naming it, and serves.
-func TestDaemonTooManyShards(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	o := testOptions(dir, cfg)
-	o.shards = 65
-	var log strings.Builder
-	base, cancel, exit := startDaemonLogging(t, o, slog.New(slog.NewTextHandler(&log, nil)))
-	waitConns(t, base, uint64(len(mtls.GenerateConfig(cfg).Raw.Conns)))
-	cancel()
-	if code := <-exit; code != 0 {
-		t.Fatalf("exit code %d, want 0\n%s", code, log.String())
-	}
-	if n := shardsIgnored(log.String()); n != 1 || !strings.Contains(log.String(), "shards=65") {
-		t.Errorf("want one warning naming -shards 65:\n%s", log.String())
-	}
 }
 
 // listDir names a directory's entries with their sizes.

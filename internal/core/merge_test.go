@@ -64,59 +64,6 @@ func TestMergeShardsAllEmpty(t *testing.T) {
 	}
 }
 
-// TestMergeShardsSingleShard: one shard carrying the whole stream is a
-// passthrough — the merge equals a builder fed the same events
-// directly.
-func TestMergeShardsSingleShard(t *testing.T) {
-	in := mergeInput(t)
-	certs := mergeCerts(mergeBuild)
-
-	direct := NewBuilder(in)
-	for _, c := range certs {
-		direct.AddCert(c)
-	}
-	for i := range mergeBuild.Raw.Conns {
-		direct.AddConn(&mergeBuild.Raw.Conns[i])
-	}
-
-	shard := ShardState{Certs: certs}
-	for i := range mergeBuild.Raw.Conns {
-		shard.Conns = append(shard.Conns, mergeBuild.Raw.Conns[i])
-		shard.Seqs = append(shard.Seqs, uint64(i))
-	}
-	got := runBuilder(MergeShards(in, []ShardState{shard}, nil))
-	if !reflect.DeepEqual(runBuilder(direct), got) {
-		t.Error("single-shard merge differs from a directly fed builder")
-	}
-}
-
-// TestMergeShardsInterleaved: connections round-robined across shards
-// replay in global sequence order, reproducing the direct builder.
-func TestMergeShardsInterleaved(t *testing.T) {
-	in := mergeInput(t)
-	certs := mergeCerts(mergeBuild)
-
-	direct := NewBuilder(in)
-	for _, c := range certs {
-		direct.AddCert(c)
-	}
-	for i := range mergeBuild.Raw.Conns {
-		direct.AddConn(&mergeBuild.Raw.Conns[i])
-	}
-
-	shards := make([]ShardState, 3)
-	shards[0].Certs = certs // roster rides one shard; conns spread over all
-	for i := range mergeBuild.Raw.Conns {
-		s := &shards[i%3]
-		s.Conns = append(s.Conns, mergeBuild.Raw.Conns[i])
-		s.Seqs = append(s.Seqs, uint64(i))
-	}
-	got := runBuilder(MergeShards(in, shards, nil))
-	if !reflect.DeepEqual(runBuilder(direct), got) {
-		t.Error("interleaved three-shard merge differs from a directly fed builder")
-	}
-}
-
 // TestMergeShardsDuplicateRoster: a certificate fanned out to several
 // shards is admitted once, first observation wins — a conflicting later
 // copy (same fingerprint, different contents) is ignored.

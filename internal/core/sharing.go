@@ -102,8 +102,11 @@ func (cv *connView) rawSLD() string {
 	if cv.sniSLD != "" {
 		return cv.sniSLD
 	}
-	return "- (missing SNI)"
+	return missingSNI
 }
+
+// missingSNI is the paper's SLD placeholder for a connection without one.
+const missingSNI = "- (missing SNI)"
 
 // Row finds a Table 5 row by direction and SLD.
 func (r *SharingSameReport) Row(dir, sld string) (SharingSameRow, bool) {

@@ -172,6 +172,15 @@ type ValidityReport struct {
 	MaxValiditySLD  string
 }
 
+// sldBefore orders the SLDs a tie is settled by: a named one before the
+// missing-SNI placeholder, then by name.
+func sldBefore(a, b string) bool {
+	if am, bm := a == missingSNI, b == missingSNI; am != bm {
+		return bm
+	}
+	return a < b
+}
+
 // validityBounds are the Figure 4 histogram bucket bounds.
 var validityBounds = []int64{90, 398, 825, 3650, 10000, 40000}
 
@@ -192,12 +201,20 @@ func (e *enriched) validity() *ValidityReport {
 		if c.HasIncorrectDates() {
 			continue
 		}
+		// The longest validity, named by an SLD of a connection that
+		// carried a certificate of it: a tie is settled by the name, not by
+		// which connection came first, so the report does not depend on the
+		// order connections arrive in (an aggregator merges its sensors' in
+		// the order their syncs land).
+		days := c.ValidityDays()
+		if days > rep.MaxValidityDays || days == rep.MaxValidityDays && sldBefore(cv.rawSLD(), rep.MaxValiditySLD) {
+			rep.MaxValidityDays, rep.MaxValiditySLD = days, cv.rawSLD()
+		}
 		if seen[string(c.Fingerprint)] {
 			continue
 		}
 		seen[string(c.Fingerprint)] = true
 		u := e.usageOf(c, cv.rec.ClientChain)
-		days := c.ValidityDays()
 		switch cv.dir {
 		case netsim.Inbound:
 			rep.InboundHist.Observe(days, 1)
@@ -210,10 +227,6 @@ func (e *enriched) validity() *ValidityReport {
 			if u.class == truststore.Public {
 				rep.ExtremePublic++
 			}
-		}
-		if days > rep.MaxValidityDays {
-			rep.MaxValidityDays = days
-			rep.MaxValiditySLD = cv.rawSLD()
 		}
 	}
 	rep.ExtremeCategories = cats.Top(5)

@@ -93,7 +93,6 @@ type sensorState struct {
 
 	connsIngested uint64
 	certsIngested uint64
-	watermark     time.Time
 	retention     time.Duration // sensor's window; 0 = keep everything
 	evicted       uint64        // conns dropped here as the watermark advanced
 
@@ -138,6 +137,11 @@ type Aggregator struct {
 	sensors []*sensorState
 	// nextSeq numbers the next connection to land in any sensor's replica.
 	nextSeq uint64
+	// watermark is the newest connection timestamp any sensor has
+	// reported: eviction here cannot be undone, so the clock it runs by
+	// never goes back, not even when a restarted sensor reports less than
+	// it did.
+	watermark time.Time
 
 	// union is the fleet's §3.2 evidence and seen its distinct roster
 	// fingerprints, both maintained as syncs land (apply) so Stats and
@@ -365,7 +369,7 @@ func (a *Aggregator) consume(ctx context.Context, ss *sensorState, follow time.D
 		if err != nil {
 			return n, idled(fmt.Errorf("distrib: pull %s: %w", ss.url, err))
 		}
-		if err := a.apply(ss, snap, cr.n-before, cursor); err != nil {
+		if err := a.apply(ss, snap, cr.n-before, cursor, n == 0); err != nil {
 			return n, err
 		}
 		cursor = snap.NextSeq
@@ -381,7 +385,7 @@ func (a *Aggregator) consume(ctx context.Context, ss *sensorState, follow time.D
 func (a *Aggregator) open(ctx context.Context, ss *sensorState, cursor, epoch uint64, follow time.Duration) (io.ReadCloser, int, error) {
 	url := ss.url + "/api/v1/snapshot?schema=" + strconv.Itoa(SchemaV2)
 	if cursor > 0 {
-		url += "&since=" + strconv.FormatUint(cursor, 10) + "&epoch=" + strconv.FormatUint(epoch, 10)
+		url += "&since=" + strconv.FormatUint(cursor, 10) + "&epoch=" + strconv.FormatUint(epoch, 10) + "&adopt=1"
 	}
 	if follow > 0 {
 		url += "&follow=" + strconv.FormatInt(max(follow.Milliseconds(), 1), 10)
@@ -404,12 +408,15 @@ func (a *Aggregator) open(ctx context.Context, ss *sensorState, cursor, epoch ui
 }
 
 // apply validates a pulled snapshot against the cursor it answered, folds
-// it into the sensor's accumulated state and records the sync.
-func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor uint64) error {
+// it into the sensor's accumulated state and records the sync. The first
+// snapshot of a response may answer a delta under a new epoch — a sensor
+// restored from its checkpoint continuing the cursor (open says adopt=1)
+// — and its epoch is adopted; a later one must keep it.
+func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor uint64, first bool) error {
 	if snap.Since != cursor {
 		return fmt.Errorf("distrib: %s answered since %d, asked %d", ss.url, snap.Since, cursor)
 	}
-	if cursor > 0 && snap.Epoch != ss.epoch {
+	if cursor > 0 && snap.Epoch != ss.epoch && !first {
 		return fmt.Errorf("distrib: %s changed epoch mid-delta", ss.url)
 	}
 	// A delta holds what the sensor first observed since the cursor, in
@@ -475,7 +482,9 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 	ss.cursor = snap.NextSeq
 	ss.connsIngested = snap.ConnsIngested
 	ss.certsIngested = snap.CertsIngested
-	ss.watermark = snap.Watermark
+	if snap.Watermark.After(a.watermark) {
+		a.watermark = snap.Watermark
+	}
 	ss.retention = snap.Retention
 	ss.bytes += uint64(nbytes)
 	a.m.syncBytes(ss.url).Add(uint64(nbytes))
@@ -520,20 +529,15 @@ func (a *Aggregator) rebuildUnionLocked() {
 
 // evictLocked drops accumulated connections that have aged out of their
 // sensor's retention window, measured against the global watermark (the
-// max across sensors — the clock a single daemon tailing the union of
-// the logs would evict by). Deltas only ship records first observed
-// since the cursor, so without this sweep a connection shipped in an
-// earlier delta would be retained here forever and the merged analysis
-// would diverge from that union daemon. Every sensor is swept on every
+// newest timestamp any sensor reported — the clock a single daemon
+// tailing the union of the logs would evict by). Deltas only ship records
+// first observed since the cursor, so without this sweep a connection
+// shipped in an earlier delta would be retained here forever and the
+// merged analysis would diverge from that union daemon. Every sensor is swept on every
 // apply: the global watermark advances on any sensor's sync, aging the
 // others' records too. Caller holds a.mu.
 func (a *Aggregator) evictLocked() {
-	var wm time.Time
-	for _, ss := range a.sensors {
-		if ss.watermark.After(wm) {
-			wm = ss.watermark
-		}
-	}
+	wm := a.watermark
 	for _, ss := range a.sensors {
 		if ss.retention <= 0 {
 			continue
@@ -651,11 +655,9 @@ func (a *Aggregator) Stats() stream.Stats {
 		st.CertsIngested += ss.certsIngested
 		st.Retained += ss.win.ConnCount()
 		st.Evicted += ss.evicted
-		if ss.watermark.After(st.Watermark) {
-			st.Watermark = ss.watermark
-		}
 		st.PendingCerts += ss.pending
 	}
+	st.Watermark = a.watermark
 	st.UniqueCerts = len(a.seen)
 	st.ExcludedCerts = a.union.ExcludedCount()
 	st.InterceptionIssuers = a.union.ConfirmedCount()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"testing"
 
 	"repro/internal/stream"
+	"repro/internal/workload"
 )
 
 // The bodies under testdata/parent are snapshots as the previous release's
@@ -141,7 +143,8 @@ func reportsJSON(t *testing.T, m stream.Materializer) map[string]string {
 // sensor is an error naming schema 1 and nothing of its body is merged,
 // while the other sensor syncs as usual; once it answers under schema 2,
 // the next sync takes it in whole and the fleet converges to the 23
-// reports of one engine over the union.
+// reports of one engine over the union. A sensor restart converges across
+// releases in both directions.
 func TestMixedReleaseFleet(t *testing.T) {
 	b := genBuild(20240504, 1200)
 	certs := certList(b)
@@ -194,6 +197,145 @@ func TestMixedReleaseFleet(t *testing.T) {
 	for name := range want {
 		if got[name] != want[name] {
 			t.Errorf("report %s of the fleet differs from one engine over the union", name)
+		}
+	}
+
+	// A sensor restart, in both directions.
+	t.Run("restarted sensor, previous aggregator", func(t *testing.T) { restartedSensorPreviousAggregator(t, b) })
+	t.Run("previous sensor restarted, this aggregator", func(t *testing.T) { previousSensorRestarted(t, b, want) })
+}
+
+// restartedSensor checkpoints an exporting engine fed the first half of
+// the build, which a puller has synced, and restores it: the puller's
+// cursor and epoch, and the restored engine.
+func restartedSensor(t *testing.T, b *workload.Build) (cursor, epoch uint64, e *stream.Engine) {
+	t.Helper()
+	certs, half := certList(b), len(b.Raw.Conns)/2
+	e1, err := stream.New(stream.Config{Input: inputFromBuild(b), TrackExport: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedSlice(t, e1, b, certs, 0, len(certs), 0, half)
+	e1.Drain()
+	st, err := e1.Export(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if err := e1.WriteCheckpoint(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	e1.Close()
+	e, _, err = stream.Restore(stream.Config{Input: inputFromBuild(b), TrackExport: true}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	feedSlice(t, e, b, certs, 0, 0, half, len(b.Raw.Conns))
+	e.Drain()
+	return st.NextSeq, st.Epoch, e
+}
+
+// restartedSensorPreviousAggregator: a restored sensor continues a cursor
+// of the epoch it restored under its fresh one — for a puller that says
+// it adopts epochs (adopt=1). The previous release's aggregator does not,
+// and would refuse that answer as a changed epoch mid-delta and ask again
+// forever; it is answered 410, and its full resync converges.
+func restartedSensorPreviousAggregator(t *testing.T, b *workload.Build) {
+	cursor, epoch, e := restartedSensor(t, b)
+	srv := newSensorServer(t, e)
+	delta := fmt.Sprintf("%s/api/v1/snapshot?schema=2&since=%d&epoch=%d", srv.URL, cursor, epoch)
+	if code, body := httpGet(t, delta); code != http.StatusGone {
+		t.Fatalf("the previous release's delta request: status %d (%.200s), want 410", code, body)
+	}
+	code, body := httpGet(t, srv.URL+"/api/v1/snapshot?schema=2")
+	if code != http.StatusOK {
+		t.Fatalf("the full resync: status %d", code)
+	}
+	full, err := Decode(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Epoch == epoch || full.ConnsIngested != uint64(len(b.Raw.Conns)) {
+		t.Fatalf("the full resync: epoch %d (was %d), %d conns", full.Epoch, epoch, full.ConnsIngested)
+	}
+	code, body = httpGet(t, delta+"&adopt=1")
+	if code != http.StatusOK {
+		t.Fatalf("a delta request that adopts epochs: status %d", code)
+	}
+	if continued, err := Decode(bytes.NewReader(body)); err != nil || continued.Epoch != full.Epoch || continued.Since != cursor {
+		t.Fatalf("a delta request that adopts epochs: %v, since %d under epoch %d", err, continued.Since, continued.Epoch)
+	}
+}
+
+// keptEpoch answers as the previous release's sensor does after a
+// restore: under the epoch it checkpointed, whatever its engine numbers
+// under now.
+type keptEpoch struct {
+	e           *stream.Engine
+	kept, fresh uint64
+}
+
+func (k keptEpoch) ExportFrom(since, epoch uint64, pairs int) (*stream.ExportState, error) {
+	if epoch == k.kept {
+		epoch = k.fresh
+	}
+	st, err := k.e.ExportFrom(since, epoch, pairs)
+	if err != nil {
+		return nil, err
+	}
+	relabelled := *st
+	relabelled.Epoch = k.kept
+	return &relabelled, nil
+}
+
+func (k keptEpoch) NextPublish() <-chan struct{} { return k.e.NextPublish() }
+
+// previousSensorRestarted: the previous release's sensor, restored from
+// its checkpoint with nothing served past it, keeps its epoch; the
+// adoption parameter this aggregator sends is one it ignores, and the
+// aggregator goes on in deltas to the union's reports.
+func previousSensorRestarted(t *testing.T, b *workload.Build, want map[string]string) {
+	certs, half := certList(b), len(b.Raw.Conns)/2
+	e1 := newSensorEngine(t, b)
+	feedSlice(t, e1, b, certs, 0, len(certs), 0, half)
+	e1.Drain()
+	sw := &swapExporter{exp: e1}
+	a := newAgg(t, b, nil, newSensorServer(t, sw).URL)
+	if err := a.SyncAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if err := e1.WriteCheckpoint(path, nil); err != nil {
+		t.Fatal(err)
+	}
+	kept, err := e1.Export(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1.Close()
+	e2, _, err := stream.Restore(stream.Config{Input: inputFromBuild(b), TrackExport: true}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e2.Close)
+	fresh, err := e2.Export(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedSlice(t, e2, b, certs, 0, 0, half, len(b.Raw.Conns))
+	e2.Drain()
+	sw.swap(keptEpoch{e: e2, kept: kept.Epoch, fresh: fresh.Epoch})
+	if err := a.SyncAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if s := a.SensorStatuses()[0]; s.FullResyncs != 0 || s.Epoch != kept.Epoch || s.Syncs != 2 {
+		t.Fatalf("after the previous release's restart: %+v, want two delta syncs under epoch %d", s, kept.Epoch)
+	}
+	got := reportsJSON(t, a)
+	for name := range want {
+		if got[name] != want[name] {
+			t.Errorf("report %s differs from one engine over the union", name)
 		}
 	}
 }

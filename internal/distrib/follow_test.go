@@ -96,12 +96,6 @@ func waitFor(t *testing.T, within time.Duration, what string, cond func() bool) 
 	}
 }
 
-// syncModes names the two ways a test can sync.
-var syncModes = []struct {
-	name     string
-	followed bool
-}{{"polled", false}, {"followed", true}}
-
 // TestAggregatorFollowWakes: at an Interval of an hour — no heartbeat, no
 // reconnect in the test's lifetime — rows a sensor ingests after the
 // first sync reach the aggregator's Stats within two seconds, over the

@@ -3,16 +3,13 @@ package distrib
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 	"time"
 
-	"repro/internal/certmodel"
 	"repro/internal/core"
 	"repro/internal/ids"
-	"repro/internal/interception"
 	"repro/internal/metrics"
 	"repro/internal/race"
 	"repro/internal/stream"
@@ -27,204 +24,6 @@ func aggReplays(reg *metrics.Registry) map[core.ReplayReason]uint64 {
 		}
 	}
 	return out
-}
-
-// TestAggregatorIncrementalMatchesRebuild reads the aggregator between
-// delta rounds from two sensors and holds every read
-// against a fresh MergeShards over the replicas as they stand: appending
-// each sync's delta must equal replaying everything. A round that only
-// brought new records never replays — a late certificate is patched into
-// the connections that named it, and the forged leaves of the build's
-// interception issuers, withheld until every connection they served is
-// merged, take exactly those connections back out; a sensor back under a
-// new epoch (410) and a full snapshot over existing state (since 0) each
-// replay exactly once, for loss. At the end the incremental aggregator
-// equals a fresh one that pulled everything in one snapshot per sensor,
-// and one engine that saw the whole stream. It runs polled (SyncAll
-// between rounds) and followed (Run in the background, each read waiting
-// for the cursors), the latter with snapshots landing while the test
-// feeds.
-func TestAggregatorIncrementalMatchesRebuild(t *testing.T) {
-	for _, mode := range syncModes {
-		t.Run(mode.name, func(t *testing.T) { aggregatorIncrementalMatchesRebuild(t, mode.followed) })
-	}
-}
-
-func aggregatorIncrementalMatchesRebuild(t *testing.T, followed bool) {
-	b := genBuild(20240504, 1500)
-	verdict := interception.NewDetector(b.Bundle, b.CT).Run(b.Raw)
-	var certs, forged []*certmodel.CertInfo
-	for _, c := range certList(b) {
-		if verdict.ExcludedCerts[c.Fingerprint] {
-			forged = append(forged, c)
-		} else {
-			certs = append(certs, c)
-		}
-	}
-	var connsA, connsB []core.ConnRecord
-	intercepted := uint64(0)
-	for i := range b.Raw.Conns {
-		if i%2 == 0 {
-			connsA = append(connsA, b.Raw.Conns[i])
-		} else {
-			connsB = append(connsB, b.Raw.Conns[i])
-		}
-		if verdict.ExcludedCerts[b.Raw.Conns[i].ServerLeaf()] {
-			intercepted++
-		}
-	}
-	const rounds = 5
-	// feed gives g round r of its connections, then — so that they arrive
-	// late — half the certificates in each of the first two rounds.
-	feed := func(g *stream.Engine, conns []core.ConnRecord, r int) {
-		t.Helper()
-		for i := len(conns) * r / rounds; i < len(conns)*(r+1)/rounds; i++ {
-			if !g.IngestConn(&conns[i]) {
-				t.Fatal("conn event rejected")
-			}
-		}
-		if r < 2 {
-			feedSlice(t, g, b, certs, len(certs)*r/2, len(certs)*(r+1)/2, 0, 0)
-		}
-	}
-	e1 := newSensorEngine(t, b)
-	swA := &swapExporter{exp: e1}
-	sB := newSensorEngine(t, b)
-	urls := []string{
-		newSensorServer(t, swA).URL,
-		newSensorServer(t, sB).URL,
-	}
-	reg := metrics.New()
-	every := time.Hour // polled: the test drives every sync
-	if followed {
-		// A heartbeat and reconnect pacing that a sensor's restart and a
-		// cursor reset below recover within.
-		every = 50 * time.Millisecond
-	}
-	a := newAggEvery(t, b, reg, every, urls...)
-	catchUp := syncer(t, a, followed)
-
-	sensorA := e1
-	reasons := map[core.ReplayReason]int{}
-	// read syncs, reads, names the one reason the read replayed for (""
-	// for a catch-up) and holds the analysis against a replay of the
-	// replicas.
-	read := func(step string, allowed ...core.ReplayReason) {
-		t.Helper()
-		catchUp(sensorA, sB)
-		before, merges := aggReplays(reg), reg.Counter("distrib_merges_total", "").Value()
-		got := a.Analysis()
-		if n := reg.Counter("distrib_merges_total", "").Value() - merges; n != 1 {
-			t.Fatalf("%s: the read ran %d merges, want 1", step, n)
-		}
-		var why core.ReplayReason
-		for r, n := range aggReplays(reg) {
-			if n != before[r] {
-				if why != "" || n != before[r]+1 {
-					t.Fatalf("%s: one read moved the replay counters from %v to %v", step, before, aggReplays(reg))
-				}
-				why = r
-			}
-		}
-		if !slices.Contains(allowed, why) {
-			t.Fatalf("%s: the read replayed for %q, want one of %q", step, why, allowed)
-		}
-		reasons[why]++
-		c := a.capture(make([]core.MergeCursor, len(a.sensors))) // zero cursors: everything
-		replay := core.MergeShards(a.cfg.Input, c.Shards, func(fp ids.Fingerprint) bool { return c.Verdict.ExcludedCerts[fp] })
-		if !reflect.DeepEqual(got, replay.Pipeline(got.Preprocess).RunAll()) {
-			t.Fatalf("%s: the read differs from a replay of the replicas", step)
-		}
-		if st := a.Stats(); st.Dirty || int(st.Rebuilds) != replayed(reasons) {
-			t.Fatalf("%s: Stats() = %d rebuilds, dirty %v; replays so far %v", step, st.Rebuilds, st.Dirty, reasons)
-		}
-	}
-	feed(e1, connsA, 0)
-	feed(sB, connsB, 0)
-	read("first read", core.ReplayFirst)
-	for r := 1; r <= 2; r++ {
-		feed(e1, connsA, r)
-		feed(sB, connsB, r)
-		read("delta round", "")
-	}
-
-	// Sensor A comes back under a new epoch holding the same records: 410,
-	// discard, full re-sync.
-	e2 := newSensorEngine(t, b)
-	for r := 0; r <= 2; r++ {
-		feed(e2, connsA, r)
-	}
-	swA.swap(e2)
-	sensorA = e2
-	read("sensor back under a new epoch", core.ReplayLost)
-	if n := a.SensorStatuses()[0].FullResyncs; n != 1 {
-		t.Fatalf("FullResyncs = %d, want 1", n)
-	}
-
-	feed(e2, connsA, 3)
-	feed(sB, connsB, 3)
-	read("delta round after the re-sync", "")
-
-	// Sensor B is asked for everything again although its replica is
-	// intact: the full snapshot replaces it. (Followed, B's open stream
-	// fails on the moved cursor and its next pull asks from zero.)
-	a.mu.Lock()
-	a.sensors[1].cursor = 0
-	a.mu.Unlock()
-	read("full snapshot over existing state", core.ReplayLost)
-
-	feed(e2, connsA, 4)
-	feed(sB, connsB, 4)
-	read("last delta round", "")
-	if n := a.view.Stats().Retracted; n != 0 {
-		t.Fatalf("%d connections taken back before any verdict", n)
-	}
-	feedSlice(t, e2, b, forged, 0, len(forged), 0, 0)
-	feedSlice(t, sB, b, forged, 0, len(forged), 0, 0)
-	read("the forged leaves, after the connections they served", "")
-
-	if reasons[core.ReplayFirst] != 1 || reasons[core.ReplayLost] != 2 || reasons[core.ReplayOrder] != 0 {
-		t.Errorf("replays by reason %v, want one first, two lost, no order", reasons)
-	}
-	if reasons[""] == 0 {
-		t.Errorf("vacuous: no read was a catch-up (%v)", reasons)
-	}
-	late := reg.Counter("distrib_merge_late_conns_total", "").Value()
-	if late == 0 || late != a.view.Stats().Late {
-		t.Errorf("distrib_merge_late_conns_total = %d, the view re-enriched %d; want the same, and some", late, a.view.Stats().Late)
-	}
-	retracted := reg.Counter("distrib_merge_retracted_conns_total", "").Value()
-	if retracted != a.view.Stats().Retracted || retracted != intercepted || retracted == 0 {
-		t.Errorf("distrib_merge_retracted_conns_total = %d, the view took back %d; want the %d (some) connections the verdict excludes",
-			retracted, a.view.Stats().Retracted, intercepted)
-	}
-	t.Logf("reads by replay reason: %v, %d connections re-enriched for a late certificate, %d taken back for a grown verdict", reasons, late, retracted)
-
-	got := analysisJSON(t, a.Analysis())
-	fresh := newAgg(t, b, nil, urls...)
-	if err := fresh.SyncAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got != analysisJSON(t, fresh.Analysis()) {
-		t.Error("the incremental aggregator differs from a fresh one over the same sensors")
-	}
-	whole := newSensorEngine(t, b)
-	feedSlice(t, whole, b, append(certs, forged...), 0, len(b.Raw.Certs), 0, len(b.Raw.Conns))
-	whole.Drain()
-	if got != analysisJSON(t, whole.Analysis()) {
-		t.Error("the incremental aggregator differs from one engine over the whole stream")
-	}
-}
-
-// replayed counts the reads that were replays, whatever the reason.
-func replayed(reasons map[core.ReplayReason]int) int {
-	n := 0
-	for why, k := range reasons {
-		if why != "" {
-			n += k
-		}
-	}
-	return n
 }
 
 // aggCatchUp syncs an aggregator with one sensor whose window holds at

@@ -143,6 +143,16 @@ func (s *Sensor) Handler() http.HandlerFunc {
 			writeAPIError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
+		if since > 0 && st.Epoch != epoch && q.Get("adopt") == "" {
+			// A restored engine continued a cursor of the epoch it restored,
+			// under its fresh one. A puller that does not adopt epochs (the
+			// previous release) would refuse that answer and ask again
+			// forever; told the cursor is stale, it full-resyncs.
+			s.stale.Inc()
+			writeAPIError(w, http.StatusGone, "stream: stale export cursor: epoch "+
+				strconv.FormatUint(epoch, 10)+" continues as "+strconv.FormatUint(st.Epoch, 10))
+			return
+		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		if r.Method == http.MethodHead || !s.write(w, st) || follow == 0 {
 			return

@@ -169,9 +169,9 @@ type ckptSeg struct {
 
 // routerState is what the router checkpoints beside the window's chain:
 // the sequence counter, the admitted-certificate count and, when the
-// engine exports, the numbering epoch, so cursors survive a restart
-// (without it a restore numbers under a fresh epoch, which refuses stale
-// cursors).
+// engine exports, the numbering epoch, so a cursor taken before the
+// restart can be continued after it (without it every cursor is refused
+// as stale).
 type routerState struct {
 	NextSeq     uint64
 	CertsRouted uint64
@@ -622,6 +622,14 @@ func (w *window) writeDelta(path string, buf *[]byte, full bool, router routerDe
 	// tiered one — so the lock is held for a binary search and encoding
 	// proceeds after unlock without stalling ingest.
 	w.mu.Lock()
+	// A restore replays each segment's cutoff over everything the earlier
+	// segments hold, so the window sweeps first: it then holds nothing
+	// below the cutoff a connection that arrived after the last sweep
+	// would be evicted by on replay, and what a restore rebuilds — and
+	// counts as evicted — is what the window held.
+	if w.cfg.Retention > 0 {
+		w.evictLocked()
+	}
 	mark := w.ckptMark
 	if full {
 		mark = 0
@@ -900,9 +908,9 @@ func (s *Engine) restoreRouter(ck *committed) {
 	defer s.mu.Unlock()
 	s.nextSeq = r.NextSeq
 	s.certsRouted.Store(r.CertsRouted)
-	if s.epoch = r.Epoch; s.epoch == 0 {
-		// The checkpointed engine did not export: fresh numbering scope,
-		// so any cursor taken against it is refused as stale.
+	// A fresh numbering scope, never the checkpointed one.
+	s.epoch = newEpoch()
+	for s.epoch == r.Epoch {
 		s.epoch = newEpoch()
 	}
 	s.icpt.Restore(ck.pairs, ck.last.Parked)
@@ -914,6 +922,12 @@ func (s *Engine) restoreRouter(ck *committed) {
 	s.win.mu.Lock()
 	s.nextSeq = max(s.nextSeq, s.win.nextSeq)
 	s.win.mu.Unlock()
+	// The sequences below nextSeq name what they named when the checkpoint
+	// was written; the ones a re-read assigns from here may not, so a
+	// cursor of the checkpointed epoch is continued only up to here.
+	if r.Epoch != 0 {
+		s.resumedEpoch, s.resumedSeq = r.Epoch, s.nextSeq
+	}
 }
 
 // restore replays the committed chain into the window in segment order:

@@ -20,7 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/race"
-	"repro/internal/report"
 	"repro/internal/store"
 	"repro/internal/workload"
 )
@@ -34,195 +33,6 @@ func ckptSlices(b []core.ConnRecord, k int) [][]core.ConnRecord {
 		out = append(out, b[lo:hi])
 	}
 	return out
-}
-
-// TestIncrementalCheckpointResume is the incremental analogue of
-// TestCheckpointRestoreResume: several delta commits into one directory,
-// a kill after each interval, and a restore that must reproduce the
-// uninterrupted run byte for byte.
-func TestIncrementalCheckpointResume(t *testing.T) {
-	b := genBuild(20240504, 1000)
-	in := inputFromBuild(b)
-	in.Raw = nil
-
-	full := newEngine(t, in, nil)
-	feed(t, full, b)
-	full.Drain()
-	want := full.Analysis()
-
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	parts := ckptSlices(b.Raw.Conns, 4)
-
-	e := newEngine(t, in, nil)
-	for _, c := range b.Raw.Certs {
-		e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-	}
-	fed := 0
-	for i, part := range parts[:3] {
-		for j := range part {
-			e.IngestConn(&part[j])
-		}
-		fed += len(part)
-		e.Drain()
-		if err := e.WriteCheckpoint(dir, map[string]int64{"conn_index": int64(fed)}); err != nil {
-			t.Fatalf("delta %d: %v", i, err)
-		}
-	}
-	e.Close() // the "kill"
-
-	man, err := readCkptManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Chains[0]) != 3 {
-		t.Fatalf("manifest has %d segments after 3 commits, want 3", len(man.Chains[0]))
-	}
-
-	restored, cursor, err := Restore(Config{Input: in}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(restored.Close)
-	if cursor["conn_index"] != int64(fed) {
-		t.Fatalf("cursor = %v, want conn_index=%d", cursor, fed)
-	}
-	for j := range parts[3] {
-		restored.IngestConn(&parts[3][j])
-	}
-	restored.Drain()
-	got := restored.Analysis()
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("restored analysis differs from uninterrupted run")
-	}
-	if report.RenderAll(want) != report.RenderAll(got) {
-		t.Fatal("rendered reports are not byte-identical after incremental restore")
-	}
-
-	// The restored engine keeps appending deltas to the same directory.
-	if err := restored.WriteCheckpoint(dir, map[string]int64{"conn_index": int64(len(b.Raw.Conns))}); err != nil {
-		t.Fatal(err)
-	}
-	again, _, err := Restore(Config{Input: in}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(again.Close)
-	again.Drain()
-	if got := again.Analysis(); !reflect.DeepEqual(want, got) {
-		t.Fatal("second-generation restore differs from uninterrupted run")
-	}
-}
-
-// TestIncrementalCheckpointWithEviction commits deltas across retention
-// evictions: the per-segment cutoff replay must reproduce the retained
-// window exactly (counter equality is required; the analysis only sees
-// the window, so a wrong replay shows up as a different report).
-func TestIncrementalCheckpointWithEviction(t *testing.T) {
-	b := genBuild(7, 800)
-	in := inputFromBuild(b)
-	in.Raw = nil
-	mut := func(c *Config) { c.Retention = 90 * 24 * 3600e9 } // ~90 days of the synthetic clock
-
-	e := newEngine(t, in, mut)
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	for _, c := range b.Raw.Certs {
-		e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-	}
-	for i, part := range ckptSlices(b.Raw.Conns, 5) {
-		for j := range part {
-			e.IngestConn(&part[j])
-		}
-		e.Drain()
-		if err := e.WriteCheckpoint(dir, nil); err != nil {
-			t.Fatalf("delta %d: %v", i, err)
-		}
-	}
-	e.Drain()
-	want := e.Analysis()
-	wantStats := e.Stats()
-	if wantStats.Evicted == 0 {
-		t.Fatal("scenario needs evictions between commits")
-	}
-
-	restored, _, err := Restore(Config{Input: in, Retention: 90 * 24 * 3600e9}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(restored.Close)
-	gotStats := restored.Stats()
-	if gotStats.Retained != wantStats.Retained || gotStats.Evicted != wantStats.Evicted {
-		t.Fatalf("retained/evicted after restore = %d/%d, want %d/%d",
-			gotStats.Retained, gotStats.Evicted, wantStats.Retained, wantStats.Evicted)
-	}
-	if got := restored.Analysis(); !reflect.DeepEqual(want, got) {
-		t.Fatal("restored analysis differs across eviction replay")
-	}
-	e.Close()
-}
-
-// TestCheckpointCompaction folds a long segment chain and requires the
-// compacted directory to restore to the same state as the chain.
-func TestCheckpointCompaction(t *testing.T) {
-	b := genBuild(99, 600)
-	in := inputFromBuild(b)
-	in.Raw = nil
-
-	e := newEngine(t, in, func(c *Config) { c.Retention = 120 * 24 * 3600e9 })
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	for _, c := range b.Raw.Certs {
-		e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-	}
-	parts := ckptSlices(b.Raw.Conns, ckptCompactEvery-1)
-	for _, part := range parts {
-		for j := range part {
-			e.IngestConn(&part[j])
-		}
-		e.Drain()
-		if err := e.WriteCheckpoint(dir, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := e.Analysis()
-
-	man, _ := readCkptManifest(dir)
-	if len(man.Chains[0]) != ckptCompactEvery-1 {
-		t.Fatalf("precondition: %d segments, want %d", len(man.Chains[0]), ckptCompactEvery-1)
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	man, err := readCkptManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Chains[0]) != 1 {
-		t.Fatalf("after Compact: %d segments, want 1", len(man.Chains[0]))
-	}
-	// Old segment files are gone; only the folded one remains.
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.ckpt"))
-	if len(segs) != 1 {
-		t.Fatalf("after Compact: %d segment files on disk, want 1", len(segs))
-	}
-
-	restored, _, err := Restore(Config{Input: in, Retention: 120 * 24 * 3600e9}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(restored.Close)
-	if got := restored.Analysis(); !reflect.DeepEqual(want, got) {
-		t.Fatal("restore from compacted base differs from pre-compaction state")
-	}
-
-	// Deltas keep working after compaction, and the background trigger
-	// fires once the chain regrows.
-	if err := e.WriteCheckpoint(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	man, _ = readCkptManifest(dir)
-	if len(man.Chains[0]) != 2 {
-		t.Fatalf("delta after Compact: %d segments, want 2", len(man.Chains[0]))
-	}
-	e.Close()
 }
 
 // TestCheckpointAutoCompaction checks the background trigger: the
@@ -253,149 +63,6 @@ func TestCheckpointAutoCompaction(t *testing.T) {
 	if len(man.Chains[0]) != 1 {
 		t.Fatalf("background compaction left %d segments, want 1", len(man.Chains[0]))
 	}
-}
-
-// TestCheckpointCrashMidDelta injects a failure at the manifest rename —
-// the commit point — and requires the directory to restore to the
-// previous commit, with the orphaned segment swept by the next write.
-func TestCheckpointCrashMidDelta(t *testing.T) {
-	b := genBuild(20240504, 600)
-	in := inputFromBuild(b)
-	in.Raw = nil
-	e := newEngine(t, in, nil)
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	for _, c := range b.Raw.Certs {
-		e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-	}
-	parts := ckptSlices(b.Raw.Conns, 3)
-	for j := range parts[0] {
-		e.IngestConn(&parts[0][j])
-	}
-	e.Drain()
-	if err := e.WriteCheckpoint(dir, map[string]int64{"i": 1}); err != nil {
-		t.Fatal(err)
-	}
-	committed := e.Analysis()
-
-	// Second commit dies at the rename: the new segment file exists and
-	// is fsynced, but no manifest references it.
-	for j := range parts[1] {
-		e.IngestConn(&parts[1][j])
-	}
-	e.Drain()
-	atomicfile.Failpoint = func(stage atomicfile.Stage, path string) error {
-		if stage == atomicfile.StageRename && filepath.Base(path) == ckptManifestName {
-			return fmt.Errorf("injected crash at manifest rename")
-		}
-		return nil
-	}
-	err := e.WriteCheckpoint(dir, map[string]int64{"i": 2})
-	atomicfile.Failpoint = nil
-	if err == nil {
-		t.Fatal("injected rename failure did not surface")
-	}
-	e.Close()
-
-	restored, cursor, err := Restore(Config{Input: in}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cursor["i"] != 1 {
-		t.Fatalf("cursor = %v, want the first commit's", cursor)
-	}
-	if got := restored.Analysis(); !reflect.DeepEqual(committed, got) {
-		t.Fatal("restore after torn commit differs from the last committed state")
-	}
-
-	// The restored engine has no delta history for the orphan; its next
-	// commit sweeps it and starts a fresh generation that restores clean.
-	for j := range parts[2] {
-		restored.IngestConn(&parts[2][j])
-	}
-	restored.Drain()
-	if err := restored.WriteCheckpoint(dir, map[string]int64{"i": 3}); err != nil {
-		t.Fatal(err)
-	}
-	man, _ := readCkptManifest(dir)
-	segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.ckpt"))
-	if len(segs) != len(man.Chains[0]) {
-		t.Fatalf("%d segment files on disk, manifest references %d (orphan not swept)", len(segs), len(man.Chains[0]))
-	}
-	want := restored.Analysis()
-	restored.Close()
-	again, _, err := Restore(Config{Input: in}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(again.Close)
-	if got := again.Analysis(); !reflect.DeepEqual(want, got) {
-		t.Fatal("post-recovery commit does not restore to the committed state")
-	}
-}
-
-// TestCheckpointCrashMidCompaction injects a failure at the compaction
-// manifest rename: the old chain must stay authoritative, and a retried
-// compaction must succeed.
-func TestCheckpointCrashMidCompaction(t *testing.T) {
-	b := genBuild(99, 500)
-	in := inputFromBuild(b)
-	in.Raw = nil
-	e := newEngine(t, in, nil)
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	for _, c := range b.Raw.Certs {
-		e.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c})
-	}
-	for _, part := range ckptSlices(b.Raw.Conns, 4) {
-		for j := range part {
-			e.IngestConn(&part[j])
-		}
-		e.Drain()
-		if err := e.WriteCheckpoint(dir, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := e.Analysis()
-
-	atomicfile.Failpoint = func(stage atomicfile.Stage, path string) error {
-		if stage == atomicfile.StageRename && filepath.Base(path) == ckptManifestName {
-			return fmt.Errorf("injected crash at compaction commit")
-		}
-		return nil
-	}
-	err := e.Compact()
-	atomicfile.Failpoint = nil
-	if err == nil {
-		t.Fatal("injected compaction failure did not surface")
-	}
-	man, _ := readCkptManifest(dir)
-	if len(man.Chains[0]) != 4 {
-		t.Fatalf("torn compaction disturbed the manifest: %d segments, want 4", len(man.Chains[0]))
-	}
-	restored, _, err := Restore(Config{Input: in}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.Analysis(); !reflect.DeepEqual(want, got) {
-		t.Fatal("restore after torn compaction differs")
-	}
-	restored.Close()
-
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	man, _ = readCkptManifest(dir)
-	if len(man.Chains[0]) != 1 {
-		t.Fatalf("retried compaction left %d segments, want 1", len(man.Chains[0]))
-	}
-	again, _, err := Restore(Config{Input: in}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(again.Close)
-	if got := again.Analysis(); !reflect.DeepEqual(want, got) {
-		t.Fatal("restore after retried compaction differs")
-	}
-	e.Close()
 }
 
 // TestFirstContactKeepsCommittedChain: an engine that did not restore
@@ -1141,53 +808,6 @@ func TestEmptyCommitIsAStateFrame(t *testing.T) {
 	}
 }
 
-// TestDiskStoreMatchesMemory runs the load-bearing equivalence contract
-// with the disk store under a hot budget far below the dataset: reports
-// must be byte-identical to the memory store's, with records actually
-// spilling through the cold tier.
-func TestDiskStoreMatchesMemory(t *testing.T) {
-	b := genBuild(20240504, 1200)
-	in := inputFromBuild(b)
-	in.Raw = nil
-
-	mem := newEngine(t, in, nil)
-	feed(t, mem, b)
-	mem.Drain()
-	want := mem.Analysis()
-
-	disk := newEngine(t, in, func(c *Config) {
-		c.Store = "disk"
-		c.StoreDir = t.TempDir()
-		c.HotBytes = 256 << 10
-	})
-	feed(t, disk, b)
-	disk.Drain()
-	if coldConns(disk) == 0 {
-		t.Fatal("hot budget did not force any spill — test is not exercising the cold tier")
-	}
-	got := disk.Analysis()
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("disk-store analysis differs from memory store")
-	}
-	if report.RenderAll(want) != report.RenderAll(got) {
-		t.Fatal("rendered reports are not byte-identical across stores")
-	}
-
-	// Checkpoint/restore with the disk store round-trips too.
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	if err := disk.WriteCheckpoint(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	restored, _, err := Restore(Config{Input: in, Store: "disk", StoreDir: t.TempDir(), HotBytes: 256 << 10}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(restored.Close)
-	if got := restored.Analysis(); !reflect.DeepEqual(want, got) {
-		t.Fatal("disk-store restore differs from memory store")
-	}
-}
-
 // FuzzRestore hammers the restore path with arbitrary segment bytes: any
 // input must produce either a working engine or a clean error — never a
 // panic. Each input is tried as a one-chain directory's only segment and
@@ -1281,45 +901,6 @@ func FuzzRestore(f *testing.F) {
 			continued.Close()
 		}
 	})
-}
-
-// TestRestoreWakesParkedObservations: a checkpoint taken while every
-// connection is parked on a certificate that has not arrived restores the
-// detector with as many parked as the writer had. The certificates
-// arriving after the restore drain them: nothing stays parked, and every
-// report equals the batch pipeline's.
-func TestRestoreWakesParkedObservations(t *testing.T) {
-	b := genBuild(20240504, 1200)
-	batch := core.Run(inputFromBuild(b))
-	in := inputFromBuild(b)
-	in.Raw = nil
-	s := newEngine(t, in, nil)
-	feedBatches(t, s, nil, b.Raw.Conns, 512)
-	s.Drain()
-	parked := s.Stats().PendingCerts
-	if parked == 0 {
-		t.Fatal("no connection parked without its certificate: the test exercises nothing")
-	}
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	if err := s.WriteCheckpoint(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	restored, _, err := Restore(Config{Input: in}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(restored.Close)
-	if got := restored.Stats().PendingCerts; got != parked {
-		t.Fatalf("restored with %d parked observations, the writer had %d", got, parked)
-	}
-	feedBatches(t, restored, certRecords(b), nil, 512)
-	restored.Drain()
-	if got := restored.Stats().PendingCerts; got != 0 {
-		t.Errorf("%d observations still parked after every certificate arrived", got)
-	}
-	if got := restored.Analysis(); !reflect.DeepEqual(batch, got) {
-		t.Error("analysis differs from batch after the late certificates")
-	}
 }
 
 // TestBinarySegmentTruncated: a segment of this release's frames cut at any

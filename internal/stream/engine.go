@@ -174,8 +174,9 @@ type Config struct {
 	// first-observed certificates from one sequence whether or not anyone
 	// exports, and the roster is a log ascending by that sequence, so a
 	// delta is a suffix; under TrackExport Export is served and checkpoints
-	// carry the epoch that scopes the numbering, so cursors survive a
-	// restart. Off by default.
+	// carry the epoch that scopes the numbering, so a cursor taken before a
+	// restart is continued after it, up to the sequence restored. Off by
+	// default.
 	TrackExport bool
 }
 
@@ -219,9 +220,13 @@ type Engine struct {
 	nextSeq uint64
 	// epoch scopes export cursors to this sequence numbering (a fresh
 	// engine gets a fresh epoch, so a cursor taken against a predecessor
-	// is detectably stale rather than silently wrong); preserved across
-	// checkpoint/restore under cfg.TrackExport.
-	epoch uint64
+	// is detectably stale rather than silently wrong). A restore draws a
+	// fresh one too — what it re-reads past the checkpoint is numbered
+	// anew — and, under cfg.TrackExport, remembers the checkpointed epoch
+	// and the sequence it restored to: the numbering the two share.
+	epoch        uint64
+	resumedEpoch uint64
+	resumedSeq   uint64
 	// roster is the certificate roster as an append-only log in admission
 	// order (first observation wins; cumulative, resident, pointers stable
 	// for the engine's lifetime), certSeqs the sequence each was admitted

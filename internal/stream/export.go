@@ -13,9 +13,10 @@ import (
 
 // ErrStaleCursor marks an Export call whose cursor cannot be served
 // incrementally: the epoch does not match (the engine restarted with a
-// fresh sequence numbering) or the cursor is beyond the engine's next
-// sequence. The caller must discard its accumulated view and re-sync
-// from a full snapshot (since 0).
+// fresh sequence numbering), the cursor is beyond the engine's next
+// sequence, or it is one of the epoch a restored engine restored and lies
+// beyond the sequence it restored to. The caller must discard its
+// accumulated view and re-sync from a full snapshot (since 0).
 var ErrStaleCursor = errors.New("stream: stale export cursor")
 
 // ErrExportDisabled marks an Export call on an engine that was not
@@ -105,10 +106,14 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 // the export it continues; 0 for all of it). since 0 is a full snapshot
 // (epoch is ignored); a nonzero since must carry the epoch of the export
 // it was taken from, and a mismatch — or a cursor beyond NextSeq —
-// returns ErrStaleCursor. The router lock is held so no new sequences are
-// assigned, the window is drained so every already-assigned sequence is
-// applied (otherwise a cursor could advance past in-flight records and a
-// delta would skip them forever), and the evidence is the router's
+// returns ErrStaleCursor. A restored engine numbers under a fresh epoch
+// and also continues a cursor of the epoch it restored, up to the
+// sequence it restored to: the answer carries the fresh epoch, and a
+// cursor past that sequence may name records the restored engine
+// numbered differently, so it is stale. The router lock is held so no new
+// sequences are assigned, the window is drained so every already-assigned
+// sequence is applied (otherwise a cursor could advance past in-flight
+// records and a delta would skip them forever), and the evidence is the router's
 // detector's. Connections already evicted by retention are not replayed
 // into a delta, mirroring what the engine's own reports describe.
 // Requires Config.TrackExport.
@@ -118,7 +123,7 @@ func (s *Engine) ExportFrom(since, epoch uint64, pairs int) (*ExportState, error
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if since > 0 && epoch != s.epoch {
+	if since > 0 && epoch != s.epoch && (epoch != s.resumedEpoch || since > s.resumedSeq) {
 		return nil, fmt.Errorf("%w: epoch %d, engine has %d", ErrStaleCursor, epoch, s.epoch)
 	}
 	if since > s.nextSeq {

@@ -86,99 +86,6 @@ func certList(b *workload.Build) []*certmodel.CertInfo {
 	return certs
 }
 
-// feedSlice pushes certificates and connections from index ranges of the
-// build — the tool for splitting one dataset into sync rounds.
-func feedSlice(t *testing.T, g *Engine, b *workload.Build, certs []*certmodel.CertInfo, c0, c1, n0, n1 int) {
-	t.Helper()
-	for _, c := range certs[c0:c1] {
-		if !g.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c}) {
-			t.Fatal("cert event rejected")
-		}
-	}
-	for i := n0; i < n1; i++ {
-		if !g.IngestConn(&b.Raw.Conns[i]) {
-			t.Fatal("conn event rejected")
-		}
-	}
-}
-
-// TestExportFullReplay: a full export replayed through MergeShards +
-// evidence merge reproduces the engine's own analysis exactly.
-func TestExportFullReplay(t *testing.T) {
-	b := genBuild(20240504, 1200)
-	batch := core.Run(inputFromBuild(b))
-
-	in := inputFromBuild(b)
-	in.Raw = nil
-	s := newEngine(t, in, func(c *Config) { c.TrackExport = true })
-	feed(t, s, b)
-	s.Drain()
-	st := mustExport(t, s, 0, 0)
-
-	if len(st.Certs) == 0 || len(st.Conns) == 0 {
-		t.Fatalf("empty export: %d certs, %d conns", len(st.Certs), len(st.Conns))
-	}
-	for i := 1; i < len(st.Conns); i++ {
-		if st.Conns[i].Seq <= st.Conns[i-1].Seq {
-			t.Fatalf("conn seqs not strictly ascending at %d", i)
-		}
-	}
-	got := replayAnalysis(inputFromBuild(b), []*ExportState{st})
-	if !reflect.DeepEqual(batch, got) {
-		t.Error("replayed analysis differs from batch")
-	}
-}
-
-// TestExportDelta: a full snapshot plus a delta from its cursor carry
-// exactly the remaining records, and together replay to the batch
-// analysis. Runs out of order (all connections before any certificate)
-// so the delta path is exercised under late-certificate evidence.
-func TestExportDelta(t *testing.T) {
-	b := genBuild(7, 1200)
-	batch := core.Run(inputFromBuild(b))
-	certs := certList(b)
-	half := len(b.Raw.Conns) / 2
-
-	in := inputFromBuild(b)
-	in.Raw = nil
-	s := newEngine(t, in, func(c *Config) { c.TrackExport = true })
-
-	// Round 1: first half of the connections, no certificates yet.
-	feedSlice(t, s, b, certs, 0, 0, 0, half)
-	s.Drain()
-	full := mustExport(t, s, 0, 0)
-
-	// Round 2: every certificate (all late), then the rest.
-	feedSlice(t, s, b, certs, 0, len(certs), half, len(b.Raw.Conns))
-	s.Drain()
-	delta := mustExport(t, s, full.NextSeq, full.Epoch)
-
-	if delta.Epoch != full.Epoch {
-		t.Fatal("delta changed epoch")
-	}
-	for _, ec := range delta.Conns {
-		if ec.Seq < full.NextSeq {
-			t.Fatalf("delta re-sent conn seq %d < cursor %d", ec.Seq, full.NextSeq)
-		}
-	}
-	if got := len(full.Conns) + len(delta.Conns); got != len(b.Raw.Conns) {
-		t.Fatalf("full+delta carry %d conns, want %d", got, len(b.Raw.Conns))
-	}
-	if len(full.Certs) != 0 || len(delta.Certs) != len(b.Raw.Certs) {
-		t.Fatalf("certs split %d/%d, want 0/%d", len(full.Certs), len(delta.Certs), len(b.Raw.Certs))
-	}
-	got := replayAnalysis(inputFromBuild(b), []*ExportState{full, delta})
-	if !reflect.DeepEqual(batch, got) {
-		t.Error("full+delta replay differs from batch")
-	}
-
-	// An empty delta from the new cursor is valid and carries nothing.
-	empty := mustExport(t, s, delta.NextSeq, delta.Epoch)
-	if len(empty.Certs) != 0 || len(empty.Conns) != 0 {
-		t.Error("steady-state delta not empty")
-	}
-}
-
 // TestExportSinceIsSuffixOfFull: a delta export is exactly the full
 // export filtered to its cursor — on either store, for cursors before,
 // inside and past the retained window, including one taken before
@@ -285,51 +192,6 @@ func TestExportStaleCursor(t *testing.T) {
 	}
 }
 
-// TestExportCheckpointResume: a cursor taken before a checkpoint/restart
-// keeps working against the restored engine (same epoch, same
-// numbering), and full+post-restart delta still replay to batch.
-func TestExportCheckpointResume(t *testing.T) {
-	b := genBuild(20240504, 800)
-	batch := core.Run(inputFromBuild(b))
-	certs := certList(b)
-	half := len(b.Raw.Conns) / 2
-	certHalf := len(certs) / 2
-
-	in := inputFromBuild(b)
-	in.Raw = nil
-	cfg := Config{Input: in, TrackExport: true}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedSlice(t, s, b, certs, 0, certHalf, 0, half)
-	s.Drain()
-	full := mustExport(t, s, 0, 0)
-
-	dir := filepath.Join(t.TempDir(), "ckpt")
-	if err := s.WriteCheckpoint(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	s2, _, err := Restore(cfg, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s2.Close)
-	feedSlice(t, s2, b, certs, certHalf, len(certs), half, len(b.Raw.Conns))
-	s2.Drain()
-
-	delta := mustExport(t, s2, full.NextSeq, full.Epoch)
-	if delta.Epoch != full.Epoch {
-		t.Fatalf("restore changed epoch %d -> %d", full.Epoch, delta.Epoch)
-	}
-	got := replayAnalysis(inputFromBuild(b), []*ExportState{full, delta})
-	if !reflect.DeepEqual(batch, got) {
-		t.Error("full+post-restart delta differs from batch")
-	}
-}
-
 // TestExportManifestDoesNotFollowRoster: an exporting engine's certificate
 // sequences are committed in the segments, beside the certificates, so
 // the MANIFEST every commit rewrites stays the same few hundred bytes
@@ -368,8 +230,12 @@ func TestExportManifestDoesNotFollowRoster(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(restored.Close)
-	if want, got := mustExport(t, s, 0, 0), mustExport(t, restored, 0, 0); !reflect.DeepEqual(want.Certs, got.Certs) || want.Epoch != got.Epoch {
-		t.Errorf("the restored engine numbers its %d certificates differently (epoch %d → %d)", len(got.Certs), want.Epoch, got.Epoch)
+	want, got := mustExport(t, s, 0, 0), mustExport(t, restored, 0, 0)
+	if !reflect.DeepEqual(want.Certs, got.Certs) {
+		t.Errorf("the restored engine numbers its %d certificates differently", len(got.Certs))
+	}
+	if _, err := restored.Export(want.NextSeq, want.Epoch); err != nil {
+		t.Errorf("the restored engine does not continue the writer's cursor: %v", err)
 	}
 }
 

@@ -226,8 +226,9 @@ func (w *writerRecord) held(t *testing.T, e *Engine, when string) {
 	}
 	exp := mustExport(t, e, 0, 0)
 	// NextPair is a position in this engine's own detector log, which a
-	// recorded export does not carry.
-	exp.NextPair = w.Export.NextPair
+	// recorded export does not carry; a restored engine numbers under a
+	// fresh epoch, and continues the writer's cursor (deltaSince).
+	exp.NextPair, exp.Epoch = w.Export.NextPair, w.Export.Epoch
 	if !reflect.DeepEqual(exp, w.Export) {
 		t.Fatalf("%s: export differs from the writer's: %d/%d certs, %d/%d conns, next %d/%d, evidence equal: %v", when,
 			len(exp.Certs), len(w.Export.Certs), len(exp.Conns), len(w.Export.Conns), exp.NextSeq, w.Export.NextSeq,
@@ -597,4 +598,39 @@ func assertRefused(t *testing.T, cfg Config, shape, release string, files map[st
 	if after := treeOf(t, root); !reflect.DeepEqual(after, before) {
 		t.Fatalf("the refusal changed the tree: %d paths before, %d after", len(before), len(after))
 	}
+}
+
+// TestShardedRestoreShardMismatch: a directory with a chain per shard —
+// what the releases before the previous one wrote at more than one shard
+// — is refused by name, naming the previous release, whose first commit
+// rewrites it as one chain. It is refused even where every segment reads:
+// the chains are not merged, and the directory is left as it was.
+func TestShardedRestoreShardMismatch(t *testing.T) {
+	fx := loadFixture()
+	e := newEngine(t, fx.in, nil)
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	feedRows(t, e, fx.early, nil)
+	for _, part := range [][]core.ConnRecord{fx.before, fx.after} {
+		feedRows(t, e, nil, part)
+		e.Drain()
+		if err := e.WriteCheckpoint(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The base and the delta, named as two chains of one segment each.
+	man := assertOnlyCommitted(t, dir)
+	man.Chains = [][]ckptSeg{man.Chains[0][:1], man.Chains[0][1:]}
+	buf, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{"ckpt/" + ckptManifestName: string(buf)}
+	for _, sg := range append(man.Chains[0], man.Chains[1]...) {
+		seg, err := os.ReadFile(filepath.Join(dir, sg.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files["ckpt/"+sg.Name] = string(seg)
+	}
+	assertRefused(t, Config{Input: fx.in}, "a MANIFEST naming 2 chains", previousRelease, files)
 }

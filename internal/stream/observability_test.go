@@ -227,3 +227,68 @@ func TestMetricsDoNotChangeResults(t *testing.T) {
 		t.Error("instrumented engine diverges from batch")
 	}
 }
+
+// TestShardedRejectsInvalid: the router enforces the ingest boundary and
+// counts refusals before anything reaches the window.
+func TestShardedRejectsInvalid(t *testing.T) {
+	b := genBuild(20240504, 300)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	s := newEngine(t, in, nil)
+
+	bad := b.Raw.Conns[0]
+	bad.Weight = 0
+	if s.IngestConn(nil) || s.IngestConn(&bad) {
+		t.Fatal("invalid conn events must be rejected")
+	}
+	if s.IngestCert(nil) || s.IngestCert(&core.CertRecord{}) {
+		t.Fatal("invalid cert events must be rejected")
+	}
+	if !s.IngestConn(&b.Raw.Conns[0]) {
+		t.Fatal("valid events must still be accepted")
+	}
+	s.Drain()
+	st := s.Stats()
+	if st.Rejected != 4 {
+		t.Fatalf("Rejected = %d, want 4", st.Rejected)
+	}
+	if st.ConnsIngested != 1 {
+		t.Fatalf("ConnsIngested = %d, want 1", st.ConnsIngested)
+	}
+}
+
+// TestShardedMetricsLabels: the engine's series carry no shard label —
+// one window, one series each — and there is no stream_shards gauge.
+func TestShardedMetricsLabels(t *testing.T) {
+	b := genBuild(7, 300)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	reg := metrics.New()
+	s := newEngine(t, in, func(c *Config) { c.Metrics = reg })
+	feed(t, s, b)
+	s.Drain()
+	s.Analysis()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	text := sb.String()
+	for _, want := range []string{
+		`stream_conns_ingested_total `,
+		`stream_buffer_occupancy `,
+		`stream_merges_total 1`,
+		`stream_merge_replays_total{reason="first"} 1`,
+		`stream_merge_replays_total{reason="order"} 0`,
+		`stream_certs_ingested_total `,
+		`stream_store_hot_certs `,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics exposition is missing %q", want)
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, `shard="`) || strings.HasPrefix(line, "stream_shards") {
+			t.Errorf("exposition still has a per-shard series: %s", line)
+		}
+	}
+}

@@ -1,10 +1,6 @@
 package stream
 
 import (
-	"fmt"
-	"math/rand"
-	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -55,86 +51,6 @@ func (o *oracle) check(t *testing.T, s *Engine, step string) Stats {
 			o.icpt.PendingCount(), o.icpt.ExcludedCount(), o.icpt.ConfirmedCount())
 	}
 	return st
-}
-
-// TestShardedStatsUnionMatchesRebuild drives four random interleavings of
-// certificates and connections through an engine and, after every batch —
-// before the window has applied it — holds Stats' three §3.2 numbers to
-// one fresh interception.Stream fed the same events; mid-stream the engine
-// is checkpointed, killed and restored; drained, the numbers and the
-// preprocess report equal the batch pipeline's over the same events, and
-// every interleaving parks the same connections.
-func TestShardedStatsUnionMatchesRebuild(t *testing.T) {
-	b := genBuild(20240504, 4000)
-	in := inputFromBuild(b)
-	in.Raw = nil
-	certs := certRecords(b)
-	want := core.Run(inputFromBuild(b)).Preprocess
-	if len(want.InterceptionIssuers) == 0 || want.ExcludedCerts == 0 {
-		t.Fatal("vacuous: the workload confirmed no interception issuer")
-	}
-	pending := -1
-
-	for n := 1; n <= 4; n++ {
-		rng := rand.New(rand.NewSource(int64(n)))
-		// One event list, certificates and connections shuffled together:
-		// a connection before its leaf certificate parks in the detector
-		// and lands as evidence only when the certificate arrives, so pairs
-		// arrive on both paths.
-		order := rng.Perm(len(certs) + len(b.Raw.Conns))
-
-		s := newEngine(t, in, nil)
-		o := newOracle(in)
-		parkedMidStream := false
-		restoreAt := len(order) / 2
-		for lo, batchNo := 0, 0; lo < len(order); batchNo++ {
-			hi := min(lo+200+rng.Intn(800), len(order))
-			for _, k := range order[lo:hi] {
-				if k < len(certs) {
-					s.IngestCert(&certs[k])
-					o.cert(certs[k].Cert)
-				} else {
-					s.IngestConn(&b.Raw.Conns[k-len(certs)])
-					o.conn(&b.Raw.Conns[k-len(certs)])
-				}
-			}
-			o.check(t, s, fmt.Sprintf("order %d batch %d", n, batchNo))
-			if lo < restoreAt && hi >= restoreAt {
-				parkedMidStream = o.icpt.PendingCount() > 0
-				s.Drain()
-				dir := filepath.Join(t.TempDir(), "ckpt")
-				if err := s.WriteCheckpoint(dir, nil); err != nil {
-					t.Fatal(err)
-				}
-				s.Close()
-				restored, _, err := Restore(Config{Input: in}, dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(restored.Close)
-				s = restored
-				o.check(t, s, fmt.Sprintf("order %d restored", n))
-			}
-			lo = hi
-		}
-		if !parkedMidStream {
-			t.Errorf("order %d: vacuous: nothing was parked when the engine was checkpointed", n)
-		}
-		s.Drain()
-		got := o.check(t, s, fmt.Sprintf("order %d drained", n))
-		if pending < 0 {
-			pending = got.PendingCerts
-		}
-		if got.ExcludedCerts != want.ExcludedCerts || got.InterceptionIssuers != len(want.InterceptionIssuers) ||
-			got.PendingCerts != pending {
-			t.Errorf("order %d: drained Stats %d excluded / %d issuers / %d pending, want %d / %d / %d", n,
-				got.ExcludedCerts, got.InterceptionIssuers, got.PendingCerts,
-				want.ExcludedCerts, len(want.InterceptionIssuers), pending)
-		}
-		if gotPre, _ := s.Report("preprocess"); !reflect.DeepEqual(want, gotPre) {
-			t.Errorf("order %d: preprocess report %+v, batch pipeline %+v", n, gotPre, want)
-		}
-	}
 }
 
 // corroborationInput is a minimal analysis context in which one
