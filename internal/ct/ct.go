@@ -99,6 +99,18 @@ func (l *Log) Size() int {
 	return len(l.byredom)
 }
 
+// Domains returns every logged domain, sorted.
+func (l *Log) Domains() []string {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	out := make([]string, 0, len(l.byredom))
+	for d := range l.byredom {
+		out = append(out, d)
+	}
+	sort.Strings(out)
+	return out
+}
+
 func normalizeDomain(d string) string {
 	return strings.TrimSuffix(strings.ToLower(strings.TrimSpace(d)), ".")
 }
