@@ -60,17 +60,22 @@ func logOnce(b *testing.B, format string, args ...any) {
 	}
 }
 
-// BenchmarkGenerateDataset times the full 23-month synthesis.
+// BenchmarkGenerateDataset times the full 23-month synthesis of the
+// campus spec, per generated connection row.
 func BenchmarkGenerateDataset(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.CertScale = 2000
 	b.ReportAllocs()
+	rows := 0
 	for i := 0; i < b.N; i++ {
-		build := GenerateConfig(cfg)
+		build, err := Generate(CampusSpec(), WithScale(2000))
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(build.Raw.Conns) == 0 {
 			b.Fatal("empty dataset")
 		}
+		rows += len(build.Raw.Conns)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }
 
 // BenchmarkPreprocess times §3.2 (interception filter + enrichment).

@@ -30,9 +30,16 @@ func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 // Fork derives an independent child stream from the parent using a label,
 // so that adding draws to one subsystem never perturbs another. The parent
 // is not advanced.
-func (r *RNG) Fork(label string) *RNG {
-	h := sha256.Sum256(append(binary.BigEndian.AppendUint64(nil, r.state), label...))
-	return &RNG{state: binary.BigEndian.Uint64(h[:8])}
+func (r *RNG) Fork(label string) *RNG { return &RNG{state: forkState(r.state, label)} }
+
+// ForkBytes is Fork with the label given as bytes. Like Fork it inlines,
+// so a child stream that does not outlive its caller stays on the stack.
+func (r *RNG) ForkBytes(label []byte) *RNG { return &RNG{state: forkState(r.state, label)} }
+
+func forkState[T string | []byte](state uint64, label T) uint64 {
+	var buf [128]byte
+	h := sha256.Sum256(append(binary.BigEndian.AppendUint64(buf[:0], state), label...))
+	return binary.BigEndian.Uint64(h[:8])
 }
 
 // Uint64 returns the next 64-bit value (splitmix64 step).
@@ -77,9 +84,16 @@ func Pick[T any](r *RNG, xs []T) T {
 // need not be normalized; non-positive weights are treated as zero. If all
 // weights are zero it returns 0.
 func WeightedPick(r *RNG, weights []float64) int {
+	return WeightedPickBy(r, weights, func(w *float64) float64 { return *w })
+}
+
+// WeightedPickBy is WeightedPick over weight(&xs[i]), for callers whose
+// weights live in a field: the same draw and the same sums in the same
+// order, without building the weight vector.
+func WeightedPickBy[T any](r *RNG, xs []T, weight func(*T) float64) int {
 	var total float64
-	for _, w := range weights {
-		if w > 0 {
+	for i := range xs {
+		if w := weight(&xs[i]); w > 0 {
 			total += w
 		}
 	}
@@ -87,7 +101,8 @@ func WeightedPick(r *RNG, weights []float64) int {
 		return 0
 	}
 	x := r.Float64() * total
-	for i, w := range weights {
+	for i := range xs {
+		w := weight(&xs[i])
 		if w <= 0 {
 			continue
 		}
@@ -96,7 +111,7 @@ func WeightedPick(r *RNG, weights []float64) int {
 		}
 		x -= w
 	}
-	return len(weights) - 1
+	return len(xs) - 1
 }
 
 // uidAlphabet matches Zeek's base-62 connection UID alphabet.
@@ -137,18 +152,19 @@ func NewFileID(fp Fingerprint) FileID {
 // the canonical identity for "unique certificates" throughout the paper.
 type Fingerprint string
 
-// FingerprintBytes fingerprints raw DER bytes.
-func FingerprintBytes(der []byte) Fingerprint {
-	sum := sha256.Sum256(der)
-	return Fingerprint(hex.EncodeToString(sum[:]))
-}
+// FingerprintBytes fingerprints raw DER bytes (or, on the bulk path, a
+// synthetic identity).
+func FingerprintBytes(der []byte) Fingerprint { return hexFingerprint(sha256.Sum256(der)) }
 
-// FingerprintString fingerprints an arbitrary string key. The workload
-// generator uses this for bulk-path certificates that carry a synthetic
-// identity instead of DER bytes.
-func FingerprintString(s string) Fingerprint {
-	sum := sha256.Sum256([]byte(s))
-	return Fingerprint(hex.EncodeToString(sum[:]))
+// FingerprintString fingerprints an arbitrary string key.
+func FingerprintString(s string) Fingerprint { return hexFingerprint(sha256.Sum256([]byte(s))) }
+
+// hexFingerprint hex-encodes a digest on the stack, so the returned
+// string is the only allocation.
+func hexFingerprint(sum [sha256.Size]byte) Fingerprint {
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return Fingerprint(h[:])
 }
 
 // Valid reports whether the fingerprint looks like a SHA-256 hex digest.
@@ -200,7 +216,13 @@ func SubnetOfString(s string) SubnetKey {
 
 // HashString64 is a stable 64-bit FNV-1a hash used for cheap sharding
 // decisions in the analyzer.
-func HashString64(s string) uint64 {
+func HashString64(s string) uint64 { return hash64(s) }
+
+// HashBytes64 is HashString64 over bytes: callers that build a key with
+// append hash it without converting it to a string.
+func HashBytes64(b []byte) uint64 { return hash64(b) }
+
+func hash64[T string | []byte](s T) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -10,8 +10,8 @@
 package netsim
 
 import (
-	"fmt"
 	"net/netip"
+	"strconv"
 
 	"repro/internal/ids"
 )
@@ -104,13 +104,37 @@ func (p *Plan) DirectionOf(origIP, respIP string) Direction {
 }
 
 // Allocator hands out deterministic addresses inside and outside the
-// campus. Every address is a pure function of its (label, index) inputs.
+// campus. Every address is a pure function of its (label, index) inputs;
+// the Allocator renders each one once and hands the same string back on
+// every later request, so it is not safe for concurrent use.
 type Allocator struct {
-	plan *Plan
+	plan  *Plan
+	hosts map[hostKey]string
+	key   []byte // scratch for the hashed "kind/label/index" keys
 }
 
+// hostKey names one rendered address: the method that placed it, its
+// label and its one or two indices.
+type hostKey struct {
+	kind  hostKind
+	label string
+	a, b  int
+}
+
+type hostKind uint8
+
+const (
+	campusServer hostKind = iota
+	healthServer
+	campusDevice
+	campusSubnet
+	externalSubnet
+)
+
 // NewAllocator creates an allocator over the plan.
-func NewAllocator(plan *Plan) *Allocator { return &Allocator{plan: plan} }
+func NewAllocator(plan *Plan) *Allocator {
+	return &Allocator{plan: plan, hosts: make(map[hostKey]string)}
+}
 
 // Plan returns the underlying address plan.
 func (a *Allocator) Plan() *Plan { return a.plan }
@@ -129,17 +153,37 @@ func hostIn(prefix netip.Prefix, v uint64) netip.Addr {
 	return netip.AddrFrom4([4]byte{base[0], base[1], b3, b4})
 }
 
+// hash is ids.HashString64(prefix + label + "/" + idx), built in the
+// Allocator's scratch buffer.
+func (a *Allocator) hash(prefix, label string, idx int) uint64 {
+	a.key = strconv.AppendInt(append(append(append(a.key[:0], prefix...), label...), '/'), int64(idx), 10)
+	return ids.HashBytes64(a.key)
+}
+
+// keep renders addr as the address named by k.
+func (a *Allocator) keep(k hostKey, addr netip.Addr) string {
+	s := addr.String()
+	a.hosts[k] = s
+	return s
+}
+
 // CampusServer returns the address of university server #idx for a
 // service label; the same (label, idx) is stable across runs.
 func (a *Allocator) CampusServer(label string, idx int) string {
-	v := ids.HashString64(fmt.Sprintf("srv/%s/%d", label, idx))
-	return hostIn(a.plan.Campus, v).String()
+	k := hostKey{kind: campusServer, label: label, a: idx}
+	if s, ok := a.hosts[k]; ok {
+		return s
+	}
+	return a.keep(k, hostIn(a.plan.Campus, a.hash("srv/", label, idx)))
 }
 
 // HealthServer returns an address inside the health system.
 func (a *Allocator) HealthServer(label string, idx int) string {
-	v := ids.HashString64(fmt.Sprintf("health/%s/%d", label, idx))
-	return hostIn(a.plan.Health, v).String()
+	k := hostKey{kind: healthServer, label: label, a: idx}
+	if s, ok := a.hosts[k]; ok {
+		return s
+	}
+	return a.keep(k, hostIn(a.plan.Health, a.hash("health/", label, idx)))
 }
 
 // CampusClient returns the NAT'd address campus client #idx appears as
@@ -152,8 +196,11 @@ func (a *Allocator) CampusClient(idx int) string {
 // connections see internal servers; some internal devices also appear as
 // distinct clients to internal services — e.g. health-system equipment).
 func (a *Allocator) CampusDevice(label string, idx int) string {
-	v := ids.HashString64(fmt.Sprintf("dev/%s/%d", label, idx))
-	return hostIn(a.plan.Campus, v).String()
+	k := hostKey{kind: campusDevice, label: label, a: idx}
+	if s, ok := a.hosts[k]; ok {
+		return s
+	}
+	return a.keep(k, hostIn(a.plan.Campus, a.hash("dev/", label, idx)))
 }
 
 // ExternalHost returns an external address for entity label, host #idx,
@@ -166,18 +213,27 @@ func (a *Allocator) ExternalHost(label string, idx int) string {
 // /16's 256 subnets) — used when an analysis needs controlled internal
 // subnet spread (Table 6's client-presentation counting).
 func (a *Allocator) CampusHostInSubnet(label string, subnet, host int) string {
-	h := ids.HashString64(fmt.Sprintf("campus-sub/%s", label))
+	k := hostKey{kind: campusSubnet, label: label, a: subnet, b: host}
+	if s, ok := a.hosts[k]; ok {
+		return s
+	}
+	a.key = append(append(a.key[:0], "campus-sub/"...), label...)
+	h := ids.HashBytes64(a.key)
 	base := a.plan.Campus.Addr().As4()
 	o3 := byte((int(h) + subnet*7) % 256)
 	o4 := byte(host%253) + 1
-	return netip.AddrFrom4([4]byte{base[0], base[1], o3, o4}).String()
+	return a.keep(k, netip.AddrFrom4([4]byte{base[0], base[1], o3, o4}))
 }
 
 // ExternalHostInSubnet places host #host of entity label into the
 // entity's subnet #subnet. Distinct (label, subnet) pairs map to distinct
 // /24s, which is what Table 6's spread quantiles count.
 func (a *Allocator) ExternalHostInSubnet(label string, subnet, host int) string {
-	h := ids.HashString64(fmt.Sprintf("ext/%s/%d", label, subnet))
+	k := hostKey{kind: externalSubnet, label: label, a: subnet, b: host}
+	if s, ok := a.hosts[k]; ok {
+		return s
+	}
+	h := a.hash("ext/", label, subnet)
 	// External space: avoid campus (128.143/16), health (172.25/16) and
 	// reserved prefixes by constructing from hash bytes with the first
 	// octet forced into public-looking ranges.
@@ -185,5 +241,5 @@ func (a *Allocator) ExternalHostInSubnet(label string, subnet, host int) string 
 	o2 := byte(h >> 8)
 	o3 := byte(h >> 16)
 	o4 := byte(host%253) + 1
-	return netip.AddrFrom4([4]byte{o1, o2, o3, o4}).String()
+	return a.keep(k, netip.AddrFrom4([4]byte{o1, o2, o3, o4}))
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"net/netip"
 	"testing"
 	"testing/quick"
 
@@ -117,5 +119,53 @@ func TestAllocatorProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocatorMatchesFormula holds the Allocator — keys hashed from an
+// appended buffer, each address rendered once and then reused — to the
+// formatted-key formulas it replaced, for first and repeated requests.
+func TestAllocatorMatchesFormula(t *testing.T) {
+	p := DefaultPlan()
+	ref := func(kind int, label string, x, y int) string {
+		switch kind {
+		case 0:
+			return hostIn(p.Campus, ids.HashString64(fmt.Sprintf("srv/%s/%d", label, x))).String()
+		case 1:
+			return hostIn(p.Health, ids.HashString64(fmt.Sprintf("health/%s/%d", label, x))).String()
+		case 2:
+			return hostIn(p.Campus, ids.HashString64(fmt.Sprintf("dev/%s/%d", label, x))).String()
+		case 3:
+			h := ids.HashString64(fmt.Sprintf("campus-sub/%s", label))
+			base := p.Campus.Addr().As4()
+			return netip.AddrFrom4([4]byte{base[0], base[1], byte((int(h) + x*7) % 256), byte(y%253) + 1}).String()
+		default:
+			h := ids.HashString64(fmt.Sprintf("ext/%s/%d", label, x))
+			return netip.AddrFrom4([4]byte{byte(23 + (h % 80)), byte(h >> 8), byte(h >> 16), byte(y%253) + 1}).String()
+		}
+	}
+	a := NewAllocator(p)
+	got := func(kind int, label string, x, y int) string {
+		switch kind {
+		case 0:
+			return a.CampusServer(label, x)
+		case 1:
+			return a.HealthServer(label, x)
+		case 2:
+			return a.CampusDevice(label, x)
+		case 3:
+			return a.CampusHostInSubnet(label, x, y)
+		default:
+			return a.ExternalHostInSubnet(label, x, y)
+		}
+	}
+	rng := ids.NewRNG(11)
+	labels := []string{"", "vpn", "nm-out-public/cli", "crossshared/srv17", "é/x"}
+	for i := 0; i < 20000; i++ {
+		kind, label := rng.Intn(5), ids.Pick(rng, labels)
+		x, y := rng.Intn(400)-50, rng.Intn(400)-50
+		if g, w := got(kind, label, x, y), ref(kind, label, x, y); g != w {
+			t.Fatalf("kind %d (%q, %d, %d) = %s, want %s", kind, label, x, y, g, w)
+		}
 	}
 }

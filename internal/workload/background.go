@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/certmodel"
@@ -39,27 +40,22 @@ func (g *Generator) registerCT(e *Entity) {
 // others, spread over /24 subnets with the paper's heavy-tailed quantiles
 // (server 1/1/7/217, client 1/2/43/1851).
 func (g *Generator) emitCrossShared() {
-	const unscaledCerts = 1611
-	n := g.cfg.scaled(unscaledCerts, 40)
+	n := g.crossSharedCerts()
 	rng := g.rng.Fork("cross-shared")
 
-	issuers := []struct {
+	type issuer struct {
 		org, cn string
 		w       float64
-	}{
+	}
+	issuers := []issuer{
 		{"Let's Encrypt", "R3", 0.5158},
 		{"DigiCert Inc", "DigiCert SHA2 Extended Validation Server CA", 0.1434},
 		{"Sectigo Limited", "Sectigo RSA Domain Validation Secure Server CA", 0.0795},
 		{"GoDaddy.com, Inc.", "GoDaddy Secure Certificate Authority - G2", 0.0613},
 		{"GlobalSign", "GlobalSign GCC R3 DV TLS CA", 0.20},
 	}
-	ws := make([]float64, len(issuers))
-	for i, is := range issuers {
-		ws[i] = is.w
-	}
-
 	for i := 0; i < n; i++ {
-		iss := issuers[ids.WeightedPick(rng, ws)]
+		iss := issuers[ids.WeightedPickBy(rng, issuers, func(is *issuer) float64 { return is.w })]
 		domain := fmt.Sprintf("svc%04d.crossshared.net", i)
 		plan := &CertPlan{
 			IssuerOrg: iss.org, IssuerCN: iss.cn, ValidityDays: 900,
@@ -67,23 +63,21 @@ func (g *Generator) emitCrossShared() {
 			SANFill: 1, SAN: []Content{{Kind: KindDomain, Text: domain, Weight: 1}},
 		}
 		cert := g.cert(plan, "cross-shared", "pool", i, 0, 30)
-
-		rank := float64(i) / float64(n)
-		srvSubnets := quantileSpread(rank, 1, 1, 7, 217)
-		cliSubnets := quantileSpread(rank, 1, 2, 43, 1851)
+		srvSubnets, cliSubnets := crossSpread(i, n)
 
 		// The certificate serves as a SERVER certificate from srvSubnets
 		// distinct /24s (inbound-style conns to it)...
+		srvLabel := "crossshared/srv" + strconv.Itoa(i)
 		for s := 0; s < srvSubnets; s++ {
 			ts := certmodel.DayToTime(40 + (i+s)%500)
 			g.ds.Conns = append(g.ds.Conns, zeek.SSLRecord{
 				TS: ts, UID: ids.NewUID(g.uidRNG),
 				OrigIP:   g.alloc.CampusDevice("crossshared/cli", i),
 				OrigPort: uint16(40000 + s%20000),
-				RespIP:   g.alloc.ExternalHostInSubnet("crossshared/srv"+fmt.Sprint(i), s, i),
+				RespIP:   g.alloc.ExternalHostInSubnet(srvLabel, s, i),
 				RespPort: 443, Version: "TLSv12", SNI: domain, Established: true,
-				ServerChain: []ids.Fingerprint{cert.Fingerprint},
-				ClientChain: []ids.Fingerprint{g.crossClientHelper(i).Fingerprint},
+				ServerChain: g.chain(cert.Fingerprint),
+				ClientChain: g.chain(g.crossClientHelper(i).Fingerprint),
 				Weight:      2,
 			})
 		}
@@ -91,20 +85,41 @@ func (g *Generator) emitCrossShared() {
 		// /24s in OUTBOUND connections (the reused-server-cert-as-client
 		// pattern of §5.2.2); outbound placement keeps Table 3's inbound
 		// client census clean.
+		cliLabel := "crossshared/cli" + strconv.Itoa(i)
 		for cIdx := 0; cIdx < cliSubnets; cIdx++ {
 			ts := certmodel.DayToTime(60 + (i+cIdx)%500)
 			g.ds.Conns = append(g.ds.Conns, zeek.SSLRecord{
 				TS: ts, UID: ids.NewUID(g.uidRNG),
-				OrigIP:   g.alloc.CampusHostInSubnet("crossshared/cli"+fmt.Sprint(i), cIdx, cIdx),
+				OrigIP:   g.alloc.CampusHostInSubnet(cliLabel, cIdx, cIdx),
 				OrigPort: uint16(40000 + cIdx%20000),
 				RespIP:   g.alloc.ExternalHostInSubnet("crossshared/peer", i%9, i),
 				RespPort: 443, Version: "TLSv12", SNI: "peer.crossshared.net", Established: true,
-				ServerChain: []ids.Fingerprint{g.crossServerHelper(i % 6).Fingerprint},
-				ClientChain: []ids.Fingerprint{cert.Fingerprint},
+				ServerChain: g.chain(g.crossServerHelper(i % 6).Fingerprint),
+				ClientChain: g.chain(cert.Fingerprint),
 				Weight:      2,
 			})
 		}
 	}
+}
+
+// crossSharedCerts is the size of Table 6's cross-shared population.
+func (g *Generator) crossSharedCerts() int { return g.cfg.scaled(1611, 40) }
+
+// crossSpread is how many /24s cross-shared certificate #i of n is
+// presented from, as a server and as a client.
+func crossSpread(i, n int) (srv, cli int) {
+	rank := float64(i) / float64(n)
+	return quantileSpread(rank, 1, 1, 7, 217), quantileSpread(rank, 1, 2, 43, 1851)
+}
+
+// crossSharedRows is how many ssl.log rows emitCrossShared appends.
+func (g *Generator) crossSharedRows() int {
+	n, rows := g.crossSharedCerts(), 0
+	for i := 0; i < n; i++ {
+		srv, cli := crossSpread(i, n)
+		rows += srv + cli
+	}
+	return rows
 }
 
 // crossClientHelper/crossServerHelper are the fixed counterpart certs in
@@ -152,61 +167,45 @@ func (g *Generator) emitInterception() {
 	target := int(0.0917 * float64(len(g.ds.Certs)))
 	const proxies = 12
 	perProxy := target/proxies + 1
+	// Every remaining row is counted now: this population and the
+	// background after it.
+	g.growConns(proxies*perProxy + g.backgroundRows())
+	// One plan per proxy, its content re-pointed at each domain: mint
+	// reads the plan and keeps nothing of it.
+	content := []Content{{Kind: KindDomain, Weight: 1}}
 	for p := 0; p < proxies; p++ {
 		proxyOrg := fmt.Sprintf("SecureInspect Gateway %02d", p)
+		plan := &CertPlan{
+			IssuerOrg: proxyOrg, IssuerCN: proxyOrg + " Root",
+			ValidityDays: 30, CN: content, SANFill: 1, SAN: content,
+		}
+		kind := "p" + strconv.Itoa(p)
 		for i := 0; i < perProxy; i++ {
-			domain := fmt.Sprintf("site%04d.com", (p*perProxy+i)%4000)
+			var buf [32]byte
+			www := string(append(appendPadded(append(buf[:0], "www.site"...), (p*perProxy+i)%4000, 4), ".com"...))
 			// CT knows the genuine issuer.
-			g.ctlog.AddChain(ct.Entry{Domain: domain, IssuerOrg: "DigiCert Inc"})
-			plan := &CertPlan{
-				IssuerOrg: proxyOrg, IssuerCN: proxyOrg + " Root",
-				ValidityDays: 30,
-				CN:           []Content{{Kind: KindDomain, Text: "www." + domain, Weight: 1}},
-				SANFill:      1,
-				SAN:          []Content{{Kind: KindDomain, Text: "www." + domain, Weight: 1}},
-			}
-			cert := g.cert(plan, "intercept", fmt.Sprintf("p%d", p), i, 0, 20+i%600)
+			g.ctlog.AddChain(ct.Entry{Domain: www[len("www."):], IssuerOrg: "DigiCert Inc"})
+			content[0].Text = www
+			cert := g.cert(plan, "intercept", kind, i, 0, 20+i%600)
 			ts := certmodel.DayToTime(20 + (i*13)%650)
 			g.ds.Conns = append(g.ds.Conns, zeek.SSLRecord{
 				TS: ts, UID: ids.NewUID(g.uidRNG),
 				OrigIP:   g.alloc.CampusDevice("intercept/cli", i%500),
 				OrigPort: uint16(32768 + rng.Intn(20000)),
 				RespIP:   g.alloc.ExternalHost("intercept/srv", i),
-				RespPort: 443, Version: "TLSv12", SNI: "www." + domain,
+				RespPort: 443, Version: "TLSv12", SNI: www,
 				Established: true,
-				ServerChain: []ids.Fingerprint{cert.Fingerprint},
+				ServerChain: g.chain(cert.Fingerprint),
 				Weight:      3,
 			})
 		}
 	}
 }
 
-// emitBackground fills in the non-mutual and TLS 1.3 traffic so Figure 1's
-// denominator (total TLS connections) follows the calibrated share curve
-// from StartShare to EndShare, and emits the non-mutual server-certificate
-// populations Table 14 analyzes.
-func (g *Generator) emitBackground() {
-	months := g.cfg.Months
-	// Monthly mutual-TLS weight from everything generated so far.
-	mutual := make([]float64, months)
-	for i := range g.ds.Conns {
-		c := &g.ds.Conns[i]
-		if c.IsMutual() && c.Established {
-			m := monthOf(c.TS)
-			if m >= 0 && m < months {
-				mutual[m] += float64(c.Weight)
-			}
-		}
-	}
-	t0 := mutual[0] / g.cfg.StartShare
-	tN := mutual[months-1] / g.cfg.EndShare
-	total := func(m int) float64 {
-		return t0 + (tN-t0)*float64(m)/float64(months-1)
-	}
-
-	// Non-mutual cert populations (Table 14; unscaled counts from §6.3.6:
-	// 85% public). Each population carries a direction and port mix from
-	// Table 2's non-mutual columns.
+// backgroundPops are the non-mutual certificate populations (Table 14;
+// unscaled counts from §6.3.6: 85% public). Each population carries a
+// direction and port mix from Table 2's non-mutual columns.
+func backgroundPops() []nmPop {
 	inPorts := []PortWeight{
 		{Port: 443, Weight: 85.18}, {Port: 25, Weight: 2.35},
 		{Port: 33854, Weight: 2.26}, {Port: 8443, Weight: 2.22},
@@ -218,7 +217,7 @@ func (g *Generator) emitBackground() {
 		{Port: 8883, Weight: 0.05}, {Port: 25, Weight: 0.04},
 		{Port: 3128, Weight: 0.03},
 	}
-	pops := []nmPop{
+	return []nmPop{
 		{
 			name: "nm-out-public", certs: 3_000_000, volume: 1, ports: outPorts,
 			plan: &CertPlan{
@@ -288,6 +287,32 @@ func (g *Generator) emitBackground() {
 			},
 		},
 	}
+}
+
+// emitBackground fills in the non-mutual and TLS 1.3 traffic so Figure 1's
+// denominator (total TLS connections) follows the calibrated share curve
+// from StartShare to EndShare, and emits the non-mutual server-certificate
+// populations Table 14 analyzes.
+func (g *Generator) emitBackground() {
+	months := g.cfg.Months
+	// Monthly mutual-TLS weight from everything generated so far.
+	mutual := make([]float64, months)
+	for i := range g.ds.Conns {
+		c := &g.ds.Conns[i]
+		if c.IsMutual() && c.Established {
+			m := monthOf(c.TS)
+			if m >= 0 && m < months {
+				mutual[m] += float64(c.Weight)
+			}
+		}
+	}
+	t0 := mutual[0] / g.cfg.StartShare
+	tN := mutual[months-1] / g.cfg.EndShare
+	total := func(m int) float64 {
+		return t0 + (tN-t0)*float64(m)/float64(months-1)
+	}
+
+	pops := backgroundPops()
 
 	// Distribute each population's certificates over the months and give
 	// the rows the weight needed to hit the Figure 1 denominator.
@@ -296,12 +321,9 @@ func (g *Generator) emitBackground() {
 		volSum[p.inbound] += p.volume
 	}
 	for _, pop := range pops {
-		certs := g.cfg.scaled(pop.certs, 40)
-		perMonth := certs / months
-		if perMonth < 1 {
-			perMonth = 1
-		}
+		perMonth := g.perMonth(pop)
 		rng := g.rng.Fork("bg/" + pop.name)
+		cliLabel, srvLabel := pop.name+"/cli", pop.name+"/srv"
 		idx := 0
 		for m := 0; m < months; m++ {
 			// This population's share of month m's non-mutual volume.
@@ -327,11 +349,11 @@ func (g *Generator) emitBackground() {
 				ts := certmodel.DayToTime(day + (i*5)%27)
 				var origIP, respIP string
 				if pop.inbound {
-					origIP = g.alloc.ExternalHost(pop.name+"/cli", i)
+					origIP = g.alloc.ExternalHost(cliLabel, i)
 					respIP = g.alloc.CampusServer(pop.name, i%40)
 				} else {
-					origIP = g.alloc.CampusDevice(pop.name+"/cli", i%200)
-					respIP = g.alloc.ExternalHost(pop.name+"/srv", idx)
+					origIP = g.alloc.CampusDevice(cliLabel, i%200)
+					respIP = g.alloc.ExternalHost(srvLabel, idx)
 				}
 				g.ds.Conns = append(g.ds.Conns, zeek.SSLRecord{
 					TS: ts, UID: ids.NewUID(g.uidRNG),
@@ -339,7 +361,7 @@ func (g *Generator) emitBackground() {
 					RespIP: respIP, RespPort: g.pickPort(rng, pop.ports),
 					Version: "TLSv12", SNI: sniFor(pop.plan, i),
 					Established: rng.Float64() > 0.02,
-					ServerChain: []ids.Fingerprint{cert.Fingerprint},
+					ServerChain: g.chain(cert.Fingerprint),
 					Weight:      w,
 				})
 			}
@@ -348,15 +370,18 @@ func (g *Generator) emitBackground() {
 
 	// TLS 1.3 opacity: 40.86% of ALL connections, certificate-free rows.
 	rng := g.rng.Fork("bg/tls13")
+	var snis [tls13Rows]string
+	for i := range snis {
+		snis[i] = fmt.Sprintf("edge%02d.cdn13.net", i)
+	}
 	for m := 0; m < months; m++ {
 		volume := total(m) * g.cfg.TLS13Share
-		const rows = 24
-		w := int64(math.Round(volume / rows))
+		w := int64(math.Round(volume / tls13Rows))
 		if w < 1 {
 			w = 1
 		}
 		day := monthFirstDay(m)
-		for i := 0; i < rows; i++ {
+		for i := 0; i < tls13Rows; i++ {
 			inbound := i%4 == 0
 			var origIP, respIP string
 			if inbound {
@@ -370,12 +395,30 @@ func (g *Generator) emitBackground() {
 				TS: certmodel.DayToTime(day + (i*3)%27), UID: ids.NewUID(g.uidRNG),
 				OrigIP: origIP, OrigPort: uint16(32768 + rng.Intn(28000)),
 				RespIP: respIP, RespPort: 443,
-				Version: "TLSv13", SNI: fmt.Sprintf("edge%02d.cdn13.net", i),
+				Version: "TLSv13", SNI: snis[i],
 				Established: true,
 				Weight:      w,
 			})
 		}
 	}
+}
+
+// tls13Rows is how many certificate-free TLS 1.3 rows stand for each
+// month's TLS 1.3 volume.
+const tls13Rows = 24
+
+// perMonth is how many of pop's certificates are first used each month.
+func (g *Generator) perMonth(pop nmPop) int {
+	return max(g.cfg.scaled(pop.certs, 40)/g.cfg.Months, 1)
+}
+
+// backgroundRows is how many ssl.log rows emitBackground appends.
+func (g *Generator) backgroundRows() int {
+	rows := tls13Rows * g.cfg.Months
+	for _, pop := range backgroundPops() {
+		rows += g.perMonth(pop) * g.cfg.Months
+	}
+	return rows
 }
 
 // nmPop is one non-mutual certificate population.
@@ -390,7 +433,8 @@ type nmPop struct {
 
 func sniFor(plan *CertPlan, i int) string {
 	if len(plan.CN) > 0 && (plan.CN[0].Kind == KindHost || plan.CN[0].Kind == KindDomain) {
-		return fmt.Sprintf("host%04d.%s", i%9999, plan.CN[0].Text)
+		var buf [64]byte
+		return string(appendHost(buf[:0], i, plan.CN[0].Text))
 	}
 	return ""
 }

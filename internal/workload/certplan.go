@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/certmodel"
 	"repro/internal/ids"
@@ -64,10 +64,11 @@ type CertPlan struct {
 	SubjectOrg string
 }
 
-// mint creates certificate #idx for holder #holder of entity entityName,
-// valid appropriately for a first use at day firstUseDay (study-day
-// offset). reissue is the re-issuance round (0 for the first cert).
-func (p *CertPlan) mint(rng *ids.RNG, entityName string, holder, reissue, firstUseDay int) *certmodel.CertInfo {
+// mint creates the certificate of holder #holder for certificate kind
+// kind of entity entity, valid appropriately for a first use at day
+// firstUseDay (study-day offset). reissue is the re-issuance round (0 for
+// the first cert).
+func (p *CertPlan) mint(rng *ids.RNG, entity, kind string, holder, reissue, firstUseDay int) *certmodel.CertInfo {
 	c := &certmodel.CertInfo{
 		IssuerOrg: p.IssuerOrg,
 		IssuerCN:  p.IssuerCN,
@@ -85,7 +86,7 @@ func (p *CertPlan) mint(rng *ids.RNG, entityName string, holder, reissue, firstU
 	if p.SerialFixed != "" {
 		c.SerialHex = p.SerialFixed
 	} else {
-		c.SerialHex = fmt.Sprintf("%016X", rng.Uint64())
+		c.SerialHex = serialHex(rng.Uint64())
 	}
 
 	p.setValidity(rng, c, firstUseDay, reissue)
@@ -110,9 +111,26 @@ func (p *CertPlan) mint(rng *ids.RNG, entityName string, holder, reissue, firstU
 		c.SANIP = append(c.SANIP, Content{Kind: KindIP}.render(rng, holder))
 	}
 
-	disc := fmt.Sprintf("%s/h%d/r%d", entityName, holder, reissue)
-	c.Fingerprint = certmodel.SyntheticFingerprint(c, disc)
+	// certmodel.SyntheticFingerprint with the discriminator
+	// "<entity>/<kind>/h<holder>/r<reissue>" appended in place.
+	var buf [512]byte
+	b := certmodel.AppendSyntheticIdentity(buf[:0], c)
+	b = append(append(append(b, entity...), '/'), kind...)
+	b = strconv.AppendInt(append(b, "/h"...), int64(holder), 10)
+	b = strconv.AppendInt(append(b, "/r"...), int64(reissue), 10)
+	c.Fingerprint = ids.FingerprintBytes(b)
 	return c
+}
+
+// serialHex renders v as sixteen uppercase hex digits, fmt's "%016X".
+func serialHex(v uint64) string {
+	const hexd = "0123456789ABCDEF"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = hexd[v&15]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
 func (p *CertPlan) setValidity(rng *ids.RNG, c *certmodel.CertInfo, firstUseDay, reissue int) {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/ids"
@@ -76,28 +77,37 @@ var genLastNames = []string{
 // render materializes one content choice for certificate #idx of an
 // entity. All randomness flows through rng so generation is reproducible.
 func (c Content) render(rng *ids.RNG, idx int) string {
+	var buf [64]byte
 	switch c.Kind {
 	case KindEmpty:
 		return ""
 	case KindDomain:
 		return c.Text
 	case KindHost:
-		return fmt.Sprintf("host%04d.%s", idx%9999, c.Text)
+		return string(appendHost(buf[:0], idx, c.Text))
 	case KindIP:
-		return fmt.Sprintf("10.%d.%d.%d", rng.Intn(250)+1, rng.Intn(250)+1, rng.Intn(250)+1)
+		b := append(buf[:0], "10."...)
+		b = strconv.AppendInt(b, int64(rng.Intn(250)+1), 10)
+		b = strconv.AppendInt(append(b, '.'), int64(rng.Intn(250)+1), 10)
+		b = strconv.AppendInt(append(b, '.'), int64(rng.Intn(250)+1), 10)
+		return string(b)
 	case KindMAC:
-		var b strings.Builder
+		const hexd = "0123456789ABCDEF"
+		b := buf[:0]
 		for i := 0; i < 6; i++ {
 			if i > 0 {
-				b.WriteByte(':')
+				b = append(b, ':')
 			}
-			fmt.Fprintf(&b, "%02X", byte(rng.Uint64()))
+			v := byte(rng.Uint64())
+			b = append(b, hexd[v>>4], hexd[v&15])
 		}
-		return b.String()
+		return string(b)
 	case KindSIP:
-		return fmt.Sprintf("sip:user%04d@%s", idx%9999, orDefault(c.Text, "voip.example.com"))
+		b := appendPadded(append(buf[:0], "sip:user"...), idx%9999, 4)
+		return string(append(append(b, '@'), orDefault(c.Text, "voip.example.com")...))
 	case KindEmail:
-		return fmt.Sprintf("user%04d@%s", idx%9999, orDefault(c.Text, "example.com"))
+		b := appendPadded(append(buf[:0], "user"...), idx%9999, 4)
+		return string(append(append(b, '@'), orDefault(c.Text, "example.com")...))
 	case KindUserAccount:
 		// 2-3 lowercase letters, digit, 1-3 alphanumerics: "hd7gr" shape.
 		letters := "abcdefghijklmnopqrstuvwxyz"
@@ -131,7 +141,7 @@ func (c Content) render(rng *ids.RNG, idx int) string {
 		if rng.Bool(0.5) {
 			return "localhost"
 		}
-		return fmt.Sprintf("host%03d.localdomain", idx%999)
+		return string(append(appendPadded(append(buf[:0], "host"...), idx%999, 3), ".localdomain"...))
 	default:
 		return ""
 	}
@@ -146,16 +156,36 @@ func randomHex(rng *ids.RNG, n int) string {
 	return b.String()
 }
 
+// appendHost appends "host<idx%9999, four digits>.<domain>", the
+// per-certificate hostname shape.
+func appendHost(b []byte, idx int, domain string) []byte {
+	return append(append(appendPadded(append(b, "host"...), idx%9999, 4), '.'), domain...)
+}
+
+// appendPadded appends n in decimal, zero-padded to width digits: the
+// bytes fmt's "%0<width>d" writes.
+func appendPadded(b []byte, n, width int) []byte {
+	if n < 0 {
+		return fmt.Appendf(b, "%0*d", width, n)
+	}
+	start := len(b)
+	b = strconv.AppendInt(b, int64(n), 10)
+	if pad := width - (len(b) - start); pad > 0 {
+		b = append(b, make([]byte, pad)...)
+		copy(b[start+pad:], b[start:len(b)-pad])
+		for i := start; i < start+pad; i++ {
+			b[i] = '0'
+		}
+	}
+	return b
+}
+
 // pickContent draws one weighted choice.
 func pickContent(rng *ids.RNG, cs []Content) Content {
 	if len(cs) == 0 {
 		return Content{Kind: KindEmpty}
 	}
-	ws := make([]float64, len(cs))
-	for i, c := range cs {
-		ws[i] = c.Weight
-	}
-	return cs[ids.WeightedPick(rng, ws)]
+	return cs[ids.WeightedPickBy(rng, cs, func(c *Content) float64 { return c.Weight })]
 }
 
 func orDefault(s, d string) string {

@@ -83,7 +83,7 @@ func WireSampleEntity(cfg Config, entity *Entity, n int) (*zeek.Dataset, error) 
 func wireConn(gen *certmodel.Generator, ca *certmodel.CA, e *Entity, rng *ids.RNG, i int) (zeek.ConnMeta, tlswire.TranscriptSpec, error) {
 	crng := rng.Fork(fmt.Sprintf("cert/%d", i))
 	// Render the bulk-path metadata first, then mint equivalent DER.
-	bulkClient := e.ClientPlan.mint(crng, e.Name+"/wire-cli", i, 0, 30)
+	bulkClient := e.ClientPlan.mint(crng, e.Name, "wire-cli", i, 0, 30)
 	clientDER, err := gen.IssueLeaf(ca, certmodel.Spec{
 		SerialHex:  bulkClient.SerialHex,
 		SubjectCN:  bulkClient.SubjectCN,
@@ -105,7 +105,7 @@ func wireConn(gen *certmodel.Generator, ca *certmodel.CA, e *Entity, rng *ids.RN
 		if plan == nil {
 			plan = e.ClientPlan
 		}
-		bulkServer := plan.mint(crng, e.Name+"/wire-srv", i%4, 0, 30)
+		bulkServer := plan.mint(crng, e.Name, "wire-srv", i%4, 0, 30)
 		serverDER, err = gen.IssueLeaf(ca, certmodel.Spec{
 			SerialHex: bulkServer.SerialHex,
 			SubjectCN: bulkServer.SubjectCN,

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/certmodel"
@@ -185,7 +186,7 @@ func TestCertPlanReissue(t *testing.T) {
 func TestCertPlanMintValidityModes(t *testing.T) {
 	rng := ids.NewRNG(5)
 	normal := (&CertPlan{ValidityDays: 100, CN: []Content{{Kind: KindText, Text: "x", Weight: 1}}}).
-		mint(rng, "e", 0, 0, 100)
+		mint(rng, "e", "k", 0, 0, 100)
 	if normal.HasIncorrectDates() {
 		t.Fatal("normal cert has incorrect dates")
 	}
@@ -194,20 +195,20 @@ func TestCertPlanMintValidityModes(t *testing.T) {
 	}
 
 	bad := (&CertPlan{IncorrectDates: true, IncorrectNotBeforeYear: 2020, IncorrectNotAfterYear: 1850}).
-		mint(rng, "e", 0, 0, 100)
+		mint(rng, "e", "k", 0, 0, 100)
 	if !bad.HasIncorrectDates() {
 		t.Fatal("incorrect-dates plan minted a valid window")
 	}
 
 	exp := (&CertPlan{ValidityDays: 365, ExpiredMinDays: 950, ExpiredMaxDays: 1050}).
-		mint(rng, "e", 0, 0, 300)
+		mint(rng, "e", "k", 0, 0, 300)
 	days := exp.DaysExpiredAt(certmodel.DayToTime(300))
 	if days < 950 || days > 1050 {
 		t.Fatalf("days expired at first use = %d, want ~1000", days)
 	}
 
 	long := (&CertPlan{ValidityDays: 365, LongValidityShare: 1, LongValidityMin: 10000, LongValidityMax: 10001}).
-		mint(rng, "e", 0, 0, 100)
+		mint(rng, "e", "k", 0, 0, 100)
 	if long.ValidityDays() < 9999 {
 		t.Fatalf("long validity = %d", long.ValidityDays())
 	}
@@ -216,7 +217,7 @@ func TestCertPlanMintValidityModes(t *testing.T) {
 func TestCertPlanFixedSerialAndWeakKey(t *testing.T) {
 	rng := ids.NewRNG(6)
 	p := &CertPlan{SerialFixed: "024680", WeakRSAShare: 1, ValidityDays: 10}
-	c := p.mint(rng, "e", 0, 0, 0)
+	c := p.mint(rng, "e", "k", 0, 0, 0)
 	if c.SerialHex != "024680" {
 		t.Fatalf("serial = %q", c.SerialHex)
 	}
@@ -331,5 +332,29 @@ func TestValidateRejectsDuplicates(t *testing.T) {
 	}
 	if err := Validate([]Entity{mk(), mk()}, 23); err == nil {
 		t.Fatal("duplicate names accepted")
+	}
+}
+
+// TestAppendHelpersMatchFmt holds the generator's append helpers to the
+// fmt verbs they replaced.
+func TestAppendHelpersMatchFmt(t *testing.T) {
+	rng := ids.NewRNG(3)
+	for i := 0; i < 20000; i++ {
+		n := int(rng.Int63n(2_000_000)) - 1_000_000
+		if i%2 == 0 {
+			n %= 100_000
+		}
+		for _, w := range []int{2, 3, 4, 6} {
+			if got, want := string(appendPadded(nil, n, w)), fmt.Sprintf("%0*d", w, n); got != want {
+				t.Fatalf("appendPadded(%d, %d) = %q, want %q", n, w, got, want)
+			}
+		}
+		if got, want := string(appendHost(nil, n, "x.edu")), fmt.Sprintf("host%04d.%s", n%9999, "x.edu"); got != want {
+			t.Fatalf("appendHost(%d) = %q, want %q", n, got, want)
+		}
+		v := rng.Uint64() >> uint(rng.Intn(64))
+		if got, want := serialHex(v), fmt.Sprintf("%016X", v); got != want {
+			t.Fatalf("serialHex(%#x) = %q, want %q", v, got, want)
+		}
 	}
 }

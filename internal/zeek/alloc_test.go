@@ -1,6 +1,7 @@
 package zeek
 
 import (
+	"io"
 	"testing"
 
 	"repro/internal/race"
@@ -63,5 +64,42 @@ func TestParseAllocGates(t *testing.T) {
 		}
 	}); got > 5 {
 		t.Errorf("parseX509Cols: %.1f allocs/op on a warm intern table, want <= 5", got)
+	}
+}
+
+// TestWriteAllocGates pins both writers at zero allocations per row: rows
+// are rendered into reused buffers, DNs through certmodel.AppendDN, and
+// timestamps without strconv's multiprecision path.
+func TestWriteAllocGates(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts include race-detector bookkeeping under -race")
+	}
+	conns, certs := benchRows(64)
+	sw, xw := NewSSLWriter(io.Discard), NewX509Writer(io.Discard)
+	// The first rows write the header and size the row buffers.
+	for i := range conns {
+		if err := sw.Write(&conns[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := xw.Write(&certs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	if got := testing.AllocsPerRun(500, func() {
+		if err := sw.Write(&conns[i%len(conns)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got != 0 {
+		t.Errorf("SSLWriter.Write: %.1f allocs/row, want 0", got)
+	}
+	if got := testing.AllocsPerRun(500, func() {
+		if err := xw.Write(&certs[i%len(certs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); got != 0 {
+		t.Errorf("X509Writer.Write: %.1f allocs/row, want 0", got)
 	}
 }
