@@ -41,6 +41,7 @@ func runAggregator(ctx context.Context, o options, logger *slog.Logger, ready fu
 	defer ln.Close() // error paths; after serve it is closed already
 
 	reg := metrics.New()
+	runtimeCounters(reg)
 	in, err := contextInput(o)
 	if err != nil {
 		logger.Error("build analysis context", "err", err)

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -221,4 +222,30 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(apiError{Error: msg, Code: code}) //nolint:errcheck // headers are already out
+}
+
+// runtimeSeries are the Go runtime's cumulative allocation and GC counts
+// /metrics exports: divided by tail_rows_total they are the daemon's
+// per-row work, a count a shared host's noise does not move the way it
+// moves CPU time.
+var runtimeSeries = []struct{ name, help, sample string }{
+	{"go_gc_heap_allocs_objects_total", "heap objects allocated since start (runtime/metrics /gc/heap/allocs:objects)", "/gc/heap/allocs:objects"},
+	{"go_gc_heap_allocs_bytes_total", "heap bytes allocated since start (runtime/metrics /gc/heap/allocs:bytes)", "/gc/heap/allocs:bytes"},
+	{"go_gc_cycles_total", "completed GC cycles since start (runtime/metrics /gc/cycles/total:gc-cycles)", "/gc/cycles/total:gc-cycles"},
+}
+
+// runtimeCounters registers runtimeSeries, each read from runtime/metrics
+// when /metrics is scraped.
+func runtimeCounters(reg *metrics.Registry) {
+	for _, rs := range runtimeSeries {
+		name := rs.sample
+		reg.CounterFunc(rs.name, rs.help, func() uint64 {
+			s := []rtmetrics.Sample{{Name: name}}
+			rtmetrics.Read(s)
+			if s[0].Value.Kind() != rtmetrics.KindUint64 {
+				return 0
+			}
+			return s[0].Value.Uint64()
+		})
+	}
 }

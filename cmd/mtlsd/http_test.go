@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -46,6 +48,53 @@ func TestAPIErrorEnvelope(t *testing.T) {
 			t.Errorf("%s: envelope %+v, want code %d and a message", c.path, env, c.code)
 		}
 	}
+}
+
+// TestRuntimeCountersExported holds the daemon's runtime series to the
+// Go runtime's allocation and GC totals: every series is exposed as a
+// counter and grows between two scrapes with allocations and a GC cycle
+// between them. TestDaemonEndToEnd sees them on a monitor's /metrics.
+func TestRuntimeCountersExported(t *testing.T) {
+	reg := metrics.New()
+	runtimeCounters(reg)
+	srv := httptest.NewServer(metrics.Handler(reg))
+	defer srv.Close()
+	scrape := func() map[string]uint64 {
+		t.Helper()
+		code, body := httpGet(t, srv.URL+"/metrics")
+		if code != 200 {
+			t.Fatalf("/metrics: %d", code)
+		}
+		got := make(map[string]uint64)
+		for _, rs := range runtimeSeries {
+			if !strings.Contains(body, "# TYPE "+rs.name+" counter\n") {
+				t.Fatalf("/metrics has no counter %s", rs.name)
+			}
+			for _, line := range strings.Split(body, "\n") {
+				if v, ok := strings.CutPrefix(line, rs.name+" "); ok {
+					n, err := strconv.ParseUint(v, 10, 64)
+					if err != nil {
+						t.Fatalf("%s: %v", line, err)
+					}
+					got[rs.name] = n
+				}
+			}
+		}
+		return got
+	}
+	before := scrape()
+	sink := make([][]byte, 0, 1000)
+	for i := 0; i < cap(sink); i++ {
+		sink = append(sink, make([]byte, 64+i))
+	}
+	runtime.GC()
+	after := scrape()
+	for _, rs := range runtimeSeries {
+		if after[rs.name] <= before[rs.name] {
+			t.Errorf("%s: %d then %d, want growth", rs.name, before[rs.name], after[rs.name])
+		}
+	}
+	runtime.KeepAlive(sink)
 }
 
 // TestDaemonEndToEnd drives a live daemon over HTTP: liveness, stats,
@@ -108,6 +157,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 		"mtlsd_http_request_seconds_count{path=\"/api/v1/healthz\"}",
 		"mtlsd_http_requests_total{path=\"/api/v1/healthz\",code=\"200\"}",
 		"stream_apply_latency_seconds_bucket",
+		"go_gc_heap_allocs_objects_total",
+		"go_gc_heap_allocs_bytes_total",
+		"go_gc_cycles_total",
 	} {
 		if !strings.Contains(metricsBody, series) {
 			t.Errorf("/metrics missing %s", series)

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/backoff"
@@ -40,14 +39,13 @@ func newMonitor(o options, logger *slog.Logger, reg *metrics.Registry, zopts zee
 	const wakes, wakesHelp = "tail_wakes_total", "tailer wake-ups, by what woke the tailer"
 	m := &monitor{
 		o: o, logger: logger, reg: reg,
-		ssl:        zeek.NewSSLTail(filepath.Join(o.logs, "ssl.log")),
-		x509:       zeek.NewX509Tail(filepath.Join(o.logs, "x509.log")),
 		watch:      openWatch,
 		ckptWrites: reg.Counter("mtlsd_checkpoint_writes_total", "checkpoints attempted by the daemon"),
 		ckptErrs:   reg.Counter("mtlsd_checkpoint_errors_total", "checkpoint attempts that failed"),
 		wakeEvent:  reg.Counter(wakes, wakesHelp, "reason", "event"),
 		wakeTick:   reg.Counter(wakes, wakesHelp, "reason", "tick"),
 	}
+	m.ssl, m.x509 = zeek.NewLogTails(o.logs)
 	m.ssl.Instrument(reg)
 	m.x509.Instrument(reg)
 	m.ssl.SetOptions(zopts)
@@ -84,6 +82,7 @@ func runMonitor(ctx context.Context, o options, logger *slog.Logger, ready func(
 	defer ln.Close() // error paths; after serve it is closed already
 
 	reg := metrics.New()
+	runtimeCounters(reg)
 	in, err := contextInput(o)
 	if err != nil {
 		logger.Error("build analysis context", "err", err)

@@ -38,8 +38,12 @@ var DefBuckets = []float64{
 }
 
 // Counter is a monotonically increasing uint64. The zero value is ready
-// to use; a nil *Counter discards all operations.
-type Counter struct{ v atomic.Uint64 }
+// to use; a nil *Counter discards all operations. A Counter registered
+// via CounterFunc reads its value from the callback instead.
+type Counter struct {
+	v  atomic.Uint64
+	fn func() uint64
+}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -55,6 +59,9 @@ func (c *Counter) Add(n uint64) {
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
+	}
+	if c.fn != nil {
+		return c.fn()
 	}
 	return c.v.Load()
 }
@@ -269,6 +276,14 @@ func (r *Registry) lookup(name, help string, kind metricKind, kv []string, creat
 // pairs, e.g. Counter("tail_rotations_total", "...", "file", "ssl").
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return r.lookup(name, help, kindCounter, labels, func(s *series) { s.c = &Counter{} }).c
+}
+
+// CounterFunc registers a counter whose value is read from fn at
+// exposition time — for totals something else already keeps, like the
+// Go runtime's. fn must be safe to call concurrently and never decrease.
+// If the series already exists its callback is left in place.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...string) {
+	r.lookup(name, help, kindCounter, labels, func(s *series) { s.c = &Counter{fn: fn} })
 }
 
 // Gauge get-or-creates a gauge.

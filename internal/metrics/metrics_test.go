@@ -43,6 +43,16 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if !strings.Contains(buf.String(), "derived 42\n") {
 		t.Fatalf("callback gauge missing:\n%s", buf.String())
 	}
+
+	n := uint64(6)
+	r.CounterFunc("read_total", "callback counter", func() uint64 { n++; return n })
+	buf.Reset()
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "# TYPE read_total counter\nread_total 7\n") {
+		t.Fatalf("callback counter missing:\n%s", buf.String())
+	}
 }
 
 func TestNilInstrumentsAreNoOps(t *testing.T) {

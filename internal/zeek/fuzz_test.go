@@ -320,12 +320,15 @@ func FuzzTailChunking(f *testing.F) {
 // FuzzParseTS pins parseTS against the silent corruptions fuzzing
 // originally surfaced: every accepted timestamp must round-trip through
 // formatTS within tolerance (in particular, no UnixNano overflow), and
-// NaN must never be accepted.
+// NaN must never be accepted. Its differential arm holds the integer
+// fast path to the ParseFloat-based reference: the same accept/reject
+// decision and the identical time.Time.
 func FuzzParseTS(f *testing.F) {
-	for _, s := range []string{"0", "1700000000.123456", "-6710083200.0", "8859283200.000000", "NaN", "+Inf", "9.3e9", "-1e18", "0x1p10"} {
+	for _, s := range []string{"0", "1700000000.123456", "-6710083200.0", "8859283200.000000", "NaN", "+Inf", "9.3e9", "-1e18", "0x1p10", "9007199254740992", "0.0000000000000000000001"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		checkParseTS(t, s)
 		ts, err := parseTS([]byte(s))
 		if err != nil {
 			return

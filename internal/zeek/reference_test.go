@@ -8,6 +8,8 @@ package zeek
 // one.
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -96,8 +98,19 @@ func refParseX509Cols(cols []string) (X509Record, error) {
 	return X509Record{TS: ts, ID: ids.FileID(cols[1]), Cert: cert}, nil
 }
 
+// refParseTS is parseTS as it was before its integer fast path: every
+// timestamp goes through strconv.ParseFloat.
 func refParseTS(s string) (time.Time, error) {
-	return parseTS([]byte(s))
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return time.Time{}, fmt.Errorf("zeek: timestamp %q: %w", s, err)
+	}
+	if math.IsNaN(f) || f < -maxTS || f > maxTS {
+		return time.Time{}, fmt.Errorf("zeek: timestamp %q outside ±%d", s, int64(maxTS))
+	}
+	sec := int64(f)
+	nsec := int64((f - float64(sec)) * 1e9)
+	return time.Unix(sec, nsec).UTC(), nil
 }
 
 func refParsePort(s string) (uint16, error) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/metrics"
@@ -97,7 +98,8 @@ type tail struct {
 	// it deduplicates repeated field values across the tailer's whole
 	// lifetime — the long-running daemon is exactly the caller whose
 	// value population (IPs, versions, fingerprints, issuers) stabilizes
-	// after the first polls.
+	// after the first polls — and holds the arenas the poll's records are
+	// cut from. NewLogTails gives both tails of a directory one table.
 	it *internTable
 
 	m tailMetrics
@@ -390,11 +392,29 @@ func (t *tail) badRow(re *RowError, lineStart int64, line []byte) error {
 }
 
 // SSLTail incrementally reads an ssl.log as it is written.
-type SSLTail struct{ t tail }
+type SSLTail struct {
+	t tail
+	// out is the slice Poll appends into, reused by the next Poll.
+	out []SSLRecord
+}
 
 // NewSSLTail tails the ssl.log at path from the beginning.
-func NewSSLTail(path string) *SSLTail {
-	return &SSLTail{t: tail{path: path, wantPath: "ssl", nFields: len(sslFields), it: newInternTable()}}
+func NewSSLTail(path string) *SSLTail { return newSSLTail(path, newInternTable()) }
+
+func newSSLTail(path string, it *internTable) *SSLTail {
+	return &SSLTail{t: tail{path: path, wantPath: "ssl", nFields: len(sslFields), it: it}}
+}
+
+// NewLogTails tails the ssl.log and x509.log of one Zeek log directory
+// from the beginning, with one intern table between them: a fingerprint
+// is hashed and copied once, when its x509.log row is parsed, and every
+// ssl.log chain naming it later shares that string. The table is not
+// locked, so the two tails must be polled from one goroutine; polling
+// x509.log first lets each round's connections find the certificates
+// logged with them.
+func NewLogTails(dir string) (*SSLTail, *X509Tail) {
+	it := newPairTable()
+	return newSSLTail(filepath.Join(dir, "ssl.log"), it), newX509Tail(filepath.Join(dir, "x509.log"), it)
 }
 
 // Instrument publishes the tailer's poll duration, bytes/rows read, lag,
@@ -410,17 +430,22 @@ func (s *SSLTail) SetOptions(o Options) { s.t.opts = o }
 // when nothing new). Rows parsed before an error are still returned. One
 // call consumes at most one chunk (4 MiB) of the backlog; keep polling
 // while More reports true to drain a large catch-up.
+//
+// The returned slice is reused: it is valid until the next Poll, so a
+// caller keeping rows past that copies the records out of it. The records
+// themselves — their strings and chains — stay valid for good.
 func (s *SSLTail) Poll() ([]SSLRecord, error) {
-	var out []SSLRecord
+	clear(s.out)
+	s.out = s.out[:0]
 	err := s.t.poll(func(cols [][]byte) error {
 		rec, err := parseSSLCols(cols, s.t.it)
 		if err != nil {
 			return err
 		}
-		out = append(out, rec)
+		s.out = append(s.out, rec)
 		return nil
 	})
-	return out, err
+	return nilIfEmpty(s.out), err
 }
 
 // More reports whether the last Poll stopped at its chunk cap, leaving
@@ -437,11 +462,16 @@ func (s *SSLTail) Offset() int64 { return s.t.offset }
 func (s *SSLTail) SetOffset(off int64) { s.t.offset = off }
 
 // X509Tail incrementally reads an x509.log as it is written.
-type X509Tail struct{ t tail }
+type X509Tail struct {
+	t   tail
+	out []X509Record
+}
 
 // NewX509Tail tails the x509.log at path from the beginning.
-func NewX509Tail(path string) *X509Tail {
-	return &X509Tail{t: tail{path: path, wantPath: "x509", nFields: len(x509Fields), it: newInternTable()}}
+func NewX509Tail(path string) *X509Tail { return newX509Tail(path, newInternTable()) }
+
+func newX509Tail(path string, it *internTable) *X509Tail {
+	return &X509Tail{t: tail{path: path, wantPath: "x509", nFields: len(x509Fields), it: it}}
 }
 
 // Instrument publishes the tailer's poll duration, bytes/rows read, lag,
@@ -453,18 +483,21 @@ func (x *X509Tail) Instrument(r *metrics.Registry) { x.t.instrument(r) }
 func (x *X509Tail) SetOptions(o Options) { x.t.opts = o }
 
 // Poll returns the certificate rows appended since the previous poll,
-// consuming at most one chunk per call (see SSLTail.Poll).
+// consuming at most one chunk per call (see SSLTail.Poll). As there, the
+// returned slice is valid until the next Poll and the records, with the
+// *CertInfo each points to, for good.
 func (x *X509Tail) Poll() ([]X509Record, error) {
-	var out []X509Record
+	clear(x.out)
+	x.out = x.out[:0]
 	err := x.t.poll(func(cols [][]byte) error {
 		rec, err := parseX509Cols(cols, x.t.it)
 		if err != nil {
 			return err
 		}
-		out = append(out, rec)
+		x.out = append(x.out, rec)
 		return nil
 	})
-	return out, err
+	return nilIfEmpty(x.out), err
 }
 
 // More reports whether the last Poll stopped at its chunk cap (see
@@ -479,3 +512,11 @@ func (x *X509Tail) Offset() int64 { return x.t.offset }
 
 // SetOffset resumes tailing from a checkpointed byte position.
 func (x *X509Tail) SetOffset(off int64) { x.t.offset = off }
+
+// nilIfEmpty keeps Poll's "nil when nothing new" with a reused slice.
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
