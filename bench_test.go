@@ -44,10 +44,7 @@ var (
 func benchPipeline(b *testing.B) *core.Pipeline {
 	b.Helper()
 	benchOnce.Do(func() {
-		cfg := DefaultConfig()
-		cfg.CertScale = 500
-		build := GenerateConfig(cfg)
-		benchIn = InputFromBuild(build)
+		benchIn = InputFromBuild(campusBuild(b, 500))
 		benchPipe = core.NewPipeline(benchIn)
 	})
 	return benchPipe
@@ -533,11 +530,9 @@ func BenchmarkTSVRoundTrip(b *testing.B) {
 // BenchmarkEndToEnd measures generate + analyze at reduced scale — the
 // whole reproduction in one number (Workers 0 = one per CPU).
 func BenchmarkEndToEnd(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.CertScale = 2000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a := Analyze(GenerateConfig(cfg))
+		a := Analyze(campusBuild(b, 2000))
 		if a.CertStats.Row("Total").Total == 0 {
 			b.Fatal("empty analysis")
 		}
@@ -547,11 +542,9 @@ func BenchmarkEndToEnd(b *testing.B) {
 // BenchmarkEndToEndSerial is BenchmarkEndToEnd pinned to the serial
 // legacy path — the concurrency speedup is EndToEnd vs EndToEndSerial.
 func BenchmarkEndToEndSerial(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.CertScale = 2000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a := Analyze(GenerateConfig(cfg), WithWorkers(1))
+		a := Analyze(campusBuild(b, 2000), WithWorkers(1))
 		if a.CertStats.Row("Total").Total == 0 {
 			b.Fatal("empty analysis")
 		}
@@ -693,10 +686,8 @@ var statsBenchScales = []int{12000, 300}
 
 // statsBenchInput generates the campus workload at scale: the analysis
 // context plus the events to feed, certificates first.
-func statsBenchInput(scale int) (*core.Input, []core.CertRecord, []core.ConnRecord) {
-	cfg := DefaultConfig()
-	cfg.CertScale = scale
-	build := GenerateConfig(cfg)
+func statsBenchInput(b *testing.B, scale int) (*core.Input, []core.CertRecord, []core.ConnRecord) {
+	build := campusBuild(b, scale)
 	in := InputFromBuild(build)
 	in.Raw = nil
 	certs := make([]core.CertRecord, 0, len(build.Raw.Certs))
@@ -711,7 +702,7 @@ func statsBenchInput(scale int) (*core.Input, []core.CertRecord, []core.ConnReco
 func BenchmarkShardedStats(b *testing.B) {
 	for _, scale := range statsBenchScales {
 		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
-			in, certs, conns := statsBenchInput(scale)
+			in, certs, conns := statsBenchInput(b, scale)
 			s, err := stream.New(stream.Config{Input: in})
 			if err != nil {
 				b.Fatal(err)
@@ -738,7 +729,7 @@ func BenchmarkShardedStats(b *testing.B) {
 func BenchmarkAggregatorStats(b *testing.B) {
 	for _, scale := range statsBenchScales {
 		b.Run(fmt.Sprintf("scale=%d", scale), func(b *testing.B) {
-			in, certs, conns := statsBenchInput(scale)
+			in, certs, conns := statsBenchInput(b, scale)
 			e, err := stream.New(stream.Config{Input: in, TrackExport: true})
 			if err != nil {
 				b.Fatal(err)
@@ -783,7 +774,7 @@ func BenchmarkAggregatorRead(b *testing.B) {
 	const delta = 1000
 	for _, scale := range statsBenchScales {
 		start := func(b *testing.B) (*stream.Engine, []core.ConnRecord, distrib.Config) {
-			in, certs, conns := statsBenchInput(scale)
+			in, certs, conns := statsBenchInput(b, scale)
 			e, err := stream.New(stream.Config{Input: in, TrackExport: true})
 			if err != nil {
 				b.Fatal(err)

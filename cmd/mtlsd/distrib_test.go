@@ -81,8 +81,8 @@ func fetchReports(t *testing.T, base string) map[string]any {
 
 // aggregatorOptions is the command line's defaults as an aggregator of
 // sensors (comma-separated addresses) on an ephemeral port, pulling fast.
-func aggregatorOptions(cfg mtls.Config, sensors string) options {
-	o := testOptions("", cfg)
+func aggregatorOptions(sensors string) options {
+	o := testOptions("", distribScale)
 	o.role, o.sensors, o.syncEvery = "aggregator", sensors, 50*time.Millisecond
 	return o
 }
@@ -108,9 +108,7 @@ func aggStats(t *testing.T, base string) daemonStats {
 // must deep-equal the union daemon's, and the distributed tier's
 // identity/health surfaces must be live on both roles.
 func TestDaemonDistrib(t *testing.T) {
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = distribScale
-	build := mtls.GenerateConfig(cfg)
+	build := campusBuild(t, distribScale)
 	total := len(build.Raw.Conns)
 	half := total / 2
 
@@ -127,11 +125,11 @@ func TestDaemonDistrib(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	oa := testOptions(dirA, cfg)
+	oa := testOptions(dirA, distribScale)
 	oa.role = "sensor"
-	ob := testOptions(dirB, cfg)
+	ob := testOptions(dirB, distribScale)
 	ob.role, ob.shards = "sensor", 2
-	ou := testOptions(dirU, cfg)
+	ou := testOptions(dirU, distribScale)
 
 	baseA, cancelA, exitA := startDaemon(t, oa)
 	defer func() { cancelA(); <-exitA }()
@@ -140,7 +138,7 @@ func TestDaemonDistrib(t *testing.T) {
 	baseU, cancelU, exitU := startDaemon(t, ou)
 	defer func() { cancelU(); <-exitU }()
 
-	baseG, cancelG, exitG := startDaemon(t, aggregatorOptions(cfg,
+	baseG, cancelG, exitG := startDaemon(t, aggregatorOptions(
 		strings.TrimPrefix(baseA, "http://")+","+strings.TrimPrefix(baseB, "http://")))
 	defer func() { cancelG(); <-exitG }()
 
@@ -212,6 +210,7 @@ func TestDaemonDistrib(t *testing.T) {
 			t.Errorf("aggregator /metrics missing %s", series)
 		}
 	}
+	checkCatalogued(t, aggMetrics)
 }
 
 // TestDaemonSensorRestartResume is the robustness e2e: the aggregator
@@ -220,9 +219,7 @@ func TestDaemonDistrib(t *testing.T) {
 // same address, the cursor resumes on the delta path — never a full
 // re-sync.
 func TestDaemonSensorRestartResume(t *testing.T) {
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = distribScale
-	build := mtls.GenerateConfig(cfg)
+	build := campusBuild(t, distribScale)
 	total := len(build.Raw.Conns)
 	half := total / 2
 
@@ -234,11 +231,11 @@ func TestDaemonSensorRestartResume(t *testing.T) {
 
 	addr := freePort(t)
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	so := testOptions(dir, cfg)
+	so := testOptions(dir, distribScale)
 	so.listen, so.role, so.checkpoint, so.ckptEvery = addr, "sensor", ckpt, time.Hour
 	_, cancelS, exitS := startDaemon(t, so)
 
-	baseG, cancelG, exitG := startDaemon(t, aggregatorOptions(cfg, addr))
+	baseG, cancelG, exitG := startDaemon(t, aggregatorOptions(addr))
 	defer func() { cancelG(); <-exitG }()
 	waitConns(t, baseG, uint64(half))
 
@@ -304,7 +301,7 @@ func TestDaemonSensorRestartResume(t *testing.T) {
 
 	// Equivalence after recovery: aggregator == fresh engine over the
 	// whole dataset.
-	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
+	in := mtls.InputFromBuild(campusBuild(t, distribScale))
 	in.Raw = nil
 	ref, err := stream.New(stream.Config{Input: in})
 	if err != nil {
@@ -364,8 +361,8 @@ func TestDaemonRoleValidation(t *testing.T) {
 // distrib_follow_streams, and on SIGTERM ends it at a snapshot boundary
 // and exits within a second: the body decodes whole to its end.
 func TestDaemonSensorFollowStream(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	o := testOptions(dir, cfg)
+	dir := writeTestLogs(t)
+	o := testOptions(dir, testScale)
 	o.role = "sensor"
 	base, cancel, exit := startDaemon(t, o)
 	defer cancel()

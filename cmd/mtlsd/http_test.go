@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -101,9 +102,11 @@ func TestRuntimeCountersExported(t *testing.T) {
 // the metrics exposition (ingest, tail lag, rebuilds, HTTP latency),
 // report success, 404-vs-500 mapping, and pprof behind the flag.
 func TestDaemonEndToEnd(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	o := testOptions(dir, cfg)
+	dir := writeTestLogs(t)
+	o := testOptions(dir, testScale)
 	o.pprof, o.logLevel = true, "debug"
+	// A checkpoint and a quarantine file register their series too.
+	o.checkpoint, o.quarantine = t.TempDir(), filepath.Join(t.TempDir(), "q.log")
 	base, cancel, exit := startDaemon(t, o)
 	defer func() {
 		cancel()
@@ -165,6 +168,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 			t.Errorf("/metrics missing %s", series)
 		}
 	}
+	checkCatalogued(t, metricsBody)
 	for _, nonZero := range []string{"stream_conns_ingested_total ", "tail_bytes_read_total{file=\"ssl\"} "} {
 		for _, line := range strings.Split(metricsBody, "\n") {
 			if strings.HasPrefix(line, nonZero) && strings.HasSuffix(line, " 0") {
@@ -192,8 +196,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 // TestDaemonPprofOffByDefault: without -pprof the profile endpoints are
 // not mounted.
 func TestDaemonPprofOffByDefault(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	base, cancel, exit := startDaemon(t, testOptions(dir, cfg))
+	dir := writeTestLogs(t)
+	base, cancel, exit := startDaemon(t, testOptions(dir, testScale))
 	defer func() {
 		cancel()
 		<-exit

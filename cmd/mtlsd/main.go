@@ -257,14 +257,7 @@ func contextInput(o options) (*core.Input, error) {
 			return nil, err
 		}
 	}
-	var opts []mtls.GenerateOption
-	if o.scale > 0 {
-		opts = append(opts, mtls.WithScale(o.scale))
-	}
-	if o.seed != 0 {
-		opts = append(opts, mtls.WithSeed(o.seed))
-	}
-	build, err := mtls.Generate(spec, opts...)
+	build, err := mtls.Generate(spec, mtls.WithScale(o.scale), mtls.WithSeed(o.seed))
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,10 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,24 +21,47 @@ import (
 // testScale keeps the generated dataset small enough for fast e2e runs.
 const testScale = 2000
 
-func writeTestLogs(t *testing.T) (dir string, cfg mtls.Config) {
+// campusBuild generates the campus dataset at scale.
+func campusBuild(t *testing.T, scale int) *mtls.Build {
 	t.Helper()
-	cfg = mtls.DefaultConfig()
-	cfg.CertScale = testScale
-	build := mtls.GenerateConfig(cfg)
-	dir = t.TempDir()
-	if err := mtls.WriteLogs(build.Raw, dir); err != nil {
+	build, err := mtls.Generate(nil, mtls.WithScale(scale))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return dir, cfg
+	return build
+}
+
+func writeTestLogs(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := mtls.WriteLogs(campusBuild(t, testScale).Raw, dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// checkCatalogued fails on every metric family in a /metrics scrape
+// that DESIGN.md's catalogue does not name.
+func checkCatalogued(t *testing.T, scrape string) {
+	t.Helper()
+	design, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(scrape, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" &&
+			!regexp.MustCompile(`\b`+regexp.QuoteMeta(f[2])+`\b`).Match(design) {
+			t.Errorf("metric family %s is not in DESIGN.md", f[2])
+		}
+	}
 }
 
 // testOptions is the command line's defaults pointed at dir on an
 // ephemeral port, polling fast, with the context scale the logs were
 // generated at.
-func testOptions(dir string, cfg mtls.Config) options {
+func testOptions(dir string, scale int) options {
 	o := defaultOptions()
-	o.logs, o.listen, o.poll, o.scale = dir, "127.0.0.1:0", 50*time.Millisecond, cfg.CertScale
+	o.logs, o.listen, o.poll, o.scale = dir, "127.0.0.1:0", 50*time.Millisecond, scale
 	return o
 }
 

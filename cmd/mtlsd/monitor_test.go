@@ -27,9 +27,7 @@ import (
 // /stats, /metrics, and the quarantine file, and its reports must
 // deep-equal a batch engine fed only the valid rows.
 func TestDaemonMalformedRow(t *testing.T) {
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = testScale
-	build := mtls.GenerateConfig(cfg)
+	build := campusBuild(t, testScale)
 	conns := build.Raw.Conns
 	half := len(conns) / 2
 
@@ -55,7 +53,7 @@ func TestDaemonMalformedRow(t *testing.T) {
 	f.Close()
 
 	quarantine := filepath.Join(t.TempDir(), "quarantine.log")
-	o := testOptions(dir, cfg)
+	o := testOptions(dir, testScale)
 	o.quarantine = quarantine
 	base, cancel, exit := startDaemon(t, o)
 	defer func() {
@@ -121,7 +119,7 @@ func TestDaemonMalformedRow(t *testing.T) {
 
 	// Reports must equal a batch engine fed only the valid rows: the
 	// malformed lines changed counters, never analysis results.
-	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
+	in := mtls.InputFromBuild(campusBuild(t, testScale))
 	in.Raw = nil
 	ref, err := stream.New(stream.Config{Input: in})
 	if err != nil {
@@ -151,10 +149,10 @@ func TestDaemonMalformedRow(t *testing.T) {
 // TestDaemonStrictQuarantineConflict: -strict with -quarantine is a
 // configuration error (strict mode never skips rows), refused at boot.
 func TestDaemonStrictQuarantineConflict(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
+	dir := writeTestLogs(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	o := testOptions(dir, cfg)
+	o := testOptions(dir, testScale)
 	o.strict, o.quarantine = true, filepath.Join(t.TempDir(), "q.log")
 	code := run(ctx, o, testLogger(t), nil)
 	if code != 2 {
@@ -167,9 +165,9 @@ func TestDaemonStrictQuarantineConflict(t *testing.T) {
 // tail offsets intact — the state-loss regression for the old
 // log.Fatal shutdown path.
 func TestDaemonSIGTERMCheckpoint(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
+	dir := writeTestLogs(t)
 	ckpt := filepath.Join(t.TempDir(), "mtlsd.ckpt")
-	o := testOptions(dir, cfg)
+	o := testOptions(dir, testScale)
 	o.checkpoint, o.ckptEvery = ckpt, time.Hour // periodic path stays quiet; only shutdown writes
 	base, cancel, exit := startDaemon(t, o)
 	defer cancel()
@@ -196,7 +194,7 @@ func TestDaemonSIGTERMCheckpoint(t *testing.T) {
 	if fi.Size() == 0 {
 		t.Fatal("final checkpoint empty")
 	}
-	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
+	in := mtls.InputFromBuild(campusBuild(t, testScale))
 	in.Raw = nil
 	restored, cursor, err := stream.Restore(stream.Config{Input: in}, ckpt)
 	if err != nil {
@@ -214,8 +212,8 @@ func TestDaemonSIGTERMCheckpoint(t *testing.T) {
 // TestDaemonListenConflict: a busy port fails fast with a nonzero exit
 // before any state is touched (the old path log.Fatal'd much later).
 func TestDaemonListenConflict(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	base, cancel, exit := startDaemon(t, testOptions(dir, cfg))
+	dir := writeTestLogs(t)
+	base, cancel, exit := startDaemon(t, testOptions(dir, testScale))
 	defer func() {
 		cancel()
 		<-exit
@@ -224,7 +222,7 @@ func TestDaemonListenConflict(t *testing.T) {
 
 	ctx, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
-	o := testOptions(dir, cfg)
+	o := testOptions(dir, testScale)
 	o.listen = addr
 	code := run(ctx, o, testLogger(t), nil)
 	if code == 0 {
@@ -263,8 +261,8 @@ func manifestChains(t *testing.T, dir string) [][]string {
 // another (a directory written "sharded" restarts "single", and the other
 // way round), restores the first run's one chain and continues it.
 func TestDaemonSharded(t *testing.T) {
-	dir, cfg := writeTestLogs(t)
-	build := mtls.GenerateConfig(cfg)
+	dir := writeTestLogs(t)
+	build := campusBuild(t, testScale)
 	total := uint64(len(build.Raw.Conns))
 	in := mtls.InputFromBuild(build)
 	in.Raw = nil
@@ -285,7 +283,7 @@ func TestDaemonSharded(t *testing.T) {
 		first, second int
 	}{{"shards=0", 0, 0}, {"shards=2-then-1", 2, 1}, {"shards=1-then-2", 1, 2}, {"shards=65", 65, 65}} {
 		t.Run(c.name, func(t *testing.T) {
-			o := testOptions(dir, cfg)
+			o := testOptions(dir, testScale)
 			o.checkpoint, o.ckptEvery = filepath.Join(t.TempDir(), "ckpt"), time.Hour
 			logs := restartOnto(t, o, total, c.first, c.second, func(base string) {
 				checkReportsAgainst(t, base, ref, "one engine")
@@ -370,9 +368,7 @@ func listDir(t *testing.T, dir string) []string {
 // checkpoint yet", and the daemon started empty, re-tailed from byte 0 and
 // swept the rest of the chain with its first commit.
 func TestOpenEngineMissingNamedFile(t *testing.T) {
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = testScale
-	build := mtls.GenerateConfig(cfg)
+	build := campusBuild(t, testScale)
 	in := mtls.InputFromBuild(build)
 	in.Raw = nil
 	scfg := stream.Config{Input: in}

@@ -109,9 +109,7 @@ func TestCatchUpBackoff(t *testing.T) {
 // same time, with the daemon tailing both. Every row from both files
 // must land, and the lag on both files must drain to zero.
 func TestDaemonConcurrentWriters(t *testing.T) {
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = testScale
-	build := mtls.GenerateConfig(cfg)
+	build := campusBuild(t, testScale)
 	conns := build.Raw.Conns
 
 	// Full logs in a scratch dir give us the certificate rows to replay.
@@ -185,7 +183,7 @@ func TestDaemonConcurrentWriters(t *testing.T) {
 	writeSSL(sslPath, conns[:halfC], false)
 	writeX509(x509Path, certs[:halfX], false)
 
-	o := testOptions(dir, cfg)
+	o := testOptions(dir, testScale)
 	o.poll = 10 * time.Millisecond
 	base, cancel, exit := startDaemon(t, o)
 	defer func() {

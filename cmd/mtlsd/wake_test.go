@@ -42,16 +42,14 @@ func appendConns(t *testing.T, path string, recs []zeek.SSLRecord) {
 
 // wakeLogs writes the test dataset's logs to a fresh directory; the
 // caller rewrites ssl.log with the rows it starts from.
-func wakeLogs(t *testing.T) (dir string, cfg mtls.Config, build *mtls.Build) {
+func wakeLogs(t *testing.T) (dir string, build *mtls.Build) {
 	t.Helper()
-	cfg = mtls.DefaultConfig()
-	cfg.CertScale = testScale
-	build = mtls.GenerateConfig(cfg)
+	build = campusBuild(t, testScale)
 	dir = t.TempDir()
 	if err := mtls.WriteLogs(build.Raw, dir); err != nil {
 		t.Fatal(err)
 	}
-	return dir, cfg, build
+	return dir, build
 }
 
 // waitConnsWithin is waitConns with a deadline of its own: the daemon
@@ -91,11 +89,11 @@ func TestDaemonWakesOnAppend(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("file events are Linux-only; elsewhere the tailer waits out -poll")
 	}
-	dir, cfg, build := wakeLogs(t)
+	dir, build := wakeLogs(t)
 	conns := build.Raw.Conns
 	half := len(conns) / 2
 	writeConnSlice(t, dir, build, 0, half)
-	o := testOptions(dir, cfg)
+	o := testOptions(dir, testScale)
 	o.poll = time.Hour
 	base, cancel, exit := startDaemon(t, o)
 	defer func() {
@@ -119,11 +117,11 @@ func TestDaemonWakesAcrossRename(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("file events are Linux-only; elsewhere the tailer waits out -poll")
 	}
-	dir, cfg, build := wakeLogs(t)
+	dir, build := wakeLogs(t)
 	conns := build.Raw.Conns
 	third := len(conns) / 3
 	writeConnSlice(t, dir, build, 0, third)
-	o := testOptions(dir, cfg)
+	o := testOptions(dir, testScale)
 	o.poll = time.Hour
 	base, cancel, exit := startDaemon(t, o)
 	defer func() {
@@ -140,7 +138,7 @@ func TestDaemonWakesAcrossRename(t *testing.T) {
 	writeConnSlice(t, dir, build, 2*third, len(conns))
 	waitConnsWithin(t, base, uint64(len(conns)), 2*time.Second)
 
-	in := mtls.InputFromBuild(mtls.GenerateConfig(cfg))
+	in := mtls.InputFromBuild(campusBuild(t, testScale))
 	in.Raw = nil
 	ref, err := stream.New(stream.Config{Input: in})
 	if err != nil {
@@ -178,11 +176,11 @@ func TestDaemonTicksWithoutWatch(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dir, cfg, build := wakeLogs(t)
+			dir, build := wakeLogs(t)
 			conns := build.Raw.Conns
 			half := len(conns) / 2
 			writeConnSlice(t, dir, build, 0, half)
-			o := testOptions(dir, cfg)
+			o := testOptions(dir, testScale)
 			in, err := contextInput(o)
 			if err != nil {
 				t.Fatal(err)

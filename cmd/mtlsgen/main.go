@@ -11,10 +11,11 @@
 //	                                             # pipeline over them as a check
 //	                                             # (0 workers = one per CPU)
 //
-// Without -spec the built-in campus scenario is generated — byte-identical
-// to what this command produced before specs existed. With -spec the file
-// (or stdin, via "-spec -") describes the cohorts; the -scale and -seed
-// flags still apply and override the spec's own seed.
+// Without -spec the built-in campus scenario is generated; -print-spec
+// piped back through "-spec -" generates the same logs byte for byte.
+// With -spec the file (or stdin, via "-spec -") describes the cohorts;
+// the -scale and -seed flags still apply and override the spec's own
+// seed.
 package main
 
 import (
@@ -30,8 +31,8 @@ import (
 func main() {
 	log.SetFlags(0)
 	out := flag.String("out", "data", "output directory for ssl.log / x509.log")
-	scale := flag.Int("scale", 0, "certificate scale divisor (default from config: 200)")
-	seed := flag.Uint64("seed", 0, "generator seed (default from spec, then config)")
+	scale := flag.Int("scale", 0, "certificate scale divisor (0 = the calibrated default)")
+	seed := flag.Uint64("seed", 0, "generator seed (0 = the spec's, then the campus spec's)")
 	specPath := flag.String("spec", "", "scenario spec YAML file (\"-\" = stdin; empty = built-in campus spec)")
 	printSpec := flag.Bool("print-spec", false, "print the built-in campus spec as annotated YAML and exit")
 	verify := flag.Bool("verify", false, "re-open the written logs and run the analysis pipeline over them")
@@ -51,15 +52,7 @@ func main() {
 		}
 	}
 
-	var opts []mtls.GenerateOption
-	if *scale > 0 {
-		opts = append(opts, mtls.WithScale(*scale))
-	}
-	if *seed != 0 {
-		opts = append(opts, mtls.WithSeed(*seed))
-	}
-
-	build, err := mtls.Generate(spec, opts...)
+	build, err := mtls.Generate(spec, mtls.WithScale(*scale), mtls.WithSeed(*seed))
 	if err != nil {
 		log.Fatalf("mtlsgen: %v", err)
 	}

@@ -281,12 +281,8 @@ func run(o *options) int {
 			return 1
 		}
 	}
-	genOpts := []mtls.GenerateOption{mtls.WithScale(o.scale)}
-	if o.seed != 0 {
-		genOpts = append(genOpts, mtls.WithSeed(o.seed))
-	}
 	fmt.Printf("generating dataset (scale %d)...\n", o.scale)
-	build, err := mtls.Generate(spec, genOpts...)
+	build, err := mtls.Generate(spec, mtls.WithScale(o.scale), mtls.WithSeed(o.seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

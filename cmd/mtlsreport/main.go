@@ -24,6 +24,7 @@ import (
 
 	mtls "repro"
 	"repro/internal/metrics"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -51,16 +52,23 @@ func main() {
 			Set(time.Since(t0).Seconds())
 	}
 
-	cfg := mtls.DefaultConfig()
-	if *scale > 0 {
-		cfg.CertScale = *scale
+	// The defaults are resolved here only so the experiments note can
+	// name the scale and seed it ran at.
+	def := workload.Default()
+	if *scale <= 0 {
+		*scale = def.CertScale
 	}
-	if *seed != 0 {
-		cfg.Seed = *seed
+	if *seed == 0 {
+		*seed = def.Seed
 	}
 
 	var build *mtls.Build
-	stage("generate", func() { build = mtls.GenerateConfig(cfg) })
+	stage("generate", func() {
+		var err error
+		if build, err = mtls.Generate(nil, mtls.WithScale(*scale), mtls.WithSeed(*seed)); err != nil {
+			log.Fatalf("mtlsreport: generate: %v", err)
+		}
+	})
 	if *logs != "" {
 		stage("open_logs", func() {
 			// Permissive by default: a malformed row is skipped (and
@@ -111,7 +119,7 @@ func main() {
 	if *experiments != "" {
 		stage("experiments", func() {
 			note := fmt.Sprintf("Counts are scaled by 1/%d (connection weights are unscaled); seed %d.",
-				cfg.CertScale, cfg.Seed)
+				*scale, *seed)
 			if err := os.WriteFile(*experiments, []byte(mtls.Experiments(analysis, note)), 0o644); err != nil {
 				log.Fatalf("mtlsreport: write experiments: %v", err)
 			}

@@ -10,10 +10,11 @@ import (
 // Example_pipeline shows the three-call flow: generate the synthetic
 // campus dataset, run the paper's analyses, read a result.
 func Example_pipeline() {
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = 4000 // tiny, for a fast example
-
-	build := mtls.GenerateConfig(cfg)
+	build, err := mtls.Generate(nil, mtls.WithScale(4000)) // tiny, for a fast example
+	if err != nil {
+		fmt.Println("generate:", err)
+		return
+	}
 	analysis := mtls.Analyze(build)
 
 	first := analysis.Prevalence.FirstShare()
@@ -27,9 +28,11 @@ func Example_pipeline() {
 
 // Example_logs shows the Zeek-style log round trip.
 func Example_logs() {
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = 4000
-	build := mtls.GenerateConfig(cfg)
+	build, err := mtls.Generate(nil, mtls.WithScale(4000))
+	if err != nil {
+		fmt.Println("generate:", err)
+		return
+	}
 
 	dir := "/tmp/mtls-example-logs"
 	if err := mtls.WriteLogs(build.Raw, dir); err != nil {
@@ -49,9 +52,12 @@ func Example_logs() {
 // Example_table1 prints a reproduced table row the way cmd/mtlsreport
 // does.
 func Example_table1() {
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = 4000
-	a := mtls.Analyze(mtls.GenerateConfig(cfg))
+	build, err := mtls.Generate(nil, mtls.WithScale(4000))
+	if err != nil {
+		fmt.Println("generate:", err)
+		return
+	}
+	a := mtls.Analyze(build)
 	row := a.CertStats.Row("Client")
 	fmt.Printf("client certs are overwhelmingly mTLS: %v\n", row.MutualShare() > 0.9)
 	_ = stats.Pct(row.MutualShare())

@@ -13,10 +13,10 @@ import (
 )
 
 func main() {
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = 500
-
-	build := mtls.GenerateConfig(cfg)
+	build, err := mtls.Generate(nil, mtls.WithScale(500))
+	if err != nil {
+		panic(err)
+	}
 	// WithWorkers(0) = one pipeline worker per CPU; the sharded run returns
 	// the same Analysis as WithWorkers(1) (the serial path).
 	a := mtls.Analyze(build, mtls.WithWorkers(0))

@@ -29,9 +29,11 @@ func main() {
 			log.Fatalf("privacyscan: %v", err)
 		}
 	} else {
-		cfg := mtls.DefaultConfig()
-		cfg.CertScale = 1000
-		ds = mtls.GenerateConfig(cfg).Raw
+		build, err := mtls.Generate(nil, mtls.WithScale(1000))
+		if err != nil {
+			log.Fatalf("privacyscan: %v", err)
+		}
+		ds = build.Raw
 	}
 
 	cls := infotype.New(psl.Default(), []string{

@@ -24,9 +24,10 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	cfg := mtls.DefaultConfig()
-	cfg.CertScale = 1000
-	build := mtls.GenerateConfig(cfg)
+	build, err := mtls.Generate(nil, mtls.WithScale(1000))
+	if err != nil {
+		log.Fatal(err)
+	}
 	// The generator groups connections by scenario; a border tap delivers
 	// them chronologically. Sort in place so both the stream below and the
 	// batch baseline see the same realistic order.

@@ -9,50 +9,28 @@ import (
 	"repro/internal/scenario"
 )
 
-// TestDeprecatedWorkloadCompat is the migration gate for the spec
-// facade: Generate with the campus spec must return a Build deep-equal
-// to the deprecated GenerateConfig at the same scale and seed, so
-// callers can swap entry points without re-validating outputs.
-func TestDeprecatedWorkloadCompat(t *testing.T) {
-	cfg := smallConfig()
-	oldB := GenerateConfig(cfg)
-	newB, err := Generate(CampusSpec(), WithScale(cfg.CertScale), WithSeed(cfg.Seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldB, newB) {
-		t.Error("Generate(CampusSpec()) != GenerateConfig(DefaultConfig()) at equal scale/seed")
-	}
-
-	// And with no options: the campus spec's own seed is the calibrated
-	// default, so a bare Generate(nil) matches the default config too.
-	defB, err := Generate(nil, WithScale(cfg.CertScale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldB, defB) {
-		t.Error("Generate(nil) != GenerateConfig(DefaultConfig()) at equal scale")
-	}
-}
-
-// TestSpecSeedPrecedence: WithSeed beats the spec's seed; the spec's
-// seed beats the config default.
+// TestSpecSeedPrecedence: WithSeed beats the spec's seed, and the
+// campus spec's seed is the default for no spec and for a seedless one.
 func TestSpecSeedPrecedence(t *testing.T) {
-	specA := CampusSpec()
-	specA.Seed = 1111
-	specB := CampusSpec()
-	specB.Seed = 2222
-
-	overridden, err := Generate(specA, WithScale(2000), WithSeed(2222))
-	if err != nil {
-		t.Fatal(err)
+	gen := func(spec *Spec, opts ...GenerateOption) *Build {
+		t.Helper()
+		b, err := Generate(spec, append(opts, WithScale(2000))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	direct, err := Generate(specB, WithScale(2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(overridden, direct) {
+	specA, specB, seedless := CampusSpec(), CampusSpec(), CampusSpec()
+	specA.Seed, specB.Seed, seedless.Seed = 1111, 2222, 0
+	if !reflect.DeepEqual(gen(specA, WithSeed(2222)), gen(specB)) {
 		t.Error("WithSeed(2222) over a seed-1111 spec differs from a seed-2222 spec")
+	}
+	def := gen(CampusSpec(), WithSeed(20240504))
+	if !reflect.DeepEqual(gen(nil), def) {
+		t.Error("Generate(nil) differs from the campus spec at seed 20240504")
+	}
+	if !reflect.DeepEqual(gen(seedless), def) {
+		t.Error("a seedless spec differs from the campus spec at seed 20240504")
 	}
 }
 

@@ -32,9 +32,11 @@ var cachedAnalysis *Analysis
 func analysis(t *testing.T) *Analysis {
 	t.Helper()
 	if cachedAnalysis == nil {
-		cfg := workload.Default()
-		cfg.CertScale = 500
-		cachedAnalysis = Run(inputFromBuild(workload.Generate(cfg)))
+		b, err := workload.FromSpec(nil, workload.Config{CertScale: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cachedAnalysis = Run(inputFromBuild(b))
 	}
 	return cachedAnalysis
 }

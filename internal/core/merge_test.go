@@ -19,10 +19,10 @@ var mergeBuild *workload.Build
 func mergeInput(t *testing.T) *Input {
 	t.Helper()
 	if mergeBuild == nil {
-		cfg := workload.Default()
-		cfg.Seed = 20240504
-		cfg.CertScale = 300
-		mergeBuild = workload.Generate(cfg)
+		var err error
+		if mergeBuild, err = workload.FromSpec(nil, workload.Config{CertScale: 300}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return inputFromBuild(mergeBuild)
 }

@@ -14,9 +14,10 @@ var parallelBuild *workload.Build
 func parallelInput(t *testing.T, workers int) *Input {
 	t.Helper()
 	if parallelBuild == nil {
-		cfg := workload.Default()
-		cfg.CertScale = 1000
-		parallelBuild = workload.Generate(cfg)
+		var err error
+		if parallelBuild, err = workload.FromSpec(nil, workload.Config{CertScale: 1000}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	in := inputFromBuild(parallelBuild)
 	in.Workers = workers

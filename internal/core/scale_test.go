@@ -16,9 +16,11 @@ func TestScaleInvariance(t *testing.T) {
 		t.Skip("two full generations")
 	}
 	run := func(scale int) *Analysis {
-		cfg := workload.Default()
-		cfg.CertScale = scale
-		return Run(inputFromBuild(workload.Generate(cfg)))
+		b, err := workload.FromSpec(nil, workload.Config{CertScale: scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Run(inputFromBuild(b))
 	}
 	small := run(4000)
 	large := run(1000)

@@ -13,9 +13,10 @@ var cached *core.Analysis
 func testAnalysis(t *testing.T) *core.Analysis {
 	t.Helper()
 	if cached == nil {
-		cfg := workload.Default()
-		cfg.CertScale = 2000
-		b := workload.Generate(cfg)
+		b, err := workload.FromSpec(nil, workload.Config{CertScale: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
 		cached = core.Run(&core.Input{
 			Raw: b.Raw, CT: b.CT, Bundle: b.Bundle,
 			CampusIssuers: b.CampusIssuers,
@@ -81,9 +82,10 @@ func TestCompareVerdicts(t *testing.T) {
 
 // TestCompareVerdictsAtScale200: at 1/200 every one of the 46 rows holds.
 func TestCompareVerdictsAtScale200(t *testing.T) {
-	cfg := workload.Default()
-	cfg.CertScale = 200
-	b := workload.Generate(cfg)
+	b, err := workload.FromSpec(nil, workload.Config{CertScale: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := core.Run(&core.Input{
 		Raw: b.Raw, CT: b.CT, Bundle: b.Bundle,
 		CampusIssuers: b.CampusIssuers,

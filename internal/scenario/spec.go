@@ -4,8 +4,7 @@
 // profiles, and ClientHello fingerprint presets — and the workload
 // package compiles it into the entity machinery that synthesizes the
 // dataset. The default spec (Campus) compiles to exactly the calibrated
-// campus mix the paper measured, byte-identical to the pre-spec
-// generator at every seed and scale; non-default specs open the workload
+// campus mix the paper measured; non-default specs open the workload
 // axis the ROADMAP calls for.
 //
 // Specs are parsed from a dependency-free YAML subset (Parse), rendered
@@ -87,8 +86,7 @@ type Spec struct {
 	// AggregateRate is the total study connection volume (unscaled; it
 	// becomes row weights, not rows), split across cohorts by
 	// RateFraction. 0 means "natural": every cohort emits its profile's
-	// calibrated volume — which is what makes Campus() byte-identical to
-	// the pre-spec generator.
+	// calibrated volume, as Campus() does.
 	AggregateRate float64
 	// Cohorts are the traffic populations, emitted in order.
 	Cohorts []Cohort
@@ -202,9 +200,9 @@ func contains(xs []string, x string) bool {
 }
 
 // Campus returns the built-in default spec: the paper's calibrated
-// campus population as a single baseline cohort at natural volume. It
-// compiles to a dataset byte-identical to the pre-spec generator's at
-// any seed and scale.
+// campus population as a single baseline cohort at natural volume. Its
+// seed is the library default, which a spec seed of 0 also falls back
+// to.
 func Campus() *Spec {
 	return &Spec{
 		Version: SpecVersion,

@@ -19,9 +19,10 @@ import (
 // codecBuild is a generated campus build: what the codec carries in
 // production, certificates in fingerprint order.
 func codecBuild(scale int) ([]*certmodel.CertInfo, []core.ConnRecord) {
-	cfg := workload.Default()
-	cfg.Seed, cfg.CertScale = 7, scale
-	b := workload.Generate(cfg)
+	b, err := workload.FromSpec(nil, workload.Config{Seed: 7, CertScale: scale})
+	if err != nil {
+		panic(err)
+	}
 	certs := make([]*certmodel.CertInfo, 0, len(b.Raw.Certs))
 	for _, c := range b.Raw.Certs {
 		certs = append(certs, c)

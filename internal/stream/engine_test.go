@@ -98,10 +98,11 @@ func inputFromBuild(b *workload.Build) *core.Input {
 }
 
 func genBuild(seed uint64, scale int) *workload.Build {
-	cfg := workload.Default()
-	cfg.Seed = seed
-	cfg.CertScale = scale
-	return workload.Generate(cfg)
+	b, err := workload.FromSpec(nil, workload.Config{Seed: seed, CertScale: scale})
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 // feed pushes a build through an engine: certificates first, then

@@ -291,25 +291,24 @@ func backgroundPops() []nmPop {
 
 // emitBackground fills in the non-mutual and TLS 1.3 traffic so Figure 1's
 // denominator (total TLS connections) follows the calibrated share curve
-// from StartShare to EndShare, and emits the non-mutual server-certificate
+// from startShare to endShare, and emits the non-mutual server-certificate
 // populations Table 14 analyzes.
 func (g *Generator) emitBackground() {
-	months := g.cfg.Months
 	// Monthly mutual-TLS weight from everything generated so far.
-	mutual := make([]float64, months)
+	mutual := make([]float64, studyMonths)
 	for i := range g.ds.Conns {
 		c := &g.ds.Conns[i]
 		if c.IsMutual() && c.Established {
 			m := monthOf(c.TS)
-			if m >= 0 && m < months {
+			if m >= 0 && m < studyMonths {
 				mutual[m] += float64(c.Weight)
 			}
 		}
 	}
-	t0 := mutual[0] / g.cfg.StartShare
-	tN := mutual[months-1] / g.cfg.EndShare
+	t0 := mutual[0] / startShare
+	tN := mutual[studyMonths-1] / endShare
 	total := func(m int) float64 {
-		return t0 + (tN-t0)*float64(m)/float64(months-1)
+		return t0 + (tN-t0)*float64(m)/float64(studyMonths-1)
 	}
 
 	pops := backgroundPops()
@@ -320,14 +319,18 @@ func (g *Generator) emitBackground() {
 	for _, p := range pops {
 		volSum[p.inbound] += p.volume
 	}
+	// A variable, so 1-tls13 is float64 arithmetic; the constant
+	// expression 1-tls13Share is exact and one ulp lower, which could
+	// flip a rounded weight.
+	tls13 := float64(tls13Share)
 	for _, pop := range pops {
 		perMonth := g.perMonth(pop)
 		rng := g.rng.Fork("bg/" + pop.name)
 		cliLabel, srvLabel := pop.name+"/cli", pop.name+"/srv"
 		idx := 0
-		for m := 0; m < months; m++ {
+		for m := 0; m < studyMonths; m++ {
 			// This population's share of month m's non-mutual volume.
-			nonMutual := total(m) * (1 - g.cfg.TLS13Share)
+			nonMutual := total(m) * (1 - tls13)
 			nonMutual -= mutual[m]
 			if nonMutual < 0 {
 				nonMutual = 0
@@ -374,8 +377,8 @@ func (g *Generator) emitBackground() {
 	for i := range snis {
 		snis[i] = fmt.Sprintf("edge%02d.cdn13.net", i)
 	}
-	for m := 0; m < months; m++ {
-		volume := total(m) * g.cfg.TLS13Share
+	for m := 0; m < studyMonths; m++ {
+		volume := total(m) * tls13Share
 		w := int64(math.Round(volume / tls13Rows))
 		if w < 1 {
 			w = 1
@@ -409,14 +412,14 @@ const tls13Rows = 24
 
 // perMonth is how many of pop's certificates are first used each month.
 func (g *Generator) perMonth(pop nmPop) int {
-	return max(g.cfg.scaled(pop.certs, 40)/g.cfg.Months, 1)
+	return max(g.cfg.scaled(pop.certs, 40)/studyMonths, 1)
 }
 
 // backgroundRows is how many ssl.log rows emitBackground appends.
 func (g *Generator) backgroundRows() int {
-	rows := tls13Rows * g.cfg.Months
+	rows := tls13Rows * studyMonths
 	for _, pop := range backgroundPops() {
-		rows += g.perMonth(pop) * g.cfg.Months
+		rows += g.perMonth(pop) * studyMonths
 	}
 	return rows
 }

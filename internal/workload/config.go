@@ -14,48 +14,39 @@ package workload
 import (
 	"repro/internal/ct"
 	"repro/internal/netsim"
+	"repro/internal/scenario"
 	"repro/internal/truststore"
 	"repro/internal/zeek"
 )
 
-// Config controls generation.
+// Config is what one run varies. Zero fields are unset: FromSpec
+// resolves them, so the generator only ever sees final values.
 type Config struct {
 	// Seed drives all randomness; equal seeds give identical datasets.
+	// 0 takes the spec's seed, then Default's.
 	Seed uint64
-	// CertScale divides unique-entity counts (default 200).
+	// CertScale divides unique-entity counts; ≤ 0 takes Default's.
 	CertScale int
-	// Months is the study length (default 23: 2022-05 through 2024-03).
-	Months int
-	// StartShare/EndShare are the Figure 1 calibration anchors: the mTLS
-	// share of total TLS connections in the first and last month
-	// (defaults 1.99% and 3.61%).
-	StartShare, EndShare float64
-	// TLS13Share is the fraction of all TLS connections that negotiate
-	// TLS 1.3 and are therefore certificate-opaque (default 40.86%, §3.3).
-	TLS13Share float64
-	// WirePath, when > 0, routes that many connections per entity through
-	// real DER certificates + synthesized TLS byte streams + the zeek
-	// analyzer instead of the bulk path — an end-to-end self check.
-	WirePath int
 }
 
-// Default returns the calibrated configuration.
+// Default returns the calibrated run: the campus spec's seed at scale
+// 1/200.
 func Default() Config {
-	return Config{
-		Seed:       20240504,
-		CertScale:  200,
-		Months:     23,
-		StartShare: 0.0199,
-		EndShare:   0.0361,
-		TLS13Share: 0.4086,
-	}
+	return Config{Seed: scenario.Campus().Seed, CertScale: 200}
 }
 
-// WithScale returns a copy with a different CertScale.
-func (c Config) WithScale(scale int) Config {
-	c.CertScale = scale
-	return c
-}
+// The calibration anchors are facts of the paper, not settings.
+const (
+	// studyMonths is the study length, 2022-05 through 2024-03 (§3).
+	studyMonths = 23
+	// startShare and endShare are Figure 1's mTLS share of all TLS
+	// connections in the first and the last month.
+	startShare = 0.0199
+	endShare   = 0.0361
+	// tls13Share is the share of all TLS connections that negotiate
+	// TLS 1.3 and are therefore certificate-opaque (§3.3).
+	tls13Share = 0.4086
+)
 
 // scaled divides an unscaled count by CertScale with a floor of min (and
 // of 1 whenever n > 0).
@@ -186,9 +177,9 @@ type Entity struct {
 }
 
 // effectiveEnd resolves EndMonth.
-func (e *Entity) effectiveEnd(months int) int {
-	if e.EndMonth <= 0 || e.EndMonth >= months {
-		return months - 1
+func (e *Entity) effectiveEnd() int {
+	if e.EndMonth <= 0 || e.EndMonth >= studyMonths {
+		return studyMonths - 1
 	}
 	return e.EndMonth
 }

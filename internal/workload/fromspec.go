@@ -9,15 +9,14 @@ import (
 	"repro/internal/scenario"
 )
 
-// FromSpec compiles a scenario spec into a Build through the same
-// synthesis core Generate uses. The campus spec (scenario.Campus())
-// compiles to exactly the legacy roster with no volume scaling and no
-// extra CT entries, so its output is byte-identical to Generate(cfg) at
-// every seed and scale; other profiles add cohort entities after the
-// baseline ones in spec order.
+// FromSpec compiles a scenario spec into a Build; it is the only way to
+// make a dataset. A nil spec is scenario.Campus(), which compiles to the
+// calibrated roster with no volume scaling and no extra CT entries;
+// other profiles add cohort entities after the baseline ones in spec
+// order.
 //
-// A non-zero spec seed overrides cfg.Seed; everything else in cfg
-// (scale, months, shares, wire path) applies as-is.
+// Every default is resolved here: the seed is cfg.Seed, else the spec's,
+// else Default's, and a CertScale ≤ 0 is Default's.
 func FromSpec(spec *scenario.Spec, cfg Config) (*Build, error) {
 	if spec == nil {
 		spec = scenario.Campus()
@@ -25,34 +24,34 @@ func FromSpec(spec *scenario.Spec, cfg Config) (*Build, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Seed != 0 {
+	def := Default()
+	if cfg.Seed == 0 {
 		cfg.Seed = spec.Seed
 	}
+	if cfg.Seed == 0 {
+		cfg.Seed = def.Seed
+	}
 	if cfg.CertScale <= 0 {
-		cfg.CertScale = 200
+		cfg.CertScale = def.CertScale
 	}
-	if cfg.Months <= 0 {
-		cfg.Months = 23
-	}
-	entities, extra, err := compileCohorts(spec, cfg.Months)
+	entities, extra, err := compileCohorts(spec)
 	if err != nil {
 		return nil, err
 	}
-	if err := Validate(entities, cfg.Months); err != nil {
+	if err := Validate(entities); err != nil {
 		return nil, fmt.Errorf("workload: compiled spec invalid: %w", err)
 	}
-	g := NewGenerator(cfg)
-	return g.run(entities, extra), nil
+	return newGenerator(cfg).run(entities, extra), nil
 }
 
 // compileCohorts renders every cohort to entities (and any genuine CT
 // entries its scenario needs), applying the aggregate-rate split.
-func compileCohorts(spec *scenario.Spec, months int) ([]Entity, []ct.Entry, error) {
+func compileCohorts(spec *scenario.Spec) ([]Entity, []ct.Entry, error) {
 	var entities []Entity
 	var extra []ct.Entry
 	for i := range spec.Cohorts {
 		c := &spec.Cohorts[i]
-		es, ctEntries, err := cohortEntities(c, months)
+		es, ctEntries, err := cohortEntities(c)
 		if err != nil {
 			return nil, nil, fmt.Errorf("workload: cohort %s: %w", c.ID, err)
 		}
@@ -89,12 +88,11 @@ func cohortFactor(spec *scenario.Spec, c *scenario.Cohort, es []Entity) float64 
 }
 
 // cohortEntities renders one cohort to its entity template.
-func cohortEntities(c *scenario.Cohort, months int) ([]Entity, []ct.Entry, error) {
+func cohortEntities(c *scenario.Cohort) ([]Entity, []ct.Entry, error) {
 	if c.Profile == scenario.ProfileBaselineCampus {
 		// The calibrated roster carries its own per-entity arrival,
 		// window, and volume model; cohort-level overrides do not apply
-		// (the spec schema documents this). That is what keeps the campus
-		// spec byte-identical to the legacy generator.
+		// (the spec schema documents this).
 		return Entities(), nil, nil
 	}
 	var es []Entity
@@ -111,7 +109,7 @@ func cohortEntities(c *scenario.Cohort, months int) ([]Entity, []ct.Entry, error
 	default:
 		return nil, nil, fmt.Errorf("unknown cert practice profile %q", c.Profile)
 	}
-	applyCohortOverrides(c, es, months)
+	applyCohortOverrides(c, es)
 	return es, extra, nil
 }
 
@@ -119,10 +117,10 @@ func cohortEntities(c *scenario.Cohort, months int) ([]Entity, []ct.Entry, error
 // arrival model onto every template entity. SNI, clients, port, and
 // fingerprint are handled inside each profile builder (they are defaults
 // there, not post-hoc overrides).
-func applyCohortOverrides(c *scenario.Cohort, es []Entity, months int) {
+func applyCohortOverrides(c *scenario.Cohort, es []Entity) {
 	effEnd := c.EndMonth
-	if effEnd <= 0 || effEnd >= months {
-		effEnd = months - 1
+	if effEnd <= 0 || effEnd >= studyMonths {
+		effEnd = studyMonths - 1
 	}
 	shape, diurnal := lifecycleShape(c.Lifecycle, c.StartMonth, effEnd)
 	arrival := c.Arrival

@@ -6,19 +6,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// BenchmarkSpecCompile prices the declarative path against the legacy
-// direct generator: campus-via-spec must cost the same as Generate
-// (the compile step is a few map lookups), and the three-cohort mix
-// pays only for the extra cohorts it generates.
+// BenchmarkSpecCompile prices compiling the campus spec and the
+// three-cohort mix, which pays only for the extra cohorts it generates.
 func BenchmarkSpecCompile(b *testing.B) {
-	cfg := Default()
-	cfg.CertScale = 2000
-
-	b.Run("legacy-campus", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Generate(cfg)
-		}
-	})
+	cfg := Config{CertScale: 2000}
 	b.Run("spec-campus", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := FromSpec(scenario.Campus(), cfg); err != nil {
@@ -54,12 +45,12 @@ func BenchmarkFingerprintSampling(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			g := NewGenerator(Default())
+			g := newGenerator(Config{})
 			g.helloFP("iot-embedded", "mqtt.fleet.example.net")
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		g := NewGenerator(Default())
+		g := newGenerator(Config{})
 		g.helloFP("iot-embedded", "mqtt.fleet.example.net")
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -1,71 +1,12 @@
 package workload
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/zeek"
 )
-
-// sslBytes renders a dataset's ssl.log exactly as mtls.WriteLogs would.
-func sslBytes(t *testing.T, ds *zeek.Dataset) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := zeek.NewSSLWriter(&buf)
-	for i := range ds.Conns {
-		if ds.Conns[i].JA3 != "" || ds.Conns[i].JA4 != "" {
-			w.Extended = true
-		}
-	}
-	for i := range ds.Conns {
-		if err := w.Write(&ds.Conns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestFromSpecCampusByteIdentical is the core guarantee of the scenario
-// engine: compiling the built-in campus spec reproduces the legacy
-// generator exactly — same ssl.log bytes, same certificate table, same CT
-// log — at every seed and scale combination.
-func TestFromSpecCampusByteIdentical(t *testing.T) {
-	for _, scale := range []int{200, 1500} {
-		for _, seed := range []uint64{20240504, 99} {
-			cfg := Default()
-			cfg.CertScale = scale
-			cfg.Seed = seed
-			legacy := Generate(cfg)
-
-			spec := scenario.Campus()
-			spec.Seed = seed
-			got, err := FromSpec(spec, cfg)
-			if err != nil {
-				t.Fatalf("scale %d seed %d: FromSpec: %v", scale, seed, err)
-			}
-
-			if !bytes.Equal(sslBytes(t, got.Raw), sslBytes(t, legacy.Raw)) {
-				t.Fatalf("scale %d seed %d: ssl.log bytes differ", scale, seed)
-			}
-			if !reflect.DeepEqual(got.Raw.Conns, legacy.Raw.Conns) {
-				t.Fatalf("scale %d seed %d: conns differ", scale, seed)
-			}
-			if !reflect.DeepEqual(got.Raw.Certs, legacy.Raw.Certs) {
-				t.Fatalf("scale %d seed %d: cert tables differ", scale, seed)
-			}
-			if got.CT.Size() != legacy.CT.Size() {
-				t.Fatalf("scale %d seed %d: CT size %d != %d",
-					scale, seed, got.CT.Size(), legacy.CT.Size())
-			}
-		}
-	}
-}
 
 // threeCohortSpec is a non-default spec exercising every compiled knob:
 // aggregate-rate splitting, all three non-baseline arrival models, three
@@ -92,8 +33,7 @@ func threeCohortSpec() *scenario.Spec {
 }
 
 func TestFromSpecThreeCohorts(t *testing.T) {
-	cfg := Default()
-	build, err := FromSpec(threeCohortSpec(), cfg)
+	build, err := FromSpec(threeCohortSpec(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +74,7 @@ func TestFromSpecThreeCohorts(t *testing.T) {
 
 // TestFromSpecDeterminism: identical spec + config → identical build.
 func TestFromSpecDeterminism(t *testing.T) {
-	cfg := Default()
-	cfg.CertScale = 1500
+	cfg := Config{CertScale: 1500}
 	a, err := FromSpec(threeCohortSpec(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -165,13 +104,11 @@ func TestFromSpecRateFractionSplit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Default()
-		cfg.CertScale = 1500
-		build, err := FromSpec(s, cfg)
+		build, err := FromSpec(s, Config{CertScale: 1500})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fleetJA3, _ := NewGenerator(cfg).helloFP("iot-embedded", "mqtt.fleet.example.net")
+		fleetJA3, _ := newGenerator(Config{}).helloFP("iot-embedded", "mqtt.fleet.example.net")
 		for i := range build.Raw.Conns {
 			c := &build.Raw.Conns[i]
 			switch {
@@ -204,9 +141,7 @@ func TestFromSpecExpiredStraggler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Default()
-	cfg.CertScale = 1500
-	build, err := FromSpec(s, cfg)
+	build, err := FromSpec(s, Config{CertScale: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +160,12 @@ func TestFromSpecExpiredStraggler(t *testing.T) {
 // panic.
 func TestFromSpecRejectsInvalid(t *testing.T) {
 	bad := &scenario.Spec{Version: 1}
-	if _, err := FromSpec(bad, Default()); err == nil {
+	if _, err := FromSpec(bad, Config{}); err == nil {
 		t.Fatal("want error for cohortless spec")
 	}
 	bad2 := scenario.Campus()
 	bad2.Cohorts[0].Profile = "no-such-profile"
-	if _, err := FromSpec(bad2, Default()); err == nil {
+	if _, err := FromSpec(bad2, Config{}); err == nil {
 		t.Fatal("want error for unknown profile")
 	}
 }

@@ -43,14 +43,8 @@ type certKey struct {
 // chainBlock is how many one-certificate chains share an allocation.
 const chainBlock = 4096
 
-// NewGenerator prepares a generator for cfg.
-func NewGenerator(cfg Config) *Generator {
-	if cfg.CertScale <= 0 {
-		cfg.CertScale = 200
-	}
-	if cfg.Months <= 0 {
-		cfg.Months = 23
-	}
+// newGenerator prepares a generator for a resolved cfg (see FromSpec).
+func newGenerator(cfg Config) *Generator {
 	root := ids.NewRNG(cfg.Seed)
 	return &Generator{
 		cfg:       cfg,
@@ -66,21 +60,9 @@ func NewGenerator(cfg Config) *Generator {
 	}
 }
 
-// Generate runs the full synthesis and returns the Build. It panics if
-// the entity roster fails validation — the roster is code, and an invalid
-// calibration table is a programming error, not an input error.
-func Generate(cfg Config) *Build {
-	g := NewGenerator(cfg)
-	entities := Entities()
-	if err := Validate(entities, g.cfg.Months); err != nil {
-		panic(err)
-	}
-	return g.run(entities, nil)
-}
-
-// run is the shared synthesis core behind Generate and FromSpec: extra CT
-// entries first (they never touch the RNG streams), then the entity
-// roster in order, then the cross-entity populations.
+// run is FromSpec's synthesis core: extra CT entries first (they never
+// touch the RNG streams), then the entity roster in order, then the
+// cross-entity populations.
 func (g *Generator) run(entities []Entity, extraCT []ct.Entry) *Build {
 	for _, en := range extraCT {
 		g.ctlog.AddChain(en)
@@ -106,7 +88,7 @@ func (g *Generator) run(entities []Entity, extraCT []ct.Entry) *Build {
 		CampusIssuers: CampusIssuers(),
 		Assoc:         DefaultAssoc(),
 		Plan:          g.alloc.Plan(),
-		Months:        g.cfg.Months,
+		Months:        studyMonths,
 	}
 }
 
@@ -160,7 +142,7 @@ func (g *Generator) growConns(n int) {
 // span resolves an entity's active months [start, end] and its scaled
 // client count.
 func (g *Generator) span(e *Entity) (start, end, clients int) {
-	start, end = e.StartMonth, e.effectiveEnd(g.cfg.Months)
+	start, end = e.StartMonth, e.effectiveEnd()
 	if start > end {
 		start = end
 	}

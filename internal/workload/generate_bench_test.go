@@ -9,8 +9,7 @@ import (
 // BenchmarkGenerateCampus prices one FromSpec of the campus spec at the
 // scale of the benchmark's steady workload, per generated connection row.
 func BenchmarkGenerateCampus(b *testing.B) {
-	cfg := Default()
-	cfg.CertScale = 150
+	cfg := Config{CertScale: 150}
 	b.ReportAllocs()
 	rows := 0
 	for i := 0; i < b.N; i++ {

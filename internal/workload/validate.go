@@ -12,7 +12,7 @@ import (
 // mistakes that silently skew reproductions: port weights that don't sum,
 // missing plans, inverted activity windows, content distributions with no
 // weight.
-func Validate(es []Entity, months int) error {
+func Validate(es []Entity) error {
 	var problems []string
 	bad := func(format string, args ...any) {
 		problems = append(problems, fmt.Sprintf(format, args...))
@@ -59,7 +59,7 @@ func Validate(es []Entity, months int) error {
 		if w <= 0 {
 			bad("%s: port weights sum to zero", e.Name)
 		}
-		end := e.effectiveEnd(months)
+		end := e.effectiveEnd()
 		if e.StartMonth < 0 || e.StartMonth > end {
 			bad("%s: activity window [%d, %d] invalid", e.Name, e.StartMonth, end)
 		}

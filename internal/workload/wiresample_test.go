@@ -114,7 +114,7 @@ func TestWireSampleErrors(t *testing.T) {
 func TestWireSampleFingerprintAgreement(t *testing.T) {
 	cfg := Default()
 	spec := threeCohortSpec()
-	entity := findSpecEntity(t, spec, cfg, "fleet-fleet")
+	entity := findSpecEntity(t, spec, "fleet-fleet")
 	if entity.HelloPreset == "" {
 		t.Fatalf("entity %q has no hello preset", entity.Name)
 	}
@@ -125,7 +125,7 @@ func TestWireSampleFingerprintAgreement(t *testing.T) {
 	if len(ds.Conns) == 0 {
 		t.Fatal("no wire conns")
 	}
-	g := NewGenerator(cfg)
+	g := newGenerator(cfg)
 	wantJA3, wantJA4 := g.helloFP(entity.HelloPreset, entity.SNI)
 	for i := range ds.Conns {
 		c := &ds.Conns[i]
@@ -149,9 +149,9 @@ func TestWireSampleFingerprintAgreement(t *testing.T) {
 }
 
 // findSpecEntity compiles spec's cohorts and returns the named entity.
-func findSpecEntity(t *testing.T, spec *scenario.Spec, cfg Config, name string) *Entity {
+func findSpecEntity(t *testing.T, spec *scenario.Spec, name string) *Entity {
 	t.Helper()
-	entities, _, err := compileCohorts(spec, cfg.Months)
+	entities, _, err := compileCohorts(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,15 +9,20 @@ import (
 	"repro/internal/netsim"
 )
 
-func testConfig() Config {
-	cfg := Default()
-	cfg.CertScale = 2000 // small and fast for unit tests
-	return cfg
+// testBuild generates the campus dataset at 1/2000, small and fast for
+// unit tests; seed 0 keeps the campus seed.
+func testBuild(t *testing.T, seed uint64) *Build {
+	t.Helper()
+	b, err := FromSpec(nil, Config{Seed: seed, CertScale: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	b1 := Generate(testConfig())
-	b2 := Generate(testConfig())
+	b1 := testBuild(t, 0)
+	b2 := testBuild(t, 0)
 	if len(b1.Raw.Conns) != len(b2.Raw.Conns) {
 		t.Fatalf("conn counts differ: %d vs %d", len(b1.Raw.Conns), len(b2.Raw.Conns))
 	}
@@ -34,10 +39,8 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateDifferentSeedsDiffer(t *testing.T) {
-	cfg2 := testConfig()
-	cfg2.Seed = 999
-	b1 := Generate(testConfig())
-	b2 := Generate(cfg2)
+	b1 := testBuild(t, 0)
+	b2 := testBuild(t, 999)
 	same := 0
 	n := len(b1.Raw.Conns)
 	if len(b2.Raw.Conns) < n {
@@ -54,7 +57,7 @@ func TestGenerateDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestGenerateBasicShape(t *testing.T) {
-	b := Generate(testConfig())
+	b := testBuild(t, 0)
 	ds := b.Raw
 	if len(ds.Conns) == 0 || len(ds.Certs) == 0 {
 		t.Fatal("empty dataset")
@@ -92,7 +95,7 @@ func TestGenerateBasicShape(t *testing.T) {
 }
 
 func TestGenerateKeyEntitiesPresent(t *testing.T) {
-	b := Generate(testConfig())
+	b := testBuild(t, 0)
 	var globusSerial00, incorrectDates, expired, dummy, shared int
 	for _, c := range b.Raw.Certs {
 		if c.SerialHex == "00" && c.IssuerOrg == "Globus Online" {
@@ -132,7 +135,7 @@ func TestGenerateKeyEntitiesPresent(t *testing.T) {
 }
 
 func TestGenerateCTSeeded(t *testing.T) {
-	b := Generate(testConfig())
+	b := testBuild(t, 0)
 	if b.CT.Size() == 0 {
 		t.Fatal("CT log empty")
 	}
@@ -146,7 +149,7 @@ func TestGenerateCTSeeded(t *testing.T) {
 }
 
 func TestGenerateInterceptionPresent(t *testing.T) {
-	b := Generate(testConfig())
+	b := testBuild(t, 0)
 	count := 0
 	for _, c := range b.Raw.Certs {
 		if len(c.IssuerOrg) > 13 && c.IssuerOrg[:13] == "SecureInspect" {
@@ -160,7 +163,7 @@ func TestGenerateInterceptionPresent(t *testing.T) {
 }
 
 func TestRapid7Disappears(t *testing.T) {
-	b := Generate(testConfig())
+	b := testBuild(t, 0)
 	for i := range b.Raw.Conns {
 		c := &b.Raw.Conns[i]
 		if c.SNI == "endpoint.rapid7.com" && monthOf(c.TS) > 16 {
@@ -277,7 +280,7 @@ func TestContentRenderKinds(t *testing.T) {
 }
 
 func TestRosterValidates(t *testing.T) {
-	if err := Validate(Entities(), 23); err != nil {
+	if err := Validate(Entities()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -314,7 +317,7 @@ func TestValidateCatchesMistakes(t *testing.T) {
 			ClientPlan: corpClientPlan("X Corp"),
 		}
 		tc.mutate(&e)
-		if err := Validate([]Entity{e}, 23); err == nil {
+		if err := Validate([]Entity{e}); err == nil {
 			t.Errorf("%s: Validate accepted a broken roster", tc.name)
 		}
 	}
@@ -330,7 +333,7 @@ func TestValidateRejectsDuplicates(t *testing.T) {
 			ClientPlan: corpClientPlan("X Corp"),
 		}
 	}
-	if err := Validate([]Entity{mk(), mk()}, 23); err == nil {
+	if err := Validate([]Entity{mk(), mk()}); err == nil {
 		t.Fatal("duplicate names accepted")
 	}
 }

@@ -44,12 +44,6 @@ func RejectTotals(reg *metrics.Registry) (uint64, map[string]uint64) {
 	return zeek.RejectTotals(reg)
 }
 
-// Config re-exports the workload configuration.
-//
-// Deprecated: describe workloads with a Spec and tune scale/seed with
-// Generate options; Config remains for GenerateConfig callers.
-type Config = workload.Config
-
 // Build re-exports the generated dataset bundle.
 type Build = workload.Build
 
@@ -61,14 +55,8 @@ type Analysis = core.Analysis
 // profiles. Build one with ParseSpec / CampusSpec / scenario.NewBuilder.
 type Spec = scenario.Spec
 
-// DefaultConfig returns the calibrated generator configuration
-// (CertScale 200, 23 months, Figure 1 anchors at 1.99%/3.61%).
-//
-// Deprecated: start from CampusSpec and Generate options instead.
-func DefaultConfig() Config { return workload.Default() }
-
-// CampusSpec returns the built-in campus scenario — the spec whose
-// compiled output is byte-identical to the paper-calibrated generator.
+// CampusSpec returns the built-in campus scenario: the paper-calibrated
+// population as one baseline cohort.
 func CampusSpec() *Spec { return scenario.Campus() }
 
 // ParseSpec parses a scenario spec from its YAML form.
@@ -89,52 +77,32 @@ func LoadSpec(path string) (*Spec, error) {
 	return ParseSpec(data)
 }
 
-// GenerateOption tunes Generate without widening the spec schema: scale,
-// seed, and wire-path are properties of one run, not of the scenario.
-type GenerateOption func(*Config)
+// GenerateOption tunes Generate without widening the spec schema: scale
+// and seed are properties of one run, not of the scenario.
+type GenerateOption func(*workload.Config)
 
-// WithScale sets the certificate scale divisor.
+// WithScale sets the certificate scale divisor (≤ 0 keeps the default).
 func WithScale(scale int) GenerateOption {
-	return func(c *Config) { c.CertScale = scale }
+	return func(c *workload.Config) { c.CertScale = scale }
 }
 
-// WithSeed overrides the seed (beating any seed in the spec).
+// WithSeed overrides the seed, beating any seed in the spec (0 keeps the
+// spec's).
 func WithSeed(seed uint64) GenerateOption {
-	return func(c *Config) { c.Seed = seed }
+	return func(c *workload.Config) { c.Seed = seed }
 }
 
-// WithWirePath routes n connections per entity through real DER + TLS
-// byte streams + the zeek analyzer as an end-to-end self check.
-func WithWirePath(n int) GenerateOption {
-	return func(c *Config) { c.WirePath = n }
-}
-
-// Generate compiles a scenario spec into the synthetic dataset. nil means
-// CampusSpec(). The spec's seed applies unless WithSeed overrides it;
-// everything else starts from the calibrated defaults.
+// Generate compiles a scenario spec into the synthetic dataset; it is the
+// only way to make one. nil means CampusSpec(). The seed is WithSeed's,
+// else the spec's, else the campus spec's; the scale is WithScale's,
+// else the calibrated default.
 func Generate(spec *Spec, opts ...GenerateOption) (*Build, error) {
-	cfg := workload.Default()
-	if spec == nil {
-		spec = CampusSpec()
-	}
-	if spec.Seed != 0 {
-		cfg.Seed = spec.Seed
-	}
+	var cfg workload.Config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	// Pin the resolved seed in the compiled copy so option order beats
-	// spec order (FromSpec would otherwise re-apply the spec seed).
-	s := *spec
-	s.Seed = cfg.Seed
-	return workload.FromSpec(&s, cfg)
+	return workload.FromSpec(spec, cfg)
 }
-
-// GenerateConfig synthesizes the campus dataset from a raw configuration.
-//
-// Deprecated: use Generate with a Spec; GenerateConfig remains for
-// callers tuning Config fields that predate the spec schema.
-func GenerateConfig(cfg Config) *Build { return workload.Generate(cfg) }
 
 // Analyze runs the paper's full pipeline on a build. By default it uses
 // one worker per CPU; WithWorkers pins the concurrency explicitly. The

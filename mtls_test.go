@@ -10,14 +10,18 @@ import (
 	"repro/internal/metrics"
 )
 
-func smallConfig() Config {
-	cfg := DefaultConfig()
-	cfg.CertScale = 2000
-	return cfg
+// campusBuild generates the campus dataset at scale.
+func campusBuild(tb testing.TB, scale int) *Build {
+	tb.Helper()
+	b, err := Generate(nil, WithScale(scale))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
 }
 
 func TestEndToEnd(t *testing.T) {
-	build := GenerateConfig(smallConfig())
+	build := campusBuild(t, 2000)
 	a := Analyze(build)
 	if a.CertStats.Row("Total").Total == 0 {
 		t.Fatal("no certificates analyzed")
@@ -52,7 +56,7 @@ func TestEndToEnd(t *testing.T) {
 
 func TestLogsRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "logs")
-	build := GenerateConfig(smallConfig())
+	build := campusBuild(t, 2000)
 	if err := WriteLogs(build.Raw, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +96,7 @@ func TestLogsRoundTrip(t *testing.T) {
 // refuses the directory outright.
 func TestOpenLogsPermissive(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "logs")
-	build := GenerateConfig(smallConfig())
+	build := campusBuild(t, 2000)
 	if err := WriteLogs(build.Raw, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +134,7 @@ func TestOpenLogsPermissive(t *testing.T) {
 
 func TestAnalysisOnReloadedLogs(t *testing.T) {
 	dir := t.TempDir()
-	build := GenerateConfig(smallConfig())
+	build := campusBuild(t, 2000)
 	a1 := Analyze(build)
 	if err := WriteLogs(build.Raw, dir); err != nil {
 		t.Fatal(err)
@@ -161,7 +165,7 @@ func TestAnalysisOnReloadedLogs(t *testing.T) {
 // strict-loadable result.
 func TestWriteLogsAtomic(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "logs")
-	build := GenerateConfig(smallConfig())
+	build := campusBuild(t, 2000)
 	if err := WriteLogs(build.Raw, dir); err != nil {
 		t.Fatal(err)
 	}
