@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"reflect"
 	"slices"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/certmodel"
 	"repro/internal/ids"
 	"repro/internal/interception"
+	"repro/internal/netsim"
 	"repro/internal/workload"
 )
 
@@ -241,5 +243,50 @@ func TestMergedViewCachesOnVersionVector(t *testing.T) {
 	}
 	if got := runBuilder(v.b); !reflect.DeepEqual(runBuilder(MergeShards(in, shards, nil)), got) {
 		t.Error("the view's Builder differs from a direct MergeShards over the same state")
+	}
+}
+
+// TestMergeShardsValidityOrderFree: Figure 4 buckets a client certificate
+// by one connection's direction, so a certificate one sensor saw outbound
+// and another inbound must land in the same bucket whichever sensor's
+// connection merges first — an aggregator merges in sync-landing order.
+func TestMergeShardsValidityOrderFree(t *testing.T) {
+	in := mergeInput(t)
+	var out, inb *ConnRecord
+	for i := range mergeBuild.Raw.Conns {
+		rec := &mergeBuild.Raw.Conns[i]
+		c := mergeBuild.Raw.Cert(rec.ClientLeaf())
+		if !rec.IsMutual() || !rec.Established || c == nil || c.HasIncorrectDates() {
+			continue
+		}
+		switch in.Plan.DirectionOf(rec.OrigIP, rec.RespIP) {
+		case netsim.Outbound:
+			out = cmp.Or(out, rec)
+		case netsim.Inbound:
+			inb = cmp.Or(inb, rec)
+		}
+	}
+	if out == nil || inb == nil {
+		t.Fatal("the build has no mutual connection in both directions")
+	}
+	// The inbound connection presents the outbound one's client
+	// certificate.
+	shared := *inb
+	shared.ClientChain = out.ClientChain
+	roster := mergeCerts(mergeBuild)
+	merge := func(outSeq, inSeq uint64) *ValidityReport {
+		return MergeShards(in, []ShardState{
+			{Certs: roster, Conns: []ConnRecord{*out}, Seqs: []uint64{outSeq}},
+			{Conns: []ConnRecord{shared}, Seqs: []uint64{inSeq}},
+		}, nil).Pipeline(&PreprocessReport{}).Validity()
+	}
+	outFirst, inFirst := merge(0, 1), merge(1, 0)
+	if n := outFirst.InboundHist.Total() + outFirst.OutboundHist.Total(); n != 1 {
+		t.Fatalf("the shared certificate was bucketed %d times, want once", n)
+	}
+	if !reflect.DeepEqual(outFirst, inFirst) {
+		t.Errorf("Figure 4 depends on merge order: outbound first buckets %d in / %d out, inbound first %d / %d",
+			outFirst.InboundHist.Total(), outFirst.OutboundHist.Total(),
+			inFirst.InboundHist.Total(), inFirst.OutboundHist.Total())
 	}
 }
