@@ -3,9 +3,11 @@ package core
 import (
 	"sort"
 
+	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/truststore"
+	"repro/internal/zeek"
 )
 
 // BadDatesReport is Figure 3 and Appendix C (Tables 11–12): certificates
@@ -181,6 +183,15 @@ func sldBefore(a, b string) bool {
 	return a < b
 }
 
+// connBefore orders connections by (TS, UID), an order that does not
+// depend on how they were merged.
+func connBefore(a, b *zeek.SSLRecord) bool {
+	if !a.TS.Equal(b.TS) {
+		return a.TS.Before(b.TS)
+	}
+	return a.UID < b.UID
+}
+
 // validityBounds are the Figure 4 histogram bucket bounds.
 var validityBounds = []int64{90, 398, 825, 3650, 10000, 40000}
 
@@ -189,9 +200,11 @@ func (e *enriched) validity() *ValidityReport {
 		InboundHist:  stats.NewHistogram(validityBounds...),
 		OutboundHist: stats.NewHistogram(validityBounds...),
 	}
-	cats := stats.NewCounter()
-	// Track per-cert direction (first seen wins) to bucket histograms.
-	seen := map[string]bool{}
+	// Each certificate is bucketed once, by the direction of the earliest
+	// connection (TS, then UID) that carried it: a rule the order
+	// connections are merged in cannot change, where "first seen" would
+	// follow an aggregator's sync-landing order.
+	earliest := map[ids.Fingerprint]*connView{}
 	for i := range e.conns {
 		cv := &e.conns[i]
 		if !cv.mutual || cv.clientCert == nil {
@@ -210,10 +223,14 @@ func (e *enriched) validity() *ValidityReport {
 		if days > rep.MaxValidityDays || days == rep.MaxValidityDays && sldBefore(cv.rawSLD(), rep.MaxValiditySLD) {
 			rep.MaxValidityDays, rep.MaxValiditySLD = days, cv.rawSLD()
 		}
-		if seen[string(c.Fingerprint)] {
-			continue
+		if first, ok := earliest[c.Fingerprint]; !ok || connBefore(cv.rec, first.rec) {
+			earliest[c.Fingerprint] = cv
 		}
-		seen[string(c.Fingerprint)] = true
+	}
+	cats := stats.NewCounter()
+	for _, cv := range earliest {
+		c := cv.clientCert
+		days := c.ValidityDays()
 		u := e.usageOf(c, cv.rec.ClientChain)
 		switch cv.dir {
 		case netsim.Inbound:
