@@ -539,8 +539,8 @@ func BenchmarkEndToEnd(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndSerial is BenchmarkEndToEnd pinned to the serial
-// legacy path — the concurrency speedup is EndToEnd vs EndToEndSerial.
+// BenchmarkEndToEndSerial is BenchmarkEndToEnd with the analyses run in
+// order — the fan-out's speedup is EndToEnd vs EndToEndSerial.
 func BenchmarkEndToEndSerial(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -551,53 +551,24 @@ func BenchmarkEndToEndSerial(b *testing.B) {
 	}
 }
 
-// --- Concurrency & caching ablations --------------------------------------
+// --- Concurrency ablations ------------------------------------------------
 //
-// Each pair isolates one mechanism of the parallel pipeline: sharded
-// preprocessing, analysis fan-out, and the hot-path caches. All variants
-// produce byte-identical analyses (TestParallelDeterminism).
+// Preprocessing is serial; the analyses fan out across Input.Workers. Every
+// worker count produces a deeply equal analysis (TestParallelDeterminism).
 
 // benchInputWorkers clones the shared bench input with a worker setting.
-func benchInputWorkers(b *testing.B, workers int, noCache bool) *core.Input {
+func benchInputWorkers(b *testing.B, workers int) *core.Input {
 	b.Helper()
 	benchPipeline(b)
 	in := *benchIn
 	in.Workers = workers
-	in.NoCache = noCache
 	return &in
 }
 
-// BenchmarkAblationPreprocessSerial measures §3.2 preprocessing on the
-// single-threaded legacy path…
+// BenchmarkAblationPreprocessSerial measures §3.2 preprocessing, which
+// runs on one goroutine at every worker count.
 func BenchmarkAblationPreprocessSerial(b *testing.B) {
-	in := benchInputWorkers(b, 1, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if core.NewPipeline(in).PreprocessReport().RawCerts == 0 {
-			b.Fatal("no certs")
-		}
-	}
-}
-
-// …BenchmarkAblationPreprocessSharded the same work sharded across one
-// worker per CPU…
-func BenchmarkAblationPreprocessSharded(b *testing.B) {
-	in := benchInputWorkers(b, 0, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if core.NewPipeline(in).PreprocessReport().RawCerts == 0 {
-			b.Fatal("no certs")
-		}
-	}
-}
-
-// …and BenchmarkAblationPreprocessNoCache the serial path with the
-// PSL-split and issuer-classification memos disabled, isolating what the
-// caches alone buy.
-func BenchmarkAblationPreprocessNoCache(b *testing.B) {
-	in := benchInputWorkers(b, 1, true)
+	in := benchInputWorkers(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -610,7 +581,7 @@ func BenchmarkAblationPreprocessNoCache(b *testing.B) {
 // BenchmarkAblationAnalysesSerial measures the 21 table/figure analyses
 // run sequentially over a prebuilt pipeline…
 func BenchmarkAblationAnalysesSerial(b *testing.B) {
-	p := core.NewPipeline(benchInputWorkers(b, 1, false))
+	p := core.NewPipeline(benchInputWorkers(b, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if p.RunAll().CertStats.Row("Total").Total == 0 {
@@ -622,7 +593,7 @@ func BenchmarkAblationAnalysesSerial(b *testing.B) {
 // …and BenchmarkAblationAnalysesFanOut the same analyses dispatched
 // across the bounded worker pool.
 func BenchmarkAblationAnalysesFanOut(b *testing.B) {
-	p := core.NewPipeline(benchInputWorkers(b, 0, false))
+	p := core.NewPipeline(benchInputWorkers(b, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if p.RunAll().CertStats.Row("Total").Total == 0 {
@@ -637,7 +608,7 @@ func BenchmarkAblationAnalysesFanOut(b *testing.B) {
 func BenchmarkPipelineParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			in := benchInputWorkers(b, workers, false)
+			in := benchInputWorkers(b, workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -204,8 +204,11 @@ func TestDaemonDistrib(t *testing.T) {
 		}
 	}
 	_, aggMetrics := httpGet(t, baseG+"/metrics")
+	// Every per-sensor family is registered from boot, so the catalogue
+	// check below covers the ones nothing has incremented yet.
 	for _, series := range []string{"distrib_syncs_total", "distrib_sensor_cursor",
-		"distrib_merges_total", "distrib_sensor_last_sync_age_seconds"} {
+		"distrib_merges_total", "distrib_sensor_last_sync_age_seconds",
+		"distrib_sync_errors_total", "distrib_full_resyncs_total", "distrib_aggregator_evicted_total"} {
 		if !strings.Contains(aggMetrics, series) {
 			t.Errorf("aggregator /metrics missing %s", series)
 		}

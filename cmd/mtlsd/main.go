@@ -108,7 +108,6 @@ type options struct {
 	spec          string
 	scale         int
 	seed          uint64
-	workers       int
 	shards        int
 	pprof         bool
 	logLevel      string
@@ -152,7 +151,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.spec, "spec", o.spec, "scenario spec YAML the generator used (\"-\" = stdin; empty = built-in campus spec)")
 	fs.IntVar(&o.scale, "scale", o.scale, "context scale divisor (must match the generator's)")
 	fs.Uint64Var(&o.seed, "seed", o.seed, "context seed (must match the generator's)")
-	fs.IntVar(&o.workers, "workers", o.workers, "report workers: 0 = one per CPU, 1 = serial")
 	fs.IntVar(&o.shards, "shards", o.shards, "ignored: the engine has one window (goes in the next release)")
 	fs.BoolVar(&o.pprof, "pprof", o.pprof, "expose net/http/pprof under /debug/pprof/")
 	fs.StringVar(&o.logLevel, "log-level", o.logLevel, "log level: debug, info, warn, error")
@@ -263,7 +261,6 @@ func contextInput(o options) (*core.Input, error) {
 	}
 	in := mtls.InputFromBuild(build)
 	in.Raw = nil
-	in.Workers = o.workers
 	return in, nil
 }
 

@@ -36,7 +36,7 @@ func main() {
 	specPath := flag.String("spec", "", "scenario spec YAML file (\"-\" = stdin; empty = built-in campus spec)")
 	printSpec := flag.Bool("print-spec", false, "print the built-in campus spec as annotated YAML and exit")
 	verify := flag.Bool("verify", false, "re-open the written logs and run the analysis pipeline over them")
-	workers := flag.Int("workers", 0, "pipeline workers for -verify: 0 = one per CPU, 1 = serial, n = exactly n")
+	workers := flag.Int("workers", 0, "analysis workers for -verify: 0 = one per CPU, 1 = in order, n = exactly n")
 	flag.Parse()
 
 	if *printSpec {

@@ -8,7 +8,7 @@
 //	mtlsreport -logs ./data         # analyze logs written by mtlsgen
 //	mtlsreport -json                # emit the full Analysis as JSON
 //	mtlsreport -experiments EXP.md  # also write the comparison document
-//	mtlsreport -workers 8           # shard the pipeline across 8 workers
+//	mtlsreport -workers 8           # fan the analyses out across 8 workers
 //	                                # (0 = one per CPU, 1 = serial)
 //	mtlsreport -timings             # print per-stage wall times to stderr
 //	                                # (Prometheus text, same registry as mtlsd)
@@ -33,7 +33,7 @@ func main() {
 	scale := flag.Int("scale", 0, "certificate scale divisor when generating")
 	seed := flag.Uint64("seed", 0, "generator seed when generating")
 	experiments := flag.String("experiments", "", "path to write EXPERIMENTS.md content")
-	workers := flag.Int("workers", 0, "pipeline workers: 0 = one per CPU, 1 = serial, n = exactly n")
+	workers := flag.Int("workers", 0, "analysis workers: 0 = one per CPU, 1 = in order, n = exactly n")
 	quiet := flag.Bool("quiet", false, "suppress the full table dump")
 	asJSON := flag.Bool("json", false, "emit the full analysis as JSON instead of rendered tables")
 	timings := flag.Bool("timings", false, "print per-stage wall times to stderr (Prometheus text format)")

@@ -17,8 +17,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	// WithWorkers(0) = one pipeline worker per CPU; the sharded run returns
-	// the same Analysis as WithWorkers(1) (the serial path).
+	// WithWorkers(0) fans the analyses out across one worker per CPU; the
+	// Analysis equals WithWorkers(1)'s, which runs them in order.
 	a := mtls.Analyze(build, mtls.WithWorkers(0))
 
 	fmt.Println("Figure 1 — percentage of TLS connections employing mutual TLS")

@@ -28,18 +28,17 @@ type Analysis struct {
 	Fingerprints *FingerprintReport  // ClientHello fingerprint prevalence
 }
 
-// Run executes the whole pipeline with the concurrency requested by
+// Run executes the whole pipeline, the analyses fanned out across
 // in.Workers.
 func Run(in *Input) *Analysis { return NewPipeline(in).RunAll() }
 
 // RunAll executes every analysis over the preprocessed state. The
 // table/figure computations are independent and only read the shared
-// enriched views, so they fan out across the pipeline's worker pool;
-// with one worker they run in the legacy sequential order. Either way
-// the resulting Analysis is identical.
+// enriched views, so they fan out across Input.Workers; with one worker
+// they run in order. Either way the resulting Analysis is identical.
 func (p *Pipeline) RunAll() *Analysis {
 	a := &Analysis{Preprocess: p.PreprocessReport()}
-	runTasks(p.workers, []func(){
+	runTasks(workerCount(p.e.input.Workers), []func(){
 		func() { a.CertStats = p.CertStats() },
 		func() { a.Prevalence = p.Prevalence() },
 		func() { a.Services = p.Services() },

@@ -20,8 +20,8 @@ type ConnRecord = zeek.SSLRecord
 type CertRecord = zeek.X509Record
 
 // Builder constructs the enriched analysis state incrementally, one
-// connection at a time, using the exact enricher the batch serial path
-// runs (enrichSerial). It is the core of the streaming engine: the engine
+// connection at a time, using the exact enricher the batch path runs
+// (enrichSerial). It is the core of the streaming engine: the engine
 // decides which records are admitted (interception filtering, windowing)
 // and the Builder turns the admitted sequence into the same state
 // NewPipeline would produce for an equivalent filtered dataset.
@@ -71,11 +71,9 @@ type issuerMemos struct {
 // shareIssuerMemos makes b classify issuers through the memos m holds,
 // or, when it holds none yet, leaves b's own there for the next Builder.
 func (b *Builder) shareIssuerMemos(m *issuerMemos) {
-	switch {
-	case b.w.memo == nil: // Input.NoCache
-	case m.memo == nil:
+	if m.memo == nil {
 		*m = issuerMemos{b.w.memo, b.w.issuers}
-	default:
+	} else {
 		b.w.memo, b.w.issuers = m.memo, m.issuers
 	}
 }
@@ -269,5 +267,5 @@ func (b *Builder) Pipeline(pre *PreprocessReport) *Pipeline {
 	b.e.usage = b.w.usage
 	b.e.pre = pre
 	b.e.finishWeights(b.w.tls13W, b.w.totalW)
-	return &Pipeline{e: b.e, workers: workerCount(b.e.input.Workers)}
+	return &Pipeline{e: b.e}
 }

@@ -22,8 +22,7 @@ func inputFromBuild(b *workload.Build) *Input {
 			ThirdPartySLDs: b.Assoc.ThirdPartySLDs,
 			GlobusSLDs:     b.Assoc.GlobusSLDs,
 		},
-		Plan:   b.Plan,
-		Months: b.Months,
+		Plan: b.Plan,
 	}
 }
 

@@ -37,17 +37,11 @@ type Input struct {
 	Assoc AssocMap
 	// Plan classifies connection direction.
 	Plan *netsim.Plan
-	// Months is the study length.
-	Months int
-	// Workers bounds pipeline concurrency: 0 selects one worker per CPU
-	// (GOMAXPROCS), 1 forces the exact serial legacy path, and n>1 shards
-	// preprocessing and fans the analyses out across n workers. Every
-	// setting produces an identical Analysis.
+	// Workers sizes the analysis fan-out of Pipeline.RunAll: 0 selects
+	// one worker per CPU (GOMAXPROCS), 1 runs the analyses in order on
+	// the caller's goroutine. Preprocessing is serial at every setting,
+	// and every setting produces an identical Analysis.
 	Workers int
-	// NoCache disables the PSL-split and issuer-classification memos.
-	// The caches never change results; the switch exists so the ablation
-	// benchmarks can measure them.
-	NoCache bool
 }
 
 // AssocMap is the paper's manual SLD categorization (§4.2).
@@ -188,16 +182,6 @@ func (s *subnetSet) add(k ids.SubnetKey) {
 
 func (s *subnetSet) len() int { return s.n }
 
-func (s *subnetSet) addAll(o *subnetSet) {
-	if o.n == 0 {
-		return
-	}
-	s.add(o.first)
-	for k := range o.rest {
-		s.add(k)
-	}
-}
-
 // durationDays is the paper's "duration of activity" (§5).
 func (u *certUsage) durationDays() int64 {
 	if u.firstSeen.IsZero() {
@@ -213,26 +197,6 @@ func (u *certUsage) observe(ts time.Time) {
 	if ts.After(u.lastSeen) {
 		u.lastSeen = ts
 	}
-}
-
-// merge folds a later shard's observations of the same certificate into
-// u. The classification fields (cert, class, category, dummyIssuer) stay
-// with u — the entry from the earlier shard — so the chain observed
-// first in record order wins, exactly as on the serial path.
-func (u *certUsage) merge(o *certUsage) {
-	u.asServer = u.asServer || o.asServer
-	u.asClient = u.asClient || o.asClient
-	u.mutualServer = u.mutualServer || o.mutualServer
-	u.mutualClient = u.mutualClient || o.mutualClient
-	u.sharedSameConn = u.sharedSameConn || o.sharedSameConn
-	if !o.firstSeen.IsZero() && (u.firstSeen.IsZero() || o.firstSeen.Before(u.firstSeen)) {
-		u.firstSeen = o.firstSeen
-	}
-	if o.lastSeen.After(u.lastSeen) {
-		u.lastSeen = o.lastSeen
-	}
-	u.serverSubnets.addAll(&o.serverSubnets)
-	u.clientSubnets.addAll(&o.clientSubnets)
 }
 
 // enriched is the pipeline's working state after preprocessing.
@@ -289,69 +253,67 @@ func preprocess(in *Input) *enriched {
 		RawConns:            len(in.Raw.Conns),
 	}
 
-	if workers := workerCount(in.Workers); workers > 1 && len(e.ds.Conns) >= workers {
-		e.enrichParallel(workers)
-	} else {
-		e.enrichSerial()
-	}
+	e.enrichSerial()
 	return e
 }
 
-// finishWeights derives the §3.3 opacity share from the (possibly
-// per-shard-summed) connection weights.
+// enrichSerial is the batch enrichment path: one enricher walks every
+// record in order, as the Builder's does one AddConn at a time.
+func (e *enriched) enrichSerial() {
+	w := e.newEnricher(e.input.Assoc.index())
+	e.conns = make([]connView, len(e.ds.Conns))
+	for i := range e.ds.Conns {
+		e.conns[i] = w.enrich(&e.ds.Conns[i])
+	}
+	e.usage = w.usage
+	e.finishWeights(w.tls13W, w.totalW)
+}
+
+// finishWeights derives the §3.3 opacity share from the connection
+// weights.
 func (e *enriched) finishWeights(tls13W, totalW int64) {
 	if totalW > 0 {
 		e.pre.TLS13ConnShare = float64(tls13W) / float64(totalW)
 	}
 }
 
-// enricher holds one worker's enrichment state: a shard-local usage
-// accumulator plus the hot-path caches (PSL splits and issuer
-// classifications repeat heavily, so each worker memoizes them without
-// any synchronization). The serial path uses a single enricher.
+// enricher holds the enrichment state: the usage accumulator plus the
+// hot-path caches (PSL splits and issuer classifications repeat heavily,
+// so the enricher memoizes them). Every cached value is a pure function
+// of its key, so the caches never change results.
 type enricher struct {
 	e       *enriched
 	assoc   *assocIndex
-	split   *psl.SplitCache        // nil when Input.NoCache
-	memo    *classify.Memo         // nil when Input.NoCache
-	issuers *truststore.IssuerMemo // nil when Input.NoCache
+	split   *psl.SplitCache
+	memo    *classify.Memo
+	issuers *truststore.IssuerMemo
 	// subnets memoizes ids.SubnetOfString: addresses repeat across
-	// connections and the netip round trip allocates. nil when NoCache.
+	// connections and the netip round trip allocates.
 	subnets        map[string]ids.SubnetKey
 	usage          map[ids.Fingerprint]*certUsage
 	tls13W, totalW int64
 }
 
 func (e *enriched) newEnricher(ix *assocIndex) *enricher {
-	w := &enricher{e: e, assoc: ix, usage: make(map[ids.Fingerprint]*certUsage)}
-	if !e.input.NoCache {
-		w.split = psl.NewSplitCache(e.psl)
-		w.memo = classify.NewMemo()
-		w.issuers = e.input.Bundle.NewIssuerMemo()
-		w.subnets = make(map[string]ids.SubnetKey, 1024)
+	return &enricher{
+		e:       e,
+		assoc:   ix,
+		split:   psl.NewSplitCache(e.psl),
+		memo:    classify.NewMemo(),
+		issuers: e.input.Bundle.NewIssuerMemo(),
+		subnets: make(map[string]ids.SubnetKey, 1024),
+		usage:   make(map[ids.Fingerprint]*certUsage),
 	}
-	return w
 }
 
-// subnetOf is the memoized ids.SubnetOfString — a pure function of the
-// address string, so caching never changes results.
+// subnetOf is the memoized ids.SubnetOfString.
 func (w *enricher) subnetOf(ip string) ids.SubnetKey {
-	if w.subnets == nil {
-		return ids.SubnetOfString(ip)
-	}
 	if k, ok := w.subnets[ip]; ok {
 		return k
 	}
 	k := ids.SubnetOfString(ip)
 	w.subnets[ip] = k
 	return k
-}
-
-func (w *enricher) splitHost(host string) psl.Result {
-	if w.split != nil {
-		return w.split.Split(host)
-	}
-	return w.e.psl.Split(host)
 }
 
 // enrich accounts one connection record's weight and builds its view.
@@ -374,7 +336,7 @@ func (w *enricher) view(rec *zeek.SSLRecord) connView {
 		dir:   e.input.Plan.DirectionOf(rec.OrigIP, rec.RespIP),
 		month: monthIndex(rec.TS),
 	}
-	split := w.splitHost(rec.SNI)
+	split := w.split.Split(rec.SNI)
 	cv.sniSLD = split.Registrable()
 	cv.sld = cv.sniSLD
 	cv.tld = split.TLD()
@@ -401,11 +363,11 @@ func (w *enricher) resolveFromCerts(server, client *certmodel.CertInfo) (string,
 			continue
 		}
 		for _, name := range c.SANDNS {
-			if r := w.splitHost(name); r.Registrable() != "" {
+			if r := w.split.Split(name); r.Registrable() != "" {
 				return r.Registrable(), r.TLD()
 			}
 		}
-		if r := w.splitHost(c.SubjectCN); r.Registrable() != "" {
+		if r := w.split.Split(c.SubjectCN); r.Registrable() != "" {
 			return r.Registrable(), r.TLD()
 		}
 	}
@@ -438,7 +400,7 @@ func (w *enricher) observeConn(cv *connView) {
 	}
 }
 
-// usageOf returns (creating if needed) the shard-local usage entry.
+// usageOf returns (creating if needed) the usage entry.
 func (w *enricher) usageOf(c *certmodel.CertInfo, chain []ids.Fingerprint) *certUsage {
 	if u, ok := w.usage[c.Fingerprint]; ok {
 		return u
@@ -449,8 +411,8 @@ func (w *enricher) usageOf(c *certmodel.CertInfo, chain []ids.Fingerprint) *cert
 }
 
 // newCertUsage classifies a certificate the first time it is observed.
-// Nil memos skip the issuer-string caching (NoCache mode, and the
-// concurrent analysis-path fallback) but compute the same values.
+// Nil memos skip the issuer-string caching (the concurrent analysis-path
+// fallback) but compute the same values.
 func newCertUsage(e *enriched, memo *classify.Memo, issuers *truststore.IssuerMemo, c *certmodel.CertInfo, chain []ids.Fingerprint) *certUsage {
 	var rest []ids.Fingerprint
 	if len(chain) > 1 {

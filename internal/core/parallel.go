@@ -5,18 +5,10 @@ import (
 	"sync"
 )
 
-// This file is the pipeline's concurrency layer. Three independent
-// mechanisms, all optional and all result-identical to the serial path:
-//
-//  1. Sharded preprocessing: the connection table is split into
-//     contiguous per-worker shards; each worker enriches its shard with
-//     a shard-local usage map and hot-path caches, then the shards are
-//     merged deterministically (see enrichParallel).
-//  2. Analysis fan-out: the ~21 table/figure analyses only read the
-//     enriched state, so RunAll dispatches them across a bounded pool.
-//  3. Hot-path caching lives with the enricher (input.go) — each worker
-//     memoizes PSL splits and issuer classifications locally, which is
-//     what makes sharding lock-free.
+// This file is the pipeline's concurrency: the ~21 table/figure analyses
+// only read the enriched state, so RunAll dispatches them across a
+// bounded pool. Preprocessing is serial; its hot-path caches live with
+// the enricher (input.go).
 
 // workerCount resolves the Input.Workers setting: 0 (or negative) means
 // one worker per CPU, anything else is taken literally.
@@ -27,65 +19,10 @@ func workerCount(requested int) int {
 	return requested
 }
 
-// enrichSerial is the legacy single-threaded enrichment path
-// (Workers: 1): one enricher walks every record in order.
-func (e *enriched) enrichSerial() {
-	w := e.newEnricher(e.input.Assoc.index())
-	e.conns = make([]connView, len(e.ds.Conns))
-	for i := range e.ds.Conns {
-		e.conns[i] = w.enrich(&e.ds.Conns[i])
-	}
-	e.usage = w.usage
-	e.finishWeights(w.tls13W, w.totalW)
-}
-
-// enrichParallel splits the connection table into contiguous per-worker
-// shards and enriches them concurrently. Determinism: e.conns keeps the
-// original record order because each worker writes only its own index
-// range, and the usage merge walks shards in index order so the first
-// observation of a certificate (whose presented chain decides its
-// classification) wins exactly as it does serially. All other merged
-// fields — first/last-seen min/max, subnet-set unions, role bits — are
-// commutative.
-func (e *enriched) enrichParallel(workers int) {
-	n := len(e.ds.Conns)
-	e.conns = make([]connView, n)
-	ix := e.input.Assoc.index()
-	shards := make([]*enricher, workers)
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		w := e.newEnricher(ix)
-		shards[s] = w
-		lo, hi := n*s/workers, n*(s+1)/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				e.conns[i] = w.enrich(&e.ds.Conns[i])
-			}
-		}()
-	}
-	wg.Wait()
-
-	var tls13W, totalW int64
-	for _, w := range shards {
-		tls13W += w.tls13W
-		totalW += w.totalW
-		for fp, su := range w.usage {
-			if u, ok := e.usage[fp]; ok {
-				u.merge(su)
-			} else {
-				e.usage[fp] = su
-			}
-		}
-	}
-	e.finishWeights(tls13W, totalW)
-}
-
 // runTasks executes independent analysis closures. With one worker it
-// degenerates to an in-order loop (the legacy path); otherwise a bounded
-// pool drains the task list. wg.Wait gives the caller a happens-before
-// edge on every result field the closures wrote.
+// degenerates to an in-order loop; otherwise a bounded pool drains the
+// task list. wg.Wait gives the caller a happens-before edge on every
+// result field the closures wrote.
 func runTasks(workers int, tasks []func()) {
 	if workers <= 1 {
 		for _, t := range tasks {

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/certmodel"
+	"repro/internal/ids"
 	"repro/internal/workload"
 )
 
@@ -24,34 +26,97 @@ func parallelInput(t *testing.T, workers int) *Input {
 	return in
 }
 
-// TestParallelDeterminism asserts the tentpole guarantee: the sharded
-// preprocess + analysis fan-out produce an Analysis deeply equal to the
-// serial legacy path, for several worker counts, on the same seeded
-// build. Run under -race this also exercises the parallel pipeline for
-// data races.
+// TestParallelDeterminism asserts the fan-out guarantee: RunAll across
+// several worker counts produces an Analysis deeply equal to running the
+// analyses in order, on the same seeded build. Run under -race this also
+// exercises the fan-out for data races.
 func TestParallelDeterminism(t *testing.T) {
 	serial := Run(parallelInput(t, 1))
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0), 0} {
 		got := Run(parallelInput(t, workers))
 		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("Workers=%d analysis differs from the serial pipeline", workers)
+			t.Fatalf("Workers=%d analysis differs from the in-order analyses", workers)
 		}
 	}
 }
 
-// TestCacheDeterminism asserts the hot-path caches (PSL split memo,
-// issuer-classification memo) never change results.
+// TestCacheDeterminism asserts the enricher's hot-path caches never
+// change a value. Over a Builder fed the whole build, every memoized PSL
+// split and subnet equals the uncached function's, and every
+// certificate's class, category and dummy-issuer flag equal what
+// newCertUsage computes with nil memos — the path enriched.usageOf keeps.
 func TestCacheDeterminism(t *testing.T) {
-	cached := Run(parallelInput(t, 1))
 	in := parallelInput(t, 1)
-	in.NoCache = true
-	if uncached := Run(in); !reflect.DeepEqual(cached, uncached) {
-		t.Fatal("NoCache analysis differs from the cached pipeline")
+	b := NewBuilder(in)
+	for _, c := range in.Raw.Certs {
+		b.AddCert(c)
+	}
+	for i := range in.Raw.Conns {
+		b.AddConn(&in.Raw.Conns[i])
+	}
+	w := b.w
+
+	// Every SNI was split while enriching, so probing them reads the
+	// cache; the certificate names cover the SNI-less fallback's keys.
+	probe := func(host string) {
+		if got, want := w.split.Split(host), b.e.psl.Split(host); got != want {
+			t.Errorf("cached split of %q = %+v, want %+v", host, got, want)
+		}
+	}
+	cached := w.split.Len()
+	for i := range in.Raw.Conns {
+		probe(in.Raw.Conns[i].SNI)
+	}
+	if w.split.Len() != cached {
+		t.Fatal("an SNI the enricher saw was not in its split cache")
+	}
+	for _, c := range in.Raw.Certs {
+		probe(c.SubjectCN)
+		for _, name := range c.SANDNS {
+			probe(name)
+		}
+	}
+
+	if len(w.subnets) == 0 {
+		t.Fatal("the subnet memo is empty")
+	}
+	for ip, k := range w.subnets {
+		if want := ids.SubnetOfString(ip); k != want {
+			t.Errorf("cached subnet of %q = %v, want %v", ip, k, want)
+		}
+	}
+
+	// A certificate is classified from the chain of the first connection
+	// that presented it, server side before client side.
+	chains := map[ids.Fingerprint][]ids.Fingerprint{}
+	presented := func(c *certmodel.CertInfo, chain []ids.Fingerprint) {
+		if _, ok := chains[c.Fingerprint]; !ok {
+			chains[c.Fingerprint] = chain
+		}
+	}
+	for i := range b.e.conns {
+		cv := &b.e.conns[i]
+		if cv.serverCert != nil {
+			presented(cv.serverCert, cv.rec.ServerChain)
+		}
+		if cv.clientCert != nil {
+			presented(cv.clientCert, cv.rec.ClientChain)
+		}
+	}
+	if len(w.usage) == 0 {
+		t.Fatal("no certificate usage was recorded")
+	}
+	for fp, u := range w.usage {
+		want := newCertUsage(b.e, nil, nil, u.cert, chains[fp])
+		if u.class != want.class || u.category != want.category || u.dummyIssuer != want.dummyIssuer {
+			t.Errorf("%s: cached (class %v, category %v, dummy %v), uncached (%v, %v, %v)",
+				fp, u.class, u.category, u.dummyIssuer, want.class, want.category, want.dummyIssuer)
+		}
 	}
 }
 
-// TestParallelPreprocessRace drives the sharded preprocess and fan-out
-// with more workers than GOMAXPROCS so go test -race interleaves them
+// TestParallelPreprocessRace drives the analysis fan-out with more
+// workers than GOMAXPROCS so go test -race interleaves the analyses
 // aggressively even on small machines.
 func TestParallelPreprocessRace(t *testing.T) {
 	a := Run(parallelInput(t, 8))

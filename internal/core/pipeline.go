@@ -4,21 +4,14 @@ package core
 // benchmark harness, which has one benchmark per paper table/figure) can
 // run and time each analysis against a preprocessed dataset.
 type Pipeline struct {
-	e       *enriched
-	workers int
+	e *enriched
 }
 
 // NewPipeline runs preprocessing (§3.2 interception filtering + view
-// enrichment, sharded per Input.Workers) and returns a pipeline ready to
-// run analyses. The analyses themselves only read the enriched state, so
-// they may be called concurrently.
-func NewPipeline(in *Input) *Pipeline {
-	return &Pipeline{e: preprocess(in), workers: workerCount(in.Workers)}
-}
-
-// Workers reports the resolved worker count (Input.Workers with 0
-// expanded to GOMAXPROCS).
-func (p *Pipeline) Workers() int { return p.workers }
+// enrichment) and returns a pipeline ready to run analyses. The analyses
+// themselves only read the enriched state, so they may be called
+// concurrently.
+func NewPipeline(in *Input) *Pipeline { return &Pipeline{e: preprocess(in)} }
 
 // PreprocessReport returns the §3.2 statistics.
 func (p *Pipeline) PreprocessReport() *PreprocessReport { return p.e.pre }

@@ -20,7 +20,6 @@ func minimalInput(ds *zeek.Dataset) *Input {
 		Bundle: truststore.DefaultBundle(),
 		Assoc:  AssocMap{UniversitySLDs: []string{"virginia.edu"}},
 		Plan:   netsim.DefaultPlan(),
-		Months: 23,
 	}
 }
 

@@ -105,15 +105,14 @@ type sensorState struct {
 	bytes       uint64
 
 	bo backoff.Backoff
+	m  sensorMetrics
 }
 
-type aggMetrics struct {
-	syncs       func(url string) *metrics.Counter
-	syncErrors  func(url string) *metrics.Counter
-	syncBytes   func(url string) *metrics.Counter
-	cursor      func(url string) *metrics.Gauge
-	fullResyncs func(url string) *metrics.Counter
-	evicted     func(url string) *metrics.Counter
+// sensorMetrics are one sensor's distrib_* series, registered once in
+// NewAggregator so every family is exposed from boot.
+type sensorMetrics struct {
+	syncs, syncErrors, syncBytes, fullResyncs, evicted *metrics.Counter
+	cursor                                             *metrics.Gauge
 }
 
 // Aggregator follows N sensors and serves their merged analysis: each
@@ -131,7 +130,6 @@ type aggMetrics struct {
 type Aggregator struct {
 	cfg    Config
 	logger *slog.Logger
-	m      *aggMetrics
 
 	mu      sync.Mutex
 	sensors []*sensorState
@@ -179,27 +177,6 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 		logger: cfg.Logger,
 		union:  interception.NewMerge(0),
 		seen:   make(map[ids.Fingerprint]bool),
-		m: &aggMetrics{
-			syncs: func(u string) *metrics.Counter {
-				return reg.Counter("distrib_syncs_total", "successful sensor syncs", "sensor", u)
-			},
-			syncErrors: func(u string) *metrics.Counter {
-				return reg.Counter("distrib_sync_errors_total", "failed sensor syncs", "sensor", u)
-			},
-			syncBytes: func(u string) *metrics.Counter {
-				return reg.Counter("distrib_sync_bytes_total", "snapshot bytes pulled", "sensor", u)
-			},
-			cursor: func(u string) *metrics.Gauge {
-				return reg.Gauge("distrib_sensor_cursor", "sensor sequence cursor", "sensor", u)
-			},
-			fullResyncs: func(u string) *metrics.Counter {
-				return reg.Counter("distrib_full_resyncs_total", "stale-cursor full re-syncs", "sensor", u)
-			},
-			evicted: func(u string) *metrics.Counter {
-				return reg.Counter("distrib_aggregator_evicted_total",
-					"accumulated conns dropped at the aggregator by the sensor's retention window", "sensor", u)
-			},
-		},
 	}
 	a.view = &core.MergedView{
 		Input:    cfg.Input,
@@ -217,9 +194,17 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 			win:      new(store.Window),
 			evidence: interception.EvidenceOf(nil),
 			bo:       backoff.New(cfg.Interval),
+			m: sensorMetrics{
+				syncs:       reg.Counter("distrib_syncs_total", "successful sensor syncs", "sensor", u),
+				syncErrors:  reg.Counter("distrib_sync_errors_total", "failed sensor syncs", "sensor", u),
+				syncBytes:   reg.Counter("distrib_sync_bytes_total", "snapshot bytes pulled", "sensor", u),
+				fullResyncs: reg.Counter("distrib_full_resyncs_total", "stale-cursor full re-syncs", "sensor", u),
+				evicted: reg.Counter("distrib_aggregator_evicted_total",
+					"accumulated conns dropped at the aggregator by the sensor's retention window", "sensor", u),
+				cursor: reg.Gauge("distrib_sensor_cursor", "sensor sequence cursor", "sensor", u),
+			},
 		}
 		a.sensors = append(a.sensors, ss)
-		url := u
 		reg.GaugeFunc("distrib_sensor_last_sync_age_seconds",
 			"seconds since the sensor's last successful sync (-1 before the first)",
 			func() float64 {
@@ -229,7 +214,7 @@ func NewAggregator(cfg Config) (*Aggregator, error) {
 					return -1
 				}
 				return time.Since(ss.lastSync).Seconds()
-			}, "sensor", url)
+			}, "sensor", u)
 	}
 	return a, nil
 }
@@ -314,7 +299,7 @@ func (a *Aggregator) pull(ctx context.Context, ss *sensorState, follow time.Dura
 		ss.lastErr = err.Error()
 		wait := ss.bo.Failure(time.Now())
 		a.mu.Unlock()
-		a.m.syncErrors(ss.url).Inc()
+		ss.m.syncErrors.Inc()
 		a.logger.Warn("sensor sync failed", "sensor", ss.url, "err", err, "retry_in", wait.String())
 	}
 	return n > 1, err
@@ -351,7 +336,7 @@ func (a *Aggregator) consume(ctx context.Context, ss *sensorState, follow time.D
 		ss.version++
 		a.rebuildUnionLocked()
 		a.mu.Unlock()
-		a.m.fullResyncs(ss.url).Inc()
+		ss.m.fullResyncs.Inc()
 		cursor = 0
 		body, _, err = a.open(ctx, ss, 0, 0, follow)
 	}
@@ -487,14 +472,14 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 	}
 	ss.retention = snap.Retention
 	ss.bytes += uint64(nbytes)
-	a.m.syncBytes(ss.url).Add(uint64(nbytes))
+	ss.m.syncBytes.Add(uint64(nbytes))
 	a.evictLocked()
 	ss.syncs++
 	ss.lastErr = ""
 	ss.lastSync = time.Now()
 	ss.bo.Success()
-	a.m.syncs(ss.url).Inc()
-	a.m.cursor(ss.url).Set(float64(ss.cursor))
+	ss.m.syncs.Inc()
+	ss.m.cursor.Set(float64(ss.cursor))
 	return nil
 }
 
@@ -546,7 +531,7 @@ func (a *Aggregator) evictLocked() {
 			ss.evicted += uint64(n)
 			ss.lost++
 			ss.version++
-			a.m.evicted(ss.url).Add(uint64(n))
+			ss.m.evicted.Add(uint64(n))
 		}
 	}
 }

@@ -26,8 +26,7 @@ func inputFromBuild(b *workload.Build) *core.Input {
 			ThirdPartySLDs: b.Assoc.ThirdPartySLDs,
 			GlobusSLDs:     b.Assoc.GlobusSLDs,
 		},
-		Plan:   b.Plan,
-		Months: b.Months,
+		Plan: b.Plan,
 	}
 }
 

@@ -210,7 +210,7 @@ func (s *Sensor) follow(w http.ResponseWriter, r *http.Request, st *stream.Expor
 // write encodes one snapshot onto the response and counts it.
 func (s *Sensor) write(w io.Writer, st *stream.ExportState) bool {
 	cw := &countingWriter{w: w}
-	if err := Encode(cw, FromExport(st)); err != nil {
+	if err := Encode(cw, st); err != nil {
 		// Headers are gone; all we can do is log and cut the stream
 		// short — the framed trailer makes the truncation detectable.
 		s.logger.Warn("snapshot encode aborted", "err", err)

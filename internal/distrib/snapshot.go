@@ -23,12 +23,7 @@
 // answers with a full re-sync.
 package distrib
 
-import (
-	"time"
-
-	"repro/internal/interception"
-	"repro/internal/stream"
-)
+import "repro/internal/stream"
 
 // SchemaV2 is the snapshot schema: frame payloads in the record codec
 // checkpoint segments carry (store/record.go). It replaced schema 1, whose
@@ -39,43 +34,21 @@ const SchemaV2 = 2
 // decodes — the set /api/v1/version reports.
 func SupportedSchemas() []int { return []int{SchemaV2} }
 
-// Snapshot is one decoded sensor state: the wire-level form of a
-// stream.ExportState. Full snapshots have Since 0; deltas carry the cursor
+// Snapshot is one decoded sensor state: a stream.ExportState as it
+// crosses the wire. Full snapshots have Since 0; deltas carry the cursor
 // they answer and only records at or after it. Evidence is the sensor's
 // whole detector evidence on the first snapshot of a response, and only
 // the pairs new since the snapshot before on each later one of a followed
 // stream; Evidence.Pending is the sensor's parked count either way.
-type Snapshot struct {
-	Epoch   uint64
-	Since   uint64
-	NextSeq uint64
+// NextPair is local to the sensor's engine and never travels: it is zero
+// on a decoded Snapshot.
+type Snapshot = stream.ExportState
 
-	ConnsIngested uint64
-	CertsIngested uint64
-	Watermark     time.Time
-
-	// Retention is the sensor's connection retention window (zero = keep
-	// everything); the aggregator evicts this sensor's accumulated
-	// connections against it as the global watermark advances.
-	Retention time.Duration
-
-	Certs    []stream.ExportCert
-	Conns    []stream.ExportConn
-	Evidence *interception.Evidence
-}
-
-// FromExport wraps an engine export as a wire snapshot.
+// FromExport returns the wire form of an engine export: a copy with the
+// engine-local NextPair cleared, so an export and the decoding of its
+// encoding deep-equal.
 func FromExport(st *stream.ExportState) *Snapshot {
-	return &Snapshot{
-		Epoch:         st.Epoch,
-		Since:         st.Since,
-		NextSeq:       st.NextSeq,
-		ConnsIngested: st.ConnsIngested,
-		CertsIngested: st.CertsIngested,
-		Watermark:     st.Watermark,
-		Retention:     st.Retention,
-		Certs:         st.Certs,
-		Conns:         st.Conns,
-		Evidence:      st.Evidence,
-	}
+	s := *st
+	s.NextPair = 0
+	return &s
 }

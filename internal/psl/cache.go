@@ -3,9 +3,8 @@ package psl
 // SplitCache memoizes Split results for a single consumer. SNI and
 // SAN/CN values repeat heavily across a capture (a handful of services
 // dominate billions of connections), so the analysis pipeline's
-// enrichment workers each keep a local cache. The zero synchronization
-// is the point: a SplitCache is NOT safe for concurrent use — give each
-// goroutine its own.
+// enricher keeps one. It takes no locks: a SplitCache is NOT safe for
+// concurrent use — give each goroutine its own.
 type SplitCache struct {
 	list *List
 	m    map[string]Result

@@ -28,7 +28,7 @@ func testAnalysis(t *testing.T) *core.Analysis {
 				ThirdPartySLDs: b.Assoc.ThirdPartySLDs,
 				GlobusSLDs:     b.Assoc.GlobusSLDs,
 			},
-			Plan: b.Plan, Months: b.Months,
+			Plan: b.Plan,
 		})
 	}
 	return cached
@@ -97,7 +97,7 @@ func TestCompareVerdictsAtScale200(t *testing.T) {
 			ThirdPartySLDs: b.Assoc.ThirdPartySLDs,
 			GlobusSLDs:     b.Assoc.GlobusSLDs,
 		},
-		Plan: b.Plan, Months: b.Months,
+		Plan: b.Plan,
 	})
 	rows := Compare(a)
 	if len(rows) != 46 {

@@ -128,8 +128,9 @@ const (
 // Config configures an Engine.
 type Config struct {
 	// Input is the analysis context (trust bundle, CT log, association
-	// map, netsim plan, months, workers). Input.Raw is ignored — the
-	// engine accumulates its own dataset from the ingested events.
+	// map, netsim plan, and the worker count of an Analysis fan-out).
+	// Input.Raw is ignored — the engine accumulates its own dataset from
+	// the ingested events.
 	Input *core.Input
 	// Buffer is the window's ingest channel capacity in batches (default
 	// 1024).

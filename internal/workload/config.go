@@ -212,6 +212,4 @@ type Build struct {
 	Assoc *AssocConfig
 	// Plan is the address plan for direction classification.
 	Plan *netsim.Plan
-	// Months is the study length.
-	Months int
 }

@@ -88,7 +88,6 @@ func (g *Generator) run(entities []Entity, extraCT []ct.Entry) *Build {
 		CampusIssuers: CampusIssuers(),
 		Assoc:         DefaultAssoc(),
 		Plan:          g.alloc.Plan(),
-		Months:        studyMonths,
 	}
 }
 

@@ -104,9 +104,9 @@ func Generate(spec *Spec, opts ...GenerateOption) (*Build, error) {
 	return workload.FromSpec(spec, cfg)
 }
 
-// Analyze runs the paper's full pipeline on a build. By default it uses
-// one worker per CPU; WithWorkers pins the concurrency explicitly. The
-// Analysis is identical at every worker count.
+// Analyze runs the paper's full pipeline on a build. By default the
+// analyses fan out across one worker per CPU; WithWorkers pins the
+// count. The Analysis is identical at every worker count.
 func Analyze(b *Build, opts ...AnalyzeOption) *Analysis {
 	var cfg analyzeConfig
 	for _, opt := range opts {
@@ -132,8 +132,7 @@ func InputFromBuild(b *Build) *core.Input {
 			ThirdPartySLDs: b.Assoc.ThirdPartySLDs,
 			GlobusSLDs:     b.Assoc.GlobusSLDs,
 		},
-		Plan:   b.Plan,
-		Months: b.Months,
+		Plan: b.Plan,
 	}
 }
 

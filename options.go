@@ -13,10 +13,10 @@ type analyzeConfig struct {
 	workers int
 }
 
-// WithWorkers sets the pipeline's concurrency: 0 uses one worker per
-// CPU, 1 runs the exact serial legacy path, n>1 shards preprocessing
-// and fans the analyses out across n workers. The Analysis is identical
-// at every setting.
+// WithWorkers sizes the analysis fan-out: 0 uses one worker per CPU, 1
+// runs the analyses in order on the caller's goroutine, n>1 fans them
+// out across n workers. Preprocessing is serial at every setting, and
+// the Analysis is identical at every setting.
 func WithWorkers(n int) AnalyzeOption {
 	return func(c *analyzeConfig) { c.workers = n }
 }
