@@ -62,8 +62,13 @@ type daemonStats struct {
 // {"error", "code"}. The reports handler distinguishes an unknown report
 // name (404, a client mistake) from a materialization failure (500, our
 // bug). Every series a handler reads or bumps per request is resolved
-// here, once: the stats endpoint is probed hundreds of times a second,
-// and the registry's get-or-create renders labels under a mutex.
+// here, once, the reject counters sorted by key as JSON sorts map keys:
+// the stats endpoint is probed hundreds of times a second, and the
+// registry's get-or-create renders labels under a mutex. The stats body
+// is appended by appendStats into a pooled buffer, the bytes encoding/json
+// would write for daemonStats, with no reflection and no per-request map;
+// encoding/json writes it only where appendStats cannot (a time or float
+// encoding/json refuses).
 func newMux(eng reporter, reg *metrics.Registry, logger *slog.Logger, withPprof bool, info daemonInfo) *http.ServeMux {
 	mux := http.NewServeMux()
 	handle := func(path string, h http.HandlerFunc) {
@@ -90,27 +95,31 @@ func newMux(eng reporter, reg *metrics.Registry, logger *slog.Logger, withPprof 
 		writeJSON(w, versionInfo{Info: mtls.BuildInfo("mtlsd"), Role: info.role})
 	})
 	handle("/api/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		total, byReason := rejects.Totals()
-		ds := daemonStats{
-			Stats:            eng.Stats(),
-			Role:             info.role,
-			RowsRejected:     total,
-			RejectedByReason: byReason,
-		}
+		buf := statsBufs.Get().(*statsBuf)
+		rd := &buf.r
+		rd.ds = daemonStats{Stats: eng.Stats(), Role: info.role}
+		rd.rejects, rd.ds.RowsRejected = rejects.AppendNonzero(rd.rejects[:0])
 		for _, c := range tailErrs {
-			ds.TailErrors += c.Value()
+			rd.ds.TailErrors += c.Value()
 		}
 		if info.agg != nil {
-			ds.Sensors = info.agg.SensorStatuses()
-		} else {
-			// Read back so a load harness can wait for drain from the stats
-			// instead of parsing the /metrics exposition.
-			ds.TailLag = make(map[string]int64, len(lag))
-			for _, l := range lag {
-				ds.TailLag[l.file] = int64(l.g.Value())
-			}
+			rd.ds.Sensors = info.agg.SensorStatuses()
 		}
-		writeJSON(w, ds)
+		// Read back so a load harness can wait for drain from the stats
+		// instead of parsing the /metrics exposition.
+		rd.lag = rd.lag[:0]
+		for _, l := range lag {
+			rd.lag = append(rd.lag, lagReading{l.file, int64(l.g.Value())})
+		}
+		var ok bool
+		if buf.b, ok = appendStats(buf.b[:0], rd); ok {
+			w.Header()["Content-Type"] = jsonContentType
+			w.Write(buf.b) //nolint:errcheck // the client went away
+		} else {
+			writeJSON(w, rd.body())
+		}
+		rd.ds.Sensors = nil
+		statsBufs.Put(buf)
 	})
 	reports := func(w http.ResponseWriter, r *http.Request) {
 		name := strings.Trim(strings.TrimPrefix(r.URL.Path, "/api/v1/reports"), "/")
@@ -146,6 +155,19 @@ func newMux(eng reporter, reg *metrics.Registry, logger *slog.Logger, withPprof 
 	}
 	return mux
 }
+
+// statsBuf is one /api/v1/stats request's scratch: the reading and the
+// body it is appended into, pooled so a poll allocates neither.
+type statsBuf struct {
+	r statsReading
+	b []byte
+}
+
+var statsBufs = sync.Pool{New: func() any { return new(statsBuf) }}
+
+// jsonContentType is the stats body's Content-Type header value, shared so
+// setting it allocates nothing; net/http only reads it.
+var jsonContentType = []string{"application/json"}
 
 // tailLagGauge is one log's ingestion-lag gauge (file size minus consumed
 // offset after the last poll), as the tailer publishes it.

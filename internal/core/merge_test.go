@@ -290,3 +290,53 @@ func TestMergeShardsValidityOrderFree(t *testing.T) {
 			inFirst.InboundHist.Total(), inFirst.OutboundHist.Total())
 	}
 }
+
+// TestMergeShardsExpiredOrderFree: Figure 5 places an expired client
+// certificate by its earliest expired connection (TS, then UID), so a
+// certificate one sensor saw outbound and another saw inbound an hour
+// later is one outbound point whichever sensor's connection merges first.
+func TestMergeShardsExpiredOrderFree(t *testing.T) {
+	in := mergeInput(t)
+	var out, inb *ConnRecord
+	for i := range mergeBuild.Raw.Conns {
+		rec := &mergeBuild.Raw.Conns[i]
+		c := mergeBuild.Raw.Cert(rec.ClientLeaf())
+		if !rec.IsMutual() || !rec.Established || c == nil || c.HasIncorrectDates() {
+			continue
+		}
+		switch in.Plan.DirectionOf(rec.OrigIP, rec.RespIP) {
+		case netsim.Outbound:
+			out = cmp.Or(out, rec)
+		case netsim.Inbound:
+			inb = cmp.Or(inb, rec)
+		}
+	}
+	if out == nil || inb == nil {
+		t.Fatal("the build has no mutual connection in both directions")
+	}
+	// The outbound connection is made a month after its client
+	// certificate expired; the inbound one presents that certificate an
+	// hour later.
+	expired := *out
+	expired.TS = mergeBuild.Raw.Cert(out.ClientLeaf()).NotAfter.Add(30 * 24 * time.Hour)
+	shared := *inb
+	shared.ClientChain = out.ClientChain
+	shared.TS = expired.TS.Add(time.Hour)
+	roster := mergeCerts(mergeBuild)
+	merge := func(outSeq, inSeq uint64) *ExpiredReport {
+		return MergeShards(in, []ShardState{
+			{Certs: roster, Conns: []ConnRecord{expired}, Seqs: []uint64{outSeq}},
+			{Conns: []ConnRecord{shared}, Seqs: []uint64{inSeq}},
+		}, nil).Pipeline(&PreprocessReport{}).Expired()
+	}
+	outFirst, inFirst := merge(0, 1), merge(1, 0)
+	for _, rep := range []*ExpiredReport{outFirst, inFirst} {
+		if len(rep.Inbound.Points) != 0 || len(rep.Outbound.Points) != 1 {
+			t.Fatalf("the shared certificate gave %d inbound / %d outbound points, want 0 / 1",
+				len(rep.Inbound.Points), len(rep.Outbound.Points))
+		}
+	}
+	if !reflect.DeepEqual(outFirst, inFirst) {
+		t.Errorf("Figure 5 depends on merge order:\noutbound first %+v\ninbound first  %+v", outFirst, inFirst)
+	}
+}

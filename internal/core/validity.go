@@ -281,11 +281,11 @@ type ExpiredPoint struct {
 }
 
 func (e *enriched) expired() *ExpiredReport {
-	type state struct {
-		point   ExpiredPoint
-		inbound bool
-	}
-	certs := map[string]*state{}
+	// Each certificate is one point, placed by its earliest expired
+	// connection (TS, then UID): that connection names the SLD and the
+	// direction, so the merge order cannot move a point between the two
+	// subfigures.
+	earliest := map[ids.Fingerprint]*connView{}
 	inAssoc := stats.NewCounter()
 
 	for i := range e.conns {
@@ -300,42 +300,39 @@ func (e *enriched) expired() *ExpiredReport {
 		if cv.dir == netsim.Inbound {
 			inAssoc.Add(cv.assoc, cv.rec.Weight)
 		}
-		key := string(c.Fingerprint)
-		st, ok := certs[key]
-		if !ok {
-			u := e.usageOf(c, cv.rec.ClientChain)
-			st = &state{
-				point: ExpiredPoint{
-					DaysExpiredAtFirstUse: c.DaysExpiredAt(u.firstSeen),
-					DurationDays:          u.durationDays(),
-					Public:                u.class == truststore.Public,
-					IssuerOrg:             c.IssuerOrg,
-					SLD:                   cv.rawSLD(),
-				},
-				inbound: cv.dir == netsim.Inbound,
-			}
-			certs[key] = st
+		if first, ok := earliest[c.Fingerprint]; !ok || connBefore(cv.rec, first.rec) {
+			earliest[c.Fingerprint] = cv
 		}
 	}
 
 	rep := &ExpiredReport{}
-	for _, st := range certs {
+	for _, cv := range earliest {
+		c := cv.clientCert
+		u := e.usageOf(c, cv.rec.ClientChain)
+		point := ExpiredPoint{
+			DaysExpiredAtFirstUse: c.DaysExpiredAt(u.firstSeen),
+			DurationDays:          u.durationDays(),
+			Public:                u.class == truststore.Public,
+			IssuerOrg:             c.IssuerOrg,
+			SLD:                   cv.rawSLD(),
+		}
+		inbound := cv.dir == netsim.Inbound
 		dir := &rep.Outbound
-		if st.inbound {
+		if inbound {
 			dir = &rep.Inbound
 		}
-		dir.Points = append(dir.Points, st.point)
-		if st.point.Public {
+		dir.Points = append(dir.Points, point)
+		if point.Public {
 			dir.PublicCerts++
 		} else {
 			dir.PrivateCerts++
 		}
-		if !st.inbound {
-			if st.point.IssuerOrg == "Apple Inc." &&
-				st.point.DaysExpiredAtFirstUse >= 900 && st.point.DaysExpiredAtFirstUse <= 1100 {
+		if !inbound {
+			if point.IssuerOrg == "Apple Inc." &&
+				point.DaysExpiredAtFirstUse >= 900 && point.DaysExpiredAtFirstUse <= 1100 {
 				dir.AppleCluster++
 			}
-			if st.point.IssuerOrg == "Microsoft Corporation" {
+			if point.IssuerOrg == "Microsoft Corporation" {
 				dir.MicrosoftCount++
 			}
 		}

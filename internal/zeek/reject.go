@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/metrics"
@@ -116,14 +118,20 @@ func (o *Options) reject(file string, re *RowError) {
 }
 
 // RejectCounters is the rejection counter family of one registry with
-// every (file, reason) series resolved — for a reader that totals them
-// often (the daemon's stats endpoint) and should not go through the
-// registry's get-or-create each time.
+// every (file, reason) series resolved and sorted by "file/reason" key —
+// for a reader that totals them often (the daemon's stats endpoint) and
+// should not go through the registry's get-or-create each time.
 type RejectCounters []rejectCounter
 
 type rejectCounter struct {
 	key string // "file/reason"
 	c   *metrics.Counter
+}
+
+// RejectCount is one "file/reason" key with its count.
+type RejectCount struct {
+	Key string
+	N   uint64
 }
 
 // ResolveRejectCounters get-or-creates every series of the family, so it
@@ -139,19 +147,31 @@ func ResolveRejectCounters(reg *metrics.Registry) RejectCounters {
 			})
 		}
 	}
+	slices.SortFunc(rc, func(a, b rejectCounter) int { return strings.Compare(a.key, b.key) })
 	return rc
+}
+
+// AppendNonzero reads each counter once: it appends the nonzero ones to
+// dst in key order and returns them with the grand total. It allocates
+// nothing when dst has room for them.
+func (rc RejectCounters) AppendNonzero(dst []RejectCount) ([]RejectCount, uint64) {
+	var total uint64
+	for _, r := range rc {
+		if v := r.c.Value(); v > 0 {
+			total += v
+			dst = append(dst, RejectCount{r.key, v})
+		}
+	}
+	return dst, total
 }
 
 // Totals reads the counters: the grand total and the per-"file/reason"
 // breakdown of the nonzero ones.
 func (rc RejectCounters) Totals() (total uint64, byReason map[string]uint64) {
-	byReason = make(map[string]uint64, len(rc))
-	for _, r := range rc {
-		v := r.c.Value()
-		total += v
-		if v > 0 {
-			byReason[r.key] = v
-		}
+	nonzero, total := rc.AppendNonzero(nil)
+	byReason = make(map[string]uint64, len(nonzero))
+	for _, r := range nonzero {
+		byReason[r.Key] = r.N
 	}
 	return total, byReason
 }

@@ -3,10 +3,12 @@ package zeek
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/race"
 )
 
 // TestQuarantineByteCap pins the unbounded-growth fix: under a
@@ -111,5 +113,49 @@ func TestQuarantineCapCountsExistingFile(t *testing.T) {
 	}
 	if fi2, _ := os.Stat(path); fi2.Size() != fi.Size() {
 		t.Errorf("capped reopen still grew the file: %d -> %d", fi.Size(), fi2.Size())
+	}
+}
+
+// TestRejectCountersAppendNonzero: the resolved counters read back in
+// "file/reason" key order, nonzero ones only, each once, with the grand
+// total beside them, agreeing with Totals, and without allocating into a
+// slice that has room.
+func TestRejectCountersAppendNonzero(t *testing.T) {
+	reg := metrics.New()
+	rc := ResolveRejectCounters(reg)
+	reg.Counter(RejectMetric, "", "file", "x509", "reason", string(RejectCertVersion)).Add(4)
+	reg.Counter(RejectMetric, "", "file", "ssl", "reason", string(RejectWeight)).Add(2)
+	reg.Counter(RejectMetric, "", "file", "ssl", "reason", string(RejectFieldCount)).Inc()
+
+	got, total := rc.AppendNonzero(nil)
+	want := []RejectCount{
+		{"ssl/" + string(RejectFieldCount), 1},
+		{"ssl/" + string(RejectWeight), 2},
+		{"x509/" + string(RejectCertVersion), 4},
+	}
+	if total != 7 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendNonzero = %v, %d; want %v, 7", got, total, want)
+	}
+	for i := 1; i < len(rc); i++ {
+		if rc[i-1].key >= rc[i].key {
+			t.Fatalf("counters not sorted by key: %q before %q", rc[i-1].key, rc[i].key)
+		}
+	}
+	tot, byReason := rc.Totals()
+	if tot != total || len(byReason) != len(want) {
+		t.Fatalf("Totals = %d, %v; AppendNonzero gave %d, %v", tot, byReason, total, got)
+	}
+	for _, w := range want {
+		if byReason[w.Key] != w.N {
+			t.Errorf("Totals[%q] = %d, want %d", w.Key, byReason[w.Key], w.N)
+		}
+	}
+
+	if race.Enabled {
+		return
+	}
+	buf := make([]RejectCount, 0, len(rc))
+	if n := testing.AllocsPerRun(100, func() { buf, _ = rc.AppendNonzero(buf[:0]) }); n != 0 {
+		t.Errorf("AppendNonzero into a slice with room allocates %.0f", n)
 	}
 }
