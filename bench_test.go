@@ -280,6 +280,25 @@ func BenchmarkTable14NonMutual(b *testing.B) {
 	}
 }
 
+// BenchmarkContentTablesCold reads Tables 8, 9, 13 and 14 on a fresh
+// pipeline, the cost of a daemon's first read after a rebuild: each
+// certificate is classified on the first read of it, and the four tables
+// share those classifications. Preprocessing runs with the timer stopped.
+func BenchmarkContentTablesCold(b *testing.B) {
+	benchPipeline(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p := core.NewPipeline(benchIn)
+		b.StartTimer()
+		p.Contents()
+		p.Unidentified()
+		p.SharedInfo()
+		p.NonMutual()
+	}
+}
+
 // BenchmarkInterceptionFilter times the §3.2 detector end to end (it runs
 // inside preprocessing; this isolates it on a fresh pipeline).
 func BenchmarkInterceptionFilter(b *testing.B) {

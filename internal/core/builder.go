@@ -126,7 +126,8 @@ func (b *Builder) Exclude(newly []ids.Fingerprint) int {
 	for _, fp := range newly {
 		if c := e.ds.Certs[fp]; c != nil {
 			delete(e.ds.Certs, fp)
-			if _, used := w.usage[fp]; used {
+			if u, used := w.usage[fp]; used {
+				e.countMutual(u, -1)
 				delete(w.usage, fp)
 				if gone == nil {
 					gone = make(map[*certmodel.CertInfo]bool)
@@ -185,6 +186,7 @@ func (b *Builder) Exclude(newly []ids.Fingerprint) int {
 
 	if len(touched) > 0 {
 		for c := range touched {
+			e.countMutual(w.usage[c.Fingerprint], -1)
 			delete(w.usage, c.Fingerprint)
 		}
 		for i := range e.conns {

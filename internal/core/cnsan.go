@@ -125,16 +125,18 @@ var contentColumns = []string{"server-public", "server-private", "client-public"
 
 func (e *enriched) contents() *ContentsReport {
 	rep := newContentsReport()
+	e.contentMu.Lock()
+	defer e.contentMu.Unlock()
 	for _, u := range e.usage {
 		if u.sharedSameConn {
 			continue // Table 13 handles these
 		}
 		pub := u.class == truststore.Public
 		if u.mutualServer {
-			e.accumulateContents(rep, column("server", pub), u)
+			e.accumulateContents(rep, column(false, pub), u)
 		}
 		if u.mutualClient {
-			e.accumulateContents(rep, column("client", pub), u)
+			e.accumulateContents(rep, column(true, pub), u)
 		}
 	}
 	return rep
@@ -152,39 +154,119 @@ func newContentsReport() *ContentsReport {
 	return rep
 }
 
-func column(role string, pub bool) string {
-	if pub {
-		return role + "-public"
+// column names the Table 8 column of a client or server certificate.
+func column(client, pub bool) string {
+	switch {
+	case client && pub:
+		return "client-public"
+	case client:
+		return "client-private"
+	case pub:
+		return "server-public"
 	}
-	return role + "-private"
+	return "server-private"
 }
 
-// accumulateContents classifies one certificate's CN and SAN values into
-// the report column.
+// accumulateContents counts one certificate's CN and SAN types into a
+// column of contentColumns. The caller holds e.contentMu.
 func (e *enriched) accumulateContents(rep *ContentsReport, col string, u *certUsage) {
 	c := u.cert
-	if rep.CN[col] == nil {
-		rep.CN[col] = map[string]int{}
-		rep.SAN[col] = map[string]int{}
+	if c.SubjectCN == "" && len(c.SANDNS) == 0 {
+		return
 	}
+	cc := e.contentsOf(u)
 	if c.SubjectCN != "" {
 		rep.CNTotals[col]++
-		t := e.info.Classify(c.SubjectCN, c.IssuerKey())
-		rep.CN[col][t.String()]++
+		rep.CN[col][cc.cn.String()]++
 	}
 	if len(c.SANDNS) > 0 {
 		rep.SANTotals[col]++
 		// A SAN can contain multiple types; count each type once per cert
 		// (the paper's note that SAN percentages can exceed 100%).
-		seen := map[string]bool{}
-		for _, v := range c.SANDNS {
-			t := e.info.Classify(v, c.IssuerKey()).String()
-			if !seen[t] {
-				seen[t] = true
-				rep.SAN[col][t]++
+		for _, t := range infotype.AllTypes {
+			if cc.san&(1<<t) != 0 {
+				rep.SAN[col][t.String()]++
 			}
 		}
 	}
+}
+
+// certContents is one certificate's CN/SAN classification: everything
+// Tables 8, 9, 13 and 14 read of its values. It is a pure function of the
+// certificate and the campus issuer list, so each certificate is
+// classified once however often the tables are read.
+type certContents struct {
+	filled bool
+	// cn is the CN's type; cnBucket its Table 9 bucket when the CN is
+	// non-empty and Unidentified.
+	cn       infotype.InfoType
+	cnBucket infotype.RandomBucket
+	// san has bit t set when some SAN DNS value is of type t.
+	san uint16
+	// sanBuckets are the Table 9 buckets of the Unidentified SAN DNS
+	// values, in SAN order.
+	sanBuckets []infotype.RandomBucket
+}
+
+// campusValue keys the value memo: a value's type depends on its
+// certificate's issuer only through the campus flag.
+type campusValue struct {
+	value  string
+	campus bool
+}
+
+// contentsOf returns u's classification, filling it on first use. The
+// caller holds e.contentMu.
+func (e *enriched) contentsOf(u *certUsage) *certContents {
+	cc := &u.contents
+	if cc.filled {
+		return cc
+	}
+	c := u.cert
+	issuer := c.IssuerKey()
+	campus, ok := e.campus[issuer]
+	if !ok {
+		campus = e.info.IsCampusIssuer(issuer)
+		e.campus[issuer] = campus
+	}
+	cc.cn = e.infoType(c.SubjectCN, campus)
+	if c.SubjectCN != "" && cc.cn == infotype.Unidentified {
+		cc.cnBucket = infotype.ClassifyUnidentified(c.SubjectCN, e.recognizableIssuer(issuer))
+	}
+	for _, v := range c.SANDNS {
+		t := e.infoType(v, campus)
+		cc.san |= 1 << t
+		if t == infotype.Unidentified {
+			cc.sanBuckets = append(cc.sanBuckets, infotype.ClassifyUnidentified(v, e.recognizableIssuer(issuer)))
+		}
+	}
+	cc.filled = true
+	return cc
+}
+
+// infoType is the memoized infotype.ClassifyCampus. The caller holds
+// e.contentMu.
+func (e *enriched) infoType(value string, campus bool) infotype.InfoType {
+	k := campusValue{value, campus}
+	t, ok := e.infoTypes[k]
+	if !ok {
+		t = e.info.ClassifyCampus(value, campus)
+		e.infoTypes[k] = t
+	}
+	return t
+}
+
+// recognizableIssuer reports, memoized, whether an issuer names the
+// generator of its certificates' random strings (Table 9's "by Issuer"
+// bucket); Recognize is fuzzy-match expensive and issuers are few. The
+// caller holds e.contentMu.
+func (e *enriched) recognizableIssuer(issuer string) bool {
+	v, ok := e.recognizable[issuer]
+	if !ok {
+		v = nerlite.Recognize(issuer) != nerlite.LabelNone
+		e.recognizable[issuer] = v
+	}
+	return v
 }
 
 // UnidentifiedReport is Table 9: sub-classification of unidentified CN/SAN
@@ -206,48 +288,39 @@ func (r *UnidentifiedReport) Share(column, bucket string) float64 {
 
 func (e *enriched) unidentified() *UnidentifiedReport {
 	rep := &UnidentifiedReport{Buckets: map[string]map[string]int{}, Totals: map[string]int{}}
-	// Issuer recognizability is memoized: the issuer space is tiny
-	// compared to the certificate space and Recognize is fuzzy-match
-	// expensive.
-	recog := map[string]bool{}
-	recognizable := func(issuerKey string) bool {
-		if v, ok := recog[issuerKey]; ok {
-			return v
-		}
-		v := nerlite.Recognize(issuerKey) != nerlite.LabelNone
-		recog[issuerKey] = v
-		return v
-	}
-	add := func(col, value, issuerKey string) {
-		if e.info.Classify(value, issuerKey) != infotype.Unidentified {
-			return
-		}
-		b := infotype.ClassifyUnidentified(value, recognizable(issuerKey)).String()
+	add := func(col string, b infotype.RandomBucket) {
 		if rep.Buckets[col] == nil {
 			rep.Buckets[col] = map[string]int{}
 		}
-		rep.Buckets[col][b]++
+		rep.Buckets[col][b.String()]++
 		rep.Totals[col]++
 	}
+	e.contentMu.Lock()
+	defer e.contentMu.Unlock()
 	for _, u := range e.usage {
 		if u.sharedSameConn {
 			continue
 		}
 		c := u.cert
-		pub := u.class == truststore.Public
-		issuer := c.IssuerKey()
-		if u.mutualServer && !pub && c.SubjectCN != "" {
-			add("server-private-CN", c.SubjectCN, issuer)
+		if !u.mutualServer && !u.mutualClient || c.SubjectCN == "" && len(c.SANDNS) == 0 {
+			continue
 		}
-		if u.mutualClient && pub && c.SubjectCN != "" {
-			add("client-public-CN", c.SubjectCN, issuer)
+		cc := e.contentsOf(u)
+		pub := u.class == truststore.Public
+		if c.SubjectCN != "" && cc.cn == infotype.Unidentified {
+			if u.mutualServer && !pub {
+				add("server-private-CN", cc.cnBucket)
+			}
+			if u.mutualClient && pub {
+				add("client-public-CN", cc.cnBucket)
+			}
+			if u.mutualClient && !pub {
+				add("client-private-CN", cc.cnBucket)
+			}
 		}
 		if u.mutualClient && !pub {
-			if c.SubjectCN != "" {
-				add("client-private-CN", c.SubjectCN, issuer)
-			}
-			for _, v := range c.SANDNS {
-				add("client-private-SAN", v, issuer)
+			for _, b := range cc.sanBuckets {
+				add("client-private-SAN", b)
 			}
 		}
 	}
@@ -283,6 +356,8 @@ func (e *enriched) sharedInfo() *SharedInfoReport {
 		}
 	}
 	cr := newContentsReport()
+	e.contentMu.Lock()
+	defer e.contentMu.Unlock()
 	for _, u := range e.usage {
 		if !u.sharedSameConn {
 			continue
@@ -345,6 +420,8 @@ func (e *enriched) nonMutual() *NonMutualReport {
 		}
 	}
 	cr := newContentsReport()
+	e.contentMu.Lock()
+	defer e.contentMu.Unlock()
 	for _, u := range e.usage {
 		// Server certs used ONLY outside mutual TLS.
 		if !u.asServer || u.mutualServer {

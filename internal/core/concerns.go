@@ -32,23 +32,7 @@ func (r *ConcernsReport) AffectedShare() float64 {
 }
 
 func (e *enriched) concerns() *ConcernsReport {
-	// Pre-identify collided (issuer, serial) pairs once.
-	type skey struct{ issuer, serial string }
-	counts := map[skey]map[string]bool{}
-	for _, u := range e.usage {
-		if !u.mutualServer && !u.mutualClient {
-			continue
-		}
-		k := skey{u.cert.IssuerKey(), u.cert.SerialHex}
-		if counts[k] == nil {
-			counts[k] = map[string]bool{}
-		}
-		counts[k][string(u.cert.Fingerprint)] = true
-	}
-	collided := func(issuer, serial string) bool {
-		return len(counts[skey{issuer, serial}]) >= 2
-	}
-
+	collided := e.collided
 	rep := &ConcernsReport{}
 	for i := range e.conns {
 		cv := &e.conns[i]
@@ -70,7 +54,7 @@ func (e *enriched) concerns() *ConcernsReport {
 				rep.DummyIssuer += w
 				affected = true
 			}
-			if collided(cli.IssuerKey(), cli.SerialHex) {
+			if collided[serialKey{cli.IssuerKey(), cli.SerialHex}] {
 				rep.SerialCollision += w
 				affected = true
 			}
@@ -96,7 +80,7 @@ func (e *enriched) concerns() *ConcernsReport {
 				rep.IncorrectDates += w
 				affected = true
 			}
-			if collided(srv.IssuerKey(), srv.SerialHex) {
+			if collided[serialKey{srv.IssuerKey(), srv.SerialHex}] {
 				rep.SerialCollision += w
 				affected = true
 			}

@@ -8,6 +8,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/certmodel"
@@ -151,6 +152,11 @@ type certUsage struct {
 	// Subnet spread for Table 6: /24s of the endpoint that presented it.
 	serverSubnets subnetSet
 	clientSubnets subnetSet
+
+	// contents is the certificate's CN/SAN classification, filled the
+	// first time Table 8, 9, 13 or 14 reads it (enriched.contentsOf),
+	// under enriched.contentMu.
+	contents certContents
 }
 
 // subnetSet is an allocation-lean set of subnet keys. Most certificates
@@ -209,6 +215,24 @@ type enriched struct {
 	pre   *PreprocessReport
 	conns []connView
 	usage map[ids.Fingerprint]*certUsage
+
+	// contentMu serializes the CN/SAN tables, which fill certContents and
+	// the memos below as they read (RunAll runs them concurrently).
+	contentMu sync.Mutex
+	// infoTypes memoizes the classification of each distinct value;
+	// campus and recognizable each issuer key's campus flag and
+	// nerlite recognizability. All three are pure functions of their keys.
+	infoTypes    map[campusValue]infotype.InfoType
+	campus       map[string]bool
+	recognizable map[string]bool
+
+	// serialCount counts, per (issuer, serial), the usage entries with a
+	// mutual-TLS role — one per fingerprint, so distinct certificates —
+	// and collided holds the pairs counted twice or more: the §5.1.2
+	// collisions. The enricher keeps both as usage changes (countMutual),
+	// so a read does not rebuild them; analyses only read them.
+	serialCount map[serialKey]int
+	collided    map[serialKey]bool
 }
 
 // PreprocessReport reproduces the §3.2 preprocessing statistics.
@@ -236,6 +260,39 @@ func newEnriched(in *Input) *enriched {
 		cls:   classify.New(in.Bundle),
 		info:  infotype.New(p, in.CampusIssuers),
 		usage: make(map[ids.Fingerprint]*certUsage),
+
+		infoTypes:    make(map[campusValue]infotype.InfoType),
+		campus:       make(map[string]bool),
+		recognizable: make(map[string]bool),
+
+		serialCount: make(map[serialKey]int),
+		collided:    make(map[serialKey]bool),
+	}
+}
+
+// countMutual moves u's (issuer, serial) count in the collision index by
+// d: +1 when u is about to take a mutual-TLS role, -1 when its entry
+// leaves the usage state. Only the first role counts, so +1 on an entry
+// that already has one, or -1 on one that never had one, changes nothing.
+func (e *enriched) countMutual(u *certUsage, d int) {
+	if u.mutualServer || u.mutualClient {
+		if d > 0 {
+			return // already counted
+		}
+	} else if d < 0 {
+		return // never counted
+	}
+	k := serialKey{u.cert.IssuerKey(), u.cert.SerialHex}
+	n := e.serialCount[k] + d
+	if n == 0 {
+		delete(e.serialCount, k)
+	} else {
+		e.serialCount[k] = n
+	}
+	if n >= 2 {
+		e.collided[k] = true
+	} else {
+		delete(e.collided, k)
 	}
 }
 
@@ -381,6 +438,7 @@ func (w *enricher) observeConn(cv *connView) {
 		u := w.usageOf(cv.serverCert, rec.ServerChain)
 		u.asServer = true
 		if cv.mutual {
+			w.e.countMutual(u, 1)
 			u.mutualServer = true
 		}
 		u.observe(rec.TS)
@@ -390,6 +448,7 @@ func (w *enricher) observeConn(cv *connView) {
 		u := w.usageOf(cv.clientCert, rec.ClientChain)
 		u.asClient = true
 		if cv.mutual {
+			w.e.countMutual(u, 1)
 			u.mutualClient = true
 		}
 		u.observe(rec.TS)

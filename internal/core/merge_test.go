@@ -12,6 +12,7 @@ import (
 	"repro/internal/ids"
 	"repro/internal/interception"
 	"repro/internal/netsim"
+	"repro/internal/truststore"
 	"repro/internal/workload"
 )
 
@@ -338,5 +339,65 @@ func TestMergeShardsExpiredOrderFree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(outFirst, inFirst) {
 		t.Errorf("Figure 5 depends on merge order:\noutbound first %+v\ninbound first  %+v", outFirst, inFirst)
+	}
+}
+
+// TestMergeShardsSharingSameOrderFree: Table 5 groups same-certificate
+// connections by (direction, SLD, issuer), and two certificates of one
+// issuer may differ in whether they chain to a public root. The group's
+// PublicIssuer flag comes from its earliest connection by (TS, UID), so
+// two sensors each holding one of them give one answer whichever merges
+// first.
+func TestMergeShardsSharingSameOrderFree(t *testing.T) {
+	in := mergeInput(t)
+	var tmpl *ConnRecord
+	for i := range mergeBuild.Raw.Conns {
+		rec := &mergeBuild.Raw.Conns[i]
+		if rec.IsMutual() && rec.Established && rec.SNI != "" &&
+			in.Plan.DirectionOf(rec.OrigIP, rec.RespIP) == netsim.Inbound {
+			tmpl = rec
+			break
+		}
+	}
+	var pub *certmodel.CertInfo
+	for _, c := range mergeCerts(mergeBuild) {
+		if !c.SelfSigned && in.Bundle.ClassifyLeaf(c, nil) == truststore.Public {
+			pub = c
+			break
+		}
+	}
+	if tmpl == nil || pub == nil {
+		t.Fatal("the build has no inbound mutual connection or no public-CA certificate")
+	}
+	// Two certificates of the public one's issuer: one chains to a public
+	// root, the other is self-signed and so private.
+	public, private := *pub, *pub
+	public.Fingerprint, private.Fingerprint = "sharing-public", "sharing-private"
+	private.SelfSigned = true
+	// Each presents its certificate at both endpoints; the public one's
+	// connection is an hour earlier.
+	present := func(c *certmodel.CertInfo, uid ids.UID, ts time.Time) ConnRecord {
+		rec := *tmpl
+		rec.UID, rec.TS = uid, ts
+		rec.ServerChain = []ids.Fingerprint{c.Fingerprint}
+		rec.ClientChain = []ids.Fingerprint{c.Fingerprint}
+		return rec
+	}
+	early := present(&public, "C-early", tmpl.TS)
+	late := present(&private, "C-late", tmpl.TS.Add(time.Hour))
+	merge := func(earlySeq, lateSeq uint64) *SharingSameReport {
+		return MergeShards(in, []ShardState{
+			{Certs: []*certmodel.CertInfo{&public, &private}, Conns: []ConnRecord{early}, Seqs: []uint64{earlySeq}},
+			{Conns: []ConnRecord{late}, Seqs: []uint64{lateSeq}},
+		}, nil).Pipeline(&PreprocessReport{}).SharingSame()
+	}
+	earlyFirst, lateFirst := merge(0, 1), merge(1, 0)
+	for _, rep := range []*SharingSameReport{earlyFirst, lateFirst} {
+		if len(rep.Rows) != 1 || rep.Rows[0].Conns != early.Weight+late.Weight || !rep.Rows[0].PublicIssuer {
+			t.Fatalf("Table 5 rows %+v, want one public-issuer row of both connections", rep.Rows)
+		}
+	}
+	if !reflect.DeepEqual(earlyFirst, lateFirst) {
+		t.Errorf("Table 5 depends on merge order:\nearly first %+v\nlate first  %+v", earlyFirst, lateFirst)
 	}
 }

@@ -191,25 +191,7 @@ type SerialGroup struct {
 }
 
 func (e *enriched) serials() *SerialReport {
-	// Identify collided (issuerKey, serial) pairs: >= 2 distinct certs.
-	type skey struct{ issuer, serial string }
-	certsBySerial := map[skey]map[ids.Fingerprint]bool{}
-	for _, u := range e.usage {
-		if !u.mutualServer && !u.mutualClient {
-			continue
-		}
-		k := skey{u.cert.IssuerKey(), u.cert.SerialHex}
-		if certsBySerial[k] == nil {
-			certsBySerial[k] = map[ids.Fingerprint]bool{}
-		}
-		certsBySerial[k][u.cert.Fingerprint] = true
-	}
-	collided := map[skey]bool{}
-	for k, set := range certsBySerial {
-		if len(set) >= 2 {
-			collided[k] = true
-		}
-	}
+	collided := e.collided
 
 	type agg struct {
 		srvCerts, cliCerts map[ids.Fingerprint]bool
@@ -222,8 +204,8 @@ func (e *enriched) serials() *SerialReport {
 	outClients := map[string]bool{}
 	inBoth := map[string]bool{}
 	outBoth := map[string]bool{}
-	groups := map[skey]*agg{}
-	getAgg := func(k skey) *agg {
+	groups := map[serialKey]*agg{}
+	getAgg := func(k serialKey) *agg {
 		if a, ok := groups[k]; ok {
 			return a
 		}
@@ -242,7 +224,7 @@ func (e *enriched) serials() *SerialReport {
 		}
 		var srvHit, cliHit bool
 		if cv.serverCert != nil {
-			k := skey{cv.serverCert.IssuerKey(), cv.serverCert.SerialHex}
+			k := serialKey{cv.serverCert.IssuerKey(), cv.serverCert.SerialHex}
 			if collided[k] {
 				srvHit = true
 				a := getAgg(k)
@@ -256,7 +238,7 @@ func (e *enriched) serials() *SerialReport {
 			}
 		}
 		if cv.clientCert != nil {
-			k := skey{cv.clientCert.IssuerKey(), cv.clientCert.SerialHex}
+			k := serialKey{cv.clientCert.IssuerKey(), cv.clientCert.SerialHex}
 			if collided[k] {
 				cliHit = true
 				a := getAgg(k)
@@ -313,6 +295,9 @@ func (e *enriched) serials() *SerialReport {
 		},
 	}
 }
+
+// serialKey is an (issuer, serial) pair, the scope of a §5.1.2 collision.
+type serialKey struct{ issuer, serial string }
 
 // Group finds a collision group by issuer and serial.
 func (d *SerialDirection) Group(issuer, serial string) (SerialGroup, bool) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/truststore"
@@ -123,25 +125,50 @@ func (p *PrevalenceReport) LastShare() float64 {
 }
 
 func (e *enriched) prevalence() *PrevalenceReport {
-	overall := stats.NewMonthSeries()
-	in := stats.NewMonthSeries()
-	out := stats.NewMonthSeries()
+	// Sum per study month, then name each month once rather than format
+	// a timestamp (an allocation) per connection. A month index and a
+	// "2006-01" key name the same calendar month.
+	type month struct {
+		ts               time.Time // a connection of the month, to name it
+		overall, in, out monthSums
+		hasIn, hasOut    bool
+	}
+	months := make(map[int]*month)
 	for i := range e.conns {
 		cv := &e.conns[i]
 		if !cv.rec.Established {
 			continue
 		}
-		key := stats.MonthKey(cv.rec.TS.Format("2006-01"))
+		m := months[cv.month]
+		if m == nil {
+			m = &month{ts: cv.rec.TS}
+			months[cv.month] = m
+		}
 		var num int64
 		if cv.mutual {
 			num = cv.rec.Weight
 		}
-		overall.Add(key, num, cv.rec.Weight)
+		m.overall.add(num, cv.rec.Weight)
 		switch cv.dir {
 		case netsim.Inbound:
-			in.Add(key, num, cv.rec.Weight)
+			m.in.add(num, cv.rec.Weight)
+			m.hasIn = true
 		case netsim.Outbound:
-			out.Add(key, num, cv.rec.Weight)
+			m.out.add(num, cv.rec.Weight)
+			m.hasOut = true
+		}
+	}
+	overall := stats.NewMonthSeries()
+	in := stats.NewMonthSeries()
+	out := stats.NewMonthSeries()
+	for _, m := range months {
+		key := stats.MonthKey(m.ts.Format("2006-01"))
+		overall.Add(key, m.overall.num, m.overall.den)
+		if m.hasIn {
+			in.Add(key, m.in.num, m.in.den)
+		}
+		if m.hasOut {
+			out.Add(key, m.out.num, m.out.den)
 		}
 	}
 	return &PrevalenceReport{
@@ -150,3 +177,8 @@ func (e *enriched) prevalence() *PrevalenceReport {
 		Outbound: out.Points(),
 	}
 }
+
+// monthSums is one month's Figure 1 numerator and denominator.
+type monthSums struct{ num, den int64 }
+
+func (s *monthSums) add(num, den int64) { s.num += num; s.den += den }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/netsim"
 	"repro/internal/stats"
@@ -46,7 +46,7 @@ func portLabel(port uint16) string {
 	if port >= 50000 && port <= 51000 {
 		return "50000-51000"
 	}
-	return fmt.Sprintf("%d", port)
+	return strconv.Itoa(int(port))
 }
 
 // ServiceName resolves a port label to its service name.
@@ -58,25 +58,34 @@ func ServiceName(label string) string {
 }
 
 func (e *enriched) services() *ServicesReport {
-	mi, mo := stats.NewCounter(), stats.NewCounter()
-	ni, no := stats.NewCounter(), stats.NewCounter()
+	// Sum per port, then label each port once rather than format one per
+	// connection: ports are few, connections are not.
+	var mip, mop, nip, nop = map[uint16]int64{}, map[uint16]int64{}, map[uint16]int64{}, map[uint16]int64{}
 	for i := range e.conns {
 		cv := &e.conns[i]
 		if !cv.rec.Established {
 			continue
 		}
-		label := portLabel(cv.rec.RespPort)
+		port := cv.rec.RespPort
 		switch {
 		case cv.mutual && cv.dir == netsim.Inbound:
-			mi.Add(label, cv.rec.Weight)
+			mip[port] += cv.rec.Weight
 		case cv.mutual && cv.dir == netsim.Outbound:
-			mo.Add(label, cv.rec.Weight)
+			mop[port] += cv.rec.Weight
 		case !cv.mutual && cv.dir == netsim.Inbound:
-			ni.Add(label, cv.rec.Weight)
+			nip[port] += cv.rec.Weight
 		case !cv.mutual && cv.dir == netsim.Outbound:
-			no.Add(label, cv.rec.Weight)
+			nop[port] += cv.rec.Weight
 		}
 	}
+	label := func(byPort map[uint16]int64) *stats.Counter {
+		c := stats.NewCounter()
+		for port, w := range byPort {
+			c.Add(portLabel(port), w)
+		}
+		return c
+	}
+	mi, mo, ni, no := label(mip), label(mop), label(nip), label(nop)
 	top := func(c *stats.Counter) []ServiceRow {
 		var rows []ServiceRow
 		for _, kv := range c.Top(5) {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/truststore"
+	"repro/internal/zeek"
 )
 
 // SharingSameReport is Table 5: connections where both endpoints present
@@ -35,7 +36,12 @@ func (e *enriched) sharingSame() *SharingSameReport {
 		clients     map[string]bool
 		conns       int64
 		first, last int64
-		public      bool
+		// earliest is the group's first connection by (TS, UID), public
+		// the class of its server certificate: the certificates of one
+		// issuer need not agree, and the order connections merge in must
+		// not choose between them.
+		earliest *zeek.SSLRecord
+		public   bool
 	}
 	groups := map[key]*agg{}
 	rep := &SharingSameReport{}
@@ -59,8 +65,11 @@ func (e *enriched) sharingSame() *SharingSameReport {
 		a, ok := groups[k]
 		if !ok {
 			a = &agg{clients: map[string]bool{}, first: 1 << 62}
-			a.public = e.usageOf(cv.serverCert, cv.rec.ServerChain).class == truststore.Public
 			groups[k] = a
+		}
+		if a.earliest == nil || connBefore(cv.rec, a.earliest) {
+			a.earliest = cv.rec
+			a.public = e.usageOf(cv.serverCert, cv.rec.ServerChain).class == truststore.Public
 		}
 		a.clients[cv.rec.OrigIP] = true
 		a.conns += cv.rec.Weight

@@ -87,6 +87,19 @@ func New(list *psl.List, campusIssuers []string) *Classifier {
 // Classify labels one CN or SAN value. issuerKey is the certificate's
 // issuer identity (used only for the UserAccount rule).
 func (c *Classifier) Classify(value, issuerKey string) InfoType {
+	return c.ClassifyCampus(value, c.IsCampusIssuer(issuerKey))
+}
+
+// IsCampusIssuer reports whether issuerKey is one of the university's
+// issuers — all Classify reads of the issuer.
+func (c *Classifier) IsCampusIssuer(issuerKey string) bool {
+	return c.CampusIssuers[norm(issuerKey)]
+}
+
+// ClassifyCampus labels one CN or SAN value of a certificate whose issuer
+// is (campus) or is not a university issuer. It lets a caller that
+// classifies many values of few issuers resolve each issuer once.
+func (c *Classifier) ClassifyCampus(value string, campus bool) InfoType {
 	v := strings.TrimSpace(value)
 	if v == "" {
 		return Unidentified
@@ -112,7 +125,7 @@ func (c *Classifier) Classify(value, issuerKey string) InfoType {
 	if c.PSL.IsDomainName(v) {
 		return Domain
 	}
-	if IsUserAccountFormat(v) && c.CampusIssuers[norm(issuerKey)] {
+	if campus && IsUserAccountFormat(v) {
 		return UserAccount
 	}
 	// NER types.

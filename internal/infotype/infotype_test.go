@@ -4,46 +4,88 @@ import (
 	"testing"
 
 	"repro/internal/psl"
+	"repro/internal/workload"
 )
 
 func newClassifier() *Classifier {
 	return New(psl.Default(), []string{"University of Virginia", "UVA Campus CA"})
 }
 
+// classifyCases is the labelled lexicon: one value per type and edge case,
+// with the issuer that decides the UserAccount rule.
+var classifyCases = []struct {
+	value  string
+	issuer string
+	want   InfoType
+}{
+	{"www.idrive.com", "", Domain},
+	{"*.apple.com", "", Domain},
+	{"192.0.2.7", "", IP},
+	{"2001:db8::1", "", IP},
+	{"12:34:56:AB:CD:EF", "", MAC},
+	{"12-34-56-ab-cd-ef", "", MAC},
+	{"sip:alice@voip.example.com", "", SIP},
+	{"SIPS:bob@host", "", SIP},
+	{"ops@example.com", "", Email},
+	{"localhost", "", Localhost},
+	{"myhost.localdomain", "", Localhost},
+	{"hd7gr", "University of Virginia", UserAccount},
+	{"ys3kz", "uva campus ca", UserAccount},
+	{"John Smith", "", PersonalName},
+	{"WebRTC", "", OrgProduct},
+	{"twilio", "", OrgProduct},
+	{"Honeywell International Inc", "", OrgProduct},
+	{"Hybrid Runbook Worker", "", OrgProduct},
+	{"__transfer__", "", Unidentified},
+	{"Dtls", "", Unidentified},
+	{"9f86d081884c7d659a2feaa0c55ad015", "", Unidentified},
+	{"", "", Unidentified},
+}
+
 func TestClassifyFormatTypes(t *testing.T) {
 	c := newClassifier()
-	cases := []struct {
-		value  string
-		issuer string
-		want   InfoType
-	}{
-		{"www.idrive.com", "", Domain},
-		{"*.apple.com", "", Domain},
-		{"192.0.2.7", "", IP},
-		{"2001:db8::1", "", IP},
-		{"12:34:56:AB:CD:EF", "", MAC},
-		{"12-34-56-ab-cd-ef", "", MAC},
-		{"sip:alice@voip.example.com", "", SIP},
-		{"SIPS:bob@host", "", SIP},
-		{"ops@example.com", "", Email},
-		{"localhost", "", Localhost},
-		{"myhost.localdomain", "", Localhost},
-		{"hd7gr", "University of Virginia", UserAccount},
-		{"ys3kz", "uva campus ca", UserAccount},
-		{"John Smith", "", PersonalName},
-		{"WebRTC", "", OrgProduct},
-		{"twilio", "", OrgProduct},
-		{"Honeywell International Inc", "", OrgProduct},
-		{"Hybrid Runbook Worker", "", OrgProduct},
-		{"__transfer__", "", Unidentified},
-		{"Dtls", "", Unidentified},
-		{"9f86d081884c7d659a2feaa0c55ad015", "", Unidentified},
-		{"", "", Unidentified},
-	}
-	for _, tc := range cases {
+	for _, tc := range classifyCases {
 		if got := c.Classify(tc.value, tc.issuer); got != tc.want {
 			t.Errorf("Classify(%q) = %v, want %v", tc.value, got, tc.want)
 		}
+	}
+}
+
+// TestClassifyIsClassifyCampus: Classify reads the issuer only through
+// IsCampusIssuer, so Classify(v, k) == ClassifyCampus(v, IsCampusIssuer(k))
+// over the lexicon and every CN/SAN value of a generated campus build,
+// each against its own issuer, the lexicon's issuers and every campus
+// issuer.
+func TestClassifyIsClassifyCampus(t *testing.T) {
+	b, err := workload.FromSpec(nil, workload.Config{CertScale: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(psl.Default(), b.CampusIssuers)
+	issuers := append([]string{"", "Random Private CA", " university  of VIRGINIA "}, b.CampusIssuers...)
+	check := func(value, issuer string) {
+		if got, want := c.ClassifyCampus(value, c.IsCampusIssuer(issuer)), c.Classify(value, issuer); got != want {
+			t.Errorf("ClassifyCampus(%q, IsCampusIssuer(%q)) = %v, Classify = %v", value, issuer, got, want)
+		}
+	}
+	n := 0
+	for _, tc := range classifyCases {
+		for _, k := range append(issuers, tc.issuer) {
+			check(tc.value, k)
+		}
+	}
+	for _, cert := range b.Raw.Certs {
+		for _, v := range append([]string{cert.SubjectCN}, cert.SANDNS...) {
+			for _, k := range append(issuers, cert.IssuerKey()) {
+				check(v, k)
+			}
+			if c.IsCampusIssuer(cert.IssuerKey()) && IsUserAccountFormat(v) {
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("the build has no user account under a campus issuer: the campus flag went untested")
 	}
 }
 

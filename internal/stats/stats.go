@@ -56,20 +56,42 @@ type KV struct {
 // Top returns the k highest-count entries, ties broken lexicographically so
 // output is deterministic. k <= 0 returns all entries sorted.
 func (c *Counter) Top(k int) []KV {
-	out := make([]KV, 0, len(c.m))
-	for key, n := range c.m {
-		out = append(out, KV{key, n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+	if k <= 0 || k >= len(c.m) {
+		out := make([]KV, 0, len(c.m))
+		for key, n := range c.m {
+			out = append(out, KV{key, n})
 		}
-		return out[i].Key < out[j].Key
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+		sort.Slice(out, func(i, j int) bool { return kvBefore(out[i], out[j]) })
+		return out
+	}
+	// One pass keeping the k first in order: a report asks for a handful
+	// of rows from counters with thousands of keys.
+	out := make([]KV, 0, k+1)
+	for key, n := range c.m {
+		kv := KV{key, n}
+		if len(out) == k && !kvBefore(kv, out[k-1]) {
+			continue
+		}
+		i := len(out)
+		for i > 0 && kvBefore(kv, out[i-1]) {
+			i--
+		}
+		out = append(out, KV{})
+		copy(out[i+1:], out[i:])
+		out[i] = kv
+		if len(out) > k {
+			out = out[:k]
+		}
 	}
 	return out
+}
+
+// kvBefore is Top's order: higher count first, then key.
+func kvBefore(a, b KV) bool {
+	if a.Count != b.Count {
+		return a.Count > b.Count
+	}
+	return a.Key < b.Key
 }
 
 // Keys returns all keys sorted lexicographically.

@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -45,6 +47,22 @@ func TestCounterTopDeterministic(t *testing.T) {
 	all := c.Top(0)
 	if len(all) != 3 {
 		t.Fatalf("Top(0) should return all, got %d", len(all))
+	}
+}
+
+// TestCounterTopIsSortedPrefix: Top(k) is the first k entries of the full
+// order, for every k, over counts with many ties.
+func TestCounterTopIsSortedPrefix(t *testing.T) {
+	c := NewCounter()
+	for i := 0; i < 500; i++ {
+		c.Add(fmt.Sprintf("k%03d", (i*37)%211), int64(i%7))
+	}
+	all := c.Top(0)
+	for k := 1; k <= len(all)+1; k++ {
+		want := all[:min(k, len(all))]
+		if got := c.Top(k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Top(%d) = %v, want %v", k, got, want)
+		}
 	}
 }
 
