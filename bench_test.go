@@ -280,6 +280,61 @@ func BenchmarkTable14NonMutual(b *testing.B) {
 	}
 }
 
+// BenchmarkConcernsSummary regenerates the §5 security-concern summary.
+func BenchmarkConcernsSummary(b *testing.B) {
+	p := benchPipeline(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := p.Concerns()
+		logOnce(b, "Concerns: %d of %d mutual conn weight affected", r.AffectedTotal, r.MutualTotal)
+	}
+}
+
+// BenchmarkDurations regenerates the activity-duration histograms.
+func BenchmarkDurations(b *testing.B) {
+	p := benchPipeline(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := p.Durations()
+		logOnce(b, "Durations: client quantiles %v days", r.ClientQuantiles)
+	}
+}
+
+// BenchmarkSANTypes regenerates the §6.1.2 SAN-type utilization counts.
+func BenchmarkSANTypes(b *testing.B) {
+	p := benchPipeline(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := p.SANTypes()
+		logOnce(b, "SAN types: %d certs, DNS=%d IP=%d email=%d URI=%d", r.Total, r.DNS, r.IP, r.Email, r.URI)
+	}
+}
+
+// BenchmarkVersions regenerates the TLS-version shares.
+func BenchmarkVersions(b *testing.B) {
+	p := benchPipeline(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := p.Versions()
+		logOnce(b, "Versions: TLSv12=%s%%", stats.Pct(r.Share("TLSv12")))
+	}
+}
+
+// BenchmarkFingerprints regenerates the JA3/JA4 ClientHello table.
+func BenchmarkFingerprints(b *testing.B) {
+	p := benchPipeline(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := p.Fingerprints()
+		logOnce(b, "Fingerprints: %d rows, %d of %d weight fingerprinted", len(r.Rows), r.Fingerprinted, r.Total)
+	}
+}
+
 // BenchmarkContentTablesCold reads Tables 8, 9, 13 and 14 on a fresh
 // pipeline, the cost of a daemon's first read after a rebuild: each
 // certificate is classified on the first read of it, and the four tables

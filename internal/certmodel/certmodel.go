@@ -326,7 +326,17 @@ func AppendSyntheticIdentity(b []byte, c *CertInfo) []byte {
 var StudyEpoch = time.Date(2022, time.May, 1, 0, 0, 0, 0, time.UTC)
 
 // DayToTime maps a study-day offset (day 0 = 2022-05-01) to a UTC time.
-func DayToTime(day int) time.Time { return StudyEpoch.AddDate(0, 0, day) }
+// A UTC day is always 24 hours, so within a duration's range the offset
+// is added as one: the same time.Time as StudyEpoch.AddDate(0, 0, day)
+// without AddDate's calendar arithmetic, which the generator would pay
+// on every row.
+func DayToTime(day int) time.Time {
+	const maxDays = 100_000 // well inside time.Duration's ±292 years
+	if day < -maxDays || day > maxDays || StudyEpoch.Location() != time.UTC {
+		return StudyEpoch.AddDate(0, 0, day)
+	}
+	return StudyEpoch.Add(time.Duration(day) * 24 * time.Hour)
+}
 
 // TimeToMonth formats the Figure 1 month key.
 func TimeToMonth(t time.Time) string { return t.Format("2006-01") }

@@ -149,6 +149,16 @@ func TestSyntheticFingerprintStable(t *testing.T) {
 	}
 }
 
+// TestDayToTimeMatchesAddDate holds DayToTime to the calendar
+// arithmetic it skips, value for value, on both sides of its fast range.
+func TestDayToTimeMatchesAddDate(t *testing.T) {
+	for day := -120_000; day <= 120_000; day += 7 {
+		if got, want := DayToTime(day), StudyEpoch.AddDate(0, 0, day); got != want {
+			t.Fatalf("DayToTime(%d) = %v, want %v", day, got, want)
+		}
+	}
+}
+
 func TestDayToTimeAndMonth(t *testing.T) {
 	if got := DayToTime(0); !got.Equal(date(2022, 5, 1)) {
 		t.Fatalf("day 0 = %v", got)

@@ -27,9 +27,10 @@ type CertRecord = zeek.X509Record
 // NewPipeline would produce for an equivalent filtered dataset.
 //
 // The caller owns the order of connections: feeding the same connections
-// in the same order as a batch run yields a deeply equal Analysis,
-// because certificate classification is first-observation-wins exactly as
-// on the serial path. When a certificate arrives relative to the
+// in the same order as a batch run yields a deeply equal Analysis. A
+// certificate's class and issuer category do not depend on that order:
+// they come from the chain of its earliest connection by connBefore, on
+// the serial path as here. When a certificate arrives relative to the
 // connections that name it does not matter: AddCert re-enriches, in
 // position order, the views that failed to resolve it, and every usage
 // update is idempotent (flags, min/max timestamps, subnet sets), so the
@@ -126,9 +127,9 @@ func (b *Builder) Exclude(newly []ids.Fingerprint) int {
 	for _, fp := range newly {
 		if c := e.ds.Certs[fp]; c != nil {
 			delete(e.ds.Certs, fp)
-			if u, used := w.usage[fp]; used {
+			if u, used := w.usage.byFP[fp]; used {
 				e.countMutual(u, -1)
-				delete(w.usage, fp)
+				w.usage.remove(u)
 				if gone == nil {
 					gone = make(map[*certmodel.CertInfo]bool)
 				}
@@ -156,8 +157,8 @@ func (b *Builder) Exclude(newly []ids.Fingerprint) int {
 	for i := range e.conns {
 		cv := &e.conns[i]
 		var out bool
-		if cv.serverCert != nil {
-			out = gone[cv.serverCert]
+		if cv.server != nil {
+			out = gone[cv.server.cert]
 		} else if len(drop) > 0 && drop[0] == int32(i) {
 			out, drop = true, drop[1:]
 		}
@@ -166,13 +167,13 @@ func (b *Builder) Exclude(newly []ids.Fingerprint) int {
 			if cv.rec.Version == "TLSv13" {
 				w.tls13W -= cv.rec.Weight
 			}
-			if c := cv.clientCert; c != nil && !gone[c] {
-				touched[c] = true
+			if u := cv.client; u != nil && !gone[u.cert] {
+				touched[u.cert] = true
 			}
 			removed = append(removed, int32(i))
 			continue
 		}
-		if cv.clientCert != nil && gone[cv.clientCert] {
+		if cv.client != nil && gone[cv.client.cert] {
 			*cv = w.view(cv.rec)
 			reviewed = append(reviewed, int32(n))
 		}
@@ -186,12 +187,15 @@ func (b *Builder) Exclude(newly []ids.Fingerprint) int {
 
 	if len(touched) > 0 {
 		for c := range touched {
-			e.countMutual(w.usage[c.Fingerprint], -1)
-			delete(w.usage, c.Fingerprint)
+			u := w.usage.byFP[c.Fingerprint]
+			e.countMutual(u, -1)
+			w.usage.remove(u)
 		}
 		for i := range e.conns {
-			if cv := &e.conns[i]; touched[cv.serverCert] || touched[cv.clientCert] {
-				w.observeConn(cv)
+			cv := &e.conns[i]
+			server, client := certOf(cv.server), certOf(cv.client)
+			if touched[server] || touched[client] {
+				w.observeConn(cv, server, client)
 			}
 		}
 	}
@@ -219,6 +223,14 @@ func (b *Builder) Exclude(newly []ids.Fingerprint) int {
 	return len(removed)
 }
 
+// certOf is u's certificate, nil for a nil entry.
+func certOf(u *certUsage) *certmodel.CertInfo {
+	if u == nil {
+		return nil
+	}
+	return u.cert
+}
+
 // AddConn enriches one connection and appends it to the analysis state.
 // The record pointer is retained by the enriched view; callers must not
 // mutate it afterwards.
@@ -228,10 +240,10 @@ func (b *Builder) AddConn(rec *ConnRecord) {
 	// under it — once when both sides name the same one.
 	pos := int32(len(b.e.conns))
 	sl, cl := rec.ServerLeaf(), rec.ClientLeaf()
-	if cv.serverCert == nil && sl != "" {
+	if cv.server == nil && sl != "" {
 		b.waiting[sl] = append(b.waiting[sl], pos)
 	}
-	if cv.clientCert == nil && cl != "" && cl != sl {
+	if cv.client == nil && cl != "" && cl != sl {
 		b.waiting[cl] = append(b.waiting[cl], pos)
 	}
 	b.e.conns = append(b.e.conns, cv)

@@ -59,7 +59,7 @@ func (e *enriched) utilization() *UtilizationReport {
 			b.san++
 		}
 	}
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		pub := u.class == truststore.Public
 		if u.mutualServer {
 			add(&srv, u.cert)
@@ -127,7 +127,7 @@ func (e *enriched) contents() *ContentsReport {
 	rep := newContentsReport()
 	e.contentMu.Lock()
 	defer e.contentMu.Unlock()
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		if u.sharedSameConn {
 			continue // Table 13 handles these
 		}
@@ -297,7 +297,7 @@ func (e *enriched) unidentified() *UnidentifiedReport {
 	}
 	e.contentMu.Lock()
 	defer e.contentMu.Unlock()
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		if u.sharedSameConn {
 			continue
 		}
@@ -358,7 +358,7 @@ func (e *enriched) sharedInfo() *SharedInfoReport {
 	cr := newContentsReport()
 	e.contentMu.Lock()
 	defer e.contentMu.Unlock()
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		if !u.sharedSameConn {
 			continue
 		}
@@ -422,7 +422,7 @@ func (e *enriched) nonMutual() *NonMutualReport {
 	cr := newContentsReport()
 	e.contentMu.Lock()
 	defer e.contentMu.Unlock()
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		// Server certs used ONLY outside mutual TLS.
 		if !u.asServer || u.mutualServer {
 			continue

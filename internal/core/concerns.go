@@ -42,10 +42,9 @@ func (e *enriched) concerns() *ConcernsReport {
 		w := cv.rec.Weight
 		rep.MutualTotal += w
 		affected := false
-		cli, srv := cv.clientCert, cv.serverCert
 
-		if cli != nil {
-			u := e.usageOf(cli, cv.rec.ClientChain)
+		if u := cv.client; u != nil {
+			cli := u.cert
 			if u.category == classify.MissingIssuer {
 				rep.MissingClientIssuer += w
 				affected = true
@@ -70,8 +69,8 @@ func (e *enriched) concerns() *ConcernsReport {
 				affected = true
 			}
 		}
-		if srv != nil {
-			u := e.usageOf(srv, cv.rec.ServerChain)
+		if u := cv.server; u != nil {
+			srv := u.cert
 			if u.dummyIssuer {
 				rep.DummyIssuer += w
 				affected = true

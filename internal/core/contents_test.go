@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -20,19 +21,19 @@ func TestContentsMemoMatchesClassify(t *testing.T) {
 	p := NewPipeline(parallelInput(t, 1))
 	e := p.e
 	p.RunAll()
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		if !u.contents.filled && (u.mutualServer || u.mutualClient || u.asServer) && (u.cert.SubjectCN != "" || len(u.cert.SANDNS) > 0) {
 			t.Fatalf("%s: a certificate the CN/SAN tables read was left unclassified", u.cert.Fingerprint)
 		}
 	}
 	e.contentMu.Lock()
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		e.contentsOf(u) // the rest of the build, which no table reads
 	}
 	e.contentMu.Unlock()
 
 	pairs := map[campusValue]bool{}
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		c := u.cert
 		issuer := c.IssuerKey()
 		campus := e.info.IsCampusIssuer(issuer)
@@ -142,6 +143,43 @@ func TestWarmTable9Allocs(t *testing.T) {
 	}
 }
 
+// Warm Figure 4 bounds: the report (two histograms, the category
+// counter, its top five) in allocations, and in bytes that plus the index
+// of each certificate's earliest connection — one pointer per usage
+// entry. Measured 10 allocations and 8 bytes per entry plus 1.6 KiB at
+// scale 1000. Keyed by fingerprint in a map grown from empty, the index
+// cost 749 KB per read at scale 500.
+const (
+	warmFigure4Allocs      = 13
+	warmFigure4EntryBytes  = 8
+	warmFigure4ReportBytes = 4 << 10
+)
+
+// TestWarmFigure4Allocs: a warm Figure 4 read allocates its report and
+// one dense index over the usage entries, nothing per connection.
+func TestWarmFigure4Allocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts under the race detector pin its internals")
+	}
+	p := NewPipeline(parallelInput(t, 1))
+	p.Validity()
+	const runs = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(runs, func() { p.Validity() })
+	runtime.ReadMemStats(&m1)
+	// AllocsPerRun makes one warm-up call beside its runs.
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1)
+	entries := len(p.e.usage.list)
+	t.Logf("warm Figure 4: %.0f allocs, %.0f bytes per read over %d usage entries", allocs, bytes, entries)
+	if allocs > warmFigure4Allocs {
+		t.Errorf("a warm Figure 4 read allocates %.0f times, want at most %d", allocs, warmFigure4Allocs)
+	}
+	if limit := float64(warmFigure4EntryBytes*entries + warmFigure4ReportBytes); bytes > limit {
+		t.Errorf("a warm Figure 4 read allocates %.0f bytes, want at most %.0f", bytes, limit)
+	}
+}
+
 // TestCollisionIndexFollowsUsage holds the enricher's serial-collision
 // index to a recount over the usage state — after a whole build, and
 // after Exclude takes back certificates, some of them in collided pairs,
@@ -157,7 +195,7 @@ func TestCollisionIndexFollowsUsage(t *testing.T) {
 	}
 	recount := func() map[serialKey]bool {
 		n := map[serialKey]int{}
-		for _, u := range b.w.usage {
+		for _, u := range b.w.usage.list {
 			if u.mutualServer || u.mutualClient {
 				n[serialKey{u.cert.IssuerKey(), u.cert.SerialHex}]++
 			}
@@ -183,10 +221,10 @@ func TestCollisionIndexFollowsUsage(t *testing.T) {
 	var newly []ids.Fingerprint
 	seen := map[ids.Fingerprint]bool{}
 	for i, cv := range b.e.conns {
-		c := cv.serverCert
-		if !cv.mutual || c == nil || seen[c.Fingerprint] {
+		if !cv.mutual || cv.server == nil || seen[cv.server.cert.Fingerprint] {
 			continue
 		}
+		c := cv.server.cert
 		seen[c.Fingerprint] = true
 		if i%3 == 0 || want[serialKey{c.IssuerKey(), c.SerialHex}] {
 			newly = append(newly, c.Fingerprint)

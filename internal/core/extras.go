@@ -25,7 +25,7 @@ func (r *SANTypesReport) EmptyShare(nonEmpty int) float64 {
 
 func (e *enriched) sanTypes() *SANTypesReport {
 	rep := &SANTypesReport{}
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		if !u.mutualServer && !u.mutualClient {
 			continue
 		}
@@ -67,7 +67,7 @@ func (e *enriched) durations() *DurationReport {
 		Client: stats.NewHistogram(durationBounds...),
 	}
 	var clientDur []int64
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		d := u.durationDays()
 		if u.mutualServer {
 			rep.Server.Observe(d, 1)

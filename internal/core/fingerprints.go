@@ -89,10 +89,10 @@ func (e *enriched) fingerprints() *FingerprintReport {
 		if cv.rec.SNI != "" {
 			a.snis[cv.rec.SNI] = struct{}{}
 		}
-		if cv.clientCert != nil {
+		if cv.client != nil {
 			a.row.MutualConns += cv.rec.Weight
-			a.certs[cv.clientCert.Fingerprint] = struct{}{}
-			a.issuers[cv.clientCert.IssuerOrg] += cv.rec.Weight
+			a.certs[cv.client.cert.Fingerprint] = struct{}{}
+			a.issuers[cv.client.cert.IssuerOrg] += cv.rec.Weight
 		}
 	}
 	for _, a := range byShape {

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -126,19 +127,28 @@ type connView struct {
 	// sniSLD is the SLD extracted from the SNI alone, without the
 	// certificate-name fallback applied to sld — the Table 5 / Figure 4
 	// grouping key, precomputed so analyses never re-split hostnames.
-	sniSLD     string
-	assoc      string
-	serverCert *certmodel.CertInfo
-	clientCert *certmodel.CertInfo
-	mutual     bool
+	sniSLD string
+	assoc  string
+	// server and client are the usage entries of the leaf certificates
+	// the connection presented (nil for a side without one, or one that
+	// did not resolve); u.cert is the certificate.
+	server, client *certUsage
+	mutual         bool
 }
 
 // certUsage aggregates how one certificate was used across the dataset.
 type certUsage struct {
-	cert  *certmodel.CertInfo
-	class truststore.Class
-	// issuer category (classify package).
+	cert *certmodel.CertInfo
+	// pos is the entry's position in usageSet.list.
+	pos int
+	// class and the issuer category (classify package) are taken from
+	// the chain the certificate was presented with on from, its earliest
+	// connection by connBefore — a rule the order connections arrive or
+	// are merged in cannot change. rest is that chain past the leaf.
+	class    truststore.Class
 	category classify.Category
+	from     *zeek.SSLRecord
+	rest     []ids.Fingerprint
 
 	asServer, asClient         bool
 	mutualServer, mutualClient bool
@@ -157,6 +167,32 @@ type certUsage struct {
 	// first time Table 8, 9, 13 or 14 reads it (enriched.contentsOf),
 	// under enriched.contentMu.
 	contents certContents
+}
+
+// usageSet is the usage state: the entries by fingerprint, and the same
+// entries as a dense list the reports range over. Removing an entry moves
+// the last one into its place.
+type usageSet struct {
+	byFP map[ids.Fingerprint]*certUsage
+	list []*certUsage
+}
+
+func newUsageSet() *usageSet {
+	return &usageSet{byFP: make(map[ids.Fingerprint]*certUsage)}
+}
+
+func (s *usageSet) add(u *certUsage) {
+	u.pos = len(s.list)
+	s.list = append(s.list, u)
+	s.byFP[u.cert.Fingerprint] = u
+}
+
+func (s *usageSet) remove(u *certUsage) {
+	last := s.list[len(s.list)-1]
+	s.list[u.pos], last.pos = last, u.pos
+	s.list[len(s.list)-1] = nil
+	s.list = s.list[:len(s.list)-1]
+	delete(s.byFP, u.cert.Fingerprint)
 }
 
 // subnetSet is an allocation-lean set of subnet keys. Most certificates
@@ -214,7 +250,7 @@ type enriched struct {
 	info  *infotype.Classifier
 	pre   *PreprocessReport
 	conns []connView
-	usage map[ids.Fingerprint]*certUsage
+	usage *usageSet
 
 	// contentMu serializes the CN/SAN tables, which fill certContents and
 	// the memos below as they read (RunAll runs them concurrently).
@@ -259,7 +295,7 @@ func newEnriched(in *Input) *enriched {
 		psl:   p,
 		cls:   classify.New(in.Bundle),
 		info:  infotype.New(p, in.CampusIssuers),
-		usage: make(map[ids.Fingerprint]*certUsage),
+		usage: newUsageSet(),
 
 		infoTypes:    make(map[campusValue]infotype.InfoType),
 		campus:       make(map[string]bool),
@@ -347,7 +383,7 @@ type enricher struct {
 	// subnets memoizes ids.SubnetOfString: addresses repeat across
 	// connections and the netip round trip allocates.
 	subnets        map[string]ids.SubnetKey
-	usage          map[ids.Fingerprint]*certUsage
+	usage          *usageSet
 	tls13W, totalW int64
 }
 
@@ -359,7 +395,7 @@ func (e *enriched) newEnricher(ix *assocIndex) *enricher {
 		memo:    classify.NewMemo(),
 		issuers: e.input.Bundle.NewIssuerMemo(),
 		subnets: make(map[string]ids.SubnetKey, 1024),
-		usage:   make(map[ids.Fingerprint]*certUsage),
+		usage:   newUsageSet(),
 	}
 }
 
@@ -399,15 +435,14 @@ func (w *enricher) view(rec *zeek.SSLRecord) connView {
 	cv.tld = split.TLD()
 	// §4.2: when the SNI is absent, resolve server information from
 	// the leaf certificates' SAN DNS / CN.
-	cv.serverCert = e.ds.Cert(rec.ServerLeaf())
-	cv.clientCert = e.ds.Cert(rec.ClientLeaf())
+	server, client := e.ds.Cert(rec.ServerLeaf()), e.ds.Cert(rec.ClientLeaf())
 	if cv.sld == "" {
-		cv.sld, cv.tld = w.resolveFromCerts(cv.serverCert, cv.clientCert)
+		cv.sld, cv.tld = w.resolveFromCerts(server, client)
 	}
 	cv.assoc = w.assoc.associate(rec.SNI, cv.sld)
 	cv.mutual = rec.IsMutual() && rec.Established
 
-	w.observeConn(&cv)
+	w.observeConn(&cv, server, client)
 	return cv
 }
 
@@ -431,11 +466,14 @@ func (w *enricher) resolveFromCerts(server, client *certmodel.CertInfo) (string,
 	return "", ""
 }
 
-// observeConn updates per-certificate usage.
-func (w *enricher) observeConn(cv *connView) {
+// observeConn updates the usage entries of the view's leaf certificates
+// (nil for a side without one) and points the view at them.
+func (w *enricher) observeConn(cv *connView, server, client *certmodel.CertInfo) {
 	rec := cv.rec
-	if cv.serverCert != nil {
-		u := w.usageOf(cv.serverCert, rec.ServerChain)
+	cv.server, cv.client = nil, nil
+	if server != nil {
+		u := w.usageOf(server, rec, rec.ServerChain)
+		cv.server = u
 		u.asServer = true
 		if cv.mutual {
 			w.e.countMutual(u, 1)
@@ -444,8 +482,9 @@ func (w *enricher) observeConn(cv *connView) {
 		u.observe(rec.TS)
 		u.serverSubnets.add(w.subnetOf(rec.RespIP))
 	}
-	if cv.clientCert != nil {
-		u := w.usageOf(cv.clientCert, rec.ClientChain)
+	if client != nil {
+		u := w.usageOf(client, rec, rec.ClientChain)
+		cv.client = u
 		u.asClient = true
 		if cv.mutual {
 			w.e.countMutual(u, 1)
@@ -454,53 +493,36 @@ func (w *enricher) observeConn(cv *connView) {
 		u.observe(rec.TS)
 		u.clientSubnets.add(w.subnetOf(rec.OrigIP))
 	}
-	if cv.mutual && rec.ServerLeaf() == rec.ClientLeaf() && cv.serverCert != nil {
-		w.usageOf(cv.serverCert, rec.ServerChain).sharedSameConn = true
+	if cv.mutual && rec.ServerLeaf() == rec.ClientLeaf() && cv.server != nil {
+		cv.server.sharedSameConn = true
 	}
 }
 
-// usageOf returns (creating if needed) the usage entry.
-func (w *enricher) usageOf(c *certmodel.CertInfo, chain []ids.Fingerprint) *certUsage {
-	if u, ok := w.usage[c.Fingerprint]; ok {
-		return u
-	}
-	u := newCertUsage(w.e, w.memo, w.issuers, c, chain)
-	w.usage[c.Fingerprint] = u
-	return u
-}
-
-// newCertUsage classifies a certificate the first time it is observed.
-// Nil memos skip the issuer-string caching (the concurrent analysis-path
-// fallback) but compute the same values.
-func newCertUsage(e *enriched, memo *classify.Memo, issuers *truststore.IssuerMemo, c *certmodel.CertInfo, chain []ids.Fingerprint) *certUsage {
+// usageOf returns (creating if needed) the usage entry of c, presented
+// on rec with chain. The entry is classified from the chain of its
+// earliest connection by connBefore, so a connection earlier than the
+// one it was classified from classifies it again; a chain past the leaf
+// equal to that one's cannot change the class and is only noted.
+func (w *enricher) usageOf(c *certmodel.CertInfo, rec *zeek.SSLRecord, chain []ids.Fingerprint) *certUsage {
 	var rest []ids.Fingerprint
 	if len(chain) > 1 {
 		rest = chain[1:]
 	}
-	var class truststore.Class
-	if issuers != nil {
-		class = issuers.ClassifyLeaf(c, rest)
-	} else {
-		class = e.input.Bundle.ClassifyLeaf(c, rest)
-	}
-	return &certUsage{
-		cert:        c,
-		class:       class,
-		category:    e.cls.CategoryWith(memo, c, rest),
-		dummyIssuer: memo.IsDummyIssuer(c.IssuerOrg),
-	}
-}
-
-// usageOf on the enriched state is the analysis-path lookup. Every
-// certificate reachable from a connection view is registered during
-// preprocessing, so this is a pure read — safe under the concurrent
-// analysis fan-out. A miss (impossible for pipeline-built views)
-// synthesizes an unstored entry rather than mutating shared state.
-func (e *enriched) usageOf(c *certmodel.CertInfo, chain []ids.Fingerprint) *certUsage {
-	if u, ok := e.usage[c.Fingerprint]; ok {
+	u, ok := w.usage.byFP[c.Fingerprint]
+	switch {
+	case !ok:
+		u = &certUsage{cert: c, dummyIssuer: w.memo.IsDummyIssuer(c.IssuerOrg)}
+		w.usage.add(u)
+	case !connBefore(rec, u.from):
+		return u
+	case slices.Equal(rest, u.rest):
+		u.from = rec
 		return u
 	}
-	return newCertUsage(e, nil, nil, c, chain)
+	u.from, u.rest = rec, rest
+	u.class = w.issuers.ClassifyLeaf(c, rest)
+	u.category = w.e.cls.CategoryWith(w.memo, c, rest)
+	return u
 }
 
 // monthIndex maps a timestamp to its study-month offset.

@@ -61,8 +61,8 @@ func (e *enriched) inbound() *InboundReport {
 			catClients[cv.assoc] = map[string]map[string]bool{}
 		}
 		clients[cv.assoc][ip] = true
-		if cv.clientCert != nil {
-			cat := e.usageOf(cv.clientCert, cv.rec.ClientChain).category.String()
+		if cv.client != nil {
+			cat := cv.client.category.String()
 			if catClients[cv.assoc][cat] == nil {
 				catClients[cv.assoc][cat] = map[string]bool{}
 			}
@@ -159,14 +159,14 @@ func (e *enriched) outbound() *OutboundReport {
 			slds.Add(cv.sld, w)
 		}
 		srvClass := "private"
-		if cv.serverCert != nil &&
-			e.usageOf(cv.serverCert, cv.rec.ServerChain).class == truststore.Public {
+		if cv.server != nil &&
+			cv.server.class == truststore.Public {
 			srvClass = "public"
 		}
 		cliCat := classify.MissingIssuer.String()
 		isMissing := true
-		if cv.clientCert != nil {
-			cat := e.usageOf(cv.clientCert, cv.rec.ClientChain).category
+		if cv.client != nil {
+			cat := cv.client.category
 			cliCat = cat.String()
 			isMissing = cat == classify.MissingIssuer
 		}

@@ -77,8 +77,8 @@ func TestLateCertEqualsCertFirst(t *testing.T) {
 			},
 		},
 		{
-			// (b) The class comes from the chain of the first connection to
-			// present the certificate: the lower position's public root.
+			// (b) The class comes from the chain of the earliest connection
+			// to present the certificate: the lower position's public root.
 			name: "two connections with different chains",
 			conns: []ConnRecord{
 				lateConn("C1", 10, chain(srv.Fingerprint, publicRoot), nil),
@@ -87,7 +87,7 @@ func TestLateCertEqualsCertFirst(t *testing.T) {
 			late:     [][]*certmodel.CertInfo{{srv}},
 			wantLate: 2,
 			check: func(t *testing.T, b *Builder) {
-				if u := b.w.usage[srv.Fingerprint]; u == nil || u.class != truststore.Public {
+				if u := b.w.usage.byFP[srv.Fingerprint]; u == nil || u.class != truststore.Public {
 					t.Errorf("usage %+v, want the public class of the lower position's chain", u)
 				}
 			},
@@ -104,7 +104,7 @@ func TestLateCertEqualsCertFirst(t *testing.T) {
 			late:     [][]*certmodel.CertInfo{{srv}},
 			wantLate: 2,
 			check: func(t *testing.T, b *Builder) {
-				u := b.w.usage[srv.Fingerprint]
+				u := b.w.usage.byFP[srv.Fingerprint]
 				if u == nil || u.class != truststore.Public || !u.asClient || !u.asServer || !u.mutualClient || u.mutualServer {
 					t.Errorf("usage %+v, want public, client and server, mutual as client only", u)
 				}
@@ -142,7 +142,7 @@ func TestLateCertEqualsCertFirst(t *testing.T) {
 			late:     [][]*certmodel.CertInfo{{srv}},
 			wantLate: 1,
 			check: func(t *testing.T, b *Builder) {
-				if u := b.w.usage[srv.Fingerprint]; u == nil || !u.sharedSameConn {
+				if u := b.w.usage.byFP[srv.Fingerprint]; u == nil || !u.sharedSameConn {
 					t.Errorf("usage %+v, want sharedSameConn", u)
 				}
 			},

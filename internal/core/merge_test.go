@@ -401,3 +401,69 @@ func TestMergeShardsSharingSameOrderFree(t *testing.T) {
 		t.Errorf("Table 5 depends on merge order:\nearly first %+v\nlate first  %+v", earlyFirst, lateFirst)
 	}
 }
+
+// TestMergeShardsUsageClassOrderFree: a leaf's trust class comes from
+// the chain presented with it, and one leaf may be presented once with a
+// public intermediate and once without. The class is taken from the
+// leaf's earliest connection by (TS, UID), so two sensors each holding
+// one of those connections give one answer whichever merges first.
+func TestMergeShardsUsageClassOrderFree(t *testing.T) {
+	in := mergeInput(t)
+	var tmpl *ConnRecord
+	for i := range mergeBuild.Raw.Conns {
+		rec := &mergeBuild.Raw.Conns[i]
+		if rec.IsMutual() && rec.Established && rec.SNI != "" &&
+			in.Plan.DirectionOf(rec.OrigIP, rec.RespIP) == netsim.Inbound {
+			tmpl = rec
+			break
+		}
+	}
+	var priv *certmodel.CertInfo
+	for _, c := range mergeCerts(mergeBuild) {
+		if !c.SelfSigned && in.Bundle.ClassifyLeaf(c, nil) == truststore.Private {
+			priv = c
+			break
+		}
+	}
+	if tmpl == nil || priv == nil {
+		t.Fatal("the build has no inbound mutual connection or no private-CA certificate")
+	}
+	// A public program that holds one intermediate by fingerprint only.
+	const inter ids.Fingerprint = "usage-class-intermediate"
+	st := truststore.NewStore("intermediates")
+	st.AddFingerprint(inter)
+	in.Bundle = truststore.NewBundle(append(slices.Clone(in.Bundle.Stores()), st)...)
+	leaf := *priv
+	leaf.Fingerprint = "usage-class-leaf"
+	if in.Bundle.ClassifyLeaf(&leaf, nil) != truststore.Private || in.Bundle.ClassifyLeaf(&leaf, []ids.Fingerprint{inter}) != truststore.Public {
+		t.Fatal("the leaf's class does not follow its chain")
+	}
+	// The earlier connection presents the leaf with the intermediate, the
+	// later one alone.
+	present := func(uid ids.UID, ts time.Time, chain ...ids.Fingerprint) ConnRecord {
+		rec := *tmpl
+		rec.UID, rec.TS = uid, ts
+		rec.ServerChain = append([]ids.Fingerprint{leaf.Fingerprint}, chain...)
+		return rec
+	}
+	early := present("C-early", tmpl.TS, inter)
+	late := present("C-late", tmpl.TS.Add(time.Hour))
+	roster := append(mergeCerts(mergeBuild), &leaf)
+	merge := func(earlySeq, lateSeq uint64) (*Builder, *Analysis) {
+		b := MergeShards(in, []ShardState{
+			{Certs: roster, Conns: []ConnRecord{early}, Seqs: []uint64{earlySeq}},
+			{Conns: []ConnRecord{late}, Seqs: []uint64{lateSeq}},
+		}, nil)
+		return b, runBuilder(b)
+	}
+	earlyB, earlyFirst := merge(0, 1)
+	lateB, lateFirst := merge(1, 0)
+	for _, b := range []*Builder{earlyB, lateB} {
+		if u := b.w.usage.byFP[leaf.Fingerprint]; u == nil || u.class != truststore.Public {
+			t.Fatalf("usage %+v, want the public class of the earlier connection's chain", u)
+		}
+	}
+	if !reflect.DeepEqual(earlyFirst, lateFirst) {
+		t.Errorf("the analysis depends on merge order:\nearly first %+v\nlate first  %+v", earlyFirst, lateFirst)
+	}
+}

@@ -69,25 +69,25 @@ func (e *enriched) dummyIssuers() *DummyIssuerReport {
 		if !cv.mutual || (cv.dir != netsim.Inbound && cv.dir != netsim.Outbound) {
 			continue
 		}
-		cliDummy := cv.clientCert != nil && e.usageOf(cv.clientCert, cv.rec.ClientChain).dummyIssuer
-		srvDummy := cv.serverCert != nil && e.usageOf(cv.serverCert, cv.rec.ServerChain).dummyIssuer
+		cliDummy := cv.client != nil && cv.client.dummyIssuer
+		srvDummy := cv.server != nil && cv.server.dummyIssuer
 		if cliDummy {
-			a := get(key{cv.dir.String(), "client", cv.clientCert.IssuerOrg})
+			a := get(key{cv.dir.String(), "client", cv.client.cert.IssuerOrg})
 			a.servers[cv.rec.RespIP] = true
 			a.clients[cv.rec.OrigIP] = true
 			a.conns += cv.rec.Weight
-			if !weakSeen[cv.clientCert.Fingerprint] {
-				weakSeen[cv.clientCert.Fingerprint] = true
-				if cv.clientCert.WeakKey() {
+			if !weakSeen[cv.client.cert.Fingerprint] {
+				weakSeen[cv.client.cert.Fingerprint] = true
+				if cv.client.cert.WeakKey() {
 					rep.WeakKeyCerts++
 				}
-				if cv.clientCert.Version == 1 {
+				if cv.client.cert.Version == 1 {
 					rep.Version1Certs++
 				}
 			}
 		}
 		if srvDummy {
-			a := get(key{cv.dir.String(), "server", cv.serverCert.IssuerOrg})
+			a := get(key{cv.dir.String(), "server", cv.server.cert.IssuerOrg})
 			a.servers[cv.rec.RespIP] = true
 			a.clients[cv.rec.OrigIP] = true
 			a.conns += cv.rec.Weight
@@ -97,7 +97,7 @@ func (e *enriched) dummyIssuers() *DummyIssuerReport {
 			if sld == "" {
 				sld = "- (missing SNI)"
 			}
-			bk := bothKey{sld, cv.clientCert.IssuerOrg, cv.serverCert.IssuerOrg}
+			bk := bothKey{sld, cv.client.cert.IssuerOrg, cv.server.cert.IssuerOrg}
 			ba, ok := both[bk]
 			if !ok {
 				ba = &bothAgg{clients: map[string]bool{}, first: 1 << 62}
@@ -223,30 +223,30 @@ func (e *enriched) serials() *SerialReport {
 			continue
 		}
 		var srvHit, cliHit bool
-		if cv.serverCert != nil {
-			k := serialKey{cv.serverCert.IssuerKey(), cv.serverCert.SerialHex}
+		if cv.server != nil {
+			k := serialKey{cv.server.cert.IssuerKey(), cv.server.cert.SerialHex}
 			if collided[k] {
 				srvHit = true
 				a := getAgg(k)
-				a.srvCerts[cv.serverCert.Fingerprint] = true
+				a.srvCerts[cv.server.cert.Fingerprint] = true
 				a.clients[cv.rec.OrigIP] = true
 				a.conns += cv.rec.Weight
 				a.tuples[[4]string{cv.rec.OrigIP, string(cv.rec.ClientLeaf()), cv.rec.RespIP, string(cv.rec.ServerLeaf())}] = true
-				if v := cv.serverCert.ValidityDays(); v > a.maxValidity {
+				if v := cv.server.cert.ValidityDays(); v > a.maxValidity {
 					a.maxValidity = v
 				}
 			}
 		}
-		if cv.clientCert != nil {
-			k := serialKey{cv.clientCert.IssuerKey(), cv.clientCert.SerialHex}
+		if cv.client != nil {
+			k := serialKey{cv.client.cert.IssuerKey(), cv.client.cert.SerialHex}
 			if collided[k] {
 				cliHit = true
 				a := getAgg(k)
-				a.cliCerts[cv.clientCert.Fingerprint] = true
+				a.cliCerts[cv.client.cert.Fingerprint] = true
 				a.clients[cv.rec.OrigIP] = true
 				a.conns += cv.rec.Weight
 				a.tuples[[4]string{cv.rec.OrigIP, string(cv.rec.ClientLeaf()), cv.rec.RespIP, string(cv.rec.ServerLeaf())}] = true
-				if v := cv.clientCert.ValidityDays(); v > a.maxValidity {
+				if v := cv.client.cert.ValidityDays(); v > a.maxValidity {
 					a.maxValidity = v
 				}
 			}

@@ -5,7 +5,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/certmodel"
+	"repro/internal/classify"
 	"repro/internal/ids"
 	"repro/internal/workload"
 )
@@ -43,8 +43,9 @@ func TestParallelDeterminism(t *testing.T) {
 // TestCacheDeterminism asserts the enricher's hot-path caches never
 // change a value. Over a Builder fed the whole build, every memoized PSL
 // split and subnet equals the uncached function's, and every
-// certificate's class, category and dummy-issuer flag equal what
-// newCertUsage computes with nil memos — the path enriched.usageOf keeps.
+// certificate's class, category and dummy-issuer flag equal what the
+// unmemoized classifiers compute from the chain of its earliest
+// connection. The usage list and map hold the same entries.
 func TestCacheDeterminism(t *testing.T) {
 	in := parallelInput(t, 1)
 	b := NewBuilder(in)
@@ -86,31 +87,44 @@ func TestCacheDeterminism(t *testing.T) {
 		}
 	}
 
-	// A certificate is classified from the chain of the first connection
-	// that presented it, server side before client side.
-	chains := map[ids.Fingerprint][]ids.Fingerprint{}
-	presented := func(c *certmodel.CertInfo, chain []ids.Fingerprint) {
-		if _, ok := chains[c.Fingerprint]; !ok {
-			chains[c.Fingerprint] = chain
+	// A certificate is classified from the chain of its earliest
+	// connection by (TS, UID), server side before client side.
+	type presentation struct {
+		rec   *ConnRecord
+		chain []ids.Fingerprint
+	}
+	earliest := map[ids.Fingerprint]presentation{}
+	presented := func(u *certUsage, rec *ConnRecord, chain []ids.Fingerprint) {
+		if u == nil {
+			return
+		}
+		if p, ok := earliest[u.cert.Fingerprint]; !ok || connBefore(rec, p.rec) {
+			earliest[u.cert.Fingerprint] = presentation{rec, chain}
 		}
 	}
 	for i := range b.e.conns {
 		cv := &b.e.conns[i]
-		if cv.serverCert != nil {
-			presented(cv.serverCert, cv.rec.ServerChain)
-		}
-		if cv.clientCert != nil {
-			presented(cv.clientCert, cv.rec.ClientChain)
-		}
+		presented(cv.server, cv.rec, cv.rec.ServerChain)
+		presented(cv.client, cv.rec, cv.rec.ClientChain)
 	}
-	if len(w.usage) == 0 {
-		t.Fatal("no certificate usage was recorded")
+	if len(w.usage.list) == 0 || len(w.usage.list) != len(w.usage.byFP) {
+		t.Fatalf("usage list holds %d entries, map %d", len(w.usage.list), len(w.usage.byFP))
 	}
-	for fp, u := range w.usage {
-		want := newCertUsage(b.e, nil, nil, u.cert, chains[fp])
-		if u.class != want.class || u.category != want.category || u.dummyIssuer != want.dummyIssuer {
+	for i, u := range w.usage.list {
+		fp := u.cert.Fingerprint
+		if u.pos != i || w.usage.byFP[fp] != u {
+			t.Fatalf("%s: list position %d, entry says %d", fp, i, u.pos)
+		}
+		var rest []ids.Fingerprint
+		if chain := earliest[fp].chain; len(chain) > 1 {
+			rest = chain[1:]
+		}
+		class := in.Bundle.ClassifyLeaf(u.cert, rest)
+		category := b.e.cls.CategoryWith(nil, u.cert, rest)
+		dummy := (*classify.Memo)(nil).IsDummyIssuer(u.cert.IssuerOrg)
+		if u.class != class || u.category != category || u.dummyIssuer != dummy {
 			t.Errorf("%s: cached (class %v, category %v, dummy %v), uncached (%v, %v, %v)",
-				fp, u.class, u.category, u.dummyIssuer, want.class, want.category, want.dummyIssuer)
+				fp, u.class, u.category, u.dummyIssuer, class, category, dummy)
 		}
 	}
 }

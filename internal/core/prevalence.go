@@ -35,7 +35,7 @@ func (e *enriched) certStats() *CertStatsReport {
 		all, server, client                          bucket
 		serverPub, serverPriv, clientPub, clientPriv bucket
 	)
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		mut := u.mutualServer || u.mutualClient
 		all.total++
 		if mut {

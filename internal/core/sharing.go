@@ -48,7 +48,7 @@ func (e *enriched) sharingSame() *SharingSameReport {
 
 	for i := range e.conns {
 		cv := &e.conns[i]
-		if !cv.mutual || cv.serverCert == nil {
+		if !cv.mutual || cv.server == nil {
 			continue
 		}
 		if cv.rec.ServerLeaf() != cv.rec.ClientLeaf() {
@@ -61,7 +61,7 @@ func (e *enriched) sharingSame() *SharingSameReport {
 			rep.OutboundConns += cv.rec.Weight
 		}
 		sld := cv.rawSLD()
-		k := key{cv.dir.String(), sld, cv.serverCert.IssuerKey()}
+		k := key{cv.dir.String(), sld, cv.server.cert.IssuerKey()}
 		a, ok := groups[k]
 		if !ok {
 			a = &agg{clients: map[string]bool{}, first: 1 << 62}
@@ -69,7 +69,7 @@ func (e *enriched) sharingSame() *SharingSameReport {
 		}
 		if a.earliest == nil || connBefore(cv.rec, a.earliest) {
 			a.earliest = cv.rec
-			a.public = e.usageOf(cv.serverCert, cv.rec.ServerChain).class == truststore.Public
+			a.public = cv.server.class == truststore.Public
 		}
 		a.clients[cv.rec.OrigIP] = true
 		a.conns += cv.rec.Weight
@@ -145,7 +145,7 @@ func (e *enriched) sharingCross() *SharingCrossReport {
 	var srvSpread, cliSpread []int64
 	issuers := stats.NewCounter()
 	count := 0
-	for _, u := range e.usage {
+	for _, u := range e.usage.list {
 		// Cross-connection sharing: the cert appears in both roles but
 		// never as both endpoints of a single connection (§5.2.2 treats
 		// the same-connection population separately in §5.2.1).

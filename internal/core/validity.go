@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/truststore"
@@ -77,20 +76,20 @@ func (e *enriched) badDates() *BadDatesReport {
 		}
 		sld := cv.rawSLD()
 		ts := cv.rec.TS.Unix()
-		cliBad := cv.clientCert != nil && cv.clientCert.HasIncorrectDates()
-		srvBad := cv.serverCert != nil && cv.serverCert.HasIncorrectDates()
+		cliBad := cv.client != nil && cv.client.cert.HasIncorrectDates()
+		srvBad := cv.server != nil && cv.server.cert.HasIncorrectDates()
 		if cliBad {
-			c := cv.clientCert
+			c := cv.client.cert
 			certSet[string(c.Fingerprint)] = true
 			observe(groups, key{sld, "client", c.IssuerKey(), c.NotBefore.Year(), c.NotAfter.Year()}, cv.rec.OrigIP, ts)
 		}
 		if srvBad {
-			c := cv.serverCert
+			c := cv.server.cert
 			certSet[string(c.Fingerprint)] = true
 			observe(groups, key{sld, "server", c.IssuerKey(), c.NotBefore.Year(), c.NotAfter.Year()}, cv.rec.OrigIP, ts)
 		}
 		if cliBad && srvBad {
-			bk := bkey{sld, cv.clientCert.IssuerKey(), cv.serverCert.IssuerKey()}
+			bk := bkey{sld, cv.client.cert.IssuerKey(), cv.server.cert.IssuerKey()}
 			a, ok := both[bk]
 			if !ok {
 				a = &agg{clients: map[string]bool{}, first: 1 << 62}
@@ -203,14 +202,15 @@ func (e *enriched) validity() *ValidityReport {
 	// Each certificate is bucketed once, by the direction of the earliest
 	// connection (TS, then UID) that carried it: a rule the order
 	// connections are merged in cannot change, where "first seen" would
-	// follow an aggregator's sync-landing order.
-	earliest := map[ids.Fingerprint]*connView{}
+	// follow an aggregator's sync-landing order. earliest is indexed by
+	// the position of the certificate's usage entry.
+	earliest := make([]*connView, len(e.usage.list))
 	for i := range e.conns {
 		cv := &e.conns[i]
-		if !cv.mutual || cv.clientCert == nil {
+		if !cv.mutual || cv.client == nil {
 			continue
 		}
-		c := cv.clientCert
+		c := cv.client.cert
 		if c.HasIncorrectDates() {
 			continue
 		}
@@ -223,15 +223,17 @@ func (e *enriched) validity() *ValidityReport {
 		if days > rep.MaxValidityDays || days == rep.MaxValidityDays && sldBefore(cv.rawSLD(), rep.MaxValiditySLD) {
 			rep.MaxValidityDays, rep.MaxValiditySLD = days, cv.rawSLD()
 		}
-		if first, ok := earliest[c.Fingerprint]; !ok || connBefore(cv.rec, first.rec) {
-			earliest[c.Fingerprint] = cv
+		if first := earliest[cv.client.pos]; first == nil || connBefore(cv.rec, first.rec) {
+			earliest[cv.client.pos] = cv
 		}
 	}
 	cats := stats.NewCounter()
 	for _, cv := range earliest {
-		c := cv.clientCert
-		days := c.ValidityDays()
-		u := e.usageOf(c, cv.rec.ClientChain)
+		if cv == nil {
+			continue
+		}
+		u := cv.client
+		days := u.cert.ValidityDays()
 		switch cv.dir {
 		case netsim.Inbound:
 			rep.InboundHist.Observe(days, 1)
@@ -285,30 +287,29 @@ func (e *enriched) expired() *ExpiredReport {
 	// connection (TS, then UID): that connection names the SLD and the
 	// direction, so the merge order cannot move a point between the two
 	// subfigures.
-	earliest := map[ids.Fingerprint]*connView{}
+	earliest := map[*certUsage]*connView{}
 	inAssoc := stats.NewCounter()
 
 	for i := range e.conns {
 		cv := &e.conns[i]
-		if !cv.mutual || cv.clientCert == nil {
+		if !cv.mutual || cv.client == nil {
 			continue
 		}
-		c := cv.clientCert
+		c := cv.client.cert
 		if c.HasIncorrectDates() || !c.ExpiredAt(cv.rec.TS) {
 			continue
 		}
 		if cv.dir == netsim.Inbound {
 			inAssoc.Add(cv.assoc, cv.rec.Weight)
 		}
-		if first, ok := earliest[c.Fingerprint]; !ok || connBefore(cv.rec, first.rec) {
-			earliest[c.Fingerprint] = cv
+		if first, ok := earliest[cv.client]; !ok || connBefore(cv.rec, first.rec) {
+			earliest[cv.client] = cv
 		}
 	}
 
 	rep := &ExpiredReport{}
-	for _, cv := range earliest {
-		c := cv.clientCert
-		u := e.usageOf(c, cv.rec.ClientChain)
+	for u, cv := range earliest {
+		c := u.cert
 		point := ExpiredPoint{
 			DaysExpiredAtFirstUse: c.DaysExpiredAt(u.firstSeen),
 			DurationDays:          u.durationDays(),

@@ -122,8 +122,14 @@ type UID string
 
 // NewUID derives a UID from the stream. The leading 'C' mirrors Zeek's
 // convention for connection UIDs.
-func NewUID(r *RNG) UID {
-	buf := make([]byte, 0, 18)
+func NewUID(r *RNG) UID { return UID(AppendUID(make([]byte, 0, UIDLen), r)) }
+
+// UIDLen is the length of every UID NewUID derives.
+const UIDLen = 18
+
+// AppendUID appends the UID NewUID would derive from r to dst, so a
+// caller that keeps many UIDs can cut them from one block.
+func AppendUID(buf []byte, r *RNG) []byte {
 	buf = append(buf, 'C')
 	v := r.Uint64()
 	w := r.Uint64()
@@ -135,7 +141,7 @@ func NewUID(r *RNG) UID {
 		buf = append(buf, uidAlphabet[w%62])
 		w /= 62
 	}
-	return UID(buf)
+	return buf
 }
 
 // FileID is a Zeek-style file/certificate identifier ("F..." prefix), used
@@ -155,6 +161,12 @@ type Fingerprint string
 // FingerprintBytes fingerprints raw DER bytes (or, on the bulk path, a
 // synthetic identity).
 func FingerprintBytes(der []byte) Fingerprint { return hexFingerprint(sha256.Sum256(der)) }
+
+// AppendFingerprint appends FingerprintBytes(der)'s hex digits to dst.
+func AppendFingerprint(dst, der []byte) []byte {
+	sum := sha256.Sum256(der)
+	return hex.AppendEncode(dst, sum[:])
+}
 
 // FingerprintString fingerprints an arbitrary string key.
 func FingerprintString(s string) Fingerprint { return hexFingerprint(sha256.Sum256([]byte(s))) }
@@ -221,6 +233,17 @@ func HashString64(s string) uint64 { return hash64(s) }
 // HashBytes64 is HashString64 over bytes: callers that build a key with
 // append hash it without converting it to a string.
 func HashBytes64(b []byte) uint64 { return hash64(b) }
+
+// HashMore64 continues a hash over more bytes: HashMore64(HashString64(a),
+// b) is HashString64(a + b), so a key's fixed prefix is hashed once.
+func HashMore64(h uint64, b []byte) uint64 {
+	const prime64 = 1099511628211
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
+}
 
 func hash64[T string | []byte](s T) uint64 {
 	const (

@@ -225,6 +225,39 @@ func TestHashString64Stable(t *testing.T) {
 	}
 }
 
+// TestHashMore64 holds a hash continued over a key's tail to the hash of
+// the whole key.
+func TestHashMore64(t *testing.T) {
+	for _, k := range []string{"", "a", "ext/", "ext/nm-out-public/srv/", "é/x/"} {
+		for _, tail := range []string{"", "0", "-17", "123456"} {
+			if got, want := HashMore64(HashString64(k), []byte(tail)), HashString64(k+tail); got != want {
+				t.Errorf("HashMore64(%q, %q) = %d, want %d", k, tail, got, want)
+			}
+		}
+	}
+}
+
+// TestAppendFingerprint holds AppendFingerprint to FingerprintBytes.
+func TestAppendFingerprint(t *testing.T) {
+	for _, der := range []string{"", "hello", "serial\nissuer\n"} {
+		if got, want := string(AppendFingerprint([]byte("x"), []byte(der))), "x"+string(FingerprintBytes([]byte(der))); got != want {
+			t.Errorf("AppendFingerprint(%q) = %s, want %s", der, got, want)
+		}
+	}
+}
+
+// TestAppendUID holds AppendUID to NewUID over the same stream state.
+func TestAppendUID(t *testing.T) {
+	r1, r2 := NewRNG(9), NewRNG(9)
+	buf := []byte("prefix")
+	for i := 0; i < 100; i++ {
+		buf = AppendUID(buf[:6], r1)
+		if got, want := string(buf[6:]), string(NewUID(r2)); got != want {
+			t.Fatalf("AppendUID #%d = %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestSeq(t *testing.T) {
 	if got := Seq("c", 42); got != "c000042" {
 		t.Fatalf("Seq = %q", got)

@@ -39,34 +39,35 @@ func TestIsHealth(t *testing.T) {
 
 func TestAllocatorDeterminism(t *testing.T) {
 	a := NewAllocator(DefaultPlan())
-	if a.CampusServer("vpn", 0) != a.CampusServer("vpn", 0) {
-		t.Fatal("CampusServer not deterministic")
+	if a.CampusServers("vpn").At(0) != NewAllocator(DefaultPlan()).CampusServers("vpn").At(0) {
+		t.Fatal("CampusServers not deterministic")
 	}
-	if a.CampusServer("vpn", 0) == a.CampusServer("vpn", 1) {
+	if vpn := a.CampusServers("vpn"); vpn.At(0) == vpn.At(1) {
 		t.Fatal("distinct indices should differ")
 	}
-	if a.ExternalHost("rapid7", 3) != a.ExternalHost("rapid7", 3) {
-		t.Fatal("ExternalHost not deterministic")
+	if a.ExternalHosts("rapid7").At(3) != a.ExternalHosts("rapid7").Once(3) {
+		t.Fatal("ExternalHosts not deterministic")
 	}
 }
 
 func TestAllocatorPlacement(t *testing.T) {
 	a := NewAllocator(DefaultPlan())
 	p := a.Plan()
+	web, epic, lab, aws := a.CampusServers("web"), a.HealthServers("epic"), a.CampusDevices("lab"), a.ExternalHosts("aws")
 	for i := 0; i < 50; i++ {
-		if !p.IsInternal(a.CampusServer("web", i)) {
+		if !p.IsInternal(web.At(i)) {
 			t.Fatalf("campus server %d not internal", i)
 		}
-		if !p.IsHealth(a.HealthServer("epic", i)) {
+		if !p.IsHealth(epic.At(i)) {
 			t.Fatalf("health server %d not in health prefix", i)
 		}
 		if !p.IsInternal(a.CampusClient(i)) {
 			t.Fatalf("NAT client %d not internal", i)
 		}
-		if !p.IsInternal(a.CampusDevice("lab", i)) {
+		if !p.IsInternal(lab.At(i)) {
 			t.Fatalf("campus device %d not internal", i)
 		}
-		if p.IsInternal(a.ExternalHost("aws", i)) {
+		if p.IsInternal(aws.At(i)) {
 			t.Fatalf("external host %d inside campus", i)
 		}
 	}
@@ -84,10 +85,10 @@ func TestNATPoolSmall(t *testing.T) {
 }
 
 func TestSubnetSpreadControl(t *testing.T) {
-	a := NewAllocator(DefaultPlan())
+	globus := NewAllocator(DefaultPlan()).ExternalHosts("globus")
 	// Hosts within the same (label, subnet) share a /24.
-	s1 := ids.SubnetOfString(a.ExternalHostInSubnet("globus", 0, 1))
-	s2 := ids.SubnetOfString(a.ExternalHostInSubnet("globus", 0, 2))
+	s1 := ids.SubnetOfString(globus.InSubnet(0, 1))
+	s2 := ids.SubnetOfString(globus.InSubnet(0, 2))
 	if s1 != s2 {
 		t.Fatal("same subnet index must share a /24")
 	}
@@ -95,7 +96,7 @@ func TestSubnetSpreadControl(t *testing.T) {
 	// probability for small counts; verify a concrete set).
 	subnets := map[ids.SubnetKey]bool{}
 	for i := 0; i < 40; i++ {
-		subnets[ids.SubnetOfString(a.ExternalHostInSubnet("globus", i, 0))] = true
+		subnets[ids.SubnetOfString(globus.InSubnet(i, 0))] = true
 	}
 	if len(subnets) < 38 {
 		t.Fatalf("expected ~40 distinct /24s, got %d", len(subnets))
@@ -113,8 +114,8 @@ func TestDirectionStrings(t *testing.T) {
 func TestAllocatorProperty(t *testing.T) {
 	a := NewAllocator(DefaultPlan())
 	f := func(label string, idx uint16) bool {
-		ext := a.ExternalHost(label, int(idx))
-		srv := a.CampusServer(label, int(idx))
+		ext := a.ExternalHosts(label).At(int(idx))
+		srv := a.CampusServers(label).At(int(idx))
 		return !a.Plan().IsInternal(ext) && a.Plan().IsInternal(srv)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -122,9 +123,11 @@ func TestAllocatorProperty(t *testing.T) {
 	}
 }
 
-// TestAllocatorMatchesFormula holds the Allocator — keys hashed from an
-// appended buffer, each address rendered once and then reused — to the
-// formatted-key formulas it replaced, for first and repeated requests.
+// TestAllocatorMatchesFormula holds the Allocator — labels resolved once,
+// index hashes continued from the label's, each address rendered once
+// into a slot and then reused — to the formatted-key formulas it
+// replaced, for first and repeated requests, with and without slots, on
+// labels resolved once and resolved afresh.
 func TestAllocatorMatchesFormula(t *testing.T) {
 	p := DefaultPlan()
 	ref := func(kind int, label string, x, y int) string {
@@ -145,18 +148,29 @@ func TestAllocatorMatchesFormula(t *testing.T) {
 		}
 	}
 	a := NewAllocator(p)
-	got := func(kind int, label string, x, y int) string {
-		switch kind {
-		case 0:
-			return a.CampusServer(label, x)
-		case 1:
-			return a.HealthServer(label, x)
-		case 2:
-			return a.CampusDevice(label, x)
-		case 3:
-			return a.CampusHostInSubnet(label, x, y)
+	resolve := func(kind int, label string) *Hosts {
+		return [...]func(string) *Hosts{a.CampusServers, a.HealthServers, a.CampusDevices, a.CampusSubnetHosts, a.ExternalHosts}[kind](label)
+	}
+	resolved := map[[2]any]*Hosts{}
+	handle := func(kind int, label string) *Hosts {
+		k := [2]any{kind, label}
+		if h, ok := resolved[k]; ok {
+			return h
+		}
+		h := resolve(kind, label)
+		resolved[k] = h
+		return h
+	}
+	got := func(h *Hosts, kind, x, y int, once bool) string {
+		switch {
+		case kind < 3 && once:
+			return h.Once(x)
+		case kind < 3:
+			return h.At(x)
+		case once:
+			return h.OnceInSubnet(x, y)
 		default:
-			return a.ExternalHostInSubnet(label, x, y)
+			return h.InSubnet(x, y)
 		}
 	}
 	rng := ids.NewRNG(11)
@@ -164,8 +178,18 @@ func TestAllocatorMatchesFormula(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		kind, label := rng.Intn(5), ids.Pick(rng, labels)
 		x, y := rng.Intn(400)-50, rng.Intn(400)-50
-		if g, w := got(kind, label, x, y), ref(kind, label, x, y); g != w {
+		w := ref(kind, label, x, y)
+		if g := got(handle(kind, label), kind, x, y, rng.Bool(0.3)); g != w {
 			t.Fatalf("kind %d (%q, %d, %d) = %s, want %s", kind, label, x, y, g, w)
+		}
+		if g := got(resolve(kind, label), kind, x, y, false); g != w {
+			t.Fatalf("freshly resolved kind %d (%q, %d, %d) = %s, want %s", kind, label, x, y, g, w)
+		}
+		// ExternalHosts.At(idx) is host idx%200 of subnet idx/200.
+		if kind == 4 {
+			if g, w := handle(4, label).At(x), ref(4, label, x/200, x%200); g != w {
+				t.Fatalf("ExternalHosts(%q).At(%d) = %s, want %s", label, x, g, w)
+			}
 		}
 	}
 }

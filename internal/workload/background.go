@@ -9,6 +9,7 @@ import (
 	"repro/internal/certmodel"
 	"repro/internal/ct"
 	"repro/internal/ids"
+	"repro/internal/netsim"
 	"repro/internal/zeek"
 )
 
@@ -54,6 +55,14 @@ func (g *Generator) emitCrossShared() {
 		{"GoDaddy.com, Inc.", "GoDaddy Secure Certificate Authority - G2", 0.0613},
 		{"GlobalSign", "GlobalSign GCC R3 DV TLS CA", 0.20},
 	}
+	pool := g.slotsOf("cross-shared", "pool")
+	helperCli, helperSrv := g.slotsOf("cross-shared", "helper-cli"), g.slotsOf("cross-shared", "helper-srv")
+	helperCliPlan := &CertPlan{
+		IssuerOrg: campusCA, IssuerCN: campusCA + " Issuing CA", ValidityDays: 730,
+		CN: []Content{{Kind: KindUserAccount, Weight: 1}},
+	}
+	helperSrvPlan := privateServerPlan("CrossShared Peer Systems", "crossshared.net")
+	devices, peers := g.alloc.CampusDevices("crossshared/cli"), g.alloc.ExternalHosts("crossshared/peer")
 	for i := 0; i < n; i++ {
 		iss := issuers[ids.WeightedPickBy(rng, issuers, func(is *issuer) float64 { return is.w })]
 		domain := fmt.Sprintf("svc%04d.crossshared.net", i)
@@ -62,22 +71,23 @@ func (g *Generator) emitCrossShared() {
 			CN:      []Content{{Kind: KindDomain, Text: domain, Weight: 1}},
 			SANFill: 1, SAN: []Content{{Kind: KindDomain, Text: domain, Weight: 1}},
 		}
-		cert := g.cert(plan, "cross-shared", "pool", i, 0, 30)
+		cert := g.cert(pool, plan, i, 0, 30)
+		helper := g.cert(helperCli, helperCliPlan, i%40, 0, 30)
 		srvSubnets, cliSubnets := crossSpread(i, n)
 
 		// The certificate serves as a SERVER certificate from srvSubnets
 		// distinct /24s (inbound-style conns to it)...
-		srvLabel := "crossshared/srv" + strconv.Itoa(i)
+		srvHosts := g.alloc.ExternalHosts("crossshared/srv" + strconv.Itoa(i))
 		for s := 0; s < srvSubnets; s++ {
 			ts := certmodel.DayToTime(40 + (i+s)%500)
 			g.ds.Conns = append(g.ds.Conns, zeek.SSLRecord{
-				TS: ts, UID: ids.NewUID(g.uidRNG),
-				OrigIP:   g.alloc.CampusDevice("crossshared/cli", i),
+				TS: ts, UID: g.uid(),
+				OrigIP:   devices.At(i),
 				OrigPort: uint16(40000 + s%20000),
-				RespIP:   g.alloc.ExternalHostInSubnet(srvLabel, s, i),
+				RespIP:   srvHosts.OnceInSubnet(s, i),
 				RespPort: 443, Version: "TLSv12", SNI: domain, Established: true,
 				ServerChain: g.chain(cert.Fingerprint),
-				ClientChain: g.chain(g.crossClientHelper(i).Fingerprint),
+				ClientChain: g.chain(helper.Fingerprint),
 				Weight:      2,
 			})
 		}
@@ -85,16 +95,17 @@ func (g *Generator) emitCrossShared() {
 		// /24s in OUTBOUND connections (the reused-server-cert-as-client
 		// pattern of §5.2.2); outbound placement keeps Table 3's inbound
 		// client census clean.
-		cliLabel := "crossshared/cli" + strconv.Itoa(i)
+		cliHosts := g.alloc.CampusSubnetHosts("crossshared/cli" + strconv.Itoa(i))
+		peer := g.cert(helperSrv, helperSrvPlan, i%6, 0, 30)
 		for cIdx := 0; cIdx < cliSubnets; cIdx++ {
 			ts := certmodel.DayToTime(60 + (i+cIdx)%500)
 			g.ds.Conns = append(g.ds.Conns, zeek.SSLRecord{
-				TS: ts, UID: ids.NewUID(g.uidRNG),
-				OrigIP:   g.alloc.CampusHostInSubnet(cliLabel, cIdx, cIdx),
+				TS: ts, UID: g.uid(),
+				OrigIP:   cliHosts.OnceInSubnet(cIdx, cIdx),
 				OrigPort: uint16(40000 + cIdx%20000),
-				RespIP:   g.alloc.ExternalHostInSubnet("crossshared/peer", i%9, i),
+				RespIP:   peers.InSubnet(i%9, i),
 				RespPort: 443, Version: "TLSv12", SNI: "peer.crossshared.net", Established: true,
-				ServerChain: g.chain(g.crossServerHelper(i % 6).Fingerprint),
+				ServerChain: g.chain(peer.Fingerprint),
 				ClientChain: g.chain(cert.Fingerprint),
 				Weight:      2,
 			})
@@ -120,21 +131,6 @@ func (g *Generator) crossSharedRows() int {
 		rows += srv + cli
 	}
 	return rows
-}
-
-// crossClientHelper/crossServerHelper are the fixed counterpart certs in
-// cross-shared connections.
-func (g *Generator) crossClientHelper(i int) *certmodel.CertInfo {
-	plan := &CertPlan{
-		IssuerOrg: campusCA, IssuerCN: campusCA + " Issuing CA", ValidityDays: 730,
-		CN: []Content{{Kind: KindUserAccount, Weight: 1}},
-	}
-	return g.cert(plan, "cross-shared", "helper-cli", i%40, 0, 30)
-}
-
-func (g *Generator) crossServerHelper(i int) *certmodel.CertInfo {
-	plan := privateServerPlan("CrossShared Peer Systems", "crossshared.net")
-	return g.cert(plan, "cross-shared", "helper-srv", i, 0, 30)
 }
 
 // quantileSpread maps a rank in [0,1) onto a distribution hitting the
@@ -164,7 +160,7 @@ func quantileSpread(rank float64, q50, q75, q99, q100 int) int {
 func (g *Generator) emitInterception() {
 	rng := g.rng.Fork("interception")
 	// Target count: x/(total+x) = 8.4%  →  x ≈ 0.0917 × current total.
-	target := int(0.0917 * float64(len(g.ds.Certs)))
+	target := int(0.0917 * float64(len(g.minted)))
 	const proxies = 12
 	perProxy := target/proxies + 1
 	// Every remaining row is counted now: this population and the
@@ -173,26 +169,27 @@ func (g *Generator) emitInterception() {
 	// One plan per proxy, its content re-pointed at each domain: mint
 	// reads the plan and keeps nothing of it.
 	content := []Content{{Kind: KindDomain, Weight: 1}}
+	devices, servers := g.alloc.CampusDevices("intercept/cli"), g.alloc.ExternalHosts("intercept/srv")
 	for p := 0; p < proxies; p++ {
 		proxyOrg := fmt.Sprintf("SecureInspect Gateway %02d", p)
 		plan := &CertPlan{
 			IssuerOrg: proxyOrg, IssuerCN: proxyOrg + " Root",
 			ValidityDays: 30, CN: content, SANFill: 1, SAN: content,
 		}
-		kind := "p" + strconv.Itoa(p)
+		slots := g.slotsOf("intercept", "p"+strconv.Itoa(p))
 		for i := 0; i < perProxy; i++ {
 			var buf [32]byte
-			www := string(append(appendPadded(append(buf[:0], "www.site"...), (p*perProxy+i)%4000, 4), ".com"...))
+			www := g.strs.Cut(append(appendPadded(append(buf[:0], "www.site"...), (p*perProxy+i)%4000, 4), ".com"...))
 			// CT knows the genuine issuer.
 			g.ctlog.AddChain(ct.Entry{Domain: www[len("www."):], IssuerOrg: "DigiCert Inc"})
 			content[0].Text = www
-			cert := g.cert(plan, "intercept", kind, i, 0, 20+i%600)
+			cert := g.cert(slots, plan, i, 0, 20+i%600)
 			ts := certmodel.DayToTime(20 + (i*13)%650)
 			g.ds.Conns = append(g.ds.Conns, zeek.SSLRecord{
-				TS: ts, UID: ids.NewUID(g.uidRNG),
-				OrigIP:   g.alloc.CampusDevice("intercept/cli", i%500),
+				TS: ts, UID: g.uid(),
+				OrigIP:   devices.At(i % 500),
 				OrigPort: uint16(32768 + rng.Intn(20000)),
-				RespIP:   g.alloc.ExternalHost("intercept/srv", i),
+				RespIP:   servers.At(i),
 				RespPort: 443, Version: "TLSv12", SNI: www,
 				Established: true,
 				ServerChain: g.chain(cert.Fingerprint),
@@ -326,7 +323,18 @@ func (g *Generator) emitBackground() {
 	for _, pop := range pops {
 		perMonth := g.perMonth(pop)
 		rng := g.rng.Fork("bg/" + pop.name)
-		cliLabel, srvLabel := pop.name+"/cli", pop.name+"/srv"
+		slots := g.slotsOf(pop.name, "srv")
+		var cli, srv *netsim.Hosts
+		if pop.inbound {
+			cli, srv = g.alloc.ExternalHosts(pop.name+"/cli"), g.alloc.CampusServers(pop.name)
+		} else {
+			cli, srv = g.alloc.CampusDevices(pop.name+"/cli"), g.alloc.ExternalHosts(pop.name+"/srv")
+		}
+		// Row i of every month names the same SNI.
+		snis := make([]string, perMonth)
+		for i := range snis {
+			snis[i] = g.sniFor(pop.plan, i)
+		}
 		idx := 0
 		for m := 0; m < studyMonths; m++ {
 			// This population's share of month m's non-mutual volume.
@@ -347,22 +355,20 @@ func (g *Generator) emitBackground() {
 			}
 			day := monthFirstDay(m)
 			for i := 0; i < perMonth; i++ {
-				cert := g.cert(pop.plan, pop.name, "srv", idx, 0, day)
+				cert := g.cert(slots, pop.plan, idx, 0, day)
 				idx++
 				ts := certmodel.DayToTime(day + (i*5)%27)
 				var origIP, respIP string
 				if pop.inbound {
-					origIP = g.alloc.ExternalHost(cliLabel, i)
-					respIP = g.alloc.CampusServer(pop.name, i%40)
+					origIP, respIP = cli.At(i), srv.At(i%40)
 				} else {
-					origIP = g.alloc.CampusDevice(cliLabel, i%200)
-					respIP = g.alloc.ExternalHost(srvLabel, idx)
+					origIP, respIP = cli.At(i%200), srv.Once(idx)
 				}
 				g.ds.Conns = append(g.ds.Conns, zeek.SSLRecord{
-					TS: ts, UID: ids.NewUID(g.uidRNG),
+					TS: ts, UID: g.uid(),
 					OrigIP: origIP, OrigPort: uint16(32768 + rng.Intn(28000)),
 					RespIP: respIP, RespPort: g.pickPort(rng, pop.ports),
-					Version: "TLSv12", SNI: sniFor(pop.plan, i),
+					Version: "TLSv12", SNI: snis[i],
 					Established: rng.Float64() > 0.02,
 					ServerChain: g.chain(cert.Fingerprint),
 					Weight:      w,
@@ -373,6 +379,8 @@ func (g *Generator) emitBackground() {
 
 	// TLS 1.3 opacity: 40.86% of ALL connections, certificate-free rows.
 	rng := g.rng.Fork("bg/tls13")
+	extCli, campusSrv := g.alloc.ExternalHosts("tls13/cli"), g.alloc.CampusServers("tls13")
+	campusCli, extSrv := g.alloc.CampusDevices("tls13/cli"), g.alloc.ExternalHosts("tls13/srv")
 	var snis [tls13Rows]string
 	for i := range snis {
 		snis[i] = fmt.Sprintf("edge%02d.cdn13.net", i)
@@ -388,14 +396,12 @@ func (g *Generator) emitBackground() {
 			inbound := i%4 == 0
 			var origIP, respIP string
 			if inbound {
-				origIP = g.alloc.ExternalHost("tls13/cli", i)
-				respIP = g.alloc.CampusServer("tls13", i%20)
+				origIP, respIP = extCli.At(i), campusSrv.At(i%20)
 			} else {
-				origIP = g.alloc.CampusDevice("tls13/cli", i%200)
-				respIP = g.alloc.ExternalHost("tls13/srv", i)
+				origIP, respIP = campusCli.At(i%200), extSrv.At(i)
 			}
 			g.ds.Conns = append(g.ds.Conns, zeek.SSLRecord{
-				TS: certmodel.DayToTime(day + (i*3)%27), UID: ids.NewUID(g.uidRNG),
+				TS: certmodel.DayToTime(day + (i*3)%27), UID: g.uid(),
 				OrigIP: origIP, OrigPort: uint16(32768 + rng.Intn(28000)),
 				RespIP: respIP, RespPort: 443,
 				Version: "TLSv13", SNI: snis[i],
@@ -434,10 +440,11 @@ type nmPop struct {
 	plan    *CertPlan
 }
 
-func sniFor(plan *CertPlan, i int) string {
+// sniFor is the SNI of a background population's row i.
+func (g *Generator) sniFor(plan *CertPlan, i int) string {
 	if len(plan.CN) > 0 && (plan.CN[0].Kind == KindHost || plan.CN[0].Kind == KindDomain) {
 		var buf [64]byte
-		return string(appendHost(buf[:0], i, plan.CN[0].Text))
+		return g.strs.Cut(appendHost(buf[:0], i, plan.CN[0].Text))
 	}
 	return ""
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"strconv"
 
+	"repro/internal/arena"
 	"repro/internal/certmodel"
 	"repro/internal/ids"
 )
@@ -69,7 +70,15 @@ type CertPlan struct {
 // firstUseDay (study-day offset). reissue is the re-issuance round (0 for
 // the first cert).
 func (p *CertPlan) mint(rng *ids.RNG, entity, kind string, holder, reissue, firstUseDay int) *certmodel.CertInfo {
-	c := &certmodel.CertInfo{
+	c := new(certmodel.CertInfo)
+	p.mintInto(c, nil, rng, []byte(entity+"/"+kind+"/"), holder, reissue, firstUseDay)
+	return c
+}
+
+// mintInto is mint into *c, with the certificate's own strings cut from
+// strs (allocated when strs is nil) and prefix "<entity>/<kind>/".
+func (p *CertPlan) mintInto(c *certmodel.CertInfo, strs *arena.Strings, rng *ids.RNG, prefix []byte, holder, reissue, firstUseDay int) {
+	*c = certmodel.CertInfo{
 		IssuerOrg: p.IssuerOrg,
 		IssuerCN:  p.IssuerCN,
 		Version:   orN(p.Version, 3),
@@ -86,51 +95,53 @@ func (p *CertPlan) mint(rng *ids.RNG, entity, kind string, holder, reissue, firs
 	if p.SerialFixed != "" {
 		c.SerialHex = p.SerialFixed
 	} else {
-		c.SerialHex = serialHex(rng.Uint64())
+		var b [16]byte
+		c.SerialHex = strs.Cut(appendSerialHex(b[:0], rng.Uint64()))
 	}
 
 	p.setValidity(rng, c, firstUseDay, reissue)
 
 	// Subject content.
 	cn := pickContent(rng, p.CN)
-	c.SubjectCN = cn.render(rng, holder)
+	c.SubjectCN = cn.render(strs, rng, holder)
 	c.SubjectOrg = p.SubjectOrg
 	if p.SANFill > 0 && rng.Bool(p.SANFill) {
 		n := orN(p.SANCount, 1)
 		for i := 0; i < n; i++ {
-			v := pickContent(rng, p.SAN).render(rng, holder)
+			v := pickContent(rng, p.SAN).render(strs, rng, holder)
 			if v != "" {
+				if c.SANDNS == nil {
+					c.SANDNS = strs.List(n)
+				}
 				c.SANDNS = append(c.SANDNS, v)
 			}
 		}
 	}
 	if p.SANEmailFill > 0 && rng.Bool(p.SANEmailFill) {
-		c.SANEmail = append(c.SANEmail, Content{Kind: KindEmail}.render(rng, holder))
+		c.SANEmail = append(strs.List(1), Content{Kind: KindEmail}.render(strs, rng, holder))
 	}
 	if p.SANIPFill > 0 && rng.Bool(p.SANIPFill) {
-		c.SANIP = append(c.SANIP, Content{Kind: KindIP}.render(rng, holder))
+		c.SANIP = append(strs.List(1), Content{Kind: KindIP}.render(strs, rng, holder))
 	}
 
 	// certmodel.SyntheticFingerprint with the discriminator
 	// "<entity>/<kind>/h<holder>/r<reissue>" appended in place.
 	var buf [512]byte
 	b := certmodel.AppendSyntheticIdentity(buf[:0], c)
-	b = append(append(append(b, entity...), '/'), kind...)
-	b = strconv.AppendInt(append(b, "/h"...), int64(holder), 10)
+	b = strconv.AppendInt(append(append(b, prefix...), 'h'), int64(holder), 10)
 	b = strconv.AppendInt(append(b, "/r"...), int64(reissue), 10)
-	c.Fingerprint = ids.FingerprintBytes(b)
-	return c
+	var fp [64]byte
+	c.Fingerprint = ids.Fingerprint(strs.Cut(ids.AppendFingerprint(fp[:0], b)))
 }
 
-// serialHex renders v as sixteen uppercase hex digits, fmt's "%016X".
-func serialHex(v uint64) string {
+// appendSerialHex appends v as sixteen uppercase hex digits, fmt's
+// "%016X".
+func appendSerialHex(b []byte, v uint64) []byte {
 	const hexd = "0123456789ABCDEF"
-	var b [16]byte
-	for i := len(b) - 1; i >= 0; i-- {
-		b[i] = hexd[v&15]
-		v >>= 4
+	for i := 60; i >= 0; i -= 4 {
+		b = append(b, hexd[v>>i&15])
 	}
-	return string(b[:])
+	return b
 }
 
 func (p *CertPlan) setValidity(rng *ids.RNG, c *certmodel.CertInfo, firstUseDay, reissue int) {
@@ -156,7 +167,7 @@ func (p *CertPlan) setValidity(rng *ids.RNG, c *certmodel.CertInfo, firstUseDay,
 		expiredFor := p.ExpiredMinDays + rng.Intn(span)
 		validity := orN(p.ValidityDays, 365)
 		c.NotAfter = certmodel.DayToTime(firstUseDay - expiredFor)
-		c.NotBefore = c.NotAfter.AddDate(0, 0, -validity)
+		c.NotBefore = certmodel.DayToTime(firstUseDay - expiredFor - validity)
 	default:
 		validity := orN(p.ValidityDays, 365)
 		if p.LongValidityShare > 0 && rng.Bool(p.LongValidityShare) {
@@ -181,7 +192,7 @@ func (p *CertPlan) setValidity(rng *ids.RNG, c *certmodel.CertInfo, firstUseDay,
 			}
 		}
 		c.NotBefore = certmodel.DayToTime(start)
-		c.NotAfter = c.NotBefore.AddDate(0, 0, validity)
+		c.NotAfter = certmodel.DayToTime(start + validity)
 	}
 }
 

@@ -3,8 +3,8 @@ package workload
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
+	"repro/internal/arena"
 	"repro/internal/ids"
 )
 
@@ -75,25 +75,26 @@ var genLastNames = []string{
 }
 
 // render materializes one content choice for certificate #idx of an
-// entity. All randomness flows through rng so generation is reproducible.
-func (c Content) render(rng *ids.RNG, idx int) string {
+// entity, cutting any string it builds from strs (allocating it when strs
+// is nil). All randomness flows through rng so generation is
+// reproducible.
+func (c Content) render(strs *arena.Strings, rng *ids.RNG, idx int) string {
 	var buf [64]byte
+	b := buf[:0]
 	switch c.Kind {
 	case KindEmpty:
 		return ""
 	case KindDomain:
 		return c.Text
 	case KindHost:
-		return string(appendHost(buf[:0], idx, c.Text))
+		b = appendHost(b, idx, c.Text)
 	case KindIP:
-		b := append(buf[:0], "10."...)
+		b = append(b, "10."...)
 		b = strconv.AppendInt(b, int64(rng.Intn(250)+1), 10)
 		b = strconv.AppendInt(append(b, '.'), int64(rng.Intn(250)+1), 10)
 		b = strconv.AppendInt(append(b, '.'), int64(rng.Intn(250)+1), 10)
-		return string(b)
 	case KindMAC:
 		const hexd = "0123456789ABCDEF"
-		b := buf[:0]
 		for i := 0; i < 6; i++ {
 			if i > 0 {
 				b = append(b, ':')
@@ -101,59 +102,59 @@ func (c Content) render(rng *ids.RNG, idx int) string {
 			v := byte(rng.Uint64())
 			b = append(b, hexd[v>>4], hexd[v&15])
 		}
-		return string(b)
 	case KindSIP:
-		b := appendPadded(append(buf[:0], "sip:user"...), idx%9999, 4)
-		return string(append(append(b, '@'), orDefault(c.Text, "voip.example.com")...))
+		b = appendPadded(append(b, "sip:user"...), idx%9999, 4)
+		b = append(append(b, '@'), orDefault(c.Text, "voip.example.com")...)
 	case KindEmail:
-		b := appendPadded(append(buf[:0], "user"...), idx%9999, 4)
-		return string(append(append(b, '@'), orDefault(c.Text, "example.com")...))
+		b = appendPadded(append(b, "user"...), idx%9999, 4)
+		b = append(append(b, '@'), orDefault(c.Text, "example.com")...)
 	case KindUserAccount:
 		// 2-3 lowercase letters, digit, 1-3 alphanumerics: "hd7gr" shape.
-		letters := "abcdefghijklmnopqrstuvwxyz"
-		var b strings.Builder
+		// Each loop bound draws anew on every iteration.
+		const letters = "abcdefghijklmnopqrstuvwxyz"
 		for i := 0; i < 2+rng.Intn(2); i++ {
-			b.WriteByte(letters[rng.Intn(26)])
+			b = append(b, letters[rng.Intn(26)])
 		}
-		b.WriteByte(byte('0' + rng.Intn(10)))
+		b = append(b, byte('0'+rng.Intn(10)))
 		for i := 0; i < 1+rng.Intn(2); i++ {
-			b.WriteByte(letters[rng.Intn(26)])
+			b = append(b, letters[rng.Intn(26)])
 		}
-		return b.String()
 	case KindPersonName:
-		return ids.Pick(rng, genFirstNames) + " " + ids.Pick(rng, genLastNames)
+		first := ids.Pick(rng, genFirstNames)
+		b = append(append(append(b, first...), ' '), ids.Pick(rng, genLastNames)...)
 	case KindText:
 		return c.Text
 	case KindRandomHex:
-		return randomHex(rng, orN(c.N, 8))
+		b = appendRandomHex(b, rng, orN(c.N, 8))
 	case KindUUID:
-		h := randomHex(rng, 32)
-		return h[0:8] + "-" + h[8:12] + "-" + h[12:16] + "-" + h[16:20] + "-" + h[20:32]
+		h := appendRandomHex(b, rng, 32)
+		var u [36]byte
+		b = append(append(append(append(append(append(append(append(append(u[:0],
+			h[0:8]...), '-'), h[8:12]...), '-'), h[12:16]...), '-'), h[16:20]...), '-'), h[20:32]...)
 	case KindRandomAlnum:
 		const alnum = "abcdefghjkmnpqrstvwxyzABCDEFGHJKMNPQRSTVWXYZ0123456789"
 		n := orN(c.N, 12)
-		var b strings.Builder
 		for i := 0; i < n; i++ {
-			b.WriteByte(alnum[rng.Intn(len(alnum))])
+			b = append(b, alnum[rng.Intn(len(alnum))])
 		}
-		return b.String()
 	case KindLocalhost:
 		if rng.Bool(0.5) {
 			return "localhost"
 		}
-		return string(append(appendPadded(append(buf[:0], "host"...), idx%999, 3), ".localdomain"...))
+		b = append(appendPadded(append(b, "host"...), idx%999, 3), ".localdomain"...)
 	default:
 		return ""
 	}
+	return strs.Cut(b)
 }
 
-func randomHex(rng *ids.RNG, n int) string {
+// appendRandomHex appends n random lowercase hex digits.
+func appendRandomHex(b []byte, rng *ids.RNG, n int) []byte {
 	const hexd = "0123456789abcdef"
-	var b strings.Builder
 	for i := 0; i < n; i++ {
-		b.WriteByte(hexd[rng.Intn(16)])
+		b = append(b, hexd[rng.Intn(16)])
 	}
-	return b.String()
+	return b
 }
 
 // appendHost appends "host<idx%9999, four digits>.<domain>", the

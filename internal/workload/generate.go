@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/certmodel"
 	"repro/internal/ct"
 	"repro/internal/ids"
@@ -25,38 +26,48 @@ type Generator struct {
 	psl    *psl.List
 	ds     *zeek.Dataset
 
-	certCache map[certKey]*certmodel.CertInfo
-	uidRNG    *ids.RNG
-	fpCache   map[string][2]string
+	slots   map[[2]string]*certSlots // each (entity, kind)'s cache
+	minted  []*certmodel.CertInfo    // every minted certificate, in mint order
+	uidRNG  *ids.RNG
+	fpCache map[string][2]string
 
-	key    []byte            // scratch for RNG fork labels and memo keys
-	chains []ids.Fingerprint // current block of one-certificate chains
+	key    []byte               // scratch for RNG fork labels and memo keys
+	chains []ids.Fingerprint    // current block of one-certificate chains
+	certs  []certmodel.CertInfo // current block of minted certificates
+	strs   arena.Strings        // the strings of certificates and rows
 }
 
-// certKey names one cached certificate: its entity, kind, holder and
-// re-issuance round.
-type certKey struct {
-	entity, kind    string
-	holder, reissue int
+// certSlots caches the certificates of one (entity, kind), resolved once
+// per entity or population so that a row looks its certificate up by
+// integers: round 0 by holder in dense slots, later re-issuance rounds
+// by (holder, round).
+type certSlots struct {
+	prefix []byte // "<entity>/<kind>/", the RNG fork label's head
+	first  []*certmodel.CertInfo
+	later  map[[2]int]*certmodel.CertInfo
 }
 
-// chainBlock is how many one-certificate chains share an allocation.
-const chainBlock = 4096
+// Block sizes: how many one-certificate chains, and how many
+// certificates, share an allocation.
+const (
+	chainBlock = 4096
+	certBlock  = 512
+)
 
 // newGenerator prepares a generator for a resolved cfg (see FromSpec).
 func newGenerator(cfg Config) *Generator {
 	root := ids.NewRNG(cfg.Seed)
 	return &Generator{
-		cfg:       cfg,
-		rng:       root.Fork("workload"),
-		alloc:     netsim.NewAllocator(netsim.DefaultPlan()),
-		bundle:    truststore.DefaultBundle(),
-		ctlog:     ct.NewLog(),
-		psl:       psl.Default(),
-		ds:        zeek.NewDataset(),
-		certCache: make(map[certKey]*certmodel.CertInfo),
-		uidRNG:    root.Fork("uids"),
-		fpCache:   make(map[string][2]string),
+		cfg:     cfg,
+		rng:     root.Fork("workload"),
+		alloc:   netsim.NewAllocator(netsim.DefaultPlan()),
+		bundle:  truststore.DefaultBundle(),
+		ctlog:   ct.NewLog(),
+		psl:     psl.Default(),
+		ds:      &zeek.Dataset{},
+		slots:   make(map[[2]string]*certSlots),
+		uidRNG:  root.Fork("uids"),
+		fpCache: make(map[string][2]string),
 	}
 }
 
@@ -81,6 +92,7 @@ func (g *Generator) run(entities []Entity, extraCT []ct.Entry) *Build {
 	g.emitCrossShared()
 	g.emitInterception()
 	g.emitBackground()
+	g.ds.Certs = certIndex(g.minted)
 	return &Build{
 		Raw:           g.ds,
 		CT:            g.ctlog,
@@ -93,30 +105,93 @@ func (g *Generator) run(entities []Entity, extraCT []ct.Entry) *Build {
 
 // monthFirstDay returns the study-day offset of month m's first day.
 func monthFirstDay(m int) int {
+	if m >= 0 && m < len(studyMonthDays) {
+		return studyMonthDays[m]
+	}
+	return computeMonthFirstDay(m)
+}
+
+// studyMonthDays holds monthFirstDay of every study month, which the
+// per-connection populations look up on every row.
+var studyMonthDays = func() (days [studyMonths]int) {
+	for m := range days {
+		days[m] = computeMonthFirstDay(m)
+	}
+	return days
+}()
+
+func computeMonthFirstDay(m int) int {
 	return int(certmodel.DayToTime(0).AddDate(0, m, 0).Sub(certmodel.DayToTime(0)).Hours() / 24)
 }
 
+// certIndex is the fingerprint map of the minted certificates, built
+// once at its final size. The first certificate minted under a
+// fingerprint wins, as in zeek.Dataset.AddCert: the certificates are
+// stored last to first, so the first one is stored last.
+func certIndex(minted []*certmodel.CertInfo) map[ids.Fingerprint]*certmodel.CertInfo {
+	m := make(map[ids.Fingerprint]*certmodel.CertInfo, len(minted))
+	for i := len(minted) - 1; i >= 0; i-- {
+		m[minted[i].Fingerprint] = minted[i]
+	}
+	return m
+}
+
+// slotsOf resolves the certificate cache of (entity, kind).
+func (g *Generator) slotsOf(entity, kind string) *certSlots {
+	k := [2]string{entity, kind}
+	s, ok := g.slots[k]
+	if !ok {
+		s = &certSlots{prefix: []byte(entity + "/" + kind + "/")}
+		g.slots[k] = s
+	}
+	return s
+}
+
 // cert returns (minting if needed) the cached certificate for a holder.
-func (g *Generator) cert(plan *CertPlan, entity, kind string, holder, reissue, firstUseDay int) *certmodel.CertInfo {
-	key := certKey{entity: entity, kind: kind, holder: holder, reissue: reissue}
-	if c, ok := g.certCache[key]; ok {
+func (g *Generator) cert(s *certSlots, plan *CertPlan, holder, reissue, firstUseDay int) *certmodel.CertInfo {
+	dense := reissue == 0 && holder >= 0
+	if dense {
+		if holder < len(s.first) && s.first[holder] != nil {
+			return s.first[holder]
+		}
+	} else if c, ok := s.later[[2]int{holder, reissue}]; ok {
 		return c
 	}
 	// Per-cert RNG forked from "<entity>/<kind>/<holder>/<reissue>":
 	// cache misses never perturb the global stream, keeping generation
 	// order-independent.
-	k := append(append(append(g.key[:0], entity...), '/'), kind...)
-	k = strconv.AppendInt(append(k, '/'), int64(holder), 10)
+	k := strconv.AppendInt(append(g.key[:0], s.prefix...), int64(holder), 10)
 	k = strconv.AppendInt(append(k, '/'), int64(reissue), 10)
 	g.key = k
 	crng := g.rng.ForkBytes(k)
-	c := plan.mint(crng, entity, kind, holder, reissue, firstUseDay)
+	if len(g.certs) == cap(g.certs) {
+		g.certs = make([]certmodel.CertInfo, 0, certBlock)
+	}
+	g.certs = g.certs[:len(g.certs)+1]
+	c := &g.certs[len(g.certs)-1]
+	plan.mintInto(c, &g.strs, crng, s.prefix, holder, reissue, firstUseDay)
 	if c.SelfSigned && c.IssuerOrg == "" && c.IssuerCN == "" {
 		c.IssuerCN = c.SubjectCN
 	}
-	g.certCache[key] = c
-	g.ds.AddCert(c)
+	if dense {
+		if holder >= len(s.first) {
+			s.first = append(s.first, make([]*certmodel.CertInfo, holder+1-len(s.first))...)
+		}
+		s.first[holder] = c
+	} else {
+		if s.later == nil {
+			s.later = make(map[[2]int]*certmodel.CertInfo)
+		}
+		s.later[[2]int{holder, reissue}] = c
+	}
+	g.minted = append(g.minted, c)
 	return c
+}
+
+// uid draws the next connection UID, cut from the arena.
+func (g *Generator) uid() ids.UID {
+	var b [ids.UIDLen]byte
+	return ids.UID(g.strs.Cut(ids.AppendUID(b[:0], g.uidRNG)))
 }
 
 func (g *Generator) pickPort(rng *ids.RNG, ports []PortWeight) uint16 {
@@ -161,9 +236,20 @@ func (g *Generator) entityRows(e *Entity) int {
 	return (end - start + 1) * perMonth
 }
 
-// connLabels are an entity's address-allocator labels, built once per
-// entity rather than per connection.
-type connLabels struct{ cli, srv string }
+// entityConns is what every connection row of one entity shares,
+// resolved once per entity rather than per row: its address labels
+// (client addresses by client index, server addresses by server index)
+// and its ClientHello fingerprints. once marks a per-connection
+// population, whose client indices are each asked for once.
+type entityConns struct {
+	cli, srv *netsim.Hosts
+	once     bool
+	ja3, ja4 string
+}
+
+// entityCerts are an entity's certificate caches, resolved once per
+// entity.
+type entityCerts struct{ cli, srv, cli2 *certSlots }
 
 // emitEntity renders one entity's connections and certificates.
 func (g *Generator) emitEntity(e *Entity) {
@@ -186,10 +272,26 @@ func (g *Generator) emitEntity(e *Entity) {
 	}
 	firstUseDay := monthFirstDay(start)
 	ern := g.rng.Fork("entity/" + e.Name)
-	labels := connLabels{cli: e.Name + "/cli", srv: e.Name + "/srv"}
+	conns := entityConns{once: e.PerConnCerts}
+	if e.HelloPreset != "" {
+		conns.ja3, conns.ja4 = g.helloFP(e.HelloPreset, e.SNI)
+	}
+	switch {
+	case !e.Inbound:
+		conns.cli, conns.srv = g.alloc.CampusDevices(e.Name+"/cli"), g.alloc.ExternalHosts(e.Name+"/srv")
+	case e.Health:
+		conns.cli, conns.srv = g.alloc.ExternalHosts(e.Name+"/cli"), g.alloc.HealthServers(e.Name)
+	default:
+		conns.cli, conns.srv = g.alloc.ExternalHosts(e.Name+"/cli"), g.alloc.CampusServers(e.Name)
+	}
+	certs := entityCerts{
+		cli:  g.slotsOf(e.Name, "cli"),
+		srv:  g.slotsOf(e.Name, "srv"),
+		cli2: g.slotsOf(e.Name, "cli2"),
+	}
 
 	if e.PerConnCerts {
-		g.emitPerConnEntity(e, ern, labels, clients, servers, start, end, shape, shapeSum)
+		g.emitPerConnEntity(e, ern, conns, certs, clients, servers, start, end, shape, shapeSum)
 		return
 	}
 
@@ -226,19 +328,19 @@ func (g *Generator) emitEntity(e *Entity) {
 					holder = c % e.CertHolders
 				}
 				ri := e.ClientPlan.reissueIndex(firstUseDay, tsDay)
-				clientCert = g.cert(e.ClientPlan, e.Name, "cli", holder, ri, firstUseDay)
+				clientCert = g.cert(certs.cli, e.ClientPlan, holder, ri, firstUseDay)
 			}
 			if e.SharedCert {
 				serverCert = clientCert
 			} else if e.ServerPlan != nil {
 				ri := e.ServerPlan.reissueIndex(firstUseDay, tsDay)
-				serverCert = g.cert(e.ServerPlan, e.Name, "srv", srvIdx, ri, firstUseDay)
+				serverCert = g.cert(certs.srv, e.ServerPlan, srvIdx, ri, firstUseDay)
 			}
-			g.emitConn(e, ern, labels, ts, c, srvIdx, clientSubnets, clientCert, serverCert, weight)
+			g.emitConn(e, ern, conns, ts, c, srvIdx, clientSubnets, clientCert, serverCert, weight)
 
 			// Secondary client certificate (Table 3's secondary issuer).
 			if e.ClientPlan2 != nil && c < plan2Clients {
-				cc2 := g.cert(e.ClientPlan2, e.Name, "cli2", c, 0, firstUseDay)
+				cc2 := g.cert(certs.cli2, e.ClientPlan2, c, 0, firstUseDay)
 				sc2 := serverCert
 				if e.SharedCert {
 					sc2 = cc2
@@ -247,7 +349,7 @@ func (g *Generator) emitEntity(e *Entity) {
 				if w2 < 1 {
 					w2 = 1
 				}
-				g.emitConn(e, ern, labels, ts, c, srvIdx, clientSubnets, cc2, sc2, w2)
+				g.emitConn(e, ern, conns, ts, c, srvIdx, clientSubnets, cc2, sc2, w2)
 			}
 		}
 	}
@@ -256,7 +358,7 @@ func (g *Generator) emitEntity(e *Entity) {
 
 // emitPerConnEntity handles WebRTC-style populations where certificates
 // are per-connection: rows == client certificates.
-func (g *Generator) emitPerConnEntity(e *Entity, ern *ids.RNG, labels connLabels, clients, servers, start, end int, shape MonthShape, shapeSum float64) {
+func (g *Generator) emitPerConnEntity(e *Entity, ern *ids.RNG, conns entityConns, certs entityCerts, clients, servers, start, end int, shape MonthShape, shapeSum float64) {
 	rows := clients // one row per unique client certificate
 	if rows == 0 {
 		return
@@ -270,20 +372,18 @@ func (g *Generator) emitPerConnEntity(e *Entity, ern *ids.RNG, labels connLabels
 	if weight < 1 {
 		weight = 1
 	}
-	months := end - start + 1
 	srvSerial := 0
 	for r := 0; r < rows; r++ {
 		// Place the row in a month proportionally to the shape.
 		mOff := pickMonthByShape(ern, start, end, shape, shapeSum, r, rows)
 		day := monthFirstDay(mOff) + (r*11+mOff)%27
 		ts := certmodel.DayToTime(day)
-		clientCert := g.cert(e.ClientPlan, e.Name, "cli", r, 0, day)
+		clientCert := g.cert(certs.cli, e.ClientPlan, r, 0, day)
 		if ern.Bool(newSrvProb) || srvSerial == 0 {
 			srvSerial++
 		}
-		serverCert := g.cert(e.ServerPlan, e.Name, "srv", srvSerial, 0, day)
-		g.emitConn(e, ern, labels, ts, r, srvSerial%servers, rows/50+1, clientCert, serverCert, weight)
-		_ = months
+		serverCert := g.cert(certs.srv, e.ServerPlan, srvSerial, 0, day)
+		g.emitConn(e, ern, conns, ts, r, srvSerial%servers, rows/50+1, clientCert, serverCert, weight)
 	}
 }
 
@@ -302,18 +402,17 @@ func pickMonthByShape(rng *ids.RNG, start, end int, shape MonthShape, shapeSum f
 }
 
 // emitConn appends one ssl.log row.
-func (g *Generator) emitConn(e *Entity, ern *ids.RNG, labels connLabels, ts time.Time, c, srvIdx, clientSubnets int, clientCert, serverCert *certmodel.CertInfo, weight int64) {
+func (g *Generator) emitConn(e *Entity, ern *ids.RNG, conns entityConns, ts time.Time, c, srvIdx, clientSubnets int, clientCert, serverCert *certmodel.CertInfo, weight int64) {
 	var origIP, respIP string
-	if e.Inbound {
-		origIP = g.alloc.ExternalHostInSubnet(labels.cli, c%clientSubnets, c)
-		if e.Health {
-			respIP = g.alloc.HealthServer(e.Name, srvIdx)
-		} else {
-			respIP = g.alloc.CampusServer(e.Name, srvIdx)
-		}
-	} else {
-		origIP = g.alloc.CampusDevice(labels.cli, c)
-		respIP = g.alloc.ExternalHostInSubnet(labels.srv, srvIdx/4, srvIdx)
+	switch {
+	case e.Inbound && conns.once:
+		origIP, respIP = conns.cli.OnceInSubnet(c%clientSubnets, c), conns.srv.At(srvIdx)
+	case e.Inbound:
+		origIP, respIP = conns.cli.InSubnet(c%clientSubnets, c), conns.srv.At(srvIdx)
+	case conns.once:
+		origIP, respIP = conns.cli.Once(c), conns.srv.InSubnet(srvIdx/4, srvIdx)
+	default:
+		origIP, respIP = conns.cli.At(c), conns.srv.InSubnet(srvIdx/4, srvIdx)
 	}
 	established := true
 	if e.EstablishedShare > 0 && e.EstablishedShare < 1 {
@@ -321,7 +420,7 @@ func (g *Generator) emitConn(e *Entity, ern *ids.RNG, labels connLabels, ts time
 	}
 	rec := zeek.SSLRecord{
 		TS:          ts,
-		UID:         ids.NewUID(g.uidRNG),
+		UID:         g.uid(),
 		OrigIP:      origIP,
 		OrigPort:    uint16(32768 + ern.Intn(28000)),
 		RespIP:      respIP,
@@ -341,9 +440,7 @@ func (g *Generator) emitConn(e *Entity, ern *ids.RNG, labels connLabels, ts time
 			rec.ClientChain = g.chain(clientCert.Fingerprint)
 		}
 	}
-	if e.HelloPreset != "" {
-		rec.JA3, rec.JA4 = g.helloFP(e.HelloPreset, e.SNI)
-	}
+	rec.JA3, rec.JA4 = conns.ja3, conns.ja4
 	g.ds.Conns = append(g.ds.Conns, rec)
 }
 

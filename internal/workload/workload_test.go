@@ -259,22 +259,22 @@ func TestMonthOf(t *testing.T) {
 
 func TestContentRenderKinds(t *testing.T) {
 	rng := ids.NewRNG(9)
-	if got := (Content{Kind: KindText, Text: "WebRTC"}).render(rng, 0); got != "WebRTC" {
+	if got := (Content{Kind: KindText, Text: "WebRTC"}).render(nil, rng, 0); got != "WebRTC" {
 		t.Fatalf("text = %q", got)
 	}
-	if got := (Content{Kind: KindUUID}).render(rng, 0); len(got) != 36 {
+	if got := (Content{Kind: KindUUID}).render(nil, rng, 0); len(got) != 36 {
 		t.Fatalf("uuid = %q", got)
 	}
-	if got := (Content{Kind: KindRandomHex, N: 8}).render(rng, 0); len(got) != 8 {
+	if got := (Content{Kind: KindRandomHex, N: 8}).render(nil, rng, 0); len(got) != 8 {
 		t.Fatalf("hex = %q", got)
 	}
-	if got := (Content{Kind: KindMAC}).render(rng, 0); len(got) != 17 {
+	if got := (Content{Kind: KindMAC}).render(nil, rng, 0); len(got) != 17 {
 		t.Fatalf("mac = %q", got)
 	}
-	if got := (Content{Kind: KindUserAccount}).render(rng, 0); len(got) < 4 || len(got) > 7 {
+	if got := (Content{Kind: KindUserAccount}).render(nil, rng, 0); len(got) < 4 || len(got) > 7 {
 		t.Fatalf("user account = %q", got)
 	}
-	if got := (Content{Kind: KindEmpty}).render(rng, 0); got != "" {
+	if got := (Content{Kind: KindEmpty}).render(nil, rng, 0); got != "" {
 		t.Fatalf("empty = %q", got)
 	}
 }
@@ -356,8 +356,8 @@ func TestAppendHelpersMatchFmt(t *testing.T) {
 			t.Fatalf("appendHost(%d) = %q, want %q", n, got, want)
 		}
 		v := rng.Uint64() >> uint(rng.Intn(64))
-		if got, want := serialHex(v), fmt.Sprintf("%016X", v); got != want {
-			t.Fatalf("serialHex(%#x) = %q, want %q", v, got, want)
+		if got, want := string(appendSerialHex(nil, v)), fmt.Sprintf("%016X", v); got != want {
+			t.Fatalf("appendSerialHex(%#x) = %q, want %q", v, got, want)
 		}
 	}
 }

@@ -3,8 +3,8 @@ package zeek
 import (
 	"bytes"
 	"hash/maphash"
-	"unsafe"
 
+	"repro/internal/arena"
 	"repro/internal/certmodel"
 	"repro/internal/ids"
 )
@@ -54,16 +54,16 @@ type internTable struct {
 	scratch []byte
 
 	// The arenas. Per-row strings and chains the table does not keep are
-	// cut from shared blocks instead of allocated one by one: strBlock
-	// holds connection strings (UIDs, over-budget copies), certBlock the
+	// cut from shared blocks instead of allocated one by one: connStrs
+	// holds connection strings (UIDs, over-budget copies), certStrs the
 	// strings of x509.log rows, which live as long as their certificates,
 	// and fpBlock chains. Bytes and entries below a block's length are
 	// never written again, so whatever was cut from it stays valid for
 	// good; a full block is dropped for a fresh one and lives as long as
 	// a record cut from it.
-	strBlock  []byte
-	certBlock []byte
-	fpBlock   []ids.Fingerprint
+	connStrs arena.Strings
+	certStrs arena.Strings
+	fpBlock  []ids.Fingerprint
 
 	// row and ends are the reused scratch of certRow: the bytes of one
 	// x509.log row's strings and where each ends.
@@ -80,12 +80,9 @@ type dnParts struct{ cn, org string }
 // internCap bounds the bytes retained per value class.
 const internCap = 1 << 20
 
-// Arena block sizes: a string block holds the UIDs of ~900 rows, a
-// fingerprint block the chains of ~2 000.
-const (
-	strBlockSize = 16 << 10
-	fpBlockSize  = 4096
-)
+// fpBlockSize is a chain arena block's size: the chains of ~2 000 rows.
+// (A string block of the arena package holds the UIDs of ~900.)
+const fpBlockSize = 4096
 
 func newInternTable() *internTable {
 	return &internTable{
@@ -108,25 +105,7 @@ func (t *internTable) cut(b []byte) string {
 	if t == nil {
 		return string(b)
 	}
-	return cutFrom(&t.strBlock, b)
-}
-
-// cutFrom returns a copy of b cut from the string arena *block, starting
-// a fresh block when it is full. A value too long to share a block gets
-// a string of its own.
-func cutFrom(block *[]byte, b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if len(b) > strBlockSize/8 {
-		return string(b)
-	}
-	if cap(*block)-len(*block) < len(b) {
-		*block = make([]byte, 0, strBlockSize)
-	}
-	start := len(*block)
-	*block = append(*block, b...)
-	return unsafe.String(&(*block)[start], len(b))
+	return t.connStrs.Cut(b)
 }
 
 // str returns b as a string, shared with every previous occurrence of
@@ -302,7 +281,7 @@ func (t *internTable) certRow(cols [][]byte, c *certmodel.CertInfo) ids.FileID {
 		s = string(buf)
 	} else {
 		t.row, t.ends = buf, ends
-		s = cutFrom(&t.certBlock, buf)
+		s = t.certStrs.Cut(buf)
 	}
 	c.Fingerprint = ids.Fingerprint(s[:ends[0]])
 	if t != nil && t.certs != nil && c.Fingerprint != "" {
