@@ -34,9 +34,10 @@ func TestSpecSeedPrecedence(t *testing.T) {
 	}
 }
 
-// threeCohortFacadeSpec mirrors the CI scenario-smoke cohort mix: an
-// IoT fleet on shared certs, an interception middlebox, and a
-// short-lived rotation grid, each with its own fingerprint preset.
+// threeCohortFacadeSpec mirrors the cohort mix of cmd/mtlsd's
+// TestDaemonChaos: an IoT fleet on shared certs, an interception
+// middlebox, and a short-lived rotation grid, each with its own
+// fingerprint preset.
 func threeCohortFacadeSpec(t *testing.T) *Spec {
 	t.Helper()
 	spec, err := scenario.NewBuilder().

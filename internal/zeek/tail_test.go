@@ -690,3 +690,97 @@ func TestForEachSSLStop(t *testing.T) {
 		t.Fatalf("seen = %d, want 2", seen)
 	}
 }
+
+// TestTailCopyTruncate: logrotate's copytruncate empties x509.log in
+// place, on the same inode, so the tailer can tell only from the size or
+// the first data line. Whether the file regrows below the offset the
+// tailer had reached or past it before the next poll, every row is read
+// exactly once and tail_rotations_total{file="x509"} steps by one per
+// truncate.
+func TestTailCopyTruncate(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		regrow func(had int) int // rows written after a truncate of a file holding had
+		past   bool
+	}{
+		{"regrown-below-offset", func(int) int { return 1 }, false},
+		{"regrown-past-offset", func(had int) int { return had + 2 }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "x509.log")
+			var want, got []string
+			write := func(n int) {
+				t.Helper()
+				f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				fi, err := f.Stat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := NewX509Writer(f)
+				if fi.Size() > 0 {
+					w.SkipHeader()
+				}
+				for i := 0; i < n; i++ {
+					serial := fmt.Sprintf("%02X", len(want))
+					want = append(want, serial)
+					if err := w.Write(&X509Record{TS: date(2022, 6, 1), ID: ids.FileID("F" + serial), Cert: sampleCert(t, serial)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tl := NewX509Tail(path)
+			defer tl.Close()
+			reg := metrics.New()
+			tl.Instrument(reg)
+			poll := func() {
+				t.Helper()
+				recs, err := tl.Poll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range recs {
+					got = append(got, recs[i].Cert.SerialHex)
+				}
+			}
+
+			write(3)
+			poll()
+			had := 3
+			for n := uint64(1); n <= 2; n++ {
+				before, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				offset := tl.Offset()
+				if err := os.Truncate(path, 0); err != nil {
+					t.Fatal(err)
+				}
+				had = tc.regrow(had)
+				write(had)
+				after, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !os.SameFile(before, after) || (after.Size() > offset) != tc.past {
+					t.Fatalf("truncate %d: same inode %v, size %d against offset %d; want the same inode, past=%v",
+						n, os.SameFile(before, after), after.Size(), offset, tc.past)
+				}
+				poll()
+				if r := reg.Counter("tail_rotations_total", "", "file", "x509").Value(); r != n {
+					t.Errorf("after truncate %d: tail_rotations_total{file=\"x509\"} = %d, want %d", n, r, n)
+				}
+			}
+			poll() // nothing left: a row read twice would show here
+			if !slices.Equal(got, want) {
+				t.Fatalf("rows read %v, want each of %v once", got, want)
+			}
+		})
+	}
+}
