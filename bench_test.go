@@ -28,6 +28,7 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/ids"
 	"repro/internal/infotype"
+	"repro/internal/interception"
 	"repro/internal/psl"
 	"repro/internal/stats"
 	"repro/internal/stream"
@@ -75,7 +76,8 @@ func BenchmarkGenerateDataset(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 }
 
-// BenchmarkPreprocess times §3.2 (interception filter + enrichment).
+// BenchmarkPreprocess times §3.2: the detector, then a Builder fed what
+// its verdict admits.
 func BenchmarkPreprocess(b *testing.B) {
 	benchPipeline(b)
 	b.ReportAllocs()
@@ -354,16 +356,17 @@ func BenchmarkContentTablesCold(b *testing.B) {
 	}
 }
 
-// BenchmarkInterceptionFilter times the §3.2 detector end to end (it runs
-// inside preprocessing; this isolates it on a fresh pipeline).
+// BenchmarkInterceptionFilter times the §3.2 detector alone: one
+// Detector.Run over the raw dataset, the part of BenchmarkPreprocess that
+// decides what the Builder admits.
 func BenchmarkInterceptionFilter(b *testing.B) {
 	benchPipeline(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := core.NewPipeline(benchIn)
-		r := p.PreprocessReport()
+		r := interception.NewDetector(benchIn.Bundle, benchIn.CT).Run(benchIn.Raw)
 		logOnce(b, "§3.2: %d interception issuers, %d certs excluded",
-			len(r.InterceptionIssuers), r.ExcludedCerts)
+			len(r.Issuers), len(r.ExcludedCerts))
 	}
 }
 
@@ -637,19 +640,6 @@ func benchInputWorkers(b *testing.B, workers int) *core.Input {
 	in := *benchIn
 	in.Workers = workers
 	return &in
-}
-
-// BenchmarkAblationPreprocessSerial measures §3.2 preprocessing, which
-// runs on one goroutine at every worker count.
-func BenchmarkAblationPreprocessSerial(b *testing.B) {
-	in := benchInputWorkers(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if core.NewPipeline(in).PreprocessReport().RawCerts == 0 {
-			b.Fatal("no certs")
-		}
-	}
 }
 
 // BenchmarkAblationAnalysesSerial measures the 21 table/figure analyses

@@ -20,20 +20,21 @@ type ConnRecord = zeek.SSLRecord
 type CertRecord = zeek.X509Record
 
 // Builder constructs the enriched analysis state incrementally, one
-// connection at a time, using the exact enricher the batch path runs
-// (enrichSerial). It is the core of the streaming engine: the engine
-// decides which records are admitted (interception filtering, windowing)
-// and the Builder turns the admitted sequence into the same state
-// NewPipeline would produce for an equivalent filtered dataset.
+// connection at a time. It is the one way into the analyses: the batch
+// preprocess, the streaming engine, the aggregator and a restored engine
+// all fill one through mergeInto, which applies the §3.2 verdict (a
+// certificate it excludes is not resolvable, a connection whose server
+// leaf it excludes is not added); the owner decides what else is admitted
+// (windowing) and in what order.
 //
 // The caller owns the order of connections: feeding the same connections
 // in the same order as a batch run yields a deeply equal Analysis. A
 // certificate's class and issuer category do not depend on that order:
-// they come from the chain of its earliest connection by connBefore, on
-// the serial path as here. When a certificate arrives relative to the
-// connections that name it does not matter: AddCert re-enriches, in
-// position order, the views that failed to resolve it, and every usage
-// update is idempotent (flags, min/max timestamps, subnet sets), so the
+// they come from the chain of its earliest connection by connBefore. When
+// a certificate arrives relative to the connections that name it does not
+// matter: AddCert re-enriches, in position order, the views that failed to
+// resolve it, and every usage update is idempotent (flags, min/max
+// timestamps, subnet sets), so the
 // state equals the one the certificate-first order builds. One thing can
 // be taken back: the certificates a grown §3.2 verdict excludes, with the
 // connections they served (Exclude). Anything else that removes records —
@@ -54,7 +55,6 @@ type Builder struct {
 // — the Builder accumulates its own dataset from AddCert/AddConn.
 func NewBuilder(in *Input) *Builder {
 	e := newEnriched(in)
-	e.ds = zeek.NewDataset()
 	return &Builder{e: e, w: e.newEnricher(in.Assoc.index()), waiting: make(map[ids.Fingerprint][]int32)}
 }
 
@@ -105,10 +105,9 @@ func (b *Builder) HasCert(fp ids.Fingerprint) bool { return b.e.ds.Cert(fp) != n
 // the Builder as a fresh one fed the same certificates and connections
 // under the grown verdict would stand: the certificates leave the chain-
 // resolution dataset and the usage state, every connection whose server
-// leaf is one of them is removed (as interception.Filter drops it on the
-// batch path), and a surviving connection that presented one as its
-// client leaf is re-enriched without it. It returns how many connections
-// it removed.
+// leaf is one of them is removed (as mergeInto would not have added it),
+// and a surviving connection that presented one as its client leaf is
+// re-enriched without it. It returns how many connections it removed.
 //
 // A certificate no connection names costs its two map deletes. Otherwise
 // the views are compacted in one pass; what a removed connection had
@@ -271,15 +270,16 @@ func (b *Builder) GrowConns(n int) {
 }
 
 // Pipeline materializes the current state as an analysis pipeline. pre
-// carries the §3.2 preprocessing statistics the caller tracked (the
-// streaming engine runs interception filtering itself); its TLS 1.3
-// opacity share is derived here from the accumulated connection weights,
-// as on the batch path. Pipeline may be called repeatedly as more records
-// arrive; the analyses only read the state, so an Analysis materialized
-// mid-stream is a consistent snapshot of everything added so far.
+// carries the §3.2 preprocessing statistics the owner tracked; its §3.3
+// TLS 1.3 opacity share is derived here from the accumulated connection
+// weights. Pipeline may be called repeatedly as more records arrive; the
+// analyses only read the state, so an Analysis materialized mid-stream is
+// a consistent snapshot of everything added so far.
 func (b *Builder) Pipeline(pre *PreprocessReport) *Pipeline {
 	b.e.usage = b.w.usage
 	b.e.pre = pre
-	b.e.finishWeights(b.w.tls13W, b.w.totalW)
+	if b.w.totalW > 0 {
+		pre.TLS13ConnShare = float64(b.w.tls13W) / float64(b.w.totalW)
+	}
 	return &Pipeline{e: b.e}
 }

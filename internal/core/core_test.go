@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/interception"
 	"repro/internal/workload"
 )
 
@@ -565,5 +566,60 @@ func TestConcernsAggregation(t *testing.T) {
 	// The §5 practices are a visible minority, not the whole population.
 	if share := c.AffectedShare(); share <= 0 || share > 0.8 {
 		t.Fatalf("affected share = %f", share)
+	}
+}
+
+// TestPreprocessAdmitsInPlace holds the batch path to the one admission
+// rule: every view NewPipeline builds points into in.Raw.Conns itself, in
+// dataset order, and holds every connection but those whose server leaf
+// the §3.2 verdict excludes; no excluded certificate resolves or has a
+// usage entry.
+func TestPreprocessAdmitsInPlace(t *testing.T) {
+	b, err := workload.FromSpec(nil, workload.Config{CertScale: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := inputFromBuild(b)
+	p := NewPipeline(in)
+	res := interception.NewDetector(in.Bundle, in.CT).Run(in.Raw)
+	if len(res.ExcludedCerts) == 0 {
+		t.Fatal("the fixture excludes no certificate")
+	}
+	raw := in.Raw.Conns
+	pos := make(map[*ConnRecord]int, len(raw))
+	admitted := 0
+	for i := range raw {
+		pos[&raw[i]] = i
+		if !res.Excludes(raw[i].ServerLeaf()) {
+			admitted++
+		}
+	}
+	if len(p.e.conns) != admitted {
+		t.Fatalf("%d views, want the %d connections the verdict admits", len(p.e.conns), admitted)
+	}
+	last := -1
+	for i := range p.e.conns {
+		cv := &p.e.conns[i]
+		k, ok := pos[cv.rec]
+		if !ok {
+			t.Fatalf("view %d points outside in.Raw.Conns", i)
+		}
+		if k <= last {
+			t.Fatalf("view %d is raw connection %d, after %d", i, k, last)
+		}
+		last = k
+		if res.Excludes(cv.rec.ServerLeaf()) {
+			t.Fatalf("view %d has the excluded server leaf %s", i, cv.rec.ServerLeaf())
+		}
+		for _, u := range [2]*certUsage{cv.server, cv.client} {
+			if u != nil && res.Excludes(u.cert.Fingerprint) {
+				t.Fatalf("view %d resolved the excluded certificate %s", i, u.cert.Fingerprint)
+			}
+		}
+	}
+	for fp := range res.ExcludedCerts {
+		if p.e.ds.Cert(fp) != nil || p.e.usage.byFP[fp] != nil {
+			t.Fatalf("the excluded certificate %s resolves", fp)
+		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/ct"
 	"repro/internal/ids"
 	"repro/internal/infotype"
-	"repro/internal/interception"
 	"repro/internal/netsim"
 	"repro/internal/psl"
 	"repro/internal/truststore"
@@ -285,13 +284,12 @@ type PreprocessReport struct {
 	TLS13ConnShare float64
 }
 
-// newEnriched builds the empty analysis state for an input — the single
-// construction point shared by the batch preprocess and the incremental
-// Builder, so both paths classify and enrich with identical substrate.
+// newEnriched builds the empty analysis state for an input, the Builder's.
 func newEnriched(in *Input) *enriched {
 	p := psl.Default()
 	return &enriched{
 		input: in,
+		ds:    zeek.NewDataset(),
 		psl:   p,
 		cls:   classify.New(in.Bundle),
 		info:  infotype.New(p, in.CampusIssuers),
@@ -329,44 +327,6 @@ func (e *enriched) countMutual(u *certUsage, d int) {
 		e.collided[k] = true
 	} else {
 		delete(e.collided, k)
-	}
-}
-
-// preprocess runs interception filtering and builds the enriched views.
-func preprocess(in *Input) *enriched {
-	e := newEnriched(in)
-
-	res := interception.NewDetector(in.Bundle, in.CT).Run(in.Raw)
-	e.ds = interception.Filter(in.Raw, res)
-	e.pre = &PreprocessReport{
-		InterceptionIssuers: res.Issuers,
-		ExcludedCerts:       len(res.ExcludedCerts),
-		ExcludedShare:       res.ExcludedShare(len(in.Raw.Certs)),
-		RawCerts:            len(in.Raw.Certs),
-		RawConns:            len(in.Raw.Conns),
-	}
-
-	e.enrichSerial()
-	return e
-}
-
-// enrichSerial is the batch enrichment path: one enricher walks every
-// record in order, as the Builder's does one AddConn at a time.
-func (e *enriched) enrichSerial() {
-	w := e.newEnricher(e.input.Assoc.index())
-	e.conns = make([]connView, len(e.ds.Conns))
-	for i := range e.ds.Conns {
-		e.conns[i] = w.enrich(&e.ds.Conns[i])
-	}
-	e.usage = w.usage
-	e.finishWeights(w.tls13W, w.totalW)
-}
-
-// finishWeights derives the §3.3 opacity share from the connection
-// weights.
-func (e *enriched) finishWeights(tls13W, totalW int64) {
-	if totalW > 0 {
-		e.pre.TLS13ConnShare = float64(tls13W) / float64(totalW)
 	}
 }
 

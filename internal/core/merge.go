@@ -25,7 +25,8 @@ type ShardState struct {
 	Conns []ConnRecord
 	// Seqs holds the global ingest sequence of each connection in Conns
 	// (len(Seqs) == len(Conns), ascending). The sequence restores the
-	// single-stream interleaving across shards.
+	// single-stream interleaving across shards; a source merged alone
+	// (the batch preprocess's) leaves it nil.
 	Seqs []uint64
 }
 
@@ -36,11 +37,11 @@ type ShardState struct {
 //
 // exclude is the global §3.2 verdict (nil excludes nothing): excluded
 // certificates are kept out of the chain-resolution roster and
-// connections whose server leaf is excluded are filtered, exactly as
-// interception.Filter drops them on the batch path. Because every
-// certificate is admitted before any connection and connections replay
-// in global sequence order, the result is deeply equal to a single
-// engine draining the same event stream — at any shard count.
+// connections whose server leaf is excluded are filtered, the rule
+// mergeInto applies on every path, the batch preprocess's included.
+// Because every certificate is admitted before any connection and
+// connections replay in global sequence order, the result is deeply equal
+// to a single engine draining the same event stream — at any shard count.
 func MergeShards(in *Input, shards []ShardState, exclude func(ids.Fingerprint) bool) *Builder {
 	if exclude == nil {
 		exclude = func(ids.Fingerprint) bool { return false }
@@ -51,9 +52,11 @@ func MergeShards(in *Input, shards []ShardState, exclude func(ids.Fingerprint) b
 }
 
 // mergeInto adds shard states to b: every certificate exclude lets
-// through, then the connections that survive it in ascending sequence.
-// It returns how many connections it added, and how many views already
-// in b its certificates completed (Builder.AddCert).
+// through, then the connections whose server leaf it lets through, in
+// ascending sequence. A lone source with connections is taken in its own
+// order, its Seqs unread. It returns how many connections it added, and
+// how many views already in b its certificates completed
+// (Builder.AddCert).
 func mergeInto(b *Builder, shards []ShardState, exclude func(ids.Fingerprint) bool) (added, late int) {
 	conns := 0
 	for i := range shards {
@@ -72,13 +75,10 @@ func mergeInto(b *Builder, shards []ShardState, exclude func(ids.Fingerprint) bo
 	idx := make([]int, len(shards))
 	for {
 		best := -1
-		var bestSeq uint64
 		for s := range shards {
-			if idx[s] >= len(shards[s].Conns) {
-				continue
-			}
-			if seq := shards[s].Seqs[idx[s]]; best < 0 || seq < bestSeq {
-				best, bestSeq = s, seq
+			if idx[s] < len(shards[s].Conns) &&
+				(best < 0 || shards[s].Seqs[idx[s]] < shards[best].Seqs[idx[best]]) {
+				best = s
 			}
 		}
 		if best < 0 {
@@ -287,7 +287,7 @@ func (v *MergedView) mergedLocked() (*Builder, *PreprocessReport) {
 		retracted = v.b.Exclude(newly)
 	}
 	res := c.Verdict
-	n, late := mergeInto(v.b, c.Shards, func(fp ids.Fingerprint) bool { return res.ExcludedCerts[fp] })
+	n, late := mergeInto(v.b, c.Shards, res.Excludes)
 	for i := range c.Shards {
 		v.cur[i].Certs += len(c.Shards[i].Certs)
 		if seqs := c.Shards[i].Seqs; len(seqs) > 0 {

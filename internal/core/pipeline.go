@@ -1,5 +1,10 @@
 package core
 
+import (
+	"repro/internal/certmodel"
+	"repro/internal/interception"
+)
+
 // Pipeline exposes the analysis stages individually, so callers (and the
 // benchmark harness, which has one benchmark per paper table/figure) can
 // run and time each analysis against a preprocessed dataset.
@@ -7,11 +12,30 @@ type Pipeline struct {
 	e *enriched
 }
 
-// NewPipeline runs preprocessing (§3.2 interception filtering + view
-// enrichment) and returns a pipeline ready to run analyses. The analyses
+// NewPipeline runs preprocessing and returns a pipeline ready to run
+// analyses: the §3.2 detector over the raw dataset, then a Builder fed
+// what its verdict admits — the certificates it lets through, then every
+// connection whose server leaf it lets through, in dataset order —
+// through mergeInto, the admission rule every path into a Builder takes.
+// The views point into in.Raw.Conns; nothing is copied. The analyses
 // themselves only read the enriched state, so they may be called
 // concurrently.
-func NewPipeline(in *Input) *Pipeline { return &Pipeline{e: preprocess(in)} }
+func NewPipeline(in *Input) *Pipeline {
+	res := interception.NewDetector(in.Bundle, in.CT).Run(in.Raw)
+	certs := make([]*certmodel.CertInfo, 0, len(in.Raw.Certs))
+	for _, c := range in.Raw.Certs {
+		certs = append(certs, c)
+	}
+	b := NewBuilder(in)
+	mergeInto(b, []ShardState{{Certs: certs, Conns: in.Raw.Conns}}, res.Excludes)
+	return b.Pipeline(&PreprocessReport{
+		InterceptionIssuers: res.Issuers,
+		ExcludedCerts:       len(res.ExcludedCerts),
+		ExcludedShare:       res.ExcludedShare(len(in.Raw.Certs)),
+		RawCerts:            len(in.Raw.Certs),
+		RawConns:            len(in.Raw.Conns),
+	})
+}
 
 // PreprocessReport returns the §3.2 statistics.
 func (p *Pipeline) PreprocessReport() *PreprocessReport { return p.e.pre }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -408,8 +407,7 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 	// its order: within a snapshot the connections must ascend from the
 	// cursor, and NextSeq — the next cursor — must lie past them all.
 	next := cursor
-	for i := range snap.Conns {
-		seq := snap.Conns[i].Seq
+	for _, seq := range snap.ConnSeqs {
 		if seq < next {
 			return fmt.Errorf("distrib: %s sent sequence %d out of order (cursor %d)", ss.url, seq, cursor)
 		}
@@ -429,13 +427,10 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 	if cursor == 0 {
 		ss.discardLocked()
 	}
-	ss.certs = slices.Grow(ss.certs, len(snap.Certs))
-	for i := range snap.Certs {
-		ss.certs = append(ss.certs, snap.Certs[i].Cert)
-	}
+	ss.certs = append(ss.certs, snap.Certs...)
 	ss.win.GrowConns(len(snap.Conns))
 	for i := range snap.Conns {
-		ss.win.AppendConn(&snap.Conns[i].Conn, a.nextSeq)
+		ss.win.AppendConn(&snap.Conns[i], a.nextSeq)
 		a.nextSeq++
 	}
 	// Evidence is unioned in: a later snapshot on a stream carries only
@@ -454,8 +449,8 @@ func (a *Aggregator) apply(ss *sensorState, snap *Snapshot, nbytes int64, cursor
 		if cursor == 0 {
 			a.rebuildUnionLocked()
 		} else {
-			for i := range snap.Certs {
-				a.seen[snap.Certs[i].Cert.Fingerprint] = true
+			for _, c := range snap.Certs {
+				a.seen[c.Fingerprint] = true
 			}
 			if grew {
 				a.union.AbsorbEvidence(snap.Evidence)

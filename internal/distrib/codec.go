@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/interception"
 	"repro/internal/store"
-	"repro/internal/stream"
 )
 
 // The stream layout is strict and therefore canonical: the magic
@@ -81,6 +80,10 @@ var frameBufs = sync.Pool{New: func() any {
 // are sorted, batch boundaries are fixed, and the frame order is strict),
 // which is what the fuzz harness pins.
 func Encode(w io.Writer, s *Snapshot) error {
+	if len(s.Certs) != len(s.CertSeqs) || len(s.Conns) != len(s.ConnSeqs) {
+		return fmt.Errorf("distrib: encode: %d certificates under %d sequences, %d connections under %d",
+			len(s.Certs), len(s.CertSeqs), len(s.Conns), len(s.ConnSeqs))
+	}
 	if _, err := io.WriteString(w, magic); err != nil {
 		return err
 	}
@@ -113,21 +116,15 @@ func Encode(w io.Writer, s *Snapshot) error {
 		return err
 	}
 	for off := 0; off < len(s.Certs); off += frameRecords {
-		batch := s.Certs[off:min(off+frameRecords, len(s.Certs))]
-		buf = binary.AppendUvarint(buf, uint64(len(batch)))
-		for i := range batch {
-			buf = store.AppendCert(buf, batch[i].Cert, batch[i].Seq)
-		}
+		end := min(off+frameRecords, len(s.Certs))
+		buf = store.AppendCerts(buf, s.Certs[off:end], s.CertSeqs[off:end])
 		if err := flush(frameCerts); err != nil {
 			return err
 		}
 	}
 	for off := 0; off < len(s.Conns); off += frameRecords {
-		batch := s.Conns[off:min(off+frameRecords, len(s.Conns))]
-		buf = binary.AppendUvarint(buf, uint64(len(batch)))
-		for i := range batch {
-			buf = store.AppendConn(buf, &batch[i].Conn, batch[i].Seq)
-		}
+		end := min(off+frameRecords, len(s.Conns))
+		buf = store.AppendConns(buf, s.Conns[off:end], s.ConnSeqs[off:end])
 		if err := flush(frameConns); err != nil {
 			return err
 		}
@@ -197,41 +194,42 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			if !seenHeader || stage > 1 {
 				return nil, fmt.Errorf("%w: certificate frame out of order", errCodec)
 			}
-			batch, err := decodeCerts(payload)
-			if err != nil {
+			d := store.NewDecoder(payload)
+			certs, seqs := d.Certs()
+			if err := binaryErr("certs", d); err != nil {
 				return nil, err
 			}
-			for i := range batch {
-				c := batch[i].Cert
+			n := len(s.Certs)
+			s.Certs, s.CertSeqs = append(s.Certs, certs...), append(s.CertSeqs, seqs...)
+			for i := n; i < len(s.Certs); i++ {
+				c := s.Certs[i]
 				if c == nil || c.Fingerprint == "" {
 					return nil, fmt.Errorf("%w: unkeyed certificate", errCodec)
 				}
-				if n := len(s.Certs); n > 0 {
-					prev := s.Certs[n-1]
-					if batch[i].Seq < prev.Seq ||
-						(batch[i].Seq == prev.Seq && c.Fingerprint <= prev.Cert.Fingerprint) {
-						return nil, fmt.Errorf("%w: certificate order violation at %d", errCodec, n)
-					}
+				if i > 0 && (s.CertSeqs[i] < s.CertSeqs[i-1] ||
+					(s.CertSeqs[i] == s.CertSeqs[i-1] && c.Fingerprint <= s.Certs[i-1].Fingerprint)) {
+					return nil, fmt.Errorf("%w: certificate order violation at %d", errCodec, i)
 				}
-				s.Certs = append(s.Certs, batch[i])
 			}
 		case frameConns:
 			if !seenHeader || stage > 2 {
 				return nil, fmt.Errorf("%w: connection frame out of order", errCodec)
 			}
 			stage = 2
-			batch, err := decodeConns(payload)
-			if err != nil {
+			d := store.NewDecoder(payload)
+			conns, seqs := d.Conns()
+			if err := binaryErr("conns", d); err != nil {
 				return nil, err
 			}
-			for i := range batch {
-				if batch[i].Conn.Weight < 1 {
+			n := len(s.Conns)
+			s.Conns, s.ConnSeqs = append(s.Conns, conns...), append(s.ConnSeqs, seqs...)
+			for i := n; i < len(s.Conns); i++ {
+				if s.Conns[i].Weight < 1 {
 					return nil, fmt.Errorf("%w: connection weight below 1", errCodec)
 				}
-				if n := len(s.Conns); n > 0 && batch[i].Seq <= s.Conns[n-1].Seq {
-					return nil, fmt.Errorf("%w: connection sequence not ascending at %d", errCodec, n)
+				if i > 0 && s.ConnSeqs[i] <= s.ConnSeqs[i-1] {
+					return nil, fmt.Errorf("%w: connection sequence not ascending at %d", errCodec, i)
 				}
-				s.Conns = append(s.Conns, batch[i])
 			}
 		case frameEvidence:
 			if !seenHeader || seenEvidence {
@@ -283,24 +281,6 @@ func decodeHeader(payload []byte, s *Snapshot) error {
 	s.ConnsIngested, s.CertsIngested = d.Uvarint(), d.Uvarint()
 	s.Watermark, s.Retention = d.Time(), time.Duration(d.Varint())
 	return binaryErr("header", d)
-}
-
-func decodeCerts(payload []byte) ([]stream.ExportCert, error) {
-	d := store.NewDecoder(payload)
-	batch := make([]stream.ExportCert, d.Count(store.MinCertBytes))
-	for i := range batch {
-		batch[i].Cert, batch[i].Seq = d.Cert()
-	}
-	return batch, binaryErr("certs", d)
-}
-
-func decodeConns(payload []byte) ([]stream.ExportConn, error) {
-	d := store.NewDecoder(payload)
-	batch := make([]stream.ExportConn, d.Count(store.MinConnBytes))
-	for i := range batch {
-		batch[i].Seq = d.Conn(&batch[i].Conn)
-	}
-	return batch, binaryErr("conns", d)
 }
 
 func decodeEvidence(payload []byte) (*interception.Evidence, error) {

@@ -101,6 +101,22 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestCodecTruncatedBinary: a body cut at any byte is a decode error — the
 // trailer closes the stream, so there is no prefix that parses.
+// TestCodecRefusesRaggedColumns: a snapshot whose records and sequence
+// columns differ in length is not encoded at all — not a byte is written.
+func TestCodecRefusesRaggedColumns(t *testing.T) {
+	for name, cut := range map[string]func(*Snapshot){
+		"certs": func(s *Snapshot) { s.CertSeqs = s.CertSeqs[:len(s.CertSeqs)-1] },
+		"conns": func(s *Snapshot) { s.ConnSeqs = append(s.ConnSeqs, s.NextSeq) },
+	} {
+		s := tinySnapshot()
+		cut(s)
+		var b bytes.Buffer
+		if err := Encode(&b, s); err == nil || b.Len() != 0 {
+			t.Errorf("%s: ragged columns encoded to %d bytes (err %v)", name, b.Len(), err)
+		}
+	}
+}
+
 func TestCodecTruncatedBinary(t *testing.T) {
 	s := tinySnapshot()
 	var body bytes.Buffer

@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/certmodel"
+	"repro/internal/core"
 	"repro/internal/stream"
 	"repro/internal/workload"
 )
@@ -37,11 +39,54 @@ func parentBody(t *testing.T, kind string) ([]byte, *stream.ExportState) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st stream.ExportState
-	if err := json.Unmarshal(buf, &st); err != nil {
+	var rows rowExport
+	if err := json.Unmarshal(buf, &rows); err != nil {
 		t.Fatal(err)
 	}
-	return body, &st
+	return body, rows.columns()
+}
+
+// rowExport is an ExportState in the row layout the parent's
+// *.export.json fixtures and the retired schema 1's frames hold: each
+// record beside its sequence.
+type rowExport struct {
+	stream.ExportState
+	Certs []certRow
+	Conns []connRow
+}
+
+type certRow struct {
+	Seq  uint64
+	Cert *certmodel.CertInfo
+}
+
+type connRow struct {
+	Seq  uint64
+	Conn core.ConnRecord
+}
+
+// columns is r in the engine's layout.
+func (r *rowExport) columns() *stream.ExportState {
+	st := r.ExportState
+	for _, c := range r.Certs {
+		st.Certs, st.CertSeqs = append(st.Certs, c.Cert), append(st.CertSeqs, c.Seq)
+	}
+	for _, c := range r.Conns {
+		st.Conns, st.ConnSeqs = append(st.Conns, c.Conn), append(st.ConnSeqs, c.Seq)
+	}
+	return &st
+}
+
+// rowsOf is st in the row layout.
+func rowsOf(st *stream.ExportState) *rowExport {
+	r := &rowExport{ExportState: *st}
+	for i, c := range st.Certs {
+		r.Certs = append(r.Certs, certRow{st.CertSeqs[i], c})
+	}
+	for i := range st.Conns {
+		r.Conns = append(r.Conns, connRow{st.ConnSeqs[i], st.Conns[i]})
+	}
+	return r
 }
 
 // fixedExporter serves one recorded export, whatever the cursor, and

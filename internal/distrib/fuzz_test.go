@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ids"
 	"repro/internal/interception"
-	"repro/internal/stream"
 )
 
 // tinySnapshot is a small deterministic snapshot (no clock reads) used
@@ -26,11 +25,13 @@ func tinySnapshot() *Snapshot {
 	return &Snapshot{
 		Epoch: 7, NextSeq: 2, ConnsIngested: 1, CertsIngested: 1,
 		Watermark: ts,
-		Certs:     []stream.ExportCert{{Seq: 0, Cert: cert}},
-		Conns: []stream.ExportConn{{Seq: 1, Conn: core.ConnRecord{
+		Certs:     []*certmodel.CertInfo{cert},
+		CertSeqs:  []uint64{0},
+		Conns: []core.ConnRecord{{
 			TS: ts, UID: "C1", SNI: "host.example", Established: true,
 			ServerChain: []ids.Fingerprint{"fp1"}, Weight: 3,
-		}}},
+		}},
+		ConnSeqs: []uint64{1},
 		Evidence: &interception.Evidence{
 			Observed:     map[string]map[ids.Fingerprint]bool{"Issuer": {"fp1": true}},
 			Contradicted: map[string]map[string]bool{"Issuer": {"example.com": true}},
@@ -39,8 +40,9 @@ func tinySnapshot() *Snapshot {
 }
 
 // schema1Body frames s the way the retired schema 1 did: the same frames
-// in the same order, each payload one JSON value.
+// in the same order, each payload one JSON value, the records in rows.
 func schema1Body(s *Snapshot) []byte {
+	r := rowsOf(s)
 	b := []byte(magic)
 	frame := func(typ byte, v any) {
 		buf, err := json.Marshal(v)
@@ -54,11 +56,11 @@ func schema1Body(s *Snapshot) []byte {
 		Epoch, Since, NextSeq, ConnsIngested, CertsIngested uint64
 		Watermark                                           time.Time
 	}{1, s.Epoch, s.Since, s.NextSeq, s.ConnsIngested, s.CertsIngested, s.Watermark})
-	for off := 0; off < len(s.Certs); off += frameRecords {
-		frame(frameCerts, s.Certs[off:min(off+frameRecords, len(s.Certs))])
+	for off := 0; off < len(r.Certs); off += frameRecords {
+		frame(frameCerts, r.Certs[off:min(off+frameRecords, len(r.Certs))])
 	}
-	for off := 0; off < len(s.Conns); off += frameRecords {
-		frame(frameConns, s.Conns[off:min(off+frameRecords, len(s.Conns))])
+	for off := 0; off < len(r.Conns); off += frameRecords {
+		frame(frameConns, r.Conns[off:min(off+frameRecords, len(r.Conns))])
 	}
 	frame(frameEvidence, s.Evidence)
 	frame(frameTrailer, struct{ Certs, Conns int }{len(s.Certs), len(s.Conns)})

@@ -66,6 +66,9 @@ type Result struct {
 	CandidateCount int
 }
 
+// Excludes reports whether the verdict removes fp from analysis.
+func (r *Result) Excludes(fp ids.Fingerprint) bool { return r.ExcludedCerts[fp] }
+
 // ExcludedShare returns |excluded| / total.
 func (r *Result) ExcludedShare(totalCerts int) float64 {
 	if totalCerts == 0 {
@@ -106,25 +109,4 @@ func (d *Detector) Run(ds *zeek.Dataset) *Result {
 		s.Observe(conn, ds.Cert(conn.ServerLeaf()))
 	}
 	return s.Result()
-}
-
-// Filter returns a copy of ds with excluded certificates' connections'
-// server chains intact but the certificates dropped from the cert table,
-// and connections whose server leaf was excluded removed entirely —
-// matching the paper's exclusion of interception traffic from analysis.
-func Filter(ds *zeek.Dataset, res *Result) *zeek.Dataset {
-	out := zeek.NewDataset()
-	for i := range ds.Conns {
-		conn := &ds.Conns[i]
-		if fp := conn.ServerLeaf(); fp != "" && res.ExcludedCerts[fp] {
-			continue
-		}
-		out.Conns = append(out.Conns, *conn)
-	}
-	for fp, c := range ds.Certs {
-		if !res.ExcludedCerts[fp] {
-			out.AddCert(c)
-		}
-	}
-	return out
 }

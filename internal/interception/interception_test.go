@@ -129,23 +129,6 @@ func TestDetectorSparesLegitimate(t *testing.T) {
 	}
 }
 
-func TestFilterRemovesInterception(t *testing.T) {
-	ds, det := buildScenario(t)
-	res := det.Run(ds)
-	filtered := Filter(ds, res)
-	if len(filtered.Conns) != len(ds.Conns)-3 {
-		t.Fatalf("conns = %d, want %d", len(filtered.Conns), len(ds.Conns)-3)
-	}
-	if len(filtered.Certs) != len(ds.Certs)-3 {
-		t.Fatalf("certs = %d", len(filtered.Certs))
-	}
-	for fp := range res.ExcludedCerts {
-		if filtered.Cert(fp) != nil {
-			t.Fatal("excluded cert survived filter")
-		}
-	}
-}
-
 func TestDetectorDefaultThreshold(t *testing.T) {
 	ds, _ := buildScenario(t)
 	det2 := &Detector{

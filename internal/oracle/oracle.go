@@ -920,7 +920,7 @@ func (r *run) modelPipeline(ss []*sensor, in holds) *core.Pipeline {
 		RawCerts:            len(seen),
 		RawConns:            raw,
 	}
-	return core.MergeShards(r.fx.in, states, func(fp ids.Fingerprint) bool { return res.ExcludedCerts[fp] }).Pipeline(pre)
+	return core.MergeShards(r.fx.in, states, res.Excludes).Pipeline(pre)
 }
 
 // checkStats holds every live engine's Stats to its model: the counters,

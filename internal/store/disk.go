@@ -178,18 +178,6 @@ func (w *Window) frame(off int64) []core.ConnRecord {
 	return conns
 }
 
-// coldSince is the cold half of Since: the spilled records with
-// sequence >= seq, each frame decoded once through the cache. It reports
-// whether fn wants the hot tail too.
-func (w *Window) coldSince(seq uint64, fn func(rec *core.ConnRecord, seq uint64) bool) bool {
-	for _, cc := range w.cold.index[w.cold.search(seq):] {
-		if !fn(&w.frame(cc.off)[cc.idx], cc.seq) {
-			return false
-		}
-	}
-	return true
-}
-
 // search is the index position of the first spilled record with
 // sequence >= seq.
 func (c *coldTier) search(seq uint64) int {

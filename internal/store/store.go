@@ -21,8 +21,9 @@
 // sequence number, and the window requires them strictly increasing in
 // append order (gaps are fine — certificates consume numbers from the
 // same space). Eviction removes records but never renumbers, so
-// "sequence >= s" always identifies a suffix of the window; Since is the
-// one query over it, serving checkpoint deltas and export cursors alike.
+// "sequence >= s" always identifies a suffix of the window; Snapshot is
+// the one query over it, serving checkpoint deltas and export cursors
+// alike.
 //
 // Concurrency: a Window is accessed only under its owner's state lock
 // and needs no locking of its own, except for the Stats counters, which
@@ -85,11 +86,8 @@ func Open(kind, dir string, hotBytes int64) (*Window, error) {
 }
 
 // AppendConn retains one connection (copied) under seq, which must
-// exceed every sequence appended before, and returns the stored record.
-// The pointer is valid at least until the next append or evict; callers
-// that must retain it (the in-memory builder) may do so only on a
-// non-tiered window.
-func (w *Window) AppendConn(rec *core.ConnRecord, seq uint64) *core.ConnRecord {
+// exceed every sequence appended before.
+func (w *Window) AppendConn(rec *core.ConnRecord, seq uint64) {
 	if seq < w.next {
 		panic(fmt.Sprintf("store: sequence %d appended after %d", seq, w.next-1))
 	}
@@ -97,13 +95,11 @@ func (w *Window) AppendConn(rec *core.ConnRecord, seq uint64) *core.ConnRecord {
 	w.conns = append(w.conns, *rec)
 	w.seqs = append(w.seqs, seq)
 	w.stats.HotConns.Store(int64(len(w.conns)))
-	stored := &w.conns[len(w.conns)-1]
 	if w.cold != nil {
 		w.cold.hotB += connBytes(rec)
 		w.stats.HotBytes.Store(w.cold.hotB)
 		w.maybeSpill()
 	}
-	return stored
 }
 
 // GrowConns ensures room for n more appends (batch ingest), at least
@@ -136,25 +132,6 @@ func (w *Window) ConnCount() int {
 		return len(w.cold.index) + len(w.conns)
 	}
 	return len(w.conns)
-}
-
-// Since iterates the retained records with sequence >= seq — the suffix
-// appended since a cursor that survived eviction; 0 iterates the whole
-// window — in append order until fn returns false. Without a cold tier
-// the pointer is into the live backing array and may be retained under
-// the abandon-don't-mutate discipline; a spilled record arrives as a
-// decoded copy that fn may also retain (decoded buffers are never
-// reused), at the cost of pinning the copy's frame.
-func (w *Window) Since(seq uint64, fn func(rec *core.ConnRecord, seq uint64) bool) {
-	if w.cold != nil && !w.coldSince(seq, fn) {
-		return
-	}
-	i, _ := slices.BinarySearch(w.seqs, seq)
-	for ; i < len(w.conns); i++ {
-		if !fn(&w.conns[i], w.seqs[i]) {
-			return
-		}
-	}
 }
 
 // EvictBefore drops retained records with TS before cutoff and returns
@@ -204,8 +181,9 @@ func (w *Window) publish() {
 }
 
 // Snapshot is a point-in-time view of the retained records with
-// sequence >= seq (0: the whole window) and their aligned sequences, for
-// the merged view's catch-up and full checkpoints. Without a cold tier
+// sequence >= seq (0: the whole window) and their aligned sequences — the
+// suffix appended since a cursor that survived eviction — for the merged
+// view's catch-up, full checkpoints and exports. Without a cold tier
 // the slices are live headers — a binary search, no copy — and safe after
 // the owner's lock is released: appends past the captured length are
 // invisible and eviction swaps in fresh arrays. With one they are fresh
@@ -218,21 +196,21 @@ func (w *Window) Snapshot(seq uint64) ([]core.ConnRecord, []uint64) {
 		return w.conns[i:], w.seqs[i:]
 	}
 	// Sized once from the two tiers' counts past seq: the walk below runs
-	// under the owner's lock and must not spend it regrowing slices.
+	// under the owner's lock and must not spend it regrowing slices. Each
+	// spilled frame is decoded once through the cache.
 	hot, _ := slices.BinarySearch(w.seqs, seq)
-	n := len(w.conns) - hot + len(w.cold.index) - w.cold.search(seq)
+	cold := w.cold.index[w.cold.search(seq):]
+	n := len(w.conns) - hot + len(cold)
 	conns := make([]core.ConnRecord, 0, n)
 	seqs := make([]uint64, 0, n)
-	w.Since(seq, func(rec *core.ConnRecord, seq uint64) bool {
-		conns, seqs = append(conns, *rec), append(seqs, seq)
-		return true
-	})
-	return conns, seqs
+	for _, cc := range cold {
+		conns, seqs = append(conns, w.frame(cc.off)[cc.idx]), append(seqs, cc.seq)
+	}
+	return append(conns, w.conns[hot:]...), append(seqs, w.seqs[hot:]...)
 }
 
-// Tiered reports whether records can move under the caller's feet —
-// i.e. whether pointers returned by AppendConn are stable for the
-// window's lifetime (false) or only transiently (true).
+// Tiered reports whether Snapshot returns copies (true) rather than
+// headers over the live arrays.
 func (w *Window) Tiered() bool { return w.cold != nil }
 
 // Stats exposes tier occupancy for metrics.

@@ -51,13 +51,16 @@ type seqConn struct {
 	Conn core.ConnRecord
 }
 
-// since collects w.Since(seq) as values.
+// since pairs w.Snapshot(seq) up, record by record.
 func since(w *Window, seq uint64) []seqConn {
+	conns, seqs := w.Snapshot(seq)
+	if len(conns) != len(seqs) {
+		panic(fmt.Sprintf("Snapshot(%d): %d records under %d sequences", seq, len(conns), len(seqs)))
+	}
 	var out []seqConn
-	w.Since(seq, func(rec *core.ConnRecord, s uint64) bool {
-		out = append(out, seqConn{s, *rec})
-		return true
-	})
+	for i := range conns {
+		out = append(out, seqConn{seqs[i], conns[i]})
+	}
 	return out
 }
 
@@ -66,8 +69,7 @@ func since(w *Window, seq uint64) []seqConn {
 // certificates leave them), evictions and suffix queries, and requires
 // identical observable state at every step — the contract the engine's
 // byte-identical-reports gate rests on. Within each window the suffix
-// query — iterated (Since) or as slices (Snapshot) — must equal a full
-// iteration filtered by seq >= s.
+// query (Snapshot) must equal the whole window filtered by seq >= s.
 func TestWindowEquivalence(t *testing.T) {
 	wins := openBoth(t)
 	mem, disk := wins["memory"], wins["disk"]
@@ -81,10 +83,8 @@ func TestWindowEquivalence(t *testing.T) {
 				seq += 1 + uint64(rng.Intn(3))
 				c := testConn(appended)
 				appended++
-				for name, w := range wins {
-					if got := w.AppendConn(&c, seq); got.UID != c.UID {
-						t.Fatalf("%s: AppendConn returned %s, want %s", name, got.UID, c.UID)
-					}
+				for _, w := range wins {
+					w.AppendConn(&c, seq)
 				}
 			}
 		case op < 8: // an eviction cutting somewhere into what was appended
@@ -103,18 +103,8 @@ func TestWindowEquivalence(t *testing.T) {
 			}
 			for name, w := range wins {
 				if got := since(w, s); !reflect.DeepEqual(got, want) {
-					t.Fatalf("step %d: %s Since(%d) returned %d records, want %d (or contents differ)",
+					t.Fatalf("step %d: %s Snapshot(%d) returned %d records, want %d (or contents differ)",
 						step, name, s, len(got), len(want))
-				}
-				conns, seqs := w.Snapshot(s)
-				if len(conns) != len(want) || len(seqs) != len(want) {
-					t.Fatalf("step %d: %s Snapshot(%d) holds %d records / %d sequences, want %d",
-						step, name, s, len(conns), len(seqs), len(want))
-				}
-				for i, sc := range want {
-					if seqs[i] != sc.Seq || !reflect.DeepEqual(conns[i], sc.Conn) {
-						t.Fatalf("step %d: %s Snapshot(%d) differs from Since at %d", step, name, s, i)
-					}
 				}
 			}
 		}
@@ -130,16 +120,9 @@ func TestWindowEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(mConns, dConns) || !reflect.DeepEqual(mSeqs, dSeqs) {
 		t.Fatal("snapshots differ between memory and disk")
 	}
-	all := since(disk, 0)
-	if len(all) != len(mConns) {
-		t.Fatalf("full iteration visited %d records, snapshot has %d", len(all), len(mConns))
-	}
-	for i, sc := range all {
-		if sc.Seq != mSeqs[i] || !reflect.DeepEqual(sc.Conn, mConns[i]) {
-			t.Fatalf("iteration and snapshot disagree at %d", i)
-		}
-		if i > 0 && sc.Seq <= all[i-1].Seq {
-			t.Fatalf("iteration out of append order at %d", i)
+	for i := 1; i < len(dSeqs); i++ {
+		if dSeqs[i] <= dSeqs[i-1] {
+			t.Fatalf("snapshot out of append order at %d", i)
 		}
 	}
 	if mem.Tiered() || !disk.Tiered() {
@@ -189,17 +172,15 @@ func TestDiskSpillsAndFaults(t *testing.T) {
 	if got := st.HotBytes.Load(); got > 8<<10 {
 		t.Fatalf("hot bytes %d above the 8KiB budget", got)
 	}
-	// The iterator sees every conn in append order, cold ones included.
-	i := 0
-	d.Since(0, func(rec *core.ConnRecord, seq uint64) bool {
-		if rec.UID != ids.UID(fmt.Sprintf("C%06d", i)) || seq != uint64(i) {
-			t.Fatalf("conn %d out of order: %s under sequence %d", i, rec.UID, seq)
+	// A snapshot holds every conn in append order, cold ones included.
+	all := since(d, 0)
+	for i, sc := range all {
+		if sc.Conn.UID != ids.UID(fmt.Sprintf("C%06d", i)) || sc.Seq != uint64(i) {
+			t.Fatalf("conn %d out of order: %s under sequence %d", i, sc.Conn.UID, sc.Seq)
 		}
-		i++
-		return true
-	})
-	if i != n {
-		t.Fatalf("iterator visited %d conns, want %d", i, n)
+	}
+	if len(all) != n {
+		t.Fatalf("snapshot holds %d conns, want %d", len(all), n)
 	}
 	if st.Loads.Load() == 0 {
 		t.Fatal("cold loads were not counted")
@@ -229,12 +210,11 @@ func TestDiskEvictAcrossTiers(t *testing.T) {
 	if got := d.ConnCount(); got != n-n/3 {
 		t.Fatalf("ConnCount = %d, want %d", got, n-n/3)
 	}
-	d.Since(0, func(rec *core.ConnRecord, _ uint64) bool {
-		if rec.TS.Before(cut) {
-			t.Fatalf("evicted conn %s still visible", rec.UID)
+	for _, sc := range since(d, 0) {
+		if sc.Conn.TS.Before(cut) {
+			t.Fatalf("evicted conn %s still visible", sc.Conn.UID)
 		}
-		return true
-	})
+	}
 }
 
 // TestFrameCodecTorn pins the failure mode the torn-checkpoint corpus

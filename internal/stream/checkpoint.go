@@ -821,14 +821,16 @@ func copySegmentRecords(path string, wantBytes int64, w *segWriter, cut time.Tim
 // committed is what a checkpoint directory holds, as a restore reads it:
 // man names its one chain, last is the chain's final state frame, pairs
 // the evidence its segments logged and certs its roster, in the order
-// written; roster holds the roster's fingerprints, so none is read twice.
+// written, each under the sequence beside it in certSeqs; roster holds the
+// roster's fingerprints, so none is read twice.
 type committed struct {
-	dir    string
-	man    *ckptManifest
-	last   *segState
-	pairs  []interception.Pair
-	certs  []ExportCert
-	roster map[ids.Fingerprint]bool
+	dir      string
+	man      *ckptManifest
+	last     *segState
+	pairs    []interception.Pair
+	certs    []*certmodel.CertInfo
+	certSeqs []uint64
+	roster   map[ids.Fingerprint]bool
 }
 
 // openCheckpoint reads path's commit record. Only an absent path, or a
@@ -914,9 +916,9 @@ func (s *Engine) restoreRouter(ck *committed) {
 		s.epoch = newEpoch()
 	}
 	s.icpt.Restore(ck.pairs, ck.last.Parked)
-	for _, c := range ck.certs {
-		s.admitLocked(c.Cert, c.Seq)
-		s.nextSeq = max(s.nextSeq, c.Seq+1)
+	for i, c := range ck.certs {
+		s.admitLocked(c, ck.certSeqs[i])
+		s.nextSeq = max(s.nextSeq, ck.certSeqs[i]+1)
 	}
 	s.publishLocked()
 	s.win.mu.Lock()
@@ -1023,16 +1025,17 @@ func appendRestored(win *store.Window, next *uint64, conns []core.ConnRecord, se
 // than repaired.
 func (ck *committed) restoreCerts(certs []*certmodel.CertInfo, seqs []uint64) error {
 	for i, c := range certs {
+		n := len(ck.certSeqs)
 		switch {
 		case c == nil || c.Fingerprint == "":
 			return fmt.Errorf("%w: roster entry without fingerprint", store.ErrCorrupt)
-		case len(ck.certs) > 0 && seqs[i] <= ck.certs[len(ck.certs)-1].Seq:
-			return fmt.Errorf("%w: certificate sequence %d does not follow %d", store.ErrCorrupt, seqs[i], ck.certs[len(ck.certs)-1].Seq)
+		case n > 0 && seqs[i] <= ck.certSeqs[n-1]:
+			return fmt.Errorf("%w: certificate sequence %d does not follow %d", store.ErrCorrupt, seqs[i], ck.certSeqs[n-1])
 		case ck.roster[c.Fingerprint]:
 			return fmt.Errorf("%w: certificate %s is in the roster twice", store.ErrCorrupt, c.Fingerprint)
 		}
 		ck.roster[c.Fingerprint] = true
-		ck.certs = append(ck.certs, ExportCert{Seq: seqs[i], Cert: c})
+		ck.certs, ck.certSeqs = append(ck.certs, c), append(ck.certSeqs, seqs[i])
 	}
 	return nil
 }

@@ -30,9 +30,10 @@
 // connections in any interleaving, connections in dataset order) and
 // draining it produces an Analysis deeply equal to mtls.Analyze on the
 // same input. The engine shares the batch pipeline's implementation rather
-// than reimplementing it: enrichment goes through core.Builder (the same
-// enricher the serial batch path runs) and interception filtering through
-// interception.Stream (which Detector.Run itself wraps). Connections are
+// than reimplementing it: enrichment goes through core.Builder (which the
+// batch preprocess fills too, under the same §3.2 admission rule) and
+// interception filtering through interception.Stream (which Detector.Run
+// itself wraps). Connections are
 // replayed in their ingest order (the window appends them in the router's
 // sequence order), there is one roster (first observation of a fingerprint
 // wins, as zeek.Dataset.AddCert has it), and the §3.2 verdict is one

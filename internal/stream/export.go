@@ -23,29 +23,17 @@ var ErrStaleCursor = errors.New("stream: stale export cursor")
 // configured with Config.TrackExport.
 var ErrExportDisabled = errors.New("stream: export requires Config.TrackExport")
 
-// ExportCert is one roster certificate stamped with the sequence of its
-// first observation.
-type ExportCert struct {
-	Seq  uint64
-	Cert *certmodel.CertInfo
-}
-
-// ExportConn is one retained connection stamped with its global ingest
-// sequence.
-type ExportConn struct {
-	Seq  uint64
-	Conn core.ConnRecord
-}
-
 // ExportState is a cursor-addressable snapshot of an engine's raw state:
 // everything an aggregator needs to reproduce this sensor's contribution
-// to a merged analysis. Certs and Conns are ascending by sequence and —
-// on a delta export — contain only records first observed at or after
-// Since. Evidence holds the detector's pairs from a position of its log
-// on: all of them from Export (a confirmed-issuer verdict needs the whole
-// history, not a window), only the new ones from an ExportFrom that
-// continues an earlier export; Evidence.Pending is always the current
-// parked count.
+// to a merged analysis. Its records are the engine's columns — the roster
+// log's certificates and the window's connections, each beside its
+// sequence column, the layout core.ShardState and a checkpoint segment
+// use — ascending by sequence and, on a delta export, only records first
+// observed at or after Since. Evidence holds the detector's pairs from a
+// position of its log on: all of them from Export (a confirmed-issuer
+// verdict needs the whole history, not a window), only the new ones from
+// an ExportFrom that continues an earlier export; Evidence.Pending is
+// always the current parked count.
 type ExportState struct {
 	// Epoch scopes the sequence numbering; NextSeq is the cursor a caller
 	// passes as since on its next delta export.
@@ -64,8 +52,12 @@ type ExportState struct {
 	// union of the logs.
 	Retention time.Duration
 
-	Certs    []ExportCert
-	Conns    []ExportConn
+	// CertSeqs and ConnSeqs hold the sequence of each entry of Certs and
+	// Conns (equal lengths).
+	Certs    []*certmodel.CertInfo
+	CertSeqs []uint64
+	Conns    []core.ConnRecord
+	ConnSeqs []uint64
 	Evidence *interception.Evidence
 	// NextPair is the detector log position past this export's evidence:
 	// what a caller passes as pairs to ExportFrom for only the pairs new
@@ -80,19 +72,6 @@ func newEpoch() uint64 {
 		e = 1
 	}
 	return e
-}
-
-// exportConns pairs a window snapshot's connections with their sequences
-// — a suffix of the window, so a delta costs O(delta), sized once.
-func exportConns(conns []core.ConnRecord, seqs []uint64) []ExportConn {
-	if len(conns) == 0 {
-		return nil
-	}
-	out := make([]ExportConn, len(conns))
-	for i := range conns {
-		out[i] = ExportConn{Seq: seqs[i], Conn: conns[i]}
-	}
-	return out
 }
 
 // Export snapshots the engine's raw state at or after cursor since, with
@@ -115,8 +94,12 @@ func (s *Engine) Export(since, epoch uint64) (*ExportState, error) {
 // sequence is applied (otherwise a cursor could advance past in-flight
 // records and a delta would skip them forever), and the evidence is the router's
 // detector's. Connections already evicted by retention are not replayed
-// into a delta, mirroring what the engine's own reports describe.
-// Requires Config.TrackExport.
+// into a delta, mirroring what the engine's own reports describe. The
+// record columns are the roster log's and (on the memory store) the
+// window's own memory, clipped to the captured length, so an export
+// copies no record: appends land past that length, eviction swaps in
+// fresh arrays, and a caller appending to a column gets a fresh array of
+// its own. Requires Config.TrackExport.
 func (s *Engine) ExportFrom(since, epoch uint64, pairs int) (*ExportState, error) {
 	if !s.cfg.TrackExport {
 		return nil, ErrExportDisabled
@@ -146,23 +129,26 @@ func (s *Engine) ExportFrom(since, epoch uint64, pairs int) (*ExportState, error
 	st.ConnsIngested, st.Watermark = w.connsIngested, w.watermark
 	conns, seqs := w.st.Snapshot(since)
 	w.mu.Unlock()
+	st.Conns, st.ConnSeqs = column(conns, 0), column(seqs, 0)
 	// The detector's log, like the roster's, only grows by appending: its
 	// suffix stays readable once the lock is released.
 	delta, pending := s.icpt.Pairs(pairs), s.icpt.PendingCount()
 	st.NextPair = pairs + len(delta)
 	st.CertsIngested = s.certsRouted.Load()
-	// The roster log ascends by sequence: a delta is its suffix, O(delta)
-	// whatever the roster size.
+	// The roster log ascends by sequence: a delta is its suffix.
 	k, _ := slices.BinarySearch(s.certSeqs, since)
-	st.Certs = slices.Grow(st.Certs, len(s.roster)-k)
-	for ; k < len(s.roster); k++ {
-		st.Certs = append(st.Certs, ExportCert{Seq: s.certSeqs[k], Cert: s.roster[k]})
-	}
-	// The snapshot stays readable without the window's lock (live
-	// headers, or copies on a tiered window): the copy into the export's
-	// layout, like the evidence's, is not the apply loop's to wait for.
-	st.Conns = exportConns(conns, seqs)
+	st.Certs, st.CertSeqs = column(s.roster, k), column(s.certSeqs, k)
 	st.Evidence = interception.EvidenceOf(delta)
 	st.Evidence.Pending = pending
 	return st, nil
+}
+
+// column is s from k on as an export carries it: capacity-clipped, so an
+// append to it cannot write into the memory the engine appends to next,
+// and nil when empty, as a decoded snapshot holds it.
+func column[T any](s []T, k int) []T {
+	if k >= len(s) {
+		return nil
+	}
+	return s[k:len(s):len(s)]
 }

@@ -3,9 +3,12 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -35,17 +38,14 @@ func replayAnalysis(in *core.Input, sensors ...[]*ExportState) *core.Analysis {
 		var conns []core.ConnRecord
 		var seqs []uint64
 		for _, st := range exports {
-			for _, ec := range st.Certs {
-				certs = append(certs, ec.Cert)
-				if !seen[ec.Cert.Fingerprint] {
-					seen[ec.Cert.Fingerprint] = true
+			for _, c := range st.Certs {
+				if !seen[c.Fingerprint] {
+					seen[c.Fingerprint] = true
 					rawCerts++
 				}
 			}
-			for _, ec := range st.Conns {
-				conns = append(conns, ec.Conn)
-				seqs = append(seqs, ec.Seq)
-			}
+			certs = append(certs, st.Certs...)
+			conns, seqs = append(conns, st.Conns...), append(seqs, st.ConnSeqs...)
 		}
 		last := exports[len(exports)-1]
 		rawConns += last.ConnsIngested
@@ -60,10 +60,7 @@ func replayAnalysis(in *core.Input, sensors ...[]*ExportState) *core.Analysis {
 		RawCerts:            rawCerts,
 		RawConns:            int(rawConns),
 	}
-	b := core.MergeShards(in, states, func(fp ids.Fingerprint) bool {
-		return res.ExcludedCerts[fp]
-	})
-	return b.Pipeline(pre).RunAll()
+	return core.MergeShards(in, states, res.Excludes).Pipeline(pre).RunAll()
 }
 
 func mustExport(t *testing.T, e *Engine, since, epoch uint64) *ExportState {
@@ -135,7 +132,7 @@ func TestExportSinceIsSuffixOfFull(t *testing.T) {
 		if st := s.Stats(); st.Evicted == 0 || len(full.Conns) != st.Retained {
 			t.Fatalf("%+v: evicted %d, export carries %d of %d retained", tc, st.Evicted, len(full.Conns), st.Retained)
 		}
-		if full.Conns[0].Seq <= early.NextSeq {
+		if full.ConnSeqs[0] <= early.NextSeq {
 			t.Fatalf("%+v: eviction never reached the early cursor", tc)
 		}
 		if tc.disk {
@@ -143,24 +140,24 @@ func TestExportSinceIsSuffixOfFull(t *testing.T) {
 				t.Fatalf("%+v: hot budget did not force any spill", tc)
 			}
 		}
-		mid := full.Conns[len(full.Conns)/2].Seq
+		mid := full.ConnSeqs[len(full.Conns)/2]
 		for _, since := range []uint64{1, early.NextSeq, mid, mid + 1, full.NextSeq} {
 			got := mustExport(t, s, since, full.Epoch)
-			var wantConns []ExportConn
-			for _, ec := range full.Conns {
-				if ec.Seq >= since {
-					wantConns = append(wantConns, ec)
+			want := &ExportState{}
+			for i, seq := range full.ConnSeqs {
+				if seq >= since {
+					want.Conns, want.ConnSeqs = append(want.Conns, full.Conns[i]), append(want.ConnSeqs, seq)
 				}
 			}
-			var wantCerts []ExportCert
-			for _, ec := range full.Certs {
-				if ec.Seq >= since {
-					wantCerts = append(wantCerts, ec)
+			for i, seq := range full.CertSeqs {
+				if seq >= since {
+					want.Certs, want.CertSeqs = append(want.Certs, full.Certs[i]), append(want.CertSeqs, seq)
 				}
 			}
-			if !reflect.DeepEqual(got.Conns, wantConns) || !reflect.DeepEqual(got.Certs, wantCerts) {
+			if !reflect.DeepEqual(got.Conns, want.Conns) || !reflect.DeepEqual(got.ConnSeqs, want.ConnSeqs) ||
+				!reflect.DeepEqual(got.Certs, want.Certs) || !reflect.DeepEqual(got.CertSeqs, want.CertSeqs) {
 				t.Errorf("%+v: Export(%d) carries %d conns / %d certs, full export filtered to it %d / %d (or contents differ)",
-					tc, since, len(got.Conns), len(got.Certs), len(wantConns), len(wantCerts))
+					tc, since, len(got.Conns), len(got.Certs), len(want.Conns), len(want.Certs))
 			}
 		}
 	}
@@ -231,7 +228,7 @@ func TestExportManifestDoesNotFollowRoster(t *testing.T) {
 	}
 	t.Cleanup(restored.Close)
 	want, got := mustExport(t, s, 0, 0), mustExport(t, restored, 0, 0)
-	if !reflect.DeepEqual(want.Certs, got.Certs) {
+	if !reflect.DeepEqual(want.Certs, got.Certs) || !reflect.DeepEqual(want.CertSeqs, got.CertSeqs) {
 		t.Errorf("the restored engine numbers its %d certificates differently", len(got.Certs))
 	}
 	if _, err := restored.Export(want.NextSeq, want.Epoch); err != nil {
@@ -314,11 +311,14 @@ func exportingRoster(t testing.TB, in *core.Input, n int) (*Engine, *ExportState
 	return s, full
 }
 
-// TestExportDeltaAllocsFlat pins the certificate side of a delta export
-// against the roster size: a delta is the admission log's suffix, and an
-// empty one (since = NextSeq) allocates the same over a 1k and a 50k
-// roster — nothing copies, collects or sorts the roster on the way. (The walk itself being
-// O(delta) is a time, not an allocation: BenchmarkExportEmptyDelta.)
+// TestExportDeltaAllocsFlat pins a delta export's cost against what it
+// does not carry. The certificate side: a delta is the admission log's
+// suffix, and an empty one (since = NextSeq) allocates the same over a 1k
+// and a 50k roster — nothing copies, collects or sorts the roster on the
+// way. (The walk itself being O(delta) is a time, not an allocation:
+// BenchmarkExportEmptyDelta.) The connection side: on the memory store a
+// delta of 1 000 connections and one of 10 000 allocate the same bytes —
+// the window's suffix travels as it is, not copied per record.
 func TestExportDeltaAllocsFlat(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts include race-detector bookkeeping under -race")
@@ -329,7 +329,7 @@ func TestExportDeltaAllocsFlat(t *testing.T) {
 	var allocs [2]float64
 	for i, roster := range []int{1000, 50000} {
 		s, full := exportingRoster(t, in, roster)
-		mid := full.Certs[roster/2].Seq
+		mid := full.CertSeqs[roster/2]
 		if got := mustExport(t, s, mid, full.Epoch); !reflect.DeepEqual(got.Certs, full.Certs[roster/2:]) {
 			t.Fatalf("Export(%d) is not the roster's suffix", mid)
 		}
@@ -341,6 +341,99 @@ func TestExportDeltaAllocsFlat(t *testing.T) {
 	}
 	if allocs[0] != allocs[1] {
 		t.Errorf("an empty delta allocates %.0f over 1k certificates, %.0f over 50k", allocs[0], allocs[1])
+	}
+
+	s, _ := exportingRoster(t, in, 0)
+	if got := s.IngestConnBatch(syntheticConns(10000)); got != 10000 {
+		t.Fatalf("accepted %d of 10000 connections", got)
+	}
+	s.Drain()
+	full := mustExport(t, s, 0, 0)
+	var bytes [2]uint64
+	for i, n := range []int{1000, 10000} {
+		since := full.ConnSeqs[len(full.ConnSeqs)-n]
+		bytes[i] = math.MaxUint64
+		for range 5 { // the least of five: a stray allocation elsewhere only adds
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st := mustExport(t, s, since, full.Epoch)
+			runtime.ReadMemStats(&after)
+			if len(st.Conns) != n {
+				t.Fatalf("Export(%d) carries %d connections, want %d", since, len(st.Conns), n)
+			}
+			bytes[i] = min(bytes[i], after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	if bytes[0] != bytes[1] {
+		t.Errorf("a delta of 1000 connections allocates %d bytes, one of 10000 %d", bytes[0], bytes[1])
+	}
+}
+
+// syntheticConns returns n connections naming no certificate, a second
+// apart.
+func syntheticConns(n int) []core.ConnRecord {
+	recs := make([]core.ConnRecord, n)
+	for i := range recs {
+		recs[i] = core.ConnRecord{TS: certmodel.StudyEpoch.Add(time.Duration(i) * time.Second),
+			UID: ids.UID(fmt.Sprintf("Csynthetic%06d", i)), Weight: 1}
+	}
+	return recs
+}
+
+// TestExportAppendDoesNotAlias: an export's columns are the engine's own
+// memory, clipped to the captured length. A caller appending to all four
+// of them after the engine appended past that length must get arrays of
+// its own: the engine's next export and its 23 reports are those of an
+// engine fed the same rows, and the export it handed out keeps what it
+// held.
+func TestExportAppendDoesNotAlias(t *testing.T) {
+	b := genBuild(7, 800)
+	in := inputFromBuild(b)
+	in.Raw = nil
+	certs, conns := certList(b), b.Raw.Conns
+	s := newEngine(t, in, func(c *Config) { c.TrackExport = true })
+	ingest := func(cs []*certmodel.CertInfo, recs []core.ConnRecord) {
+		t.Helper()
+		for _, c := range cs {
+			if !s.IngestCert(&core.CertRecord{TS: c.NotBefore, Cert: c}) {
+				t.Fatal("cert event rejected")
+			}
+		}
+		if got := s.IngestConnBatch(recs); got != len(recs) {
+			t.Fatalf("accepted %d of %d connections", got, len(recs))
+		}
+		s.Drain()
+	}
+	h, k := len(certs)/2, len(conns)/3
+	ingest(certs[:h], conns[:k])
+	st := mustExport(t, s, 0, 0)
+	held := *st
+	held.Certs, held.CertSeqs = slices.Clone(st.Certs), slices.Clone(st.CertSeqs)
+	held.Conns, held.ConnSeqs = slices.Clone(st.Conns), slices.Clone(st.ConnSeqs)
+	ingest(certs[h:h+1], conns[k:k+1]) // the engine appends past the export
+	junk := syntheticConns(1)[0]
+	st.Certs = append(st.Certs, &certmodel.CertInfo{Fingerprint: "junk"})
+	st.CertSeqs = append(st.CertSeqs, math.MaxUint64)
+	st.Conns = append(st.Conns, junk)
+	st.ConnSeqs = append(st.ConnSeqs, math.MaxUint64)
+	ingest(certs[h+1:], conns[k+1:])
+
+	full := mustExport(t, s, 0, 0)
+	if !reflect.DeepEqual(full.Certs, certs) || !reflect.DeepEqual(full.Conns, conns) {
+		t.Fatalf("the next export carries %d certificates and %d connections that are not the %d and %d fed",
+			len(full.Certs), len(full.Conns), len(certs), len(conns))
+	}
+	if !slices.IsSorted(full.CertSeqs) || !slices.IsSorted(full.ConnSeqs) || slices.Contains(full.ConnSeqs, math.MaxUint64) ||
+		slices.Contains(full.CertSeqs, math.MaxUint64) {
+		t.Fatal("the next export's sequence columns hold what a caller appended")
+	}
+	n := len(held.Certs)
+	if !reflect.DeepEqual(st.Certs[:n], held.Certs) || !reflect.DeepEqual(st.Conns[:len(held.Conns)], held.Conns) ||
+		!reflect.DeepEqual(st.CertSeqs[:n], held.CertSeqs) || !reflect.DeepEqual(st.ConnSeqs[:len(held.ConnSeqs)], held.ConnSeqs) {
+		t.Fatal("the export handed out changed under its holder")
+	}
+	if !reflect.DeepEqual(s.Analysis(), core.Run(inputFromBuild(b))) {
+		t.Fatal("the 23 reports differ from batch after a caller appended to an export")
 	}
 }
 

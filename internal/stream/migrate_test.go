@@ -206,6 +206,39 @@ type writerRecord struct {
 	Export *ExportState
 }
 
+// rowExport is an ExportState in the layout the parent's fixtures were
+// written in: each record in a row beside its sequence.
+type rowExport struct {
+	ExportState
+	Certs []struct {
+		Seq  uint64
+		Cert *certmodel.CertInfo
+	}
+	Conns []struct {
+		Seq  uint64
+		Conn core.ConnRecord
+	}
+}
+
+// readWriterRecord reads a fixture's writer record, its export turned
+// into the engine's columns.
+func readWriterRecord(t testing.TB, path string) *writerRecord {
+	t.Helper()
+	var rec struct {
+		Stats  Stats
+		Export rowExport
+	}
+	readJSON(t, path, &rec)
+	st := rec.Export.ExportState
+	for _, c := range rec.Export.Certs {
+		st.Certs, st.CertSeqs = append(st.Certs, c.Cert), append(st.CertSeqs, c.Seq)
+	}
+	for _, c := range rec.Export.Conns {
+		st.Conns, st.ConnSeqs = append(st.Conns, c.Conn), append(st.ConnSeqs, c.Seq)
+	}
+	return &writerRecord{Stats: rec.Stats, Export: &st}
+}
+
 // recordOf is e's record, as a writer makes one.
 func recordOf(t *testing.T, e *Engine) *writerRecord {
 	t.Helper()
@@ -274,13 +307,13 @@ func deltaSince(t *testing.T, e *Engine, next, epoch uint64, fx *fixture) {
 			len(delta.Certs), len(delta.Conns), len(fx.late), len(conns))
 	}
 	for i, c := range delta.Certs {
-		if c.Cert.Fingerprint != fx.late[i].Fingerprint {
-			t.Fatalf("delta certificate %d is %s, want %s as fed", i, c.Cert.Fingerprint, fx.late[i].Fingerprint)
+		if c.Fingerprint != fx.late[i].Fingerprint {
+			t.Fatalf("delta certificate %d is %s, want %s as fed", i, c.Fingerprint, fx.late[i].Fingerprint)
 		}
 	}
 	for i, c := range delta.Conns {
-		if c.Conn.UID != conns[i].UID {
-			t.Fatalf("delta connection %d is %s, want %s as fed", i, c.Conn.UID, conns[i].UID)
+		if c.UID != conns[i].UID {
+			t.Fatalf("delta connection %d is %s, want %s as fed", i, c.UID, conns[i].UID)
 		}
 	}
 }
@@ -321,8 +354,7 @@ func TestMigrateParentCheckpoints(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), c.name)
 			copyDir(t, filepath.Join("testdata", "parent", c.name), dir)
-			var wrote writerRecord
-			readJSON(t, filepath.Join("testdata", "parent", c.name+".export.json"), &wrote)
+			wrote := readWriterRecord(t, filepath.Join("testdata", "parent", c.name+".export.json"))
 			if wrote.Stats.Evicted == 0 || wrote.Stats.PendingCerts == 0 || len(wrote.Export.Evidence.Observed) == 0 {
 				t.Fatalf("vacuous: the writer evicted %d, parked %d", wrote.Stats.Evicted, wrote.Stats.PendingCerts)
 			}

@@ -40,7 +40,7 @@ func corpusBytes(t *testing.T, path string) []byte {
 // dedicated regression test is TestTailOversizedLinePermissive.
 func TestFuzzCorpusCoversEveryReason(t *testing.T) {
 	reg := metrics.New()
-	feed := func(dir, header string, read func(string, Options) error) {
+	feed := func(dir, header string, read func(string, ...Opt) error) {
 		paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", dir, "*"))
 		if err != nil {
 			t.Fatal(err)
@@ -50,16 +50,16 @@ func TestFuzzCorpusCoversEveryReason(t *testing.T) {
 		}
 		for _, p := range paths {
 			input := header + string(corpusBytes(t, p))
-			if err := read(input, Options{Metrics: reg}); err != nil {
+			if err := read(input, Permissive(), WithMetrics(reg)); err != nil {
 				t.Fatalf("%s: permissive read failed: %v", p, err)
 			}
 		}
 	}
-	feed("FuzzParseSSLRow", "#path\tssl\n", func(in string, o Options) error {
-		return forEachSSL(strings.NewReader(in), o, func(*SSLRecord) error { return nil })
+	feed("FuzzParseSSLRow", "#path\tssl\n", func(in string, opts ...Opt) error {
+		return ForEachSSLBatch(strings.NewReader(in), func([]SSLRecord) error { return nil }, opts...)
 	})
-	feed("FuzzParseX509Row", "#path\tx509\n", func(in string, o Options) error {
-		return forEachX509(strings.NewReader(in), o, func(*X509Record) error { return nil })
+	feed("FuzzParseX509Row", "#path\tx509\n", func(in string, opts ...Opt) error {
+		return ForEachX509Batch(strings.NewReader(in), func([]X509Record) error { return nil }, opts...)
 	})
 
 	_, byReason := RejectTotals(reg)
@@ -92,15 +92,15 @@ func TestQuarantineFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Quarantine: q, Metrics: metrics.New()}
+	reg := metrics.New()
 
 	input := "#path\tssl\nnot\tenough\tfields\n" +
 		"NaN\tC1\t10.0.0.1\t52000\t10.0.0.2\t443\tTLSv12\ta.com\tT\t-\t-\t1\n"
 	var rows int
-	if err := forEachSSL(strings.NewReader(input), o, func(*SSLRecord) error {
-		rows++
+	if err := ForEachSSLBatch(strings.NewReader(input), func(recs []SSLRecord) error {
+		rows += len(recs)
 		return nil
-	}); err != nil {
+	}, Permissive(), WithQuarantine(q), WithMetrics(reg)); err != nil {
 		t.Fatalf("permissive read: %v", err)
 	}
 	if rows != 0 || q.Count() != 2 {
@@ -134,7 +134,7 @@ func TestQuarantineFile(t *testing.T) {
 		}
 	}
 
-	total, byReason := RejectTotals(o.Metrics)
+	total, byReason := RejectTotals(reg)
 	if total != 2 {
 		t.Fatalf("RejectTotals = %d, want 2", total)
 	}

@@ -64,10 +64,10 @@ func FuzzParseSSLRow(f *testing.F) {
 		input := "#path\tssl\n" + string(data)
 		q := NewQuarantine(io.Discard)
 		var rows []SSLRecord
-		err := forEachSSL(strings.NewReader(input), Options{Quarantine: q}, func(r *SSLRecord) error {
-			rows = append(rows, *r)
+		err := ForEachSSLBatch(strings.NewReader(input), func(recs []SSLRecord) error {
+			rows = append(rows, recs...)
 			return nil
-		})
+		}, Permissive(), WithQuarantine(q))
 		if err != nil {
 			if !structuralErr(err) {
 				t.Fatalf("permissive read failed on row content: %v", err)
@@ -144,10 +144,10 @@ func FuzzParseX509Row(f *testing.F) {
 		input := "#path\tx509\n" + string(data)
 		q := NewQuarantine(io.Discard)
 		var rows []X509Record
-		err := forEachX509(strings.NewReader(input), Options{Quarantine: q}, func(r *X509Record) error {
-			rows = append(rows, *r)
+		err := ForEachX509Batch(strings.NewReader(input), func(recs []X509Record) error {
+			rows = append(rows, recs...)
 			return nil
-		})
+		}, Permissive(), WithQuarantine(q))
 		if err != nil {
 			if !structuralErr(err) {
 				t.Fatalf("permissive read failed on row content: %v", err)
@@ -263,10 +263,10 @@ func FuzzTailChunking(f *testing.F) {
 
 		qb := NewQuarantine(io.Discard)
 		var batch []SSLRecord
-		berr := forEachSSL(strings.NewReader(content), Options{Quarantine: qb}, func(r *SSLRecord) error {
-			batch = append(batch, *r)
+		berr := ForEachSSLBatch(strings.NewReader(content), func(recs []SSLRecord) error {
+			batch = append(batch, recs...)
 			return nil
-		})
+		}, Permissive(), WithQuarantine(qb))
 		if berr != nil {
 			// Structural failure (e.g. a "#path x509" line in the fuzz
 			// data): the tailer fails the same way; nothing to compare.

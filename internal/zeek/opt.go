@@ -2,13 +2,13 @@ package zeek
 
 import "repro/internal/metrics"
 
-// Opt is a functional option for the streaming readers: ForEachSSL,
-// ForEachX509, and LoadDataset apply them over the strict default
+// Opt is a functional option for the streaming readers: ForEachSSLBatch,
+// ForEachX509Batch, and LoadDataset apply them over the strict default
 // (fail-stop on the first malformed row), so
 //
-//	zeek.ForEachSSL(r, fn)                                 // strict
-//	zeek.ForEachSSL(r, fn, zeek.Permissive())              // skip bad rows
-//	zeek.ForEachSSL(r, fn, zeek.Permissive(),
+//	zeek.ForEachSSLBatch(r, fn)                            // strict
+//	zeek.ForEachSSLBatch(r, fn, zeek.Permissive())         // skip bad rows
+//	zeek.ForEachSSLBatch(r, fn, zeek.Permissive(),
 //	    zeek.WithQuarantine(q), zeek.WithMetrics(reg))     // and capture them
 type Opt func(*Options)
 

@@ -664,30 +664,33 @@ func TestTailMetrics(t *testing.T) {
 	}
 }
 
-// TestForEachSSLStop: ErrStop ends iteration cleanly.
+// TestForEachSSLStop: ErrStop from a batch ends iteration cleanly — no
+// error, and no further batch, the partial one at the end included.
 func TestForEachSSLStop(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ssl.log")
 	ts := time.Date(2022, 6, 1, 0, 0, 0, 0, time.UTC)
-	writeRows(t, path, tailRec("C1", ts), tailRec("C2", ts), tailRec("C3", ts))
+	recs := make([]SSLRecord, 2*DefaultBatchSize+1)
+	for i := range recs {
+		recs[i] = tailRec(fmt.Sprintf("C%d", i), ts)
+	}
+	writeRows(t, path, recs...)
 
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var seen int
-	if err := ForEachSSL(f, func(r *SSLRecord) error {
-		seen++
-		if seen == 2 {
-			return ErrStop
-		}
-		return nil
+	var batches, rows int
+	if err := ForEachSSLBatch(f, func(b []SSLRecord) error {
+		batches++
+		rows += len(b)
+		return ErrStop
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if seen != 2 {
-		t.Fatalf("seen = %d, want 2", seen)
+	if batches != 1 || rows != DefaultBatchSize {
+		t.Fatalf("saw %d batches of %d rows, want 1 of %d", batches, rows, DefaultBatchSize)
 	}
 }
 

@@ -323,99 +323,32 @@ func parseX509Cols(cols [][]byte, it *internTable) (X509Record, error) {
 // error — the streaming reader's early exit.
 var ErrStop = errors.New("zeek: stop iteration")
 
-// ForEachSSL streams an ssl.log, invoking fn once per row without
-// materializing the whole log. The default is strict (the first
-// malformed row aborts with an error); pass Permissive and its
-// companions to quarantine bad rows instead. fn may return ErrStop to
-// end early.
-func ForEachSSL(r io.Reader, fn func(*SSLRecord) error, opts ...Opt) error {
-	return forEachSSL(r, resolveOpts(opts), fn)
-}
-
-func forEachSSL(r io.Reader, o Options, fn func(*SSLRecord) error) error {
-	it := newInternTable()
-	err := readTSV(r, "ssl", len(sslFields), o, func(cols [][]byte) error {
-		rec, err := parseSSLCols(cols, it)
-		if err != nil {
-			return err
-		}
-		return fn(&rec)
-	})
-	if errors.Is(err, ErrStop) {
-		return nil
-	}
-	return err
-}
-
-// ForEachX509 streams an x509.log, row by row, strict by default like
-// ForEachSSL. fn may return ErrStop to end early.
-func ForEachX509(r io.Reader, fn func(*X509Record) error, opts ...Opt) error {
-	return forEachX509(r, resolveOpts(opts), fn)
-}
-
-func forEachX509(r io.Reader, o Options, fn func(*X509Record) error) error {
-	it := newInternTable()
-	err := readTSV(r, "x509", len(x509Fields), o, func(cols [][]byte) error {
-		rec, err := parseX509Cols(cols, it)
-		if err != nil {
-			return err
-		}
-		return fn(&rec)
-	})
-	if errors.Is(err, ErrStop) {
-		return nil
-	}
-	return err
-}
-
 // ForEachSSLBatch streams an ssl.log in record batches of
-// DefaultBatchSize: one callback per batch instead of one per row,
-// sized for Engine.IngestConnBatch. The slice is reused between calls —
-// fn must copy any records it retains past its return (the engine's
-// batch ingest does). Rows parsed before a strict-mode error are still
-// delivered. fn may return ErrStop to end early.
+// DefaultBatchSize: one callback per batch, sized for
+// Engine.IngestConnBatch. The slice is reused between calls — fn must
+// copy any records it retains past its return (the engine's batch ingest
+// does). The default is strict (the first malformed row aborts with an
+// error); pass Permissive and its companions to quarantine bad rows
+// instead. Rows parsed before a strict-mode error are still delivered. fn
+// may return ErrStop to end early.
 func ForEachSSLBatch(r io.Reader, fn func([]SSLRecord) error, opts ...Opt) error {
-	return forEachSSLBatch(r, resolveOpts(opts), fn)
-}
-
-func forEachSSLBatch(r io.Reader, o Options, fn func([]SSLRecord) error) error {
-	it := newInternTable()
-	buf := make([]SSLRecord, 0, DefaultBatchSize)
-	err := readTSV(r, "ssl", len(sslFields), o, func(cols [][]byte) error {
-		rec, err := parseSSLCols(cols, it)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, rec)
-		if len(buf) >= DefaultBatchSize {
-			err := fn(buf)
-			buf = buf[:0]
-			return err
-		}
-		return nil
-	})
-	if errors.Is(err, ErrStop) {
-		return nil
-	}
-	if len(buf) > 0 {
-		if ferr := fn(buf); err == nil && !errors.Is(ferr, ErrStop) {
-			err = ferr
-		}
-	}
-	return err
+	return forEachBatch(r, "ssl", len(sslFields), resolveOpts(opts), parseSSLCols, fn)
 }
 
 // ForEachX509Batch streams an x509.log in record batches, the
 // certificate-side counterpart of ForEachSSLBatch.
 func ForEachX509Batch(r io.Reader, fn func([]X509Record) error, opts ...Opt) error {
-	return forEachX509Batch(r, resolveOpts(opts), fn)
+	return forEachBatch(r, "x509", len(x509Fields), resolveOpts(opts), parseX509Cols, fn)
 }
 
-func forEachX509Batch(r io.Reader, o Options, fn func([]X509Record) error) error {
+// forEachBatch is the one reader: readTSV's rows parsed into records of
+// one log and handed over DefaultBatchSize at a time.
+func forEachBatch[T any](r io.Reader, kind string, fields int, o Options,
+	parse func([][]byte, *internTable) (T, error), fn func([]T) error) error {
 	it := newInternTable()
-	buf := make([]X509Record, 0, DefaultBatchSize)
-	err := readTSV(r, "x509", len(x509Fields), o, func(cols [][]byte) error {
-		rec, err := parseX509Cols(cols, it)
+	buf := make([]T, 0, DefaultBatchSize)
+	err := readTSV(r, kind, fields, o, func(cols [][]byte) error {
+		rec, err := parse(cols, it)
 		if err != nil {
 			return err
 		}
@@ -438,21 +371,17 @@ func forEachX509Batch(r io.Reader, o Options, fn func([]X509Record) error) error
 	return err
 }
 
-// ReadSSL parses an ssl.log stream.
-func ReadSSL(r io.Reader) ([]SSLRecord, error) {
-	var out []SSLRecord
-	err := ForEachSSL(r, func(rec *SSLRecord) error {
-		out = append(out, *rec)
-		return nil
-	})
-	return out, err
-}
+// ReadSSL parses an ssl.log stream, strictly; on an error it returns the
+// rows parsed before it.
+func ReadSSL(r io.Reader) ([]SSLRecord, error) { return readAll(r, ForEachSSLBatch) }
 
-// ReadX509 parses an x509.log stream.
-func ReadX509(r io.Reader) ([]X509Record, error) {
-	var out []X509Record
-	err := ForEachX509(r, func(rec *X509Record) error {
-		out = append(out, *rec)
+// ReadX509 parses an x509.log stream, strictly, like ReadSSL.
+func ReadX509(r io.Reader) ([]X509Record, error) { return readAll(r, ForEachX509Batch) }
+
+func readAll[T any](r io.Reader, each func(io.Reader, func([]T) error, ...Opt) error) ([]T, error) {
+	var out []T
+	err := each(r, func(recs []T) error {
+		out = append(out, recs...)
 		return nil
 	})
 	return out, err
@@ -462,21 +391,20 @@ func ReadX509(r io.Reader) ([]X509Record, error) {
 // Permissive, a corrupt row is quarantined and the rest of the dataset
 // still loads.
 func LoadDataset(ssl, x509 io.Reader, opts ...Opt) (*Dataset, error) {
-	o := resolveOpts(opts)
 	d := NewDataset()
-	err := forEachSSLBatch(ssl, o, func(recs []SSLRecord) error {
+	err := ForEachSSLBatch(ssl, func(recs []SSLRecord) error {
 		d.Conns = append(d.Conns, recs...)
 		return nil
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	err = forEachX509Batch(x509, o, func(recs []X509Record) error {
+	err = ForEachX509Batch(x509, func(recs []X509Record) error {
 		for i := range recs {
 			d.AddCert(recs[i].Cert)
 		}
 		return nil
-	})
+	}, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func WithWorkers(n int) AnalyzeOption {
 
 // LogOption configures OpenLogs' malformed-row policy. It is the zeek
 // package's reader option, so the same values thread through to
-// zeek.ForEachSSL / zeek.LoadDataset.
+// zeek.ForEachSSLBatch / zeek.LoadDataset.
 type LogOption = zeek.Opt
 
 // Strict selects fail-stop log parsing: the first malformed row aborts
